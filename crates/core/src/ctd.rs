@@ -49,7 +49,8 @@
 use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::arena::{words_subset, words_union_into, IdSet};
+use softhw_hypergraph::arena::{word_tail_mask, words_subset, words_union_into, IdSet};
+use softhw_hypergraph::blocks::SliceRange;
 use softhw_hypergraph::par::{par_join, par_map};
 use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Csr, FxHashMap, Hypergraph};
 use std::sync::Arc;
@@ -84,10 +85,10 @@ pub struct Block {
 /// (`children = blocks headed by x with comp ⊆ C`, and the witness
 /// union is `x ∪ ⋃children`), so both are computed once per distinct
 /// component ("comp group") and shared by every block with that
-/// component. That keeps the precompute output-sensitive — near the
-/// coverage-viable pair count — instead of a full `blocks × bags` scan:
-/// candidates are found through the inverted vertex→bags index (one AND
-/// per required coverage vertex), never by enumerating bags.
+/// component. Candidates are found through the two-level inverted
+/// vertex→bags index ([`VertexBags`]), never by enumerating bags, so the
+/// precompute costs about `groups × bags / 4096` summary words plus the
+/// coverage-viable pairs it emits instead of a `blocks × bags` scan.
 ///
 /// The remaining, block-specific basis conditions — `X ⊆ S ∪ C` and
 /// `X ≠ S` — are *not* tabulated: they are a single interned-subset test
@@ -118,19 +119,65 @@ struct Deps {
     g_child_start: Vec<u32>,
     /// Child block ids of all coverage-viable pairs, concatenated.
     g_child_data: Vec<u32>,
-    /// Vertex × bag bitmask (`xwords` words per row): bit `x` of row `v`
-    /// is set iff vertex `v` ∈ bag `x`. This is the inverted index both
-    /// the cold build and the incremental extension scan candidates
-    /// through: "bags ⊇ req" is an AND over `req`'s rows instead of a
-    /// subset test per bag.
-    vertex_bags: Vec<u64>,
-    /// Words per `vertex_bags` row.
-    xwords: usize,
+    /// The inverted index both the cold build and the incremental
+    /// extension scan candidates through.
+    vertex_bags: VertexBags,
     /// Child block → comp groups with a coverage-viable candidate
     /// delegating to it.
     child_groups: Csr,
     /// Comp group → its blocks.
     group_blocks: Csr,
+}
+
+/// Row words per summary word of [`VertexBags`]: one per summary bit.
+const SUMMARY_SPAN: usize = u64::BITS as usize;
+
+/// The inverted vertex → bags index, two levels deep: "bags ⊇ req" is
+/// an AND over `req`'s rows instead of a subset test per bag, and the
+/// AND first runs on one summary word per [`SUMMARY_SPAN`] row words so
+/// it only ever touches the stretches of a row where every `req` vertex
+/// has a bag at all.
+#[derive(Default)]
+struct VertexBags {
+    /// Vertex × bag bitmask (`xwords` words per row): bit `x` of row `v`
+    /// is set iff vertex `v` ∈ bag `x`.
+    rows: Vec<u64>,
+    /// Per vertex, one word per [`SUMMARY_SPAN`] row words: bit `j` of
+    /// summary word `i` is set iff row word `i * SUMMARY_SPAN + j` is
+    /// non-zero.
+    summary: Vec<u64>,
+    /// Words per row.
+    xwords: usize,
+}
+
+impl VertexBags {
+    /// Summary words per row.
+    #[inline]
+    fn swords(&self) -> usize {
+        self.xwords.div_ceil(SUMMARY_SPAN)
+    }
+
+    /// Widens the index to `bag_ids.len()` bags and records the bags
+    /// `from..`. A cold build is the extension of the empty index by
+    /// every bag, so both levels are maintained in this one place.
+    fn extend(&mut self, nv: usize, arena: &BagArena, bag_ids: &[BagId], from: usize) {
+        let (old_xwords, old_swords) = (self.xwords, self.swords());
+        self.xwords = bag_ids.len().div_ceil(64).max(1);
+        let (xwords, swords) = (self.xwords, self.swords());
+        restride_rows(&mut self.rows, nv, old_xwords, xwords);
+        restride_rows(&mut self.summary, nv, old_swords, swords);
+        for (x, &bag) in bag_ids.iter().enumerate().skip(from) {
+            let w = x / 64;
+            for v in arena.iter(bag) {
+                self.rows[v * xwords + w] |= 1u64 << (x % 64);
+                self.summary[v * swords + w / SUMMARY_SPAN] |= 1u64 << (w % SUMMARY_SPAN);
+            }
+        }
+    }
+
+    fn approx_bytes(&self) -> u64 {
+        ((self.rows.capacity() + self.summary.capacity()) * 8) as u64
+    }
 }
 
 impl Deps {
@@ -154,9 +201,8 @@ impl Deps {
             + self.g_cand_x.capacity()
             + self.g_child_start.capacity()
             + self.g_child_data.capacity();
-        (u32s * 4
-            + self.vertex_bags.capacity() * 8
-            + self.comp_group.len() * (std::mem::size_of::<(BagId, u32)>() + 8)) as u64
+        (u32s * 4 + self.comp_group.len() * (std::mem::size_of::<(BagId, u32)>() + 8)) as u64
+            + self.vertex_bags.approx_bytes()
             + self.child_groups.approx_bytes()
             + self.group_blocks.approx_bytes()
     }
@@ -234,17 +280,6 @@ pub struct ExtendDelta {
     pub dirty: Vec<u32>,
 }
 
-/// Bits `wi*64..` of a word that index elements below `universe`.
-#[inline]
-fn word_tail_mask(universe: usize, wi: usize) -> u64 {
-    let bits = universe.saturating_sub(wi * 64).min(64);
-    if bits == 64 {
-        !0
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
 /// Widens a row-major `rows × old_w` word matrix to `rows × new_w`,
 /// zero-filling the new high words of every row.
 fn restride_rows(data: &mut Vec<u64>, rows: usize, old_w: usize, new_w: usize) {
@@ -259,18 +294,26 @@ fn restride_rows(data: &mut Vec<u64>, rows: usize, old_w: usize, new_w: usize) {
     *data = wide;
 }
 
-/// Reusable word buffers for [`scan_masked_group`], one set per scan
-/// worker, so the per-group scans of a build or extension allocate
-/// nothing at all — results append into per-chunk flat vectors.
+/// Reusable buffers for [`scan_masked_group`], one set per scan worker,
+/// so the per-group scans of a build or extension allocate nothing at
+/// all — results append into per-chunk flat vectors.
 struct ScanScratch {
+    /// The group's `req` vertices.
+    req: Vec<usize>,
+    /// Surviving summary words of the whole row.
+    summary: Vec<u64>,
+    /// Candidate words of the [`SUMMARY_SPAN`]-word stretch being scanned.
     cand: Vec<u64>,
+    /// Witness-union words of one candidate.
     buf: Vec<u64>,
 }
 
 impl ScanScratch {
-    fn new(words: usize, xwords: usize) -> Self {
+    fn new(words: usize, vb: &VertexBags) -> Self {
         ScanScratch {
-            cand: vec![0u64; xwords],
+            req: Vec::new(),
+            summary: vec![0u64; vb.swords()],
+            cand: vec![0u64; vb.xwords.min(SUMMARY_SPAN)],
             buf: vec![0u64; words],
         }
     }
@@ -290,86 +333,142 @@ struct ScanChunk {
     children: Vec<u32>,
 }
 
+/// The bits of word `wi` that index elements of `range`.
+#[inline]
+fn word_range_mask(range: &std::ops::Range<usize>, wi: usize) -> u64 {
+    word_tail_mask(range.end, wi) & !word_tail_mask(range.start, wi)
+}
+
+/// `dst &= src`, returning whether any bit survived.
+#[inline]
+fn and_into_any(src: &[u64], dst: &mut [u64]) -> bool {
+    let mut any = 0u64;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d &= s;
+        any |= *d;
+    }
+    any != 0
+}
+
 /// Scans one comp group for coverage-viable candidate entries among the
-/// bags of `mask`: candidates must contain every coverage vertex outside
-/// the component (`req = cover ∖ C`), and their child components must
-/// complete the coverage union. The `req` condition is evaluated through
-/// the inverted vertex→bags index — one AND per `req` vertex over the
-/// whole mask — instead of a subset test per bag, which makes the scan
-/// output-sensitive: cost tracks the number of surviving candidates, not
-/// `groups × bags`. Both the cold build (`mask` = all bags) and the
-/// incremental extension (`mask` = the newly added bags) run through
-/// this one scan, which is what keeps their tables bit-identical.
+/// bags `bag_range`: candidates must contain every coverage vertex
+/// outside the component (`req = cover ∖ C`), and their child components
+/// must complete the coverage union. The `req` condition is evaluated
+/// through the inverted vertex→bags index, top level first: the AND of
+/// the `req` vertices' summary rows (one word per [`SUMMARY_SPAN`] row
+/// words) names the stretches of the row where a candidate can exist at
+/// all, and the row AND then runs only over those stretches. A group
+/// therefore costs `|req| × bags / 4096` summary words plus one
+/// [`SUMMARY_SPAN`]-word AND per surviving stretch — near the number of
+/// candidates it emits — where a flat AND reads `|req| × bags / 64`
+/// words. Both the cold build (all bags) and the incremental extension
+/// (the newly added bags) run through this one scan, which is what keeps
+/// their tables bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn scan_masked_group(
     arena: &BagArena,
     bag_ids: &[BagId],
     blocks: &[Block],
     blocks_by_head: &[(u32, u32)],
-    vertex_bags: &[u64],
-    xwords: usize,
+    vb: &VertexBags,
     rep: usize,
-    mask: &[u64],
+    bag_range: std::ops::Range<usize>,
     s: &mut ScanScratch,
     out: &mut ScanChunk,
 ) {
     let blk = &blocks[rep];
     let cover = arena.words(blk.cover);
     let comp_words = arena.words(blk.comp);
-    // Candidate mask: bags of `mask` that contain every coverage vertex
-    // outside the component (`req`); a bag missing one can never witness
-    // condition (2), because child components only contribute vertices
-    // of `C`.
-    s.cand.copy_from_slice(mask);
-    'req: for (wi, (&c, &m)) in cover.iter().zip(comp_words).enumerate() {
+    let (xwords, swords) = (vb.xwords, vb.swords());
+    // A bag missing a `req` vertex can never witness condition (2),
+    // because child components only contribute vertices of `C`.
+    s.req.clear();
+    for (wi, (&c, &m)) in cover.iter().zip(comp_words).enumerate() {
         let mut req = c & !m;
         while req != 0 {
-            let v = wi * 64 + req.trailing_zeros() as usize;
+            s.req.push(wi * 64 + req.trailing_zeros() as usize);
             req &= req - 1;
-            let row = &vertex_bags[v * xwords..(v + 1) * xwords];
-            let mut any = 0u64;
-            for (cw, &rw) in s.cand.iter_mut().zip(row) {
-                *cw &= rw;
-                any |= *cw;
+        }
+    }
+    // Top level: the row words overlapping `bag_range` in which every
+    // `req` vertex has some bag.
+    let word_range = bag_range.start / 64..bag_range.end.div_ceil(64);
+    for (si, sw) in s.summary.iter_mut().enumerate() {
+        *sw = word_range_mask(&word_range, si);
+    }
+    for &v in &s.req {
+        if !and_into_any(&vb.summary[v * swords..(v + 1) * swords], &mut s.summary) {
+            return;
+        }
+    }
+    'stretch: for si in 0..swords {
+        let mut live_words = s.summary[si];
+        if live_words == 0 {
+            continue;
+        }
+        let lo = si * SUMMARY_SPAN;
+        let cand = &mut s.cand[..(xwords - lo).min(SUMMARY_SPAN)];
+        cand.fill(!0);
+        for &v in &s.req {
+            let row = &vb.rows[v * xwords + lo..v * xwords + lo + cand.len()];
+            if !and_into_any(row, cand) {
+                continue 'stretch;
             }
-            if any == 0 {
-                break 'req;
+        }
+        while live_words != 0 {
+            let w = lo + live_words.trailing_zeros() as usize;
+            live_words &= live_words - 1;
+            // Only the two boundary words of `bag_range` are partial.
+            let mut bits = cand[w - lo] & word_range_mask(&bag_range, w);
+            while bits != 0 {
+                let x = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let bag = bag_ids[x];
+                let begin = out.children.len();
+                let (hb_start, hb_len) = blocks_by_head[x];
+                let head_range = hb_start as usize..(hb_start + hb_len) as usize;
+                // Fast path: the bag alone covers the obligations.
+                if arena.is_subset(blk.cover, bag) {
+                    for b2 in head_range {
+                        if arena.is_subset(blocks[b2].comp, blk.comp) {
+                            out.children.push(b2 as u32);
+                        }
+                    }
+                } else {
+                    s.buf.copy_from_slice(arena.words(bag));
+                    for b2 in head_range {
+                        if arena.is_subset(blocks[b2].comp, blk.comp) {
+                            out.children.push(b2 as u32);
+                            arena.union_into(blocks[b2].comp, &mut s.buf);
+                        }
+                    }
+                    if !words_subset(cover, &s.buf) {
+                        out.children.truncate(begin);
+                        continue;
+                    }
+                }
+                out.xs.push(x as u32);
+                out.counts.push((out.children.len() - begin) as u32);
             }
         }
     }
-    for w in 0..xwords {
-        let mut bits = s.cand[w];
-        while bits != 0 {
-            let x = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let bag = bag_ids[x];
-            let begin = out.children.len();
-            let (hb_start, hb_len) = blocks_by_head[x];
-            let head_range = hb_start as usize..(hb_start + hb_len) as usize;
-            // Fast path: the bag alone covers the obligations.
-            if arena.is_subset(blk.cover, bag) {
-                for b2 in head_range {
-                    if arena.is_subset(blocks[b2].comp, blk.comp) {
-                        out.children.push(b2 as u32);
-                    }
-                }
-            } else {
-                s.buf.copy_from_slice(arena.words(bag));
-                for b2 in head_range {
-                    if arena.is_subset(blocks[b2].comp, blk.comp) {
-                        out.children.push(b2 as u32);
-                        arena.union_into(blocks[b2].comp, &mut s.buf);
-                    }
-                }
-                if !words_subset(cover, &s.buf) {
-                    out.children.truncate(begin);
-                    continue;
-                }
-            }
-            out.xs.push(x as u32);
-            out.counts.push((out.children.len() - begin) as u32);
-        }
+}
+
+/// Resolves the block rows of the bags `seps` against the shared index:
+/// the component passes of an instance build or extension, run ahead of
+/// block derivation so they are attributed to their own span.
+fn resolve_rows(
+    index: &mut BlockIndex,
+    seps: &[BagId],
+    budget: &Budget,
+) -> Result<Vec<SliceRange>, DecompError> {
+    let _span = softhw_obs::span(softhw_obs::stage::COMPONENTS);
+    let mut rows = Vec::with_capacity(seps.len());
+    for &sep in seps {
+        budget.tick()?;
+        rows.push(index.block_rows(sep));
     }
+    Ok(rows)
 }
 
 impl CtdInstance {
@@ -385,10 +484,10 @@ impl CtdInstance {
     }
 
     /// Builds an instance from bags interned in a shared [`BlockIndex`].
-    /// Component and touching-edge computation hits the index cache, so
-    /// consecutive instances over the same hypergraph (e.g. the `shw`
-    /// width sweep, or repeated constrained queries) only pay for bags
-    /// never seen before.
+    /// Each bag's components and coverage unions come from the index's
+    /// row cache ([`BlockIndex::block_rows`]), so consecutive instances
+    /// over the same hypergraph (e.g. the `shw` width sweep, or repeated
+    /// constrained queries) only pay for bags never seen before.
     pub fn build(index: &mut BlockIndex, bags: &[BagId]) -> Self {
         Self::build_budgeted(index, bags, &Budget::unlimited())
             .expect("the unlimited budget cannot trip")
@@ -430,8 +529,7 @@ impl CtdInstance {
         let mut root_blocks = Vec::new();
         let empty = index.empty();
         let rows_r = index.block_rows(empty);
-        for i in 0..rows_r.len() {
-            let (comp, cover) = index.rows(rows_r)[i];
+        for &(comp, cover) in index.rows(rows_r) {
             let local_comp = arena.copy_from(&index.arena, comp);
             let local_cover = arena.copy_from(&index.arena, cover);
             root_blocks.push(blocks.len());
@@ -442,13 +540,12 @@ impl CtdInstance {
                 cover: local_cover,
             });
         }
+        let bag_rows = resolve_rows(index, &index_ids, budget)?;
         let mut blocks_by_head: Vec<(u32, u32)> = Vec::with_capacity(bag_ids.len());
-        for (sid, (&local_bag, &index_bag)) in bag_ids.iter().zip(&index_ids).enumerate() {
+        for (sid, (&local_bag, &rows_r)) in bag_ids.iter().zip(&bag_rows).enumerate() {
             budget.tick()?;
-            let rows_r = index.block_rows(index_bag);
             blocks_by_head.push((blocks.len() as u32, rows_r.len() as u32));
-            for i in 0..rows_r.len() {
-                let (comp, cover) = index.rows(rows_r)[i];
+            for &(comp, cover) in index.rows(rows_r) {
                 let local_comp = arena.copy_from(&index.arena, comp);
                 let local_cover = arena.copy_from(&index.arena, cover);
                 let closure = arena.union(local_bag, local_comp);
@@ -460,6 +557,8 @@ impl CtdInstance {
                 });
             }
         }
+        // Released before the dependency tables are sized.
+        drop(bag_rows);
         let bag_sets = (0..bag_ids.len())
             .map(|_| std::sync::OnceLock::new())
             .collect();
@@ -504,6 +603,7 @@ impl CtdInstance {
         blocks_by_head: &[(u32, u32)],
         budget: &Budget,
     ) -> Result<Deps, DecompError> {
+        let _span = softhw_obs::span(softhw_obs::stage::DEPS_SCAN);
         let nb = blocks.len();
         let nx = bag_ids.len();
         let words = arena.words_per_bag();
@@ -521,20 +621,13 @@ impl CtdInstance {
             group_of.push(g);
         }
         let ng = group_rep.len();
-        let xwords = nx.div_ceil(64).max(1);
-        // The inverted vertex → bags index the scans run through.
-        let mut vertex_bags = vec![0u64; h.num_vertices() * xwords];
-        for (x, &bag) in bag_ids.iter().enumerate() {
-            for v in arena.iter(bag) {
-                vertex_bags[v * xwords + x / 64] |= 1u64 << (x % 64);
-            }
-        }
-        let live: Vec<u64> = (0..xwords).map(|w| word_tail_mask(nx, w)).collect();
+        let mut vertex_bags = VertexBags::default();
+        vertex_bags.extend(h.num_vertices(), arena, bag_ids, 0);
         let vb = &vertex_bags;
         let group_rep_ref = &group_rep;
         let workers = softhw_hypergraph::par::num_workers().min(ng.max(1));
         let raw = softhw_hypergraph::par::par_chunks(ng, workers, |range| {
-            let mut s = ScanScratch::new(words, xwords);
+            let mut s = ScanScratch::new(words, vb);
             let mut out = ScanChunk::default();
             for g in range {
                 budget.tick()?;
@@ -545,9 +638,8 @@ impl CtdInstance {
                     blocks,
                     blocks_by_head,
                     vb,
-                    xwords,
                     group_rep_ref[g] as usize,
-                    &live,
+                    0..nx,
                     &mut s,
                     &mut out,
                 );
@@ -614,7 +706,6 @@ impl CtdInstance {
             g_child_start,
             g_child_data,
             vertex_bags,
-            xwords,
             child_groups,
             group_blocks,
         })
@@ -669,16 +760,15 @@ impl CtdInstance {
             self.blocks_by_head.push((0, 0));
             self.bag_sets.push(std::sync::OnceLock::new());
         }
+        let new_rows = resolve_rows(index, &self.index_ids[prev_bags..], budget)?;
         if softhw_hypergraph::par::num_workers() > 1 && self.bag_ids.len() > prev_bags {
-            // Parallel intern pass: resolve every new bag's block rows
-            // first (serial — the row cache needs `&mut`), then fan the
+            // Parallel intern pass: with every new bag's block rows
+            // resolved (serially — the row cache needs `&mut`), fan the
             // per-block closure words and intern hashes out via
             // `par_map` (pure reads); the serial remainder is one hashed
             // table probe per comp/closure/cover.
             let mut descs: Vec<(usize, BagId, BagId)> = Vec::new();
-            for x in prev_bags..self.bag_ids.len() {
-                budget.tick()?;
-                let rows_r = index.block_rows(self.index_ids[x]);
+            for (x, &rows_r) in (prev_bags..).zip(&new_rows) {
                 for &(comp, cover) in index.rows(rows_r) {
                     descs.push((x, comp, cover));
                 }
@@ -725,15 +815,12 @@ impl CtdInstance {
             // Serial: single pass over the new bags, creating each block
             // straight from the index's row table.
             let mut closure_buf: Vec<u64> = vec![0u64; self.arena.words_per_bag()];
-            for head in prev_bags..self.bag_ids.len() {
+            for (head, &rows_r) in (prev_bags..).zip(&new_rows) {
                 budget.tick()?;
-                let rows_r = index.block_rows(self.index_ids[head]);
-                let n_rows = rows_r.len();
-                if n_rows > 0 {
-                    self.blocks_by_head[head] = (self.blocks.len() as u32, n_rows as u32);
+                if !rows_r.is_empty() {
+                    self.blocks_by_head[head] = (self.blocks.len() as u32, rows_r.len() as u32);
                 }
-                for i in 0..n_rows {
-                    let (comp, cover) = index.rows(rows_r)[i];
+                for &(comp, cover) in index.rows(rows_r) {
                     let local_comp = self.arena.copy_from(&index.arena, comp);
                     closure_buf.copy_from_slice(self.arena.words(self.bag_ids[head]));
                     self.arena.union_into(local_comp, &mut closure_buf);
@@ -774,11 +861,9 @@ impl CtdInstance {
         prev_nb: usize,
         budget: &Budget,
     ) -> Result<Vec<u32>, DecompError> {
+        let _span = softhw_obs::span(softhw_obs::stage::DEPS_SCAN);
         let nx = self.bag_ids.len();
         let nb = self.blocks.len();
-        let nv = self.h.num_vertices();
-        let old_xwords = self.deps.xwords;
-        let xwords = nx.div_ceil(64).max(1);
         // Group assignment for the new blocks (the persistent map keeps
         // the numbering identical to a cold build over the same sequence).
         let ng_old;
@@ -799,13 +884,9 @@ impl CtdInstance {
             }
         }
         let ng = self.deps.group_rep.len();
-        // Inverted index: widen to the new stride, set the new bags' bits.
-        restride_rows(&mut self.deps.vertex_bags, nv, old_xwords, xwords);
-        for x in prev_nx..nx {
-            for v in self.arena.iter(self.bag_ids[x]) {
-                self.deps.vertex_bags[v * xwords + x / 64] |= 1u64 << (x % 64);
-            }
-        }
+        self.deps
+            .vertex_bags
+            .extend(self.h.num_vertices(), &self.arena, &self.bag_ids, prev_nx);
         // The tables carry no per-block state beyond coverage, so a
         // pre-existing group's entries over the old bags are already
         // exact: old groups rescan only the bags this extension
@@ -813,14 +894,6 @@ impl CtdInstance {
         let arena = &self.arena;
         let vertex_bags = &self.deps.vertex_bags;
         let group_of = &self.deps.group_of;
-        let mut live = vec![0u64; xwords];
-        for (w, lw) in live.iter_mut().enumerate() {
-            *lw = word_tail_mask(nx, w);
-        }
-        let mut new_region = live.clone();
-        for (w, nw) in new_region.iter_mut().enumerate() {
-            *nw &= !word_tail_mask(prev_nx, w);
-        }
         let bag_ids = &self.bag_ids;
         let blocks = &self.blocks;
         let blocks_by_head = &self.blocks_by_head;
@@ -834,11 +907,11 @@ impl CtdInstance {
         let (raw, group_blocks) = par_join(
             || {
                 softhw_hypergraph::par::par_chunks(ng, workers, |range| {
-                    let mut s = ScanScratch::new(words, xwords);
+                    let mut s = ScanScratch::new(words, vertex_bags);
                     let mut out = ScanChunk::default();
                     for g in range {
                         budget.tick()?;
-                        let mask = if g < ng_old { &new_region } else { &live };
+                        let from = if g < ng_old { prev_nx } else { 0 };
                         let before = out.xs.len();
                         scan_masked_group(
                             arena,
@@ -846,9 +919,8 @@ impl CtdInstance {
                             blocks,
                             blocks_by_head,
                             vertex_bags,
-                            xwords,
                             group_rep[g] as usize,
-                            mask,
+                            from..nx,
                             &mut s,
                             &mut out,
                         );
@@ -1011,7 +1083,6 @@ impl CtdInstance {
         d.g_cand_x = g_cand_x;
         d.g_child_start = g_child_start;
         d.g_child_data = g_child_data;
-        d.xwords = xwords;
         d.child_groups = child_groups;
         d.group_blocks = group_blocks;
         Ok(dirty)

@@ -383,6 +383,7 @@ pub fn component_union_ids_budgeted(
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<Vec<BagId>, DecompError> {
+    let _span = softhw_obs::span(softhw_obs::stage::COMPONENTS);
     let h = index.hypergraph();
     let num_edges = h.num_edges();
     let words = index.arena.words_per_bag();
@@ -399,28 +400,21 @@ pub fn component_union_ids_budgeted(
     // offer, so it is deduplicated *before* the component BFS / cache
     // probes rather than per component behind them.
     let mut sep_seen = IdSet::with_capacity(est);
-    let mut comp_scratch: Vec<BagId> = Vec::new();
-
-    let mut collect = |index: &mut BlockIndex,
-                       sep: BagId,
-                       out: &mut Vec<BagId>,
-                       seen: &mut IdSet,
-                       comp_scratch: &mut Vec<BagId>| {
-        let r = index.components(sep);
-        comp_scratch.clear();
-        comp_scratch.extend_from_slice(index.comps(r));
-        for &c in comp_scratch.iter() {
-            let u = index.component_union(c);
+    // One cached pass per separator yields its components and their
+    // unions together; only the union column is wanted here.
+    fn collect(index: &mut BlockIndex, sep: BagId, out: &mut Vec<BagId>, seen: &mut IdSet) {
+        let r = index.block_rows(sep);
+        for &(_, u) in index.rows(r) {
             if seen.insert(u) {
                 out.push(u);
             }
         }
-    };
+    }
 
     // λ2 = ∅ first.
     let empty = index.empty();
     sep_seen.insert(empty);
-    collect(index, empty, &mut out, &mut seen, &mut comp_scratch);
+    collect(index, empty, &mut out, &mut seen);
 
     // DFS over non-empty λ2, maintaining the separator union per depth.
     let mut pool: Vec<Vec<u64>> = (0..=k).map(|_| vec![0u64; words]).collect();
@@ -438,8 +432,6 @@ pub fn component_union_ids_budgeted(
         out: &mut Vec<BagId>,
         seen: &mut IdSet,
         sep_seen: &mut IdSet,
-        comp_scratch: &mut Vec<BagId>,
-        collect: &mut impl FnMut(&mut BlockIndex, BagId, &mut Vec<BagId>, &mut IdSet, &mut Vec<BagId>),
     ) -> Result<(), DecompError> {
         for e in start..num_edges {
             budget.tick()?;
@@ -462,7 +454,7 @@ pub fn component_union_ids_budgeted(
             // *deeper* subset extending it still can — skip only the
             // component queries, not the recursion.
             if sep_seen.insert(sep) {
-                collect(index, sep, out, seen, comp_scratch);
+                collect(index, sep, out, seen);
             }
             if depth < max_depth {
                 rec(
@@ -477,8 +469,6 @@ pub fn component_union_ids_budgeted(
                     out,
                     seen,
                     sep_seen,
-                    comp_scratch,
-                    collect,
                 )?;
             }
         }
@@ -497,8 +487,6 @@ pub fn component_union_ids_budgeted(
             &mut out,
             &mut seen,
             &mut sep_seen,
-            &mut comp_scratch,
-            &mut collect,
         )?;
     }
     out.sort_unstable_by(|&a, &b| index.arena.cmp_bags(a, b));
@@ -1088,13 +1076,13 @@ mod tests {
         let mut index = BlockIndex::new(&h);
         let limits = SoftLimits::default();
         let _ = soft_bag_ids(&mut index, 1, &limits).unwrap();
-        let misses_after_k1 = index.stats().comp_misses;
+        let misses_after_k1 = index.stats().misses;
         let _ = soft_bag_ids(&mut index, 2, &limits).unwrap();
         let stats = index.stats();
         // k = 2 re-enumerates every k = 1 separator; those must all hit.
-        assert!(stats.comp_hits > 0, "expected cache hits at k = 2");
+        assert!(stats.hits > 0, "expected cache hits at k = 2");
         assert!(
-            stats.comp_misses > misses_after_k1,
+            stats.misses > misses_after_k1,
             "k = 2 also explores new separators"
         );
     }

@@ -629,6 +629,17 @@ pub fn words_card(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
+/// The bits of word `wi` that index elements below `universe`.
+#[inline]
+pub fn word_tail_mask(universe: usize, wi: usize) -> u64 {
+    let bits = universe.saturating_sub(wi * 64).min(64);
+    if bits == 64 {
+        !0
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
 /// Iterates set bits of raw words in ascending order.
 pub fn words_iter(words: &[u64]) -> BitIter<'_> {
     BitIter::over(words)

@@ -1,33 +1,33 @@
 //! The shared block index: per-hypergraph memoisation of the
 //! `[S]`-connectivity quantities every solver recomputes.
 //!
-//! All of the paper's algorithms repeatedly ask the same three questions
+//! All of the paper's algorithms repeatedly ask the same two questions
 //! about separators `S ⊆ V(H)`:
 //!
 //! 1. what are the `[S]`-components (as vertex sets)?
-//! 2. which edges touch a given component (the block's coverage
-//!    obligations in Algorithm 1)?
-//! 3. what is `⋃C`, the union of the vertices of the edges touching a
-//!    component (the `U`-side of Definition 3)?
+//! 2. what is `⋃C`, the union of the vertices of the edges touching a
+//!    component — the `U`-side of Definition 3, and (standing in for the
+//!    touching-edge list) the block's coverage obligation in Algorithm 1?
 //!
 //! The seed recomputed these per solver call — `shw` at width `k+1`
 //! re-derived every component it already knew at width `k`, and
 //! `component_unions` re-ran a BFS per λ2 subset even across solvers. The
 //! [`BlockIndex`] interns every separator and component into a
-//! [`BagArena`] and caches the answers keyed by [`BagId`], so a
+//! [`BagArena`] and answers both questions with one cached pass per
+//! separator ([`BlockIndex::block_rows`]), keyed by [`BagId`], so a
 //! (hypergraph, k)-sweep — or a whole `shw` search across all `k` —
 //! computes each of them exactly once.
 //!
-//! Side tables are append-only, so cached ranges stay valid as the index
+//! The row table is append-only, so cached ranges stay valid as the index
 //! grows.
 
-use crate::arena::{BagArena, BagId};
+use crate::arena::{word_tail_mask, words_union_into, BagArena, BagId};
 use crate::bitset::BitSet;
 use crate::fxhash::FxHashMap;
 use crate::hypergraph::Hypergraph;
 use std::sync::Arc;
 
-/// A `(start, len)` range into one of the index's append-only side tables.
+/// A `(start, len)` range into the index's append-only row table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SliceRange {
     start: u32,
@@ -59,18 +59,15 @@ impl SliceRange {
 /// Cache statistics (exposed for tests and the bench harness).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BlockIndexStats {
-    /// Component-list cache hits.
-    pub comp_hits: u64,
-    /// Component-list cache misses (fresh BFS runs).
-    pub comp_misses: u64,
-    /// Component-union cache hits.
-    pub union_hits: u64,
-    /// Component-union cache misses.
-    pub union_misses: u64,
+    /// Separator probes answered from the row cache.
+    pub hits: u64,
+    /// Separator probes that ran a fresh component pass.
+    pub misses: u64,
 }
 
-/// Per-hypergraph cache of components, blocks, and component unions, all
-/// keyed on interned [`BagId`]s.
+/// Per-hypergraph cache of block rows — the `[S]`-components of a
+/// separator paired with their coverage unions — keyed on interned
+/// [`BagId`]s.
 ///
 /// The index *owns* its hypergraph (as an [`Arc`], shared with every
 /// solver instance built from it), so it has no borrow lifetime and can
@@ -82,32 +79,32 @@ pub struct BlockIndex {
     /// Arena over the vertex universe; owns every separator, component,
     /// closure, and candidate bag this index has seen.
     pub arena: BagArena,
-    /// Flat storage of cached component lists.
-    comp_data: Vec<BagId>,
-    /// separator id → its `[S]`-components (vertex sets, interned).
-    comp_cache: FxHashMap<BagId, SliceRange>,
-    /// Flat storage of cached touching-edge lists.
-    touch_data: Vec<u32>,
-    /// component id → ids of edges intersecting it.
-    touch_cache: FxHashMap<BagId, SliceRange>,
-    /// component id → interned `⋃C` (union of vertices of touching edges).
-    union_cache: FxHashMap<BagId, BagId>,
+    /// The closed-neighbourhood rows `N[v]`, flat (`words_per_bag` words
+    /// per vertex) so the component pass reads one contiguous table
+    /// instead of chasing a boxed bitset per vertex.
+    adj: Vec<u64>,
     /// Flat storage of cached block rows: `(component, coverage union)`
     /// per component of a separator, in component order.
     row_data: Vec<(BagId, BagId)>,
     /// separator id → its block rows.
     row_cache: FxHashMap<BagId, SliceRange>,
-    /// Reusable per-edge mark buffer for `edges_touching`.
-    edge_seen_scratch: Vec<bool>,
-    /// Reusable BFS buffers for `components` (seen words, component
-    /// words, vertex stack) — the per-bag component queries of instance
-    /// build are hot enough that per-call allocation shows up.
-    bfs_seen_scratch: Vec<u64>,
-    bfs_comp_scratch: Vec<u64>,
-    bfs_stack_scratch: Vec<usize>,
-    /// Reusable word buffer for `edges_touching`'s component iteration.
-    touch_words_scratch: Vec<u64>,
+    /// Reusable buffers of the component pass — the per-bag probes of
+    /// instance build are hot enough that per-call allocation shows up.
+    scratch: PassScratch,
     stats: BlockIndexStats,
+}
+
+/// Word buffers of [`BlockIndex::block_rows`]' component pass.
+#[derive(Default)]
+struct PassScratch {
+    /// Separator plus every vertex explored so far.
+    seen: Vec<u64>,
+    /// The component being grown.
+    comp: Vec<u64>,
+    /// Vertices added in the previous round.
+    frontier: Vec<u64>,
+    /// `⋃ N[v]` over the component's expanded vertices.
+    acc: Vec<u64>,
 }
 
 impl BlockIndex {
@@ -118,44 +115,38 @@ impl BlockIndex {
 
     /// Creates an empty index sharing ownership of `h` (no clone).
     pub fn from_arc(h: Arc<Hypergraph>) -> Self {
-        let nv = h.num_vertices();
+        let arena = BagArena::new(h.num_vertices());
+        let words = arena.words_per_bag();
+        let mut adj = vec![0u64; h.num_vertices() * words];
+        for (v, row) in adj.chunks_exact_mut(words).enumerate() {
+            row.copy_from_slice(h.closed_neighbourhood(v).blocks());
+        }
         BlockIndex {
             h,
-            arena: BagArena::new(nv),
-            comp_data: Vec::new(),
-            comp_cache: FxHashMap::default(),
-            touch_data: Vec::new(),
-            touch_cache: FxHashMap::default(),
-            union_cache: FxHashMap::default(),
+            arena,
+            adj,
             row_data: Vec::new(),
             row_cache: FxHashMap::default(),
-            edge_seen_scratch: Vec::new(),
-            bfs_seen_scratch: Vec::new(),
-            bfs_comp_scratch: Vec::new(),
-            bfs_stack_scratch: Vec::new(),
-            touch_words_scratch: Vec::new(),
+            scratch: PassScratch::default(),
             stats: BlockIndexStats::default(),
         }
     }
 
     /// Approximate heap footprint in bytes: the owned hypergraph, the
-    /// arena, and every component/touch/union/block table. Hash maps are
-    /// estimated at their entry payload plus one word of table overhead
-    /// per entry. Feeds the service's `bytes_per_cached_schema` stat.
+    /// arena, the flat adjacency, the block-row table and the pass
+    /// scratch. The row map is estimated at its entry payload plus one
+    /// word of table overhead per entry. Feeds the service's
+    /// `bytes_per_cached_schema` stat.
     pub fn approx_bytes(&self) -> u64 {
-        let maps = (self.comp_cache.len() + self.touch_cache.len() + self.row_cache.len())
-            * (std::mem::size_of::<(BagId, SliceRange)>() + 8)
-            + self.union_cache.len() * (std::mem::size_of::<(BagId, BagId)>() + 8);
-        let flats = self.comp_data.capacity() * std::mem::size_of::<BagId>()
-            + self.touch_data.capacity() * 4
-            + self.row_data.capacity() * std::mem::size_of::<(BagId, BagId)>()
-            + self.edge_seen_scratch.capacity()
-            + (self.bfs_seen_scratch.capacity()
-                + self.bfs_comp_scratch.capacity()
-                + self.touch_words_scratch.capacity())
-                * 8
-            + self.bfs_stack_scratch.capacity() * 8;
-        self.h.approx_bytes() + self.arena.approx_bytes() + (maps + flats) as u64
+        let s = &self.scratch;
+        let words = self.adj.capacity()
+            + s.seen.capacity()
+            + s.comp.capacity()
+            + s.frontier.capacity()
+            + s.acc.capacity();
+        let rows = self.row_data.capacity() * std::mem::size_of::<(BagId, BagId)>()
+            + self.row_cache.len() * (std::mem::size_of::<(BagId, SliceRange)>() + 8);
+        self.h.approx_bytes() + self.arena.approx_bytes() + (words * 8 + rows) as u64
     }
 
     /// The hypergraph this index serves.
@@ -177,173 +168,89 @@ impl BlockIndex {
         self.stats
     }
 
-    /// The `[S]`-components of separator `sep` as interned vertex sets.
-    /// Computed once per distinct separator; returns a range to resolve
-    /// with [`BlockIndex::comps`].
-    ///
-    /// The BFS runs word-level on scratch buffers (no per-vertex bitset
-    /// clones, unlike [`Hypergraph::vertex_components`]), and each
-    /// component is interned straight from its scratch words. Components
-    /// are emitted in ascending order of their smallest vertex — the
-    /// same order the bitset BFS produces.
-    pub fn components(&mut self, sep: BagId) -> SliceRange {
-        if let Some(&r) = self.comp_cache.get(&sep) {
-            self.stats.comp_hits += 1;
-            return r;
-        }
-        self.stats.comp_misses += 1;
-        let n = self.h.num_vertices();
-        let words = self.arena.words_per_bag();
-        // `seen` starts as the separator: separator vertices are never
-        // explored, and every explored vertex is marked here. The three
-        // BFS buffers are instance-owned scratch (no per-call allocation).
-        let mut seen = std::mem::take(&mut self.bfs_seen_scratch);
-        seen.clear();
-        seen.extend_from_slice(self.arena.words(sep));
-        let mut comp = std::mem::take(&mut self.bfs_comp_scratch);
-        comp.clear();
-        comp.resize(words, 0);
-        let mut stack = std::mem::take(&mut self.bfs_stack_scratch);
-        stack.clear();
-        let start = self.comp_data.len();
-        let mut count = 0usize;
-        for v0 in 0..n {
-            if seen[v0 / 64] >> (v0 % 64) & 1 != 0 {
-                continue;
-            }
-            comp.iter_mut().for_each(|w| *w = 0);
-            seen[v0 / 64] |= 1u64 << (v0 % 64);
-            comp[v0 / 64] |= 1u64 << (v0 % 64);
-            stack.push(v0);
-            while let Some(v) = stack.pop() {
-                for (i, &aw) in self.h.closed_neighbourhood(v).blocks().iter().enumerate() {
-                    let mut new = aw & !seen[i];
-                    if new != 0 {
-                        seen[i] |= new;
-                        comp[i] |= new;
-                        while new != 0 {
-                            stack.push(i * 64 + new.trailing_zeros() as usize);
-                            new &= new - 1;
-                        }
-                    }
-                }
-            }
-            let id = self.arena.intern_words(&comp);
-            self.comp_data.push(id);
-            count += 1;
-        }
-        self.bfs_seen_scratch = seen;
-        self.bfs_comp_scratch = comp;
-        self.bfs_stack_scratch = stack;
-        let r = SliceRange::of(start, count);
-        self.comp_cache.insert(sep, r);
-        r
-    }
-
-    /// Resolves a component range returned by [`BlockIndex::components`].
-    #[inline]
-    pub fn comps(&self, r: SliceRange) -> &[BagId] {
-        &self.comp_data[r.start as usize..(r.start + r.len) as usize]
-    }
-
-    /// The ids of the edges intersecting component `comp` (the coverage
-    /// obligations of the block headed by the component's separator),
-    /// ascending. Walks the component's incidence lists rather than
-    /// scanning all edges.
-    pub fn edges_touching(&mut self, comp: BagId) -> SliceRange {
-        if let Some(&r) = self.touch_cache.get(&comp) {
-            return r;
-        }
-        let start = self.touch_data.len();
-        self.edge_seen_scratch.clear();
-        self.edge_seen_scratch.resize(self.h.num_edges(), false);
-        let mut word_iter = std::mem::take(&mut self.touch_words_scratch);
-        word_iter.clear();
-        word_iter.extend_from_slice(self.arena.words(comp));
-        for (i, w) in word_iter.iter_mut().enumerate() {
-            while *w != 0 {
-                let v = i * 64 + w.trailing_zeros() as usize;
-                *w &= *w - 1;
-                for &e in self.h.incident_edges(v) {
-                    if !self.edge_seen_scratch[e] {
-                        self.edge_seen_scratch[e] = true;
-                        self.touch_data.push(e as u32);
-                    }
-                }
-            }
-        }
-        self.touch_words_scratch = word_iter;
-        self.touch_data[start..].sort_unstable();
-        let r = SliceRange::of(start, self.touch_data.len() - start);
-        self.touch_cache.insert(comp, r);
-        r
-    }
-
-    /// Resolves a touching-edge range.
-    #[inline]
-    pub fn touching(&self, r: SliceRange) -> &[u32] {
-        &self.touch_data[r.start as usize..(r.start + r.len) as usize]
-    }
-
-    /// `⋃C` for component `comp`: the union of the vertex sets of all
-    /// edges intersecting it (plus `C` itself, which that union already
-    /// contains unless `C` is a single edgeless vertex), interned. This
-    /// is the `U`-side quantity of Definition 3 *and* the coverage
-    /// obligation of the block headed by the component's separator,
-    /// shared across every `k` and solver. Every coverage test pairs `⋃C`
-    /// with a witness union that contains `C` by construction, so folding
-    /// `C` in is semantically free.
-    ///
-    /// Computed as `⋃_{v ∈ C} N[v]` over the cached closed
-    /// neighbourhoods — union is idempotent, so no touching-edge list is
-    /// materialised (at `k = 2` HyperBench scale those lists run to
-    /// hundreds of millions of entries; the union is one interned row).
-    pub fn component_union(&mut self, comp: BagId) -> BagId {
-        if let Some(&u) = self.union_cache.get(&comp) {
-            self.stats.union_hits += 1;
-            return u;
-        }
-        self.stats.union_misses += 1;
-        let mut buf = std::mem::take(&mut self.touch_words_scratch);
-        buf.clear();
-        buf.resize(self.arena.words_per_bag(), 0);
-        let comp_words = self.arena.words(comp).to_vec();
-        for (i, mut w) in comp_words.into_iter().enumerate() {
-            while w != 0 {
-                let v = i * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                crate::arena::words_union_into(self.h.closed_neighbourhood(v).blocks(), &mut buf);
-            }
-        }
-        let u = self.arena.intern_words(&buf);
-        self.touch_words_scratch = buf;
-        self.union_cache.insert(comp, u);
-        u
-    }
-
     /// The block rows of separator `sep`: one `(component, coverage
-    /// union)` pair per `[sep]`-component, in component order — exactly
-    /// the data a solver needs to materialise the blocks headed by `sep`
-    /// (the coverage union `⋃C` stands in for the touching-edge list:
-    /// "every touching edge inside the witness union" is equivalent to
-    /// "`⋃C` inside the witness union"). Cached per separator, so the
-    /// instance-build loops (cold build and incremental extension alike)
-    /// resolve a bag's blocks with one map probe.
+    /// union)` pair per `[sep]`-component, in ascending order of the
+    /// components' smallest vertices — exactly the data a solver needs to
+    /// materialise the blocks headed by `sep`, and the `U`-side of
+    /// Definition 3 when `sep` is a λ2 union. Computed once per distinct
+    /// separator; returns a range to resolve with [`BlockIndex::rows`].
+    ///
+    /// The coverage union is `⋃_{v ∈ C} N[v]`, i.e. the union of the
+    /// vertex sets of all edges intersecting `C` (empty for a single
+    /// edgeless vertex). It stands in for the touching-edge list: "every
+    /// touching edge inside the witness union" is equivalent to "`⋃C`
+    /// inside the witness union", and at `k = 2` HyperBench scale those
+    /// lists run to hundreds of millions of entries where the union is
+    /// one interned row.
+    ///
+    /// One pass yields both columns: the BFS grows a component a frontier
+    /// at a time — OR the `N[v]` rows of the frontier into an
+    /// accumulator, then `new = acc & !seen` word-wise — and the
+    /// accumulator it ends with *is* `⋃C`.
     pub fn block_rows(&mut self, sep: BagId) -> SliceRange {
         if let Some(&r) = self.row_cache.get(&sep) {
+            self.stats.hits += 1;
             return r;
         }
-        let comps_r = self.components(sep);
-        // The component list is append-only, so re-resolve by offset
-        // rather than cloning it while `component_union` mutates `self`.
-        let (lo, n) = (comps_r.start as usize, comps_r.len());
-        let start = self.row_data.len();
-        for i in 0..n {
-            let comp = self.comp_data[lo + i];
-            let cover = self.component_union(comp);
-            self.row_data.push((comp, cover));
+        self.stats.misses += 1;
+        let n = self.h.num_vertices();
+        let words = self.arena.words_per_bag();
+        let PassScratch {
+            seen,
+            comp,
+            frontier,
+            acc,
+        } = &mut self.scratch;
+        // `seen` starts as the separator: separator vertices are never
+        // explored, and every explored vertex is marked here.
+        seen.clear();
+        seen.extend_from_slice(self.arena.words(sep));
+        for buf in [&mut *comp, &mut *frontier, &mut *acc] {
+            buf.resize(words, 0);
         }
-        let r = SliceRange::of(start, n);
+        let start = self.row_data.len();
+        for wi in 0..words {
+            let live = word_tail_mask(n, wi);
+            loop {
+                // Smallest unexplored vertex: components come out in
+                // ascending order of their smallest vertex.
+                let free = !seen[wi] & live;
+                if free == 0 {
+                    break;
+                }
+                let seed = free & free.wrapping_neg();
+                comp.fill(0);
+                acc.fill(0);
+                frontier.fill(0);
+                seen[wi] |= seed;
+                comp[wi] = seed;
+                frontier[wi] = seed;
+                loop {
+                    for (fi, &fw) in frontier.iter().enumerate() {
+                        let mut bits = fw;
+                        while bits != 0 {
+                            let v = fi * 64 + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            words_union_into(&self.adj[v * words..(v + 1) * words], acc);
+                        }
+                    }
+                    let mut any = 0u64;
+                    for i in 0..words {
+                        let new = acc[i] & !seen[i];
+                        seen[i] |= new;
+                        comp[i] |= new;
+                        frontier[i] = new;
+                        any |= new;
+                    }
+                    if any == 0 {
+                        break;
+                    }
+                }
+                let row = (self.arena.intern_words(comp), self.arena.intern_words(acc));
+                self.row_data.push(row);
+            }
+        }
+        let r = SliceRange::of(start, self.row_data.len() - start);
         self.row_cache.insert(sep, r);
         r
     }
@@ -372,22 +279,43 @@ impl BlockIndex {
 mod tests {
     use super::*;
     use crate::named;
+    use crate::random::{random_hypergraph, RandomConfig};
+    use proptest::prelude::*;
+
+    /// `block_rows(sep)` resolved to bitsets.
+    fn resolved_rows(idx: &mut BlockIndex, sep: &BitSet) -> Vec<(BitSet, BitSet)> {
+        let sid = idx.intern(sep);
+        let r = idx.block_rows(sid);
+        idx.rows(r)
+            .iter()
+            .map(|&(c, u)| (idx.arena.to_bitset(c), idx.arena.to_bitset(u)))
+            .collect()
+    }
+
+    /// The rows by definition: `[sep]`-components paired with the union
+    /// of the edges touching them.
+    fn rows_by_definition(h: &Hypergraph, sep: &BitSet) -> Vec<(BitSet, BitSet)> {
+        h.vertex_components(sep)
+            .into_iter()
+            .map(|c| {
+                let cover = h.union_of_edge_set(&h.edges_touching(&c));
+                (c, cover)
+            })
+            .collect()
+    }
 
     #[test]
-    fn cached_components_equal_fresh_ones() {
+    fn cached_rows_equal_fresh_ones() {
         let h = named::h2();
         let mut idx = BlockIndex::new(&h);
         for e in 0..h.num_edges() {
             let sep = h.edge(e).clone();
-            let sid = idx.intern(&sep);
-            let r = idx.components(sid);
-            let cached: Vec<BitSet> = idx
-                .comps(r)
-                .iter()
-                .map(|&c| idx.arena.to_bitset(c))
-                .collect();
-            let fresh = h.vertex_components(&sep);
-            assert_eq!(cached, fresh, "separator {}", h.render_vertex_set(&sep));
+            assert_eq!(
+                resolved_rows(&mut idx, &sep),
+                rows_by_definition(&h, &sep),
+                "separator {}",
+                h.render_vertex_set(&sep)
+            );
         }
     }
 
@@ -396,31 +324,27 @@ mod tests {
         let h = named::cycle(6);
         let mut idx = BlockIndex::new(&h);
         let sep = idx.intern(&h.vset(&["v0", "v3"]));
-        let r1 = idx.components(sep);
+        let r1 = idx.block_rows(sep);
         let before = idx.stats();
-        let r2 = idx.components(sep);
+        let r2 = idx.block_rows(sep);
         let after = idx.stats();
-        assert_eq!(idx.comps(r1), idx.comps(r2));
-        assert_eq!(after.comp_hits, before.comp_hits + 1);
-        assert_eq!(after.comp_misses, before.comp_misses);
+        assert_eq!(r1, r2);
+        assert_eq!(after.hits, before.hits + 1);
+        assert_eq!(after.misses, before.misses);
     }
 
     #[test]
-    fn component_union_matches_hypergraph_bfs() {
+    fn covers_match_edge_component_unions() {
         let h = named::h2();
         let mut idx = BlockIndex::new(&h);
-        let sep_set = h.union_of_edges([0, 1]);
-        let sep = idx.intern(&sep_set);
-        let r = idx.components(sep);
-        let mut unions: Vec<BitSet> = Vec::new();
-        for i in 0..r.len() {
-            let c = idx.comps(r)[i];
-            let u = idx.component_union(c);
-            unions.push(idx.arena.to_bitset(u));
-        }
+        let sep = h.union_of_edges([0, 1]);
+        let mut unions: Vec<BitSet> = resolved_rows(&mut idx, &sep)
+            .into_iter()
+            .map(|(_, u)| u)
+            .collect();
         unions.sort_unstable();
         let mut fresh: Vec<BitSet> = h
-            .edge_components(&sep_set)
+            .edge_components(&sep)
             .iter()
             .map(|c| h.union_of_edge_set(c))
             .collect();
@@ -429,48 +353,80 @@ mod tests {
     }
 
     #[test]
-    fn block_rows_match_componentwise_queries() {
-        let h = named::h2();
-        let mut idx = BlockIndex::new(&h);
-        for e in 0..h.num_edges() {
-            let sep = idx.intern(&h.edge(e).clone());
-            let direct: Vec<(BagId, BagId)> = {
-                let r = idx.components(sep);
-                let comps: Vec<BagId> = idx.comps(r).to_vec();
-                comps
-                    .into_iter()
-                    .map(|c| (c, idx.component_union(c)))
-                    .collect()
-            };
-            let rows_r = idx.block_rows(sep);
-            let rows: Vec<(BagId, BagId)> = idx.rows(rows_r).to_vec();
-            assert_eq!(rows, direct);
-            // The stored cover equals the union of the touching edges'
-            // vertex sets together with the component itself.
-            for &(c, cover) in &rows {
-                let t = idx.edges_touching(c);
-                let edges = idx.touching(t).to_vec();
-                let mut want = idx.arena.to_bitset(c);
-                for &e in &edges {
-                    want.union_with(idx.hypergraph().edge(e as usize));
-                }
-                assert_eq!(idx.arena.to_bitset(cover), want);
-            }
-            // Second probe hits the row cache and returns the same range.
-            let again = idx.block_rows(sep);
-            assert_eq!(idx.rows(again), idx.rows(rows_r));
-        }
-    }
-
-    #[test]
-    fn touching_edges_match() {
+    fn empty_separator_of_a_cycle_is_one_block_covering_everything() {
         let h = named::cycle(5);
         let mut idx = BlockIndex::new(&h);
-        let empty = idx.empty();
-        let r = idx.components(empty);
-        assert_eq!(r.len(), 1);
-        let comp = idx.comps(r)[0];
-        let t = idx.edges_touching(comp);
-        assert_eq!(idx.touching(t).len(), h.num_edges());
+        let rows = resolved_rows(&mut idx, &h.empty_vertex_set());
+        assert_eq!(rows, vec![(h.all_vertices(), h.all_vertices())]);
+    }
+
+    /// A deterministic pseudo-random vertex subset.
+    fn derive_set(universe: usize, seed: u64) -> BitSet {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        BitSet::from_iter(
+            universe,
+            (0..universe).filter(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state.is_multiple_of(3)
+            }),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused pass against the definition, on hypergraphs that
+        /// are disconnected, that span more than one word of vertices,
+        /// and for the empty and the full separator.
+        #[test]
+        fn block_rows_match_definition(
+            n in 2usize..90,
+            m in 1usize..24,
+            seed in 0u64..10_000,
+            parts in 1usize..4,
+        ) {
+            // `parts` vertex-disjoint random hypergraphs side by side.
+            let mut b = crate::HypergraphBuilder::new();
+            for p in 0..parts {
+                let cfg = RandomConfig {
+                    num_vertices: n,
+                    num_edges: m,
+                    min_arity: 1,
+                    max_arity: 3.min(n),
+                    connect: false,
+                };
+                let piece = random_hypergraph(&cfg, seed + p as u64);
+                for e in 0..piece.num_edges() {
+                    let names: Vec<String> =
+                        piece.edge(e).iter().map(|v| format!("p{p}v{v}")).collect();
+                    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                    b.edge(&format!("p{p}e{e}"), &refs);
+                }
+            }
+            let h = b.build();
+            let nv = h.num_vertices();
+            let mut idx = BlockIndex::new(&h);
+            let mut seps = vec![h.empty_vertex_set(), h.all_vertices()];
+            seps.extend((0..4).map(|i| derive_set(nv, seed.wrapping_add(i * 131))));
+            seps.extend((0..h.num_edges().min(4)).map(|e| h.edge(e).clone()));
+            for sep in &seps {
+                let rows = resolved_rows(&mut idx, sep);
+                prop_assert_eq!(&rows, &rows_by_definition(&h, sep));
+                // Ascending smallest vertex.
+                let firsts: Vec<usize> =
+                    rows.iter().map(|(c, _)| c.first().expect("non-empty")).collect();
+                prop_assert!(firsts.windows(2).all(|w| w[0] < w[1]));
+                // A repeat probe is a hit returning the same range.
+                let sid = idx.intern(sep);
+                let before = idx.stats();
+                let first = idx.block_rows(sid);
+                let again = idx.block_rows(sid);
+                prop_assert_eq!(first, again);
+                prop_assert_eq!(idx.stats().hits, before.hits + 2);
+                prop_assert_eq!(idx.stats().misses, before.misses);
+            }
+        }
     }
 }

@@ -173,13 +173,13 @@ mod tests {
         {
             let (_, idx) = cache.entry(&h);
             let sid = idx.intern(&sep);
-            idx.components(sid);
+            idx.block_rows(sid);
         }
         let (_, idx) = cache.entry(&h);
         let before = idx.stats();
         let sid = idx.intern(&sep);
-        idx.components(sid);
-        assert_eq!(idx.stats().comp_hits, before.comp_hits + 1);
+        idx.block_rows(sid);
+        assert_eq!(idx.stats().hits, before.hits + 1);
     }
 
     #[test]

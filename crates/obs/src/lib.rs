@@ -56,6 +56,13 @@ pub mod stage {
     pub const SATISFY: &str = "satisfy";
     /// λ-set enumeration / candidate bag generation.
     pub const ENUMERATE: &str = "enumerate";
+    /// `[S]`-component / coverage-union passes over the `BlockIndex`:
+    /// the `U`-side sweep inside `enumerate`, block derivation inside
+    /// `instance_build` / `instance_extend`.
+    pub const COMPONENTS: &str = "components";
+    /// Candidate scan + dependency tables inside `instance_build` /
+    /// `instance_extend`.
+    pub const DEPS_SCAN: &str = "deps_scan";
     /// Result-cache probe in the service stripe.
     pub const RESULT_CACHE: &str = "result_cache";
     /// Disk-store probe (including witness re-validation on a hit).
@@ -78,6 +85,8 @@ pub mod stage {
         INSTANCE_EXTEND,
         SATISFY,
         ENUMERATE,
+        COMPONENTS,
+        DEPS_SCAN,
         RESULT_CACHE,
         STORE_PROBE,
         SOLVE,

@@ -78,29 +78,22 @@ proptest! {
         for _round in 0..2 {
             for sep in &seps {
                 let sid = index.intern(sep);
-                let r = index.components(sid);
-                let cached: Vec<BitSet> = index
-                    .comps(r)
-                    .iter()
-                    .map(|&c| index.arena.to_bitset(c))
-                    .collect();
+                let r = index.block_rows(sid);
+                let rows = index.rows(r);
+                let cached: Vec<BitSet> =
+                    rows.iter().map(|&(c, _)| index.arena.to_bitset(c)).collect();
                 let fresh = h.vertex_components(sep);
                 prop_assert_eq!(&cached, &fresh, "components of {}", h.render_vertex_set(sep));
-                for (&cid, comp) in index.comps(r).to_vec().iter().zip(&fresh) {
-                    let t = index.edges_touching(cid);
-                    let cached_touch: Vec<usize> =
-                        index.touching(t).iter().map(|&e| e as usize).collect();
-                    let fresh_touch: Vec<usize> = h.edges_touching(comp).to_vec();
-                    prop_assert_eq!(&cached_touch, &fresh_touch);
-                    let u = index.component_union(cid);
-                    let fresh_union = h.union_of_edges(fresh_touch.iter().copied());
-                    prop_assert_eq!(index.arena.to_bitset(u), fresh_union);
+                // The cover column is the union of the touching edges.
+                for (&(_, cover), comp) in rows.iter().zip(&fresh) {
+                    let fresh_union = h.union_of_edge_set(&h.edges_touching(comp));
+                    prop_assert_eq!(index.arena.to_bitset(cover), fresh_union);
                 }
             }
         }
         // Second pass was all hits: misses counted each distinct separator once.
         let stats = index.stats();
-        prop_assert!(stats.comp_hits >= stats.comp_misses);
+        prop_assert!(stats.hits >= stats.misses);
     }
 
     #[test]

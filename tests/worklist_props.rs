@@ -17,7 +17,7 @@ use softhw::core::ctd::CtdInstance;
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
 use softhw::core::sweep::IncrementalSweep;
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
-use softhw::hypergraph::{BagId, BlockIndex, Hypergraph};
+use softhw::hypergraph::{named, BagId, BlockIndex, Hypergraph};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (4usize..9, 3usize..9, 0u64..5000).prop_map(|(nv, ne, seed)| {
@@ -32,6 +32,55 @@ fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
             seed,
         )
     })
+}
+
+/// `(bag, child blocks)` per viable candidate of block `b`.
+fn viable_table(inst: &CtdInstance, b: usize) -> Vec<(usize, Vec<u32>)> {
+    inst.viable_candidates(b)
+        .map(|(x, kids)| (x, kids.to_vec()))
+        .collect()
+}
+
+/// The random cases above stay far below 4 096 bags, i.e. inside one
+/// summary word of the two-level candidate scan. `grid(7, 7)` at `k = 2`
+/// has 5 622 bags — 88 row words, two summary words — so this pins the
+/// scan across a summary-word boundary, for the cold build (full bag
+/// range) and for the `k = 1 → 2` extension (a range starting mid-word).
+#[test]
+fn candidate_scan_crosses_a_summary_word_boundary() {
+    let h = named::grid(7, 7);
+    let limits = SoftLimits::default();
+    let mut index = BlockIndex::new(&h);
+    let k1 = soft_bag_ids(&mut index, 1, &limits).unwrap();
+    let k2 = soft_bag_ids(&mut index, 2, &limits).unwrap();
+    let mut extended = CtdInstance::build(&mut index, &k1);
+    extended.extend(&mut index, &k2);
+    let mut seen = softhw::hypergraph::FxHashSet::default();
+    let stratified: Vec<BagId> = k1
+        .iter()
+        .chain(&k2)
+        .copied()
+        .filter(|&id| seen.insert(id))
+        .collect();
+    let cold = CtdInstance::build(&mut index, &stratified);
+    assert!(cold.num_bags() > 64 * 64, "{} bags", cold.num_bags());
+    assert_eq!(extended.num_bags(), cold.num_bags());
+    assert_eq!(extended.blocks.len(), cold.blocks.len());
+
+    let all_true = vec![true; cold.blocks.len()];
+    let mut buf = Vec::new();
+    for b in 0..cold.blocks.len() {
+        let table = viable_table(&cold, b);
+        let direct: Vec<usize> = (0..cold.num_bags())
+            .filter(|&x| cold.is_basis_with(b, x, &all_true, &mut buf))
+            .collect();
+        let viable: Vec<usize> = table.iter().map(|&(x, _)| x).collect();
+        assert_eq!(viable, direct, "block {b}");
+        assert_eq!(viable_table(&extended, b), table, "block {b}");
+    }
+    let (ext_sat, cold_sat) = (extended.satisfy(), cold.satisfy());
+    assert_eq!(ext_sat.accept, cold_sat.accept);
+    assert_eq!(ext_sat.basis, cold_sat.basis);
 }
 
 proptest! {
@@ -109,14 +158,7 @@ proptest! {
             prop_assert_eq!(inst.num_bags(), cold.num_bags());
             prop_assert_eq!(inst.blocks.len(), cold.blocks.len());
             for b in 0..cold.blocks.len() {
-                let ext: Vec<(usize, Vec<u32>)> = inst
-                    .viable_candidates(b)
-                    .map(|(x, kids)| (x, kids.to_vec()))
-                    .collect();
-                let cld: Vec<(usize, Vec<u32>)> = cold
-                    .viable_candidates(b)
-                    .map(|(x, kids)| (x, kids.to_vec()))
-                    .collect();
+                let (ext, cld) = (viable_table(&inst, b), viable_table(&cold, b));
                 prop_assert_eq!(&ext, &cld, "viable candidates of block {} at k = {}", b, k);
             }
             // The state-reusing DP: same satisfied set and accept as a
