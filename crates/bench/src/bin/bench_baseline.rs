@@ -18,10 +18,10 @@
 //!   Separate flag because these rows add minutes of wall time;
 //! - `--check <baseline.json>`: after writing, gate against the given
 //!   baseline: every gate entry present in both runs
-//!   (`algorithm1_cold/h2_k2`, the `sweep_*` pair, the `hb_*_k2` rows;
-//!   the pre-cache seed baseline records the cold gate as
-//!   `algorithm1/h2_k2`) must not have regressed more than 2×. The
-//!   cold/incremental sweep ratio is reported informationally. Exits
+//!   (`algorithm1_cold/h2_k2`, `sweep/h2`, the `hb_*_k2` rows; the
+//!   pre-cache seed baseline records the cold gate as
+//!   `algorithm1/h2_k2`, baselines up to PR 8 record the sweep as
+//!   `sweep_cold/h2`) must not have regressed more than 2×. Exits
 //!   non-zero on violation.
 //!
 //! Every entry records the median ns of `samples` timed runs. The
@@ -29,12 +29,11 @@
 //! shared-index enumeration vs the seed's `FxHashSet<BitSet>` generator,
 //! preserved in `soft::reference`). The `satisfy_*` pair captures the
 //! worklist-DP gate: the dependency-driven engine vs the retained Jacobi
-//! reference on the same prepared instance. The `sweep_*` pair captures
-//! the incremental-sweep gate: `shw` on the incremental engine
-//! (`sweep_incremental`) vs the retained rebuild-per-width sweep
-//! (`sweep_cold`, [`shw::shw_rebuild`]). `algorithm1/h2_k2` measures
-//! the repeated-query configuration (cross-query [`DecompCache`]), with
-//! `algorithm1_cold/h2_k2` keeping the cold single-shot number honest.
+//! reference on the same prepared instance. The `sweep/*` rows time the
+//! exact width sweep end to end ([`shw::shw_raw`]). `algorithm1/h2_k2`
+//! measures the repeated-query configuration (cross-query
+//! [`DecompCache`]), with `algorithm1_cold/h2_k2` keeping the cold
+//! single-shot number honest.
 
 use softhw_core::cache::DecompCache;
 use softhw_core::ctd::CtdInstance;
@@ -169,24 +168,17 @@ fn bench_decomposition(cfg: &Config, r: &mut Report) {
             assert_eq!(shw::shw(&c8).0, 2);
         }),
     );
-    // The incremental sweep engine vs the retained rebuild-per-width
-    // sweep, end to end (index build + enumeration + decision per
-    // width), on the named instances.
+    // The exact width sweep, end to end (index build + enumeration +
+    // decision per width), on the named instances.
     for (name, h, w) in [
         ("h2", named::h2(), 2usize),
         ("c8", named::cycle(8), 2),
         ("grid3x3", named::grid(3, 3), 2),
     ] {
         r.record(
-            &format!("sweep_cold/{name}"),
+            &format!("sweep/{name}"),
             median_ns_cfg(cfg, || {
-                assert_eq!(shw::shw_rebuild(&h).0, w);
-            }),
-        );
-        r.record(
-            &format!("sweep_incremental/{name}"),
-            median_ns_cfg(cfg, || {
-                assert_eq!(shw::shw(&h).0, w);
+                assert_eq!(shw::shw_raw(&h).0, w);
             }),
         );
     }
@@ -419,18 +411,18 @@ fn parse_baseline(path: &str) -> Vec<(String, f64)> {
 /// comparing cold against cold. That gate is **required**: every
 /// committed baseline records it, so a baseline that fails to yield it
 /// is corrupt (or mis-selected) and the check errors rather than
-/// passing vacuously. The `sweep_*` entries only exist from
-/// `BENCH_pr3.json` on, and the `hb_*_k2` entries from `BENCH_pr6.json`
-/// on; entries absent from the baseline — or from the current run, for
+/// passing vacuously. The sweep entry only exists from
+/// `BENCH_pr3.json` on (as `sweep_cold/h2`, the rebuild-per-width half
+/// of what was then a pair), and the `hb_*_k2` entries from
+/// `BENCH_pr6.json` on; entries absent from the baseline — or from the current run, for
 /// rows behind an off flag — are skipped with a note.
-const GATES: [(&str, &[&str], bool); 7] = [
+const GATES: [(&str, &[&str], bool); 6] = [
     (
         "algorithm1_cold/h2_k2",
         &["algorithm1_cold/h2_k2", "algorithm1/h2_k2"],
         true, // required in every baseline
     ),
-    ("sweep_incremental/h2", &["sweep_incremental/h2"], false),
-    ("sweep_cold/h2", &["sweep_cold/h2"], false),
+    ("sweep/h2", &["sweep/h2", "sweep_cold/h2"], false),
     // The k = 2 HyperBench rows (from `BENCH_pr6.json` on; only emitted
     // under `--hyperbench-k2`, and skipped with a note in runs without
     // that flag).
@@ -488,21 +480,6 @@ fn check_against(baseline_path: &str, r: &Report) -> Result<(), String> {
                 "{current_name} regressed: {new:.1} ns > {GATE_FACTOR}x baseline {old:.1} ns"
             ));
         }
-    }
-    // The cold/incremental ratio is reported, not gated: since the
-    // dependency tables became output-sensitive, a cold rebuild at the
-    // named instances' scale costs about as much as an in-place
-    // extension, so the old ">= 1.3x faster" floor no longer measures
-    // anything — the per-entry sweep_* gates above hold both absolute
-    // numbers against the baseline instead.
-    match (r.get("sweep_cold/h2"), r.get("sweep_incremental/h2")) {
-        (Some(cold), Some(inc)) => {
-            println!(
-                "check sweep ratio (cold/incremental on h2): {:.2}x (informational)",
-                cold / inc
-            );
-        }
-        _ => return Err("current run lacks the sweep_* pair".to_string()),
     }
     Ok(())
 }
@@ -580,15 +557,6 @@ fn main() {
         (Some(j), Some(w)) => j / w,
         _ => 0.0,
     };
-    let mut sweep_speedups: Vec<(String, f64)> = Vec::new();
-    for name in ["h2", "c8", "grid3x3"] {
-        if let (Some(cold), Some(inc)) = (
-            r.get(&format!("sweep_cold/{name}")),
-            r.get(&format!("sweep_incremental/{name}")),
-        ) {
-            sweep_speedups.push((name.to_string(), cold / inc));
-        }
-    }
 
     let mut json = String::from("{\n  \"benchmarks\": {\n");
     for (i, (id, ns)) in r.entries.iter().enumerate() {
@@ -598,15 +566,6 @@ fn main() {
     json.push_str("  },\n  \"speedup_warm_vs_reference\": {\n");
     for (i, (name, ratio)) in speedups.iter().enumerate() {
         let sep = if i + 1 == speedups.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{name}\": {ratio:.2}{sep}");
-    }
-    json.push_str("  },\n  \"speedup_sweep_incremental_vs_cold\": {\n");
-    for (i, (name, ratio)) in sweep_speedups.iter().enumerate() {
-        let sep = if i + 1 == sweep_speedups.len() {
-            ""
-        } else {
-            ","
-        };
         let _ = writeln!(json, "    \"{name}\": {ratio:.2}{sep}");
     }
     json.push_str("  },\n");
@@ -623,9 +582,6 @@ fn main() {
         println!("speedup {name}: {ratio:.2}x");
     }
     println!("speedup worklist vs jacobi: {dp_speedup:.2}x");
-    for (name, ratio) in &sweep_speedups {
-        println!("speedup sweep incremental vs cold {name}: {ratio:.2}x");
-    }
 
     if let Some(baseline) = &cfg.check {
         if let Err(msg) = check_against(baseline, &r) {

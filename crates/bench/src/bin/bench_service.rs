@@ -12,8 +12,8 @@
 //!
 //! Request classes:
 //! - `shw_warm`: exact `shw` over schemas the striped cache has already
-//!   served (the headline repeated-query path — index, instances, sweep
-//!   state, and width decisions are all warm);
+//!   served (the headline repeated-query path — index, instances, and
+//!   width decisions are all warm);
 //! - `shw_leq_warm`, `hw_warm`, `best_warm`, `stats`: the other classes
 //!   over the same warm schemas;
 //! - `shw_cold`: exact `shw` over schemas never seen before (every

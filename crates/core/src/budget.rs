@@ -1,16 +1,15 @@
 //! Cooperative cancellation and deadline budgets for the solver stack.
 //!
 //! Width computation is worst-case exponential, so every long-running
-//! path — candidate enumeration, instance build/extension, the
-//! satisfaction worklist, the incremental sweep, reduce-before-solve —
-//! accepts a [`Budget`] and checks it at *coarse* granularity (per
-//! enumeration node, per comp-group scan, per DP wave, per reduced
-//! piece). A tripped budget surfaces as
-//! [`DecompError::DeadlineExceeded`] or [`DecompError::Canceled`], which
-//! are **not** internal errors: callers must leave their state either
-//! untouched or `reset()` to a cold-rebuildable state, so a
-//! cancel-then-retry is bit-identical to a never-cancelled cold run
-//! (property-tested in `tests/budget_props.rs`).
+//! path — candidate enumeration, instance build, the satisfaction
+//! worklist, the width sweep, reduce-before-solve — accepts a
+//! [`Budget`] and checks it at *coarse* granularity (per enumeration
+//! node, per comp-group scan, per DP wave, per reduced piece). A tripped
+//! budget surfaces as [`DecompError::DeadlineExceeded`] or
+//! [`DecompError::Canceled`], which are **not** internal errors: callers
+//! must leave their state untouched, so a cancel-then-retry is
+//! bit-identical to a never-cancelled cold run (property-tested in
+//! `tests/budget_props.rs`).
 //!
 //! A `Budget` is an `Option<Arc>` under the hood: the unlimited budget
 //! allocates nothing and its checks compile to a branch on `None`, so

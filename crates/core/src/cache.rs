@@ -14,6 +14,12 @@
 //! - `shw ≤ k` / `hw ≤ k` decisions with witness decompositions, so width
 //!   sweeps over repeated queries skip generation and search entirely.
 //!
+//! An exact width is a sweep over those decisions: `k = 1, 2, …` until
+//! the first accept, each width a memo probe or one Algorithm 1 run
+//! against the warm index. A memoised decision is therefore a function
+//! of `(h, k)` alone — exact and bounded specs fill and read the same
+//! entries, in either order.
+//!
 //! All cached entry points return exactly what the cold entry points
 //! return (the solvers are deterministic); the unit tests assert this
 //! decomposition-for-decomposition.
@@ -34,9 +40,9 @@
 //! The cache is **bounded**: it tracks at most
 //! [`DecompCache::max_graphs`] structurally distinct hypergraphs and
 //! evicts the least-recently-used one (warm index, prepared instances,
-//! sweep state, and width decisions together) when a new structure would
-//! exceed the bound. Eviction only costs recomputation — an evicted
-//! structure rebuilds cold on its next query, with identical results.
+//! and width decisions together) when a new structure would exceed the
+//! bound. Eviction only costs recomputation — an evicted structure
+//! rebuilds cold on its next query, with identical results.
 
 use crate::budget::Budget;
 use crate::ctd::{CtdInstance, Satisfaction};
@@ -44,9 +50,8 @@ use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw;
 use crate::reduce_solve::{lift_ghd, lift_td};
-use crate::soft::{soft_bag_ids, soft_bag_ids_budgeted, SoftLimits};
+use crate::soft::{soft_bag_ids_budgeted, SoftLimits};
 use crate::spec::{SolveClass, SolveSpec, Solved};
-use crate::sweep::IncrementalSweep;
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::cache::IndexCache;
 use softhw_hypergraph::{BagId, BitSet, FxHashMap, FxHashSet, Hypergraph, Reduction};
@@ -88,9 +93,6 @@ pub struct DecompCache {
     instances: FxHashMap<(u64, u64), Vec<CachedInstance>>,
     shw_results: FxHashMap<(u64, usize), Option<TreeDecomposition>>,
     hw_results: FxHashMap<(u64, usize), Option<Ghd>>,
-    /// Incremental sweep state per hypergraph, so repeated `shw` sweeps
-    /// (and first-time sweeps over many widths) ride the grown instance.
-    sweeps: FxHashMap<u64, IncrementalSweep>,
     /// Cached full-pipeline reduction per hypergraph (shared so the
     /// service reports reduction stats without recomputing).
     reductions: FxHashMap<u64, Arc<Reduction>>,
@@ -136,7 +138,6 @@ impl DecompCache {
             instances: FxHashMap::default(),
             shw_results: FxHashMap::default(),
             hw_results: FxHashMap::default(),
-            sweeps: FxHashMap::default(),
             reductions: FxHashMap::default(),
             reductions_no_peel: FxHashMap::default(),
             no_reduce: false,
@@ -170,7 +171,7 @@ impl DecompCache {
 
     /// Approximate heap footprint in bytes of everything this cache
     /// retains: warm indexes, prepared instances with satisfaction
-    /// tables, width-decision witnesses, sweep state, and reductions.
+    /// tables, width-decision witnesses, and reductions.
     /// Divide by [`DecompCache::tracked_graphs`] for the
     /// `bytes_per_cached_schema` memory stat the service reports.
     pub fn approx_bytes(&self) -> u64 {
@@ -194,7 +195,6 @@ impl DecompCache {
             .values()
             .map(|v| v.as_ref().map_or(0, |g| g.approx_bytes()) + 32)
             .sum();
-        let sweeps: u64 = self.sweeps.values().map(|s| s.approx_bytes()).sum();
         let reds: u64 = self
             .reductions
             .values()
@@ -203,7 +203,7 @@ impl DecompCache {
             .sum();
         // LRU clock + pin set, at one (key, value) pair each.
         let book = ((self.last_used.len() + self.pinned.len()) * 24) as u64;
-        self.indexes.approx_bytes() + instances + shw + hw + sweeps + reds + book
+        self.indexes.approx_bytes() + instances + shw + hw + reds + book
     }
 
     /// Pins hypergraph `hash` (the [`structural_hash`] the entry points
@@ -302,13 +302,12 @@ impl DecompCache {
     }
 
     /// Drops every cached artefact of hypergraph `victim`: warm index,
-    /// prepared instances, sweep state, and width decisions.
+    /// prepared instances, and width decisions.
     fn evict(&mut self, victim: u64) {
         self.indexes.remove(victim);
         self.instances.retain(|&(h2, _), _| h2 != victim);
         self.shw_results.retain(|&(h2, _), _| h2 != victim);
         self.hw_results.retain(|&(h2, _), _| h2 != victim);
-        self.sweeps.remove(&victim);
         self.reductions.remove(&victim);
         self.reductions_no_peel.remove(&victim);
         self.last_used.remove(&victim);
@@ -423,8 +422,7 @@ impl DecompCache {
     /// The `shw ≤ k` decision with cross-query memoisation. A budget
     /// abort memoises nothing for `(h, k)` — no partial answer can ever
     /// be served — and evicts nothing: every decision cached before the
-    /// trip stays warm, so a retry recomputes only this width. The
-    /// unlimited budget takes the never-checking fast path.
+    /// trip stays warm, so a retry recomputes only this width.
     fn shw_decision(
         &mut self,
         h: &Hypergraph,
@@ -439,13 +437,9 @@ impl DecompCache {
             return Ok(cached);
         }
         self.stats.result_misses += 1;
-        let result = if budget.is_unlimited() {
-            let bags = soft_bag_ids(index, k, limits)?;
-            CtdInstance::build(index, &bags).try_decide()?
-        } else {
-            let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
-            CtdInstance::build_budgeted(index, &bags, budget)?.try_decide_budgeted(budget)?
-        };
+        let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
+        let result =
+            CtdInstance::build_budgeted(index, &bags, budget)?.try_decide_budgeted(budget)?;
         self.shw_results.insert((hash, k), result.clone());
         self.touch(hash);
         Ok(result)
@@ -490,12 +484,9 @@ impl DecompCache {
         }
     }
 
-    /// `shw(h)` exactly, memoised per width across queries and computed
-    /// through the incremental sweep engine on a miss: the per-graph
-    /// [`IncrementalSweep`] grows one instance across the widths (and
-    /// across *calls* — a repeated sweep over the same structure is pure
-    /// memo hits, and a sweep interrupted by eviction simply restarts
-    /// cold). Returns what [`crate::shw::shw`] returns.
+    /// `shw(h)` exactly, memoised per width across queries: a repeated
+    /// sweep over the same structure is pure memo hits. Returns what
+    /// [`crate::shw::shw`] returns.
     ///
     /// Panics if `limits`-style default generation guards are exceeded;
     /// long-lived callers (the decomposition service) use
@@ -521,14 +512,11 @@ impl DecompCache {
 
     /// The exact-`shw` solver behind [`DecompCache::solve`]: reduce-aware
     /// unless `reduce` is off (or the cache-wide `no_reduce` toggle is
-    /// set), budgeted unless the budget is unlimited. Budget aborts leave
-    /// the cache **warm and consistent**: nothing is memoised for the
-    /// interrupted width (so a partial answer can never be served later),
-    /// nothing is evicted (the per-graph sweep resets itself — the reset
-    /// contract of [`IncrementalSweep::decide_leq_budgeted`]), and every
-    /// width decided before the trip stays cached. A retry resumes from
-    /// the memoised widths and recomputes only the interrupted one, from
-    /// a cold re-seed that is bit-identical to a never-interrupted run.
+    /// set). Budget aborts leave the cache **warm and consistent**:
+    /// nothing is memoised for the interrupted width (so a partial answer
+    /// can never be served later), nothing is evicted, and every width
+    /// decided before the trip stays cached. A retry resumes from the
+    /// memoised widths and recomputes only the interrupted one.
     fn shw_exact(
         &mut self,
         h: &Hypergraph,
@@ -536,55 +524,31 @@ impl DecompCache {
         budget: &Budget,
         reduce: bool,
     ) -> Result<(usize, TreeDecomposition), DecompError> {
-        let raw = self.no_reduce || !reduce;
-        if budget.is_unlimited() {
-            if raw {
-                return self.try_shw_raw_with(h, limits);
-            }
-            let red = self.reduction(h);
-            if red.is_trivial() {
-                return self.try_shw_raw_with(h, limits);
-            }
-            let mut width = 1usize;
-            let mut tds = Vec::with_capacity(red.pieces.len());
-            for piece in &red.pieces {
-                // Pieces are at the reduction fixpoint and connected, so
-                // the raw cached path is exactly the reduce-aware path
-                // for them.
-                let (w, td) = self.try_shw_raw_with(&piece.h, limits)?;
-                width = width.max(w);
-                tds.push(td);
-            }
-            let td = lift_td(h, &red, &tds);
-            debug_assert_eq!(td.validate(h), Ok(()));
-            Ok((width, td))
-        } else {
-            if raw {
-                return self.try_shw_raw_budgeted(h, limits, budget);
-            }
-            let red = self.reduction(h);
-            if red.is_trivial() {
-                return self.try_shw_raw_budgeted(h, limits, budget);
-            }
-            let mut width = 1usize;
-            let mut tds = Vec::with_capacity(red.pieces.len());
-            for piece in &red.pieces {
-                budget.check()?;
-                let (w, td) = self.try_shw_raw_budgeted(&piece.h, limits, budget)?;
-                width = width.max(w);
-                tds.push(td);
-            }
-            let td = lift_td(h, &red, &tds);
-            debug_assert_eq!(td.validate(h), Ok(()));
-            Ok((width, td))
+        if self.no_reduce || !reduce {
+            return self.try_shw_raw_budgeted(h, limits, budget);
         }
+        let red = self.reduction(h);
+        if red.is_trivial() {
+            return self.try_shw_raw_budgeted(h, limits, budget);
+        }
+        let mut width = 1usize;
+        let mut tds = Vec::with_capacity(red.pieces.len());
+        for piece in &red.pieces {
+            budget.check()?;
+            // Pieces are at the reduction fixpoint and connected, so the
+            // raw cached path is exactly the reduce-aware path for them.
+            let (w, td) = self.try_shw_raw_budgeted(&piece.h, limits, budget)?;
+            width = width.max(w);
+            tds.push(td);
+        }
+        let td = lift_td(h, &red, &tds);
+        debug_assert_eq!(td.validate(h), Ok(()));
+        Ok((width, td))
     }
 
     /// `shw(h)` exactly through the cache, non-panicking: generation
     /// blow-ups surface as [`DecompError::Limit`]/[`DecompError::Shards`]
-    /// and an internal inconsistency in the cached sweep state degrades
-    /// to a cold recompute after evicting the inconsistent entry —
-    /// matching the cold result exactly — instead of killing the caller.
+    /// instead of killing the caller.
     ///
     /// Reduce-aware: the input is simplified first and each reduced
     /// piece solved through the cache under the *piece's* structural
@@ -617,91 +581,16 @@ impl DecompCache {
         self.shw_exact(h, limits, budget, true)
     }
 
-    /// The raw (no-reduction) cached budgeted sweep; see
-    /// [`DecompCache::try_shw_budgeted`] for the abort guarantees.
+    /// The raw (no-reduction) cached exact sweep: the least `k` that
+    /// [`DecompCache::shw_decision`] accepts.
     fn try_shw_raw_budgeted(
         &mut self,
         h: &Hypergraph,
         limits: &SoftLimits,
         budget: &Budget,
     ) -> Result<(usize, TreeDecomposition), DecompError> {
-        let (hash, _) = self.indexes.entry(h);
-        self.touch(hash);
         for k in 1..=h.num_edges().max(1) {
-            if let Some(cached) = self.shw_results.get(&(hash, k)) {
-                self.stats.result_hits += 1;
-                match cached {
-                    Some(td) => return Ok((k, td.clone())),
-                    None => continue,
-                }
-            }
-            self.stats.result_misses += 1;
-            let (_, index) = self.indexes.entry(h);
-            let sweep = self.sweeps.entry(hash).or_default();
-            let result = match sweep.decide_leq_budgeted(index, k, limits, budget) {
-                Ok(r) => r,
-                Err(e) if e.is_internal() => {
-                    // Cached state is inconsistent: drop every artefact
-                    // of this hypergraph and decide this width cold.
-                    self.evict(hash);
-                    let (_, index) = self.indexes.entry(h);
-                    let ids = soft_bag_ids_budgeted(index, k, limits, budget)?;
-                    let cold = CtdInstance::build_budgeted(index, &ids, budget)?
-                        .try_decide_budgeted(budget)?;
-                    self.touch(hash);
-                    cold
-                }
-                // Budget errors land here: the sweep already reset
-                // itself, nothing is memoised for this width, and the
-                // warm decisions of smaller widths stay untouched.
-                Err(e) => return Err(e),
-            };
-            self.shw_results.insert((hash, k), result.clone());
-            if let Some(td) = result {
-                return Ok((k, td));
-            }
-        }
-        Err(DecompError::internal("no width up to |E(H)| accepted"))
-    }
-
-    /// The raw (no-reduction) cached exact sweep; see
-    /// [`DecompCache::try_shw_with`].
-    fn try_shw_raw_with(
-        &mut self,
-        h: &Hypergraph,
-        limits: &SoftLimits,
-    ) -> Result<(usize, TreeDecomposition), DecompError> {
-        let (hash, _) = self.indexes.entry(h);
-        self.touch(hash);
-        for k in 1..=h.num_edges().max(1) {
-            if let Some(cached) = self.shw_results.get(&(hash, k)) {
-                self.stats.result_hits += 1;
-                match cached {
-                    Some(td) => return Ok((k, td.clone())),
-                    None => continue,
-                }
-            }
-            self.stats.result_misses += 1;
-            let (_, index) = self.indexes.entry(h);
-            let sweep = self.sweeps.entry(hash).or_default();
-            let result = match sweep.decide_leq(index, k, limits) {
-                Ok(r) => r,
-                Err(e) if e.is_internal() => {
-                    // Cached state is inconsistent: drop every artefact
-                    // of this hypergraph and decide this width cold. (A
-                    // second internal error on a cold build is a real
-                    // bug, not cache corruption — surface it.)
-                    self.evict(hash);
-                    let (_, index) = self.indexes.entry(h);
-                    let ids = soft_bag_ids(index, k, limits)?;
-                    let cold = CtdInstance::build(index, &ids).try_decide()?;
-                    self.touch(hash);
-                    cold
-                }
-                Err(e) => return Err(e),
-            };
-            self.shw_results.insert((hash, k), result.clone());
-            if let Some(td) = result {
+            if let Some(td) = self.shw_decision(h, k, limits, budget)? {
                 return Ok((k, td));
             }
         }
@@ -711,8 +600,7 @@ impl DecompCache {
     }
 
     /// The `hw ≤ k` decision with cross-query memoisation (decision +
-    /// witness); a budget abort memoises and evicts nothing, and the
-    /// unlimited budget takes the never-checking fast path.
+    /// witness); a budget abort memoises and evicts nothing.
     fn hw_decision(
         &mut self,
         h: &Hypergraph,
@@ -726,11 +614,7 @@ impl DecompCache {
             return Ok(cached);
         }
         self.stats.result_misses += 1;
-        let result = if budget.is_unlimited() {
-            hw::hw_leq(h, k)
-        } else {
-            hw::hw_leq_budgeted(h, k, budget)?
-        };
+        let result = hw::hw_leq_budgeted(h, k, budget)?;
         self.hw_results.insert((hash, k), result.clone());
         self.touch(hash);
         Ok(result)
@@ -792,9 +676,9 @@ impl DecompCache {
 
     /// The exact-`hw` solver behind [`DecompCache::solve`]: reduce-aware
     /// with the no-peel (HD-safe) pipeline unless `reduce` is off (or
-    /// the cache-wide `no_reduce` toggle is set), budgeted unless the
-    /// budget is unlimited; same warm abort guarantees as the `shw`
-    /// sweep. `Ok(None)` when no width up to `|E(H)|` admits an HD.
+    /// the cache-wide `no_reduce` toggle is set); same warm abort
+    /// guarantees as the `shw` sweep. `Ok(None)` when no width up to
+    /// `|E(H)|` admits an HD.
     fn hw_exact(
         &mut self,
         h: &Hypergraph,
@@ -839,8 +723,7 @@ impl DecompCache {
     }
 
     /// The raw (no-reduction) cached budgeted `hw` sweep. The per-width
-    /// decisions route through [`DecompCache::hw_decision`], so the
-    /// unlimited budget solves on the never-checking fast path.
+    /// decisions route through [`DecompCache::hw_decision`].
     fn try_hw_raw_budgeted(
         &mut self,
         h: &Hypergraph,

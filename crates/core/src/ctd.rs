@@ -49,9 +49,9 @@
 use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::arena::{word_tail_mask, words_subset, words_union_into, IdSet};
+use softhw_hypergraph::arena::{word_tail_mask, words_subset};
 use softhw_hypergraph::blocks::SliceRange;
-use softhw_hypergraph::par::{par_join, par_map};
+use softhw_hypergraph::par::par_map;
 use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Csr, FxHashMap, Hypergraph};
 use std::sync::Arc;
 
@@ -102,12 +102,6 @@ pub struct Block {
 struct Deps {
     /// Block → comp-group index.
     group_of: Vec<u32>,
-    /// Representative block per comp group (its first block; supplies the
-    /// component and coverage obligations shared by the whole group).
-    group_rep: Vec<u32>,
-    /// Component id → comp group (persistent so incremental extensions
-    /// keep group numbering identical to a cold build).
-    comp_group: FxHashMap<BagId, u32>,
     /// Per comp group `g`, the range `g_cand_start[g]..g_cand_start[g+1]`
     /// of coverage-viable candidate entries in `g_cand_x`/`g_child_start`.
     g_cand_start: Vec<u32>,
@@ -119,9 +113,6 @@ struct Deps {
     g_child_start: Vec<u32>,
     /// Child block ids of all coverage-viable pairs, concatenated.
     g_child_data: Vec<u32>,
-    /// The inverted index both the cold build and the incremental
-    /// extension scan candidates through.
-    vertex_bags: VertexBags,
     /// Child block → comp groups with a coverage-viable candidate
     /// delegating to it.
     child_groups: Csr,
@@ -137,7 +128,6 @@ const SUMMARY_SPAN: usize = u64::BITS as usize;
 /// AND first runs on one summary word per [`SUMMARY_SPAN`] row words so
 /// it only ever touches the stretches of a row where every `req` vertex
 /// has a bag at all.
-#[derive(Default)]
 struct VertexBags {
     /// Vertex × bag bitmask (`xwords` words per row): bit `x` of row `v`
     /// is set iff vertex `v` ∈ bag `x`.
@@ -157,26 +147,24 @@ impl VertexBags {
         self.xwords.div_ceil(SUMMARY_SPAN)
     }
 
-    /// Widens the index to `bag_ids.len()` bags and records the bags
-    /// `from..`. A cold build is the extension of the empty index by
-    /// every bag, so both levels are maintained in this one place.
-    fn extend(&mut self, nv: usize, arena: &BagArena, bag_ids: &[BagId], from: usize) {
-        let (old_xwords, old_swords) = (self.xwords, self.swords());
-        self.xwords = bag_ids.len().div_ceil(64).max(1);
-        let (xwords, swords) = (self.xwords, self.swords());
-        restride_rows(&mut self.rows, nv, old_xwords, xwords);
-        restride_rows(&mut self.summary, nv, old_swords, swords);
-        for (x, &bag) in bag_ids.iter().enumerate().skip(from) {
+    /// Indexes `bag_ids` over `nv` vertices, both levels in one pass.
+    fn new(nv: usize, arena: &BagArena, bag_ids: &[BagId]) -> Self {
+        let xwords = bag_ids.len().div_ceil(64).max(1);
+        let swords = xwords.div_ceil(SUMMARY_SPAN);
+        let mut rows = vec![0u64; nv * xwords];
+        let mut summary = vec![0u64; nv * swords];
+        for (x, &bag) in bag_ids.iter().enumerate() {
             let w = x / 64;
             for v in arena.iter(bag) {
-                self.rows[v * xwords + w] |= 1u64 << (x % 64);
-                self.summary[v * swords + w / SUMMARY_SPAN] |= 1u64 << (w % SUMMARY_SPAN);
+                rows[v * xwords + w] |= 1u64 << (x % 64);
+                summary[v * swords + w / SUMMARY_SPAN] |= 1u64 << (w % SUMMARY_SPAN);
             }
         }
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        ((self.rows.capacity() + self.summary.capacity()) * 8) as u64
+        VertexBags {
+            rows,
+            summary,
+            xwords,
+        }
     }
 }
 
@@ -196,15 +184,11 @@ impl Deps {
     /// Approximate heap footprint in bytes of the dependency tables.
     fn approx_bytes(&self) -> u64 {
         let u32s = self.group_of.capacity()
-            + self.group_rep.capacity()
             + self.g_cand_start.capacity()
             + self.g_cand_x.capacity()
             + self.g_child_start.capacity()
             + self.g_child_data.capacity();
-        (u32s * 4 + self.comp_group.len() * (std::mem::size_of::<(BagId, u32)>() + 8)) as u64
-            + self.vertex_bags.approx_bytes()
-            + self.child_groups.approx_bytes()
-            + self.group_blocks.approx_bytes()
+        (u32s * 4) as u64 + self.child_groups.approx_bytes() + self.group_blocks.approx_bytes()
     }
 }
 
@@ -226,21 +210,12 @@ pub struct CtdInstance {
     /// width sweep only ever touches the handful of bags its final
     /// witness uses, so eager materialisation was pure overhead.
     bag_sets: Vec<std::sync::OnceLock<BitSet>>,
-    /// The shared-index ids the bags were built from, index-aligned with
-    /// `bag_ids` (the incremental extension resolves new bags' blocks
-    /// against the index).
-    index_ids: Vec<BagId>,
-    /// Index ids already part of the instance (extension dedup).
-    seen_index: IdSet,
     /// All blocks with non-empty component. Root blocks come first, then
-    /// each bag's blocks in bag order; [`CtdInstance::extend`] appends
-    /// new bags' blocks at the end, so block ids are stable across
-    /// extensions and match a cold build over the same bag sequence.
+    /// each bag's blocks in bag order.
     pub blocks: Vec<Block>,
     /// For each bag index, the `(first block, count)` range of the
-    /// blocks it heads — a bag's blocks are always appended
-    /// consecutively, in both cold builds and extensions, so the
-    /// adjacency is two `u32`s per bag instead of a heap list.
+    /// blocks it heads — a bag's blocks are appended consecutively, so
+    /// the adjacency is two `u32`s per bag instead of a heap list.
     pub blocks_by_head: Vec<(u32, u32)>,
     /// Blocks headed by `∅` — one per connected component of `H`.
     pub root_blocks: Vec<usize>,
@@ -263,40 +238,9 @@ impl Satisfaction {
     }
 }
 
-/// What one [`CtdInstance::extend`] call changed: the instance sizes
-/// before the extension plus the blocks whose candidate sets changed.
-/// Feed it (with the pre-extension [`Satisfaction`]) to
-/// [`CtdInstance::satisfy_extend`] to bring the DP state up to date
-/// without rechecking blocks the extension could not have affected.
-pub struct ExtendDelta {
-    /// Number of candidate bags before the extension.
-    pub prev_bags: usize,
-    /// Number of blocks before the extension.
-    pub prev_blocks: usize,
-    /// Blocks whose viable-candidate set changed (every new block, plus
-    /// the blocks of pre-existing comp groups that gained candidate
-    /// entries), ascending. These seed the incremental worklist; all
-    /// other rechecks flow through the child→parents reverse index.
-    pub dirty: Vec<u32>,
-}
-
-/// Widens a row-major `rows × old_w` word matrix to `rows × new_w`,
-/// zero-filling the new high words of every row.
-fn restride_rows(data: &mut Vec<u64>, rows: usize, old_w: usize, new_w: usize) {
-    debug_assert_eq!(data.len(), rows * old_w);
-    if old_w == new_w {
-        return;
-    }
-    let mut wide = vec![0u64; rows * new_w];
-    for r in 0..rows {
-        wide[r * new_w..r * new_w + old_w].copy_from_slice(&data[r * old_w..(r + 1) * old_w]);
-    }
-    *data = wide;
-}
-
-/// Reusable buffers for [`scan_masked_group`], one set per scan worker,
-/// so the per-group scans of a build or extension allocate nothing at
-/// all — results append into per-chunk flat vectors.
+/// Reusable buffers for [`scan_group`], one set per scan worker,
+/// so the per-group scans of a build allocate nothing at all — results
+/// append into per-chunk flat vectors.
 struct ScanScratch {
     /// The group's `req` vertices.
     req: Vec<usize>,
@@ -333,12 +277,6 @@ struct ScanChunk {
     children: Vec<u32>,
 }
 
-/// The bits of word `wi` that index elements of `range`.
-#[inline]
-fn word_range_mask(range: &std::ops::Range<usize>, wi: usize) -> u64 {
-    word_tail_mask(range.end, wi) & !word_tail_mask(range.start, wi)
-}
-
 /// `dst &= src`, returning whether any bit survived.
 #[inline]
 fn and_into_any(src: &[u64], dst: &mut [u64]) -> bool {
@@ -350,8 +288,8 @@ fn and_into_any(src: &[u64], dst: &mut [u64]) -> bool {
     any != 0
 }
 
-/// Scans one comp group for coverage-viable candidate entries among the
-/// bags `bag_range`: candidates must contain every coverage vertex
+/// Scans one comp group for its coverage-viable candidate entries:
+/// candidates must contain every coverage vertex
 /// outside the component (`req = cover ∖ C`), and their child components
 /// must complete the coverage union. The `req` condition is evaluated
 /// through the inverted vertex→bags index, top level first: the AND of
@@ -361,18 +299,15 @@ fn and_into_any(src: &[u64], dst: &mut [u64]) -> bool {
 /// therefore costs `|req| × bags / 4096` summary words plus one
 /// [`SUMMARY_SPAN`]-word AND per surviving stretch — near the number of
 /// candidates it emits — where a flat AND reads `|req| × bags / 64`
-/// words. Both the cold build (all bags) and the incremental extension
-/// (the newly added bags) run through this one scan, which is what keeps
-/// their tables bit-identical.
+/// words.
 #[allow(clippy::too_many_arguments)]
-fn scan_masked_group(
+fn scan_group(
     arena: &BagArena,
     bag_ids: &[BagId],
     blocks: &[Block],
     blocks_by_head: &[(u32, u32)],
     vb: &VertexBags,
     rep: usize,
-    bag_range: std::ops::Range<usize>,
     s: &mut ScanScratch,
     out: &mut ScanChunk,
 ) {
@@ -390,11 +325,9 @@ fn scan_masked_group(
             req &= req - 1;
         }
     }
-    // Top level: the row words overlapping `bag_range` in which every
-    // `req` vertex has some bag.
-    let word_range = bag_range.start / 64..bag_range.end.div_ceil(64);
+    // Top level: the row words in which every `req` vertex has some bag.
     for (si, sw) in s.summary.iter_mut().enumerate() {
-        *sw = word_range_mask(&word_range, si);
+        *sw = word_tail_mask(xwords, si);
     }
     for &v in &s.req {
         if !and_into_any(&vb.summary[v * swords..(v + 1) * swords], &mut s.summary) {
@@ -418,8 +351,8 @@ fn scan_masked_group(
         while live_words != 0 {
             let w = lo + live_words.trailing_zeros() as usize;
             live_words &= live_words - 1;
-            // Only the two boundary words of `bag_range` are partial.
-            let mut bits = cand[w - lo] & word_range_mask(&bag_range, w);
+            // Only the last row word is partial.
+            let mut bits = cand[w - lo] & word_tail_mask(bag_ids.len(), w);
             while bits != 0 {
                 let x = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -455,8 +388,8 @@ fn scan_masked_group(
 }
 
 /// Resolves the block rows of the bags `seps` against the shared index:
-/// the component passes of an instance build or extension, run ahead of
-/// block derivation so they are attributed to their own span.
+/// the component passes of an instance build, run ahead of block
+/// derivation so they are attributed to their own span.
 fn resolve_rows(
     index: &mut BlockIndex,
     seps: &[BagId],
@@ -510,7 +443,6 @@ impl CtdInstance {
         // arena assigns dense ids in insertion order).
         let mut bag_ids: Vec<BagId> = Vec::new();
         let mut index_ids: Vec<BagId> = Vec::new();
-        let mut seen_index = IdSet::new();
         for &b in bags {
             if index.arena.bag_is_empty(b) {
                 continue;
@@ -520,11 +452,8 @@ impl CtdInstance {
             if arena.len() > before {
                 bag_ids.push(local);
                 index_ids.push(b);
-                seen_index.insert(b);
             }
         }
-        // Root blocks first: extensions append new bags' blocks at the
-        // end, so the root ids must not shift as the bag list grows.
         let mut blocks = Vec::new();
         let mut root_blocks = Vec::new();
         let empty = index.empty();
@@ -568,8 +497,6 @@ impl CtdInstance {
             arena,
             bag_ids,
             bag_sets,
-            index_ids,
-            seen_index,
             blocks,
             blocks_by_head,
             root_blocks,
@@ -577,24 +504,11 @@ impl CtdInstance {
         })
     }
 
-    /// An instance with no candidate bags: only the root blocks exist,
-    /// nothing is satisfiable. This is the seed of the incremental sweep
-    /// engine — every width is then reached through
-    /// [`CtdInstance::extend`], so the first width pays exactly what any
-    /// later extension pays and the bit-identity contract with
-    /// [`CtdInstance::build`] is exercised from the start.
-    pub fn empty(index: &mut BlockIndex) -> Self {
-        Self::build(index, &[])
-    }
-
     /// Precomputes the dependency tables (see [`Deps`]): group blocks by
     /// component, build the inverted vertex→bags index, then find each
     /// group's coverage-viable candidates and child lists through
-    /// [`scan_masked_group`] over the full bag range. The per-group scans
-    /// are independent, so they fan out in worker chunks with a
-    /// deterministic group-ordered stitch — the same scan and the same
-    /// stitch the incremental extension uses, restricted there to the
-    /// newly added bags.
+    /// [`scan_group`]. The per-group scans are independent, so they
+    /// fan out in worker chunks with a deterministic group-ordered stitch.
     fn build_deps(
         h: &Hypergraph,
         arena: &BagArena,
@@ -605,7 +519,6 @@ impl CtdInstance {
     ) -> Result<Deps, DecompError> {
         let _span = softhw_obs::span(softhw_obs::stage::DEPS_SCAN);
         let nb = blocks.len();
-        let nx = bag_ids.len();
         let words = arena.words_per_bag();
         // Group blocks by component (ids are interned, so equality is id
         // equality). Groups are numbered in first-block order; group_rep
@@ -621,10 +534,8 @@ impl CtdInstance {
             group_of.push(g);
         }
         let ng = group_rep.len();
-        let mut vertex_bags = VertexBags::default();
-        vertex_bags.extend(h.num_vertices(), arena, bag_ids, 0);
+        let vertex_bags = VertexBags::new(h.num_vertices(), arena, bag_ids);
         let vb = &vertex_bags;
-        let group_rep_ref = &group_rep;
         let workers = softhw_hypergraph::par::num_workers().min(ng.max(1));
         let raw = softhw_hypergraph::par::par_chunks(ng, workers, |range| {
             let mut s = ScanScratch::new(words, vb);
@@ -632,14 +543,13 @@ impl CtdInstance {
             for g in range {
                 budget.tick()?;
                 let before = out.xs.len();
-                scan_masked_group(
+                scan_group(
                     arena,
                     bag_ids,
                     blocks,
                     blocks_by_head,
                     vb,
-                    group_rep_ref[g] as usize,
-                    0..nx,
+                    group_rep[g] as usize,
                     &mut s,
                     &mut out,
                 );
@@ -647,6 +557,8 @@ impl CtdInstance {
             }
             Ok::<ScanChunk, DecompError>(out)
         });
+        // Released before the stitched tables are sized.
+        drop(vertex_bags);
         // A tripped budget is sticky, so this check fires whenever any
         // worker bailed early — partial chunks never reach the stitch.
         budget.check()?;
@@ -699,393 +611,13 @@ impl CtdInstance {
             Csr::from_counts(ng, group_of.iter().enumerate().map(|(b, &g)| (g, b as u32)));
         Ok(Deps {
             group_of,
-            group_rep,
-            comp_group,
             g_cand_start,
             g_cand_x,
             g_child_start,
             g_child_data,
-            vertex_bags,
             child_groups,
             group_blocks,
         })
-    }
-
-    /// Extends the instance in place with additional candidate bags (ids
-    /// of the **same** [`BlockIndex`] the instance was built from):
-    /// already-known and empty bags are skipped, new bags and their
-    /// blocks are appended — existing bag and block ids never move — and
-    /// the dependency tables are updated incrementally: pre-existing comp
-    /// groups are rescanned only over the newly appended bags (their
-    /// entries over the old bags are already exact), and only brand-new
-    /// groups scan the full range. The result is observably identical to a cold
-    /// [`CtdInstance::build`] over the concatenated bag sequence (the
-    /// property tests in `tests/worklist_props.rs` assert bit-identical
-    /// satisfaction tables, bases and timestamps included).
-    ///
-    /// Returns the [`ExtendDelta`] describing what changed, for
-    /// [`CtdInstance::satisfy_extend`].
-    pub fn extend(&mut self, index: &mut BlockIndex, bags: &[BagId]) -> ExtendDelta {
-        self.extend_budgeted(index, bags, &Budget::unlimited())
-            .expect("the unlimited budget cannot trip")
-    }
-
-    /// [`CtdInstance::extend`] with a cooperative [`Budget`], checked per
-    /// appended bag and per comp-group rescan. **On a budget error the
-    /// instance is torn** (bags appended but dependency tables stale or
-    /// mid-rebuild): the caller must discard it — or, in the sweep,
-    /// `reset()` the sweep state — before retrying; the shared index
-    /// stays valid either way.
-    pub fn extend_budgeted(
-        &mut self,
-        index: &mut BlockIndex,
-        bags: &[BagId],
-        budget: &Budget,
-    ) -> Result<ExtendDelta, DecompError> {
-        let _span = softhw_obs::span(softhw_obs::stage::INSTANCE_EXTEND);
-        assert!(
-            Arc::ptr_eq(&self.h, index.hypergraph_arc()),
-            "extend must be given the BlockIndex the instance was built from"
-        );
-        let prev_bags = self.bag_ids.len();
-        let prev_blocks = self.blocks.len();
-        for &b in bags {
-            if index.arena.bag_is_empty(b) || self.seen_index.contains(b) {
-                continue;
-            }
-            self.seen_index.insert(b);
-            let local = self.arena.copy_from(&index.arena, b);
-            self.bag_ids.push(local);
-            self.index_ids.push(b);
-            self.blocks_by_head.push((0, 0));
-            self.bag_sets.push(std::sync::OnceLock::new());
-        }
-        let new_rows = resolve_rows(index, &self.index_ids[prev_bags..], budget)?;
-        if softhw_hypergraph::par::num_workers() > 1 && self.bag_ids.len() > prev_bags {
-            // Parallel intern pass: with every new bag's block rows
-            // resolved (serially — the row cache needs `&mut`), fan the
-            // per-block closure words and intern hashes out via
-            // `par_map` (pure reads); the serial remainder is one hashed
-            // table probe per comp/closure/cover.
-            let mut descs: Vec<(usize, BagId, BagId)> = Vec::new();
-            for (x, &rows_r) in (prev_bags..).zip(&new_rows) {
-                for &(comp, cover) in index.rows(rows_r) {
-                    descs.push((x, comp, cover));
-                }
-            }
-            type Prepared = (u64, Vec<u64>, u64, u64);
-            let arena = &self.arena;
-            let bag_ids = &self.bag_ids;
-            let prepared: Vec<Prepared> = par_map(descs.len(), |i| {
-                let (head, comp, cover) = descs[i];
-                let comp_words = index.arena.words(comp);
-                let mut closure_words = arena.words(bag_ids[head]).to_vec();
-                words_union_into(comp_words, &mut closure_words);
-                let closure_hash = BagArena::words_hash(&closure_words);
-                (
-                    BagArena::words_hash(comp_words),
-                    closure_words,
-                    closure_hash,
-                    BagArena::words_hash(index.arena.words(cover)),
-                )
-            });
-            for (&(head, comp, cover), (comp_hash, closure_words, closure_hash, cover_hash)) in
-                descs.iter().zip(prepared)
-            {
-                let local_comp = self
-                    .arena
-                    .intern_words_hashed(index.arena.words(comp), comp_hash);
-                let closure = self.arena.intern_words_hashed(&closure_words, closure_hash);
-                let local_cover = self
-                    .arena
-                    .intern_words_hashed(index.arena.words(cover), cover_hash);
-                let hb = &mut self.blocks_by_head[head];
-                if hb.1 == 0 {
-                    hb.0 = self.blocks.len() as u32;
-                }
-                hb.1 += 1;
-                self.blocks.push(Block {
-                    head: Some(head),
-                    comp: local_comp,
-                    closure,
-                    cover: local_cover,
-                });
-            }
-        } else {
-            // Serial: single pass over the new bags, creating each block
-            // straight from the index's row table.
-            let mut closure_buf: Vec<u64> = vec![0u64; self.arena.words_per_bag()];
-            for (head, &rows_r) in (prev_bags..).zip(&new_rows) {
-                budget.tick()?;
-                if !rows_r.is_empty() {
-                    self.blocks_by_head[head] = (self.blocks.len() as u32, rows_r.len() as u32);
-                }
-                for &(comp, cover) in index.rows(rows_r) {
-                    let local_comp = self.arena.copy_from(&index.arena, comp);
-                    closure_buf.copy_from_slice(self.arena.words(self.bag_ids[head]));
-                    self.arena.union_into(local_comp, &mut closure_buf);
-                    let closure = self.arena.intern_words(&closure_buf);
-                    let local_cover = self.arena.copy_from(&index.arena, cover);
-                    self.blocks.push(Block {
-                        head: Some(head),
-                        comp: local_comp,
-                        closure,
-                        cover: local_cover,
-                    });
-                }
-            }
-        }
-        if self.bag_ids.len() == prev_bags {
-            // Nothing new (repeat width, or a stratum entirely contained
-            // in the instance): the tables are already exact — skip the
-            // dependency rebuild and dirty no blocks.
-            return Ok(ExtendDelta {
-                prev_bags,
-                prev_blocks,
-                dirty: Vec::new(),
-            });
-        }
-        let dirty = self.extend_deps(prev_bags, prev_blocks, budget)?;
-        Ok(ExtendDelta {
-            prev_bags,
-            prev_blocks,
-            dirty,
-        })
-    }
-
-    /// Brings the dependency tables up to date after an extension; see
-    /// [`CtdInstance::extend`]. Returns the dirty-block seed list.
-    fn extend_deps(
-        &mut self,
-        prev_nx: usize,
-        prev_nb: usize,
-        budget: &Budget,
-    ) -> Result<Vec<u32>, DecompError> {
-        let _span = softhw_obs::span(softhw_obs::stage::DEPS_SCAN);
-        let nx = self.bag_ids.len();
-        let nb = self.blocks.len();
-        // Group assignment for the new blocks (the persistent map keeps
-        // the numbering identical to a cold build over the same sequence).
-        let ng_old;
-        {
-            let Deps {
-                group_of,
-                group_rep,
-                comp_group,
-                ..
-            } = &mut self.deps;
-            ng_old = group_rep.len();
-            for (b, blk) in self.blocks.iter().enumerate().skip(prev_nb) {
-                let g = *comp_group.entry(blk.comp).or_insert_with(|| {
-                    group_rep.push(b as u32);
-                    (group_rep.len() - 1) as u32
-                });
-                group_of.push(g);
-            }
-        }
-        let ng = self.deps.group_rep.len();
-        self.deps
-            .vertex_bags
-            .extend(self.h.num_vertices(), &self.arena, &self.bag_ids, prev_nx);
-        // The tables carry no per-block state beyond coverage, so a
-        // pre-existing group's entries over the old bags are already
-        // exact: old groups rescan only the bags this extension
-        // appended, new groups scan the full range.
-        let arena = &self.arena;
-        let vertex_bags = &self.deps.vertex_bags;
-        let group_of = &self.deps.group_of;
-        let bag_ids = &self.bag_ids;
-        let blocks = &self.blocks;
-        let blocks_by_head = &self.blocks_by_head;
-        let group_rep = &self.deps.group_rep;
-        let words = arena.words_per_bag();
-        let workers = softhw_hypergraph::par::num_workers().min(ng.max(1));
-        // Scan the groups (one scratch buffer set and one flat output
-        // block per worker chunk), overlapped with the group→blocks
-        // reverse-index rebuild, which is independent of the scan
-        // results.
-        let (raw, group_blocks) = par_join(
-            || {
-                softhw_hypergraph::par::par_chunks(ng, workers, |range| {
-                    let mut s = ScanScratch::new(words, vertex_bags);
-                    let mut out = ScanChunk::default();
-                    for g in range {
-                        budget.tick()?;
-                        let from = if g < ng_old { prev_nx } else { 0 };
-                        let before = out.xs.len();
-                        scan_masked_group(
-                            arena,
-                            bag_ids,
-                            blocks,
-                            blocks_by_head,
-                            vertex_bags,
-                            group_rep[g] as usize,
-                            from..nx,
-                            &mut s,
-                            &mut out,
-                        );
-                        out.entries.push((out.xs.len() - before) as u32);
-                    }
-                    Ok::<ScanChunk, DecompError>(out)
-                })
-            },
-            || {
-                // Counting build: `b` ascends, so rows come out ascending
-                // and duplicate-free exactly as `Csr::from_pairs` would
-                // produce them.
-                Csr::from_counts(ng, group_of.iter().enumerate().map(|(b, &g)| (g, b as u32)))
-            },
-        );
-        budget.check()?;
-        let mut chunks: Vec<ScanChunk> = Vec::with_capacity(raw.len());
-        for r in raw {
-            chunks.push(r?);
-        }
-        // Restitch the candidate tables: per group, merge the existing
-        // entries with the newly found ones by ascending bag index (the
-        // two sets are disjoint — an existing entry's bag was already in
-        // the allowed mask). Child lists of existing entries are
-        // unchanged: old bags head no new blocks.
-        let old_cand_start = std::mem::take(&mut self.deps.g_cand_start);
-        let old_cand_x = std::mem::take(&mut self.deps.g_cand_x);
-        let old_child_start = std::mem::take(&mut self.deps.g_child_start);
-        let old_child_data = std::mem::take(&mut self.deps.g_child_data);
-        let grown = old_cand_x.len() + chunks.iter().map(|c| c.xs.len()).sum::<usize>();
-        let grown_children =
-            old_child_data.len() + chunks.iter().map(|c| c.children.len()).sum::<usize>();
-        let mut g_cand_start: Vec<u32> = Vec::with_capacity(ng + 1);
-        let mut g_cand_x: Vec<u32> = Vec::with_capacity(grown);
-        let mut g_child_start: Vec<u32> = Vec::with_capacity(grown + 1);
-        let mut g_child_data: Vec<u32> = Vec::with_capacity(grown_children);
-        g_cand_start.push(0);
-        g_child_start.push(0);
-        // Group per child datum, parallel to `g_child_data`: lets the
-        // reverse-index build below scatter in two flat passes instead
-        // of re-walking the nested group→entry→child structure.
-        let mut datum_group: Vec<u32> = Vec::with_capacity(grown_children);
-        let mut gained = vec![false; ng_old];
-        #[allow(clippy::too_many_arguments)]
-        fn push_entry(
-            g: usize,
-            x: u32,
-            kids: &[u32],
-            g_cand_x: &mut Vec<u32>,
-            g_child_start: &mut Vec<u32>,
-            g_child_data: &mut Vec<u32>,
-            datum_group: &mut Vec<u32>,
-        ) {
-            g_cand_x.push(x);
-            g_child_data.extend_from_slice(kids);
-            datum_group.resize(g_child_data.len(), g as u32);
-            g_child_start.push(g_child_data.len() as u32);
-        }
-        let mut g = 0usize;
-        for chunk in &chunks {
-            // Cursors into this chunk's flat entry/child arrays.
-            let mut ni = 0usize;
-            let mut nchild_pos = 0usize;
-            for &n_entries in &chunk.entries {
-                let ni_end = ni + n_entries as usize;
-                if g < ng_old {
-                    // Merge path: interleave existing entries with the
-                    // newly found ones by ascending bag index.
-                    if n_entries > 0 {
-                        gained[g] = true;
-                    }
-                    for ci in old_cand_start[g] as usize..old_cand_start[g + 1] as usize {
-                        let ox = old_cand_x[ci];
-                        // lint:allow(budget-tick): bounded merge scan over one candidate chunk, not a solver loop
-                        while ni < ni_end && chunk.xs[ni] < ox {
-                            let cnt = chunk.counts[ni] as usize;
-                            push_entry(
-                                g,
-                                chunk.xs[ni],
-                                &chunk.children[nchild_pos..nchild_pos + cnt],
-                                &mut g_cand_x,
-                                &mut g_child_start,
-                                &mut g_child_data,
-                                &mut datum_group,
-                            );
-                            nchild_pos += cnt;
-                            ni += 1;
-                        }
-                        let (lo, hi) = (
-                            old_child_start[ci] as usize,
-                            old_child_start[ci + 1] as usize,
-                        );
-                        push_entry(
-                            g,
-                            ox,
-                            &old_child_data[lo..hi],
-                            &mut g_cand_x,
-                            &mut g_child_start,
-                            &mut g_child_data,
-                            &mut datum_group,
-                        );
-                    }
-                    // lint:allow(budget-tick): bounded tail drain of the same candidate chunk
-                    while ni < ni_end {
-                        let cnt = chunk.counts[ni] as usize;
-                        push_entry(
-                            g,
-                            chunk.xs[ni],
-                            &chunk.children[nchild_pos..nchild_pos + cnt],
-                            &mut g_cand_x,
-                            &mut g_child_start,
-                            &mut g_child_data,
-                            &mut datum_group,
-                        );
-                        nchild_pos += cnt;
-                        ni += 1;
-                    }
-                } else {
-                    // Bulk path (the common case — a brand-new group has
-                    // no existing entries): the group's entries and
-                    // children are contiguous in the chunk arrays, so
-                    // copy them wholesale and cumsum the child offsets.
-                    g_cand_x.extend_from_slice(&chunk.xs[ni..ni_end]);
-                    let kids_lo = nchild_pos;
-                    let mut acc = g_child_data.len() as u32;
-                    for &cnt in &chunk.counts[ni..ni_end] {
-                        acc += cnt;
-                        g_child_start.push(acc);
-                        nchild_pos += cnt as usize;
-                    }
-                    g_child_data.extend_from_slice(&chunk.children[kids_lo..nchild_pos]);
-                    datum_group.resize(g_child_data.len(), g as u32);
-                    ni = ni_end;
-                }
-                g_cand_start.push(g_cand_x.len() as u32);
-                g += 1;
-            }
-        }
-        debug_assert_eq!(g, ng);
-        // Child → comp-groups reverse index by counting scatter over the
-        // stitched tables (no pair materialisation, no sort). Rows list
-        // groups in ascending order, possibly with repeats when several
-        // entries of one group share a child; the worklist consumers
-        // dedup through their `queued` guards.
-        let child_groups = Csr::from_counts(
-            nb,
-            g_child_data
-                .iter()
-                .zip(&datum_group)
-                .map(|(&c, &dg)| (c, dg)),
-        );
-        // Dirty seed: old blocks of groups that gained entries, then all
-        // new blocks — ascending and duplicate-free by construction.
-        let mut dirty: Vec<u32> = (0..prev_nb as u32)
-            .filter(|&b| gained[group_of[b as usize] as usize])
-            .collect();
-        dirty.extend(prev_nb as u32..nb as u32);
-        let d = &mut self.deps;
-        d.g_cand_start = g_cand_start;
-        d.g_cand_x = g_cand_x;
-        d.g_child_start = g_child_start;
-        d.g_child_data = g_child_data;
-        d.child_groups = child_groups;
-        d.group_blocks = group_blocks;
-        Ok(dirty)
     }
 
     /// Number of (deduplicated, non-empty) candidate bags.
@@ -1240,7 +772,6 @@ impl CtdInstance {
     /// the service's `bytes_per_cached_schema` memory stat.
     pub fn approx_bytes(&self) -> u64 {
         let bags = self.bag_ids.capacity() * std::mem::size_of::<BagId>()
-            + self.index_ids.capacity() * std::mem::size_of::<BagId>()
             + self.bag_sets.capacity() * std::mem::size_of::<std::sync::OnceLock<BitSet>>();
         let materialised: usize = self
             .bag_sets
@@ -1251,10 +782,7 @@ impl CtdInstance {
         let blocks = self.blocks.capacity() * std::mem::size_of::<Block>()
             + self.blocks_by_head.capacity() * 8
             + self.root_blocks.capacity() * 8;
-        self.arena.approx_bytes()
-            + self.seen_index.approx_bytes()
-            + self.deps.approx_bytes()
-            + (bags + materialised + blocks) as u64
+        self.arena.approx_bytes() + self.deps.approx_bytes() + (bags + materialised + blocks) as u64
     }
 
     /// [`CtdInstance::satisfy`] with a cooperative [`Budget`], checked at
@@ -1267,89 +795,7 @@ impl CtdInstance {
         let mut satisfied = vec![false; nb];
         let mut basis: Vec<Option<(usize, u32)>> = vec![None; nb];
         let mut clock: u32 = 0;
-        self.satisfy_run(
-            &mut satisfied,
-            &mut basis,
-            &mut clock,
-            (0..nb as u32).collect(),
-            budget,
-        )?;
-        let accept = self.root_blocks.iter().all(|&b| satisfied[b]);
-        Ok(Satisfaction { basis, accept })
-    }
-
-    /// Brings a pre-extension [`Satisfaction`] up to date after
-    /// [`CtdInstance::extend`], reusing the DP state instead of running
-    /// from scratch: previously satisfied blocks keep their bases and
-    /// timestamps verbatim (satisfaction is monotone in the candidate
-    /// set, so they remain valid — an old basis delegates only to old,
-    /// still-satisfied blocks), and the worklist is seeded with just the
-    /// delta's dirty blocks; everything else re-enters through the
-    /// child→parents reverse index exactly as in [`CtdInstance::satisfy`].
-    /// New satisfactions get timestamps above every previous one, so the
-    /// strictly-decreasing-along-extraction invariant holds.
-    ///
-    /// The satisfied block set — and therefore `accept` and the
-    /// extractability of every block — is identical to a fresh
-    /// [`CtdInstance::satisfy`] run on the extended instance
-    /// (property-tested); the basis *choices* of blocks satisfied at an
-    /// earlier width may differ, since a fresh run would also consider
-    /// the bags added later.
-    pub fn satisfy_extend(&self, prev: &Satisfaction, delta: &ExtendDelta) -> Satisfaction {
-        self.satisfy_extend_budgeted(prev, delta, &Budget::unlimited())
-            .expect("the unlimited budget cannot trip")
-    }
-
-    /// [`CtdInstance::satisfy_extend`] with a cooperative [`Budget`],
-    /// checked at every frontier wave. `prev` and the instance are left
-    /// untouched on abort; the partially advanced DP state is dropped.
-    pub fn satisfy_extend_budgeted(
-        &self,
-        prev: &Satisfaction,
-        delta: &ExtendDelta,
-        budget: &Budget,
-    ) -> Result<Satisfaction, DecompError> {
-        let _span = softhw_obs::span(softhw_obs::stage::SATISFY);
-        assert_eq!(
-            prev.basis.len(),
-            delta.prev_blocks,
-            "satisfaction state does not match the extension's base instance"
-        );
-        let nb = self.blocks.len();
-        let mut basis = prev.basis.clone();
-        basis.resize(nb, None);
-        let mut satisfied: Vec<bool> = basis.iter().map(Option::is_some).collect();
-        let mut clock = basis
-            .iter()
-            .filter_map(|e| e.map(|(_, t)| t + 1))
-            .max()
-            .unwrap_or(0);
-        self.satisfy_run(
-            &mut satisfied,
-            &mut basis,
-            &mut clock,
-            delta.dirty.clone(),
-            budget,
-        )?;
-        let accept = self.root_blocks.iter().all(|&b| satisfied[b]);
-        Ok(Satisfaction { basis, accept })
-    }
-
-    /// The worklist engine shared by [`CtdInstance::satisfy`] (seeded
-    /// with every block) and [`CtdInstance::satisfy_extend`] (seeded with
-    /// an extension's dirty blocks): frontier waves snapshot the previous
-    /// state, fan out via [`par_map`], and merge in ascending block
-    /// order, so bases and timestamps are deterministic across serial and
-    /// parallel builds.
-    fn satisfy_run(
-        &self,
-        satisfied: &mut [bool],
-        basis: &mut [Option<(usize, u32)>],
-        clock: &mut u32,
-        mut frontier: Vec<u32>,
-        budget: &Budget,
-    ) -> Result<(), DecompError> {
-        let nb = self.blocks.len();
+        let mut frontier: Vec<u32> = (0..nb as u32).collect();
         let mut next: Vec<u32> = Vec::new();
         let mut queued = vec![false; nb];
         while !frontier.is_empty() {
@@ -1357,7 +803,7 @@ impl CtdInstance {
             // between deadline observations, which bounds cancellation
             // latency to one wave of rechecks.
             budget.check()?;
-            let snapshot = &*satisfied;
+            let snapshot = &satisfied;
             let found: Vec<Option<u32>> = par_map(frontier.len(), |i| {
                 let b = frontier[i] as usize;
                 if snapshot[b] {
@@ -1370,8 +816,8 @@ impl CtdInstance {
                 let b = frontier[i] as usize;
                 if let Some(x) = f {
                     satisfied[b] = true;
-                    basis[b] = Some((x as usize, *clock));
-                    *clock += 1;
+                    basis[b] = Some((x as usize, clock));
+                    clock += 1;
                     self.for_each_parent(b, |p| {
                         if !satisfied[p as usize] && !queued[p as usize] {
                             queued[p as usize] = true;
@@ -1388,7 +834,8 @@ impl CtdInstance {
             }
             std::mem::swap(&mut frontier, &mut next);
         }
-        Ok(())
+        let accept = self.root_blocks.iter().all(|&b| satisfied[b]);
+        Ok(Satisfaction { basis, accept })
     }
 
     /// The seed's Jacobi-round satisfaction DP, retained as the reference

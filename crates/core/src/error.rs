@@ -17,14 +17,12 @@
 //! - [`DecompError::Internal`] — an internal invariant (a satisfied
 //!   block without a basis, a cache bucket that vanished) failed to
 //!   hold. In debug builds these still `debug_assert!`; in release the
-//!   caller degrades — [`DecompCache`](crate::cache::DecompCache) evicts
-//!   the inconsistent entry and recomputes cold;
+//!   request fails with this error instead of taking the process down;
 //! - [`DecompError::DeadlineExceeded`] / [`DecompError::Canceled`] — a
 //!   [`Budget`](crate::budget::Budget) tripped. These are *not*
 //!   internal: nothing is inconsistent, the caller ran out of time (or
 //!   asked to stop), so caches must not evict or memoise — they leave
-//!   state untouched or `reset()` it to a cold-rebuildable seed and
-//!   propagate.
+//!   state untouched and propagate.
 
 use crate::soft::LimitExceeded;
 use softhw_hypergraph::ShardError;
@@ -58,12 +56,6 @@ impl DecompError {
     /// Shorthand constructor for invariant failures.
     pub fn internal(what: &'static str) -> Self {
         DecompError::Internal { what }
-    }
-
-    /// True iff this error reports an internal inconsistency (the
-    /// variant caches recover from by evicting and recomputing cold).
-    pub fn is_internal(&self) -> bool {
-        matches!(self, DecompError::Internal { .. })
     }
 
     /// True iff this error came from a tripped
@@ -125,15 +117,13 @@ mod tests {
     fn conversions_and_display() {
         let l: DecompError = LimitExceeded { what: "max_bags" }.into();
         assert!(l.to_string().contains("max_bags"));
-        assert!(!l.is_internal());
         let s: DecompError = ShardError::NoShards.into();
         assert!(matches!(s, DecompError::Shards(_)));
         let i = DecompError::internal("basis missing");
-        assert!(i.is_internal());
+        assert!(matches!(i, DecompError::Internal { .. }));
         assert!(i.to_string().contains("basis missing"));
         for budget_err in [DecompError::DeadlineExceeded, DecompError::Canceled] {
             assert!(budget_err.is_budget());
-            assert!(!budget_err.is_internal(), "budget errors must not evict");
         }
         assert!(!i.is_budget());
         assert!(!l.is_budget());

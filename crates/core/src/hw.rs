@@ -292,7 +292,7 @@ pub fn hw(h: &Hypergraph) -> (usize, Ghd) {
 
 /// The raw exact sweep, with no reduction preprocessing.
 pub fn hw_raw(h: &Hypergraph) -> (usize, Ghd) {
-    crate::width_sweep(h.num_edges(), |k| hw_leq(h, k))
+    hw_raw_budgeted(h, &Budget::unlimited()).expect("no width up to |E(H)| admits an HD")
 }
 
 /// [`hw_raw`] with a cooperative [`Budget`] shared across all widths of

@@ -17,8 +17,6 @@
 //! - [`soft_iter`]: the iterated hierarchy `Soft^i`, `shw_i`, ghw as the
 //!   fixpoint (§5)
 //! - [`shw`]: the shw solver (§4, Thm. 1)
-//! - [`sweep`]: the incremental width-sweep engine (one instance grown
-//!   across `k` instead of a cold build per width)
 //! - [`hw`]: det-k-decomp-style hypertree width baseline (§2)
 //! - [`cover`]: (connected) edge covers (§6, ConCov)
 //! - [`ctd_opt`]: Algorithm 2 — constraints and preferences over CTDs,
@@ -45,14 +43,12 @@ pub mod shw;
 pub mod soft;
 pub mod soft_iter;
 pub mod spec;
-pub mod sweep;
 pub mod td;
 
 pub use budget::Budget;
 pub use cache::DecompCache;
 pub use ctd::{candidate_td, CtdInstance};
 pub use error::DecompError;
-pub use sweep::IncrementalSweep;
 
 /// Enumerates all subsets of `pool` with size between 1 and `k`.
 /// Re-exported helper shared by the cover searches.
@@ -60,20 +56,6 @@ pub(crate) fn bitset_subsets(pool: &[usize], k: usize, f: impl FnMut(&[usize])) 
     softhw_hypergraph::bitset::for_each_subset_up_to_k(pool, k, f)
 }
 
-/// Shared exact-width sweep: the least `k ≤ max_width` accepted by `leq`,
-/// with its witness. Used by the cold and cached `shw`/`hw` entry
-/// points, which all rely on `width ≤ |E(H)|` for totality.
-pub(crate) fn width_sweep<T>(
-    max_width: usize,
-    mut leq: impl FnMut(usize) -> Option<T>,
-) -> (usize, T) {
-    for k in 1..=max_width.max(1) {
-        if let Some(t) = leq(k) {
-            return (k, t);
-        }
-    }
-    unreachable!("every width measure here is at most |E(H)|")
-}
 pub use ghd::Ghd;
 pub use soft::{soft_bags, SoftLimits};
 pub use spec::{SolveClass, SolveSpec, Solved};

@@ -227,25 +227,12 @@ pub fn lift_ghd(h: &Hypergraph, red: &Reduction, piece_ghds: &[Ghd]) -> Ghd {
     Ghd { td, lambdas }
 }
 
-/// Exact soft hypertree width via reduce-before-solve: simplify, solve
-/// each piece with the incremental sweep, recombine widths by max (floor
+/// Exact soft hypertree width via reduce-before-solve: simplify, sweep
+/// each piece ([`crate::shw::shw_raw`]), recombine widths by max (floor
 /// 1 when anything was reduced) and lift the witness. Irreducible
 /// connected inputs take the raw path unchanged.
 pub fn shw(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    let red = reduce(h);
-    if red.is_trivial() {
-        return crate::shw::shw_raw(h);
-    }
-    let mut width = 1usize;
-    let mut tds = Vec::with_capacity(red.pieces.len());
-    for piece in &red.pieces {
-        let (w, td) = crate::shw::shw_raw(&piece.h);
-        width = width.max(w);
-        tds.push(td);
-    }
-    let td = lift_td(h, &red, &tds);
-    debug_assert_eq!(td.validate(h), Ok(()));
-    (width, td)
+    shw_budgeted(h, &SoftLimits::default(), &Budget::unlimited()).expect("default limits exceeded")
 }
 
 /// [`shw`] with a cooperative [`Budget`], checked before every reduced

@@ -76,39 +76,30 @@ pub fn shw(h: &Hypergraph) -> (usize, TreeDecomposition) {
     crate::reduce_solve::shw(h)
 }
 
-/// The raw exact sweep, with no reduction preprocessing. The sweep runs
-/// on the incremental engine ([`crate::sweep::IncrementalSweep`]): one
-/// [`crate::CtdInstance`] is grown across the widths — `Soft_{H,k}` is
-/// monotone in `k`, so each width appends its new candidate bags and
-/// re-enqueues only the blocks whose candidate sets changed, instead of
-/// rebuilding the instance and re-running the satisfaction DP from
-/// scratch. Decisions per width are identical to cold runs; see
-/// [`shw_rebuild`] for the retained rebuild-per-width reference the
-/// engine is benchmarked against. Panics on disconnected inputs (no
+/// The raw exact sweep, with no reduction preprocessing: Algorithm 1
+/// decides `shw(H) ≤ k` per width, so the sweep asks `k = 1, 2, …` until
+/// the first accept. One [`BlockIndex`] is shared across the widths —
+/// components, blocks and coverage unions computed for width `k` are
+/// cache hits at `k + 1` — while each width builds its own
+/// [`CtdInstance`] over `Soft_{H,k}`. Panics on disconnected inputs (no
 /// single sweep witness exists); [`shw`] handles those by splitting.
 pub fn shw_raw(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    let mut index = BlockIndex::new(h);
-    let mut sweep = crate::sweep::IncrementalSweep::new();
-    crate::width_sweep(h.num_edges(), |k| {
-        sweep
-            .decide_leq(&mut index, k, &SoftLimits::default())
-            .expect("default limits exceeded")
-    })
+    shw_raw_budgeted(h, &SoftLimits::default(), &Budget::unlimited())
+        .expect("default limits exceeded")
 }
 
-/// [`shw_raw`] with a cooperative [`Budget`]: the incremental sweep
-/// checks the budget per width stage (and, inside each stage, per
-/// enumeration node / comp-group scan / DP wave). On abort the sweep
-/// state is local and dropped, so nothing is poisoned.
+/// [`shw_raw`] with explicit generation limits and a cooperative
+/// [`Budget`], checked inside each width per enumeration node,
+/// comp-group scan and DP wave. The index is local, so an abort drops
+/// everything.
 pub fn shw_raw_budgeted(
     h: &Hypergraph,
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<(usize, TreeDecomposition), DecompError> {
     let mut index = BlockIndex::new(h);
-    let mut sweep = crate::sweep::IncrementalSweep::new();
     for k in 1..=h.num_edges().max(1) {
-        if let Some(td) = sweep.decide_leq_budgeted(&mut index, k, limits, budget)? {
+        if let Some(td) = shw_leq_indexed_budgeted(&mut index, k, limits, budget)? {
             return Ok((k, td));
         }
     }
@@ -116,20 +107,6 @@ pub fn shw_raw_budgeted(
     Err(DecompError::internal(
         "width sweep exhausted |E(H)| without accepting",
     ))
-}
-
-/// The pre-incremental sweep, retained as the reference and benchmark
-/// baseline (`sweep_cold` in `bench_baseline`): one shared [`BlockIndex`]
-/// across widths — candidate generation hits its caches — but the
-/// [`crate::CtdInstance`] is rebuilt and the satisfaction DP re-run from
-/// scratch at every width. Same width and a valid witness, like
-/// [`shw`]; the two may pick different (equally valid) witness
-/// decompositions.
-pub fn shw_rebuild(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    let mut index = BlockIndex::new(h);
-    crate::width_sweep(h.num_edges(), |k| {
-        shw_leq_indexed(&mut index, k, &SoftLimits::default()).expect("default limits exceeded")
-    })
 }
 
 /// [`shw`] against a cross-query [`crate::cache::DecompCache`]: repeated
@@ -191,14 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_sweep_agrees_with_rebuild_sweep() {
+    fn reduced_sweep_agrees_with_raw_sweep() {
         for h in [named::h2(), named::cycle(8), named::triangle_star(3)] {
-            let (w_inc, td_inc) = shw(&h);
-            let (w_reb, td_reb) = shw_rebuild(&h);
-            assert_eq!(w_inc, w_reb);
-            assert_eq!(td_inc.validate(&h), Ok(()));
-            assert_eq!(td_reb.validate(&h), Ok(()));
-            assert!(td_inc.is_comp_nf(&h));
+            let (w_red, td_red) = shw(&h);
+            let (w_raw, td_raw) = shw_raw(&h);
+            assert_eq!(w_red, w_raw);
+            assert_eq!(td_red.validate(&h), Ok(()));
+            assert_eq!(td_raw.validate(&h), Ok(()));
+            assert!(td_raw.is_comp_nf(&h));
         }
     }
 

@@ -102,26 +102,11 @@ impl BagArena {
         crate::fxhash::hash_u64s(words)
     }
 
-    /// The hash [`BagArena::intern_words_hashed`] expects for `words`.
-    /// Exposed so parallel build phases can precompute intern hashes on
-    /// worker threads ([`crate::par::par_map`]) and leave only the table
-    /// probe on the serial path.
-    #[inline]
-    pub fn words_hash(words: &[u64]) -> u64 {
-        Self::hash_words(words)
-    }
-
     /// Interns raw words (must be `words_per_bag` long); returns the id,
     /// allocating a new one only for unseen content.
     pub fn intern_words(&mut self, words: &[u64]) -> BagId {
-        self.intern_words_hashed(words, Self::hash_words(words))
-    }
-
-    /// [`BagArena::intern_words`] with the hash precomputed by
-    /// [`BagArena::words_hash`] (the caller vouches the hash matches).
-    pub fn intern_words_hashed(&mut self, words: &[u64], hash: u64) -> BagId {
         debug_assert_eq!(words.len(), self.words);
-        debug_assert_eq!(hash, Self::hash_words(words));
+        let hash = Self::hash_words(words);
         if self.len() * 2 >= self.table.len() {
             self.grow();
         }
@@ -550,11 +535,6 @@ impl IdSet {
         IdSet::default()
     }
 
-    /// Approximate heap footprint in bytes (the flag array).
-    pub fn approx_bytes(&self) -> u64 {
-        self.flags.capacity() as u64
-    }
-
     /// An empty set with room for ids up to about `n` before the flag
     /// vector reallocates.
     pub fn with_capacity(n: usize) -> Self {
@@ -648,19 +628,6 @@ pub fn words_iter(words: &[u64]) -> BitIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hashed_intern_matches_plain_intern() {
-        let mut a = BagArena::new(100);
-        let mut b = BagArena::new(100);
-        for i in 0..50 {
-            let s = BitSet::from_iter(100, [i, (i * 13) % 100]);
-            let plain = a.intern(&s);
-            let hashed = b.intern_words_hashed(s.blocks(), BagArena::words_hash(s.blocks()));
-            assert_eq!(plain, hashed);
-        }
-        assert_eq!(a.len(), b.len());
-    }
 
     #[test]
     fn interning_dedups() {

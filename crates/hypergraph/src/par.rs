@@ -101,43 +101,9 @@ where
     ranges.into_iter().map(f).collect()
 }
 
-/// Runs two independent tasks, concurrently under the `parallel` feature
-/// (each on its own scoped thread when more than one worker is
-/// available), serially otherwise. Used by the incremental instance
-/// build to overlap the closure-mask refresh with the block-table
-/// append; both closures must be pure for the output to be
-/// deterministic, and the results come back in argument order either
-/// way.
-pub fn par_join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    #[cfg(feature = "parallel")]
-    {
-        if num_workers() > 1 {
-            return std::thread::scope(|s| {
-                let hb = s.spawn(fb);
-                let a = fa();
-                (a, hb.join().expect("par_join worker panicked"))
-            });
-        }
-    }
-    (fa(), fb())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_join_returns_in_argument_order() {
-        let (a, b) = par_join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
 
     #[test]
     fn preserves_index_order() {

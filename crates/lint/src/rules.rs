@@ -61,7 +61,6 @@ const SERVICE_FILES: &[&str] = &[
 const BUDGET_FILES: &[&str] = &[
     "crates/core/src/ctd.rs",
     "crates/core/src/soft.rs",
-    "crates/core/src/sweep.rs",
     "crates/core/src/reduce_solve.rs",
 ];
 

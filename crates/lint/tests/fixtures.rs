@@ -113,3 +113,13 @@ fn good_tree_is_clean_and_respects_the_waiver() {
         "the good tree's one waiver must carry a justification"
     );
 }
+
+#[test]
+fn real_workspace_is_clean_without_waivers() {
+    // CI runs the analyzer with `--max-waivers 0`; this keeps `cargo
+    // test --workspace` telling the same story.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = softhw_lint::analyze(&root).expect("workspace loads");
+    assert!(report.clean(), "findings: {:#?}", report.findings);
+    assert!(report.waivers.is_empty(), "waivers: {:#?}", report.waivers);
+}

@@ -50,18 +50,15 @@ pub mod stage {
     pub const INDEX_BUILD: &str = "index_build";
     /// `CtdInstance` build (block derivation + dependency tables).
     pub const INSTANCE_BUILD: &str = "instance_build";
-    /// Incremental `CtdInstance` extension to a larger width.
-    pub const INSTANCE_EXTEND: &str = "instance_extend";
-    /// Satisfaction worklist (Algorithm 1 DP, cold or incremental).
+    /// Satisfaction worklist (Algorithm 1 DP).
     pub const SATISFY: &str = "satisfy";
     /// λ-set enumeration / candidate bag generation.
     pub const ENUMERATE: &str = "enumerate";
     /// `[S]`-component / coverage-union passes over the `BlockIndex`:
     /// the `U`-side sweep inside `enumerate`, block derivation inside
-    /// `instance_build` / `instance_extend`.
+    /// `instance_build`.
     pub const COMPONENTS: &str = "components";
-    /// Candidate scan + dependency tables inside `instance_build` /
-    /// `instance_extend`.
+    /// Candidate scan + dependency tables inside `instance_build`.
     pub const DEPS_SCAN: &str = "deps_scan";
     /// Result-cache probe in the service stripe.
     pub const RESULT_CACHE: &str = "result_cache";
@@ -82,7 +79,6 @@ pub mod stage {
         REDUCE,
         INDEX_BUILD,
         INSTANCE_BUILD,
-        INSTANCE_EXTEND,
         SATISFY,
         ENUMERATE,
         COMPONENTS,

@@ -16,9 +16,8 @@
 //! - [`state`]: the shared handler state — a bank of
 //!   [`DecompCache`](softhw_core::DecompCache) stripes routed by
 //!   [`structural_hash`](softhw_hypergraph::structural_hash), so
-//!   repeated schemas hit warm indexes, prepared instances, and
-//!   incremental sweep state, while distinct schemas proceed
-//!   concurrently. Fronted by a per-stripe result cache and, with
+//!   repeated schemas hit warm indexes, prepared instances, and width
+//!   decisions, while distinct schemas proceed concurrently. Fronted by a per-stripe result cache and, with
 //!   `--store`, by the disk-backed [`softhw_store::Store`]: persisted
 //!   witnesses are re-validated before they are served, fresh results
 //!   are persisted write-behind, and boot warm-starts (and pins) the

@@ -6,14 +6,16 @@
 //! [`DecompCache`]s ("stripes"), each behind its own mutex. A request's
 //! schema is parsed, hashed with [`structural_hash`], and routed to
 //! stripe `hash mod stripes`: requests over the *same* schema always
-//! meet the same warm cache (index, prepared instances,
-//! [`IncrementalSweep`](softhw_core::IncrementalSweep) state, width
+//! meet the same warm cache (index, prepared instances, width
 //! decisions), while requests over different schemas almost always run
 //! concurrently on different stripes. Within one stripe the mutex
 //! serialises handlers, and every cached entry point is deterministic,
 //! so the response to a request depends only on the sequence of
 //! requests its stripe processed before it — which is what the
 //! concurrency property test replays and checks, response for response.
+//! An exact width is a sweep over the per-width decisions, so a width
+//! decision itself depends only on `(schema, k)`: `SHW` and `SHW_LEQ k`
+//! fill and read the same memo entries, in either order.
 //!
 //! Layered in front of the solver caches (all consulted under the same
 //! stripe lock, so the determinism argument is unchanged):
@@ -35,8 +37,8 @@
 //!    of the traffic distribution.
 //!
 //! Handlers never panic on request content: schema errors, blown
-//! generation limits, and internal inconsistencies (degraded to cold
-//! recomputes inside [`DecompCache`]) all map to `ERR` responses.
+//! generation limits, and internal inconsistencies all map to `ERR`
+//! responses.
 
 use crate::wire::{BatchRequest, BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame};
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};

@@ -176,3 +176,49 @@ fn eviction_churn_under_concurrency_replays_exactly() {
         8,
     );
 }
+
+#[test]
+fn bounded_answers_do_not_depend_on_whether_shw_ran_first() {
+    // Reduction off, so `SHW` and `SHW_LEQ k` share the schema's own
+    // decision memo: whichever class fills an entry, the other must read
+    // back the frame a fresh server would have computed.
+    use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
+    let config = ServiceConfig {
+        no_reduce: true,
+        ..ServiceConfig::default()
+    };
+    let shape = RandomConfig {
+        num_vertices: 8,
+        num_edges: 8,
+        min_arity: 2,
+        max_arity: 3,
+        connect: true,
+    };
+    let classes = [
+        RequestClass::Shw,
+        RequestClass::ShwLeq(1),
+        RequestClass::ShwLeq(2),
+        RequestClass::ShwLeq(3),
+    ];
+    for seed in 0..12 {
+        let schema = render_hypergraph(&random_hypergraph(&shape, seed));
+        let ask = |state: &ServiceState, class: RequestClass| {
+            state.handle(&Request::new(class, schema.clone())).encode()
+        };
+        let fresh: Vec<String> = classes
+            .iter()
+            .map(|&class| ask(&ServiceState::new(config.clone()), class))
+            .collect();
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0]] {
+            let state = ServiceState::new(config.clone());
+            for i in order {
+                assert_eq!(
+                    ask(&state, classes[i]),
+                    fresh[i],
+                    "seed {seed}: {:?} in order {order:?}",
+                    classes[i]
+                );
+            }
+        }
+    }
+}

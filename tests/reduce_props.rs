@@ -69,9 +69,9 @@ proptest! {
 
     #[test]
     fn reduced_shw_matches_raw_sweep_oracle(h in small_hypergraph()) {
-        // `shw::shw` solves through the reduction pipeline; the retained
-        // rebuild-per-width sweep on the raw input is the oracle.
-        let (raw_w, _) = shw::shw_rebuild(&h);
+        // `shw::shw` solves through the reduction pipeline; the sweep on
+        // the raw input is the oracle.
+        let (raw_w, _) = shw::shw_raw(&h);
         let (red_w, td) = shw::shw(&h);
         prop_assert_eq!(red_w, raw_w, "reduce changed shw");
         // The lifted witness is a decomposition of the *raw* hypergraph.
@@ -123,7 +123,7 @@ proptest! {
             prop_assert!(in_a == 0 || in_a == piece.vertex_map.len(),
                 "a reduced piece spans both components");
         }
-        let expect = shw::shw_rebuild(&a).0.max(shw::shw_rebuild(&b).0);
+        let expect = shw::shw_raw(&a).0.max(shw::shw_raw(&b).0);
         let (w, td) = shw::shw(&u);
         prop_assert_eq!(w, expect);
         prop_assert_eq!(td.validate(&u), Ok(()));
