@@ -30,15 +30,15 @@
 //! preserved in `soft::reference`). The `satisfy_*` pair captures the
 //! worklist-DP gate: the dependency-driven engine vs the retained Jacobi
 //! reference on the same prepared instance. The `sweep/*` rows time the
-//! exact width sweep end to end ([`shw::shw_raw`]). `algorithm1/h2_k2`
-//! measures the repeated-query configuration (cross-query
-//! [`DecompCache`]), with `algorithm1_cold/h2_k2` keeping the cold
-//! single-shot number honest.
+//! exact width sweep end to end ([`shw::shw_raw`]). `shw_cached/h2`
+//! measures the repeated-query configuration (a warm cross-query
+//! [`DecompCache`] answering `solve`), `algorithm1_cold/h2_k2` one cold
+//! single-shot Algorithm 1 run.
 
 use softhw_core::cache::DecompCache;
 use softhw_core::ctd::CtdInstance;
 use softhw_core::soft::{self, reference, SoftLimits};
-use softhw_core::{hw, shw};
+use softhw_core::{hw, shw, SolveSpec};
 use softhw_engine::relation::Relation;
 use softhw_hypergraph::{named, parse_hypergraph, BlockIndex, Hypergraph};
 use std::fmt::Write as _;
@@ -151,7 +151,8 @@ fn bench_decomposition(cfg: &Config, r: &mut Report) {
         r.record(
             "shw_cached/h2",
             median_ns_cfg(cfg, || {
-                assert_eq!(shw::shw_cached(&mut cache, &h2).0, 2);
+                let solved = cache.solve(&h2, &SolveSpec::shw());
+                assert_eq!(solved.ok().and_then(|s| s.width()), Some(2));
             }),
         );
     }
@@ -198,17 +199,6 @@ fn bench_decomposition(cfg: &Config, r: &mut Report) {
             assert!(inst.satisfy_jacobi().accept);
         }),
     );
-    // Algorithm 1 in the repeated-query configuration (cross-query cache:
-    // index, blocks, and satisfied-block sets reused; extraction runs).
-    {
-        let mut cache = DecompCache::new();
-        r.record(
-            "algorithm1/h2_k2",
-            median_ns_cfg(cfg, || {
-                assert!(cache.candidate_td(&h2, &bags).is_some());
-            }),
-        );
-    }
     r.record(
         "algorithm1_cold/h2_k2",
         median_ns_cfg(cfg, || {

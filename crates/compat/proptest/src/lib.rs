@@ -173,7 +173,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Result of [`vec`].
+    /// Result of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: std::ops::Range<usize>,

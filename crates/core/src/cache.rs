@@ -8,11 +8,9 @@
 //!
 //! - one warm [`BlockIndex`] (arena + `[S]`-components + blocks + unions),
 //!   shared across widths `k` and across queries;
-//! - prepared [`CtdInstance`]s *with their satisfied-block tables*, keyed
-//!   by the candidate-bag id set, so a repeated Algorithm 1 run is a hash
-//!   probe plus extraction — the DP itself is not re-run;
 //! - `shw ≤ k` / `hw ≤ k` decisions with witness decompositions, so width
-//!   sweeps over repeated queries skip generation and search entirely.
+//!   sweeps over repeated queries skip generation and search entirely;
+//! - the width-preserving reductions the exact sweeps solve through.
 //!
 //! An exact width is a sweep over those decisions: `k = 1, 2, …` until
 //! the first accept, each width a memo probe or one Algorithm 1 run
@@ -20,32 +18,27 @@
 //! of `(h, k)` alone — exact and bounded specs fill and read the same
 //! entries, in either order.
 //!
-//! All cached entry points return exactly what the cold entry points
-//! return (the solvers are deterministic); the unit tests assert this
-//! decomposition-for-decomposition.
-//!
-//! **Entry point:** [`DecompCache::solve`] consumes a
-//! [`crate::spec::SolveSpec`] and is the one front door over every
-//! (class × exactness × budget × reduction) corner. The historical
-//! per-corner methods are kept as thin compatibility wrappers:
-//!
-//! | deprecated wrapper            | `SolveSpec` replacement                          |
-//! |-------------------------------|--------------------------------------------------|
-//! | `shw` / `try_shw(_with)`      | `solve(h, &SolveSpec::shw())`                    |
-//! | `try_shw_budgeted`            | `solve(h, &SolveSpec::shw().with_budget(b))`     |
-//! | `shw_leq(_budgeted)`          | `solve(h, &SolveSpec::shw_leq(k)…)`              |
-//! | `hw` / `try_hw(_budgeted)`    | `solve(h, &SolveSpec::hw()…)`                    |
-//! | `hw_leq(_budgeted)`           | `solve(h, &SolveSpec::hw_leq(k)…)`               |
+//! The solving surface is three methods. [`DecompCache::solve`] consumes
+//! a [`crate::spec::SolveSpec`] and is the one front door over every
+//! (class × exactness × budget × reduction) corner; it returns exactly
+//! what the cold solvers return (they are deterministic — the unit tests
+//! assert this decomposition-for-decomposition).
+//! [`DecompCache::import`] / [`DecompCache::export`] move decisions in
+//! and out for persistence: an import re-validates its witness before it
+//! is trusted and never clobbers a live entry. Algorithm 2 callers, whose
+//! answers are not width decisions, borrow the warm index through
+//! [`DecompCache::soft_instance`] — the same prepared instance a
+//! decision miss builds — and keep nothing here.
 //!
 //! The cache is **bounded**: it tracks at most
 //! [`DecompCache::max_graphs`] structurally distinct hypergraphs and
-//! evicts the least-recently-used one (warm index, prepared instances,
-//! and width decisions together) when a new structure would exceed the
-//! bound. Eviction only costs recomputation — an evicted structure
-//! rebuilds cold on its next query, with identical results.
+//! evicts the least-recently-used one (warm index, width decisions and
+//! reductions together) when a new structure would exceed the bound.
+//! Eviction only costs recomputation — an evicted structure rebuilds
+//! cold on its next query, with identical results.
 
 use crate::budget::Budget;
-use crate::ctd::{CtdInstance, Satisfaction};
+use crate::ctd::CtdInstance;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw;
@@ -53,17 +46,14 @@ use crate::reduce_solve::{lift_ghd, lift_td};
 use crate::soft::{soft_bag_ids_budgeted, SoftLimits};
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::cache::IndexCache;
-use softhw_hypergraph::{BagId, BitSet, FxHashMap, FxHashSet, Hypergraph, Reduction};
+use softhw_hypergraph::cache::{structural_hash, IndexCache};
+use softhw_hypergraph::{BlockIndex, FxHashMap, FxHashSet, Hypergraph, Reduction};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Hit/miss counters of a [`DecompCache`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DecompCacheStats {
-    /// Prepared-instance probes answered from the cache.
-    pub instance_hits: u64,
-    /// Prepared-instance probes that built (and satisfied) fresh.
-    pub instance_misses: u64,
     /// Width-decision probes answered from the cache.
     pub result_hits: u64,
     /// Width-decision probes computed fresh.
@@ -72,36 +62,26 @@ pub struct DecompCacheStats {
     pub evictions: u64,
 }
 
-/// A prepared instance together with its satisfaction table.
-struct CachedInstance {
-    /// The interned candidate-bag ids this instance was built from
-    /// (cache-key verification against hash collisions).
-    ids: Vec<BagId>,
-    inst: CtdInstance,
-    sat: Satisfaction,
-}
-
 /// Default bound on the number of structurally distinct hypergraphs a
 /// [`DecompCache`] tracks before evicting the least-recently-used one.
 pub const DEFAULT_MAX_GRAPHS: usize = 128;
 
-/// Cross-query cache for Algorithm 1 instances and width decisions. See
-/// the module docs for what is shared at which level and how the
-/// capacity bound evicts.
+/// Memoised `width ≤ k` decisions keyed by `(structural hash, k)`;
+/// `Some(witness)` on yes, `None` on no.
+type Decisions<W> = FxHashMap<(u64, usize), Option<W>>;
+
+/// Cross-query cache for width decisions. See the module docs for what
+/// is shared at which level and how the capacity bound evicts.
 pub struct DecompCache {
     indexes: IndexCache,
-    instances: FxHashMap<(u64, u64), Vec<CachedInstance>>,
-    shw_results: FxHashMap<(u64, usize), Option<TreeDecomposition>>,
-    hw_results: FxHashMap<(u64, usize), Option<Ghd>>,
+    shw_results: Decisions<TreeDecomposition>,
+    hw_results: Decisions<Ghd>,
     /// Cached full-pipeline reduction per hypergraph (shared so the
     /// service reports reduction stats without recomputing).
     reductions: FxHashMap<u64, Arc<Reduction>>,
     /// Cached no-peel reduction per hypergraph (the HD-safe variant the
     /// `hw` path uses).
     reductions_no_peel: FxHashMap<u64, Arc<Reduction>>,
-    /// When set, every entry point takes the raw solver path (the
-    /// service's `--no-reduce` escape hatch).
-    no_reduce: bool,
     /// hash → last-use tick, the LRU clock.
     last_used: FxHashMap<u64, u64>,
     /// Hashes exempt from LRU eviction (hot-schema pinning): a pinned
@@ -118,10 +98,59 @@ impl Default for DecompCache {
     }
 }
 
-fn hash_ids(ids: &[BagId]) -> u64 {
-    softhw_hypergraph::fxhash::hash_u64_iter(
-        std::iter::once(ids.len() as u64).chain(ids.iter().map(|id| id.0 as u64)),
-    )
+/// `Soft_{H,k}` on the warm `index` and the prepared `CandidateTD`
+/// instance over it — what a `shw ≤ k` decision miss and
+/// [`DecompCache::soft_instance`] both build.
+fn soft_instance_on(
+    index: &mut BlockIndex,
+    k: usize,
+    limits: &SoftLimits,
+    budget: &Budget,
+) -> Result<CtdInstance, DecompError> {
+    let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
+    CtdInstance::build_budgeted(index, &bags, budget)
+}
+
+/// Stores `witness` at width `k` — and, for an `exact` answer, the
+/// rejections the sweep implies at every smaller width — wherever no
+/// decision is cached yet. Returns whether anything was stored.
+fn store_absent<W>(
+    results: &mut Decisions<W>,
+    hash: u64,
+    exact: bool,
+    k: usize,
+    witness: Option<W>,
+) -> bool {
+    let mut stored = false;
+    let mut put = |width: usize, decision: Option<W>| {
+        if let Entry::Vacant(slot) = results.entry((hash, width)) {
+            slot.insert(decision);
+            stored = true;
+        }
+    };
+    if exact {
+        for below in 1..k {
+            put(below, None);
+        }
+    }
+    put(k, witness);
+    stored
+}
+
+/// Every cached decision for `hash`, width-sorted, witnesses rendered
+/// as their trees.
+fn decisions_of<W>(
+    results: &Decisions<W>,
+    hash: u64,
+    tree: impl Fn(&W) -> TreeDecomposition,
+) -> Vec<(usize, Option<TreeDecomposition>)> {
+    let mut out: Vec<_> = results
+        .iter()
+        .filter(|((h2, _), _)| *h2 == hash)
+        .map(|((_, k), w)| (*k, w.as_ref().map(&tree)))
+        .collect();
+    out.sort_by_key(|(k, _)| *k);
+    out
 }
 
 impl DecompCache {
@@ -135,12 +164,10 @@ impl DecompCache {
     pub fn with_capacity(max_graphs: usize) -> Self {
         DecompCache {
             indexes: IndexCache::new(),
-            instances: FxHashMap::default(),
             shw_results: FxHashMap::default(),
             hw_results: FxHashMap::default(),
             reductions: FxHashMap::default(),
             reductions_no_peel: FxHashMap::default(),
-            no_reduce: false,
             last_used: FxHashMap::default(),
             pinned: FxHashSet::default(),
             tick: 0,
@@ -170,21 +197,10 @@ impl DecompCache {
     }
 
     /// Approximate heap footprint in bytes of everything this cache
-    /// retains: warm indexes, prepared instances with satisfaction
-    /// tables, width-decision witnesses, and reductions.
+    /// retains: warm indexes, width-decision witnesses, and reductions.
     /// Divide by [`DecompCache::tracked_graphs`] for the
     /// `bytes_per_cached_schema` memory stat the service reports.
     pub fn approx_bytes(&self) -> u64 {
-        let instances: u64 = self
-            .instances
-            .values()
-            .flat_map(|bucket| bucket.iter())
-            .map(|c| {
-                (c.ids.capacity() * std::mem::size_of::<BagId>()) as u64
-                    + c.inst.approx_bytes()
-                    + c.sat.approx_bytes()
-            })
-            .sum();
         let shw: u64 = self
             .shw_results
             .values()
@@ -203,7 +219,7 @@ impl DecompCache {
             .sum();
         // LRU clock + pin set, at one (key, value) pair each.
         let book = ((self.last_used.len() + self.pinned.len()) * 24) as u64;
-        self.indexes.approx_bytes() + instances + shw + hw + reds + book
+        self.indexes.approx_bytes() + shw + hw + reds + book
     }
 
     /// Pins hypergraph `hash` (the [`structural_hash`] the entry points
@@ -237,25 +253,11 @@ impl DecompCache {
         self.pinned.len()
     }
 
-    /// Disables (or re-enables) the reduce-before-solve pipeline for
-    /// every entry point — the service's `--no-reduce` escape hatch.
-    /// Cached reductions are kept; they are simply not consulted.
-    pub fn set_no_reduce(&mut self, no_reduce: bool) {
-        self.no_reduce = no_reduce;
-    }
-
-    /// True iff the reduce-before-solve pipeline is disabled.
-    pub fn no_reduce(&self) -> bool {
-        self.no_reduce
-    }
-
     /// The full-pipeline reduction of `h`, cached per structural hash
-    /// (computed even under `--no-reduce`, so the service can always
-    /// report what the pipeline *would* do — callers decide whether to
-    /// act on it).
+    /// (available whether or not any spec reduces, so the service can
+    /// always report what the pipeline *would* do).
     pub fn reduction(&mut self, h: &Hypergraph) -> Arc<Reduction> {
-        let (hash, _) = self.indexes.entry(h);
-        self.touch(hash);
+        let hash = self.track(h);
         if let Some(r) = self.reductions.get(&hash) {
             return Arc::clone(r);
         }
@@ -267,14 +269,21 @@ impl DecompCache {
     /// The no-peel (HD-safe) reduction of `h`, cached per structural
     /// hash; used by the `hw` path.
     fn reduction_no_peel(&mut self, h: &Hypergraph) -> Arc<Reduction> {
-        let (hash, _) = self.indexes.entry(h);
-        self.touch(hash);
+        let hash = self.track(h);
         if let Some(r) = self.reductions_no_peel.get(&hash) {
             return Arc::clone(r);
         }
         let r = Arc::new(softhw_hypergraph::reduce_no_peel(h));
         self.reductions_no_peel.insert(hash, Arc::clone(&r));
         r
+    }
+
+    /// Probes (building on first sight) `h`'s warm index and marks it
+    /// just used; returns its structural hash.
+    fn track(&mut self, h: &Hypergraph) -> u64 {
+        let (hash, _) = self.indexes.entry(h);
+        self.touch(hash);
+        hash
     }
 
     /// Marks `hash` as just used and evicts the least-recently-used
@@ -302,10 +311,9 @@ impl DecompCache {
     }
 
     /// Drops every cached artefact of hypergraph `victim`: warm index,
-    /// prepared instances, and width decisions.
+    /// width decisions, and reductions.
     fn evict(&mut self, victim: u64) {
         self.indexes.remove(victim);
-        self.instances.retain(|&(h2, _), _| h2 != victim);
         self.shw_results.retain(|&(h2, _), _| h2 != victim);
         self.hw_results.retain(|&(h2, _), _| h2 != victim);
         self.reductions.remove(&victim);
@@ -314,84 +322,29 @@ impl DecompCache {
         self.stats.evictions += 1;
     }
 
-    /// The prepared (instance, satisfaction) pair for `(h, bags)`,
-    /// building and satisfying on first sight.
-    ///
-    /// The lookup is written defensively: after the probe (and the LRU
-    /// `touch`, which by construction never evicts the hash just used)
-    /// the entry's presence is *re-verified*, and a missing entry —
-    /// a cache inconsistency that previously took the process down via
-    /// an `.expect(...)` chain — is repaired by one cold rebuild of
-    /// exactly this entry.
-    fn instance(&mut self, h: &Hypergraph, bags: &[BitSet]) -> &CachedInstance {
+    /// `Soft_{H,k}` and the prepared `CandidateTD` instance over it,
+    /// generated and built on `h`'s warm index under `budget` — exactly
+    /// what a `shw ≤ k` decision miss builds, for callers that run their
+    /// own DP over the block tables (Algorithm 2, [`crate::ctd_opt`]).
+    /// The instance is the caller's: nothing is retained here, and a
+    /// budget abort leaves the cache as warm and consistent as
+    /// [`DecompCache::solve`] does.
+    pub fn soft_instance(
+        &mut self,
+        h: &Hypergraph,
+        k: usize,
+        limits: &SoftLimits,
+        budget: &Budget,
+    ) -> Result<CtdInstance, DecompError> {
         let (hash, index) = self.indexes.entry(h);
-        let ids: Vec<BagId> = bags.iter().map(|b| index.arena.intern(b)).collect();
-        let key = (hash, hash_ids(&ids));
-        let probed = self
-            .instances
-            .get(&key)
-            .and_then(|bucket| bucket.iter().position(|c| c.ids == ids));
-        let mut pos = match probed {
-            Some(p) => {
-                self.stats.instance_hits += 1;
-                p
-            }
-            None => {
-                self.stats.instance_misses += 1;
-                let (_, index) = self.indexes.entry(h);
-                let inst = CtdInstance::build(index, &ids);
-                let sat = inst.satisfy();
-                let bucket = self.instances.entry(key).or_default();
-                bucket.push(CachedInstance {
-                    ids: ids.clone(),
-                    inst,
-                    sat,
-                });
-                bucket.len() - 1
-            }
-        };
+        let inst = soft_instance_on(index, k, limits, budget)?;
         self.touch(hash);
-        let present = self
-            .instances
-            .get(&key)
-            .is_some_and(|bucket| bucket.get(pos).is_some());
-        if !present {
-            // Degrade to a cold recompute of this entry instead of
-            // panicking on the inconsistency.
-            debug_assert!(false, "cache entry vanished between probe and return");
-            self.stats.instance_misses += 1;
-            let (_, index) = self.indexes.entry(h);
-            let inst = CtdInstance::build(index, &ids);
-            let sat = inst.satisfy();
-            let bucket = self.instances.entry(key).or_default();
-            bucket.push(CachedInstance { ids, inst, sat });
-            pos = bucket.len() - 1;
-        }
-        // Structurally guaranteed: either re-verified present above, or
-        // just pushed at `pos`.
-        &self.instances[&key][pos]
-    }
-
-    /// Algorithm 1 with cross-query reuse: repeated calls with a
-    /// structurally identical hypergraph and bag set skip index build,
-    /// block construction, *and* the satisfaction DP — only extraction
-    /// runs. Returns exactly what [`crate::ctd::candidate_td`] returns.
-    pub fn candidate_td(&mut self, h: &Hypergraph, bags: &[BitSet]) -> Option<TreeDecomposition> {
-        let cached = self.instance(h, bags);
-        cached.inst.extract(&cached.sat)
-    }
-
-    /// The prepared instance for `(h, bags)` (for callers that want to
-    /// run their own DP variants — e.g. [`crate::ctd_opt`] — against the
-    /// cached block tables).
-    pub fn instance_for(&mut self, h: &Hypergraph, bags: &[BitSet]) -> &CtdInstance {
-        &self.instance(h, bags).inst
+        Ok(inst)
     }
 
     /// The one entry point over every cached width query: routes a
     /// [`SolveSpec`] to the matching (class, exactness) solver under the
-    /// spec's budget, reduction policy, and generation limits. All the
-    /// per-corner methods below are thin wrappers over this.
+    /// spec's budget, reduction policy, and generation limits.
     ///
     /// Budget aborts keep the cache warm and consistent (nothing partial
     /// is memoised, nothing is evicted); an exact-`hw` query on a
@@ -437,86 +390,23 @@ impl DecompCache {
             return Ok(cached);
         }
         self.stats.result_misses += 1;
-        let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
-        let result =
-            CtdInstance::build_budgeted(index, &bags, budget)?.try_decide_budgeted(budget)?;
+        let result = soft_instance_on(index, k, limits, budget)?.try_decide_budgeted(budget)?;
         self.shw_results.insert((hash, k), result.clone());
         self.touch(hash);
         Ok(result)
     }
 
-    /// `shw(h) ≤ k` with cross-query memoisation of the decision and
-    /// witness. Generation limits only apply on a cache miss.
-    ///
-    /// Deprecated wrapper — prefer
-    /// [`DecompCache::solve`] with [`SolveSpec::shw_leq`].
-    pub fn shw_leq(
-        &mut self,
-        h: &Hypergraph,
-        k: usize,
-        limits: &SoftLimits,
-    ) -> Result<Option<TreeDecomposition>, DecompError> {
-        match self.solve(h, &SolveSpec::shw_leq(k).with_limits(limits.clone()))? {
-            Solved::ShwDecision(r) => Ok(r),
-            _ => unreachable!("shw_leq specs answer with a shw decision"),
-        }
-    }
-
-    /// [`DecompCache::shw_leq`] with a cooperative [`Budget`].
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::shw_leq`] + [`SolveSpec::with_budget`].
-    pub fn shw_leq_budgeted(
-        &mut self,
-        h: &Hypergraph,
-        k: usize,
-        limits: &SoftLimits,
-        budget: &Budget,
-    ) -> Result<Option<TreeDecomposition>, DecompError> {
-        match self.solve(
-            h,
-            &SolveSpec::shw_leq(k)
-                .with_limits(limits.clone())
-                .with_budget(budget.clone()),
-        )? {
-            Solved::ShwDecision(r) => Ok(r),
-            _ => unreachable!("shw_leq specs answer with a shw decision"),
-        }
-    }
-
-    /// `shw(h)` exactly, memoised per width across queries: a repeated
-    /// sweep over the same structure is pure memo hits. Returns what
-    /// [`crate::shw::shw`] returns.
-    ///
-    /// Panics if `limits`-style default generation guards are exceeded;
-    /// long-lived callers (the decomposition service) use
-    /// [`DecompCache::try_shw`], where every failure mode is an `Err`.
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::shw`].
-    pub fn shw(&mut self, h: &Hypergraph) -> (usize, TreeDecomposition) {
-        match self.try_shw_with(h, &SoftLimits::default()) {
-            Ok(out) => out,
-            Err(e) => panic!("shw under default limits: {e}"),
-        }
-    }
-
-    /// [`DecompCache::shw`] with the default generation limits and no
-    /// panicking path.
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::shw`].
-    pub fn try_shw(&mut self, h: &Hypergraph) -> Result<(usize, TreeDecomposition), DecompError> {
-        self.try_shw_with(h, &SoftLimits::default())
-    }
-
     /// The exact-`shw` solver behind [`DecompCache::solve`]: reduce-aware
-    /// unless `reduce` is off (or the cache-wide `no_reduce` toggle is
-    /// set). Budget aborts leave the cache **warm and consistent**:
-    /// nothing is memoised for the interrupted width (so a partial answer
-    /// can never be served later), nothing is evicted, and every width
-    /// decided before the trip stays cached. A retry resumes from the
-    /// memoised widths and recomputes only the interrupted one.
+    /// unless `reduce` is off — the input is simplified first and each
+    /// reduced piece swept through the cache under the *piece's*
+    /// structural hash, so a schema submitted raw and the same schema
+    /// submitted already reduced land on the same piece entries.
+    /// Irreducible connected inputs sweep raw. Budget aborts leave the
+    /// cache **warm and consistent**: nothing is memoised for the
+    /// interrupted width (so a partial answer can never be served later),
+    /// nothing is evicted, and every width decided before the trip stays
+    /// cached. A retry resumes from the memoised widths and recomputes
+    /// only the interrupted one.
     fn shw_exact(
         &mut self,
         h: &Hypergraph,
@@ -524,12 +414,12 @@ impl DecompCache {
         budget: &Budget,
         reduce: bool,
     ) -> Result<(usize, TreeDecomposition), DecompError> {
-        if self.no_reduce || !reduce {
-            return self.try_shw_raw_budgeted(h, limits, budget);
+        if !reduce {
+            return self.shw_sweep(h, limits, budget);
         }
         let red = self.reduction(h);
         if red.is_trivial() {
-            return self.try_shw_raw_budgeted(h, limits, budget);
+            return self.shw_sweep(h, limits, budget);
         }
         let mut width = 1usize;
         let mut tds = Vec::with_capacity(red.pieces.len());
@@ -537,7 +427,7 @@ impl DecompCache {
             budget.check()?;
             // Pieces are at the reduction fixpoint and connected, so the
             // raw cached path is exactly the reduce-aware path for them.
-            let (w, td) = self.try_shw_raw_budgeted(&piece.h, limits, budget)?;
+            let (w, td) = self.shw_sweep(&piece.h, limits, budget)?;
             width = width.max(w);
             tds.push(td);
         }
@@ -546,44 +436,9 @@ impl DecompCache {
         Ok((width, td))
     }
 
-    /// `shw(h)` exactly through the cache, non-panicking: generation
-    /// blow-ups surface as [`DecompError::Limit`]/[`DecompError::Shards`]
-    /// instead of killing the caller.
-    ///
-    /// Reduce-aware: the input is simplified first and each reduced
-    /// piece solved through the cache under the *piece's* structural
-    /// hash — a schema submitted raw and the same schema submitted
-    /// already reduced land on the same piece entries, so neither is
-    /// computed twice. Irreducible connected inputs (and caches with
-    /// [`DecompCache::set_no_reduce`] set) take the raw path unchanged.
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::shw`] (+ [`SolveSpec::with_limits`]).
-    pub fn try_shw_with(
-        &mut self,
-        h: &Hypergraph,
-        limits: &SoftLimits,
-    ) -> Result<(usize, TreeDecomposition), DecompError> {
-        self.shw_exact(h, limits, &Budget::unlimited(), true)
-    }
-
-    /// [`DecompCache::try_shw_with`] with a cooperative [`Budget`]; see
-    /// [`DecompCache::solve`] for the warm-abort guarantees.
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::shw`] + [`SolveSpec::with_budget`].
-    pub fn try_shw_budgeted(
-        &mut self,
-        h: &Hypergraph,
-        limits: &SoftLimits,
-        budget: &Budget,
-    ) -> Result<(usize, TreeDecomposition), DecompError> {
-        self.shw_exact(h, limits, budget, true)
-    }
-
     /// The raw (no-reduction) cached exact sweep: the least `k` that
     /// [`DecompCache::shw_decision`] accepts.
-    fn try_shw_raw_budgeted(
+    fn shw_sweep(
         &mut self,
         h: &Hypergraph,
         limits: &SoftLimits,
@@ -620,83 +475,30 @@ impl DecompCache {
         Ok(result)
     }
 
-    /// `hw(h) ≤ k` with cross-query memoisation (decision + witness).
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::hw_leq`].
-    pub fn hw_leq(&mut self, h: &Hypergraph, k: usize) -> Option<Ghd> {
-        match self.solve(h, &SolveSpec::hw_leq(k)) {
-            Ok(Solved::HwDecision(r)) => r,
-            Ok(_) => unreachable!("hw_leq specs answer with an hw decision"),
-            Err(_) => unreachable!("unlimited budgets never abort the hw decision"),
-        }
-    }
-
-    /// [`DecompCache::hw_leq`] with a cooperative [`Budget`]; a budget
-    /// abort memoises and evicts nothing.
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::hw_leq`] + [`SolveSpec::with_budget`].
-    pub fn hw_leq_budgeted(
-        &mut self,
-        h: &Hypergraph,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Option<Ghd>, DecompError> {
-        match self.solve(h, &SolveSpec::hw_leq(k).with_budget(budget.clone()))? {
-            Solved::HwDecision(r) => Ok(r),
-            _ => unreachable!("hw_leq specs answer with an hw decision"),
-        }
-    }
-
-    /// `hw(h)` exactly, memoised per width across queries. Reduce-aware
-    /// with the no-peel (HD-safe) pipeline: pieces are swept through the
-    /// cache under their own structural hashes and the piece HDs lifted
-    /// back; irreducible connected inputs sweep raw.
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::hw`].
-    pub fn hw(&mut self, h: &Hypergraph) -> (usize, Ghd) {
-        self.try_hw(h).expect("no width up to |E(H)| admits an HD")
-    }
-
-    /// [`DecompCache::hw`] without the panicking path: `None` when no
-    /// width up to `|E(H)|` admits an HD (degenerate inputs), which
-    /// long-lived callers map to an error response.
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::hw`] (there the degenerate `None` surfaces as an
-    /// internal [`DecompError`]).
-    pub fn try_hw(&mut self, h: &Hypergraph) -> Option<(usize, Ghd)> {
-        match self.hw_exact(h, &Budget::unlimited(), true) {
-            Ok(r) => r,
-            Err(_) => unreachable!("unlimited budgets never abort the hw sweep"),
-        }
-    }
-
     /// The exact-`hw` solver behind [`DecompCache::solve`]: reduce-aware
-    /// with the no-peel (HD-safe) pipeline unless `reduce` is off (or
-    /// the cache-wide `no_reduce` toggle is set); same warm abort
-    /// guarantees as the `shw` sweep. `Ok(None)` when no width up to
-    /// `|E(H)|` admits an HD.
+    /// with the no-peel (HD-safe) pipeline unless `reduce` is off —
+    /// pieces are swept through the cache under their own structural
+    /// hashes and the piece HDs lifted back; same warm abort guarantees
+    /// as the `shw` sweep. `Ok(None)` when no width up to `|E(H)|`
+    /// admits an HD.
     fn hw_exact(
         &mut self,
         h: &Hypergraph,
         budget: &Budget,
         reduce: bool,
     ) -> Result<Option<(usize, Ghd)>, DecompError> {
-        if self.no_reduce || !reduce {
-            return self.try_hw_raw_budgeted(h, budget);
+        if !reduce {
+            return self.hw_sweep(h, budget);
         }
         let red = self.reduction_no_peel(h);
         if red.is_trivial() {
-            return self.try_hw_raw_budgeted(h, budget);
+            return self.hw_sweep(h, budget);
         }
         let mut width = 1usize;
         let mut ghds = Vec::with_capacity(red.pieces.len());
         for piece in &red.pieces {
             budget.check()?;
-            match self.try_hw_raw_budgeted(&piece.h, budget)? {
+            match self.hw_sweep(&piece.h, budget)? {
                 Some((w, g)) => {
                     width = width.max(w);
                     ghds.push(g);
@@ -709,22 +511,9 @@ impl DecompCache {
         Ok(Some((width, g)))
     }
 
-    /// [`DecompCache::try_hw`] with a cooperative [`Budget`]; same warm
-    /// abort guarantees as [`DecompCache::try_shw_budgeted`].
-    ///
-    /// Deprecated wrapper — prefer [`DecompCache::solve`] with
-    /// [`SolveSpec::hw`] + [`SolveSpec::with_budget`].
-    pub fn try_hw_budgeted(
-        &mut self,
-        h: &Hypergraph,
-        budget: &Budget,
-    ) -> Result<Option<(usize, Ghd)>, DecompError> {
-        self.hw_exact(h, budget, true)
-    }
-
-    /// The raw (no-reduction) cached budgeted `hw` sweep. The per-width
-    /// decisions route through [`DecompCache::hw_decision`].
-    fn try_hw_raw_budgeted(
+    /// The raw (no-reduction) cached `hw` sweep: the least `k` that
+    /// [`DecompCache::hw_decision`] accepts.
+    fn hw_sweep(
         &mut self,
         h: &Hypergraph,
         budget: &Budget,
@@ -737,143 +526,69 @@ impl DecompCache {
         Ok(None)
     }
 
-    /// Imports a persisted `shw(h) ≤ k` decision (the warm-start path of
-    /// the disk-backed decomposition store). A witness is **re-validated
-    /// before it is trusted**: it must be a valid tree decomposition of
-    /// `h` in component normal form, exactly what the solver's own
-    /// witnesses satisfy. Returns `false` — importing nothing — on a
-    /// witness that fails validation or when a decision for `(h, k)` is
-    /// already cached (imports never clobber live state). Negative
-    /// decisions carry no witness to check and are accepted as-is; the
-    /// store's record checksums are their integrity guard.
-    pub fn import_shw_leq(
+    /// Imports a persisted `class ≤ k` decision (the warm-start path of
+    /// the disk-backed decomposition store), or with `exact` a persisted
+    /// exact width `k`: its witness plus the rejections the solver's
+    /// sweep implies at every smaller width, in one hash pass.
+    ///
+    /// A witness is **re-validated before it is trusted**: it must be a
+    /// valid tree decomposition of `h` — for `shw` in component normal
+    /// form, exactly what the solver's own witnesses satisfy; for `hw`
+    /// completed into a GHD by searching width-`k` covers
+    /// ([`Ghd::from_td`]). Negative decisions carry no witness to check
+    /// and are accepted as-is; the store's record checksums are their
+    /// integrity guard. Imports never clobber live state: a width that
+    /// already has a decision keeps it. Returns whether anything was
+    /// stored — `false` on a witness that fails validation, an `exact`
+    /// import without a witness, or when every implied width was already
+    /// decided.
+    pub fn import(
         &mut self,
         h: &Hypergraph,
+        class: SolveClass,
+        exact: bool,
         k: usize,
         witness: Option<TreeDecomposition>,
     ) -> bool {
-        if let Some(td) = &witness {
-            if td.validate(h).is_err() || !td.is_comp_nf(h) {
-                return false;
-            }
-        }
-        let (hash, _) = self.indexes.entry(h);
-        if self.shw_results.contains_key(&(hash, k)) {
+        if exact && witness.is_none() {
             return false;
         }
-        self.shw_results.insert((hash, k), witness);
-        self.touch(hash);
-        true
-    }
-
-    /// Imports a persisted `hw(h) ≤ k` decision. A witness tree is
-    /// re-validated and completed into a GHD by searching width-`k`
-    /// covers ([`Ghd::from_td`]); a tree admitting no such covers is
-    /// rejected. Same no-clobber rule as
-    /// [`DecompCache::import_shw_leq`].
-    pub fn import_hw_leq(
-        &mut self,
-        h: &Hypergraph,
-        k: usize,
-        witness: Option<TreeDecomposition>,
-    ) -> bool {
-        let ghd = match witness {
-            Some(td) => {
-                if td.validate(h).is_err() {
+        if witness.as_ref().is_some_and(|td| td.validate(h).is_err()) {
+            return false;
+        }
+        match class {
+            SolveClass::Shw => {
+                if witness.as_ref().is_some_and(|td| !td.is_comp_nf(h)) {
                     return false;
                 }
-                match Ghd::from_td(h, td, k) {
-                    Some(g) => Some(g),
-                    None => return false,
-                }
+                let hash = self.track(h);
+                store_absent(&mut self.shw_results, hash, exact, k, witness)
             }
-            None => None,
-        };
-        let (hash, _) = self.indexes.entry(h);
-        if self.hw_results.contains_key(&(hash, k)) {
-            return false;
+            SolveClass::Hw => {
+                let covered = witness.map(|td| Ghd::from_td(h, td, k).ok_or(()));
+                let Ok(ghd) = covered.transpose() else {
+                    return false; // no width-k covers for some bag
+                };
+                let hash = self.track(h);
+                store_absent(&mut self.hw_results, hash, exact, k, ghd)
+            }
         }
-        self.hw_results.insert((hash, k), ghd);
-        self.touch(hash);
-        true
     }
 
-    /// Imports a persisted *exact* `shw(h) = width` answer in one shot:
-    /// the witness at `width` plus the negative decisions the solver's
-    /// sweep implies for every smaller width — computing the structural
-    /// hash once instead of once per width. Same validation and
-    /// no-clobber rules as [`DecompCache::import_shw_leq`].
-    pub fn import_shw_exact(
-        &mut self,
+    /// Exports every cached `class ≤ k` decision for `h` (width-sorted),
+    /// witness trees cloned — the persistence snapshot of this
+    /// hypergraph's decision state, mirrored by [`DecompCache::import`]
+    /// (which rebuilds the covers of `hw` witnesses).
+    pub fn export(
+        &self,
         h: &Hypergraph,
-        width: usize,
-        td: TreeDecomposition,
-    ) -> bool {
-        if td.validate(h).is_err() || !td.is_comp_nf(h) {
-            return false;
-        }
-        let (hash, _) = self.indexes.entry(h);
-        for k in 1..width {
-            self.shw_results.entry((hash, k)).or_insert(None);
-        }
-        self.shw_results.entry((hash, width)).or_insert(Some(td));
-        self.touch(hash);
-        true
-    }
-
-    /// Imports a persisted exact `hw(h) = width` answer (witness plus
-    /// implied negatives below it), one hash computation total. Same
-    /// validation as [`DecompCache::import_hw_leq`].
-    pub fn import_hw_exact(&mut self, h: &Hypergraph, width: usize, td: TreeDecomposition) -> bool {
-        if td.validate(h).is_err() {
-            return false;
-        }
-        let Some(ghd) = Ghd::from_td(h, td, width) else {
-            return false;
-        };
-        let (hash, _) = self.indexes.entry(h);
-        for k in 1..width {
-            self.hw_results.entry((hash, k)).or_insert(None);
-        }
-        self.hw_results.entry((hash, width)).or_insert(Some(ghd));
-        self.touch(hash);
-        true
-    }
-
-    /// Exports every cached `shw ≤ k` decision for `h` (width-sorted),
-    /// witnesses cloned — the persistence snapshot of this hypergraph's
-    /// decision state, mirrored by [`DecompCache::import_shw_leq`].
-    pub fn export_shw_decisions(
-        &mut self,
-        h: &Hypergraph,
+        class: SolveClass,
     ) -> Vec<(usize, Option<TreeDecomposition>)> {
-        let (hash, _) = self.indexes.entry(h);
-        let mut out: Vec<(usize, Option<TreeDecomposition>)> = self
-            .shw_results
-            .iter()
-            .filter(|((h2, _), _)| *h2 == hash)
-            .map(|((_, k), v)| (*k, v.clone()))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Exports every cached `hw ≤ k` decision for `h` (width-sorted),
-    /// the underlying trees cloned — importable via
-    /// [`DecompCache::import_hw_leq`], which rebuilds the covers.
-    pub fn export_hw_decisions(
-        &mut self,
-        h: &Hypergraph,
-    ) -> Vec<(usize, Option<TreeDecomposition>)> {
-        let (hash, _) = self.indexes.entry(h);
-        let mut out: Vec<(usize, Option<TreeDecomposition>)> = self
-            .hw_results
-            .iter()
-            .filter(|((h2, _), _)| *h2 == hash)
-            .map(|((_, k), v)| (*k, v.as_ref().map(|g| g.td.clone())))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+        let hash = structural_hash(h);
+        match class {
+            SolveClass::Shw => decisions_of(&self.shw_results, hash, TreeDecomposition::clone),
+            SolveClass::Hw => decisions_of(&self.hw_results, hash, |g| g.td.clone()),
+        }
     }
 }
 
@@ -883,33 +598,43 @@ mod tests {
     use crate::shw;
     use crate::soft::soft_bags;
     use softhw_hypergraph::named;
+    use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
 
-    #[test]
-    fn cached_candidate_td_equals_cold_runs() {
-        let mut cache = DecompCache::new();
-        for (h, k) in [
-            (named::h2(), 1),
-            (named::h2(), 2),
-            (named::cycle(6), 2),
-            (named::grid(3, 3), 2),
-        ] {
-            let bags = soft_bags(&h, k);
-            let cold = crate::ctd::candidate_td(&h, &bags);
-            let warm1 = cache.candidate_td(&h, &bags);
-            let warm2 = cache.candidate_td(&h, &bags);
-            assert_eq!(cold.is_some(), warm1.is_some(), "k = {k}");
-            match (&cold, &warm1, &warm2) {
-                (Some(c), Some(w1), Some(w2)) => {
-                    // Same decomposition, node for node.
-                    assert_eq!(c.bags(), w1.bags(), "k = {k}");
-                    assert_eq!(w1.bags(), w2.bags(), "k = {k}");
-                }
-                (None, None, None) => {}
-                _ => panic!("cold/warm disagree at k = {k}"),
-            }
+    fn shw_of(cache: &mut DecompCache, h: &Hypergraph) -> (usize, TreeDecomposition) {
+        match cache
+            .solve(h, &SolveSpec::shw())
+            .expect("default limits suffice")
+        {
+            Solved::ShwWidth(w, td) => (w, td),
+            other => panic!("expected ShwWidth, got {other:?}"),
         }
-        let s = cache.stats();
-        assert!(s.instance_hits >= 4, "repeat calls must hit: {s:?}");
+    }
+
+    fn hw_of(cache: &mut DecompCache, h: &Hypergraph) -> (usize, Ghd) {
+        match cache
+            .solve(h, &SolveSpec::hw())
+            .expect("unlimited budgets never abort")
+        {
+            Solved::HwWidth(w, g) => (w, g),
+            other => panic!("expected HwWidth, got {other:?}"),
+        }
+    }
+
+    fn accepts(cache: &mut DecompCache, h: &Hypergraph, spec: SolveSpec) -> bool {
+        let solved = cache
+            .solve(h, &spec)
+            .expect("unlimited budgets never abort");
+        solved
+            .accepted()
+            .expect("bounded specs answer with a decision")
+    }
+
+    /// Algorithm 1 over `Soft_{H,k}` on the cache's warm index.
+    fn decide_at(cache: &mut DecompCache, h: &Hypergraph, k: usize) -> Option<TreeDecomposition> {
+        cache
+            .soft_instance(h, k, &SoftLimits::default(), &Budget::unlimited())
+            .expect("default limits suffice")
+            .decide()
     }
 
     #[test]
@@ -917,20 +642,29 @@ mod tests {
         let mut cache = DecompCache::new();
         for h in [named::h2(), named::cycle(8), named::triangle_star(3)] {
             let (cold_w, cold_td) = shw::shw(&h);
-            let (warm_w, warm_td) = cache.shw(&h);
+            let (warm_w, warm_td) = shw_of(&mut cache, &h);
             assert_eq!(cold_w, warm_w);
             assert_eq!(cold_td.bags(), warm_td.bags());
-            // Second query over the same structure: pure memo hits.
+            // Second query over the same structure: pure memo hits, and
+            // the bounded specs read the entries the sweep filled.
             let before = cache.stats().result_misses;
-            let (again_w, again_td) = cache.shw(&h);
+            let (again_w, again_td) = shw_of(&mut cache, &h);
             assert_eq!(again_w, warm_w);
             assert_eq!(again_td.bags(), warm_td.bags());
+            for k in 1..=warm_w {
+                assert_eq!(
+                    accepts(&mut cache, &h, SolveSpec::shw_leq(k)),
+                    shw::shw_leq(&h, k).is_some(),
+                    "k = {k}"
+                );
+            }
             assert_eq!(cache.stats().result_misses, before, "sweep must be cached");
 
             let (cold_hw, _) = hw::hw(&h);
-            let (warm_hw, warm_ghd) = cache.hw(&h);
+            let (warm_hw, warm_ghd) = hw_of(&mut cache, &h);
             assert_eq!(cold_hw, warm_hw);
             assert!(warm_ghd.is_hd(&h));
+            assert!(accepts(&mut cache, &h, SolveSpec::hw_leq(warm_hw)));
         }
     }
 
@@ -945,7 +679,7 @@ mod tests {
         ];
         let mut widths = Vec::new();
         for h in &graphs {
-            widths.push(cache.shw(h).0);
+            widths.push(shw_of(&mut cache, h).0);
         }
         // Four distinct structures through a bound of two: the cache must
         // stay within bound and must have evicted.
@@ -953,7 +687,7 @@ mod tests {
         assert!(cache.stats().evictions >= 2, "{:?}", cache.stats());
         // Evicted structures recompute cold with identical results.
         for (h, w) in graphs.iter().zip(&widths) {
-            let (again, td) = cache.shw(h);
+            let (again, td) = shw_of(&mut cache, h);
             assert_eq!(again, *w);
             assert_eq!(td.validate(h), Ok(()));
             assert_eq!((again, td.bags().to_vec()), {
@@ -983,19 +717,18 @@ mod tests {
             ];
             for round in 0..3 {
                 for h in &graphs {
-                    let (w, td) = cache.shw(h);
+                    let (w, td) = shw_of(&mut cache, h);
                     let (cold_w, cold_td) = shw::shw(h);
                     assert_eq!(w, cold_w, "cap {cap} round {round}");
                     assert_eq!(td.bags(), cold_td.bags(), "cap {cap} round {round}");
                     // Mix in instance-level and hw traffic on the same
-                    // storm so all three artefact kinds churn together.
-                    let bags = soft_bags(h, w);
+                    // storm so every artefact kind churns together.
                     assert_eq!(
-                        cache.candidate_td(h, &bags).map(|t| t.bags().to_vec()),
-                        crate::ctd::candidate_td(h, &bags).map(|t| t.bags().to_vec()),
+                        decide_at(&mut cache, h, w).map(|t| t.bags().to_vec()),
+                        crate::ctd::candidate_td(h, &soft_bags(h, w)).map(|t| t.bags().to_vec()),
                         "cap {cap} round {round}"
                     );
-                    let (hw_w, ghd) = cache.hw(h);
+                    let (hw_w, ghd) = hw_of(&mut cache, h);
                     assert_eq!(hw_w, hw::hw(h).0);
                     assert!(ghd.is_hd(h));
                     assert!(cache.tracked_graphs() <= 1, "bound violated");
@@ -1017,19 +750,19 @@ mod tests {
         // schemas evict each other freely.
         let mut cache = DecompCache::with_capacity(2);
         let hot = named::h2();
-        let (hot_w, hot_td) = cache.shw(&hot);
-        let hot_hash = softhw_hypergraph::cache::structural_hash(&hot);
+        let (hot_w, hot_td) = shw_of(&mut cache, &hot);
+        let hot_hash = structural_hash(&hot);
         cache.pin(hot_hash);
         assert!(cache.is_pinned(hot_hash));
         let cold = [named::cycle(5), named::cycle(6), named::grid(3, 3)];
         for round in 0..3 {
             for h in &cold {
-                let (w, td) = cache.shw(h);
+                let (w, td) = shw_of(&mut cache, h);
                 let (cw, ctd) = shw::shw(h);
                 assert_eq!((w, td.bags()), (cw, ctd.bags()), "round {round}");
                 // The hot schema answers from memo despite the churn.
                 let misses_before = cache.stats().result_misses;
-                let (w2, td2) = cache.shw(&hot);
+                let (w2, td2) = shw_of(&mut cache, &hot);
                 assert_eq!((w2, td2.bags()), (hot_w, hot_td.bags()));
                 assert_eq!(
                     cache.stats().result_misses,
@@ -1043,10 +776,10 @@ mod tests {
         // Unpinning makes it evictable again: two fresh schemas push it
         // out, and the next query over it is a (correct) cold rebuild.
         assert!(cache.unpin(hot_hash));
-        cache.shw(&cold[0]);
-        cache.shw(&cold[1]);
+        shw_of(&mut cache, &cold[0]);
+        shw_of(&mut cache, &cold[1]);
         let misses_before = cache.stats().result_misses;
-        let (w3, td3) = cache.shw(&hot);
+        let (w3, td3) = shw_of(&mut cache, &hot);
         assert_eq!((w3, td3.bags()), (hot_w, hot_td.bags()));
         assert!(cache.stats().result_misses > misses_before);
     }
@@ -1056,8 +789,8 @@ mod tests {
         let mut cache = DecompCache::with_capacity(1);
         let graphs = [named::h2(), named::cycle(5), named::cycle(6)];
         for h in &graphs {
-            cache.shw(h);
-            cache.pin(softhw_hypergraph::cache::structural_hash(h));
+            shw_of(&mut cache, h);
+            cache.pin(structural_hash(h));
         }
         // All three pinned through a bound of one: nothing evicts.
         assert_eq!(cache.stats().evictions, 0);
@@ -1072,66 +805,136 @@ mod tests {
         let (hw_w, ghd) = hw::hw(&h);
 
         let mut cache = DecompCache::new();
-        assert!(cache.import_shw_leq(&h, w, Some(td.clone())));
+        assert!(cache.import(&h, SolveClass::Shw, false, w, Some(td.clone())));
         for k in 1..w {
-            assert!(cache.import_shw_leq(&h, k, None));
+            assert!(cache.import(&h, SolveClass::Shw, false, k, None));
         }
-        assert!(cache.import_hw_leq(&h, hw_w, Some(ghd.td.clone())));
-        // Imports are visible through the ordinary entry points without
+        assert!(cache.import(&h, SolveClass::Hw, false, hw_w, Some(ghd.td.clone())));
+        // Imports are visible through the ordinary entry point without
         // any solver work (pure result hits).
-        let (warm_w, warm_td) = cache.try_shw(&h).unwrap();
+        let (warm_w, warm_td) = shw_of(&mut cache, &h);
         assert_eq!((warm_w, warm_td.bags()), (w, td.bags()));
+        assert!(accepts(&mut cache, &h, SolveSpec::hw_leq(hw_w)));
         assert_eq!(cache.stats().result_misses, 0, "{:?}", cache.stats());
-        assert!(cache.hw_leq(&h, hw_w).is_some());
         // Export mirrors what was imported.
-        let exported = cache.export_shw_decisions(&h);
+        let exported = cache.export(&h, SolveClass::Shw);
         assert_eq!(exported.len(), w);
         assert_eq!(exported[w - 1].0, w);
-        assert!(exported[w - 1].1.is_some());
-        assert_eq!(cache.export_hw_decisions(&h).len(), 1);
+        assert_eq!(
+            exported[w - 1].1.as_ref().map(|t| t.bags()),
+            Some(td.bags())
+        );
+        assert_eq!(cache.export(&h, SolveClass::Hw).len(), 1);
 
         // Invalid witnesses are rejected, not trusted: a bag set from a
         // different hypergraph fails validation.
         let mut cache = DecompCache::new();
         let other = shw::shw(&named::cycle(4)).1;
-        assert!(!cache.import_shw_leq(&h, w, Some(other.clone())));
-        assert!(!cache.import_hw_leq(&h, hw_w, Some(other)));
-        assert!(cache.export_shw_decisions(&h).is_empty());
+        assert!(!cache.import(&h, SolveClass::Shw, false, w, Some(other.clone())));
+        assert!(!cache.import(&h, SolveClass::Hw, false, hw_w, Some(other)));
+        assert!(cache.export(&h, SolveClass::Shw).is_empty());
         // And imports never clobber live state.
-        let (w1, _) = cache.try_shw(&h).unwrap();
-        assert_eq!(w1, w);
-        assert!(!cache.import_shw_leq(&h, w, Some(td.clone())));
-
-        // The one-shot exact imports (witness + implied negatives in a
-        // single hash pass) fill the same state the per-width imports
-        // do, and reject invalid witnesses the same way.
-        let mut exact = DecompCache::new();
-        assert!(exact.import_shw_exact(&h, w, td.clone()));
-        assert!(exact.import_hw_exact(&h, hw_w, ghd.td.clone()));
-        let (we, tde) = exact.try_shw(&h).unwrap();
-        assert_eq!((we, tde.bags()), (w, td.bags()));
-        assert_eq!(exact.stats().result_misses, 0, "{:?}", exact.stats());
-        assert!(exact.hw_leq(&h, hw_w).is_some());
-        if hw_w > 1 {
-            assert!(exact.hw_leq(&h, hw_w - 1).is_none(), "implied negative");
-        }
-        assert!(!exact.import_shw_exact(&h, w, shw::shw(&named::cycle(4)).1));
+        assert_eq!(shw_of(&mut cache, &h).0, w);
+        assert!(!cache.import(&h, SolveClass::Shw, false, w, Some(td)));
     }
 
     #[test]
-    fn try_shw_reports_limits_as_errors() {
+    fn exact_import_equals_the_per_width_imports_it_implies() {
+        let config = RandomConfig {
+            num_vertices: 7,
+            num_edges: 6,
+            min_arity: 2,
+            max_arity: 3,
+            connect: true,
+        };
+        // Decision state as `export` sees it, witnesses by their bags.
+        let state = |cache: &DecompCache, h: &Hypergraph, class| -> Vec<_> {
+            let decisions = cache.export(h, class).into_iter();
+            decisions
+                .map(|(k, td)| (k, td.map(|t| t.bags().to_vec())))
+                .collect()
+        };
+        for seed in 0..12 {
+            let h = random_hypergraph(&config, seed);
+            let other = shw::shw(&named::cycle(4)).1;
+            for class in [SolveClass::Shw, SolveClass::Hw] {
+                let (w, td) = match class {
+                    SolveClass::Shw => shw::shw_raw(&h),
+                    SolveClass::Hw => {
+                        let (w, g) = hw::hw_raw(&h);
+                        (w, g.td)
+                    }
+                };
+                let mut exact = DecompCache::new();
+                assert!(
+                    exact.import(&h, class, true, w, Some(td.clone())),
+                    "seed {seed}"
+                );
+                let mut per_width = DecompCache::new();
+                for k in 1..w {
+                    assert!(per_width.import(&h, class, false, k, None), "seed {seed}");
+                }
+                assert!(
+                    per_width.import(&h, class, false, w, Some(td.clone())),
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    state(&exact, &h, class),
+                    state(&per_width, &h, class),
+                    "seed {seed}"
+                );
+                assert_eq!(exact.export(&h, class).len(), w);
+                // Both serve the raw sweep without any solver work.
+                let spec = SolveSpec {
+                    class,
+                    ..SolveSpec::shw()
+                }
+                .with_reduce(false);
+                for cache in [&mut exact, &mut per_width] {
+                    let solved = cache.solve(&h, &spec).unwrap();
+                    assert_eq!(solved.width(), Some(w), "seed {seed}");
+                    assert_eq!(cache.stats().result_misses, 0, "seed {seed} {class:?}");
+                }
+                // A repeat stores nothing; neither does an invalid or a
+                // missing witness, on a fresh cache or a live one.
+                assert!(!exact.import(&h, class, true, w, Some(td.clone())));
+                for cache in [&mut exact, &mut DecompCache::new()] {
+                    let before = state(cache, &h, class);
+                    assert!(!cache.import(&h, class, true, w, Some(other.clone())));
+                    assert!(!cache.import(&h, class, true, w, None));
+                    assert_eq!(state(cache, &h, class), before, "seed {seed}");
+                }
+                // Live entries are never clobbered: after a solve has
+                // rejected `w - 1`, an exact import claiming that width
+                // fills nothing in and the rejection stands.
+                if w > 1 {
+                    let mut live = DecompCache::new();
+                    let below = SolveSpec {
+                        bound: Some(w - 1),
+                        ..spec.clone()
+                    };
+                    assert_eq!(live.solve(&h, &below).unwrap().accepted(), Some(false));
+                    live.import(&h, class, true, w - 1, Some(td.clone()));
+                    assert_eq!(live.solve(&h, &below).unwrap().accepted(), Some(false));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blown_limits_are_errors_and_leave_the_cache_usable() {
         let mut cache = DecompCache::with_capacity(2);
         let h = named::grid(3, 3);
         let tight = SoftLimits {
             max_lambda_sets: 4,
             max_bags: 4,
         };
-        match cache.try_shw_with(&h, &tight) {
+        match cache.solve(&h, &SolveSpec::shw().with_limits(tight)) {
             Err(DecompError::Limit(_)) | Err(DecompError::Shards(_)) => {}
             other => panic!("expected a limit error, got {other:?}"),
         }
         // The same cache still answers correctly under sane limits.
-        let (w, td) = cache.try_shw(&h).expect("default limits suffice");
+        let (w, td) = shw_of(&mut cache, &h);
         assert_eq!((w, td.bags().to_vec()), {
             let (cw, ctd) = shw::shw(&h);
             (cw, ctd.bags().to_vec())
@@ -1142,9 +945,9 @@ mod tests {
     fn repeated_queries_never_evict_below_bound() {
         let mut cache = DecompCache::with_capacity(4);
         for _ in 0..10 {
-            cache.shw(&named::h2());
-            cache.candidate_td(&named::h2(), &soft_bags(&named::h2(), 2));
-            cache.hw(&named::cycle(5));
+            shw_of(&mut cache, &named::h2());
+            decide_at(&mut cache, &named::h2(), 2);
+            hw_of(&mut cache, &named::cycle(5));
         }
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.tracked_graphs(), 2);
@@ -1182,33 +985,31 @@ mod tests {
         let red = softhw_hypergraph::reduce(&raw);
         assert_eq!(red.pieces.len(), 1);
         assert_eq!(
-            softhw_hypergraph::cache::structural_hash(&red.pieces[0].h),
-            softhw_hypergraph::cache::structural_hash(&prereduced),
+            structural_hash(&red.pieces[0].h),
+            structural_hash(&prereduced),
             "deterministic piece rebuild must match a pre-reduced submission"
         );
 
         let mut cache = DecompCache::new();
-        let (w_raw, td_raw) = cache.shw(&raw);
+        let (w_raw, td_raw) = shw_of(&mut cache, &raw);
         assert_eq!(w_raw, 2);
         assert_eq!(td_raw.validate(&raw), Ok(()));
         let misses_before = cache.stats().result_misses;
-        let instance_misses_before = cache.stats().instance_misses;
-        let (w_pre, td_pre) = cache.shw(&prereduced);
+        let (w_pre, td_pre) = shw_of(&mut cache, &prereduced);
         assert_eq!(w_pre, 2);
         assert_eq!(td_pre.validate(&prereduced), Ok(()));
-        let s = cache.stats();
         assert_eq!(
-            (s.result_misses, s.instance_misses),
-            (misses_before, instance_misses_before),
+            cache.stats().result_misses,
+            misses_before,
             "pre-reduced submission must be answered from the raw schema's piece entries"
         );
         // And the other direction: a fresh cache primed with the
         // pre-reduced schema answers the raw schema's piece solves from
         // cache (only the lift is new work).
         let mut cache = DecompCache::new();
-        cache.shw(&prereduced);
+        shw_of(&mut cache, &prereduced);
         let misses_before = cache.stats().result_misses;
-        let (w, td) = cache.shw(&raw);
+        let (w, td) = shw_of(&mut cache, &raw);
         assert_eq!(w, 2);
         assert_eq!(td.validate(&raw), Ok(()));
         assert_eq!(cache.stats().result_misses, misses_before);
@@ -1222,81 +1023,24 @@ mod tests {
         b.edge("e3", &["c", "a"]);
         b.edge("pendant", &["a", "x"]);
         let h = b.build();
-        let mut cache = DecompCache::new();
-        cache.set_no_reduce(true);
-        assert!(cache.no_reduce());
-        let (w, td) = cache.shw(&h);
+        let mut raw = DecompCache::new();
+        let Solved::ShwWidth(w, td) = raw.solve(&h, &SolveSpec::shw().with_reduce(false)).unwrap()
+        else {
+            panic!("exact shw specs answer with a width");
+        };
         assert_eq!(td.validate(&h), Ok(()));
-        let (w_hw, g) = cache.hw(&h);
+        // The raw sweep decided on `h` itself, never on its reduced core.
+        assert_eq!(raw.export(&h, SolveClass::Shw).len(), w);
+        let Solved::HwWidth(w_hw, g) = raw.solve(&h, &SolveSpec::hw().with_reduce(false)).unwrap()
+        else {
+            panic!("exact hw specs answer with a width");
+        };
         assert!(g.is_hd(&h));
-        // Same widths as the reduce-aware path on a fresh cache.
+        // Same widths as the reduce-aware path on a fresh cache, which
+        // decides on the pieces and so leaves no decision keyed by `h`.
         let mut reduced = DecompCache::new();
-        assert_eq!(reduced.shw(&h).0, w);
-        assert_eq!(reduced.hw(&h).0, w_hw);
-    }
-
-    #[test]
-    fn solve_matches_the_legacy_entry_points() {
-        // One spec-driven pass and one legacy-wrapper pass over the same
-        // workload must agree decomposition-for-decomposition — the
-        // wrappers are thin shims over `solve`, and both must equal the
-        // cold solvers.
-        for h in [named::h2(), named::cycle(6), named::triangle_star(3)] {
-            let mut via_spec = DecompCache::new();
-            let mut via_legacy = DecompCache::new();
-            let (sw, std_) = match via_spec.solve(&h, &SolveSpec::shw()).unwrap() {
-                Solved::ShwWidth(w, td) => (w, td),
-                other => panic!("expected ShwWidth, got {other:?}"),
-            };
-            let (lw, ltd) = via_legacy.try_shw(&h).unwrap();
-            assert_eq!((sw, std_.bags()), (lw, ltd.bags()));
-            for k in 1..=sw {
-                let spec_dec = via_spec.solve(&h, &SolveSpec::shw_leq(k)).unwrap();
-                let legacy_dec = via_legacy.shw_leq(&h, k, &SoftLimits::default()).unwrap();
-                assert_eq!(spec_dec.accepted(), Some(legacy_dec.is_some()), "k = {k}");
-            }
-            let (hw_w, hw_g) = match via_spec.solve(&h, &SolveSpec::hw()).unwrap() {
-                Solved::HwWidth(w, g) => (w, g),
-                other => panic!("expected HwWidth, got {other:?}"),
-            };
-            let (lhw, _) = via_legacy.try_hw(&h).unwrap();
-            assert_eq!(hw_w, lhw);
-            assert!(hw_g.is_hd(&h));
-            assert_eq!(
-                via_spec
-                    .solve(&h, &SolveSpec::hw_leq(hw_w))
-                    .unwrap()
-                    .accepted(),
-                Some(true)
-            );
-            // A budgeted spec with room to finish answers identically.
-            let budgeted = SolveSpec::shw().with_budget(Budget::with_work_cap(u64::MAX));
-            let mut fresh = DecompCache::new();
-            match fresh.solve(&h, &budgeted).unwrap() {
-                Solved::ShwWidth(w, td) => assert_eq!((w, td.bags()), (sw, std_.bags())),
-                other => panic!("expected ShwWidth, got {other:?}"),
-            }
-            // The raw (reduce-off) spec answers the same width.
-            let mut raw = DecompCache::new();
-            assert_eq!(
-                raw.solve(&h, &SolveSpec::shw().with_reduce(false))
-                    .unwrap()
-                    .width(),
-                Some(sw)
-            );
-        }
-    }
-
-    #[test]
-    fn distinct_bag_sets_get_distinct_instances() {
-        let mut cache = DecompCache::new();
-        let h = named::h2();
-        let b1 = soft_bags(&h, 1);
-        let b2 = soft_bags(&h, 2);
-        assert!(cache.candidate_td(&h, &b1).is_none());
-        assert!(cache.candidate_td(&h, &b2).is_some());
-        assert_eq!(cache.stats().instance_misses, 2);
-        assert!(cache.candidate_td(&h, &b2).is_some());
-        assert_eq!(cache.stats().instance_hits, 1);
+        assert_eq!(shw_of(&mut reduced, &h).0, w);
+        assert_eq!(hw_of(&mut reduced, &h).0, w_hw);
+        assert!(reduced.export(&h, SolveClass::Shw).is_empty());
     }
 }

@@ -180,16 +180,6 @@ impl Deps {
     fn children_of_entry(&self, ci: usize) -> &[u32] {
         &self.g_child_data[self.g_child_start[ci] as usize..self.g_child_start[ci + 1] as usize]
     }
-
-    /// Approximate heap footprint in bytes of the dependency tables.
-    fn approx_bytes(&self) -> u64 {
-        let u32s = self.group_of.capacity()
-            + self.g_cand_start.capacity()
-            + self.g_cand_x.capacity()
-            + self.g_child_start.capacity()
-            + self.g_child_data.capacity();
-        (u32s * 4) as u64 + self.child_groups.approx_bytes() + self.group_blocks.approx_bytes()
-    }
 }
 
 /// A prepared `CandidateTD` instance: interned, deduplicated bags plus
@@ -229,13 +219,6 @@ pub struct Satisfaction {
     pub basis: Vec<Option<(usize, u32)>>,
     /// Whether all root blocks are satisfied (the "Accept" of Algorithm 1).
     pub accept: bool,
-}
-
-impl Satisfaction {
-    /// Approximate heap footprint in bytes (the basis table).
-    pub fn approx_bytes(&self) -> u64 {
-        (self.basis.capacity() * std::mem::size_of::<Option<(usize, u32)>>()) as u64
-    }
 }
 
 /// Reusable buffers for [`scan_group`], one set per scan worker,
@@ -764,25 +747,6 @@ impl CtdInstance {
     pub fn satisfy(&self) -> Satisfaction {
         self.satisfy_budgeted(&Budget::unlimited())
             .expect("the unlimited budget cannot trip")
-    }
-
-    /// Approximate heap footprint in bytes: arena, bag tables, block
-    /// table, and the DP dependency structure (the shared hypergraph
-    /// `Arc` is *not* counted — the owning cache counts it once). Feeds
-    /// the service's `bytes_per_cached_schema` memory stat.
-    pub fn approx_bytes(&self) -> u64 {
-        let bags = self.bag_ids.capacity() * std::mem::size_of::<BagId>()
-            + self.bag_sets.capacity() * std::mem::size_of::<std::sync::OnceLock<BitSet>>();
-        let materialised: usize = self
-            .bag_sets
-            .iter()
-            .filter_map(|s| s.get())
-            .map(|b| b.num_blocks() * 8)
-            .sum();
-        let blocks = self.blocks.capacity() * std::mem::size_of::<Block>()
-            + self.blocks_by_head.capacity() * 8
-            + self.root_blocks.capacity() * 8;
-        self.arena.approx_bytes() + self.deps.approx_bytes() + (bags + materialised + blocks) as u64
     }
 
     /// [`CtdInstance::satisfy`] with a cooperative [`Budget`], checked at

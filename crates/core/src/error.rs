@@ -4,7 +4,7 @@
 //! `panic!`ing on internal disagreement: one malformed or adversarial
 //! request must degrade to an error response (or a cold recompute), not
 //! kill the process and every in-flight request with it. [`DecompError`]
-//! is the single `Result` error threaded through the `cache`, `sweep`,
+//! is the single `Result` error threaded through the `cache`, `shw`,
 //! and `ctd` entry points:
 //!
 //! - [`DecompError::Limit`] — candidate-bag generation tripped a
@@ -15,7 +15,7 @@
 //!   the high bits of a [`BagId`](softhw_hypergraph::BagId) silently
 //!   wrapped into another shard's range;
 //! - [`DecompError::Internal`] — an internal invariant (a satisfied
-//!   block without a basis, a cache bucket that vanished) failed to
+//!   block without a basis, a sweep no width accepts) failed to
 //!   hold. In debug builds these still `debug_assert!`; in release the
 //!   request fails with this error instead of taking the process down;
 //! - [`DecompError::DeadlineExceeded`] / [`DecompError::Canceled`] — a

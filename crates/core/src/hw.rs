@@ -284,7 +284,7 @@ pub fn hw_leq_budgeted(
 
 /// Computes `hw(H)` exactly, returning the width and a witness HD. The
 /// input is first simplified by the width-preserving reduction pipeline
-/// ([`softhw_hypergraph::reduce`]); each piece is swept with [`hw_raw`]
+/// ([`softhw_hypergraph::reduce()`]); each piece is swept with [`hw_raw`]
 /// and the piece witnesses lifted back ([`crate::reduce_solve`]).
 pub fn hw(h: &Hypergraph) -> (usize, Ghd) {
     crate::reduce_solve::hw(h)
@@ -306,18 +306,6 @@ pub fn hw_raw_budgeted(h: &Hypergraph, budget: &Budget) -> Result<(usize, Ghd), 
     Err(DecompError::internal(
         "width sweep exhausted |E(H)| without accepting",
     ))
-}
-
-/// [`hw`] against a cross-query [`crate::cache::DecompCache`]: per-width
-/// decisions and witnesses are memoised by structural hash, so repeated
-/// baseline sweeps over the same schema skip the search entirely.
-pub fn hw_cached(cache: &mut crate::cache::DecompCache, h: &Hypergraph) -> (usize, Ghd) {
-    use crate::spec::{Solved, SolveSpec};
-    match cache.solve(h, &SolveSpec::hw()) {
-        Ok(Solved::HwWidth(w, g)) => (w, g),
-        Ok(_) => panic!("SolveSpec::hw yielded a mismatched variant"),
-        Err(e) => panic!("hw: {e}"),
-    }
 }
 
 #[cfg(test)]

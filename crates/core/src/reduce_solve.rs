@@ -1,5 +1,5 @@
 //! Reduce-before-solve: run the width-preserving simplification pipeline
-//! of [`softhw_hypergraph::reduce`], solve each reduced piece
+//! of [`softhw_hypergraph::reduce()`], solve each reduced piece
 //! independently, and lift the piece witnesses back to one valid
 //! decomposition of the *original* hypergraph.
 //!

@@ -67,7 +67,7 @@ pub fn shw_leq_indexed_budgeted(
 
 /// Computes `shw(H)` exactly: the least `k` admitting a soft HD, together
 /// with a witness decomposition. The input is first simplified by the
-/// width-preserving reduction pipeline ([`softhw_hypergraph::reduce`]);
+/// width-preserving reduction pipeline ([`softhw_hypergraph::reduce()`]);
 /// each reduced piece is swept with [`shw_raw`] and the piece witnesses
 /// are lifted back to one decomposition of the original hypergraph
 /// ([`crate::reduce_solve`]). Irreducible connected inputs take the raw
@@ -107,23 +107,6 @@ pub fn shw_raw_budgeted(
     Err(DecompError::internal(
         "width sweep exhausted |E(H)| without accepting",
     ))
-}
-
-/// [`shw`] against a cross-query [`crate::cache::DecompCache`]: repeated
-/// sweeps over structurally identical hypergraphs (a service answering
-/// many queries over one schema, `table1`-style harness runs) reuse the
-/// cached index, per-width decisions, and witnesses instead of
-/// regenerating them per call.
-pub fn shw_cached(
-    cache: &mut crate::cache::DecompCache,
-    h: &Hypergraph,
-) -> (usize, TreeDecomposition) {
-    use crate::spec::{Solved, SolveSpec};
-    match cache.solve(h, &SolveSpec::shw()) {
-        Ok(Solved::ShwWidth(w, td)) => (w, td),
-        Ok(_) => panic!("SolveSpec::shw yielded a mismatched variant"),
-        Err(e) => panic!("shw under default limits: {e}"),
-    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! candidate set is interned into the [`BlockIndex`] arena, once.
 //!
 //! The seed's direct `FxHashSet<BitSet>` generator is preserved verbatim
-//! in [`reference`] as the cross-check and benchmark baseline.
+//! in [`mod@reference`] as the cross-check and benchmark baseline.
 
 use crate::budget::Budget;
 use crate::error::DecompError;

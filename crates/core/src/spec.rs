@@ -1,12 +1,9 @@
 //! The unified solve specification: one request surface over the
 //! width solvers.
 //!
-//! Historically every (class × exactness × budget × reduction) corner
-//! grew its own entry point — `shw`, `try_shw`, `try_shw_budgeted`,
-//! `shw_leq`, `shw_leq_budgeted`, and the `hw` twins of each. Callers
-//! (the service dispatch, the CLI, benches) had to pick the right one
-//! of ten methods and thread limits/budgets positionally. A
-//! [`SolveSpec`] names those axes once:
+//! A width query has five axes, and a [`SolveSpec`] names each once —
+//! callers (the service dispatch, the CLI, benches) build a spec
+//! instead of picking among per-corner entry points:
 //!
 //! - **class** — which width measure ([`SolveClass::Shw`] or
 //!   [`SolveClass::Hw`]);
@@ -20,8 +17,7 @@
 //! - **limits** — the [`SoftLimits`] generation guards for `shw` paths.
 //!
 //! [`crate::cache::DecompCache::solve`] is the single entry point that
-//! consumes a spec; the legacy methods survive as thin wrappers over it
-//! (see the deprecation table in the cache module docs).
+//! consumes a spec and answers with a [`Solved`].
 
 use crate::budget::Budget;
 use crate::ghd::Ghd;

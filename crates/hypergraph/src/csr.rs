@@ -17,11 +17,6 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Approximate heap footprint in bytes (offset + data arrays).
-    pub fn approx_bytes(&self) -> u64 {
-        ((self.offsets.capacity() + self.data.capacity()) * 4) as u64
-    }
-
     /// Builds the adjacency from `(source, target)` pairs. Pairs are
     /// sorted and deduplicated, so rows come out ascending and
     /// duplicate-free regardless of insertion order.

@@ -24,7 +24,7 @@
 //! Every rule application is recorded in an ordered [`ReduceEvent`]
 //! trace, and each event carries the edge set it removed, so a witness
 //! decomposition of the reduced pieces can be lifted back to a valid
-//! [`TreeDecomposition`] of the *original* hypergraph by replaying the
+//! `TreeDecomposition` of the *original* hypergraph by replaying the
 //! trace backwards (see `softhw-core`'s `reduce_solve`).
 //!
 //! Pieces are rebuilt deterministically — edges in ascending original id

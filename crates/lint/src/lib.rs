@@ -3,8 +3,7 @@
 //! The workspace carries contracts that `rustc` cannot see: the service
 //! request path must degrade instead of panicking, budgeted solver
 //! loops must keep ticking so deadlines land, the `poll(2)` event loop
-//! must never block, `unsafe` must justify itself, deprecated cache
-//! wrappers must not creep back into production code, and the protocol
+//! must never block, `unsafe` must justify itself, and the protocol
 //! surface (verbs, STATS rows) must read the same in code, tests, docs,
 //! and CI. This crate makes those contracts *checkable*: a hand-rolled
 //! lexer (std only — the build image has no registry access), a rule
@@ -60,7 +59,6 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
         rules::budget_tick(f, &mut raw);
         rules::safety_comment(f, &mut raw);
         rules::no_blocking_in_event_loop(f, &mut raw);
-        rules::no_deprecated_internal(f, &mut raw);
     }
     rules::cross_artifact_sync(ws, &mut raw);
 

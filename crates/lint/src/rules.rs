@@ -4,10 +4,9 @@
 //! | rule | contract |
 //! |------|----------|
 //! | `panic-free-service` | PR 4: the service request path degrades via `DecompError`, never panics — no `unwrap`/`expect`/panic macros/slice-indexing in `crates/service/src/{state,wire,server}.rs` |
-//! | `budget-tick` | PR 7: unbounded loops in budgeted solver paths tick their [`Budget`] so deadlines and cancellation land |
+//! | `budget-tick` | PR 7: unbounded loops in budgeted solver paths tick their `Budget` so deadlines and cancellation land |
 //! | `safety-comment` | every `unsafe` needs an adjacent `// SAFETY:` stating the precondition |
 //! | `no-blocking-in-event-loop` | PR 8: the `poll(2)` event loop never blocks — no sleeps, locks, or blocking channel reads in the readiness path |
-//! | `no-deprecated-internal` | PR 8: workspace code calls `DecompCache::solve`, not the deprecated per-shape wrappers |
 //! | `cross-artifact-sync` | the verb list, dispatch arms, README grammar, STATS row names, and METRICS metric names stay in lockstep across code, tests, docs, and CI |
 //!
 //! Rules are syntactic, not type-aware: a hand-rolled lexer cannot
@@ -36,7 +35,6 @@ pub const PANIC_FREE_SERVICE: &str = "panic-free-service";
 pub const BUDGET_TICK: &str = "budget-tick";
 pub const SAFETY_COMMENT: &str = "safety-comment";
 pub const NO_BLOCKING_IN_EVENT_LOOP: &str = "no-blocking-in-event-loop";
-pub const NO_DEPRECATED_INTERNAL: &str = "no-deprecated-internal";
 pub const CROSS_ARTIFACT_SYNC: &str = "cross-artifact-sync";
 pub const WAIVER_JUSTIFICATION: &str = "waiver-justification";
 
@@ -46,7 +44,6 @@ pub const RULES: &[&str] = &[
     BUDGET_TICK,
     SAFETY_COMMENT,
     NO_BLOCKING_IN_EVENT_LOOP,
-    NO_DEPRECATED_INTERNAL,
     CROSS_ARTIFACT_SYNC,
 ];
 
@@ -65,28 +62,9 @@ const BUDGET_FILES: &[&str] = &[
 ];
 
 /// The readiness-path functions of the `poll(2)` event loop (PR 8).
-/// The blocking fallback `run_event_loop` on non-unix targets is out of
-/// scope by design: it *is* the blocking path.
+/// `run_event_loop` and `worker_loop` are out of scope by design: they
+/// run on the spawning thread and the worker pool, which may block.
 const EVENT_LOOP_FNS: &[&str] = &["event_loop", "on_readable", "submit"];
-
-/// `DecompCache` methods deprecated by the PR 8 `SolveSpec` front door.
-const DEPRECATED_METHODS: &[&str] = &[
-    "shw",
-    "try_shw",
-    "try_shw_with",
-    "try_shw_budgeted",
-    "shw_leq",
-    "shw_leq_budgeted",
-    "hw",
-    "try_hw",
-    "try_hw_budgeted",
-    "hw_leq",
-    "hw_leq_budgeted",
-];
-
-/// The one file allowed to call the deprecated wrappers: their own
-/// definitions chain to each other while they live out deprecation.
-const DEPRECATED_HOME: &str = "crates/core/src/cache.rs";
 
 fn is_ident(t: &Tok, s: &str) -> bool {
     t.kind == TokKind::Ident && t.text == s
@@ -315,7 +293,7 @@ fn innermost_fn(fns: &[FnItem], idx: usize) -> Option<&FnItem> {
 }
 
 /// `budget-tick`: in the four budgeted solver files, every function
-/// that takes a [`Budget`] must actually consume it, and every
+/// that takes a `Budget` must actually consume it, and every
 /// *unbounded* loop (`while` / `loop`) in such a function must touch
 /// the budget inside its body — a tick, a check, or handing `budget`
 /// to a callee. Bounded `for` loops are out of scope: the worklist and
@@ -446,40 +424,6 @@ pub fn no_blocking_in_event_loop(f: &SourceFile, out: &mut Vec<Finding>) {
                     ),
                 });
             }
-        }
-    }
-}
-
-/// `no-deprecated-internal`: non-test workspace code must not call the
-/// deprecated per-shape `DecompCache` wrappers as methods — the
-/// `SolveSpec` → `solve` front door is the one entry point. Detection
-/// is method-call syntax (`.shw(`): free functions with the same names
-/// (`reduce_solve::shw`) are different, non-deprecated APIs.
-pub fn no_deprecated_internal(f: &SourceFile, out: &mut Vec<Finding>) {
-    if f.rel == DEPRECATED_HOME || f.rel.starts_with("crates/lint/") {
-        return;
-    }
-    let toks = f.toks();
-    for i in 1..toks.len() {
-        let t = &toks[i];
-        if f.is_test_line(t.line) {
-            continue;
-        }
-        if t.kind == TokKind::Ident
-            && DEPRECATED_METHODS.contains(&t.text.as_str())
-            && is_punct(&toks[i - 1], ".")
-            && i + 1 < toks.len()
-            && is_punct(&toks[i + 1], "(")
-        {
-            out.push(Finding {
-                rule: NO_DEPRECATED_INTERNAL,
-                rel: f.rel.clone(),
-                line: t.line,
-                msg: format!(
-                    "deprecated `DecompCache::{}` — go through SolveSpec / DecompCache::solve",
-                    t.text
-                ),
-            });
         }
     }
 }

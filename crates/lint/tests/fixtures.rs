@@ -25,7 +25,6 @@ fn bad_tree_trips_every_rule() {
         rules::BUDGET_TICK,
         rules::SAFETY_COMMENT,
         rules::NO_BLOCKING_IN_EVENT_LOOP,
-        rules::NO_DEPRECATED_INTERNAL,
         rules::CROSS_ARTIFACT_SYNC,
         rules::WAIVER_JUSTIFICATION,
     ] {

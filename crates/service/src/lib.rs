@@ -13,17 +13,18 @@
 //!   decompositions as flat bag words + a dense node table
 //!   ([`wire::TdFrame`], built on
 //!   [`ArenaSnapshot`](softhw_hypergraph::ArenaSnapshot)).
-//! - [`state`]: the shared handler state — a bank of
-//!   [`DecompCache`](softhw_core::DecompCache) stripes routed by
-//!   [`structural_hash`](softhw_hypergraph::structural_hash), so
-//!   repeated schemas hit warm indexes, prepared instances, and width
-//!   decisions, while distinct schemas proceed concurrently. Fronted by a per-stripe result cache and, with
-//!   `--store`, by the disk-backed [`softhw_store::Store`]: persisted
-//!   witnesses are re-validated before they are served, fresh results
-//!   are persisted write-behind, and boot warm-starts (and pins) the
-//!   hottest stored schemas.
-//! - [`server`]: the TCP listener and worker pool (std threads only,
-//!   like the rest of the workspace).
+//! - [`state`]: the shared handler state behind one entry point,
+//!   [`ServiceState::handle`] — a bank of
+//!   [`DecompCache`](softhw_core::DecompCache) stripes routed by the
+//!   schema's reduced structure, so repeated schemas hit warm indexes
+//!   and width decisions while distinct schemas proceed concurrently.
+//!   Fronted by a per-stripe result cache and, with `--store`, by the
+//!   disk-backed [`softhw_store::Store`]: persisted witnesses are
+//!   re-validated before they are served, fresh results are persisted
+//!   write-behind, and boot warm-starts (and pins) the hottest stored
+//!   schemas.
+//! - [`server`]: the `poll(2)` event loop and worker pool (std threads
+//!   only, like the rest of the workspace) — the one serving path.
 //!
 //! Handlers are hardened end to end: malformed schemas, blown
 //! generation limits, and internal inconsistencies all produce `ERR`
@@ -38,10 +39,10 @@ pub mod server;
 pub mod state;
 pub mod wire;
 
-pub use server::{handle_connection, roundtrip, ServeOptions, Server, ShutdownHandle};
-pub use state::{ServiceConfig, ServiceState};
+pub use server::{roundtrip, ServeOptions, Server, ShutdownHandle};
+pub use state::{RequestCtx, ServiceConfig, ServiceState};
 pub use wire::{
-    read_frame, write_frame, BatchRequest, BodyFormat, EvalKind, FrameDecoder, HeaderVerb, Request,
+    read_frame, BatchRequest, BodyFormat, EvalKind, FrameDecoder, HeaderVerb, Request,
     RequestClass, RequestHeader, Response, TdFrame, WireError, WireRequest, PROTOCOL_VERBS,
     PROTOCOL_VERSION,
 };

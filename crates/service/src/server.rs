@@ -34,13 +34,11 @@
 //! flushes queued responses under a bounded grace period, and drains +
 //! fsyncs the write-behind store channel before [`Server::run`] returns.
 
-use crate::state::{ServiceState, BUSY_RETRY_MS};
-use crate::wire::{
-    write_frame, FrameDecoder, Request, Response, WireRequest, MAX_FRAME_LINES, MAX_LINE_BYTES,
-};
+use crate::state::{RequestCtx, ServiceState, BUSY_RETRY_MS};
+use crate::wire::{FrameDecoder, Request, Response, WireRequest};
 use softhw_core::Budget;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -49,11 +47,6 @@ use std::time::{Duration, Instant};
 /// The event loop's poll timeout: how fast a drain request (an atomic
 /// store, no wakeup of its own) is noticed while the loop is idle.
 const POLL_INTERVAL_MS: i32 = 10;
-/// Per-read socket timeout used by the blocking single-connection path
-/// ([`handle_connection`]): the interval at which it re-checks the
-/// shutdown flag while idle. Frame reads preserve partial progress
-/// across these timeouts, so a slow client is not penalised.
-const READ_POLL: Duration = Duration::from_millis(100);
 /// Response bytes a connection may buffer before the loop stops reading
 /// more requests from it (resumed as soon as the client drains).
 const OUT_HIGH_WATER: usize = 1 << 20;
@@ -63,10 +56,12 @@ const DRAIN_GRACE: Duration = Duration::from_secs(2);
 /// Read chunk size for the event loop's nonblocking reads.
 const READ_CHUNK: usize = 16 * 1024;
 
+#[cfg(not(unix))]
+compile_error!("softhw-service serves through a poll(2) event loop: unix targets only");
+
 /// Minimal `poll(2)`/`pipe(2)` bindings. Raw `extern "C"` declarations
 /// — the workspace deliberately takes no libc dependency (the precedent
 /// is `softhw-serve`'s `signal` binding).
-#[cfg(unix)]
 mod sys {
     use std::io;
     use std::os::raw::{c_int, c_ulong};
@@ -492,48 +487,39 @@ impl Conn {
 }
 
 /// Decodes and executes one request frame (single or batch) under its
-/// budget, with drain registration. This is the whole per-request
-/// policy, shared by the worker pool and the blocking
-/// [`handle_connection`] path.
-fn execute(lines: &[String], state: &ServiceState, drain: &Drain, trace: Option<u64>) -> Response {
-    match WireRequest::decode(lines) {
-        Ok(WireRequest::Single(req)) => {
-            let budget = state.request_budget(&req);
-            let id = drain.register(budget.clone());
-            // A drain that fired between queueing and execution has
-            // already swept the registry: observe it ourselves so the
-            // request still aborts promptly.
-            if drain.stopping() {
-                budget.cancel();
-            }
-            let resp = state.handle_traced(&req, None, &budget, trace);
-            drain.deregister(id);
-            resp
-        }
-        Ok(WireRequest::Batch(batch)) => {
-            let budget = state.batch_budget(&batch);
-            let id = drain.register(budget.clone());
-            if drain.stopping() {
-                budget.cancel();
-            }
-            let resp = state.handle_batch_traced(&batch, None, &budget, trace);
-            drain.deregister(id);
-            resp
-        }
-        Err(e) => Response::error("parse", e),
+/// budget, with drain registration — the whole per-request policy of
+/// the worker pool.
+fn execute(lines: &[String], state: &ServiceState, drain: &Drain, trace: u64) -> Response {
+    let req = match WireRequest::decode(lines) {
+        Ok(req) => req,
+        Err(e) => return Response::error("parse", e),
+    };
+    let budget = state.request_budget(&req);
+    let id = drain.register(budget.clone());
+    // A drain that fired between queueing and execution has already
+    // swept the registry: observe it ourselves so the request still
+    // aborts promptly.
+    if drain.stopping() {
+        budget.cancel();
     }
+    let ctx = RequestCtx {
+        tag: None,
+        budget: Some(budget),
+        trace: Some(trace),
+    };
+    let resp = state.handle(&req, &ctx);
+    drain.deregister(id);
+    resp
 }
 
 /// The worker→loop "a completion is ready" signal: a self-wake pipe
 /// plus a coalescing flag, so a burst of completions between two loop
 /// rounds costs one pipe write, not one per response.
-#[cfg(unix)]
 struct CompletionSignal {
     pipe: sys::WakePipe,
     pending: AtomicBool,
 }
 
-#[cfg(unix)]
 impl CompletionSignal {
     /// Called by workers after sending on the completion channel.
     fn notify(&self) {
@@ -550,7 +536,6 @@ impl CompletionSignal {
     }
 }
 
-#[cfg(unix)]
 fn worker_loop(
     jobs: &Mutex<mpsc::Receiver<Job>>,
     done: mpsc::Sender<Completion>,
@@ -569,7 +554,7 @@ fn worker_loop(
         let Ok(job) = next else { break };
         state.note_queue_wait(job.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64);
         let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(&job.lines, state, drain, Some(job.trace))
+            execute(&job.lines, state, drain, job.trace)
         }))
         .unwrap_or_else(|_| Response::error("internal", "request handler panicked"));
         let sent = done.send(Completion {
@@ -589,7 +574,6 @@ fn worker_loop(
 /// shape; this function owns every connection and the job queue sender,
 /// and returns once the accept target is reached and drained (or a
 /// shutdown completes).
-#[cfg(unix)]
 fn run_event_loop(
     listener: &TcpListener,
     state: &ServiceState,
@@ -625,7 +609,6 @@ fn run_event_loop(
 /// One iteration's bookkeeping lives in locals; connections are keyed
 /// by a monotonically assigned id (completions for already-closed
 /// connections simply miss the map and are dropped).
-#[cfg(unix)]
 fn event_loop(
     listener: &TcpListener,
     state: &ServiceState,
@@ -817,7 +800,6 @@ fn event_loop(
 /// and submits every completed frame. Called with `POLLIN`/`POLLHUP`
 /// set; reads until `WouldBlock`, EOF, error, or the connection's
 /// output backpressure threshold.
-#[cfg(unix)]
 fn on_readable(conn: &mut Conn, id: u64, state: &ServiceState, job_tx: &mpsc::SyncSender<Job>) {
     let mut chunk = [0u8; READ_CHUNK];
     loop {
@@ -858,7 +840,6 @@ fn on_readable(conn: &mut Conn, id: u64, state: &ServiceState, job_tx: &mpsc::Sy
 /// Assigns the next pipeline slot to a decoded frame and hands it to
 /// the worker pool; a full queue sheds the *request* with an in-slot
 /// `BUSY`, leaving the connection open.
-#[cfg(unix)]
 fn submit(
     conn: &mut Conn,
     id: u64,
@@ -891,218 +872,6 @@ fn submit(
             conn.queue_response(seq, busy.encode(), Instant::now(), state);
         }
     }
-}
-
-/// Portable fallback for targets without `poll(2)`: the pre-pipelining
-/// thread-per-connection loop (one worker thread serves one connection
-/// at a time, frames strictly sequential per connection).
-#[cfg(not(unix))]
-fn run_event_loop(
-    listener: &TcpListener,
-    state: &ServiceState,
-    drain: &Drain,
-    opts: &ServeOptions,
-) -> io::Result<u64> {
-    let workers = opts.workers.max(1);
-    let (tx, rx) = mpsc::sync_channel::<TcpStream>(opts.queue_depth.max(1));
-    let rx = Mutex::new(rx);
-    let mut accepted: u64 = 0;
-    listener.set_nonblocking(true)?;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = match rx.lock() {
-                    Ok(guard) => guard.recv(),
-                    Err(poisoned) => poisoned.into_inner().recv(),
-                };
-                match next {
-                    Ok(stream) => {
-                        state.note_conn_opened();
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            serve_connection(stream, state, drain)
-                        }));
-                        state.note_conn_closed();
-                    }
-                    Err(_) => break,
-                }
-            });
-        }
-        loop {
-            if drain.stopping() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accepted += 1;
-                    let _ = stream.set_read_timeout(Some(READ_POLL));
-                    match tx.try_send(stream) {
-                        Ok(()) => {}
-                        Err(mpsc::TrySendError::Full(mut stream))
-                        | Err(mpsc::TrySendError::Disconnected(mut stream)) => {
-                            let _ = stream.set_nodelay(true);
-                            busy_then_close(&mut stream, state);
-                        }
-                    }
-                    if opts.max_conns.is_some_and(|m| accepted >= m) {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(POLL_INTERVAL_MS as u64));
-                }
-                Err(_) => continue,
-            }
-        }
-        drop(tx);
-        if drain.stopping() {
-            drain.cancel_inflight();
-        }
-    });
-    Ok(accepted)
-}
-
-/// Writes a `BUSY` frame, counts it, and closes the connection without
-/// tearing down the frame in flight: closing a socket whose receive
-/// queue still holds the client's (never-read) request bytes sends an
-/// RST, which can discard the `BUSY` before the client reads it. So:
-/// half-close the write side, then drain pending input briefly; the
-/// timeout bounds how long an absent client can hold us here.
-fn busy_then_close(stream: &mut TcpStream, state: &ServiceState) {
-    state.note_busy_shed();
-    let busy = Response::Busy {
-        retry_after_ms: BUSY_RETRY_MS,
-    };
-    if write_frame(stream, &busy.encode()).is_err() {
-        return;
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut scratch = [0u8; 4096];
-    for _ in 0..8 {
-        match io::Read::read(stream, &mut scratch) {
-            // EOF (client closed) or timeout (receive queue empty):
-            // either way a close now carries no RST risk that matters.
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-}
-
-/// What a draining-aware frame read produced.
-enum NextFrame {
-    Frame(Vec<String>),
-    /// Clean EOF before any line: the client closed.
-    Eof,
-    /// A drain began while waiting for (or mid-way through) a frame.
-    Draining,
-    /// Transport error or protocol violation: drop the connection.
-    Transport,
-}
-
-/// Reads one frame like [`crate::wire::read_frame`], but on a socket
-/// with a read timeout: timeouts check the drain flag and *resume the
-/// partial frame* — accumulated lines and the partial current line are
-/// kept — so slow clients lose nothing while an idle [`handle_connection`]
-/// still notices a shutdown within one [`READ_POLL`].
-fn read_frame_draining(reader: &mut BufReader<TcpStream>, drain: &Drain) -> NextFrame {
-    let mut lines: Vec<String> = Vec::new();
-    let mut line = String::new();
-    loop {
-        // Bound what this pass may buffer; `line` already holds any
-        // partial progress from before a timeout.
-        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()).max(1);
-        let mut limited = io::Read::take(&mut *reader, room as u64);
-        match limited.read_line(&mut line) {
-            Ok(0) => {
-                if lines.is_empty() && line.is_empty() {
-                    return NextFrame::Eof;
-                }
-                return NextFrame::Transport; // EOF mid-frame
-            }
-            Ok(_) => {
-                if line.len() > MAX_LINE_BYTES {
-                    return NextFrame::Transport;
-                }
-                if !line.ends_with('\n') {
-                    continue; // mid-line: accumulate (EOF resolves above)
-                }
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if trimmed == "%%" {
-                    return NextFrame::Frame(lines);
-                }
-                let unstuffed = trimmed.strip_prefix("% ").unwrap_or(trimmed);
-                lines.push(unstuffed.to_string());
-                if lines.len() > MAX_FRAME_LINES {
-                    return NextFrame::Transport;
-                }
-                line.clear();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Socket read timeout: any bytes read before it are
-                // already in `line`. Re-check the drain flag and wait
-                // on.
-                if drain.stopping() {
-                    return NextFrame::Draining;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return NextFrame::Transport,
-        }
-    }
-}
-
-/// Serves one connection *sequentially*: frames in, frames out, until
-/// EOF, a transport error, or a drain. During a drain, a connection
-/// that was never served gets a `BUSY` frame (it would otherwise see
-/// pure silence); an idle persistent connection is simply closed. The
-/// pipelined event loop is the production path; this blocking variant
-/// backs [`handle_connection`].
-fn serve_connection(stream: TcpStream, state: &ServiceState, drain: &Drain) {
-    // Nagle hurts small request/response frames; the read timeout is
-    // what lets an idle read notice a drain.
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut served_any = false;
-    let drain_close = |writer: &mut TcpStream, served_any: bool| {
-        if !served_any {
-            busy_then_close(writer, state);
-        }
-    };
-    loop {
-        if drain.stopping() {
-            return drain_close(&mut writer, served_any);
-        }
-        let lines = match read_frame_draining(&mut reader, drain) {
-            NextFrame::Frame(lines) => lines,
-            NextFrame::Eof => return,
-            NextFrame::Draining => return drain_close(&mut writer, served_any),
-            NextFrame::Transport => return,
-        };
-        let response = execute(&lines, state, drain, None);
-        served_any = true;
-        if write_frame(&mut writer, &response.encode()).is_err() {
-            return;
-        }
-    }
-}
-
-/// Serves one connection against `state` with no drain coordination —
-/// the embedding-friendly entry point (tests, single-connection tools).
-/// Accepts the full V1 grammar including `BATCH` frames; requests are
-/// handled strictly sequentially. [`Server::run`] serves connections
-/// through the pipelined event loop instead.
-pub fn handle_connection(stream: TcpStream, state: &ServiceState) {
-    serve_connection(stream, state, &Drain::default());
 }
 
 /// Client-side convenience: sends one request over an existing stream

@@ -2,13 +2,18 @@
 //! exact result cache and (optionally) the persistent decomposition
 //! store.
 //!
+//! Everything enters through one method,
+//! [`ServiceState::handle`]`(&WireRequest, &RequestCtx)`: a single
+//! request or a `BATCH`, with its stripe-log tag, budget and trace id
+//! in the context.
+//!
 //! The state the service shares across connections is a bank of
 //! [`DecompCache`]s ("stripes"), each behind its own mutex. A request's
-//! schema is parsed, hashed with [`structural_hash`], and routed to
-//! stripe `hash mod stripes`: requests over the *same* schema always
-//! meet the same warm cache (index, prepared instances, width
-//! decisions), while requests over different schemas almost always run
-//! concurrently on different stripes. Within one stripe the mutex
+//! schema is parsed, hashed by the canonical forms of its reduced
+//! pieces, and routed to stripe `hash mod stripes`: requests over the
+//! *same* schema always meet the same warm cache (index, reductions,
+//! width decisions), while requests over different schemas almost
+//! always run concurrently on different stripes. Within one stripe the mutex
 //! serialises handlers, and every cached entry point is deterministic,
 //! so the response to a request depends only on the sequence of
 //! requests its stripe processed before it — which is what the
@@ -40,13 +45,13 @@
 //! generation limits, and internal inconsistencies all map to `ERR`
 //! responses.
 
-use crate::wire::{BatchRequest, BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame};
+use crate::wire::{BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame, WireRequest};
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};
 use softhw_core::ctd_opt::best_on;
 use softhw_core::error::DecompError;
 use softhw_core::ghd::Ghd;
-use softhw_core::soft::{soft_bags_with, SoftLimits};
-use softhw_core::{Budget, DecompCache, SolveSpec, Solved};
+use softhw_core::soft::SoftLimits;
+use softhw_core::{Budget, DecompCache, SolveClass, SolveSpec, Solved, TreeDecomposition};
 use softhw_hypergraph::cache::canonical_form;
 use softhw_hypergraph::fxhash::hash_u64s;
 use softhw_hypergraph::{parse_hypergraph, stats, FxHashMap, Hypergraph};
@@ -193,6 +198,24 @@ impl ServiceObs {
     }
 }
 
+/// What travels with a request frame into [`ServiceState::handle`]
+/// besides the frame itself. The default — no tag, a budget derived
+/// from the frame's own `DEADLINE`, a locally minted trace id — is what
+/// embedded and test callers want.
+#[derive(Clone, Debug, Default)]
+pub struct RequestCtx {
+    /// Recorded in the routed stripe's processing log, under the same
+    /// lock acquisition that serves the request (every item of a `BATCH`
+    /// records it) — see [`ServiceState::stripe_logs`].
+    pub tag: Option<u64>,
+    /// The budget the frame runs under; `None` derives
+    /// [`ServiceState::request_budget`]. The server supplies its own so
+    /// a draining shutdown can cancel it.
+    pub budget: Option<Budget>,
+    /// Trace id minted by the event loop; `None` mints one here.
+    pub trace: Option<u64>,
+}
+
 /// The backoff hint (milliseconds) sent with `BUSY` responses — both
 /// queue sheds and requests cancelled mid-flight by a draining server.
 pub const BUSY_RETRY_MS: u64 = 100;
@@ -264,11 +287,36 @@ struct Stripe {
     log: Vec<u64>,
 }
 
-/// Whether a fresh response is a cacheable answer (vs. an error or
-/// stats, which are never cached or persisted).
-enum Persist {
-    No,
-    Yes,
+/// Lock-free mirror of one stripe's counters, refreshed after every
+/// request the stripe serves, so `STATS`/`METRICS` handlers on other
+/// stripes report all of them without taking this stripe's lock. These
+/// are cross-stripe *observability* values, not part of any response
+/// determinism contract.
+#[derive(Default)]
+struct StripeMirror {
+    /// Requests routed to the stripe (monotonic, bumped before its lock
+    /// is taken).
+    load: AtomicU64,
+    /// The stripe's `DecompCache` eviction counter.
+    evictions: AtomicU64,
+    /// The stripe's result-cache hit/miss counters.
+    result_hits: AtomicU64,
+    result_misses: AtomicU64,
+    /// The stripe's approximate cache heap bytes and tracked-schema
+    /// count (the two halves of `bytes_per_cached_schema`).
+    bytes: AtomicU64,
+    tracked: AtomicU64,
+}
+
+impl StripeMirror {
+    fn record(&self, stripe: &Stripe) {
+        let set = |counter: &AtomicU64, value: u64| counter.store(value, Ordering::Relaxed);
+        set(&self.evictions, stripe.cache.stats().evictions);
+        set(&self.result_hits, stripe.results.hits);
+        set(&self.result_misses, stripe.results.misses);
+        set(&self.bytes, stripe.cache.approx_bytes());
+        set(&self.tracked, stripe.cache.tracked_graphs() as u64);
+    }
 }
 
 /// A persistence message on the write-behind channel (the put payload
@@ -412,17 +460,9 @@ fn sync_unlocked(store: &Arc<Mutex<Store>>) -> io::Result<()> {
 pub struct ServiceState {
     config: ServiceConfig,
     stripes: Vec<Mutex<Stripe>>,
-    /// Requests routed per stripe (monotonic, updated outside the
-    /// stripe locks — a cross-stripe *observability* counter, not part
-    /// of any response determinism contract).
-    stripe_load: Vec<AtomicU64>,
-    /// Mirror of each stripe's `DecompCache` eviction counter, updated
-    /// after every request so `STATS` can report all stripes without
-    /// taking their locks.
-    stripe_evictions: Vec<AtomicU64>,
-    /// Mirrors of each stripe's result-cache hit/miss counters.
-    stripe_result_hits: Vec<AtomicU64>,
-    stripe_result_misses: Vec<AtomicU64>,
+    /// One lock-free counter mirror per stripe, index-aligned with
+    /// `stripes`.
+    mirrors: Vec<StripeMirror>,
     /// Requests whose compute deadline expired (answered `TIMEOUT`).
     deadline_timeouts: AtomicU64,
     /// Requests shed before any work — queue-full `BUSY` responses
@@ -439,12 +479,6 @@ pub struct ServiceState {
     /// `BATCH` frames served (each counts once, however many items it
     /// carried).
     batch_requests: AtomicU64,
-    /// Mirror of each stripe's approximate cache heap bytes, updated
-    /// after every request (same pattern as `stripe_evictions`) so
-    /// `STATS`/`METRICS` report memory without taking stripe locks.
-    stripe_bytes: Vec<AtomicU64>,
-    /// Mirror of each stripe's tracked-schema count.
-    stripe_tracked: Vec<AtomicU64>,
     obs: ServiceObs,
     store: Option<StoreHandle>,
 }
@@ -456,10 +490,8 @@ impl ServiceState {
         let n = config.stripes.max(1);
         let stripes = (0..n)
             .map(|_| {
-                let mut cache = DecompCache::with_capacity(config.cache_capacity);
-                cache.set_no_reduce(config.no_reduce);
                 Mutex::new(Stripe {
-                    cache,
+                    cache: DecompCache::with_capacity(config.cache_capacity),
                     results: ResultCache::new(config.result_cache_capacity),
                     log: Vec::new(),
                 })
@@ -469,17 +501,12 @@ impl ServiceState {
         ServiceState {
             config,
             stripes,
-            stripe_load: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            stripe_evictions: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            stripe_result_hits: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            stripe_result_misses: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            mirrors: (0..n).map(|_| StripeMirror::default()).collect(),
             deadline_timeouts: AtomicU64::new(0),
             busy_sheds: AtomicU64::new(0),
             conns_active: AtomicU64::new(0),
             pipelined_depth: AtomicU64::new(0),
             batch_requests: AtomicU64::new(0),
-            stripe_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            stripe_tracked: (0..n).map(|_| AtomicU64::new(0)).collect(),
             obs,
             store: None,
         }
@@ -539,11 +566,6 @@ impl ServiceState {
         ack_rx.recv().is_ok()
     }
 
-    /// Preloads the hottest stored schemas: for each, the persisted
-    /// responses (witnesses re-validated first) go into the routed
-    /// stripe's result cache, width decisions are imported into its
-    /// [`DecompCache`], and the schema is pinned. Returns how many
-    /// results were preloaded.
     /// Locks the stripe `idx` routes to. `idx` is always
     /// `route_hash % stripes.len()` so it is in range by construction,
     /// but the request path must stay panic-free, so out-of-range
@@ -553,6 +575,11 @@ impl ServiceState {
         Some(stripe.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
+    /// Preloads the hottest stored schemas: for each, the persisted
+    /// responses (witnesses re-validated first) go into the routed
+    /// stripe's result cache, width decisions are imported into its
+    /// [`DecompCache`], and the schema is pinned. Returns how many
+    /// results were preloaded.
     fn warm_start(&mut self, store: &mut Store) -> u64 {
         let mut warmed = 0u64;
         for (hash, digest) in store.hottest(self.config.warm_start) {
@@ -602,26 +629,67 @@ impl ServiceState {
             .collect()
     }
 
-    /// Handles one request end to end.
-    pub fn handle(&self, req: &Request) -> Response {
-        self.handle_tagged(req, None)
+    /// Handles one request frame — a single request or a `BATCH` — end
+    /// to end; the one way into the service. The trace is begun and
+    /// ended on this (worker) thread, the frame's latency lands in its
+    /// class histogram, each recorded span in its stage histogram, and a
+    /// frame slower than `--slow-ms` records its span tree into the
+    /// slow-query ring.
+    ///
+    /// Every `BATCH` item takes the full single-request path (routing,
+    /// result cache, store, solvers) in item order under the frame's one
+    /// shared budget — so the sub-responses are byte-identical to
+    /// sending the items as individual requests under budgets that trip
+    /// at the same points. The batch owns the trace; item spans nest
+    /// into it, and each item still lands in its own class's latency
+    /// histogram.
+    pub fn handle(&self, req: &WireRequest, ctx: &RequestCtx) -> Response {
+        let started = Instant::now();
+        let owns_trace = self.obs.begin(ctx.trace);
+        let budget = match &ctx.budget {
+            Some(budget) => budget.clone(),
+            None => self.request_budget(req),
+        };
+        let (class, resp) = match req {
+            WireRequest::Single(one) => {
+                (one.class.name(), self.handle_inner(one, ctx.tag, &budget))
+            }
+            WireRequest::Batch(batch) => {
+                self.batch_requests.fetch_add(1, Ordering::Relaxed);
+                if self.obs.enabled {
+                    self.obs.batch_sizes.observe(batch.items.len() as u64);
+                }
+                let answer = |item: &Request| {
+                    let item_started = Instant::now();
+                    let resp = self.handle_inner(item, ctx.tag, &budget);
+                    self.finish_request(item.class.name(), item_started, false);
+                    resp
+                };
+                let responses = batch.items.iter().map(answer).collect();
+                ("BATCH", Response::Batch { responses })
+            }
+        };
+        self.finish_request(class, started, owns_trace);
+        resp
     }
 
-    /// [`ServiceState::handle`], additionally recording `tag` in the
-    /// routed stripe's processing log (under the same lock acquisition
-    /// that serves the request).
-    pub fn handle_tagged(&self, req: &Request, tag: Option<u64>) -> Response {
-        self.handle_tagged_budgeted(req, tag, &self.request_budget(req))
-    }
-
-    /// The [`Budget`] a request runs under: its own `DEADLINE` token if
+    /// The [`Budget`] a request frame runs under when its
+    /// [`RequestCtx`] supplies none: its own `DEADLINE` token if
     /// present, else the server's `--default-deadline`, else an
-    /// unbounded-but-cancellable budget. The deadline clock starts here
-    /// — *before* the stripe lock is taken — so time spent queueing
-    /// behind a slow neighbour counts against the request, exactly like
-    /// queueing in the accept backlog would.
-    pub fn request_budget(&self, req: &Request) -> Budget {
-        match req.deadline_ms.or(self.config.default_deadline_ms) {
+    /// unbounded-but-cancellable budget. A `BATCH` frame's token covers
+    /// the *whole batch* (items drain it in order — once it trips, every
+    /// remaining item that needs solver work answers `TIMEOUT`, while
+    /// result-cache and store hits still serve, same as single
+    /// requests). The deadline clock starts here — *before* the stripe
+    /// lock is taken — so time spent queueing behind a slow neighbour
+    /// counts against the request, exactly like queueing in the accept
+    /// backlog would.
+    pub fn request_budget(&self, req: &WireRequest) -> Budget {
+        let deadline_ms = match req {
+            WireRequest::Single(one) => one.deadline_ms,
+            WireRequest::Batch(batch) => batch.deadline_ms,
+        };
+        match deadline_ms.or(self.config.default_deadline_ms) {
             Some(ms) => Budget::with_deadline(std::time::Duration::from_millis(ms)),
             None => Budget::cancellable(),
         }
@@ -675,40 +743,8 @@ impl ServiceState {
         self.obs.observe_stage(stage::REORDER_DWELL, micros);
     }
 
-    /// [`ServiceState::handle_tagged`] under a caller-supplied
-    /// [`Budget`] — the server threads one per in-flight connection so
-    /// a draining shutdown can cancel it.
-    pub fn handle_tagged_budgeted(
-        &self,
-        req: &Request,
-        tag: Option<u64>,
-        budget: &Budget,
-    ) -> Response {
-        self.handle_traced(req, tag, budget, None)
-    }
-
-    /// [`ServiceState::handle_tagged_budgeted`] with an event-loop
-    /// minted trace id. Every request funnels through here: the trace
-    /// is begun and ended on this (worker) thread, the request's
-    /// latency lands in its class histogram, each recorded span in its
-    /// stage histogram, and a request slower than `--slow-ms` records
-    /// its span tree into the slow-query ring.
-    pub fn handle_traced(
-        &self,
-        req: &Request,
-        tag: Option<u64>,
-        budget: &Budget,
-        trace: Option<u64>,
-    ) -> Response {
-        let started = Instant::now();
-        let owns_trace = self.obs.begin(trace);
-        let resp = self.handle_inner(req, tag, budget);
-        self.finish_request(req.class.name(), started, owns_trace);
-        resp
-    }
-
     /// Folds one finished request into the observability registry; the
-    /// mirror of [`ServiceState::handle_traced`]'s `begin`.
+    /// mirror of [`ServiceState::handle`]'s `begin`.
     fn finish_request(&self, class: &'static str, started: Instant, owns_trace: bool) {
         if !self.obs.enabled {
             return;
@@ -768,9 +804,10 @@ impl ServiceState {
         let hash = hash_u64s(&canon);
         let digest = schema_digest(&canon);
         let idx = (route_hash(&h) % self.stripes.len() as u64) as usize;
-        if let Some(load) = self.stripe_load.get(idx) {
-            load.fetch_add(1, Ordering::Relaxed);
-        }
+        let Some(mirror) = self.mirrors.get(idx) else {
+            return Response::error("internal", "stripe routing out of range");
+        };
+        mirror.load.fetch_add(1, Ordering::Relaxed);
         let Some(mut stripe) = self.lock_stripe(idx) else {
             return Response::error("internal", "stripe routing out of range");
         };
@@ -778,75 +815,8 @@ impl ServiceState {
             stripe.log.push(tag);
         }
         let resp = self.serve(req, &h, hash, digest, idx, &mut stripe, budget);
-        // Mirror the stripe's counters into atomics so STATS handlers on
-        // other stripes can report them without taking this lock.
-        if let Some(c) = self.stripe_evictions.get(idx) {
-            c.store(stripe.cache.stats().evictions, Ordering::Relaxed);
-        }
-        if let Some(c) = self.stripe_result_hits.get(idx) {
-            c.store(stripe.results.hits, Ordering::Relaxed);
-        }
-        if let Some(c) = self.stripe_result_misses.get(idx) {
-            c.store(stripe.results.misses, Ordering::Relaxed);
-        }
-        if let Some(c) = self.stripe_bytes.get(idx) {
-            c.store(stripe.cache.approx_bytes(), Ordering::Relaxed);
-        }
-        if let Some(c) = self.stripe_tracked.get(idx) {
-            c.store(stripe.cache.tracked_graphs() as u64, Ordering::Relaxed);
-        }
+        mirror.record(&stripe);
         resp
-    }
-
-    /// The shared [`Budget`] a `BATCH` frame runs under: its `DEADLINE`
-    /// token covers the *whole batch* (items drain it in order — once
-    /// it trips, every remaining item that needs solver work answers
-    /// `TIMEOUT`, while result-cache and store hits still serve, same
-    /// as single requests).
-    pub fn batch_budget(&self, batch: &BatchRequest) -> Budget {
-        match batch.deadline_ms.or(self.config.default_deadline_ms) {
-            Some(ms) => Budget::with_deadline(std::time::Duration::from_millis(ms)),
-            None => Budget::cancellable(),
-        }
-    }
-
-    /// Handles a `BATCH` frame: every item takes the full
-    /// single-request path (routing, result cache, store, solvers) in
-    /// item order, under one caller-supplied shared budget — so the
-    /// sub-responses are byte-identical to sending the items as
-    /// individual requests under budgets that trip at the same points.
-    pub fn handle_batch(
-        &self,
-        batch: &BatchRequest,
-        tag: Option<u64>,
-        budget: &Budget,
-    ) -> Response {
-        self.handle_batch_traced(batch, tag, budget, None)
-    }
-
-    /// [`ServiceState::handle_batch`] with an event-loop minted trace
-    /// id. The batch owns the trace; item spans nest into it, and each
-    /// item still lands in its own class's latency histogram.
-    pub fn handle_batch_traced(
-        &self,
-        batch: &BatchRequest,
-        tag: Option<u64>,
-        budget: &Budget,
-        trace: Option<u64>,
-    ) -> Response {
-        let started = Instant::now();
-        let owns_trace = self.obs.begin(trace);
-        self.batch_requests.fetch_add(1, Ordering::Relaxed);
-        if self.obs.enabled {
-            self.obs.batch_sizes.observe(batch.items.len() as u64);
-        }
-        let responses = batch
-            .items
-            .iter()
-            .map(|item| self.handle_tagged_budgeted(item, tag, budget))
-            .collect();
-        self.finish_request("BATCH", started, owns_trace);
-        Response::Batch { responses }
     }
 
     /// Serves a request under its stripe lock: result cache, then
@@ -903,17 +873,17 @@ impl ServiceState {
                 }
             }
         }
-        let (resp, persist) = {
+        let resp = {
             let _span = softhw_obs::span(stage::SOLVE);
             self.dispatch(req, h, idx, stripe, budget)
         };
-        if let (Some(key), Persist::Yes) = (key, &persist) {
-            if matches!(resp, Response::Width { .. } | Response::Decision { .. }) {
-                stripe.results.insert((hash, digest, key), resp.clone());
-                if let Some(handle) = &self.store {
-                    if let (Some(tx), Some(msg)) = (&handle.tx, persist_msg(h, key, &resp)) {
-                        let _ = tx.send(msg);
-                    }
+        // Only answers are cached and persisted — never errors, budget
+        // trips, or the volatile classes (which have no key).
+        if let (Some(key), Response::Width { .. } | Response::Decision { .. }) = (key, &resp) {
+            stripe.results.insert((hash, digest, key), resp.clone());
+            if let Some(handle) = &self.store {
+                if let (Some(tx), Some(msg)) = (&handle.tx, persist_msg(h, key, &resp)) {
+                    let _ = tx.send(msg);
                 }
             }
         }
@@ -952,6 +922,10 @@ impl ServiceState {
         Ok(h)
     }
 
+    /// Answers a request the caches could not: the four width classes
+    /// are one [`SolveSpec`] each through [`DecompCache::solve`], framed
+    /// by the shape of what comes back; `BEST` runs Algorithm 2 on the
+    /// stripe's warm index.
     fn dispatch(
         &self,
         req: &Request,
@@ -959,136 +933,97 @@ impl ServiceState {
         idx: usize,
         stripe: &mut Stripe,
         budget: &Budget,
-    ) -> (Response, Persist) {
-        let cache = &mut stripe.cache;
+    ) -> Response {
         // Soft_{H,k} is invariant in k beyond |E(H)| (λ-subsets never
         // repeat edges), so clamp the *computation* width — an absurd
         // requested k must not size scratch pools.
         let clamp = |k: usize| k.min(h.num_edges());
-        let persist = match class_key(req.class) {
-            Some(_) => Persist::Yes,
-            None => Persist::No,
-        };
-        // The four solver classes all funnel through the unified
-        // [`DecompCache::solve`] entry point; only the response framing
-        // differs per class.
-        let spec = |spec: SolveSpec| {
-            spec.with_limits(self.config.limits.clone())
-                .with_budget(budget.clone())
-        };
-        let resp = match req.class {
-            RequestClass::Shw => match cache.solve(h, &spec(SolveSpec::shw())) {
-                Ok(Solved::ShwWidth(width, td)) => Response::Width {
-                    class: "SHW".into(),
-                    width,
-                    td: TdFrame::from_td(&td, h.num_vertices()),
-                },
-                Ok(_) => Response::error("internal", "SHW spec yielded a mismatched variant"),
-                Err(e) => self.decomp_error(e),
-            },
-            RequestClass::ShwLeq(k) => {
-                if k == 0 {
-                    return (
-                        Response::error("request", "width must be >= 1"),
-                        Persist::No,
-                    );
-                }
-                match cache.solve(h, &spec(SolveSpec::shw_leq(clamp(k)))) {
-                    Ok(Solved::ShwDecision(td)) => Response::Decision {
-                        class: "SHW_LEQ".into(),
-                        fields: Vec::new(),
-                        k,
-                        td: td.map(|td| TdFrame::from_td(&td, h.num_vertices())),
-                    },
-                    Ok(_) => {
-                        Response::error("internal", "SHW_LEQ spec yielded a mismatched variant")
-                    }
-                    Err(e) => self.decomp_error(e),
-                }
-            }
-            RequestClass::Hw => {
-                // Reduce-aware sweep over the memoised decisions; an
-                // input no width accepts degrades to an error, not a
-                // panic (DecompCache::solve maps it to an internal ERR).
-                match cache.solve(h, &spec(SolveSpec::hw())) {
-                    Ok(Solved::HwWidth(width, ghd)) => Response::Width {
-                        class: "HW".into(),
-                        width,
-                        td: TdFrame::from_td(&ghd.td, h.num_vertices()),
-                    },
-                    Ok(_) => Response::error("internal", "HW spec yielded a mismatched variant"),
-                    Err(e) => self.decomp_error(e),
-                }
-            }
-            RequestClass::HwLeq(k) => {
-                if k == 0 {
-                    return (
-                        Response::error("request", "width must be >= 1"),
-                        Persist::No,
-                    );
-                }
-                match cache.solve(h, &spec(SolveSpec::hw_leq(clamp(k)))) {
-                    Ok(Solved::HwDecision(ghd)) => Response::Decision {
-                        class: "HW_LEQ".into(),
-                        fields: Vec::new(),
-                        k,
-                        td: ghd.map(|g| TdFrame::from_td(&g.td, h.num_vertices())),
-                    },
-                    Ok(_) => {
-                        Response::error("internal", "HW_LEQ spec yielded a mismatched variant")
-                    }
-                    Err(e) => self.decomp_error(e),
-                }
-            }
-            RequestClass::Best(eval, k) => {
-                if k == 0 {
-                    return (
-                        Response::error("request", "width must be >= 1"),
-                        Persist::No,
-                    );
-                }
-                // Candidate generation dominates BEST; bound it at stage
-                // granularity (the in-stage ticks ride the budgeted
-                // generation inside the solvers' other entry points).
-                if let Err(e) = budget.check() {
-                    return (self.decomp_error(e), Persist::No);
-                }
-                let bags = match soft_bags_with(h, clamp(k), &self.config.limits) {
-                    Ok(bags) => bags,
-                    Err(e) => return (self.decomp_error(e.into()), Persist::No),
-                };
-                if let Err(e) = budget.check() {
-                    return (self.decomp_error(e), Persist::No);
-                }
-                let inst = cache.instance_for(h, &bags);
-                let mut fields = vec![("eval".to_string(), eval.token())];
-                let best = match eval {
-                    EvalKind::Trivial => best_on(inst, &Trivial).map(|(td, ())| (td, None)),
-                    EvalKind::ConCov => {
-                        best_on(inst, &ConCov { k: clamp(k) }).map(|(td, ())| (td, None))
-                    }
-                    EvalKind::Shallow(d) => {
-                        best_on(inst, &ShallowCyc { d }).map(|(td, cost)| (td, Some(cost)))
-                    }
-                };
-                if let Some((_, Some(cost))) = &best {
-                    fields.push(("cost".to_string(), cost.to_string()));
-                }
-                Response::Decision {
-                    class: "BEST".into(),
-                    fields,
-                    k,
-                    td: best.map(|(td, _)| TdFrame::from_td(&td, h.num_vertices())),
-                }
-            }
-            RequestClass::Stats => self.stats_response(h, idx, stripe),
+        let (spec, k) = match req.class {
+            RequestClass::Shw => (SolveSpec::shw(), None),
+            RequestClass::ShwLeq(k) => (SolveSpec::shw_leq(clamp(k)), Some(k)),
+            RequestClass::Hw => (SolveSpec::hw(), None),
+            RequestClass::HwLeq(k) => (SolveSpec::hw_leq(clamp(k)), Some(k)),
+            RequestClass::Best(eval, k) => return self.best(eval, k, clamp(k), h, stripe, budget),
+            RequestClass::Stats => return self.stats_response(h, idx, stripe),
             // The three schema-free classes are served before schema
             // parsing in `handle_inner`; kept for match exhaustiveness.
-            RequestClass::Hello => Response::hello(),
-            RequestClass::Metrics => self.metrics_response(),
-            RequestClass::Slow => self.slow_response(),
+            RequestClass::Hello => return Response::hello(),
+            RequestClass::Metrics => return self.metrics_response(),
+            RequestClass::Slow => return self.slow_response(),
         };
-        (resp, persist)
+        if k == Some(0) {
+            return Response::error("request", "width must be >= 1");
+        }
+        let spec = spec
+            .with_limits(self.config.limits.clone())
+            .with_budget(budget.clone())
+            .with_reduce(!self.config.no_reduce);
+        let class = req.class.name().to_string();
+        let frame = |td: &TreeDecomposition| TdFrame::from_td(td, h.num_vertices());
+        let decision = |class, td: Option<&TreeDecomposition>| Response::Decision {
+            class,
+            fields: Vec::new(),
+            k: k.unwrap_or_default(),
+            td: td.map(frame),
+        };
+        // An exact `hw` on an input no width accepts degrades to an
+        // error, not a panic (`solve` maps it to an internal ERR).
+        match stripe.cache.solve(h, &spec) {
+            Ok(Solved::ShwWidth(width, td)) => Response::Width {
+                class,
+                width,
+                td: frame(&td),
+            },
+            Ok(Solved::HwWidth(width, ghd)) => Response::Width {
+                class,
+                width,
+                td: frame(&ghd.td),
+            },
+            Ok(Solved::ShwDecision(td)) => decision(class, td.as_ref()),
+            Ok(Solved::HwDecision(ghd)) => decision(class, ghd.as_ref().map(|g| &g.td)),
+            Err(e) => self.decomp_error(e),
+        }
+    }
+
+    /// `BEST eval k`: Algorithm 2 over `Soft_{H,k}`. Generation and the
+    /// instance build run on the stripe's warm index under the request's
+    /// budget — the same prepared instance a `SHW_LEQ k` miss builds —
+    /// and the instance is dropped once the best decomposition is framed
+    /// (the answer lives in the result cache and the store).
+    fn best(
+        &self,
+        eval: EvalKind,
+        k: usize,
+        width: usize,
+        h: &Hypergraph,
+        stripe: &mut Stripe,
+        budget: &Budget,
+    ) -> Response {
+        if k == 0 {
+            return Response::error("request", "width must be >= 1");
+        }
+        let inst = match stripe
+            .cache
+            .soft_instance(h, width, &self.config.limits, budget)
+        {
+            Ok(inst) => inst,
+            Err(e) => return self.decomp_error(e),
+        };
+        let mut fields = vec![("eval".to_string(), eval.token())];
+        let best = match eval {
+            EvalKind::Trivial => best_on(&inst, &Trivial).map(|(td, ())| td),
+            EvalKind::ConCov => best_on(&inst, &ConCov { k: width }).map(|(td, ())| td),
+            EvalKind::Shallow(d) => best_on(&inst, &ShallowCyc { d }).map(|(td, cost)| {
+                fields.push(("cost".to_string(), cost.to_string()));
+                td
+            }),
+        };
+        Response::Decision {
+            class: "BEST".into(),
+            fields,
+            k,
+            td: best.map(|td| TdFrame::from_td(&td, h.num_vertices())),
+        }
     }
 
     /// Assembles the `STATS` response: structural stats and the routed
@@ -1107,10 +1042,10 @@ impl ServiceState {
         // solvers from acting on it), so answers stay byte-comparable
         // across the two modes.
         let red = stripe.cache.reduction(h);
-        let list = |counters: &[AtomicU64]| {
-            counters
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed).to_string())
+        let list = |counter: fn(&StripeMirror) -> &AtomicU64| {
+            let per_stripe = self.mirrors.iter();
+            per_stripe
+                .map(|m| counter(m).load(Ordering::Relaxed).to_string())
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -1135,7 +1070,6 @@ impl ServiceState {
                 "tracked".to_string(),
                 stripe.cache.tracked_graphs().to_string(),
             ),
-            ("instance_hits".to_string(), c.instance_hits.to_string()),
             ("result_hits".to_string(), c.result_hits.to_string()),
             ("evictions".to_string(), c.evictions.to_string()),
             ("stripe".to_string(), idx.to_string()),
@@ -1143,15 +1077,12 @@ impl ServiceState {
                 "pinned".to_string(),
                 stripe.cache.pinned_count().to_string(),
             ),
-            ("stripe_load".to_string(), list(&self.stripe_load)),
-            ("stripe_evictions".to_string(), list(&self.stripe_evictions)),
-            (
-                "result_cache_hits".to_string(),
-                list(&self.stripe_result_hits),
-            ),
+            ("stripe_load".to_string(), list(|m| &m.load)),
+            ("stripe_evictions".to_string(), list(|m| &m.evictions)),
+            ("result_cache_hits".to_string(), list(|m| &m.result_hits)),
             (
                 "result_cache_misses".to_string(),
-                list(&self.stripe_result_misses),
+                list(|m| &m.result_misses),
             ),
         ];
         // The registry-backed service counters: one source of truth
@@ -1245,16 +1176,11 @@ impl ServiceState {
     /// the stripe mirrors (`0` with nothing cached). The succinctness
     /// headline stat: how much memory one warm schema costs.
     fn bytes_per_cached_schema(&self) -> u64 {
-        let bytes: u64 = self
-            .stripe_bytes
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum();
-        let tracked: u64 = self
-            .stripe_tracked
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum();
+        let sum = |counter: fn(&StripeMirror) -> &AtomicU64| -> u64 {
+            let per_stripe = self.mirrors.iter();
+            per_stripe.map(|m| counter(m).load(Ordering::Relaxed)).sum()
+        };
+        let (bytes, tracked) = (sum(|m| &m.bytes), sum(|m| &m.tracked));
         if tracked == 0 {
             0
         } else {
@@ -1403,38 +1329,24 @@ fn class_key(class: RequestClass) -> Option<ClassKey> {
 /// re-validate witnesses themselves and never clobber live state.
 fn import_decisions(cache: &mut DecompCache, h: &Hypergraph, key: &ClassKey, resp: &Response) {
     let clamp = |k: u64| (k as usize).min(h.num_edges());
-    match (key, resp) {
+    let (class, exact, k, frame) = match (key, resp) {
         (ClassKey::Shw, Response::Width { width, td, .. }) => {
-            if let Ok(td) = td.to_td() {
-                cache.import_shw_exact(h, *width, td);
-            }
+            (SolveClass::Shw, true, *width, Some(td))
         }
-        (ClassKey::ShwLeq(k), Response::Decision { td, .. }) => match td {
-            Some(frame) => {
-                if let Ok(td) = frame.to_td() {
-                    cache.import_shw_leq(h, clamp(*k), Some(td));
-                }
-            }
-            None => {
-                cache.import_shw_leq(h, clamp(*k), None);
-            }
-        },
         (ClassKey::Hw, Response::Width { width, td, .. }) => {
-            if let Ok(td) = td.to_td() {
-                cache.import_hw_exact(h, *width, td);
-            }
+            (SolveClass::Hw, true, *width, Some(td))
         }
-        (ClassKey::HwLeq(k), Response::Decision { td, .. }) => match td {
-            Some(frame) => {
-                if let Ok(td) = frame.to_td() {
-                    cache.import_hw_leq(h, clamp(*k), Some(td));
-                }
-            }
-            None => {
-                cache.import_hw_leq(h, clamp(*k), None);
-            }
-        },
-        _ => {} // BEST answers live in the result cache only
+        (ClassKey::ShwLeq(k), Response::Decision { td, .. }) => {
+            (SolveClass::Shw, false, clamp(*k), td.as_ref())
+        }
+        (ClassKey::HwLeq(k), Response::Decision { td, .. }) => {
+            (SolveClass::Hw, false, clamp(*k), td.as_ref())
+        }
+        _ => return, // BEST answers live in the result cache only
+    };
+    // A frame that does not decode imports nothing.
+    if let Ok(witness) = frame.map(TdFrame::to_td).transpose() {
+        cache.import(h, class, exact, k, witness);
     }
 }
 
@@ -1569,6 +1481,11 @@ mod tests {
         ServiceState::new(ServiceConfig::default())
     }
 
+    /// One single request under the default context.
+    fn ask(st: &ServiceState, req: &Request) -> Response {
+        st.handle(&WireRequest::Single(req.clone()), &RequestCtx::default())
+    }
+
     #[test]
     fn shw_responses_match_library() {
         let st = state();
@@ -1579,8 +1496,8 @@ mod tests {
             let h = softhw_hypergraph::parse_hypergraph(&body).unwrap();
             let req = Request::new(RequestClass::Shw, body);
             // Twice: the warm path must answer identically.
-            let first = st.handle(&req);
-            let again = st.handle(&req);
+            let first = ask(&st, &req);
+            let again = ask(&st, &req);
             assert_eq!(first, again);
             let (cold_w, _) = shw::shw(&h);
             match first {
@@ -1604,11 +1521,11 @@ mod tests {
         // carries), not the builder's.
         let h = softhw_hypergraph::parse_hypergraph(&body).unwrap();
         // shw(H2) = 2: k = 1 rejects, k = 2 accepts with valid witness.
-        match st.handle(&Request::new(RequestClass::ShwLeq(1), body.clone())) {
+        match ask(&st, &Request::new(RequestClass::ShwLeq(1), body.clone())) {
             Response::Decision { td, .. } => assert!(td.is_none()),
             other => panic!("{other:?}"),
         }
-        match st.handle(&Request::new(RequestClass::ShwLeq(2), body.clone())) {
+        match ask(&st, &Request::new(RequestClass::ShwLeq(2), body.clone())) {
             Response::Decision { td, .. } => {
                 let td = td.expect("shw(H2) <= 2").to_td().unwrap();
                 assert_eq!(td.validate(&h), Ok(()));
@@ -1616,7 +1533,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let (hw_w, _) = hw::hw(&h);
-        match st.handle(&Request::new(RequestClass::Hw, body.clone())) {
+        match ask(&st, &Request::new(RequestClass::Hw, body.clone())) {
             Response::Width { class, width, td } => {
                 assert_eq!(class, "HW");
                 assert_eq!(width, hw_w);
@@ -1631,7 +1548,7 @@ mod tests {
         // BEST with ConCov: width 2 suffices on C4 (Example 3's D2) but
         // not on C5 (Section 6's width jump to 3).
         let c4 = render_hypergraph(&named::cycle(4));
-        match st.handle(&Request::new(RequestClass::Best(EvalKind::ConCov, 2), c4)) {
+        match ask(&st, &Request::new(RequestClass::Best(EvalKind::ConCov, 2), c4)) {
             Response::Decision { class, td, .. } => {
                 assert_eq!(class, "BEST");
                 assert!(td.is_some(), "ConCov-shw(C4) = 2");
@@ -1642,11 +1559,11 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let c5 = render_hypergraph(&named::cycle(5));
-        match st.handle(&Request::new(RequestClass::Best(EvalKind::ConCov, 2), c5)) {
+        match ask(&st, &Request::new(RequestClass::Best(EvalKind::ConCov, 2), c5)) {
             Response::Decision { td, .. } => assert!(td.is_none(), "ConCov-shw(C5) = 3"),
             other => panic!("{other:?}"),
         }
-        match st.handle(&Request::new(RequestClass::Stats, body)) {
+        match ask(&st, &Request::new(RequestClass::Stats, body)) {
             Response::Stats { fields } => {
                 let get = |k: &str| {
                     fields
@@ -1676,7 +1593,7 @@ mod tests {
             "SELECT MIN(r.a) FROM r, s, t WHERE r.b = s.b AND s.c = t.c",
         );
         req.format = BodyFormat::Sql;
-        match st.handle(&req) {
+        match ask(&st, &req) {
             Response::Width { width, .. } => assert_eq!(width, 1, "path query is acyclic"),
             other => panic!("{other:?}"),
         }
@@ -1686,25 +1603,25 @@ mod tests {
     fn malformed_requests_become_error_responses() {
         let st = state();
         // Unparsable schema.
-        let r = st.handle(&Request::new(RequestClass::Shw, "e1(a,"));
+        let r = ask(&st, &Request::new(RequestClass::Shw, "e1(a,"));
         assert!(
             matches!(r, Response::Error { ref kind, .. } if kind == "parse"),
             "{r:?}"
         );
         // The duplicate-name rejection reaches the wire.
-        let r = st.handle(&Request::new(RequestClass::Shw, "e1(a,b), e1(b,c)."));
+        let r = ask(&st, &Request::new(RequestClass::Shw, "e1(a,b), e1(b,c)."));
         assert!(
             matches!(r, Response::Error { ref kind, .. } if kind == "parse"),
             "{r:?}"
         );
         // Empty schema.
-        let r = st.handle(&Request::new(RequestClass::Shw, "% nothing"));
+        let r = ask(&st, &Request::new(RequestClass::Shw, "% nothing"));
         assert!(
             matches!(r, Response::Error { ref kind, .. } if kind == "request"),
             "{r:?}"
         );
         // Zero width.
-        let r = st.handle(&Request::new(RequestClass::ShwLeq(0), "e1(a,b)."));
+        let r = ask(&st, &Request::new(RequestClass::ShwLeq(0), "e1(a,b)."));
         assert!(
             matches!(r, Response::Error { ref kind, .. } if kind == "request"),
             "{r:?}"
@@ -1719,19 +1636,19 @@ mod tests {
             ..ServiceConfig::default()
         });
         let grid = render_hypergraph(&named::grid(3, 3));
-        let r = tight.handle(&Request::new(RequestClass::Shw, grid));
+        let r = ask(&tight, &Request::new(RequestClass::Shw, grid));
         assert!(
             matches!(r, Response::Error { ref kind, .. } if kind == "limit"),
             "{r:?}"
         );
-        let ok = tight.handle(&Request::new(RequestClass::Shw, "e1(a,b)."));
+        let ok = ask(&tight, &Request::new(RequestClass::Shw, "e1(a,b)."));
         assert!(matches!(ok, Response::Width { width: 1, .. }), "{ok:?}");
     }
 
     #[test]
     fn absurd_widths_are_clamped_not_allocated() {
         let st = state();
-        let r = st.handle(&Request::new(
+        let r = ask(&st, &Request::new(
             RequestClass::ShwLeq(usize::MAX),
             render_hypergraph(&named::h2()),
         ));
@@ -1780,9 +1697,9 @@ mod tests {
                 RequestClass::HwLeq(2),
                 RequestClass::Stats,
             ] {
-                let a = mask_mode_dependent_rows(reduced.handle(&Request::new(class, body.clone())));
+                let a = mask_mode_dependent_rows(ask(&reduced, &Request::new(class, body.clone())));
                 let b =
-                    mask_mode_dependent_rows(no_reduce.handle(&Request::new(class, body.clone())));
+                    mask_mode_dependent_rows(ask(&no_reduce, &Request::new(class, body.clone())));
                 assert_eq!(a, b, "{class:?} diverged under --no-reduce");
             }
         }
@@ -1800,14 +1717,14 @@ mod tests {
         // in shape; both must be valid).
         let h = softhw_hypergraph::parse_hypergraph(body).unwrap();
         for st in [&reduced, &no_reduce] {
-            match st.handle(&Request::new(RequestClass::Shw, body)) {
+            match ask(&st, &Request::new(RequestClass::Shw, body)) {
                 Response::Width { width, td, .. } => {
                     assert_eq!(width, 2);
                     assert_eq!(td.to_td().unwrap().validate(&h), Ok(()));
                 }
                 other => panic!("{other:?}"),
             }
-            match st.handle(&Request::new(RequestClass::Hw, body)) {
+            match ask(&st, &Request::new(RequestClass::Hw, body)) {
                 Response::Width { width, td, .. } => {
                     assert_eq!(width, 2);
                     assert_eq!(td.to_td().unwrap().validate(&h), Ok(()));
@@ -1820,7 +1737,7 @@ mod tests {
         let red = softhw_hypergraph::reduce(&h);
         assert!(red.stats.edges_dropped > 0 && red.stats.vertices_peeled > 0);
         for st in [&reduced, &no_reduce] {
-            match st.handle(&Request::new(RequestClass::Stats, body)) {
+            match ask(&st, &Request::new(RequestClass::Stats, body)) {
                 Response::Stats { fields } => {
                     let get = |k: &str| {
                         fields
@@ -1861,7 +1778,7 @@ mod tests {
         );
         let st = state();
         assert!(matches!(
-            st.handle(&Request::new(RequestClass::Shw, raw)),
+            ask(&st, &Request::new(RequestClass::Shw, raw)),
             Response::Width { width: 2, .. }
         ));
         // The pre-reduced request must not redo any width decision.
@@ -1877,7 +1794,7 @@ mod tests {
             })
             .sum();
         assert!(matches!(
-            st.handle(&Request::new(RequestClass::Shw, pre)),
+            ask(&st, &Request::new(RequestClass::Shw, pre)),
             Response::Width { width: 2, .. }
         ));
         let misses_after: u64 = st
@@ -1905,17 +1822,17 @@ mod tests {
         // request must come back TIMEOUT (not an error, not a panic).
         let mut dead = Request::new(RequestClass::Shw, body.clone());
         dead.deadline_ms = Some(0);
-        assert_eq!(st.handle(&dead), Response::Timeout);
+        assert_eq!(ask(&st, &dead), Response::Timeout);
         // Nothing was cached for the interrupted request and the stripe
         // is immediately reusable: the same schema without a deadline
         // answers exactly like a fresh state would.
-        let ok = st.handle(&Request::new(RequestClass::Shw, body.clone()));
-        assert_eq!(ok, state().handle(&Request::new(RequestClass::Shw, body)));
+        let ok = ask(&st, &Request::new(RequestClass::Shw, body.clone()));
+        assert_eq!(ok, ask(&state(), &Request::new(RequestClass::Shw, body)));
         assert!(matches!(ok, Response::Width { .. }), "{ok:?}");
         // The timeout is counted in STATS, and a request that now hits
         // the warm result cache answers even under an expired deadline
         // (cache probes are not budgeted).
-        match st.handle(&Request::new(RequestClass::Stats, "e(a,b).")) {
+        match ask(&st, &Request::new(RequestClass::Stats, "e(a,b).")) {
             Response::Stats { fields } => {
                 assert!(
                     fields
@@ -1927,7 +1844,85 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(st.handle(&dead), ok, "warm repeats ignore the deadline");
+        assert_eq!(ask(&st, &dead), ok, "warm repeats ignore the deadline");
+    }
+
+    #[test]
+    fn best_honours_its_budget_inside_the_stages_and_retry_serves_identically() {
+        let path = std::env::temp_dir().join(format!(
+            "softhw-state-best-budget-{}.store",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let st = ServiceState::open_store(ServiceConfig::default(), &path).expect("open store");
+        let body = render_hypergraph(&named::grid(3, 3));
+        let req = Request::new(RequestClass::Best(EvalKind::ConCov, 2), body);
+        // An expired deadline stops BEST like any other solver class.
+        let mut dead = req.clone();
+        dead.deadline_ms = Some(0);
+        assert_eq!(ask(&st, &dead), Response::Timeout);
+        // So does a work cap that candidate enumeration alone exceeds:
+        // the budget ticks inside the stages, not only between them.
+        let capped = RequestCtx {
+            budget: Some(Budget::with_work_cap(8)),
+            ..RequestCtx::default()
+        };
+        let timed_out = st.handle(&WireRequest::Single(req.clone()), &capped);
+        assert_eq!(timed_out, Response::Timeout);
+        // Neither trip cached or persisted anything ...
+        assert!(st.sync_store());
+        for stripe in &st.stripes {
+            let stripe = stripe.lock().unwrap_or_else(PoisonError::into_inner);
+            assert!(stripe.results.map.is_empty(), "a TIMEOUT was cached");
+        }
+        let persisted = st.store.as_ref().map(|s| lock_store(&s.store).stats().results);
+        assert_eq!(persisted, Some(0), "a TIMEOUT was persisted");
+        // ... and the unbudgeted retry answers exactly like a fresh state.
+        let ok = ask(&st, &req);
+        assert_eq!(ok.encode(), ask(&state(), &req).encode());
+        assert!(matches!(ok, Response::Decision { .. }), "{ok:?}");
+        drop(st);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn batch_equals_its_items_sent_singly_under_the_same_budget() {
+        // A BATCH is its items through the single-request path under
+        // one shared budget. Work caps trip at input-determined ticks,
+        // so one capped budget shared by the single sends trips exactly
+        // where the batch's does — at every cap, in whichever item.
+        let grid = render_hypergraph(&named::grid(3, 3));
+        let h2 = render_hypergraph(&named::h2());
+        let items = vec![
+            Request::new(RequestClass::Shw, h2.clone()),
+            Request::new(RequestClass::Best(EvalKind::ConCov, 2), grid.clone()),
+            Request::new(RequestClass::ShwLeq(2), grid.clone()),
+            Request::new(RequestClass::Hw, h2.clone()),
+            Request::new(RequestClass::Shw, h2), // warm repeat: serves after a trip
+            Request::new(RequestClass::Best(EvalKind::Shallow(2), 2), grid),
+        ];
+        let batch = WireRequest::Batch(crate::wire::BatchRequest::new(items.clone()));
+        let mut outcomes = std::collections::BTreeSet::new();
+        for cap in [0, 500, 1_000, 1_500, 2_000, 3_000, u64::MAX] {
+            let ctx = |budget: &Budget| RequestCtx {
+                budget: Some(budget.clone()),
+                ..RequestCtx::default()
+            };
+            let batched = match state().handle(&batch, &ctx(&Budget::with_work_cap(cap))) {
+                Response::Batch { responses } => responses,
+                other => panic!("expected a batch response, got {other:?}"),
+            };
+            let (singly_on, shared) = (state(), Budget::with_work_cap(cap));
+            let singly: Vec<Response> = items
+                .iter()
+                .map(|item| singly_on.handle(&WireRequest::Single(item.clone()), &ctx(&shared)))
+                .collect();
+            assert_eq!(batched, singly, "cap {cap}");
+            outcomes.insert(batched.iter().filter(|r| **r == Response::Timeout).count());
+        }
+        // The caps really did trip in different items.
+        assert!(outcomes.len() >= 3, "timeouts per cap: {outcomes:?}");
+        assert!(outcomes.contains(&0), "the uncapped run must finish");
     }
 
     #[test]
@@ -1938,17 +1933,17 @@ mod tests {
         });
         let body = render_hypergraph(&named::grid(3, 3));
         let req = Request::new(RequestClass::Shw, body);
-        assert_eq!(st.handle(&req), Response::Timeout);
+        assert_eq!(ask(&st, &req), Response::Timeout);
         // A per-request deadline overrides the default.
         let mut generous = req.clone();
         generous.deadline_ms = Some(60_000);
-        assert!(matches!(st.handle(&generous), Response::Width { .. }));
+        assert!(matches!(ask(&st, &generous), Response::Width { .. }));
     }
 
     #[test]
     fn parse_errors_are_positioned_line_and_column() {
         let st = state();
-        let r = st.handle(&Request::new(RequestClass::Shw, "e1(a,b),\ne1(b,c)."));
+        let r = ask(&st, &Request::new(RequestClass::Shw, "e1(a,b),\ne1(b,c)."));
         match r {
             Response::Error { kind, message } => {
                 assert_eq!(kind, "parse");
@@ -1967,30 +1962,24 @@ mod tests {
         let st = state();
         let body = render_hypergraph(&named::h2());
         let req = Request::new(RequestClass::Shw, body.clone());
-        let first = st.handle(&req);
-        let again = st.handle(&req);
+        let first = ask(&st, &req);
+        let again = ask(&st, &req);
         assert_eq!(first, again);
         // The repeat came out of the result cache: the stripe's
         // decomp-cache counters did not move between the calls.
-        let hits: u64 = st
-            .stripe_result_hits
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(hits, 1, "second request must hit the result cache");
+        let hits = |st: &ServiceState| -> u64 {
+            let per_stripe = st.mirrors.iter();
+            per_stripe.map(|m| m.result_hits.load(Ordering::Relaxed)).sum()
+        };
+        assert_eq!(hits(&st), 1, "second request must hit the result cache");
         // A zero-capacity result cache degrades to the solver caches
         // with identical responses.
         let no_cache = ServiceState::new(ServiceConfig {
             result_cache_capacity: 0,
             ..ServiceConfig::default()
         });
-        assert_eq!(no_cache.handle(&req), first);
-        assert_eq!(no_cache.handle(&req), first);
-        let hits: u64 = no_cache
-            .stripe_result_hits
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(hits, 0);
+        assert_eq!(ask(&no_cache, &req), first);
+        assert_eq!(ask(&no_cache, &req), first);
+        assert_eq!(hits(&no_cache), 0);
     }
 }

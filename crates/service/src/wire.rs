@@ -76,7 +76,7 @@
 use softhw_core::td::TreeDecomposition;
 use softhw_hypergraph::{ArenaSnapshot, BagArena};
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 
 /// Hard ceiling on body lines per frame (a malformed or hostile client
 /// must not make the server buffer unboundedly).
@@ -1029,12 +1029,6 @@ pub fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Vec<String>>> 
             ));
         }
     }
-}
-
-/// Writes a pre-encoded frame and flushes it.
-pub fn write_frame(writer: &mut impl Write, frame: &str) -> io::Result<()> {
-    writer.write_all(frame.as_bytes())?;
-    writer.flush()
 }
 
 /// Incremental frame decoder over raw bytes, for nonblocking sockets:

@@ -13,11 +13,16 @@
 
 use softhw_hypergraph::{named, render_hypergraph};
 use softhw_service::{
-    read_frame, BatchRequest, EvalKind, Request, RequestClass, ServeOptions, Server,
-    ServiceConfig, ServiceState,
+    read_frame, BatchRequest, EvalKind, Request, RequestClass, RequestCtx, Response, ServeOptions,
+    Server, ServiceConfig, ServiceState, WireRequest,
 };
 use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
+
+/// One single request through the service's one `handle`.
+fn handle(state: &ServiceState, req: &Request) -> Response {
+    state.handle(&WireRequest::Single(req.clone()), &RequestCtx::default())
+}
 
 /// Encoded frames for a mixed-class session: every answer-bearing
 /// class plus STATS, HELLO, and BATCH, two rounds so warm responses
@@ -166,8 +171,8 @@ fn observed_state_answers_match_blind_state_directly() {
             for class in classes {
                 let req = Request::new(class, schema.clone());
                 assert_eq!(
-                    observed.handle(&req).encode(),
-                    blind.handle(&req).encode(),
+                    handle(&observed, &req).encode(),
+                    handle(&blind, &req).encode(),
                     "{class:?} diverged between observed and blind state"
                 );
             }

@@ -21,8 +21,21 @@
 //! deterministic STATS fields, is still compared exactly.
 
 use softhw_hypergraph::{named, render_hypergraph};
-use softhw_service::{EvalKind, Request, RequestClass, ServiceConfig, ServiceState};
+use softhw_service::{
+    EvalKind, Request, RequestClass, RequestCtx, Response, ServiceConfig, ServiceState,
+    WireRequest,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// One single request through the service's one `handle`, recording
+/// `tag` in its stripe's processing log.
+fn handle(state: &ServiceState, req: &Request, tag: Option<u64>) -> Response {
+    let ctx = RequestCtx {
+        tag,
+        ..RequestCtx::default()
+    };
+    state.handle(&WireRequest::Single(req.clone()), &ctx)
+}
 
 fn workload() -> Vec<Request> {
     let schemas: Vec<String> = [
@@ -106,7 +119,7 @@ fn run_concurrent(state: &ServiceState, reqs: &[Request], threads: usize) -> Vec
                 if i >= reqs.len() {
                     break;
                 }
-                let resp = state.handle_tagged(&reqs[i], Some(i as u64)).encode();
+                let resp = handle(state, &reqs[i], Some(i as u64)).encode();
                 **slots[i].lock().unwrap() = resp;
             });
         }
@@ -132,7 +145,7 @@ fn check_concurrent_matches_replay(config: ServiceConfig, threads: usize) {
     for log in &logs {
         for &tag in log {
             let i = tag as usize;
-            let replayed = replay_state.handle(&reqs[i]).encode();
+            let replayed = handle(&replay_state, &reqs[i], None).encode();
             assert_eq!(
                 mask_volatile(&replayed),
                 mask_volatile(&concurrent[i]),
@@ -203,7 +216,7 @@ fn bounded_answers_do_not_depend_on_whether_shw_ran_first() {
     for seed in 0..12 {
         let schema = render_hypergraph(&random_hypergraph(&shape, seed));
         let ask = |state: &ServiceState, class: RequestClass| {
-            state.handle(&Request::new(class, schema.clone())).encode()
+            handle(state, &Request::new(class, schema.clone()), None).encode()
         };
         let fresh: Vec<String> = classes
             .iter()
@@ -218,6 +231,59 @@ fn bounded_answers_do_not_depend_on_whether_shw_ran_first() {
                     "seed {seed}: {:?} in order {order:?}",
                     classes[i]
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn best_answers_do_not_depend_on_query_order() {
+    // BEST builds its instance on the stripe's warm index — the one
+    // SHW_LEQ decisions enumerate on — and keeps nothing afterwards, so
+    // a frame must not depend on which evaluators or widths, or which
+    // decisions, touched that index first. With and without reduction.
+    use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
+    let shape = RandomConfig {
+        num_vertices: 8,
+        num_edges: 8,
+        min_arity: 2,
+        max_arity: 3,
+        connect: true,
+    };
+    let mut classes = Vec::new();
+    for k in [1, 2] {
+        for eval in [EvalKind::Trivial, EvalKind::ConCov, EvalKind::Shallow(2)] {
+            classes.push(RequestClass::Best(eval, k));
+        }
+        classes.push(RequestClass::ShwLeq(k));
+    }
+    let forward: Vec<usize> = (0..classes.len()).collect();
+    let backward: Vec<usize> = forward.iter().rev().copied().collect();
+    let interleaved = vec![5, 0, 7, 2, 4, 3, 1, 6];
+    for no_reduce in [true, false] {
+        let config = ServiceConfig {
+            no_reduce,
+            ..ServiceConfig::default()
+        };
+        for seed in 0..8 {
+            let schema = render_hypergraph(&random_hypergraph(&shape, seed));
+            let ask = |state: &ServiceState, class: RequestClass| {
+                handle(state, &Request::new(class, schema.clone()), None).encode()
+            };
+            let fresh: Vec<String> = classes
+                .iter()
+                .map(|&class| ask(&ServiceState::new(config.clone()), class))
+                .collect();
+            for order in [&forward, &backward, &interleaved] {
+                let state = ServiceState::new(config.clone());
+                for &i in order {
+                    assert_eq!(
+                        ask(&state, classes[i]),
+                        fresh[i],
+                        "seed {seed} no_reduce {no_reduce}: {:?} in order {order:?}",
+                        classes[i]
+                    );
+                }
             }
         }
     }

@@ -14,10 +14,16 @@
 use softhw_core::td::TreeDecomposition;
 use softhw_hypergraph::{named, render_hypergraph, BitSet};
 use softhw_service::{
-    EvalKind, Request, RequestClass, Response, ServiceConfig, ServiceState, TdFrame,
+    EvalKind, Request, RequestClass, RequestCtx, Response, ServiceConfig, ServiceState, TdFrame,
+    WireRequest,
 };
 use softhw_store::{ClassKey, FrameRef, PutAnswer, Store};
 use std::path::PathBuf;
+
+/// One single request through the service's one `handle`.
+fn handle(state: &ServiceState, req: &Request) -> Response {
+    state.handle(&WireRequest::Single(req.clone()), &RequestCtx::default())
+}
 
 struct TempStore {
     path: PathBuf,
@@ -72,14 +78,14 @@ fn workload() -> Vec<Request> {
 }
 
 fn run_all(state: &ServiceState, reqs: &[Request]) -> Vec<String> {
-    reqs.iter().map(|r| state.handle(r).encode()).collect()
+    reqs.iter().map(|r| handle(state, r).encode()).collect()
 }
 
 fn stats_field(state: &ServiceState, field: &str) -> Option<String> {
-    let resp = state.handle(&Request::new(
-        RequestClass::Stats,
-        render_hypergraph(&named::h2()),
-    ));
+    let resp = handle(
+        state,
+        &Request::new(RequestClass::Stats, render_hypergraph(&named::h2())),
+    );
     match resp {
         Response::Stats { fields } => fields
             .iter()
@@ -206,13 +212,10 @@ fn stale_records_are_rejected_and_recomputed() {
             .expect("put fake");
         store.sync().expect("sync");
     }
-    let reference = ServiceState::new(ServiceConfig::default())
-        .handle(&Request::new(RequestClass::Shw, h_text.clone()))
-        .encode();
+    let fresh = ServiceState::new(ServiceConfig::default());
+    let reference = handle(&fresh, &Request::new(RequestClass::Shw, h_text.clone())).encode();
     let state = ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("open");
-    let served = state
-        .handle(&Request::new(RequestClass::Shw, h_text.clone()))
-        .encode();
+    let served = handle(&state, &Request::new(RequestClass::Shw, h_text.clone())).encode();
     assert_eq!(reference, served, "stale witness must not be served");
     let invalid: u64 = stats_field(&state, "store_invalid")
         .unwrap()
@@ -231,9 +234,7 @@ fn stale_records_are_rejected_and_recomputed() {
         &tmp.path,
     )
     .expect("reopen");
-    let served = state
-        .handle(&Request::new(RequestClass::Shw, h_text))
-        .encode();
+    let served = handle(&state, &Request::new(RequestClass::Shw, h_text)).encode();
     assert_eq!(reference, served);
     let hits: u64 = stats_field(&state, "store_hits").unwrap().parse().unwrap();
     assert_eq!(hits, 1, "the superseding record should now hit");

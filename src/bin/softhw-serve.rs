@@ -1,18 +1,20 @@
-//! `softhw-serve` — the decomposition service: a multi-threaded TCP
-//! front-end over the workspace's cross-query caches, optionally backed
-//! by the persistent decomposition store.
+//! `softhw-serve` — the decomposition service: a `poll(2)` event loop
+//! with a worker pool over the workspace's cross-query caches,
+//! optionally backed by the persistent decomposition store.
 //!
 //! ```text
 //! softhw-serve [options]
 //!   --addr <host:port>   bind address (default 127.0.0.1:7401, :0 = any port)
-//!   --workers <n>        connection worker threads (default: cores)
+//!   --workers <n>        request-handling worker threads behind the event
+//!                        loop (default: cores)
 //!   --stripes <n>        cache stripes (default 8)
 //!   --cache <n>          per-stripe schema capacity before LRU eviction (default 128)
 //!   --result-cache <n>   per-stripe result-cache capacity (default 1024, 0 = off)
 //!   --max-edges <n>      largest schema accepted (default 100000)
 //!   --max-conns <n>      exit after serving n connections (for smoke tests)
-//!   --queue <n>          pending-connection queue depth; connections past it
-//!                        are shed with BUSY instead of waiting (default 128)
+//!   --queue <n>          decoded requests queued for a free worker; a request
+//!                        past it is shed with BUSY in its pipeline slot and
+//!                        its connection stays open (default 128)
 //!   --default-deadline <ms>  deadline applied to requests that carry no
 //!                        DEADLINE directive of their own (default: none)
 //!   --store <path>       persistent store: results survive restarts (created
@@ -46,8 +48,8 @@ use std::process::ExitCode;
 
 /// Routes SIGINT/SIGTERM to a graceful drain. The handler body is one
 /// atomic store ([`ShutdownHandle::shutdown`] is async-signal-safe);
-/// the server's own threads do the actual draining.
-#[cfg(unix)]
+/// the server's own threads do the actual draining. (`softhw-service`
+/// itself only builds for unix targets.)
 fn install_signal_handlers(handle: ShutdownHandle) {
     use std::sync::OnceLock;
     static HANDLE: OnceLock<ShutdownHandle> = OnceLock::new();
@@ -74,9 +76,6 @@ fn install_signal_handlers(handle: ShutdownHandle) {
         signal(SIGTERM, on_signal);
     }
 }
-
-#[cfg(not(unix))]
-fn install_signal_handlers(_handle: ShutdownHandle) {}
 
 struct Args {
     serve: ServeOptions,

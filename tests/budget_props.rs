@@ -13,7 +13,7 @@ use softhw::core::cache::DecompCache;
 use softhw::core::error::DecompError;
 use softhw::core::shw::shw_leq_indexed_budgeted;
 use softhw::core::soft::SoftLimits;
-use softhw::core::{Budget, SolveSpec, Solved};
+use softhw::core::{Budget, SolveClass, SolveSpec, Solved};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{BitSet, BlockIndex, Hypergraph};
 
@@ -152,7 +152,7 @@ proptest! {
             cache.solve(&h, &spec.clone().with_budget(Budget::with_work_cap(cap))),
             Err(ref e) if e.is_budget()
         );
-        let warm = cache.export_shw_decisions(&h).len() as u64;
+        let warm = cache.export(&h, SolveClass::Shw).len() as u64;
         let hits_before = cache.stats().result_hits;
         let retried = exact(cache.solve(&h, &spec).unwrap());
         prop_assert_eq!(&retried, &cold_answer, "after trip={}", tripped);

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use softhw::core::cache::DecompCache;
 use softhw::core::ctd::CtdInstance;
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
-use softhw::core::{SolveSpec, Solved};
+use softhw::core::{Budget, SolveSpec, Solved};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{named, BlockIndex, Hypergraph};
 
@@ -149,9 +149,14 @@ proptest! {
         let limits = SoftLimits::default();
         let bags = soft_bags_with(&h, k, &limits).unwrap();
         let cold = softhw::core::candidate_td(&h, &bags);
+        // Algorithm 1 over the cache's warm index, twice: the instance
+        // built for the repeat reuses every block the first one cached.
         let mut cache = DecompCache::new();
-        let warm1 = cache.candidate_td(&h, &bags);
-        let warm2 = cache.candidate_td(&h, &bags);
+        let mut warm = || {
+            let inst = cache.soft_instance(&h, k, &limits, &Budget::unlimited());
+            inst.unwrap().decide()
+        };
+        let (warm1, warm2) = (warm(), warm());
         match (&cold, &warm1, &warm2) {
             (Some(c), Some(w1), Some(w2)) => {
                 prop_assert_eq!(c.bags(), w1.bags());
@@ -160,11 +165,19 @@ proptest! {
             (None, None, None) => {}
             _ => prop_assert!(false, "cold and cached runs disagree"),
         }
-        prop_assert_eq!(cache.stats().instance_hits, 1);
-        // Width sweeps through the cache agree with the cold solver.
-        let (cold_w, _) = softhw::core::shw::shw(&h);
-        let (warm_w, warm_td) = cache.shw(&h);
-        prop_assert_eq!(cold_w, warm_w);
-        prop_assert_eq!(warm_td.validate(&h), Ok(()));
+        // Width sweeps through the cache agree with the cold solver, and
+        // a repeat is answered from the memoised decisions alone.
+        let (cold_w, cold_td) = softhw::core::shw::shw(&h);
+        for repeat in [false, true] {
+            let misses = cache.stats().result_misses;
+            match cache.solve(&h, &SolveSpec::shw()).unwrap() {
+                Solved::ShwWidth(w, td) => {
+                    prop_assert_eq!(w, cold_w);
+                    prop_assert_eq!(td.bags(), cold_td.bags());
+                }
+                other => prop_assert!(false, "expected ShwWidth, got {:?}", other),
+            }
+            prop_assert!(!repeat || cache.stats().result_misses == misses);
+        }
     }
 }
