@@ -3,7 +3,7 @@
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | `panic-free-service` | PR 4: the service request path degrades via `DecompError`, never panics — no `unwrap`/`expect`/panic macros/slice-indexing in `crates/service/src/{state,wire,server}.rs` |
+//! | `panic-free-service` | PR 4: the service request path degrades via `DecompError`, never panics — no `unwrap`/`expect`/panic macros/slice-indexing in `crates/service/src/{state,persist,metrics,wire,server}.rs` |
 //! | `budget-tick` | PR 7: unbounded loops in budgeted solver paths tick their `Budget` so deadlines and cancellation land |
 //! | `safety-comment` | every `unsafe` needs an adjacent `// SAFETY:` stating the precondition |
 //! | `no-blocking-in-event-loop` | PR 8: the `poll(2)` event loop never blocks — no sleeps, locks, or blocking channel reads in the readiness path |
@@ -50,6 +50,8 @@ pub const RULES: &[&str] = &[
 /// Files whose request path must be panic-free (service hardening, PR 4).
 const SERVICE_FILES: &[&str] = &[
     "crates/service/src/state.rs",
+    "crates/service/src/persist.rs",
+    "crates/service/src/metrics.rs",
     "crates/service/src/wire.rs",
     "crates/service/src/server.rs",
 ];
@@ -83,7 +85,7 @@ const KEYWORDS: &[&str] = &[
     "type", "union", "unsafe", "use", "where", "while", "yield",
 ];
 
-/// `panic-free-service`: on the three service files, non-test code must
+/// `panic-free-service`: on the service request-path files, non-test code must
 /// not contain `.unwrap()`, `.expect(…)`, panic-family macros, or slice
 /// indexing — the request path degrades via `DecompError`.
 pub fn panic_free_service(f: &SourceFile, out: &mut Vec<Finding>) {
@@ -438,8 +440,8 @@ pub fn no_blocking_in_event_loop(f: &SourceFile, out: &mut Vec<Finding>) {
 /// 3. The README banner line (`protocol … verbs …`) ≡ `PROTOCOL_VERBS`,
 ///    and every verb appears quoted in the README wire grammar.
 /// 4. Every STATS row the service tests mask (`fn mask_*`) and every
-///    row CI parses (`sed -n 's/^row = //p'`) is a row state.rs emits —
-///    rows live in `stats_response` or, since the metric registry
+///    row CI parses (`sed -n 's/^row = //p'`) is a row metrics.rs emits
+///    — rows live in `stats_response` or, since the metric registry
 ///    became the single source for the shared counters, in
 ///    `metric_registry` (whose `softhw_*` literals are metric names,
 ///    not rows).
@@ -448,6 +450,7 @@ pub fn no_blocking_in_event_loop(f: &SourceFile, out: &mut Vec<Finding>) {
 pub fn cross_artifact_sync(ws: &Workspace, out: &mut Vec<Finding>) {
     let wire = ws.file("crates/service/src/wire.rs");
     let state = ws.file("crates/service/src/state.rs");
+    let metrics = ws.file("crates/service/src/metrics.rs");
 
     // -- the verb universe, from the PROTOCOL_VERBS const.
     let verbs: Option<BTreeSet<String>> = wire.and_then(|f| {
@@ -599,9 +602,9 @@ pub fn cross_artifact_sync(ws: &Workspace, out: &mut Vec<Finding>) {
         }
     }
 
-    // 4. STATS rows: tests/CI must only reference rows state.rs emits.
-    if let Some(state) = state {
-        let toks = state.toks();
+    // 4. STATS rows: tests/CI must only reference rows metrics.rs emits.
+    if let Some(metrics) = metrics {
+        let toks = metrics.toks();
         let fns = parse_fns(toks);
 
         // 5. METRICS names: everything the registry or the exposition

@@ -10,18 +10,6 @@ pub fn dispatch(c: RequestClass) -> u32 {
     }
 }
 
-pub fn stats_response() -> String {
-    let mut s = String::new();
-    s.push_str("requests_total");
-    s.push_str("uptime_ms");
-    s
-}
-
-pub fn metric_registry() -> Vec<(&'static str, &'static str)> {
-    // The metric name is absent from README.md: sub-check 5 must fire.
-    vec![("softhw_phantom_metric_total", "requests_total")]
-}
-
 pub fn broken(v: &[u32]) -> u32 {
     let first = v[0];
     let second = v.get(1).unwrap();

@@ -1,5 +1,4 @@
-//! Fixture: every class dispatched, no panic paths, rows emitted for
-//! everything the tests and CI read.
+//! Fixture: every class dispatched, no panic paths.
 
 use super::wire::RequestClass;
 
@@ -8,24 +7,6 @@ pub fn dispatch(c: RequestClass) -> u32 {
         RequestClass::Ping => 1,
         RequestClass::Stats => 2,
     }
-}
-
-pub fn stats_response() -> String {
-    let mut s = String::new();
-    s.push_str("requests_total");
-    s.push_str("uptime_ms");
-    s
-}
-
-pub fn metric_registry() -> Vec<(&'static str, &'static str)> {
-    vec![("softhw_requests_total", "requests_total")]
-}
-
-pub fn metrics_response() -> String {
-    let mut s = String::new();
-    s.push_str("# TYPE softhw_requests_total counter\n");
-    s.push_str("softhw_uptime_ms 0\n");
-    s
 }
 
 pub fn safe(v: &[u32]) -> u32 {

@@ -22,7 +22,9 @@
 //!   disk-backed [`softhw_store::Store`]: persisted witnesses are
 //!   re-validated before they are served, fresh results are persisted
 //!   write-behind, and boot warm-starts (and pins) the hottest stored
-//!   schemas.
+//!   schemas. Two private modules carry its halves: `persist` (the
+//!   store attachment) and `metrics` (the registry and the `STATS` /
+//!   `METRICS` / slow-ring rendering).
 //! - [`server`]: the `poll(2)` event loop and worker pool (std threads
 //!   only, like the rest of the workspace) — the one serving path.
 //!
@@ -35,6 +37,8 @@
 
 #![warn(missing_docs)]
 
+mod metrics;
+mod persist;
 pub mod server;
 pub mod state;
 pub mod wire;

@@ -1,0 +1,383 @@
+//! The persistent-store attachment of a [`ServiceState`]: the
+//! write-behind persister thread and its channel, boot-time warm start,
+//! and the two trust boundaries — a stored hit is rebuilt into a
+//! [`Response`] only after its witness **re-validates against the
+//! schema** ([`response_from_hit`]), and what it implies is mirrored
+//! into the stripe's [`DecompCache`] through the re-validating
+//! [`DecompCache::import`] ([`import_decisions`]).
+
+use crate::state::{route_hash, ServiceConfig, ServiceState};
+use crate::wire::{Response, TdFrame};
+use softhw_core::ghd::Ghd;
+use softhw_core::{DecompCache, SolveClass};
+use softhw_hypergraph::Hypergraph;
+use softhw_store::{ClassKey, FrameOwned, FrameRef, HitAnswer, PutAnswer, Store, StoreHit};
+use std::io;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
+
+/// A persistence message on the write-behind channel (the put payload
+/// is boxed: it carries a whole schema + witness frame, and the
+/// channel also ferries tiny flush requests).
+pub(crate) enum PersistMsg {
+    Put(Box<PutPayload>),
+    Flush(mpsc::Sender<()>),
+}
+
+pub(crate) struct PutPayload {
+    schema: Hypergraph,
+    key: ClassKey,
+    fields: Vec<(String, String)>,
+    answer: OwnedAnswer,
+}
+
+enum OwnedAnswer {
+    No,
+    Yes(TdFrame),
+    Width { width: usize, frame: TdFrame },
+}
+
+/// The store attachment: the shared store, its service-side counters,
+/// and the write-behind persister thread. Dropping the handle closes
+/// the channel, joins the persister (which drains and fsyncs first),
+/// so a clean shutdown loses nothing that was handed to the channel.
+pub(crate) struct StoreHandle {
+    pub(crate) store: Arc<Mutex<Store>>,
+    pub(crate) hits: AtomicU64,
+    pub(crate) misses: AtomicU64,
+    /// Store entries that failed witness re-validation (served cold
+    /// instead — never trusted).
+    pub(crate) invalid: AtomicU64,
+    /// Results preloaded into the caches at boot.
+    pub(crate) warmed: AtomicU64,
+    /// Write-behind puts that failed at the disk layer.
+    pub(crate) put_errors: Arc<AtomicU64>,
+    pub(crate) tx: Option<mpsc::Sender<PersistMsg>>,
+    join: Option<JoinHandle<()>>,
+}
+
+impl Drop for StoreHandle {
+    fn drop(&mut self) {
+        drop(self.tx.take()); // close the channel: persister drains + syncs
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
+        }
+    }
+}
+
+/// How many puts the persister applies between fsyncs when the channel
+/// stays busy (it always syncs once its queue momentarily drains).
+const FSYNC_BATCH: usize = 64;
+
+pub(crate) fn lock_store(s: &Mutex<Store>) -> std::sync::MutexGuard<'_, Store> {
+    s.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn frame_ref(f: &TdFrame) -> FrameRef<'_> {
+    FrameRef {
+        universe: f.universe,
+        snapshot: &f.snapshot,
+        nodes: &f.nodes,
+    }
+}
+
+fn persister(store: Arc<Mutex<Store>>, rx: mpsc::Receiver<PersistMsg>, errors: Arc<AtomicU64>) {
+    let mut dirty = 0usize;
+    let apply = |msg: PersistMsg, dirty: &mut usize| match msg {
+        PersistMsg::Put(put) => {
+            let PutPayload {
+                schema,
+                key,
+                fields,
+                answer,
+            } = *put;
+            let result = match &answer {
+                OwnedAnswer::No => lock_store(&store).put(&schema, key, &fields, PutAnswer::No),
+                OwnedAnswer::Yes(frame) => {
+                    lock_store(&store).put(&schema, key, &fields, PutAnswer::Yes(frame_ref(frame)))
+                }
+                OwnedAnswer::Width { width, frame } => lock_store(&store).put(
+                    &schema,
+                    key,
+                    &fields,
+                    PutAnswer::Width {
+                        width: *width,
+                        frame: frame_ref(frame),
+                    },
+                ),
+            };
+            match result {
+                Ok(()) => *dirty += 1,
+                Err(_) => {
+                    errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        PersistMsg::Flush(ack) => {
+            if sync_unlocked(&store).is_err() {
+                errors.fetch_add(1, Ordering::Relaxed);
+            }
+            *dirty = 0;
+            let _ = ack.send(());
+        }
+    };
+    loop {
+        // Block for the next message, then drain whatever else is
+        // already queued: one fsync covers the whole batch.
+        let Ok(first) = rx.recv() else { break };
+        apply(first, &mut dirty);
+        while dirty < FSYNC_BATCH {
+            match rx.try_recv() {
+                Ok(msg) => apply(msg, &mut dirty),
+                Err(_) => break,
+            }
+        }
+        if dirty > 0 {
+            if sync_unlocked(&store).is_err() {
+                errors.fetch_add(1, Ordering::Relaxed);
+            }
+            dirty = 0;
+        }
+    }
+    // Channel closed (state dropped): final sync for durability.
+    let _ = sync_unlocked(&store);
+}
+
+/// Fsyncs the store log *without* holding its lock: the handle clone is
+/// taken under the lock (cheap), the disk flush happens outside it, so
+/// request handlers probing the store index never queue behind an
+/// in-progress fsync batch.
+fn sync_unlocked(store: &Arc<Mutex<Store>>) -> io::Result<()> {
+    let handle = lock_store(store).sync_handle()?;
+    handle.sync_data()
+}
+
+impl ServiceState {
+    /// State backed by an open [`Store`]: warm-starts the stripe caches
+    /// from the hottest `config.warm_start` schemas (pinning them if
+    /// `config.pin_warm`), then spawns the write-behind persister.
+    pub fn with_store(config: ServiceConfig, mut store: Store) -> ServiceState {
+        let mut state = ServiceState::new(config);
+        let warmed = state.warm_start(&mut store);
+        let put_errors = Arc::new(AtomicU64::new(0));
+        let store = Arc::new(Mutex::new(store));
+        let (tx, rx) = mpsc::channel();
+        let join = {
+            let store = Arc::clone(&store);
+            let errors = Arc::clone(&put_errors);
+            std::thread::spawn(move || persister(store, rx, errors))
+        };
+        state.store = Some(StoreHandle {
+            store,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            invalid: AtomicU64::new(0),
+            warmed: AtomicU64::new(warmed),
+            put_errors,
+            tx: Some(tx),
+            join: Some(join),
+        });
+        state
+    }
+
+    /// Opens (or creates) the store at `path` — with torn-tail
+    /// recovery — and builds a store-backed state over it.
+    pub fn open_store(config: ServiceConfig, path: impl AsRef<Path>) -> io::Result<ServiceState> {
+        Ok(ServiceState::with_store(config, Store::open(path)?))
+    }
+
+    /// True iff a persistent store is attached.
+    pub fn has_store(&self) -> bool {
+        self.store.is_some()
+    }
+
+    /// Blocks until every persistence message sent so far is applied
+    /// and fsynced. Returns `false` without a store (or if the
+    /// persister died). Tests and benchmarks use this to make "restart"
+    /// points explicit; a dropping state flushes implicitly.
+    pub fn sync_store(&self) -> bool {
+        let Some(handle) = &self.store else {
+            return false;
+        };
+        let Some(tx) = &handle.tx else { return false };
+        let (ack_tx, ack_rx) = mpsc::channel();
+        if tx.send(PersistMsg::Flush(ack_tx)).is_err() {
+            return false;
+        }
+        ack_rx.recv().is_ok()
+    }
+
+    /// Preloads the hottest stored schemas: for each, the persisted
+    /// responses (witnesses re-validated first) go into the routed
+    /// stripe's result cache, width decisions are imported into its
+    /// [`DecompCache`], and the schema is pinned. Returns how many
+    /// results were preloaded.
+    fn warm_start(&mut self, store: &mut Store) -> u64 {
+        let mut warmed = 0u64;
+        for (hash, digest) in store.hottest(self.config.warm_start) {
+            let Some(h) = store.schema_hypergraph(hash, digest) else {
+                continue;
+            };
+            if softhw_store::schema_key(&h) != (hash, digest) {
+                continue; // stored structure does not hash back: distrust it
+            }
+            let idx = (route_hash(&h) % self.stripes.len() as u64) as usize;
+            let Some(mut stripe) = self.lock_stripe(idx) else {
+                continue;
+            };
+            let mut any = false;
+            for (key, hit) in store.results_for(hash, digest) {
+                let Some(resp) = response_from_hit(&key, &hit, &h) else {
+                    continue;
+                };
+                import_decisions(&mut stripe.cache, &h, &key, &resp);
+                stripe.results.insert((hash, digest, key), resp);
+                warmed += 1;
+                any = true;
+            }
+            if any && self.config.pin_warm {
+                stripe.cache.pin(hash);
+            }
+        }
+        warmed
+    }
+}
+
+/// Mirrors a store-served response into the stripe's [`DecompCache`],
+/// so later *related* requests see exactly the decision state the
+/// solver path would have left behind — this is what keeps replayed
+/// request sets byte-identical when some requests hit the store and
+/// others (say, after a corrupted record) recompute. An exact-width
+/// answer implies the solver's sweep also rejected every smaller
+/// width, so those negative decisions are imported too. Imports
+/// re-validate witnesses themselves and never clobber live state.
+pub(crate) fn import_decisions(
+    cache: &mut DecompCache,
+    h: &Hypergraph,
+    key: &ClassKey,
+    resp: &Response,
+) {
+    let clamp = |k: u64| (k as usize).min(h.num_edges());
+    let (class, exact, k, frame) = match (key, resp) {
+        (ClassKey::Shw, Response::Width { width, td, .. }) => {
+            (SolveClass::Shw, true, *width, Some(td))
+        }
+        (ClassKey::Hw, Response::Width { width, td, .. }) => {
+            (SolveClass::Hw, true, *width, Some(td))
+        }
+        (ClassKey::ShwLeq(k), Response::Decision { td, .. }) => {
+            (SolveClass::Shw, false, clamp(*k), td.as_ref())
+        }
+        (ClassKey::HwLeq(k), Response::Decision { td, .. }) => {
+            (SolveClass::Hw, false, clamp(*k), td.as_ref())
+        }
+        _ => return, // BEST answers live in the result cache only
+    };
+    // A frame that does not decode imports nothing.
+    if let Ok(witness) = frame.map(TdFrame::to_td).transpose() {
+        cache.import(h, class, exact, k, witness);
+    }
+}
+
+fn frame_of(owned: FrameOwned) -> TdFrame {
+    TdFrame {
+        universe: owned.universe,
+        snapshot: owned.snapshot,
+        nodes: owned.nodes,
+    }
+}
+
+/// Rebuilds the exact [`Response`] a stored hit represents —
+/// **re-validating every witness against the schema first**. A hit
+/// whose shape does not match its key, whose frame does not decode,
+/// or whose witness fails validation yields `None`: the store entry is
+/// rejected and the request recomputes cold (identical answer, fresh
+/// record).
+pub(crate) fn response_from_hit(
+    key: &ClassKey,
+    hit: &StoreHit,
+    h: &Hypergraph,
+) -> Option<Response> {
+    let validated = |owned: &FrameOwned| -> Option<TdFrame> {
+        let frame = frame_of(owned.clone());
+        let td = frame.to_td().ok()?;
+        td.validate(h).ok()?;
+        Some(frame)
+    };
+    // hw witnesses additionally need width-k edge covers to exist
+    // (one decode + validation total).
+    let validated_hw = |owned: &FrameOwned, k: usize| -> Option<TdFrame> {
+        let frame = frame_of(owned.clone());
+        let td = frame.to_td().ok()?;
+        td.validate(h).ok()?;
+        Ghd::from_td(h, td, k)?;
+        Some(frame)
+    };
+    let decision = |class: &str, k: usize, td: Option<TdFrame>| Response::Decision {
+        class: class.into(),
+        fields: hit.fields.clone(),
+        k,
+        td,
+    };
+    Some(match (key, &hit.answer) {
+        (ClassKey::Shw, HitAnswer::Width { width, frame }) => Response::Width {
+            class: "SHW".into(),
+            width: *width,
+            td: validated(frame)?,
+        },
+        (ClassKey::Hw, HitAnswer::Width { width, frame }) => Response::Width {
+            class: "HW".into(),
+            width: *width,
+            td: validated_hw(frame, *width)?,
+        },
+        (ClassKey::ShwLeq(k), HitAnswer::Yes(frame)) => {
+            decision("SHW_LEQ", *k as usize, Some(validated(frame)?))
+        }
+        (ClassKey::ShwLeq(k), HitAnswer::No) => decision("SHW_LEQ", *k as usize, None),
+        (ClassKey::HwLeq(k), HitAnswer::Yes(frame)) => decision(
+            "HW_LEQ",
+            *k as usize,
+            Some(validated_hw(frame, (*k as usize).min(h.num_edges()))?),
+        ),
+        (ClassKey::HwLeq(k), HitAnswer::No) => decision("HW_LEQ", *k as usize, None),
+        (
+            ClassKey::BestTrivial(k) | ClassKey::BestConCov(k) | ClassKey::BestShallow { k, .. },
+            HitAnswer::Yes(frame),
+        ) => decision("BEST", *k as usize, Some(validated(frame)?)),
+        (
+            ClassKey::BestTrivial(k) | ClassKey::BestConCov(k) | ClassKey::BestShallow { k, .. },
+            HitAnswer::No,
+        ) => decision("BEST", *k as usize, None),
+        _ => return None, // shape does not match the key: reject
+    })
+}
+
+/// The write-behind message for a fresh cacheable response (`None` for
+/// responses that are not persisted: errors, stats).
+pub(crate) fn persist_msg(h: &Hypergraph, key: ClassKey, resp: &Response) -> Option<PersistMsg> {
+    let (fields, answer) = match resp {
+        Response::Width { width, td, .. } => (
+            Vec::new(),
+            OwnedAnswer::Width {
+                width: *width,
+                frame: td.clone(),
+            },
+        ),
+        Response::Decision { fields, td, .. } => (
+            fields.clone(),
+            match td {
+                Some(td) => OwnedAnswer::Yes(td.clone()),
+                None => OwnedAnswer::No,
+            },
+        ),
+        _ => return None,
+    };
+    Some(PersistMsg::Put(Box::new(PutPayload {
+        schema: h.clone(),
+        key,
+        fields,
+        answer,
+    })))
+}

@@ -45,25 +45,21 @@
 //! generation limits, and internal inconsistencies all map to `ERR`
 //! responses.
 
+use crate::metrics::{ServiceObs, StripeMirror};
+use crate::persist::{import_decisions, persist_msg, response_from_hit, StoreHandle};
 use crate::wire::{BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame, WireRequest};
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};
 use softhw_core::ctd_opt::best_on;
 use softhw_core::error::DecompError;
-use softhw_core::ghd::Ghd;
 use softhw_core::soft::SoftLimits;
-use softhw_core::{Budget, DecompCache, SolveClass, SolveSpec, Solved, TreeDecomposition};
+use softhw_core::{Budget, DecompCache, SolveSpec, Solved, TreeDecomposition};
 use softhw_hypergraph::cache::canonical_form;
 use softhw_hypergraph::fxhash::hash_u64s;
-use softhw_hypergraph::{parse_hypergraph, stats, FxHashMap, Hypergraph};
-use softhw_obs::{stage, Histogram, SlowEntry, SlowRing};
-use softhw_store::{
-    schema_digest, ClassKey, FrameOwned, FrameRef, HitAnswer, PutAnswer, Store, StoreHit,
-};
-use std::io;
-use std::path::Path;
+use softhw_hypergraph::{parse_hypergraph, FxHashMap, Hypergraph};
+use softhw_obs::stage;
+use softhw_store::{schema_digest, ClassKey};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs of a [`ServiceState`].
@@ -124,80 +120,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How many slow-query span trees the ring retains (oldest evicted
-/// first; the total recorded count keeps growing past this).
-const SLOW_RING_CAP: usize = 64;
-
-/// Request classes the per-class latency histograms and
-/// `softhw_requests_total` counters are keyed by, in exposition order.
-const OBS_CLASSES: [&str; 10] = [
-    "SHW", "SHW_LEQ", "HW", "HW_LEQ", "BEST", "STATS", "BATCH", "HELLO", "METRICS", "SLOW",
-];
-
-fn obs_class_index(name: &str) -> Option<usize> {
-    OBS_CLASSES.iter().position(|c| *c == name)
-}
-
-/// Per-state observability registry: one latency histogram per request
-/// class, one duration histogram per pipeline stage, batch-size and
-/// pipeline-depth histograms, and the slow-query ring. Lives inside
-/// [`ServiceState`] (not a global) so twin servers in one process —
-/// the determinism property tests — cannot observe each other; the
-/// only global is `softhw_obs`'s span fast-path gate.
-struct ServiceObs {
-    enabled: bool,
-    slow_ms: Option<u64>,
-    latency: [Histogram; OBS_CLASSES.len()],
-    stages: Vec<Histogram>,
-    batch_sizes: Histogram,
-    pipeline_depths: Histogram,
-    slow: Mutex<SlowRing>,
-    /// Mints trace ids for entry points the event loop did not tag
-    /// (embedded/test callers); the high bit separates them from
-    /// loop-minted `(conn_id << 32) | seq` ids.
-    trace_seq: AtomicU64,
-}
-
-impl ServiceObs {
-    fn new(config: &ServiceConfig) -> ServiceObs {
-        ServiceObs {
-            enabled: config.obs_enabled,
-            slow_ms: config.slow_ms,
-            latency: std::array::from_fn(|_| Histogram::new()),
-            stages: stage::ALL.iter().map(|_| Histogram::new()).collect(),
-            batch_sizes: Histogram::new(),
-            pipeline_depths: Histogram::new(),
-            slow: Mutex::new(SlowRing::new(SLOW_RING_CAP)),
-            trace_seq: AtomicU64::new(0),
-        }
-    }
-
-    /// Begins a trace for one request on this worker thread. Returns
-    /// whether this call owns the trace (a `BATCH` item running inside
-    /// its batch's trace does not — its spans nest into the batch
-    /// tree).
-    fn begin(&self, trace: Option<u64>) -> bool {
-        if !self.enabled || !softhw_obs::enabled() || softhw_obs::trace_active() {
-            return false;
-        }
-        let id = trace
-            .unwrap_or_else(|| self.trace_seq.fetch_add(1, Ordering::Relaxed) | (1u64 << 63));
-        softhw_obs::begin_trace(id);
-        true
-    }
-
-    fn observe_stage(&self, name: &str, micros: u64) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(i) = stage::index_of(name) {
-            if let Some(h) = self.stages.get(i) {
-                h.observe(micros);
-            }
-        }
-    }
-}
-
 /// What travels with a request frame into [`ServiceState::handle`]
 /// besides the frame itself. The default — no tag, a budget derived
 /// from the frame's own `DEADLINE`, a locally minted trace id — is what
@@ -224,12 +146,12 @@ pub const BUSY_RETRY_MS: u64 = 100;
 /// `(structural hash, canonical digest, request class)`. Lives inside a
 /// stripe, so its hit/miss history is as deterministic as the stripe's
 /// request order.
-struct ResultCache {
+pub(crate) struct ResultCache {
     capacity: usize,
     map: FxHashMap<(u64, u64, ClassKey), (u64, Response)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
 }
 
 impl ResultCache {
@@ -258,7 +180,7 @@ impl ResultCache {
         }
     }
 
-    fn insert(&mut self, key: (u64, u64, ClassKey), resp: Response) {
+    pub(crate) fn insert(&mut self, key: (u64, u64, ClassKey), resp: Response) {
         if self.capacity == 0 {
             return;
         }
@@ -279,208 +201,40 @@ impl ResultCache {
     }
 }
 
-struct Stripe {
-    cache: DecompCache,
-    results: ResultCache,
+pub(crate) struct Stripe {
+    pub(crate) cache: DecompCache,
+    pub(crate) results: ResultCache,
     /// Tags of the requests this stripe processed, in lock order — the
     /// linearisation record the concurrency property test replays.
     log: Vec<u64>,
 }
 
-/// Lock-free mirror of one stripe's counters, refreshed after every
-/// request the stripe serves, so `STATS`/`METRICS` handlers on other
-/// stripes report all of them without taking this stripe's lock. These
-/// are cross-stripe *observability* values, not part of any response
-/// determinism contract.
-#[derive(Default)]
-struct StripeMirror {
-    /// Requests routed to the stripe (monotonic, bumped before its lock
-    /// is taken).
-    load: AtomicU64,
-    /// The stripe's `DecompCache` eviction counter.
-    evictions: AtomicU64,
-    /// The stripe's result-cache hit/miss counters.
-    result_hits: AtomicU64,
-    result_misses: AtomicU64,
-    /// The stripe's approximate cache heap bytes and tracked-schema
-    /// count (the two halves of `bytes_per_cached_schema`).
-    bytes: AtomicU64,
-    tracked: AtomicU64,
-}
-
-impl StripeMirror {
-    fn record(&self, stripe: &Stripe) {
-        let set = |counter: &AtomicU64, value: u64| counter.store(value, Ordering::Relaxed);
-        set(&self.evictions, stripe.cache.stats().evictions);
-        set(&self.result_hits, stripe.results.hits);
-        set(&self.result_misses, stripe.results.misses);
-        set(&self.bytes, stripe.cache.approx_bytes());
-        set(&self.tracked, stripe.cache.tracked_graphs() as u64);
-    }
-}
-
-/// A persistence message on the write-behind channel (the put payload
-/// is boxed: it carries a whole schema + witness frame, and the
-/// channel also ferries tiny flush requests).
-enum PersistMsg {
-    Put(Box<PutPayload>),
-    Flush(mpsc::Sender<()>),
-}
-
-struct PutPayload {
-    schema: Hypergraph,
-    key: ClassKey,
-    fields: Vec<(String, String)>,
-    answer: OwnedAnswer,
-}
-
-enum OwnedAnswer {
-    No,
-    Yes(TdFrame),
-    Width { width: usize, frame: TdFrame },
-}
-
-/// The store attachment: the shared store, its service-side counters,
-/// and the write-behind persister thread. Dropping the handle closes
-/// the channel, joins the persister (which drains and fsyncs first),
-/// so a clean shutdown loses nothing that was handed to the channel.
-struct StoreHandle {
-    store: Arc<Mutex<Store>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Store entries that failed witness re-validation (served cold
-    /// instead — never trusted).
-    invalid: AtomicU64,
-    /// Results preloaded into the caches at boot.
-    warmed: AtomicU64,
-    /// Write-behind puts that failed at the disk layer.
-    put_errors: Arc<AtomicU64>,
-    tx: Option<mpsc::Sender<PersistMsg>>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl Drop for StoreHandle {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // close the channel: persister drains + syncs
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-/// How many puts the persister applies between fsyncs when the channel
-/// stays busy (it always syncs once its queue momentarily drains).
-const FSYNC_BATCH: usize = 64;
-
-fn lock_store(s: &Mutex<Store>) -> std::sync::MutexGuard<'_, Store> {
-    s.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn frame_ref(f: &TdFrame) -> FrameRef<'_> {
-    FrameRef {
-        universe: f.universe,
-        snapshot: &f.snapshot,
-        nodes: &f.nodes,
-    }
-}
-
-fn persister(store: Arc<Mutex<Store>>, rx: mpsc::Receiver<PersistMsg>, errors: Arc<AtomicU64>) {
-    let mut dirty = 0usize;
-    let apply = |msg: PersistMsg, dirty: &mut usize| match msg {
-        PersistMsg::Put(put) => {
-            let PutPayload {
-                schema,
-                key,
-                fields,
-                answer,
-            } = *put;
-            let result = match &answer {
-                OwnedAnswer::No => lock_store(&store).put(&schema, key, &fields, PutAnswer::No),
-                OwnedAnswer::Yes(frame) => {
-                    lock_store(&store).put(&schema, key, &fields, PutAnswer::Yes(frame_ref(frame)))
-                }
-                OwnedAnswer::Width { width, frame } => lock_store(&store).put(
-                    &schema,
-                    key,
-                    &fields,
-                    PutAnswer::Width {
-                        width: *width,
-                        frame: frame_ref(frame),
-                    },
-                ),
-            };
-            match result {
-                Ok(()) => *dirty += 1,
-                Err(_) => {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        PersistMsg::Flush(ack) => {
-            if sync_unlocked(&store).is_err() {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-            *dirty = 0;
-            let _ = ack.send(());
-        }
-    };
-    loop {
-        // Block for the next message, then drain whatever else is
-        // already queued: one fsync covers the whole batch.
-        let Ok(first) = rx.recv() else { break };
-        apply(first, &mut dirty);
-        while dirty < FSYNC_BATCH {
-            match rx.try_recv() {
-                Ok(msg) => apply(msg, &mut dirty),
-                Err(_) => break,
-            }
-        }
-        if dirty > 0 {
-            if sync_unlocked(&store).is_err() {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-            dirty = 0;
-        }
-    }
-    // Channel closed (state dropped): final sync for durability.
-    let _ = sync_unlocked(&store);
-}
-
-/// Fsyncs the store log *without* holding its lock: the handle clone is
-/// taken under the lock (cheap), the disk flush happens outside it, so
-/// request handlers probing the store index never queue behind an
-/// in-progress fsync batch.
-fn sync_unlocked(store: &Arc<Mutex<Store>>) -> io::Result<()> {
-    let handle = lock_store(store).sync_handle()?;
-    handle.sync_data()
-}
-
 /// Shared, thread-safe service state: the striped cache bank plus the
 /// optional persistent store.
 pub struct ServiceState {
-    config: ServiceConfig,
-    stripes: Vec<Mutex<Stripe>>,
+    pub(crate) config: ServiceConfig,
+    pub(crate) stripes: Vec<Mutex<Stripe>>,
     /// One lock-free counter mirror per stripe, index-aligned with
     /// `stripes`.
-    mirrors: Vec<StripeMirror>,
+    pub(crate) mirrors: Vec<StripeMirror>,
     /// Requests whose compute deadline expired (answered `TIMEOUT`).
-    deadline_timeouts: AtomicU64,
+    pub(crate) deadline_timeouts: AtomicU64,
     /// Requests shed before any work — queue-full `BUSY` responses
     /// (reported by the server via [`ServiceState::note_busy_shed`])
     /// plus requests cancelled mid-flight by a draining server.
-    busy_sheds: AtomicU64,
+    pub(crate) busy_sheds: AtomicU64,
     /// Connections currently open on the serving event loop (reported
     /// by the server via [`ServiceState::note_conn_opened`] /
     /// [`ServiceState::note_conn_closed`]).
-    conns_active: AtomicU64,
+    pub(crate) conns_active: AtomicU64,
     /// High-water mark of requests in flight on a single connection —
     /// how deep clients actually pipeline.
-    pipelined_depth: AtomicU64,
+    pub(crate) pipelined_depth: AtomicU64,
     /// `BATCH` frames served (each counts once, however many items it
     /// carried).
-    batch_requests: AtomicU64,
-    obs: ServiceObs,
-    store: Option<StoreHandle>,
+    pub(crate) batch_requests: AtomicU64,
+    pub(crate) obs: ServiceObs,
+    pub(crate) store: Option<StoreHandle>,
 }
 
 impl ServiceState {
@@ -512,102 +266,13 @@ impl ServiceState {
         }
     }
 
-    /// State backed by an open [`Store`]: warm-starts the stripe caches
-    /// from the hottest `config.warm_start` schemas (pinning them if
-    /// `config.pin_warm`), then spawns the write-behind persister.
-    pub fn with_store(config: ServiceConfig, mut store: Store) -> ServiceState {
-        let mut state = ServiceState::new(config);
-        let warmed = state.warm_start(&mut store);
-        let put_errors = Arc::new(AtomicU64::new(0));
-        let store = Arc::new(Mutex::new(store));
-        let (tx, rx) = mpsc::channel();
-        let join = {
-            let store = Arc::clone(&store);
-            let errors = Arc::clone(&put_errors);
-            std::thread::spawn(move || persister(store, rx, errors))
-        };
-        state.store = Some(StoreHandle {
-            store,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalid: AtomicU64::new(0),
-            warmed: AtomicU64::new(warmed),
-            put_errors,
-            tx: Some(tx),
-            join: Some(join),
-        });
-        state
-    }
-
-    /// Opens (or creates) the store at `path` — with torn-tail
-    /// recovery — and builds a store-backed state over it.
-    pub fn open_store(config: ServiceConfig, path: impl AsRef<Path>) -> io::Result<ServiceState> {
-        Ok(ServiceState::with_store(config, Store::open(path)?))
-    }
-
-    /// True iff a persistent store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// Blocks until every persistence message sent so far is applied
-    /// and fsynced. Returns `false` without a store (or if the
-    /// persister died). Tests and benchmarks use this to make "restart"
-    /// points explicit; a dropping state flushes implicitly.
-    pub fn sync_store(&self) -> bool {
-        let Some(handle) = &self.store else {
-            return false;
-        };
-        let Some(tx) = &handle.tx else { return false };
-        let (ack_tx, ack_rx) = mpsc::channel();
-        if tx.send(PersistMsg::Flush(ack_tx)).is_err() {
-            return false;
-        }
-        ack_rx.recv().is_ok()
-    }
-
     /// Locks the stripe `idx` routes to. `idx` is always
     /// `route_hash % stripes.len()` so it is in range by construction,
     /// but the request path must stay panic-free, so out-of-range
     /// degrades to `None` instead of indexing.
-    fn lock_stripe(&self, idx: usize) -> Option<std::sync::MutexGuard<'_, Stripe>> {
+    pub(crate) fn lock_stripe(&self, idx: usize) -> Option<std::sync::MutexGuard<'_, Stripe>> {
         let stripe = self.stripes.get(idx)?;
         Some(stripe.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Preloads the hottest stored schemas: for each, the persisted
-    /// responses (witnesses re-validated first) go into the routed
-    /// stripe's result cache, width decisions are imported into its
-    /// [`DecompCache`], and the schema is pinned. Returns how many
-    /// results were preloaded.
-    fn warm_start(&mut self, store: &mut Store) -> u64 {
-        let mut warmed = 0u64;
-        for (hash, digest) in store.hottest(self.config.warm_start) {
-            let Some(h) = store.schema_hypergraph(hash, digest) else {
-                continue;
-            };
-            if softhw_store::schema_key(&h) != (hash, digest) {
-                continue; // stored structure does not hash back: distrust it
-            }
-            let idx = (route_hash(&h) % self.stripes.len() as u64) as usize;
-            let Some(mut stripe) = self.lock_stripe(idx) else {
-                continue;
-            };
-            let mut any = false;
-            for (key, hit) in store.results_for(hash, digest) {
-                let Some(resp) = response_from_hit(&key, &hit, &h) else {
-                    continue;
-                };
-                import_decisions(&mut stripe.cache, &h, &key, &resp);
-                stripe.results.insert((hash, digest, key), resp);
-                warmed += 1;
-                any = true;
-            }
-            if any && self.config.pin_warm {
-                stripe.cache.pin(hash);
-            }
-        }
-        warmed
     }
 
     /// The configuration this state was created with.
@@ -692,94 +357,6 @@ impl ServiceState {
         match deadline_ms.or(self.config.default_deadline_ms) {
             Some(ms) => Budget::with_deadline(std::time::Duration::from_millis(ms)),
             None => Budget::cancellable(),
-        }
-    }
-
-    /// Records a request shed by the server's bounded work queue (the
-    /// `BUSY` fast path never reaches a handler, so the server reports
-    /// it here for `STATS`).
-    pub fn note_busy_shed(&self) {
-        self.busy_sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection accepted by the server (`conns_active` in
-    /// `STATS`).
-    pub fn note_conn_opened(&self) {
-        self.conns_active.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a connection closed by the server.
-    pub fn note_conn_closed(&self) {
-        // Saturating: a miscounting caller must not wrap to 2^64.
-        let _ = self
-            .conns_active
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                Some(n.saturating_sub(1))
-            });
-    }
-
-    /// Records the number of requests in flight on one connection;
-    /// `STATS` reports the high-water mark across all connections,
-    /// `METRICS` the full depth histogram.
-    pub fn note_pipeline_depth(&self, depth: u64) {
-        self.pipelined_depth.fetch_max(depth, Ordering::Relaxed);
-        if self.obs.enabled {
-            self.obs.pipeline_depths.observe(depth);
-        }
-    }
-
-    /// Records how long a decoded request waited in the ready-request
-    /// queue before a worker picked it up (reported by the worker pool;
-    /// atomic increments only).
-    pub fn note_queue_wait(&self, micros: u64) {
-        self.obs.observe_stage(stage::QUEUE_WAIT, micros);
-    }
-
-    /// Records how long a completed response dwelt in its connection's
-    /// reorder buffer before it could be flushed in request order
-    /// (reported by the event loop; atomic increments only — safe to
-    /// call from the non-blocking loop).
-    pub fn note_reorder_dwell(&self, micros: u64) {
-        self.obs.observe_stage(stage::REORDER_DWELL, micros);
-    }
-
-    /// Folds one finished request into the observability registry; the
-    /// mirror of [`ServiceState::handle`]'s `begin`.
-    fn finish_request(&self, class: &'static str, started: Instant, owns_trace: bool) {
-        if !self.obs.enabled {
-            return;
-        }
-        let total_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        if let Some(i) = obs_class_index(class) {
-            if let Some(h) = self.obs.latency.get(i) {
-                h.observe(total_us);
-            }
-        }
-        if !owns_trace {
-            return;
-        }
-        let Some(trace) = softhw_obs::end_trace() else {
-            return;
-        };
-        for r in &trace.records {
-            self.obs.observe_stage(r.stage, r.dur_us);
-        }
-        if self
-            .obs
-            .slow_ms
-            .is_some_and(|ms| total_us >= ms.saturating_mul(1000))
-        {
-            let entry = SlowEntry {
-                trace_id: trace.trace_id,
-                class: class.to_string(),
-                total_us,
-                records: trace.records,
-            };
-            self.obs
-                .slow
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(entry);
         }
     }
 
@@ -943,7 +520,7 @@ impl ServiceState {
             RequestClass::ShwLeq(k) => (SolveSpec::shw_leq(clamp(k)), Some(k)),
             RequestClass::Hw => (SolveSpec::hw(), None),
             RequestClass::HwLeq(k) => (SolveSpec::hw_leq(clamp(k)), Some(k)),
-            RequestClass::Best(eval, k) => return self.best(eval, k, clamp(k), h, stripe, budget),
+            RequestClass::Best(eval, k) => return self.best(eval, k, h, stripe, budget),
             RequestClass::Stats => return self.stats_response(h, idx, stripe),
             // The three schema-free classes are served before schema
             // parsing in `handle_inner`; kept for match exhaustiveness.
@@ -994,7 +571,6 @@ impl ServiceState {
         &self,
         eval: EvalKind,
         k: usize,
-        width: usize,
         h: &Hypergraph,
         stripe: &mut Stripe,
         budget: &Budget,
@@ -1002,6 +578,8 @@ impl ServiceState {
         if k == 0 {
             return Response::error("request", "width must be >= 1");
         }
+        // The computation width, clamped as in `dispatch`.
+        let width = k.min(h.num_edges());
         let inst = match stripe
             .cache
             .soft_instance(h, width, &self.config.limits, budget)
@@ -1025,259 +603,6 @@ impl ServiceState {
             td: best.map(|td| TdFrame::from_td(&td, h.num_vertices())),
         }
     }
-
-    /// Assembles the `STATS` response: structural stats and the routed
-    /// stripe's solver-cache counters (deterministic per stripe
-    /// history), then the cross-stripe observability rows — per-stripe
-    /// load, eviction counts, result-cache hit/miss — and, when a store
-    /// is attached, the store hit/size rows. The frame stays
-    /// backward-parseable: old clients read `key=value` fields
-    /// generically and simply see more of them.
-    fn stats_response(&self, h: &Hypergraph, idx: usize, stripe: &mut Stripe) -> Response {
-        let s = stats::stats(h);
-        let c = stripe.cache.stats();
-        // What the reduce-before-solve pipeline does to this schema.
-        // Reported identically with and without `--no-reduce` (the
-        // reduction is computed either way; the flag only stops the
-        // solvers from acting on it), so answers stay byte-comparable
-        // across the two modes.
-        let red = stripe.cache.reduction(h);
-        let list = |counter: fn(&StripeMirror) -> &AtomicU64| {
-            let per_stripe = self.mirrors.iter();
-            per_stripe
-                .map(|m| counter(m).load(Ordering::Relaxed).to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let mut fields = vec![
-            ("vertices".to_string(), s.num_vertices.to_string()),
-            ("edges".to_string(), s.num_edges.to_string()),
-            ("max_arity".to_string(), s.max_arity.to_string()),
-            ("components".to_string(), s.components.to_string()),
-            (
-                "reduce_edges_dropped".to_string(),
-                red.stats.edges_dropped.to_string(),
-            ),
-            (
-                "reduce_vertices_peeled".to_string(),
-                red.stats.vertices_peeled.to_string(),
-            ),
-            (
-                "reduce_components".to_string(),
-                red.stats.components.to_string(),
-            ),
-            (
-                "tracked".to_string(),
-                stripe.cache.tracked_graphs().to_string(),
-            ),
-            ("result_hits".to_string(), c.result_hits.to_string()),
-            ("evictions".to_string(), c.evictions.to_string()),
-            ("stripe".to_string(), idx.to_string()),
-            (
-                "pinned".to_string(),
-                stripe.cache.pinned_count().to_string(),
-            ),
-            ("stripe_load".to_string(), list(|m| &m.load)),
-            ("stripe_evictions".to_string(), list(|m| &m.evictions)),
-            ("result_cache_hits".to_string(), list(|m| &m.result_hits)),
-            (
-                "result_cache_misses".to_string(),
-                list(|m| &m.result_misses),
-            ),
-        ];
-        // The registry-backed service counters: one source of truth
-        // shared with the `METRICS` exposition, so the two can never
-        // drift.
-        for m in self.metric_registry() {
-            fields.push((m.stats_row.to_string(), m.value.to_string()));
-        }
-        if let Some(handle) = &self.store {
-            let st = handle
-                .store
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .stats();
-            let rows = [
-                ("store_hits", handle.hits.load(Ordering::Relaxed)),
-                ("store_misses", handle.misses.load(Ordering::Relaxed)),
-                ("store_invalid", handle.invalid.load(Ordering::Relaxed)),
-                ("store_warmed", handle.warmed.load(Ordering::Relaxed)),
-                (
-                    "store_put_errors",
-                    handle.put_errors.load(Ordering::Relaxed),
-                ),
-                ("store_schemas", st.schemas as u64),
-                ("store_results", st.results as u64),
-                ("store_dict_bags", st.dict_bags as u64),
-                ("store_bytes", st.bytes),
-                ("store_recovered_bytes", st.recovered_bytes),
-            ];
-            for (k, v) in rows {
-                fields.push((k.to_string(), v.to_string()));
-            }
-        }
-        Response::Stats { fields }
-    }
-
-    /// The central metric registry: every cross-stripe service counter
-    /// with both its `METRICS` exposition name and its `STATS` row
-    /// name, read from one place. [`ServiceState::stats_response`] and
-    /// [`ServiceState::metrics_response`] both iterate this list, so a
-    /// counter cannot appear in one surface with a different value (or
-    /// not at all) in the other.
-    fn metric_registry(&self) -> Vec<Metric> {
-        let m = |name, stats_row, kind, value| Metric {
-            name,
-            stats_row,
-            kind,
-            value,
-        };
-        vec![
-            m(
-                "softhw_deadline_timeouts_total",
-                "deadline_timeout",
-                MetricKind::Counter,
-                self.deadline_timeouts.load(Ordering::Relaxed),
-            ),
-            m(
-                "softhw_busy_sheds_total",
-                "busy_shed",
-                MetricKind::Counter,
-                self.busy_sheds.load(Ordering::Relaxed),
-            ),
-            m(
-                "softhw_conns_active",
-                "conns_active",
-                MetricKind::Gauge,
-                self.conns_active.load(Ordering::Relaxed),
-            ),
-            m(
-                "softhw_pipelined_depth_max",
-                "pipelined_depth",
-                MetricKind::Gauge,
-                self.pipelined_depth.load(Ordering::Relaxed),
-            ),
-            m(
-                "softhw_batch_requests_total",
-                "batch_requests",
-                MetricKind::Counter,
-                self.batch_requests.load(Ordering::Relaxed),
-            ),
-            m(
-                "softhw_bytes_per_cached_schema",
-                "bytes_per_cached_schema",
-                MetricKind::Gauge,
-                self.bytes_per_cached_schema(),
-            ),
-        ]
-    }
-
-    /// Approximate cache heap bytes per tracked schema, summed across
-    /// the stripe mirrors (`0` with nothing cached). The succinctness
-    /// headline stat: how much memory one warm schema costs.
-    fn bytes_per_cached_schema(&self) -> u64 {
-        let sum = |counter: fn(&StripeMirror) -> &AtomicU64| -> u64 {
-            let per_stripe = self.mirrors.iter();
-            per_stripe.map(|m| counter(m).load(Ordering::Relaxed)).sum()
-        };
-        let (bytes, tracked) = (sum(|m| &m.bytes), sum(|m| &m.tracked));
-        if tracked == 0 {
-            0
-        } else {
-            bytes / tracked
-        }
-    }
-
-    /// Assembles the `METRICS` exposition: the registry counters and
-    /// gauges, per-class request counts and latency histograms,
-    /// per-stage duration histograms, batch-size and pipeline-depth
-    /// histograms, and the slow-query totals. Stable Prometheus-style
-    /// text; every metric family carries one `# TYPE` header.
-    fn metrics_response(&self) -> Response {
-        let obs = &self.obs;
-        let mut lines: Vec<String> = Vec::new();
-        for m in self.metric_registry() {
-            match m.kind {
-                MetricKind::Counter => softhw_obs::expose_counter(&mut lines, m.name, m.value),
-                MetricKind::Gauge => softhw_obs::expose_gauge(&mut lines, m.name, m.value),
-            }
-        }
-        lines.push("# TYPE softhw_requests_total counter".to_string());
-        for (i, class) in OBS_CLASSES.iter().enumerate() {
-            let count = obs.latency.get(i).map_or(0, Histogram::count);
-            lines.push(format!("softhw_requests_total{{class=\"{class}\"}} {count}"));
-        }
-        for (i, class) in OBS_CLASSES.iter().enumerate() {
-            let snap = obs.latency.get(i).map(Histogram::snapshot).unwrap_or_default();
-            softhw_obs::expose_histogram(
-                &mut lines,
-                "softhw_request_duration_us",
-                &format!("class=\"{class}\""),
-                &snap,
-                i == 0,
-            );
-        }
-        for (i, name) in stage::ALL.iter().enumerate() {
-            let snap = obs.stages.get(i).map(Histogram::snapshot).unwrap_or_default();
-            softhw_obs::expose_histogram(
-                &mut lines,
-                "softhw_stage_duration_us",
-                &format!("stage=\"{name}\""),
-                &snap,
-                i == 0,
-            );
-        }
-        softhw_obs::expose_histogram(
-            &mut lines,
-            "softhw_batch_size",
-            "",
-            &obs.batch_sizes.snapshot(),
-            true,
-        );
-        softhw_obs::expose_histogram(
-            &mut lines,
-            "softhw_pipeline_depth",
-            "",
-            &obs.pipeline_depths.snapshot(),
-            true,
-        );
-        let slow = obs.slow.lock().unwrap_or_else(PoisonError::into_inner);
-        softhw_obs::expose_counter(&mut lines, "softhw_slow_queries_total", slow.recorded());
-        drop(slow);
-        softhw_obs::expose_gauge(&mut lines, "softhw_obs_enabled", obs.enabled as u64);
-        Response::Metrics { lines }
-    }
-
-    /// Renders the retained slow-query span trees (`STATS SLOW`),
-    /// oldest first. Also used by `softhw-serve`'s shutdown dump.
-    pub fn slow_log(&self) -> Vec<String> {
-        self.obs
-            .slow
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .render()
-    }
-
-    fn slow_response(&self) -> Response {
-        Response::Slow {
-            lines: self.slow_log(),
-        }
-    }
-}
-
-/// One registry entry: a service counter under both of its names.
-struct Metric {
-    /// `METRICS` exposition name (`softhw_…`).
-    name: &'static str,
-    /// `STATS` row name.
-    stats_row: &'static str,
-    kind: MetricKind,
-    value: u64,
-}
-
-enum MetricKind {
-    Counter,
-    Gauge,
 }
 
 /// Stripe-routing hash: computed over the canonical forms of the
@@ -1289,7 +614,7 @@ enum MetricKind {
 /// schemas must never serve each other's frames). Routing is
 /// independent of `--no-reduce`, so answers can be compared across
 /// modes stripe for stripe.
-fn route_hash(h: &Hypergraph) -> u64 {
+pub(crate) fn route_hash(h: &Hypergraph) -> u64 {
     let red = softhw_hypergraph::reduce(h);
     let mut words: Vec<u64> = Vec::new();
     for piece in &red.pieces {
@@ -1319,134 +644,6 @@ fn class_key(class: RequestClass) -> Option<ClassKey> {
     })
 }
 
-/// Mirrors a store-served response into the stripe's [`DecompCache`],
-/// so later *related* requests see exactly the decision state the
-/// solver path would have left behind — this is what keeps replayed
-/// request sets byte-identical when some requests hit the store and
-/// others (say, after a corrupted record) recompute. An exact-width
-/// answer implies the solver's sweep also rejected every smaller
-/// width, so those negative decisions are imported too. Imports
-/// re-validate witnesses themselves and never clobber live state.
-fn import_decisions(cache: &mut DecompCache, h: &Hypergraph, key: &ClassKey, resp: &Response) {
-    let clamp = |k: u64| (k as usize).min(h.num_edges());
-    let (class, exact, k, frame) = match (key, resp) {
-        (ClassKey::Shw, Response::Width { width, td, .. }) => {
-            (SolveClass::Shw, true, *width, Some(td))
-        }
-        (ClassKey::Hw, Response::Width { width, td, .. }) => {
-            (SolveClass::Hw, true, *width, Some(td))
-        }
-        (ClassKey::ShwLeq(k), Response::Decision { td, .. }) => {
-            (SolveClass::Shw, false, clamp(*k), td.as_ref())
-        }
-        (ClassKey::HwLeq(k), Response::Decision { td, .. }) => {
-            (SolveClass::Hw, false, clamp(*k), td.as_ref())
-        }
-        _ => return, // BEST answers live in the result cache only
-    };
-    // A frame that does not decode imports nothing.
-    if let Ok(witness) = frame.map(TdFrame::to_td).transpose() {
-        cache.import(h, class, exact, k, witness);
-    }
-}
-
-fn frame_of(owned: FrameOwned) -> TdFrame {
-    TdFrame {
-        universe: owned.universe,
-        snapshot: owned.snapshot,
-        nodes: owned.nodes,
-    }
-}
-
-/// Rebuilds the exact [`Response`] a stored hit represents —
-/// **re-validating every witness against the schema first**. A hit
-/// whose shape does not match its key, whose frame does not decode,
-/// or whose witness fails validation yields `None`: the store entry is
-/// rejected and the request recomputes cold (identical answer, fresh
-/// record).
-fn response_from_hit(key: &ClassKey, hit: &StoreHit, h: &Hypergraph) -> Option<Response> {
-    let validated = |owned: &FrameOwned| -> Option<TdFrame> {
-        let frame = frame_of(owned.clone());
-        let td = frame.to_td().ok()?;
-        td.validate(h).ok()?;
-        Some(frame)
-    };
-    // hw witnesses additionally need width-k edge covers to exist
-    // (one decode + validation total).
-    let validated_hw = |owned: &FrameOwned, k: usize| -> Option<TdFrame> {
-        let frame = frame_of(owned.clone());
-        let td = frame.to_td().ok()?;
-        td.validate(h).ok()?;
-        Ghd::from_td(h, td, k)?;
-        Some(frame)
-    };
-    let decision = |class: &str, k: usize, td: Option<TdFrame>| Response::Decision {
-        class: class.into(),
-        fields: hit.fields.clone(),
-        k,
-        td,
-    };
-    Some(match (key, &hit.answer) {
-        (ClassKey::Shw, HitAnswer::Width { width, frame }) => Response::Width {
-            class: "SHW".into(),
-            width: *width,
-            td: validated(frame)?,
-        },
-        (ClassKey::Hw, HitAnswer::Width { width, frame }) => Response::Width {
-            class: "HW".into(),
-            width: *width,
-            td: validated_hw(frame, *width)?,
-        },
-        (ClassKey::ShwLeq(k), HitAnswer::Yes(frame)) => {
-            decision("SHW_LEQ", *k as usize, Some(validated(frame)?))
-        }
-        (ClassKey::ShwLeq(k), HitAnswer::No) => decision("SHW_LEQ", *k as usize, None),
-        (ClassKey::HwLeq(k), HitAnswer::Yes(frame)) => decision(
-            "HW_LEQ",
-            *k as usize,
-            Some(validated_hw(frame, (*k as usize).min(h.num_edges()))?),
-        ),
-        (ClassKey::HwLeq(k), HitAnswer::No) => decision("HW_LEQ", *k as usize, None),
-        (
-            ClassKey::BestTrivial(k) | ClassKey::BestConCov(k) | ClassKey::BestShallow { k, .. },
-            HitAnswer::Yes(frame),
-        ) => decision("BEST", *k as usize, Some(validated(frame)?)),
-        (
-            ClassKey::BestTrivial(k) | ClassKey::BestConCov(k) | ClassKey::BestShallow { k, .. },
-            HitAnswer::No,
-        ) => decision("BEST", *k as usize, None),
-        _ => return None, // shape does not match the key: reject
-    })
-}
-
-/// The write-behind message for a fresh cacheable response (`None` for
-/// responses that are not persisted: errors, stats).
-fn persist_msg(h: &Hypergraph, key: ClassKey, resp: &Response) -> Option<PersistMsg> {
-    let (fields, answer) = match resp {
-        Response::Width { width, td, .. } => (
-            Vec::new(),
-            OwnedAnswer::Width {
-                width: *width,
-                frame: td.clone(),
-            },
-        ),
-        Response::Decision { fields, td, .. } => (
-            fields.clone(),
-            match td {
-                Some(td) => OwnedAnswer::Yes(td.clone()),
-                None => OwnedAnswer::No,
-            },
-        ),
-        _ => return None,
-    };
-    Some(PersistMsg::Put(Box::new(PutPayload {
-        schema: h.clone(),
-        key,
-        fields,
-        answer,
-    })))
-}
-
 impl ServiceState {
     /// Maps a [`DecompError`] onto the wire: budget trips become
     /// `TIMEOUT`/`BUSY` frames (counted for `STATS`), everything else
@@ -1474,6 +671,7 @@ impl ServiceState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::lock_store;
     use softhw_core::{hw, shw};
     use softhw_hypergraph::{named, render_hypergraph};
 
@@ -1548,7 +746,10 @@ mod tests {
         // BEST with ConCov: width 2 suffices on C4 (Example 3's D2) but
         // not on C5 (Section 6's width jump to 3).
         let c4 = render_hypergraph(&named::cycle(4));
-        match ask(&st, &Request::new(RequestClass::Best(EvalKind::ConCov, 2), c4)) {
+        match ask(
+            &st,
+            &Request::new(RequestClass::Best(EvalKind::ConCov, 2), c4),
+        ) {
             Response::Decision { class, td, .. } => {
                 assert_eq!(class, "BEST");
                 assert!(td.is_some(), "ConCov-shw(C4) = 2");
@@ -1559,7 +760,10 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let c5 = render_hypergraph(&named::cycle(5));
-        match ask(&st, &Request::new(RequestClass::Best(EvalKind::ConCov, 2), c5)) {
+        match ask(
+            &st,
+            &Request::new(RequestClass::Best(EvalKind::ConCov, 2), c5),
+        ) {
             Response::Decision { td, .. } => assert!(td.is_none(), "ConCov-shw(C5) = 3"),
             other => panic!("{other:?}"),
         }
@@ -1648,10 +852,13 @@ mod tests {
     #[test]
     fn absurd_widths_are_clamped_not_allocated() {
         let st = state();
-        let r = ask(&st, &Request::new(
-            RequestClass::ShwLeq(usize::MAX),
-            render_hypergraph(&named::h2()),
-        ));
+        let r = ask(
+            &st,
+            &Request::new(
+                RequestClass::ShwLeq(usize::MAX),
+                render_hypergraph(&named::h2()),
+            ),
+        );
         match r {
             Response::Decision { k, td, .. } => {
                 assert_eq!(k, usize::MAX);
@@ -1875,7 +1082,10 @@ mod tests {
             let stripe = stripe.lock().unwrap_or_else(PoisonError::into_inner);
             assert!(stripe.results.map.is_empty(), "a TIMEOUT was cached");
         }
-        let persisted = st.store.as_ref().map(|s| lock_store(&s.store).stats().results);
+        let persisted = st
+            .store
+            .as_ref()
+            .map(|s| lock_store(&s.store).stats().results);
         assert_eq!(persisted, Some(0), "a TIMEOUT was persisted");
         // ... and the unbudgeted retry answers exactly like a fresh state.
         let ok = ask(&st, &req);
@@ -1969,7 +1179,9 @@ mod tests {
         // decomp-cache counters did not move between the calls.
         let hits = |st: &ServiceState| -> u64 {
             let per_stripe = st.mirrors.iter();
-            per_stripe.map(|m| m.result_hits.load(Ordering::Relaxed)).sum()
+            per_stripe
+                .map(|m| m.result_hits.load(Ordering::Relaxed))
+                .sum()
         };
         assert_eq!(hits(&st), 1, "second request must hit the result cache");
         // A zero-capacity result cache degrades to the solver caches

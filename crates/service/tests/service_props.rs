@@ -22,8 +22,7 @@
 
 use softhw_hypergraph::{named, render_hypergraph};
 use softhw_service::{
-    EvalKind, Request, RequestClass, RequestCtx, Response, ServiceConfig, ServiceState,
-    WireRequest,
+    EvalKind, Request, RequestClass, RequestCtx, Response, ServiceConfig, ServiceState, WireRequest,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
