@@ -6,8 +6,9 @@
 //! re-decompose structurally identical hypergraphs. [`DecompCache`] keeps,
 //! per structurally distinct hypergraph:
 //!
-//! - one warm [`BlockIndex`] (arena + `[S]`-components + blocks + unions),
-//!   shared across widths `k` and across queries;
+//! - one warm [`BlockIndex`](softhw_hypergraph::BlockIndex) (arena +
+//!   `[S]`-components + blocks + unions), shared across widths `k` and
+//!   across queries;
 //! - `shw ≤ k` / `hw ≤ k` decisions with witness decompositions, so width
 //!   sweeps over repeated queries skip generation and search entirely;
 //! - the width-preserving reductions the exact sweeps solve through.
@@ -43,11 +44,12 @@ use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw;
 use crate::reduce_solve::{lift_ghd, lift_td};
-use crate::soft::{soft_bag_ids_budgeted, SoftLimits};
+use crate::shw::{shw_leq_indexed_budgeted, soft_instance_budgeted};
+use crate::soft::SoftLimits;
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::cache::{structural_hash, IndexCache};
-use softhw_hypergraph::{BlockIndex, FxHashMap, FxHashSet, Hypergraph, Reduction};
+use softhw_hypergraph::{FxHashMap, FxHashSet, Hypergraph, Reduction};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
@@ -96,19 +98,6 @@ impl Default for DecompCache {
     fn default() -> Self {
         DecompCache::with_capacity(DEFAULT_MAX_GRAPHS)
     }
-}
-
-/// `Soft_{H,k}` on the warm `index` and the prepared `CandidateTD`
-/// instance over it — what a `shw ≤ k` decision miss and
-/// [`DecompCache::soft_instance`] both build.
-fn soft_instance_on(
-    index: &mut BlockIndex,
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<CtdInstance, DecompError> {
-    let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
-    CtdInstance::build_budgeted(index, &bags, budget)
 }
 
 /// Stores `witness` at width `k` — and, for an `exact` answer, the
@@ -337,7 +326,7 @@ impl DecompCache {
         budget: &Budget,
     ) -> Result<CtdInstance, DecompError> {
         let (hash, index) = self.indexes.entry(h);
-        let inst = soft_instance_on(index, k, limits, budget)?;
+        let inst = soft_instance_budgeted(index, k, limits, budget)?;
         self.touch(hash);
         Ok(inst)
     }
@@ -390,7 +379,7 @@ impl DecompCache {
             return Ok(cached);
         }
         self.stats.result_misses += 1;
-        let result = soft_instance_on(index, k, limits, budget)?.try_decide_budgeted(budget)?;
+        let result = shw_leq_indexed_budgeted(index, k, limits, budget)?;
         self.shw_results.insert((hash, k), result.clone());
         self.touch(hash);
         Ok(result)

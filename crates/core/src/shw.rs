@@ -51,6 +51,19 @@ pub fn shw_leq_indexed(
     Ok(CtdInstance::build(index, &bags).decide())
 }
 
+/// `Soft_{H,k}` on a shared [`BlockIndex`] and the prepared
+/// `CandidateTD` instance over it, both under `budget` — what Algorithm 1
+/// ([`shw_leq_indexed_budgeted`]) and Algorithm 2 callers run their DP on.
+pub(crate) fn soft_instance_budgeted(
+    index: &mut BlockIndex,
+    k: usize,
+    limits: &SoftLimits,
+    budget: &Budget,
+) -> Result<CtdInstance, DecompError> {
+    let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
+    CtdInstance::build_budgeted(index, &bags, budget)
+}
+
 /// [`shw_leq_indexed`] with a cooperative [`Budget`] threaded through
 /// candidate generation, instance build, and the satisfaction DP. The
 /// shared index stays valid on abort (it only ever holds fully-computed
@@ -61,8 +74,7 @@ pub fn shw_leq_indexed_budgeted(
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<Option<TreeDecomposition>, DecompError> {
-    let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
-    CtdInstance::build_budgeted(index, &bags, budget)?.try_decide_budgeted(budget)
+    soft_instance_budgeted(index, k, limits, budget)?.try_decide_budgeted(budget)
 }
 
 /// Computes `shw(H)` exactly: the least `k` admitting a soft HD, together
