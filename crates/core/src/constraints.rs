@@ -4,10 +4,16 @@
 //! edge cost model), and combinators.
 //!
 //! All of these implement [`TdEvaluator`], the paper's
-//! "tractable constraint + preference-complete toptd" interface.
+//! "tractable constraint + preference-complete toptd" interface: each
+//! says what it knows about a bag by itself (`local` — the cover
+//! searches, the edge scans, the node costs) apart from how it combines
+//! child summaries (`combine`), so Algorithm 2 pays for the former once
+//! per candidate bag.
 
+use crate::budget::Budget;
 use crate::cover;
 use crate::ctd_opt::TdEvaluator;
+use crate::error::DecompError;
 use softhw_hypergraph::{BitSet, Hypergraph};
 
 /// The trivial evaluator: no constraint, no preference. With it,
@@ -16,8 +22,13 @@ pub struct Trivial;
 
 impl TdEvaluator for Trivial {
     type Summary = ();
+    type Local = ();
 
-    fn eval(&self, _h: &Hypergraph, _bag: &BitSet, _children: &[()]) -> Option<()> {
+    fn local(&self, _: &Hypergraph, _: &BitSet, _: &Budget) -> Result<Option<()>, DecompError> {
+        Ok(Some(()))
+    }
+
+    fn combine(&self, _bag: &BitSet, _local: &(), _children: &[()]) -> Option<()> {
         Some(())
     }
 
@@ -48,9 +59,15 @@ impl<F: Fn(&BitSet) -> f64> BagCost<F> {
 
 impl<F: Fn(&BitSet) -> f64> TdEvaluator for BagCost<F> {
     type Summary = CostSummary;
+    /// `f(B(u))`.
+    type Local = f64;
 
-    fn eval(&self, _h: &Hypergraph, bag: &BitSet, children: &[CostSummary]) -> Option<CostSummary> {
-        let cost = (self.f)(bag) + children.iter().map(|c| c.cost).sum::<f64>();
+    fn local(&self, _: &Hypergraph, bag: &BitSet, _: &Budget) -> Result<Option<f64>, DecompError> {
+        Ok(Some((self.f)(bag)))
+    }
+
+    fn combine(&self, _bag: &BitSet, node: &f64, children: &[CostSummary]) -> Option<CostSummary> {
+        let cost = node + children.iter().map(|c| c.cost).sum::<f64>();
         Some(CostSummary { cost })
     }
 
@@ -94,14 +111,20 @@ where
     E: Fn(&BitSet, &BitSet) -> f64,
 {
     type Summary = JoinCostSummary;
+    /// `node(B(u))`.
+    type Local = f64;
 
-    fn eval(
+    fn local(&self, _: &Hypergraph, bag: &BitSet, _: &Budget) -> Result<Option<f64>, DecompError> {
+        Ok(Some((self.node)(bag)))
+    }
+
+    fn combine(
         &self,
-        _h: &Hypergraph,
         bag: &BitSet,
+        node: &f64,
         children: &[JoinCostSummary],
     ) -> Option<JoinCostSummary> {
-        let mut cost = (self.node)(bag);
+        let mut cost = *node;
         for c in children {
             cost += c.cost + (self.edge)(bag, &c.root_bag);
         }
@@ -145,9 +168,20 @@ pub struct ConCov {
 
 impl TdEvaluator for ConCov {
     type Summary = ();
+    type Local = ();
 
-    fn eval(&self, h: &Hypergraph, bag: &BitSet, _children: &[()]) -> Option<()> {
-        cover::find_connected_cover(h, bag, self.k).map(|_| ())
+    fn local(
+        &self,
+        h: &Hypergraph,
+        bag: &BitSet,
+        budget: &Budget,
+    ) -> Result<Option<()>, DecompError> {
+        let cover = cover::find_connected_cover_budgeted(h, bag, self.k, budget)?;
+        Ok(cover.map(|_| ()))
+    }
+
+    fn combine(&self, _bag: &BitSet, _local: &(), _children: &[()]) -> Option<()> {
+        Some(())
     }
 
     fn better(&self, _a: &(), _b: &()) -> bool {
@@ -168,10 +202,15 @@ pub struct ShallowCyc {
 
 impl TdEvaluator for ShallowCyc {
     type Summary = i64;
+    /// Is the bag "cyclic", i.e. inside no single edge?
+    type Local = bool;
 
-    fn eval(&self, h: &Hypergraph, bag: &BitSet, children: &[i64]) -> Option<i64> {
-        let self_cyclic = !(0..h.num_edges()).any(|e| bag.is_subset(h.edge(e)));
-        let mut deepest: i64 = if self_cyclic { 0 } else { -1 };
+    fn local(&self, h: &Hypergraph, bag: &BitSet, _: &Budget) -> Result<Option<bool>, DecompError> {
+        Ok(Some(!h.edges().iter().any(|e| bag.is_subset(e))))
+    }
+
+    fn combine(&self, _bag: &BitSet, self_cyclic: &bool, children: &[i64]) -> Option<i64> {
+        let mut deepest: i64 = if *self_cyclic { 0 } else { -1 };
         for &c in children {
             if c >= 0 {
                 deepest = deepest.max(c + 1);
@@ -219,7 +258,13 @@ pub struct PartClust {
 }
 
 impl PartClust {
-    fn partition_cover(&self, h: &Hypergraph, bag: &BitSet, p: usize) -> bool {
+    fn partition_cover(
+        &self,
+        h: &Hypergraph,
+        bag: &BitSet,
+        p: usize,
+        budget: &Budget,
+    ) -> Result<bool, DecompError> {
         // Cover search restricted to edges of partition p.
         fn rec(
             h: &Hypergraph,
@@ -228,44 +273,61 @@ impl PartClust {
             uncovered: &BitSet,
             k: usize,
             chosen: &mut Vec<usize>,
-        ) -> bool {
+            budget: &Budget,
+        ) -> Result<bool, DecompError> {
             let Some(pivot) = uncovered.first() else {
-                return true;
+                return Ok(true);
             };
             if k == 0 {
-                return false;
+                return Ok(false);
             }
             for &e in h.incident_edges(pivot) {
                 if labels[e] == p && !chosen.contains(&e) {
+                    budget.tick()?;
                     let rest = uncovered.difference(h.edge(e));
                     chosen.push(e);
-                    if rec(h, labels, p, &rest, k - 1, chosen) {
-                        return true;
+                    if rec(h, labels, p, &rest, k - 1, chosen, budget)? {
+                        return Ok(true);
                     }
                     chosen.pop();
                 }
             }
-            false
+            Ok(false)
         }
         let mut chosen = Vec::with_capacity(self.k);
-        rec(h, &self.labels, p, bag, self.k, &mut chosen)
+        rec(h, &self.labels, p, bag, self.k, &mut chosen, budget)
     }
 }
 
 impl TdEvaluator for PartClust {
     type Summary = PartClustSummary;
+    /// The partitions whose edges cover the bag with at most `k` edges,
+    /// ascending; a bag none covers is rejected.
+    type Local = Vec<usize>;
 
-    fn eval(
+    fn local(
         &self,
         h: &Hypergraph,
         bag: &BitSet,
+        budget: &Budget,
+    ) -> Result<Option<Vec<usize>>, DecompError> {
+        let mut covering = Vec::new();
+        for p in 0..self.num_partitions {
+            if self.partition_cover(h, bag, p, budget)? {
+                covering.push(p);
+            }
+        }
+        Ok((!covering.is_empty()).then_some(covering))
+    }
+
+    fn combine(
+        &self,
+        _bag: &BitSet,
+        covering: &Vec<usize>,
         children: &[PartClustSummary],
     ) -> Option<PartClustSummary> {
         let mut options = Vec::new();
-        'parts: for p in 0..self.num_partitions {
-            if !self.partition_cover(h, bag, p) {
-                continue;
-            }
+        'parts: for &p in covering {
             let mut closed = BitSet::empty(self.num_partitions);
             for child in children {
                 // Prefer a same-partition option; otherwise the smallest
@@ -328,16 +390,29 @@ impl<A, B> Lexi<A, B> {
 
 impl<A: TdEvaluator, B: TdEvaluator> TdEvaluator for Lexi<A, B> {
     type Summary = (A::Summary, B::Summary);
+    type Local = (A::Local, B::Local);
 
-    fn eval(
+    fn local(
         &self,
         h: &Hypergraph,
         bag: &BitSet,
+        budget: &Budget,
+    ) -> Result<Option<(A::Local, B::Local)>, DecompError> {
+        let Some(a) = self.a.local(h, bag, budget)? else {
+            return Ok(None);
+        };
+        Ok(self.b.local(h, bag, budget)?.map(|b| (a, b)))
+    }
+
+    fn combine(
+        &self,
+        bag: &BitSet,
+        (la, lb): &(A::Local, B::Local),
         children: &[(A::Summary, B::Summary)],
     ) -> Option<(A::Summary, B::Summary)> {
         let ca: Vec<A::Summary> = children.iter().map(|(a, _)| a.clone()).collect();
         let cb: Vec<B::Summary> = children.iter().map(|(_, b)| b.clone()).collect();
-        Some((self.a.eval(h, bag, &ca)?, self.b.eval(h, bag, &cb)?))
+        Some((self.a.combine(bag, la, &ca)?, self.b.combine(bag, lb, &cb)?))
     }
 
     fn better(&self, x: &(A::Summary, B::Summary), y: &(A::Summary, B::Summary)) -> bool {
@@ -439,8 +514,9 @@ mod tests {
         // results use single-partition covers only.
         if let Some((td, _)) = best(&h, &bags, &eval) {
             for bag in td.bags() {
-                let cov0 = eval.partition_cover(&h, bag, 0);
-                let cov1 = eval.partition_cover(&h, bag, 1);
+                let unlimited = Budget::unlimited();
+                let cov0 = eval.partition_cover(&h, bag, 0, &unlimited).unwrap();
+                let cov1 = eval.partition_cover(&h, bag, 1, &unlimited).unwrap();
                 assert!(cov0 || cov1);
             }
         }

@@ -6,6 +6,9 @@
 //! (the `ConCov` constraint of Section 6, which rules out Cartesian
 //! products in the bag joins).
 
+use crate::budget::Budget;
+use crate::error::DecompError;
+use softhw_hypergraph::arena::{words_empty, words_intersect};
 use softhw_hypergraph::{BitSet, Hypergraph};
 
 /// Finds some edge cover of `bag` using at most `k` edges, if one exists.
@@ -71,66 +74,85 @@ pub fn edges_connected(h: &Hypergraph, edges: &[usize]) -> bool {
 /// Unlike plain covers, a connected cover may need redundant edges (e.g.
 /// on `C5` a width-2 bag of four cycle vertices is only coverable
 /// connectedly with 3 edges), so the search enumerates connected edge
-/// subsets by growth rather than by cover-minimality: start from each edge
-/// intersecting the bag, repeatedly add an edge sharing a vertex with the
-/// current selection, and test coverage at every step.
+/// subsets by growth rather than by cover-minimality: start from each
+/// edge, repeatedly add an edge sharing a vertex with the current
+/// selection, and test coverage at every step. The candidates at every
+/// step are *all* edges: one disjoint from the bag can still be the
+/// connector making an otherwise-disconnected cover connected. A
+/// connected set is reached once per growth order — nothing is
+/// deduplicated; with `k ≤ 3` that is at most `|E|·(|E|−1)·(|E|−2)`
+/// word-level steps.
 pub fn find_connected_cover(h: &Hypergraph, bag: &BitSet, k: usize) -> Option<Vec<usize>> {
+    find_connected_cover_budgeted(h, bag, k, &Budget::unlimited())
+        .expect("the unlimited budget cannot trip")
+}
+
+/// [`find_connected_cover`] with a cooperative [`Budget`], ticked per
+/// edge tried.
+///
+/// The search state is two word rows per depth — the bag vertices still
+/// uncovered and the vertices of the chosen edges — in one scratch buffer
+/// of `k + 1` levels, so a step is a pass over the edge's words and
+/// allocates nothing.
+pub fn find_connected_cover_budgeted(
+    h: &Hypergraph,
+    bag: &BitSet,
+    k: usize,
+    budget: &Budget,
+) -> Result<Option<Vec<usize>>, DecompError> {
     if bag.is_empty() || k == 0 {
-        return None;
+        return Ok(None);
     }
-    // The pool is *all* edges: an edge disjoint from the bag can still be
-    // the connector making an otherwise-disconnected cover connected.
-    let pool: Vec<usize> = (0..h.num_edges()).collect();
+    let words = bag.blocks().len();
+    // Level `d` holds `uncovered | reach` after `d` edges; level 0 is the
+    // whole bag uncovered and nothing reached.
+    let mut levels = vec![0u64; 2 * words * (k + 1)];
+    levels[..words].copy_from_slice(bag.blocks());
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
-
-    fn rec(
-        h: &Hypergraph,
-        bag: &BitSet,
-        pool: &[usize],
-        k: usize,
-        chosen: &mut Vec<usize>,
-        covered: &BitSet,
-        reach: &BitSet, // vertices of chosen edges
-    ) -> bool {
-        if bag.is_subset(covered) {
-            return true;
-        }
-        if chosen.len() == k {
-            return false;
-        }
-        // To avoid enumerating each connected set once per spanning-tree
-        // order, only extend with pool edges larger than the minimum id we
-        // could otherwise have started from — growth-with-restart: extend
-        // with any edge intersecting `reach`; dedup is traded for
-        // simplicity, the pools here are small (bags touch few edges).
-        for &e in pool {
-            if chosen.contains(&e) {
-                continue;
-            }
-            if !chosen.is_empty() && !h.edge(e).intersects(reach) {
-                continue; // keep the selection connected at every step
-            }
-            let mut covered2 = covered.clone();
-            covered2.union_with(&h.edge(e).intersection(bag));
-            let mut reach2 = reach.clone();
-            reach2.union_with(h.edge(e));
-            chosen.push(e);
-            if rec(h, bag, pool, k, chosen, &covered2, &reach2) {
-                return true;
-            }
-            chosen.pop();
-        }
-        false
+    if !grow_connected_cover(h, k, words, &mut levels, &mut chosen, budget)? {
+        return Ok(None);
     }
+    debug_assert!(edges_connected(h, &chosen));
+    Ok(Some(chosen))
+}
 
-    let covered = BitSet::empty(h.num_vertices());
-    let reach = BitSet::empty(h.num_vertices());
-    if rec(h, bag, &pool, k, &mut chosen, &covered, &reach) {
-        debug_assert!(edges_connected(h, &chosen));
-        Some(chosen)
-    } else {
-        None
+/// One level of [`find_connected_cover_budgeted`]: `levels` starts at the
+/// current level's rows; extends `chosen` in edge order, keeping the
+/// selection connected at every step.
+fn grow_connected_cover(
+    h: &Hypergraph,
+    k: usize,
+    words: usize,
+    levels: &mut [u64],
+    chosen: &mut Vec<usize>,
+    budget: &Budget,
+) -> Result<bool, DecompError> {
+    let (here, deeper) = levels.split_at_mut(2 * words);
+    let (uncovered, reach) = here.split_at(words);
+    if words_empty(uncovered) {
+        return Ok(true);
     }
+    if chosen.len() == k {
+        return Ok(false);
+    }
+    for e in 0..h.num_edges() {
+        let edge = h.edge(e).blocks();
+        if chosen.contains(&e) || !(chosen.is_empty() || words_intersect(edge, reach)) {
+            continue;
+        }
+        budget.tick()?;
+        let (next_uncovered, next_reach) = deeper[..2 * words].split_at_mut(words);
+        for i in 0..words {
+            next_uncovered[i] = uncovered[i] & !edge[i];
+            next_reach[i] = reach[i] | edge[i];
+        }
+        chosen.push(e);
+        if grow_connected_cover(h, k, words, deeper, chosen, budget)? {
+            return Ok(true);
+        }
+        chosen.pop();
+    }
+    Ok(false)
 }
 
 /// Smallest `k` such that a connected cover of `bag` with `k` edges exists,
@@ -246,6 +268,83 @@ mod tests {
         let cc = find_connected_cover(&h, &bag, 3).unwrap();
         assert!(edges_connected(&h, &cc));
         assert_eq!(min_connected_cover_size(&h, &bag, 4), Some(3));
+    }
+
+    #[test]
+    fn connected_cover_kernel_agrees_with_brute_force() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
+        // Definition-level oracle: some set of at most `k` edges is
+        // connected and covers the bag.
+        let brute_force = |h: &Hypergraph, bag: &BitSet, k: usize| {
+            let all: Vec<usize> = (0..h.num_edges()).collect();
+            let mut found = false;
+            crate::bitset_subsets(&all, k, |subset| {
+                found |= edges_connected(h, subset)
+                    && bag.is_subset(&h.union_of_edges(subset.iter().copied()));
+            });
+            found
+        };
+        let mut path = softhw_hypergraph::HypergraphBuilder::new();
+        path.edge("e1", &["a", "b"]);
+        path.edge("e2", &["b", "c"]);
+        path.edge("e3", &["c", "d"]);
+        let mut shapes = vec![named::cycle(5), path.build(), named::h2()];
+        for seed in 0..24u64 {
+            let shape = RandomConfig {
+                num_vertices: 4 + seed as usize % 7,
+                num_edges: 3 + seed as usize % 6,
+                min_arity: 1 + seed as usize % 2,
+                max_arity: 3,
+                connect: seed % 3 != 0,
+            };
+            shapes.push(random_hypergraph(&shape, seed));
+        }
+        // Isolated vertices and components get joined with extra edges.
+        shapes.retain(|h| h.num_edges() <= 10);
+        assert!(shapes.len() > 20);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut verdicts = [0usize; 2];
+        for h in &shapes {
+            // Random vertex sets, plus unions of up to three edges (the
+            // shape candidate bags have).
+            let mut bags: Vec<BitSet> = Vec::new();
+            for _ in 0..12 {
+                let mut bag = h.empty_vertex_set();
+                for v in 0..h.num_vertices() {
+                    if rng.gen_range(0..3) == 0 {
+                        bag.insert(v);
+                    }
+                }
+                bags.push(bag);
+                let picks = (0..rng.gen_range(1..=3)).map(|_| rng.gen_range(0..h.num_edges()));
+                bags.push(h.union_of_edges(picks));
+            }
+            for bag in &bags {
+                for k in 0..=3 {
+                    let cover = find_connected_cover(h, bag, k);
+                    let expected = !bag.is_empty() && brute_force(h, bag, k);
+                    assert_eq!(cover.is_some(), expected, "bag {bag:?}, k={k}");
+                    verdicts[expected as usize] += 1;
+                    if let Some(cover) = cover {
+                        assert!(cover.len() <= k && edges_connected(h, &cover));
+                        assert!(bag.is_subset(&h.union_of_edges(cover.iter().copied())));
+                    }
+                }
+            }
+        }
+        assert!(verdicts[0] > 100 && verdicts[1] > 100, "{verdicts:?}");
+    }
+
+    #[test]
+    fn connected_cover_search_ticks_its_budget() {
+        let h = named::cycle(6);
+        let bag = h.all_vertices();
+        assert!(find_connected_cover(&h, &bag, 3).is_none());
+        let capped = Budget::with_work_cap(5);
+        let stopped = find_connected_cover_budgeted(&h, &bag, 3, &capped);
+        assert_eq!(stopped, Err(DecompError::DeadlineExceeded));
     }
 
     #[test]

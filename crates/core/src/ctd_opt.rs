@@ -1,12 +1,26 @@
 //! **Algorithm 2**: the `{C, ≤}`-CandidateTD problem (Section 6).
 //!
 //! The boolean "satisfied" bit of Algorithm 1 is generalised to a DP value
-//! produced by a [`TdEvaluator`]: `eval(bag, child summaries)` returns
-//! `None` when the subtree constraint `C` is violated and otherwise a
-//! summary of the partial tree decomposition; `better` is the strict part
-//! of the total quasiordering (toptd) `≤`. The contract mirrors the
-//! paper's *preference-complete* and *strongly monotone* assumptions:
-//! improving a child's summary never worsens the parent's.
+//! produced by a [`TdEvaluator`], which says two things about a node of a
+//! partial tree decomposition. What it knows about the **bag by itself**
+//! ([`TdEvaluator::local`]: does `ConCov` find a connected cover, is the
+//! bag inside one edge for `ShallowCyc`, what does the node cost) — `None`
+//! when the bag alone violates the constraint `C`. And how that **combines
+//! with the children's summaries** ([`TdEvaluator::combine`]) — `None`
+//! when the subtree violates `C`, otherwise a summary of the partial
+//! decomposition. `better` is the strict part of the total quasiordering
+//! (toptd) `≤`. The contract mirrors the paper's *preference-complete*
+//! and *strongly monotone* assumptions: improving a child's summary never
+//! worsens the parent's.
+//!
+//! The bag-local part is where the searches are (a `ConCov` verdict is a
+//! connected-cover search), and it depends on nothing but the bag — the
+//! paper's prototype applies `ConCov` as a filter over the candidate bags
+//! (Table 1's `ConCov-Soft_{H,k}`). So every procedure here keeps it in a
+//! table **by candidate-bag index** next to the instance's own tables and
+//! computes it **at most once per candidate bag per run**, on first use;
+//! the DP's inner loop over *(block, viable candidate)* pairs only
+//! combines.
 //!
 //! Besides the polynomial best-decomposition DP ([`best`]), this module
 //! provides what the paper's experimental prototype uses: exhaustive
@@ -17,33 +31,51 @@
 //! All of them run against the instance's precomputed viable-candidate
 //! tables (see [`crate::ctd`]): the preference DP is a dependency-driven
 //! worklist like Algorithm 1's satisfaction engine — a block is
-//! re-evaluated only when a child block's value changes — and
-//! [`best_par`]/[`best_on_par`] fan each wave's block evaluations out
-//! via [`par_map`] for evaluators whose summaries are `Send + Sync`.
+//! re-evaluated only when a child block's value changes.
 
+use crate::budget::Budget;
 use crate::ctd::CtdInstance;
+use crate::error::DecompError;
 use crate::td::TreeDecomposition;
 use rand::Rng;
-use softhw_hypergraph::par::par_map;
 use softhw_hypergraph::{BitSet, Hypergraph};
 
 /// Evaluation of partial tree decompositions: subtree constraint plus
 /// total quasiordering, as in Section 6.1 of the paper.
 ///
-/// The evaluator is called bottom-up: for a node with bag `bag` whose
-/// children have already been summarised, it either rejects the partial
-/// decomposition (constraint violated → `None`) or summarises it.
-/// `better(a, b)` must implement the *strict* part of a total
-/// quasiordering and be strongly monotone w.r.t. `eval`.
+/// The evaluator is called bottom-up: for a node whose children have
+/// already been summarised, [`local`](TdEvaluator::local) judges the bag
+/// on its own and [`combine`](TdEvaluator::combine) either rejects the
+/// partial decomposition (constraint violated → `None`) or summarises
+/// it. `local` must be a function of the bag alone — callers evaluate it
+/// once per distinct bag and reuse the answer under every parent block
+/// and in every wave. `better(a, b)` must implement the *strict* part of
+/// a total quasiordering and be strongly monotone w.r.t. `combine`.
 pub trait TdEvaluator {
     /// Summary of a partial tree decomposition rooted at some node.
     type Summary: Clone + std::fmt::Debug;
 
-    /// Evaluates a node given its bag and the summaries of its children.
-    fn eval(
+    /// What the evaluator derives from a bag by itself.
+    type Local;
+
+    /// Judges `bag` on its own: `Ok(None)` when no decomposition with
+    /// this bag can satisfy the constraint. Searches in here tick
+    /// `budget` (a trip propagates; nothing is recorded for the bag).
+    fn local(
         &self,
         h: &Hypergraph,
         bag: &BitSet,
+        budget: &Budget,
+    ) -> Result<Option<Self::Local>, DecompError>;
+
+    /// Summarises a node given its bag, the bag's [`local`] value, and
+    /// the summaries of its children.
+    ///
+    /// [`local`]: TdEvaluator::local
+    fn combine(
+        &self,
+        bag: &BitSet,
+        local: &Self::Local,
         children: &[Self::Summary],
     ) -> Option<Self::Summary>;
 
@@ -53,6 +85,116 @@ pub trait TdEvaluator {
 
 /// A decomposition together with its evaluator summary.
 pub type Ranked<S> = (TreeDecomposition, S);
+
+/// The DP value of a block: its best basis (bag index) and the summary
+/// of the partial decomposition below it.
+type Value<S> = Option<(usize, S)>;
+
+/// One run of an evaluator over an instance: the bag-local table, held
+/// by bag index beside the instance's tables. A slot is filled the first
+/// time a procedure needs the bag's verdict and never recomputed.
+struct Run<'a, E: TdEvaluator> {
+    inst: &'a CtdInstance,
+    eval: &'a E,
+    budget: &'a Budget,
+    locals: Vec<Option<Option<E::Local>>>,
+}
+
+impl<'a, E: TdEvaluator> Run<'a, E> {
+    fn new(inst: &'a CtdInstance, eval: &'a E, budget: &'a Budget) -> Self {
+        let locals = (0..inst.num_bags()).map(|_| None).collect();
+        Run {
+            inst,
+            eval,
+            budget,
+            locals,
+        }
+    }
+
+    /// The bag-local value of candidate bag `x` (`None`: the bag alone
+    /// violates the constraint), computed on first use.
+    fn local(&mut self, x: usize) -> Result<Option<&E::Local>, DecompError> {
+        if self.locals[x].is_none() {
+            let local = self
+                .eval
+                .local(&self.inst.h, self.inst.bag(x), self.budget)?;
+            self.locals[x] = Some(local);
+        }
+        Ok(self.locals[x].as_ref().and_then(Option::as_ref))
+    }
+
+    /// The evaluator's summary of a node with bag `x` over `children`.
+    fn node(
+        &mut self,
+        x: usize,
+        children: &[E::Summary],
+    ) -> Result<Option<E::Summary>, DecompError> {
+        let (inst, eval) = (self.inst, self.eval);
+        Ok(self
+            .local(x)?
+            .and_then(|local| eval.combine(inst.bag(x), local, children)))
+    }
+
+    /// Bottom-up summary of the tree `node` with the trees `grafted`
+    /// hung under its root — the shape [`materialise`] gives the
+    /// per-component trees of a disconnected hypergraph.
+    fn summarise(
+        &mut self,
+        node: &TdNode,
+        grafted: &[&TdNode],
+    ) -> Result<Option<E::Summary>, DecompError> {
+        let mut children = Vec::with_capacity(node.children.len() + grafted.len());
+        for child in node.children.iter().chain(grafted.iter().copied()) {
+            match self.summarise(child, &[])? {
+                Some(summary) => children.push(summary),
+                None => return Ok(None),
+            }
+        }
+        self.node(node.bag, &children)
+    }
+
+    /// The preference-minimal viable candidate of block `b` under the
+    /// value table `value`: scans the precomputed viable candidates in
+    /// bag order (coverage already verified at instance build), combines
+    /// those whose children all have values and whose bag passes on its
+    /// own, and keeps the strictly best summary (first wins ties, so the
+    /// choice is deterministic).
+    fn best_candidate(
+        &mut self,
+        value: &[Value<E::Summary>],
+        b: usize,
+    ) -> Result<Value<E::Summary>, DecompError> {
+        let (inst, eval) = (self.inst, self.eval);
+        let mut best: Value<E::Summary> = None;
+        let mut child_summaries: Vec<E::Summary> = Vec::new();
+        for (x, children) in inst.viable_candidates(b) {
+            self.budget.tick()?;
+            if !children.iter().all(|&b2| value[b2 as usize].is_some()) {
+                continue;
+            }
+            let Some(local) = self.local(x)? else {
+                continue;
+            };
+            child_summaries.clear();
+            child_summaries.extend(
+                children
+                    .iter()
+                    .filter_map(|&b2| value[b2 as usize].as_ref().map(|(_, s)| s.clone())),
+            );
+            let Some(summary) = eval.combine(inst.bag(x), local, &child_summaries) else {
+                continue;
+            };
+            let replace = match &best {
+                None => true,
+                Some((_, old)) => eval.better(&summary, old),
+            };
+            if replace {
+                best = Some((x, summary));
+            }
+        }
+        Ok(best)
+    }
+}
 
 /// Runs the `{C, ≤}` dynamic program of Algorithm 2 and returns a globally
 /// minimal constraint-satisfying CTD with its summary, or `None` if no
@@ -65,8 +207,8 @@ pub type Ranked<S> = (TreeDecomposition, S);
 /// reverse index). The fixpoint is reached because summaries per block
 /// strictly improve in a finite space of basis/children combinations.
 /// Extraction guards against degenerate evaluator cycles (possible only
-/// when `eval` is not strictly increasing, e.g. the trivial evaluator) by
-/// falling back to the timestamp-ordered choice of the boolean DP.
+/// when `combine` is not strictly increasing, e.g. the trivial evaluator)
+/// by falling back to the timestamp-ordered choice of the boolean DP.
 pub fn best<E: TdEvaluator>(
     h: &Hypergraph,
     bags: &[BitSet],
@@ -76,89 +218,56 @@ pub fn best<E: TdEvaluator>(
     best_on(&inst, eval)
 }
 
-/// [`best`] with the per-wave block evaluations fanned out via
-/// [`par_map`] (threaded under the `parallel` feature). Requires a
-/// shareable evaluator; results are identical to [`best_on`] because
-/// waves snapshot the value table and merge in block order either way.
-pub fn best_par<E>(h: &Hypergraph, bags: &[BitSet], eval: &E) -> Option<Ranked<E::Summary>>
-where
-    E: TdEvaluator + Sync,
-    E::Summary: Send + Sync,
-{
-    let inst = CtdInstance::new(h, bags);
-    best_on_par(&inst, eval)
-}
-
-/// Evaluates every frontier block against the snapshot, serially.
-fn wave_serial<E: TdEvaluator>(
-    inst: &CtdInstance,
-    eval: &E,
-    value: &[Option<(usize, E::Summary)>],
-    frontier: &[u32],
-) -> Vec<Option<(usize, E::Summary)>> {
-    frontier
-        .iter()
-        .map(|&b| best_candidate(inst, eval, value, b as usize))
-        .collect()
-}
-
-/// [`wave_serial`] via [`par_map`] (requires shareable summaries).
-fn wave_parallel<E>(
-    inst: &CtdInstance,
-    eval: &E,
-    value: &[Option<(usize, E::Summary)>],
-    frontier: &[u32],
-) -> Vec<Option<(usize, E::Summary)>>
-where
-    E: TdEvaluator + Sync,
-    E::Summary: Send + Sync,
-{
-    par_map(frontier.len(), |i| {
-        best_candidate(inst, eval, value, frontier[i] as usize)
-    })
-}
-
 /// [`best`] on a prepared instance.
+///
+/// # Panics
+/// If the DP does not converge, which only an evaluator that is not
+/// strongly monotone can cause; [`best_on_budgeted`] reports that as an
+/// error instead.
 pub fn best_on<E: TdEvaluator>(inst: &CtdInstance, eval: &E) -> Option<Ranked<E::Summary>> {
-    best_worklist(inst, eval, wave_serial)
+    match best_on_budgeted(inst, eval, &Budget::unlimited()) {
+        Ok(best) => best,
+        // The unlimited budget cannot trip, so this is non-convergence.
+        Err(e) => panic!("{e}"),
+    }
 }
 
-/// [`best_on`] with parallel wave fan-out; see [`best_par`].
-pub fn best_on_par<E>(inst: &CtdInstance, eval: &E) -> Option<Ranked<E::Summary>>
-where
-    E: TdEvaluator + Sync,
-    E::Summary: Send + Sync,
-{
-    best_worklist(inst, eval, wave_parallel)
-}
-
-/// The worklist driver shared by the serial and parallel variants: waves
-/// of Jacobi-style re-evaluations over a frontier, seeded with all blocks;
-/// after a wave, exactly the parents of changed blocks re-enter.
-fn best_worklist<E: TdEvaluator>(
+/// [`best_on`] with a cooperative [`Budget`]: checked at every wave,
+/// ticked per *(block, candidate)* evaluation, and handed to the
+/// evaluator's bag-local searches. All DP state lives in locals, so an
+/// abort leaves the instance untouched and a retry is bit-identical to a
+/// never-interrupted run. A DP that fails to converge (the evaluator is
+/// not strongly monotone) is [`DecompError::Internal`].
+pub fn best_on_budgeted<E: TdEvaluator>(
     inst: &CtdInstance,
     eval: &E,
-    wave: impl Fn(
-        &CtdInstance,
-        &E,
-        &[Option<(usize, E::Summary)>],
-        &[u32],
-    ) -> Vec<Option<(usize, E::Summary)>>,
-) -> Option<Ranked<E::Summary>> {
+    budget: &Budget,
+) -> Result<Option<Ranked<E::Summary>>, DecompError> {
+    let _span = softhw_obs::span(softhw_obs::stage::BEST_DP);
+    let mut run = Run::new(inst, eval, budget);
     let nb = inst.blocks.len();
-    let mut value: Vec<Option<(usize, E::Summary)>> = vec![None; nb];
+    let mut value: Vec<Value<E::Summary>> = vec![None; nb];
     // Boolean reference DP for the acyclic fallback.
-    let bool_sat = inst.satisfy();
+    let bool_sat = inst.satisfy_budgeted(budget)?;
+    // Waves of Jacobi-style re-evaluations over a frontier, seeded with
+    // all blocks; after a wave, exactly the parents of changed blocks
+    // re-enter.
     let mut frontier: Vec<u32> = (0..nb as u32).collect();
     let mut next: Vec<u32> = Vec::new();
     let mut queued = vec![false; nb];
-    let mut guard = 0usize;
+    let mut waves = 0usize;
     while !frontier.is_empty() {
-        let updates = wave(inst, eval, &value, &frontier);
+        budget.check()?;
+        // Every frontier block is evaluated against the previous wave's
+        // table, then the updates merge in block order.
+        let updates = frontier
+            .iter()
+            .map(|&b| run.best_candidate(&value, b as usize))
+            .collect::<Result<Vec<_>, _>>()?;
         next.clear();
-        for (i, upd) in updates.into_iter().enumerate() {
-            let b = frontier[i] as usize;
-            let Some((x, summary)) = upd else { continue };
+        for (&b, update) in frontier.iter().zip(updates) {
+            let b = b as usize;
+            let Some((x, summary)) = update else { continue };
             let replace = match &value[b] {
                 None => true,
                 Some((_, old)) => eval.better(&summary, old),
@@ -178,139 +287,62 @@ fn best_worklist<E: TdEvaluator>(
             queued[p as usize] = false;
         }
         std::mem::swap(&mut frontier, &mut next);
-        guard += 1;
-        assert!(
-            guard <= 4 * nb * inst.num_bags() + 16,
-            "Algorithm 2 failed to converge; evaluator is not strongly monotone"
-        );
+        waves += 1;
+        if waves > 4 * nb * inst.num_bags() + 16 {
+            return Err(DecompError::internal(
+                "Algorithm 2 failed to converge; evaluator is not strongly monotone",
+            ));
+        }
     }
     if !inst.root_blocks.iter().all(|&b| value[b].is_some()) {
-        return None;
+        return Ok(None);
     }
-    // Extract (with cycle guard; see module docs).
-    let mut td: Option<TreeDecomposition> = None;
-    let mut summaries: Vec<E::Summary> = Vec::new();
+    // Extract (with cycle guard; see `best`) one tree per connected
+    // component, chain them under the first one's root, and summarise
+    // the stitched tree bottom-up.
+    let mut roots: Vec<TdNode> = Vec::with_capacity(inst.root_blocks.len());
     for &rb in &inst.root_blocks {
         let mut visited = vec![false; nb];
-        let (node_summary, built) =
-            extract_best(inst, eval, &value, &bool_sat.basis, rb, &mut visited)?;
-        match td.as_mut() {
-            None => {
-                td = Some(built);
-            }
-            Some(t) => {
-                graft(t, t.root(), &built, built.root());
-            }
+        match extract_best(inst, &value, &bool_sat.basis, rb, &mut visited) {
+            Some(root) => roots.push(root),
+            None => return Ok(None),
         }
-        summaries.push(node_summary);
     }
-    let td = td?;
-    // For a connected hypergraph (the common case) return the root summary;
-    // otherwise re-evaluate the stitched tree bottom-up for a consistent
-    // summary.
-    let summary = if summaries.len() == 1 {
-        summaries.pop().expect("one component")
-    } else {
-        evaluate_td(&inst.h, &td, eval)?
+    let roots: Vec<&TdNode> = roots.iter().collect();
+    let Some((first, rest)) = roots.split_first() else {
+        return Ok(None);
     };
-    Some((td, summary))
-}
-
-/// The preference-minimal viable candidate of block `b` under the current
-/// value table: scans the precomputed viable candidates in bag order
-/// (coverage already verified at instance build), evaluates those whose
-/// children all have values, and keeps the strictly best summary (first
-/// wins ties, so the choice is deterministic).
-fn best_candidate<E: TdEvaluator>(
-    inst: &CtdInstance,
-    eval: &E,
-    value: &[Option<(usize, E::Summary)>],
-    b: usize,
-) -> Option<(usize, E::Summary)> {
-    let mut best: Option<(usize, E::Summary)> = None;
-    let mut child_summaries: Vec<E::Summary> = Vec::new();
-    'cands: for (x, children) in inst.viable_candidates(b) {
-        child_summaries.clear();
-        for &b2 in children {
-            match value[b2 as usize].as_ref() {
-                Some((_, s)) => child_summaries.push(s.clone()),
-                None => continue 'cands,
-            }
-        }
-        let Some(summary) = eval.eval(&inst.h, inst.bag(x), &child_summaries) else {
-            continue;
-        };
-        let replace = match &best {
-            None => true,
-            Some((_, old)) => eval.better(&summary, old),
-        };
-        if replace {
-            best = Some((x, summary));
-        }
+    let Some(summary) = run.summarise(first, rest)? else {
+        return Ok(None);
+    };
+    let mut td: Option<TreeDecomposition> = None;
+    for root in roots {
+        materialise(inst, root, &mut td);
     }
-    best
+    Ok(td.map(|td| (td, summary)))
 }
 
-/// Recursive extraction following the best-value table; on a cycle, falls
-/// back to the boolean DP's timestamp-ordered basis (which is provably
-/// acyclic).
-fn extract_best<E: TdEvaluator>(
+/// Extraction following the best-value table from block `b`; on a
+/// revisited block, falls back to the boolean DP's timestamp-ordered
+/// basis (which is provably acyclic).
+fn extract_best<S>(
     inst: &CtdInstance,
-    eval: &E,
-    value: &[Option<(usize, E::Summary)>],
+    value: &[Value<S>],
     bool_basis: &[Option<(usize, u32)>],
     b: usize,
     visited: &mut [bool],
-) -> Option<(E::Summary, TreeDecomposition)> {
-    #[allow(clippy::too_many_arguments)]
-    fn rec<E: TdEvaluator>(
-        inst: &CtdInstance,
-        eval: &E,
-        value: &[Option<(usize, E::Summary)>],
-        bool_basis: &[Option<(usize, u32)>],
-        b: usize,
-        visited: &mut [bool],
-        td: &mut TreeDecomposition,
-        parent: Option<usize>,
-    ) -> Option<E::Summary> {
-        let x = if visited[b] {
-            bool_basis[b].map(|(x, _)| x)?
-        } else {
-            value[b].as_ref().map(|(x, _)| *x)?
-        };
-        visited[b] = true;
-        let node = match parent {
-            None => td.root(),
-            Some(p) => td.add_child(p, inst.bag(x).clone()),
-        };
-        let mut child_summaries = Vec::new();
-        for &b2 in inst.child_blocks(b, x) {
-            let s = rec(
-                inst,
-                eval,
-                value,
-                bool_basis,
-                b2 as usize,
-                visited,
-                td,
-                Some(node),
-            )?;
-            child_summaries.push(s);
-        }
-        eval.eval(&inst.h, inst.bag(x), &child_summaries)
+) -> Option<TdNode> {
+    let x = if visited[b] {
+        bool_basis[b].map(|(x, _)| x)?
+    } else {
+        value[b].as_ref().map(|(x, _)| *x)?
+    };
+    visited[b] = true;
+    let mut children = Vec::new();
+    for &b2 in inst.child_blocks(b, x) {
+        children.push(extract_best(inst, value, bool_basis, b2 as usize, visited)?);
     }
-    let x = value[b].as_ref().map(|(x, _)| *x)?;
-    let mut td = TreeDecomposition::new(inst.bag(x).clone());
-    let s = rec(inst, eval, value, bool_basis, b, visited, &mut td, None)?;
-    Some((s, td))
-}
-
-/// Copies the subtree of `src` rooted at `src_node` under `dst_node`.
-fn graft(dst: &mut TreeDecomposition, dst_node: usize, src: &TreeDecomposition, src_node: usize) {
-    let new = dst.add_child(dst_node, src.bag(src_node).clone());
-    for &c in src.children(src_node) {
-        graft(dst, new, src, c);
-    }
+    Some(TdNode { bag: x, children })
 }
 
 /// Evaluates a complete decomposition bottom-up with an evaluator;
@@ -330,7 +362,10 @@ pub fn evaluate_td<E: TdEvaluator>(
         for &c in td.children(u) {
             children.push(rec(h, td, eval, c)?);
         }
-        eval.eval(h, td.bag(u), &children)
+        let local = eval
+            .local(h, td.bag(u), &Budget::unlimited())
+            .expect("the unlimited budget cannot trip")?;
+        eval.combine(td.bag(u), &local, &children)
     }
     rec(h, td, eval, td.root())
 }
@@ -382,10 +417,14 @@ pub fn enumerate_on<E: TdEvaluator>(
     }
     let satisfied: Vec<bool> = sat.basis.iter().map(Option::is_some).collect();
     let mut visited = vec![false; inst.blocks.len()];
+    let unlimited = Budget::unlimited();
+    let mut run = Run::new(inst, eval, &unlimited);
+    let cannot_trip = "the unlimited budget cannot trip";
     // Enumerate per root block, then combine across connected components.
     let mut per_root: Vec<Vec<(TdNode, E::Summary)>> = Vec::new();
     for &rb in &inst.root_blocks {
-        per_root.push(enum_block(inst, eval, &satisfied, rb, &mut visited, opts));
+        let options = enum_block(&mut run, &satisfied, rb, &mut visited, opts);
+        per_root.push(options.expect(cannot_trip));
     }
     if per_root.iter().any(Vec::is_empty) {
         return Vec::new();
@@ -419,7 +458,8 @@ pub fn enumerate_on<E: TdEvaluator>(
         let summary = if combo.len() == 1 {
             combo[0].1.clone()
         } else {
-            match evaluate_td(&inst.h, &td, eval) {
+            let nodes: Vec<&TdNode> = combo.iter().map(|(node, _)| node).collect();
+            match run.summarise(nodes[0], &nodes[1..]).expect(cannot_trip) {
                 Some(s) => s,
                 None => continue,
             }
@@ -470,13 +510,13 @@ fn clone_node(n: &TdNode) -> TdNode {
 }
 
 fn enum_block<E: TdEvaluator>(
-    inst: &CtdInstance,
-    eval: &E,
+    run: &mut Run<'_, E>,
     satisfied: &[bool],
     b: usize,
     visited: &mut [bool],
     opts: &EnumerateOptions,
-) -> Vec<(TdNode, E::Summary)> {
+) -> Result<Vec<(TdNode, E::Summary)>, DecompError> {
+    let (inst, eval) = (run.inst, run.eval);
     let mut results: Vec<(TdNode, E::Summary)> = Vec::new();
     // Viable candidates carry their precomputed child lists; coverage was
     // verified at instance build, so only the satisfaction/cycle state is
@@ -496,7 +536,7 @@ fn enum_block<E: TdEvaluator>(
         }
         let mut ok = true;
         for &b2 in child_blocks {
-            let opt = enum_block(inst, eval, satisfied, b2 as usize, visited, opts);
+            let opt = enum_block(run, satisfied, b2 as usize, visited, opts)?;
             if opt.is_empty() {
                 ok = false;
                 break;
@@ -518,16 +558,16 @@ fn enum_block<E: TdEvaluator>(
         let mut frontier: Vec<(Vec<usize>, Option<E::Summary>)> = Vec::new();
         let mut seen: softhw_hypergraph::FxHashSet<Vec<usize>> =
             softhw_hypergraph::FxHashSet::default();
-        let evaluate = |idxs: &[usize]| -> Option<E::Summary> {
+        let mut evaluate = |idxs: &[usize]| -> Result<Option<E::Summary>, DecompError> {
             let sums: Vec<E::Summary> = idxs
                 .iter()
                 .enumerate()
                 .map(|(ci, &j)| child_options[ci][j].1.clone())
                 .collect();
-            eval.eval(&inst.h, inst.bag(x), &sums)
+            run.node(x, &sums)
         };
         let start = vec![0usize; child_options.len()];
-        frontier.push((start.clone(), evaluate(&start)));
+        frontier.push((start.clone(), evaluate(&start)?));
         seen.insert(start);
         let mut emitted = 0usize;
         while !frontier.is_empty() && emitted < opts.cap_per_block {
@@ -560,7 +600,7 @@ fn enum_block<E: TdEvaluator>(
                     let mut nxt = idxs.clone();
                     nxt[ci] += 1;
                     if seen.insert(nxt.clone()) {
-                        let s = evaluate(&nxt);
+                        let s = evaluate(&nxt)?;
                         frontier.push((nxt, s));
                     }
                 }
@@ -578,7 +618,7 @@ fn enum_block<E: TdEvaluator>(
         }
     });
     results.truncate(opts.cap_per_block);
-    results
+    Ok(results)
 }
 
 /// The `n` best constraint-satisfying CTDs under the evaluator's
@@ -677,11 +717,249 @@ fn sample_block<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraints::{BagCost, Trivial};
+    use crate::constraints::{BagCost, ConCov, Lexi, PartClust, ShallowCyc, Trivial};
     use crate::soft::soft_bags;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use softhw_hypergraph::named;
+    use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
+    use softhw_hypergraph::{named, FxHashMap};
+    use std::cell::RefCell;
+
+    /// Random hypergraphs with `edges` edges; odd seeds may come out
+    /// disconnected, which exercises the stitched-tree summaries.
+    fn random_shape(edges: usize, seed: u64) -> Hypergraph {
+        let shape = RandomConfig {
+            num_vertices: edges + 1,
+            num_edges: edges,
+            min_arity: 2,
+            max_arity: 3,
+            connect: seed.is_multiple_of(2),
+        };
+        random_hypergraph(&shape, seed)
+    }
+
+    /// Counts the bag-local evaluations of the wrapped evaluator, per bag.
+    struct Counting<'a, E> {
+        inner: &'a E,
+        evals: RefCell<FxHashMap<BitSet, usize>>,
+    }
+
+    impl<E: TdEvaluator> TdEvaluator for Counting<'_, E> {
+        type Summary = E::Summary;
+        type Local = E::Local;
+
+        fn local(
+            &self,
+            h: &Hypergraph,
+            bag: &BitSet,
+            budget: &Budget,
+        ) -> Result<Option<E::Local>, DecompError> {
+            *self.evals.borrow_mut().entry(bag.clone()).or_default() += 1;
+            self.inner.local(h, bag, budget)
+        }
+
+        fn combine(
+            &self,
+            bag: &BitSet,
+            local: &E::Local,
+            children: &[E::Summary],
+        ) -> Option<E::Summary> {
+            self.inner.combine(bag, local, children)
+        }
+
+        fn better(&self, a: &E::Summary, b: &E::Summary) -> bool {
+            self.inner.better(a, b)
+        }
+    }
+
+    #[test]
+    fn bag_local_part_runs_at_most_once_per_candidate_bag() {
+        let opts = EnumerateOptions { cap_per_block: 4 };
+        for edges in 6..=12 {
+            for k in 1..=3 {
+                let h = random_shape(edges, (edges * 3 + k) as u64);
+                let inst = CtdInstance::new(&h, &soft_bags(&h, k));
+                let concov = ConCov { k };
+                let counting = Counting {
+                    inner: &concov,
+                    evals: RefCell::default(),
+                };
+                let check = |what: &str| {
+                    let evals = counting.evals.take();
+                    assert!(evals.len() <= inst.num_bags());
+                    for (bag, n) in evals {
+                        assert_eq!(
+                            n, 1,
+                            "{what}: {n} evaluations of {bag:?} ({edges} edges, k={k})"
+                        );
+                    }
+                };
+                let found = best_on(&inst, &counting).is_some();
+                check("best_on");
+                // Enumeration is exponential in the block count: the
+                // small shapes only.
+                if edges <= 7 {
+                    let ranked = enumerate_on(&inst, &counting, &opts);
+                    check("enumerate_on");
+                    assert_eq!(found, !ranked.is_empty());
+                }
+            }
+        }
+    }
+
+    /// Algorithm 2 as it ran before the bag-local table: full Jacobi
+    /// rounds in which every *(block, viable candidate)* pair re-runs
+    /// both halves of the evaluator, then the same extraction, and the
+    /// summary from [`evaluate_td`] on the finished tree.
+    fn per_pair_reference<E: TdEvaluator>(
+        inst: &CtdInstance,
+        eval: &E,
+    ) -> Option<Ranked<E::Summary>> {
+        let unlimited = Budget::unlimited();
+        let nb = inst.blocks.len();
+        let mut value: Vec<Value<E::Summary>> = vec![None; nb];
+        let improves = |new: &E::Summary, old: &Value<E::Summary>| match old {
+            None => true,
+            Some((_, old)) => eval.better(new, old),
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            let snapshot = value.clone();
+            for (b, slot) in value.iter_mut().enumerate() {
+                let mut best: Value<E::Summary> = None;
+                'cands: for (x, children) in inst.viable_candidates(b) {
+                    let mut sums = Vec::new();
+                    for &b2 in children {
+                        match &snapshot[b2 as usize] {
+                            Some((_, s)) => sums.push(s.clone()),
+                            None => continue 'cands,
+                        }
+                    }
+                    let bag = inst.bag(x);
+                    let summary = eval
+                        .local(&inst.h, bag, &unlimited)
+                        .unwrap()
+                        .and_then(|local| eval.combine(bag, &local, &sums));
+                    match summary {
+                        Some(summary) if improves(&summary, &best) => best = Some((x, summary)),
+                        _ => {}
+                    }
+                }
+                if let Some((x, summary)) = best {
+                    if improves(&summary, slot) {
+                        *slot = Some((x, summary));
+                        changed = true;
+                    }
+                }
+            }
+        }
+        let basis = inst.satisfy().basis;
+        let mut td = None;
+        for &rb in &inst.root_blocks {
+            let root = extract_best(inst, &value, &basis, rb, &mut vec![false; nb])?;
+            materialise(inst, &root, &mut td);
+        }
+        let td = td?;
+        let summary = evaluate_td(&inst.h, &td, eval)?;
+        Some((td, summary))
+    }
+
+    fn assert_matches_reference<E: TdEvaluator>(inst: &CtdInstance, eval: &E, what: &str) {
+        let fast = format!("{:?}", best_on(inst, eval));
+        let slow = format!("{:?}", per_pair_reference(inst, eval));
+        assert_eq!(fast, slow, "{what}");
+    }
+
+    #[test]
+    fn best_equals_the_per_pair_reference() {
+        let mut shapes = vec![
+            named::h2(),
+            named::cycle(5),
+            named::cycle(6),
+            named::triangle_star(3),
+        ];
+        shapes.extend((0..6).map(|seed| random_shape(6 + seed as usize % 3, seed)));
+        let size = |bag: &BitSet| bag.len() as f64;
+        for (i, h) in shapes.iter().enumerate() {
+            for k in 1..=3 {
+                let inst = CtdInstance::new(h, &soft_bags(h, k));
+                let what = format!("shape {i}, k={k}");
+                assert_matches_reference(&inst, &Trivial, &what);
+                assert_matches_reference(&inst, &ConCov { k }, &what);
+                assert_matches_reference(&inst, &ShallowCyc { d: 1 }, &what);
+                assert_matches_reference(&inst, &BagCost::new(size), &what);
+                let lexi = Lexi::new(ConCov { k }, BagCost::new(size));
+                assert_matches_reference(&inst, &lexi, &what);
+            }
+        }
+        // Example 4: R,U,V on partition 0, S,T,W on partition 1.
+        let (h, labels) = named::example4_query();
+        let inst = CtdInstance::new(&h, &soft_bags(&h, 2));
+        let clust = PartClust {
+            k: 2,
+            labels,
+            num_partitions: 2,
+        };
+        assert!(best_on(&inst, &clust).is_some());
+        assert_matches_reference(&inst, &clust, "example 4");
+    }
+
+    #[test]
+    fn a_tripped_budget_is_an_error_and_a_retry_is_identical() {
+        let h = named::grid(3, 3);
+        let inst = CtdInstance::new(&h, &soft_bags(&h, 3));
+        let eval = ConCov { k: 3 };
+        let control = format!("{:?}", best_on(&inst, &eval));
+        let mut tripped = 0;
+        for cap in [0, 1, 10, 100, 1_000, 10_000, 100_000_000] {
+            match best_on_budgeted(&inst, &eval, &Budget::with_work_cap(cap)) {
+                Ok(best) => assert_eq!(format!("{best:?}"), control, "cap {cap}"),
+                Err(e) => {
+                    assert_eq!(e, DecompError::DeadlineExceeded, "cap {cap}");
+                    tripped += 1;
+                }
+            }
+            assert_eq!(format!("{:?}", best_on(&inst, &eval)), control);
+        }
+        assert!((1..7).contains(&tripped), "{tripped} of 7 caps tripped");
+        let canceled = Budget::cancellable();
+        canceled.cancel();
+        let stopped = best_on_budgeted(&inst, &eval, &canceled);
+        assert_eq!(stopped.err(), Some(DecompError::Canceled));
+    }
+
+    #[test]
+    fn a_non_monotone_evaluator_is_an_internal_error_not_a_panic() {
+        // `better` that always prefers the newcomer never reaches a
+        // fixpoint on a cyclic dependency.
+        struct Restless;
+        impl TdEvaluator for Restless {
+            type Summary = ();
+            type Local = ();
+            fn local(
+                &self,
+                _: &Hypergraph,
+                _: &BitSet,
+                _: &Budget,
+            ) -> Result<Option<()>, DecompError> {
+                Ok(Some(()))
+            }
+            fn combine(&self, _: &BitSet, _: &(), _: &[()]) -> Option<()> {
+                Some(())
+            }
+            fn better(&self, _: &(), _: &()) -> bool {
+                true
+            }
+        }
+        let h = named::cycle(5);
+        let inst = CtdInstance::new(&h, &soft_bags(&h, 2));
+        let stuck = best_on_budgeted(&inst, &Restless, &Budget::unlimited());
+        assert!(
+            matches!(stuck, Err(DecompError::Internal { .. })),
+            "{stuck:?}"
+        );
+    }
 
     #[test]
     fn best_with_trivial_evaluator_matches_algorithm_1() {

@@ -59,6 +59,8 @@ const SERVICE_FILES: &[&str] = &[
 /// Files whose budgeted functions must keep ticking (cancellation, PR 7).
 const BUDGET_FILES: &[&str] = &[
     "crates/core/src/ctd.rs",
+    "crates/core/src/ctd_opt.rs",
+    "crates/core/src/cover.rs",
     "crates/core/src/soft.rs",
     "crates/core/src/reduce_solve.rs",
 ];
@@ -294,7 +296,7 @@ fn innermost_fn(fns: &[FnItem], idx: usize) -> Option<&FnItem> {
         .min_by_key(|f| f.body.1 - f.body.0)
 }
 
-/// `budget-tick`: in the four budgeted solver files, every function
+/// `budget-tick`: in the budgeted solver files, every function
 /// that takes a `Budget` must actually consume it, and every
 /// *unbounded* loop (`while` / `loop`) in such a function must touch
 /// the budget inside its body — a tick, a check, or handing `budget`

@@ -55,6 +55,32 @@ fn bad_tree_panic_sites_are_attributed() {
 }
 
 #[test]
+fn bad_tree_budget_sites_are_attributed() {
+    let report = softhw_lint::analyze(&fixture("bad")).expect("fixture tree loads");
+    let sites: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == rules::BUDGET_TICK)
+        .collect();
+    // Every budgeted solver file is watched: ctd.rs drops its budget
+    // and never ticks its loop, the preference DP consumes its budget
+    // but not inside its wave loop, the cover search never consumes it.
+    let in_file = |rel: &str, needle: &str| {
+        let hits = sites.iter().filter(|f| f.rel == rel);
+        hits.filter(|f| f.msg.contains(needle)).count()
+    };
+    for (rel, needle) in [
+        ("crates/core/src/ctd.rs", "never consumes it"),
+        ("crates/core/src/ctd.rs", "never ticks/checks"),
+        ("crates/core/src/ctd_opt.rs", "never ticks/checks"),
+        ("crates/core/src/cover.rs", "never consumes it"),
+    ] {
+        assert_eq!(in_file(rel, needle), 1, "{rel}: {needle}: {sites:#?}");
+    }
+    assert_eq!(sites.len(), 4, "findings: {sites:#?}");
+}
+
+#[test]
 fn bad_tree_cross_artifact_names_every_drift() {
     let report = softhw_lint::analyze(&fixture("bad")).expect("fixture tree loads");
     let msgs: Vec<&str> = report

@@ -54,6 +54,10 @@ pub mod stage {
     pub const SATISFY: &str = "satisfy";
     /// λ-set enumeration / candidate bag generation.
     pub const ENUMERATE: &str = "enumerate";
+    /// Algorithm 2's preference DP (`ctd_opt::best_on_budgeted`): the
+    /// bag-local evaluations, the worklist waves and the extraction. Its
+    /// boolean reference DP is a `satisfy` child span.
+    pub const BEST_DP: &str = "best_dp";
     /// `[S]`-component / coverage-union passes over the `BlockIndex`:
     /// the `U`-side sweep inside `enumerate`, block derivation inside
     /// `instance_build`.
@@ -81,6 +85,7 @@ pub mod stage {
         INSTANCE_BUILD,
         SATISFY,
         ENUMERATE,
+        BEST_DP,
         COMPONENTS,
         DEPS_SCAN,
         RESULT_CACHE,

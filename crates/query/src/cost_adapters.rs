@@ -5,6 +5,7 @@
 
 use crate::cq::ConjunctiveQuery;
 use softhw_core::ctd_opt::TdEvaluator;
+use softhw_core::{Budget, DecompError};
 use softhw_engine::relation::Relation;
 use softhw_engine::{estimate, truecost};
 use softhw_hypergraph::{BagArena, BagId, BitSet, FxHashMap, Hypergraph};
@@ -99,8 +100,8 @@ impl<'q> CostContext<'q> {
         s
     }
 
-    fn cover_rels(&self, bag: &BitSet) -> Vec<&Relation> {
-        self.cover(bag).iter().map(|&i| &self.atoms[i]).collect()
+    fn rels(&self, cover: &[usize]) -> Vec<&Relation> {
+        cover.iter().map(|&i| &self.atoms[i]).collect()
     }
 }
 
@@ -124,13 +125,16 @@ pub struct TrueCardCost<'q, 'c> {
 
 impl TdEvaluator for TrueCardCost<'_, '_> {
     type Summary = TrueCostSummary;
+    /// The bag's cover (atom indices), its true size `|J_u|`, and the
+    /// node cost of materialising it.
+    type Local = (Vec<usize>, f64, f64);
 
-    fn eval(
+    fn local(
         &self,
         _h: &Hypergraph,
         bag: &BitSet,
-        children: &[TrueCostSummary],
-    ) -> Option<TrueCostSummary> {
+        _budget: &Budget,
+    ) -> Result<Option<Self::Local>, DecompError> {
         let cover = self.cx.cover(bag);
         let sizes: Vec<f64> = cover
             .iter()
@@ -138,6 +142,16 @@ impl TdEvaluator for TrueCardCost<'_, '_> {
             .collect();
         let j_u = self.cx.true_bag_size(bag);
         let node = truecost::node_cost(j_u, &sizes);
+        Ok(Some((cover, j_u, node)))
+    }
+
+    fn combine(
+        &self,
+        bag: &BitSet,
+        (cover, j_u, node): &Self::Local,
+        children: &[TrueCostSummary],
+    ) -> Option<TrueCostSummary> {
+        let (j_u, node) = (*j_u, *node);
         let child_reduced: Vec<f64> = children.iter().map(|c| c.reduced_sz).collect();
         // ReduceAttrs(u): bag vars occurring at non-PK positions in some
         // child subtree.
@@ -151,7 +165,7 @@ impl TdEvaluator for TrueCardCost<'_, '_> {
         let pairs: Vec<(f64, f64)> = children.iter().map(|c| (c.cost, c.reduced_sz)).collect();
         let cost = truecost::subtree_cost(node, scan, &pairs);
         let mut nonkey_below = below;
-        for &ai in &cover {
+        for &ai in cover {
             nonkey_below.union_with(&self.cx.nonkey_vars_per_atom[ai]);
         }
         Some(TrueCostSummary {
@@ -189,25 +203,34 @@ pub struct DbmsEstimateCost<'q, 'c> {
 
 impl TdEvaluator for DbmsEstimateCost<'_, '_> {
     type Summary = EstimateCostSummary;
+    /// The bag's cover (atom indices) and the planner's cost of joining
+    /// it.
+    type Local = (Vec<usize>, f64);
 
-    fn eval(
+    fn local(
         &self,
         _h: &Hypergraph,
         bag: &BitSet,
+        _budget: &Budget,
+    ) -> Result<Option<Self::Local>, DecompError> {
+        let cover = self.cx.cover(bag);
+        let plain = estimate::estimated_query_cost(&self.cx.rels(&cover));
+        Ok(Some((cover, plain)))
+    }
+
+    fn combine(
+        &self,
+        bag: &BitSet,
+        (cover, parent_plain): &Self::Local,
         children: &[EstimateCostSummary],
     ) -> Option<EstimateCostSummary> {
-        let rels = self.cx.cover_rels(bag);
-        let self_cost = if rels.len() > 1 {
-            estimate::estimated_query_cost(&rels)
-        } else {
-            0.0
-        };
+        let rels = self.cx.rels(cover);
+        let self_cost = if rels.len() > 1 { *parent_plain } else { 0.0 };
         let mut cost = self_cost;
         for c in children {
-            let child_rels = self.cx.cover_rels(&c.root_bag);
+            let child_rels = self.cx.rels(&self.cx.cover(&c.root_bag));
             let semi = estimate::estimated_semijoin_cost(&rels, &child_rels);
             let child_plain = estimate::estimated_query_cost(&child_rels);
-            let parent_plain = estimate::estimated_query_cost(&rels);
             cost += c.cost + (semi - parent_plain - child_plain).max(1.0);
         }
         Some(EstimateCostSummary {

@@ -357,6 +357,14 @@ impl ServiceState {
                 MetricKind::Gauge,
                 self.bytes_per_cached_schema(),
             ),
+            m(
+                "softhw_store_index_bytes",
+                "store_index_bytes",
+                MetricKind::Gauge,
+                self.store
+                    .as_ref()
+                    .map_or(0, |handle| handle.index_bytes.load(Ordering::Relaxed)),
+            ),
         ]
     }
 

@@ -54,6 +54,9 @@ pub(crate) struct StoreHandle {
     pub(crate) warmed: AtomicU64,
     /// Write-behind puts that failed at the disk layer.
     pub(crate) put_errors: Arc<AtomicU64>,
+    /// Heap bytes of the store's in-memory index, refreshed by the
+    /// persister after every put (under the lock the put took).
+    pub(crate) index_bytes: Arc<AtomicU64>,
     pub(crate) tx: Option<mpsc::Sender<PersistMsg>>,
     join: Option<JoinHandle<()>>,
 }
@@ -83,7 +86,12 @@ fn frame_ref(f: &TdFrame) -> FrameRef<'_> {
     }
 }
 
-fn persister(store: Arc<Mutex<Store>>, rx: mpsc::Receiver<PersistMsg>, errors: Arc<AtomicU64>) {
+fn persister(
+    store: Arc<Mutex<Store>>,
+    rx: mpsc::Receiver<PersistMsg>,
+    errors: Arc<AtomicU64>,
+    index_bytes: Arc<AtomicU64>,
+) {
     let mut dirty = 0usize;
     let apply = |msg: PersistMsg, dirty: &mut usize| match msg {
         PersistMsg::Put(put) => {
@@ -93,20 +101,19 @@ fn persister(store: Arc<Mutex<Store>>, rx: mpsc::Receiver<PersistMsg>, errors: A
                 fields,
                 answer,
             } = *put;
-            let result = match &answer {
-                OwnedAnswer::No => lock_store(&store).put(&schema, key, &fields, PutAnswer::No),
-                OwnedAnswer::Yes(frame) => {
-                    lock_store(&store).put(&schema, key, &fields, PutAnswer::Yes(frame_ref(frame)))
-                }
-                OwnedAnswer::Width { width, frame } => lock_store(&store).put(
-                    &schema,
-                    key,
-                    &fields,
-                    PutAnswer::Width {
-                        width: *width,
-                        frame: frame_ref(frame),
-                    },
-                ),
+            let answer = match &answer {
+                OwnedAnswer::No => PutAnswer::No,
+                OwnedAnswer::Yes(frame) => PutAnswer::Yes(frame_ref(frame)),
+                OwnedAnswer::Width { width, frame } => PutAnswer::Width {
+                    width: *width,
+                    frame: frame_ref(frame),
+                },
+            };
+            let result = {
+                let mut store = lock_store(&store);
+                let result = store.put(&schema, key, &fields, answer);
+                index_bytes.store(store.index_bytes(), Ordering::Relaxed);
+                result
             };
             match result {
                 Ok(()) => *dirty += 1,
@@ -162,12 +169,13 @@ impl ServiceState {
         let mut state = ServiceState::new(config);
         let warmed = state.warm_start(&mut store);
         let put_errors = Arc::new(AtomicU64::new(0));
+        let index_bytes = Arc::new(AtomicU64::new(store.index_bytes()));
         let store = Arc::new(Mutex::new(store));
         let (tx, rx) = mpsc::channel();
         let join = {
             let store = Arc::clone(&store);
-            let errors = Arc::clone(&put_errors);
-            std::thread::spawn(move || persister(store, rx, errors))
+            let (errors, index_bytes) = (Arc::clone(&put_errors), Arc::clone(&index_bytes));
+            std::thread::spawn(move || persister(store, rx, errors, index_bytes))
         };
         state.store = Some(StoreHandle {
             store,
@@ -176,6 +184,7 @@ impl ServiceState {
             invalid: AtomicU64::new(0),
             warmed: AtomicU64::new(warmed),
             put_errors,
+            index_bytes,
             tx: Some(tx),
             join: Some(join),
         });

@@ -49,7 +49,7 @@ use crate::metrics::{ServiceObs, StripeMirror};
 use crate::persist::{import_decisions, persist_msg, response_from_hit, StoreHandle};
 use crate::wire::{BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame, WireRequest};
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};
-use softhw_core::ctd_opt::best_on;
+use softhw_core::ctd_opt::best_on_budgeted;
 use softhw_core::error::DecompError;
 use softhw_core::soft::SoftLimits;
 use softhw_core::{Budget, DecompCache, SolveSpec, Solved, TreeDecomposition};
@@ -520,7 +520,10 @@ impl ServiceState {
             RequestClass::ShwLeq(k) => (SolveSpec::shw_leq(clamp(k)), Some(k)),
             RequestClass::Hw => (SolveSpec::hw(), None),
             RequestClass::HwLeq(k) => (SolveSpec::hw_leq(clamp(k)), Some(k)),
-            RequestClass::Best(eval, k) => return self.best(eval, k, h, stripe, budget),
+            RequestClass::Best(eval, k) => {
+                let best = self.best(eval, k, h, stripe, budget);
+                return best.unwrap_or_else(|e| self.decomp_error(e));
+            }
             RequestClass::Stats => return self.stats_response(h, idx, stripe),
             // The three schema-free classes are served before schema
             // parsing in `handle_inner`; kept for match exhaustiveness.
@@ -563,10 +566,11 @@ impl ServiceState {
     }
 
     /// `BEST eval k`: Algorithm 2 over `Soft_{H,k}`. Generation and the
-    /// instance build run on the stripe's warm index under the request's
-    /// budget — the same prepared instance a `SHW_LEQ k` miss builds —
-    /// and the instance is dropped once the best decomposition is framed
-    /// (the answer lives in the result cache and the store).
+    /// instance build run on the stripe's warm index — the same prepared
+    /// instance a `SHW_LEQ k` miss builds — and the DP on top of it, all
+    /// three under the request's budget; the instance is dropped once
+    /// the best decomposition is framed (the answer lives in the result
+    /// cache and the store).
     fn best(
         &self,
         eval: EvalKind,
@@ -574,34 +578,34 @@ impl ServiceState {
         h: &Hypergraph,
         stripe: &mut Stripe,
         budget: &Budget,
-    ) -> Response {
+    ) -> Result<Response, DecompError> {
         if k == 0 {
-            return Response::error("request", "width must be >= 1");
+            return Ok(Response::error("request", "width must be >= 1"));
         }
         // The computation width, clamped as in `dispatch`.
         let width = k.min(h.num_edges());
-        let inst = match stripe
+        let inst = stripe
             .cache
-            .soft_instance(h, width, &self.config.limits, budget)
-        {
-            Ok(inst) => inst,
-            Err(e) => return self.decomp_error(e),
-        };
+            .soft_instance(h, width, &self.config.limits, budget)?;
         let mut fields = vec![("eval".to_string(), eval.token())];
         let best = match eval {
-            EvalKind::Trivial => best_on(&inst, &Trivial).map(|(td, ())| td),
-            EvalKind::ConCov => best_on(&inst, &ConCov { k: width }).map(|(td, ())| td),
-            EvalKind::Shallow(d) => best_on(&inst, &ShallowCyc { d }).map(|(td, cost)| {
-                fields.push(("cost".to_string(), cost.to_string()));
-                td
-            }),
+            EvalKind::Trivial => best_on_budgeted(&inst, &Trivial, budget)?.map(|(td, ())| td),
+            EvalKind::ConCov => {
+                best_on_budgeted(&inst, &ConCov { k: width }, budget)?.map(|(td, ())| td)
+            }
+            EvalKind::Shallow(d) => {
+                best_on_budgeted(&inst, &ShallowCyc { d }, budget)?.map(|(td, cost)| {
+                    fields.push(("cost".to_string(), cost.to_string()));
+                    td
+                })
+            }
         };
-        Response::Decision {
+        Ok(Response::Decision {
             class: "BEST".into(),
             fields,
             k,
             td: best.map(|td| TdFrame::from_td(&td, h.num_vertices())),
-        }
+        })
     }
 }
 
@@ -1076,7 +1080,36 @@ mod tests {
         };
         let timed_out = st.handle(&WireRequest::Single(req.clone()), &capped);
         assert_eq!(timed_out, Response::Timeout);
-        // Neither trip cached or persisted anything ...
+        // And so does the smallest cap that enumeration and the instance
+        // build fit under: the DP on top of them ticks too.
+        let h = named::grid(3, 3);
+        let builds_under = |cap: u64| {
+            let limits = ServiceConfig::default().limits;
+            let capped = Budget::with_work_cap(cap);
+            DecompCache::new()
+                .soft_instance(&h, 2, &limits, &capped)
+                .is_ok()
+        };
+        let mut fits = 1u64;
+        while !builds_under(fits) {
+            fits *= 2;
+        }
+        let mut too_small = fits / 2;
+        while fits - too_small > 1 {
+            let mid = too_small + (fits - too_small) / 2;
+            if builds_under(mid) {
+                fits = mid;
+            } else {
+                too_small = mid;
+            }
+        }
+        let capped = RequestCtx {
+            budget: Some(Budget::with_work_cap(fits)),
+            ..RequestCtx::default()
+        };
+        let timed_out = st.handle(&WireRequest::Single(req.clone()), &capped);
+        assert_eq!(timed_out, Response::Timeout, "the DP ignored {fits}");
+        // No trip cached or persisted anything ...
         assert!(st.sync_store());
         for stripe in &st.stripes {
             let stripe = stripe.lock().unwrap_or_else(PoisonError::into_inner);

@@ -287,3 +287,69 @@ fn best_answers_do_not_depend_on_query_order() {
         }
     }
 }
+
+/// Every `BEST` frame the golden file pins: the example schemas under
+/// `data/examples/`, then random schemas — connected ones with and
+/// without reduction, disconnected ones for the stitched-tree path —
+/// each asked `trivial`, `concov` and `shallow:1` at k = 1, 2, 3 on a
+/// fresh state. One `## <schema> <eval> <k>` header per frame.
+fn best_frames() -> String {
+    use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/examples");
+    let mut files: Vec<_> = std::fs::read_dir(&examples)
+        .expect("data/examples exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "hg"))
+        .collect();
+    files.sort();
+    let mut schemas: Vec<(String, String, bool)> = files
+        .iter()
+        .map(|path| {
+            let name = path.file_name().expect("file name").to_string_lossy();
+            let body = std::fs::read_to_string(path).expect("readable schema");
+            (name.into_owned(), body, false)
+        })
+        .collect();
+    for (connect, no_reduce) in [(true, false), (true, true), (false, false)] {
+        let shape = RandomConfig {
+            num_vertices: 10,
+            num_edges: 9,
+            min_arity: 2,
+            max_arity: 3,
+            connect,
+        };
+        for seed in 0..6 {
+            let name = format!("random-{seed}-connect={connect}-no_reduce={no_reduce}");
+            let body = render_hypergraph(&random_hypergraph(&shape, seed));
+            schemas.push((name, body, no_reduce));
+        }
+    }
+    let mut out = String::new();
+    for (name, body, no_reduce) in &schemas {
+        let config = ServiceConfig {
+            no_reduce: *no_reduce,
+            ..ServiceConfig::default()
+        };
+        for eval in [EvalKind::Trivial, EvalKind::ConCov, EvalKind::Shallow(1)] {
+            for k in 1..=3 {
+                let req = Request::new(RequestClass::Best(eval, k), body.clone());
+                let frame = handle(&ServiceState::new(config.clone()), &req, None).encode();
+                out.push_str(&format!("## {name} {} {k}\n{frame}", eval.token()));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn best_frames_equal_the_golden_file() {
+    // Captured at the parent of the once-per-bag DP (PR 15): Algorithm 2
+    // may be reorganised freely, but wave order and first-wins
+    // tie-breaking — hence every witness byte — must not move.
+    let golden = include_str!("golden/best_frames.txt");
+    let now = best_frames();
+    for (want, got) in golden.split("## ").zip(now.split("## ")) {
+        assert_eq!(got, want, "BEST frame diverged from the golden file");
+    }
+    assert_eq!(now.len(), golden.len());
+}

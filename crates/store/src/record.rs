@@ -129,7 +129,7 @@ impl ClassKey {
         }
     }
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Option<ClassKey> {
+    pub(crate) fn decode(buf: &[u8], pos: &mut usize) -> Option<ClassKey> {
         let tag = *buf.get(*pos)?;
         *pos += 1;
         Some(match tag {
@@ -184,6 +184,65 @@ pub struct ResultRecord {
     pub fields: Vec<(String, String)>,
     /// The stored answer.
     pub answer: StoredAnswer,
+}
+
+impl ResultRecord {
+    /// Appends the payload of a `Result` record (key, fields, answer) —
+    /// also the form the store keeps live results resident in.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.key.encode(out);
+        put_varint(out, self.fields.len() as u64);
+        for (k, v) in &self.fields {
+            put_string(out, k);
+            put_string(out, v);
+        }
+        match &self.answer {
+            StoredAnswer::No => out.push(0),
+            StoredAnswer::Yes(td) => {
+                out.push(1);
+                put_td(out, td);
+            }
+            StoredAnswer::Width { width, td } => {
+                out.push(2);
+                put_varint(out, *width);
+                put_td(out, td);
+            }
+        }
+    }
+
+    /// Decodes one payload written by [`ResultRecord::encode`] at `pos`.
+    pub(crate) fn decode(buf: &[u8], pos: &mut usize) -> Option<ResultRecord> {
+        let key = ClassKey::decode(buf, pos)?;
+        let nfields = get_varint(buf, pos)?;
+        if nfields > MAX_FIELDS {
+            return None;
+        }
+        let mut fields = Vec::with_capacity(nfields as usize);
+        for _ in 0..nfields {
+            let k = get_string(buf, pos)?;
+            let v = get_string(buf, pos)?;
+            fields.push((k, v));
+        }
+        let tag = *buf.get(*pos)?;
+        *pos += 1;
+        let answer = match tag {
+            0 => StoredAnswer::No,
+            1 => StoredAnswer::Yes(get_td(buf, pos)?),
+            2 => {
+                let width = get_varint(buf, pos)?;
+                StoredAnswer::Width {
+                    width,
+                    td: get_td(buf, pos)?,
+                }
+            }
+            _ => return None,
+        };
+        Some(ResultRecord {
+            key,
+            fields,
+            answer,
+        })
+    }
 }
 
 /// One log record (see the module docs for the framing and the roles).
@@ -339,24 +398,7 @@ impl StoreRecord {
                 out.push(3);
                 out.extend_from_slice(&hash.to_le_bytes());
                 out.extend_from_slice(&digest.to_le_bytes());
-                result.key.encode(&mut out);
-                put_varint(&mut out, result.fields.len() as u64);
-                for (k, v) in &result.fields {
-                    put_string(&mut out, k);
-                    put_string(&mut out, v);
-                }
-                match &result.answer {
-                    StoredAnswer::No => out.push(0),
-                    StoredAnswer::Yes(td) => {
-                        out.push(1);
-                        put_td(&mut out, td);
-                    }
-                    StoredAnswer::Width { width, td } => {
-                        out.push(2);
-                        put_varint(&mut out, *width);
-                        put_td(&mut out, td);
-                    }
-                }
+                result.encode(&mut out);
             }
         }
         out
@@ -405,42 +447,11 @@ impl StoreRecord {
                     bags,
                 }
             }
-            3 => {
-                let key = ClassKey::decode(body, &mut pos)?;
-                let nfields = get_varint(body, &mut pos)?;
-                if nfields > MAX_FIELDS {
-                    return None;
-                }
-                let mut fields = Vec::with_capacity(nfields as usize);
-                for _ in 0..nfields {
-                    let k = get_string(body, &mut pos)?;
-                    let v = get_string(body, &mut pos)?;
-                    fields.push((k, v));
-                }
-                let tag = *body.get(pos)?;
-                pos += 1;
-                let answer = match tag {
-                    0 => StoredAnswer::No,
-                    1 => StoredAnswer::Yes(get_td(body, &mut pos)?),
-                    2 => {
-                        let width = get_varint(body, &mut pos)?;
-                        StoredAnswer::Width {
-                            width,
-                            td: get_td(body, &mut pos)?,
-                        }
-                    }
-                    _ => return None,
-                };
-                StoreRecord::Result {
-                    hash,
-                    digest,
-                    result: ResultRecord {
-                        key,
-                        fields,
-                        answer,
-                    },
-                }
-            }
+            3 => StoreRecord::Result {
+                hash,
+                digest,
+                result: ResultRecord::decode(body, &mut pos)?,
+            },
             _ => return None,
         };
         // Trailing bytes mean the body was not what its length claimed:

@@ -1,6 +1,24 @@
 //! The disk-backed store: an append-only record log with an in-memory
 //! index, torn-tail recovery, and log compaction.
 //!
+//! **What is resident.** The index mirrors the log's live state, so a
+//! `get` is a probe with no disk I/O — and the mirror is kept about as
+//! small as the log it mirrors. Per stored schema there is one slot of a
+//! hash map keyed by `(structural hash, digest)` and two exact-fit
+//! buffers: a flat word row holding the canonical edges followed by the
+//! bag dictionary (`words_per_set` words each, dictionary ids are
+//! positions), and the live results in their log encoding
+//! ([`ResultRecord`] payloads, varint-packed, length-prefixed). There is
+//! no per-schema arena, hash table or vector of vectors: dictionary
+//! lookups scan the row and result lookups scan the blob, both a handful
+//! of entries long. Measured with a counting allocator over 5 000 stored
+//! 12–16-edge schemas with one witness each
+//! (`tests/resident_bytes.rs`): 331 B of live heap per schema for 146 B
+//! of log (2.3×; the same test at the previous layout — a `BagArena`, a
+//! `Vec<Vec<u64>>` and a `FxHashMap` per schema in `Vec` buckets — read
+//! 1 969 B, 13.5×). [`StoreStats::index_bytes`] reports the mirror's
+//! size, maintained per mutation.
+//!
 //! [`Store::open`] replays the log into per-schema state (canonical
 //! structure, shared bag dictionary, live results). Replay stops at the
 //! first frame that fails its length, checksum, or semantic validation
@@ -26,9 +44,11 @@ use crate::record::{
 use softhw_core::td::TreeDecomposition;
 use softhw_hypergraph::cache::canonical_form;
 use softhw_hypergraph::fxhash::hash_u64_iter;
-use softhw_hypergraph::{ArenaSnapshot, BagArena, BagId, FxHashMap, Hypergraph, HypergraphBuilder};
+use softhw_hypergraph::pack::{get_varint, put_varint};
+use softhw_hypergraph::{ArenaSnapshot, FxHashMap, Hypergraph, HypergraphBuilder};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Structural hash + independent digest of a hypergraph's canonical
@@ -69,6 +89,10 @@ pub struct StoreStats {
     pub puts: u64,
     /// Bytes dropped by open-time recovery (torn tail / corruption).
     pub recovered_bytes: u64,
+    /// Heap bytes of the in-memory index: the schema map's table plus
+    /// every schema's word row and result blob (capacities, not
+    /// lengths).
+    pub index_bytes: u64,
 }
 
 /// Per-schema summary row (`inspect` / `top` / warm-start ordering).
@@ -168,31 +192,136 @@ pub enum HitAnswer {
     },
 }
 
+/// The resident state of one stored schema; see the module docs for the
+/// layout and why it is flat. Both buffers grow by exact fit: a schema
+/// sees a handful of appends, and slack would be paid 40 000 times over.
 struct SchemaEntry {
-    digest: u64,
-    num_vertices: usize,
-    /// Canonical (sorted) edge words.
-    edges: Vec<Vec<u64>>,
-    /// The shared bag dictionary; ids are record-referenced.
-    dict: BagArena,
-    results: FxHashMap<ClassKey, ResultRecord>,
+    num_vertices: u32,
+    num_edges: u32,
+    num_results: u32,
     /// Session get-hits (heat = this + live results).
     session_hits: u64,
+    /// `words_per_set(num_vertices)`-word sets: the canonical (sorted)
+    /// edges, then the shared bag dictionary in id order (ids are
+    /// record-referenced).
+    words: Vec<u64>,
+    /// The live results, one `len:varint payload` each, payload as
+    /// [`ResultRecord::encode`] writes it.
+    results: Vec<u8>,
 }
 
 impl SchemaEntry {
+    fn new(num_vertices: usize, edges: &[Vec<u64>]) -> SchemaEntry {
+        SchemaEntry {
+            num_vertices: num_vertices as u32,
+            num_edges: edges.len() as u32,
+            num_results: 0,
+            session_hits: 0,
+            words: edges.concat(),
+            results: Vec::new(),
+        }
+    }
+
     fn heat(&self) -> u64 {
-        self.results.len() as u64 + self.session_hits
+        self.num_results as u64 + self.session_hits
+    }
+
+    fn wpb(&self) -> usize {
+        words_per_set(self.num_vertices as usize)
+    }
+
+    fn edges(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words[..self.num_edges as usize * self.wpb()].chunks_exact(self.wpb())
+    }
+
+    fn dict(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words[self.num_edges as usize * self.wpb()..].chunks_exact(self.wpb())
+    }
+
+    fn dict_len(&self) -> usize {
+        self.dict().len()
+    }
+
+    fn dict_words(&self, id: u32) -> &[u64] {
+        let at = (self.num_edges as usize + id as usize) * self.wpb();
+        &self.words[at..at + self.wpb()]
+    }
+
+    fn dict_lookup(&self, words: &[u64]) -> Option<u32> {
+        self.dict().position(|bag| bag == words).map(|i| i as u32)
+    }
+
+    /// Appends a bag the dictionary does not hold yet; returns its id.
+    fn dict_push(&mut self, words: &[u64]) -> u32 {
+        debug_assert_eq!(words.len(), self.wpb());
+        let id = self.dict_len() as u32;
+        self.words.reserve_exact(words.len());
+        self.words.extend_from_slice(words);
+        id
+    }
+
+    /// Every live result as `(frame start, payload range, key)`. A blob
+    /// that does not parse ends the walk — it is written by `set_result`
+    /// alone, so that would be a bug, not input.
+    fn result_spans(&self) -> impl Iterator<Item = (usize, Range<usize>, ClassKey)> + '_ {
+        let mut pos = 0usize;
+        std::iter::from_fn(move || {
+            let start = pos;
+            let len = get_varint(&self.results, &mut pos)? as usize;
+            let payload = pos..pos.checked_add(len)?;
+            let key = ClassKey::decode(self.results.get(payload.clone())?, &mut 0)?;
+            pos = payload.end;
+            Some((start, payload, key))
+        })
+    }
+
+    fn decode_result(&self, payload: Range<usize>) -> Option<ResultRecord> {
+        ResultRecord::decode(&self.results[payload], &mut 0)
+    }
+
+    fn result(&self, key: &ClassKey) -> Option<ResultRecord> {
+        let (_, payload, _) = self.result_spans().find(|(_, _, k)| k == key)?;
+        self.decode_result(payload)
+    }
+
+    /// Every live result, in blob (insertion) order.
+    fn all_results(&self) -> Vec<ResultRecord> {
+        self.result_spans()
+            .filter_map(|(_, payload, _)| self.decode_result(payload))
+            .collect()
+    }
+
+    /// Stores `result`, superseding the live result under its key.
+    fn set_result(&mut self, result: &ResultRecord) {
+        let superseded = self.result_spans().find(|(_, _, k)| *k == result.key);
+        match superseded {
+            Some((start, payload, _)) => drop(self.results.drain(start..payload.end)),
+            None => self.num_results += 1,
+        }
+        let (mut prefix, mut payload) = (Vec::new(), Vec::new());
+        result.encode(&mut payload);
+        put_varint(&mut prefix, payload.len() as u64);
+        self.results.reserve_exact(prefix.len() + payload.len());
+        self.results.extend_from_slice(&prefix);
+        self.results.extend_from_slice(&payload);
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        (self.words.capacity() * std::mem::size_of::<u64>() + self.results.capacity()) as u64
     }
 }
+
+/// The index: `(structural hash, digest)` → resident schema state.
+type Index = FxHashMap<(u64, u64), SchemaEntry>;
 
 /// The disk-backed decomposition store. See the module docs.
 pub struct Store {
     path: PathBuf,
     file: File,
-    /// hash → entries (hash-colliding schemas share a bucket, split by
-    /// digest).
-    index: FxHashMap<u64, Vec<SchemaEntry>>,
+    index: Index,
+    /// Σ [`SchemaEntry::heap_bytes`] over the index, kept current by
+    /// [`Store::mutate`].
+    entry_bytes: u64,
     bytes: u64,
     gets: u64,
     hits: u64,
@@ -238,7 +367,8 @@ impl Store {
         let mut store = Store {
             path,
             file,
-            index: FxHashMap::default(),
+            index: Index::default(),
+            entry_bytes: 0,
             bytes: MAGIC.len() as u64,
             gets: 0,
             hits: 0,
@@ -305,12 +435,23 @@ impl Store {
         &self.path
     }
 
+    /// Heap bytes of the in-memory index ([`StoreStats::index_bytes`]),
+    /// in O(1): the per-schema buffers are totalled as they change.
+    pub fn index_bytes(&self) -> u64 {
+        // The map's table: `capacity()` is 7/8 of its slots, and every
+        // slot has one control byte beside it.
+        let slots = (self.index.capacity() * 8).div_ceil(7);
+        let slot = std::mem::size_of::<((u64, u64), SchemaEntry)>() + 1;
+        self.entry_bytes + (slots * slot) as u64
+    }
+
     /// Current counters and sizes.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            schemas: self.index.values().map(Vec::len).sum(),
-            results: self.index.values().flatten().map(|e| e.results.len()).sum(),
-            dict_bags: self.index.values().flatten().map(|e| e.dict.len()).sum(),
+            schemas: self.index.len(),
+            results: self.index.values().map(|e| e.num_results as usize).sum(),
+            dict_bags: self.index.values().map(SchemaEntry::dict_len).sum(),
+            index_bytes: self.index_bytes(),
             bytes: self.bytes,
             gets: self.gets,
             hits: self.hits,
@@ -323,92 +464,80 @@ impl Store {
     /// Applies a replayed record to the index. `Err` marks the record
     /// semantically inconsistent with the state built so far.
     fn apply(&mut self, record: StoreRecord) -> Result<(), &'static str> {
-        let (hash, digest) = record.schema_key();
+        let key = record.schema_key();
         match record {
             StoreRecord::Schema {
                 num_vertices,
                 edges,
                 ..
             } => {
-                let bucket = self.index.entry(hash).or_default();
-                if let Some(existing) = bucket.iter().find(|e| e.digest == digest) {
+                if let Some(existing) = self.index.get(&key) {
                     // Idempotent re-registration (e.g. a crash between a
                     // Schema append and its first Result) must describe
                     // the same structure.
-                    if existing.num_vertices != num_vertices as usize || existing.edges != edges {
+                    if existing.num_vertices as u64 != num_vertices
+                        || !existing.edges().eq(edges.iter().map(Vec::as_slice))
+                    {
                         return Err("schema re-registered with different structure");
                     }
                     return Ok(());
                 }
-                bucket.push(SchemaEntry {
-                    digest,
-                    num_vertices: num_vertices as usize,
-                    edges,
-                    dict: BagArena::new(num_vertices as usize),
-                    results: FxHashMap::default(),
-                    session_hits: 0,
-                });
+                let entry = SchemaEntry::new(num_vertices as usize, &edges);
+                self.entry_bytes += entry.heap_bytes();
+                self.index.insert(key, entry);
                 Ok(())
             }
-            StoreRecord::Bags { universe, bags, .. } => {
-                let entry = Self::entry_mut(&mut self.index, hash, digest)
-                    .ok_or("bags for unregistered schema")?;
-                if universe as usize != entry.num_vertices {
-                    return Err("bags universe disagrees with schema");
-                }
-                let wpb = words_per_set(entry.num_vertices);
-                // The writer only appends bags the dictionary has not
-                // seen; a duplicate here (within the record or against
-                // the dictionary) would shift every later id, so it is
-                // corruption. Check before mutating.
-                for (i, b) in bags.iter().enumerate() {
-                    if b.len() != wpb {
-                        return Err("bag with wrong word count");
+            StoreRecord::Bags { universe, bags, .. } => self
+                .mutate(key, |entry| {
+                    if universe != entry.num_vertices as u64 {
+                        return Err("bags universe disagrees with schema");
                     }
-                    if entry.dict.lookup_words(b).is_some()
-                        || bags[..i].iter().any(|prev| prev == b)
-                    {
-                        return Err("duplicate dictionary bag");
+                    let wpb = entry.wpb();
+                    // The writer only appends bags the dictionary has not
+                    // seen; a duplicate here (within the record or against
+                    // the dictionary) would shift every later id, so it is
+                    // corruption. Check before mutating.
+                    for (i, b) in bags.iter().enumerate() {
+                        if b.len() != wpb {
+                            return Err("bag with wrong word count");
+                        }
+                        if entry.dict_lookup(b).is_some() || bags[..i].iter().any(|prev| prev == b)
+                        {
+                            return Err("duplicate dictionary bag");
+                        }
                     }
-                }
-                for b in &bags {
-                    entry.dict.intern_words(b);
-                }
-                Ok(())
-            }
-            StoreRecord::Result { result, .. } => {
-                let entry = Self::entry_mut(&mut self.index, hash, digest)
-                    .ok_or("result for unregistered schema")?;
-                let dict_len = entry.dict.len() as u64;
-                let check_td = |td: &StoredTd| -> Result<(), &'static str> {
-                    if td.nodes.iter().any(|&(_, bag)| bag as u64 >= dict_len) {
-                        return Err("witness references unknown dictionary bag");
+                    for b in &bags {
+                        entry.dict_push(b);
                     }
                     Ok(())
-                };
-                match &result.answer {
-                    StoredAnswer::No => {}
-                    StoredAnswer::Yes(td) | StoredAnswer::Width { td, .. } => check_td(td)?,
-                }
-                entry.results.insert(result.key, result);
-                Ok(())
-            }
+                })
+                .ok_or("bags for unregistered schema")?,
+            StoreRecord::Result { result, .. } => self
+                .mutate(key, |entry| {
+                    let dict_len = entry.dict_len() as u64;
+                    match &result.answer {
+                        StoredAnswer::No => {}
+                        StoredAnswer::Yes(td) | StoredAnswer::Width { td, .. } => {
+                            if td.nodes.iter().any(|&(_, bag)| bag as u64 >= dict_len) {
+                                return Err("witness references unknown dictionary bag");
+                            }
+                        }
+                    }
+                    entry.set_result(&result);
+                    Ok(())
+                })
+                .ok_or("result for unregistered schema")?,
         }
     }
 
-    fn entry_mut(
-        index: &mut FxHashMap<u64, Vec<SchemaEntry>>,
-        hash: u64,
-        digest: u64,
-    ) -> Option<&mut SchemaEntry> {
-        index
-            .get_mut(&hash)?
-            .iter_mut()
-            .find(|e| e.digest == digest)
-    }
-
-    fn entry(&self, hash: u64, digest: u64) -> Option<&SchemaEntry> {
-        self.index.get(&hash)?.iter().find(|e| e.digest == digest)
+    /// Runs `f` on the entry under `key` (`None` if the schema is not
+    /// registered), keeping the resident-byte total current.
+    fn mutate<R>(&mut self, key: (u64, u64), f: impl FnOnce(&mut SchemaEntry) -> R) -> Option<R> {
+        let entry = self.index.get_mut(&key)?;
+        let before = entry.heap_bytes();
+        let out = f(entry);
+        self.entry_bytes = self.entry_bytes - before + entry.heap_bytes();
+        Some(out)
     }
 
     fn append(&mut self, record: &StoreRecord) -> io::Result<()> {
@@ -450,7 +579,7 @@ impl Store {
         answer: PutAnswer<'_>,
     ) -> io::Result<()> {
         let (hash, digest) = schema_key(h);
-        if self.entry(hash, digest).is_none() {
+        if !self.index.contains_key(&(hash, digest)) {
             let mut edges: Vec<Vec<u64>> = h.edges().iter().map(|e| e.blocks().to_vec()).collect();
             edges.sort_unstable();
             let record = StoreRecord::Schema {
@@ -473,20 +602,19 @@ impl Store {
                     "witness universe disagrees with schema",
                 ));
             }
-            let entry = Self::entry_mut(&mut this.index, hash, digest).expect("registered above");
             let mut new_bags: Vec<Vec<u64>> = Vec::new();
             let mut dict_of_local: Vec<u32> = Vec::with_capacity(frame.snapshot.len());
-            for i in 0..frame.snapshot.len() {
-                let words = frame.snapshot.words(i);
-                let id = match entry.dict.lookup_words(words) {
-                    Some(id) => id,
-                    None => {
+            this.mutate((hash, digest), |entry| {
+                for i in 0..frame.snapshot.len() {
+                    let words = frame.snapshot.words(i);
+                    let id = entry.dict_lookup(words).unwrap_or_else(|| {
                         new_bags.push(words.to_vec());
-                        entry.dict.intern_words(words)
-                    }
-                };
-                dict_of_local.push(id.0);
-            }
+                        entry.dict_push(words)
+                    });
+                    dict_of_local.push(id);
+                }
+            })
+            .expect("registered above");
             let mut nodes = Vec::with_capacity(frame.nodes.len());
             for &(parent, bag) in frame.nodes {
                 let dict_id = *dict_of_local.get(bag as usize).ok_or_else(|| {
@@ -523,10 +651,7 @@ impl Store {
             result: result.clone(),
         };
         self.append(&record)?;
-        Self::entry_mut(&mut self.index, hash, digest)
-            .expect("registered above")
-            .results
-            .insert(key, result);
+        self.mutate((hash, digest), |entry| entry.set_result(&result));
         self.puts += 1;
         Ok(())
     }
@@ -536,19 +661,20 @@ impl Store {
     /// Pure index probe — no disk I/O.
     pub fn get(&mut self, hash: u64, digest: u64, key: &ClassKey) -> Option<StoreHit> {
         self.gets += 1;
-        let entry = match Self::entry_mut(&mut self.index, hash, digest) {
-            Some(e) => e,
-            None => {
-                self.misses += 1;
-                return None;
-            }
-        };
-        let Some(result) = entry.results.get(key) else {
+        let entry = self.index.get_mut(&(hash, digest));
+        let Some((result, entry)) = entry.and_then(|e| Some((e.result(key)?, e))) else {
             self.misses += 1;
             return None;
         };
-        let universe = entry.num_vertices;
-        let frame = |td: &StoredTd| Self::materialise(&entry.dict, universe, td);
+        entry.session_hits += 1;
+        self.hits += 1;
+        Some(Self::hit(entry, result))
+    }
+
+    /// A stored result with its witness materialised against the
+    /// schema's dictionary.
+    fn hit(entry: &SchemaEntry, result: ResultRecord) -> StoreHit {
+        let frame = |td: &StoredTd| Self::materialise(entry, td);
         let answer = match &result.answer {
             StoredAnswer::No => HitAnswer::No,
             StoredAnswer::Yes(td) => HitAnswer::Yes(frame(td)),
@@ -557,13 +683,10 @@ impl Store {
                 frame: frame(td),
             },
         };
-        let hit = StoreHit {
-            fields: result.fields.clone(),
+        StoreHit {
+            fields: result.fields,
             answer,
-        };
-        entry.session_hits += 1;
-        self.hits += 1;
-        Some(hit)
+        }
     }
 
     /// Rebuilds a dense-id witness frame from dictionary-id nodes: local
@@ -571,14 +694,15 @@ impl Store {
     /// which is exactly the order the wire's `TdFrame::from_td` interns
     /// preorder bags — so a frame that went through the store compares
     /// byte-identical to one framed fresh.
-    fn materialise(dict: &BagArena, universe: usize, td: &StoredTd) -> FrameOwned {
+    fn materialise(entry: &SchemaEntry, td: &StoredTd) -> FrameOwned {
+        let universe = entry.num_vertices as usize;
         let mut local_of_dict: FxHashMap<u32, u32> = FxHashMap::default();
         let mut storage: Vec<u64> = Vec::new();
         let mut nodes = Vec::with_capacity(td.nodes.len());
         for &(parent, dict_id) in &td.nodes {
             let next = local_of_dict.len() as u32;
             let local = *local_of_dict.entry(dict_id).or_insert_with(|| {
-                storage.extend_from_slice(dict.words(BagId(dict_id)));
+                storage.extend_from_slice(entry.dict_words(dict_id));
                 next
             });
             nodes.push((parent, local));
@@ -614,16 +738,14 @@ impl Store {
         let mut out: Vec<SchemaSummary> = self
             .index
             .iter()
-            .flat_map(|(&hash, bucket)| {
-                bucket.iter().map(move |e| SchemaSummary {
-                    hash,
-                    digest: e.digest,
-                    num_vertices: e.num_vertices,
-                    num_edges: e.edges.len(),
-                    dict_bags: e.dict.len(),
-                    results: e.results.len(),
-                    heat: e.heat(),
-                })
+            .map(|(&(hash, digest), e)| SchemaSummary {
+                hash,
+                digest,
+                num_vertices: e.num_vertices as usize,
+                num_edges: e.num_edges as usize,
+                dict_bags: e.dict_len(),
+                results: e.num_results as usize,
+                heat: e.heat(),
             })
             .collect();
         out.sort_by(|a, b| b.heat.cmp(&a.heat).then(a.hash.cmp(&b.hash)));
@@ -644,14 +766,15 @@ impl Store {
     /// the rebuilt hypergraph equal the stored ones, which
     /// [`Store::verify`] checks).
     pub fn schema_hypergraph(&self, hash: u64, digest: u64) -> Option<Hypergraph> {
-        let entry = self.entry(hash, digest)?;
+        let entry = self.index.get(&(hash, digest))?;
+        let num_vertices = entry.num_vertices as usize;
         let mut b = HypergraphBuilder::new();
-        for v in 0..entry.num_vertices {
+        for v in 0..num_vertices {
             b.vertex(&format!("v{v}"));
         }
-        for (j, words) in entry.edges.iter().enumerate() {
+        for (j, words) in entry.edges().enumerate() {
             let ids: Vec<usize> = softhw_hypergraph::arena::words_iter(words).collect();
-            if ids.iter().any(|&v| v >= entry.num_vertices) {
+            if ids.iter().any(|&v| v >= num_vertices) {
                 return None; // corrupt edge survived somehow: refuse
             }
             b.edge_ids(&format!("e{j}"), &ids);
@@ -662,30 +785,13 @@ impl Store {
     /// Every stored result of a schema, key-sorted, witnesses
     /// materialised — the warm-start feed.
     pub fn results_for(&self, hash: u64, digest: u64) -> Vec<(ClassKey, StoreHit)> {
-        let Some(entry) = self.entry(hash, digest) else {
+        let Some(entry) = self.index.get(&(hash, digest)) else {
             return Vec::new();
         };
         let mut out: Vec<(ClassKey, StoreHit)> = entry
-            .results
-            .values()
-            .map(|r| {
-                let frame = |td: &StoredTd| Self::materialise(&entry.dict, entry.num_vertices, td);
-                let answer = match &r.answer {
-                    StoredAnswer::No => HitAnswer::No,
-                    StoredAnswer::Yes(td) => HitAnswer::Yes(frame(td)),
-                    StoredAnswer::Width { width, td } => HitAnswer::Width {
-                        width: *width as usize,
-                        frame: frame(td),
-                    },
-                };
-                (
-                    r.key,
-                    StoreHit {
-                        fields: r.fields.clone(),
-                        answer,
-                    },
-                )
-            })
+            .all_results()
+            .into_iter()
+            .map(|r| (r.key, Self::hit(entry, r)))
             .collect();
         out.sort_by_key(|(k, _)| *k);
         out
@@ -751,79 +857,56 @@ impl Store {
         let mut tmp = File::create(&tmp_path)?;
         tmp.write_all(MAGIC)?;
         let mut written = MAGIC.len() as u64;
-        let mut hashes: Vec<u64> = self.index.keys().copied().collect();
-        hashes.sort_unstable();
-        for hash in hashes {
-            let bucket = &self.index[&hash];
-            let mut order: Vec<usize> = (0..bucket.len()).collect();
-            order.sort_by_key(|&i| bucket[i].digest);
-            for i in order {
-                let entry = &bucket[i];
-                let mut records: Vec<StoreRecord> = Vec::new();
-                records.push(StoreRecord::Schema {
+        let mut schemas: Vec<(u64, u64)> = self.index.keys().copied().collect();
+        schemas.sort_unstable();
+        for (hash, digest) in schemas {
+            let entry = &self.index[&(hash, digest)];
+            let mut records: Vec<StoreRecord> = Vec::new();
+            records.push(StoreRecord::Schema {
+                hash,
+                digest,
+                num_vertices: entry.num_vertices as u64,
+                edges: entry.edges().map(<[u64]>::to_vec).collect(),
+            });
+            // Gather referenced dictionary bags in a deterministic
+            // order (key-sorted results, node order within each) and
+            // remap them to fresh dense ids.
+            let mut live = entry.all_results();
+            live.sort_unstable_by_key(|r| r.key);
+            let mut new_of_old: FxHashMap<u32, u32> = FxHashMap::default();
+            let mut kept_bags: Vec<Vec<u64>> = Vec::new();
+            for result in &mut live {
+                let (StoredAnswer::Yes(td) | StoredAnswer::Width { td, .. }) = &mut result.answer
+                else {
+                    continue;
+                };
+                for (_, bag) in &mut td.nodes {
+                    let (old, next) = (*bag, new_of_old.len() as u32);
+                    *bag = *new_of_old.entry(old).or_insert_with(|| {
+                        kept_bags.push(entry.dict_words(old).to_vec());
+                        next
+                    });
+                }
+            }
+            if !kept_bags.is_empty() {
+                records.push(StoreRecord::Bags {
                     hash,
-                    digest: entry.digest,
-                    num_vertices: entry.num_vertices as u64,
-                    edges: entry.edges.clone(),
+                    digest,
+                    universe: entry.num_vertices as u64,
+                    bags: kept_bags,
                 });
-                // Gather referenced dictionary bags in a deterministic
-                // order (key-sorted results, node order within each) and
-                // remap them to fresh dense ids.
-                let mut keys: Vec<ClassKey> = entry.results.keys().copied().collect();
-                keys.sort_unstable();
-                let mut new_of_old: FxHashMap<u32, u32> = FxHashMap::default();
-                let mut kept_bags: Vec<Vec<u64>> = Vec::new();
-                let mut remapped: Vec<ResultRecord> = Vec::new();
-                for key in keys {
-                    let r = &entry.results[&key];
-                    let mut remap_td = |td: &StoredTd| StoredTd {
-                        nodes: td
-                            .nodes
-                            .iter()
-                            .map(|&(parent, old)| {
-                                let next = new_of_old.len() as u32;
-                                let new = *new_of_old.entry(old).or_insert_with(|| {
-                                    kept_bags.push(entry.dict.words(BagId(old)).to_vec());
-                                    next
-                                });
-                                (parent, new)
-                            })
-                            .collect(),
-                    };
-                    let answer = match &r.answer {
-                        StoredAnswer::No => StoredAnswer::No,
-                        StoredAnswer::Yes(td) => StoredAnswer::Yes(remap_td(td)),
-                        StoredAnswer::Width { width, td } => StoredAnswer::Width {
-                            width: *width,
-                            td: remap_td(td),
-                        },
-                    };
-                    remapped.push(ResultRecord {
-                        key,
-                        fields: r.fields.clone(),
-                        answer,
-                    });
-                }
-                if !kept_bags.is_empty() {
-                    records.push(StoreRecord::Bags {
-                        hash,
-                        digest: entry.digest,
-                        universe: entry.num_vertices as u64,
-                        bags: kept_bags,
-                    });
-                }
-                for result in remapped {
-                    records.push(StoreRecord::Result {
-                        hash,
-                        digest: entry.digest,
-                        result,
-                    });
-                }
-                for record in &records {
-                    let framed = record.frame();
-                    tmp.write_all(&framed)?;
-                    written += framed.len() as u64;
-                }
+            }
+            for result in live {
+                records.push(StoreRecord::Result {
+                    hash,
+                    digest,
+                    result,
+                });
+            }
+            for record in &records {
+                let framed = record.frame();
+                tmp.write_all(&framed)?;
+                written += framed.len() as u64;
             }
         }
         tmp.sync_data()?;
