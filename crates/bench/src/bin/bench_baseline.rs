@@ -560,12 +560,7 @@ fn main() {
     }
     json.push_str("  },\n");
     let _ = writeln!(json, "  \"speedup_worklist_vs_jacobi\": {dp_speedup:.2},");
-    json.push_str("  \"unit\": \"median_ns\",\n");
-    let _ = writeln!(
-        json,
-        "  \"parallel_feature\": {}\n}}",
-        softhw_hypergraph::par::parallel_enabled()
-    );
+    json.push_str("  \"unit\": \"median_ns\"\n}\n");
     std::fs::write(&cfg.out_path, &json).expect("write baseline file");
     println!("\nwrote {}", cfg.out_path);
     for (name, ratio) in &speedups {

@@ -46,8 +46,9 @@ struct BudgetInner {
     work_cap: Option<u64>,
     /// Set by [`Budget::cancel`]; observed by every tick/check.
     cancel: AtomicBool,
-    /// Ticks consumed so far, shared across clones (and across parallel
-    /// workers holding clones).
+    /// Ticks consumed so far, shared across clones — atomic because the
+    /// service's event loop and the requests of one `BATCH` hold clones
+    /// on other threads than the solver's.
     ticks: AtomicU64,
 }
 
@@ -158,9 +159,9 @@ impl Budget {
     }
 
     /// Full check including the wall clock, without consuming a tick.
-    /// Call at stage boundaries (before a wave, a piece, a scan
-    /// fan-out) so a deadline that passed during a parallel region is
-    /// observed before the next one starts.
+    /// Call at stage boundaries (before a wave, a piece, a scan) so a
+    /// deadline that passed inside one stage is observed before the next
+    /// one starts.
     pub fn check(&self) -> Result<(), DecompError> {
         let Some(inner) = &self.inner else {
             return Ok(());

@@ -19,6 +19,13 @@
 //! of `(h, k)` alone — exact and bounded specs fill and read the same
 //! entries, in either order.
 //!
+//! The structural hash ignores the order edges are listed in, so
+//! whatever is kept per hash and names edges — the `λ`-labels of `hw`
+//! witnesses, the edge ids of a cached reduction — is held in *canonical
+//! edge positions* ([`canonical_edge_order`]) and translated through the
+//! caller's own edge order on the way in and out: a hit always answers
+//! in the numbering of the hypergraph that was passed in.
+//!
 //! The solving surface is three methods. [`DecompCache::solve`] consumes
 //! a [`crate::spec::SolveSpec`] and is the one front door over every
 //! (class × exactness × budget × reduction) corner; it returns exactly
@@ -48,7 +55,7 @@ use crate::shw::{shw_leq_indexed_budgeted, soft_instance_budgeted};
 use crate::soft::SoftLimits;
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::cache::{structural_hash, IndexCache};
+use softhw_hypergraph::cache::{canonical_edge_order, structural_hash, IndexCache};
 use softhw_hypergraph::{FxHashMap, FxHashSet, Hypergraph, Reduction};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -77,13 +84,15 @@ type Decisions<W> = FxHashMap<(u64, usize), Option<W>>;
 pub struct DecompCache {
     indexes: IndexCache,
     shw_results: Decisions<TreeDecomposition>,
+    /// `λ`-labels in canonical edge positions (see the module docs).
     hw_results: Decisions<Ghd>,
     /// Cached full-pipeline reduction per hypergraph (shared so the
     /// service reports reduction stats without recomputing).
     reductions: FxHashMap<u64, Arc<Reduction>>,
     /// Cached no-peel reduction per hypergraph (the HD-safe variant the
-    /// `hw` path uses).
-    reductions_no_peel: FxHashMap<u64, Arc<Reduction>>,
+    /// `hw` path uses), with the canonical position of each edge id of
+    /// the hypergraph it was computed on.
+    reductions_no_peel: FxHashMap<u64, (Arc<Reduction>, Vec<usize>)>,
     /// hash → last-use tick, the LRU clock.
     last_used: FxHashMap<u64, u64>,
     /// Hashes exempt from LRU eviction (hot-schema pinning): a pinned
@@ -124,6 +133,23 @@ fn store_absent<W>(
     }
     put(k, witness);
     stored
+}
+
+/// `g` with every `λ`-label `e` rewritten to `map[e]`.
+fn relabel(mut g: Ghd, map: &[usize]) -> Ghd {
+    for e in g.lambdas.iter_mut().flatten() {
+        *e = map[*e];
+    }
+    g
+}
+
+/// The canonical position of each edge id, given the canonical order.
+fn positions_of(order: &[usize]) -> Vec<usize> {
+    let mut positions = vec![0; order.len()];
+    for (pos, &e) in order.iter().enumerate() {
+        positions[e] = pos;
+    }
+    positions
 }
 
 /// Every cached decision for `hash`, width-sorted, witnesses rendered
@@ -203,8 +229,12 @@ impl DecompCache {
         let reds: u64 = self
             .reductions
             .values()
-            .chain(self.reductions_no_peel.values())
             .map(|r| r.approx_bytes())
+            .chain(
+                self.reductions_no_peel
+                    .values()
+                    .map(|(r, positions)| r.approx_bytes() + (positions.capacity() * 8) as u64),
+            )
             .sum();
         // LRU clock + pin set, at one (key, value) pair each.
         let book = ((self.last_used.len() + self.pinned.len()) * 24) as u64;
@@ -255,16 +285,19 @@ impl DecompCache {
         r
     }
 
-    /// The no-peel (HD-safe) reduction of `h`, cached per structural
-    /// hash; used by the `hw` path.
-    fn reduction_no_peel(&mut self, h: &Hypergraph) -> Arc<Reduction> {
+    /// The no-peel (HD-safe) reduction of `h`'s structure, cached per
+    /// structural hash, plus the map from the reduction's edge ids to
+    /// `h`'s — the identity unless the entry was computed on the same
+    /// edges listed in another order. Used by the `hw` path.
+    fn reduction_no_peel(&mut self, h: &Hypergraph) -> (Arc<Reduction>, Vec<usize>) {
         let hash = self.track(h);
-        if let Some(r) = self.reductions_no_peel.get(&hash) {
-            return Arc::clone(r);
-        }
-        let r = Arc::new(softhw_hypergraph::reduce_no_peel(h));
-        self.reductions_no_peel.insert(hash, Arc::clone(&r));
-        r
+        let order = canonical_edge_order(h);
+        let (red, positions) = self.reductions_no_peel.entry(hash).or_insert_with(|| {
+            let red = Arc::new(softhw_hypergraph::reduce_no_peel(h));
+            (red, positions_of(&order))
+        });
+        let to_caller = positions.iter().map(|&pos| order[pos]).collect();
+        (Arc::clone(red), to_caller)
     }
 
     /// Probes (building on first sight) `h`'s warm index and marks it
@@ -455,11 +488,14 @@ impl DecompCache {
         if let Some(cached) = self.hw_results.get(&(hash, k)).cloned() {
             self.stats.result_hits += 1;
             self.touch(hash);
-            return Ok(cached);
+            return Ok(cached.map(|g| relabel(g, &canonical_edge_order(h))));
         }
         self.stats.result_misses += 1;
         let result = hw::hw_leq_budgeted(h, k, budget)?;
-        self.hw_results.insert((hash, k), result.clone());
+        let canonical = result
+            .clone()
+            .map(|g| relabel(g, &positions_of(&canonical_edge_order(h))));
+        self.hw_results.insert((hash, k), canonical);
         self.touch(hash);
         Ok(result)
     }
@@ -479,7 +515,7 @@ impl DecompCache {
         if !reduce {
             return self.hw_sweep(h, budget);
         }
-        let red = self.reduction_no_peel(h);
+        let (red, to_caller) = self.reduction_no_peel(h);
         if red.is_trivial() {
             return self.hw_sweep(h, budget);
         }
@@ -495,7 +531,7 @@ impl DecompCache {
                 None => return Ok(None),
             }
         }
-        let g = lift_ghd(h, &red, &ghds);
+        let g = relabel(lift_ghd(h, &red, &ghds), &to_caller);
         debug_assert!(g.is_hd(h), "lifted HD must satisfy the special condition");
         Ok(Some((width, g)))
     }
@@ -558,6 +594,7 @@ impl DecompCache {
                 let Ok(ghd) = covered.transpose() else {
                     return false; // no width-k covers for some bag
                 };
+                let ghd = ghd.map(|g| relabel(g, &positions_of(&canonical_edge_order(h))));
                 let hash = self.track(h);
                 store_absent(&mut self.hw_results, hash, exact, k, ghd)
             }
@@ -919,7 +956,7 @@ mod tests {
             max_bags: 4,
         };
         match cache.solve(&h, &SolveSpec::shw().with_limits(tight)) {
-            Err(DecompError::Limit(_)) | Err(DecompError::Shards(_)) => {}
+            Err(DecompError::Limit(_)) => {}
             other => panic!("expected a limit error, got {other:?}"),
         }
         // The same cache still answers correctly under sane limits.
@@ -1031,5 +1068,68 @@ mod tests {
         assert_eq!(shw_of(&mut reduced, &h).0, w);
         assert_eq!(hw_of(&mut reduced, &h).0, w_hw);
         assert!(reduced.export(&h, SolveClass::Shw).is_empty());
+    }
+
+    /// The 6-cycle over vertices `a..f` (ids fixed up front) with its
+    /// edges listed in `order`, plus — with `extras` — a subsumed edge
+    /// and a second component, so the no-peel reduction is non-trivial.
+    fn six_cycle(order: [usize; 6], extras: bool) -> Hypergraph {
+        let names = ["a", "b", "c", "d", "e", "f", "x", "y"];
+        let mut b = softhw_hypergraph::HypergraphBuilder::new();
+        for v in &names[..if extras { 8 } else { 6 }] {
+            b.vertex(v);
+        }
+        if extras {
+            b.edge("far", &["x", "y"]);
+        }
+        for i in order {
+            b.edge(&format!("e{i}"), &[names[i], names[(i + 1) % 6]]);
+        }
+        if extras {
+            b.edge("sub", &["a"]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn hw_witnesses_follow_the_callers_edge_order() {
+        // Same edges, same vertex ids, listed in two orders: one
+        // structural hash, so the second ask hits what the first cached —
+        // and must still name *its own* edges in every λ-label.
+        for extras in [false, true] {
+            let h1 = six_cycle([0, 1, 2, 3, 4, 5], extras);
+            let h2 = six_cycle([5, 3, 1, 4, 2, 0], extras);
+            assert_eq!(structural_hash(&h1), structural_hash(&h2));
+            for reduce in [true, false] {
+                let spec = SolveSpec::hw().with_reduce(reduce);
+                // The first-listed order gets exactly its cold answer
+                // back, before and after the other order was served.
+                let cold = if reduce { hw::hw(&h1) } else { hw::hw_raw(&h1) };
+                let mut cache = DecompCache::new();
+                for h in [&h1, &h2, &h1] {
+                    let Solved::HwWidth(w, g) = cache.solve(h, &spec).unwrap() else {
+                        panic!("exact hw specs answer with a width");
+                    };
+                    assert_eq!(w, cold.0);
+                    assert_eq!(g.validate(h), Ok(()), "extras {extras}, reduce {reduce}");
+                    assert!(g.is_hd(h));
+                    if std::ptr::eq(h, &h1) {
+                        assert_eq!(g.lambdas, cold.1.lambdas);
+                    }
+                }
+                assert!(cache.stats().result_hits > 0, "the re-asks must hit");
+            }
+            // Imports translate the same way: a witness imported under
+            // one order serves the other.
+            let td = hw::hw_raw(&h1).1.td;
+            let mut cache = DecompCache::new();
+            assert!(cache.import(&h1, SolveClass::Hw, true, 2, Some(td)));
+            let spec = SolveSpec::hw().with_reduce(false);
+            let Solved::HwWidth(_, g) = cache.solve(&h2, &spec).unwrap() else {
+                panic!("exact hw specs answer with a width");
+            };
+            assert_eq!(cache.stats().result_misses, 0);
+            assert_eq!(g.validate(&h2), Ok(()));
+        }
     }
 }

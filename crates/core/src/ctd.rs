@@ -35,10 +35,9 @@
 //! frontier waves: wave 0 checks every block, and a block re-enters the
 //! frontier only when one of its children newly became satisfied — each
 //! recheck is a pure scan of precomputed child lists, with zero word-level
-//! set algebra. Under the `parallel` feature each wave fans out via
-//! [`par_map`] and merges in ascending block order, so accept/reject,
-//! bases, and timestamps are identical across serial and parallel builds
-//! — and identical to the retained Jacobi reference
+//! set algebra. Each wave is evaluated against a snapshot of the previous
+//! state and merged in ascending block order, so accept/reject, bases,
+//! and timestamps are identical to the retained Jacobi reference
 //! ([`CtdInstance::satisfy_jacobi`]), because a frontier wave satisfies
 //! exactly the blocks a full Jacobi round would (a block's satisfiability
 //! only changes when a child's bit flips).
@@ -51,7 +50,6 @@ use crate::error::DecompError;
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::arena::{word_tail_mask, words_subset};
 use softhw_hypergraph::blocks::SliceRange;
-use softhw_hypergraph::par::par_map;
 use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Csr, FxHashMap, Hypergraph};
 use std::sync::Arc;
 
@@ -221,9 +219,9 @@ pub struct Satisfaction {
     pub accept: bool,
 }
 
-/// Reusable buffers for [`scan_group`], one set per scan worker,
-/// so the per-group scans of a build allocate nothing at all — results
-/// append into per-chunk flat vectors.
+/// Reusable buffers for [`scan_group`], so the per-group scans of a
+/// build allocate nothing at all — results append into the flat vectors
+/// of one [`ScanChunk`].
 struct ScanScratch {
     /// The group's `req` vertices.
     req: Vec<usize>,
@@ -246,8 +244,9 @@ impl ScanScratch {
     }
 }
 
-/// One scan worker's flat output: candidate entries of its group range,
-/// concatenated, with per-group entry counts for the stitch.
+/// The flat output of the group scans: candidate entries of every group,
+/// concatenated in group order, with the per-group and per-entry counts
+/// the offset tables are summed from.
 #[derive(Default)]
 struct ScanChunk {
     /// Entries per scanned group, in group order.
@@ -490,8 +489,8 @@ impl CtdInstance {
     /// Precomputes the dependency tables (see [`Deps`]): group blocks by
     /// component, build the inverted vertex→bags index, then find each
     /// group's coverage-viable candidates and child lists through
-    /// [`scan_group`]. The per-group scans are independent, so they
-    /// fan out in worker chunks with a deterministic group-ordered stitch.
+    /// [`scan_group`], one group after the other into one flat
+    /// [`ScanChunk`] that becomes the tables without a copy.
     fn build_deps(
         h: &Hypergraph,
         arena: &BagArena,
@@ -518,71 +517,51 @@ impl CtdInstance {
         }
         let ng = group_rep.len();
         let vertex_bags = VertexBags::new(h.num_vertices(), arena, bag_ids);
-        let vb = &vertex_bags;
-        let workers = softhw_hypergraph::par::num_workers().min(ng.max(1));
-        let raw = softhw_hypergraph::par::par_chunks(ng, workers, |range| {
-            let mut s = ScanScratch::new(words, vb);
-            let mut out = ScanChunk::default();
-            for g in range {
-                budget.tick()?;
-                let before = out.xs.len();
-                scan_group(
-                    arena,
-                    bag_ids,
-                    blocks,
-                    blocks_by_head,
-                    vb,
-                    group_rep[g] as usize,
-                    &mut s,
-                    &mut out,
-                );
-                out.entries.push((out.xs.len() - before) as u32);
-            }
-            Ok::<ScanChunk, DecompError>(out)
-        });
-        // Released before the stitched tables are sized.
-        drop(vertex_bags);
-        // A tripped budget is sticky, so this check fires whenever any
-        // worker bailed early — partial chunks never reach the stitch.
-        budget.check()?;
-        let mut chunks: Vec<ScanChunk> = Vec::with_capacity(raw.len());
-        for r in raw {
-            chunks.push(r?);
+        let mut s = ScanScratch::new(words, &vertex_bags);
+        let mut out = ScanChunk::default();
+        for &rep in &group_rep {
+            budget.tick()?;
+            let before = out.xs.len();
+            scan_group(
+                arena,
+                bag_ids,
+                blocks,
+                blocks_by_head,
+                &vertex_bags,
+                rep as usize,
+                &mut s,
+                &mut out,
+            );
+            out.entries.push((out.xs.len() - before) as u32);
         }
-        // Stitch the chunk outputs in group order and wire the reverse
-        // index (`datum_group` mirrors `g_child_data` so the child→groups
-        // CSR builds with a flat counting scatter).
-        let total_xs = chunks.iter().map(|c| c.xs.len()).sum::<usize>();
-        let total_children = chunks.iter().map(|c| c.children.len()).sum::<usize>();
+        // Released before the remaining tables are sized.
+        drop(vertex_bags);
+        // The scan output *is* the candidate and child data; the offset
+        // tables are prefix sums over it, and `datum_group` mirrors
+        // `g_child_data` so the child→groups CSR builds with a flat
+        // counting scatter.
+        let ScanChunk {
+            entries,
+            xs: g_cand_x,
+            counts,
+            children: g_child_data,
+        } = out;
         let mut g_cand_start: Vec<u32> = Vec::with_capacity(ng + 1);
-        let mut g_cand_x: Vec<u32> = Vec::with_capacity(total_xs);
-        let mut g_child_start: Vec<u32> = Vec::with_capacity(total_xs + 1);
-        let mut g_child_data: Vec<u32> = Vec::with_capacity(total_children);
-        let mut datum_group: Vec<u32> = Vec::with_capacity(total_children);
+        let mut g_child_start: Vec<u32> = Vec::with_capacity(g_cand_x.len() + 1);
+        let mut datum_group: Vec<u32> = Vec::with_capacity(g_child_data.len());
         g_cand_start.push(0);
         g_child_start.push(0);
-        let mut g = 0usize;
-        for chunk in &chunks {
-            let mut ni = 0usize;
-            let mut nchild_pos = 0usize;
-            for &n_entries in &chunk.entries {
-                let ni_end = ni + n_entries as usize;
-                g_cand_x.extend_from_slice(&chunk.xs[ni..ni_end]);
-                let kids_lo = nchild_pos;
-                let mut acc = g_child_data.len() as u32;
-                for &cnt in &chunk.counts[ni..ni_end] {
-                    acc += cnt;
-                    g_child_start.push(acc);
-                    nchild_pos += cnt as usize;
-                }
-                g_child_data.extend_from_slice(&chunk.children[kids_lo..nchild_pos]);
-                datum_group.resize(g_child_data.len(), g as u32);
-                ni = ni_end;
-                g_cand_start.push(g_cand_x.len() as u32);
-                g += 1;
+        let (mut ci, mut acc) = (0usize, 0u32);
+        for (g, &n_entries) in entries.iter().enumerate() {
+            for &cnt in &counts[ci..ci + n_entries as usize] {
+                acc += cnt;
+                g_child_start.push(acc);
             }
+            datum_group.resize(acc as usize, g as u32);
+            ci += n_entries as usize;
+            g_cand_start.push(ci as u32);
         }
-        debug_assert_eq!(g, ng);
+        debug_assert_eq!(g_cand_start.len(), ng + 1);
         let child_groups = Csr::from_counts(
             nb,
             g_child_data
@@ -610,8 +589,8 @@ impl CtdInstance {
     }
 
     /// Materialised view of bag `x` (built on first access, then
-    /// cached; the accessor stays `&self`, so evaluator callbacks and
-    /// parallel waves are unaffected).
+    /// cached; the accessor stays `&self` for evaluator callbacks and
+    /// instances shared across service workers).
     #[inline]
     pub fn bag(&self, x: usize) -> &BitSet {
         self.bag_sets[x].get_or_init(|| self.arena.to_bitset(self.bag_ids[x]))
@@ -740,9 +719,8 @@ impl CtdInstance {
     /// against the precomputed viable-candidate tables; afterwards a
     /// block is rechecked only when one of its children newly became
     /// satisfied (via the reverse index). Waves snapshot the previous
-    /// wave's state and merge in ascending block order — fanned out via
-    /// [`par_map`] under the `parallel` feature — so bases and timestamps
-    /// are identical to the serial run and to the Jacobi reference
+    /// wave's state and merge in ascending block order, so bases and
+    /// timestamps are identical to the Jacobi reference
     /// ([`CtdInstance::satisfy_jacobi`]).
     pub fn satisfy(&self) -> Satisfaction {
         self.satisfy_budgeted(&Budget::unlimited())
@@ -768,16 +746,18 @@ impl CtdInstance {
             // latency to one wave of rechecks.
             budget.check()?;
             let snapshot = &satisfied;
-            let found: Vec<Option<u32>> = par_map(frontier.len(), |i| {
-                let b = frontier[i] as usize;
-                if snapshot[b] {
-                    return None;
-                }
-                self.first_ready_candidate(b, snapshot)
-            });
+            let found: Vec<Option<u32>> = frontier
+                .iter()
+                .map(|&b| {
+                    if snapshot[b as usize] {
+                        return None;
+                    }
+                    self.first_ready_candidate(b as usize, snapshot)
+                })
+                .collect();
             next.clear();
-            for (i, f) in found.into_iter().enumerate() {
-                let b = frontier[i] as usize;
+            for (&b, f) in frontier.iter().zip(found) {
+                let b = b as usize;
                 if let Some(x) = f {
                     satisfied[b] = true;
                     basis[b] = Some((x as usize, clock));
@@ -815,13 +795,15 @@ impl CtdInstance {
         let mut clock: u32 = 0;
         loop {
             let snapshot = &satisfied;
-            let round: Vec<Option<usize>> = par_map(nb, |b| {
-                if snapshot[b] {
-                    return None;
-                }
-                let mut buf: Vec<u64> = Vec::new();
-                (0..self.num_bags()).find(|&x| self.is_basis_with(b, x, snapshot, &mut buf))
-            });
+            let mut buf: Vec<u64> = Vec::new();
+            let round: Vec<Option<usize>> = (0..nb)
+                .map(|b| {
+                    if snapshot[b] {
+                        return None;
+                    }
+                    (0..self.num_bags()).find(|&x| self.is_basis_with(b, x, snapshot, &mut buf))
+                })
+                .collect();
             let mut changed = false;
             for (b, found) in round.into_iter().enumerate() {
                 if satisfied[b] {

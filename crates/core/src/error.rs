@@ -10,10 +10,6 @@
 //! - [`DecompError::Limit`] — candidate-bag generation tripped a
 //!   [`SoftLimits`](crate::soft::SoftLimits) guard (combinatorial
 //!   blow-up; the request is too wide for the configured budget);
-//! - [`DecompError::Shards`] — parallel enumeration outgrew the sharded
-//!   id space (`MAX_BAGS_PER_SHARD` / `MAX_SHARDS`); before this variant
-//!   the high bits of a [`BagId`](softhw_hypergraph::BagId) silently
-//!   wrapped into another shard's range;
 //! - [`DecompError::Internal`] — an internal invariant (a satisfied
 //!   block without a basis, a sweep no width accepts) failed to
 //!   hold. In debug builds these still `debug_assert!`; in release the
@@ -25,7 +21,6 @@
 //!   state untouched and propagate.
 
 use crate::soft::LimitExceeded;
-use softhw_hypergraph::ShardError;
 use std::fmt;
 
 /// Why a decomposition entry point could not produce an answer. See the
@@ -34,10 +29,6 @@ use std::fmt;
 pub enum DecompError {
     /// Candidate-bag generation exceeded its [`crate::soft::SoftLimits`].
     Limit(LimitExceeded),
-    /// Parallel enumeration outgrew the sharded [`BagId`] space.
-    ///
-    /// [`BagId`]: softhw_hypergraph::BagId
-    Shards(ShardError),
     /// An internal invariant did not hold; the computation was abandoned
     /// rather than continued on inconsistent state.
     Internal {
@@ -73,7 +64,6 @@ impl fmt::Display for DecompError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecompError::Limit(e) => write!(f, "{e}"),
-            DecompError::Shards(e) => write!(f, "{e}"),
             DecompError::Internal { what } => {
                 write!(f, "internal decomposition invariant failed: {what}")
             }
@@ -89,7 +79,6 @@ impl std::error::Error for DecompError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DecompError::Limit(e) => Some(e),
-            DecompError::Shards(e) => Some(e),
             DecompError::Internal { .. }
             | DecompError::DeadlineExceeded
             | DecompError::Canceled => None,
@@ -103,12 +92,6 @@ impl From<LimitExceeded> for DecompError {
     }
 }
 
-impl From<ShardError> for DecompError {
-    fn from(e: ShardError) -> Self {
-        DecompError::Shards(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,8 +100,6 @@ mod tests {
     fn conversions_and_display() {
         let l: DecompError = LimitExceeded { what: "max_bags" }.into();
         assert!(l.to_string().contains("max_bags"));
-        let s: DecompError = ShardError::NoShards.into();
-        assert!(matches!(s, DecompError::Shards(_)));
         let i = DecompError::internal("basis missing");
         assert!(matches!(i, DecompError::Internal { .. }));
         assert!(i.to_string().contains("basis missing"));

@@ -17,14 +17,10 @@
 //! emitted as dense [`BagId`]s, dedup is arena interning (word-level, no
 //! per-candidate boxed allocation), and the `U`-side's components and
 //! component unions are answered from the index's cache — shared across
-//! widths `k` and across solver calls on the same hypergraph. The
-//! `W`-side enumeration fans out over first-λ1-element chunks via
-//! [`softhw_hypergraph::par::par_chunks`] (threaded under the `parallel`
-//! feature) into per-worker shards of a [`ShardedArena`] — each worker
-//! owns its slice of the id space (high bits = shard id), so the merge is
-//! lock-free concatenation plus one content sort, with no re-interning of
-//! worker results into the shared arena. Only the final deduplicated
-//! candidate set is interned into the [`BlockIndex`] arena, once.
+//! widths `k` and across solver calls on the same hypergraph. Both
+//! sides and the `W × U` intersection enumerate straight into the one
+//! shared arena, so a [`BagId`] is a dense index into it from the first
+//! intern on and nothing is re-interned afterwards.
 //!
 //! The seed's direct `FxHashSet<BitSet>` generator is preserved verbatim
 //! in [`mod@reference`] as the cross-check and benchmark baseline.
@@ -32,15 +28,13 @@
 use crate::budget::Budget;
 use crate::error::DecompError;
 use softhw_hypergraph::arena::{words_empty, words_intersect_into, IdSet};
-use softhw_hypergraph::par::par_chunks;
-use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Hypergraph, ShardedArena};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Hypergraph};
 
 /// Guards against combinatorial blow-up of candidate-bag generation.
 #[derive(Clone, Debug)]
 pub struct SoftLimits {
     /// Upper bound on the number of λ-subsets enumerated per side (one
-    /// global counter per side, shared across parallel workers).
+    /// global counter per side).
     pub max_lambda_sets: usize,
     /// Upper bound on the number of distinct candidate bags produced.
     pub max_bags: usize,
@@ -73,9 +67,8 @@ impl std::error::Error for LimitExceeded {}
 /// Maps a [`DecompError`] raised under the *unlimited* budget back to
 /// the pre-budget `LimitExceeded` signature of the public generators.
 /// The unlimited budget cannot trip, so every error reaching here is a
-/// limit (shard overflows are folded into `LimitExceeded` at their
-/// raise sites); a non-limit error degrades to a generic limit rather
-/// than panicking.
+/// limit; a non-limit error degrades to a generic limit rather than
+/// panicking.
 fn demote(e: DecompError) -> LimitExceeded {
     match e {
         DecompError::Limit(l) => l,
@@ -85,87 +78,36 @@ fn demote(e: DecompError) -> LimitExceeded {
     }
 }
 
-/// Interns into a worker-local shard, erroring out *before* the shard
-/// outgrows its slice of the sharded id space. An over-full shard would
-/// wrap local ids into the next shard's range ([`ShardedArena`] high-bit
-/// encoding) and silently alias unrelated bags; with this guard the
-/// enumeration instead degrades to the same graceful failure as any
-/// other blown limit.
-#[inline]
-fn shard_checked_intern(local: &mut BagArena, words: &[u64]) -> Result<BagId, LimitExceeded> {
-    if local.len() >= softhw_hypergraph::arena::MAX_BAGS_PER_SHARD {
-        return Err(LimitExceeded {
-            what: "shard capacity (MAX_BAGS_PER_SHARD)",
-        });
-    }
-    Ok(local.intern_words(words))
-}
-
-/// Depth-first λ-union enumeration below one fixed first element,
-/// deduplicating into a worker-local arena. `pool[d]` holds the running
-/// union at depth `d`; the recursion writes depth `d+1` in place, so the
-/// whole subtree enumeration allocates nothing after the pool. The
-/// budget counter is shared across all workers (a relaxed atomic), so
-/// the `max_lambda_sets` bound is global exactly as in the serial path —
-/// and deterministic, because the total node count of the enumeration
-/// does not depend on scheduling.
-#[allow(clippy::too_many_arguments)]
-fn lambda_rec(
-    arena: &BagArena,
+/// Enumerates all distinct unions of 1..=`k` bags drawn from `elements`
+/// (the `⋃λ1` side of Definition 3), interned into `arena` and returned
+/// in content order. The `max_lambda_sets` guard is one global counter
+/// over all enumeration nodes, matching the seed's semantics.
+pub fn lambda_union_ids(
+    arena: &mut BagArena,
     elements: &[BagId],
-    start: usize,
-    depth: usize,
-    max_depth: usize,
-    pool: &mut [Vec<u64>],
-    local: &mut BagArena,
-    sets: &AtomicUsize,
-    max_sets: usize,
-    budget: &Budget,
-) -> Result<(), DecompError> {
-    for i in start..elements.len() {
-        budget.tick()?;
-        if sets.fetch_add(1, Ordering::Relaxed) >= max_sets {
-            return Err(LimitExceeded {
-                what: "max_lambda_sets",
-            }
-            .into());
-        }
-        let (prev, next) = pool.split_at_mut(depth);
-        let buf = &mut next[0];
-        buf.clear();
-        buf.extend_from_slice(&prev[depth - 1]);
-        arena.union_into(elements[i], buf);
-        shard_checked_intern(local, buf)?;
-        if depth < max_depth {
-            lambda_rec(
-                arena,
-                elements,
-                i + 1,
-                depth + 1,
-                max_depth,
-                pool,
-                local,
-                sets,
-                max_sets,
-                budget,
-            )?;
-        }
-    }
-    Ok(())
+    k: usize,
+    limits: &SoftLimits,
+) -> Result<Vec<BagId>, LimitExceeded> {
+    lambda_union_ids_budgeted(arena, elements, k, limits, &Budget::unlimited()).map_err(demote)
 }
 
-/// Serial λ-union enumeration directly into the shared arena: no local
-/// arenas, no re-interning, the per-node cost is one pooled word-union
-/// plus one intern probe. The `max_lambda_sets` budget is one global
-/// counter over all enumeration nodes, matching the seed's semantics
-/// and the shared atomic counter of the parallel path.
-fn lambda_unions_direct(
+/// [`lambda_union_ids`] with a cooperative [`Budget`]: the enumeration
+/// ticks the budget once per node and aborts with
+/// [`DecompError::DeadlineExceeded`] / [`DecompError::Canceled`] when it
+/// trips. It unions depth-first straight into `arena` — `pool[d]` holds
+/// the running union at depth `d`, so the per-node cost is one pooled
+/// word-union plus one intern probe — and an abort leaves the arena with
+/// only valid interned bags, safe to retry against.
+pub fn lambda_union_ids_budgeted(
     arena: &mut BagArena,
     elements: &[BagId],
     k: usize,
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<Vec<BagId>, DecompError> {
+    if k == 0 || elements.is_empty() {
+        return Ok(Vec::new());
+    }
     let words = arena.words_per_bag();
     let mut out: Vec<BagId> = Vec::new();
     let mut seen = IdSet::new();
@@ -222,126 +164,8 @@ fn lambda_unions_direct(
     rec(
         arena, elements, 0, 1, k, &mut pool, &mut seen, &mut out, &mut sets, budget,
     )?;
+    out.sort_unstable_by(|&a, &b| arena.cmp_bags(a, b));
     Ok(out)
-}
-
-/// The parallel `W`-side enumeration: one shard of a [`ShardedArena`] per
-/// worker (ids partitioned by high bits), merged by concatenation and
-/// deduplicated across shards during the content sort. Returns the
-/// sharded storage plus the content-sorted unique ids into it — no bag is
-/// interned into any shared arena, so downstream stages can stream the
-/// words straight out of the worker shards.
-fn lambda_unions_sharded(
-    arena: &BagArena,
-    elements: &[BagId],
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<(ShardedArena, Vec<BagId>), DecompError> {
-    let shard_cap = elements
-        .len()
-        .clamp(1, softhw_hypergraph::arena::MAX_SHARDS);
-    let workers = softhw_hypergraph::par::num_workers().clamp(1, shard_cap);
-    let universe = arena.universe();
-    let words = arena.words_per_bag();
-    let sets = AtomicUsize::new(0);
-    let max_sets = limits.max_lambda_sets;
-    let per_chunk: Vec<Result<BagArena, DecompError>> =
-        par_chunks(elements.len(), workers, |range| {
-            let mut local = BagArena::new(universe);
-            let mut pool: Vec<Vec<u64>> = (0..=k).map(|_| vec![0u64; words]).collect();
-            for first in range {
-                budget.tick()?;
-                if sets.fetch_add(1, Ordering::Relaxed) >= max_sets {
-                    return Err(LimitExceeded {
-                        what: "max_lambda_sets",
-                    }
-                    .into());
-                }
-                let first_words = arena.words(elements[first]);
-                pool[1].copy_from_slice(first_words);
-                shard_checked_intern(&mut local, first_words)?;
-                if k > 1 {
-                    lambda_rec(
-                        arena,
-                        elements,
-                        first + 1,
-                        2,
-                        k,
-                        &mut pool,
-                        &mut local,
-                        &sets,
-                        max_sets,
-                        budget,
-                    )?;
-                }
-            }
-            Ok(local)
-        });
-    // A budget error wins over any limit error from another worker: the
-    // trip is sticky (cancel flag / spent cap / past deadline), so the
-    // caller's retry semantics stay deterministic no matter which worker
-    // surfaced its error first.
-    budget.check()?;
-    let mut shards = Vec::with_capacity(per_chunk.len());
-    for r in per_chunk {
-        shards.push(r?);
-    }
-    let sharded =
-        ShardedArena::try_from_shards(shards).map_err(|e| LimitExceeded { what: e.what() })?;
-    let ids = sharded.sorted_unique_ids();
-    Ok((sharded, ids))
-}
-
-/// Enumerates all distinct unions of 1..=`k` bags drawn from `elements`
-/// (the `⋃λ1` side of Definition 3), interned into `arena` and returned
-/// in content order. Serial builds enumerate directly into the shared
-/// arena; under the `parallel` feature the first-element range is split
-/// into one chunk per core, each worker filling its own shard of the id
-/// space ([`lambda_unions_sharded`]), and only the deduplicated result is
-/// interned into the shared arena. Both paths charge one global
-/// `max_lambda_sets` budget (the parallel workers share a relaxed atomic
-/// counter), so the sorted result — and the accept/`LimitExceeded`
-/// outcome — is identical either way.
-pub fn lambda_union_ids(
-    arena: &mut BagArena,
-    elements: &[BagId],
-    k: usize,
-    limits: &SoftLimits,
-) -> Result<Vec<BagId>, LimitExceeded> {
-    lambda_union_ids_budgeted(arena, elements, k, limits, &Budget::unlimited()).map_err(demote)
-}
-
-/// [`lambda_union_ids`] with a cooperative [`Budget`]: the enumeration
-/// ticks the budget once per node (serial and parallel workers alike)
-/// and aborts with [`DecompError::DeadlineExceeded`] /
-/// [`DecompError::Canceled`] when it trips. The shared arena only ever
-/// receives fully-enumerated, deduplicated results, so an abort leaves
-/// it with at most already-valid interned bags — safe to retry against.
-pub fn lambda_union_ids_budgeted(
-    arena: &mut BagArena,
-    elements: &[BagId],
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<Vec<BagId>, DecompError> {
-    if k == 0 || elements.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = softhw_hypergraph::par::num_workers().min(elements.len());
-    if workers <= 1 {
-        let mut out = lambda_unions_direct(arena, elements, k, limits, budget)?;
-        out.sort_unstable_by(|&a, &b| arena.cmp_bags(a, b));
-        Ok(out)
-    } else {
-        let (sharded, ids) = lambda_unions_sharded(arena, elements, k, limits, budget)?;
-        // Already content-sorted and unique: a single interning pass maps
-        // the sharded ids into the shared arena's id space.
-        Ok(ids
-            .into_iter()
-            .map(|id| arena.intern_words(sharded.words(id)))
-            .collect())
-    }
 }
 
 /// Number of edge subsets of size `0..=k` out of `n` edges — the exact
@@ -495,8 +319,7 @@ pub fn component_union_ids_budgeted(
 
 /// Computes `Soft_{H,k}` as interned [`BagId`]s, given a pre-computed
 /// `λ1`-element pool (for Definition 3 this is `E(H)`; the iterated
-/// hierarchy of Definition 6 passes `E^(i)`). The pairwise
-/// `W`-side × `U`-side intersection fans out over the `W`-side.
+/// hierarchy of Definition 6 passes `E^(i)`).
 pub fn soft_bag_ids_from_elements(
     index: &mut BlockIndex,
     elements: &[BagId],
@@ -521,96 +344,40 @@ pub fn soft_bag_ids_from_elements_budgeted(
 ) -> Result<Vec<BagId>, DecompError> {
     let u_side = component_union_ids_budgeted(index, k, limits, budget)?;
     let words = index.arena.words_per_bag();
-    let workers = softhw_hypergraph::par::num_workers();
-    if workers <= 1 {
-        // Serial: enumerate and intersect straight into the shared arena.
-        let w_side = lambda_union_ids_budgeted(&mut index.arena, elements, k, limits, budget)?;
-        let arena = &mut index.arena;
-        let mut out: Vec<BagId> = Vec::new();
-        let mut seen = IdSet::new();
-        let mut w_buf = vec![0u64; words];
-        let mut buf = vec![0u64; words];
-        for &w in &w_side {
-            budget.tick()?;
-            w_buf.copy_from_slice(arena.words(w));
-            if words_empty(&w_buf) {
-                continue; // an empty element yields only empty intersections
-            }
-            for &u in &u_side {
-                // w ⊆ u ⇒ w ∩ u = w, already interned: skip the probe.
-                let id = if softhw_hypergraph::arena::words_subset(&w_buf, arena.words(u)) {
-                    w
-                } else {
-                    buf.copy_from_slice(&w_buf);
-                    words_intersect_into(arena.words(u), &mut buf);
-                    if words_empty(&buf) {
-                        continue;
-                    }
-                    arena.intern_words(&buf)
-                };
-                if seen.insert(id) {
-                    out.push(id);
-                    if out.len() > limits.max_bags {
-                        return Err(LimitExceeded { what: "max_bags" }.into());
-                    }
+    let w_side = lambda_union_ids_budgeted(&mut index.arena, elements, k, limits, budget)?;
+    let arena = &mut index.arena;
+    let mut out: Vec<BagId> = Vec::new();
+    let mut seen = IdSet::new();
+    let mut w_buf = vec![0u64; words];
+    let mut buf = vec![0u64; words];
+    for &w in &w_side {
+        budget.tick()?;
+        w_buf.copy_from_slice(arena.words(w));
+        if words_empty(&w_buf) {
+            continue; // an empty element yields only empty intersections
+        }
+        for &u in &u_side {
+            // w ⊆ u ⇒ w ∩ u = w, already interned: skip the probe.
+            let id = if softhw_hypergraph::arena::words_subset(&w_buf, arena.words(u)) {
+                w
+            } else {
+                buf.copy_from_slice(&w_buf);
+                words_intersect_into(arena.words(u), &mut buf);
+                if words_empty(&buf) {
+                    continue;
+                }
+                arena.intern_words(&buf)
+            };
+            if seen.insert(id) {
+                out.push(id);
+                if out.len() > limits.max_bags {
+                    return Err(LimitExceeded { what: "max_bags" }.into());
                 }
             }
         }
-        out.sort_unstable_by(|&a, &b| index.arena.cmp_bags(a, b));
-        Ok(out)
-    } else {
-        // Parallel: the W-side stays in its worker shards (never touches
-        // the shared arena), the W×U intersections land in a second set
-        // of shards, and only the final deduplicated candidate set is
-        // interned — in content order, so ids are deterministic.
-        let (w_sharded, w_ids) = lambda_unions_sharded(&index.arena, elements, k, limits, budget)?;
-        let universe = index.arena.universe();
-        let shared: &BagArena = &index.arena;
-        let inter_workers = workers
-            .min(w_ids.len().max(1))
-            .min(softhw_hypergraph::arena::MAX_SHARDS);
-        let per_chunk: Vec<Result<BagArena, DecompError>> =
-            par_chunks(w_ids.len(), inter_workers, |range| {
-                let mut local = BagArena::new(universe);
-                let mut buf = vec![0u64; words];
-                for wi in range {
-                    budget.tick()?;
-                    let w_words = w_sharded.words(w_ids[wi]);
-                    if words_empty(w_words) {
-                        continue; // an empty element yields only empty intersections
-                    }
-                    for &u in &u_side {
-                        buf.copy_from_slice(w_words);
-                        words_intersect_into(shared.words(u), &mut buf);
-                        if !words_empty(&buf) {
-                            shard_checked_intern(&mut local, &buf)?;
-                            // Per-worker guard so a blow-up aborts during the
-                            // fan-out, not only at the merge: worker memory
-                            // stays bounded by max_bags.
-                            if local.len() > limits.max_bags {
-                                return Err(LimitExceeded { what: "max_bags" }.into());
-                            }
-                        }
-                    }
-                }
-                Ok(local)
-            });
-        budget.check()?;
-        let mut shards = Vec::with_capacity(per_chunk.len());
-        for r in per_chunk {
-            shards.push(r?);
-        }
-        let inter =
-            ShardedArena::try_from_shards(shards).map_err(|e| LimitExceeded { what: e.what() })?;
-        let final_ids = inter.sorted_unique_ids();
-        if final_ids.len() > limits.max_bags {
-            return Err(LimitExceeded { what: "max_bags" }.into());
-        }
-        Ok(final_ids
-            .into_iter()
-            .map(|id| index.arena.intern_words(inter.words(id)))
-            .collect())
     }
+    out.sort_unstable_by(|&a, &b| index.arena.cmp_bags(a, b));
+    Ok(out)
 }
 
 /// `Soft_{H,k}` as interned ids, with the `λ1` pool being `E(H)` itself.

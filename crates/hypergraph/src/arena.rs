@@ -325,200 +325,6 @@ impl ArenaSnapshot {
     }
 }
 
-/// Number of high bits of a [`BagId`] reserved for the shard index in a
-/// [`ShardedArena`]'s id space.
-pub const SHARD_BITS: u32 = 8;
-const SHARD_SHIFT: u32 = 32 - SHARD_BITS;
-const LOCAL_MASK: u32 = (1 << SHARD_SHIFT) - 1;
-/// Maximum number of bags a single shard may hold.
-pub const MAX_BAGS_PER_SHARD: usize = LOCAL_MASK as usize + 1;
-/// Maximum number of shards a [`ShardedArena`] may combine.
-pub const MAX_SHARDS: usize = 1 << SHARD_BITS;
-
-/// A read-only view over per-worker [`BagArena`]s with a partitioned id
-/// space: the top [`SHARD_BITS`] bits of a [`BagId`] select the shard,
-/// the low bits the bag within it.
-///
-/// Parallel enumeration workers each own one shard exclusively, so id
-/// assignment needs no synchronisation, and the merge is plain
-/// concatenation — [`ShardedArena::from_shards`] moves the worker arenas
-/// in without touching their storage, unlike the previous merge that
-/// re-interned every worker-local bag into the shared arena. Content
-/// duplicates *across* shards are removed afterwards by
-/// [`ShardedArena::sorted_unique_ids`], during the content sort the
-/// enumeration output needs anyway.
-pub struct ShardedArena {
-    universe: usize,
-    shards: Vec<BagArena>,
-}
-
-/// Why worker arenas could not be combined into one sharded id space.
-/// Encoding a shard index or local id that does not fit its bit field
-/// would silently alias another bag's [`BagId`] (high-bit wraparound), so
-/// [`ShardedArena::try_from_shards`] rejects the inputs instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardError {
-    /// No worker arenas were supplied.
-    NoShards,
-    /// More worker arenas than [`MAX_SHARDS`] shard ids.
-    TooManyShards {
-        /// Number of shards supplied.
-        got: usize,
-    },
-    /// A worker arena holds more bags than [`MAX_BAGS_PER_SHARD`] local
-    /// ids.
-    ShardOverflow {
-        /// Index of the overflowing shard.
-        shard: usize,
-        /// Number of bags it holds.
-        len: usize,
-    },
-    /// Worker arenas disagree on the universe size.
-    UniverseMismatch {
-        /// Index of the first disagreeing shard.
-        shard: usize,
-    },
-}
-
-impl ShardError {
-    /// A short static description (the `what` of enumeration-limit
-    /// errors layered on top).
-    pub fn what(&self) -> &'static str {
-        match self {
-            ShardError::NoShards => "no enumeration shards",
-            ShardError::TooManyShards { .. } => "shard count exceeds MAX_SHARDS",
-            ShardError::ShardOverflow { .. } => "shard exceeds MAX_BAGS_PER_SHARD",
-            ShardError::UniverseMismatch { .. } => "shards disagree on universe",
-        }
-    }
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::NoShards => write!(f, "sharded arena needs at least one shard"),
-            ShardError::TooManyShards { got } => {
-                write!(f, "{got} shards exceed the {MAX_SHARDS}-shard id space")
-            }
-            ShardError::ShardOverflow { shard, len } => write!(
-                f,
-                "shard {shard} holds {len} bags, exceeding the \
-                 {MAX_BAGS_PER_SHARD}-bag local id space"
-            ),
-            ShardError::UniverseMismatch { shard } => {
-                write!(f, "shard {shard} was built over a different universe")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
-
-impl ShardedArena {
-    /// Wraps worker-local arenas as the shards of one id space,
-    /// validating that every shard and per-shard bag count fits the id
-    /// encoding. A shard that outgrew [`MAX_BAGS_PER_SHARD`] (or more
-    /// than [`MAX_SHARDS`] workers) would wrap into another shard's id
-    /// range and silently corrupt [`BagId`]s, so it is rejected here —
-    /// enumeration callers surface this as a limit error and the caller
-    /// retries serially or with tighter limits.
-    pub fn try_from_shards(shards: Vec<BagArena>) -> Result<Self, ShardError> {
-        if shards.is_empty() {
-            return Err(ShardError::NoShards);
-        }
-        if shards.len() > MAX_SHARDS {
-            return Err(ShardError::TooManyShards { got: shards.len() });
-        }
-        let universe = shards[0].universe();
-        for (i, s) in shards.iter().enumerate() {
-            if s.universe() != universe {
-                return Err(ShardError::UniverseMismatch { shard: i });
-            }
-            if s.len() > MAX_BAGS_PER_SHARD {
-                return Err(ShardError::ShardOverflow {
-                    shard: i,
-                    len: s.len(),
-                });
-            }
-        }
-        Ok(ShardedArena { universe, shards })
-    }
-
-    /// [`ShardedArena::try_from_shards`], panicking on invalid shards.
-    /// Kept for call sites whose shard counts are statically bounded
-    /// (tests, fixed fan-outs); enumeration paths use the fallible form.
-    pub fn from_shards(shards: Vec<BagArena>) -> Self {
-        match Self::try_from_shards(shards) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The universe size the shards were created for.
-    #[inline]
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Total number of bags across all shards (duplicates across shards
-    /// counted separately).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(BagArena::len).sum()
-    }
-
-    /// True iff no shard holds a bag.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Encodes `(shard, local)` as a sharded [`BagId`].
-    #[inline]
-    pub fn encode(shard: usize, local: usize) -> BagId {
-        debug_assert!(shard < MAX_SHARDS && local < MAX_BAGS_PER_SHARD);
-        BagId(((shard as u32) << SHARD_SHIFT) | local as u32)
-    }
-
-    /// The shard index of a sharded id.
-    #[inline]
-    pub fn shard_of(id: BagId) -> usize {
-        (id.0 >> SHARD_SHIFT) as usize
-    }
-
-    /// The packed words of sharded bag `id`.
-    #[inline]
-    pub fn words(&self, id: BagId) -> &[u64] {
-        self.shards[(id.0 >> SHARD_SHIFT) as usize].words(BagId(id.0 & LOCAL_MASK))
-    }
-
-    /// All ids, shard-major in per-shard insertion order.
-    pub fn all_ids(&self) -> Vec<BagId> {
-        let mut out = Vec::with_capacity(self.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            for i in 0..shard.len() {
-                out.push(Self::encode(s, i));
-            }
-        }
-        out
-    }
-
-    /// Compares two sharded bags by content.
-    #[inline]
-    pub fn cmp_bags(&self, a: BagId, b: BagId) -> std::cmp::Ordering {
-        self.words(a).cmp(self.words(b))
-    }
-
-    /// Ids of all distinct bag contents, sorted by content; cross-shard
-    /// duplicates keep the representative from the lowest shard. This is
-    /// the whole merge step of the sharded enumeration: no interning, one
-    /// sort plus an adjacent dedup.
-    pub fn sorted_unique_ids(&self) -> Vec<BagId> {
-        let mut ids = self.all_ids();
-        ids.sort_unstable_by(|&a, &b| self.words(a).cmp(self.words(b)).then(a.0.cmp(&b.0)));
-        ids.dedup_by(|a, b| self.words(*a) == self.words(*b));
-        ids
-    }
-}
-
 /// A dense membership set over [`BagId`]s of one arena — the "have I
 /// already emitted this bag" structure of the enumeration loops. Ids are
 /// dense and monotonically assigned, so a growable bool vector beats a
@@ -695,64 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_merge_dedups_across_shards() {
-        // Three worker shards with overlapping content: the merged sorted
-        // id list must equal the sorted distinct contents, and every id
-        // must resolve into its shard's storage.
-        let universe = 130;
-        let mut shards: Vec<BagArena> = (0..3).map(|_| BagArena::new(universe)).collect();
-        let mut reference: Vec<BitSet> = Vec::new();
-        for (s, shard) in shards.iter_mut().enumerate() {
-            for i in 0..40 {
-                let set =
-                    BitSet::from_iter(universe, [(i * 7 + s) % universe, (i + 64) % universe]);
-                shard.intern(&set);
-                reference.push(set);
-            }
-        }
-        reference.sort_unstable();
-        reference.dedup();
-        let sharded = ShardedArena::from_shards(shards);
-        assert_eq!(sharded.len(), 3 * 40 - duplicates_within(&sharded));
-        let ids = sharded.sorted_unique_ids();
-        let merged: Vec<BitSet> = ids
-            .iter()
-            .map(|&id| BitSet::from_blocks(sharded.words(id)))
-            .collect();
-        assert_eq!(merged, reference);
-        // Encoding round-trips.
-        for &id in &ids {
-            let shard = ShardedArena::shard_of(id);
-            assert!(shard < 3);
-        }
-    }
-
-    #[test]
-    fn try_from_shards_rejects_overflow() {
-        // Shard-count overflow.
-        let many: Vec<BagArena> = (0..MAX_SHARDS + 1).map(|_| BagArena::new(8)).collect();
-        assert_eq!(
-            ShardedArena::try_from_shards(many).err(),
-            Some(ShardError::TooManyShards {
-                got: MAX_SHARDS + 1
-            })
-        );
-        // Universe mismatch.
-        let mixed = vec![BagArena::new(8), BagArena::new(9)];
-        assert_eq!(
-            ShardedArena::try_from_shards(mixed).err(),
-            Some(ShardError::UniverseMismatch { shard: 1 })
-        );
-        // Empty input.
-        assert_eq!(
-            ShardedArena::try_from_shards(Vec::new()).err(),
-            Some(ShardError::NoShards)
-        );
-        // Valid shards still combine.
-        assert!(ShardedArena::try_from_shards(vec![BagArena::new(8)]).is_ok());
-    }
-
-    #[test]
     fn snapshot_roundtrips_preserving_ids() {
         let mut a = BagArena::new(130);
         let mut ids = Vec::new();
@@ -776,16 +524,5 @@ mod tests {
         let first: Vec<u64> = dup.words(0).to_vec();
         dup.storage.extend_from_slice(&first);
         assert!(BagArena::from_snapshot(&dup).is_none());
-    }
-
-    fn duplicates_within(sharded: &ShardedArena) -> usize {
-        // Count content duplicates across shards (within-shard dedup is
-        // the BagArena's own job).
-        let all = sharded.all_ids();
-        let mut contents: Vec<&[u64]> = all.iter().map(|&id| sharded.words(id)).collect();
-        contents.sort_unstable();
-        let before = contents.len();
-        contents.dedup();
-        before - contents.len()
     }
 }

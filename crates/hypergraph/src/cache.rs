@@ -40,6 +40,17 @@ pub fn canonical_form(h: &Hypergraph) -> Vec<u64> {
     out
 }
 
+/// `h`'s edge ids in the order [`canonical_form`] lists the edges
+/// (equal edges by ascending id). Structurally identical hypergraphs
+/// hold the same edge at every position of this order, however their
+/// edges were listed — the shared numbering for anything cached per
+/// [`structural_hash`] that names edges.
+pub fn canonical_edge_order(h: &Hypergraph) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..h.num_edges()).collect();
+    order.sort_unstable_by(|&a, &b| h.edge(a).blocks().cmp(h.edge(b).blocks()).then(a.cmp(&b)));
+    order
+}
+
 /// Fx-style hash of a canonical form (shared mixing from
 /// [`crate::fxhash`]).
 fn hash_words(words: &[u64]) -> u64 {

@@ -22,13 +22,12 @@ pub mod fxhash;
 pub mod hypergraph;
 pub mod named;
 pub mod pack;
-pub mod par;
 pub mod parse;
 pub mod random;
 pub mod reduce;
 pub mod stats;
 
-pub use arena::{ArenaSnapshot, BagArena, BagId, ShardError, ShardedArena};
+pub use arena::{ArenaSnapshot, BagArena, BagId};
 pub use bitset::BitSet;
 pub use blocks::{BlockIndex, BlockIndexStats};
 pub use cache::{structural_hash, IndexCache, IndexCacheStats};

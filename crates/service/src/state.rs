@@ -666,7 +666,7 @@ impl ServiceState {
                     retry_after_ms: BUSY_RETRY_MS,
                 }
             }
-            DecompError::Limit(_) | DecompError::Shards(_) => Response::error("limit", e),
+            DecompError::Limit(_) => Response::error("limit", e),
             DecompError::Internal { .. } => Response::error("internal", e),
         }
     }

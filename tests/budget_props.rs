@@ -4,9 +4,7 @@
 //! decompositions. The abort points are driven deterministically by
 //! work caps (a tripped work cap reports [`DeadlineExceeded`] at an
 //! input-determined tick, unlike a wall-clock deadline), and by the
-//! shared cancel flag. The same file runs under the `parallel` feature
-//! in CI, so the sharded enumeration and fan-out paths honour the same
-//! contract.
+//! shared cancel flag.
 
 use proptest::prelude::*;
 use softhw::core::cache::DecompCache;

@@ -1,9 +1,7 @@
 //! Property-based tests of the reduction pipeline (proptest): solving
 //! through `reduce` (subsumed-edge removal, degree-1 peeling, component
 //! splitting) must agree with raw solving on the original hypergraph,
-//! and every lifted witness must validate against the *raw* input. The
-//! same file runs under `--features parallel`, certifying the pipeline
-//! on both execution paths.
+//! and every lifted witness must validate against the *raw* input.
 
 use proptest::prelude::*;
 use softhw::core::{hw, shw};

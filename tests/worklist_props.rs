@@ -4,18 +4,19 @@
 //! just accept/reject — with the retained Jacobi reference; the
 //! precomputed viable-candidate tables must match the first-principles
 //! basis predicate; and the cross-query decomposition cache must return
-//! exactly what cold runs return, whatever was asked of it before. The
-//! same file runs under the `parallel` feature in CI (the feature-matrix
-//! job), so serial/parallel bit-identity is covered by the same
-//! assertions.
+//! exactly what cold runs return, whatever was asked of it before — and
+//! in the edge numbering of the hypergraph that was passed in, however
+//! the same edges were listed when the entry was cached.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use softhw::core::cache::DecompCache;
 use softhw::core::ctd::CtdInstance;
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
 use softhw::core::{Budget, SolveSpec, Solved};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
-use softhw::hypergraph::{named, BlockIndex, Hypergraph};
+use softhw::hypergraph::{named, BlockIndex, Hypergraph, HypergraphBuilder};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (4usize..9, 3usize..9, 0u64..5000).prop_map(|(nv, ne, seed)| {
@@ -53,6 +54,24 @@ fn candidate_scan_crosses_a_summary_word_boundary() {
             .collect();
         assert_eq!(viable, direct, "block {b}");
     }
+}
+
+/// `h` with the same vertex ids and its edges listed in a seeded random
+/// order: structurally identical, so it shares `h`'s cache entries.
+fn with_edges_permuted(h: &Hypergraph, seed: u64) -> Hypergraph {
+    let mut order: Vec<usize> = (0..h.num_edges()).collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let mut b = HypergraphBuilder::new();
+    for v in 0..h.num_vertices() {
+        b.vertex(h.vertex_name(v));
+    }
+    for e in order {
+        b.edge_ids(h.edge_name(e), &h.edge(e).iter().collect::<Vec<_>>());
+    }
+    b.build()
 }
 
 /// One answer of the cache, rendered: the comparison key of the
@@ -179,5 +198,38 @@ proptest! {
             }
             prop_assert!(!repeat || cache.stats().result_misses == misses);
         }
+    }
+
+    #[test]
+    fn shared_cache_answers_in_the_callers_edge_numbering(
+        h in small_hypergraph(),
+        seed in 0u64..1000,
+        k in 1usize..3,
+        reduce in 0usize..2,
+    ) {
+        // Two listings of one structure share every cache entry; each
+        // answer must validate against the listing it was asked for
+        // (`hw` witnesses name edges; `shw` witnesses are vertex sets).
+        let h2 = with_edges_permuted(&h, seed);
+        prop_assert_eq!(
+            softhw::hypergraph::structural_hash(&h),
+            softhw::hypergraph::structural_hash(&h2)
+        );
+        let mut cache = DecompCache::new();
+        for asked in [&h, &h2, &h] {
+            for spec in [SolveSpec::hw(), SolveSpec::hw_leq(k), SolveSpec::shw(), SolveSpec::shw_leq(k)] {
+                match cache.solve(asked, &spec.with_reduce(reduce == 1)).unwrap() {
+                    Solved::HwWidth(_, g) | Solved::HwDecision(Some(g)) => {
+                        prop_assert_eq!(g.validate(asked), Ok(()));
+                        prop_assert!(g.is_hd(asked));
+                    }
+                    Solved::ShwWidth(_, td) | Solved::ShwDecision(Some(td)) => {
+                        prop_assert_eq!(td.validate(asked), Ok(()));
+                    }
+                    Solved::HwDecision(None) | Solved::ShwDecision(None) => {}
+                }
+            }
+        }
+        prop_assert!(cache.stats().result_hits > 0);
     }
 }
