@@ -296,7 +296,11 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src).toks.into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src)
+            .toks
+            .into_iter()
+            .map(|t| (t.kind, t.text))
+            .collect()
     }
 
     #[test]

@@ -65,9 +65,12 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
     let mut report = Report::default();
     for f in &ws.files {
         for w in &f.waivers {
-            report
-                .waivers
-                .push((f.rel.clone(), w.rule.clone(), w.line, w.justification.clone()));
+            report.waivers.push((
+                f.rel.clone(),
+                w.rule.clone(),
+                w.line,
+                w.justification.clone(),
+            ));
             if w.justification.is_empty() {
                 report.findings.push(Finding {
                     rule: rules::WAIVER_JUSTIFICATION,
@@ -96,9 +99,7 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
             .find(|f| f.rel == finding.rel)
             .map(|f| {
                 f.waivers.iter().any(|w| {
-                    w.rule == finding.rule
-                        && finding.line >= w.line
-                        && finding.line <= w.line + 1
+                    w.rule == finding.rule && finding.line >= w.line && finding.line <= w.line + 1
                 })
             })
             .unwrap_or(false);

@@ -38,7 +38,10 @@ fn main() -> ExitCode {
     let report = match softhw_lint::analyze(&root) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("softhw-lint: cannot read workspace at {}: {e}", root.display());
+            eprintln!(
+                "softhw-lint: cannot read workspace at {}: {e}",
+                root.display()
+            );
             return ExitCode::from(2);
         }
     };
@@ -76,9 +79,7 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("softhw-lint: {err}");
     }
-    eprintln!(
-        "usage: softhw-lint --workspace [--root path] [--max-waivers n] [--list-waivers]"
-    );
+    eprintln!("usage: softhw-lint --workspace [--root path] [--max-waivers n] [--list-waivers]");
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {

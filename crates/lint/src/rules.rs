@@ -397,7 +397,10 @@ pub fn no_blocking_in_event_loop(f: &SourceFile, out: &mut Vec<Finding>) {
     }
     let toks = f.toks();
     let fns = parse_fns(toks);
-    for item in fns.iter().filter(|i| EVENT_LOOP_FNS.contains(&i.name.as_str())) {
+    for item in fns
+        .iter()
+        .filter(|i| EVENT_LOOP_FNS.contains(&i.name.as_str()))
+    {
         if f.is_test_line(item.line) {
             continue;
         }
@@ -406,7 +409,9 @@ pub fn no_blocking_in_event_loop(f: &SourceFile, out: &mut Vec<Finding>) {
             let prev_dot = i > 0 && is_punct(&toks[i - 1], ".");
             let blocking = match t.text.as_str() {
                 "sleep" | "read_to_end" | "read_to_string" | "park" => t.kind == TokKind::Ident,
-                "lock" | "join" | "wait" => prev_dot && i + 1 < toks.len() && is_punct(&toks[i + 1], "("),
+                "lock" | "join" | "wait" => {
+                    prev_dot && i + 1 < toks.len() && is_punct(&toks[i + 1], "(")
+                }
                 "recv" => {
                     // `.recv()` blocks; `.try_recv()` / `.recv_timeout()`
                     // are distinct identifiers and stay legal.
@@ -492,7 +497,9 @@ pub fn cross_artifact_sync(ws: &Workspace, out: &mut Vec<Finding>) {
                 rule: CROSS_ARTIFACT_SYNC,
                 rel: wire.rel.clone(),
                 line: 0,
-                msg: format!("verb {v} advertised by PROTOCOL_VERBS but not parsed by RequestHeader::parse"),
+                msg: format!(
+                    "verb {v} advertised by PROTOCOL_VERBS but not parsed by RequestHeader::parse"
+                ),
             });
         }
         for v in parsed.difference(verbs) {
@@ -500,7 +507,9 @@ pub fn cross_artifact_sync(ws: &Workspace, out: &mut Vec<Finding>) {
                 rule: CROSS_ARTIFACT_SYNC,
                 rel: wire.rel.clone(),
                 line: 0,
-                msg: format!("verb {v} parsed by RequestHeader::parse but missing from PROTOCOL_VERBS"),
+                msg: format!(
+                    "verb {v} parsed by RequestHeader::parse but missing from PROTOCOL_VERBS"
+                ),
             });
         }
     }
@@ -548,7 +557,9 @@ pub fn cross_artifact_sync(ws: &Workspace, out: &mut Vec<Finding>) {
                     rule: CROSS_ARTIFACT_SYNC,
                     rel: state.rel.clone(),
                     line: 0,
-                    msg: format!("RequestClass::{v} is parsed by the wire but never dispatched in state.rs"),
+                    msg: format!(
+                        "RequestClass::{v} is parsed by the wire but never dispatched in state.rs"
+                    ),
                 });
             }
         }
@@ -654,9 +665,16 @@ pub fn cross_artifact_sync(ws: &Workspace, out: &mut Vec<Finding>) {
                 emitted.contains(key)
             }
         };
-        for f in ws.files.iter().filter(|f| f.rel.starts_with("crates/service/tests/")) {
+        for f in ws
+            .files
+            .iter()
+            .filter(|f| f.rel.starts_with("crates/service/tests/"))
+        {
             let toks = f.toks();
-            for item in parse_fns(toks).iter().filter(|i| i.name.starts_with("mask")) {
+            for item in parse_fns(toks)
+                .iter()
+                .filter(|i| i.name.starts_with("mask"))
+            {
                 for t in &toks[item.body.0..item.body.1] {
                     if t.kind == TokKind::Str && is_row_key(&t.text) && !matches_emitted(&t.text) {
                         out.push(Finding {
@@ -730,5 +748,6 @@ fn metric_names_in(s: &str) -> Vec<String> {
 fn is_row_key(s: &str) -> bool {
     !s.is_empty()
         && s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-        && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        && s.chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }

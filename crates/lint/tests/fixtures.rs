@@ -117,11 +117,15 @@ fn bad_tree_flags_bad_waivers() {
         .map(|f| f.msg.as_str())
         .collect();
     assert!(
-        waiver_findings.iter().any(|m| m.contains("no justification")),
+        waiver_findings
+            .iter()
+            .any(|m| m.contains("no justification")),
         "unjustified waiver not flagged: {waiver_findings:#?}"
     );
     assert!(
-        waiver_findings.iter().any(|m| m.contains("unknown rule `made-up-rule`")),
+        waiver_findings
+            .iter()
+            .any(|m| m.contains("unknown rule `made-up-rule`")),
         "unknown-rule waiver not flagged: {waiver_findings:#?}"
     );
 }

@@ -392,7 +392,13 @@ pub fn expose_gauge(out: &mut Vec<String>, name: &str, value: u64) {
 /// metric name, not once per label set). Zero-count tail buckets below
 /// the last occupied one are skipped; `+Inf`, `_sum`, and `_count` are
 /// always present.
-pub fn expose_histogram(out: &mut Vec<String>, name: &str, labels: &str, snap: &HistSnapshot, emit_type: bool) {
+pub fn expose_histogram(
+    out: &mut Vec<String>,
+    name: &str,
+    labels: &str,
+    snap: &HistSnapshot,
+    emit_type: bool,
+) {
     if emit_type {
         out.push(format!("# TYPE {name} histogram"));
     }
@@ -410,7 +416,10 @@ pub fn expose_histogram(out: &mut Vec<String>, name: &str, labels: &str, snap: &
         let le = bucket_upper(i).unwrap_or(u64::MAX);
         out.push(format!("{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}"));
     }
-    out.push(format!("{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", snap.count));
+    out.push(format!(
+        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
+        snap.count
+    ));
     let lb = if labels.is_empty() {
         String::new()
     } else {
@@ -547,7 +556,10 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.buckets[BUCKETS - 1], 2);
         assert_eq!(s.count, 3);
-        assert_eq!(s.sum, u64::MAX.wrapping_add(1 << 62).wrapping_add((1 << 30) - 1));
+        assert_eq!(
+            s.sum,
+            u64::MAX.wrapping_add(1 << 62).wrapping_add((1 << 30) - 1)
+        );
     }
 
     #[test]
@@ -643,7 +655,13 @@ mod tests {
             h.observe(v);
         }
         let mut out = Vec::new();
-        expose_histogram(&mut out, "softhw_test_us", "class=\"SHW\"", &h.snapshot(), true);
+        expose_histogram(
+            &mut out,
+            "softhw_test_us",
+            "class=\"SHW\"",
+            &h.snapshot(),
+            true,
+        );
         assert_eq!(out[0], "# TYPE softhw_test_us histogram");
         assert!(out.contains(&"softhw_test_us_bucket{class=\"SHW\",le=\"0\"} 1".to_string()));
         assert!(out.contains(&"softhw_test_us_bucket{class=\"SHW\",le=\"1\"} 2".to_string()));

@@ -70,8 +70,8 @@ impl ServiceObs {
         if !self.enabled || !softhw_obs::enabled() || softhw_obs::trace_active() {
             return false;
         }
-        let id = trace
-            .unwrap_or_else(|| self.trace_seq.fetch_add(1, Ordering::Relaxed) | (1u64 << 63));
+        let id =
+            trace.unwrap_or_else(|| self.trace_seq.fetch_add(1, Ordering::Relaxed) | (1u64 << 63));
         softhw_obs::begin_trace(id);
         true
     }
@@ -377,11 +377,7 @@ impl ServiceState {
             per_stripe.map(|m| counter(m).load(Ordering::Relaxed)).sum()
         };
         let (bytes, tracked) = (sum(|m| &m.bytes), sum(|m| &m.tracked));
-        if tracked == 0 {
-            0
-        } else {
-            bytes / tracked
-        }
+        bytes.checked_div(tracked).unwrap_or(0)
     }
 
     /// Assembles the `METRICS` exposition: the registry counters and
@@ -401,10 +397,16 @@ impl ServiceState {
         lines.push("# TYPE softhw_requests_total counter".to_string());
         for (i, class) in OBS_CLASSES.iter().enumerate() {
             let count = obs.latency.get(i).map_or(0, Histogram::count);
-            lines.push(format!("softhw_requests_total{{class=\"{class}\"}} {count}"));
+            lines.push(format!(
+                "softhw_requests_total{{class=\"{class}\"}} {count}"
+            ));
         }
         for (i, class) in OBS_CLASSES.iter().enumerate() {
-            let snap = obs.latency.get(i).map(Histogram::snapshot).unwrap_or_default();
+            let snap = obs
+                .latency
+                .get(i)
+                .map(Histogram::snapshot)
+                .unwrap_or_default();
             softhw_obs::expose_histogram(
                 &mut lines,
                 "softhw_request_duration_us",
@@ -414,7 +416,11 @@ impl ServiceState {
             );
         }
         for (i, name) in stage::ALL.iter().enumerate() {
-            let snap = obs.stages.get(i).map(Histogram::snapshot).unwrap_or_default();
+            let snap = obs
+                .stages
+                .get(i)
+                .map(Histogram::snapshot)
+                .unwrap_or_default();
             softhw_obs::expose_histogram(
                 &mut lines,
                 "softhw_stage_duration_us",

@@ -813,7 +813,11 @@ fn on_readable(conn: &mut Conn, id: u64, state: &ServiceState, job_tx: &mpsc::Sy
                     continue;
                 }
                 let mut frames = Vec::new();
-                if conn.decoder.push(chunk.get(..n).unwrap_or(&[]), &mut frames).is_err() {
+                if conn
+                    .decoder
+                    .push(chunk.get(..n).unwrap_or(&[]), &mut frames)
+                    .is_err()
+                {
                     // Protocol violation: take no more input, but still
                     // deliver the responses already owed.
                     conn.read_closed = true;

@@ -641,10 +641,9 @@ fn class_key(class: RequestClass) -> Option<ClassKey> {
         RequestClass::Best(EvalKind::Trivial, k) => ClassKey::BestTrivial(k as u64),
         RequestClass::Best(EvalKind::ConCov, k) => ClassKey::BestConCov(k as u64),
         RequestClass::Best(EvalKind::Shallow(d), k) => ClassKey::BestShallow { d, k: k as u64 },
-        RequestClass::Stats
-        | RequestClass::Hello
-        | RequestClass::Metrics
-        | RequestClass::Slow => return None,
+        RequestClass::Stats | RequestClass::Hello | RequestClass::Metrics | RequestClass::Slow => {
+            return None
+        }
     })
 }
 
@@ -928,14 +927,14 @@ mod tests {
         // in shape; both must be valid).
         let h = softhw_hypergraph::parse_hypergraph(body).unwrap();
         for st in [&reduced, &no_reduce] {
-            match ask(&st, &Request::new(RequestClass::Shw, body)) {
+            match ask(st, &Request::new(RequestClass::Shw, body)) {
                 Response::Width { width, td, .. } => {
                     assert_eq!(width, 2);
                     assert_eq!(td.to_td().unwrap().validate(&h), Ok(()));
                 }
                 other => panic!("{other:?}"),
             }
-            match ask(&st, &Request::new(RequestClass::Hw, body)) {
+            match ask(st, &Request::new(RequestClass::Hw, body)) {
                 Response::Width { width, td, .. } => {
                     assert_eq!(width, 2);
                     assert_eq!(td.to_td().unwrap().validate(&h), Ok(()));
@@ -948,7 +947,7 @@ mod tests {
         let red = softhw_hypergraph::reduce(&h);
         assert!(red.stats.edges_dropped > 0 && red.stats.vertices_peeled > 0);
         for st in [&reduced, &no_reduce] {
-            match ask(&st, &Request::new(RequestClass::Stats, body)) {
+            match ask(st, &Request::new(RequestClass::Stats, body)) {
                 Response::Stats { fields } => {
                     let get = |k: &str| {
                         fields

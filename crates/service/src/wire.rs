@@ -948,7 +948,9 @@ impl Response {
                         "batch response {i}: declared {m} lines, frame has fewer"
                     )));
                 }
-                responses.push(Response::decode(lines.get(idx + 1..body_end).unwrap_or(&[]))?);
+                responses.push(Response::decode(
+                    lines.get(idx + 1..body_end).unwrap_or(&[]),
+                )?);
                 idx = body_end;
             }
             if idx != lines.len() {

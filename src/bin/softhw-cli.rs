@@ -280,8 +280,12 @@ fn validate_exposition(lines: &[String]) -> Result<(), String> {
             && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     };
     for (i, line) in lines.iter().enumerate() {
-        let bad =
-            |why: &str| Err(format!("unparseable exposition line {}: {why}: {line:?}", i + 1));
+        let bad = |why: &str| {
+            Err(format!(
+                "unparseable exposition line {}: {why}: {line:?}",
+                i + 1
+            ))
+        };
         if line.is_empty() {
             continue;
         }
