@@ -14,13 +14,17 @@
 //!   `(X, Y_i)` is satisfied. (Condition (1) follows from (2) since the
 //!   hypergraph has no isolated vertices.)
 //!
-//! Storage routes through the bag arena: candidate bags, components, and
-//! closures are interned [`BagId`]s in an instance-owned [`BagArena`];
-//! dedup is interning, the satisfaction DP is a flat `Vec` over block
-//! ids, and the hot subset/union checks run word-level on the packed
-//! storage. Instances are built from a shared [`BlockIndex`] so the
+//! Instances are built from a shared [`BlockIndex`], so the
 //! `[S]`-components of every candidate bag are computed once per
-//! hypergraph — not once per solver call (see [`CtdInstance::build`]).
+//! hypergraph — not once per solver call (see [`CtdInstance::build`]) —
+//! and so that nothing is hashed twice: the index has already interned
+//! every bag, component and cover, and its ids are distinct exactly when
+//! the contents are. The instance therefore deduplicates through a dense
+//! remap keyed by index id and copies each distinct row once into flat,
+//! exactly-reserved storage; it owns no hash table, because
+//! nothing is interned into an instance after it is built. The
+//! satisfaction DP is a flat `Vec` over block ids, and the hot
+//! subset/union checks run word-level on the packed rows.
 //!
 //! ## The worklist satisfaction engine
 //!
@@ -28,9 +32,12 @@
 //! `X ⊆ S ∪ C`, and the edge-coverage condition (2), whose witness union
 //! `X ∪ ⋃Y_i` always includes **all** child blocks — and a *state-
 //! dependent* part, condition (3): every child block satisfied. The
-//! instance therefore precomputes, per block, its **viable candidates**
-//! (bags passing the state-independent conditions) with their child-block
-//! lists in CSR form, plus the child→parents **reverse index**
+//! instance therefore precomputes, per distinct component, the candidates
+//! passing condition (2) with their child-block lists in CSR form — a
+//! block's **viable candidates** are those filtered by the two
+//! block-specific tests, `X ≠ S` and `X ⊆ S ∪ C`, the latter evaluated as
+//! `x & !(s | c) == 0` over the three rows, no closure row stored — plus
+//! the child→parents **reverse index**
 //! ([`softhw_hypergraph::Csr`]). The DP then runs as a worklist in
 //! frontier waves: wave 0 checks every block, and a block re-enters the
 //! frontier only when one of its children newly became satisfied — each
@@ -47,10 +54,11 @@
 
 use crate::budget::Budget;
 use crate::error::DecompError;
+use crate::soft::LimitExceeded;
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::arena::{word_tail_mask, words_subset};
+use softhw_hypergraph::arena::{word_tail_mask, words_iter, words_subset, words_union_into};
 use softhw_hypergraph::blocks::SliceRange;
-use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Csr, FxHashMap, Hypergraph};
+use softhw_hypergraph::{BagId, BitSet, BlockIndex, Csr, Hypergraph};
 use std::sync::Arc;
 
 /// One materialised block `(S, C)` with `C ≠ ∅`.
@@ -58,12 +66,10 @@ use std::sync::Arc;
 pub struct Block {
     /// Index of the head bag, or `None` for the `∅` head.
     pub head: Option<usize>,
-    /// The component `C` (a vertex set disjoint from the head bag),
-    /// interned in the instance arena.
+    /// The component `C` (a vertex set disjoint from the head bag), a
+    /// row of the instance ([`CtdInstance::words`]).
     pub comp: BagId,
-    /// `S ∪ C`, interned in the instance arena.
-    pub closure: BagId,
-    /// `C ∪ ⋃{e : e ∩ C ≠ ∅}`, interned in the instance arena — the
+    /// `C ∪ ⋃{e : e ∩ C ≠ ∅}`, a row of the instance — the
     /// block's coverage obligation folded into one set. Condition (2)
     /// ("every edge intersecting `C` lies inside the witness union `u`")
     /// is equivalent to `cover ⊆ u` whenever `C ⊆ u`, which every
@@ -71,9 +77,51 @@ pub struct Block {
     /// includes all child components, which partition `C ∖ X`). Storing
     /// the union instead of the touching-edge list is what keeps `k = 2`
     /// HyperBench instances in memory: the per-block edge lists total
-    /// hundreds of millions of entries, the interned unions a few
-    /// thousand distinct rows.
+    /// hundreds of millions of entries, the unions a few thousand
+    /// distinct rows.
     pub cover: BagId,
+}
+
+/// The instance's vertex sets — candidate bags, components and covers —
+/// as fixed-width rows of one flat vector, addressed by dense [`BagId`]s.
+/// Rows `0..num_bags` are the candidate bags in bag order. Equal sets
+/// share a row (so id equality is set equality), which the build gets
+/// from the index's interning rather than from a table of its own.
+struct Rows {
+    /// Words per row.
+    words: usize,
+    data: Vec<u64>,
+}
+
+impl Rows {
+    #[inline]
+    fn get(&self, id: BagId) -> &[u64] {
+        &self.data[id.idx() * self.words..(id.idx() + 1) * self.words]
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.data.len() / self.words
+    }
+}
+
+/// The row id of candidate bag `x`.
+#[inline]
+fn bag_row(x: usize) -> BagId {
+    BagId(x as u32)
+}
+
+/// Converts a table length to the `u32` the dependency tables store
+/// offsets and block ids in. An instance past that is a blown limit, not
+/// a wrap.
+#[inline]
+fn offset(n: usize) -> Result<u32, DecompError> {
+    u32::try_from(n).map_err(|_| {
+        LimitExceeded {
+            what: "dependency table offsets",
+        }
+        .into()
+    })
 }
 
 /// The precomputed dependency structure of the satisfaction DP.
@@ -89,10 +137,11 @@ pub struct Block {
 /// coverage-viable pairs it emits instead of a `blocks × bags` scan.
 ///
 /// The remaining, block-specific basis conditions — `X ⊆ S ∪ C` and
-/// `X ≠ S` — are *not* tabulated: they are a single interned-subset test
-/// and an index compare at DP time, so per-closure bag masks (which cost
-/// `closures × bags` bits — tens of gigabytes on `k = 2` HyperBench)
-/// buy nothing. A block's viable candidates are its comp group's
+/// `X ≠ S` — are *not* tabulated: they are one word-level test over the
+/// rows of `X`, `S` and `C` (`x & !(s | c) == 0`; the closure `S ∪ C` is
+/// never stored) and an index compare at DP time, so per-closure bag
+/// masks (which cost `closures × bags` bits — tens of gigabytes on
+/// `k = 2` HyperBench) buy nothing. A block's viable candidates are its comp group's
 /// entries filtered by those two checks on the fly. The reverse index is
 /// two-level: child block → comp groups listing it → blocks of those
 /// groups (a superset of the exact parent set, which is sound: a
@@ -145,21 +194,22 @@ impl VertexBags {
         self.xwords.div_ceil(SUMMARY_SPAN)
     }
 
-    /// Indexes `bag_ids` over `nv` vertices, both levels in one pass.
-    fn new(nv: usize, arena: &BagArena, bag_ids: &[BagId]) -> Self {
-        let xwords = bag_ids.len().div_ceil(64).max(1);
+    /// Indexes the `num_bags` bag rows over `nv` vertices, both levels in
+    /// one pass.
+    fn new(nv: usize, rows: &Rows, num_bags: usize) -> Self {
+        let xwords = num_bags.div_ceil(64).max(1);
         let swords = xwords.div_ceil(SUMMARY_SPAN);
-        let mut rows = vec![0u64; nv * xwords];
+        let mut vrows = vec![0u64; nv * xwords];
         let mut summary = vec![0u64; nv * swords];
-        for (x, &bag) in bag_ids.iter().enumerate() {
+        for x in 0..num_bags {
             let w = x / 64;
-            for v in arena.iter(bag) {
-                rows[v * xwords + w] |= 1u64 << (x % 64);
+            for v in words_iter(rows.get(bag_row(x))) {
+                vrows[v * xwords + w] |= 1u64 << (x % 64);
                 summary[v * swords + w / SUMMARY_SPAN] |= 1u64 << (w % SUMMARY_SPAN);
             }
         }
         VertexBags {
-            rows,
+            rows: vrows,
             summary,
             xwords,
         }
@@ -180,20 +230,20 @@ impl Deps {
     }
 }
 
-/// A prepared `CandidateTD` instance: interned, deduplicated bags plus
+/// A prepared `CandidateTD` instance: deduplicated bags plus
 /// the full block table and the DP dependency structure. Shared by
 /// Algorithm 1 ([`CtdInstance::decide`]) and the constrained/preference
-/// variants in [`crate::ctd_opt`]. Owns its hypergraph (shared [`Arc`]),
-/// so instances can be kept in cross-query caches.
+/// variants in [`crate::ctd_opt`]. Owns its hypergraph (shared [`Arc`])
+/// and a copy of every row it refers to, so it borrows nothing from the
+/// index it was built from.
 pub struct CtdInstance {
     /// The hypergraph.
     pub h: Arc<Hypergraph>,
-    /// Instance-owned arena holding bags, components, and closures.
-    arena: BagArena,
-    /// Deduplicated, non-empty candidate bags (ids into the arena).
-    pub bag_ids: Vec<BagId>,
-    /// Lazily materialised views of the bags, index-aligned with
-    /// `bag_ids` (for evaluator callbacks and decomposition output).
+    /// Bags, components and covers; rows `0..num_bags` are the
+    /// deduplicated, non-empty candidate bags.
+    rows: Rows,
+    /// Lazily materialised views of the bags, one per candidate bag
+    /// (for evaluator callbacks and decomposition output).
     /// A bag is materialised on first [`CtdInstance::bag`] access — a
     /// width sweep only ever touches the handful of bags its final
     /// witness uses, so eager materialisation was pure overhead.
@@ -227,8 +277,6 @@ struct ScanScratch {
     req: Vec<usize>,
     /// Surviving summary words of the whole row.
     summary: Vec<u64>,
-    /// Candidate words of the [`SUMMARY_SPAN`]-word stretch being scanned.
-    cand: Vec<u64>,
     /// Witness-union words of one candidate.
     buf: Vec<u64>,
 }
@@ -238,23 +286,21 @@ impl ScanScratch {
         ScanScratch {
             req: Vec::new(),
             summary: vec![0u64; vb.swords()],
-            cand: vec![0u64; vb.xwords.min(SUMMARY_SPAN)],
             buf: vec![0u64; words],
         }
     }
 }
 
-/// The flat output of the group scans: candidate entries of every group,
-/// concatenated in group order, with the per-group and per-entry counts
-/// the offset tables are summed from.
-#[derive(Default)]
+/// The flat output of the group scans: the candidate entries of every
+/// group, concatenated in group order. These vectors *are* the
+/// candidate and child tables of [`Deps`]; the per-group offsets are
+/// taken between scans.
 struct ScanChunk {
-    /// Entries per scanned group, in group order.
-    entries: Vec<u32>,
     /// Candidate bag indices, concatenated across groups.
     xs: Vec<u32>,
-    /// Child count per candidate entry.
-    counts: Vec<u32>,
+    /// Per entry, where its children start in `children`; one trailing
+    /// end offset.
+    child_start: Vec<u32>,
     /// Child block ids, concatenated.
     children: Vec<u32>,
 }
@@ -276,27 +322,26 @@ fn and_into_any(src: &[u64], dst: &mut [u64]) -> bool {
 /// must complete the coverage union. The `req` condition is evaluated
 /// through the inverted vertex→bags index, top level first: the AND of
 /// the `req` vertices' summary rows (one word per [`SUMMARY_SPAN`] row
-/// words) names the stretches of the row where a candidate can exist at
-/// all, and the row AND then runs only over those stretches. A group
-/// therefore costs `|req| × bags / 4096` summary words plus one
-/// [`SUMMARY_SPAN`]-word AND per surviving stretch — near the number of
-/// candidates it emits — where a flat AND reads `|req| × bags / 64`
-/// words.
-#[allow(clippy::too_many_arguments)]
+/// words) names the row words in which every `req` vertex has a bag at
+/// all, and the row AND then reads exactly those words — never the
+/// stretch around them. A group therefore costs
+/// `|req| × bags / 4096` summary words plus `|req|` words per surviving
+/// row word — near the number of candidates it emits — where a flat AND
+/// reads `|req| × bags / 64` words.
 fn scan_group(
-    arena: &BagArena,
-    bag_ids: &[BagId],
+    rows: &Rows,
     blocks: &[Block],
     blocks_by_head: &[(u32, u32)],
     vb: &VertexBags,
     rep: usize,
     s: &mut ScanScratch,
     out: &mut ScanChunk,
-) {
+) -> Result<(), DecompError> {
     let blk = &blocks[rep];
-    let cover = arena.words(blk.cover);
-    let comp_words = arena.words(blk.comp);
+    let cover = rows.get(blk.cover);
+    let comp_words = rows.get(blk.comp);
     let (xwords, swords) = (vb.xwords, vb.swords());
+    let num_bags = blocks_by_head.len();
     // A bag missing a `req` vertex can never witness condition (2),
     // because child components only contribute vertices of `C`.
     s.req.clear();
@@ -313,48 +358,43 @@ fn scan_group(
     }
     for &v in &s.req {
         if !and_into_any(&vb.summary[v * swords..(v + 1) * swords], &mut s.summary) {
-            return;
+            return Ok(());
         }
     }
-    'stretch: for si in 0..swords {
+    for si in 0..swords {
         let mut live_words = s.summary[si];
-        if live_words == 0 {
-            continue;
-        }
-        let lo = si * SUMMARY_SPAN;
-        let cand = &mut s.cand[..(xwords - lo).min(SUMMARY_SPAN)];
-        cand.fill(!0);
-        for &v in &s.req {
-            let row = &vb.rows[v * xwords + lo..v * xwords + lo + cand.len()];
-            if !and_into_any(row, cand) {
-                continue 'stretch;
-            }
-        }
         while live_words != 0 {
-            let w = lo + live_words.trailing_zeros() as usize;
+            let w = si * SUMMARY_SPAN + live_words.trailing_zeros() as usize;
             live_words &= live_words - 1;
             // Only the last row word is partial.
-            let mut bits = cand[w - lo] & word_tail_mask(bag_ids.len(), w);
+            let mut bits = word_tail_mask(num_bags, w);
+            for &v in &s.req {
+                bits &= vb.rows[v * xwords + w];
+                if bits == 0 {
+                    break;
+                }
+            }
             while bits != 0 {
                 let x = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let bag = bag_ids[x];
+                let bag = rows.get(bag_row(x));
                 let begin = out.children.len();
                 let (hb_start, hb_len) = blocks_by_head[x];
-                let head_range = hb_start as usize..(hb_start + hb_len) as usize;
+                let head_range = hb_start..hb_start + hb_len;
                 // Fast path: the bag alone covers the obligations.
-                if arena.is_subset(blk.cover, bag) {
+                if words_subset(cover, bag) {
                     for b2 in head_range {
-                        if arena.is_subset(blocks[b2].comp, blk.comp) {
-                            out.children.push(b2 as u32);
+                        if words_subset(rows.get(blocks[b2 as usize].comp), comp_words) {
+                            out.children.push(b2);
                         }
                     }
                 } else {
-                    s.buf.copy_from_slice(arena.words(bag));
+                    s.buf.copy_from_slice(bag);
                     for b2 in head_range {
-                        if arena.is_subset(blocks[b2].comp, blk.comp) {
-                            out.children.push(b2 as u32);
-                            arena.union_into(blocks[b2].comp, &mut s.buf);
+                        let child = rows.get(blocks[b2 as usize].comp);
+                        if words_subset(child, comp_words) {
+                            out.children.push(b2);
+                            words_union_into(child, &mut s.buf);
                         }
                     }
                     if !words_subset(cover, &s.buf) {
@@ -363,10 +403,11 @@ fn scan_group(
                     }
                 }
                 out.xs.push(x as u32);
-                out.counts.push((out.children.len() - begin) as u32);
+                out.child_start.push(offset(out.children.len())?);
             }
         }
     }
+    Ok(())
 }
 
 /// Resolves the block rows of the bags `seps` against the shared index:
@@ -420,64 +461,75 @@ impl CtdInstance {
     ) -> Result<Self, DecompError> {
         let _span = softhw_obs::span(softhw_obs::stage::INSTANCE_BUILD);
         let h = index.hypergraph_arc().clone();
-        let mut arena = BagArena::new(h.num_vertices());
-        // Dedup and drop empties, preserving first-occurrence order (the
-        // arena assigns dense ids in insertion order).
-        let mut bag_ids: Vec<BagId> = Vec::new();
-        let mut index_ids: Vec<BagId> = Vec::new();
-        for &b in bags {
-            if index.arena.bag_is_empty(b) {
-                continue;
+        // Index id → instance row, `NO_ROW` until the id is first seen;
+        // `order` lists the index ids in row order. Index ids are
+        // distinct exactly when their contents are, so this is the whole
+        // of deduplication.
+        const NO_ROW: u32 = u32::MAX;
+        fn row_of(remap: &mut [u32], order: &mut Vec<BagId>, id: BagId) -> BagId {
+            let slot = &mut remap[id.idx()];
+            if *slot == NO_ROW {
+                *slot = order.len() as u32;
+                order.push(id);
             }
-            let before = arena.len();
-            let local = arena.copy_from(&index.arena, b);
-            if arena.len() > before {
-                bag_ids.push(local);
-                index_ids.push(b);
+            BagId(*slot)
+        }
+        let mut remap: Vec<u32> = vec![NO_ROW; index.arena.len()];
+        // Bags first, so bag `x` is row `x`: dedup and drop empties,
+        // preserving first-occurrence order.
+        let mut order: Vec<BagId> = Vec::new();
+        for &b in bags {
+            if !index.arena.bag_is_empty(b) {
+                row_of(&mut remap, &mut order, b);
             }
         }
-        let mut blocks = Vec::new();
-        let mut root_blocks = Vec::new();
+        let num_bags = order.len();
         let empty = index.empty();
-        let rows_r = index.block_rows(empty);
-        for &(comp, cover) in index.rows(rows_r) {
-            let local_comp = arena.copy_from(&index.arena, comp);
-            let local_cover = arena.copy_from(&index.arena, cover);
+        let root_rows = index.block_rows(empty);
+        let bag_rows = resolve_rows(index, &order, budget)?;
+        // The passes interned the components and covers new to the index.
+        remap.resize(index.arena.len(), NO_ROW);
+        let mut blocks = Vec::with_capacity(
+            root_rows.len() + bag_rows.iter().map(SliceRange::len).sum::<usize>(),
+        );
+        let mut root_blocks = Vec::with_capacity(root_rows.len());
+        for &(comp, cover) in index.rows(root_rows) {
             root_blocks.push(blocks.len());
             blocks.push(Block {
                 head: None,
-                comp: local_comp,
-                closure: local_comp,
-                cover: local_cover,
+                comp: row_of(&mut remap, &mut order, comp),
+                cover: row_of(&mut remap, &mut order, cover),
             });
         }
-        let bag_rows = resolve_rows(index, &index_ids, budget)?;
-        let mut blocks_by_head: Vec<(u32, u32)> = Vec::with_capacity(bag_ids.len());
-        for (sid, (&local_bag, &rows_r)) in bag_ids.iter().zip(&bag_rows).enumerate() {
+        let mut blocks_by_head: Vec<(u32, u32)> = Vec::with_capacity(num_bags);
+        for (sid, &rows_r) in bag_rows.iter().enumerate() {
             budget.tick()?;
-            blocks_by_head.push((blocks.len() as u32, rows_r.len() as u32));
+            blocks_by_head.push((offset(blocks.len())?, offset(rows_r.len())?));
             for &(comp, cover) in index.rows(rows_r) {
-                let local_comp = arena.copy_from(&index.arena, comp);
-                let local_cover = arena.copy_from(&index.arena, cover);
-                let closure = arena.union(local_bag, local_comp);
                 blocks.push(Block {
                     head: Some(sid),
-                    comp: local_comp,
-                    closure,
-                    cover: local_cover,
+                    comp: row_of(&mut remap, &mut order, comp),
+                    cover: row_of(&mut remap, &mut order, cover),
                 });
             }
         }
-        // Released before the dependency tables are sized.
+        // Block ids are stored as `u32` from here on.
+        offset(blocks.len())?;
+        // Released before the rows and the dependency tables are sized.
         drop(bag_rows);
-        let bag_sets = (0..bag_ids.len())
-            .map(|_| std::sync::OnceLock::new())
-            .collect();
-        let deps = Self::build_deps(&h, &arena, &bag_ids, &blocks, &blocks_by_head, budget)?;
+        drop(remap);
+        let words = index.arena.words_per_bag();
+        let mut data: Vec<u64> = Vec::with_capacity(order.len() * words);
+        for &id in &order {
+            data.extend_from_slice(index.arena.words(id));
+        }
+        drop(order);
+        let rows = Rows { words, data };
+        let bag_sets = (0..num_bags).map(|_| std::sync::OnceLock::new()).collect();
+        let deps = Self::build_deps(&h, &rows, &blocks, &blocks_by_head, budget)?;
         Ok(CtdInstance {
             h,
-            arena,
-            bag_ids,
+            rows,
             bag_sets,
             blocks,
             blocks_by_head,
@@ -493,75 +545,67 @@ impl CtdInstance {
     /// [`ScanChunk`] that becomes the tables without a copy.
     fn build_deps(
         h: &Hypergraph,
-        arena: &BagArena,
-        bag_ids: &[BagId],
+        rows: &Rows,
         blocks: &[Block],
         blocks_by_head: &[(u32, u32)],
         budget: &Budget,
     ) -> Result<Deps, DecompError> {
         let _span = softhw_obs::span(softhw_obs::stage::DEPS_SCAN);
         let nb = blocks.len();
-        let words = arena.words_per_bag();
-        // Group blocks by component (ids are interned, so equality is id
-        // equality). Groups are numbered in first-block order; group_rep
+        // Group blocks by component (equal components share a row, so
+        // equality is id equality and the group map is a flat vector over
+        // rows). Groups are numbered in first-block order; group_rep
         // holds one representative block per group.
-        let mut comp_group: FxHashMap<BagId, u32> = FxHashMap::default();
+        const NO_GROUP: u32 = u32::MAX;
+        let mut comp_group: Vec<u32> = vec![NO_GROUP; rows.len()];
         let mut group_of: Vec<u32> = Vec::with_capacity(nb);
         let mut group_rep: Vec<u32> = Vec::new();
         for (b, blk) in blocks.iter().enumerate() {
-            let g = *comp_group.entry(blk.comp).or_insert_with(|| {
+            let g = &mut comp_group[blk.comp.idx()];
+            if *g == NO_GROUP {
+                *g = group_rep.len() as u32;
                 group_rep.push(b as u32);
-                (group_rep.len() - 1) as u32
-            });
-            group_of.push(g);
+            }
+            group_of.push(*g);
         }
+        drop(comp_group);
         let ng = group_rep.len();
-        let vertex_bags = VertexBags::new(h.num_vertices(), arena, bag_ids);
-        let mut s = ScanScratch::new(words, &vertex_bags);
-        let mut out = ScanChunk::default();
+        let vertex_bags = VertexBags::new(h.num_vertices(), rows, blocks_by_head.len());
+        let mut s = ScanScratch::new(rows.words, &vertex_bags);
+        let mut out = ScanChunk {
+            xs: Vec::new(),
+            child_start: vec![0],
+            children: Vec::new(),
+        };
+        let mut g_cand_start: Vec<u32> = Vec::with_capacity(ng + 1);
+        g_cand_start.push(0);
         for &rep in &group_rep {
             budget.tick()?;
-            let before = out.xs.len();
             scan_group(
-                arena,
-                bag_ids,
+                rows,
                 blocks,
                 blocks_by_head,
                 &vertex_bags,
                 rep as usize,
                 &mut s,
                 &mut out,
-            );
-            out.entries.push((out.xs.len() - before) as u32);
+            )?;
+            g_cand_start.push(offset(out.xs.len())?);
         }
         // Released before the remaining tables are sized.
         drop(vertex_bags);
-        // The scan output *is* the candidate and child data; the offset
-        // tables are prefix sums over it, and `datum_group` mirrors
-        // `g_child_data` so the child→groups CSR builds with a flat
-        // counting scatter.
+        // The scan output *is* the candidate and child data, offsets
+        // included; `datum_group` mirrors `g_child_data` so the
+        // child→groups CSR builds with a flat counting scatter.
         let ScanChunk {
-            entries,
             xs: g_cand_x,
-            counts,
+            child_start: g_child_start,
             children: g_child_data,
         } = out;
-        let mut g_cand_start: Vec<u32> = Vec::with_capacity(ng + 1);
-        let mut g_child_start: Vec<u32> = Vec::with_capacity(g_cand_x.len() + 1);
         let mut datum_group: Vec<u32> = Vec::with_capacity(g_child_data.len());
-        g_cand_start.push(0);
-        g_child_start.push(0);
-        let (mut ci, mut acc) = (0usize, 0u32);
-        for (g, &n_entries) in entries.iter().enumerate() {
-            for &cnt in &counts[ci..ci + n_entries as usize] {
-                acc += cnt;
-                g_child_start.push(acc);
-            }
-            datum_group.resize(acc as usize, g as u32);
-            ci += n_entries as usize;
-            g_cand_start.push(ci as u32);
+        for (g, &end) in g_cand_start[1..].iter().enumerate() {
+            datum_group.resize(g_child_start[end as usize] as usize, g as u32);
         }
-        debug_assert_eq!(g_cand_start.len(), ng + 1);
         let child_groups = Csr::from_counts(
             nb,
             g_child_data
@@ -585,7 +629,7 @@ impl CtdInstance {
     /// Number of (deduplicated, non-empty) candidate bags.
     #[inline]
     pub fn num_bags(&self) -> usize {
-        self.bag_ids.len()
+        self.bag_sets.len()
     }
 
     /// Materialised view of bag `x` (built on first access, then
@@ -593,19 +637,37 @@ impl CtdInstance {
     /// instances shared across service workers).
     #[inline]
     pub fn bag(&self, x: usize) -> &BitSet {
-        self.bag_sets[x].get_or_init(|| self.arena.to_bitset(self.bag_ids[x]))
+        self.bag_sets[x].get_or_init(|| BitSet::from_blocks(self.rows.get(bag_row(x))))
     }
 
-    /// The instance's arena (for word-level algebra over blocks/bags).
+    /// The packed words of row `id` — a [`Block`]'s `comp` or `cover` —
+    /// for word-level algebra over blocks.
     #[inline]
-    pub fn arena(&self) -> &BagArena {
-        &self.arena
+    pub fn words(&self, id: BagId) -> &[u64] {
+        self.rows.get(id)
     }
 
     /// Loads bag `x` into a scratch buffer for incremental union building.
     #[inline]
     pub fn load_bag(&self, x: usize, buf: &mut Vec<u64>) {
-        self.arena.read_into(self.bag_ids[x], buf);
+        buf.clear();
+        buf.extend_from_slice(self.rows.get(bag_row(x)));
+    }
+
+    /// `X ⊆ S ∪ C` for bag `x` and block `blk = (S, C)`, straight off the
+    /// three rows.
+    #[inline]
+    fn in_closure(&self, x: usize, blk: &Block) -> bool {
+        let (xw, cw) = (self.rows.get(bag_row(x)), self.rows.get(blk.comp));
+        match blk.head {
+            Some(s) => {
+                let sw = self.rows.get(bag_row(s));
+                xw.iter()
+                    .zip(sw.iter().zip(cw))
+                    .all(|(x, (s, c))| x & !(s | c) == 0)
+            }
+            None => words_subset(xw, cw),
+        }
     }
 
     /// Checks the basis conditions of bag `x` for block `b` from first
@@ -625,7 +687,7 @@ impl CtdInstance {
         if blk.head == Some(x) {
             return false; // X ≠ S
         }
-        if !self.arena.is_subset(self.bag_ids[x], blk.closure) {
+        if !self.in_closure(x, blk) {
             return false;
         }
         self.load_bag(x, buf);
@@ -634,16 +696,17 @@ impl CtdInstance {
         // not positions in one slice.
         #[allow(clippy::needless_range_loop)]
         for b2 in hb_start as usize..(hb_start + hb_len) as usize {
-            if self.arena.is_subset(self.blocks[b2].comp, blk.comp) {
+            let child = self.rows.get(self.blocks[b2].comp);
+            if words_subset(child, self.rows.get(blk.comp)) {
                 if !satisfied[b2] {
                     return false;
                 }
-                self.arena.union_into(self.blocks[b2].comp, buf);
+                words_union_into(child, buf);
             }
         }
         // Condition (2): with all child components in `buf`, `C ⊆ buf`,
         // so "every touching edge inside `buf`" is exactly `cover ⊆ buf`.
-        words_subset(self.arena.words(blk.cover), buf)
+        words_subset(self.rows.get(blk.cover), buf)
     }
 
     /// The viable candidates of block `b` — bags passing the
@@ -651,16 +714,15 @@ impl CtdInstance {
     /// blocks, ascending in bag index. A viable `x` is a basis iff all
     /// its children are satisfied.
     pub fn viable_candidates(&self, b: usize) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        let head = self.blocks[b].head.map(|x| x as u32);
-        let closure = self.blocks[b].closure;
+        let blk = &self.blocks[b];
         self.deps
             .group_range(self.deps.group_of[b])
             .filter_map(move |ci| {
-                let x = self.deps.g_cand_x[ci];
-                if Some(x) == head || !self.arena.is_subset(self.bag_ids[x as usize], closure) {
+                let x = self.deps.g_cand_x[ci] as usize;
+                if Some(x) == blk.head || !self.in_closure(x, blk) {
                     return None;
                 }
-                Some((x as usize, self.deps.children_of_entry(ci)))
+                Some((x, self.deps.children_of_entry(ci)))
             })
     }
 
@@ -695,11 +757,10 @@ impl CtdInstance {
     /// First viable candidate of `b` whose children are all satisfied.
     #[inline]
     fn first_ready_candidate(&self, b: usize, satisfied: &[bool]) -> Option<u32> {
-        let head = self.blocks[b].head.map(|x| x as u32);
-        let closure = self.blocks[b].closure;
+        let blk = &self.blocks[b];
         for ci in self.deps.group_range(self.deps.group_of[b]) {
             let x = self.deps.g_cand_x[ci];
-            if Some(x) == head || !self.arena.is_subset(self.bag_ids[x as usize], closure) {
+            if Some(x as usize) == blk.head || !self.in_closure(x as usize, blk) {
                 continue;
             }
             if self
@@ -1084,6 +1145,107 @@ mod tests {
         ];
         let inst = CtdInstance::new(&h, &bags);
         assert_eq!(inst.num_bags(), 2);
+    }
+
+    /// Everything an instance tabulates, with row ids resolved to words:
+    /// bags, blocks, head ranges, roots, and per block the viable
+    /// candidates with their children.
+    #[allow(clippy::type_complexity)]
+    fn tables(
+        inst: &CtdInstance,
+    ) -> (
+        Vec<BitSet>,
+        Vec<(Option<usize>, Vec<u64>, Vec<u64>)>,
+        Vec<(u32, u32)>,
+        Vec<usize>,
+        Vec<Vec<(usize, Vec<u32>)>>,
+    ) {
+        let bags = (0..inst.num_bags()).map(|x| inst.bag(x).clone()).collect();
+        let blocks = inst
+            .blocks
+            .iter()
+            .map(|b| {
+                (
+                    b.head,
+                    inst.words(b.comp).to_vec(),
+                    inst.words(b.cover).to_vec(),
+                )
+            })
+            .collect();
+        let viable = (0..inst.blocks.len())
+            .map(|b| {
+                inst.viable_candidates(b)
+                    .map(|(x, kids)| (x, kids.to_vec()))
+                    .collect()
+            })
+            .collect();
+        (
+            bags,
+            blocks,
+            inst.blocks_by_head.clone(),
+            inst.root_blocks.clone(),
+            viable,
+        )
+    }
+
+    #[test]
+    fn remapped_build_dedups_by_index_id_and_shares_rows() {
+        // On C6 the bag {v0, v3} has the components {v1, v2} and
+        // {v4, v5}; the first is also a candidate bag, listed twice, next
+        // to an empty bag and a repeated {v0, v3}.
+        let h = named::cycle(6);
+        let pair = h.vset(&["v0", "v3"]);
+        let inner = h.vset(&["v1", "v2"]);
+        let upper = h.vset(&["v0", "v1", "v2", "v3"]);
+        let lower = h.vset(&["v3", "v4", "v5", "v0"]);
+        let listed = [
+            pair.clone(),
+            inner.clone(),
+            h.empty_vertex_set(),
+            pair.clone(),
+            upper.clone(),
+            lower.clone(),
+            inner.clone(),
+        ];
+        let mut index = BlockIndex::new(&h);
+        let ids: Vec<BagId> = listed.iter().map(|b| index.intern(b)).collect();
+        let inst = CtdInstance::build(&mut index, &ids);
+        assert_eq!(inst.num_bags(), 4);
+        // One row serves the bag {v1, v2} and the component {v1, v2}.
+        let (first, count) = inst.blocks_by_head[0];
+        assert_eq!(count, 2);
+        assert_eq!(inst.blocks[first as usize].comp, bag_row(1));
+        assert_eq!(inst.bag(1), &inner);
+        // Equal to an instance over the list a caller deduplicated.
+        let clean = CtdInstance::new(&h, &[pair, inner, upper, lower]);
+        assert_eq!(tables(&inst), tables(&clean));
+        assert_eq!(inst.satisfy().basis, clean.satisfy().basis);
+        assert!(inst.satisfy().accept);
+        // The tables answer what the first-principles predicate answers.
+        let all_true = vec![true; inst.blocks.len()];
+        let mut buf = Vec::new();
+        for b in 0..inst.blocks.len() {
+            let viable: Vec<usize> = inst.viable_candidates(b).map(|(x, _)| x).collect();
+            let direct: Vec<usize> = (0..inst.num_bags())
+                .filter(|&x| inst.is_basis_with(b, x, &all_true, &mut buf))
+                .collect();
+            assert_eq!(viable, direct, "block {b}");
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn offsets_past_u32_are_a_limit_not_a_wrap() {
+        assert_eq!(offset(0), Ok(0));
+        assert_eq!(offset(u32::MAX as usize), Ok(u32::MAX));
+        for n in [u32::MAX as usize + 1, usize::MAX] {
+            assert_eq!(
+                offset(n),
+                Err(DecompError::Limit(LimitExceeded {
+                    what: "dependency table offsets"
+                }))
+            );
+        }
     }
 
     #[test]

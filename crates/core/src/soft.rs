@@ -225,9 +225,18 @@ pub fn component_union_ids_budgeted(
     // probes rather than per component behind them.
     let mut sep_seen = IdSet::with_capacity(est);
     // One cached pass per separator yields its components and their
-    // unions together; only the union column is wanted here.
-    fn collect(index: &mut BlockIndex, sep: BagId, out: &mut Vec<BagId>, seen: &mut IdSet) {
-        let r = index.block_rows(sep);
+    // unions together; only the union column is wanted here. The pass
+    // starts from the rows of `parent`, the union one edge up the DFS, so
+    // it pays for what the added edge changes rather than for a BFS of
+    // the whole graph.
+    fn collect(
+        index: &mut BlockIndex,
+        parent: BagId,
+        sep: BagId,
+        out: &mut Vec<BagId>,
+        seen: &mut IdSet,
+    ) {
+        let r = index.block_rows_from(parent, sep);
         for &(_, u) in index.rows(r) {
             if seen.insert(u) {
                 out.push(u);
@@ -238,7 +247,7 @@ pub fn component_union_ids_budgeted(
     // λ2 = ∅ first.
     let empty = index.empty();
     sep_seen.insert(empty);
-    collect(index, empty, &mut out, &mut seen);
+    collect(index, empty, empty, &mut out, &mut seen);
 
     // DFS over non-empty λ2, maintaining the separator union per depth.
     let mut pool: Vec<Vec<u64>> = (0..=k).map(|_| vec![0u64; words]).collect();
@@ -250,6 +259,7 @@ pub fn component_union_ids_budgeted(
         start: usize,
         depth: usize,
         max_depth: usize,
+        parent: BagId,
         pool: &mut [Vec<u64>],
         sets: &mut usize,
         budget: &Budget,
@@ -278,7 +288,7 @@ pub fn component_union_ids_budgeted(
             // *deeper* subset extending it still can — skip only the
             // component queries, not the recursion.
             if sep_seen.insert(sep) {
-                collect(index, sep, out, seen);
+                collect(index, parent, sep, out, seen);
             }
             if depth < max_depth {
                 rec(
@@ -287,6 +297,7 @@ pub fn component_union_ids_budgeted(
                     e + 1,
                     depth + 1,
                     max_depth,
+                    sep,
                     pool,
                     sets,
                     budget,
@@ -305,6 +316,7 @@ pub fn component_union_ids_budgeted(
             0,
             1,
             k,
+            empty,
             &mut pool,
             &mut sets,
             budget,

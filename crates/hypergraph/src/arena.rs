@@ -221,12 +221,6 @@ impl BagArena {
         self.intern_words(&buf)
     }
 
-    /// Copies bag `id` into `buf` (resizing it to `words_per_bag`).
-    pub fn read_into(&self, id: BagId, buf: &mut Vec<u64>) {
-        buf.clear();
-        buf.extend_from_slice(self.words(id));
-    }
-
     /// Unions bag `id` into `buf` (which must be `words_per_bag` long).
     #[inline]
     pub fn union_into(&self, id: BagId, buf: &mut [u64]) {
@@ -248,12 +242,6 @@ impl BagArena {
     #[inline]
     pub fn cmp_bags(&self, a: BagId, b: BagId) -> std::cmp::Ordering {
         self.words(a).cmp(self.words(b))
-    }
-
-    /// Copies a bag from another arena over the same universe.
-    pub fn copy_from(&mut self, other: &BagArena, id: BagId) -> BagId {
-        debug_assert_eq!(self.words, other.words);
-        self.intern_words(other.words(id))
     }
 
     /// A serialisable snapshot of this arena: universe size plus the flat
@@ -488,16 +476,6 @@ mod tests {
         assert!(a.bag_is_empty(e));
         let s = a.intern(&BitSet::from_iter(10, [2, 5, 9]));
         assert_eq!(a.iter(s).collect::<Vec<_>>(), vec![2, 5, 9]);
-    }
-
-    #[test]
-    fn copy_between_arenas() {
-        let mut a = BagArena::new(40);
-        let mut b = BagArena::new(40);
-        let s = BitSet::from_iter(40, [7, 39]);
-        let ia = a.intern(&s);
-        let ib = b.copy_from(&a, ia);
-        assert_eq!(b.to_bitset(ib), s);
     }
 
     #[test]

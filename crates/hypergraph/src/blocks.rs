@@ -9,21 +9,44 @@
 //!    component — the `U`-side of Definition 3, and (standing in for the
 //!    touching-edge list) the block's coverage obligation in Algorithm 1?
 //!
-//! The seed recomputed these per solver call — `shw` at width `k+1`
-//! re-derived every component it already knew at width `k`, and
-//! `component_unions` re-ran a BFS per λ2 subset even across solvers. The
-//! [`BlockIndex`] interns every separator and component into a
+//! The [`BlockIndex`] interns every separator and component into a
 //! [`BagArena`] and answers both questions with one cached pass per
 //! separator ([`BlockIndex::block_rows`]), keyed by [`BagId`], so a
 //! (hypergraph, k)-sweep — or a whole `shw` search across all `k` —
 //! computes each of them exactly once.
 //!
+//! ## Parent-derived rows
+//!
+//! A pass never starts from the whole graph. The rows of `sep` are
+//! derived from the cached rows of a `parent ⊆ sep`
+//! ([`BlockIndex::block_rows_from`]; [`BlockIndex::block_rows`] is the
+//! same routine with `parent = ∅`, whose own rows — the connected
+//! components of `H` — are the base case). With `δ = sep ∖ parent`:
+//!
+//! - a parent component disjoint from `δ` is a `[sep]`-component as it
+//!   stands: its `(component, cover)` ids are copied, nothing is explored
+//!   or interned;
+//! - a touched component `P` is re-explored by the frontier BFS, seeded
+//!   at the smallest unexplored vertex of `R = N(δ ∩ P) ∩ (P ∖ δ)`.
+//!   `P` is `[parent]`-connected, so every `[sep]`-component inside it has
+//!   a neighbour in `δ`, i.e. contains a vertex of `R`; the BFS therefore
+//!   **stops as soon as `R` is exhausted** — the component in hand then
+//!   owns all of `P` that is still unexplored. Its cover is
+//!   `C ∪ {s ∈ sep : N[s] ∩ C ≠ ∅}`, read off the few separator vertices
+//!   `P`'s own cover names instead of off the unexplored vertices.
+//!
+//! A pass thus costs what `δ` changes — a handful of frontier rounds on
+//! the instances that matter, independent of `|V|`
+//! ([`BlockIndexStats::rounds`] counts them) — where a whole-graph BFS
+//! walks every vertex for every separator.
+//!
 //! The row table is append-only, so cached ranges stay valid as the index
 //! grows.
 
-use crate::arena::{word_tail_mask, words_union_into, BagArena, BagId};
+use crate::arena::{
+    word_tail_mask, words_intersect, words_iter, words_union_into, BagArena, BagId,
+};
 use crate::bitset::BitSet;
-use crate::fxhash::FxHashMap;
 use crate::hypergraph::Hypergraph;
 use std::sync::Arc;
 
@@ -35,6 +58,13 @@ pub struct SliceRange {
 }
 
 impl SliceRange {
+    /// Marks a separator no pass has run for; never a real range, whose
+    /// `start + len` fits a `u32`.
+    const UNCACHED: SliceRange = SliceRange {
+        start: u32::MAX,
+        len: u32::MAX,
+    };
+
     #[inline]
     fn of(start: usize, len: usize) -> Self {
         SliceRange {
@@ -59,10 +89,16 @@ impl SliceRange {
 /// Cache statistics (exposed for tests and the bench harness).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BlockIndexStats {
-    /// Separator probes answered from the row cache.
+    /// Separator queries answered from the row cache.
     pub hits: u64,
-    /// Separator probes that ran a fresh component pass.
+    /// Separator queries that ran a fresh component pass. `hits` and
+    /// `misses` count *queries*: the parent lookup inside a derived pass
+    /// is neither.
     pub misses: u64,
+    /// Frontier expansions run by all component passes so far — a
+    /// clock-free count of the BFS work, `rounds / misses` being the
+    /// rounds an average separator costs.
+    pub rounds: u64,
 }
 
 /// Per-hypergraph cache of block rows — the `[S]`-components of a
@@ -77,8 +113,10 @@ pub struct BlockIndexStats {
 pub struct BlockIndex {
     h: Arc<Hypergraph>,
     /// Arena over the vertex universe; owns every separator, component,
-    /// closure, and candidate bag this index has seen.
+    /// cover, and candidate bag this index has seen.
     pub arena: BagArena,
+    /// The empty separator, interned at construction.
+    empty: BagId,
     /// The closed-neighbourhood rows `N[v]`, flat (`words_per_bag` words
     /// per vertex) so the component pass reads one contiguous table
     /// instead of chasing a boxed bitset per vertex.
@@ -86,25 +124,143 @@ pub struct BlockIndex {
     /// Flat storage of cached block rows: `(component, coverage union)`
     /// per component of a separator, in component order.
     row_data: Vec<(BagId, BagId)>,
-    /// separator id → its block rows.
-    row_cache: FxHashMap<BagId, SliceRange>,
-    /// Reusable buffers of the component pass — the per-bag probes of
-    /// instance build are hot enough that per-call allocation shows up.
+    /// Separator id → its block rows, [`SliceRange::UNCACHED`] until a
+    /// pass has run: arena ids are dense, so the map is a flat vector
+    /// grown on demand.
+    row_cache: Vec<SliceRange>,
+    /// Reusable buffers of the component pass.
     scratch: PassScratch,
     stats: BlockIndexStats,
 }
 
-/// Word buffers of [`BlockIndex::block_rows`]' component pass.
-#[derive(Default)]
+/// Buffers of one component pass ([`BlockIndex::derive`]), each word
+/// buffer `words_per_bag` long for the life of the index — the per-bag
+/// probes of instance build are hot enough that per-call allocation shows
+/// up.
 struct PassScratch {
     /// Separator plus every vertex explored so far.
     seen: Vec<u64>,
+    /// `δ = sep ∖ parent`.
+    delta: Vec<u64>,
+    /// The parent component `P` being re-explored.
+    region: Vec<u64>,
+    /// `R`: the vertices of `P ∖ δ` with a neighbour in `δ ∩ P`.
+    seeds: Vec<u64>,
+    /// The separator vertices `P`'s cover names — the only ones that can
+    /// neighbour a component inside `P`.
+    cand: Vec<u64>,
     /// The component being grown.
     comp: Vec<u64>,
     /// Vertices added in the previous round.
     frontier: Vec<u64>,
-    /// `⋃ N[v]` over the component's expanded vertices.
+    /// `⋃ N[v]` over the component's expanded vertices; ends as its cover.
     acc: Vec<u64>,
+    /// The rows of the separator in hand, keyed by smallest vertex until
+    /// they are sorted into the row table.
+    pending: Vec<(u32, BagId, BagId)>,
+}
+
+impl PassScratch {
+    fn new(words: usize) -> Self {
+        let buf = || vec![0u64; words];
+        PassScratch {
+            seen: buf(),
+            delta: buf(),
+            region: buf(),
+            seeds: buf(),
+            cand: buf(),
+            comp: buf(),
+            frontier: buf(),
+            acc: buf(),
+            pending: Vec::new(),
+        }
+    }
+}
+
+/// The smallest element of a non-empty set given as words.
+#[inline]
+fn first_vertex(words: &[u64]) -> u32 {
+    words_iter(words).next().unwrap_or(0) as u32
+}
+
+/// The one BFS kernel of the index: appends to `s.pending` the
+/// `[sep]`-components inside `s.region`, each with its cover. `s.seen`
+/// holds the separator and everything explored so far, `s.seeds` the
+/// vertices a component may start from — every component inside the
+/// region must contain one — and `s.cand` the separator vertices that can
+/// neighbour the region.
+///
+/// A component grows a frontier at a time: OR the `N[v]` rows of the
+/// frontier into `acc`, then `new = acc & !seen` word-wise. A BFS that
+/// runs dry has `acc = ⋃C`. One that exhausts the seeds first stops
+/// there: every other component of the region is complete, so what is
+/// left of the region is its own, and its cover is
+/// `C ∪ {s ∈ cand : N[s] ∩ C ≠ ∅}`.
+fn explore(adj: &[u64], arena: &mut BagArena, s: &mut PassScratch, rounds: &mut u64) {
+    let words = s.seen.len();
+    let mut wi = 0;
+    while wi < words {
+        // Smallest unexplored seed; `seen` only grows, so `wi` never
+        // has to move back.
+        let free = s.seeds[wi] & !s.seen[wi];
+        if free == 0 {
+            wi += 1;
+            continue;
+        }
+        let seed = free & free.wrapping_neg();
+        s.comp.fill(0);
+        s.acc.fill(0);
+        s.frontier.fill(0);
+        s.seen[wi] |= seed;
+        s.comp[wi] = seed;
+        s.frontier[wi] = seed;
+        loop {
+            *rounds += 1;
+            for (fi, &fw) in s.frontier.iter().enumerate() {
+                let mut bits = fw;
+                while bits != 0 {
+                    let v = fi * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    words_union_into(&adj[v * words..(v + 1) * words], &mut s.acc);
+                }
+            }
+            let (mut any, mut seeds_left) = (0u64, 0u64);
+            for i in 0..words {
+                let new = s.acc[i] & !s.seen[i];
+                s.seen[i] |= new;
+                s.comp[i] |= new;
+                s.frontier[i] = new;
+                any |= new;
+                seeds_left |= s.seeds[i] & !s.seen[i];
+            }
+            if any == 0 {
+                break;
+            }
+            if seeds_left == 0 {
+                // At least two vertices are in hand, so every vertex of
+                // the component lies on an edge and `C ⊆ ⋃C`.
+                for i in 0..words {
+                    let rest = s.region[i] & !s.seen[i];
+                    s.seen[i] |= rest;
+                    s.comp[i] |= rest;
+                }
+                s.acc.copy_from_slice(&s.comp);
+                for (ci, &cw) in s.cand.iter().enumerate() {
+                    let mut bits = cw;
+                    while bits != 0 {
+                        let v = ci * 64 + bits.trailing_zeros() as usize;
+                        if words_intersect(&adj[v * words..(v + 1) * words], &s.comp) {
+                            s.acc[ci] |= bits & bits.wrapping_neg();
+                        }
+                        bits &= bits - 1;
+                    }
+                }
+                break;
+            }
+        }
+        let (comp, cover) = (arena.intern_words(&s.comp), arena.intern_words(&s.acc));
+        s.pending.push((first_vertex(&s.comp), comp, cover));
+    }
 }
 
 impl BlockIndex {
@@ -115,7 +271,8 @@ impl BlockIndex {
 
     /// Creates an empty index sharing ownership of `h` (no clone).
     pub fn from_arc(h: Arc<Hypergraph>) -> Self {
-        let arena = BagArena::new(h.num_vertices());
+        let mut arena = BagArena::new(h.num_vertices());
+        let empty = arena.empty_bag();
         let words = arena.words_per_bag();
         let mut adj = vec![0u64; h.num_vertices() * words];
         for (v, row) in adj.chunks_exact_mut(words).enumerate() {
@@ -124,28 +281,33 @@ impl BlockIndex {
         BlockIndex {
             h,
             arena,
+            empty,
             adj,
             row_data: Vec::new(),
-            row_cache: FxHashMap::default(),
-            scratch: PassScratch::default(),
+            row_cache: Vec::new(),
+            scratch: PassScratch::new(words),
             stats: BlockIndexStats::default(),
         }
     }
 
     /// Approximate heap footprint in bytes: the owned hypergraph, the
-    /// arena, the flat adjacency, the block-row table and the pass
-    /// scratch. The row map is estimated at its entry payload plus one
-    /// word of table overhead per entry. Feeds the service's
+    /// arena, the flat adjacency, the block-row table with its flat
+    /// separator map, and the pass scratch. Feeds the service's
     /// `bytes_per_cached_schema` stat.
     pub fn approx_bytes(&self) -> u64 {
         let s = &self.scratch;
         let words = self.adj.capacity()
             + s.seen.capacity()
+            + s.delta.capacity()
+            + s.region.capacity()
+            + s.seeds.capacity()
+            + s.cand.capacity()
             + s.comp.capacity()
             + s.frontier.capacity()
             + s.acc.capacity();
         let rows = self.row_data.capacity() * std::mem::size_of::<(BagId, BagId)>()
-            + self.row_cache.len() * (std::mem::size_of::<(BagId, SliceRange)>() + 8);
+            + s.pending.capacity() * std::mem::size_of::<(u32, BagId, BagId)>()
+            + self.row_cache.capacity() * std::mem::size_of::<SliceRange>();
         self.h.approx_bytes() + self.arena.approx_bytes() + (words * 8 + rows) as u64
     }
 
@@ -183,76 +345,106 @@ impl BlockIndex {
     /// lists run to hundreds of millions of entries where the union is
     /// one interned row.
     ///
-    /// One pass yields both columns: the BFS grows a component a frontier
-    /// at a time — OR the `N[v]` rows of the frontier into an
-    /// accumulator, then `new = acc & !seen` word-wise — and the
-    /// accumulator it ends with *is* `⋃C`.
+    /// This is [`BlockIndex::block_rows_from`] with `parent = ∅`.
     pub fn block_rows(&mut self, sep: BagId) -> SliceRange {
-        if let Some(&r) = self.row_cache.get(&sep) {
+        self.block_rows_from(self.empty, sep)
+    }
+
+    /// [`BlockIndex::block_rows`] for a caller that knows a separator
+    /// `parent ⊆ sep` — the λ2 sweep of Definition 3 holds the union one
+    /// edge up. The rows are the same whatever `parent` is (a `parent`
+    /// that is not a subset of `sep` is read as `∅`); only the work
+    /// differs, which is what `δ = sep ∖ parent` changes (see the module
+    /// documentation).
+    pub fn block_rows_from(&mut self, parent: BagId, sep: BagId) -> SliceRange {
+        if let Some(r) = self.cached(sep) {
             self.stats.hits += 1;
             return r;
         }
         self.stats.misses += 1;
+        self.derive(parent, sep)
+    }
+
+    /// The component pass: derives the (uncached) rows of `sep` from the
+    /// rows of `parent`, computing those first — from `∅` — if nobody has
+    /// asked for them yet. The recursion ends at `sep = ∅`, whose one
+    /// "parent component" is all of `V` with every vertex a seed.
+    fn derive(&mut self, parent: BagId, sep: BagId) -> SliceRange {
+        let empty = self.empty;
+        let parent_rows = if sep == empty {
+            None
+        } else {
+            let usable = parent != sep && self.arena.is_subset(parent, sep);
+            let parent = if usable { parent } else { empty };
+            let cached = self.cached(parent);
+            Some((parent, cached.unwrap_or_else(|| self.derive(empty, parent))))
+        };
         let n = self.h.num_vertices();
         let words = self.arena.words_per_bag();
-        let PassScratch {
-            seen,
-            comp,
-            frontier,
-            acc,
-        } = &mut self.scratch;
-        // `seen` starts as the separator: separator vertices are never
-        // explored, and every explored vertex is marked here.
-        seen.clear();
-        seen.extend_from_slice(self.arena.words(sep));
-        for buf in [&mut *comp, &mut *frontier, &mut *acc] {
-            buf.resize(words, 0);
-        }
-        let start = self.row_data.len();
-        for wi in 0..words {
-            let live = word_tail_mask(n, wi);
-            loop {
-                // Smallest unexplored vertex: components come out in
-                // ascending order of their smallest vertex.
-                let free = !seen[wi] & live;
-                if free == 0 {
-                    break;
+        let s = &mut self.scratch;
+        s.seen.copy_from_slice(self.arena.words(sep));
+        s.pending.clear();
+        match parent_rows {
+            None => {
+                for (wi, (r, sd)) in s.region.iter_mut().zip(&mut s.seeds).enumerate() {
+                    *r = word_tail_mask(n, wi);
+                    *sd = *r;
                 }
-                let seed = free & free.wrapping_neg();
-                comp.fill(0);
-                acc.fill(0);
-                frontier.fill(0);
-                seen[wi] |= seed;
-                comp[wi] = seed;
-                frontier[wi] = seed;
-                loop {
-                    for (fi, &fw) in frontier.iter().enumerate() {
-                        let mut bits = fw;
+                s.cand.fill(0);
+                explore(&self.adj, &mut self.arena, s, &mut self.stats.rounds);
+            }
+            Some((parent, r)) => {
+                let parent_words = self.arena.words(parent);
+                for (d, (&sw, &pw)) in s.delta.iter_mut().zip(s.seen.iter().zip(parent_words)) {
+                    *d = sw & !pw;
+                }
+                for row in r.start..r.start + r.len {
+                    let (p, p_cover) = self.row_data[row as usize];
+                    let p_words = self.arena.words(p);
+                    if !words_intersect(p_words, &s.delta) {
+                        s.pending.push((first_vertex(p_words), p, p_cover));
+                        continue;
+                    }
+                    s.region.copy_from_slice(p_words);
+                    // `N(δ ∩ P) ∖ sep` lies inside `P`: a neighbour of a
+                    // `[parent]`-component is in it or in `parent`.
+                    s.seeds.fill(0);
+                    for (wi, (&pw, &dw)) in p_words.iter().zip(&s.delta).enumerate() {
+                        let mut bits = pw & dw;
                         while bits != 0 {
-                            let v = fi * 64 + bits.trailing_zeros() as usize;
+                            let v = wi * 64 + bits.trailing_zeros() as usize;
                             bits &= bits - 1;
-                            words_union_into(&self.adj[v * words..(v + 1) * words], acc);
+                            words_union_into(&self.adj[v * words..(v + 1) * words], &mut s.seeds);
                         }
                     }
-                    let mut any = 0u64;
+                    let (sep_words, cover_words) =
+                        (self.arena.words(sep), self.arena.words(p_cover));
                     for i in 0..words {
-                        let new = acc[i] & !seen[i];
-                        seen[i] |= new;
-                        comp[i] |= new;
-                        frontier[i] = new;
-                        any |= new;
+                        s.seeds[i] &= !sep_words[i];
+                        s.cand[i] = cover_words[i] & sep_words[i];
                     }
-                    if any == 0 {
-                        break;
-                    }
+                    explore(&self.adj, &mut self.arena, s, &mut self.stats.rounds);
                 }
-                let row = (self.arena.intern_words(comp), self.arena.intern_words(acc));
-                self.row_data.push(row);
             }
         }
+        s.pending.sort_unstable_by_key(|&(first, _, _)| first);
+        let start = self.row_data.len();
+        self.row_data
+            .extend(s.pending.iter().map(|&(_, c, u)| (c, u)));
         let r = SliceRange::of(start, self.row_data.len() - start);
-        self.row_cache.insert(sep, r);
+        if self.row_cache.len() <= sep.idx() {
+            self.row_cache
+                .resize(self.arena.len(), SliceRange::UNCACHED);
+        }
+        self.row_cache[sep.idx()] = r;
         r
+    }
+
+    /// The cached rows of `sep`, if a pass has run for it.
+    #[inline]
+    fn cached(&self, sep: BagId) -> Option<SliceRange> {
+        let r = *self.row_cache.get(sep.idx())?;
+        (r != SliceRange::UNCACHED).then_some(r)
     }
 
     /// Resolves a block-row range returned by [`BlockIndex::block_rows`]
@@ -268,10 +460,10 @@ impl BlockIndex {
         self.arena.intern(set)
     }
 
-    /// Interns the empty separator.
+    /// The empty separator.
     #[inline]
-    pub fn empty(&mut self) -> BagId {
-        self.arena.empty_bag()
+    pub fn empty(&self) -> BagId {
+        self.empty
     }
 }
 
@@ -282,14 +474,29 @@ mod tests {
     use crate::random::{random_hypergraph, RandomConfig};
     use proptest::prelude::*;
 
-    /// `block_rows(sep)` resolved to bitsets.
-    fn resolved_rows(idx: &mut BlockIndex, sep: &BitSet) -> Vec<(BitSet, BitSet)> {
-        let sid = idx.intern(sep);
-        let r = idx.block_rows(sid);
+    /// A row range resolved to bitsets.
+    fn resolve(idx: &BlockIndex, r: SliceRange) -> Vec<(BitSet, BitSet)> {
         idx.rows(r)
             .iter()
             .map(|&(c, u)| (idx.arena.to_bitset(c), idx.arena.to_bitset(u)))
             .collect()
+    }
+
+    /// `block_rows_from(parent, sep)` resolved to bitsets.
+    fn resolved_rows_from(
+        idx: &mut BlockIndex,
+        parent: &BitSet,
+        sep: &BitSet,
+    ) -> Vec<(BitSet, BitSet)> {
+        let (pid, sid) = (idx.intern(parent), idx.intern(sep));
+        let r = idx.block_rows_from(pid, sid);
+        resolve(idx, r)
+    }
+
+    /// `block_rows(sep)` resolved to bitsets.
+    fn resolved_rows(idx: &mut BlockIndex, sep: &BitSet) -> Vec<(BitSet, BitSet)> {
+        let empty = idx.hypergraph().empty_vertex_set();
+        resolved_rows_from(idx, &empty, sep)
     }
 
     /// The rows by definition: `[sep]`-components paired with the union
@@ -331,6 +538,7 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
+        assert_eq!(after.rounds, before.rounds);
     }
 
     #[test]
@@ -360,6 +568,161 @@ mod tests {
         assert_eq!(rows, vec![(h.all_vertices(), h.all_vertices())]);
     }
 
+    /// A path `a - b - c`, a separate edge `d - e`, and an edgeless `z`.
+    fn path_edge_and_isolated_vertex() -> Hypergraph {
+        let mut b = crate::HypergraphBuilder::new();
+        b.edge("ab", &["a", "b"]);
+        b.edge("bc", &["b", "c"]);
+        b.edge("de", &["d", "e"]);
+        b.vertex("z");
+        b.build_allow_isolated()
+    }
+
+    #[test]
+    fn a_delta_swallowing_a_component_drops_it_and_keeps_the_rest_by_id() {
+        let h = path_edge_and_isolated_vertex();
+        let mut idx = BlockIndex::new(&h);
+        let parent = idx.intern(&h.vset(&["b"]));
+        let parent_rows = {
+            let r = idx.block_rows(parent);
+            idx.rows(r).to_vec()
+        };
+        // {a}, {c}, {d, e}, {z}
+        assert_eq!(parent_rows.len(), 4);
+        let interned = idx.arena.len();
+        let rounds = idx.stats().rounds;
+        let sep = idx.intern(&h.vset(&["b", "d", "e"]));
+        let r = idx.block_rows_from(parent, sep);
+        // `δ = {d, e}` is a whole parent component: nothing is explored
+        // or interned, the other rows keep their ids.
+        let untouched = [parent_rows[0], parent_rows[1], parent_rows[3]];
+        assert_eq!(idx.rows(r), &untouched[..]);
+        assert_eq!(idx.arena.len(), interned + 1, "only `sep` itself is new");
+        assert_eq!(idx.stats().rounds, rounds);
+        assert_eq!(
+            resolved_rows(&mut idx, &h.vset(&["b", "d", "e"])),
+            rows_by_definition(&h, &h.vset(&["b", "d", "e"]))
+        );
+    }
+
+    #[test]
+    fn a_delta_touching_one_component_re_explores_only_that_one() {
+        let h = path_edge_and_isolated_vertex();
+        let mut idx = BlockIndex::new(&h);
+        let parent = idx.intern(&h.vset(&["b"]));
+        let parent_rows = {
+            let r = idx.block_rows(parent);
+            idx.rows(r).to_vec()
+        };
+        let sep_set = h.vset(&["b", "d"]);
+        let sep = idx.intern(&sep_set);
+        let r = idx.block_rows_from(parent, sep);
+        let rows = idx.rows(r).to_vec();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(
+            [rows[0], rows[1], rows[3]],
+            [parent_rows[0], parent_rows[1], parent_rows[3]]
+        );
+        assert_eq!(idx.arena.to_bitset(rows[2].0), h.vset(&["e"]));
+        assert_eq!(idx.arena.to_bitset(rows[2].1), h.vset(&["d", "e"]));
+        assert_eq!(
+            resolved_rows(&mut idx, &sep_set),
+            rows_by_definition(&h, &sep_set)
+        );
+    }
+
+    #[test]
+    fn the_full_separator_has_no_rows_and_isolated_vertices_cover_nothing() {
+        let h = path_edge_and_isolated_vertex();
+        let mut idx = BlockIndex::new(&h);
+        let z = h.vset(&["z"]);
+        let root = resolved_rows(&mut idx, &h.empty_vertex_set());
+        assert_eq!(root, rows_by_definition(&h, &h.empty_vertex_set()));
+        assert_eq!(root.last(), Some(&(z.clone(), h.empty_vertex_set())));
+        // Through a chain that first leaves `z` alone, then takes it.
+        let (s1, s2) = (h.vset(&["a", "d"]), h.vset(&["a", "d", "z"]));
+        let rows1 = resolved_rows_from(&mut idx, &h.empty_vertex_set(), &s1);
+        assert_eq!(rows1, rows_by_definition(&h, &s1));
+        assert_eq!(rows1.last(), Some(&(z, h.empty_vertex_set())));
+        assert_eq!(
+            resolved_rows_from(&mut idx, &s1, &s2),
+            rows_by_definition(&h, &s2)
+        );
+        assert_eq!(resolved_rows_from(&mut idx, &s2, &h.all_vertices()), vec![]);
+        assert_eq!(
+            resolved_rows(&mut BlockIndex::new(&h), &h.all_vertices()),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn the_same_separator_through_different_parents_has_the_same_rows() {
+        let h = named::grid(4, 4);
+        for e1 in 0..h.num_edges() {
+            for e2 in e1 + 1..h.num_edges() {
+                let sep = h.union_of_edges([e1, e2]);
+                let expect = rows_by_definition(&h, &sep);
+                // From either edge, from itself, from `∅`, and from a set
+                // that is no subset of `sep` (read as `∅`): each on its
+                // own index, where the parent's rows were never asked for.
+                for parent in [
+                    h.edge(e1).clone(),
+                    h.edge(e2).clone(),
+                    sep.clone(),
+                    h.empty_vertex_set(),
+                    h.all_vertices(),
+                ] {
+                    let mut idx = BlockIndex::new(&h);
+                    assert_eq!(resolved_rows_from(&mut idx, &parent, &sep), expect);
+                    let st = idx.stats();
+                    assert_eq!((st.hits, st.misses), (0, 1), "one query, one probe");
+                }
+            }
+        }
+    }
+
+    /// Frontier rounds per separator over the λ2 sweep of Definition 3 at
+    /// `k = 2` on the `side × side` grid, every row checked against the
+    /// definition on the way.
+    fn sweep_rounds_per_separator(side: usize, check: bool) -> f64 {
+        let h = named::grid(side, side);
+        let mut idx = BlockIndex::new(&h);
+        let empty = idx.empty();
+        idx.block_rows(empty);
+        for e1 in 0..h.num_edges() {
+            let s1 = idx.intern(h.edge(e1));
+            idx.block_rows_from(empty, s1);
+            for e2 in e1 + 1..h.num_edges() {
+                let sep = h.union_of_edges([e1, e2]);
+                let s2 = idx.intern(&sep);
+                let r = idx.block_rows_from(s1, s2);
+                if check {
+                    assert_eq!(
+                        resolve(&idx, r),
+                        rows_by_definition(&h, &sep),
+                        "edges {e1}, {e2}"
+                    );
+                }
+            }
+        }
+        let st = idx.stats();
+        st.rounds as f64 / st.misses as f64
+    }
+
+    /// The clock-free form of "a pass costs what `δ` changes": rounds per
+    /// separator stay put as the grid grows, where a whole-graph BFS
+    /// needs about `2 · side` of them.
+    #[test]
+    fn rounds_per_separator_do_not_grow_with_the_grid() {
+        let small = sweep_rounds_per_separator(6, true);
+        let large = sweep_rounds_per_separator(10, false);
+        assert!(large <= 8.0, "{large} rounds per separator on grid(10, 10)");
+        assert!(
+            (large - small).abs() <= 1.0,
+            "grid(6, 6): {small}, grid(10, 10): {large}"
+        );
+    }
+
     /// A deterministic pseudo-random vertex subset.
     fn derive_set(universe: usize, seed: u64) -> BitSet {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -377,9 +740,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The fused pass against the definition, on hypergraphs that
-        /// are disconnected, that span more than one word of vertices,
-        /// and for the empty and the full separator.
+        /// The pass against the definition, on hypergraphs that are
+        /// disconnected, that span more than one word of vertices and
+        /// that have edgeless vertices; for the empty and the full
+        /// separator; and along chains `∅ ⊂ S1 ⊂ S2 ⊂ S3`, each link
+        /// derived from the one before.
         #[test]
         fn block_rows_match_definition(
             n in 2usize..90,
@@ -404,8 +769,11 @@ mod tests {
                     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
                     b.edge(&format!("p{p}e{e}"), &refs);
                 }
+                if seed % 2 == 0 {
+                    b.vertex(&format!("p{p}lone"));
+                }
             }
-            let h = b.build();
+            let h = b.build_allow_isolated();
             let nv = h.num_vertices();
             let mut idx = BlockIndex::new(&h);
             let mut seps = vec![h.empty_vertex_set(), h.all_vertices()];
@@ -426,6 +794,46 @@ mod tests {
                 prop_assert_eq!(first, again);
                 prop_assert_eq!(idx.stats().hits, before.hits + 2);
                 prop_assert_eq!(idx.stats().misses, before.misses);
+            }
+            // Chains: each link adds a random edge or a sparse random
+            // vertex set. `chained` derives every link from its
+            // predecessor; `cold` is asked for the last link only, from a
+            // parent whose rows it has to compute on the way.
+            for chain in 0..4u64 {
+                let mut chained = BlockIndex::new(&h);
+                let mut links = vec![h.empty_vertex_set()];
+                for step in 0..3u64 {
+                    let pick = seed.wrapping_add(chain * 7 + step * 3);
+                    let mut next = links[links.len() - 1].clone();
+                    if pick % 2 == 0 {
+                        next.union_with(h.edge(pick as usize % h.num_edges()));
+                    } else {
+                        let mut sparse = derive_set(nv, pick);
+                        sparse.intersect_with(&derive_set(nv, pick.wrapping_add(977)));
+                        next.union_with(&sparse);
+                    }
+                    links.push(next);
+                }
+                let mut queries = 0;
+                for link in links.windows(2) {
+                    let rows = resolved_rows_from(&mut chained, &link[0], &link[1]);
+                    queries += 1;
+                    prop_assert_eq!(&rows, &rows_by_definition(&h, &link[1]));
+                    prop_assert_eq!(&rows, &resolved_rows(&mut BlockIndex::new(&h), &link[1]));
+                    let firsts: Vec<usize> =
+                        rows.iter().map(|(c, _)| c.first().expect("non-empty")).collect();
+                    prop_assert!(firsts.windows(2).all(|w| w[0] < w[1]));
+                }
+                // One probe per query, however the parent was found.
+                let st = chained.stats();
+                prop_assert_eq!(st.hits + st.misses, queries);
+                let mut cold = BlockIndex::new(&h);
+                prop_assert_eq!(
+                    resolved_rows_from(&mut cold, &links[2], &links[3]),
+                    rows_by_definition(&h, &links[3])
+                );
+                let st = cold.stats();
+                prop_assert_eq!((st.hits, st.misses), (0, 1));
             }
         }
     }
