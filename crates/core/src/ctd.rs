@@ -173,7 +173,7 @@ const SUMMARY_SPAN: usize = u64::BITS as usize;
 /// The inverted vertex → bags index, two levels deep: "bags ⊇ req" is
 /// an AND over `req`'s rows instead of a subset test per bag, and the
 /// AND first runs on one summary word per [`SUMMARY_SPAN`] row words so
-/// it only ever touches the stretches of a row where every `req` vertex
+/// it only ever touches the words of a row in which every `req` vertex
 /// has a bag at all.
 struct VertexBags {
     /// Vertex × bag bitmask (`xwords` words per row): bit `x` of row `v`
