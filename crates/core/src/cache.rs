@@ -98,6 +98,10 @@ pub struct DecompCache {
     /// Hashes exempt from LRU eviction (hot-schema pinning): a pinned
     /// hypergraph's warm state survives any eviction storm.
     pinned: FxHashSet<u64>,
+    /// Σ [`decision_bytes`] over both decision memos plus the cached
+    /// reductions: the part of [`DecompCache::approx_bytes`] this type
+    /// adds to and subtracts from as entries come and go.
+    memo_bytes: u64,
     tick: u64,
     max_graphs: usize,
     stats: DecompCacheStats,
@@ -109,11 +113,69 @@ impl Default for DecompCache {
     }
 }
 
+/// A memoised witness, as far as byte accounting cares.
+trait Witness {
+    fn heap_bytes(&self) -> u64;
+}
+
+impl Witness for TreeDecomposition {
+    fn heap_bytes(&self) -> u64 {
+        self.approx_bytes()
+    }
+}
+
+impl Witness for Ghd {
+    fn heap_bytes(&self) -> u64 {
+        self.approx_bytes()
+    }
+}
+
+/// What one memoised decision counts for in
+/// [`DecompCache::approx_bytes`]: its witness plus a flat 32 for the
+/// table slot.
+fn decision_bytes<W: Witness>(decision: &Option<W>) -> u64 {
+    decision.as_ref().map_or(0, W::heap_bytes) + 32
+}
+
+/// What a cached no-peel reduction counts for: the reduction plus its
+/// canonical edge positions.
+fn no_peel_bytes((red, positions): &(Arc<Reduction>, Vec<usize>)) -> u64 {
+    red.approx_bytes() + (positions.capacity() * 8) as u64
+}
+
+/// Memoises `decision` under `key`, which holds none yet, charging it
+/// to `bytes`.
+fn memoise<W: Witness>(
+    results: &mut Decisions<W>,
+    bytes: &mut u64,
+    key: (u64, usize),
+    decision: Option<W>,
+) {
+    *bytes += decision_bytes(&decision);
+    let replaced = results.insert(key, decision);
+    debug_assert!(replaced.is_none(), "a decision is memoised once");
+}
+
+/// Drops every decision memoised for `hash`; returns the bytes they
+/// were charged at.
+fn forget<W: Witness>(results: &mut Decisions<W>, hash: u64) -> u64 {
+    let mut freed = 0;
+    results.retain(|&(h2, _), decision| {
+        if h2 == hash {
+            freed += decision_bytes(decision);
+        }
+        h2 != hash
+    });
+    freed
+}
+
 /// Stores `witness` at width `k` — and, for an `exact` answer, the
 /// rejections the sweep implies at every smaller width — wherever no
-/// decision is cached yet. Returns whether anything was stored.
-fn store_absent<W>(
+/// decision is cached yet, charging what it stores to `bytes`. Returns
+/// whether anything was stored.
+fn store_absent<W: Witness>(
     results: &mut Decisions<W>,
+    bytes: &mut u64,
     hash: u64,
     exact: bool,
     k: usize,
@@ -121,8 +183,8 @@ fn store_absent<W>(
 ) -> bool {
     let mut stored = false;
     let mut put = |width: usize, decision: Option<W>| {
-        if let Entry::Vacant(slot) = results.entry((hash, width)) {
-            slot.insert(decision);
+        if !results.contains_key(&(hash, width)) {
+            memoise(results, bytes, (hash, width), decision);
             stored = true;
         }
     };
@@ -185,6 +247,7 @@ impl DecompCache {
             reductions_no_peel: FxHashMap::default(),
             last_used: FxHashMap::default(),
             pinned: FxHashSet::default(),
+            memo_bytes: 0,
             tick: 0,
             max_graphs: max_graphs.max(1),
             stats: DecompCacheStats::default(),
@@ -215,30 +278,36 @@ impl DecompCache {
     /// retains: warm indexes, width-decision witnesses, and reductions.
     /// Divide by [`DecompCache::tracked_graphs`] for the
     /// `bytes_per_cached_schema` memory stat the service reports.
+    ///
+    /// O(1): nothing cached is walked. Memoised decisions and reductions
+    /// are immutable once stored, so they are added to a running total
+    /// where they are inserted and subtracted where eviction drops them; a
+    /// warm index grows in place, so every entry point re-measures the one
+    /// index it used before it returns ([`IndexCache::remeasure`] — a sum
+    /// of that index's buffer capacities, whatever else is cached).
     pub fn approx_bytes(&self) -> u64 {
-        let shw: u64 = self
-            .shw_results
-            .values()
-            .map(|v| v.as_ref().map_or(0, |td| td.approx_bytes()) + 32)
-            .sum();
-        let hw: u64 = self
-            .hw_results
-            .values()
-            .map(|v| v.as_ref().map_or(0, |g| g.approx_bytes()) + 32)
-            .sum();
+        self.indexes.approx_bytes() + self.memo_bytes + self.book_bytes()
+    }
+
+    /// LRU clock + pin set, at one (key, value) pair each.
+    fn book_bytes(&self) -> u64 {
+        ((self.last_used.len() + self.pinned.len()) * 24) as u64
+    }
+
+    /// [`DecompCache::approx_bytes`] recomputed from scratch by walking
+    /// every index, decision and reduction: the oracle the running total
+    /// is tested against.
+    #[cfg(test)]
+    fn approx_bytes_walk(&self) -> u64 {
+        let shw: u64 = self.shw_results.values().map(decision_bytes).sum();
+        let hw: u64 = self.hw_results.values().map(decision_bytes).sum();
         let reds: u64 = self
             .reductions
             .values()
             .map(|r| r.approx_bytes())
-            .chain(
-                self.reductions_no_peel
-                    .values()
-                    .map(|(r, positions)| r.approx_bytes() + (positions.capacity() * 8) as u64),
-            )
+            .chain(self.reductions_no_peel.values().map(no_peel_bytes))
             .sum();
-        // LRU clock + pin set, at one (key, value) pair each.
-        let book = ((self.last_used.len() + self.pinned.len()) * 24) as u64;
-        self.indexes.approx_bytes() + shw + hw + reds + book
+        self.indexes.approx_bytes_walk() + shw + hw + reds + self.book_bytes()
     }
 
     /// Pins hypergraph `hash` (the [`structural_hash`] the entry points
@@ -281,6 +350,7 @@ impl DecompCache {
             return Arc::clone(r);
         }
         let r = Arc::new(softhw_hypergraph::reduce(h));
+        self.memo_bytes += r.approx_bytes();
         self.reductions.insert(hash, Arc::clone(&r));
         r
     }
@@ -292,10 +362,15 @@ impl DecompCache {
     fn reduction_no_peel(&mut self, h: &Hypergraph) -> (Arc<Reduction>, Vec<usize>) {
         let hash = self.track(h);
         let order = canonical_edge_order(h);
-        let (red, positions) = self.reductions_no_peel.entry(hash).or_insert_with(|| {
-            let red = Arc::new(softhw_hypergraph::reduce_no_peel(h));
-            (red, positions_of(&order))
-        });
+        let (red, positions) = match self.reductions_no_peel.entry(hash) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => {
+                let red = Arc::new(softhw_hypergraph::reduce_no_peel(h));
+                let fresh = (red, positions_of(&order));
+                self.memo_bytes += no_peel_bytes(&fresh);
+                slot.insert(fresh)
+            }
+        };
         let to_caller = positions.iter().map(|&pos| order[pos]).collect();
         (Arc::clone(red), to_caller)
     }
@@ -308,16 +383,20 @@ impl DecompCache {
         hash
     }
 
-    /// Marks `hash` as just used and evicts the least-recently-used
-    /// *other* hypergraph if the bound is now exceeded. Called on every
-    /// entry point, right after the index probe. Never evicts `hash`
-    /// itself or a pinned hash, and never panics: if no evictable entry
-    /// exists (every other entry is pinned, or the LRU clock is
-    /// inconsistent), it stops evicting — an over-full cache is a
-    /// bounded memory overshoot, not a reason to kill the process.
+    /// Marks `hash` as just used, re-measures its warm index, and evicts
+    /// the least-recently-used *other* hypergraph if the bound is now
+    /// exceeded. Every entry point calls it once it is done with the
+    /// index it probed — on the error path too, so an index a budget
+    /// trip leaves behind is tracked (and evictable) and its growth is
+    /// counted. Never evicts `hash` itself or a pinned hash, and never
+    /// panics: if no evictable entry exists (every other entry is
+    /// pinned, or the LRU clock is inconsistent), it stops evicting — an
+    /// over-full cache is a bounded memory overshoot, not a reason to
+    /// kill the process.
     fn touch(&mut self, hash: u64) {
         self.tick += 1;
         self.last_used.insert(hash, self.tick);
+        self.indexes.remeasure(hash);
         while self.last_used.len() > self.max_graphs {
             let victim = self
                 .last_used
@@ -336,10 +415,15 @@ impl DecompCache {
     /// width decisions, and reductions.
     fn evict(&mut self, victim: u64) {
         self.indexes.remove(victim);
-        self.shw_results.retain(|&(h2, _), _| h2 != victim);
-        self.hw_results.retain(|&(h2, _), _| h2 != victim);
-        self.reductions.remove(&victim);
-        self.reductions_no_peel.remove(&victim);
+        let mut freed =
+            forget(&mut self.shw_results, victim) + forget(&mut self.hw_results, victim);
+        if let Some(red) = self.reductions.remove(&victim) {
+            freed += red.approx_bytes();
+        }
+        if let Some(no_peel) = self.reductions_no_peel.remove(&victim) {
+            freed += no_peel_bytes(&no_peel);
+        }
+        self.memo_bytes -= freed;
         self.last_used.remove(&victim);
         self.stats.evictions += 1;
     }
@@ -359,17 +443,19 @@ impl DecompCache {
         budget: &Budget,
     ) -> Result<CtdInstance, DecompError> {
         let (hash, index) = self.indexes.entry(h);
-        let inst = soft_instance_budgeted(index, k, limits, budget)?;
+        let inst = soft_instance_budgeted(index, k, limits, budget);
         self.touch(hash);
-        Ok(inst)
+        inst
     }
 
     /// The one entry point over every cached width query: routes a
     /// [`SolveSpec`] to the matching (class, exactness) solver under the
     /// spec's budget, reduction policy, and generation limits.
     ///
-    /// Budget aborts keep the cache warm and consistent (nothing partial
-    /// is memoised, nothing is evicted); an exact-`hw` query on a
+    /// Budget aborts keep the cache warm and consistent: nothing partial
+    /// is memoised, and an abort evicts no more than the finished call
+    /// would have (a structure the cache had not seen still takes its LRU
+    /// slot, so its half-grown index stays tracked); an exact-`hw` query on a
     /// degenerate input admitting no HD at any width surfaces as an
     /// internal [`DecompError`].
     pub fn solve(&mut self, h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
@@ -396,8 +482,8 @@ impl DecompCache {
 
     /// The `shw ≤ k` decision with cross-query memoisation. A budget
     /// abort memoises nothing for `(h, k)` — no partial answer can ever
-    /// be served — and evicts nothing: every decision cached before the
-    /// trip stays warm, so a retry recomputes only this width.
+    /// be served — and evicts nothing of `h`'s: every decision cached
+    /// before the trip stays warm, so a retry recomputes only this width.
     fn shw_decision(
         &mut self,
         h: &Hypergraph,
@@ -412,9 +498,15 @@ impl DecompCache {
             return Ok(cached);
         }
         self.stats.result_misses += 1;
-        let result = shw_leq_indexed_budgeted(index, k, limits, budget)?;
-        self.shw_results.insert((hash, k), result.clone());
+        let result = shw_leq_indexed_budgeted(index, k, limits, budget);
         self.touch(hash);
+        let result = result?;
+        memoise(
+            &mut self.shw_results,
+            &mut self.memo_bytes,
+            (hash, k),
+            result.clone(),
+        );
         Ok(result)
     }
 
@@ -426,8 +518,9 @@ impl DecompCache {
     /// Irreducible connected inputs sweep raw. Budget aborts leave the
     /// cache **warm and consistent**: nothing is memoised for the
     /// interrupted width (so a partial answer can never be served later),
-    /// nothing is evicted, and every width decided before the trip stays
-    /// cached. A retry resumes from the memoised widths and recomputes
+    /// nothing is evicted that the finished sweep would have kept, and
+    /// every width decided before the trip stays cached. A retry resumes
+    /// from the memoised widths and recomputes
     /// only the interrupted one.
     fn shw_exact(
         &mut self,
@@ -477,7 +570,8 @@ impl DecompCache {
     }
 
     /// The `hw ≤ k` decision with cross-query memoisation (decision +
-    /// witness); a budget abort memoises and evicts nothing.
+    /// witness); a budget abort memoises nothing and evicts nothing of
+    /// `h`'s.
     fn hw_decision(
         &mut self,
         h: &Hypergraph,
@@ -491,12 +585,18 @@ impl DecompCache {
             return Ok(cached.map(|g| relabel(g, &canonical_edge_order(h))));
         }
         self.stats.result_misses += 1;
-        let result = hw::hw_leq_budgeted(h, k, budget)?;
+        let result = hw::hw_leq_budgeted(h, k, budget);
+        self.touch(hash);
+        let result = result?;
         let canonical = result
             .clone()
             .map(|g| relabel(g, &positions_of(&canonical_edge_order(h))));
-        self.hw_results.insert((hash, k), canonical);
-        self.touch(hash);
+        memoise(
+            &mut self.hw_results,
+            &mut self.memo_bytes,
+            (hash, k),
+            canonical,
+        );
         Ok(result)
     }
 
@@ -587,7 +687,8 @@ impl DecompCache {
                     return false;
                 }
                 let hash = self.track(h);
-                store_absent(&mut self.shw_results, hash, exact, k, witness)
+                let bytes = &mut self.memo_bytes;
+                store_absent(&mut self.shw_results, bytes, hash, exact, k, witness)
             }
             SolveClass::Hw => {
                 let covered = witness.map(|td| Ghd::from_td(h, td, k).ok_or(()));
@@ -596,7 +697,8 @@ impl DecompCache {
                 };
                 let ghd = ghd.map(|g| relabel(g, &positions_of(&canonical_edge_order(h))));
                 let hash = self.track(h);
-                store_absent(&mut self.hw_results, hash, exact, k, ghd)
+                let bytes = &mut self.memo_bytes;
+                store_absent(&mut self.hw_results, bytes, hash, exact, k, ghd)
             }
         }
     }
@@ -623,6 +725,7 @@ mod tests {
     use super::*;
     use crate::shw;
     use crate::soft::soft_bags;
+    use proptest::prelude::*;
     use softhw_hypergraph::named;
     use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
 
@@ -1130,6 +1233,106 @@ mod tests {
             };
             assert_eq!(cache.stats().result_misses, 0);
             assert_eq!(g.validate(&h2), Ok(()));
+        }
+    }
+
+    /// What the accounting oracle checks after every call: the running
+    /// byte total equals the walk, every warm index belongs to a tracked
+    /// hash, and nothing is memoised for an untracked one.
+    fn assert_accounted(cache: &DecompCache, after: &str) {
+        assert_eq!(cache.approx_bytes(), cache.approx_bytes_walk(), "{after}");
+        assert_eq!(cache.tracked_graphs(), cache.indexes.len(), "{after}");
+        let memo_hashes = (cache.shw_results.keys().map(|(hash, _)| hash))
+            .chain(cache.hw_results.keys().map(|(hash, _)| hash))
+            .chain(cache.reductions.keys())
+            .chain(cache.reductions_no_peel.keys());
+        for hash in memo_hashes {
+            assert!(
+                cache.last_used.contains_key(hash),
+                "{after}: untracked memo"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn running_byte_total_equals_the_walk_after_every_call(
+            (seed, capacity) in (0u64..10_000, 2usize..5),
+            ops in proptest::collection::vec((0usize..8, 0usize..6, 1usize..4, 0u64..4, 1u64..400), 30..50),
+        ) {
+            // Six 6-10-edge schemas through a bound of 2-4, so eviction
+            // churns; pendant and subsumed edges are common at this
+            // density, so the reduce-aware paths really split off pieces.
+            let pool: Vec<Hypergraph> = (0..6)
+                .map(|i| {
+                    let config = RandomConfig {
+                        num_vertices: 6 + (seed as usize + i) % 4,
+                        num_edges: 6 + (seed as usize / 4 + i) % 5,
+                        min_arity: 1,
+                        max_arity: 3,
+                        connect: i % 2 == 0,
+                    };
+                    random_hypergraph(&config, seed * 6 + i as u64)
+                })
+                .collect();
+            let mut cache = DecompCache::with_capacity(capacity);
+            let mut trips = 0;
+            for (step, &(op, schema, k, flags, cap)) in ops.iter().enumerate() {
+                let h = &pool[schema];
+                let reduce = flags & 1 == 1;
+                // Half the budgeted calls run under a work cap small
+                // enough to trip mid-enumeration: the abort paths count.
+                let budget = if flags & 2 == 2 {
+                    Budget::with_work_cap(cap)
+                } else {
+                    Budget::unlimited()
+                };
+                let mut solve = |spec: SolveSpec| {
+                    let spec = spec.with_reduce(reduce).with_budget(budget.clone());
+                    match cache.solve(h, &spec) {
+                        Ok(_) => {}
+                        Err(e) if e.is_budget() => trips += 1,
+                        Err(e) => panic!("step {step}: {e}"),
+                    }
+                };
+                match op {
+                    0 => solve(SolveSpec::shw()),
+                    1 => solve(SolveSpec::shw_leq(k)),
+                    2 => solve(SolveSpec::hw()),
+                    3 => solve(SolveSpec::hw_leq(k)),
+                    4 => {
+                        // What the store's warm start does: a cold answer
+                        // imported, exact or as the one width asked for.
+                        let (class, (w, td)) = if reduce {
+                            (SolveClass::Shw, shw::shw_raw(h))
+                        } else {
+                            let (w, g) = hw::hw_raw(h);
+                            (SolveClass::Hw, (w, g.td))
+                        };
+                        if flags & 2 == 2 {
+                            cache.import(h, class, true, w, Some(td));
+                        } else {
+                            cache.import(h, class, false, k, (k >= w).then_some(td));
+                        }
+                    }
+                    5 => {
+                        let inst = cache.soft_instance(h, k, &SoftLimits::default(), &budget);
+                        trips += usize::from(inst.is_err());
+                    }
+                    6 => {
+                        let hash = structural_hash(h);
+                        if !cache.unpin(hash) {
+                            cache.pin(hash);
+                        }
+                    }
+                    _ => drop(cache.reduction(h)),
+                }
+                assert_accounted(&cache, &format!("step {step}, op {op} on schema {schema}"));
+            }
+            prop_assert!(cache.stats().evictions > 0, "capacity {} never evicted", capacity);
+            prop_assert!(trips > 0, "no call tripped its work cap");
         }
     }
 }

@@ -16,8 +16,11 @@
 //! - [`state`]: the shared handler state behind one entry point,
 //!   [`ServiceState::handle`] — a bank of
 //!   [`DecompCache`](softhw_core::DecompCache) stripes routed by the
-//!   schema's reduced structure, so repeated schemas hit warm indexes
-//!   and width decisions while distinct schemas proceed concurrently.
+//!   schema's structural hash (the one hash a request computes; it also
+//!   keys the result cache and the store), so repeated schemas hit warm
+//!   indexes and width decisions while distinct schemas proceed
+//!   concurrently. A repeated request is parse, hash, one result-cache
+//!   probe: reduction and everything after it run on a miss only.
 //!   Fronted by a per-stripe result cache and, with `--store`, by the
 //!   disk-backed [`softhw_store::Store`]: persisted witnesses are
 //!   re-validated before they are served, fresh results are persisted

@@ -92,7 +92,10 @@ impl ServiceObs {
 /// request the stripe serves, so `STATS`/`METRICS` handlers on other
 /// stripes report all of them without taking this stripe's lock. These
 /// are cross-stripe *observability* values, not part of any response
-/// determinism contract.
+/// determinism contract. A refresh is five relaxed stores of values the
+/// stripe already holds — the cache's byte figure is its running total
+/// ([`softhw_core::DecompCache::approx_bytes`]), never a walk — so it
+/// costs a result-cache hit nothing that grows with what is cached.
 #[derive(Default)]
 pub(crate) struct StripeMirror {
     /// Requests routed to the stripe (monotonic, bumped before its lock

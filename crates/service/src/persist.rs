@@ -6,7 +6,7 @@
 //! into the stripe's [`DecompCache`] through the re-validating
 //! [`DecompCache::import`] ([`import_decisions`]).
 
-use crate::state::{route_hash, ServiceConfig, ServiceState};
+use crate::state::{ServiceConfig, ServiceState};
 use crate::wire::{Response, TdFrame};
 use softhw_core::ghd::Ghd;
 use softhw_core::{DecompCache, SolveClass};
@@ -219,10 +219,12 @@ impl ServiceState {
     }
 
     /// Preloads the hottest stored schemas: for each, the persisted
-    /// responses (witnesses re-validated first) go into the routed
-    /// stripe's result cache, width decisions are imported into its
-    /// [`DecompCache`], and the schema is pinned. Returns how many
-    /// results were preloaded.
+    /// responses (witnesses re-validated first) go into the result cache
+    /// of the stripe its stored hash routes to — the stripe a live
+    /// request for it will lock, found without reducing anything —
+    /// width decisions are imported into that stripe's [`DecompCache`],
+    /// and the schema is pinned. Returns how many results were
+    /// preloaded.
     fn warm_start(&mut self, store: &mut Store) -> u64 {
         let mut warmed = 0u64;
         for (hash, digest) in store.hottest(self.config.warm_start) {
@@ -232,8 +234,7 @@ impl ServiceState {
             if softhw_store::schema_key(&h) != (hash, digest) {
                 continue; // stored structure does not hash back: distrust it
             }
-            let idx = (route_hash(&h) % self.stripes.len() as u64) as usize;
-            let Some(mut stripe) = self.lock_stripe(idx) else {
+            let Some(mut stripe) = self.lock_stripe(self.stripe_of(hash)) else {
                 continue;
             };
             let mut any = false;

@@ -9,15 +9,20 @@
 //!
 //! The state the service shares across connections is a bank of
 //! [`DecompCache`]s ("stripes"), each behind its own mutex. A request's
-//! schema is parsed, hashed by the canonical forms of its reduced
-//! pieces, and routed to stripe `hash mod stripes`: requests over the
+//! schema is parsed and hashed once — the structural hash of its
+//! canonical form, the same hash that keys the result cache and the
+//! store — and routed to stripe `hash mod stripes`: requests over the
 //! *same* schema always meet the same warm cache (index, reductions,
 //! width decisions), while requests over different schemas almost
-//! always run concurrently on different stripes. Within one stripe the mutex
-//! serialises handlers, and every cached entry point is deterministic,
-//! so the response to a request depends only on the sequence of
-//! requests its stripe processed before it — which is what the
-//! concurrency property test replays and checks, response for response.
+//! always run concurrently on different stripes. A schema and its
+//! pre-reduced core are different schemas to the router: where they
+//! meet on one stripe its [`DecompCache`] shares their piece-level
+//! entries, where they do not the second costs one extra cold solve.
+//! Within one stripe the mutex serialises handlers, and every cached
+//! entry point is deterministic, so the response to a request depends
+//! only on the sequence of requests its stripe processed before it —
+//! which is what the concurrency property test replays and checks,
+//! response for response.
 //! An exact width is a sweep over the per-width decisions, so a width
 //! decision itself depends only on `(schema, k)`: `SHW` and `SHW_LEQ k`
 //! fill and read the same memo entries, in either order.
@@ -27,8 +32,9 @@
 //!
 //! 1. a per-stripe **result cache** keyed by `(structural hash,
 //!    canonical digest, request class)`, holding fully-formed
-//!    [`Response`]s — a repeated request is a hash probe, no solver
-//!    work at all;
+//!    [`Response`]s — a repeated request is parse, one hash, one probe:
+//!    no reduction, no solver call, no walk over anything cached (the
+//!    only stage it records is `result_cache`);
 //! 2. with `--store`, the **persistent store**
 //!    ([`softhw_store::Store`]): misses probe the disk-backed index,
 //!    and every persisted witness is **re-validated against the
@@ -84,8 +90,9 @@ pub struct ServiceConfig {
     /// cannot push them out.
     pub pin_warm: bool,
     /// Disable the reduce-before-solve pipeline (the `--no-reduce`
-    /// escape hatch). Routing and `STATS` reduction rows are unaffected
-    /// — only the solvers stop acting on the reduction.
+    /// escape hatch). Routing (which never reduces) and the `STATS`
+    /// reduction rows are unaffected — only the solvers stop acting on
+    /// the reduction.
     pub no_reduce: bool,
     /// Compute deadline applied to requests that carry no `DEADLINE`
     /// token of their own (`--default-deadline`); `None` means
@@ -266,8 +273,17 @@ impl ServiceState {
         }
     }
 
-    /// Locks the stripe `idx` routes to. `idx` is always
-    /// `route_hash % stripes.len()` so it is in range by construction,
+    /// The stripe a schema routes to: its structural hash — the one
+    /// hash a request computes, which also keys the result cache and the
+    /// store — modulo the stripe count. Live requests and the boot-time
+    /// warm start both route here, so a warm-started schema is waiting on
+    /// the stripe its first request locks.
+    pub(crate) fn stripe_of(&self, hash: u64) -> usize {
+        (hash % self.stripes.len() as u64) as usize
+    }
+
+    /// Locks the stripe `idx` routes to. `idx` is always a
+    /// [`ServiceState::stripe_of`] so it is in range by construction,
     /// but the request path must stay panic-free, so out-of-range
     /// degrades to `None` instead of indexing.
     pub(crate) fn lock_stripe(&self, idx: usize) -> Option<std::sync::MutexGuard<'_, Stripe>> {
@@ -360,6 +376,12 @@ impl ServiceState {
         }
     }
 
+    /// One request end to end. Before the stripe lock: parse, the
+    /// canonical form, its hash and digest — that hash routes, so nothing
+    /// is reduced here (a solver miss reduces inside the [`DecompCache`],
+    /// which caches it). After the answer: the stripe's counters are
+    /// copied into its lock-free mirror, five O(1) reads. A result-cache
+    /// hit therefore iterates no cache, no store index and no reduction.
     fn handle_inner(&self, req: &Request, tag: Option<u64>, budget: &Budget) -> Response {
         if req.class == RequestClass::Hello {
             // Protocol handshake: no schema, no stripe, no budget.
@@ -380,7 +402,7 @@ impl ServiceState {
         let canon = canonical_form(&h);
         let hash = hash_u64s(&canon);
         let digest = schema_digest(&canon);
-        let idx = (route_hash(&h) % self.stripes.len() as u64) as usize;
+        let idx = self.stripe_of(hash);
         let Some(mirror) = self.mirrors.get(idx) else {
             return Response::error("internal", "stripe routing out of range");
         };
@@ -609,27 +631,6 @@ impl ServiceState {
     }
 }
 
-/// Stripe-routing hash: computed over the canonical forms of the
-/// schema's *reduced* pieces, so a schema submitted raw and the same
-/// schema submitted already reduced route to the same stripe — whose
-/// [`DecompCache`] then shares the piece-level solve entries between
-/// them. The result-cache and store keys stay on the *raw* canonical
-/// form (witness frames are raw-vertex-indexed; two different raw
-/// schemas must never serve each other's frames). Routing is
-/// independent of `--no-reduce`, so answers can be compared across
-/// modes stripe for stripe.
-pub(crate) fn route_hash(h: &Hypergraph) -> u64 {
-    let red = softhw_hypergraph::reduce(h);
-    let mut words: Vec<u64> = Vec::new();
-    for piece in &red.pieces {
-        // Each canonical form is length-prefixed by construction
-        // (vertex count, edge count first), so plain concatenation is
-        // unambiguous.
-        words.extend(canonical_form(&piece.h));
-    }
-    hash_u64s(&words)
-}
-
 /// The store/result-cache key of a request class (`None` = not
 /// cacheable: `STATS` is volatile by design).
 fn class_key(class: RequestClass) -> Option<ClassKey> {
@@ -681,6 +682,11 @@ mod tests {
     fn state() -> ServiceState {
         ServiceState::new(ServiceConfig::default())
     }
+
+    /// A 4-cycle under a duplicate edge and a pendant path: what `reduce`
+    /// strips is exactly what the pre-reduced form leaves out.
+    const REDUCIBLE: &str =
+        "c0(v0,v1), c1(v1,v2), c2(v2,v3), c3(v3,v0), dup(v0,v1), p1(v2,p), p2(p,q).";
 
     /// One single request under the default context.
     fn ask(st: &ServiceState, req: &Request) -> Response {
@@ -974,54 +980,146 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_prereduced_schemas_route_to_one_stripe_and_share_solves() {
-        // The raw schema and its reduced core must route to the same
-        // stripe (reduced-form routing) and, once the raw schema is
-        // solved, the pre-reduced submission's pieces are already warm.
-        let raw = "c0(v0,v1), c1(v1,v2), c2(v2,v3), c3(v3,v0), dup(v0,v1), p1(v2,p), p2(p,q).";
+    fn raw_and_prereduced_schemas_answer_alike_wherever_they_route() {
+        // A schema and its reduced core are two schemas to the router
+        // (it hashes what was sent, it does not reduce). Whichever
+        // stripes they land on, both answer width 2 with a witness of
+        // their own schema, byte for byte what a fresh server frames.
         let pre = "c0(v0,v1), c1(v1,v2), c2(v2,v3), c3(v3,v0).";
-        let h_raw = softhw_hypergraph::parse_hypergraph(raw).unwrap();
-        let h_pre = softhw_hypergraph::parse_hypergraph(pre).unwrap();
-        assert_eq!(
-            route_hash(&h_raw) % state().num_stripes() as u64,
-            route_hash(&h_pre) % state().num_stripes() as u64
-        );
+        let decision_misses = |st: &ServiceState| -> u64 {
+            let stripes = st.stripes.iter();
+            stripes
+                .map(|s| {
+                    let stripe = s.lock().unwrap_or_else(PoisonError::into_inner);
+                    stripe.cache.stats().result_misses
+                })
+                .sum()
+        };
+        for stripes in [ServiceConfig::default().stripes, 1] {
+            let st = ServiceState::new(ServiceConfig {
+                stripes,
+                ..ServiceConfig::default()
+            });
+            for body in [REDUCIBLE, pre] {
+                let h = softhw_hypergraph::parse_hypergraph(body).unwrap();
+                let req = Request::new(RequestClass::Shw, body);
+                let misses_before = decision_misses(&st);
+                let resp = ask(&st, &req);
+                match &resp {
+                    Response::Width { width: 2, td, .. } => {
+                        assert_eq!(td.to_td().unwrap().validate(&h), Ok(()));
+                    }
+                    other => panic!("{stripes} stripes, {body}: {other:?}"),
+                }
+                assert_eq!(
+                    resp.encode(),
+                    ask(&state(), &req).encode(),
+                    "{stripes} stripes, {body}: not a fresh server's frame"
+                );
+                // On one stripe the two forms share a `DecompCache`, so
+                // the pre-reduced request finds its piece already swept.
+                if stripes == 1 && body == pre {
+                    assert_eq!(
+                        decision_misses(&st),
+                        misses_before,
+                        "pre-reduced schema recomputed a width decision"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The observation count of one stage histogram, read off the
+    /// `METRICS` exposition (which itself records no stage).
+    fn stage_count(st: &ServiceState, stage: &str) -> u64 {
+        let series = format!("softhw_stage_duration_us_count{{stage=\"{stage}\"}} ");
+        match ask(st, &Request::new(RequestClass::Metrics, "")) {
+            Response::Metrics { lines } => {
+                let line = lines.iter().find_map(|l| l.strip_prefix(series.as_str()));
+                line.expect("every stage is exposed").parse().unwrap()
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_result_cache_hit_records_one_probe_and_no_solver_stage() {
+        // Counted, not timed: a hit is parse, one hash, one probe. If a
+        // reduction, an index build or a solver call came back onto the
+        // request path, its stage histogram would count it.
         let st = state();
-        assert!(matches!(
-            ask(&st, &Request::new(RequestClass::Shw, raw)),
-            Response::Width { width: 2, .. }
-        ));
-        // The pre-reduced request must not redo any width decision.
-        let misses_before: u64 = st
-            .stripes
+        let mut bodies: Vec<String> = [
+            named::h2(),
+            named::cycle(4),
+            named::cycle(5),
+            named::cycle(6),
+            named::grid(3, 3),
+            named::triangle_star(3),
+            named::grid(2, 4),
+        ]
+        .iter()
+        .map(render_hypergraph)
+        .collect();
+        bodies.push(REDUCIBLE.to_string());
+        let classes = [
+            RequestClass::Shw,
+            RequestClass::ShwLeq(2),
+            RequestClass::Hw,
+            RequestClass::Best(EvalKind::ConCov, 2),
+        ];
+        let requests: Vec<Request> = bodies
             .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .cache
-                    .stats()
-                    .result_misses
-            })
-            .sum();
-        assert!(matches!(
-            ask(&st, &Request::new(RequestClass::Shw, pre)),
-            Response::Width { width: 2, .. }
-        ));
-        let misses_after: u64 = st
-            .stripes
+            .flat_map(|body| classes.map(|class| Request::new(class, body.clone())))
+            .collect();
+        let answers: Vec<Response> = requests.iter().map(|req| ask(&st, req)).collect();
+        let miss_stages = [
+            stage::REDUCE,
+            stage::SOLVE,
+            stage::INDEX_BUILD,
+            stage::ENUMERATE,
+        ];
+        let before = miss_stages.map(|name| stage_count(&st, name));
+        assert!(before.iter().all(|&n| n > 0), "the misses ran {before:?}");
+        let probes_before = stage_count(&st, stage::RESULT_CACHE);
+        for i in 0..1000 {
+            let at = i % requests.len();
+            assert_eq!(ask(&st, &requests[at]), answers[at]);
+        }
+        assert_eq!(miss_stages.map(|name| stage_count(&st, name)), before);
+        assert_eq!(stage_count(&st, stage::RESULT_CACHE), probes_before + 1000);
+    }
+
+    #[test]
+    fn stats_names_the_stripe_the_structural_hash_selects() {
+        // One hash routes: `STATS` reports `structural_hash mod stripes`
+        // for reducible and irreducible schemas alike, and `--no-reduce`
+        // (which only changes what the solvers do) does not move it.
+        let mut bodies: Vec<String> = [named::h2(), named::cycle(6), named::grid(3, 3)]
             .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .cache
-                    .stats()
-                    .result_misses
-            })
-            .sum();
-        assert_eq!(
-            misses_after, misses_before,
-            "pre-reduced schema recomputed a width decision"
-        );
+            .map(render_hypergraph)
+            .collect();
+        bodies.push(REDUCIBLE.to_string());
+        for no_reduce in [false, true] {
+            let st = ServiceState::new(ServiceConfig {
+                no_reduce,
+                ..ServiceConfig::default()
+            });
+            for body in &bodies {
+                let h = softhw_hypergraph::parse_hypergraph(body).unwrap();
+                let expected = softhw_hypergraph::structural_hash(&h) % st.num_stripes() as u64;
+                match ask(&st, &Request::new(RequestClass::Stats, body.clone())) {
+                    Response::Stats { fields } => {
+                        let stripe = fields.iter().find(|(k, _)| k == "stripe");
+                        assert_eq!(
+                            stripe.map(|(_, v)| v.clone()),
+                            Some(expected.to_string()),
+                            "no_reduce {no_reduce}: {body}"
+                        );
+                    }
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -82,10 +82,12 @@ fn run_all(state: &ServiceState, reqs: &[Request]) -> Vec<String> {
 }
 
 fn stats_field(state: &ServiceState, field: &str) -> Option<String> {
-    let resp = handle(
-        state,
-        &Request::new(RequestClass::Stats, render_hypergraph(&named::h2())),
-    );
+    stats_field_for(state, &render_hypergraph(&named::h2()), field)
+}
+
+/// One row of the `STATS` answer to a request carrying `schema`.
+fn stats_field_for(state: &ServiceState, schema: &str, field: &str) -> Option<String> {
+    let resp = handle(state, &Request::new(RequestClass::Stats, schema));
     match resp {
         Response::Stats { fields } => fields
             .iter()
@@ -271,4 +273,50 @@ fn warm_start_pins_hot_schemas() {
     .expect("reopen unpinned");
     assert_eq!(stats_field(&unpinned_state, "pinned").as_deref(), Some("0"));
     assert_eq!(replayed, run_all(&unpinned_state, &reqs));
+}
+
+#[test]
+fn warm_started_schemas_wait_on_the_stripe_a_live_request_routes_to() {
+    // Boot routes a stored schema by its stored hash, a live request by
+    // the hash it computes: they must be the same stripe, or a
+    // warm-started answer sits where no request will look. The reducible
+    // schema is the one whose reduced form hashes differently.
+    let tmp = TempStore::new("warm-route");
+    let reducible = "c0(v0,v1), c1(v1,v2), c2(v2,v3), c3(v3,v0), dup(v0,v1), p1(v2,p), p2(p,q).";
+    let mut schemas: Vec<String> = [named::h2(), named::cycle(6), named::grid(3, 3)]
+        .iter()
+        .map(render_hypergraph)
+        .collect();
+    schemas.push(reducible.to_string());
+    let first_request = |schema: &String| Request::new(RequestClass::Shw, schema.clone());
+    let reference: Vec<String> = {
+        let state =
+            ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("open store");
+        let out = schemas.iter().map(first_request);
+        let out = out.map(|req| handle(&state, &req).encode()).collect();
+        assert!(state.sync_store());
+        out
+    };
+    let state = ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("reopen");
+    for (schema, expected) in schemas.iter().zip(&reference) {
+        // `STATS` is a live request: its `stripe` row is live routing.
+        let row = |field: &str| stats_field_for(&state, schema, field).expect(field);
+        let stripe: usize = row("stripe").parse().unwrap();
+        let on_stripe = |field: &str| -> u64 {
+            let per_stripe = row(field);
+            let value = per_stripe
+                .split(',')
+                .nth(stripe)
+                .expect("a value per stripe");
+            value.parse().unwrap()
+        };
+        let (hits, misses) = (
+            on_stripe("result_cache_hits"),
+            on_stripe("result_cache_misses"),
+        );
+        assert_eq!(&handle(&state, &first_request(schema)).encode(), expected);
+        assert_eq!(on_stripe("result_cache_hits"), hits + 1, "{schema}");
+        assert_eq!(on_stripe("result_cache_misses"), misses, "{schema}");
+        assert_eq!(row("store_hits"), "0", "{schema}: probed the store");
+    }
 }

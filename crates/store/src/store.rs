@@ -2,22 +2,28 @@
 //! index, torn-tail recovery, and log compaction.
 //!
 //! **What is resident.** The index mirrors the log's live state, so a
-//! `get` is a probe with no disk I/O — and the mirror is kept about as
-//! small as the log it mirrors. Per stored schema there is one slot of a
-//! hash map keyed by `(structural hash, digest)` and two exact-fit
-//! buffers: a flat word row holding the canonical edges followed by the
-//! bag dictionary (`words_per_set` words each, dictionary ids are
-//! positions), and the live results in their log encoding
-//! ([`ResultRecord`] payloads, varint-packed, length-prefixed). There is
-//! no per-schema arena, hash table or vector of vectors: dictionary
-//! lookups scan the row and result lookups scan the blob, both a handful
-//! of entries long. Measured with a counting allocator over 5 000 stored
-//! 12–16-edge schemas with one witness each
-//! (`tests/resident_bytes.rs`): 331 B of live heap per schema for 146 B
-//! of log (2.3×; the same test at the previous layout — a `BagArena`, a
-//! `Vec<Vec<u64>>` and a `FxHashMap` per schema in `Vec` buckets — read
-//! 1 969 B, 13.5×). [`StoreStats::index_bytes`] reports the mirror's
-//! size, maintained per mutation.
+//! `get` is a probe with no disk I/O — and the mirror is kept smaller
+//! than the log it mirrors. Per stored schema there is one 32-byte slot
+//! of a hash map keyed by `(structural hash, digest)` and **one**
+//! exact-fit allocation behind it: a 20-byte header (vertex, edge,
+//! dictionary and result counts, session hits), then the canonical edges
+//! followed by the bag dictionary as byte-packed sets (`⌈|V|/8⌉` bytes
+//! each — a 14-vertex schema's sets are two bytes, not a word;
+//! dictionary ids are positions), then the live results in their log
+//! encoding ([`ResultRecord`] payloads, varint-packed,
+//! length-prefixed). There is no per-schema arena, hash table or vector
+//! of vectors: dictionary lookups scan the sets and result lookups scan
+//! the blob, both a handful of entries long; sets are unpacked to words
+//! where a witness frame or a hypergraph is rebuilt. The slot is kept
+//! narrow on purpose: the map doubles as it grows, and at the doubling
+//! the old and the new table are both resident. Measured with a counting
+//! allocator over 5 000 stored 12–16-edge schemas with one witness each
+//! (`tests/resident_bytes.rs`): 133 B of live heap per schema for 146 B
+//! of log (0.9×; 331 B with 72-byte slots holding a word row and a result
+//! blob of their own, and 1 969 B at the layout before that — a
+//! `BagArena`, a `Vec<Vec<u64>>` and a `FxHashMap` per schema in `Vec`
+//! buckets). [`StoreStats::index_bytes`] reports the mirror's size,
+//! maintained per mutation.
 //!
 //! [`Store::open`] replays the log into per-schema state (canonical
 //! structure, shared bag dictionary, live results). Replay stops at the
@@ -192,91 +198,191 @@ pub enum HitAnswer {
     },
 }
 
-/// The resident state of one stored schema; see the module docs for the
-/// layout and why it is flat. Both buffers grow by exact fit: a schema
-/// sees a handful of appends, and slack would be paid 40 000 times over.
+/// Bytes per packed set over a `universe`-element domain: the low bytes
+/// of its `words_per_set` words, which hold every element.
+fn bytes_per_set(universe: usize) -> usize {
+    universe.div_ceil(8).max(1)
+}
+
+/// Appends the low `bps` bytes of a word-packed set — all of it, for a
+/// set that [`fits`].
+fn pack_set(words: &[u64], bps: usize, out: &mut Vec<u8>) {
+    out.extend(words.iter().flat_map(|w| w.to_le_bytes()).take(bps));
+}
+
+/// Appends the word-packed set behind `bytes` ([`pack_set`]'s inverse).
+fn unpack_set(bytes: &[u8], out: &mut Vec<u64>) {
+    let word = |chunk: &[u8]| {
+        let mut le = [0u8; 8];
+        le[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(le)
+    };
+    out.extend(bytes.chunks(8).map(word));
+}
+
+/// True iff `words` has no element past its first `bps` bytes, so
+/// [`pack_set`] keeps all of it.
+fn fits(words: &[u64], bps: usize) -> bool {
+    let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+    bytes.skip(bps).all(|b| b == 0)
+}
+
+/// The `u32` header fields of a [`SchemaEntry`], in buffer order.
+#[derive(Clone, Copy)]
+enum Field {
+    NumVertices,
+    NumEdges,
+    DictLen,
+    NumResults,
+    /// Session get-hits (heat = this + live results), saturating.
+    SessionHits,
+}
+
+const HEADER_BYTES: usize = 5 * std::mem::size_of::<u32>();
+
+/// The resident state of one stored schema: **one** exact-fit
+/// allocation, `[header | edges | dictionary | results]` — see the module
+/// docs for the layout and why it is flat. It is rebuilt to fit on each of
+/// the handful of appends a schema sees: slack, a second allocation or a
+/// wider map slot would be paid 40 000 times over.
 struct SchemaEntry {
-    num_vertices: u32,
-    num_edges: u32,
-    num_results: u32,
-    /// Session get-hits (heat = this + live results).
-    session_hits: u64,
-    /// `words_per_set(num_vertices)`-word sets: the canonical (sorted)
-    /// edges, then the shared bag dictionary in id order (ids are
-    /// record-referenced).
-    words: Vec<u64>,
-    /// The live results, one `len:varint payload` each, payload as
+    /// [`HEADER_BYTES`] of [`Field`]s; then `bytes_per_set(num_vertices)`
+    /// bytes per set — the canonical (sorted) edges, then the shared bag
+    /// dictionary in id order (ids are record-referenced); then the live
+    /// results, one `len:varint payload` each, payload as
     /// [`ResultRecord::encode`] writes it.
-    results: Vec<u8>,
+    buf: Box<[u8]>,
 }
 
 impl SchemaEntry {
     fn new(num_vertices: usize, edges: &[Vec<u64>]) -> SchemaEntry {
+        let bps = bytes_per_set(num_vertices);
+        let mut buf = Vec::with_capacity(HEADER_BYTES + edges.len() * bps);
+        for field in [num_vertices as u32, edges.len() as u32, 0, 0, 0] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
+        for edge in edges {
+            pack_set(edge, bps, &mut buf);
+        }
         SchemaEntry {
-            num_vertices: num_vertices as u32,
-            num_edges: edges.len() as u32,
-            num_results: 0,
-            session_hits: 0,
-            words: edges.concat(),
-            results: Vec::new(),
+            buf: buf.into_boxed_slice(),
         }
     }
 
-    fn heat(&self) -> u64 {
-        self.num_results as u64 + self.session_hits
+    fn field(&self, field: Field) -> u32 {
+        let at = field as usize * 4;
+        let mut le = [0u8; 4];
+        le.copy_from_slice(&self.buf[at..at + 4]);
+        u32::from_le_bytes(le)
     }
 
-    fn wpb(&self) -> usize {
-        words_per_set(self.num_vertices as usize)
+    fn set_field(&mut self, field: Field, value: u32) {
+        let at = field as usize * 4;
+        self.buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
     }
 
-    fn edges(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.words[..self.num_edges as usize * self.wpb()].chunks_exact(self.wpb())
+    fn num_vertices(&self) -> usize {
+        self.field(Field::NumVertices) as usize
     }
 
-    fn dict(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.words[self.num_edges as usize * self.wpb()..].chunks_exact(self.wpb())
+    fn num_edges(&self) -> usize {
+        self.field(Field::NumEdges) as usize
     }
 
     fn dict_len(&self) -> usize {
-        self.dict().len()
+        self.field(Field::DictLen) as usize
     }
 
-    fn dict_words(&self, id: u32) -> &[u64] {
-        let at = (self.num_edges as usize + id as usize) * self.wpb();
-        &self.words[at..at + self.wpb()]
+    fn num_results(&self) -> usize {
+        self.field(Field::NumResults) as usize
     }
 
-    fn dict_lookup(&self, words: &[u64]) -> Option<u32> {
-        self.dict().position(|bag| bag == words).map(|i| i as u32)
+    fn heat(&self) -> u64 {
+        self.num_results() as u64 + self.field(Field::SessionHits) as u64
     }
 
-    /// Appends a bag the dictionary does not hold yet; returns its id.
-    fn dict_push(&mut self, words: &[u64]) -> u32 {
-        debug_assert_eq!(words.len(), self.wpb());
-        let id = self.dict_len() as u32;
-        self.words.reserve_exact(words.len());
-        self.words.extend_from_slice(words);
-        id
+    fn note_hit(&mut self) {
+        let hits = self.field(Field::SessionHits).saturating_add(1);
+        self.set_field(Field::SessionHits, hits);
     }
 
-    /// Every live result as `(frame start, payload range, key)`. A blob
-    /// that does not parse ends the walk — it is written by `set_result`
-    /// alone, so that would be a bug, not input.
+    fn bps(&self) -> usize {
+        bytes_per_set(self.num_vertices())
+    }
+
+    /// The packed bytes of set `i`, counting edges then dictionary bags.
+    fn set_bytes(&self, i: usize) -> &[u8] {
+        let at = HEADER_BYTES + i * self.bps();
+        &self.buf[at..at + self.bps()]
+    }
+
+    fn edges(&self) -> impl Iterator<Item = Vec<u64>> + '_ {
+        (0..self.num_edges()).map(|e| {
+            let mut words = Vec::new();
+            unpack_set(self.set_bytes(e), &mut words);
+            words
+        })
+    }
+
+    /// Appends the words of dictionary bag `id`.
+    fn dict_words(&self, id: u32, out: &mut Vec<u64>) {
+        unpack_set(self.set_bytes(self.num_edges() + id as usize), out);
+    }
+
+    /// Where the sets end and the results begin.
+    fn results_at(&self) -> usize {
+        HEADER_BYTES + (self.num_edges() + self.dict_len()) * self.bps()
+    }
+
+    /// The id of the dictionary bag whose packed bytes are `packed`.
+    fn dict_lookup(&self, packed: &[u8]) -> Option<u32> {
+        let bps = self.bps();
+        let dict = &self.buf[HEADER_BYTES + self.num_edges() * bps..self.results_at()];
+        let found = dict.chunks_exact(bps).position(|bag| bag == packed);
+        found.map(|id| id as u32)
+    }
+
+    /// Replaces `self.buf[range]` with `with`, refitting the allocation.
+    fn splice(&mut self, range: Range<usize>, with: &[u8]) {
+        let mut buf = std::mem::take(&mut self.buf).into_vec();
+        buf.reserve_exact(with.len().saturating_sub(range.len()));
+        buf.splice(range, with.iter().copied());
+        self.buf = buf.into_boxed_slice();
+    }
+
+    /// Appends packed bags the dictionary does not hold yet; they take
+    /// the next ids in order.
+    fn dict_extend(&mut self, packed: &[u8]) {
+        debug_assert_eq!(packed.len() % self.bps(), 0);
+        let at = self.results_at();
+        self.splice(at..at, packed);
+        let added = (packed.len() / self.bps()) as u32;
+        self.set_field(Field::DictLen, self.dict_len() as u32 + added);
+    }
+
+    fn results(&self) -> &[u8] {
+        &self.buf[self.results_at()..]
+    }
+
+    /// Every live result as `(frame start, payload range, key)`, offsets
+    /// into [`SchemaEntry::results`]. A blob that does not parse ends the
+    /// walk — it is written by `set_result` alone, so that would be a bug,
+    /// not input.
     fn result_spans(&self) -> impl Iterator<Item = (usize, Range<usize>, ClassKey)> + '_ {
+        let results = self.results();
         let mut pos = 0usize;
         std::iter::from_fn(move || {
             let start = pos;
-            let len = get_varint(&self.results, &mut pos)? as usize;
+            let len = get_varint(results, &mut pos)? as usize;
             let payload = pos..pos.checked_add(len)?;
-            let key = ClassKey::decode(self.results.get(payload.clone())?, &mut 0)?;
+            let key = ClassKey::decode(results.get(payload.clone())?, &mut 0)?;
             pos = payload.end;
             Some((start, payload, key))
         })
     }
 
     fn decode_result(&self, payload: Range<usize>) -> Option<ResultRecord> {
-        ResultRecord::decode(&self.results[payload], &mut 0)
+        ResultRecord::decode(&self.results()[payload], &mut 0)
     }
 
     fn result(&self, key: &ClassKey) -> Option<ResultRecord> {
@@ -294,20 +400,21 @@ impl SchemaEntry {
     /// Stores `result`, superseding the live result under its key.
     fn set_result(&mut self, result: &ResultRecord) {
         let superseded = self.result_spans().find(|(_, _, k)| *k == result.key);
+        let at = self.results_at();
         match superseded {
-            Some((start, payload, _)) => drop(self.results.drain(start..payload.end)),
-            None => self.num_results += 1,
+            Some((start, payload, _)) => self.splice(at + start..at + payload.end, &[]),
+            None => self.set_field(Field::NumResults, self.num_results() as u32 + 1),
         }
-        let (mut prefix, mut payload) = (Vec::new(), Vec::new());
+        let (mut framed, mut payload) = (Vec::new(), Vec::new());
         result.encode(&mut payload);
-        put_varint(&mut prefix, payload.len() as u64);
-        self.results.reserve_exact(prefix.len() + payload.len());
-        self.results.extend_from_slice(&prefix);
-        self.results.extend_from_slice(&payload);
+        put_varint(&mut framed, payload.len() as u64);
+        framed.extend_from_slice(&payload);
+        let end = self.buf.len();
+        self.splice(end..end, &framed);
     }
 
     fn heap_bytes(&self) -> u64 {
-        (self.words.capacity() * std::mem::size_of::<u64>() + self.results.capacity()) as u64
+        self.buf.len() as u64
     }
 }
 
@@ -322,6 +429,11 @@ pub struct Store {
     /// Σ [`SchemaEntry::heap_bytes`] over the index, kept current by
     /// [`Store::mutate`].
     entry_bytes: u64,
+    /// Σ live results and Σ dictionary bags over the index, kept current
+    /// the same way: [`Store::stats`] runs under the store mutex on every
+    /// `STATS` of a store-backed server, so it walks nothing.
+    num_results: usize,
+    dict_bags: usize,
     bytes: u64,
     gets: u64,
     hits: u64,
@@ -369,6 +481,8 @@ impl Store {
             file,
             index: Index::default(),
             entry_bytes: 0,
+            num_results: 0,
+            dict_bags: 0,
             bytes: MAGIC.len() as u64,
             gets: 0,
             hits: 0,
@@ -449,8 +563,8 @@ impl Store {
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             schemas: self.index.len(),
-            results: self.index.values().map(|e| e.num_results as usize).sum(),
-            dict_bags: self.index.values().map(SchemaEntry::dict_len).sum(),
+            results: self.num_results,
+            dict_bags: self.dict_bags,
             index_bytes: self.index_bytes(),
             bytes: self.bytes,
             gets: self.gets,
@@ -475,12 +589,16 @@ impl Store {
                     // Idempotent re-registration (e.g. a crash between a
                     // Schema append and its first Result) must describe
                     // the same structure.
-                    if existing.num_vertices as u64 != num_vertices
-                        || !existing.edges().eq(edges.iter().map(Vec::as_slice))
+                    if existing.num_vertices() as u64 != num_vertices
+                        || !existing.edges().eq(edges.iter().cloned())
                     {
                         return Err("schema re-registered with different structure");
                     }
                     return Ok(());
+                }
+                let bps = bytes_per_set(num_vertices as usize);
+                if edges.iter().any(|e| !fits(e, bps)) {
+                    return Err("edge reaches outside the schema's vertices");
                 }
                 let entry = SchemaEntry::new(num_vertices as usize, &edges);
                 self.entry_bytes += entry.heap_bytes();
@@ -489,26 +607,27 @@ impl Store {
             }
             StoreRecord::Bags { universe, bags, .. } => self
                 .mutate(key, |entry| {
-                    if universe != entry.num_vertices as u64 {
+                    if universe != entry.num_vertices() as u64 {
                         return Err("bags universe disagrees with schema");
                     }
-                    let wpb = entry.wpb();
+                    let (wpb, bps) = (words_per_set(entry.num_vertices()), entry.bps());
                     // The writer only appends bags the dictionary has not
                     // seen; a duplicate here (within the record or against
                     // the dictionary) would shift every later id, so it is
                     // corruption. Check before mutating.
+                    let mut packed = Vec::with_capacity(bags.len() * bps);
                     for (i, b) in bags.iter().enumerate() {
-                        if b.len() != wpb {
-                            return Err("bag with wrong word count");
+                        if b.len() != wpb || !fits(b, bps) {
+                            return Err("bag with wrong word count or outside the universe");
                         }
-                        if entry.dict_lookup(b).is_some() || bags[..i].iter().any(|prev| prev == b)
+                        pack_set(b, bps, &mut packed);
+                        if entry.dict_lookup(&packed[i * bps..]).is_some()
+                            || bags[..i].iter().any(|prev| prev == b)
                         {
                             return Err("duplicate dictionary bag");
                         }
                     }
-                    for b in &bags {
-                        entry.dict_push(b);
-                    }
+                    entry.dict_extend(&packed);
                     Ok(())
                 })
                 .ok_or("bags for unregistered schema")?,
@@ -531,12 +650,16 @@ impl Store {
     }
 
     /// Runs `f` on the entry under `key` (`None` if the schema is not
-    /// registered), keeping the resident-byte total current.
+    /// registered), keeping the resident-byte, result and dictionary-bag
+    /// totals current. A schema registers with no results and an empty
+    /// dictionary, so every change to either comes through here.
     fn mutate<R>(&mut self, key: (u64, u64), f: impl FnOnce(&mut SchemaEntry) -> R) -> Option<R> {
         let entry = self.index.get_mut(&key)?;
-        let before = entry.heap_bytes();
+        let before = (entry.heap_bytes(), entry.num_results(), entry.dict_len());
         let out = f(entry);
-        self.entry_bytes = self.entry_bytes - before + entry.heap_bytes();
+        self.entry_bytes = self.entry_bytes - before.0 + entry.heap_bytes();
+        self.num_results = self.num_results - before.1 + entry.num_results();
+        self.dict_bags = self.dict_bags - before.2 + entry.dict_len();
         Some(out)
     }
 
@@ -602,17 +725,37 @@ impl Store {
                     "witness universe disagrees with schema",
                 ));
             }
+            let bps = bytes_per_set(h.num_vertices());
+            let mut packed = Vec::with_capacity(frame.snapshot.len() * bps);
+            for i in 0..frame.snapshot.len() {
+                let words = frame.snapshot.words(i);
+                if !fits(words, bps) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "witness bag reaches outside the schema's vertices",
+                    ));
+                }
+                pack_set(words, bps, &mut packed);
+            }
+            // The bags the dictionary lacks, as logged and as kept: they
+            // take the next ids in order, in one append.
             let mut new_bags: Vec<Vec<u64>> = Vec::new();
+            let mut new_packed: Vec<u8> = Vec::new();
             let mut dict_of_local: Vec<u32> = Vec::with_capacity(frame.snapshot.len());
             this.mutate((hash, digest), |entry| {
-                for i in 0..frame.snapshot.len() {
-                    let words = frame.snapshot.words(i);
-                    let id = entry.dict_lookup(words).unwrap_or_else(|| {
-                        new_bags.push(words.to_vec());
-                        entry.dict_push(words)
-                    });
-                    dict_of_local.push(id);
+                let next = entry.dict_len();
+                for (i, bag) in packed.chunks_exact(bps).enumerate() {
+                    let pending = || new_packed.chunks_exact(bps).position(|new| new == bag);
+                    let known = entry
+                        .dict_lookup(bag)
+                        .or_else(|| pending().map(|at| (next + at) as u32));
+                    dict_of_local.push(known.unwrap_or_else(|| {
+                        new_bags.push(frame.snapshot.words(i).to_vec());
+                        new_packed.extend_from_slice(bag);
+                        (next + new_bags.len() - 1) as u32
+                    }));
                 }
+                entry.dict_extend(&new_packed);
             })
             .expect("registered above");
             let mut nodes = Vec::with_capacity(frame.nodes.len());
@@ -666,7 +809,7 @@ impl Store {
             self.misses += 1;
             return None;
         };
-        entry.session_hits += 1;
+        entry.note_hit();
         self.hits += 1;
         Some(Self::hit(entry, result))
     }
@@ -695,14 +838,14 @@ impl Store {
     /// preorder bags — so a frame that went through the store compares
     /// byte-identical to one framed fresh.
     fn materialise(entry: &SchemaEntry, td: &StoredTd) -> FrameOwned {
-        let universe = entry.num_vertices as usize;
+        let universe = entry.num_vertices();
         let mut local_of_dict: FxHashMap<u32, u32> = FxHashMap::default();
         let mut storage: Vec<u64> = Vec::new();
         let mut nodes = Vec::with_capacity(td.nodes.len());
         for &(parent, dict_id) in &td.nodes {
             let next = local_of_dict.len() as u32;
             let local = *local_of_dict.entry(dict_id).or_insert_with(|| {
-                storage.extend_from_slice(entry.dict_words(dict_id));
+                entry.dict_words(dict_id, &mut storage);
                 next
             });
             nodes.push((parent, local));
@@ -741,10 +884,10 @@ impl Store {
             .map(|(&(hash, digest), e)| SchemaSummary {
                 hash,
                 digest,
-                num_vertices: e.num_vertices as usize,
-                num_edges: e.num_edges as usize,
+                num_vertices: e.num_vertices(),
+                num_edges: e.num_edges(),
                 dict_bags: e.dict_len(),
-                results: e.num_results as usize,
+                results: e.num_results(),
                 heat: e.heat(),
             })
             .collect();
@@ -767,13 +910,13 @@ impl Store {
     /// [`Store::verify`] checks).
     pub fn schema_hypergraph(&self, hash: u64, digest: u64) -> Option<Hypergraph> {
         let entry = self.index.get(&(hash, digest))?;
-        let num_vertices = entry.num_vertices as usize;
+        let num_vertices = entry.num_vertices();
         let mut b = HypergraphBuilder::new();
         for v in 0..num_vertices {
             b.vertex(&format!("v{v}"));
         }
         for (j, words) in entry.edges().enumerate() {
-            let ids: Vec<usize> = softhw_hypergraph::arena::words_iter(words).collect();
+            let ids: Vec<usize> = softhw_hypergraph::arena::words_iter(&words).collect();
             if ids.iter().any(|&v| v >= num_vertices) {
                 return None; // corrupt edge survived somehow: refuse
             }
@@ -865,8 +1008,8 @@ impl Store {
             records.push(StoreRecord::Schema {
                 hash,
                 digest,
-                num_vertices: entry.num_vertices as u64,
-                edges: entry.edges().map(<[u64]>::to_vec).collect(),
+                num_vertices: entry.num_vertices() as u64,
+                edges: entry.edges().collect(),
             });
             // Gather referenced dictionary bags in a deterministic
             // order (key-sorted results, node order within each) and
@@ -883,7 +1026,9 @@ impl Store {
                 for (_, bag) in &mut td.nodes {
                     let (old, next) = (*bag, new_of_old.len() as u32);
                     *bag = *new_of_old.entry(old).or_insert_with(|| {
-                        kept_bags.push(entry.dict_words(old).to_vec());
+                        let mut bag = Vec::new();
+                        entry.dict_words(old, &mut bag);
+                        kept_bags.push(bag);
                         next
                     });
                 }
@@ -892,7 +1037,7 @@ impl Store {
                 records.push(StoreRecord::Bags {
                     hash,
                     digest,
-                    universe: entry.num_vertices as u64,
+                    universe: entry.num_vertices() as u64,
                     bags: kept_bags,
                 });
             }

@@ -82,6 +82,17 @@ fn put_shw(store: &mut Store, h: &Hypergraph) -> (usize, ArenaSnapshot, Vec<(Opt
     (w, snapshot, nodes)
 }
 
+/// `Store::stats` reports `results` and `dict_bags` from running totals
+/// (it runs under the store mutex on every `STATS`); the walk over the
+/// per-schema summaries is what they must equal.
+fn assert_totals_equal_the_walk(store: &Store, at: &str) {
+    let (stats, schemas) = (store.stats(), store.schemas());
+    let walk =
+        |of: fn(&softhw_store::SchemaSummary) -> usize| schemas.iter().map(of).sum::<usize>();
+    assert_eq!(stats.results, walk(|s| s.results), "{at}: results");
+    assert_eq!(stats.dict_bags, walk(|s| s.dict_bags), "{at}: dict_bags");
+}
+
 fn expect_width(
     store: &mut Store,
     h: &Hypergraph,
@@ -96,7 +107,14 @@ fn expect_width(
 #[test]
 fn puts_survive_reopen_byte_identical() {
     let tmp = TempStore::new("reopen");
-    let graphs = [named::h2(), named::cycle(6), named::grid(3, 3)];
+    // The 70-vertex path has two-word sets, nine bytes each resident: the
+    // index keeps sets byte-packed, and must hand them back whole.
+    let graphs = [
+        named::h2(),
+        named::cycle(6),
+        named::grid(3, 3),
+        named::grid(1, 70),
+    ];
     let mut framed = Vec::new();
     {
         let mut store = Store::open(&tmp.path).expect("open fresh");
@@ -107,12 +125,16 @@ fn puts_survive_reopen_byte_identical() {
             store
                 .put(h, ClassKey::ShwLeq(0), &[], PutAnswer::No)
                 .expect("put no");
+            assert_totals_equal_the_walk(&store, "after a put");
         }
+        assert_eq!(store.stats().results, 2 * graphs.len());
         store.sync().expect("sync");
     }
     let mut store = Store::open(&tmp.path).expect("reopen");
     assert_eq!(store.stats().recovered_bytes, 0);
     assert_eq!(store.stats().schemas, graphs.len());
+    assert_eq!(store.stats().results, 2 * graphs.len());
+    assert_totals_equal_the_walk(&store, "after reopen");
     for (h, (w, snapshot, nodes)) in graphs.iter().zip(&framed) {
         let (rw, rsnap, rnodes) = expect_width(&mut store, h);
         // Byte-identical to what was framed before the restart.
@@ -159,6 +181,7 @@ fn shared_dictionary_dedups_across_records() {
         )
         .expect("put");
     assert_eq!(store.stats().dict_bags, bags_after_first);
+    assert_totals_equal_the_walk(&store, "after a deduplicated put");
     // The second record is cheap: no schema, no bags, just the node
     // table and framing.
     assert!(store.stats().bytes - before_bytes < before_bytes);
@@ -283,15 +306,18 @@ fn torn_tail_truncates_to_last_valid_record() {
         let mut store = Store::open(&tmp.path).expect("recovering open");
         assert!(store.stats().recovered_bytes > 0, "cut {cut}");
         assert!(store.verify().is_empty(), "cut {cut}: {:?}", store.verify());
+        assert_totals_equal_the_walk(&store, "after torn-tail recovery");
         // The file was physically truncated to the valid prefix, and a
         // fresh put + reopen works on top of it.
         let disk = std::fs::read(&tmp.path).unwrap();
         assert!(disk.len() <= cut);
         put_shw(&mut store, &named::cycle(6));
+        assert_totals_equal_the_walk(&store, "after a put on the recovered prefix");
         store.sync().expect("sync");
         drop(store);
         let mut store = Store::open(&tmp.path).expect("reopen after repair");
         assert_eq!(store.stats().recovered_bytes, 0, "cut {cut}");
+        assert_totals_equal_the_walk(&store, "after reopening the repaired log");
         let (w, _, _) = expect_width(&mut store, &named::cycle(6));
         assert_eq!(w, shw::shw(&named::cycle(6)).0);
     }
@@ -331,6 +357,7 @@ fn bit_flips_are_rejected_never_trusted() {
             "trial {trial}: flip at byte {byte} went undetected"
         );
         assert!(store.verify().is_empty(), "trial {trial}");
+        assert_totals_equal_the_walk(&store, "after bit-flip recovery");
         for h in &graphs {
             let (hash, digest) = schema_key(h);
             if let Some(hit) = store.get(hash, digest, &ClassKey::Shw) {
@@ -359,6 +386,10 @@ fn compaction_drops_superseded_results_and_preserves_live_state() {
         .put(&h, ClassKey::HwLeq(1), &[], PutAnswer::No)
         .expect("put");
     store.sync().expect("sync");
+    // Twenty supersessions are one live result; their orphaned
+    // dictionary bags stay counted until compaction drops them.
+    assert_eq!(store.stats().results, 3);
+    assert_totals_equal_the_walk(&store, "after supersessions");
     let live_before: Vec<_> = {
         let (hash, digest) = schema_key(&h);
         store.results_for(hash, digest)
@@ -369,6 +400,8 @@ fn compaction_drops_superseded_results_and_preserves_live_state() {
         "compaction must shrink: {before} -> {after}"
     );
     assert!(store.verify().is_empty(), "{:?}", store.verify());
+    assert_eq!(store.stats().results, 3);
+    assert_totals_equal_the_walk(&store, "after compaction");
     // Live results survive with identical materialised frames (ids are
     // remapped on disk, but the dense first-occurrence framing is
     // canonical, so the frames compare equal).
@@ -401,6 +434,7 @@ fn compaction_drops_superseded_results_and_preserves_live_state() {
     let mut store = Store::open(&tmp.path).expect("reopen");
     assert_eq!(store.stats().recovered_bytes, 0);
     assert_eq!(store.stats().schemas, 2);
+    assert_totals_equal_the_walk(&store, "after reopening the compacted log");
     let (w, _, _) = expect_width(&mut store, &h);
     assert_eq!(w, shw::shw(&h).0);
 }
@@ -418,4 +452,35 @@ fn digest_guards_against_hash_collisions() {
     assert!(store.get(hash, digest, &ClassKey::Shw).is_some());
     let s = store.stats();
     assert_eq!((s.hits, s.misses), (1, 1));
+}
+
+#[test]
+fn sets_outside_the_universe_are_refused_not_truncated() {
+    // The resident index keeps a set's low `ceil(|V|/8)` bytes. A bag
+    // with an element past them cannot be a bag of this schema; storing
+    // its truncation would serve a different witness than was put.
+    let tmp = TempStore::new("universe");
+    let h = named::h2();
+    let mut store = Store::open(&tmp.path).expect("open");
+    put_shw(&mut store, &h);
+    let before = (store.stats().bytes, store.stats().dict_bags);
+    let stray = ArenaSnapshot {
+        universe: h.num_vertices(),
+        storage: vec![1 << 40],
+    };
+    let frame = FrameRef {
+        universe: h.num_vertices(),
+        snapshot: &stray,
+        nodes: &[(None, 0)],
+    };
+    let refused = store.put(&h, ClassKey::ShwLeq(9), &[], PutAnswer::Yes(frame));
+    assert_eq!(
+        refused.map_err(|e| e.kind()),
+        Err(std::io::ErrorKind::InvalidInput)
+    );
+    assert_eq!((store.stats().bytes, store.stats().dict_bags), before);
+    let (hash, digest) = schema_key(&h);
+    assert!(store.get(hash, digest, &ClassKey::ShwLeq(9)).is_none());
+    assert_totals_equal_the_walk(&store, "after a refused put");
+    assert!(store.verify().is_empty(), "{:?}", store.verify());
 }
