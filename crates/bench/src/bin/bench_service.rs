@@ -382,21 +382,7 @@ fn main() {
         match roundtrip(&mut stream, &Request::new(RequestClass::Metrics, ""))
             .expect("metrics roundtrip")
         {
-            Response::Metrics { lines } => {
-                let mut rows = stage_series(&lines);
-                // The memory stat rides along: resident bytes per
-                // cached schema, picked up by bench_trend's memory
-                // table so cache-footprint growth is tracked across
-                // baselines like the timing rows.
-                if let Some(v) = lines.iter().find_map(|l| {
-                    l.strip_prefix("softhw_bytes_per_cached_schema ")
-                        .and_then(|v| v.trim().parse::<f64>().ok())
-                }) {
-                    println!("service/bytes_per_cached_schema {v:.0} bytes");
-                    rows.push(("service/bytes_per_cached_schema_bytes".to_string(), v));
-                }
-                rows
-            }
+            Response::Metrics { lines } => stage_series(&lines),
             other => panic!("expected a METRICS response, got {other:?}"),
         }
     };

@@ -2,8 +2,8 @@
 //! chronological (argument) order and emits a markdown table per
 //! benchmark entry, with the speedup of the newest baseline over the
 //! oldest one that records the entry. Memory entries (names carrying
-//! `bytes`, e.g. `service/bytes_per_cached_schema_bytes` from
-//! `bench_service`'s METRICS scrape) get their own table with a growth
+//! `bytes`, e.g. the `service/bytes_per_cached_schema_bytes` row the
+//! committed baselines up to PR 8 carry) get their own table with a growth
 //! column instead of a speedup — bigger is not better there, so they
 //! must not dilute the timing table. CI runs this over all committed
 //! baselines plus the fresh smoke run and uploads the result as an

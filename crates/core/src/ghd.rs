@@ -21,16 +21,6 @@ impl Ghd {
         self.lambdas.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Approximate heap footprint in bytes (tree plus λ lists).
-    pub fn approx_bytes(&self) -> u64 {
-        self.td.approx_bytes()
-            + self
-                .lambdas
-                .iter()
-                .map(|l| (l.capacity() * 8 + std::mem::size_of::<Vec<usize>>()) as u64)
-                .sum::<u64>()
-    }
-
     /// Validates the GHD conditions: the underlying TD is valid and
     /// `B(u) ⊆ ⋃λ(u)` for every node.
     pub fn validate(&self, h: &Hypergraph) -> Result<(), TdError> {

@@ -9,8 +9,8 @@
 //! - [`td`], [`ghd`]: (generalised) hypertree decompositions and checks (§2)
 //! - [`ctd`]: blocks, bases, Algorithm 1 on the worklist DP engine (§3)
 //! - [`cache`]: cross-query decomposition cache (structural-hash keyed
-//!   warm indexes + width-decision memoisation) behind three methods:
-//!   `solve`, `import`, `export`
+//!   warm indexes + width-decision memoisation under one LRU) behind
+//!   `solve`
 //! - [`spec`]: the unified [`SolveSpec`] request surface consumed by
 //!   [`cache::DecompCache::solve`] — the front door over every
 //!   (class × exactness × budget × reduction) corner

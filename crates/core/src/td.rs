@@ -107,23 +107,6 @@ impl TreeDecomposition {
         }
     }
 
-    /// Approximate heap footprint in bytes: bag bitsets plus the tree
-    /// arrays. Feeds the service's `bytes_per_cached_schema` stat.
-    pub fn approx_bytes(&self) -> u64 {
-        let bags: usize = self
-            .bags
-            .iter()
-            .map(|b| b.num_blocks() * 8 + std::mem::size_of::<BitSet>())
-            .sum();
-        let tree = self.parent.capacity() * std::mem::size_of::<Option<usize>>()
-            + self
-                .children
-                .iter()
-                .map(|c| c.capacity() * 8 + std::mem::size_of::<Vec<usize>>())
-                .sum::<usize>();
-        (bags + tree + std::mem::size_of::<Self>()) as u64
-    }
-
     /// Inserts vertex `v` into the bag of node `u`.
     ///
     /// The caller is responsible for keeping the decomposition valid;

@@ -82,14 +82,6 @@ impl BagArena {
         self.storage.is_empty()
     }
 
-    /// Approximate heap footprint in bytes (packed bag storage plus the
-    /// open-addressing id table). Feeds the service's
-    /// `bytes_per_cached_schema` memory stat.
-    pub fn approx_bytes(&self) -> u64 {
-        (self.storage.capacity() * 8 + self.table.capacity() * 4) as u64
-            + std::mem::size_of::<Self>() as u64
-    }
-
     /// The packed words of bag `id`.
     #[inline]
     pub fn words(&self, id: BagId) -> &[u64] {

@@ -290,27 +290,6 @@ impl BlockIndex {
         }
     }
 
-    /// Approximate heap footprint in bytes: the owned hypergraph, the
-    /// arena, the flat adjacency, the block-row table with its flat
-    /// separator map, and the pass scratch. Feeds the service's
-    /// `bytes_per_cached_schema` stat.
-    pub fn approx_bytes(&self) -> u64 {
-        let s = &self.scratch;
-        let words = self.adj.capacity()
-            + s.seen.capacity()
-            + s.delta.capacity()
-            + s.region.capacity()
-            + s.seeds.capacity()
-            + s.cand.capacity()
-            + s.comp.capacity()
-            + s.frontier.capacity()
-            + s.acc.capacity();
-        let rows = self.row_data.capacity() * std::mem::size_of::<(BagId, BagId)>()
-            + s.pending.capacity() * std::mem::size_of::<(u32, BagId, BagId)>()
-            + self.row_cache.capacity() * std::mem::size_of::<SliceRange>();
-        self.h.approx_bytes() + self.arena.approx_bytes() + (words * 8 + rows) as u64
-    }
-
     /// The hypergraph this index serves.
     #[inline]
     pub fn hypergraph(&self) -> &Hypergraph {

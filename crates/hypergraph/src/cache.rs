@@ -1,15 +1,14 @@
 //! Cross-query decomposition cache keyed by structural hypergraph hash.
 //!
 //! Repeated workloads — the `shw` width sweep re-run per query, a
-//! `table1`-style harness decomposing the same schema many times, a
-//! service answering many queries over one database — keep presenting the
-//! same hypergraph to the solvers. Before this cache, every call rebuilt
-//! a [`BlockIndex`] from scratch and re-ran the `[S]`-component BFS for
-//! every candidate bag. The [`IndexCache`] interns hypergraphs by their
-//! *canonical edge list* (the sorted packed edge bitsets plus the vertex
-//! count) and keeps one warm [`BlockIndex`] — arena, components, blocks,
-//! unions — per structurally distinct hypergraph, so the second query
-//! over a schema pays only a hash probe.
+//! `table1`-style harness decomposing the same schema many times — keep
+//! presenting the same hypergraph to the solvers. Before this cache,
+//! every call rebuilt a [`BlockIndex`] from scratch and re-ran the
+//! `[S]`-component BFS for every candidate bag. The [`IndexCache`]
+//! interns hypergraphs by their *canonical edge list* (the sorted packed
+//! edge bitsets plus the vertex count) and keeps one warm [`BlockIndex`]
+//! — arena, components, blocks, unions — per structurally distinct
+//! hypergraph, so the second query over a schema pays only a hash probe.
 //!
 //! Hash collisions are handled, not assumed away: each entry stores its
 //! canonical form and a probe compares it before declaring a hit.
@@ -75,14 +74,6 @@ pub struct IndexCacheStats {
 struct Entry {
     canon: Vec<u64>,
     index: BlockIndex,
-    /// What this entry last contributed to [`IndexCache::approx_bytes`].
-    measured: u64,
-}
-
-impl Entry {
-    fn bytes(&self) -> u64 {
-        self.canon.capacity() as u64 * 8 + self.index.approx_bytes()
-    }
 }
 
 /// A cache of warm [`BlockIndex`]es keyed by [`structural_hash`].
@@ -90,9 +81,6 @@ impl Entry {
 pub struct IndexCache {
     entries: FxHashMap<u64, Vec<Entry>>,
     stats: IndexCacheStats,
-    /// Σ [`Entry::measured`]: the running total behind
-    /// [`IndexCache::approx_bytes`].
-    bytes: u64,
 }
 
 impl IndexCache {
@@ -109,6 +97,12 @@ impl IndexCache {
     /// True iff no hypergraph has been cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The structural hashes that currently hold an index (the keys
+    /// [`IndexCache::remove`] takes), in no particular order.
+    pub fn hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.keys().copied()
     }
 
     /// Cache statistics so far.
@@ -130,43 +124,12 @@ impl IndexCache {
         }
         self.stats.misses += 1;
         let _span = softhw_obs::span(softhw_obs::stage::INDEX_BUILD);
-        let mut entry = Entry {
+        bucket.push(Entry {
             canon,
             index: BlockIndex::from_arc(Arc::new(h.clone())),
-            measured: 0,
-        };
-        entry.measured = entry.bytes();
-        self.bytes += entry.measured;
-        bucket.push(entry);
+        });
         let last = bucket.len() - 1;
         (key, &mut bucket[last].index)
-    }
-
-    /// Approximate heap footprint in bytes of every cached entry
-    /// (canonical forms plus warm indexes), in O(1): a running total of
-    /// what each entry measured when it was built or last passed to
-    /// [`IndexCache::remeasure`]. An index grows through the `&mut`
-    /// that [`IndexCache::entry`] hands out, so whoever used one
-    /// re-measures its hash afterwards.
-    pub fn approx_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Re-measures the entries stored under `hash` and folds the change
-    /// into [`IndexCache::approx_bytes`] (a no-op for an unknown hash).
-    pub fn remeasure(&mut self, hash: u64) {
-        for entry in self.entries.get_mut(&hash).into_iter().flatten() {
-            let now = entry.bytes();
-            self.bytes = self.bytes - entry.measured + now;
-            entry.measured = now;
-        }
-    }
-
-    /// [`IndexCache::approx_bytes`] recomputed by walking every entry:
-    /// the oracle the running total is tested against.
-    pub fn approx_bytes_walk(&self) -> u64 {
-        let entries = self.entries.values().flatten();
-        entries.map(Entry::bytes).sum()
     }
 
     /// Drops every index stored under structural hash `hash`, returning
@@ -175,11 +138,7 @@ impl IndexCache {
     /// `DecompCache`); hash-colliding entries share a bucket and are
     /// evicted together, which is sound — a future probe simply rebuilds.
     pub fn remove(&mut self, hash: u64) -> bool {
-        let Some(bucket) = self.entries.remove(&hash) else {
-            return false;
-        };
-        self.bytes -= bucket.iter().map(|e| e.measured).sum::<u64>();
-        true
+        self.entries.remove(&hash).is_some()
     }
 }
 
@@ -227,36 +186,6 @@ mod tests {
         let sid = idx.intern(&sep);
         idx.block_rows(sid);
         assert_eq!(idx.stats().hits, before.hits + 1);
-    }
-
-    #[test]
-    fn running_byte_total_follows_growth_and_removal() {
-        let mut cache = IndexCache::new();
-        let (h, other) = (named::cycle(6), named::h2());
-        let (hash, idx) = cache.entry(&h);
-        let fresh = idx.approx_bytes();
-        assert_eq!(cache.approx_bytes(), cache.approx_bytes_walk());
-        // Grow the index through the handed-out `&mut`: the total is
-        // the last measurement until the hash is re-measured.
-        let (_, idx) = cache.entry(&h);
-        for pair in [["v0", "v3"], ["v1", "v4"], ["v2", "v5"]] {
-            let sid = idx.intern(&h.vset(&pair));
-            idx.block_rows(sid);
-        }
-        assert!(idx.approx_bytes() > fresh);
-        assert!(cache.approx_bytes() < cache.approx_bytes_walk());
-        cache.remeasure(hash);
-        assert_eq!(cache.approx_bytes(), cache.approx_bytes_walk());
-        // A second entry adds itself; removing the first subtracts
-        // exactly what it was measured at.
-        let (_, second) = cache.entry(&other);
-        let second = second.approx_bytes();
-        assert_eq!(cache.approx_bytes(), cache.approx_bytes_walk());
-        assert!(cache.remove(hash));
-        assert_eq!(cache.approx_bytes(), cache.approx_bytes_walk());
-        assert!(cache.approx_bytes() >= second);
-        cache.remeasure(hash); // unknown hash: a no-op
-        assert_eq!(cache.approx_bytes(), cache.approx_bytes_walk());
     }
 
     #[test]

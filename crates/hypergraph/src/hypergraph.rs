@@ -35,30 +35,6 @@ impl Hypergraph {
         self.edges.len()
     }
 
-    /// Approximate heap footprint in bytes: names, edge bitsets,
-    /// incidence lists, and the Gaifman adjacency. Feeds the service's
-    /// `bytes_per_cached_schema` memory stat.
-    pub fn approx_bytes(&self) -> u64 {
-        let names: usize = self
-            .vertex_names
-            .iter()
-            .chain(self.edge_names.iter())
-            .map(|n| n.capacity() + std::mem::size_of::<String>())
-            .sum();
-        let edges: usize = self
-            .edges
-            .iter()
-            .chain(self.adjacency.iter())
-            .map(|b| b.num_blocks() * 8 + std::mem::size_of::<BitSet>())
-            .sum();
-        let incidence: usize = self
-            .incidence
-            .iter()
-            .map(|i| i.capacity() * 8 + std::mem::size_of::<Vec<usize>>())
-            .sum();
-        (names + edges + incidence + std::mem::size_of::<Self>()) as u64
-    }
-
     /// The vertex set of edge `e`.
     #[inline]
     pub fn edge(&self, e: usize) -> &BitSet {

@@ -107,31 +107,6 @@ impl Reduction {
     pub fn is_trivial(&self) -> bool {
         self.events.is_empty() && self.pieces.len() <= 1
     }
-
-    /// Approximate heap footprint in bytes: event bitsets, piece
-    /// hypergraphs, and id maps. Feeds the service's
-    /// `bytes_per_cached_schema` memory stat.
-    pub fn approx_bytes(&self) -> u64 {
-        let events: u64 = self
-            .events
-            .iter()
-            .map(|e| {
-                let set = match e {
-                    ReduceEvent::Drop { set, .. } => set,
-                    ReduceEvent::Peel { host_before, .. } => host_before,
-                };
-                (set.num_blocks() * 8 + std::mem::size_of::<ReduceEvent>()) as u64
-            })
-            .sum();
-        let pieces: u64 = self
-            .pieces
-            .iter()
-            .map(|p| {
-                p.h.approx_bytes() + ((p.vertex_map.capacity() + p.edge_map.capacity()) * 8) as u64
-            })
-            .sum();
-        events + pieces + std::mem::size_of::<Self>() as u64
-    }
 }
 
 /// Runs the simplification pipeline on `h` to fixpoint and splits the

@@ -14,20 +14,18 @@
 //!   ([`wire::TdFrame`], built on
 //!   [`ArenaSnapshot`](softhw_hypergraph::ArenaSnapshot)).
 //! - [`state`]: the shared handler state behind one entry point,
-//!   [`ServiceState::handle`] — a bank of
-//!   [`DecompCache`](softhw_core::DecompCache) stripes routed by the
-//!   schema's structural hash (the one hash a request computes; it also
-//!   keys the result cache and the store), so repeated schemas hit warm
-//!   indexes and width decisions while distinct schemas proceed
-//!   concurrently. A repeated request is parse, hash, one result-cache
-//!   probe: reduction and everything after it run on a miss only.
-//!   Fronted by a per-stripe result cache and, with `--store`, by the
-//!   disk-backed [`softhw_store::Store`]: persisted witnesses are
-//!   re-validated before they are served, fresh results are persisted
-//!   write-behind, and boot warm-starts (and pins) the hottest stored
-//!   schemas. Two private modules carry its halves: `persist` (the
-//!   store attachment) and `metrics` (the registry and the `STATS` /
-//!   `METRICS` / slow-ring rendering).
+//!   [`ServiceState::handle`] — a bank of result-cache stripes routed
+//!   by the schema's structural hash (the one hash a request computes;
+//!   it also keys the store), the service's one in-memory tier. A
+//!   repeated request is parse, hash, one result-cache probe; with
+//!   `--store`, a miss probes the disk-backed [`softhw_store::Store`]
+//!   (persisted witnesses are re-validated before they are served,
+//!   fresh results are persisted write-behind, and boot warm-starts the
+//!   result caches from the hottest stored schemas); a miss on both
+//!   solves on a [`DecompCache`](softhw_core::DecompCache) that lives
+//!   for that one request. Two private modules carry its halves:
+//!   `persist` (the store attachment) and `metrics` (the registry and
+//!   the `STATS` / `METRICS` / slow-ring rendering).
 //! - [`server`]: the `poll(2)` event loop and worker pool (std threads
 //!   only, like the rest of the workspace) — the one serving path.
 //!
@@ -35,8 +33,8 @@
 //! generation limits, and internal inconsistencies all produce `ERR`
 //! responses — the process never dies on request content. Concurrency
 //! correctness is property-tested: under simultaneous mixed-schema
-//! traffic the responses are bit-identical to a single-threaded replay
-//! of each stripe's processing order (`tests/service_props.rs`).
+//! traffic every response is bit-identical to what a fresh server
+//! answers that one request (`tests/service_props.rs`).
 
 #![warn(missing_docs)]
 

@@ -6,7 +6,7 @@
 //! the shared counters from one `metric_registry`, so the two surfaces
 //! cannot drift.
 
-use crate::state::{ServiceConfig, ServiceState, Stripe};
+use crate::state::{ResultCache, ServiceConfig, ServiceState};
 use crate::wire::Response;
 use softhw_hypergraph::{stats, Hypergraph};
 use softhw_obs::{stage, Histogram, SlowEntry, SlowRing};
@@ -92,34 +92,23 @@ impl ServiceObs {
 /// request the stripe serves, so `STATS`/`METRICS` handlers on other
 /// stripes report all of them without taking this stripe's lock. These
 /// are cross-stripe *observability* values, not part of any response
-/// determinism contract. A refresh is five relaxed stores of values the
-/// stripe already holds — the cache's byte figure is its running total
-/// ([`softhw_core::DecompCache::approx_bytes`]), never a walk — so it
-/// costs a result-cache hit nothing that grows with what is cached.
+/// determinism contract. A refresh is two relaxed stores of values the
+/// stripe already holds, so it costs a result-cache hit nothing that
+/// grows with what is cached.
 #[derive(Default)]
 pub(crate) struct StripeMirror {
     /// Requests routed to the stripe (monotonic, bumped before its lock
     /// is taken).
     pub(crate) load: AtomicU64,
-    /// The stripe's `DecompCache` eviction counter.
-    evictions: AtomicU64,
     /// The stripe's result-cache hit/miss counters.
     pub(crate) result_hits: AtomicU64,
     result_misses: AtomicU64,
-    /// The stripe's approximate cache heap bytes and tracked-schema
-    /// count (the two halves of `bytes_per_cached_schema`).
-    bytes: AtomicU64,
-    tracked: AtomicU64,
 }
 
 impl StripeMirror {
-    pub(crate) fn record(&self, stripe: &Stripe) {
-        let set = |counter: &AtomicU64, value: u64| counter.store(value, Ordering::Relaxed);
-        set(&self.evictions, stripe.cache.stats().evictions);
-        set(&self.result_hits, stripe.results.hits);
-        set(&self.result_misses, stripe.results.misses);
-        set(&self.bytes, stripe.cache.approx_bytes());
-        set(&self.tracked, stripe.cache.tracked_graphs() as u64);
+    pub(crate) fn record(&self, results: &ResultCache) {
+        self.result_hits.store(results.hits, Ordering::Relaxed);
+        self.result_misses.store(results.misses, Ordering::Relaxed);
     }
 }
 
@@ -212,27 +201,21 @@ impl ServiceState {
         }
     }
 
-    /// Assembles the `STATS` response: structural stats and the routed
-    /// stripe's solver-cache counters (deterministic per stripe
-    /// history), then the cross-stripe observability rows — per-stripe
-    /// load, eviction counts, result-cache hit/miss — and, when a store
-    /// is attached, the store hit/size rows. The frame stays
-    /// backward-parseable: old clients read `key=value` fields
-    /// generically and simply see more of them.
-    pub(crate) fn stats_response(
-        &self,
-        h: &Hypergraph,
-        idx: usize,
-        stripe: &mut Stripe,
-    ) -> Response {
+    /// Assembles the `STATS` response: structural stats of the schema,
+    /// what the reduction pipeline does to it and the stripe it routes
+    /// to (a function of the schema alone), then the cross-stripe
+    /// observability rows — per-stripe load, result-cache hit/miss — and,
+    /// when a store is attached, the store hit/size rows. The frame
+    /// stays backward-parseable: clients read `key=value` fields
+    /// generically, and a row that is gone reads as absent.
+    pub(crate) fn stats_response(&self, h: &Hypergraph, idx: usize) -> Response {
         let s = stats::stats(h);
-        let c = stripe.cache.stats();
         // What the reduce-before-solve pipeline does to this schema.
         // Reported identically with and without `--no-reduce` (the
         // reduction is computed either way; the flag only stops the
         // solvers from acting on it), so answers stay byte-comparable
         // across the two modes.
-        let red = stripe.cache.reduction(h);
+        let red = softhw_hypergraph::reduce(h);
         let list = |counter: fn(&StripeMirror) -> &AtomicU64| {
             let per_stripe = self.mirrors.iter();
             per_stripe
@@ -257,19 +240,8 @@ impl ServiceState {
                 "reduce_components".to_string(),
                 red.stats.components.to_string(),
             ),
-            (
-                "tracked".to_string(),
-                stripe.cache.tracked_graphs().to_string(),
-            ),
-            ("result_hits".to_string(), c.result_hits.to_string()),
-            ("evictions".to_string(), c.evictions.to_string()),
             ("stripe".to_string(), idx.to_string()),
-            (
-                "pinned".to_string(),
-                stripe.cache.pinned_count().to_string(),
-            ),
             ("stripe_load".to_string(), list(|m| &m.load)),
-            ("stripe_evictions".to_string(), list(|m| &m.evictions)),
             ("result_cache_hits".to_string(), list(|m| &m.result_hits)),
             (
                 "result_cache_misses".to_string(),
@@ -355,12 +327,6 @@ impl ServiceState {
                 self.batch_requests.load(Ordering::Relaxed),
             ),
             m(
-                "softhw_bytes_per_cached_schema",
-                "bytes_per_cached_schema",
-                MetricKind::Gauge,
-                self.bytes_per_cached_schema(),
-            ),
-            m(
                 "softhw_store_index_bytes",
                 "store_index_bytes",
                 MetricKind::Gauge,
@@ -369,18 +335,6 @@ impl ServiceState {
                     .map_or(0, |handle| handle.index_bytes.load(Ordering::Relaxed)),
             ),
         ]
-    }
-
-    /// Approximate cache heap bytes per tracked schema, summed across
-    /// the stripe mirrors (`0` with nothing cached). The succinctness
-    /// headline stat: how much memory one warm schema costs.
-    fn bytes_per_cached_schema(&self) -> u64 {
-        let sum = |counter: fn(&StripeMirror) -> &AtomicU64| -> u64 {
-            let per_stripe = self.mirrors.iter();
-            per_stripe.map(|m| counter(m).load(Ordering::Relaxed)).sum()
-        };
-        let (bytes, tracked) = (sum(|m| &m.bytes), sum(|m| &m.tracked));
-        bytes.checked_div(tracked).unwrap_or(0)
     }
 
     /// Assembles the `METRICS` exposition: the registry counters and

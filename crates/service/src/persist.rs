@@ -1,15 +1,13 @@
 //! The persistent-store attachment of a [`ServiceState`]: the
 //! write-behind persister thread and its channel, boot-time warm start,
-//! and the two trust boundaries — a stored hit is rebuilt into a
+//! and the one trust boundary — a stored hit is rebuilt into a
 //! [`Response`] only after its witness **re-validates against the
-//! schema** ([`response_from_hit`]), and what it implies is mirrored
-//! into the stripe's [`DecompCache`] through the re-validating
-//! [`DecompCache::import`] ([`import_decisions`]).
+//! schema** ([`response_from_hit`]), once, whether it is served to a
+//! live request or preloaded at boot.
 
 use crate::state::{ServiceConfig, ServiceState};
 use crate::wire::{Response, TdFrame};
 use softhw_core::ghd::Ghd;
-use softhw_core::{DecompCache, SolveClass};
 use softhw_hypergraph::Hypergraph;
 use softhw_store::{ClassKey, FrameOwned, FrameRef, HitAnswer, PutAnswer, Store, StoreHit};
 use std::io;
@@ -162,9 +160,9 @@ fn sync_unlocked(store: &Arc<Mutex<Store>>) -> io::Result<()> {
 }
 
 impl ServiceState {
-    /// State backed by an open [`Store`]: warm-starts the stripe caches
-    /// from the hottest `config.warm_start` schemas (pinning them if
-    /// `config.pin_warm`), then spawns the write-behind persister.
+    /// State backed by an open [`Store`]: warm-starts the result caches
+    /// from the hottest `config.warm_start` schemas, then spawns the
+    /// write-behind persister.
     pub fn with_store(config: ServiceConfig, mut store: Store) -> ServiceState {
         let mut state = ServiceState::new(config);
         let warmed = state.warm_start(&mut store);
@@ -221,10 +219,8 @@ impl ServiceState {
     /// Preloads the hottest stored schemas: for each, the persisted
     /// responses (witnesses re-validated first) go into the result cache
     /// of the stripe its stored hash routes to — the stripe a live
-    /// request for it will lock, found without reducing anything —
-    /// width decisions are imported into that stripe's [`DecompCache`],
-    /// and the schema is pinned. Returns how many results were
-    /// preloaded.
+    /// request for it will lock, found without reducing anything.
+    /// Returns how many results were preloaded.
     fn warm_start(&mut self, store: &mut Store) -> u64 {
         let mut warmed = 0u64;
         for (hash, digest) in store.hottest(self.config.warm_start) {
@@ -234,60 +230,17 @@ impl ServiceState {
             if softhw_store::schema_key(&h) != (hash, digest) {
                 continue; // stored structure does not hash back: distrust it
             }
-            let Some(mut stripe) = self.lock_stripe(self.stripe_of(hash)) else {
+            let Some(mut results) = self.lock_stripe(self.stripe_of(hash)) else {
                 continue;
             };
-            let mut any = false;
             for (key, hit) in store.results_for(hash, digest) {
-                let Some(resp) = response_from_hit(&key, &hit, &h) else {
-                    continue;
-                };
-                import_decisions(&mut stripe.cache, &h, &key, &resp);
-                stripe.results.insert((hash, digest, key), resp);
-                warmed += 1;
-                any = true;
-            }
-            if any && self.config.pin_warm {
-                stripe.cache.pin(hash);
+                if let Some(resp) = response_from_hit(&key, &hit, &h) {
+                    results.insert((hash, digest, key), resp);
+                    warmed += 1;
+                }
             }
         }
         warmed
-    }
-}
-
-/// Mirrors a store-served response into the stripe's [`DecompCache`],
-/// so later *related* requests see exactly the decision state the
-/// solver path would have left behind — this is what keeps replayed
-/// request sets byte-identical when some requests hit the store and
-/// others (say, after a corrupted record) recompute. An exact-width
-/// answer implies the solver's sweep also rejected every smaller
-/// width, so those negative decisions are imported too. Imports
-/// re-validate witnesses themselves and never clobber live state.
-pub(crate) fn import_decisions(
-    cache: &mut DecompCache,
-    h: &Hypergraph,
-    key: &ClassKey,
-    resp: &Response,
-) {
-    let clamp = |k: u64| (k as usize).min(h.num_edges());
-    let (class, exact, k, frame) = match (key, resp) {
-        (ClassKey::Shw, Response::Width { width, td, .. }) => {
-            (SolveClass::Shw, true, *width, Some(td))
-        }
-        (ClassKey::Hw, Response::Width { width, td, .. }) => {
-            (SolveClass::Hw, true, *width, Some(td))
-        }
-        (ClassKey::ShwLeq(k), Response::Decision { td, .. }) => {
-            (SolveClass::Shw, false, clamp(*k), td.as_ref())
-        }
-        (ClassKey::HwLeq(k), Response::Decision { td, .. }) => {
-            (SolveClass::Hw, false, clamp(*k), td.as_ref())
-        }
-        _ => return, // BEST answers live in the result cache only
-    };
-    // A frame that does not decode imports nothing.
-    if let Ok(witness) = frame.map(TdFrame::to_td).transpose() {
-        cache.import(h, class, exact, k, witness);
     }
 }
 

@@ -503,7 +503,6 @@ fn execute(lines: &[String], state: &ServiceState, drain: &Drain, trace: u64) ->
         budget.cancel();
     }
     let ctx = RequestCtx {
-        tag: None,
         budget: Some(budget),
         trace: Some(trace),
     };

@@ -1,36 +1,24 @@
-//! Request handling against a striped cross-query cache, fronted by an
-//! exact result cache and (optionally) the persistent decomposition
-//! store.
+//! Request handling: an exact result cache, (optionally) the persistent
+//! decomposition store, and a solver run that lives for one request.
 //!
 //! Everything enters through one method,
 //! [`ServiceState::handle`]`(&WireRequest, &RequestCtx)`: a single
-//! request or a `BATCH`, with its stripe-log tag, budget and trace id
-//! in the context.
+//! request or a `BATCH`, with its budget and trace id in the context.
 //!
 //! The state the service shares across connections is a bank of
-//! [`DecompCache`]s ("stripes"), each behind its own mutex. A request's
+//! result caches ("stripes"), each behind its own mutex. A request's
 //! schema is parsed and hashed once — the structural hash of its
 //! canonical form, the same hash that keys the result cache and the
 //! store — and routed to stripe `hash mod stripes`: requests over the
-//! *same* schema always meet the same warm cache (index, reductions,
-//! width decisions), while requests over different schemas almost
-//! always run concurrently on different stripes. A schema and its
-//! pre-reduced core are different schemas to the router: where they
-//! meet on one stripe its [`DecompCache`] shares their piece-level
-//! entries, where they do not the second costs one extra cold solve.
-//! Within one stripe the mutex serialises handlers, and every cached
-//! entry point is deterministic, so the response to a request depends
-//! only on the sequence of requests its stripe processed before it —
-//! which is what the concurrency property test replays and checks,
-//! response for response.
-//! An exact width is a sweep over the per-width decisions, so a width
-//! decision itself depends only on `(schema, k)`: `SHW` and `SHW_LEQ k`
-//! fill and read the same memo entries, in either order.
+//! *same* schema always meet the same result cache (and a second
+//! identical request waits for the first one's answer instead of
+//! solving beside it), while requests over different schemas almost
+//! always run concurrently on different stripes.
 //!
-//! Layered in front of the solver caches (all consulted under the same
-//! stripe lock, so the determinism argument is unchanged):
+//! A request is answered by the first of two layers that has it, both
+//! consulted under its stripe's lock, and solved otherwise:
 //!
-//! 1. a per-stripe **result cache** keyed by `(structural hash,
+//! 1. the per-stripe **result cache** keyed by `(structural hash,
 //!    canonical digest, request class)`, holding fully-formed
 //!    [`Response`]s — a repeated request is parse, one hash, one probe:
 //!    no reduction, no solver call, no walk over anything cached (the
@@ -42,17 +30,25 @@
 //!    treated as a miss and recomputed cold, byte-identical. Fresh
 //!    results are persisted through a **write-behind channel** to a
 //!    dedicated thread that batches fsyncs off the request path.
-//!    At boot, [`ServiceState::with_store`] **warm-starts** the stripe
-//!    caches from the hottest stored schemas and *pins* them
-//!    ([`DecompCache::pin`]) so eviction storms cannot thrash the head
-//!    of the traffic distribution.
+//!    At boot, [`ServiceState::with_store`] **warm-starts** the result
+//!    caches from the hottest stored schemas.
+//!
+//! A miss on both solves on a [`DecompCache`] created for that request
+//! and dropped with it: an exact-width sweep shares one warm index and
+//! its per-width decisions across `k = 1, 2, …` and across reduced
+//! pieces, and nothing of the solver outlives the request. Every solver
+//! entry point is deterministic, so a cacheable response is a function
+//! of the request alone — not of what the server answered before, of
+//! thread scheduling, or of which layer served it — which is what the
+//! concurrency property test checks, response for response, against
+//! fresh single-request states.
 //!
 //! Handlers never panic on request content: schema errors, blown
 //! generation limits, and internal inconsistencies all map to `ERR`
 //! responses.
 
 use crate::metrics::{ServiceObs, StripeMirror};
-use crate::persist::{import_decisions, persist_msg, response_from_hit, StoreHandle};
+use crate::persist::{persist_msg, response_from_hit, StoreHandle};
 use crate::wire::{BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame, WireRequest};
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};
 use softhw_core::ctd_opt::best_on_budgeted;
@@ -65,17 +61,14 @@ use softhw_hypergraph::{parse_hypergraph, FxHashMap, Hypergraph};
 use softhw_obs::stage;
 use softhw_store::{schema_digest, ClassKey};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs of a [`ServiceState`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Number of cache stripes (concurrently lockable cache shards).
+    /// Number of result-cache stripes (concurrently lockable shards).
     pub stripes: usize,
-    /// Per-stripe [`DecompCache`] capacity (structurally distinct
-    /// schemas before LRU eviction).
-    pub cache_capacity: usize,
     /// Per-stripe result-cache capacity (cached whole responses; `0`
     /// disables the layer).
     pub result_cache_capacity: usize,
@@ -86,9 +79,6 @@ pub struct ServiceConfig {
     /// How many of the store's hottest schemas to preload at boot
     /// (ignored without a store).
     pub warm_start: usize,
-    /// Pin warm-started schemas in their stripe caches so LRU eviction
-    /// cannot push them out.
-    pub pin_warm: bool,
     /// Disable the reduce-before-solve pipeline (the `--no-reduce`
     /// escape hatch). Routing (which never reduces) and the `STATS`
     /// reduction rows are unaffected — only the solvers stop acting on
@@ -113,12 +103,10 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             stripes: 8,
-            cache_capacity: softhw_core::cache::DEFAULT_MAX_GRAPHS,
             result_cache_capacity: 1024,
             limits: SoftLimits::default(),
             max_edges: 100_000,
             warm_start: 64,
-            pin_warm: true,
             no_reduce: false,
             default_deadline_ms: None,
             obs_enabled: true,
@@ -128,15 +116,11 @@ impl Default for ServiceConfig {
 }
 
 /// What travels with a request frame into [`ServiceState::handle`]
-/// besides the frame itself. The default — no tag, a budget derived
-/// from the frame's own `DEADLINE`, a locally minted trace id — is what
-/// embedded and test callers want.
+/// besides the frame itself. The default — a budget derived from the
+/// frame's own `DEADLINE`, a locally minted trace id — is what embedded
+/// and test callers want.
 #[derive(Clone, Debug, Default)]
 pub struct RequestCtx {
-    /// Recorded in the routed stripe's processing log, under the same
-    /// lock acquisition that serves the request (every item of a `BATCH`
-    /// records it) — see [`ServiceState::stripe_logs`].
-    pub tag: Option<u64>,
     /// The budget the frame runs under; `None` derives
     /// [`ServiceState::request_budget`]. The server supplies its own so
     /// a draining shutdown can cancel it.
@@ -150,9 +134,8 @@ pub struct RequestCtx {
 pub const BUSY_RETRY_MS: u64 = 100;
 
 /// A bounded LRU of fully-formed responses, keyed by
-/// `(structural hash, canonical digest, request class)`. Lives inside a
-/// stripe, so its hit/miss history is as deterministic as the stripe's
-/// request order.
+/// `(structural hash, canonical digest, request class)`: one stripe of
+/// the service's only in-memory tier.
 pub(crate) struct ResultCache {
     capacity: usize,
     map: FxHashMap<(u64, u64, ClassKey), (u64, Response)>,
@@ -208,19 +191,11 @@ impl ResultCache {
     }
 }
 
-pub(crate) struct Stripe {
-    pub(crate) cache: DecompCache,
-    pub(crate) results: ResultCache,
-    /// Tags of the requests this stripe processed, in lock order — the
-    /// linearisation record the concurrency property test replays.
-    log: Vec<u64>,
-}
-
-/// Shared, thread-safe service state: the striped cache bank plus the
-/// optional persistent store.
+/// Shared, thread-safe service state: the striped result-cache bank
+/// plus the optional persistent store.
 pub struct ServiceState {
     pub(crate) config: ServiceConfig,
-    pub(crate) stripes: Vec<Mutex<Stripe>>,
+    pub(crate) stripes: Vec<Mutex<ResultCache>>,
     /// One lock-free counter mirror per stripe, index-aligned with
     /// `stripes`.
     pub(crate) mirrors: Vec<StripeMirror>,
@@ -250,13 +225,7 @@ impl ServiceState {
     pub fn new(config: ServiceConfig) -> ServiceState {
         let n = config.stripes.max(1);
         let stripes = (0..n)
-            .map(|_| {
-                Mutex::new(Stripe {
-                    cache: DecompCache::with_capacity(config.cache_capacity),
-                    results: ResultCache::new(config.result_cache_capacity),
-                    log: Vec::new(),
-                })
-            })
+            .map(|_| Mutex::new(ResultCache::new(config.result_cache_capacity)))
             .collect();
         let obs = ServiceObs::new(&config);
         ServiceState {
@@ -286,7 +255,7 @@ impl ServiceState {
     /// [`ServiceState::stripe_of`] so it is in range by construction,
     /// but the request path must stay panic-free, so out-of-range
     /// degrades to `None` instead of indexing.
-    pub(crate) fn lock_stripe(&self, idx: usize) -> Option<std::sync::MutexGuard<'_, Stripe>> {
+    pub(crate) fn lock_stripe(&self, idx: usize) -> Option<MutexGuard<'_, ResultCache>> {
         let stripe = self.stripes.get(idx)?;
         Some(stripe.lock().unwrap_or_else(PoisonError::into_inner))
     }
@@ -299,15 +268,6 @@ impl ServiceState {
     /// Number of stripes.
     pub fn num_stripes(&self) -> usize {
         self.stripes.len()
-    }
-
-    /// Per-stripe request-tag logs in processing (lock) order, for
-    /// replay verification.
-    pub fn stripe_logs(&self) -> Vec<Vec<u64>> {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).log.clone())
-            .collect()
     }
 
     /// Handles one request frame — a single request or a `BATCH` — end
@@ -332,9 +292,7 @@ impl ServiceState {
             None => self.request_budget(req),
         };
         let (class, resp) = match req {
-            WireRequest::Single(one) => {
-                (one.class.name(), self.handle_inner(one, ctx.tag, &budget))
-            }
+            WireRequest::Single(one) => (one.class.name(), self.handle_inner(one, &budget)),
             WireRequest::Batch(batch) => {
                 self.batch_requests.fetch_add(1, Ordering::Relaxed);
                 if self.obs.enabled {
@@ -342,7 +300,7 @@ impl ServiceState {
                 }
                 let answer = |item: &Request| {
                     let item_started = Instant::now();
-                    let resp = self.handle_inner(item, ctx.tag, &budget);
+                    let resp = self.handle_inner(item, &budget);
                     self.finish_request(item.class.name(), item_started, false);
                     resp
                 };
@@ -378,11 +336,11 @@ impl ServiceState {
 
     /// One request end to end. Before the stripe lock: parse, the
     /// canonical form, its hash and digest — that hash routes, so nothing
-    /// is reduced here (a solver miss reduces inside the [`DecompCache`],
-    /// which caches it). After the answer: the stripe's counters are
-    /// copied into its lock-free mirror, five O(1) reads. A result-cache
-    /// hit therefore iterates no cache, no store index and no reduction.
-    fn handle_inner(&self, req: &Request, tag: Option<u64>, budget: &Budget) -> Response {
+    /// is reduced here (a solver miss reduces inside its
+    /// [`DecompCache`]). After the answer: the stripe's two counters are
+    /// copied into its lock-free mirror. A result-cache hit therefore
+    /// iterates no cache, no store index and no reduction.
+    fn handle_inner(&self, req: &Request, budget: &Budget) -> Response {
         if req.class == RequestClass::Hello {
             // Protocol handshake: no schema, no stripe, no budget.
             return Response::hello();
@@ -407,14 +365,11 @@ impl ServiceState {
             return Response::error("internal", "stripe routing out of range");
         };
         mirror.load.fetch_add(1, Ordering::Relaxed);
-        let Some(mut stripe) = self.lock_stripe(idx) else {
+        let Some(mut results) = self.lock_stripe(idx) else {
             return Response::error("internal", "stripe routing out of range");
         };
-        if let Some(tag) = tag {
-            stripe.log.push(tag);
-        }
-        let resp = self.serve(req, &h, hash, digest, idx, &mut stripe, budget);
-        mirror.record(&stripe);
+        let resp = self.serve(req, &h, hash, digest, idx, &mut results, budget);
+        mirror.record(&results);
         resp
     }
 
@@ -432,14 +387,14 @@ impl ServiceState {
         hash: u64,
         digest: u64,
         idx: usize,
-        stripe: &mut Stripe,
+        results: &mut ResultCache,
         budget: &Budget,
     ) -> Response {
         let key = class_key(req.class);
         if let Some(key) = key {
             let cached = {
                 let _span = softhw_obs::span(stage::RESULT_CACHE);
-                stripe.results.get(&(hash, digest, key))
+                results.get(&(hash, digest, key))
             };
             if let Some(resp) = cached {
                 return resp;
@@ -455,8 +410,7 @@ impl ServiceState {
                     Some(hit) => match response_from_hit(&key, &hit, h) {
                         Some(resp) => {
                             handle.hits.fetch_add(1, Ordering::Relaxed);
-                            import_decisions(&mut stripe.cache, h, &key, &resp);
-                            stripe.results.insert((hash, digest, key), resp.clone());
+                            results.insert((hash, digest, key), resp.clone());
                             return resp;
                         }
                         None => {
@@ -474,12 +428,12 @@ impl ServiceState {
         }
         let resp = {
             let _span = softhw_obs::span(stage::SOLVE);
-            self.dispatch(req, h, idx, stripe, budget)
+            self.dispatch(req, h, idx, budget)
         };
         // Only answers are cached and persisted — never errors, budget
         // trips, or the volatile classes (which have no key).
         if let (Some(key), Response::Width { .. } | Response::Decision { .. }) = (key, &resp) {
-            stripe.results.insert((hash, digest, key), resp.clone());
+            results.insert((hash, digest, key), resp.clone());
             if let Some(handle) = &self.store {
                 if let (Some(tx), Some(msg)) = (&handle.tx, persist_msg(h, key, &resp)) {
                     let _ = tx.send(msg);
@@ -521,18 +475,13 @@ impl ServiceState {
         Ok(h)
     }
 
-    /// Answers a request the caches could not: the four width classes
-    /// are one [`SolveSpec`] each through [`DecompCache::solve`], framed
-    /// by the shape of what comes back; `BEST` runs Algorithm 2 on the
-    /// stripe's warm index.
-    fn dispatch(
-        &self,
-        req: &Request,
-        h: &Hypergraph,
-        idx: usize,
-        stripe: &mut Stripe,
-        budget: &Budget,
-    ) -> Response {
+    /// Answers a request the result cache and the store could not: the
+    /// four width classes are one [`SolveSpec`] each through
+    /// [`DecompCache::solve`] on a cache of the request's own (a sweep
+    /// shares its index and decisions across widths and pieces; nothing
+    /// outlives the request), framed by the shape of what comes back;
+    /// `BEST` runs Algorithm 2.
+    fn dispatch(&self, req: &Request, h: &Hypergraph, idx: usize, budget: &Budget) -> Response {
         // Soft_{H,k} is invariant in k beyond |E(H)| (λ-subsets never
         // repeat edges), so clamp the *computation* width — an absurd
         // requested k must not size scratch pools.
@@ -543,10 +492,10 @@ impl ServiceState {
             RequestClass::Hw => (SolveSpec::hw(), None),
             RequestClass::HwLeq(k) => (SolveSpec::hw_leq(clamp(k)), Some(k)),
             RequestClass::Best(eval, k) => {
-                let best = self.best(eval, k, h, stripe, budget);
+                let best = self.best(eval, k, h, budget);
                 return best.unwrap_or_else(|e| self.decomp_error(e));
             }
-            RequestClass::Stats => return self.stats_response(h, idx, stripe),
+            RequestClass::Stats => return self.stats_response(h, idx),
             // The three schema-free classes are served before schema
             // parsing in `handle_inner`; kept for match exhaustiveness.
             RequestClass::Hello => return Response::hello(),
@@ -570,7 +519,7 @@ impl ServiceState {
         };
         // An exact `hw` on an input no width accepts degrades to an
         // error, not a panic (`solve` maps it to an internal ERR).
-        match stripe.cache.solve(h, &spec) {
+        match DecompCache::new().solve(h, &spec) {
             Ok(Solved::ShwWidth(width, td)) => Response::Width {
                 class,
                 width,
@@ -588,17 +537,15 @@ impl ServiceState {
     }
 
     /// `BEST eval k`: Algorithm 2 over `Soft_{H,k}`. Generation and the
-    /// instance build run on the stripe's warm index — the same prepared
-    /// instance a `SHW_LEQ k` miss builds — and the DP on top of it, all
-    /// three under the request's budget; the instance is dropped once
-    /// the best decomposition is framed (the answer lives in the result
-    /// cache and the store).
+    /// instance build — the same prepared instance a `SHW_LEQ k` miss
+    /// builds — and the DP on top of it all run under the request's
+    /// budget; the instance is dropped once the best decomposition is
+    /// framed (the answer lives in the result cache and the store).
     fn best(
         &self,
         eval: EvalKind,
         k: usize,
         h: &Hypergraph,
-        stripe: &mut Stripe,
         budget: &Budget,
     ) -> Result<Response, DecompError> {
         if k == 0 {
@@ -606,9 +553,7 @@ impl ServiceState {
         }
         // The computation width, clamped as in `dispatch`.
         let width = k.min(h.num_edges());
-        let inst = stripe
-            .cache
-            .soft_instance(h, width, &self.config.limits, budget)?;
+        let inst = DecompCache::new().soft_instance(h, width, &self.config.limits, budget)?;
         let mut fields = vec![("eval".to_string(), eval.token())];
         let best = match eval {
             EvalKind::Trivial => best_on_budgeted(&inst, &Trivial, budget)?.map(|(td, ())| td),
@@ -791,7 +736,6 @@ mod tests {
                 let loads = get("stripe_load").expect("per-stripe load row");
                 assert_eq!(loads.split(',').count(), st.num_stripes());
                 assert!(get("result_cache_hits").is_some());
-                assert!(get("stripe_evictions").is_some());
                 assert!(get("store_hits").is_none(), "no store attached");
             }
             other => panic!("{other:?}"),
@@ -877,28 +821,11 @@ mod tests {
         }
     }
 
-    /// Drops the STATS rows that may legitimately differ between the
-    /// reduced and `--no-reduce` pipelines: the memory stat reflects
-    /// the piece bookkeeping the reduced pipeline retains even when
-    /// reduction is a no-op, so it is truthful, not drifting.
-    fn mask_mode_dependent_rows(resp: Response) -> Response {
-        match resp {
-            Response::Stats { fields } => Response::Stats {
-                fields: fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "bytes_per_cached_schema")
-                    .collect(),
-            },
-            other => other,
-        }
-    }
-
     #[test]
     fn no_reduce_answers_are_byte_identical_on_irreducible_schemas() {
         // The example corpus is irreducible, so `--no-reduce` must be
         // invisible: every response byte-identical, including STATS
-        // (whose reduce_* rows are computed in both modes; only the
-        // memory row is masked — see mask_mode_dependent_rows).
+        // (whose reduce_* rows are computed in both modes).
         let reduced = state();
         let no_reduce = ServiceState::new(ServiceConfig {
             no_reduce: true,
@@ -913,9 +840,8 @@ mod tests {
                 RequestClass::HwLeq(2),
                 RequestClass::Stats,
             ] {
-                let a = mask_mode_dependent_rows(ask(&reduced, &Request::new(class, body.clone())));
-                let b =
-                    mask_mode_dependent_rows(ask(&no_reduce, &Request::new(class, body.clone())));
+                let a = ask(&reduced, &Request::new(class, body.clone()));
+                let b = ask(&no_reduce, &Request::new(class, body.clone()));
                 assert_eq!(a, b, "{class:?} diverged under --no-reduce");
             }
         }
@@ -986,15 +912,6 @@ mod tests {
         // stripes they land on, both answer width 2 with a witness of
         // their own schema, byte for byte what a fresh server frames.
         let pre = "c0(v0,v1), c1(v1,v2), c2(v2,v3), c3(v3,v0).";
-        let decision_misses = |st: &ServiceState| -> u64 {
-            let stripes = st.stripes.iter();
-            stripes
-                .map(|s| {
-                    let stripe = s.lock().unwrap_or_else(PoisonError::into_inner);
-                    stripe.cache.stats().result_misses
-                })
-                .sum()
-        };
         for stripes in [ServiceConfig::default().stripes, 1] {
             let st = ServiceState::new(ServiceConfig {
                 stripes,
@@ -1003,7 +920,6 @@ mod tests {
             for body in [REDUCIBLE, pre] {
                 let h = softhw_hypergraph::parse_hypergraph(body).unwrap();
                 let req = Request::new(RequestClass::Shw, body);
-                let misses_before = decision_misses(&st);
                 let resp = ask(&st, &req);
                 match &resp {
                     Response::Width { width: 2, td, .. } => {
@@ -1016,15 +932,6 @@ mod tests {
                     ask(&state(), &req).encode(),
                     "{stripes} stripes, {body}: not a fresh server's frame"
                 );
-                // On one stripe the two forms share a `DecompCache`, so
-                // the pre-reduced request finds its piece already swept.
-                if stripes == 1 && body == pre {
-                    assert_eq!(
-                        decision_misses(&st),
-                        misses_before,
-                        "pre-reduced schema recomputed a width decision"
-                    );
-                }
             }
         }
     }
@@ -1087,6 +994,30 @@ mod tests {
         }
         assert_eq!(miss_stages.map(|name| stage_count(&st, name)), before);
         assert_eq!(stage_count(&st, stage::RESULT_CACHE), probes_before + 1000);
+    }
+
+    #[test]
+    fn an_hw_request_builds_no_index() {
+        // `hw` searches run on the schema itself: a `BlockIndex` built
+        // for one would be read by nobody. Reducible and irreducible
+        // schemas, exact and bounded, with and without reduction.
+        for no_reduce in [false, true] {
+            let st = ServiceState::new(ServiceConfig {
+                no_reduce,
+                ..ServiceConfig::default()
+            });
+            for body in [render_hypergraph(&named::grid(3, 3)), REDUCIBLE.to_string()] {
+                for class in [RequestClass::Hw, RequestClass::HwLeq(2)] {
+                    let resp = ask(&st, &Request::new(class, body.clone()));
+                    assert!(
+                        matches!(resp, Response::Width { .. } | Response::Decision { .. }),
+                        "{resp:?}"
+                    );
+                }
+            }
+            assert_eq!(stage_count(&st, stage::SOLVE), 4);
+            assert_eq!(stage_count(&st, stage::INDEX_BUILD), 0);
+        }
     }
 
     #[test]
@@ -1210,7 +1141,7 @@ mod tests {
         assert!(st.sync_store());
         for stripe in &st.stripes {
             let stripe = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-            assert!(stripe.results.map.is_empty(), "a TIMEOUT was cached");
+            assert!(stripe.map.is_empty(), "a TIMEOUT was cached");
         }
         let persisted = st
             .store
@@ -1305,8 +1236,7 @@ mod tests {
         let first = ask(&st, &req);
         let again = ask(&st, &req);
         assert_eq!(first, again);
-        // The repeat came out of the result cache: the stripe's
-        // decomp-cache counters did not move between the calls.
+        // The repeat came out of the result cache.
         let hits = |st: &ServiceState| -> u64 {
             let per_stripe = st.mirrors.iter();
             per_stripe
@@ -1314,8 +1244,8 @@ mod tests {
                 .sum()
         };
         assert_eq!(hits(&st), 1, "second request must hit the result cache");
-        // A zero-capacity result cache degrades to the solver caches
-        // with identical responses.
+        // With a zero-capacity result cache every request is a cold
+        // solve, with identical responses.
         let no_cache = ServiceState::new(ServiceConfig {
             result_cache_capacity: 0,
             ..ServiceConfig::default()

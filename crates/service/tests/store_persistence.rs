@@ -3,7 +3,8 @@
 //!
 //! 1. restarting a store-backed service answers a replayed request set
 //!    **byte-identically** to the pre-restart run, with store /
-//!    result-cache hits reported in `STATS`;
+//!    result-cache hits reported in `STATS` and — counted from the
+//!    `METRICS` stage histograms — no solver work at all;
 //! 2. a corrupted store — random bit flips anywhere in the file —
 //!    degrades to a cold recompute with **identical answers**, never a
 //!    panic and never a trusted-but-wrong response;
@@ -97,6 +98,19 @@ fn stats_field_for(state: &ServiceState, schema: &str, field: &str) -> Option<St
     }
 }
 
+/// The observation count of one stage histogram, read off the `METRICS`
+/// exposition (which itself records no stage).
+fn stage_count(state: &ServiceState, stage: &str) -> u64 {
+    let series = format!("softhw_stage_duration_us_count{{stage=\"{stage}\"}} ");
+    match handle(state, &Request::new(RequestClass::Metrics, "")) {
+        Response::Metrics { lines } => {
+            let line = lines.iter().find_map(|l| l.strip_prefix(series.as_str()));
+            line.expect("every stage is exposed").parse().unwrap()
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
 #[test]
 fn restart_replays_byte_identically_with_store_hits() {
     let tmp = TempStore::new("restart");
@@ -139,6 +153,13 @@ fn restart_replays_byte_identically_with_store_hits() {
     let state = ServiceState::open_store(cold_config, &tmp.path).expect("reopen cold");
     let replayed = run_all(&state, &reqs);
     assert_eq!(reference, replayed, "cold-warm restart changed a response");
+    // Counted, not inferred from the hit counter (and before `STATS`,
+    // which reduces, is asked): a store hit is one probe, which
+    // re-validates the witness, and no solver stage.
+    assert_eq!(stage_count(&state, "store_probe"), reqs.len() as u64);
+    for solver_stage in ["reduce", "index_build", "enumerate", "solve"] {
+        assert_eq!(stage_count(&state, solver_stage), 0, "{solver_stage}");
+    }
     let hits: u64 = stats_field(&state, "store_hits").unwrap().parse().unwrap();
     assert_eq!(
         hits,
@@ -240,39 +261,6 @@ fn stale_records_are_rejected_and_recomputed() {
     assert_eq!(reference, served);
     let hits: u64 = stats_field(&state, "store_hits").unwrap().parse().unwrap();
     assert_eq!(hits, 1, "the superseding record should now hit");
-}
-
-#[test]
-fn warm_start_pins_hot_schemas() {
-    let tmp = TempStore::new("pin");
-    let reqs = workload();
-    {
-        let state =
-            ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("open store");
-        run_all(&state, &reqs);
-        assert!(state.sync_store());
-    }
-    // Warm-started stripes report pinned schemas; with pinning disabled
-    // they do not (and answers are unchanged either way).
-    let pinned_state =
-        ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("reopen");
-    let pinned: u64 = stats_field(&pinned_state, "pinned")
-        .unwrap()
-        .parse()
-        .unwrap();
-    assert!(pinned >= 1, "the H2 stripe should hold a pinned schema");
-    let replayed = run_all(&pinned_state, &reqs);
-    drop(pinned_state);
-    let unpinned_state = ServiceState::open_store(
-        ServiceConfig {
-            pin_warm: false,
-            ..ServiceConfig::default()
-        },
-        &tmp.path,
-    )
-    .expect("reopen unpinned");
-    assert_eq!(stats_field(&unpinned_state, "pinned").as_deref(), Some("0"));
-    assert_eq!(replayed, run_all(&unpinned_state, &reqs));
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! `softhw-serve` — the decomposition service: a `poll(2)` event loop
-//! with a worker pool over the workspace's cross-query caches,
-//! optionally backed by the persistent decomposition store.
+//! with a worker pool over a striped result cache, optionally backed by
+//! the persistent decomposition store.
 //!
 //! ```text
 //! softhw-serve [options]
 //!   --addr <host:port>   bind address (default 127.0.0.1:7401, :0 = any port)
 //!   --workers <n>        request-handling worker threads behind the event
 //!                        loop (default: cores)
-//!   --stripes <n>        cache stripes (default 8)
-//!   --cache <n>          per-stripe schema capacity before LRU eviction (default 128)
+//!   --stripes <n>        result-cache stripes (default 8)
+//!   --cache <n>          accepted and ignored (no solver state outlives a request)
 //!   --result-cache <n>   per-stripe result-cache capacity (default 1024, 0 = off)
 //!   --max-edges <n>      largest schema accepted (default 100000)
 //!   --max-conns <n>      exit after serving n connections (for smoke tests)
@@ -20,7 +20,6 @@
 //!   --store <path>       persistent store: results survive restarts (created
 //!                        if missing; torn tails recovered on open)
 //!   --warm <n>           warm-start the n hottest stored schemas (default 64)
-//!   --no-pin             do not pin warm-started schemas against LRU eviction
 //!   --no-reduce          disable the reduce-before-solve pipeline: solve every
 //!                        schema raw (escape hatch; answers are identical, the
 //!                        pipeline only changes how they are computed)
@@ -32,8 +31,8 @@
 //! ```
 //!
 //! With `--store`, the boot sequence opens the log (truncating a torn
-//! tail back to the last valid record), preloads the hottest schemas
-//! into the stripe caches, and prints a `store:` line before the
+//! tail back to the last valid record), preloads the hottest schemas'
+//! answers into the result caches, and prints a `store:` line before the
 //! `listening on <addr>` readiness line. On clean exit (`--max-conns`)
 //! the write-behind persister drains and fsyncs before the process
 //! ends. See the README for the wire format; `softhw-cli --connect`
@@ -97,7 +96,9 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => serve.addr = args.next().ok_or("--addr needs a value")?,
             "--workers" => serve.workers = num(&mut args, "--workers")?.max(1),
             "--stripes" => config.stripes = num(&mut args, "--stripes")?.max(1),
-            "--cache" => config.cache_capacity = num(&mut args, "--cache")?,
+            "--cache" => {
+                num(&mut args, "--cache")?; // ignored: see --help
+            }
             "--result-cache" => config.result_cache_capacity = num(&mut args, "--result-cache")?,
             "--max-edges" => config.max_edges = num(&mut args, "--max-edges")?,
             "--max-conns" => serve.max_conns = Some(num(&mut args, "--max-conns")? as u64),
@@ -107,16 +108,16 @@ fn parse_args() -> Result<Args, String> {
             }
             "--store" => store = Some(args.next().ok_or("--store needs a path")?),
             "--warm" => config.warm_start = num(&mut args, "--warm")?,
-            "--no-pin" => config.pin_warm = false,
             "--no-reduce" => config.no_reduce = true,
             "--slow-ms" => config.slow_ms = Some(num(&mut args, "--slow-ms")? as u64),
             "--no-obs" => config.obs_enabled = false,
             "--help" | "-h" => {
                 return Err("usage: softhw-serve [--addr host:port] [--workers n] \
-                            [--stripes n] [--cache n] [--result-cache n] [--max-edges n] \
+                            [--stripes n] [--result-cache n] [--max-edges n] \
                             [--max-conns n] [--queue n] [--default-deadline ms] \
-                            [--store path] [--warm n] [--no-pin] [--no-reduce] \
-                            [--slow-ms ms] [--no-obs]"
+                            [--store path] [--warm n] [--no-reduce] \
+                            [--slow-ms ms] [--no-obs]\n  \
+                            --cache n is accepted and ignored: no solver state outlives a request"
                     .to_string())
             }
             other => return Err(format!("unknown argument {other:?}")),
