@@ -27,12 +27,20 @@ use std::sync::Arc;
 /// canonical forms ⟺ structurally identical hypergraphs (same vertex
 /// numbering).
 pub fn canonical_form(h: &Hypergraph) -> Vec<u64> {
-    let mut edges: Vec<&[u64]> = (0..h.num_edges()).map(|e| h.edge(e).blocks()).collect();
+    let edges = (0..h.num_edges()).map(|e| h.edge(e).blocks()).collect();
+    canonical_words(h.num_vertices(), edges)
+}
+
+/// The canonical form of a hypergraph given as its vertex count and its
+/// edges' packed rows, in any order: the one place the layout is written
+/// down, shared by [`canonical_form`] and the parser's
+/// [`Scan`](crate::parse::Scan), which has rows but no [`Hypergraph`].
+pub(crate) fn canonical_words(num_vertices: usize, mut edges: Vec<&[u64]>) -> Vec<u64> {
     edges.sort_unstable();
     let words = edges.first().map_or(0, |w| w.len());
     let mut out = Vec::with_capacity(2 + edges.len() * words);
-    out.push(h.num_vertices() as u64);
-    out.push(h.num_edges() as u64);
+    out.push(num_vertices as u64);
+    out.push(edges.len() as u64);
     for e in edges {
         out.extend_from_slice(e);
     }

@@ -34,5 +34,5 @@ pub use cache::{structural_hash, IndexCache, IndexCacheStats};
 pub use csr::Csr;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};
-pub use parse::{parse_hypergraph, render_hypergraph, ParseError};
+pub use parse::{parse_hypergraph, render_hypergraph, scan_hypergraph, ParseError, Scan};
 pub use reduce::{reduce, reduce_no_peel, ReduceEvent, ReducePiece, ReduceStats, Reduction};

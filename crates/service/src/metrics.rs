@@ -62,7 +62,7 @@ impl ServiceObs {
         }
     }
 
-    /// Begins a trace for one request on this worker thread. Returns
+    /// Begins a trace for one request on the calling thread. Returns
     /// whether this call owns the trace (a `BATCH` item running inside
     /// its batch's trace does not — its spans nest into the batch
     /// tree).
@@ -89,8 +89,8 @@ impl ServiceObs {
 }
 
 /// Lock-free mirror of one stripe's counters, refreshed after every
-/// request the stripe serves, so `STATS`/`METRICS` handlers on other
-/// stripes report all of them without taking this stripe's lock. These
+/// probe and insert the stripe serves, so `STATS`/`METRICS` handlers on
+/// other stripes report all of them without taking this stripe's lock. These
 /// are cross-stripe *observability* values, not part of any response
 /// determinism contract. A refresh is two relaxed stores of values the
 /// stripe already holds, so it costs a result-cache hit nothing that
@@ -176,12 +176,9 @@ impl ServiceState {
         if !owns_trace {
             return;
         }
-        let Some(trace) = softhw_obs::end_trace() else {
+        let Some(trace) = self.fold_trace() else {
             return;
         };
-        for r in &trace.records {
-            self.obs.observe_stage(r.stage, r.dur_us);
-        }
         if self
             .obs
             .slow_ms
@@ -199,6 +196,18 @@ impl ServiceState {
                 .unwrap_or_else(PoisonError::into_inner)
                 .push(entry);
         }
+    }
+
+    /// Ends the calling thread's trace and folds each recorded span into
+    /// its stage histogram. On its own this is how the event loop closes
+    /// the front half of a request a worker will finish: the stages are
+    /// counted where they ran, the request where it ends.
+    pub(crate) fn fold_trace(&self) -> Option<softhw_obs::Trace> {
+        let trace = softhw_obs::end_trace()?;
+        for r in &trace.records {
+            self.obs.observe_stage(r.stage, r.dur_us);
+        }
+        Some(trace)
     }
 
     /// Assembles the `STATS` response: structural stats of the schema,

@@ -7,22 +7,54 @@
 //! connection carries an incremental frame decoder
 //! ([`crate::wire::FrameDecoder`]) feeding a per-connection request
 //! sequence: clients may **pipeline** any number of request frames
-//! (single or `BATCH`) without waiting for responses. Decoded requests
-//! are handed to a fixed worker pool through a **bounded** ready-request
-//! queue; workers dispatch against the shared [`ServiceState`] (whose
-//! stripe locks provide all cross-connection synchronisation) under a
-//! per-request [`Budget`] and post the encoded response back to the
-//! event loop, which flushes responses **strictly in request order** per
-//! connection — out-of-order completions park in a per-connection reorder
-//! buffer until their turn. A malformed frame gets an `ERR` response in
-//! its slot; only transport-level violations stop a connection's input.
+//! (single or `BATCH`) without waiting for responses. A decoded frame is
+//! answered in one of two places: by the loop itself (next paragraph),
+//! or by a fixed worker pool it reaches through a **bounded**
+//! ready-request queue — workers dispatch against the shared
+//! [`ServiceState`] under a per-request [`Budget`] and post the encoded
+//! response back to the event loop. Either way the loop flushes
+//! responses **strictly in request order** per connection —
+//! out-of-order completions park in a per-connection reorder buffer
+//! until their turn. A malformed frame gets an `ERR` response in its
+//! slot; only transport-level violations stop a connection's input.
+//!
+//! **A repeated request never leaves the loop.** The request path has a
+//! front half — scan the body, hash it, probe the result cache — that is
+//! all a repeated request needs (see [`crate::state`]), and the loop runs
+//! it itself, answering a hit without the job queue, the completion
+//! channel or the wake pipe, when a frame meets three conditions, each
+//! read off what the loop can see:
+//!
+//! - *It is a single request of a cacheable class.* `STATS` runs a
+//!   reduction, `BATCH` is many requests, `HELLO` / `METRICS` / `SLOW`
+//!   have nothing to probe, and a frame that does not decode is a
+//!   worker's to report: all of these queue as before.
+//! - *It is at the head of its connection's pipeline*: every earlier
+//!   response of the connection is already in the write buffer, which is
+//!   exactly when a hand-off to a worker would be pure latency. A frame
+//!   behind one a worker still holds queues behind it, so a connection's
+//!   requests run in the order it sent them, pipelined or not, and a
+//!   `STATS` reads the same counters either way.
+//! - *Its body is at most `INLINE_BODY_MAX` bytes*, so one front half
+//!   costs the loop microseconds however large a schema a client sends.
+//!
+//! A front half that misses goes to a worker together with what it
+//! computed, and the worker runs the back half (store, solvers, insert)
+//! from there. The loop takes one lock doing this: the stripe's probe
+//! lock, which no thread holds across anything but one `get` or one
+//! `insert`. Solves serialise on a second per-stripe lock that only back
+//! halves — so only workers — take: the loop never waits for a solve.
 //!
 //! **Shedding:** when the ready-request queue is full, the overflowing
 //! *request* (not the whole connection) is answered `BUSY
 //! <retry-after-ms>` in its pipeline slot, before any solver work, and
-//! the connection stays usable. Backpressure is bidirectional: a
-//! connection whose response bytes back up past a high-water mark stops
-//! being read until the client drains it.
+//! the connection stays usable. A request the loop answers itself never
+//! enters the queue, so it is never shed: under a full queue a repeated
+//! request at the head of its connection is still answered, while a
+//! never-seen one — its probe missed, its back half needs a worker — gets
+//! `BUSY`. Backpressure is bidirectional: a connection whose response
+//! bytes back up past a high-water mark stops being read until the
+//! client drains it.
 //!
 //! **Graceful drain:** [`Server::shutdown_handle`] hands out a
 //! [`ShutdownHandle`] whose [`shutdown`](ShutdownHandle::shutdown) is a
@@ -34,7 +66,7 @@
 //! flushes queued responses under a bounded grace period, and drains +
 //! fsyncs the write-behind store channel before [`Server::run`] returns.
 
-use crate::state::{RequestCtx, ServiceState, BUSY_RETRY_MS};
+use crate::state::{class_key, Front, Miss, RequestCtx, ServiceState, BUSY_RETRY_MS};
 use crate::wire::{FrameDecoder, Request, Response, WireRequest};
 use softhw_core::Budget;
 use std::collections::{BTreeMap, HashMap};
@@ -55,6 +87,11 @@ const OUT_HIGH_WATER: usize = 1 << 20;
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 /// Read chunk size for the event loop's nonblocking reads.
 const READ_CHUNK: usize = 16 * 1024;
+/// The largest request body the event loop scans itself; a longer one
+/// goes to a worker whatever its position in the pipeline, so the cost
+/// of one inline front half — and with it how long every other
+/// connection waits for the loop — is bounded by a constant.
+const INLINE_BODY_MAX: usize = 2 * 1024;
 
 #[cfg(not(unix))]
 compile_error!("softhw-service serves through a poll(2) event loop: unix targets only");
@@ -360,7 +397,19 @@ impl Server {
     }
 }
 
-/// A decoded request frame on its way to the worker pool.
+/// What a worker is handed.
+enum Work {
+    /// A frame as the decoder produced it: the worker decodes it and runs
+    /// the whole request.
+    Frame(Vec<String>),
+    /// A single request whose front half ran on the event loop and
+    /// missed: the worker runs the back half from what the front half
+    /// computed (boxed: a job is moved through the queue, and most are
+    /// the other variant).
+    Fronted(Box<(Request, Miss)>),
+}
+
+/// A request frame on its way to the worker pool.
 struct Job {
     conn_id: u64,
     seq: u64,
@@ -368,7 +417,7 @@ struct Job {
     trace: u64,
     /// When the event loop queued this job (queue-wait metric).
     submitted: Instant,
-    lines: Vec<String>,
+    work: Work,
 }
 
 /// A finished response on its way back to the event loop.
@@ -445,16 +494,22 @@ impl Conn {
         self.inflight == 0 && self.pending.is_empty() && !self.wants_write()
     }
 
-    /// Parks a completed response at its sequence slot and moves every
-    /// now-contiguous response into the write buffer, recording how
-    /// long each dwelt in the reorder buffer (atomics only — this runs
-    /// on the event loop).
+    /// Moves a completed response into the write buffer if it is the
+    /// one the socket gets next — and with it every parked response that
+    /// is now contiguous — or parks it at its sequence slot, recording
+    /// how long each dwelt between completion and write buffer (atomics
+    /// only — this runs on the event loop).
     fn queue_response(&mut self, seq: u64, bytes: String, finished: Instant, state: &ServiceState) {
-        self.pending.insert(seq, (bytes, finished));
-        while let Some((b, arrived)) = self.pending.remove(&self.next_write) {
+        if seq != self.next_write {
+            self.pending.insert(seq, (bytes, finished));
+            return;
+        }
+        let mut next = Some((bytes, finished));
+        while let Some((b, arrived)) = next {
             state.note_reorder_dwell(arrived.elapsed().as_micros().min(u64::MAX as u128) as u64);
             self.out.extend_from_slice(b.as_bytes());
             self.next_write += 1;
+            next = self.pending.remove(&self.next_write);
         }
     }
 
@@ -486,13 +541,20 @@ impl Conn {
     }
 }
 
-/// Decodes and executes one request frame (single or batch) under its
-/// budget, with drain registration — the whole per-request policy of
+/// Executes one job — a frame to decode and run whole (single or
+/// batch), or the back half of a request the event loop fronted — under
+/// its budget, with drain registration: the whole per-request policy of
 /// the worker pool.
-fn execute(lines: &[String], state: &ServiceState, drain: &Drain, trace: u64) -> Response {
-    let req = match WireRequest::decode(lines) {
-        Ok(req) => req,
-        Err(e) => return Response::error("parse", e),
+fn execute(work: Work, state: &ServiceState, drain: &Drain, trace: u64) -> Response {
+    let (req, fronted) = match work {
+        Work::Frame(lines) => match WireRequest::decode(&lines) {
+            Ok(req) => (req, None),
+            Err(e) => return Response::error("parse", e),
+        },
+        Work::Fronted(fronted) => {
+            let (req, miss) = *fronted;
+            (WireRequest::Single(req), Some(miss))
+        }
     };
     let budget = state.request_budget(&req);
     let id = drain.register(budget.clone());
@@ -502,13 +564,26 @@ fn execute(lines: &[String], state: &ServiceState, drain: &Drain, trace: u64) ->
     if drain.stopping() {
         budget.cancel();
     }
-    let ctx = RequestCtx {
-        budget: Some(budget),
-        trace: Some(trace),
+    let resp = match (&req, fronted) {
+        (WireRequest::Single(one), Some(miss)) => state.handle_back(one, miss, &budget, trace),
+        _ => {
+            let ctx = RequestCtx {
+                budget: Some(budget),
+                trace: Some(trace),
+            };
+            state.handle(&req, &ctx)
+        }
     };
-    let resp = state.handle(&req, &ctx);
     drain.deregister(id);
     resp
+}
+
+/// What a request whose handler panicked is answered with. The unwound
+/// request's trace is still open on this thread: it is ended here, or it
+/// would adopt the spans of every request the thread handles next.
+fn panicked() -> Response {
+    softhw_obs::end_trace();
+    Response::error("internal", "request handler panicked")
 }
 
 /// The worker→loop "a completion is ready" signal: a self-wake pipe
@@ -553,9 +628,9 @@ fn worker_loop(
         let Ok(job) = next else { break };
         state.note_queue_wait(job.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64);
         let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(&job.lines, state, drain, job.trace)
+            execute(job.work, state, drain, job.trace)
         }))
-        .unwrap_or_else(|_| Response::error("internal", "request handler panicked"));
+        .unwrap_or_else(|_| panicked());
         let sent = done.send(Completion {
             conn_id: job.conn_id,
             seq: job.seq,
@@ -626,6 +701,11 @@ fn event_loop(
     let mut accepting = true;
     let mut draining = false;
     let mut drain_deadline = None;
+    // This round's poll set, which connection sits in which of its slots,
+    // and the read buffer: allocated once, reused every round.
+    let mut fds: Vec<sys::PollFd> = Vec::new();
+    let mut order: Vec<(usize, u64)> = Vec::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
 
     loop {
         // Notice a drain request exactly once: stop accepting, cancel
@@ -667,7 +747,7 @@ fn event_loop(
 
         // Build this round's poll set: wake pipe, listener (while
         // accepting), then every connection with its readiness needs.
-        let mut fds = Vec::with_capacity(2 + conns.len());
+        fds.clear();
         fds.push(sys::PollFd {
             fd: signal.pipe.read_fd(),
             events: POLLIN,
@@ -683,7 +763,7 @@ fn event_loop(
         } else {
             None
         };
-        let mut order: Vec<(usize, u64)> = Vec::with_capacity(conns.len());
+        order.clear();
         for (&id, conn) in conns.iter() {
             let mut ev: i16 = 0;
             if conn.wants_read() {
@@ -742,8 +822,9 @@ fn event_loop(
         }
 
         // 3. Readable connections: pull bytes through the incremental
-        // decoder and submit every completed frame to the worker queue
-        // (or shed it with an in-slot BUSY).
+        // decoder and submit every completed frame: answer it here if
+        // it is at the head of its pipeline and the result cache has it,
+        // else queue it for a worker (or shed it with an in-slot BUSY).
         for &(slot, id) in &order {
             let Some(re) = fds.get(slot).map(|f| f.revents) else {
                 continue;
@@ -757,7 +838,7 @@ fn event_loop(
             if re & (POLLIN | POLLHUP) != 0 {
                 if let Some(conn) = conns.get_mut(&id) {
                     if !conn.read_closed {
-                        on_readable(conn, id, state, &job_tx);
+                        on_readable(conn, id, &mut chunk, state, &job_tx);
                     }
                 }
             }
@@ -797,35 +878,41 @@ fn event_loop(
 
 /// Drains the socket's currently readable bytes into the frame decoder
 /// and submits every completed frame. Called with `POLLIN`/`POLLHUP`
-/// set; reads until `WouldBlock`, EOF, error, or the connection's
-/// output backpressure threshold.
-fn on_readable(conn: &mut Conn, id: u64, state: &ServiceState, job_tx: &mpsc::SyncSender<Job>) {
-    let mut chunk = [0u8; READ_CHUNK];
+/// set; reads until a short read (the socket is drained, and `poll` is
+/// level-triggered: whatever arrives next reports readable again),
+/// `WouldBlock`, EOF, error, or the connection's output backpressure
+/// threshold.
+fn on_readable(
+    conn: &mut Conn,
+    id: u64,
+    chunk: &mut [u8],
+    state: &ServiceState,
+    job_tx: &mpsc::SyncSender<Job>,
+) {
     loop {
-        match io::Read::read(&mut conn.stream, &mut chunk) {
+        match io::Read::read(&mut conn.stream, chunk) {
             Ok(0) => {
                 conn.read_closed = true;
                 return;
             }
             Ok(n) => {
-                if conn.discard_input {
-                    continue;
+                if !conn.discard_input {
+                    let mut frames = Vec::new();
+                    if conn
+                        .decoder
+                        .push(chunk.get(..n).unwrap_or(&[]), &mut frames)
+                        .is_err()
+                    {
+                        // Protocol violation: take no more input, but still
+                        // deliver the responses already owed.
+                        conn.read_closed = true;
+                        conn.discard_input = true;
+                    }
+                    for lines in frames {
+                        submit(conn, id, lines, state, job_tx);
+                    }
                 }
-                let mut frames = Vec::new();
-                if conn
-                    .decoder
-                    .push(chunk.get(..n).unwrap_or(&[]), &mut frames)
-                    .is_err()
-                {
-                    // Protocol violation: take no more input, but still
-                    // deliver the responses already owed.
-                    conn.read_closed = true;
-                    conn.discard_input = true;
-                }
-                for lines in frames {
-                    submit(conn, id, lines, state, job_tx);
-                }
-                if conn.read_closed || !conn.wants_read() {
+                if n < chunk.len() || conn.read_closed || !conn.wants_read() {
                     return;
                 }
             }
@@ -840,9 +927,39 @@ fn on_readable(conn: &mut Conn, id: u64, state: &ServiceState, job_tx: &mpsc::Sy
     }
 }
 
-/// Assigns the next pipeline slot to a decoded frame and hands it to
-/// the worker pool; a full queue sheds the *request* with an in-slot
-/// `BUSY`, leaving the connection open.
+/// The front half of a head-of-line frame, on the event loop — if the
+/// frame is one the loop may touch: a single request of a cacheable
+/// class whose body is at most [`INLINE_BODY_MAX`] bytes. `Ok` is the
+/// encoded answer (a result-cache hit, or a request error); `Err` is
+/// what a worker must be handed instead — the frame untouched, or the
+/// request with what its front half computed. A probe carries no budget,
+/// so nothing is registered for a drain to cancel; a panic is contained
+/// like a worker's.
+fn try_front(lines: Vec<String>, state: &ServiceState, trace: u64) -> Result<String, Work> {
+    // The body is the lines after the header, joined by newlines.
+    let body_len = lines.iter().skip(1).map(|l| l.len() + 1).sum::<usize>();
+    if body_len.saturating_sub(1) > INLINE_BODY_MAX {
+        return Err(Work::Frame(lines));
+    }
+    let req = match Request::decode(&lines) {
+        Ok(req) if class_key(req.class).is_some() => req,
+        _ => return Err(Work::Frame(lines)),
+    };
+    let front = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        state.handle_front(&req, trace)
+    }))
+    .unwrap_or_else(|_| Front::Done(panicked()));
+    match front {
+        Front::Done(resp) => Ok(resp.encode()),
+        Front::Miss(miss) => Err(Work::Fronted(Box::new((req, miss)))),
+    }
+}
+
+/// Assigns the next pipeline slot to a decoded frame and answers it —
+/// here, if it is at the head of its connection's pipeline and
+/// [`try_front`] can — or hands it to the worker pool; a full queue
+/// sheds the *request* with an in-slot `BUSY`, leaving the connection
+/// open.
 fn submit(
     conn: &mut Conn,
     id: u64,
@@ -852,16 +969,27 @@ fn submit(
 ) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
+    state.note_pipeline_depth(conn.inflight as u64 + 1);
+    // The per-request trace id: connection id in the high half,
+    // pipeline slot in the low half.
+    let trace = (id << 32) | (seq & 0xffff_ffff);
+    // Head of the line: every earlier response of this connection is
+    // already in the write buffer, so this one could follow it now.
+    let work = if conn.next_write == seq {
+        match try_front(lines, state, trace) {
+            Ok(bytes) => return conn.queue_response(seq, bytes, Instant::now(), state),
+            Err(work) => work,
+        }
+    } else {
+        Work::Frame(lines)
+    };
     conn.inflight += 1;
-    state.note_pipeline_depth(conn.inflight as u64);
     match job_tx.try_send(Job {
         conn_id: id,
         seq,
-        // The per-request trace id: connection id in the high half,
-        // pipeline slot in the low half.
-        trace: (id << 32) | (seq & 0xffff_ffff),
+        trace,
         submitted: Instant::now(),
-        lines,
+        work,
     }) {
         Ok(()) => {}
         Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
@@ -949,7 +1077,7 @@ mod tests {
             ServeOptions {
                 addr: "127.0.0.1:0".to_string(),
                 workers: 1,
-                max_conns: Some(2),
+                max_conns: Some(3),
                 queue_depth: 1,
             },
             state,
@@ -958,11 +1086,15 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let client = std::thread::spawn(move || {
             use std::io::Write as _;
+            let mut x = TcpStream::connect(addr).expect("connect x");
+            // Answered before the stall: Z repeats it during the stall.
+            let cached = Request::new(RequestClass::Shw, render_hypergraph(&named::h2()));
+            let answer = roundtrip(&mut x, &cached).expect("cached roundtrip");
+            assert!(matches!(answer, Response::Width { .. }), "{answer:?}");
             // X holds the single worker: an exact SHW solve on a 24x24
             // grid cannot finish inside its 400ms deadline, so the
             // worker is busy for that long deterministically.
             let grid = render_hypergraph(&named::grid(24, 24));
-            let mut x = TcpStream::connect(addr).expect("connect x");
             let mut slow = Request::new(RequestClass::Shw, grid);
             slow.deadline_ms = Some(400);
             x.write_all(slow.encode().as_bytes()).expect("send slow");
@@ -976,6 +1108,11 @@ mod tests {
             let burst = stats.repeat(4);
             y.write_all(burst.as_bytes()).expect("send burst");
             y.flush().unwrap();
+            // The queue is full and the worker held, yet a repeated
+            // request is answered, not shed: at the head of Z's pipeline
+            // it never enters the queue.
+            let mut z = TcpStream::connect(addr).expect("connect z");
+            assert_eq!(roundtrip(&mut z, &cached).expect("z roundtrip"), answer);
             let mut reader = BufReader::new(y.try_clone().unwrap());
             let mut got = Vec::new();
             for _ in 0..4 {
@@ -1008,7 +1145,7 @@ mod tests {
             assert!(matches!(rx, Response::Timeout), "{rx:?}");
         });
         let served = server.run().expect("serve");
-        assert_eq!(served, 2);
+        assert_eq!(served, 3);
         client.join().expect("client thread");
     }
 

@@ -6,34 +6,50 @@
 //! request or a `BATCH`, with its budget and trace id in the context.
 //!
 //! The state the service shares across connections is a bank of
-//! result caches ("stripes"), each behind its own mutex. A request's
-//! schema is parsed and hashed once — the structural hash of its
-//! canonical form, the same hash that keys the result cache and the
-//! store — and routed to stripe `hash mod stripes`: requests over the
-//! *same* schema always meet the same result cache (and a second
-//! identical request waits for the first one's answer instead of
-//! solving beside it), while requests over different schemas almost
-//! always run concurrently on different stripes.
+//! result caches ("stripes"). A request's schema is scanned and hashed
+//! once — the structural hash of its canonical form, the same hash that
+//! keys the result cache and the store — and routed to stripe `hash mod
+//! stripes`: requests over the *same* schema always meet the same result
+//! cache, while requests over different schemas almost always run
+//! concurrently on different stripes.
 //!
-//! A request is answered by the first of two layers that has it, both
-//! consulted under its stripe's lock, and solved otherwise:
+//! The one request path is cut in two where the expensive half starts.
+//! [`ServiceState::handle`] runs both halves on the caller's thread; the
+//! server's event loop may run the first half itself and hand a worker
+//! the rest (see [`crate::server`]).
 //!
-//! 1. the per-stripe **result cache** keyed by `(structural hash,
-//!    canonical digest, request class)`, holding fully-formed
-//!    [`Response`]s — a repeated request is parse, one hash, one probe:
-//!    no reduction, no solver call, no walk over anything cached (the
-//!    only stage it records is `result_cache`);
-//! 2. with `--store`, the **persistent store**
-//!    ([`softhw_store::Store`]): misses probe the disk-backed index,
-//!    and every persisted witness is **re-validated against the
-//!    schema** before it is served — a stale or corrupt store entry is
-//!    treated as a miss and recomputed cold, byte-identical. Fresh
-//!    results are persisted through a **write-behind channel** to a
-//!    dedicated thread that batches fsyncs off the request path.
-//!    At boot, [`ServiceState::with_store`] **warm-starts** the result
-//!    caches from the hottest stored schemas.
+//! 1. The **front half** is all a repeated request needs: scan the body
+//!    to its canonical form ([`softhw_hypergraph::Scan`] — no
+//!    `Hypergraph` is built, no name copied; a SQL body goes through the
+//!    query AST instead), one hash and one digest, and one probe of the
+//!    per-stripe **result cache** keyed by `(structural hash, canonical
+//!    digest, request class)`, holding fully-formed [`Response`]s. No
+//!    reduction, no solver call, no walk over anything cached: the only
+//!    stage it records is `result_cache`.
+//! 2. The **back half** is everything a miss needs, from what the front
+//!    half computed — nothing is parsed or hashed twice. It builds the
+//!    `Hypergraph`, and then, with `--store`, probes the **persistent
+//!    store** ([`softhw_store::Store`]): every persisted witness is
+//!    **re-validated against the schema** before it is served — a stale
+//!    or corrupt store entry is treated as a miss and recomputed cold,
+//!    byte-identical. Otherwise it solves, inserts the answer, and
+//!    persists it through a **write-behind channel** to a dedicated
+//!    thread that batches fsyncs off the request path. At boot,
+//!    [`ServiceState::with_store`] **warm-starts** the result caches
+//!    from the hottest stored schemas.
 //!
-//! A miss on both solves on a [`DecompCache`] created for that request
+//! Each stripe has **two mutexes**, because the two halves want
+//! different things from a lock. The *probe lock* guards the result
+//! cache and is held for one `get` or one `insert`, never across a store
+//! probe or a solve: any thread may take it, the event loop included,
+//! and none waits on it longer than a probe. The *solve lock* is what
+//! makes a second identical request wait for the first one's answer
+//! instead of solving beside it: only the back half takes it, holds it
+//! from a second probe (which finds that answer) through the store and
+//! the solvers to the insert, and so the store sees one put per key. The
+//! event loop never runs a back half, so it never waits for a solve.
+//!
+//! A miss on both layers solves on a [`DecompCache`] created for that request
 //! and dropped with it: an exact-width sweep shares one warm index and
 //! its per-width decisions across `k = 1, 2, …` and across reduced
 //! pieces, and nothing of the solver outlives the request. Every solver
@@ -57,7 +73,7 @@ use softhw_core::soft::SoftLimits;
 use softhw_core::{Budget, DecompCache, SolveSpec, Solved, TreeDecomposition};
 use softhw_hypergraph::cache::canonical_form;
 use softhw_hypergraph::fxhash::hash_u64s;
-use softhw_hypergraph::{parse_hypergraph, FxHashMap, Hypergraph};
+use softhw_hypergraph::{scan_hypergraph, FxHashMap, Hypergraph, Scan};
 use softhw_obs::stage;
 use softhw_store::{schema_digest, ClassKey};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,6 +149,38 @@ pub struct RequestCtx {
 /// queue sheds and requests cancelled mid-flight by a draining server.
 pub const BUSY_RETRY_MS: u64 = 100;
 
+/// A request's schema as [`ServiceState::front`] leaves it.
+enum Schema {
+    /// A HyperBench body, scanned to ids: the [`Hypergraph`] is built
+    /// from the scan and the body by [`ServiceState::back`], if at all.
+    Scanned(Scan),
+    /// A SQL body: the query AST builds its hypergraph on the way.
+    Built(Hypergraph),
+}
+
+/// What [`ServiceState::front`] computed for a request it could not
+/// answer: all [`ServiceState::back`] needs besides the request itself,
+/// so nothing is parsed or hashed twice.
+pub(crate) struct Miss {
+    schema: Schema,
+    hash: u64,
+    digest: u64,
+    /// The stripe `hash` routes to.
+    idx: usize,
+    /// When the request began, for the class latency the back half
+    /// reports.
+    started: Instant,
+}
+
+/// How far [`ServiceState::front`] got with a request.
+pub(crate) enum Front {
+    /// Answered: a result-cache hit, a schema-free class, or a request
+    /// error.
+    Done(Response),
+    /// Not in the result cache (or, for `STATS`, not cacheable).
+    Miss(Miss),
+}
+
 /// A bounded LRU of fully-formed responses, keyed by
 /// `(structural hash, canonical digest, request class)`: one stripe of
 /// the service's only in-memory tier.
@@ -155,19 +203,23 @@ impl ResultCache {
         }
     }
 
+    /// A request's probe: counted as a hit or as a miss.
     fn get(&mut self, key: &(u64, u64, ClassKey)) -> Option<Response> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some((tick, resp)) => {
-                *tick = self.tick;
-                self.hits += 1;
-                Some(resp.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.get_again(key);
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
+    }
+
+    /// The second look of a request whose [`ResultCache::get`] missed:
+    /// that miss is already counted, so only a hit is counted here.
+    fn get_again(&mut self, key: &(u64, u64, ClassKey)) -> Option<Response> {
+        self.tick += 1;
+        let (tick, resp) = self.map.get_mut(key)?;
+        *tick = self.tick;
+        self.hits += 1;
+        Some(resp.clone())
     }
 
     pub(crate) fn insert(&mut self, key: (u64, u64, ClassKey), resp: Response) {
@@ -195,7 +247,13 @@ impl ResultCache {
 /// plus the optional persistent store.
 pub struct ServiceState {
     pub(crate) config: ServiceConfig,
+    /// The probe locks: each held for one `get` or one `insert`, by any
+    /// thread — the server's event loop included.
     pub(crate) stripes: Vec<Mutex<ResultCache>>,
+    /// The solve locks, index-aligned with `stripes`: held by
+    /// [`ServiceState::back`] from its second probe to its insert, across
+    /// the store probe and the solvers. Never taken by the event loop.
+    solves: Vec<Mutex<()>>,
     /// One lock-free counter mirror per stripe, index-aligned with
     /// `stripes`.
     pub(crate) mirrors: Vec<StripeMirror>,
@@ -231,6 +289,7 @@ impl ServiceState {
         ServiceState {
             config,
             stripes,
+            solves: (0..n).map(|_| Mutex::new(())).collect(),
             mirrors: (0..n).map(|_| StripeMirror::default()).collect(),
             deadline_timeouts: AtomicU64::new(0),
             busy_sheds: AtomicU64::new(0),
@@ -251,8 +310,8 @@ impl ServiceState {
         (hash % self.stripes.len() as u64) as usize
     }
 
-    /// Locks the stripe `idx` routes to. `idx` is always a
-    /// [`ServiceState::stripe_of`] so it is in range by construction,
+    /// Takes the probe lock of the stripe `idx` routes to. `idx` is always
+    /// a [`ServiceState::stripe_of`] so it is in range by construction,
     /// but the request path must stay panic-free, so out-of-range
     /// degrades to `None` instead of indexing.
     pub(crate) fn lock_stripe(&self, idx: usize) -> Option<MutexGuard<'_, ResultCache>> {
@@ -271,11 +330,11 @@ impl ServiceState {
     }
 
     /// Handles one request frame — a single request or a `BATCH` — end
-    /// to end; the one way into the service. The trace is begun and
-    /// ended on this (worker) thread, the frame's latency lands in its
-    /// class histogram, each recorded span in its stage histogram, and a
-    /// frame slower than `--slow-ms` records its span tree into the
-    /// slow-query ring.
+    /// to end, front half then back half on the calling thread; the one
+    /// public way into the service. The trace is begun and ended on this
+    /// thread, the frame's latency lands in its class histogram, each
+    /// recorded span in its stage histogram, and a frame slower than
+    /// `--slow-ms` records its span tree into the slow-query ring.
     ///
     /// Every `BATCH` item takes the full single-request path (routing,
     /// result cache, store, solvers) in item order under the frame's one
@@ -292,7 +351,10 @@ impl ServiceState {
             None => self.request_budget(req),
         };
         let (class, resp) = match req {
-            WireRequest::Single(one) => (one.class.name(), self.handle_inner(one, &budget)),
+            WireRequest::Single(one) => {
+                let resp = self.handle_inner(one, &budget, started);
+                (one.class.name(), resp)
+            }
             WireRequest::Batch(batch) => {
                 self.batch_requests.fetch_add(1, Ordering::Relaxed);
                 if self.obs.enabled {
@@ -300,7 +362,7 @@ impl ServiceState {
                 }
                 let answer = |item: &Request| {
                     let item_started = Instant::now();
-                    let resp = self.handle_inner(item, &budget);
+                    let resp = self.handle_inner(item, &budget, item_started);
                     self.finish_request(item.class.name(), item_started, false);
                     resp
                 };
@@ -319,10 +381,10 @@ impl ServiceState {
     /// the *whole batch* (items drain it in order — once it trips, every
     /// remaining item that needs solver work answers `TIMEOUT`, while
     /// result-cache and store hits still serve, same as single
-    /// requests). The deadline clock starts here — *before* the stripe
-    /// lock is taken — so time spent queueing behind a slow neighbour
-    /// counts against the request, exactly like queueing in the accept
-    /// backlog would.
+    /// requests). The deadline clock starts here — *before* the stripe's
+    /// solve lock is taken — so time spent queueing behind a slow
+    /// neighbour counts against the request, exactly like queueing in
+    /// the accept backlog would.
     pub fn request_budget(&self, req: &WireRequest) -> Budget {
         let deadline_ms = match req {
             WireRequest::Single(one) => one.deadline_ms,
@@ -334,69 +396,138 @@ impl ServiceState {
         }
     }
 
-    /// One request end to end. Before the stripe lock: parse, the
-    /// canonical form, its hash and digest — that hash routes, so nothing
-    /// is reduced here (a solver miss reduces inside its
-    /// [`DecompCache`]). After the answer: the stripe's two counters are
-    /// copied into its lock-free mirror. A result-cache hit therefore
-    /// iterates no cache, no store index and no reduction.
-    fn handle_inner(&self, req: &Request, budget: &Budget) -> Response {
-        if req.class == RequestClass::Hello {
-            // Protocol handshake: no schema, no stripe, no budget.
-            return Response::hello();
+    /// One request end to end on the calling thread: the front half,
+    /// and on a miss the back half from what the front half computed.
+    fn handle_inner(&self, req: &Request, budget: &Budget, started: Instant) -> Response {
+        match self.front(req, started) {
+            Front::Done(resp) => resp,
+            Front::Miss(miss) => self.back(req, miss, budget),
         }
-        if req.class == RequestClass::Metrics {
-            // Exposition of this state's registry: no schema, no stripe.
-            return self.metrics_response();
+    }
+
+    /// The front half alone, for the server's event loop: a trace of its
+    /// own on the calling thread, and a request it answers is a finished
+    /// request. One it hands on is not: its spans are folded into the
+    /// stage histograms here, and [`ServiceState::handle_back`] counts it
+    /// from `started` on, so its class latency covers both halves.
+    pub(crate) fn handle_front(&self, req: &Request, trace: u64) -> Front {
+        let started = Instant::now();
+        let owns_trace = self.obs.begin(Some(trace));
+        let front = self.front(req, started);
+        match &front {
+            Front::Done(_) => self.finish_request(req.class.name(), started, owns_trace),
+            Front::Miss(_) => {
+                if owns_trace {
+                    self.fold_trace();
+                }
+            }
         }
-        if req.class == RequestClass::Slow {
-            // Slow-query log dump: no schema, no stripe.
-            return self.slow_response();
+        front
+    }
+
+    /// The back half alone, on a worker, for a request whose front half
+    /// ran on the event loop.
+    pub(crate) fn handle_back(
+        &self,
+        req: &Request,
+        miss: Miss,
+        budget: &Budget,
+        trace: u64,
+    ) -> Response {
+        let started = miss.started;
+        let owns_trace = self.obs.begin(Some(trace));
+        let resp = self.back(req, miss, budget);
+        self.finish_request(req.class.name(), started, owns_trace);
+        resp
+    }
+
+    /// Everything a result-cache hit needs, and nothing a hit does not:
+    /// the body scanned to its canonical form (a SQL body goes through
+    /// the query AST), one hash and one digest of it, the stripe they
+    /// select, one probe under that stripe's probe lock. Nothing is
+    /// reduced, no [`Hypergraph`] is built for a HyperBench body, and no
+    /// cache or store index is walked. The schema-free classes and
+    /// request errors are answered here too; `STATS` has no cache key
+    /// and goes on to [`ServiceState::back`] unprobed.
+    fn front(&self, req: &Request, started: Instant) -> Front {
+        match req.class {
+            RequestClass::Hello => return Front::Done(Response::hello()),
+            RequestClass::Metrics => return Front::Done(self.metrics_response()),
+            RequestClass::Slow => return Front::Done(self.slow_response()),
+            _ => {}
         }
-        let h = match self.schema(req) {
-            Ok(h) => h,
-            Err(resp) => return resp,
+        let schema = match self.schema(req) {
+            Ok(schema) => schema,
+            Err(resp) => return Front::Done(resp),
         };
-        let canon = canonical_form(&h);
+        let canon = match &schema {
+            Schema::Scanned(scan) => scan.canonical_form(),
+            Schema::Built(h) => canonical_form(h),
+        };
         let hash = hash_u64s(&canon);
         let digest = schema_digest(&canon);
         let idx = self.stripe_of(hash);
         let Some(mirror) = self.mirrors.get(idx) else {
-            return Response::error("internal", "stripe routing out of range");
+            return Front::Done(Response::error("internal", "stripe routing out of range"));
         };
         mirror.load.fetch_add(1, Ordering::Relaxed);
-        let Some(mut results) = self.lock_stripe(idx) else {
-            return Response::error("internal", "stripe routing out of range");
-        };
-        let resp = self.serve(req, &h, hash, digest, idx, &mut results, budget);
-        mirror.record(&results);
-        resp
+        if let Some(key) = class_key(req.class) {
+            let _span = softhw_obs::span(stage::RESULT_CACHE);
+            let cached = self.with_results(idx, |r| r.get(&(hash, digest, key)));
+            if let Some(resp) = cached.flatten() {
+                return Front::Done(resp);
+            }
+        }
+        Front::Miss(Miss {
+            schema,
+            hash,
+            digest,
+            idx,
+            started,
+        })
     }
 
-    /// Serves a request under its stripe lock: result cache, then
-    /// store, then the solvers (persisting what they produce). Budget
-    /// trips map to `TIMEOUT`/`BUSY` frames and are never cached or
-    /// persisted; cache and store probes themselves run un-budgeted
-    /// (they are hash lookups, and a warm answer an instant after the
-    /// deadline is still the byte-identical right answer).
-    #[allow(clippy::too_many_arguments)]
-    fn serve(
-        &self,
-        req: &Request,
-        h: &Hypergraph,
-        hash: u64,
-        digest: u64,
-        idx: usize,
-        results: &mut ResultCache,
-        budget: &Budget,
-    ) -> Response {
+    /// Runs `f` — one `get` or one `insert` — on stripe `idx`'s result
+    /// cache under its probe lock, then copies the stripe's two counters
+    /// into its lock-free mirror. The lock is never held across anything
+    /// else, so no thread waits on it for longer than a probe.
+    fn with_results<R>(&self, idx: usize, f: impl FnOnce(&mut ResultCache) -> R) -> Option<R> {
+        let mut results = self.lock_stripe(idx)?;
+        let out = f(&mut results);
+        self.mirrors.get(idx)?.record(&results);
+        Some(out)
+    }
+
+    /// Everything a miss needs, from what [`ServiceState::front`]
+    /// computed: the [`Hypergraph`], then — holding the stripe's solve
+    /// lock, so a second identical request waits here for the first
+    /// one's answer instead of solving beside it — a second probe, the
+    /// store, the solvers, and the insert (persisting what the solvers
+    /// produce). Budget trips map to `TIMEOUT`/`BUSY` frames and are
+    /// never cached or persisted; cache and store probes themselves run
+    /// un-budgeted (they are hash lookups, and a warm answer an instant
+    /// after the deadline is still the byte-identical right answer).
+    fn back(&self, req: &Request, miss: Miss, budget: &Budget) -> Response {
+        let Miss {
+            schema,
+            hash,
+            digest,
+            idx,
+            ..
+        } = miss;
+        let h = match schema {
+            Schema::Scanned(scan) => scan.build(&req.body),
+            Schema::Built(h) => h,
+        };
         let key = class_key(req.class);
+        // Only what can be cached waits its turn: `STATS` has nothing to
+        // wait for.
+        let _turn = key
+            .and(self.solves.get(idx))
+            .map(|solve| solve.lock().unwrap_or_else(PoisonError::into_inner));
         if let Some(key) = key {
-            let cached = {
-                let _span = softhw_obs::span(stage::RESULT_CACHE);
-                results.get(&(hash, digest, key))
-            };
-            if let Some(resp) = cached {
+            let cached = self.with_results(idx, |r| r.get_again(&(hash, digest, key)));
+            if let Some(resp) = cached.flatten() {
                 return resp;
             }
             if let Some(handle) = &self.store {
@@ -407,10 +538,10 @@ impl ServiceState {
                     .unwrap_or_else(PoisonError::into_inner)
                     .get(hash, digest, &key);
                 match hit {
-                    Some(hit) => match response_from_hit(&key, &hit, h) {
+                    Some(hit) => match response_from_hit(&key, &hit, &h) {
                         Some(resp) => {
                             handle.hits.fetch_add(1, Ordering::Relaxed);
-                            results.insert((hash, digest, key), resp.clone());
+                            self.cache(idx, (hash, digest, key), &resp);
                             return resp;
                         }
                         None => {
@@ -428,14 +559,14 @@ impl ServiceState {
         }
         let resp = {
             let _span = softhw_obs::span(stage::SOLVE);
-            self.dispatch(req, h, idx, budget)
+            self.dispatch(req, &h, idx, budget)
         };
         // Only answers are cached and persisted — never errors, budget
         // trips, or the volatile classes (which have no key).
         if let (Some(key), Response::Width { .. } | Response::Decision { .. }) = (key, &resp) {
-            results.insert((hash, digest, key), resp.clone());
+            self.cache(idx, (hash, digest, key), &resp);
             if let Some(handle) = &self.store {
-                if let (Some(tx), Some(msg)) = (&handle.tx, persist_msg(h, key, &resp)) {
+                if let (Some(tx), Some(msg)) = (&handle.tx, persist_msg(&h, key, &resp)) {
                     let _ = tx.send(msg);
                 }
             }
@@ -443,36 +574,46 @@ impl ServiceState {
         resp
     }
 
-    /// Parses and validates the request's schema. HyperBench parse
-    /// errors are positioned — `ERR parse <line>:<col>: <msg>` — so a
-    /// client can point at the offending schema line instead of a raw
-    /// byte offset.
-    fn schema(&self, req: &Request) -> Result<Hypergraph, Response> {
-        let h = match req.format {
-            BodyFormat::HyperBench => parse_hypergraph(&req.body).map_err(|e| {
+    /// Inserts an answer into stripe `idx`'s result cache.
+    fn cache(&self, idx: usize, key: (u64, u64, ClassKey), resp: &Response) {
+        self.with_results(idx, |r| r.insert(key, resp.clone()));
+    }
+
+    /// Scans (HyperBench) or parses (SQL) the request's schema and
+    /// checks its size. HyperBench errors are positioned — `ERR parse
+    /// <line>:<col>: <msg>` — so a client can point at the offending
+    /// schema line instead of a raw byte offset.
+    fn schema(&self, req: &Request) -> Result<Schema, Response> {
+        let schema = match req.format {
+            BodyFormat::HyperBench => Schema::Scanned(scan_hypergraph(&req.body).map_err(|e| {
                 let (line, col) = e.line_col(&req.body);
                 Response::error("parse", format!("{line}:{col}: {}", e.message))
-            })?,
+            })?),
             BodyFormat::Sql => {
                 let q =
                     softhw_query::parse_sql(&req.body).map_err(|e| Response::error("parse", e))?;
-                softhw_query::ast_hypergraph(&q).map_err(|e| Response::error("parse", e))?
+                Schema::Built(
+                    softhw_query::ast_hypergraph(&q).map_err(|e| Response::error("parse", e))?,
+                )
             }
         };
-        if h.num_edges() == 0 {
+        let edges = match &schema {
+            Schema::Scanned(scan) => scan.num_edges(),
+            Schema::Built(h) => h.num_edges(),
+        };
+        if edges == 0 {
             return Err(Response::error("request", "empty schema"));
         }
-        if h.num_edges() > self.config.max_edges {
+        if edges > self.config.max_edges {
             return Err(Response::error(
                 "request",
                 format!(
-                    "schema has {} edges, limit is {}",
-                    h.num_edges(),
+                    "schema has {edges} edges, limit is {}",
                     self.config.max_edges
                 ),
             ));
         }
-        Ok(h)
+        Ok(schema)
     }
 
     /// Answers a request the result cache and the store could not: the
@@ -497,7 +638,7 @@ impl ServiceState {
             }
             RequestClass::Stats => return self.stats_response(h, idx),
             // The three schema-free classes are served before schema
-            // parsing in `handle_inner`; kept for match exhaustiveness.
+            // parsing in `front`; kept for match exhaustiveness.
             RequestClass::Hello => return Response::hello(),
             RequestClass::Metrics => return self.metrics_response(),
             RequestClass::Slow => return self.slow_response(),
@@ -578,7 +719,7 @@ impl ServiceState {
 
 /// The store/result-cache key of a request class (`None` = not
 /// cacheable: `STATS` is volatile by design).
-fn class_key(class: RequestClass) -> Option<ClassKey> {
+pub(crate) fn class_key(class: RequestClass) -> Option<ClassKey> {
     Some(match class {
         RequestClass::Shw => ClassKey::Shw,
         RequestClass::ShwLeq(k) => ClassKey::ShwLeq(k as u64),
@@ -994,6 +1135,37 @@ mod tests {
         }
         assert_eq!(miss_stages.map(|name| stage_count(&st, name)), before);
         assert_eq!(stage_count(&st, stage::RESULT_CACHE), probes_before + 1000);
+    }
+
+    #[test]
+    fn a_miss_that_waited_for_the_same_solve_finds_its_answer_in_back() {
+        // The interleaving the solve lock exists for, forced: two front
+        // halves run before either back half, so both miss; the second
+        // back half probes again under the solve lock and must find what
+        // the first one inserted instead of solving beside it.
+        let st = state();
+        let req = Request::new(RequestClass::Shw, render_hypergraph(&named::grid(3, 3)));
+        let front = |trace| match st.handle_front(&req, trace) {
+            Front::Miss(miss) => miss,
+            Front::Done(resp) => panic!("nothing is cached yet: {resp:?}"),
+        };
+        let (first, second) = (front(1), front(2));
+        let budget = Budget::cancellable();
+        let solved = st.handle_back(&req, first, &budget, 1);
+        assert!(matches!(solved, Response::Width { .. }), "{solved:?}");
+        assert_eq!(st.handle_back(&req, second, &budget, 2), solved);
+        assert_eq!(stage_count(&st, stage::SOLVE), 1);
+        assert_eq!(stage_count(&st, stage::RESULT_CACHE), 2);
+        // Both front halves counted a miss; a second look is counted
+        // only when it hits.
+        let sum = |counter: fn(&ResultCache) -> u64| -> u64 {
+            let stripes = st.stripes.iter();
+            stripes
+                .map(|s| counter(&s.lock().unwrap_or_else(PoisonError::into_inner)))
+                .sum()
+        };
+        assert_eq!((sum(|r| r.hits), sum(|r| r.misses)), (1, 2));
+        assert_eq!(ask(&st, &req), solved);
     }
 
     #[test]
