@@ -17,8 +17,11 @@
 //!   [`ServiceState::handle`] — a bank of result-cache stripes routed
 //!   by the schema's structural hash (the one hash a request computes;
 //!   it also keys the store), the service's one in-memory tier. A
-//!   repeated request is parse, hash, one result-cache probe; with
-//!   `--store`, a miss probes the disk-backed [`softhw_store::Store`]
+//!   request is a front half — scan the body to its canonical form,
+//!   hash, one result-cache probe: all a repeated request costs — and a
+//!   back half that runs only on a miss, from what the front half
+//!   computed; with `--store`, a miss probes the disk-backed
+//!   [`softhw_store::Store`]
 //!   (persisted witnesses are re-validated before they are served,
 //!   fresh results are persisted write-behind, and boot warm-starts the
 //!   result caches from the hottest stored schemas); a miss on both
@@ -27,7 +30,9 @@
 //!   `persist` (the store attachment) and `metrics` (the registry and
 //!   the `STATS` / `METRICS` / slow-ring rendering).
 //! - [`server`]: the `poll(2)` event loop and worker pool (std threads
-//!   only, like the rest of the workspace) — the one serving path.
+//!   only, like the rest of the workspace) — the one serving path. The
+//!   loop runs the front half of a head-of-line request itself and
+//!   answers a hit without a worker.
 //!
 //! Handlers are hardened end to end: malformed schemas, blown
 //! generation limits, and internal inconsistencies all produce `ERR`
