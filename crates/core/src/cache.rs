@@ -1,65 +1,67 @@
-//! Cross-query decomposition cache: solver-level memoisation on top of
-//! the structural-hash [`IndexCache`] of `softhw-hypergraph`.
+//! Cross-query decomposition cache: a memo in front of the one solver
+//! pipeline ([`crate::reduce_solve`]).
 //!
-//! Repeated workloads (the `shw` width sweep per query, `table1`-style
-//! harness runs, a CLI session decomposing one schema several ways)
-//! re-decompose structurally identical hypergraphs. [`DecompCache`] keeps,
-//! per structurally distinct hypergraph:
+//! Repeated workloads (a `table1`-style harness run, a CLI session
+//! decomposing one schema several ways) re-decompose structurally
+//! identical hypergraphs. [`DecompCache`] holds **one map**, from
+//! structural hash to everything kept for that structure:
 //!
-//! - one warm [`BlockIndex`](softhw_hypergraph::BlockIndex) (arena +
-//!   `[S]`-components + blocks + unions), shared across widths `k` and
-//!   across queries — built on the first `shw` query over the structure
-//!   (`hw` decisions never read it and never build it);
+//! - its canonical form, compared on every probe — a hash collision is a
+//!   miss that replaces the entry, never a wrong answer;
+//! - one warm [`BlockIndex`] (arena + `[S]`-components + blocks +
+//!   unions), shared across widths `k` and across queries — built on the
+//!   first `shw` query over the structure (`hw` decisions never read it
+//!   and never build it);
 //! - `shw ≤ k` / `hw ≤ k` decisions with witness decompositions, so width
-//!   sweeps over repeated queries skip generation and search entirely.
+//!   sweeps over repeated queries skip generation and search entirely;
+//! - its last-use tick, the LRU clock.
 //!
-//! Both live under one LRU clock keyed by the structural hash. Nothing
-//! else is kept: the reduce-aware sweeps reduce the caller's own
+//! Nothing else is kept: the reduce-aware sweeps reduce the caller's own
 //! hypergraph on every call (a reduction is cheap next to one width
 //! decision) and memoise per reduced *piece*.
 //!
-//! An exact width is a sweep over those decisions: `k = 1, 2, …` until
+//! [`DecompCache::solve`] answers what the cold [`crate::solve`] answers
+//! (both are deterministic — the property test below holds them equal,
+//! decomposition for decomposition) through the same
+//! `exact_width` / `least_width` routine; only the leaves differ. An
+//! exact width is a sweep over memoised decisions: `k = 1, 2, …` until
 //! the first accept, each width a memo probe or one Algorithm 1 run
 //! against the warm index. A memoised decision is therefore a function
 //! of `(h, k)` alone — exact and bounded specs fill and read the same
 //! entries, in either order.
 //!
 //! The structural hash ignores the order edges are listed in, so the one
-//! thing kept per hash that names edges — the `λ`-labels of `hw`
+//! thing kept per entry that names edges — the `λ`-labels of `hw`
 //! witnesses — is held in *canonical edge positions*
 //! ([`canonical_edge_order`]) and translated through the caller's own
 //! edge order on the way in and out: a hit always answers in the
 //! numbering of the hypergraph that was passed in.
 //!
-//! The solving surface is [`DecompCache::solve`]: it consumes a
-//! [`crate::spec::SolveSpec`] and is the one front door over every
-//! (class × exactness × budget × reduction) corner; it returns exactly
-//! what the cold solvers return (they are deterministic — the unit tests
-//! assert this decomposition-for-decomposition).
 //! [`DecompCache::export`] reads the decisions held for one hypergraph.
 //! Algorithm 2 callers, whose answers are not width decisions, borrow
 //! the warm index through [`DecompCache::soft_instance`] — the same
 //! prepared instance a decision miss builds — and keep nothing here.
 //!
-//! The cache is **bounded**: it tracks at most
-//! [`DecompCache::max_graphs`] structurally distinct hypergraphs and
-//! evicts the least-recently-used one (warm index and width decisions
-//! together) when a new structure would exceed the bound. Eviction only
-//! costs recomputation — an evicted structure rebuilds cold on its next
-//! query, with identical results.
+//! The cache is **bounded**: it holds at most `max_graphs` entries
+//! ([`DecompCache::with_capacity`]) and drops the least-recently-used
+//! one — warm index and width decisions together — when a new structure
+//! would exceed the bound. Eviction only costs recomputation: an evicted
+//! structure rebuilds cold on its next query, with identical results.
 
 use crate::budget::Budget;
 use crate::ctd::CtdInstance;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
-use crate::hw;
-use crate::reduce_solve::{lift_ghd, lift_td};
-use crate::shw::{shw_leq_indexed_budgeted, soft_instance_budgeted};
+use crate::hw::hw_leq_budgeted;
+use crate::reduce_solve::{exact_width, least_width};
+use crate::shw::{new_index, shw_leq_indexed_budgeted, soft_instance_on};
 use crate::soft::SoftLimits;
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::cache::{canonical_edge_order, structural_hash, IndexCache};
-use softhw_hypergraph::{FxHashMap, Hypergraph};
+use softhw_hypergraph::cache::{canonical_edge_order, canonical_form};
+use softhw_hypergraph::fxhash::hash_u64s;
+use softhw_hypergraph::{BlockIndex, FxHashMap, Hypergraph};
+use std::collections::BTreeMap;
 
 /// Hit/miss counters of a [`DecompCache`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -76,19 +78,21 @@ pub struct DecompCacheStats {
 /// [`DecompCache`] tracks before evicting the least-recently-used one.
 pub const DEFAULT_MAX_GRAPHS: usize = 128;
 
-/// Memoised `width ≤ k` decisions keyed by `(structural hash, k)`;
-/// `Some(witness)` on yes, `None` on no.
-type Decisions<W> = FxHashMap<(u64, usize), Option<W>>;
+/// Everything held for one structurally distinct hypergraph; see the
+/// module docs. Decisions are `Some(witness)` on yes, `None` on no.
+struct Entry {
+    canon: Vec<u64>,
+    index: Option<BlockIndex>,
+    shw: BTreeMap<usize, Option<TreeDecomposition>>,
+    /// `λ`-labels in canonical edge positions.
+    hw: BTreeMap<usize, Option<Ghd>>,
+    last_used: u64,
+}
 
 /// Cross-query cache for width decisions. See the module docs for what
-/// is shared at which level and how the capacity bound evicts.
+/// an entry holds and how the capacity bound evicts.
 pub struct DecompCache {
-    indexes: IndexCache,
-    shw_results: Decisions<TreeDecomposition>,
-    /// `λ`-labels in canonical edge positions (see the module docs).
-    hw_results: Decisions<Ghd>,
-    /// hash → last-use tick, the LRU clock.
-    last_used: FxHashMap<u64, u64>,
+    entries: FxHashMap<u64, Entry>,
     tick: u64,
     max_graphs: usize,
     stats: DecompCacheStats,
@@ -117,22 +121,6 @@ fn positions_of(order: &[usize]) -> Vec<usize> {
     positions
 }
 
-/// Every cached decision for `hash`, width-sorted, witnesses rendered
-/// as their trees.
-fn decisions_of<W>(
-    results: &Decisions<W>,
-    hash: u64,
-    tree: impl Fn(&W) -> TreeDecomposition,
-) -> Vec<(usize, Option<TreeDecomposition>)> {
-    let mut out: Vec<_> = results
-        .iter()
-        .filter(|((h2, _), _)| *h2 == hash)
-        .map(|((_, k), w)| (*k, w.as_ref().map(&tree)))
-        .collect();
-    out.sort_by_key(|(k, _)| *k);
-    out
-}
-
 impl DecompCache {
     /// An empty cache bounded to [`DEFAULT_MAX_GRAPHS`] hypergraphs.
     pub fn new() -> Self {
@@ -143,10 +131,7 @@ impl DecompCache {
     /// distinct hypergraphs (minimum 1).
     pub fn with_capacity(max_graphs: usize) -> Self {
         DecompCache {
-            indexes: IndexCache::new(),
-            shw_results: FxHashMap::default(),
-            hw_results: FxHashMap::default(),
-            last_used: FxHashMap::default(),
+            entries: FxHashMap::default(),
             tick: 0,
             max_graphs: max_graphs.max(1),
             stats: DecompCacheStats::default(),
@@ -158,56 +143,52 @@ impl DecompCache {
         self.stats
     }
 
-    /// The underlying structural-hash index cache.
-    pub fn index_cache(&self) -> &IndexCache {
-        &self.indexes
-    }
-
-    /// The capacity bound (structurally distinct hypergraphs).
-    pub fn max_graphs(&self) -> usize {
-        self.max_graphs
-    }
-
-    /// Number of structurally distinct hypergraphs currently tracked.
-    pub fn tracked_graphs(&self) -> usize {
-        self.last_used.len()
-    }
-
-    /// Marks `hash` as just used and evicts the least-recently-used
-    /// *other* hypergraph if the bound is now exceeded. Every entry point
-    /// calls it for the hash it read or filled; one that probed a warm
-    /// index does so once it is done with that index — on the error path
-    /// too, so an index a budget trip leaves behind is tracked (and
-    /// evictable). Never evicts `hash` itself.
-    fn touch(&mut self, hash: u64) {
+    /// `h`'s entry, marked as just used, beside the counters. A structure
+    /// the cache does not hold gets an empty entry first — in place of a
+    /// different structure under the same hash, or else of the
+    /// least-recently-used entry if the cache is full. Every query goes
+    /// through here before it computes anything, so whatever a budget
+    /// trip leaves half-grown sits in an entry the LRU clock can evict.
+    fn entry(&mut self, h: &Hypergraph) -> (&mut Entry, &mut DecompCacheStats) {
+        let canon = canonical_form(h);
+        let hash = hash_u64s(&canon);
         self.tick += 1;
-        self.last_used.insert(hash, self.tick);
-        while self.last_used.len() > self.max_graphs {
-            let others = self.last_used.iter().filter(|&(&h2, _)| h2 != hash);
-            let Some((&victim, _)) = others.min_by_key(|&(_, &t)| t) else {
-                break;
+        let held = self.entries.get(&hash).is_some_and(|e| e.canon == canon);
+        if !held {
+            let victim = if self.entries.contains_key(&hash) {
+                Some(hash)
+            } else if self.entries.len() >= self.max_graphs {
+                let lru = self.entries.iter().min_by_key(|(_, e)| e.last_used);
+                lru.map(|(&victim, _)| victim)
+            } else {
+                None
             };
-            self.evict(victim);
+            if let Some(victim) = victim {
+                self.entries.remove(&victim);
+                self.stats.evictions += 1;
+            }
+            let fresh = Entry {
+                canon,
+                index: None,
+                shw: BTreeMap::new(),
+                hw: BTreeMap::new(),
+                last_used: 0,
+            };
+            self.entries.insert(hash, fresh);
         }
-    }
-
-    /// Drops every cached artefact of hypergraph `victim`: warm index
-    /// and width decisions.
-    fn evict(&mut self, victim: u64) {
-        self.indexes.remove(victim);
-        self.shw_results.retain(|&(h2, _), _| h2 != victim);
-        self.hw_results.retain(|&(h2, _), _| h2 != victim);
-        self.last_used.remove(&victim);
-        self.stats.evictions += 1;
+        let entry = self.entries.get_mut(&hash).expect("held or just inserted");
+        entry.last_used = self.tick;
+        (entry, &mut self.stats)
     }
 
     /// `Soft_{H,k}` and the prepared `CandidateTD` instance over it,
     /// generated and built on `h`'s warm index under `budget` — exactly
-    /// what a `shw ≤ k` decision miss builds, for callers that run their
-    /// own DP over the block tables (Algorithm 2, [`crate::ctd_opt`]).
-    /// The instance is the caller's: nothing is retained here, and a
-    /// budget abort leaves the cache as warm and consistent as
-    /// [`DecompCache::solve`] does.
+    /// what a `shw ≤ k` decision miss builds
+    /// ([`crate::shw::soft_instance`] is the same on a cold index), for
+    /// callers that run their own DP over the block tables (Algorithm 2,
+    /// [`crate::ctd_opt`]). The instance is the caller's: nothing is
+    /// retained here, and a budget abort leaves the cache as warm and
+    /// consistent as [`DecompCache::solve`] does.
     pub fn soft_instance(
         &mut self,
         h: &Hypergraph,
@@ -215,48 +196,49 @@ impl DecompCache {
         limits: &SoftLimits,
         budget: &Budget,
     ) -> Result<CtdInstance, DecompError> {
-        let (hash, index) = self.indexes.entry(h);
-        let inst = soft_instance_budgeted(index, k, limits, budget);
-        self.touch(hash);
-        inst
+        let (entry, _) = self.entry(h);
+        let index = entry.index.get_or_insert_with(|| new_index(h));
+        soft_instance_on(index, k, limits, budget)
     }
 
-    /// The one entry point over every cached width query: routes a
-    /// [`SolveSpec`] to the matching (class, exactness) solver under the
-    /// spec's budget, reduction policy, and generation limits.
+    /// The memoised [`crate::solve`]: the same answer to the same
+    /// [`SolveSpec`], with every `width ≤ k` decision it takes — on `h`
+    /// for bounded specs and raw sweeps, on each reduced piece (under the
+    /// *piece's* structural hash, so a schema submitted raw and the same
+    /// schema submitted already reduced meet on the same entries) for
+    /// reduce-aware ones — read from or written to the cache.
     ///
-    /// Budget aborts keep the cache warm and consistent: nothing partial
-    /// is memoised, and an abort evicts no more than the finished call
-    /// would have (a structure the cache had not seen still takes its LRU
-    /// slot, so its half-grown index stays tracked); an exact-`hw` query on a
-    /// degenerate input admitting no HD at any width surfaces as an
-    /// internal [`DecompError`].
+    /// Budget aborts keep the cache warm and consistent: nothing is
+    /// memoised for the interrupted width (so a partial answer can never
+    /// be served later), every width decided before the trip stays
+    /// cached, and an abort evicts no more than the finished call would
+    /// have. A retry resumes from the memoised widths and recomputes only
+    /// the interrupted one.
     pub fn solve(&mut self, h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
-        match (spec.class, spec.bound) {
-            (SolveClass::Shw, Some(k)) => Ok(Solved::ShwDecision(self.shw_decision(
-                h,
-                k,
-                &spec.limits,
-                &spec.budget,
-            )?)),
+        let (limits, budget) = (&spec.limits, &spec.budget);
+        Ok(match (spec.class, spec.bound) {
+            (SolveClass::Shw, Some(k)) => {
+                Solved::ShwDecision(self.shw_decision(h, k, limits, budget)?)
+            }
             (SolveClass::Shw, None) => {
-                let (w, td) = self.shw_exact(h, &spec.limits, &spec.budget, spec.reduce)?;
-                Ok(Solved::ShwWidth(w, td))
+                let (w, td) = exact_width(h, spec.reduce, budget, |piece| {
+                    least_width(piece, |k| self.shw_decision(piece, k, limits, budget))
+                })?;
+                Solved::ShwWidth(w, td)
             }
-            (SolveClass::Hw, Some(k)) => {
-                Ok(Solved::HwDecision(self.hw_decision(h, k, &spec.budget)?))
+            (SolveClass::Hw, Some(k)) => Solved::HwDecision(self.hw_decision(h, k, budget)?),
+            (SolveClass::Hw, None) => {
+                let (w, g) = exact_width(h, spec.reduce, budget, |piece| {
+                    least_width(piece, |k| self.hw_decision(piece, k, budget))
+                })?;
+                Solved::HwWidth(w, g)
             }
-            (SolveClass::Hw, None) => match self.hw_exact(h, &spec.budget, spec.reduce)? {
-                Some((w, g)) => Ok(Solved::HwWidth(w, g)),
-                None => Err(DecompError::internal("no width up to |E(H)| admits an HD")),
-            },
-        }
+        })
     }
 
-    /// The `shw ≤ k` decision with cross-query memoisation. A budget
-    /// abort memoises nothing for `(h, k)` — no partial answer can ever
-    /// be served — and evicts nothing of `h`'s: every decision cached
-    /// before the trip stays warm, so a retry recomputes only this width.
+    /// The `shw ≤ k` decision: a memo probe, or one Algorithm 1 run
+    /// against `h`'s warm index (built here if this is the structure's
+    /// first `shw` query).
     fn shw_decision(
         &mut self,
         h: &Hypergraph,
@@ -264,154 +246,39 @@ impl DecompCache {
         limits: &SoftLimits,
         budget: &Budget,
     ) -> Result<Option<TreeDecomposition>, DecompError> {
-        let (hash, index) = self.indexes.entry(h);
-        if let Some(cached) = self.shw_results.get(&(hash, k)).cloned() {
-            self.stats.result_hits += 1;
-            self.touch(hash);
-            return Ok(cached);
+        let (entry, stats) = self.entry(h);
+        if let Some(cached) = entry.shw.get(&k) {
+            stats.result_hits += 1;
+            return Ok(cached.clone());
         }
-        self.stats.result_misses += 1;
-        let result = shw_leq_indexed_budgeted(index, k, limits, budget);
-        self.touch(hash);
-        let result = result?;
-        self.shw_results.insert((hash, k), result.clone());
+        stats.result_misses += 1;
+        let index = entry.index.get_or_insert_with(|| new_index(h));
+        let result = shw_leq_indexed_budgeted(index, k, limits, budget)?;
+        entry.shw.insert(k, result.clone());
         Ok(result)
     }
 
-    /// The exact-`shw` solver behind [`DecompCache::solve`]: reduce-aware
-    /// unless `reduce` is off — the input is simplified first and each
-    /// reduced piece swept through the cache under the *piece's*
-    /// structural hash, so a schema submitted raw and the same schema
-    /// submitted already reduced land on the same piece entries.
-    /// Irreducible connected inputs sweep raw. Budget aborts leave the
-    /// cache **warm and consistent**: nothing is memoised for the
-    /// interrupted width (so a partial answer can never be served later),
-    /// nothing is evicted that the finished sweep would have kept, and
-    /// every width decided before the trip stays cached. A retry resumes
-    /// from the memoised widths and recomputes
-    /// only the interrupted one.
-    fn shw_exact(
-        &mut self,
-        h: &Hypergraph,
-        limits: &SoftLimits,
-        budget: &Budget,
-        reduce: bool,
-    ) -> Result<(usize, TreeDecomposition), DecompError> {
-        if !reduce {
-            return self.shw_sweep(h, limits, budget);
-        }
-        let red = softhw_hypergraph::reduce(h);
-        if red.is_trivial() {
-            return self.shw_sweep(h, limits, budget);
-        }
-        let mut width = 1usize;
-        let mut tds = Vec::with_capacity(red.pieces.len());
-        for piece in &red.pieces {
-            budget.check()?;
-            // Pieces are at the reduction fixpoint and connected, so the
-            // raw cached path is exactly the reduce-aware path for them.
-            let (w, td) = self.shw_sweep(&piece.h, limits, budget)?;
-            width = width.max(w);
-            tds.push(td);
-        }
-        let td = lift_td(h, &red, &tds);
-        debug_assert_eq!(td.validate(h), Ok(()));
-        Ok((width, td))
-    }
-
-    /// The raw (no-reduction) cached exact sweep: the least `k` that
-    /// [`DecompCache::shw_decision`] accepts.
-    fn shw_sweep(
-        &mut self,
-        h: &Hypergraph,
-        limits: &SoftLimits,
-        budget: &Budget,
-    ) -> Result<(usize, TreeDecomposition), DecompError> {
-        for k in 1..=h.num_edges().max(1) {
-            if let Some(td) = self.shw_decision(h, k, limits, budget)? {
-                return Ok((k, td));
-            }
-        }
-        // Unreachable for well-formed hypergraphs (shw ≤ |E(H)|): the
-        // full vertex set is always a candidate at k = |E|.
-        Err(DecompError::internal("no width up to |E(H)| accepted"))
-    }
-
-    /// The `hw ≤ k` decision with cross-query memoisation (decision +
-    /// witness), keyed by `h`'s structural hash alone: the `hw` search
-    /// runs on `h` itself, so no warm index is probed or built, and a
-    /// budget abort leaves nothing behind.
+    /// The `hw ≤ k` decision: a memo probe, or one search on `h` itself —
+    /// no index is probed or built.
     fn hw_decision(
         &mut self,
         h: &Hypergraph,
         k: usize,
         budget: &Budget,
     ) -> Result<Option<Ghd>, DecompError> {
-        let hash = structural_hash(h);
-        if let Some(cached) = self.hw_results.get(&(hash, k)).cloned() {
-            self.stats.result_hits += 1;
-            self.touch(hash);
-            return Ok(cached.map(|g| relabel(g, &canonical_edge_order(h))));
+        let (entry, stats) = self.entry(h);
+        if let Some(cached) = entry.hw.get(&k) {
+            stats.result_hits += 1;
+            let in_callers_order = |g| relabel(g, &canonical_edge_order(h));
+            return Ok(cached.clone().map(in_callers_order));
         }
-        self.stats.result_misses += 1;
-        let result = hw::hw_leq_budgeted(h, k, budget)?;
-        let canonical = result
-            .clone()
-            .map(|g| relabel(g, &positions_of(&canonical_edge_order(h))));
-        self.hw_results.insert((hash, k), canonical);
-        self.touch(hash);
+        stats.result_misses += 1;
+        let result = hw_leq_budgeted(h, k, budget)?;
+        let in_canonical_positions = |g| relabel(g, &positions_of(&canonical_edge_order(h)));
+        entry
+            .hw
+            .insert(k, result.clone().map(in_canonical_positions));
         Ok(result)
-    }
-
-    /// The exact-`hw` solver behind [`DecompCache::solve`]: reduce-aware
-    /// with the no-peel (HD-safe) pipeline unless `reduce` is off —
-    /// pieces are swept through the cache under their own structural
-    /// hashes and the piece HDs lifted back; same warm abort guarantees
-    /// as the `shw` sweep. `Ok(None)` when no width up to `|E(H)|`
-    /// admits an HD.
-    fn hw_exact(
-        &mut self,
-        h: &Hypergraph,
-        budget: &Budget,
-        reduce: bool,
-    ) -> Result<Option<(usize, Ghd)>, DecompError> {
-        if !reduce {
-            return self.hw_sweep(h, budget);
-        }
-        let red = softhw_hypergraph::reduce_no_peel(h);
-        if red.is_trivial() {
-            return self.hw_sweep(h, budget);
-        }
-        let mut width = 1usize;
-        let mut ghds = Vec::with_capacity(red.pieces.len());
-        for piece in &red.pieces {
-            budget.check()?;
-            match self.hw_sweep(&piece.h, budget)? {
-                Some((w, g)) => {
-                    width = width.max(w);
-                    ghds.push(g);
-                }
-                None => return Ok(None),
-            }
-        }
-        let g = lift_ghd(h, &red, &ghds);
-        debug_assert!(g.is_hd(h), "lifted HD must satisfy the special condition");
-        Ok(Some((width, g)))
-    }
-
-    /// The raw (no-reduction) cached `hw` sweep: the least `k` that
-    /// [`DecompCache::hw_decision`] accepts.
-    fn hw_sweep(
-        &mut self,
-        h: &Hypergraph,
-        budget: &Budget,
-    ) -> Result<Option<(usize, Ghd)>, DecompError> {
-        for k in 1..=h.num_edges().max(1) {
-            if let Some(g) = self.hw_decision(h, k, budget)? {
-                return Ok(Some((k, g)));
-            }
-        }
-        Ok(None)
     }
 
     /// Every cached `class ≤ k` decision for `h` (width-sorted), witness
@@ -422,10 +289,19 @@ impl DecompCache {
         h: &Hypergraph,
         class: SolveClass,
     ) -> Vec<(usize, Option<TreeDecomposition>)> {
-        let hash = structural_hash(h);
+        let canon = canonical_form(h);
+        let held = self.entries.get(&hash_u64s(&canon));
+        let Some(entry) = held.filter(|e| e.canon == canon) else {
+            return Vec::new();
+        };
         match class {
-            SolveClass::Shw => decisions_of(&self.shw_results, hash, TreeDecomposition::clone),
-            SolveClass::Hw => decisions_of(&self.hw_results, hash, |g| g.td.clone()),
+            SolveClass::Shw => entry.shw.iter().map(|(&k, td)| (k, td.clone())).collect(),
+            SolveClass::Hw => {
+                let trees = entry.hw.iter();
+                trees
+                    .map(|(&k, g)| (k, g.as_ref().map(|g| g.td.clone())))
+                    .collect()
+            }
         }
     }
 }
@@ -433,9 +309,10 @@ impl DecompCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shw;
     use crate::soft::soft_bags;
+    use crate::{hw, shw};
     use proptest::prelude::*;
+    use softhw_hypergraph::cache::structural_hash;
     use softhw_hypergraph::named;
     use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
 
@@ -522,7 +399,7 @@ mod tests {
         }
         // Four distinct structures through a bound of two: the cache must
         // stay within bound and must have evicted.
-        assert!(cache.tracked_graphs() <= 2, "{}", cache.tracked_graphs());
+        assert!(cache.entries.len() <= 2, "{}", cache.entries.len());
         assert!(cache.stats().evictions >= 2, "{:?}", cache.stats());
         // Evicted structures recompute cold with identical results.
         for (h, w) in graphs.iter().zip(&widths) {
@@ -534,7 +411,7 @@ mod tests {
                 (cw, ctd.bags().to_vec())
             });
         }
-        assert!(cache.tracked_graphs() <= 2);
+        assert!(cache.entries.len() <= 2);
     }
 
     #[test]
@@ -547,7 +424,7 @@ mod tests {
         // entry points throughout.
         for cap in [0, 1] {
             let mut cache = DecompCache::with_capacity(cap);
-            assert_eq!(cache.max_graphs(), 1);
+            assert_eq!(cache.max_graphs, 1);
             let graphs = [
                 named::h2(),
                 named::cycle(5),
@@ -570,7 +447,7 @@ mod tests {
                     let (hw_w, ghd) = hw_of(&mut cache, h);
                     assert_eq!(hw_w, hw::hw(h).0);
                     assert!(ghd.is_hd(h));
-                    assert!(cache.tracked_graphs() <= 1, "bound violated");
+                    assert!(cache.entries.len() <= 1, "bound violated");
                 }
             }
             let s = cache.stats();
@@ -609,7 +486,7 @@ mod tests {
             hw_of(&mut cache, &named::cycle(5));
         }
         assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.tracked_graphs(), 2);
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]
@@ -764,34 +641,102 @@ mod tests {
                 for reduce in [true, false] {
                     let mut cache = DecompCache::new();
                     cache.solve(&h, &spec.clone().with_reduce(reduce)).unwrap();
-                    assert_eq!(cache.index_cache().stats().misses, 0);
-                    assert!(cache.tracked_graphs() > 0, "the decisions are tracked");
+                    assert!(!cache.entries.is_empty(), "the decisions are held");
+                    assert!(cache.entries.values().all(|e| e.index.is_none()));
                 }
             }
         }
     }
 
-    /// What the LRU oracle checks after every call: every hash holding a
-    /// warm index or a memoised decision is in the LRU clock, and the
-    /// clock is within its bound.
-    fn assert_lru_consistent(cache: &DecompCache, after: &str) {
-        let held = (cache.indexes.hashes())
-            .chain(cache.shw_results.keys().map(|&(hash, _)| hash))
-            .chain(cache.hw_results.keys().map(|&(hash, _)| hash));
-        for hash in held {
-            assert!(
-                cache.last_used.contains_key(&hash),
-                "{after}: untracked state"
-            );
+    #[test]
+    fn a_rebuilt_structure_hits_its_entry() {
+        let mut cache = DecompCache::new();
+        assert!(accepts(&mut cache, &named::h2(), SolveSpec::shw_leq(2)));
+        // A structurally identical rebuild (fresh allocation) must hit.
+        assert!(accepts(&mut cache, &named::h2(), SolveSpec::shw_leq(2)));
+        assert_eq!(cache.entries.len(), 1);
+        assert!(cache.entries.contains_key(&structural_hash(&named::h2())));
+        let s = cache.stats();
+        assert_eq!((s.result_hits, s.result_misses), (1, 1));
+    }
+
+    #[test]
+    fn distinct_structures_get_distinct_entries() {
+        let mut cache = DecompCache::new();
+        for h in [named::h2(), named::cycle(5), named::cycle(6)] {
+            accepts(&mut cache, &h, SolveSpec::hw_leq(2));
         }
-        assert!(cache.tracked_graphs() <= cache.max_graphs(), "{after}");
+        assert_eq!(cache.entries.len(), 3);
+        assert_eq!(cache.stats().result_misses, 3);
+    }
+
+    #[test]
+    fn warm_index_state_survives_across_queries() {
+        let mut cache = DecompCache::new();
+        let h = named::cycle(6);
+        let passes = |cache: &DecompCache| {
+            let index = cache.entries[&structural_hash(&h)].index.as_ref();
+            index.expect("an shw query built it").stats().misses
+        };
+        decide_at(&mut cache, &h, 2);
+        let first = passes(&cache);
+        assert!(first > 0, "the first instance ran its component passes");
+        // The repeat reads every block row the first one cached.
+        decide_at(&mut cache, &h, 2);
+        assert_eq!(passes(&cache), first);
+    }
+
+    #[test]
+    fn an_evicted_structure_rebuilds_cold_under_the_same_hash() {
+        let mut cache = DecompCache::with_capacity(1);
+        let (h, other) = (named::h2(), named::cycle(5));
+        let first = shw_of(&mut cache, &h);
+        shw_of(&mut cache, &other);
+        assert!(!cache.entries.contains_key(&structural_hash(&h)), "evicted");
+        let misses = cache.stats().result_misses;
+        assert_eq!(shw_of(&mut cache, &h), first);
+        assert!(cache.entries.contains_key(&structural_hash(&h)));
+        assert_eq!(cache.stats().result_misses, misses + first.0 as u64);
+        assert_eq!(cache.stats().evictions, 2);
+    }
+
+    #[test]
+    fn a_colliding_structure_is_a_miss_that_takes_the_entry_over() {
+        // Forge the collision: file the 5-cycle's decisions under the
+        // hash of `H2`. Decisions and index sit behind the same
+        // canonical-form check, so `H2` must not read them.
+        let mut cache = DecompCache::new();
+        let (h, squatter) = (named::h2(), named::cycle(5));
+        shw_of(&mut cache, &squatter);
+        let forged = cache.entries.remove(&structural_hash(&squatter)).unwrap();
+        cache.entries.insert(structural_hash(&h), forged);
+        assert!(cache.export(&h, SolveClass::Shw).is_empty());
+        assert_eq!(shw_of(&mut cache, &h), shw::shw(&h));
+        assert_eq!(cache.stats().result_hits, 0);
+        assert_eq!((cache.entries.len(), cache.stats().evictions), (1, 1));
+    }
+
+    /// `h` beside a copy of itself on fresh vertices and edge names: the
+    /// one input whose reduced pieces share a cache entry within a call.
+    fn with_renamed_twin(h: &Hypergraph) -> Hypergraph {
+        let mut b = softhw_hypergraph::HypergraphBuilder::new();
+        for copy in ["", "twin_"] {
+            for e in 0..h.num_edges() {
+                let names: Vec<String> = (h.edge(e).iter())
+                    .map(|v| format!("{copy}{}", h.vertex_name(v)))
+                    .collect();
+                let names: Vec<&str> = names.iter().map(String::as_str).collect();
+                b.edge(&format!("{copy}{}", h.edge_name(e)), &names);
+            }
+        }
+        b.build()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn whatever_is_cached_is_in_the_lru_clock_after_every_call(
+        fn the_bound_holds_after_every_call_while_eviction_churns(
             (seed, capacity) in (0u64..10_000, 2usize..5),
             ops in proptest::collection::vec((0usize..5, 0usize..6, 1usize..4, 0u64..4, 1u64..400), 30..50),
         ) {
@@ -817,7 +762,7 @@ mod tests {
                 let reduce = flags & 1 == 1;
                 // Half the calls run under a work cap small enough to
                 // trip mid-enumeration: an index a trip leaves half-grown
-                // must still be tracked.
+                // sits in an entry like any other, inside the bound.
                 let budget = if flags & 2 == 2 {
                     Budget::with_work_cap(cap)
                 } else {
@@ -841,10 +786,74 @@ mod tests {
                         trips += usize::from(inst.is_err());
                     }
                 }
-                assert_lru_consistent(&cache, &format!("step {step}, op {op} on schema {schema}"));
+                prop_assert!(
+                    cache.entries.len() <= capacity,
+                    "step {}, op {} on schema {}", step, op, schema
+                );
             }
             prop_assert!(cache.stats().evictions > 0, "capacity {} never evicted", capacity);
             prop_assert!(trips > 0, "no call tripped its work cap");
+        }
+
+        #[test]
+        fn cold_and_memoised_doors_agree_decomposition_for_decomposition(
+            (seed, vertices, edges) in (0u64..10_000, 4usize..8, 3usize..8),
+            (connect, twin) in (0usize..2, 0usize..2),
+            k in 1usize..4,
+        ) {
+            // Arity from 1 at this density: pendant and subsumed edges
+            // are common, so both reductions really fire.
+            let config = RandomConfig {
+                num_vertices: vertices,
+                num_edges: edges,
+                min_arity: 1,
+                max_arity: 3,
+                connect: connect == 1,
+            };
+            let base = random_hypergraph(&config, seed);
+            let h = if twin == 1 { with_renamed_twin(&base) } else { base };
+            let corners = [
+                SolveSpec::shw(),
+                SolveSpec::shw_leq(k),
+                SolveSpec::hw(),
+                SolveSpec::hw_leq(k),
+            ];
+            for spec in corners {
+                for reduce in [true, false] {
+                    let spec = spec.clone().with_reduce(reduce);
+                    // Raw sweeps of a disconnected input have no witness:
+                    // the doors must then fail alike.
+                    let cold = crate::solve(&h, &spec);
+                    let mut cache = DecompCache::new();
+                    prop_assert_eq!(&cache.solve(&h, &spec), &cold, "fresh cache, {:?}", &spec);
+                    let misses = cache.stats().result_misses;
+                    prop_assert_eq!(&cache.solve(&h, &spec), &cold, "second ask, {:?}", &spec);
+                    if cold.is_ok() {
+                        prop_assert_eq!(cache.stats().result_misses, misses, "a repeat is a memo hit");
+                    }
+                }
+            }
+            // The named cold functions are the same door.
+            prop_assert_eq!(crate::solve(&h, &SolveSpec::shw()).unwrap(), {
+                let (w, td) = shw::shw(&h);
+                Solved::ShwWidth(w, td)
+            });
+            prop_assert_eq!(crate::solve(&h, &SolveSpec::hw()).unwrap(), {
+                let (w, g) = hw::hw(&h);
+                Solved::HwWidth(w, g)
+            });
+            if connect == 1 && twin == 0 {
+                let raw = SolveSpec::shw().with_reduce(false);
+                prop_assert_eq!(crate::solve(&h, &raw).unwrap(), {
+                    let (w, td) = shw::shw_raw(&h);
+                    Solved::ShwWidth(w, td)
+                });
+                let raw = SolveSpec::hw().with_reduce(false);
+                prop_assert_eq!(crate::solve(&h, &raw).unwrap(), {
+                    let (w, g) = hw::hw_raw(&h);
+                    Solved::HwWidth(w, g)
+                });
+            }
         }
     }
 }

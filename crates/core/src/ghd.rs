@@ -7,7 +7,7 @@ use crate::td::{TdError, TreeDecomposition};
 use softhw_hypergraph::Hypergraph;
 
 /// A generalised hypertree decomposition `(T, λ, B)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ghd {
     /// The underlying tree decomposition `(T, B)`.
     pub td: TreeDecomposition,

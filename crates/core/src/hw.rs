@@ -17,15 +17,16 @@
 //! cover-guided (branch on the lowest uncovered connector vertex) with a
 //! free extension phase, which prunes the `|E|^k` space drastically.
 //!
-//! The free functions here are the **cold** solvers. Long-lived callers
-//! should prefer [`crate::cache::DecompCache::solve`] with a
-//! [`crate::spec::SolveSpec`] (`SolveSpec::hw()` / `SolveSpec::hw_leq(k)`)
-//! for cross-query memoisation and budget plumbing behind one entry
-//! point.
+//! [`hw`], [`hw_raw`] and [`hw_leq`] are [`crate::solve`] under the
+//! matching [`SolveSpec`] — the cold door of the one solver pipeline
+//! ([`crate::reduce_solve`]); [`hw_leq_budgeted`] is that pipeline's `hw`
+//! leaf. Callers that ask one schema several ways hold a
+//! [`crate::cache::DecompCache`], the memo in front of the same pipeline.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
+use crate::spec::{SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::{BagArena, BagId, BitSet, FxHashMap, Hypergraph};
 
@@ -246,7 +247,10 @@ impl<'h> Solver<'h> {
 /// Decides `hw(H) ≤ k`; on success returns a witness HD (validated
 /// special condition included in debug builds).
 pub fn hw_leq(h: &Hypergraph, k: usize) -> Option<Ghd> {
-    hw_leq_budgeted(h, k, &Budget::unlimited()).expect("the unlimited budget cannot trip")
+    match crate::solve(h, &SolveSpec::hw_leq(k)) {
+        Ok(Solved::HwDecision(g)) => g,
+        other => panic!("an unbudgeted hw ≤ k decision answered {other:?}"),
+    }
 }
 
 /// [`hw_leq`] with a cooperative [`Budget`], ticked once per sub-problem
@@ -282,30 +286,26 @@ pub fn hw_leq_budgeted(
     Ok(Some(ghd))
 }
 
-/// Computes `hw(H)` exactly, returning the width and a witness HD. The
-/// input is first simplified by the width-preserving reduction pipeline
-/// ([`softhw_hypergraph::reduce()`]); each piece is swept with [`hw_raw`]
-/// and the piece witnesses lifted back ([`crate::reduce_solve`]).
+/// Computes `hw(H)` exactly, returning the width and a witness HD —
+/// [`crate::solve`] under [`SolveSpec::hw`]. The input is first
+/// simplified by the HD-safe (no-peel) reduction pipeline
+/// ([`softhw_hypergraph::reduce_no_peel`]); each piece is swept and the
+/// piece witnesses lifted back ([`crate::reduce_solve`]).
 pub fn hw(h: &Hypergraph) -> (usize, Ghd) {
-    crate::reduce_solve::hw(h)
+    exact(h, true)
 }
 
-/// The raw exact sweep, with no reduction preprocessing.
+/// The raw exact sweep, with no reduction preprocessing
+/// ([`SolveSpec::with_reduce`]`(false)`).
 pub fn hw_raw(h: &Hypergraph) -> (usize, Ghd) {
-    hw_raw_budgeted(h, &Budget::unlimited()).expect("no width up to |E(H)| admits an HD")
+    exact(h, false)
 }
 
-/// [`hw_raw`] with a cooperative [`Budget`] shared across all widths of
-/// the sweep.
-pub fn hw_raw_budgeted(h: &Hypergraph, budget: &Budget) -> Result<(usize, Ghd), DecompError> {
-    for k in 1..=h.num_edges().max(1) {
-        if let Some(g) = hw_leq_budgeted(h, k, budget)? {
-            return Ok((k, g));
-        }
+fn exact(h: &Hypergraph, reduce: bool) -> (usize, Ghd) {
+    match crate::solve(h, &SolveSpec::hw().with_reduce(reduce)) {
+        Ok(Solved::HwWidth(w, g)) => (w, g),
+        other => panic!("the unbudgeted hw sweep answered {other:?}"),
     }
-    Err(DecompError::internal(
-        "width sweep exhausted |E(H)| without accepting",
-    ))
 }
 
 #[cfg(test)]

@@ -8,12 +8,14 @@
 //! Module map (paper section in parentheses):
 //! - [`td`], [`ghd`]: (generalised) hypertree decompositions and checks (§2)
 //! - [`ctd`]: blocks, bases, Algorithm 1 on the worklist DP engine (§3)
-//! - [`cache`]: cross-query decomposition cache (structural-hash keyed
-//!   warm indexes + width-decision memoisation under one LRU) behind
-//!   `solve`
-//! - [`spec`]: the unified [`SolveSpec`] request surface consumed by
-//!   [`cache::DecompCache::solve`] — the front door over every
-//!   (class × exactness × budget × reduction) corner
+//! - [`spec`]: the unified [`SolveSpec`] request surface over every
+//!   (class × exactness × budget × reduction × limits) corner
+//! - [`reduce_solve`]: the one solver pipeline (reduce → sweep each
+//!   piece → lift) and its cold front door, [`solve`]
+//! - [`cache`]: [`DecompCache`], the cross-query memo in front of the same
+//!   pipeline (one structural-hash keyed map of warm indexes + width
+//!   decisions under an LRU bound), for callers that ask one schema
+//!   several ways
 //! - [`soft`]: the candidate bag set `Soft_{H,k}` (§4, Def. 3)
 //! - [`soft_iter`]: the iterated hierarchy `Soft^i`, `shw_i`, ghw as the
 //!   fixpoint (§5)
@@ -50,6 +52,7 @@ pub use budget::Budget;
 pub use cache::DecompCache;
 pub use ctd::{candidate_td, CtdInstance};
 pub use error::DecompError;
+pub use reduce_solve::solve;
 
 /// Enumerates all subsets of `pool` with size between 1 and `k`.
 /// Re-exported helper shared by the cover searches.

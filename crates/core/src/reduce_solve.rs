@@ -23,16 +23,22 @@
 //! fully-peelable (α-acyclic) hypergraph a genuine join tree: one node
 //! per surviving edge, each coverable by a single edge.
 //!
-//! The `shw`/`hw` entry points here are **cold** reduce-aware solvers;
-//! long-lived callers should prefer
-//! [`crate::cache::DecompCache::solve`] with a
-//! [`crate::spec::SolveSpec`], which routes through the same pipeline
-//! with cross-query memoisation of the piece solves.
+//! This module is also the **one solver pipeline**. `exact_width` is
+//! the only reduce → sweep each piece → lift loop in the crate,
+//! parameterised by the witness kind (`Witness`: which reduction is
+//! sound, how pieces lift, what "valid" means) and by a per-piece sweep.
+//! It has two front doors. [`solve`] is the cold one: every piece is
+//! swept with the leaf decisions ([`shw_leq_indexed_budgeted`] against
+//! one index per piece, [`hw_leq_budgeted`]) and nothing outlives the
+//! call. [`crate::cache::DecompCache::solve`] runs the same routine with
+//! the same leaves behind its cross-query memo.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
-use crate::soft::SoftLimits;
+use crate::hw::hw_leq_budgeted;
+use crate::shw::{new_index, shw_leq_indexed_budgeted};
+use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::reduce::{reduce, reduce_no_peel, ReduceEvent, ReducePiece, Reduction};
 use softhw_hypergraph::{BitSet, Hypergraph};
@@ -195,214 +201,156 @@ fn lift(
     lifter.finish()
 }
 
-/// Lifts per-piece tree decompositions back to one valid decomposition
-/// of the original hypergraph by replaying the reduction trace
-/// backwards. Panics if the reduction is trivial *and* empty (nothing to
-/// lift); callers handle `red.is_trivial()` with the raw solver path.
-pub fn lift_td(
-    h: &Hypergraph,
-    red: &Reduction,
-    piece_tds: &[TreeDecomposition],
-) -> TreeDecomposition {
-    let refs: Vec<&TreeDecomposition> = piece_tds.iter().collect();
-    lift(h, red, &refs).0
+/// A width witness the pipeline can reduce for, lift and check. The two
+/// measures differ in exactly these three places.
+pub(crate) trait Witness: Sized {
+    /// The width-preserving reduction that is sound for this witness.
+    fn reduce(h: &Hypergraph) -> Reduction;
+    /// One witness for `h` out of one per piece of `red`, by replaying
+    /// the reduction trace backwards (`red` is non-trivial).
+    fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self;
+    /// Whether this is a valid witness for `h`.
+    fn holds_on(&self, h: &Hypergraph) -> bool;
 }
 
-/// Lifts per-piece GHDs back to one GHD of the original hypergraph.
-/// Piece λ-labels map through the piece's edge map; replay-created nodes
-/// get `λ = {owning edge}` (their bags are subsets of that edge).
-pub fn lift_ghd(h: &Hypergraph, red: &Reduction, piece_ghds: &[Ghd]) -> Ghd {
-    let refs: Vec<&TreeDecomposition> = piece_ghds.iter().map(|g| &g.td).collect();
-    let (td, origin) = lift(h, red, &refs);
-    let lambdas: Vec<Vec<usize>> = origin
-        .iter()
-        .map(|o| match *o {
-            NodeOrigin::Piece { piece, node } => piece_ghds[piece].lambdas[node]
-                .iter()
-                .map(|&e| red.pieces[piece].edge_map[e])
-                .collect(),
-            NodeOrigin::Owned { edge } => vec![edge],
-        })
-        .collect();
-    Ghd { td, lambdas }
-}
-
-/// Exact soft hypertree width via reduce-before-solve: simplify, sweep
-/// each piece ([`crate::shw::shw_raw`]), recombine widths by max (floor
-/// 1 when anything was reduced) and lift the witness. Irreducible
-/// connected inputs take the raw path unchanged.
-pub fn shw(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    shw_budgeted(h, &SoftLimits::default(), &Budget::unlimited()).expect("default limits exceeded")
-}
-
-/// [`shw`] with a cooperative [`Budget`], checked before every reduced
-/// piece (the per-piece sweeps check it far more finely on their own).
-/// On abort the partially solved pieces are dropped; a retry re-reduces
-/// and re-solves from scratch.
-pub fn shw_budgeted(
-    h: &Hypergraph,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<(usize, TreeDecomposition), DecompError> {
-    let red = reduce(h);
-    if red.is_trivial() {
-        return crate::shw::shw_raw_budgeted(h, limits, budget);
+impl Witness for TreeDecomposition {
+    fn reduce(h: &Hypergraph) -> Reduction {
+        reduce(h)
     }
-    let mut width = 1usize;
-    let mut tds = Vec::with_capacity(red.pieces.len());
+
+    fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self {
+        lift(h, red, &pieces.iter().collect::<Vec<_>>()).0
+    }
+
+    fn holds_on(&self, h: &Hypergraph) -> bool {
+        self.validate(h).is_ok()
+    }
+}
+
+/// Degree-1 peeling is sound for tree decompositions but re-enters
+/// peeled vertices *below* nodes that may carry their host edge in `λ`,
+/// violating the HD special condition — so `hw` restricts itself to
+/// subsumption and splitting ([`reduce_no_peel`]). Piece `λ`-labels map
+/// through the piece's edge map; replay-created nodes get
+/// `λ = {owning edge}` (their bags are subsets of that edge).
+impl Witness for Ghd {
+    fn reduce(h: &Hypergraph) -> Reduction {
+        reduce_no_peel(h)
+    }
+
+    fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self {
+        let tds: Vec<&TreeDecomposition> = pieces.iter().map(|g| &g.td).collect();
+        let (td, origin) = lift(h, red, &tds);
+        let lambdas = origin
+            .iter()
+            .map(|o| match *o {
+                NodeOrigin::Piece { piece, node } => pieces[piece].lambdas[node]
+                    .iter()
+                    .map(|&e| red.pieces[piece].edge_map[e])
+                    .collect(),
+                NodeOrigin::Owned { edge } => vec![edge],
+            })
+            .collect();
+        Ghd { td, lambdas }
+    }
+
+    fn holds_on(&self, h: &Hypergraph) -> bool {
+        self.is_hd(h)
+    }
+}
+
+/// The exact width of `h` and a witness, given `sweep`, which answers
+/// that for one irreducible connected hypergraph. With `reduce`, `h` is
+/// simplified first, every reduced piece swept (the budget checked
+/// before each; the sweeps check it far more finely on their own), the
+/// widths recombined by max — floor 1 once anything was reduced — and
+/// the piece witnesses lifted. Without it, and for inputs the reduction
+/// leaves alone, `h` itself is swept. A budget abort drops the pieces
+/// solved so far.
+pub(crate) fn exact_width<W: Witness>(
+    h: &Hypergraph,
+    reduce: bool,
+    budget: &Budget,
+    mut sweep: impl FnMut(&Hypergraph) -> Result<(usize, W), DecompError>,
+) -> Result<(usize, W), DecompError> {
+    if !reduce {
+        return sweep(h);
+    }
+    let red = W::reduce(h);
+    if red.is_trivial() {
+        return sweep(h);
+    }
+    let mut width = 1;
+    let mut witnesses = Vec::with_capacity(red.pieces.len());
     for piece in &red.pieces {
         budget.check()?;
-        let (w, td) = crate::shw::shw_raw_budgeted(&piece.h, limits, budget)?;
+        let (w, witness) = sweep(&piece.h)?;
         width = width.max(w);
-        tds.push(td);
+        witnesses.push(witness);
     }
-    let td = lift_td(h, &red, &tds);
-    debug_assert_eq!(td.validate(h), Ok(()));
-    Ok((width, td))
+    let lifted = W::lift(h, &red, &witnesses);
+    debug_assert!(lifted.holds_on(h), "the lifted witness must be valid");
+    Ok((width, lifted))
 }
 
-/// Decides `shw(H) <= k` via reduce-before-solve (every piece must
-/// accept). `k = 0` falls back to the raw decision.
-pub fn shw_leq(h: &Hypergraph, k: usize) -> Option<TreeDecomposition> {
-    if k == 0 {
-        return crate::shw::shw_leq(h, k);
-    }
-    let red = reduce(h);
-    if red.is_trivial() {
-        return crate::shw::shw_leq(h, k);
-    }
-    let mut tds = Vec::with_capacity(red.pieces.len());
-    for piece in &red.pieces {
-        tds.push(crate::shw::shw_leq(&piece.h, k)?);
-    }
-    let td = lift_td(h, &red, &tds);
-    debug_assert_eq!(td.validate(h), Ok(()));
-    Some(td)
-}
-
-/// [`shw_leq`] with a cooperative [`Budget`] and explicit limits.
-pub fn shw_leq_budgeted(
+/// The width sweep: asks `decide` for `k = 1, 2, …, |E(H)|` and answers
+/// with the first width it accepts.
+pub(crate) fn least_width<W>(
     h: &Hypergraph,
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<Option<TreeDecomposition>, DecompError> {
-    let raw = |h: &Hypergraph| {
-        let mut index = softhw_hypergraph::BlockIndex::new(h);
-        crate::shw::shw_leq_indexed_budgeted(&mut index, k, limits, budget)
-    };
-    if k == 0 {
-        return raw(h);
-    }
-    let red = reduce(h);
-    if red.is_trivial() {
-        return raw(h);
-    }
-    let mut tds = Vec::with_capacity(red.pieces.len());
-    for piece in &red.pieces {
-        budget.check()?;
-        match raw(&piece.h)? {
-            Some(td) => tds.push(td),
-            None => return Ok(None),
+    mut decide: impl FnMut(usize) -> Result<Option<W>, DecompError>,
+) -> Result<(usize, W), DecompError> {
+    for k in 1..=h.num_edges().max(1) {
+        if let Some(witness) = decide(k)? {
+            return Ok((k, witness));
         }
     }
-    let td = lift_td(h, &red, &tds);
-    debug_assert_eq!(td.validate(h), Ok(()));
-    Ok(Some(td))
+    // Unreachable for `shw` (the full vertex set is a candidate at
+    // `k = |E|`); for `hw`, a degenerate input admitting no HD.
+    Err(DecompError::internal(
+        "no width up to |E(H)| admits a decomposition",
+    ))
 }
 
-/// Exact hypertree width via reduce-before-solve; the lifted witness is
-/// a genuine HD (special condition included) of the reported width.
-///
-/// Uses [`reduce_no_peel`]: degree-1 peeling is sound for tree
-/// decompositions but re-enters peeled vertices *below* nodes that may
-/// carry their host edge in `λ`, violating the HD special condition —
-/// so the `hw` path restricts itself to subsumption and splitting.
-pub fn hw(h: &Hypergraph) -> (usize, Ghd) {
-    let red = reduce_no_peel(h);
-    if red.is_trivial() {
-        return crate::hw::hw_raw(h);
-    }
-    let mut width = 1usize;
-    let mut ghds = Vec::with_capacity(red.pieces.len());
-    for piece in &red.pieces {
-        let (w, g) = crate::hw::hw_raw(&piece.h);
-        width = width.max(w);
-        ghds.push(g);
-    }
-    let g = lift_ghd(h, &red, &ghds);
-    debug_assert!(g.is_hd(h), "lifted HD must satisfy the special condition");
-    (width, g)
-}
-
-/// [`hw`] with a cooperative [`Budget`], checked before every reduced
-/// piece and per sub-problem inside each piece's search.
-pub fn hw_budgeted(h: &Hypergraph, budget: &Budget) -> Result<(usize, Ghd), DecompError> {
-    let red = reduce_no_peel(h);
-    if red.is_trivial() {
-        return crate::hw::hw_raw_budgeted(h, budget);
-    }
-    let mut width = 1usize;
-    let mut ghds = Vec::with_capacity(red.pieces.len());
-    for piece in &red.pieces {
-        budget.check()?;
-        let (w, g) = crate::hw::hw_raw_budgeted(&piece.h, budget)?;
-        width = width.max(w);
-        ghds.push(g);
-    }
-    let g = lift_ghd(h, &red, &ghds);
-    debug_assert!(g.is_hd(h), "lifted HD must satisfy the special condition");
-    Ok((width, g))
-}
-
-/// Decides `hw(H) <= k` via reduce-before-solve (every piece must
-/// accept). `k = 0` falls back to the raw decision.
-pub fn hw_leq(h: &Hypergraph, k: usize) -> Option<Ghd> {
-    if k == 0 {
-        return crate::hw::hw_leq(h, k);
-    }
-    let red = reduce_no_peel(h);
-    if red.is_trivial() {
-        return crate::hw::hw_leq(h, k);
-    }
-    let mut ghds = Vec::with_capacity(red.pieces.len());
-    for piece in &red.pieces {
-        ghds.push(crate::hw::hw_leq(&piece.h, k)?);
-    }
-    let g = lift_ghd(h, &red, &ghds);
-    debug_assert!(g.is_hd(h), "lifted HD must satisfy the special condition");
-    Some(g)
-}
-
-/// [`hw_leq`] with a cooperative [`Budget`].
-pub fn hw_leq_budgeted(
-    h: &Hypergraph,
-    k: usize,
-    budget: &Budget,
-) -> Result<Option<Ghd>, DecompError> {
-    if k == 0 {
-        return crate::hw::hw_leq_budgeted(h, k, budget);
-    }
-    let red = reduce_no_peel(h);
-    if red.is_trivial() {
-        return crate::hw::hw_leq_budgeted(h, k, budget);
-    }
-    let mut ghds = Vec::with_capacity(red.pieces.len());
-    for piece in &red.pieces {
-        budget.check()?;
-        match crate::hw::hw_leq_budgeted(&piece.h, k, budget)? {
-            Some(g) => ghds.push(g),
-            None => return Ok(None),
+/// Answers one width query cold: the entry point over every
+/// (class × exactness × budget × reduction × limits) corner of a
+/// [`SolveSpec`], keeping nothing between calls. Exact widths run the
+/// reduce-aware pipeline above, one [`softhw_hypergraph::BlockIndex`]
+/// per piece shared across the widths of its sweep (`hw` builds none);
+/// bounded decisions are one leaf decision on `h` as given. A budget or
+/// limit trip is the error; nothing partial is returned.
+pub fn solve(h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
+    let (limits, budget) = (&spec.limits, &spec.budget);
+    Ok(match (spec.class, spec.bound) {
+        (SolveClass::Shw, Some(k)) => Solved::ShwDecision(shw_leq_indexed_budgeted(
+            &mut new_index(h),
+            k,
+            limits,
+            budget,
+        )?),
+        (SolveClass::Shw, None) => {
+            let (w, td) = exact_width(h, spec.reduce, budget, |piece| {
+                let mut index = new_index(piece);
+                least_width(piece, |k| {
+                    shw_leq_indexed_budgeted(&mut index, k, limits, budget)
+                })
+            })?;
+            Solved::ShwWidth(w, td)
         }
-    }
-    let g = lift_ghd(h, &red, &ghds);
-    debug_assert!(g.is_hd(h), "lifted HD must satisfy the special condition");
-    Ok(Some(g))
+        (SolveClass::Hw, Some(k)) => Solved::HwDecision(hw_leq_budgeted(h, k, budget)?),
+        (SolveClass::Hw, None) => {
+            let (w, g) = exact_width(h, spec.reduce, budget, |piece| {
+                least_width(piece, |k| hw_leq_budgeted(piece, k, budget))
+            })?;
+            Solved::HwWidth(w, g)
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hw::hw;
+    use crate::shw::shw;
     use softhw_hypergraph::HypergraphBuilder;
 
     fn acyclic_chain() -> Hypergraph {
@@ -472,9 +420,14 @@ mod tests {
 
     #[test]
     fn decisions_agree_with_exact_widths() {
+        let accepts = |h: &Hypergraph, spec: SolveSpec| match solve(h, &spec).unwrap() {
+            Solved::ShwDecision(td) => td.map(|td| td.validate(h)),
+            Solved::HwDecision(g) => g.map(|g| g.validate(h)),
+            exact => panic!("bounded specs answer with a decision, got {exact:?}"),
+        };
         let h = acyclic_chain();
-        assert!(shw_leq(&h, 1).is_some());
-        assert!(hw_leq(&h, 1).is_some());
+        assert_eq!(accepts(&h, SolveSpec::shw_leq(1)), Some(Ok(())));
+        assert_eq!(accepts(&h, SolveSpec::hw_leq(1)), Some(Ok(())));
         let mut b = HypergraphBuilder::new();
         for i in 0..5 {
             b.edge(
@@ -484,10 +437,13 @@ mod tests {
         }
         b.edge("pendant", &["v0", "x"]);
         let h = b.build();
-        assert!(shw_leq(&h, 1).is_none(), "a 5-cycle needs width 2");
-        let td = shw_leq(&h, 2).expect("width 2 suffices");
-        assert_eq!(td.validate(&h), Ok(()));
-        let g = hw_leq(&h, 2).expect("width 2 suffices");
-        assert_eq!(g.validate(&h), Ok(()));
+        assert_eq!(
+            accepts(&h, SolveSpec::shw_leq(1)),
+            None,
+            "a 5-cycle needs 2"
+        );
+        assert_eq!(accepts(&h, SolveSpec::hw_leq(1)), None, "a 5-cycle needs 2");
+        assert_eq!(accepts(&h, SolveSpec::shw_leq(2)), Some(Ok(())));
+        assert_eq!(accepts(&h, SolveSpec::hw_leq(2)), Some(Ok(())));
     }
 }

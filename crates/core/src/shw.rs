@@ -8,17 +8,19 @@
 //! coverable by at most `k` edges (Theorem 2), so the result can always be
 //! upgraded to a GHD of width ≤ k via [`crate::ghd::Ghd::from_td`].
 //!
-//! The free functions here are the **cold** solvers. Long-lived callers
-//! should prefer [`crate::cache::DecompCache::solve`] with a
-//! [`crate::spec::SolveSpec`] (`SolveSpec::shw()` /
-//! `SolveSpec::shw_leq(k)`), which adds cross-query memoisation, budget
-//! plumbing, and the reduce-before-solve pipeline behind one entry
-//! point.
+//! [`shw`], [`shw_raw`], [`shw_leq`] and [`shw_leq_with`] are
+//! [`crate::solve`] under the matching [`SolveSpec`] — the cold door of
+//! the one solver pipeline ([`crate::reduce_solve`]). What lives here
+//! are that pipeline's `shw` leaves: one `shw ≤ k` decision against a
+//! caller-held [`BlockIndex`], and the prepared instance it runs on.
+//! Callers that ask one schema several ways hold a
+//! [`crate::cache::DecompCache`], the memo in front of the same pipeline.
 
 use crate::budget::Budget;
 use crate::ctd::CtdInstance;
 use crate::error::DecompError;
 use crate::soft::{soft_bag_ids, soft_bag_ids_budgeted, LimitExceeded, SoftLimits};
+use crate::spec::{SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::{BlockIndex, Hypergraph};
 
@@ -34,8 +36,20 @@ pub fn shw_leq_with(
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Option<TreeDecomposition>, LimitExceeded> {
-    let mut index = BlockIndex::new(h);
-    shw_leq_indexed(&mut index, k, limits)
+    match crate::solve(h, &SolveSpec::shw_leq(k).with_limits(limits.clone())) {
+        Ok(Solved::ShwDecision(td)) => Ok(td),
+        Err(DecompError::Limit(e)) => Err(e),
+        other => panic!("an unbudgeted shw ≤ k decision answered {other:?}"),
+    }
+}
+
+/// A fresh [`BlockIndex`] over `h`, under the `index_build` span: the
+/// one place the solver pipeline — cold sweep, cold decision,
+/// [`soft_instance`], a [`crate::cache::DecompCache`] entry's first `shw`
+/// query — builds an index.
+pub(crate) fn new_index(h: &Hypergraph) -> BlockIndex {
+    let _span = softhw_obs::span(softhw_obs::stage::INDEX_BUILD);
+    BlockIndex::new(h)
 }
 
 /// Decides `shw(H) ≤ k` against a shared [`BlockIndex`]: candidate
@@ -54,7 +68,7 @@ pub fn shw_leq_indexed(
 /// `Soft_{H,k}` on a shared [`BlockIndex`] and the prepared
 /// `CandidateTD` instance over it, both under `budget` — what Algorithm 1
 /// ([`shw_leq_indexed_budgeted`]) and Algorithm 2 callers run their DP on.
-pub(crate) fn soft_instance_budgeted(
+pub(crate) fn soft_instance_on(
     index: &mut BlockIndex,
     k: usize,
     limits: &SoftLimits,
@@ -62,6 +76,21 @@ pub(crate) fn soft_instance_budgeted(
 ) -> Result<CtdInstance, DecompError> {
     let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
     CtdInstance::build_budgeted(index, &bags, budget)
+}
+
+/// `Soft_{H,k}` and the prepared `CandidateTD` instance over it on an
+/// index built for this call — exactly what a cold `shw ≤ k` decision
+/// builds, for callers that run their own DP over the block tables
+/// (Algorithm 2, [`crate::ctd_opt`]).
+/// [`crate::cache::DecompCache::soft_instance`] is the same on a warm
+/// index.
+pub fn soft_instance(
+    h: &Hypergraph,
+    k: usize,
+    limits: &SoftLimits,
+    budget: &Budget,
+) -> Result<CtdInstance, DecompError> {
+    soft_instance_on(&mut new_index(h), k, limits, budget)
 }
 
 /// [`shw_leq_indexed`] with a cooperative [`Budget`] threaded through
@@ -74,51 +103,38 @@ pub fn shw_leq_indexed_budgeted(
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<Option<TreeDecomposition>, DecompError> {
-    soft_instance_budgeted(index, k, limits, budget)?.try_decide_budgeted(budget)
+    soft_instance_on(index, k, limits, budget)?.try_decide_budgeted(budget)
 }
 
 /// Computes `shw(H)` exactly: the least `k` admitting a soft HD, together
-/// with a witness decomposition. The input is first simplified by the
+/// with a witness decomposition — [`crate::solve`] under
+/// [`SolveSpec::shw`]. The input is first simplified by the
 /// width-preserving reduction pipeline ([`softhw_hypergraph::reduce()`]);
-/// each reduced piece is swept with [`shw_raw`] and the piece witnesses
-/// are lifted back to one decomposition of the original hypergraph
+/// each reduced piece is swept and the piece witnesses are lifted back to
+/// one decomposition of the original hypergraph
 /// ([`crate::reduce_solve`]). Irreducible connected inputs take the raw
 /// sweep unchanged.
 pub fn shw(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    crate::reduce_solve::shw(h)
+    exact(h, true)
 }
 
-/// The raw exact sweep, with no reduction preprocessing: Algorithm 1
-/// decides `shw(H) ≤ k` per width, so the sweep asks `k = 1, 2, …` until
-/// the first accept. One [`BlockIndex`] is shared across the widths —
+/// The raw exact sweep, with no reduction preprocessing
+/// ([`SolveSpec::with_reduce`]`(false)`): Algorithm 1 decides
+/// `shw(H) ≤ k` per width, so the sweep asks `k = 1, 2, …` until the
+/// first accept. One [`BlockIndex`] is shared across the widths —
 /// components, blocks and coverage unions computed for width `k` are
 /// cache hits at `k + 1` — while each width builds its own
 /// [`CtdInstance`] over `Soft_{H,k}`. Panics on disconnected inputs (no
 /// single sweep witness exists); [`shw`] handles those by splitting.
 pub fn shw_raw(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    shw_raw_budgeted(h, &SoftLimits::default(), &Budget::unlimited())
-        .expect("default limits exceeded")
+    exact(h, false)
 }
 
-/// [`shw_raw`] with explicit generation limits and a cooperative
-/// [`Budget`], checked inside each width per enumeration node,
-/// comp-group scan and DP wave. The index is local, so an abort drops
-/// everything.
-pub fn shw_raw_budgeted(
-    h: &Hypergraph,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<(usize, TreeDecomposition), DecompError> {
-    let mut index = BlockIndex::new(h);
-    for k in 1..=h.num_edges().max(1) {
-        if let Some(td) = shw_leq_indexed_budgeted(&mut index, k, limits, budget)? {
-            return Ok((k, td));
-        }
+fn exact(h: &Hypergraph, reduce: bool) -> (usize, TreeDecomposition) {
+    match crate::solve(h, &SolveSpec::shw().with_reduce(reduce)) {
+        Ok(Solved::ShwWidth(w, td)) => (w, td),
+        other => panic!("the shw sweep under default limits answered {other:?}"),
     }
-    // Unreachable for valid inputs: shw(H) ≤ |E(H)| always accepts.
-    Err(DecompError::internal(
-        "width sweep exhausted |E(H)| without accepting",
-    ))
 }
 
 #[cfg(test)]

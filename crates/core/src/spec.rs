@@ -12,12 +12,15 @@
 //! - **budget** — a cooperative [`Budget`]; [`Budget::unlimited`] costs
 //!   nothing and never trips;
 //! - **reduce** — whether exact solves may run the reduce-before-solve
-//!   pipeline (bounded decisions have a fixed per-class strategy; see
+//!   pipeline (bounded decisions never reduce; see
 //!   [`SolveSpec::reduce`]);
 //! - **limits** — the [`SoftLimits`] generation guards for `shw` paths.
 //!
-//! [`crate::cache::DecompCache::solve`] is the single entry point that
-//! consumes a spec and answers with a [`Solved`].
+//! [`crate::solve`] is the entry point: it consumes a spec and answers
+//! with a [`Solved`], keeping nothing between calls.
+//! [`crate::cache::DecompCache::solve`] is the same function of
+//! `(h, spec)` with a cross-query memo in front, for callers that ask
+//! one schema several ways.
 
 use crate::budget::Budget;
 use crate::ghd::Ghd;
@@ -48,10 +51,10 @@ pub struct SolveSpec {
     /// allocates nothing and solves on the never-checking fast path.
     pub budget: Budget,
     /// Whether **exact** solves run the reduce-before-solve pipeline
-    /// (simplify, solve pieces, lift). Bounded decisions keep their
-    /// class's fixed strategy regardless of this flag — `shw ≤ k`
-    /// decides on the raw input, `hw ≤ k` reduces internally — so a
-    /// decision answered warm and one answered cold are bit-identical.
+    /// (simplify, solve pieces, lift). Bounded decisions ignore this
+    /// flag: `shw ≤ k` and `hw ≤ k` both run their one search on the
+    /// input as given, never on its reduction, so a decision is the same
+    /// whichever exact sweep (reduced or raw) memoised it.
     pub reduce: bool,
     /// Generation guards for the `Soft_{H,k}` candidate bag sets; only
     /// `shw` paths consult them.
@@ -116,7 +119,7 @@ impl SolveSpec {
 
 /// The answer to a [`SolveSpec`], one variant per (class, exactness)
 /// corner. Decisions carry `Some(witness)` on yes, `None` on no.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Solved {
     /// Exact `shw`: the width and a witness decomposition.
     ShwWidth(usize, TreeDecomposition),

@@ -12,7 +12,7 @@ use std::fmt;
 /// `self.root`. Construction goes through [`TreeDecomposition::new`] and
 /// [`TreeDecomposition::add_child`]; validity is *not* enforced during
 /// construction — call [`TreeDecomposition::validate`].
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct TreeDecomposition {
     bags: Vec<BitSet>,
     parent: Vec<Option<usize>>,

@@ -107,8 +107,8 @@ pub struct BlockIndexStats {
 ///
 /// The index *owns* its hypergraph (as an [`Arc`], shared with every
 /// solver instance built from it), so it has no borrow lifetime and can
-/// outlive the call that created it — which is what lets the cross-query
-/// [`crate::cache::IndexCache`] keep one warm index per structurally
+/// outlive the call that created it — which is what lets `softhw-core`'s
+/// cross-query `DecompCache` keep one warm index per structurally
 /// distinct hypergraph across solver calls.
 pub struct BlockIndex {
     h: Arc<Hypergraph>,

@@ -1,26 +1,20 @@
-//! Cross-query decomposition cache keyed by structural hypergraph hash.
+//! The structural identity of a hypergraph: its *canonical edge list*
+//! (the sorted packed edge bitsets plus the vertex count) and the hash
+//! of it.
 //!
-//! Repeated workloads — the `shw` width sweep re-run per query, a
-//! `table1`-style harness decomposing the same schema many times — keep
-//! presenting the same hypergraph to the solvers. Before this cache,
-//! every call rebuilt a [`BlockIndex`] from scratch and re-ran the
-//! `[S]`-component BFS for every candidate bag. The [`IndexCache`]
-//! interns hypergraphs by their *canonical edge list* (the sorted packed
-//! edge bitsets plus the vertex count) and keeps one warm [`BlockIndex`]
-//! — arena, components, blocks, unions — per structurally distinct
-//! hypergraph, so the second query over a schema pays only a hash probe.
+//! Repeated workloads keep presenting the same hypergraph to the
+//! solvers, so everything cached per hypergraph — `softhw-core`'s
+//! `DecompCache` entries, the service's result cache and its store — is
+//! keyed by [`structural_hash`], and whatever must not confuse two
+//! structures on a hash collision keeps the [`canonical_form`] beside
+//! its entry and compares it on a hit.
 //!
-//! Hash collisions are handled, not assumed away: each entry stores its
-//! canonical form and a probe compares it before declaring a hit.
 //! Two hypergraphs match iff they have the same vertex count and the
 //! same multiset of edges *under the same vertex numbering* (the common
 //! case for repeated queries, which rebuild the hypergraph the same way);
 //! full isomorphism canonicalisation is deliberately out of scope.
 
-use crate::blocks::BlockIndex;
-use crate::fxhash::FxHashMap;
 use crate::hypergraph::Hypergraph;
-use std::sync::Arc;
 
 /// The canonical structural form of a hypergraph: vertex count, edge
 /// count, then the packed words of every edge in sorted order. Equal
@@ -58,157 +52,15 @@ pub fn canonical_edge_order(h: &Hypergraph) -> Vec<usize> {
     order
 }
 
-/// Fx-style hash of a canonical form (shared mixing from
-/// [`crate::fxhash`]).
-fn hash_words(words: &[u64]) -> u64 {
-    crate::fxhash::hash_u64s(words)
-}
-
-/// Structural hash of a hypergraph (the [`IndexCache`] key).
+/// Structural hash of a hypergraph: the Fx-style hash
+/// ([`crate::fxhash::hash_u64s`]) of its [`canonical_form`].
 pub fn structural_hash(h: &Hypergraph) -> u64 {
-    hash_words(&canonical_form(h))
-}
-
-/// Hit/miss counters of an [`IndexCache`] (exposed for tests and the
-/// bench harness).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IndexCacheStats {
-    /// Probes answered by an existing entry.
-    pub hits: u64,
-    /// Probes that built a fresh [`BlockIndex`].
-    pub misses: u64,
-}
-
-struct Entry {
-    canon: Vec<u64>,
-    index: BlockIndex,
-}
-
-/// A cache of warm [`BlockIndex`]es keyed by [`structural_hash`].
-#[derive(Default)]
-pub struct IndexCache {
-    entries: FxHashMap<u64, Vec<Entry>>,
-    stats: IndexCacheStats,
-}
-
-impl IndexCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        IndexCache::default()
-    }
-
-    /// Number of distinct hypergraphs cached.
-    pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
-    }
-
-    /// True iff no hypergraph has been cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The structural hashes that currently hold an index (the keys
-    /// [`IndexCache::remove`] takes), in no particular order.
-    pub fn hashes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.keys().copied()
-    }
-
-    /// Cache statistics so far.
-    #[inline]
-    pub fn stats(&self) -> IndexCacheStats {
-        self.stats
-    }
-
-    /// The structural hash and warm [`BlockIndex`] for `h`, building the
-    /// index (over a private clone of `h`) on first sight. The returned
-    /// hash is stable across calls and can key solver-level result memos.
-    pub fn entry(&mut self, h: &Hypergraph) -> (u64, &mut BlockIndex) {
-        let canon = canonical_form(h);
-        let key = hash_words(&canon);
-        let bucket = self.entries.entry(key).or_default();
-        if let Some(pos) = bucket.iter().position(|e| e.canon == canon) {
-            self.stats.hits += 1;
-            return (key, &mut bucket[pos].index);
-        }
-        self.stats.misses += 1;
-        let _span = softhw_obs::span(softhw_obs::stage::INDEX_BUILD);
-        bucket.push(Entry {
-            canon,
-            index: BlockIndex::from_arc(Arc::new(h.clone())),
-        });
-        let last = bucket.len() - 1;
-        (key, &mut bucket[last].index)
-    }
-
-    /// Drops every index stored under structural hash `hash`, returning
-    /// whether anything was removed. This is the eviction hook of
-    /// bounded caches layered on top (e.g. `softhw_core`'s
-    /// `DecompCache`); hash-colliding entries share a bucket and are
-    /// evicted together, which is sound — a future probe simply rebuilds.
-    pub fn remove(&mut self, hash: u64) -> bool {
-        self.entries.remove(&hash).is_some()
-    }
+    crate::fxhash::hash_u64s(&canonical_form(h))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::named;
-
-    #[test]
-    fn repeated_queries_hit_one_entry() {
-        let mut cache = IndexCache::new();
-        let h = named::h2();
-        let (k1, _) = cache.entry(&h);
-        // A structurally identical rebuild (fresh allocation) must hit.
-        let h_again = named::h2();
-        let (k2, _) = cache.entry(&h_again);
-        assert_eq!(k1, k2);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn distinct_structures_get_distinct_entries() {
-        let mut cache = IndexCache::new();
-        cache.entry(&named::h2());
-        cache.entry(&named::cycle(5));
-        cache.entry(&named::cycle(6));
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().misses, 3);
-    }
-
-    #[test]
-    fn cached_index_state_survives_across_probes() {
-        let mut cache = IndexCache::new();
-        let h = named::cycle(6);
-        let sep = h.vset(&["v0", "v3"]);
-        {
-            let (_, idx) = cache.entry(&h);
-            let sid = idx.intern(&sep);
-            idx.block_rows(sid);
-        }
-        let (_, idx) = cache.entry(&h);
-        let before = idx.stats();
-        let sid = idx.intern(&sep);
-        idx.block_rows(sid);
-        assert_eq!(idx.stats().hits, before.hits + 1);
-    }
-
-    #[test]
-    fn removed_entries_rebuild_on_next_probe() {
-        let mut cache = IndexCache::new();
-        let h = named::h2();
-        let (hash, _) = cache.entry(&h);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.remove(hash));
-        assert!(!cache.remove(hash));
-        assert_eq!(cache.len(), 0);
-        let (hash2, _) = cache.entry(&h);
-        assert_eq!(hash, hash2);
-        assert_eq!(cache.stats().misses, 2);
-    }
 
     #[test]
     fn canonical_form_ignores_edge_order_only() {

@@ -30,7 +30,7 @@ pub mod stats;
 pub use arena::{ArenaSnapshot, BagArena, BagId};
 pub use bitset::BitSet;
 pub use blocks::{BlockIndex, BlockIndexStats};
-pub use cache::{structural_hash, IndexCache, IndexCacheStats};
+pub use cache::structural_hash;
 pub use csr::Csr;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};

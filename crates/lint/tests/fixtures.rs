@@ -64,7 +64,8 @@ fn bad_tree_budget_sites_are_attributed() {
         .collect();
     // Every budgeted solver file is watched: ctd.rs drops its budget
     // and never ticks its loop, the preference DP consumes its budget
-    // but not inside its wave loop, the cover search never consumes it.
+    // but not inside its wave loop, the cover search never consumes it,
+    // and neither does the reduce → sweep pieces → lift loop.
     let in_file = |rel: &str, needle: &str| {
         let hits = sites.iter().filter(|f| f.rel == rel);
         hits.filter(|f| f.msg.contains(needle)).count()
@@ -74,10 +75,11 @@ fn bad_tree_budget_sites_are_attributed() {
         ("crates/core/src/ctd.rs", "never ticks/checks"),
         ("crates/core/src/ctd_opt.rs", "never ticks/checks"),
         ("crates/core/src/cover.rs", "never consumes it"),
+        ("crates/core/src/reduce_solve.rs", "never consumes it"),
     ] {
         assert_eq!(in_file(rel, needle), 1, "{rel}: {needle}: {sites:#?}");
     }
-    assert_eq!(sites.len(), 4, "findings: {sites:#?}");
+    assert_eq!(sites.len(), 5, "findings: {sites:#?}");
 }
 
 #[test]

@@ -25,8 +25,8 @@
 //!   (persisted witnesses are re-validated before they are served,
 //!   fresh results are persisted write-behind, and boot warm-starts the
 //!   result caches from the hottest stored schemas); a miss on both
-//!   solves on a [`DecompCache`](softhw_core::DecompCache) that lives
-//!   for that one request. Two private modules carry its halves:
+//!   solves cold ([`softhw_core::solve`]) and keeps nothing of the
+//!   solver. Two private modules carry its halves:
 //!   `persist` (the store attachment) and `metrics` (the registry and
 //!   the `STATS` / `METRICS` / slow-ring rendering).
 //! - [`server`]: the `poll(2)` event loop and worker pool (std threads

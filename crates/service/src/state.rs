@@ -49,11 +49,10 @@
 //! the solvers to the insert, and so the store sees one put per key. The
 //! event loop never runs a back half, so it never waits for a solve.
 //!
-//! A miss on both layers solves on a [`DecompCache`] created for that request
-//! and dropped with it: an exact-width sweep shares one warm index and
-//! its per-width decisions across `k = 1, 2, …` and across reduced
-//! pieces, and nothing of the solver outlives the request. Every solver
-//! entry point is deterministic, so a cacheable response is a function
+//! A miss on both layers solves cold ([`softhw_core::solve`]): an
+//! exact-width sweep shares one index per reduced piece across
+//! `k = 1, 2, …`, and nothing of the solver outlives the request. Every
+//! solver entry point is deterministic, so a cacheable response is a function
 //! of the request alone — not of what the server answered before, of
 //! thread scheduling, or of which layer served it — which is what the
 //! concurrency property test checks, response for response, against
@@ -69,8 +68,9 @@ use crate::wire::{BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};
 use softhw_core::ctd_opt::best_on_budgeted;
 use softhw_core::error::DecompError;
+use softhw_core::shw::soft_instance;
 use softhw_core::soft::SoftLimits;
-use softhw_core::{Budget, DecompCache, SolveSpec, Solved, TreeDecomposition};
+use softhw_core::{Budget, SolveSpec, Solved, TreeDecomposition};
 use softhw_hypergraph::cache::canonical_form;
 use softhw_hypergraph::fxhash::hash_u64s;
 use softhw_hypergraph::{scan_hypergraph, FxHashMap, Hypergraph, Scan};
@@ -617,11 +617,10 @@ impl ServiceState {
     }
 
     /// Answers a request the result cache and the store could not: the
-    /// four width classes are one [`SolveSpec`] each through
-    /// [`DecompCache::solve`] on a cache of the request's own (a sweep
-    /// shares its index and decisions across widths and pieces; nothing
-    /// outlives the request), framed by the shape of what comes back;
-    /// `BEST` runs Algorithm 2.
+    /// four width classes are one [`SolveSpec`] each through the cold
+    /// [`softhw_core::solve`] (a sweep shares one index per piece across
+    /// widths; nothing outlives the request), framed by the shape of what
+    /// comes back; `BEST` runs Algorithm 2.
     fn dispatch(&self, req: &Request, h: &Hypergraph, idx: usize, budget: &Budget) -> Response {
         // Soft_{H,k} is invariant in k beyond |E(H)| (λ-subsets never
         // repeat edges), so clamp the *computation* width — an absurd
@@ -660,7 +659,7 @@ impl ServiceState {
         };
         // An exact `hw` on an input no width accepts degrades to an
         // error, not a panic (`solve` maps it to an internal ERR).
-        match DecompCache::new().solve(h, &spec) {
+        match softhw_core::solve(h, &spec) {
             Ok(Solved::ShwWidth(width, td)) => Response::Width {
                 class,
                 width,
@@ -694,7 +693,7 @@ impl ServiceState {
         }
         // The computation width, clamped as in `dispatch`.
         let width = k.min(h.num_edges());
-        let inst = DecompCache::new().soft_instance(h, width, &self.config.limits, budget)?;
+        let inst = soft_instance(h, width, &self.config.limits, budget)?;
         let mut fields = vec![("eval".to_string(), eval.token())];
         let best = match eval {
             EvalKind::Trivial => best_on_budgeted(&inst, &Trivial, budget)?.map(|(td, ())| td),
@@ -1127,7 +1126,15 @@ mod tests {
             stage::ENUMERATE,
         ];
         let before = miss_stages.map(|name| stage_count(&st, name));
-        assert!(before.iter().all(|&n| n > 0), "the misses ran {before:?}");
+        // The miss path, counted too. Every schema here reduces to at
+        // most one piece, so per schema: `SHW` and `HW` reduce once each
+        // and the other two never (16); every request is one solve (32);
+        // `SHW` builds one index for its sweep, `SHW_LEQ` and `BEST` one
+        // each, `HW` none (24); and all eight have `shw` 2, so a `SHW`
+        // sweep enumerates at `k = 1` and `k = 2`, beside one enumeration
+        // per `SHW_LEQ` and `BEST` (32). A second index per piece, a
+        // second reduction or a skipped span moves these.
+        assert_eq!(before, [16, 32, 24, 32]);
         let probes_before = stage_count(&st, stage::RESULT_CACHE);
         for i in 0..1000 {
             let at = i % requests.len();
@@ -1286,9 +1293,7 @@ mod tests {
         let builds_under = |cap: u64| {
             let limits = ServiceConfig::default().limits;
             let capped = Budget::with_work_cap(cap);
-            DecompCache::new()
-                .soft_instance(&h, 2, &limits, &capped)
-                .is_ok()
+            soft_instance(&h, 2, &limits, &capped).is_ok()
         };
         let mut fits = 1u64;
         while !builds_under(fits) {

@@ -987,59 +987,46 @@ impl Response {
     }
 }
 
-/// Reads one frame's lines (header through the line before `%%`),
-/// un-stuffing body lines (see [`Request::encode`]). Returns `Ok(None)`
-/// on clean EOF before any line, an error mid-frame. Buffering is
-/// byte-capped *during* the read — a line is never accumulated past
-/// [`MAX_LINE_BYTES`], so a client streaming newline-free garbage
-/// cannot grow server memory beyond the cap.
+/// Reads one frame's lines (header through the line before `%%`) off a
+/// blocking reader: a [`FrameDecoder`] fed one line at a time, so
+/// nothing past the frame's terminator is consumed — a pipelined stream
+/// can be read frame by frame. Returns `Ok(None)` on clean EOF before
+/// any byte of a frame, an error mid-frame. A line is handed over in
+/// chunks of at most the reader's own buffer, so the decoder's caps hold
+/// *during* the read: a peer streaming newline-free garbage cannot grow
+/// memory past [`MAX_LINE_BYTES`] plus one buffer.
 pub fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Vec<String>>> {
-    let mut lines = Vec::new();
+    let mut decoder = FrameDecoder::new();
+    let mut frames = Vec::new();
     loop {
-        let mut line = String::new();
-        // `take` bounds how much read_line can buffer before we see it
-        // (UFCS so the adaptor wraps the reference, not the reader).
-        let mut limited = io::Read::take(&mut *reader, MAX_LINE_BYTES as u64 + 1);
-        let n = limited.read_line(&mut line)?;
-        if n == 0 {
-            if lines.is_empty() {
-                return Ok(None);
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            if decoder.mid_frame() {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "EOF mid-frame",
+                ));
             }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "EOF mid-frame",
-            ));
+            return Ok(None);
         }
-        if line.len() > MAX_LINE_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame line too long",
-            ));
-        }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed == "%%" {
-            return Ok(Some(lines));
-        }
-        // Un-stuff: encoders prefix "% " to any line starting with '%',
-        // which is what makes the bare "%%" terminator unambiguous.
-        let unstuffed = trimmed.strip_prefix("% ").unwrap_or(trimmed);
-        lines.push(unstuffed.to_string());
-        if lines.len() > MAX_FRAME_LINES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame has too many lines",
-            ));
+        let line_end = buf.iter().position(|&b| b == b'\n');
+        let fed = line_end.map_or(buf.len(), |nl| nl + 1);
+        decoder.push(buf.get(..fed).unwrap_or(buf), &mut frames)?;
+        reader.consume(fed);
+        if let Some(frame) = frames.pop() {
+            return Ok(Some(frame));
         }
     }
 }
 
-/// Incremental frame decoder over raw bytes, for nonblocking sockets:
-/// feed it whatever chunk `read(2)` produced and collect every frame
-/// the chunk completed. Mirrors [`read_frame`] exactly — the same `% `
-/// un-stuffing, the same `\r\n` tolerance, and the same
-/// [`MAX_LINE_BYTES`] / [`MAX_FRAME_LINES`] caps enforced on the
-/// *partial* state, so a peer streaming newline-free garbage cannot
-/// grow server memory past the caps no matter how the bytes are
+/// The framing grammar, written once: the `%%` terminator, `% `
+/// un-stuffing (see [`Request::encode`]), `\r\n` tolerance, and the
+/// [`MAX_LINE_BYTES`] / [`MAX_FRAME_LINES`] caps. An incremental decoder
+/// over raw bytes: a nonblocking socket feeds it whatever chunk `read(2)`
+/// produced and collects every frame the chunk completed; the blocking
+/// [`read_frame`] feeds it line by line. The caps are enforced on the
+/// *partial* state, so a peer streaming newline-free garbage cannot grow
+/// memory past them (plus the chunk in hand) however the bytes are
 /// chunked.
 #[derive(Default)]
 pub struct FrameDecoder {
@@ -1062,9 +1049,9 @@ impl FrameDecoder {
     }
 
     /// Consumes `data`, appending every frame it completes to `out`
-    /// (as the un-stuffed line lists [`read_frame`] would return). An
-    /// `Err` is a protocol violation — oversized line, oversized frame,
-    /// non-UTF-8 line — after which the connection should be dropped.
+    /// (as un-stuffed line lists). An `Err` is a protocol violation —
+    /// oversized line, oversized frame, non-UTF-8 line — after which the
+    /// connection should be dropped.
     pub fn push(&mut self, data: &[u8], out: &mut Vec<Vec<String>>) -> io::Result<()> {
         let too_long = || io::Error::new(io::ErrorKind::InvalidData, "frame line too long");
         let mut rest = data;
