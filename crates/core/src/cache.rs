@@ -738,7 +738,7 @@ mod tests {
         #[test]
         fn the_bound_holds_after_every_call_while_eviction_churns(
             (seed, capacity) in (0u64..10_000, 2usize..5),
-            ops in proptest::collection::vec((0usize..5, 0usize..6, 1usize..4, 0u64..4, 1u64..400), 30..50),
+            ops in proptest::collection::vec((0usize..5, 0usize..6, 1usize..4, 0u64..4, 1u64..320), 30..50),
         ) {
             // Six 6-10-edge schemas through a bound of 2-4, so eviction
             // churns; pendant and subsumed edges are common at this
@@ -762,7 +762,12 @@ mod tests {
                 let reduce = flags & 1 == 1;
                 // Half the calls run under a work cap small enough to
                 // trip mid-enumeration: an index a trip leaves half-grown
-                // sits in an entry like any other, inside the bound.
+                // sits in an entry like any other, inside the bound. A
+                // cold `shw`-class call on these schemas ticks 39-720
+                // times (quartiles 56 / 172 / 266; one tick per λ node,
+                // `W`-side element, bag and comp group), an `hw` one
+                // 3-33 times, so caps below 320 trip about a quarter of
+                // the capped calls (most of the others are memo hits).
                 let budget = if flags & 2 == 2 {
                     Budget::with_work_cap(cap)
                 } else {

@@ -56,7 +56,9 @@ use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::soft::LimitExceeded;
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::arena::{word_tail_mask, words_iter, words_subset, words_union_into};
+use softhw_hypergraph::arena::{
+    word_tail_mask, words_card, words_iter, words_subset, words_union_into,
+};
 use softhw_hypergraph::blocks::SliceRange;
 use softhw_hypergraph::{BagId, BitSet, BlockIndex, Csr, Hypergraph};
 use std::sync::Arc;
@@ -132,9 +134,12 @@ fn offset(n: usize) -> Result<u32, DecompError> {
 /// union is `x ∪ ⋃children`), so both are computed once per distinct
 /// component ("comp group") and shared by every block with that
 /// component. Candidates are found through the two-level inverted
-/// vertex→bags index ([`VertexBags`]), never by enumerating bags, so the
-/// precompute costs about `groups × bags / 4096` summary words plus the
-/// coverage-viable pairs it emits instead of a `blocks × bags` scan.
+/// vertex→bags index ([`VertexBags`]), never by enumerating bags — and
+/// not at all for a group whose `req` is as large as the largest bag,
+/// whose one possible candidate is its block's head ([`scan_group`]) —
+/// so the precompute costs about `searched groups × bags / 4096` summary
+/// words plus the coverage-viable pairs it emits instead of a
+/// `blocks × bags` scan ([`ScanStats`] counts both kinds of group).
 ///
 /// The remaining, block-specific basis conditions — `X ⊆ S ∪ C` and
 /// `X ≠ S` — are *not* tabulated: they are one word-level test over the
@@ -165,6 +170,22 @@ struct Deps {
     child_groups: Csr,
     /// Comp group → its blocks.
     group_blocks: Csr,
+    /// What the group scans cost.
+    scan: ScanStats,
+}
+
+/// Clock-free work counts of the candidate scan of one instance build
+/// (exposed for tests, like
+/// [`softhw_hypergraph::blocks::BlockIndexStats::rounds`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Comp groups scanned.
+    pub groups: u64,
+    /// Groups whose `req` was as large as the largest bag, answered from
+    /// their block's head without reading a table.
+    pub direct: u64,
+    /// Words of the vertex × bag table the other groups read.
+    pub row_words: u64,
 }
 
 /// Row words per summary word of [`VertexBags`]: one per summary bit.
@@ -185,6 +206,9 @@ struct VertexBags {
     summary: Vec<u64>,
     /// Words per row.
     xwords: usize,
+    /// The largest bag cardinality. No bag holds a `req` larger than
+    /// this, and a `req` this large is held only by the bag equal to it.
+    max_card: usize,
 }
 
 impl VertexBags {
@@ -201,9 +225,12 @@ impl VertexBags {
         let swords = xwords.div_ceil(SUMMARY_SPAN);
         let mut vrows = vec![0u64; nv * xwords];
         let mut summary = vec![0u64; nv * swords];
+        let mut max_card = 0;
         for x in 0..num_bags {
             let w = x / 64;
-            for v in words_iter(rows.get(bag_row(x))) {
+            let bag = rows.get(bag_row(x));
+            max_card = max_card.max(words_card(bag));
+            for v in words_iter(bag) {
                 vrows[v * xwords + w] |= 1u64 << (x % 64);
                 summary[v * swords + w / SUMMARY_SPAN] |= 1u64 << (w % SUMMARY_SPAN);
             }
@@ -212,6 +239,7 @@ impl VertexBags {
             rows: vrows,
             summary,
             xwords,
+            max_card,
         }
     }
 }
@@ -303,6 +331,8 @@ struct ScanChunk {
     child_start: Vec<u32>,
     /// Child block ids, concatenated.
     children: Vec<u32>,
+    /// What the scans cost so far.
+    stats: ScanStats,
 }
 
 /// `dst &= src`, returning whether any bit survived.
@@ -316,17 +346,74 @@ fn and_into_any(src: &[u64], dst: &mut [u64]) -> bool {
     any != 0
 }
 
+/// Appends bag `x` to `out` as a candidate entry of the comp group of
+/// `blk` if it is coverage-viable: `x` together with its child blocks —
+/// the blocks it heads whose component lies inside the group's — must
+/// cover the group's coverage union. `buf` is scratch for the witness
+/// union.
+fn push_if_viable(
+    rows: &Rows,
+    blocks: &[Block],
+    blocks_by_head: &[(u32, u32)],
+    blk: &Block,
+    x: usize,
+    buf: &mut [u64],
+    out: &mut ScanChunk,
+) -> Result<(), DecompError> {
+    let (cover, comp_words) = (rows.get(blk.cover), rows.get(blk.comp));
+    let bag = rows.get(bag_row(x));
+    let begin = out.children.len();
+    let (hb_start, hb_len) = blocks_by_head[x];
+    let head_range = hb_start..hb_start + hb_len;
+    // Fast path: the bag alone covers the obligations.
+    if words_subset(cover, bag) {
+        for b2 in head_range {
+            if words_subset(rows.get(blocks[b2 as usize].comp), comp_words) {
+                out.children.push(b2);
+            }
+        }
+    } else {
+        buf.copy_from_slice(bag);
+        for b2 in head_range {
+            let child = rows.get(blocks[b2 as usize].comp);
+            if words_subset(child, comp_words) {
+                out.children.push(b2);
+                words_union_into(child, buf);
+            }
+        }
+        if !words_subset(cover, buf) {
+            out.children.truncate(begin);
+            return Ok(());
+        }
+    }
+    out.xs.push(x as u32);
+    out.child_start.push(offset(out.children.len())?);
+    Ok(())
+}
+
 /// Scans one comp group for its coverage-viable candidate entries:
 /// candidates must contain every coverage vertex
 /// outside the component (`req = cover ∖ C`), and their child components
-/// must complete the coverage union. The `req` condition is evaluated
+/// must complete the coverage union ([`push_if_viable`]).
+///
+/// `req ⊆ S` for the head `S` of every block of the group: a vertex
+/// outside `C` that shares an edge with `C` would belong to `C` were it
+/// not in `S`. So when `|req|` equals the largest bag cardinality,
+/// `S = req` and no other bag can contain `req`: the head of the
+/// representative block is the one possible candidate, checked directly
+/// — no table is read. (That block is then the group's only one, and its
+/// candidate lists drop the entry as `X = S`; it is written all the same,
+/// so [`CtdInstance::child_blocks`] answers for a head as for any bag.)
+///
+/// Otherwise the `req` condition is evaluated
 /// through the inverted vertex→bags index, top level first: the AND of
 /// the `req` vertices' summary rows (one word per [`SUMMARY_SPAN`] row
 /// words) names the row words in which every `req` vertex has a bag at
 /// all, and the row AND then reads exactly those words — never the
-/// stretch around them. A group therefore costs
-/// `|req| × bags / 4096` summary words plus `|req|` words per surviving
-/// row word — near the number of candidates it emits — where a flat AND
+/// stretch around them. Such a group costs
+/// `|req| × bags / 4096` summary words plus at most `|req|` words per
+/// surviving row word ([`ScanStats::row_words`] counts them) — near the
+/// number of candidates it emits — where a flat AND
 /// reads `|req| × bags / 64` words.
 fn scan_group(
     rows: &Rows,
@@ -352,6 +439,14 @@ fn scan_group(
             req &= req - 1;
         }
     }
+    if let Some(head) = blk.head.filter(|_| s.req.len() == vb.max_card) {
+        debug_assert!(
+            words_iter(rows.get(bag_row(head))).eq(s.req.iter().copied()),
+            "a head as large as the largest bag is its block's `req`"
+        );
+        out.stats.direct += 1;
+        return push_if_viable(rows, blocks, blocks_by_head, blk, head, &mut s.buf, out);
+    }
     // Top level: the row words in which every `req` vertex has some bag.
     for (si, sw) in s.summary.iter_mut().enumerate() {
         *sw = word_tail_mask(xwords, si);
@@ -369,6 +464,7 @@ fn scan_group(
             // Only the last row word is partial.
             let mut bits = word_tail_mask(num_bags, w);
             for &v in &s.req {
+                out.stats.row_words += 1;
                 bits &= vb.rows[v * xwords + w];
                 if bits == 0 {
                     break;
@@ -377,33 +473,7 @@ fn scan_group(
             while bits != 0 {
                 let x = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let bag = rows.get(bag_row(x));
-                let begin = out.children.len();
-                let (hb_start, hb_len) = blocks_by_head[x];
-                let head_range = hb_start..hb_start + hb_len;
-                // Fast path: the bag alone covers the obligations.
-                if words_subset(cover, bag) {
-                    for b2 in head_range {
-                        if words_subset(rows.get(blocks[b2 as usize].comp), comp_words) {
-                            out.children.push(b2);
-                        }
-                    }
-                } else {
-                    s.buf.copy_from_slice(bag);
-                    for b2 in head_range {
-                        let child = rows.get(blocks[b2 as usize].comp);
-                        if words_subset(child, comp_words) {
-                            out.children.push(b2);
-                            words_union_into(child, &mut s.buf);
-                        }
-                    }
-                    if !words_subset(cover, &s.buf) {
-                        out.children.truncate(begin);
-                        continue;
-                    }
-                }
-                out.xs.push(x as u32);
-                out.child_start.push(offset(out.children.len())?);
+                push_if_viable(rows, blocks, blocks_by_head, blk, x, &mut s.buf, out)?;
             }
         }
     }
@@ -572,11 +642,18 @@ impl CtdInstance {
         let ng = group_rep.len();
         let vertex_bags = VertexBags::new(h.num_vertices(), rows, blocks_by_head.len());
         let mut s = ScanScratch::new(rows.words, &vertex_bags);
+        // A group whose `req` is its head always emits an entry and most
+        // others do, so the entry tables start at the group count.
         let mut out = ScanChunk {
-            xs: Vec::new(),
-            child_start: vec![0],
+            xs: Vec::with_capacity(ng),
+            child_start: Vec::with_capacity(ng + 1),
             children: Vec::new(),
+            stats: ScanStats {
+                groups: ng as u64,
+                ..ScanStats::default()
+            },
         };
+        out.child_start.push(0);
         let mut g_cand_start: Vec<u32> = Vec::with_capacity(ng + 1);
         g_cand_start.push(0);
         for &rep in &group_rep {
@@ -601,6 +678,7 @@ impl CtdInstance {
             xs: g_cand_x,
             child_start: g_child_start,
             children: g_child_data,
+            stats: scan,
         } = out;
         let mut datum_group: Vec<u32> = Vec::with_capacity(g_child_data.len());
         for (g, &end) in g_cand_start[1..].iter().enumerate() {
@@ -623,6 +701,7 @@ impl CtdInstance {
             g_child_data,
             child_groups,
             group_blocks,
+            scan,
         })
     }
 
@@ -630,6 +709,12 @@ impl CtdInstance {
     #[inline]
     pub fn num_bags(&self) -> usize {
         self.bag_sets.len()
+    }
+
+    /// What the candidate scan of this instance's build cost.
+    #[inline]
+    pub fn scan_stats(&self) -> ScanStats {
+        self.deps.scan
     }
 
     /// Materialised view of bag `x` (built on first access, then
@@ -1230,6 +1315,33 @@ mod tests {
                 .filter(|&x| inst.is_basis_with(b, x, &all_true, &mut buf))
                 .collect();
             assert_eq!(viable, direct, "block {b}");
+        }
+    }
+
+    /// The clock-free form of "the scan does not search for supersets
+    /// of a head that can have none": on the `side × side` grid at
+    /// `k = 2` a growing share of the comp groups has a four-vertex
+    /// `req` and reads no table, so the row words read per group stay
+    /// put as the grid — and with it every row — grows.
+    #[test]
+    fn scan_row_reads_per_group_do_not_grow_with_the_grid() {
+        let pinned = [
+            (6, 3_214, 1_581, 99_005),
+            (8, 9_144, 5_859, 304_782),
+            (10, 20_978, 15_529, 724_838),
+        ];
+        for (side, groups, direct, row_words) in pinned {
+            let mut index = BlockIndex::new(&named::grid(side, side));
+            let ids = crate::soft::soft_bag_ids(&mut index, 2, &crate::soft::SoftLimits::default())
+                .unwrap();
+            let scan = CtdInstance::build(&mut index, &ids).scan_stats();
+            let expected = ScanStats {
+                groups,
+                direct,
+                row_words,
+            };
+            assert_eq!(scan, expected, "grid({side}, {side})");
+            assert!(scan.row_words < 36 * scan.groups, "grid({side}, {side})");
         }
     }
 

@@ -5,12 +5,25 @@
 //!                               λ1, λ2 ⊆ E(H), |λ1| ≤ k, |λ2| ≤ k }
 //! ```
 //!
-//! The generator factors the definition into its two independent sides:
-//! the `W`-side (`⋃λ1`, all unions of up to `k` edges) and the `U`-side
-//! (`⋃C` over all `[λ2]`-components, λ2 ranging over up to `k` edges
-//! *including the empty set*, which yields `⋃C = V(H)` on connected
-//! hypergraphs). Both sides are deduplicated before taking pairwise
-//! intersections, which is what keeps the generator practical.
+//! The definition has two sides — the `W` side (`⋃λ1`, all unions of up
+//! to `k` edges) and the `U` side (`⋃C` over all `[λ2]`-components, λ2
+//! ranging over up to `k` edges *including the empty set*, which yields
+//! `⋃C = V(H)` on connected hypergraphs) — but with the edge pool of
+//! Definition 3 they are not independent: the non-empty separators `⋃λ2`
+//! the `U`-side walk visits *are* the `⋃λ1`. [`soft_bag_ids_budgeted`]
+//! therefore makes **one λ walk**, which hands back the distinct `⋃C`
+//! and its distinct non-empty separators, and uses the latter as the `W`
+//! side. Only the iterated pools of Definition 6
+//! ([`soft_bag_ids_from_elements_budgeted`]), whose `λ1` elements are
+//! subedges, enumerate their own `W` side
+//! ([`lambda_union_ids_budgeted`]). Both sides are deduplicated before
+//! the `W × U` stage, which both generators share and which visits
+//! **proper intersections only**: per-vertex masks over the `U` side
+//! ("which `⋃C` contain `v`") turn "some `⋃C ⊇ w`" into an AND and "which
+//! `⋃C` meet `w` without containing it" into an OR-minus-AND over `w`'s
+//! vertices, so `w` is emitted once by the former and intersected +
+//! interned only against the latter — the pairs that can yield a bag
+//! other than `w` or `∅`.
 //!
 //! Deduplication and storage route through the
 //! [`BagArena`]/[`BlockIndex`] of `softhw-hypergraph`: candidate bags are
@@ -27,7 +40,7 @@
 
 use crate::budget::Budget;
 use crate::error::DecompError;
-use softhw_hypergraph::arena::{words_empty, words_intersect_into, IdSet};
+use softhw_hypergraph::arena::{words_empty, words_intersect_into, words_iter, IdSet};
 use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Hypergraph};
 
 /// Guards against combinatorial blow-up of candidate-bag generation.
@@ -207,6 +220,28 @@ pub fn component_union_ids_budgeted(
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<Vec<BagId>, DecompError> {
+    Ok(lambda_walk(index, k, limits, budget)?.unions)
+}
+
+/// What one λ2 walk over the edge subsets of size `0..=k` yields.
+struct LambdaWalk {
+    /// The distinct `⋃C` over every `[λ2]`-component, in content order:
+    /// the `U` side.
+    unions: Vec<BagId>,
+    /// The distinct non-empty separators `⋃λ2`, in first-visit order. The
+    /// walk ranges over the very edge subsets `λ1` does, so with `E(H)`
+    /// as the `λ1` pool this is the `W` side.
+    seps: Vec<BagId>,
+}
+
+/// The one DFS over the edge subsets of Definition 3, ticking `budget`
+/// and charging `max_lambda_sets` once per node.
+fn lambda_walk(
+    index: &mut BlockIndex,
+    k: usize,
+    limits: &SoftLimits,
+    budget: &Budget,
+) -> Result<LambdaWalk, DecompError> {
     let _span = softhw_obs::span(softhw_obs::stage::COMPONENTS);
     let h = index.hypergraph();
     let num_edges = h.num_edges();
@@ -224,6 +259,7 @@ pub fn component_union_ids_budgeted(
     // offer, so it is deduplicated *before* the component BFS / cache
     // probes rather than per component behind them.
     let mut sep_seen = IdSet::with_capacity(est);
+    let mut seps: Vec<BagId> = Vec::with_capacity(est.saturating_sub(1));
     // One cached pass per separator yields its components and their
     // unions together; only the union column is wanted here. The pass
     // starts from the rows of `parent`, the union one edge up the DFS, so
@@ -266,6 +302,7 @@ pub fn component_union_ids_budgeted(
         out: &mut Vec<BagId>,
         seen: &mut IdSet,
         sep_seen: &mut IdSet,
+        seps: &mut Vec<BagId>,
     ) -> Result<(), DecompError> {
         for e in start..num_edges {
             budget.tick()?;
@@ -288,6 +325,7 @@ pub fn component_union_ids_budgeted(
             // *deeper* subset extending it still can — skip only the
             // component queries, not the recursion.
             if sep_seen.insert(sep) {
+                seps.push(sep);
                 collect(index, parent, sep, out, seen);
             }
             if depth < max_depth {
@@ -304,6 +342,7 @@ pub fn component_union_ids_budgeted(
                     out,
                     seen,
                     sep_seen,
+                    seps,
                 )?;
             }
         }
@@ -323,10 +362,11 @@ pub fn component_union_ids_budgeted(
             &mut out,
             &mut seen,
             &mut sep_seen,
+            &mut seps,
         )?;
     }
     out.sort_unstable_by(|&a, &b| index.arena.cmp_bags(a, b));
-    Ok(out)
+    Ok(LambdaWalk { unions: out, seps })
 }
 
 /// Computes `Soft_{H,k}` as interned [`BagId`]s, given a pre-computed
@@ -355,41 +395,81 @@ pub fn soft_bag_ids_from_elements_budgeted(
     budget: &Budget,
 ) -> Result<Vec<BagId>, DecompError> {
     let u_side = component_union_ids_budgeted(index, k, limits, budget)?;
-    let words = index.arena.words_per_bag();
     let w_side = lambda_union_ids_budgeted(&mut index.arena, elements, k, limits, budget)?;
-    let arena = &mut index.arena;
-    let mut out: Vec<BagId> = Vec::new();
-    let mut seen = IdSet::new();
-    let mut w_buf = vec![0u64; words];
-    let mut buf = vec![0u64; words];
-    for &w in &w_side {
-        budget.tick()?;
-        w_buf.copy_from_slice(arena.words(w));
-        if words_empty(&w_buf) {
-            continue; // an empty element yields only empty intersections
-        }
-        for &u in &u_side {
-            // w ⊆ u ⇒ w ∩ u = w, already interned: skip the probe.
-            let id = if softhw_hypergraph::arena::words_subset(&w_buf, arena.words(u)) {
-                w
-            } else {
-                buf.copy_from_slice(&w_buf);
-                words_intersect_into(arena.words(u), &mut buf);
-                if words_empty(&buf) {
-                    continue;
-                }
-                arena.intern_words(&buf)
-            };
-            if seen.insert(id) {
-                out.push(id);
-                if out.len() > limits.max_bags {
-                    return Err(LimitExceeded { what: "max_bags" }.into());
-                }
-            }
+    intersect_sides(&mut index.arena, &w_side, &u_side, limits, budget).map(|(bags, _)| bags)
+}
+
+/// The `W × U` stage of Definition 3: the distinct non-empty `w ∩ u`, in
+/// content order, and — a clock-free count of the stage's work — the
+/// number of pairs it intersected.
+///
+/// Row `v` of `hit` says which `u` contain vertex `v` (one bit per `u`,
+/// as many words as `|U|` needs). ANDed over `w`'s vertices that is the
+/// `u ⊇ w`, whose intersection is `w` itself, emitted once; ORed it is
+/// the `u` meeting `w`. Only the pairs in the OR and not in the AND are
+/// intersected and interned: the others yield `w` or `∅`.
+fn intersect_sides(
+    arena: &mut BagArena,
+    w_side: &[BagId],
+    u_side: &[BagId],
+    limits: &SoftLimits,
+    budget: &Budget,
+) -> Result<(Vec<BagId>, u64), DecompError> {
+    let uwords = u_side.len().div_ceil(64);
+    let mut hit = vec![0u64; arena.universe() * uwords];
+    for (j, &u) in u_side.iter().enumerate() {
+        for v in arena.iter(u) {
+            hit[v * uwords + j / 64] |= 1u64 << (j % 64);
         }
     }
-    out.sort_unstable_by(|&a, &b| index.arena.cmp_bags(a, b));
-    Ok(out)
+    // Most `w` lie inside some `u`, so the output is about `|W|` long,
+    // and every id seen is below the arena's length plus what the loop
+    // interns.
+    let mut out: Vec<BagId> = Vec::with_capacity(w_side.len());
+    let mut seen = IdSet::with_capacity(arena.len() + w_side.len());
+    let mut emit = |id: BagId| -> Result<(), DecompError> {
+        if seen.insert(id) {
+            out.push(id);
+            if out.len() > limits.max_bags {
+                return Err(LimitExceeded { what: "max_bags" }.into());
+            }
+        }
+        Ok(())
+    };
+    let (mut all, mut any) = (vec![0u64; uwords], vec![0u64; uwords]);
+    let mut buf = vec![0u64; arena.words_per_bag()];
+    let mut pairs = 0u64;
+    for &w in w_side {
+        budget.tick()?;
+        if arena.bag_is_empty(w) {
+            continue; // an empty element yields only empty intersections
+        }
+        // The first row ANDed in clears the bits past `|U|`.
+        all.fill(!0);
+        any.fill(0);
+        for v in arena.iter(w) {
+            let row = &hit[v * uwords..(v + 1) * uwords];
+            for (&r, (a, o)) in row.iter().zip(all.iter_mut().zip(&mut any)) {
+                *a &= r;
+                *o |= r;
+            }
+        }
+        // w ⊆ u ⇒ w ∩ u = w, already interned: no probe.
+        if !words_empty(&all) {
+            emit(w)?;
+        }
+        for (o, &a) in any.iter_mut().zip(&all) {
+            *o &= !a;
+        }
+        for j in words_iter(&any) {
+            pairs += 1;
+            buf.copy_from_slice(arena.words(w));
+            words_intersect_into(arena.words(u_side[j]), &mut buf);
+            emit(arena.intern_words(&buf))?;
+        }
+    }
+    out.sort_unstable_by(|&a, &b| arena.cmp_bags(a, b));
+    Ok((out, pairs))
 }
 
 /// `Soft_{H,k}` as interned ids, with the `λ1` pool being `E(H)` itself.
@@ -402,7 +482,8 @@ pub fn soft_bag_ids(
 }
 
 /// [`soft_bag_ids`] with a cooperative [`Budget`] — the budgeted entry
-/// point the deadline-aware solvers call.
+/// point the deadline-aware solvers call. One λ walk feeds both sides:
+/// its distinct non-empty separators are the `⋃λ1` over `E(H)`.
 pub fn soft_bag_ids_budgeted(
     index: &mut BlockIndex,
     k: usize,
@@ -410,11 +491,8 @@ pub fn soft_bag_ids_budgeted(
     budget: &Budget,
 ) -> Result<Vec<BagId>, DecompError> {
     let _span = softhw_obs::span(softhw_obs::stage::ENUMERATE);
-    let h = index.hypergraph_arc().clone();
-    let elements: Vec<BagId> = (0..h.num_edges())
-        .map(|e| index.arena.intern_words(h.edge(e).blocks()))
-        .collect();
-    soft_bag_ids_from_elements_budgeted(index, &elements, k, limits, budget)
+    let LambdaWalk { unions, seps } = lambda_walk(index, k, limits, budget)?;
+    intersect_sides(&mut index.arena, &seps, &unions, limits, budget).map(|(bags, _)| bags)
 }
 
 /// Enumerates all unions of between 1 and `k` sets drawn from `elements`,
@@ -847,6 +925,28 @@ mod tests {
         let err =
             soft_bag_ids_budgeted(&mut index, 2, &limits, &Budget::with_work_cap(3)).unwrap_err();
         assert_eq!(err, DecompError::DeadlineExceeded);
+    }
+
+    /// The clock-free form of "`W × U` pays for the bags it adds": on
+    /// the `side × side` grid at `k = 2` every `w` lies inside `V`, one
+    /// of 33 `⋃C`, so the stage adds `bags − |W|` bags, and intersects
+    /// under ten pairs for each where `|W| × |U|` is 4 to 13 times more
+    /// and grows with `side⁴`.
+    #[test]
+    fn pairs_intersected_track_the_bags_added_not_w_times_u() {
+        let limits = SoftLimits::default();
+        let unlimited = Budget::unlimited();
+        for (side, pinned) in [(6, 12_840), (8, 25_320), (10, 41_640)] {
+            let mut index = BlockIndex::new(&named::grid(side, side));
+            let walk = lambda_walk(&mut index, 2, &limits, &unlimited).unwrap();
+            let (w, u) = (&walk.seps, &walk.unions);
+            let (bags, pairs) =
+                intersect_sides(&mut index.arena, w, u, &limits, &unlimited).unwrap();
+            assert_eq!(pairs, pinned, "grid({side}, {side})");
+            assert_eq!(u.len(), 33, "grid({side}, {side})");
+            let added = (bags.len() - w.len()) as u64;
+            assert!(pairs < 10 * added, "grid({side}, {side}): {added} added");
+        }
     }
 
     #[test]

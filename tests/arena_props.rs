@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use softhw::core::soft::{self, reference, SoftLimits};
 use softhw::hypergraph::arena::BagArena;
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
-use softhw::hypergraph::{BitSet, BlockIndex, Hypergraph};
+use softhw::hypergraph::{named, BitSet, BlockIndex, Hypergraph, HypergraphBuilder};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (4usize..9, 3usize..9, 0u64..5000).prop_map(|(nv, ne, seed)| {
@@ -22,6 +22,38 @@ fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
             },
             seed,
         )
+    })
+}
+
+/// `parts` vertex-disjoint random hypergraphs side by side, with unary
+/// edges, and — on top of what the generator draws — a duplicate of the
+/// first edge and an empty edge.
+fn degenerate_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (3usize..7, 2usize..6, 0u64..5000, 1usize..3).prop_map(|(nv, ne, seed, parts)| {
+        let mut b = HypergraphBuilder::new();
+        for p in 0..parts {
+            let piece = random_hypergraph(
+                &RandomConfig {
+                    num_vertices: nv,
+                    num_edges: ne,
+                    min_arity: 1,
+                    max_arity: 3,
+                    connect: false,
+                },
+                seed + p as u64,
+            );
+            for e in 0..piece.num_edges() {
+                let names: Vec<String> =
+                    piece.edge(e).iter().map(|v| format!("p{p}v{v}")).collect();
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                b.edge(&format!("p{p}e{e}"), &refs);
+                if e == 0 {
+                    b.edge(&format!("p{p}twin"), &refs);
+                }
+            }
+        }
+        b.edge("nothing", &[]);
+        b.build()
     })
 }
 
@@ -111,6 +143,21 @@ proptest! {
     }
 
     #[test]
+    fn soft_generation_agrees_with_reference_on_degenerate_inputs(
+        h in degenerate_hypergraph(),
+        k in 1usize..4,
+    ) {
+        // Duplicate, empty and unary edges and disconnected inputs: the
+        // one λ walk must still hand the `W × U` stage every `⋃λ1`, and
+        // the stage must emit an empty `w` never and every other `w ∩ u`
+        // once.
+        let limits = SoftLimits::default();
+        let fast = soft::soft_bags_with(&h, k, &limits).unwrap();
+        let slow = reference::soft_bags_with(&h, k, &limits).unwrap();
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
     fn shared_index_solves_like_fresh_instances(h in small_hypergraph()) {
         // The shw sweep over a shared index must agree with per-k fresh
         // solves, and the hierarchy solver (which builds its CTD instance
@@ -130,5 +177,29 @@ proptest! {
                 prop_assert_eq!(td.validate(&h), Ok(()));
             }
         }
+    }
+}
+
+/// Cycles and paths at `k = 2` have one `⋃C` per arc, more than fit one
+/// mask word, so the `W × U` stage runs on multi-word masks.
+#[test]
+fn soft_generation_agrees_with_reference_past_one_mask_word() {
+    let path = {
+        let mut b = HypergraphBuilder::new();
+        for i in 0..14 {
+            b.edge(
+                &format!("e{i}"),
+                &[&format!("v{i}"), &format!("v{}", i + 1)],
+            );
+        }
+        b.build()
+    };
+    let limits = SoftLimits::default();
+    for h in [named::cycle(13), path] {
+        let unions = soft::component_unions(&h, 2, &limits).unwrap();
+        assert!(unions.len() > 64, "only {} distinct unions", unions.len());
+        let fast = soft::soft_bags_with(&h, 2, &limits).unwrap();
+        let slow = reference::soft_bags_with(&h, 2, &limits).unwrap();
+        assert_eq!(fast, slow);
     }
 }

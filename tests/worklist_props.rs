@@ -15,6 +15,7 @@ use softhw::core::cache::DecompCache;
 use softhw::core::ctd::CtdInstance;
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
 use softhw::core::{Budget, SolveSpec, Solved};
+use softhw::hypergraph::arena::{words_subset, words_union_into};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{named, BlockIndex, Hypergraph, HypergraphBuilder};
 
@@ -33,18 +34,36 @@ fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
-/// The random cases above stay far below 4 096 bags, i.e. inside one
-/// summary word of the two-level candidate scan. `grid(7, 7)` at `k = 2`
-/// has 5 622 bags — 88 row words, two summary words — so this pins the
-/// scan across a summary-word boundary.
-#[test]
-fn candidate_scan_crosses_a_summary_word_boundary() {
-    let h = named::grid(7, 7);
-    let mut index = BlockIndex::new(&h);
-    let k2 = soft_bag_ids(&mut index, 2, &SoftLimits::default()).unwrap();
-    let inst = CtdInstance::build(&mut index, &k2);
-    assert!(inst.num_bags() > 64 * 64, "{} bags", inst.num_bags());
+/// A small grid plus a few random chords: every edge has two vertices,
+/// and, as on the HyperBench grids, a separator of `k` edges often has a
+/// component next to all of its vertices — `|req|` then equals the
+/// largest bag cardinality and the candidate scan takes its short-cut,
+/// which it rarely does on [`small_hypergraph`]s.
+fn chorded_grid() -> impl Strategy<Value = Hypergraph> {
+    (2usize..5, 3usize..5, 0usize..3, 0u64..5000).prop_map(|(rows, cols, chords, seed)| {
+        let grid = named::grid(rows, cols);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = HypergraphBuilder::new();
+        for e in 0..grid.num_edges() {
+            let names: Vec<&str> = grid.edge(e).iter().map(|v| grid.vertex_name(v)).collect();
+            b.edge(grid.edge_name(e), &names);
+        }
+        for c in 0..chords {
+            let u = rng.gen_range(0..grid.num_vertices());
+            let v = (u + rng.gen_range(1..grid.num_vertices())) % grid.num_vertices();
+            b.edge(
+                &format!("chord{c}"),
+                &[grid.vertex_name(u), grid.vertex_name(v)],
+            );
+        }
+        b.build()
+    })
+}
 
+/// Holds the candidate lists of `inst` against first principles: for
+/// every block `b`, bag `x` is a viable candidate of `b` iff it is a
+/// basis of `b` once every block is satisfied.
+fn assert_candidates_match_predicate(inst: &CtdInstance) {
     let all_true = vec![true; inst.blocks.len()];
     let mut buf = Vec::new();
     for b in 0..inst.blocks.len() {
@@ -54,6 +73,74 @@ fn candidate_scan_crosses_a_summary_word_boundary() {
             .collect();
         assert_eq!(viable, direct, "block {b}");
     }
+}
+
+/// [`assert_candidates_match_predicate`], and the child tables against
+/// the definition: for every block `b` and bag `x`, the child blocks of
+/// `x` are exactly the blocks it heads whose component lies inside `b`'s,
+/// listed whenever those complete `b`'s coverage. That is the one way to
+/// see the entry of `b`'s own head — the only entry the scan's short-cut
+/// writes, and one no candidate list shows.
+fn assert_tables_match_predicate(inst: &CtdInstance) {
+    assert_candidates_match_predicate(inst);
+    let (mut buf, mut inside) = (Vec::new(), Vec::new());
+    for (b, blk) in inst.blocks.iter().enumerate() {
+        for (x, children) in inst.viable_candidates(b) {
+            assert_eq!(children, inst.child_blocks(b, x), "block {b}, bag {x}");
+        }
+        let (comp, cover) = (inst.words(blk.comp), inst.words(blk.cover));
+        for x in 0..inst.num_bags() {
+            let (start, len) = inst.blocks_by_head[x];
+            inside.clear();
+            inst.load_bag(x, &mut buf);
+            for b2 in start..start + len {
+                let child = inst.words(inst.blocks[b2 as usize].comp);
+                if words_subset(child, comp) {
+                    inside.push(b2);
+                    words_union_into(child, &mut buf);
+                }
+            }
+            if !words_subset(cover, &buf) {
+                inside.clear();
+            }
+            assert_eq!(inst.child_blocks(b, x), inside, "block {b}, bag {x}");
+        }
+    }
+}
+
+/// The random cases below stay far below 4 096 bags, i.e. inside one
+/// summary word of the two-level candidate scan. `grid(7, 7)` at `k = 2`
+/// has 5 622 bags — 88 row words, two summary words — so this pins the
+/// scan across a summary-word boundary, and the short-cut beside it:
+/// most comp groups of a grid have a four-vertex `req`.
+#[test]
+fn candidate_scan_crosses_a_summary_word_boundary() {
+    let h = named::grid(7, 7);
+    let mut index = BlockIndex::new(&h);
+    let k2 = soft_bag_ids(&mut index, 2, &SoftLimits::default()).unwrap();
+    let inst = CtdInstance::build(&mut index, &k2);
+    assert!(inst.num_bags() > 64 * 64, "{} bags", inst.num_bags());
+    let scan = inst.scan_stats();
+    assert!(scan.direct * 2 > scan.groups, "{scan:?}");
+    assert!(scan.direct < scan.groups, "{scan:?}");
+    assert_candidates_match_predicate(&inst);
+}
+
+/// A largest bag that heads no block — all of `V`, which leaves no
+/// component — makes `|req|` equal to the largest cardinality impossible:
+/// the scan must not take its short-cut, and must find every candidate
+/// the usual way.
+#[test]
+fn a_largest_bag_heading_no_block_disarms_the_scan_short_cut() {
+    let h = named::grid(4, 4);
+    let mut bags = soft_bags_with(&h, 2, &SoftLimits::default()).unwrap();
+    let before = CtdInstance::new(&h, &bags).scan_stats();
+    assert!(before.direct > 0, "{before:?}");
+    bags.push(h.all_vertices());
+    let inst = CtdInstance::new(&h, &bags);
+    assert_eq!(inst.blocks_by_head[inst.num_bags() - 1].1, 0);
+    assert_eq!(inst.scan_stats().direct, 0);
+    assert_tables_match_predicate(&inst);
 }
 
 /// `h` with the same vertex ids and its edges listed in a seeded random
@@ -117,16 +204,16 @@ proptest! {
         // accepts under an all-satisfied state.
         let limits = SoftLimits::default();
         let bags = soft_bags_with(&h, k, &limits).unwrap();
-        let inst = CtdInstance::new(&h, &bags);
-        let all_true = vec![true; inst.blocks.len()];
-        let mut buf = Vec::new();
-        for b in 0..inst.blocks.len() {
-            let viable: Vec<usize> = inst.viable_candidates(b).map(|(x, _)| x).collect();
-            let direct: Vec<usize> = (0..inst.num_bags())
-                .filter(|&x| inst.is_basis_with(b, x, &all_true, &mut buf))
-                .collect();
-            prop_assert_eq!(viable, direct, "block {}", b);
-        }
+        assert_tables_match_predicate(&CtdInstance::new(&h, &bags));
+    }
+
+    #[test]
+    fn viable_candidate_tables_match_reference_predicate_on_chorded_grids(
+        h in chorded_grid(),
+        k in 1usize..3,
+    ) {
+        let bags = soft_bags_with(&h, k, &SoftLimits::default()).unwrap();
+        assert_tables_match_predicate(&CtdInstance::new(&h, &bags));
     }
 
     #[test]
