@@ -149,7 +149,8 @@ fn main() {
         t.elapsed()
     );
     // Example 2 claims the root bag is NOT in Soft^0. Machine-checking
-    // refutes this for the hypergraph as transcribed (see EXPERIMENTS.md):
+    // refutes this for the hypergraph as transcribed (the argument is in
+    // tests/paper_examples.rs, `example2_h3_prime_upper_bounds`):
     // λ2 = {hor1, hor2, {0',3'}} yields a component avoiding 4'.
     let root_bag = tdp.bag(tdp.root());
     let t = Instant::now();

@@ -1,7 +1,7 @@
 //! Shared harness utilities for the experiment binaries that regenerate
 //! the paper's tables and figures. Each binary prints the same rows or
 //! series the paper reports (plus machine-independent logical cost
-//! counters); `EXPERIMENTS.md` records paper-vs-measured.
+//! counters).
 
 #![warn(missing_docs)]
 
@@ -105,28 +105,6 @@ pub fn run_baseline(inst: &Instance, cap: u64) -> Option<TimedRun> {
         value,
         stats: res.stats,
     })
-}
-
-/// Reads `"name": <float>` entries out of a baseline JSON file emitted
-/// by `bench_baseline` (no external JSON dependency in the build image).
-/// Nested object keys (`"benchmarks"`, the speedup maps) simply parse as
-/// their flat entries; the trend and check tooling both key on the
-/// per-benchmark entry names.
-pub fn parse_baseline_json(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let Some((name, value)) = rest.split_once("\":") else {
-            continue;
-        };
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.push((name.to_string(), v));
-        }
-    }
-    out
 }
 
 /// Prints a CSV-ish series header + rows to stdout.

@@ -1,10 +1,14 @@
 //! Cross-query decomposition cache: a memo in front of the one solver
 //! pipeline ([`crate::reduce_solve`]).
 //!
-//! Repeated workloads (a `table1`-style harness run, a CLI session
-//! decomposing one schema several ways) re-decompose structurally
-//! identical hypergraphs. [`DecompCache`] holds **one map**, from
-//! structural hash to everything kept for that structure:
+//! A process that decomposes structurally identical hypergraphs more
+//! than once (one schema swept over several widths and both measures,
+//! the same query shape arriving again) holds a [`DecompCache`] across
+//! those calls. A process that solves once has nothing to hit:
+//! `softhw-cli` and the service, which keeps finished responses in its
+//! own result cache, both call the cold [`crate::solve`]. The cache
+//! holds **one map**, from structural hash to everything kept for that
+//! structure:
 //!
 //! - its canonical form, compared on every probe — a hash collision is a
 //!   miss that replaces the entry, never a wrong answer;

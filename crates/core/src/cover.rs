@@ -23,26 +23,6 @@ pub fn find_cover(h: &Hypergraph, bag: &BitSet, k: usize) -> Option<Vec<usize>> 
     h.find_edge_cover(bag, k)
 }
 
-/// The minimum number of edges needed to cover `bag` (the integral edge
-/// cover number `ρ(B)`), or `None` if some vertex of `bag` lies in no edge.
-pub fn min_cover_size(h: &Hypergraph, bag: &BitSet) -> Option<usize> {
-    for v in bag.iter() {
-        if h.incident_edges(v).is_empty() {
-            return None;
-        }
-    }
-    let mut k = 1;
-    loop {
-        if find_cover(h, bag, k).is_some() {
-            return Some(k);
-        }
-        k += 1;
-        if k > bag.len().max(1) {
-            return None; // unreachable with the check above; defensive
-        }
-    }
-}
-
 /// True iff the given edges form a connected subhypergraph: the
 /// intersection graph of the edges (adjacency = sharing a vertex) is
 /// connected. The empty set counts as disconnected, a singleton as
@@ -155,12 +135,6 @@ fn grow_connected_cover(
     Ok(false)
 }
 
-/// Smallest `k` such that a connected cover of `bag` with `k` edges exists,
-/// searched up to `max_k` inclusive.
-pub fn min_connected_cover_size(h: &Hypergraph, bag: &BitSet, max_k: usize) -> Option<usize> {
-    (1..=max_k).find(|&k| find_connected_cover(h, bag, k).is_some())
-}
-
 /// Finds a connected cover whose union is *exactly* the bag (`⋃λ = B`,
 /// not merely `⊇ B`). This is the ConCov notion of the paper's prototype:
 /// candidate bags are generated as cover unions, and a bag counts as
@@ -180,50 +154,6 @@ pub fn find_exact_connected_cover(h: &Hypergraph, bag: &BitSet, k: usize) -> Opt
         }
         let union = h.union_of_edges(subset.iter().copied());
         if &union == bag && edges_connected(h, subset) {
-            found = Some(subset.to_vec());
-        }
-    });
-    found
-}
-
-/// Like [`find_connected_cover`] but additionally requiring the cover to
-/// be *non-redundant*: every chosen edge must contribute at least one bag
-/// vertex not covered by the others. A strictly stronger variant kept for
-/// ablation studies.
-pub fn find_connected_cover_nonredundant(
-    h: &Hypergraph,
-    bag: &BitSet,
-    k: usize,
-) -> Option<Vec<usize>> {
-    if bag.is_empty() || k == 0 {
-        return None;
-    }
-    let pool: Vec<usize> = (0..h.num_edges())
-        .filter(|&e| h.edge(e).intersects(bag))
-        .collect();
-    // Enumerate subsets of the pool up to size k and test the three
-    // conditions; pools are small (edges touching one bag).
-    let mut found: Option<Vec<usize>> = None;
-    crate::bitset_subsets(&pool, k, |subset| {
-        if found.is_some() {
-            return;
-        }
-        let union = h.union_of_edges(subset.iter().copied());
-        if !bag.is_subset(&union) || !edges_connected(h, subset) {
-            return;
-        }
-        let nonredundant = subset.iter().all(|&e| {
-            let mut others = BitSet::empty(h.num_vertices());
-            for &f in subset {
-                if f != e {
-                    others.union_with(h.edge(f));
-                }
-            }
-            let mut own = h.edge(e).intersection(bag);
-            own.difference_with(&others);
-            !own.is_empty()
-        });
-        if nonredundant {
             found = Some(subset.to_vec());
         }
     });
@@ -253,7 +183,6 @@ mod tests {
         let bag = h.all_vertices();
         assert!(find_cover(&h, &bag, 2).is_none());
         assert!(find_cover(&h, &bag, 3).is_some());
-        assert_eq!(min_cover_size(&h, &bag), Some(3));
     }
 
     #[test]
@@ -267,7 +196,6 @@ mod tests {
         assert!(find_connected_cover(&h, &bag, 2).is_none());
         let cc = find_connected_cover(&h, &bag, 3).unwrap();
         assert!(edges_connected(&h, &cc));
-        assert_eq!(min_connected_cover_size(&h, &bag, 4), Some(3));
     }
 
     #[test]
@@ -371,33 +299,6 @@ mod tests {
         let empty = h.empty_vertex_set();
         assert_eq!(find_cover(&h, &empty, 0), Some(vec![]));
     }
-}
-
-#[cfg(test)]
-mod nonredundant_tests {
-    use super::*;
-    use softhw_hypergraph::named;
-
-    #[test]
-    fn nonredundant_accepts_contributing_covers() {
-        // C5 bag {v0,v1,v2}: e0={v0,v1} contributes v0, e1={v1,v2}
-        // contributes v2 — connected and non-redundant.
-        let h = named::cycle(5);
-        let bag = h.vset(&["v0", "v1", "v2"]);
-        assert!(find_connected_cover_nonredundant(&h, &bag, 2).is_some());
-    }
-
-    #[test]
-    fn nonredundant_is_strictly_stronger_than_concov() {
-        // C5 bag {v0,v2,v3}: a *connected* 3-cover exists (e2,e3,e4) but
-        // e3 = {v3,v4} contributes no fresh bag vertex, so the
-        // non-redundant variant rejects it. This is exactly where the
-        // paper's formal ConCov and its prototype's counting diverge.
-        let h = named::cycle(5);
-        let bag = h.vset(&["v0", "v2", "v3"]);
-        assert!(find_connected_cover(&h, &bag, 3).is_some());
-        assert!(find_connected_cover_nonredundant(&h, &bag, 3).is_none());
-    }
 
     #[test]
     fn connector_edges_outside_bag_are_usable() {
@@ -412,6 +313,5 @@ mod nonredundant_tests {
         assert!(find_connected_cover(&h, &bag, 2).is_none());
         let cc = find_connected_cover(&h, &bag, 3).unwrap();
         assert_eq!(cc.len(), 3);
-        assert!(find_connected_cover_nonredundant(&h, &bag, 3).is_none());
     }
 }

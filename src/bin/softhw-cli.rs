@@ -38,7 +38,7 @@ use softhw::core::constraints::{concov_filter, Trivial};
 use softhw::core::ctd_opt::best;
 use softhw::core::soft::{soft_bags_with, SoftLimits};
 use softhw::core::soft_iter;
-use softhw::core::{hw, shw, DecompCache, SolveSpec, Solved};
+use softhw::core::{hw, shw, solve, SolveSpec, Solved};
 use softhw::hypergraph::{parse_hypergraph, Hypergraph};
 use softhw_service::{roundtrip, EvalKind, Request, RequestClass, Response};
 use std::net::TcpStream;
@@ -485,11 +485,10 @@ fn run() -> Result<bool, String> {
         let bags = candidate_bags(&h, k, opts.concov)?;
         Ok(best(&h, &bags, &Trivial).map(|(td, ())| td))
     };
-    // The unconstrained solves all go through the unified SolveSpec
-    // entry point (the same one the service dispatches on); only the
+    // The unconstrained solves all go through the cold SolveSpec door
+    // (the same one the service dispatches on); only the
     // ConCov-constrained paths keep the candidate-filter + `best`
     // machinery, which has no spec formulation.
-    let mut cache = DecompCache::new();
     match (opts.measure.as_str(), opts.width) {
         ("shw", Some(k)) if opts.concov => {
             let td = decide(k)?;
@@ -507,25 +506,20 @@ fn run() -> Result<bool, String> {
                 }
             }
         }
-        ("shw", Some(k)) => {
-            match cache
-                .solve(&h, &SolveSpec::shw_leq(k))
-                .map_err(|e| e.to_string())?
-            {
-                Solved::ShwDecision(Some(td)) => {
-                    println!("shw <= {k}: yes");
-                    if opts.print {
-                        print!("{}", td.render(&h));
-                    }
-                    Ok(true)
+        ("shw", Some(k)) => match solve(&h, &SolveSpec::shw_leq(k)).map_err(|e| e.to_string())? {
+            Solved::ShwDecision(Some(td)) => {
+                println!("shw <= {k}: yes");
+                if opts.print {
+                    print!("{}", td.render(&h));
                 }
-                Solved::ShwDecision(None) => {
-                    println!("shw <= {k}: no");
-                    Ok(false)
-                }
-                _ => unreachable!("shw_leq spec yields a ShwDecision"),
+                Ok(true)
             }
-        }
+            Solved::ShwDecision(None) => {
+                println!("shw <= {k}: no");
+                Ok(false)
+            }
+            _ => unreachable!("shw_leq spec yields a ShwDecision"),
+        },
         ("shw", None) => {
             if opts.concov {
                 // No spec formulation for the ConCov constraint: sweep
@@ -544,8 +538,7 @@ fn run() -> Result<bool, String> {
             // Exact shw goes through the reduce-before-solve front door
             // (simplify, sweep each reduced piece, lift the witnesses);
             // `--no-reduce` keeps the raw per-width sweep.
-            match cache
-                .solve(&h, &SolveSpec::shw().with_reduce(!opts.no_reduce))
+            match solve(&h, &SolveSpec::shw().with_reduce(!opts.no_reduce))
                 .map_err(|e| e.to_string())?
             {
                 Solved::ShwWidth(k, td) => {
@@ -563,10 +556,7 @@ fn run() -> Result<bool, String> {
                 return Err("--concov is a CTD constraint; use --measure shw".into());
             }
             match w {
-                Some(k) => match cache
-                    .solve(&h, &SolveSpec::hw_leq(k))
-                    .map_err(|e| e.to_string())?
-                {
+                Some(k) => match solve(&h, &SolveSpec::hw_leq(k)).map_err(|e| e.to_string())? {
                     Solved::HwDecision(Some(g)) => {
                         println!("hw <= {k}: yes");
                         if opts.print {
@@ -580,8 +570,7 @@ fn run() -> Result<bool, String> {
                     }
                     _ => unreachable!("hw_leq spec yields a HwDecision"),
                 },
-                None => match cache
-                    .solve(&h, &SolveSpec::hw().with_reduce(!opts.no_reduce))
+                None => match solve(&h, &SolveSpec::hw().with_reduce(!opts.no_reduce))
                     .map_err(|e| e.to_string())?
                 {
                     Solved::HwWidth(k, g) => {

@@ -106,10 +106,10 @@ fn example2_h3_prime_upper_bounds() {
     // Example 2 claims shw1(H'3) <= 3 via the Figure 2b bags being in
     // Soft^1_{H'3,3}; our membership checker confirms that direction.
     //
-    // DISCREPANCY (see EXPERIMENTS.md): the paper additionally claims the
-    // root bag is NOT in Soft^0_{H'3,3} ("any λ_p would induce only a
-    // single component that contains 4'"). Machine-checking refutes this
-    // for the hypergraph as transcribed from Appendix A.2 + footnote 1:
+    // DISCREPANCY: the paper additionally claims the root bag is NOT in
+    // Soft^0_{H'3,3} ("any λ_p would induce only a single component
+    // that contains 4'"). Machine-checking refutes this for the
+    // hypergraph as transcribed from Appendix A.2 + footnote 1:
     // λ2 = {hor1, hor2, {0',3'}} splits H'3 into a component avoiding 4'
     // (4' sits inside the separator through hor1, and its remaining
     // links {2',4'}, {3',4'} fall into the other component or inside the

@@ -4,10 +4,10 @@
 //! and every lifted witness must validate against the *raw* input.
 
 use proptest::prelude::*;
-use softhw::core::{hw, shw};
+use softhw::core::{hw, shw, solve, SolveSpec, Solved};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::reduce::reduce;
-use softhw::hypergraph::{Hypergraph, HypergraphBuilder};
+use softhw::hypergraph::{parse_hypergraph, Hypergraph, HypergraphBuilder};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (4usize..8, 3usize..8, 0u64..5000).prop_map(|(nv, ne, seed)| {
@@ -146,6 +146,30 @@ proptest! {
             for &e in &piece.edge_map {
                 prop_assert!(e < h.num_edges());
             }
+        }
+    }
+}
+
+/// The shipped HyperBench files as one more input: both parse, reduce to
+/// something, and are rejected at `k = 1` whichever way the spec sets
+/// the reduce switch (the `k = 2` verdicts cost seconds and stay in
+/// CI's `hyperbench-k2` job).
+#[test]
+fn shipped_hyperbench_files_parse_reduce_and_reject_width_one() {
+    for name in ["grid24x24.hg", "rand1200.hg"] {
+        let path = format!("{}/data/hyperbench/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let h = parse_hypergraph(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert!(
+            !reduce(&h).pieces.is_empty(),
+            "{name}: nothing left to solve"
+        );
+        for on in [true, false] {
+            let answer = solve(&h, &SolveSpec::shw_leq(1).with_reduce(on));
+            assert!(
+                matches!(answer, Ok(Solved::ShwDecision(None))),
+                "{name}, reduce {on}: expected a rejection, got {answer:?}"
+            );
         }
     }
 }
