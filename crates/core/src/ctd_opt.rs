@@ -34,7 +34,7 @@
 //! re-evaluated only when a child block's value changes.
 
 use crate::budget::Budget;
-use crate::ctd::CtdInstance;
+use crate::ctd::{Basis, CtdInstance};
 use crate::error::DecompError;
 use crate::td::TreeDecomposition;
 use rand::Rng;
@@ -328,12 +328,12 @@ pub fn best_on_budgeted<E: TdEvaluator>(
 fn extract_best<S>(
     inst: &CtdInstance,
     value: &[Value<S>],
-    bool_basis: &[Option<(usize, u32)>],
+    bool_basis: &[Basis],
     b: usize,
     visited: &mut [bool],
 ) -> Option<TdNode> {
     let x = if visited[b] {
-        bool_basis[b].map(|(x, _)| x)?
+        bool_basis[b].get().map(|(x, _)| x)?
     } else {
         value[b].as_ref().map(|(x, _)| *x)?
     };
@@ -415,7 +415,7 @@ pub fn enumerate_on<E: TdEvaluator>(
     if !sat.accept {
         return Vec::new();
     }
-    let satisfied: Vec<bool> = sat.basis.iter().map(Option::is_some).collect();
+    let satisfied: Vec<bool> = sat.basis.iter().map(|b| b.get().is_some()).collect();
     let mut visited = vec![false; inst.blocks.len()];
     let unlimited = Budget::unlimited();
     let mut run = Run::new(inst, eval, &unlimited);
@@ -655,7 +655,7 @@ pub fn sample_random<R: Rng>(
     if !sat.accept {
         return None;
     }
-    let satisfied: Vec<bool> = sat.basis.iter().map(Option::is_some).collect();
+    let satisfied: Vec<bool> = sat.basis.iter().map(|b| b.get().is_some()).collect();
     'attempt: for _ in 0..64 {
         let mut td: Option<TreeDecomposition> = None;
         for &rb in &inst.root_blocks {

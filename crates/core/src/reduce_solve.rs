@@ -37,7 +37,7 @@ use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw::hw_leq_budgeted;
-use crate::shw::{new_index, shw_leq_indexed_budgeted};
+use crate::shw::{new_index, shw_leq_indexed_budgeted, soft_instance};
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::reduce::{reduce, reduce_no_peel, ReduceEvent, ReducePiece, Reduction};
@@ -316,17 +316,16 @@ pub(crate) fn least_width<W>(
 /// [`SolveSpec`], keeping nothing between calls. Exact widths run the
 /// reduce-aware pipeline above, one [`softhw_hypergraph::BlockIndex`]
 /// per piece shared across the widths of its sweep (`hw` builds none);
-/// bounded decisions are one leaf decision on `h` as given. A budget or
+/// bounded decisions are one leaf decision on `h` as given, `shw ≤ k` on
+/// an index its instance build releases as it goes ([`soft_instance`]).
+/// A budget or
 /// limit trip is the error; nothing partial is returned.
 pub fn solve(h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
     let (limits, budget) = (&spec.limits, &spec.budget);
     Ok(match (spec.class, spec.bound) {
-        (SolveClass::Shw, Some(k)) => Solved::ShwDecision(shw_leq_indexed_budgeted(
-            &mut new_index(h),
-            k,
-            limits,
-            budget,
-        )?),
+        (SolveClass::Shw, Some(k)) => {
+            Solved::ShwDecision(soft_instance(h, k, limits, budget)?.try_decide_budgeted(budget)?)
+        }
         (SolveClass::Shw, None) => {
             let (w, td) = exact_width(h, spec.reduce, budget, |piece| {
                 let mut index = new_index(piece);

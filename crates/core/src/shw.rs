@@ -79,18 +79,25 @@ pub(crate) fn soft_instance_on(
 }
 
 /// `Soft_{H,k}` and the prepared `CandidateTD` instance over it on an
-/// index built for this call — exactly what a cold `shw ≤ k` decision
-/// builds, for callers that run their own DP over the block tables
-/// (Algorithm 2, [`crate::ctd_opt`]).
+/// index built for this call — what a cold `shw ≤ k` decision
+/// ([`crate::solve`]) runs Algorithm 1 on, for callers that run their own
+/// DP over the block tables (Algorithm 2, [`crate::ctd_opt`]).
 /// [`crate::cache::DecompCache::soft_instance`] is the same on a warm
 /// index.
+///
+/// The index is the build's to release ([`CtdInstance`]): all but its
+/// rows go once the blocks are derived, the rows once copied, so neither
+/// is alive beside the dependency tables, the DP or the caller's use of
+/// the instance.
 pub fn soft_instance(
     h: &Hypergraph,
     k: usize,
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<CtdInstance, DecompError> {
-    soft_instance_on(&mut new_index(h), k, limits, budget)
+    let mut index = new_index(h);
+    let bags = soft_bag_ids_budgeted(&mut index, k, limits, budget)?;
+    CtdInstance::build_owned(index, &bags, budget)
 }
 
 /// [`shw_leq_indexed`] with a cooperative [`Budget`] threaded through

@@ -17,6 +17,8 @@
 //! *membership check with witness* that only materialises `E^(i)`.
 
 use crate::ctd::candidate_td_ids;
+use crate::error::DecompError;
+use crate::reduce_solve::least_width;
 use crate::soft::{self, LimitExceeded, SoftLimits};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::arena::{words_empty, words_intersect_into, IdSet};
@@ -192,12 +194,20 @@ pub fn shw_i_leq(
 
 /// Computes `shw_i(H)` exactly (least `k` with `shw_i(H) ≤ k`).
 pub fn shw_i(h: &Hypergraph, i: usize, limits: &SoftLimits) -> Result<usize, LimitExceeded> {
-    for k in 1..=h.num_edges().max(1) {
-        if shw_i_leq(h, k, i, limits)?.is_some() {
-            return Ok(k);
-        }
+    least_k(h, |k| shw_i_leq(h, k, i, limits))
+}
+
+/// The least `k` that `decide` accepts — [`least_width`], with its errors
+/// mapped back to the only one the hierarchy raises.
+fn least_k(
+    h: &Hypergraph,
+    mut decide: impl FnMut(usize) -> Result<Option<TreeDecomposition>, LimitExceeded>,
+) -> Result<usize, LimitExceeded> {
+    match least_width(h, |k| Ok(decide(k)?)) {
+        Ok((k, _)) => Ok(k),
+        Err(DecompError::Limit(e)) => Err(e),
+        Err(other) => unreachable!("ghw(H) <= shw_i(H) <= hw(H) <= |E(H)|: {other}"),
     }
-    unreachable!("shw_i(H) <= hw(H) <= |E(H)|")
 }
 
 /// Decides `ghw(H) ≤ k` via the fixpoint of the soft hierarchy
@@ -216,12 +226,7 @@ pub fn ghw_leq_via_fixpoint(
 
 /// Computes `ghw(H)` exactly via the fixpoint characterisation.
 pub fn ghw(h: &Hypergraph, limits: &SoftLimits) -> Result<usize, LimitExceeded> {
-    for k in 1..=h.num_edges().max(1) {
-        if ghw_leq_via_fixpoint(h, k, limits)?.is_some() {
-            return Ok(k);
-        }
-    }
-    unreachable!("ghw(H) <= |E(H)|")
+    least_k(h, |k| ghw_leq_via_fixpoint(h, k, limits))
 }
 
 /// A witness for `bag ∈ Soft^i_{H,k}`: the chosen `λ1 ⊆ E^(i)` (by value,

@@ -249,6 +249,16 @@ impl BagArena {
         }
     }
 
+    /// [`BagArena::snapshot`] without a copy, for a caller that only
+    /// reads bags from here on: the probe table is dropped, the storage
+    /// moves.
+    pub fn into_snapshot(self) -> ArenaSnapshot {
+        ArenaSnapshot {
+            universe: self.universe,
+            storage: self.storage,
+        }
+    }
+
     /// Rebuilds an arena from a snapshot, re-deriving the probe table.
     /// Ids are preserved exactly: bag `i` of the snapshot is bag `i` of
     /// the rebuilt arena. Returns `None` if the storage length is not a

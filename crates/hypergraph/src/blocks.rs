@@ -433,6 +433,13 @@ impl BlockIndex {
         &self.row_data[r.start as usize..(r.start + r.len) as usize]
     }
 
+    /// The arena alone, for a caller done with the index that still reads
+    /// the sets it interned: the block rows, their cache and the
+    /// adjacency go with the rest of the index.
+    pub fn into_arena(self) -> BagArena {
+        self.arena
+    }
+
     /// Interns a [`BitSet`] into the index's arena.
     #[inline]
     pub fn intern(&mut self, set: &BitSet) -> BagId {

@@ -10,7 +10,20 @@ use softhw::hypergraph::reduce::reduce;
 use softhw::hypergraph::{parse_hypergraph, Hypergraph, HypergraphBuilder};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
-    (4usize..8, 3usize..8, 0u64..5000).prop_map(|(nv, ne, seed)| {
+    random_connected(4..8, 3..8)
+}
+
+/// [`small_hypergraph`] with about twice the edges per vertex, so that
+/// most inputs keep a cyclic core through `reduce`.
+fn dense_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    random_connected(4..8, 6..14)
+}
+
+fn random_connected(
+    vertices: std::ops::Range<usize>,
+    edges: std::ops::Range<usize>,
+) -> impl Strategy<Value = Hypergraph> {
+    (vertices, edges, 0u64..5000).prop_map(|(nv, ne, seed)| {
         random_hypergraph(
             &RandomConfig {
                 num_vertices: nv,
@@ -129,6 +142,30 @@ proptest! {
         let (hw_w, ghd) = hw::hw(&u);
         prop_assert_eq!(hw_w, expect_hw);
         prop_assert!(ghd.is_hd(&u));
+    }
+
+    #[test]
+    fn irreducible_pieces_of_two_or_more_edges_need_width_two(
+        a in dense_hypergraph(),
+        b in small_hypergraph(),
+    ) {
+        // `reduce` runs the GYO rules (subsumed-edge removal, degree-1
+        // peeling) to a fixpoint, which is empty exactly on α-acyclic
+        // inputs. A piece with two or more edges is therefore α-cyclic,
+        // so `ghw ≥ 2` and, as `ghw ≤ shw ≤ hw`, both `k = 1` decisions
+        // are a foregone "no" — the ground a width sweep could start at 2
+        // on.
+        let u = disjoint_union(&a, &b);
+        for piece in reduce(&u).pieces.iter().filter(|p| p.h.num_edges() >= 2) {
+            prop_assert_eq!(
+                solve(&piece.h, &SolveSpec::shw_leq(1)),
+                Ok(Solved::ShwDecision(None))
+            );
+            prop_assert_eq!(
+                solve(&piece.h, &SolveSpec::hw_leq(1)),
+                Ok(Solved::HwDecision(None))
+            );
+        }
     }
 
     #[test]

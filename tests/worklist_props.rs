@@ -3,7 +3,9 @@
 //! engine must agree **block for block** — bases and timestamps, not
 //! just accept/reject — with the retained Jacobi reference; the
 //! precomputed viable-candidate tables must match the first-principles
-//! basis predicate; and the cross-query decomposition cache must return
+//! basis predicate; an instance whose build releases the index it was
+//! handed must be the one a build on a borrowed index makes; and the
+//! cross-query decomposition cache must return
 //! exactly what cold runs return, whatever was asked of it before — and
 //! in the edge numbering of the hypergraph that was passed in, however
 //! the same edges were listed when the entry was cached.
@@ -13,8 +15,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softhw::core::cache::DecompCache;
 use softhw::core::ctd::CtdInstance;
+use softhw::core::shw::{shw_leq_indexed, soft_instance};
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
-use softhw::core::{Budget, SolveSpec, Solved};
+use softhw::core::{solve, Budget, SolveSpec, Solved};
 use softhw::hypergraph::arena::{words_subset, words_union_into};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{named, BlockIndex, Hypergraph, HypergraphBuilder};
@@ -182,11 +185,10 @@ proptest! {
         let inst = CtdInstance::new(&h, &bags);
         let fast = inst.satisfy();
         let slow = inst.satisfy_jacobi();
-        prop_assert_eq!(fast.accept, slow.accept);
-        // Full table equality: same satisfied set, same bases, same
-        // timestamps — the worklist's frontier waves must replay the
-        // Jacobi rounds exactly.
-        prop_assert_eq!(&fast.basis, &slow.basis);
+        // Full table equality: same accept, same satisfied set, same
+        // bases, same timestamps — the worklist's frontier waves must
+        // replay the Jacobi rounds exactly.
+        prop_assert_eq!(&fast, &slow);
         // And the certified decompositions validate.
         if let Some(td) = inst.extract(&fast) {
             prop_assert_eq!(td.validate(&h), Ok(()));
@@ -214,6 +216,61 @@ proptest! {
     ) {
         let bags = soft_bags_with(&h, k, &SoftLimits::default()).unwrap();
         assert_tables_match_predicate(&CtdInstance::new(&h, &bags));
+    }
+
+    #[test]
+    fn an_owned_index_builds_the_instance_a_borrowed_one_does(
+        h in small_hypergraph(),
+        k in 1usize..4,
+    ) {
+        // `soft_instance` hands its index to the build, which releases it
+        // part by part; `build(&mut index)` leaves it whole. The two must
+        // be the same instance, table for table.
+        let limits = SoftLimits::default();
+        let owned = soft_instance(&h, k, &limits, &Budget::unlimited()).unwrap();
+        let mut index = BlockIndex::new(&h);
+        let ids = soft_bag_ids(&mut index, k, &limits).unwrap();
+        let borrowed = CtdInstance::build(&mut index, &ids);
+        prop_assert_eq!(&owned.blocks, &borrowed.blocks);
+        prop_assert_eq!(&owned.root_blocks, &borrowed.root_blocks);
+        prop_assert_eq!(owned.num_bags(), borrowed.num_bags());
+        for (b, blk) in owned.blocks.iter().enumerate() {
+            prop_assert_eq!(owned.words(blk.comp), borrowed.words(blk.comp));
+            prop_assert_eq!(owned.words(blk.cover), borrowed.words(blk.cover));
+            let viable = |inst: &CtdInstance| -> Vec<(usize, Vec<u32>)> {
+                inst.viable_candidates(b).map(|(x, kids)| (x, kids.to_vec())).collect()
+            };
+            prop_assert_eq!(viable(&owned), viable(&borrowed), "block {}", b);
+            for x in 0..owned.num_bags() {
+                prop_assert_eq!(owned.child_blocks(b, x), borrowed.child_blocks(b, x));
+            }
+        }
+        for x in 0..owned.num_bags() {
+            prop_assert_eq!(owned.bag(x), borrowed.bag(x));
+        }
+        prop_assert_eq!(owned.satisfy(), borrowed.satisfy());
+        // The cold decision, which builds through the owned index, answers
+        // with the witness of a decision on a fresh shared index.
+        let spec = SolveSpec::shw_leq(k);
+        let cold = solve(&h, &spec).unwrap();
+        let indexed = shw_leq_indexed(&mut BlockIndex::new(&h), k, &limits).unwrap();
+        prop_assert_eq!(&cold, &Solved::ShwDecision(indexed));
+        // A work cap trips it at points spread over enumeration, build
+        // and DP; the retry is the run that was never interrupted.
+        let mut cap = 1u64;
+        loop {
+            match solve(&h, &spec.clone().with_budget(Budget::with_work_cap(cap))) {
+                Err(e) => {
+                    prop_assert!(e.is_budget(), "cap {}: {:?}", cap, e);
+                    prop_assert_eq!(&solve(&h, &spec).unwrap(), &cold, "retry after cap {}", cap);
+                }
+                Ok(answer) => {
+                    prop_assert_eq!(&answer, &cold, "cap {}", cap);
+                    break;
+                }
+            }
+            cap += cap.div_ceil(4);
+        }
     }
 
     #[test]
