@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks for the decomposition machinery: candidate
-//! bag generation, Algorithm 1, the shw/hw solvers, and the top-10
+//! bag generation, bag interning, Algorithm 1, the shw/hw solvers, and the top-10
 //! enumeration whose latency Table 1 reports ("a few milliseconds").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -68,6 +68,35 @@ fn bench_soft_arena_vs_reference(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_arena_intern(c: &mut Criterion) {
+    // The bag interner's probe cost: every `k = 2` separator of the
+    // 20x20 grid (the vertex set of each λ of at most two edges), interned
+    // into a fresh arena in the order the soft-bag sweep meets them.
+    use softhw_hypergraph::arena::words_union_into;
+    use softhw_hypergraph::BagArena;
+    let h = named::grid(20, 20);
+    let m = h.num_edges();
+    let pairs = (0..m).flat_map(|i| (i..m).map(move |j| (i, j)));
+    let rows: Vec<Vec<u64>> = pairs
+        .map(|(i, j)| {
+            let mut row = h.edge(i).blocks().to_vec();
+            words_union_into(h.edge(j).blocks(), &mut row);
+            row
+        })
+        .collect();
+    let mut g = c.benchmark_group("arena");
+    g.bench_function("intern", |b| {
+        b.iter(|| {
+            let mut arena = BagArena::new(h.num_vertices());
+            for row in &rows {
+                black_box(arena.intern_words(row));
+            }
+            arena.len()
+        })
+    });
+    g.finish();
+}
+
 fn bench_algorithm1(c: &mut Criterion) {
     let mut g = c.benchmark_group("algorithm1");
     for (name, h, k) in [("H2/k2", named::h2(), 2), ("C8/k2", named::cycle(8), 2)] {
@@ -131,6 +160,7 @@ criterion_group!(
     benches,
     bench_soft_generation,
     bench_soft_arena_vs_reference,
+    bench_arena_intern,
     bench_algorithm1,
     bench_width_solvers,
     bench_table1_top10,

@@ -34,6 +34,13 @@ impl BagId {
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
+#[cfg(test)]
+thread_local! {
+    /// Stored rows compared against a probed one, for the clustering
+    /// test: the probe cost, counted rather than timed.
+    static ROW_COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// An interner for sets over a fixed universe, with word-level algebra.
 #[derive(Clone)]
 pub struct BagArena {
@@ -43,18 +50,22 @@ pub struct BagArena {
     /// Open-addressing table of ids; `EMPTY_SLOT` marks a free slot.
     table: Vec<u32>,
     mask: usize,
+    /// `64 - log2(table.len())`: a set's home slot is the top bits of its
+    /// mixed hash (see [`BagArena::home`]).
+    shift: u32,
 }
 
 impl BagArena {
     /// Creates an arena for sets over `0..universe`.
     pub fn new(universe: usize) -> Self {
-        let cap = 64;
+        let cap: usize = 64;
         BagArena {
             universe,
             words: universe.div_ceil(64).max(1),
             storage: Vec::new(),
             table: vec![EMPTY_SLOT; cap],
             mask: cap - 1,
+            shift: 64 - cap.trailing_zeros(),
         }
     }
 
@@ -89,20 +100,38 @@ impl BagArena {
         &self.storage[start..start + self.words]
     }
 
+    /// The home slot of a set: the top bits of its Fx hash after a
+    /// murmur3 finalizer. The last Fx step is a multiply, and a product's
+    /// low bits depend only on its operand's low bits, so `hash & mask`
+    /// piles sets that differ only in high words into one probe run; the
+    /// product's top bits are not uniform either over sets of a few small
+    /// elements. The finalizer spreads every bit of the hash over the top
+    /// ones.
     #[inline]
-    fn hash_words(words: &[u64]) -> u64 {
-        crate::fxhash::hash_u64s(words)
+    fn home(&self, words: &[u64]) -> usize {
+        let mut h = crate::fxhash::hash_u64s(words);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        (h >> self.shift) as usize
+    }
+
+    /// Whether stored bag `id` is `words`.
+    #[inline]
+    fn row_is(&self, id: u32, words: &[u64]) -> bool {
+        #[cfg(test)]
+        ROW_COMPARES.with(|n| n.set(n.get() + 1));
+        self.words(BagId(id)) == words
     }
 
     /// Interns raw words (must be `words_per_bag` long); returns the id,
     /// allocating a new one only for unseen content.
     pub fn intern_words(&mut self, words: &[u64]) -> BagId {
         debug_assert_eq!(words.len(), self.words);
-        let hash = Self::hash_words(words);
         if self.len() * 2 >= self.table.len() {
             self.grow();
         }
-        let mut slot = (hash as usize) & self.mask;
+        let mut slot = self.home(words);
         loop {
             let id = self.table[slot];
             if id == EMPTY_SLOT {
@@ -111,7 +140,7 @@ impl BagArena {
                 self.table[slot] = new_id;
                 return BagId(new_id);
             }
-            if self.words(BagId(id)) == words {
+            if self.row_is(id, words) {
                 return BagId(id);
             }
             slot = (slot + 1) & self.mask;
@@ -126,13 +155,13 @@ impl BagArena {
     /// Looks a set up without interning it.
     pub fn lookup_words(&self, words: &[u64]) -> Option<BagId> {
         debug_assert_eq!(words.len(), self.words);
-        let mut slot = (Self::hash_words(words) as usize) & self.mask;
+        let mut slot = self.home(words);
         loop {
             let id = self.table[slot];
             if id == EMPTY_SLOT {
                 return None;
             }
-            if self.words(BagId(id)) == words {
+            if self.row_is(id, words) {
                 return Some(BagId(id));
             }
             slot = (slot + 1) & self.mask;
@@ -146,9 +175,10 @@ impl BagArena {
     fn grow_to(&mut self, cap: usize) {
         debug_assert!(cap.is_power_of_two());
         self.mask = cap - 1;
+        self.shift = 64 - cap.trailing_zeros();
         let mut table = vec![EMPTY_SLOT; cap];
         for id in 0..self.len() as u32 {
-            let mut slot = (Self::hash_words(self.words(BagId(id))) as usize) & self.mask;
+            let mut slot = self.home(self.words(BagId(id)));
             while table[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & self.mask;
             }
@@ -478,6 +508,50 @@ mod tests {
         assert!(a.bag_is_empty(e));
         let s = a.intern(&BitSet::from_iter(10, [2, 5, 9]));
         assert_eq!(a.iter(s).collect::<Vec<_>>(), vec![2, 5, 9]);
+    }
+
+    /// The vertex sets of every λ of at most two edges, in `(i, j)`
+    /// order: the `k = 2` separators the soft-bag sweep interns.
+    fn k2_separators(h: &crate::Hypergraph) -> Vec<Vec<u64>> {
+        let m = h.num_edges();
+        let pairs = (0..m).flat_map(|i| (i..m).map(move |j| (i, j)));
+        pairs
+            .map(|(i, j)| {
+                let mut row = h.edge(i).blocks().to_vec();
+                words_union_into(h.edge(j).blocks(), &mut row);
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn similar_sets_do_not_cluster_in_the_intern_table() {
+        // Grid separators differ from each other in a few bits of one
+        // word: homed on the low bits of their Fx hashes, these 16 290
+        // interns piled into probe runs of about 200 row compares each.
+        // Homed on the top bits of the mixed hash, they make 13 720.
+        let h = crate::named::grid(10, 10);
+        let rows = k2_separators(&h);
+        let mut arena = BagArena::new(h.num_vertices());
+        let before = ROW_COMPARES.with(|n| n.get());
+        let ids: Vec<BagId> = rows.iter().map(|r| arena.intern_words(r)).collect();
+        let compares = ROW_COMPARES.with(|n| n.get()) - before;
+        assert!(
+            compares <= 2 * rows.len() as u64,
+            "{compares} row compares for {} interns",
+            rows.len()
+        );
+        // Ids are still dense and in insertion order.
+        let mut seen = IdSet::new();
+        let mut next = 0;
+        for (row, id) in rows.iter().zip(&ids) {
+            if seen.insert(*id) {
+                assert_eq!(id.0, next);
+                next += 1;
+            }
+            assert_eq!(arena.words(*id), &row[..]);
+        }
+        assert_eq!(next as usize, arena.len());
     }
 
     #[test]

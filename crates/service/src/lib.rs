@@ -14,9 +14,11 @@
 //!   ([`wire::TdFrame`], built on
 //!   [`ArenaSnapshot`](softhw_hypergraph::ArenaSnapshot)).
 //! - [`state`]: the shared handler state behind one entry point,
-//!   [`ServiceState::handle`] — a bank of result-cache stripes routed
-//!   by the schema's structural hash (the one hash a request computes;
-//!   it also keys the store), the service's one in-memory tier. A
+//!   [`ServiceState::handle`], which returns the encoded response frame
+//!   — a bank of result-cache stripes routed by the schema's structural
+//!   hash (the one hash a request computes; it also keys the store), the
+//!   service's one in-memory tier, holding each answer as the frame it is
+//!   sent as. A
 //!   request is a front half — scan the body to its canonical form,
 //!   hash, one result-cache probe: all a repeated request costs — and a
 //!   back half that runs only on a miss, from what the front half

@@ -92,7 +92,7 @@ impl ServiceObs {
 /// probe and insert the stripe serves, so `STATS`/`METRICS` handlers on
 /// other stripes report all of them without taking this stripe's lock. These
 /// are cross-stripe *observability* values, not part of any response
-/// determinism contract. A refresh is two relaxed stores of values the
+/// determinism contract. A refresh is three relaxed stores of values the
 /// stripe already holds, so it costs a result-cache hit nothing that
 /// grows with what is cached.
 #[derive(Default)]
@@ -103,12 +103,15 @@ pub(crate) struct StripeMirror {
     /// The stripe's result-cache hit/miss counters.
     pub(crate) result_hits: AtomicU64,
     result_misses: AtomicU64,
+    /// Σ `len` of the frames the stripe's result cache holds.
+    result_bytes: AtomicU64,
 }
 
 impl StripeMirror {
     pub(crate) fn record(&self, results: &ResultCache) {
         self.result_hits.store(results.hits, Ordering::Relaxed);
         self.result_misses.store(results.misses, Ordering::Relaxed);
+        self.result_bytes.store(results.bytes, Ordering::Relaxed);
     }
 }
 
@@ -334,6 +337,15 @@ impl ServiceState {
                 "batch_requests",
                 MetricKind::Counter,
                 self.batch_requests.load(Ordering::Relaxed),
+            ),
+            m(
+                "softhw_result_cache_bytes",
+                "result_cache_bytes",
+                MetricKind::Gauge,
+                self.mirrors
+                    .iter()
+                    .map(|m| m.result_bytes.load(Ordering::Relaxed))
+                    .sum(),
             ),
             m(
                 "softhw_store_index_bytes",

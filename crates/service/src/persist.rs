@@ -217,9 +217,9 @@ impl ServiceState {
     }
 
     /// Preloads the hottest stored schemas: for each, the persisted
-    /// responses (witnesses re-validated first) go into the result cache
-    /// of the stripe its stored hash routes to — the stripe a live
-    /// request for it will lock, found without reducing anything.
+    /// responses (witnesses re-validated first, then encoded) go into the
+    /// result cache of the stripe its stored hash routes to — the stripe
+    /// a live request for it will lock, found without reducing anything.
     /// Returns how many results were preloaded.
     fn warm_start(&mut self, store: &mut Store) -> u64 {
         let mut warmed = 0u64;
@@ -230,12 +230,10 @@ impl ServiceState {
             if softhw_store::schema_key(&h) != (hash, digest) {
                 continue; // stored structure does not hash back: distrust it
             }
-            let Some(mut results) = self.lock_stripe(self.stripe_of(hash)) else {
-                continue;
-            };
+            let idx = self.stripe_of(hash);
             for (key, hit) in store.results_for(hash, digest) {
                 if let Some(resp) = response_from_hit(&key, &hit, &h) {
-                    results.insert((hash, digest, key), resp);
+                    self.cache(idx, (hash, digest, key), &resp.encode());
                     warmed += 1;
                 }
             }
@@ -318,20 +316,16 @@ pub(crate) fn response_from_hit(
 }
 
 /// The write-behind message for a fresh cacheable response (`None` for
-/// responses that are not persisted: errors, stats).
-pub(crate) fn persist_msg(h: &Hypergraph, key: ClassKey, resp: &Response) -> Option<PersistMsg> {
+/// responses that are not persisted: errors, stats). The response has
+/// already been encoded for the wire, so its frame moves into the
+/// message.
+pub(crate) fn persist_msg(h: &Hypergraph, key: ClassKey, resp: Response) -> Option<PersistMsg> {
     let (fields, answer) = match resp {
-        Response::Width { width, td, .. } => (
-            Vec::new(),
-            OwnedAnswer::Width {
-                width: *width,
-                frame: td.clone(),
-            },
-        ),
+        Response::Width { width, td, .. } => (Vec::new(), OwnedAnswer::Width { width, frame: td }),
         Response::Decision { fields, td, .. } => (
-            fields.clone(),
+            fields,
             match td {
-                Some(td) => OwnedAnswer::Yes(td.clone()),
+                Some(td) => OwnedAnswer::Yes(td),
                 None => OwnedAnswer::No,
             },
         ),

@@ -28,7 +28,8 @@
 //! - *It is a single request of a cacheable class.* `STATS` runs a
 //!   reduction, `BATCH` is many requests, `HELLO` / `METRICS` / `SLOW`
 //!   have nothing to probe, and a frame that does not decode is a
-//!   worker's to report: all of these queue as before.
+//!   worker's to report: all of these queue as before, and one the loop
+//!   has decoded is handed on decoded, so no frame is decoded twice.
 //! - *It is at the head of its connection's pipeline*: every earlier
 //!   response of the connection is already in the write buffer, which is
 //!   exactly when a hand-off to a worker would be pure latency. A frame
@@ -38,7 +39,9 @@
 //! - *Its body is at most `INLINE_BODY_MAX` bytes*, so one front half
 //!   costs the loop microseconds however large a schema a client sends.
 //!
-//! A front half that misses goes to a worker together with what it
+//! A hit is the answer's frame exactly as the result cache stores it,
+//! copied into the connection's write buffer: nothing is encoded on the
+//! loop. A front half that misses goes to a worker together with what it
 //! computed, and the worker runs the back half (store, solvers, insert)
 //! from there. The loop takes one lock doing this: the stripe's probe
 //! lock, which no thread holds across anything but one `get` or one
@@ -397,11 +400,17 @@ impl Server {
     }
 }
 
-/// What a worker is handed.
+/// What a worker is handed. A frame is decoded once, wherever that
+/// happens first.
 enum Work {
-    /// A frame as the decoder produced it: the worker decodes it and runs
-    /// the whole request.
+    /// A frame as the decoder produced it — behind a request a worker
+    /// holds, too large for the loop, or one that does not decode: the
+    /// worker decodes it and runs the whole request.
     Frame(Vec<String>),
+    /// A frame the event loop decoded but does not answer (`STATS`,
+    /// `BATCH`, `HELLO` / `METRICS` / `SLOW`): the worker runs the whole
+    /// request.
+    Decoded(WireRequest),
     /// A single request whose front half ran on the event loop and
     /// missed: the worker runs the back half from what the front half
     /// computed (boxed: a job is moved through the queue, and most are
@@ -541,16 +550,18 @@ impl Conn {
     }
 }
 
-/// Executes one job — a frame to decode and run whole (single or
-/// batch), or the back half of a request the event loop fronted — under
-/// its budget, with drain registration: the whole per-request policy of
-/// the worker pool.
-fn execute(work: Work, state: &ServiceState, drain: &Drain, trace: u64) -> Response {
+/// Executes one job — a frame to run whole (single or batch), decoded
+/// here if the loop did not, or the back half of a request the event
+/// loop fronted — under its budget, with drain registration: the whole
+/// per-request policy of the worker pool. Returns the encoded response
+/// frame.
+fn execute(work: Work, state: &ServiceState, drain: &Drain, trace: u64) -> String {
     let (req, fronted) = match work {
         Work::Frame(lines) => match WireRequest::decode(&lines) {
             Ok(req) => (req, None),
-            Err(e) => return Response::error("parse", e),
+            Err(e) => return Response::error("parse", e).encode(),
         },
+        Work::Decoded(req) => (req, None),
         Work::Fronted(fronted) => {
             let (req, miss) = *fronted;
             (WireRequest::Single(req), Some(miss))
@@ -564,7 +575,7 @@ fn execute(work: Work, state: &ServiceState, drain: &Drain, trace: u64) -> Respo
     if drain.stopping() {
         budget.cancel();
     }
-    let resp = match (&req, fronted) {
+    let frame = match (&req, fronted) {
         (WireRequest::Single(one), Some(miss)) => state.handle_back(one, miss, &budget, trace),
         _ => {
             let ctx = RequestCtx {
@@ -575,15 +586,16 @@ fn execute(work: Work, state: &ServiceState, drain: &Drain, trace: u64) -> Respo
         }
     };
     drain.deregister(id);
-    resp
+    frame
 }
 
-/// What a request whose handler panicked is answered with. The unwound
-/// request's trace is still open on this thread: it is ended here, or it
-/// would adopt the spans of every request the thread handles next.
-fn panicked() -> Response {
+/// The frame a request whose handler panicked is answered with. The
+/// unwound request's trace is still open on this thread: it is ended
+/// here, or it would adopt the spans of every request the thread handles
+/// next.
+fn panicked() -> String {
     softhw_obs::end_trace();
-    Response::error("internal", "request handler panicked")
+    Response::error("internal", "request handler panicked").encode()
 }
 
 /// The worker→loop "a completion is ready" signal: a self-wake pipe
@@ -627,7 +639,7 @@ fn worker_loop(
         };
         let Ok(job) = next else { break };
         state.note_queue_wait(job.submitted.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let bytes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute(job.work, state, drain, job.trace)
         }))
         .unwrap_or_else(|_| panicked());
@@ -635,7 +647,7 @@ fn worker_loop(
             conn_id: job.conn_id,
             seq: job.seq,
             finished: Instant::now(),
-            bytes: resp.encode(),
+            bytes,
         });
         if sent.is_err() {
             break; // event loop gone
@@ -930,27 +942,29 @@ fn on_readable(
 /// The front half of a head-of-line frame, on the event loop — if the
 /// frame is one the loop may touch: a single request of a cacheable
 /// class whose body is at most [`INLINE_BODY_MAX`] bytes. `Ok` is the
-/// encoded answer (a result-cache hit, or a request error); `Err` is
-/// what a worker must be handed instead — the frame untouched, or the
-/// request with what its front half computed. A probe carries no budget,
-/// so nothing is registered for a drain to cancel; a panic is contained
-/// like a worker's.
+/// encoded answer (a result-cache hit's stored frame, or a request
+/// error); `Err` is what a worker must be handed instead — the frame
+/// untouched, the request as decoded here, or the request with what its
+/// front half computed. A probe carries no budget, so nothing is
+/// registered for a drain to cancel; a panic is contained like a
+/// worker's.
 fn try_front(lines: Vec<String>, state: &ServiceState, trace: u64) -> Result<String, Work> {
     // The body is the lines after the header, joined by newlines.
     let body_len = lines.iter().skip(1).map(|l| l.len() + 1).sum::<usize>();
     if body_len.saturating_sub(1) > INLINE_BODY_MAX {
         return Err(Work::Frame(lines));
     }
-    let req = match Request::decode(&lines) {
-        Ok(req) if class_key(req.class).is_some() => req,
-        _ => return Err(Work::Frame(lines)),
+    let req = match WireRequest::decode(&lines) {
+        Ok(WireRequest::Single(req)) if class_key(req.class).is_some() => req,
+        Ok(req) => return Err(Work::Decoded(req)),
+        Err(_) => return Err(Work::Frame(lines)),
     };
     let front = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         state.handle_front(&req, trace)
     }))
     .unwrap_or_else(|_| Front::Done(panicked()));
     match front {
-        Front::Done(resp) => Ok(resp.encode()),
+        Front::Done(frame) => Ok(frame),
         Front::Miss(miss) => Err(Work::Fronted(Box::new((req, miss)))),
     }
 }

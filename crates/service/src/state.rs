@@ -23,9 +23,11 @@
 //!    `Hypergraph` is built, no name copied; a SQL body goes through the
 //!    query AST instead), one hash and one digest, and one probe of the
 //!    per-stripe **result cache** keyed by `(structural hash, canonical
-//!    digest, request class)`, holding fully-formed [`Response`]s. No
-//!    reduction, no solver call, no walk over anything cached: the only
-//!    stage it records is `result_cache`.
+//!    digest, request class)`, holding each answer as the wire frame it
+//!    is sent as — encoded once, when it is inserted, so a hit copies
+//!    bytes and builds no [`Response`]. No reduction, no solver call, no
+//!    walk over anything cached: the only stage it records is
+//!    `result_cache`.
 //! 2. The **back half** is everything a miss needs, from what the front
 //!    half computed — nothing is parsed or hashed twice. It builds the
 //!    `Hypergraph`, and then, with `--store`, probes the **persistent
@@ -64,7 +66,9 @@
 
 use crate::metrics::{ServiceObs, StripeMirror};
 use crate::persist::{persist_msg, response_from_hit, StoreHandle};
-use crate::wire::{BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame, WireRequest};
+use crate::wire::{
+    encode_batch, BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame, WireRequest,
+};
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};
 use softhw_core::ctd_opt::best_on_budgeted;
 use softhw_core::error::DecompError;
@@ -77,7 +81,7 @@ use softhw_hypergraph::{scan_hypergraph, FxHashMap, Hypergraph, Scan};
 use softhw_obs::stage;
 use softhw_store::{schema_digest, ClassKey};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Tuning knobs of a [`ServiceState`].
@@ -85,7 +89,7 @@ use std::time::Instant;
 pub struct ServiceConfig {
     /// Number of result-cache stripes (concurrently lockable shards).
     pub stripes: usize,
-    /// Per-stripe result-cache capacity (cached whole responses; `0`
+    /// Per-stripe result-cache capacity (cached answer frames; `0`
     /// disables the layer).
     pub result_cache_capacity: usize,
     /// Candidate-generation guards applied to every request.
@@ -174,22 +178,30 @@ pub(crate) struct Miss {
 
 /// How far [`ServiceState::front`] got with a request.
 pub(crate) enum Front {
-    /// Answered: a result-cache hit, a schema-free class, or a request
-    /// error.
-    Done(Response),
+    /// Answered, with the encoded frame: a result-cache hit, a
+    /// schema-free class, or a request error.
+    Done(String),
     /// Not in the result cache (or, for `STATS`, not cacheable).
     Miss(Miss),
 }
 
-/// A bounded LRU of fully-formed responses, keyed by
-/// `(structural hash, canonical digest, request class)`: one stripe of
-/// the service's only in-memory tier.
+/// A result-cache key: `(structural hash, canonical digest, request
+/// class)`.
+type CacheKey = (u64, u64, ClassKey);
+
+/// A bounded LRU of answers as the wire frames they are sent as, keyed
+/// by [`CacheKey`]: one stripe of the service's only in-memory tier. A
+/// frame is encoded once, before it is inserted, and a hit is a copy of
+/// its bytes — no hit builds or encodes a [`Response`].
 pub(crate) struct ResultCache {
     capacity: usize,
-    map: FxHashMap<(u64, u64, ClassKey), (u64, Response)>,
+    map: FxHashMap<CacheKey, (u64, Box<str>)>,
     tick: u64,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
+    /// Σ `len` of the frames held, kept up to date on insert, replace
+    /// and eviction.
+    pub(crate) bytes: u64,
 }
 
 impl ResultCache {
@@ -200,11 +212,12 @@ impl ResultCache {
             tick: 0,
             hits: 0,
             misses: 0,
+            bytes: 0,
         }
     }
 
     /// A request's probe: counted as a hit or as a miss.
-    fn get(&mut self, key: &(u64, u64, ClassKey)) -> Option<Response> {
+    fn get(&mut self, key: &CacheKey) -> Option<String> {
         let hit = self.get_again(key);
         if hit.is_none() {
             self.misses += 1;
@@ -214,20 +227,23 @@ impl ResultCache {
 
     /// The second look of a request whose [`ResultCache::get`] missed:
     /// that miss is already counted, so only a hit is counted here.
-    fn get_again(&mut self, key: &(u64, u64, ClassKey)) -> Option<Response> {
+    fn get_again(&mut self, key: &CacheKey) -> Option<String> {
         self.tick += 1;
-        let (tick, resp) = self.map.get_mut(key)?;
+        let (tick, frame) = self.map.get_mut(key)?;
         *tick = self.tick;
         self.hits += 1;
-        Some(resp.clone())
+        Some(String::from(&**frame))
     }
 
-    pub(crate) fn insert(&mut self, key: (u64, u64, ClassKey), resp: Response) {
+    fn insert(&mut self, key: CacheKey, frame: Box<str>) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
-        self.map.insert(key, (self.tick, resp));
+        self.bytes += frame.len() as u64;
+        if let Some((_, old)) = self.map.insert(key, (self.tick, frame)) {
+            self.bytes -= old.len() as u64;
+        }
         if self.map.len() > self.capacity {
             // Amortised batch eviction: drop down to capacity minus an
             // eighth in one pass, so the O(n) sweep runs once per
@@ -238,7 +254,14 @@ impl ResultCache {
             let Some(&cutoff) = ticks.get(ticks.len().saturating_sub(keep)) else {
                 return;
             };
-            self.map.retain(|_, (t, _)| *t >= cutoff);
+            let bytes = &mut self.bytes;
+            self.map.retain(|_, (t, frame)| {
+                let kept = *t >= cutoff;
+                if !kept {
+                    *bytes -= frame.len() as u64;
+                }
+                kept
+            });
         }
     }
 }
@@ -310,15 +333,6 @@ impl ServiceState {
         (hash % self.stripes.len() as u64) as usize
     }
 
-    /// Takes the probe lock of the stripe `idx` routes to. `idx` is always
-    /// a [`ServiceState::stripe_of`] so it is in range by construction,
-    /// but the request path must stay panic-free, so out-of-range
-    /// degrades to `None` instead of indexing.
-    pub(crate) fn lock_stripe(&self, idx: usize) -> Option<MutexGuard<'_, ResultCache>> {
-        let stripe = self.stripes.get(idx)?;
-        Some(stripe.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
     /// The configuration this state was created with.
     pub fn config(&self) -> &ServiceConfig {
         &self.config
@@ -335,6 +349,8 @@ impl ServiceState {
     /// thread, the frame's latency lands in its class histogram, each
     /// recorded span in its stage histogram, and a frame slower than
     /// `--slow-ms` records its span tree into the slow-query ring.
+    /// Returns the encoded response frame, terminator included: the
+    /// bytes a server sends ([`Response::decode`] reads it back).
     ///
     /// Every `BATCH` item takes the full single-request path (routing,
     /// result cache, store, solvers) in item order under the frame's one
@@ -343,17 +359,17 @@ impl ServiceState {
     /// at the same points. The batch owns the trace; item spans nest
     /// into it, and each item still lands in its own class's latency
     /// histogram.
-    pub fn handle(&self, req: &WireRequest, ctx: &RequestCtx) -> Response {
+    pub fn handle(&self, req: &WireRequest, ctx: &RequestCtx) -> String {
         let started = Instant::now();
         let owns_trace = self.obs.begin(ctx.trace);
         let budget = match &ctx.budget {
             Some(budget) => budget.clone(),
             None => self.request_budget(req),
         };
-        let (class, resp) = match req {
+        let (class, frame) = match req {
             WireRequest::Single(one) => {
-                let resp = self.handle_inner(one, &budget, started);
-                (one.class.name(), resp)
+                let frame = self.handle_inner(one, &budget, started);
+                (one.class.name(), frame)
             }
             WireRequest::Batch(batch) => {
                 self.batch_requests.fetch_add(1, Ordering::Relaxed);
@@ -362,16 +378,16 @@ impl ServiceState {
                 }
                 let answer = |item: &Request| {
                     let item_started = Instant::now();
-                    let resp = self.handle_inner(item, &budget, item_started);
+                    let frame = self.handle_inner(item, &budget, item_started);
                     self.finish_request(item.class.name(), item_started, false);
-                    resp
+                    frame
                 };
-                let responses = batch.items.iter().map(answer).collect();
-                ("BATCH", Response::Batch { responses })
+                let frames: Vec<String> = batch.items.iter().map(answer).collect();
+                ("BATCH", encode_batch(&frames))
             }
         };
         self.finish_request(class, started, owns_trace);
-        resp
+        frame
     }
 
     /// The [`Budget`] a request frame runs under when its
@@ -398,9 +414,9 @@ impl ServiceState {
 
     /// One request end to end on the calling thread: the front half,
     /// and on a miss the back half from what the front half computed.
-    fn handle_inner(&self, req: &Request, budget: &Budget, started: Instant) -> Response {
+    fn handle_inner(&self, req: &Request, budget: &Budget, started: Instant) -> String {
         match self.front(req, started) {
-            Front::Done(resp) => resp,
+            Front::Done(frame) => frame,
             Front::Miss(miss) => self.back(req, miss, budget),
         }
     }
@@ -433,12 +449,12 @@ impl ServiceState {
         miss: Miss,
         budget: &Budget,
         trace: u64,
-    ) -> Response {
+    ) -> String {
         let started = miss.started;
         let owns_trace = self.obs.begin(Some(trace));
-        let resp = self.back(req, miss, budget);
+        let frame = self.back(req, miss, budget);
         self.finish_request(req.class.name(), started, owns_trace);
-        resp
+        frame
     }
 
     /// Everything a result-cache hit needs, and nothing a hit does not:
@@ -451,14 +467,14 @@ impl ServiceState {
     /// and goes on to [`ServiceState::back`] unprobed.
     fn front(&self, req: &Request, started: Instant) -> Front {
         match req.class {
-            RequestClass::Hello => return Front::Done(Response::hello()),
-            RequestClass::Metrics => return Front::Done(self.metrics_response()),
-            RequestClass::Slow => return Front::Done(self.slow_response()),
+            RequestClass::Hello => return Front::Done(Response::hello().encode()),
+            RequestClass::Metrics => return Front::Done(self.metrics_response().encode()),
+            RequestClass::Slow => return Front::Done(self.slow_response().encode()),
             _ => {}
         }
         let schema = match self.schema(req) {
             Ok(schema) => schema,
-            Err(resp) => return Front::Done(resp),
+            Err(resp) => return Front::Done(resp.encode()),
         };
         let canon = match &schema {
             Schema::Scanned(scan) => scan.canonical_form(),
@@ -468,14 +484,15 @@ impl ServiceState {
         let digest = schema_digest(&canon);
         let idx = self.stripe_of(hash);
         let Some(mirror) = self.mirrors.get(idx) else {
-            return Front::Done(Response::error("internal", "stripe routing out of range"));
+            let routing = Response::error("internal", "stripe routing out of range");
+            return Front::Done(routing.encode());
         };
         mirror.load.fetch_add(1, Ordering::Relaxed);
         if let Some(key) = class_key(req.class) {
             let _span = softhw_obs::span(stage::RESULT_CACHE);
             let cached = self.with_results(idx, |r| r.get(&(hash, digest, key)));
-            if let Some(resp) = cached.flatten() {
-                return Front::Done(resp);
+            if let Some(frame) = cached.flatten() {
+                return Front::Done(frame);
             }
         }
         Front::Miss(Miss {
@@ -488,11 +505,15 @@ impl ServiceState {
     }
 
     /// Runs `f` — one `get` or one `insert` — on stripe `idx`'s result
-    /// cache under its probe lock, then copies the stripe's two counters
-    /// into its lock-free mirror. The lock is never held across anything
-    /// else, so no thread waits on it for longer than a probe.
+    /// cache under its probe lock, then copies the stripe's counters into
+    /// its lock-free mirror. The lock is never held across anything
+    /// else, so no thread waits on it for longer than a probe. `idx` is
+    /// always a [`ServiceState::stripe_of`], so it is in range by
+    /// construction, but the request path must stay panic-free, so out of
+    /// range degrades to `None` instead of indexing.
     fn with_results<R>(&self, idx: usize, f: impl FnOnce(&mut ResultCache) -> R) -> Option<R> {
-        let mut results = self.lock_stripe(idx)?;
+        let stripe = self.stripes.get(idx)?;
+        let mut results = stripe.lock().unwrap_or_else(PoisonError::into_inner);
         let out = f(&mut results);
         self.mirrors.get(idx)?.record(&results);
         Some(out)
@@ -506,8 +527,10 @@ impl ServiceState {
     /// produce). Budget trips map to `TIMEOUT`/`BUSY` frames and are
     /// never cached or persisted; cache and store probes themselves run
     /// un-budgeted (they are hash lookups, and a warm answer an instant
-    /// after the deadline is still the byte-identical right answer).
-    fn back(&self, req: &Request, miss: Miss, budget: &Budget) -> Response {
+    /// after the deadline is still the byte-identical right answer). A
+    /// store hit or a fresh answer is encoded once, here, and the frame
+    /// that is cached is the frame that is sent.
+    fn back(&self, req: &Request, miss: Miss, budget: &Budget) -> String {
         let Miss {
             schema,
             hash,
@@ -527,8 +550,8 @@ impl ServiceState {
             .map(|solve| solve.lock().unwrap_or_else(PoisonError::into_inner));
         if let Some(key) = key {
             let cached = self.with_results(idx, |r| r.get_again(&(hash, digest, key)));
-            if let Some(resp) = cached.flatten() {
-                return resp;
+            if let Some(frame) = cached.flatten() {
+                return frame;
             }
             if let Some(handle) = &self.store {
                 let _span = softhw_obs::span(stage::STORE_PROBE);
@@ -541,8 +564,9 @@ impl ServiceState {
                     Some(hit) => match response_from_hit(&key, &hit, &h) {
                         Some(resp) => {
                             handle.hits.fetch_add(1, Ordering::Relaxed);
-                            self.cache(idx, (hash, digest, key), &resp);
-                            return resp;
+                            let frame = resp.encode();
+                            self.cache(idx, (hash, digest, key), &frame);
+                            return frame;
                         }
                         None => {
                             // Stale/corrupt entry: never trusted. Fall
@@ -561,22 +585,26 @@ impl ServiceState {
             let _span = softhw_obs::span(stage::SOLVE);
             self.dispatch(req, &h, idx, budget)
         };
+        let frame = resp.encode();
         // Only answers are cached and persisted — never errors, budget
         // trips, or the volatile classes (which have no key).
-        if let (Some(key), Response::Width { .. } | Response::Decision { .. }) = (key, &resp) {
-            self.cache(idx, (hash, digest, key), &resp);
+        let answered = matches!(resp, Response::Width { .. } | Response::Decision { .. });
+        if let (Some(key), true) = (key, answered) {
+            self.cache(idx, (hash, digest, key), &frame);
             if let Some(handle) = &self.store {
-                if let (Some(tx), Some(msg)) = (&handle.tx, persist_msg(&h, key, &resp)) {
+                if let (Some(tx), Some(msg)) = (&handle.tx, persist_msg(&h, key, resp)) {
                     let _ = tx.send(msg);
                 }
             }
         }
-        resp
+        frame
     }
 
-    /// Inserts an answer into stripe `idx`'s result cache.
-    fn cache(&self, idx: usize, key: (u64, u64, ClassKey), resp: &Response) {
-        self.with_results(idx, |r| r.insert(key, resp.clone()));
+    /// Inserts an answer's encoded frame into stripe `idx`'s result
+    /// cache (copied before the probe lock is taken).
+    pub(crate) fn cache(&self, idx: usize, key: CacheKey, frame: &str) {
+        let frame = Box::from(frame);
+        self.with_results(idx, |r| r.insert(key, frame));
     }
 
     /// Scans (HyperBench) or parses (SQL) the request's schema and
@@ -773,9 +801,17 @@ mod tests {
     const REDUCIBLE: &str =
         "c0(v0,v1), c1(v1,v2), c2(v2,v3), c3(v3,v0), dup(v0,v1), p1(v2,p), p2(p,q).";
 
-    /// One single request under the default context.
+    /// A frame as a client reads it back.
+    fn decode(frame: &str) -> Response {
+        let lines: Vec<String> = frame.lines().map(String::from).collect();
+        let (terminator, lines) = lines.split_last().expect("a frame");
+        assert_eq!(terminator, "%%", "{frame}");
+        Response::decode(lines).expect("the service's own frames decode")
+    }
+
+    /// One single request under the default context, decoded.
     fn ask(st: &ServiceState, req: &Request) -> Response {
-        st.handle(&WireRequest::Single(req.clone()), &RequestCtx::default())
+        decode(&st.handle(&WireRequest::Single(req.clone()), &RequestCtx::default()))
     }
 
     #[test]
@@ -1159,7 +1195,10 @@ mod tests {
         let (first, second) = (front(1), front(2));
         let budget = Budget::cancellable();
         let solved = st.handle_back(&req, first, &budget, 1);
-        assert!(matches!(solved, Response::Width { .. }), "{solved:?}");
+        assert!(
+            matches!(decode(&solved), Response::Width { .. }),
+            "{solved}"
+        );
         assert_eq!(st.handle_back(&req, second, &budget, 2), solved);
         assert_eq!(stage_count(&st, stage::SOLVE), 1);
         assert_eq!(stage_count(&st, stage::RESULT_CACHE), 2);
@@ -1172,7 +1211,7 @@ mod tests {
                 .sum()
         };
         assert_eq!((sum(|r| r.hits), sum(|r| r.misses)), (1, 2));
-        assert_eq!(ask(&st, &req), solved);
+        assert_eq!(ask(&st, &req), decode(&solved));
     }
 
     #[test]
@@ -1286,7 +1325,7 @@ mod tests {
             ..RequestCtx::default()
         };
         let timed_out = st.handle(&WireRequest::Single(req.clone()), &capped);
-        assert_eq!(timed_out, Response::Timeout);
+        assert_eq!(decode(&timed_out), Response::Timeout);
         // And so does the smallest cap that enumeration and the instance
         // build fit under: the DP on top of them ticks too.
         let h = named::grid(3, 3);
@@ -1313,7 +1352,11 @@ mod tests {
             ..RequestCtx::default()
         };
         let timed_out = st.handle(&WireRequest::Single(req.clone()), &capped);
-        assert_eq!(timed_out, Response::Timeout, "the DP ignored {fits}");
+        assert_eq!(
+            decode(&timed_out),
+            Response::Timeout,
+            "the DP ignored {fits}"
+        );
         // No trip cached or persisted anything ...
         assert!(st.sync_store());
         for stripe in &st.stripes {
@@ -1356,7 +1399,8 @@ mod tests {
                 budget: Some(budget.clone()),
                 ..RequestCtx::default()
             };
-            let batched = match state().handle(&batch, &ctx(&Budget::with_work_cap(cap))) {
+            let batched = state().handle(&batch, &ctx(&Budget::with_work_cap(cap)));
+            let batched = match decode(&batched) {
                 Response::Batch { responses } => responses,
                 other => panic!("expected a batch response, got {other:?}"),
             };
@@ -1364,6 +1408,7 @@ mod tests {
             let singly: Vec<Response> = items
                 .iter()
                 .map(|item| singly_on.handle(&WireRequest::Single(item.clone()), &ctx(&shared)))
+                .map(|frame| decode(&frame))
                 .collect();
             assert_eq!(batched, singly, "cap {cap}");
             outcomes.insert(batched.iter().filter(|r| **r == Response::Timeout).count());
@@ -1402,6 +1447,84 @@ mod tests {
                 assert!(message.contains("duplicate edge name"), "{message}");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Σ `len` of the frames a result cache holds, by a walk.
+    fn held(cache: &ResultCache) -> u64 {
+        cache.map.values().map(|(_, f)| f.len() as u64).sum()
+    }
+
+    #[test]
+    fn result_cache_bytes_follow_inserts_replaces_and_evictions() {
+        let mut cache = ResultCache::new(8);
+        let key = |i: u64| (i, !i, ClassKey::Shw);
+        for i in 0..8 {
+            cache.insert(key(i), "a".repeat(10 + i as usize).into());
+        }
+        assert_eq!(cache.bytes, held(&cache));
+        // A replace swaps one frame's length for another's.
+        cache.insert(key(3), "b".repeat(100).into());
+        assert_eq!(cache.map.len(), 8);
+        assert_eq!(cache.bytes, held(&cache));
+        // A ninth key sweeps the two oldest out (capacity minus an eighth
+        // stays).
+        cache.insert(key(8), "c".repeat(5).into());
+        assert_eq!(cache.map.len(), 7);
+        assert_eq!(cache.bytes, held(&cache));
+        assert_eq!(
+            cache.bytes,
+            100 + 5 + (12..18).filter(|&n| n != 13).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn the_result_cache_bytes_gauge_is_the_sum_of_the_frames_held() {
+        // Small stripes under churn: the gauge, read off `STATS` and
+        // `METRICS` alike, is what a walk over every stripe finds.
+        let st = ServiceState::new(ServiceConfig {
+            stripes: 2,
+            result_cache_capacity: 4,
+            ..ServiceConfig::default()
+        });
+        let gauge = |st: &ServiceState| -> (u64, u64) {
+            let schema = render_hypergraph(&named::h2());
+            let row = match ask(st, &Request::new(RequestClass::Stats, schema)) {
+                Response::Stats { fields } => fields
+                    .into_iter()
+                    .find_map(|(k, v)| (k == "result_cache_bytes").then_some(v)),
+                other => panic!("{other:?}"),
+            };
+            let series = match ask(st, &Request::new(RequestClass::Metrics, "")) {
+                Response::Metrics { lines } => lines.iter().find_map(|l| {
+                    l.strip_prefix("softhw_result_cache_bytes ")
+                        .map(String::from)
+                }),
+                other => panic!("{other:?}"),
+            };
+            let row: u64 = row.expect("a STATS row").parse().unwrap();
+            assert_eq!(
+                series.expect("a METRICS series").parse::<u64>().unwrap(),
+                row
+            );
+            let walked = st.stripes.iter();
+            let walked = walked.map(|s| held(&s.lock().unwrap_or_else(PoisonError::into_inner)));
+            (row, walked.sum())
+        };
+        assert_eq!(gauge(&st), (0, 0));
+        let classes = [RequestClass::Shw, RequestClass::ShwLeq(2), RequestClass::Hw];
+        for h in [
+            named::h2(),
+            named::cycle(5),
+            named::cycle(6),
+            named::grid(3, 3),
+        ] {
+            for class in classes {
+                ask(&st, &Request::new(class, render_hypergraph(&h)));
+            }
+            let (row, walked) = gauge(&st);
+            assert!(row > 0);
+            assert_eq!(row, walked);
         }
     }
 

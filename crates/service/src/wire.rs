@@ -369,8 +369,11 @@ impl Request {
 
     /// Decodes a request from frame lines (header first, no terminator).
     pub fn decode(lines: &[String]) -> Result<Request, WireError> {
-        let header = lines.first().ok_or_else(|| WireError::new("empty frame"))?;
-        let header = RequestHeader::parse(header)?;
+        Request::after_header(parse_first_line(lines)?, lines)
+    }
+
+    /// The request of a frame whose header line is already parsed.
+    fn after_header(header: RequestHeader, lines: &[String]) -> Result<Request, WireError> {
         let HeaderVerb::Class(class) = header.verb else {
             return Err(WireError::new(
                 "BATCH envelope where a single request was expected",
@@ -383,6 +386,12 @@ impl Request {
             body: lines.get(1..).unwrap_or(&[]).join("\n"),
         })
     }
+}
+
+/// Parses a frame's header line.
+fn parse_first_line(lines: &[String]) -> Result<RequestHeader, WireError> {
+    let header = lines.first().ok_or_else(|| WireError::new("empty frame"))?;
+    RequestHeader::parse(header)
 }
 
 /// Appends `body` line by line, stuffing lines that start with '%'
@@ -456,8 +465,11 @@ impl BatchRequest {
     /// Decodes a batch from frame lines (the `BATCH n` header first, no
     /// terminator).
     pub fn decode(lines: &[String]) -> Result<BatchRequest, WireError> {
-        let header = lines.first().ok_or_else(|| WireError::new("empty frame"))?;
-        let header = RequestHeader::parse(header)?;
+        BatchRequest::after_header(parse_first_line(lines)?, lines)
+    }
+
+    /// The batch of a frame whose header line is already parsed.
+    fn after_header(header: RequestHeader, lines: &[String]) -> Result<BatchRequest, WireError> {
         let HeaderVerb::Batch(n) = header.verb else {
             return Err(WireError::new("expected a BATCH envelope"));
         };
@@ -530,12 +542,15 @@ pub enum WireRequest {
 }
 
 impl WireRequest {
-    /// Decodes either frame kind by dispatching on the header verb.
+    /// Decodes either frame kind by dispatching on the header verb; the
+    /// header line is parsed once.
     pub fn decode(lines: &[String]) -> Result<WireRequest, WireError> {
-        let header = lines.first().ok_or_else(|| WireError::new("empty frame"))?;
-        match RequestHeader::parse(header)?.verb {
-            HeaderVerb::Batch(_) => Ok(WireRequest::Batch(BatchRequest::decode(lines)?)),
-            HeaderVerb::Class(_) => Ok(WireRequest::Single(Request::decode(lines)?)),
+        let header = parse_first_line(lines)?;
+        match header.verb {
+            HeaderVerb::Batch(_) => Ok(WireRequest::Batch(BatchRequest::after_header(
+                header, lines,
+            )?)),
+            HeaderVerb::Class(_) => Ok(WireRequest::Single(Request::after_header(header, lines)?)),
         }
     }
 }
@@ -846,23 +861,8 @@ impl Response {
                 }
             }
             Response::Batch { responses } => {
-                let _ = writeln!(out, "OK BATCH n={}", responses.len());
-                for resp in responses {
-                    // A sub-response is its ordinary encoding minus the
-                    // terminator, under an `@ lines=<m>` separator:
-                    // stripping the envelope lines therefore yields the
-                    // exact concatenation of the single-request frames
-                    // (minus terminators), which is what the CI replay
-                    // diffs against.
-                    let encoded = resp.encode();
-                    // Every `encode` ends with the terminator; if that
-                    // invariant ever broke, framing the whole encoding
-                    // is still well-formed (the count line is derived
-                    // from the body actually written).
-                    let body = encoded.strip_suffix("%%\n").unwrap_or(&encoded);
-                    let _ = writeln!(out, "@ lines={}", body.lines().count());
-                    out.push_str(body);
-                }
+                let frames: Vec<String> = responses.iter().map(Response::encode).collect();
+                return encode_batch(&frames);
             }
         }
         out.push_str("%%\n");
@@ -985,6 +985,28 @@ impl Response {
             td,
         })
     }
+}
+
+/// The `OK BATCH` frame around already-encoded item frames, in item
+/// order: the one envelope writer, behind [`Response::encode`] and the
+/// server alike. An item is its ordinary frame minus the `%%`
+/// terminator, under an `@ lines=<m>` separator, so stripping the
+/// envelope lines yields the exact concatenation of the single-request
+/// frames (minus terminators), which is what the CI replay diffs
+/// against.
+pub(crate) fn encode_batch(frames: &[String]) -> String {
+    let mut out = String::with_capacity(frames.iter().map(|f| f.len() + 16).sum());
+    let _ = writeln!(out, "OK BATCH n={}", frames.len());
+    for frame in frames {
+        // Every frame ends with the terminator; if that invariant ever
+        // broke, framing the whole frame is still well-formed (the count
+        // line is derived from the body actually written).
+        let body = frame.strip_suffix("%%\n").unwrap_or(frame);
+        let _ = writeln!(out, "@ lines={}", body.lines().count());
+        out.push_str(body);
+    }
+    out.push_str("%%\n");
+    out
 }
 
 /// Reads one frame's lines (header through the line before `%%`) off a

@@ -10,124 +10,13 @@
 //! queue, so between two scrapes `queue_wait` grows by one more than
 //! what was sent in between; [`grown`] accounts for it.
 
+mod common;
+
+use common::{grown, Client, Running};
 use softhw_hypergraph::{named, render_hypergraph};
-use softhw_service::{
-    read_frame, Request, RequestClass, Response, ServeOptions, Server, ServiceConfig, ServiceState,
-    ShutdownHandle,
-};
-use std::io::{BufReader, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use softhw_service::{Request, RequestClass, ServiceConfig};
+use std::io::Write as _;
 use std::time::Duration;
-
-/// A server on its own thread, drained when the guard drops.
-struct Running {
-    addr: SocketAddr,
-    stop: ShutdownHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Running {
-    fn start(workers: usize, config: ServiceConfig) -> Running {
-        let opts = ServeOptions {
-            addr: "127.0.0.1:0".to_string(),
-            workers,
-            max_conns: None,
-            ..ServeOptions::default()
-        };
-        let server = Server::bind(opts, ServiceState::new(config)).expect("bind loopback");
-        let addr = server.local_addr().expect("local addr");
-        let stop = server.shutdown_handle();
-        let thread = std::thread::spawn(move || {
-            server.run().expect("serve");
-        });
-        Running {
-            addr,
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Running {
-    fn drop(&mut self) {
-        self.stop.shutdown();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// One connection: frames out, re-joined response frames back.
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        // A request that waits where it must not fails the test instead
-        // of hanging it.
-        stream
-            .set_read_timeout(Some(Duration::from_secs(20)))
-            .expect("read timeout");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client { stream, reader }
-    }
-
-    /// Writes `frames` in one `write`, then reads that many responses.
-    fn send(&mut self, frames: &[String]) -> Vec<String> {
-        let burst: String = frames.iter().map(String::as_str).collect();
-        self.stream.write_all(burst.as_bytes()).expect("write");
-        frames.iter().map(|_| self.read()).collect()
-    }
-
-    fn read(&mut self) -> String {
-        let lines = read_frame(&mut self.reader)
-            .expect("read")
-            .expect("a frame");
-        let mut frame = lines.join("\n");
-        frame.push_str("\n%%\n");
-        frame
-    }
-
-    /// One frame at a time, each answered before the next is sent.
-    fn lockstep(&mut self, frames: &[String]) -> Vec<String> {
-        let each = frames.iter();
-        each.flat_map(|f| self.send(std::slice::from_ref(f)))
-            .collect()
-    }
-
-    /// `[queue_wait, result_cache, solve]` observation counts so far
-    /// (this scrape's own pass through the worker queue included).
-    fn stage_counts(&mut self) -> [u64; 3] {
-        let scrape = Request::new(RequestClass::Metrics, "").encode();
-        let frame = self.send(&[scrape]).remove(0);
-        let lines: Vec<String> = frame.lines().map(str::to_string).collect();
-        let body = lines.get(..lines.len() - 1).expect("terminator");
-        let Ok(Response::Metrics { lines }) = Response::decode(body) else {
-            panic!("not a METRICS frame: {frame}");
-        };
-        let count = |stage: &str| -> u64 {
-            let series = format!("softhw_stage_duration_us_count{{stage=\"{stage}\"}} ");
-            let line = lines.iter().find_map(|l| l.strip_prefix(series.as_str()));
-            line.expect("every stage is exposed")
-                .parse()
-                .expect("a count")
-        };
-        [count("queue_wait"), count("result_cache"), count("solve")]
-    }
-}
-
-/// What the frames sent between two scrapes added to each stage: the
-/// later scrape's own `queue_wait` is not theirs.
-fn grown(after: [u64; 3], before: [u64; 3]) -> [u64; 3] {
-    [
-        after[0] - before[0] - 1,
-        after[1] - before[1],
-        after[2] - before[2],
-    ]
-}
 
 /// The cacheable classes over a few small schemas: 20 distinct frames.
 fn cacheable_frames() -> Vec<String> {

@@ -13,14 +13,14 @@
 
 use softhw_hypergraph::{named, render_hypergraph};
 use softhw_service::{
-    read_frame, BatchRequest, EvalKind, Request, RequestClass, RequestCtx, Response, ServeOptions,
-    Server, ServiceConfig, ServiceState, WireRequest,
+    read_frame, BatchRequest, EvalKind, Request, RequestClass, RequestCtx, ServeOptions, Server,
+    ServiceConfig, ServiceState, WireRequest,
 };
 use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
 
-/// One single request through the service's one `handle`.
-fn handle(state: &ServiceState, req: &Request) -> Response {
+/// One single request through the service's one `handle`: the frame.
+fn handle(state: &ServiceState, req: &Request) -> String {
     state.handle(&WireRequest::Single(req.clone()), &RequestCtx::default())
 }
 
@@ -171,8 +171,8 @@ fn observed_state_answers_match_blind_state_directly() {
             for class in classes {
                 let req = Request::new(class, schema.clone());
                 assert_eq!(
-                    handle(&observed, &req).encode(),
-                    handle(&blind, &req).encode(),
+                    handle(&observed, &req),
+                    handle(&blind, &req),
                     "{class:?} diverged between observed and blind state"
                 );
             }

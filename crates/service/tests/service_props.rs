@@ -16,15 +16,26 @@
 //! from atomics without other stripes' locks. Those rows (and only
 //! those) are masked before comparison; every answer-bearing byte,
 //! including all deterministic STATS fields, is still compared exactly.
+//!
+//! The result cache holds each answer as the frame it is sent as, so a
+//! hit is a copy of stored bytes. The hit-path tests pin that those
+//! bytes are the ones a server without a result cache computes, on every
+//! path a hit takes: the event loop's front half, a worker's second look
+//! and a `BATCH` item (the store hit is `store_persistence`'s).
 
+mod common;
+
+use common::{cacheable_requests, decode, grown, Client, Running};
 use softhw_hypergraph::{named, render_hypergraph};
 use softhw_service::{
-    EvalKind, Request, RequestClass, RequestCtx, Response, ServiceConfig, ServiceState, WireRequest,
+    BatchRequest, EvalKind, Request, RequestClass, RequestCtx, Response, ServiceConfig,
+    ServiceState, WireRequest,
 };
+use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One single request through the service's one `handle`.
-fn handle(state: &ServiceState, req: &Request) -> Response {
+/// One single request through the service's one `handle`: the frame.
+fn handle(state: &ServiceState, req: &Request) -> String {
     state.handle(&WireRequest::Single(req.clone()), &RequestCtx::default())
 }
 
@@ -104,7 +115,7 @@ fn run_concurrent(state: &ServiceState, reqs: &[Request], threads: usize) -> Vec
                 if i >= reqs.len() {
                     break;
                 }
-                let resp = handle(state, &reqs[i]).encode();
+                let resp = handle(state, &reqs[i]);
                 **slots[i].lock().unwrap() = resp;
             });
         }
@@ -120,7 +131,7 @@ fn check_concurrent_matches_fresh_states(config: ServiceConfig, threads: usize) 
     let distinct = reqs.len() / 2;
     let fresh: Vec<String> = reqs[..distinct]
         .iter()
-        .map(|req| handle(&ServiceState::new(config.clone()), req).encode())
+        .map(|req| handle(&ServiceState::new(config.clone()), req))
         .collect();
     for (i, got) in concurrent.iter().enumerate() {
         assert_eq!(
@@ -191,7 +202,7 @@ fn bounded_answers_do_not_depend_on_whether_shw_ran_first() {
     for seed in 0..12 {
         let schema = render_hypergraph(&random_hypergraph(&shape, seed));
         let ask = |state: &ServiceState, class: RequestClass| {
-            handle(state, &Request::new(class, schema.clone())).encode()
+            handle(state, &Request::new(class, schema.clone()))
         };
         let fresh: Vec<String> = classes
             .iter()
@@ -242,7 +253,7 @@ fn best_answers_do_not_depend_on_query_order() {
         for seed in 0..8 {
             let schema = render_hypergraph(&random_hypergraph(&shape, seed));
             let ask = |state: &ServiceState, class: RequestClass| {
-                handle(state, &Request::new(class, schema.clone())).encode()
+                handle(state, &Request::new(class, schema.clone()))
             };
             let fresh: Vec<String> = classes
                 .iter()
@@ -308,7 +319,7 @@ fn best_frames() -> String {
         for eval in [EvalKind::Trivial, EvalKind::ConCov, EvalKind::Shallow(1)] {
             for k in 1..=3 {
                 let req = Request::new(RequestClass::Best(eval, k), body.clone());
-                let frame = handle(&ServiceState::new(config.clone()), &req).encode();
+                let frame = handle(&ServiceState::new(config.clone()), &req);
                 out.push_str(&format!("## {name} {} {k}\n{frame}", eval.token()));
             }
         }
@@ -327,4 +338,105 @@ fn best_frames_equal_the_golden_file() {
         assert_eq!(got, want, "BEST frame diverged from the golden file");
     }
     assert_eq!(now.len(), golden.len());
+}
+
+/// What a server started with `--result-cache 0` sends for each frame,
+/// asked in lockstep: every answer solved for the request that asks it.
+fn uncached_frames(frames: &[String]) -> Vec<String> {
+    let uncached = Running::start(
+        1,
+        ServiceConfig {
+            result_cache_capacity: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    Client::connect(uncached.addr).lockstep(frames)
+}
+
+/// The `OK BATCH` envelope around single-request frames, written out by
+/// hand from the wire grammar.
+fn envelope(frames: &[String]) -> String {
+    let mut out = format!("OK BATCH n={}\n", frames.len());
+    for frame in frames {
+        let body = frame.strip_suffix("%%\n").expect("a terminated frame");
+        out.push_str(&format!("@ lines={}\n{body}", body.lines().count()));
+    }
+    out.push_str("%%\n");
+    out
+}
+
+#[test]
+fn hits_on_the_event_loop_and_in_a_batch_send_the_uncached_frames() {
+    let reqs = cacheable_requests();
+    let frames: Vec<String> = reqs.iter().map(Request::encode).collect();
+    let n = frames.len() as u64;
+    let reference = uncached_frames(&frames);
+    let server = Running::start(1, ServiceConfig::default());
+    let mut client = Client::connect(server.addr);
+    assert_eq!(client.lockstep(&frames), reference, "the misses");
+    // Each repeat is at the head of its pipeline: the loop probes and
+    // answers it, no worker, no solve.
+    let before = client.stage_counts();
+    assert_eq!(client.lockstep(&frames), reference, "hits on the loop");
+    assert_eq!(grown(client.stage_counts(), before), [0, n, 0]);
+    // A BATCH of hits is those frames under the envelope.
+    let batch = BatchRequest::new(reqs).encode();
+    let before = client.stage_counts();
+    assert_eq!(client.send(&[batch]), [envelope(&reference)]);
+    assert_eq!(grown(client.stage_counts(), before), [1, n, 0]);
+}
+
+#[test]
+fn a_hit_on_a_workers_second_look_sends_the_uncached_frame() {
+    // One worker sits on a solve that runs out its deadline while every
+    // request arrives twice, each copy at the head of its own connection:
+    // both front halves miss and queue. Then one copy solves and inserts,
+    // and the other finds that answer when it looks again under the
+    // stripe's solve lock.
+    let frames: Vec<String> = cacheable_requests().iter().map(Request::encode).collect();
+    let n = frames.len() as u64;
+    let reference = uncached_frames(&frames);
+    let server = Running::start(1, ServiceConfig::default());
+    let mut blocker = Client::connect(server.addr);
+    // The scrape's answer shows the loop already polls this connection,
+    // so it reads the slow frame no later than the round that accepts the
+    // first twin — whose frame it reads a round after that.
+    let before = blocker.stage_counts();
+    let mut slow = Request::new(RequestClass::Shw, render_hypergraph(&named::grid(24, 24)));
+    slow.deadline_ms = Some(600);
+    let slow = slow.encode();
+    blocker.stream.write_all(slow.as_bytes()).expect("write");
+    let mut twins: Vec<[Client; 2]> = Vec::new();
+    for frame in &frames {
+        let pair = [(); 2].map(|()| Client::connect(server.addr));
+        for client in &pair {
+            (&client.stream).write_all(frame.as_bytes()).expect("write");
+        }
+        twins.push(pair);
+    }
+    assert_eq!(blocker.read(), "TIMEOUT\n%%\n");
+    for (pair, want) in twins.iter_mut().zip(&reference) {
+        for client in pair {
+            assert_eq!(&client.read(), want);
+        }
+    }
+    // Every request was solved once (the blocker too) and probed once
+    // per copy; the second looks are the only hits.
+    let [_, probes, solves] = grown(blocker.stage_counts(), before);
+    assert_eq!((probes, solves), (2 * n + 1, n + 1));
+    let stats = Request::new(RequestClass::Stats, render_hypergraph(&named::h2())).encode();
+    let Response::Stats { fields } = decode(&blocker.send(&[stats]).remove(0)) else {
+        panic!("not a STATS frame");
+    };
+    let sum = |row: &str| -> u64 {
+        let (_, per_stripe) = fields.iter().find(|(k, _)| k == row).expect(row);
+        per_stripe
+            .split(',')
+            .map(|v| v.parse::<u64>().unwrap())
+            .sum()
+    };
+    assert_eq!(
+        (sum("result_cache_hits"), sum("result_cache_misses")),
+        (n, 2 * n + 1)
+    );
 }

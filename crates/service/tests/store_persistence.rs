@@ -10,8 +10,14 @@
 //!    panic and never a trusted-but-wrong response;
 //! 3. a semantically stale record (valid checksum, witness that does
 //!    not decompose the schema) is rejected by re-validation and
-//!    recomputed.
+//!    recomputed;
+//! 4. a store hit — served to the request that probed the store, then
+//!    from the result cache it was copied into, or preloaded at boot —
+//!    sends the frame a server without a result cache computes.
 
+mod common;
+
+use common::{cacheable_requests, decode};
 use softhw_core::td::TreeDecomposition;
 use softhw_hypergraph::{named, render_hypergraph, BitSet};
 use softhw_service::{
@@ -21,8 +27,8 @@ use softhw_service::{
 use softhw_store::{ClassKey, FrameRef, PutAnswer, Store};
 use std::path::PathBuf;
 
-/// One single request through the service's one `handle`.
-fn handle(state: &ServiceState, req: &Request) -> Response {
+/// One single request through the service's one `handle`: the frame.
+fn handle(state: &ServiceState, req: &Request) -> String {
     state.handle(&WireRequest::Single(req.clone()), &RequestCtx::default())
 }
 
@@ -79,7 +85,7 @@ fn workload() -> Vec<Request> {
 }
 
 fn run_all(state: &ServiceState, reqs: &[Request]) -> Vec<String> {
-    reqs.iter().map(|r| handle(state, r).encode()).collect()
+    reqs.iter().map(|r| handle(state, r)).collect()
 }
 
 fn stats_field(state: &ServiceState, field: &str) -> Option<String> {
@@ -89,7 +95,7 @@ fn stats_field(state: &ServiceState, field: &str) -> Option<String> {
 /// One row of the `STATS` answer to a request carrying `schema`.
 fn stats_field_for(state: &ServiceState, schema: &str, field: &str) -> Option<String> {
     let resp = handle(state, &Request::new(RequestClass::Stats, schema));
-    match resp {
+    match decode(&resp) {
         Response::Stats { fields } => fields
             .iter()
             .find(|(k, _)| k == field)
@@ -102,7 +108,7 @@ fn stats_field_for(state: &ServiceState, schema: &str, field: &str) -> Option<St
 /// exposition (which itself records no stage).
 fn stage_count(state: &ServiceState, stage: &str) -> u64 {
     let series = format!("softhw_stage_duration_us_count{{stage=\"{stage}\"}} ");
-    match handle(state, &Request::new(RequestClass::Metrics, "")) {
+    match decode(&handle(state, &Request::new(RequestClass::Metrics, ""))) {
         Response::Metrics { lines } => {
             let line = lines.iter().find_map(|l| l.strip_prefix(series.as_str()));
             line.expect("every stage is exposed").parse().unwrap()
@@ -236,9 +242,9 @@ fn stale_records_are_rejected_and_recomputed() {
         store.sync().expect("sync");
     }
     let fresh = ServiceState::new(ServiceConfig::default());
-    let reference = handle(&fresh, &Request::new(RequestClass::Shw, h_text.clone())).encode();
+    let reference = handle(&fresh, &Request::new(RequestClass::Shw, h_text.clone()));
     let state = ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("open");
-    let served = handle(&state, &Request::new(RequestClass::Shw, h_text.clone())).encode();
+    let served = handle(&state, &Request::new(RequestClass::Shw, h_text.clone()));
     assert_eq!(reference, served, "stale witness must not be served");
     let invalid: u64 = stats_field(&state, "store_invalid")
         .unwrap()
@@ -257,7 +263,7 @@ fn stale_records_are_rejected_and_recomputed() {
         &tmp.path,
     )
     .expect("reopen");
-    let served = handle(&state, &Request::new(RequestClass::Shw, h_text)).encode();
+    let served = handle(&state, &Request::new(RequestClass::Shw, h_text));
     assert_eq!(reference, served);
     let hits: u64 = stats_field(&state, "store_hits").unwrap().parse().unwrap();
     assert_eq!(hits, 1, "the superseding record should now hit");
@@ -281,7 +287,7 @@ fn warm_started_schemas_wait_on_the_stripe_a_live_request_routes_to() {
         let state =
             ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("open store");
         let out = schemas.iter().map(first_request);
-        let out = out.map(|req| handle(&state, &req).encode()).collect();
+        let out = out.map(|req| handle(&state, &req)).collect();
         assert!(state.sync_store());
         out
     };
@@ -302,9 +308,50 @@ fn warm_started_schemas_wait_on_the_stripe_a_live_request_routes_to() {
             on_stripe("result_cache_hits"),
             on_stripe("result_cache_misses"),
         );
-        assert_eq!(&handle(&state, &first_request(schema)).encode(), expected);
+        assert_eq!(&handle(&state, &first_request(schema)), expected);
         assert_eq!(on_stripe("result_cache_hits"), hits + 1, "{schema}");
         assert_eq!(on_stripe("result_cache_misses"), misses, "{schema}");
         assert_eq!(row("store_hits"), "0", "{schema}: probed the store");
     }
+}
+
+#[test]
+fn store_hits_send_the_frames_an_uncached_server_sends() {
+    // A store hit is encoded once, where it is copied into the result
+    // cache: the request that probed the store, every later hit on that
+    // copy, and a frame preloaded at boot all send what a server with
+    // `--result-cache 0` computes.
+    let tmp = TempStore::new("hit-bytes");
+    let reqs = cacheable_requests();
+    let uncached = ServiceConfig {
+        result_cache_capacity: 0,
+        ..ServiceConfig::default()
+    };
+    let reference = run_all(&ServiceState::new(uncached), &reqs);
+    {
+        let state =
+            ServiceState::open_store(ServiceConfig::default(), &tmp.path).expect("open store");
+        assert_eq!(run_all(&state, &reqs), reference, "the first run");
+        assert!(state.sync_store());
+    }
+    let probing = ServiceConfig {
+        warm_start: 0,
+        ..ServiceConfig::default()
+    };
+    let state = ServiceState::open_store(probing, &tmp.path).expect("reopen");
+    assert_eq!(run_all(&state, &reqs), reference, "store hits");
+    let store_hits = stats_field(&state, "store_hits").expect("a store row");
+    assert_eq!(store_hits, reqs.len().to_string());
+    assert_eq!(run_all(&state, &reqs), reference, "cached store hits");
+    assert_eq!(stats_field(&state, "store_hits"), Some(store_hits));
+    drop(state);
+    let warm = ServiceConfig {
+        warm_start: reqs.len(),
+        ..ServiceConfig::default()
+    };
+    let state = ServiceState::open_store(warm, &tmp.path).expect("reopen warm");
+    let warmed = stats_field(&state, "store_warmed").expect("a store row");
+    assert_eq!(warmed, reqs.len().to_string());
+    assert_eq!(run_all(&state, &reqs), reference, "preloaded frames");
+    assert_eq!(stats_field(&state, "store_hits").as_deref(), Some("0"));
 }

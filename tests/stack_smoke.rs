@@ -36,7 +36,7 @@ fn solves(h2: &str, c4: &str) -> Vec<WireRequest> {
 /// Sends `req`, returning the encoded response frame and what a client
 /// decodes from it.
 fn roundtrip(state: &ServiceState, req: &WireRequest) -> (String, Response) {
-    let text = state.handle(req, &RequestCtx::default()).encode();
+    let text = state.handle(req, &RequestCtx::default());
     let lines = read_frame(&mut text.as_bytes())
         .expect("in-memory read")
         .expect("one complete frame");
