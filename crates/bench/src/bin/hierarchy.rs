@@ -98,7 +98,7 @@ fn main() {
     let t = Instant::now();
     let limits = big_limits();
     for bag in td.bags() {
-        let w = soft_witness(&h3, 3, bag, &limits);
+        let w = soft_witness(&h3, 3, bag, &limits).expect("within limits");
         assert!(
             w.is_some(),
             "Figure 9 bag {} must be in Soft_{{H3,3}}",
@@ -154,7 +154,7 @@ fn main() {
     // λ2 = {hor1, hor2, {0',3'}} yields a component avoiding 4'.
     let root_bag = tdp.bag(tdp.root());
     let t = Instant::now();
-    let witness = soft_witness(&h3p, 3, root_bag, &limits);
+    let witness = soft_witness(&h3p, 3, root_bag, &limits).expect("within limits");
     match &witness {
         Some((lambda1, u)) => {
             let names: Vec<&str> = lambda1.iter().map(|&e| h3p.edge_name(e)).collect();

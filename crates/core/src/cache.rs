@@ -41,10 +41,10 @@
 //! edge order on the way in and out: a hit always answers in the
 //! numbering of the hypergraph that was passed in.
 //!
-//! [`DecompCache::export`] reads the decisions held for one hypergraph.
-//! Algorithm 2 callers, whose answers are not width decisions, borrow
-//! the warm index through [`DecompCache::soft_instance`] — the same
-//! prepared instance a decision miss builds — and keep nothing here.
+//! The cache answers width questions only: its surface is
+//! [`DecompCache::solve`] and [`DecompCache::stats`]. Algorithm 2
+//! callers, whose answers are not width decisions, build their instance
+//! cold ([`crate::shw::soft_instance`]).
 //!
 //! The cache is **bounded**: it holds at most `max_graphs` entries
 //! ([`DecompCache::with_capacity`]) and drops the least-recently-used
@@ -53,12 +53,11 @@
 //! structure rebuilds cold on its next query, with identical results.
 
 use crate::budget::Budget;
-use crate::ctd::CtdInstance;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw::hw_leq_budgeted;
 use crate::reduce_solve::{exact_width, least_width};
-use crate::shw::{new_index, shw_leq_indexed_budgeted, soft_instance_on};
+use crate::shw::{new_index, shw_leq_indexed_budgeted};
 use crate::soft::SoftLimits;
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
@@ -185,26 +184,6 @@ impl DecompCache {
         (entry, &mut self.stats)
     }
 
-    /// `Soft_{H,k}` and the prepared `CandidateTD` instance over it,
-    /// generated and built on `h`'s warm index under `budget` — exactly
-    /// what a `shw ≤ k` decision miss builds
-    /// ([`crate::shw::soft_instance`] is the same on a cold index), for
-    /// callers that run their own DP over the block tables (Algorithm 2,
-    /// [`crate::ctd_opt`]). The instance is the caller's: nothing is
-    /// retained here, and a budget abort leaves the cache as warm and
-    /// consistent as [`DecompCache::solve`] does.
-    pub fn soft_instance(
-        &mut self,
-        h: &Hypergraph,
-        k: usize,
-        limits: &SoftLimits,
-        budget: &Budget,
-    ) -> Result<CtdInstance, DecompError> {
-        let (entry, _) = self.entry(h);
-        let index = entry.index.get_or_insert_with(|| new_index(h));
-        soft_instance_on(index, k, limits, budget)
-    }
-
     /// The memoised [`crate::solve`]: the same answer to the same
     /// [`SolveSpec`], with every `width ≤ k` decision it takes — on `h`
     /// for bounded specs and raw sweeps, on each reduced piece (under the
@@ -284,30 +263,6 @@ impl DecompCache {
             .insert(k, result.clone().map(in_canonical_positions));
         Ok(result)
     }
-
-    /// Every cached `class ≤ k` decision for `h` (width-sorted), witness
-    /// trees cloned — a snapshot of this hypergraph's decision state
-    /// (the covers of `hw` witnesses are left out).
-    pub fn export(
-        &self,
-        h: &Hypergraph,
-        class: SolveClass,
-    ) -> Vec<(usize, Option<TreeDecomposition>)> {
-        let canon = canonical_form(h);
-        let held = self.entries.get(&hash_u64s(&canon));
-        let Some(entry) = held.filter(|e| e.canon == canon) else {
-            return Vec::new();
-        };
-        match class {
-            SolveClass::Shw => entry.shw.iter().map(|(&k, td)| (k, td.clone())).collect(),
-            SolveClass::Hw => {
-                let trees = entry.hw.iter();
-                trees
-                    .map(|(&k, g)| (k, g.as_ref().map(|g| g.td.clone())))
-                    .collect()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -349,12 +304,11 @@ mod tests {
             .expect("bounded specs answer with a decision")
     }
 
-    /// Algorithm 1 over `Soft_{H,k}` on the cache's warm index.
-    fn decide_at(cache: &mut DecompCache, h: &Hypergraph, k: usize) -> Option<TreeDecomposition> {
-        cache
-            .soft_instance(h, k, &SoftLimits::default(), &Budget::unlimited())
-            .expect("default limits suffice")
-            .decide()
+    /// How many `shw ≤ k` decisions the cache holds keyed by `h` itself.
+    fn shw_decisions_of(cache: &DecompCache, h: &Hypergraph) -> usize {
+        let canon = canonical_form(h);
+        let held = cache.entries.get(&hash_u64s(&canon));
+        held.filter(|e| e.canon == canon).map_or(0, |e| e.shw.len())
     }
 
     #[test]
@@ -441,10 +395,14 @@ mod tests {
                     let (cold_w, cold_td) = shw::shw(h);
                     assert_eq!(w, cold_w, "cap {cap} round {round}");
                     assert_eq!(td.bags(), cold_td.bags(), "cap {cap} round {round}");
-                    // Mix in instance-level and hw traffic on the same
-                    // storm so every artefact kind churns together.
+                    // Mix in bounded and hw traffic on the same storm so
+                    // every artefact kind churns together.
+                    let bounded = SolveSpec::shw_leq(w);
+                    let Solved::ShwDecision(td) = cache.solve(h, &bounded).unwrap() else {
+                        panic!("bounded specs answer with a decision");
+                    };
                     assert_eq!(
-                        decide_at(&mut cache, h, w).map(|t| t.bags().to_vec()),
+                        td.map(|t| t.bags().to_vec()),
                         crate::ctd::candidate_td(h, &soft_bags(h, w)).map(|t| t.bags().to_vec()),
                         "cap {cap} round {round}"
                     );
@@ -486,7 +444,7 @@ mod tests {
         let mut cache = DecompCache::with_capacity(4);
         for _ in 0..10 {
             shw_of(&mut cache, &named::h2());
-            decide_at(&mut cache, &named::h2(), 2);
+            accepts(&mut cache, &named::h2(), SolveSpec::shw_leq(2));
             hw_of(&mut cache, &named::cycle(5));
         }
         assert_eq!(cache.stats().evictions, 0);
@@ -570,7 +528,7 @@ mod tests {
         };
         assert_eq!(td.validate(&h), Ok(()));
         // The raw sweep decided on `h` itself, never on its reduced core.
-        assert_eq!(raw.export(&h, SolveClass::Shw).len(), w);
+        assert_eq!(shw_decisions_of(&raw, &h), w);
         let Solved::HwWidth(w_hw, g) = raw.solve(&h, &SolveSpec::hw().with_reduce(false)).unwrap()
         else {
             panic!("exact hw specs answer with a width");
@@ -581,7 +539,7 @@ mod tests {
         let mut reduced = DecompCache::new();
         assert_eq!(shw_of(&mut reduced, &h).0, w);
         assert_eq!(hw_of(&mut reduced, &h).0, w_hw);
-        assert!(reduced.export(&h, SolveClass::Shw).is_empty());
+        assert_eq!(shw_decisions_of(&reduced, &h), 0);
     }
 
     /// The 6-cycle over vertices `a..f` (ids fixed up front) with its
@@ -618,7 +576,10 @@ mod tests {
                 let spec = SolveSpec::hw().with_reduce(reduce);
                 // The first-listed order gets exactly its cold answer
                 // back, before and after the other order was served.
-                let cold = if reduce { hw::hw(&h1) } else { hw::hw_raw(&h1) };
+                let Ok(Solved::HwWidth(w1, g1)) = crate::solve(&h1, &spec) else {
+                    panic!("exact hw specs answer with a width");
+                };
+                let cold = (w1, g1);
                 let mut cache = DecompCache::new();
                 for h in [&h1, &h2, &h1] {
                     let Solved::HwWidth(w, g) = cache.solve(h, &spec).unwrap() else {
@@ -682,11 +643,13 @@ mod tests {
             let index = cache.entries[&structural_hash(&h)].index.as_ref();
             index.expect("an shw query built it").stats().misses
         };
-        decide_at(&mut cache, &h, 2);
+        assert!(accepts(&mut cache, &h, SolveSpec::shw_leq(2)));
         let first = passes(&cache);
         assert!(first > 0, "the first instance ran its component passes");
-        // The repeat reads every block row the first one cached.
-        decide_at(&mut cache, &h, 2);
+        // A fresh `k = 1` decision on the warm index reads only separators
+        // and bags the `k = 2` one cached: `Soft_{H,1} ⊆ Soft_{H,2}`.
+        assert!(!accepts(&mut cache, &h, SolveSpec::shw_leq(1)));
+        assert_eq!(cache.stats().result_misses, 2);
         assert_eq!(passes(&cache), first);
     }
 
@@ -714,7 +677,7 @@ mod tests {
         shw_of(&mut cache, &squatter);
         let forged = cache.entries.remove(&structural_hash(&squatter)).unwrap();
         cache.entries.insert(structural_hash(&h), forged);
-        assert!(cache.export(&h, SolveClass::Shw).is_empty());
+        assert_eq!(shw_decisions_of(&cache, &h), 0);
         assert_eq!(shw_of(&mut cache, &h), shw::shw(&h));
         assert_eq!(cache.stats().result_hits, 0);
         assert_eq!((cache.entries.len(), cache.stats().evictions), (1, 1));
@@ -787,13 +750,9 @@ mod tests {
                 };
                 match op {
                     0 => solve(SolveSpec::shw()),
-                    1 => solve(SolveSpec::shw_leq(k)),
                     2 => solve(SolveSpec::hw()),
                     3 => solve(SolveSpec::hw_leq(k)),
-                    _ => {
-                        let inst = cache.soft_instance(h, k, &SoftLimits::default(), &budget);
-                        trips += usize::from(inst.is_err());
-                    }
+                    _ => solve(SolveSpec::shw_leq(k)),
                 }
                 prop_assert!(
                     cache.entries.len() <= capacity,
@@ -851,18 +810,6 @@ mod tests {
                 let (w, g) = hw::hw(&h);
                 Solved::HwWidth(w, g)
             });
-            if connect == 1 && twin == 0 {
-                let raw = SolveSpec::shw().with_reduce(false);
-                prop_assert_eq!(crate::solve(&h, &raw).unwrap(), {
-                    let (w, td) = shw::shw_raw(&h);
-                    Solved::ShwWidth(w, td)
-                });
-                let raw = SolveSpec::hw().with_reduce(false);
-                prop_assert_eq!(crate::solve(&h, &raw).unwrap(), {
-                    let (w, g) = hw::hw_raw(&h);
-                    Solved::HwWidth(w, g)
-                });
-            }
         }
     }
 }

@@ -648,8 +648,8 @@ impl CtdInstance {
     /// Builds the block table for hypergraph `h` and candidate bag set
     /// `bags` (empty bags are dropped, duplicates merged) using a private
     /// [`BlockIndex`]. Prefer [`CtdInstance::build`] with a shared index
-    /// (or [`crate::cache::DecompCache`]) when decomposing the same
-    /// hypergraph repeatedly.
+    /// when decomposing the same hypergraph repeatedly, as the exact `shw`
+    /// sweep of [`crate::solve`] does across its widths.
     pub fn new(h: &Hypergraph, bags: &[BitSet]) -> Self {
         let mut index = BlockIndex::new(h);
         let ids: Vec<BagId> = bags.iter().map(|b| index.arena.intern(b)).collect();
@@ -1172,19 +1172,14 @@ impl CtdInstance {
         self.extract(&sat)
     }
 
-    /// [`CtdInstance::decide`] through the fallible extraction path: an
-    /// inconsistent DP result surfaces as [`DecompError::Internal`]
-    /// rather than a panic. (With a freshly computed table the invariants
-    /// hold by construction, so this only errs on memory corruption or a
-    /// bug — but a service must not die on either.)
-    pub fn try_decide(&self) -> Result<Option<TreeDecomposition>, DecompError> {
-        let sat = self.satisfy();
-        self.try_extract(&sat)
-    }
-
-    /// [`CtdInstance::try_decide`] with a cooperative [`Budget`]: the DP
-    /// checks the budget at every wave; the extraction itself is
-    /// output-linear and runs to completion once the DP accepted.
+    /// [`CtdInstance::decide`] with a cooperative [`Budget`] and through
+    /// the fallible extraction path: the DP checks the budget at every
+    /// wave, the extraction itself is output-linear and runs to completion
+    /// once the DP accepted, and an inconsistent DP result surfaces as
+    /// [`DecompError::Internal`] rather than a panic. (With a freshly
+    /// computed table the invariants hold by construction, so this only
+    /// errs on memory corruption or a bug — but a service must not die on
+    /// either.)
     pub fn try_decide_budgeted(
         &self,
         budget: &Budget,
@@ -1198,11 +1193,6 @@ impl CtdInstance {
 /// with bags from `bags` exist? Returns the witness decomposition.
 pub fn candidate_td(h: &Hypergraph, bags: &[BitSet]) -> Option<TreeDecomposition> {
     CtdInstance::new(h, bags).decide()
-}
-
-/// [`candidate_td`] over bags already interned in a shared index.
-pub fn candidate_td_ids(index: &mut BlockIndex, bags: &[BagId]) -> Option<TreeDecomposition> {
-    CtdInstance::build(index, bags).decide()
 }
 
 /// Verifies that `td` is a valid tree decomposition of `h` whose bags all
@@ -1490,7 +1480,7 @@ mod tests {
         for k in 1..=3 {
             let ids = crate::soft::soft_bag_ids(&mut index, k, &crate::soft::SoftLimits::default())
                 .unwrap();
-            let via_index = candidate_td_ids(&mut index, &ids);
+            let via_index = CtdInstance::build(&mut index, &ids).decide();
             let via_fresh = candidate_td(&h, &soft_bags(&h, k));
             assert_eq!(via_index.is_some(), via_fresh.is_some(), "k = {k}");
             if let Some(td) = via_index {

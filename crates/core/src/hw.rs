@@ -17,11 +17,11 @@
 //! cover-guided (branch on the lowest uncovered connector vertex) with a
 //! free extension phase, which prunes the `|E|^k` space drastically.
 //!
-//! [`hw`], [`hw_raw`] and [`hw_leq`] are [`crate::solve`] under the
-//! matching [`SolveSpec`] — the cold door of the one solver pipeline
-//! ([`crate::reduce_solve`]); [`hw_leq_budgeted`] is that pipeline's `hw`
-//! leaf. Callers that ask one schema several ways hold a
-//! [`crate::cache::DecompCache`], the memo in front of the same pipeline.
+//! [`hw`] and [`hw_leq`] are [`crate::solve`] under the matching
+//! [`SolveSpec`] — the cold door of the one solver pipeline
+//! ([`crate::reduce_solve`]); the raw sweep is that door under
+//! [`SolveSpec::with_reduce`]`(false)`. [`hw_leq_budgeted`] is the
+//! pipeline's `hw` leaf.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
@@ -292,17 +292,7 @@ pub fn hw_leq_budgeted(
 /// ([`softhw_hypergraph::reduce_no_peel`]); each piece is swept and the
 /// piece witnesses lifted back ([`crate::reduce_solve`]).
 pub fn hw(h: &Hypergraph) -> (usize, Ghd) {
-    exact(h, true)
-}
-
-/// The raw exact sweep, with no reduction preprocessing
-/// ([`SolveSpec::with_reduce`]`(false)`).
-pub fn hw_raw(h: &Hypergraph) -> (usize, Ghd) {
-    exact(h, false)
-}
-
-fn exact(h: &Hypergraph, reduce: bool) -> (usize, Ghd) {
-    match crate::solve(h, &SolveSpec::hw().with_reduce(reduce)) {
+    match crate::solve(h, &SolveSpec::hw()) {
         Ok(Solved::HwWidth(w, g)) => (w, g),
         other => panic!("the unbudgeted hw sweep answered {other:?}"),
     }

@@ -14,13 +14,16 @@
 //!   piece → lift) and its cold front door, [`solve`]
 //! - [`cache`]: [`DecompCache`], the cross-query memo in front of the same
 //!   pipeline (one structural-hash keyed map of warm indexes + width
-//!   decisions under an LRU bound), for callers that ask one schema
-//!   several ways
+//!   decisions under an LRU bound); its whole surface is `new`,
+//!   `with_capacity`, `solve` and `stats`
 //! - [`soft`]: the candidate bag set `Soft_{H,k}` (§4, Def. 3)
 //! - [`soft_iter`]: the iterated hierarchy `Soft^i`, `shw_i`, ghw as the
-//!   fixpoint (§5)
-//! - [`shw`]: the shw solver (§4, Thm. 1)
-//! - [`hw`]: det-k-decomp-style hypertree width baseline (§2)
+//!   fixpoint (§5), and the one `Soft^i_{H,k}` membership search
+//!   ([`soft::soft_witness`] is its level 0)
+//! - [`shw`]: the shw solver (§4, Thm. 1): the named `shw` / `shw_leq`
+//!   spellings of [`solve`], its per-width leaf and the cold instance
+//! - [`hw`]: det-k-decomp-style hypertree width baseline (§2), under the
+//!   same two named spellings and one leaf
 //! - [`cover`]: (connected) edge covers (§6, ConCov)
 //! - [`ctd_opt`]: Algorithm 2 — constraints and preferences over CTDs,
 //!   top-n enumeration, random sampling (§6)

@@ -31,7 +31,11 @@
 //! swept with the leaf decisions ([`shw_leq_indexed_budgeted`] against
 //! one index per piece, [`hw_leq_budgeted`]) and nothing outlives the
 //! call. [`crate::cache::DecompCache::solve`] runs the same routine with
-//! the same leaves behind its cross-query memo.
+//! the same leaves behind its cross-query memo. Every other way in is
+//! [`solve`] under a fixed [`SolveSpec`]: `shw::{shw, shw_leq}` and
+//! `hw::{hw, hw_leq}` name the default corners, and a raw sweep or
+//! explicit limits are [`SolveSpec::with_reduce`] and
+//! [`SolveSpec::with_limits`] — no second spelling of either exists.
 
 use crate::budget::Budget;
 use crate::error::DecompError;

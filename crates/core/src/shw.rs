@@ -8,18 +8,20 @@
 //! coverable by at most `k` edges (Theorem 2), so the result can always be
 //! upgraded to a GHD of width ≤ k via [`crate::ghd::Ghd::from_td`].
 //!
-//! [`shw`], [`shw_raw`], [`shw_leq`] and [`shw_leq_with`] are
-//! [`crate::solve`] under the matching [`SolveSpec`] — the cold door of
-//! the one solver pipeline ([`crate::reduce_solve`]). What lives here
-//! are that pipeline's `shw` leaves: one `shw ≤ k` decision against a
-//! caller-held [`BlockIndex`], and the prepared instance it runs on.
-//! Callers that ask one schema several ways hold a
-//! [`crate::cache::DecompCache`], the memo in front of the same pipeline.
+//! [`shw`] and [`shw_leq`] are [`crate::solve`] under the matching
+//! [`SolveSpec`] — the cold door of the one solver pipeline
+//! ([`crate::reduce_solve`]); other corners (explicit limits, no
+//! reduction, a budget) are that door under
+//! [`SolveSpec::with_limits`], [`SolveSpec::with_reduce`] and
+//! [`SolveSpec::with_budget`]. What lives here are that pipeline's `shw`
+//! leaves: one `shw ≤ k` decision against a caller-held [`BlockIndex`]
+//! ([`shw_leq_indexed_budgeted`]), and the prepared instance a cold
+//! decision runs on ([`soft_instance`]).
 
 use crate::budget::Budget;
 use crate::ctd::CtdInstance;
 use crate::error::DecompError;
-use crate::soft::{soft_bag_ids, soft_bag_ids_budgeted, LimitExceeded, SoftLimits};
+use crate::soft::{soft_bag_ids_budgeted, SoftLimits};
 use crate::spec::{SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::{BlockIndex, Hypergraph};
@@ -27,63 +29,25 @@ use softhw_hypergraph::{BlockIndex, Hypergraph};
 /// Decides `shw(H) ≤ k`; on success returns a soft hypertree
 /// decomposition of width `k`.
 pub fn shw_leq(h: &Hypergraph, k: usize) -> Option<TreeDecomposition> {
-    shw_leq_with(h, k, &SoftLimits::default()).expect("default limits exceeded")
-}
-
-/// Like [`shw_leq`] but with explicit generation limits.
-pub fn shw_leq_with(
-    h: &Hypergraph,
-    k: usize,
-    limits: &SoftLimits,
-) -> Result<Option<TreeDecomposition>, LimitExceeded> {
-    match crate::solve(h, &SolveSpec::shw_leq(k).with_limits(limits.clone())) {
-        Ok(Solved::ShwDecision(td)) => Ok(td),
-        Err(DecompError::Limit(e)) => Err(e),
-        other => panic!("an unbudgeted shw ≤ k decision answered {other:?}"),
+    match crate::solve(h, &SolveSpec::shw_leq(k)) {
+        Ok(Solved::ShwDecision(td)) => td,
+        other => panic!("an shw ≤ k decision under default limits answered {other:?}"),
     }
 }
 
 /// A fresh [`BlockIndex`] over `h`, under the `index_build` span: the
-/// one place the solver pipeline — cold sweep, cold decision,
-/// [`soft_instance`], a [`crate::cache::DecompCache`] entry's first `shw`
-/// query — builds an index.
+/// one place the solver pipeline — cold sweep, cold decision
+/// ([`soft_instance`]), a [`crate::cache::DecompCache`] entry's first
+/// `shw` query — builds an index.
 pub(crate) fn new_index(h: &Hypergraph) -> BlockIndex {
     let _span = softhw_obs::span(softhw_obs::stage::INDEX_BUILD);
     BlockIndex::new(h)
-}
-
-/// Decides `shw(H) ≤ k` against a shared [`BlockIndex`]: candidate
-/// generation and block construction reuse every component, block, and
-/// component union the index has already cached — from smaller widths or
-/// other solvers on the same hypergraph.
-pub fn shw_leq_indexed(
-    index: &mut BlockIndex,
-    k: usize,
-    limits: &SoftLimits,
-) -> Result<Option<TreeDecomposition>, LimitExceeded> {
-    let bags = soft_bag_ids(index, k, limits)?;
-    Ok(CtdInstance::build(index, &bags).decide())
-}
-
-/// `Soft_{H,k}` on a shared [`BlockIndex`] and the prepared
-/// `CandidateTD` instance over it, both under `budget` — what Algorithm 1
-/// ([`shw_leq_indexed_budgeted`]) and Algorithm 2 callers run their DP on.
-pub(crate) fn soft_instance_on(
-    index: &mut BlockIndex,
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<CtdInstance, DecompError> {
-    let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
-    CtdInstance::build_budgeted(index, &bags, budget)
 }
 
 /// `Soft_{H,k}` and the prepared `CandidateTD` instance over it on an
 /// index built for this call — what a cold `shw ≤ k` decision
 /// ([`crate::solve`]) runs Algorithm 1 on, for callers that run their own
 /// DP over the block tables (Algorithm 2, [`crate::ctd_opt`]).
-/// [`crate::cache::DecompCache::soft_instance`] is the same on a warm
-/// index.
 ///
 /// The index is the build's to release ([`CtdInstance`]): all but its
 /// rows go once the blocks are derived, the rows once copied, so neither
@@ -100,17 +64,22 @@ pub fn soft_instance(
     CtdInstance::build_owned(index, &bags, budget)
 }
 
-/// [`shw_leq_indexed`] with a cooperative [`Budget`] threaded through
-/// candidate generation, instance build, and the satisfaction DP. The
-/// shared index stays valid on abort (it only ever holds fully-computed
-/// cache entries), so a retry reuses everything already cached.
+/// Decides `shw(H) ≤ k` against a shared [`BlockIndex`], with a
+/// cooperative [`Budget`] threaded through candidate generation, instance
+/// build, and the satisfaction DP. Generation and block construction
+/// reuse every component, block, and component union the index has
+/// already cached — from smaller widths or other solvers on the same
+/// hypergraph. The index stays valid on abort (it only ever holds
+/// fully-computed cache entries), so a retry reuses everything already
+/// cached.
 pub fn shw_leq_indexed_budgeted(
     index: &mut BlockIndex,
     k: usize,
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<Option<TreeDecomposition>, DecompError> {
-    soft_instance_on(index, k, limits, budget)?.try_decide_budgeted(budget)
+    let bags = soft_bag_ids_budgeted(index, k, limits, budget)?;
+    CtdInstance::build_budgeted(index, &bags, budget)?.try_decide_budgeted(budget)
 }
 
 /// Computes `shw(H)` exactly: the least `k` admitting a soft HD, together
@@ -120,25 +89,10 @@ pub fn shw_leq_indexed_budgeted(
 /// each reduced piece is swept and the piece witnesses are lifted back to
 /// one decomposition of the original hypergraph
 /// ([`crate::reduce_solve`]). Irreducible connected inputs take the raw
-/// sweep unchanged.
+/// sweep unchanged; [`SolveSpec::with_reduce`]`(false)` asks for the raw
+/// sweep on any input.
 pub fn shw(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    exact(h, true)
-}
-
-/// The raw exact sweep, with no reduction preprocessing
-/// ([`SolveSpec::with_reduce`]`(false)`): Algorithm 1 decides
-/// `shw(H) ≤ k` per width, so the sweep asks `k = 1, 2, …` until the
-/// first accept. One [`BlockIndex`] is shared across the widths —
-/// components, blocks and coverage unions computed for width `k` are
-/// cache hits at `k + 1` — while each width builds its own
-/// [`CtdInstance`] over `Soft_{H,k}`. Panics on disconnected inputs (no
-/// single sweep witness exists); [`shw`] handles those by splitting.
-pub fn shw_raw(h: &Hypergraph) -> (usize, TreeDecomposition) {
-    exact(h, false)
-}
-
-fn exact(h: &Hypergraph, reduce: bool) -> (usize, TreeDecomposition) {
-    match crate::solve(h, &SolveSpec::shw().with_reduce(reduce)) {
+    match crate::solve(h, &SolveSpec::shw()) {
         Ok(Solved::ShwWidth(w, td)) => (w, td),
         other => panic!("the shw sweep under default limits answered {other:?}"),
     }
@@ -189,7 +143,10 @@ mod tests {
     fn reduced_sweep_agrees_with_raw_sweep() {
         for h in [named::h2(), named::cycle(8), named::triangle_star(3)] {
             let (w_red, td_red) = shw(&h);
-            let (w_raw, td_raw) = shw_raw(&h);
+            let raw = crate::solve(&h, &SolveSpec::shw().with_reduce(false));
+            let Ok(Solved::ShwWidth(w_raw, td_raw)) = raw else {
+                panic!("the raw sweep of a connected input answers with a width");
+            };
             assert_eq!(w_red, w_raw);
             assert_eq!(td_red.validate(&h), Ok(()));
             assert_eq!(td_raw.validate(&h), Ok(()));

@@ -14,10 +14,10 @@
 //! therefore makes **one λ walk**, which hands back the distinct `⋃C`
 //! and its distinct non-empty separators, and uses the latter as the `W`
 //! side. Only the iterated pools of Definition 6
-//! ([`soft_bag_ids_from_elements_budgeted`]), whose `λ1` elements are
-//! subedges, enumerate their own `W` side
-//! ([`lambda_union_ids_budgeted`]). Both sides are deduplicated before
-//! the `W × U` stage, which both generators share and which visits
+//! ([`soft_bag_ids_from_elements`]), whose `λ1` elements are subedges,
+//! enumerate their own `W` side ([`lambda_union_ids`]). Both sides are
+//! deduplicated before the `W × U` stage, which both generators share
+//! and which visits
 //! **proper intersections only**: per-vertex masks over the `U` side
 //! ("which `⋃C` contain `v`") turn "some `⋃C ⊇ w`" into an AND and "which
 //! `⋃C` meet `w` without containing it" into an OR-minus-AND over `w`'s
@@ -94,30 +94,16 @@ fn demote(e: DecompError) -> LimitExceeded {
 /// Enumerates all distinct unions of 1..=`k` bags drawn from `elements`
 /// (the `⋃λ1` side of Definition 3), interned into `arena` and returned
 /// in content order. The `max_lambda_sets` guard is one global counter
-/// over all enumeration nodes, matching the seed's semantics.
+/// over all enumeration nodes, matching the seed's semantics. It unions
+/// depth-first straight into `arena` — `pool[d]` holds the running union
+/// at depth `d`, so the per-node cost is one pooled word-union plus one
+/// intern probe.
 pub fn lambda_union_ids(
     arena: &mut BagArena,
     elements: &[BagId],
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Vec<BagId>, LimitExceeded> {
-    lambda_union_ids_budgeted(arena, elements, k, limits, &Budget::unlimited()).map_err(demote)
-}
-
-/// [`lambda_union_ids`] with a cooperative [`Budget`]: the enumeration
-/// ticks the budget once per node and aborts with
-/// [`DecompError::DeadlineExceeded`] / [`DecompError::Canceled`] when it
-/// trips. It unions depth-first straight into `arena` — `pool[d]` holds
-/// the running union at depth `d`, so the per-node cost is one pooled
-/// word-union plus one intern probe — and an abort leaves the arena with
-/// only valid interned bags, safe to retry against.
-pub fn lambda_union_ids_budgeted(
-    arena: &mut BagArena,
-    elements: &[BagId],
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<Vec<BagId>, DecompError> {
     if k == 0 || elements.is_empty() {
         return Ok(Vec::new());
     }
@@ -136,15 +122,12 @@ pub fn lambda_union_ids_budgeted(
         seen: &mut IdSet,
         out: &mut Vec<BagId>,
         sets: &mut usize,
-        budget: &Budget,
-    ) -> Result<(), DecompError> {
+    ) -> Result<(), LimitExceeded> {
         for i in start..elements.len() {
-            budget.tick()?;
             if *sets == 0 {
                 return Err(LimitExceeded {
                     what: "max_lambda_sets",
-                }
-                .into());
+                });
             }
             *sets -= 1;
             let (prev, next) = pool.split_at_mut(depth);
@@ -167,7 +150,6 @@ pub fn lambda_union_ids_budgeted(
                     seen,
                     out,
                     sets,
-                    budget,
                 )?;
             }
         }
@@ -175,7 +157,7 @@ pub fn lambda_union_ids_budgeted(
     }
     let mut sets = limits.max_lambda_sets;
     rec(
-        arena, elements, 0, 1, k, &mut pool, &mut seen, &mut out, &mut sets, budget,
+        arena, elements, 0, 1, k, &mut pool, &mut seen, &mut out, &mut sets,
     )?;
     out.sort_unstable_by(|&a, &b| arena.cmp_bags(a, b));
     Ok(out)
@@ -197,33 +179,11 @@ fn lambda_count_bound(n: usize, k: usize) -> usize {
     total
 }
 
-/// Enumerates all distinct `⋃C` for `C` a `[λ2]`-component of the
-/// hypergraph, with `λ2` ranging over edge subsets of size 0..=`k` (the
-/// `⋃C` side of Definition 3). Every separator's components and unions
-/// come from — and stay in — the index's cache, so repeated calls across
-/// widths and solvers only pay for separators never seen before.
-pub fn component_union_ids(
-    index: &mut BlockIndex,
-    k: usize,
-    limits: &SoftLimits,
-) -> Result<Vec<BagId>, LimitExceeded> {
-    component_union_ids_budgeted(index, k, limits, &Budget::unlimited()).map_err(demote)
-}
-
-/// [`component_union_ids`] with a cooperative [`Budget`] (one tick per
-/// λ2 enumeration node). An abort leaves the index's separator and
-/// component caches holding only fully-computed entries, which a retry
-/// reuses.
-pub fn component_union_ids_budgeted(
-    index: &mut BlockIndex,
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<Vec<BagId>, DecompError> {
-    Ok(lambda_walk(index, k, limits, budget)?.unions)
-}
-
 /// What one λ2 walk over the edge subsets of size `0..=k` yields.
+/// Every separator's components and unions come from — and stay in —
+/// the index's cache, so repeated walks across widths and solvers only
+/// pay for separators never seen before; an abort leaves that cache
+/// holding only fully-computed entries, which a retry reuses.
 struct LambdaWalk {
     /// The distinct `⋃C` over every `[λ2]`-component, in content order:
     /// the `U` side.
@@ -370,33 +330,23 @@ fn lambda_walk(
 }
 
 /// Computes `Soft_{H,k}` as interned [`BagId`]s, given a pre-computed
-/// `λ1`-element pool (for Definition 3 this is `E(H)`; the iterated
-/// hierarchy of Definition 6 passes `E^(i)`).
+/// `λ1`-element pool (the iterated hierarchy of Definition 6 passes
+/// `E^(i)`; for Definition 3's pool `E(H)`, [`soft_bag_ids`] reads the `W`
+/// side off its λ walk instead).
 pub fn soft_bag_ids_from_elements(
     index: &mut BlockIndex,
     elements: &[BagId],
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Vec<BagId>, LimitExceeded> {
-    soft_bag_ids_from_elements_budgeted(index, elements, k, limits, &Budget::unlimited())
+    let unlimited = Budget::unlimited();
+    let u_side = lambda_walk(index, k, limits, &unlimited)
+        .map_err(demote)?
+        .unions;
+    let w_side = lambda_union_ids(&mut index.arena, elements, k, limits)?;
+    intersect_sides(&mut index.arena, &w_side, &u_side, limits, &unlimited)
+        .map(|(bags, _)| bags)
         .map_err(demote)
-}
-
-/// [`soft_bag_ids_from_elements`] with a cooperative [`Budget`]: both
-/// enumeration sides tick per node and the `W × U` intersection ticks
-/// per `W`-side element. On abort the shared arena holds only valid
-/// interned bags (possibly fewer than a full run would produce), so the
-/// caller can retry or discard without poisoning the index.
-pub fn soft_bag_ids_from_elements_budgeted(
-    index: &mut BlockIndex,
-    elements: &[BagId],
-    k: usize,
-    limits: &SoftLimits,
-    budget: &Budget,
-) -> Result<Vec<BagId>, DecompError> {
-    let u_side = component_union_ids_budgeted(index, k, limits, budget)?;
-    let w_side = lambda_union_ids_budgeted(&mut index.arena, elements, k, limits, budget)?;
-    intersect_sides(&mut index.arena, &w_side, &u_side, limits, budget).map(|(bags, _)| bags)
 }
 
 /// The `W × U` stage of Definition 3: the distinct non-empty `w ∩ u`, in
@@ -510,33 +460,18 @@ pub fn lambda_unions(
     Ok(out.into_iter().map(|id| arena.to_bitset(id)).collect())
 }
 
-/// Enumerates all distinct `⋃C` for `C` a `[λ2]`-component of `h`
-/// ([`BitSet`] convenience wrapper over [`component_union_ids`]).
+/// Enumerates all distinct `⋃C` for `C` a `[λ2]`-component of `h`, with
+/// `λ2` ranging over edge subsets of size 0..=`k` (the `⋃C` side of
+/// Definition 3), in content order.
 pub fn component_unions(
     h: &Hypergraph,
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Vec<BitSet>, LimitExceeded> {
     let mut index = BlockIndex::new(h);
-    let out = component_union_ids(&mut index, k, limits)?;
-    Ok(out
-        .into_iter()
-        .map(|id| index.arena.to_bitset(id))
-        .collect())
-}
-
-/// Computes `Soft_{H,k}` with explicit guards, given a pre-computed
-/// `λ1`-element pool ([`BitSet`] convenience wrapper).
-pub fn soft_bags_from_elements(
-    h: &Hypergraph,
-    elements: &[BitSet],
-    k: usize,
-    limits: &SoftLimits,
-) -> Result<Vec<BitSet>, LimitExceeded> {
-    let mut index = BlockIndex::new(h);
-    let ids: Vec<BagId> = elements.iter().map(|e| index.arena.intern(e)).collect();
-    let out = soft_bag_ids_from_elements(&mut index, &ids, k, limits)?;
-    Ok(out
+    let walk = lambda_walk(&mut index, k, limits, &Budget::unlimited()).map_err(demote)?;
+    Ok(walk
+        .unions
         .into_iter()
         .map(|id| index.arena.to_bitset(id))
         .collect())
@@ -573,80 +508,42 @@ pub fn soft_bags_with(
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Vec<BitSet>, LimitExceeded> {
-    soft_bags_from_elements(h, h.edges(), k, limits)
+    let mut index = BlockIndex::new(h);
+    let ids: Vec<BagId> = h.edges().iter().map(|e| index.arena.intern(e)).collect();
+    let out = soft_bag_ids_from_elements(&mut index, &ids, k, limits)?;
+    Ok(out
+        .into_iter()
+        .map(|id| index.arena.to_bitset(id))
+        .collect())
 }
 
 /// Checks whether `bag ∈ Soft_{H,k}` and returns a witness
-/// `(λ1, λ2, component-vertex-union)` when it is. This is a *search over
-/// the same space* as the generator but short-circuits on the target bag,
-/// so it works on hypergraphs where full generation would be too big.
+/// `(λ1, ⋃C)` when it is, `λ1` as edge ids. Definition 6 makes
+/// `Soft^0_{H,k} = Soft_{H,k}`, so this is
+/// [`crate::soft_iter::soft_i_witness`] at level 0, whose `λ1` elements
+/// are the distinct edges: each maps back to the first edge with its
+/// vertex set. The search short-circuits on the target bag, so it works
+/// on hypergraphs where full generation would be too big. A tripped
+/// limit is the error, never a "not a member".
 pub fn soft_witness(
     h: &Hypergraph,
     k: usize,
     bag: &BitSet,
     limits: &SoftLimits,
-) -> Option<(Vec<usize>, BitSet)> {
-    let u_side = component_unions(h, k, limits).ok()?;
-    // For each ⋃C ⊇ bag, find ≤ k edges whose union intersected with ⋃C is
-    // exactly `bag`: each chosen edge e must have e ∩ ⋃C ⊆ bag, and the
-    // chosen edges must cover `bag`.
-    for u in &u_side {
-        if !bag.is_subset(u) {
-            continue;
-        }
-        let candidates: Vec<usize> = (0..h.num_edges())
-            .filter(|&e| {
-                let inside = h.edge(e).intersection(u);
-                !inside.is_empty() && inside.is_subset(bag) && inside.intersects(bag)
-            })
-            .collect();
-        if let Some(lambda1) = cover_exactly(h, bag, &candidates, k) {
-            return Some((lambda1, u.clone()));
-        }
-    }
-    None
-}
-
-/// Set-cover of `bag` with at most `k` edges drawn from `candidates`
-/// (whose intersections with the relevant region are already known to be
-/// within `bag`).
-fn cover_exactly(
-    h: &Hypergraph,
-    bag: &BitSet,
-    candidates: &[usize],
-    k: usize,
-) -> Option<Vec<usize>> {
-    fn rec(
-        h: &Hypergraph,
-        uncovered: &BitSet,
-        candidates: &[usize],
-        k: usize,
-        chosen: &mut Vec<usize>,
-    ) -> bool {
-        let Some(pivot) = uncovered.first() else {
-            return true;
-        };
-        if k == 0 {
-            return false;
-        }
-        for &e in candidates {
-            if h.edge(e).contains(pivot) && !chosen.contains(&e) {
-                let rest = uncovered.difference(h.edge(e));
-                chosen.push(e);
-                if rec(h, &rest, candidates, k - 1, chosen) {
-                    return true;
-                }
-                chosen.pop();
-            }
-        }
-        false
-    }
-    let mut chosen = Vec::with_capacity(k);
-    if rec(h, bag, candidates, k, &mut chosen) {
-        Some(chosen)
-    } else {
-        None
-    }
+) -> Result<Option<(Vec<usize>, BitSet)>, LimitExceeded> {
+    let Some(w) = crate::soft_iter::soft_i_witness(h, k, 0, bag, limits)? else {
+        return Ok(None);
+    };
+    let edge_of = |s: &BitSet| {
+        h.edges()
+            .iter()
+            .position(|e| e == s)
+            .expect("a level-0 subedge is an edge")
+    };
+    Ok(Some((
+        w.lambda1.iter().map(edge_of).collect(),
+        w.component_union,
+    )))
 }
 
 /// The seed's direct `FxHashSet<BitSet>`-based generator, kept as the
@@ -820,7 +717,9 @@ mod tests {
         // witness.
         let h = named::h2();
         let bag = h.vset(&["2", "6", "7", "a", "b"]);
-        let (lambda1, u) = soft_witness(&h, 2, &bag, &SoftLimits::default()).expect("witness");
+        let (lambda1, u) = soft_witness(&h, 2, &bag, &SoftLimits::default())
+            .unwrap()
+            .expect("witness");
         assert!(lambda1.len() <= 2);
         // witness reconstructs the bag
         let mut w = h.union_of_edges(lambda1);
@@ -833,7 +732,22 @@ mod tests {
         let h = named::h2();
         // {1, 5} is not a bag of Soft_{H2,1}: no single edge contains both.
         let bag = h.vset(&["1", "5"]);
-        assert!(soft_witness(&h, 1, &bag, &SoftLimits::default()).is_none());
+        assert_eq!(soft_witness(&h, 1, &bag, &SoftLimits::default()), Ok(None));
+    }
+
+    #[test]
+    fn a_tripped_limit_is_an_error_not_a_non_member() {
+        let h = named::h2();
+        let bag = h.vset(&["2", "6", "7", "a", "b"]);
+        let tight = SoftLimits {
+            max_lambda_sets: 3,
+            max_bags: 1_000,
+        };
+        assert!(soft_witness(&h, 2, &bag, &tight).is_err());
+        assert!(matches!(
+            soft_witness(&h, 2, &bag, &SoftLimits::default()),
+            Ok(Some(_))
+        ));
     }
 
     #[test]
@@ -843,7 +757,7 @@ mod tests {
         let limits = SoftLimits::default();
         for bag in &bags {
             assert!(
-                soft_witness(&h, 2, bag, &limits).is_some(),
+                matches!(soft_witness(&h, 2, bag, &limits), Ok(Some(_))),
                 "generator produced a bag the witness search rejects: {bag:?}"
             );
         }

@@ -16,7 +16,7 @@
 //! materialise — e.g. `H'3` of Example 2 — [`soft_i_witness`] offers a
 //! *membership check with witness* that only materialises `E^(i)`.
 
-use crate::ctd::candidate_td_ids;
+use crate::ctd::CtdInstance;
 use crate::error::DecompError;
 use crate::reduce_solve::least_width;
 use crate::soft::{self, LimitExceeded, SoftLimits};
@@ -74,7 +74,7 @@ impl<'h> SoftHierarchy<'h> {
     }
 
     /// [`SoftHierarchy::soft_level`] as interned ids into
-    /// [`SoftHierarchy::index`].
+    /// [`SoftHierarchy::index_mut`].
     pub fn soft_level_ids(&mut self, i: usize) -> Result<&[BagId], LimitExceeded> {
         self.ensure(i)?;
         Ok(&self.bag_ids[i])
@@ -189,7 +189,7 @@ pub fn shw_i_leq(
 ) -> Result<Option<TreeDecomposition>, LimitExceeded> {
     let mut hier = SoftHierarchy::new(h, k, limits.clone());
     let bags = hier.soft_level_ids(i)?.to_vec();
-    Ok(candidate_td_ids(hier.index_mut(), &bags))
+    Ok(CtdInstance::build(hier.index_mut(), &bags).decide())
 }
 
 /// Computes `shw_i(H)` exactly (least `k` with `shw_i(H) ≤ k`).
@@ -221,7 +221,7 @@ pub fn ghw_leq_via_fixpoint(
     let mut hier = SoftHierarchy::new(h, k, limits.clone());
     let lvl = hier.fixpoint(usize::MAX)?;
     let bags = hier.soft_level_ids(lvl)?.to_vec();
-    Ok(candidate_td_ids(hier.index_mut(), &bags))
+    Ok(CtdInstance::build(hier.index_mut(), &bags).decide())
 }
 
 /// Computes `ghw(H)` exactly via the fixpoint characterisation.

@@ -38,7 +38,7 @@ use softhw::core::constraints::{concov_filter, Trivial};
 use softhw::core::ctd_opt::best;
 use softhw::core::soft::{soft_bags_with, SoftLimits};
 use softhw::core::soft_iter;
-use softhw::core::{hw, shw, solve, SolveSpec, Solved};
+use softhw::core::{solve, SolveSpec, Solved};
 use softhw::hypergraph::{parse_hypergraph, Hypergraph};
 use softhw_service::{roundtrip, EvalKind, Request, RequestClass, Response};
 use std::net::TcpStream;
@@ -616,11 +616,12 @@ fn run() -> Result<bool, String> {
             }
         }
         ("all", _) => {
-            let (s, c) = if opts.no_reduce {
-                (shw::shw_raw(&h).0, hw::hw_raw(&h).0)
-            } else {
-                (shw::shw(&h).0, hw::hw(&h).0)
+            let width = |spec: SolveSpec| -> Result<usize, String> {
+                let solved = solve(&h, &spec.with_reduce(!opts.no_reduce));
+                let solved = solved.map_err(|e| e.to_string())?;
+                Ok(solved.width().expect("exact specs answer with a width"))
             };
+            let (s, c) = (width(SolveSpec::shw())?, width(SolveSpec::hw())?);
             let limits = SoftLimits::default();
             let s1 = soft_iter::shw_i(&h, 1, &limits).map_err(|e| e.to_string())?;
             let g = soft_iter::ghw(&h, &limits).map_err(|e| e.to_string())?;

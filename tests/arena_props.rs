@@ -5,7 +5,9 @@
 //! random hypergraphs.
 
 use proptest::prelude::*;
+use softhw::core::shw::shw_leq_indexed_budgeted;
 use softhw::core::soft::{self, reference, SoftLimits};
+use softhw::core::{solve, Budget, SolveSpec};
 use softhw::hypergraph::arena::BagArena;
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{named, BitSet, BlockIndex, Hypergraph, HypergraphBuilder};
@@ -158,6 +160,38 @@ proptest! {
     }
 
     #[test]
+    fn membership_search_agrees_with_the_generator(
+        h in small_hypergraph(),
+        k in 1usize..3,
+        masks in proptest::collection::vec(1u64..256, 16..17),
+    ) {
+        // `soft_witness` is Definition 6's search at level 0: every bag
+        // the generator emits gets a witness whose `⋃λ1 ∩ ⋃C` rebuilds
+        // it from at most `k` edges, and every other vertex set gets none.
+        let limits = SoftLimits::default();
+        let bags = soft::soft_bags_with(&h, k, &limits).unwrap();
+        for bag in &bags {
+            let witness = soft::soft_witness(&h, k, bag, &limits).unwrap();
+            prop_assert!(witness.is_some(), "generated bag {:?} has no witness", bag);
+            let (lambda1, u) = witness.unwrap();
+            prop_assert!(lambda1.len() <= k);
+            let mut rebuilt = h.union_of_edges(lambda1.iter().copied());
+            rebuilt.intersect_with(&u);
+            prop_assert_eq!(&rebuilt, bag);
+        }
+        for mask in masks {
+            let mut set = h.empty_vertex_set();
+            for v in (0..h.num_vertices()).filter(|v| mask >> v & 1 == 1) {
+                set.insert(v);
+            }
+            if set.is_empty() || bags.contains(&set) {
+                continue;
+            }
+            prop_assert_eq!(soft::soft_witness(&h, k, &set, &limits), Ok(None), "{:?}", set);
+        }
+    }
+
+    #[test]
     fn shared_index_solves_like_fresh_instances(h in small_hypergraph()) {
         // The shw sweep over a shared index must agree with per-k fresh
         // solves, and the hierarchy solver (which builds its CTD instance
@@ -165,11 +199,13 @@ proptest! {
         let limits = SoftLimits::default();
         let mut index = BlockIndex::new(&h);
         for k in 1..=2 {
-            let shared = softhw::core::shw::shw_leq_indexed(&mut index, k, &limits).unwrap();
-            let fresh = softhw::core::shw::shw_leq_with(&h, k, &limits).unwrap();
+            let unlimited = Budget::unlimited();
+            let shared = shw_leq_indexed_budgeted(&mut index, k, &limits, &unlimited).unwrap();
+            let fresh = solve(&h, &SolveSpec::shw_leq(k).with_limits(limits.clone()));
+            let fresh = fresh.unwrap().accepted().expect("a bounded spec decides");
             let level0 = softhw::core::soft_iter::shw_i_leq(&h, k, 0, &limits).unwrap();
-            prop_assert_eq!(shared.is_some(), fresh.is_some(), "k = {}", k);
-            prop_assert_eq!(level0.is_some(), fresh.is_some(), "shw_0 vs shw at k = {}", k);
+            prop_assert_eq!(shared.is_some(), fresh, "k = {}", k);
+            prop_assert_eq!(level0.is_some(), fresh, "shw_0 vs shw at k = {}", k);
             if let Some(td) = shared {
                 prop_assert_eq!(td.validate(&h), Ok(()));
             }

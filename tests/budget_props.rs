@@ -11,7 +11,7 @@ use softhw::core::cache::DecompCache;
 use softhw::core::error::DecompError;
 use softhw::core::shw::shw_leq_indexed_budgeted;
 use softhw::core::soft::SoftLimits;
-use softhw::core::{Budget, SolveClass, SolveSpec, Solved};
+use softhw::core::{Budget, SolveSpec, Solved};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{BitSet, BlockIndex, Hypergraph};
 
@@ -146,17 +146,21 @@ proptest! {
         let spec = SolveSpec::shw().with_reduce(reduce == 1);
         let cold_answer = exact(DecompCache::new().solve(&h, &spec).unwrap());
         let mut cache = DecompCache::new();
+        let misses_before = cache.stats().result_misses;
         let tripped = matches!(
             cache.solve(&h, &spec.clone().with_budget(Budget::with_work_cap(cap))),
             Err(ref e) if e.is_budget()
         );
-        let warm = cache.export(&h, SolveClass::Shw).len() as u64;
+        // Every width the capped call started is a miss; all of them but
+        // the one a trip interrupted are memoised.
+        let started = cache.stats().result_misses - misses_before;
+        let warm = started.saturating_sub(u64::from(tripped));
         let hits_before = cache.stats().result_hits;
         let retried = exact(cache.solve(&h, &spec).unwrap());
         prop_assert_eq!(&retried, &cold_answer, "after trip={}", tripped);
         if reduce == 0 {
             // Without reduction the sweep runs under `h`'s own hash, so
-            // the decisions exported above are exactly its warm widths.
+            // the widths counted above are exactly its warm ones.
             prop_assert_eq!(cache.stats().result_hits - hits_before, warm);
         }
         // And the bounded class agrees with the exact one.

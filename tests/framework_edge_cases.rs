@@ -8,7 +8,7 @@ use softhw::core::ctd_opt::{
 };
 use softhw::core::soft::{soft_bags, soft_bags_with, SoftLimits};
 use softhw::core::td::TreeDecomposition;
-use softhw::core::{candidate_td, cover, hw, shw};
+use softhw::core::{candidate_td, cover, hw, shw, solve, DecompError, SolveSpec};
 use softhw::hypergraph::{named, BitSet, HypergraphBuilder};
 
 #[test]
@@ -43,7 +43,8 @@ fn limits_propagate_as_errors_not_panics() {
         max_bags: 2,
     };
     assert!(soft_bags_with(&h, 2, &tiny).is_err());
-    assert!(shw::shw_leq_with(&h, 2, &tiny).is_err());
+    let spec = SolveSpec::shw_leq(2).with_limits(tiny);
+    assert!(matches!(solve(&h, &spec), Err(DecompError::Limit(_))));
 }
 
 #[test]

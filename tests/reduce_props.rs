@@ -75,6 +75,13 @@ fn with_subsumed_edges(h: &Hypergraph) -> Hypergraph {
     bld.build()
 }
 
+/// The exact width `spec` asks for, swept on `h` itself: the oracle the
+/// reduce-aware answers are held to.
+fn raw_width(h: &Hypergraph, spec: SolveSpec) -> usize {
+    let solved = solve(h, &spec.with_reduce(false)).expect("unbudgeted raw sweep");
+    solved.width().expect("exact specs answer with a width")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -82,7 +89,7 @@ proptest! {
     fn reduced_shw_matches_raw_sweep_oracle(h in small_hypergraph()) {
         // `shw::shw` solves through the reduction pipeline; the sweep on
         // the raw input is the oracle.
-        let (raw_w, _) = shw::shw_raw(&h);
+        let raw_w = raw_width(&h, SolveSpec::shw());
         let (red_w, td) = shw::shw(&h);
         prop_assert_eq!(red_w, raw_w, "reduce changed shw");
         // The lifted witness is a decomposition of the *raw* hypergraph.
@@ -91,7 +98,7 @@ proptest! {
 
     #[test]
     fn reduced_hw_matches_raw_oracle(h in small_hypergraph()) {
-        let (raw_w, _) = hw::hw_raw(&h);
+        let raw_w = raw_width(&h, SolveSpec::hw());
         let (red_w, ghd) = hw::hw(&h);
         prop_assert_eq!(red_w, raw_w, "reduce changed hw");
         prop_assert!(ghd.is_hd(&h), "lifted hw witness is not an HD of the raw input");
@@ -134,11 +141,11 @@ proptest! {
             prop_assert!(in_a == 0 || in_a == piece.vertex_map.len(),
                 "a reduced piece spans both components");
         }
-        let expect = shw::shw_raw(&a).0.max(shw::shw_raw(&b).0);
+        let expect = raw_width(&a, SolveSpec::shw()).max(raw_width(&b, SolveSpec::shw()));
         let (w, td) = shw::shw(&u);
         prop_assert_eq!(w, expect);
         prop_assert_eq!(td.validate(&u), Ok(()));
-        let expect_hw = hw::hw_raw(&a).0.max(hw::hw_raw(&b).0);
+        let expect_hw = raw_width(&a, SolveSpec::hw()).max(raw_width(&b, SolveSpec::hw()));
         let (hw_w, ghd) = hw::hw(&u);
         prop_assert_eq!(hw_w, expect_hw);
         prop_assert!(ghd.is_hd(&u));

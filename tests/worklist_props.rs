@@ -15,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softhw::core::cache::DecompCache;
 use softhw::core::ctd::CtdInstance;
-use softhw::core::shw::{shw_leq_indexed, soft_instance};
+use softhw::core::shw::{shw_leq_indexed_budgeted, soft_instance};
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
 use softhw::core::{solve, Budget, SolveSpec, Solved};
 use softhw::hypergraph::arena::{words_subset, words_union_into};
@@ -253,7 +253,9 @@ proptest! {
         // with the witness of a decision on a fresh shared index.
         let spec = SolveSpec::shw_leq(k);
         let cold = solve(&h, &spec).unwrap();
-        let indexed = shw_leq_indexed(&mut BlockIndex::new(&h), k, &limits).unwrap();
+        let mut index = BlockIndex::new(&h);
+        let indexed = shw_leq_indexed_budgeted(&mut index, k, &limits, &Budget::unlimited());
+        let indexed = indexed.unwrap();
         prop_assert_eq!(&cold, &Solved::ShwDecision(indexed));
         // A work cap trips it at points spread over enumeration, build
         // and DP; the retry is the run that was never interrupted.
@@ -312,12 +314,11 @@ proptest! {
         let limits = SoftLimits::default();
         let bags = soft_bags_with(&h, k, &limits).unwrap();
         let cold = softhw::core::candidate_td(&h, &bags);
-        // Algorithm 1 over the cache's warm index, twice: the instance
-        // built for the repeat reuses every block the first one cached.
-        let mut cache = DecompCache::new();
+        // Algorithm 1 on one shared index, twice: the instance built for
+        // the repeat reuses every block the first one cached.
+        let mut index = BlockIndex::new(&h);
         let mut warm = || {
-            let inst = cache.soft_instance(&h, k, &limits, &Budget::unlimited());
-            inst.unwrap().decide()
+            shw_leq_indexed_budgeted(&mut index, k, &limits, &Budget::unlimited()).unwrap()
         };
         let (warm1, warm2) = (warm(), warm());
         match (&cold, &warm1, &warm2) {
@@ -326,8 +327,9 @@ proptest! {
                 prop_assert_eq!(w1.bags(), w2.bags());
             }
             (None, None, None) => {}
-            _ => prop_assert!(false, "cold and cached runs disagree"),
+            _ => prop_assert!(false, "cold and shared-index runs disagree"),
         }
+        let mut cache = DecompCache::new();
         // Width sweeps through the cache agree with the cold solver, and
         // a repeat is answered from the memoised decisions alone.
         let (cold_w, cold_td) = softhw::core::shw::shw(&h);
