@@ -502,15 +502,15 @@ pub fn cover_bags(h: &Hypergraph, k: usize, drop_edge_subsumed: bool) -> Vec<Bit
     bags
 }
 
-/// `Soft_{H,k}` per Definition 3 with explicit limits.
+/// `Soft_{H,k}` per Definition 3 with explicit limits: [`soft_bag_ids`],
+/// the one λ walk the solvers run, as [`BitSet`]s.
 pub fn soft_bags_with(
     h: &Hypergraph,
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Vec<BitSet>, LimitExceeded> {
     let mut index = BlockIndex::new(h);
-    let ids: Vec<BagId> = h.edges().iter().map(|e| index.arena.intern(e)).collect();
-    let out = soft_bag_ids_from_elements(&mut index, &ids, k, limits)?;
+    let out = soft_bag_ids(&mut index, k, limits)?;
     Ok(out
         .into_iter()
         .map(|id| index.arena.to_bitset(id))

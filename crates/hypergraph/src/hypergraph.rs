@@ -223,56 +223,6 @@ impl Hypergraph {
         self.num_vertices() > 0 && self.vertex_components(&self.empty_vertex_set()).len() == 1
     }
 
-    /// The induced subhypergraph `H[U]`: vertices `U`, edges
-    /// `{e ∩ U : e ∈ E(H)} \ {∅}` (deduplicated). Returns the new
-    /// hypergraph together with the map from new vertex ids to old ones.
-    pub fn induced(&self, verts: &BitSet) -> (Hypergraph, Vec<usize>) {
-        let old_ids: Vec<usize> = verts.to_vec();
-        let mut new_of_old: FxHashMap<usize, usize> = FxHashMap::default();
-        for (new, &old) in old_ids.iter().enumerate() {
-            new_of_old.insert(old, new);
-        }
-        let mut b = HypergraphBuilder::new();
-        for &old in &old_ids {
-            b.vertex(self.vertex_name(old));
-        }
-        let mut seen: FxHashMap<Vec<usize>, ()> = FxHashMap::default();
-        for (eid, e) in self.edges.iter().enumerate() {
-            let inter: Vec<usize> = e
-                .iter()
-                .filter_map(|v| new_of_old.get(&v).copied())
-                .collect();
-            if inter.is_empty() || seen.contains_key(&inter) {
-                continue;
-            }
-            seen.insert(inter.clone(), ());
-            b.edge_ids(&format!("{}|ind", self.edge_name(eid)), &inter);
-        }
-        (b.build_allow_isolated(), old_ids)
-    }
-
-    /// The Gaifman graph of `H` as a hypergraph whose edges are exactly the
-    /// 2-element adjacencies (plus singleton edges for degree-0 vertices,
-    /// which cannot occur without isolated vertices).
-    pub fn gaifman_graph(&self) -> Hypergraph {
-        let mut b = HypergraphBuilder::new();
-        for v in 0..self.num_vertices() {
-            b.vertex(self.vertex_name(v));
-        }
-        let mut k = 0usize;
-        for v in 0..self.num_vertices() {
-            let mut nb = self.adjacency[v].clone();
-            nb.remove(v);
-            for w in nb.iter() {
-                if w > v {
-                    b.edge_ids(&format!("g{k}"), &[v, w]);
-                    k += 1;
-                }
-            }
-        }
-        b.build_allow_isolated()
-    }
-
     /// Finds some edge cover of `bag` using at most `k` edges, if one
     /// exists. Branch-and-bound on the uncovered vertex with the fewest
     /// incident edges. This is the width-check primitive shared by the
@@ -518,24 +468,6 @@ mod tests {
         // with separator covering e1 entirely, no components
         let sep2 = h.vset(&["a", "b"]);
         assert!(h.edge_components_within(&sep2, &within).is_empty());
-    }
-
-    #[test]
-    fn induced_subhypergraph() {
-        let h = path3();
-        let (sub, map) = h.induced(&h.vset(&["a", "b"]));
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(sub.num_edges(), 2); // {a,b} and {b}
-        assert_eq!(map.len(), 2);
-    }
-
-    #[test]
-    fn gaifman_of_triangle_edge() {
-        let mut b = HypergraphBuilder::new();
-        b.edge("t", &["x", "y", "z"]);
-        let h = b.build();
-        let g = h.gaifman_graph();
-        assert_eq!(g.num_edges(), 3); // clique on 3 vertices
     }
 
     #[test]

@@ -1,23 +1,20 @@
-//! Compact binary packing of bag words and arena snapshots.
+//! Compact binary packing of bag words, ids and lengths.
 //!
 //! The persistent decomposition store frames witnesses as
-//! [`ArenaSnapshot`]s (every distinct bag once, flat words) plus dense
-//! node tables. On disk the raw `u64` words would waste most of their
-//! bytes: bag bitsets over small-to-medium universes are sparse in their
-//! *high* words (usually all zero past the first), and ids/lengths are
-//! tiny. This module provides the shared byte-level encoding:
+//! [`ArenaSnapshot`](crate::arena::ArenaSnapshot)s (every distinct bag
+//! once, flat words) plus dense node tables. On disk the raw `u64` words
+//! would waste most of their bytes: bag bitsets over small-to-medium
+//! universes are sparse in their *high* words (usually all zero past the
+//! first), and ids/lengths are tiny. This module provides the shared
+//! byte-level encoding:
 //!
 //! - LEB128 **varints** for lengths, ids, and words (a zero word is one
 //!   byte, a dense low word at most ten);
-//! - **zigzag** mapping for the few signed values (evaluator depths);
-//! - word-slice and [`ArenaSnapshot`] pack/unpack, the snapshot being
-//!   exactly the flat form the wire and the store both frame.
+//! - **zigzag** mapping for the few signed values (evaluator depths).
 //!
 //! Decoders never panic on malformed input: every `get_*` returns
 //! `None`/`Option` on truncation or overflow, so a corrupt store record
 //! is rejected, not trusted.
-
-use crate::arena::ArenaSnapshot;
 
 /// Appends `v` as an LEB128 varint (1–10 bytes).
 #[inline]
@@ -69,60 +66,9 @@ pub fn get_zigzag(buf: &[u8], pos: &mut usize) -> Option<i64> {
     Some(((raw >> 1) as i64) ^ -((raw & 1) as i64))
 }
 
-/// Packs a word slice as varints, one per word (count not included —
-/// the caller frames it).
-pub fn pack_words(out: &mut Vec<u8>, words: &[u64]) {
-    for &w in words {
-        put_varint(out, w);
-    }
-}
-
-/// Unpacks exactly `n` varint words at `*pos` into `out`, advancing the
-/// position. `None` on truncation (out is left partially extended only
-/// on failure paths the caller discards).
-pub fn unpack_words(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<u64>) -> Option<()> {
-    out.reserve(n);
-    for _ in 0..n {
-        out.push(get_varint(buf, pos)?);
-    }
-    Some(())
-}
-
-impl ArenaSnapshot {
-    /// Packs the snapshot: universe, bag count, then every bag's words
-    /// as varints. The inverse of [`ArenaSnapshot::unpack`].
-    pub fn pack(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.universe as u64);
-        put_varint(out, self.len() as u64);
-        pack_words(out, &self.storage);
-    }
-
-    /// Unpacks a snapshot at `*pos`, advancing it. `None` on a
-    /// truncated or oversized frame (bag counts are capped so a corrupt
-    /// length cannot trigger a huge allocation before the words run
-    /// out).
-    pub fn unpack(buf: &[u8], pos: &mut usize) -> Option<ArenaSnapshot> {
-        let universe = usize::try_from(get_varint(buf, pos)?).ok()?;
-        let bags = usize::try_from(get_varint(buf, pos)?).ok()?;
-        let wpb = universe.div_ceil(64).max(1);
-        let words = bags.checked_mul(wpb)?;
-        // Each packed word is at least one byte: a frame with fewer
-        // remaining bytes is corrupt, and this bound keeps allocation
-        // proportional to real input.
-        if words > buf.len().saturating_sub(*pos) {
-            return None;
-        }
-        let mut storage = Vec::new();
-        unpack_words(buf, pos, words, &mut storage)?;
-        Some(ArenaSnapshot { universe, storage })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::BagArena;
-    use crate::bitset::BitSet;
 
     #[test]
     fn varint_roundtrip_edges() {
@@ -160,38 +106,5 @@ mod tests {
         let mut pos = 0;
         let buf = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
         assert_eq!(get_varint(&buf, &mut pos), None);
-    }
-
-    #[test]
-    fn snapshot_packs_and_unpacks() {
-        let mut arena = BagArena::new(130);
-        for i in 0..40 {
-            arena.intern(&BitSet::from_iter(130, [i, (i * 11) % 130, 129]));
-        }
-        let snap = arena.snapshot();
-        let mut buf = Vec::new();
-        snap.pack(&mut buf);
-        // Sparse high words compress: packed form is smaller than raw.
-        assert!(buf.len() < snap.storage.len() * 8);
-        let mut pos = 0;
-        let back = ArenaSnapshot::unpack(&buf, &mut pos).expect("valid frame");
-        assert_eq!(pos, buf.len());
-        assert_eq!(back, snap);
-        // Truncation is rejected at every cut point.
-        for cut in 0..buf.len() {
-            let mut pos = 0;
-            assert!(ArenaSnapshot::unpack(&buf[..cut], &mut pos).is_none());
-        }
-    }
-
-    #[test]
-    fn snapshot_unpack_rejects_absurd_bag_counts() {
-        // universe=64, bags=2^40: the word count exceeds the buffer, so
-        // the decoder must bail before allocating.
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 64);
-        put_varint(&mut buf, 1 << 40);
-        let mut pos = 0;
-        assert!(ArenaSnapshot::unpack(&buf, &mut pos).is_none());
     }
 }

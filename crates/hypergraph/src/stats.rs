@@ -74,19 +74,6 @@ pub fn stats(h: &Hypergraph) -> HypergraphStats {
     }
 }
 
-/// Degree histogram: `result[d]` = number of vertices with degree `d`.
-pub fn degree_histogram(h: &Hypergraph) -> Vec<usize> {
-    let max_deg = (0..h.num_vertices())
-        .map(|v| h.incident_edges(v).len())
-        .max()
-        .unwrap_or(0);
-    let mut hist = vec![0usize; max_deg + 1];
-    for v in 0..h.num_vertices() {
-        hist[h.incident_edges(v).len()] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,13 +109,6 @@ mod tests {
         b.edge("small", &["a", "b"]);
         let s = stats(&b.build());
         assert_eq!(s.subsumed_edges, 1);
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_vertices() {
-        let h = named::h2();
-        let hist = degree_histogram(&h);
-        assert_eq!(hist.iter().sum::<usize>(), h.num_vertices());
     }
 
     #[test]

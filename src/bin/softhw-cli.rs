@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! softhw-cli <file.hg> [options]
-//!   --width <k>      decide shw(H) <= k instead of computing shw exactly
+//!   --width <k>      decide shw(H) <= k (k >= 1) instead of computing shw
 //!   --measure <m>    shw (default) | hw | ghw | shw1 | all
 //!   --concov         restrict to ConCov candidate bags
 //!   --no-reduce      skip the reduction pipeline (subsumption, peeling,
@@ -31,19 +31,30 @@
 //!                    malformed exposition exits 2
 //! ```
 //!
+//! Both modes answer one [`Question`] (exact ConCov-shw: the least `k`
+//! whose `ConCovLeq(k)` is yes) with one [`Answer`], and one printer,
+//! [`report`], writes every `= k` / `<= k: yes|no` line and witness.
+//! `ghw`, `shw1` and `all` are local only.
+//!
 //! Exit code 0 when a decomposition at the requested width exists (or the
 //! width was computed), 1 when a `--width` check rejects, 2 on errors.
 
 use softhw::core::constraints::{concov_filter, Trivial};
 use softhw::core::ctd_opt::best;
+use softhw::core::ghd::Ghd;
 use softhw::core::soft::{soft_bags_with, SoftLimits};
-use softhw::core::soft_iter;
-use softhw::core::{solve, SolveSpec, Solved};
+use softhw::core::soft_iter::{ghw, ghw_leq_via_fixpoint, shw_i, shw_i_leq};
+use softhw::core::{solve, SolveSpec, Solved, TreeDecomposition};
 use softhw::hypergraph::{parse_hypergraph, Hypergraph};
 use softhw_service::{roundtrip, EvalKind, Request, RequestClass, Response};
+use std::error::Error;
 use std::net::TcpStream;
 use std::process::ExitCode;
 
+/// Errors print as one line and exit 2, whatever raised them.
+type Fallible<T> = Result<T, Box<dyn Error>>;
+
+#[derive(Default)]
 struct Options {
     file: String,
     width: Option<usize>,
@@ -58,26 +69,30 @@ struct Options {
     metrics: bool,
 }
 
+/// The value after `--<flag>`, parsed.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = args.next().ok_or(format!("--{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {flag} {v:?}"))
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     let mut opts = Options {
-        file: String::new(),
-        width: None,
         measure: "shw".to_string(),
-        concov: false,
-        no_reduce: false,
-        print: false,
-        stats: false,
-        connect: None,
-        deadline_ms: None,
         retries: 3,
-        metrics: false,
+        ..Options::default()
     };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--width" => {
-                let v = args.next().ok_or("--width needs a value")?;
-                opts.width = Some(v.parse().map_err(|_| format!("bad width {v:?}"))?);
+                // The server's own rejection, so both modes refuse alike.
+                match value(&mut args, "width")? {
+                    0 => return Err("width must be >= 1".to_string()),
+                    k => opts.width = Some(k),
+                }
             }
             "--measure" => {
                 opts.measure = args.next().ok_or("--measure needs a value")?;
@@ -90,14 +105,8 @@ fn parse_args() -> Result<Options, String> {
             "--print" => opts.print = true,
             "--stats" => opts.stats = true,
             "--connect" => opts.connect = Some(args.next().ok_or("--connect needs an address")?),
-            "--deadline" => {
-                let v = args.next().ok_or("--deadline needs a value")?;
-                opts.deadline_ms = Some(v.parse().map_err(|_| format!("bad deadline {v:?}"))?);
-            }
-            "--retries" => {
-                let v = args.next().ok_or("--retries needs a value")?;
-                opts.retries = v.parse().map_err(|_| format!("bad retries {v:?}"))?;
-            }
+            "--deadline" => opts.deadline_ms = Some(value(&mut args, "deadline")?),
+            "--retries" => opts.retries = value(&mut args, "retries")?,
             "--metrics" => opts.metrics = true,
             "--help" | "-h" => {
                 return Err("usage: softhw-cli <file.hg> [--width k] \
@@ -123,16 +132,83 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn candidate_bags(
-    h: &Hypergraph,
-    k: usize,
-    concov: bool,
-) -> Result<Vec<softhw::hypergraph::BitSet>, String> {
-    let bags = soft_bags_with(h, k, &SoftLimits::default()).map_err(|e| e.to_string())?;
-    Ok(if concov {
-        concov_filter(h, k, &bags)
-    } else {
-        bags
+/// A width question either mode answers: exact `shw` (Thm. 1), `shw ≤ k`,
+/// `shw ≤ k` over the ConCov candidate bags (Section 6), exact `hw`,
+/// `hw ≤ k`.
+#[derive(Clone, Copy)]
+enum Question {
+    Shw,
+    ShwLeq(usize),
+    ConCovLeq(usize),
+    Hw,
+    HwLeq(usize),
+}
+
+impl Question {
+    /// The measure's name as the output lines spell it.
+    fn measure(self) -> &'static str {
+        match self {
+            Question::Shw | Question::ShwLeq(_) => "shw",
+            Question::ConCovLeq(_) => "ConCov-shw",
+            Question::Hw | Question::HwLeq(_) => "hw",
+        }
+    }
+}
+
+/// The decomposition `--print` shows: a tree decomposition for `shw`, a
+/// hypertree decomposition for `hw`.
+enum Witness {
+    Td(TreeDecomposition),
+    Hd(Ghd),
+}
+
+/// What a mode answers: an exact width, or the `≤ k` decision, which is
+/// yes exactly when it carries a witness.
+enum Answer {
+    Width(usize, Option<Witness>),
+    Decision(usize, Option<Witness>),
+}
+
+/// Prints `measure = w` or `measure <= k: yes|no`, then the witness if
+/// `print` asks for it, and returns whether the answer accepts.
+fn report(measure: &str, answer: Answer, print: bool, h: &Hypergraph) -> bool {
+    let (accepted, verdict, witness) = match answer {
+        Answer::Width(w, witness) => (true, format!("= {w}"), witness),
+        Answer::Decision(k, None) => (false, format!("<= {k}: no"), None),
+        Answer::Decision(k, witness) => (true, format!("<= {k}: yes"), witness),
+    };
+    println!("{measure} {verdict}");
+    match (print, witness) {
+        (true, Some(Witness::Td(td))) => print!("{}", td.render(h)),
+        (true, Some(Witness::Hd(g))) => print!("{}", g.render(h)),
+        _ => {}
+    }
+    accepted
+}
+
+/// Local mode: the cold `SolveSpec` door for the unconstrained
+/// questions, and for ConCov — which has no spec formulation — the
+/// filtered candidate bags decided by Algorithm 2.
+fn answer_locally(h: &Hypergraph, q: Question, reduce: bool) -> Fallible<Answer> {
+    let spec = match q {
+        Question::ConCovLeq(k) => {
+            let bags = soft_bags_with(h, k, &SoftLimits::default())?;
+            let td = best(h, &concov_filter(h, k, &bags), &Trivial).map(|(td, ())| td);
+            return Ok(Answer::Decision(k, td.map(Witness::Td)));
+        }
+        // Exact widths go through the reduce-before-solve pipeline
+        // unless `--no-reduce`; decisions never reduce.
+        Question::Shw => SolveSpec::shw().with_reduce(reduce),
+        Question::ShwLeq(k) => SolveSpec::shw_leq(k),
+        Question::Hw => SolveSpec::hw().with_reduce(reduce),
+        Question::HwLeq(k) => SolveSpec::hw_leq(k),
+    };
+    let decided = |witness| Answer::Decision(spec.bound.expect("only a bound decides"), witness);
+    Ok(match solve(h, &spec)? {
+        Solved::ShwWidth(w, td) => Answer::Width(w, Some(Witness::Td(td))),
+        Solved::HwWidth(w, g) => Answer::Width(w, Some(Witness::Hd(g))),
+        Solved::ShwDecision(td) => decided(td.map(Witness::Td)),
+        Solved::HwDecision(g) => decided(g.map(Witness::Hd)),
     })
 }
 
@@ -248,13 +324,44 @@ impl Remote {
             }
         }
     }
+
+    /// Remote mode: one request per question. The witness frame is
+    /// validated against the locally parsed `h`; an `hw` witness travels
+    /// as its tree decomposition, whose covers are rebuilt for `print`.
+    fn answer(&mut self, text: &str, h: &Hypergraph, q: Question, print: bool) -> Fallible<Answer> {
+        let (class, bound) = match q {
+            Question::Shw => (RequestClass::Shw, None),
+            Question::ShwLeq(k) => (RequestClass::ShwLeq(k), Some(k)),
+            Question::ConCovLeq(k) => (RequestClass::Best(EvalKind::ConCov, k), Some(k)),
+            Question::Hw => (RequestClass::Hw, None),
+            Question::HwLeq(k) => (RequestClass::HwLeq(k), Some(k)),
+        };
+        let (k, frame, answer): (_, _, fn(usize, Option<Witness>) -> Answer) =
+            match (self.ask(class, text)?, bound) {
+                (Response::Width { width, td, .. }, None) => (width, Some(td), Answer::Width),
+                (Response::Decision { td, .. }, Some(k)) => (k, td, Answer::Decision),
+                (other, _) => return Err(format!("unexpected response {other:?}").into()),
+            };
+        let Some(td) = frame.map(|frame| frame.to_td()).transpose()? else {
+            return Ok(answer(k, None));
+        };
+        td.validate(h)
+            .map_err(|e| format!("server returned an invalid decomposition: {e:?}"))?;
+        let witness = match q {
+            Question::Hw | Question::HwLeq(_) if print => {
+                Witness::Hd(Ghd::from_td(h, td, k).ok_or("server witness has no width-k covers")?)
+            }
+            _ => Witness::Td(td),
+        };
+        Ok(answer(k, Some(witness)))
+    }
 }
 
 /// `--metrics`: fetch the server's Prometheus-style text exposition and
 /// print it. Every line is validated *before* anything is printed, so a
 /// scrape wired through this subcommand fails loudly (exit 2) instead
 /// of feeding a collector garbage.
-fn run_metrics(opts: &Options) -> Result<bool, String> {
+fn run_metrics(opts: &Options) -> Fallible<bool> {
     let mut remote = Remote::new(opts);
     match remote.ask(RequestClass::Metrics, "")? {
         Response::Metrics { lines } => {
@@ -264,7 +371,7 @@ fn run_metrics(opts: &Options) -> Result<bool, String> {
             }
             Ok(true)
         }
-        other => Err(format!("unexpected response {other:?}")),
+        other => Err(format!("unexpected response {other:?}").into()),
     }
 }
 
@@ -321,315 +428,102 @@ fn validate_exposition(lines: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Client mode: the same questions, answered by a `softhw-serve`
-/// instance. Width/decision output lines and exit codes match local
-/// mode exactly; witness decompositions are decoded from the wire frame
-/// and validated against the locally parsed hypergraph before anything
-/// is printed. The one deliberate divergence is `--stats`: remote stats
-/// are the server's `key = value` fields (structural stats *plus* its
-/// cache counters, which local mode cannot know), not the local Debug
-/// render.
-fn run_remote(opts: &Options, text: &str, h: &Hypergraph) -> Result<bool, String> {
-    let mut remote = Remote::new(opts);
-    let mut ask = |class: RequestClass| -> Result<Response, String> { remote.ask(class, text) };
-    let decode =
-        |frame: softhw_service::TdFrame| -> Result<softhw::core::TreeDecomposition, String> {
-            let td = frame.to_td().map_err(|e| e.to_string())?;
-            td.validate(h)
-                .map_err(|e| format!("server returned an invalid decomposition: {e:?}"))?;
-            Ok(td)
-        };
-    let constraint_label = if opts.concov { "ConCov-" } else { "" };
-    let leq_class = |k: usize| {
-        if opts.concov {
-            RequestClass::Best(EvalKind::ConCov, k)
-        } else {
-            RequestClass::ShwLeq(k)
+/// `--measure ghw|shw1|all`: the iterated hierarchy, local only and
+/// without a printed witness.
+fn run_hierarchy(opts: &Options, h: &Hypergraph) -> Fallible<bool> {
+    let limits = SoftLimits::default();
+    let answer = match (opts.measure.as_str(), opts.width) {
+        ("ghw", Some(k)) => {
+            Answer::Decision(k, ghw_leq_via_fixpoint(h, k, &limits)?.map(Witness::Td))
+        }
+        ("ghw", None) => Answer::Width(ghw(h, &limits)?, None),
+        ("shw1", Some(k)) => Answer::Decision(k, shw_i_leq(h, k, 1, &limits)?.map(Witness::Td)),
+        ("shw1", None) => Answer::Width(shw_i(h, 1, &limits)?, None),
+        _ => {
+            let width = |spec: SolveSpec| -> Fallible<usize> {
+                let solved = solve(h, &spec.with_reduce(!opts.no_reduce))?;
+                Ok(solved.width().expect("exact specs answer with a width"))
+            };
+            let (s, c) = (width(SolveSpec::shw())?, width(SolveSpec::hw())?);
+            let (s1, g) = (shw_i(h, 1, &limits)?, ghw(h, &limits)?);
+            println!("ghw = {g}, shw1 = {s1}, shw = {s}, hw = {c}");
+            return Ok(true);
         }
     };
-    if opts.stats {
-        match ask(RequestClass::Stats)? {
-            Response::Stats { fields } => {
-                for (key, value) in fields {
-                    println!("{key} = {value}");
-                }
-                return Ok(true);
-            }
-            other => return Err(format!("unexpected response {other:?}")),
-        }
-    }
-    match (opts.measure.as_str(), opts.width) {
-        ("shw", Some(k)) => match ask(leq_class(k))? {
-            Response::Decision { td, .. } => match td {
-                Some(frame) => {
-                    let td = decode(frame)?;
-                    println!("{constraint_label}shw <= {k}: yes");
-                    if opts.print {
-                        print!("{}", td.render(h));
-                    }
-                    Ok(true)
-                }
-                None => {
-                    println!("{constraint_label}shw <= {k}: no");
-                    Ok(false)
-                }
-            },
-            other => Err(format!("unexpected response {other:?}")),
-        },
-        ("shw", None) if opts.concov => {
-            // No exact ConCov class on the wire: sweep the decision.
-            for k in 1..=h.num_edges().max(1) {
-                if let Response::Decision {
-                    td: Some(frame), ..
-                } = ask(leq_class(k))?
-                {
-                    let td = decode(frame)?;
-                    println!("ConCov-shw = {k}");
-                    if opts.print {
-                        print!("{}", td.render(h));
-                    }
-                    return Ok(true);
-                }
-            }
-            Err("no decomposition up to |E| — disconnected input?".to_string())
-        }
-        ("shw", None) => match ask(RequestClass::Shw)? {
-            Response::Width { width, td, .. } => {
-                let td = decode(td)?;
-                println!("shw = {width}");
-                if opts.print {
-                    print!("{}", td.render(h));
-                }
-                Ok(true)
-            }
-            other => Err(format!("unexpected response {other:?}")),
-        },
-        ("hw", w) => {
-            if opts.concov {
-                return Err("--concov is a CTD constraint; use --measure shw".into());
-            }
-            match w {
-                Some(k) => match ask(RequestClass::HwLeq(k))? {
-                    Response::Decision { td, .. } => match td {
-                        Some(frame) => {
-                            let td = decode(frame)?;
-                            println!("hw <= {k}: yes");
-                            if opts.print {
-                                let g = softhw::core::ghd::Ghd::from_td(h, td, k)
-                                    .ok_or("server witness has no width-k covers")?;
-                                print!("{}", g.render(h));
-                            }
-                            Ok(true)
-                        }
-                        None => {
-                            println!("hw <= {k}: no");
-                            Ok(false)
-                        }
-                    },
-                    other => Err(format!("unexpected response {other:?}")),
-                },
-                None => match ask(RequestClass::Hw)? {
-                    Response::Width { width, td, .. } => {
-                        let td = decode(td)?;
-                        println!("hw = {width}");
-                        if opts.print {
-                            let g = softhw::core::ghd::Ghd::from_td(h, td, width)
-                                .ok_or("server witness has no width-k covers")?;
-                            print!("{}", g.render(h));
-                        }
-                        Ok(true)
-                    }
-                    other => Err(format!("unexpected response {other:?}")),
-                },
-            }
-        }
-        (m, _) => Err(format!("--measure {m} is not supported over --connect")),
-    }
+    Ok(report(&opts.measure, answer, false, h))
 }
 
-fn run() -> Result<bool, String> {
+fn run() -> Fallible<bool> {
     let opts = parse_args()?;
     if opts.metrics {
         return run_metrics(&opts);
     }
     let text = std::fs::read_to_string(&opts.file)
         .map_err(|e| format!("cannot read {}: {e}", opts.file))?;
-    let h = parse_hypergraph(&text).map_err(|e| e.to_string())?;
+    let h = parse_hypergraph(&text)?;
     eprintln!(
         "parsed {}: {} vertices, {} edges",
         opts.file,
         h.num_vertices(),
         h.num_edges()
     );
-    if opts.connect.is_some() {
-        if opts.no_reduce {
-            return Err(
-                "--no-reduce is a local-solve flag; the server's pipeline is set by \
-                 `softhw-serve --no-reduce`"
-                    .to_string(),
-            );
-        }
-        return run_remote(&opts, &text, &h);
+    let mut remote = opts.connect.as_ref().map(|_| Remote::new(&opts));
+    if remote.is_some() && opts.no_reduce {
+        let msg = "--no-reduce is a local-solve flag; the server's pipeline is set by \
+                   `softhw-serve --no-reduce`";
+        return Err(msg.into());
     }
-    if opts.deadline_ms.is_some() {
-        return Err(
-            "--deadline applies to --connect requests; local solves run to completion".to_string(),
-        );
+    if remote.is_none() && opts.deadline_ms.is_some() {
+        let msg = "--deadline applies to --connect requests; local solves run to completion";
+        return Err(msg.into());
     }
     if opts.stats {
-        println!("{:#?}", softhw::hypergraph::stats::stats(&h));
+        // Deliberately different per mode: the server's `key = value`
+        // fields include its cache counters, which local mode cannot know.
+        match &mut remote {
+            Some(remote) => match remote.ask(RequestClass::Stats, &text)? {
+                Response::Stats { fields } => {
+                    for (key, value) in fields {
+                        println!("{key} = {value}");
+                    }
+                }
+                other => return Err(format!("unexpected response {other:?}").into()),
+            },
+            None => println!("{:#?}", softhw::hypergraph::stats::stats(&h)),
+        }
         return Ok(true);
     }
-    let constraint_label = if opts.concov { "ConCov-" } else { "" };
-    let decide = |k: usize| -> Result<Option<softhw::core::TreeDecomposition>, String> {
-        let bags = candidate_bags(&h, k, opts.concov)?;
-        Ok(best(&h, &bags, &Trivial).map(|(td, ())| td))
+    let question = match (opts.measure.as_str(), opts.width) {
+        ("hw", _) if opts.concov => {
+            return Err("--concov is a CTD constraint; use --measure shw".into())
+        }
+        ("hw", None) => Some(Question::Hw),
+        ("hw", Some(k)) => Some(Question::HwLeq(k)),
+        ("shw", Some(k)) if opts.concov => Some(Question::ConCovLeq(k)),
+        ("shw", Some(k)) => Some(Question::ShwLeq(k)),
+        ("shw", None) if opts.concov => None,
+        ("shw", None) => Some(Question::Shw),
+        (m, _) if remote.is_some() => {
+            return Err(format!("--measure {m} is not supported over --connect").into())
+        }
+        _ => return run_hierarchy(&opts, &h),
     };
-    // The unconstrained solves all go through the cold SolveSpec door
-    // (the same one the service dispatches on); only the
-    // ConCov-constrained paths keep the candidate-filter + `best`
-    // machinery, which has no spec formulation.
-    match (opts.measure.as_str(), opts.width) {
-        ("shw", Some(k)) if opts.concov => {
-            let td = decide(k)?;
-            match td {
-                Some(td) => {
-                    println!("{constraint_label}shw <= {k}: yes");
-                    if opts.print {
-                        print!("{}", td.render(&h));
-                    }
-                    Ok(true)
-                }
-                None => {
-                    println!("{constraint_label}shw <= {k}: no");
-                    Ok(false)
-                }
-            }
-        }
-        ("shw", Some(k)) => match solve(&h, &SolveSpec::shw_leq(k)).map_err(|e| e.to_string())? {
-            Solved::ShwDecision(Some(td)) => {
-                println!("shw <= {k}: yes");
-                if opts.print {
-                    print!("{}", td.render(&h));
-                }
-                Ok(true)
-            }
-            Solved::ShwDecision(None) => {
-                println!("shw <= {k}: no");
-                Ok(false)
-            }
-            _ => unreachable!("shw_leq spec yields a ShwDecision"),
-        },
-        ("shw", None) => {
-            if opts.concov {
-                // No spec formulation for the ConCov constraint: sweep
-                // the constrained decision per width.
-                for k in 1..=h.num_edges().max(1) {
-                    if let Some(td) = decide(k)? {
-                        println!("{constraint_label}shw = {k}");
-                        if opts.print {
-                            print!("{}", td.render(&h));
-                        }
-                        return Ok(true);
-                    }
-                }
-                return Err("no decomposition up to |E| — disconnected input?".to_string());
-            }
-            // Exact shw goes through the reduce-before-solve front door
-            // (simplify, sweep each reduced piece, lift the witnesses);
-            // `--no-reduce` keeps the raw per-width sweep.
-            match solve(&h, &SolveSpec::shw().with_reduce(!opts.no_reduce))
-                .map_err(|e| e.to_string())?
-            {
-                Solved::ShwWidth(k, td) => {
-                    println!("shw = {k}");
-                    if opts.print {
-                        print!("{}", td.render(&h));
-                    }
-                    Ok(true)
-                }
-                _ => unreachable!("shw spec yields a ShwWidth"),
-            }
-        }
-        ("hw", w) => {
-            if opts.concov {
-                return Err("--concov is a CTD constraint; use --measure shw".into());
-            }
-            match w {
-                Some(k) => match solve(&h, &SolveSpec::hw_leq(k)).map_err(|e| e.to_string())? {
-                    Solved::HwDecision(Some(g)) => {
-                        println!("hw <= {k}: yes");
-                        if opts.print {
-                            print!("{}", g.render(&h));
-                        }
-                        Ok(true)
-                    }
-                    Solved::HwDecision(None) => {
-                        println!("hw <= {k}: no");
-                        Ok(false)
-                    }
-                    _ => unreachable!("hw_leq spec yields a HwDecision"),
-                },
-                None => match solve(&h, &SolveSpec::hw().with_reduce(!opts.no_reduce))
-                    .map_err(|e| e.to_string())?
-                {
-                    Solved::HwWidth(k, g) => {
-                        println!("hw = {k}");
-                        if opts.print {
-                            print!("{}", g.render(&h));
-                        }
-                        Ok(true)
-                    }
-                    _ => unreachable!("hw spec yields a HwWidth"),
-                },
-            }
-        }
-        ("ghw", w) => {
-            let limits = SoftLimits::default();
-            match w {
-                Some(k) => {
-                    let td = soft_iter::ghw_leq_via_fixpoint(&h, k, &limits)
-                        .map_err(|e| e.to_string())?;
-                    println!("ghw <= {k}: {}", if td.is_some() { "yes" } else { "no" });
-                    Ok(td.is_some())
-                }
-                None => {
-                    let k = soft_iter::ghw(&h, &limits).map_err(|e| e.to_string())?;
-                    println!("ghw = {k}");
-                    Ok(true)
-                }
-            }
-        }
-        ("shw1", w) => {
-            let limits = SoftLimits::default();
-            match w {
-                Some(k) => {
-                    let td = soft_iter::shw_i_leq(&h, k, 1, &limits).map_err(|e| e.to_string())?;
-                    println!("shw1 <= {k}: {}", if td.is_some() { "yes" } else { "no" });
-                    Ok(td.is_some())
-                }
-                None => {
-                    let k = soft_iter::shw_i(&h, 1, &limits).map_err(|e| e.to_string())?;
-                    println!("shw1 = {k}");
-                    Ok(true)
-                }
-            }
-        }
-        ("all", _) => {
-            let width = |spec: SolveSpec| -> Result<usize, String> {
-                let solved = solve(&h, &spec.with_reduce(!opts.no_reduce));
-                let solved = solved.map_err(|e| e.to_string())?;
-                Ok(solved.width().expect("exact specs answer with a width"))
-            };
-            let (s, c) = (width(SolveSpec::shw())?, width(SolveSpec::hw())?);
-            let limits = SoftLimits::default();
-            let s1 = soft_iter::shw_i(&h, 1, &limits).map_err(|e| e.to_string())?;
-            let g = soft_iter::ghw(&h, &limits).map_err(|e| e.to_string())?;
-            println!("ghw = {g}, shw1 = {s1}, shw = {s}, hw = {c}");
-            Ok(true)
-        }
-        _ => unreachable!("measure validated in parse_args"),
+    let mut ask = |q: Question| match &mut remote {
+        Some(remote) => remote.answer(&text, &h, q, opts.print),
+        None => answer_locally(&h, q, !opts.no_reduce),
+    };
+    if let Some(q) = question {
+        return Ok(report(q.measure(), ask(q)?, opts.print, &h));
     }
+    // Exact ConCov-shw: no solver computes it, so sweep the decision.
+    for k in 1..=h.num_edges().max(1) {
+        let q = Question::ConCovLeq(k);
+        if let Answer::Decision(_, witness @ Some(_)) = ask(q)? {
+            let answer = Answer::Width(k, witness);
+            return Ok(report(q.measure(), answer, opts.print, &h));
+        }
+    }
+    Err("no decomposition up to |E| — disconnected input?".into())
 }
 
 fn main() -> ExitCode {
