@@ -26,13 +26,13 @@
 //!
 //! [`DecompCache::solve`] answers what the cold [`crate::solve`] answers
 //! (both are deterministic — the property test below holds them equal,
-//! decomposition for decomposition) through the same
-//! `exact_width` / `least_width` routine; only the leaves differ. An
-//! exact width is a sweep over memoised decisions: `k = 1, 2, …` until
-//! the first accept, each width a memo probe or one Algorithm 1 run
-//! against the warm index. A memoised decision is therefore a function
-//! of `(h, k)` alone — exact and bounded specs fill and read the same
-//! entries, in either order.
+//! decomposition for decomposition) through the same `solve_with` body;
+//! only the leaves differ. Every width a piece is asked at is a memo
+//! probe or one Algorithm 1 run against the warm index: an exact width
+//! is a sweep `k = 1, 2, …` until the first accept, a bounded spec one
+//! width. A memoised decision is therefore a function of `(piece, k)`
+//! alone — exact and bounded specs fill and read the same entries, in
+//! either order.
 //!
 //! The structural hash ignores the order edges are listed in, so the one
 //! thing kept per entry that names edges — the `λ`-labels of `hw`
@@ -56,7 +56,7 @@ use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw::hw_leq_budgeted;
-use crate::reduce_solve::{exact_width, least_width};
+use crate::reduce_solve::{first_width, solve_with};
 use crate::shw::{new_index, shw_leq_indexed_budgeted};
 use crate::soft::SoftLimits;
 use crate::spec::{SolveClass, SolveSpec, Solved};
@@ -186,10 +186,11 @@ impl DecompCache {
 
     /// The memoised [`crate::solve`]: the same answer to the same
     /// [`SolveSpec`], with every `width ≤ k` decision it takes — on `h`
-    /// for bounded specs and raw sweeps, on each reduced piece (under the
-    /// *piece's* structural hash, so a schema submitted raw and the same
-    /// schema submitted already reduced meet on the same entries) for
-    /// reduce-aware ones — read from or written to the cache.
+    /// for raw specs, on each reduced piece (under the *piece's*
+    /// structural hash, so a schema submitted raw and the same schema
+    /// submitted already reduced meet on the same entries) for
+    /// reduce-aware ones, exact or bounded — read from or written to the
+    /// cache.
     ///
     /// Budget aborts keep the cache warm and consistent: nothing is
     /// memoised for the interrupted width (so a partial answer can never
@@ -199,24 +200,14 @@ impl DecompCache {
     /// the interrupted one.
     pub fn solve(&mut self, h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
         let (limits, budget) = (&spec.limits, &spec.budget);
-        Ok(match (spec.class, spec.bound) {
-            (SolveClass::Shw, Some(k)) => {
-                Solved::ShwDecision(self.shw_decision(h, k, limits, budget)?)
-            }
-            (SolveClass::Shw, None) => {
-                let (w, td) = exact_width(h, spec.reduce, budget, |piece| {
-                    least_width(piece, |k| self.shw_decision(piece, k, limits, budget))
-                })?;
-                Solved::ShwWidth(w, td)
-            }
-            (SolveClass::Hw, Some(k)) => Solved::HwDecision(self.hw_decision(h, k, budget)?),
-            (SolveClass::Hw, None) => {
-                let (w, g) = exact_width(h, spec.reduce, budget, |piece| {
-                    least_width(piece, |k| self.hw_decision(piece, k, budget))
-                })?;
-                Solved::HwWidth(w, g)
-            }
-        })
+        match spec.class {
+            SolveClass::Shw => solve_with(h, spec, |piece, widths| {
+                first_width(widths, |k| self.shw_decision(piece, k, limits, budget))
+            }),
+            SolveClass::Hw => solve_with(h, spec, |piece, widths| {
+                first_width(widths, |k| self.hw_decision(piece, k, budget))
+            }),
+        }
     }
 
     /// The `shw ≤ k` decision: a memo probe, or one Algorithm 1 run

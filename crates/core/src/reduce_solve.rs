@@ -23,29 +23,32 @@
 //! fully-peelable (α-acyclic) hypergraph a genuine join tree: one node
 //! per surviving edge, each coverable by a single edge.
 //!
-//! This module is also the **one solver pipeline**. `exact_width` is
-//! the only reduce → sweep each piece → lift loop in the crate,
-//! parameterised by the witness kind (`Witness`: which reduction is
-//! sound, how pieces lift, what "valid" means) and by a per-piece sweep.
-//! It has two front doors. [`solve`] is the cold one: every piece is
-//! swept with the leaf decisions ([`shw_leq_indexed_budgeted`] against
-//! one index per piece, [`hw_leq_budgeted`]) and nothing outlives the
-//! call. [`crate::cache::DecompCache::solve`] runs the same routine with
-//! the same leaves behind its cross-query memo. Every other way in is
+//! This module is also the **one solver pipeline**. `solve_with` is
+//! the only reduce → answer each piece → lift body in the crate, for
+//! exact widths and `width ≤ k` decisions alike (an exact spec sweeps a
+//! piece over `1..=|E|`, a bounded one asks one width), parameterised by
+//! the witness kind (`Witness`: which reduction is sound, how pieces
+//! lift, what "valid" means, which [`Solved`] it answers with) and by a
+//! per-piece leaf. It has two front doors, each a `match` on the class
+//! alone. [`solve`] is the cold one: every piece is answered with the
+//! leaf decisions ([`shw_leq_indexed_budgeted`] against one index per
+//! piece, [`hw_leq_budgeted`]) and nothing outlives the call.
+//! [`crate::cache::DecompCache::solve`] runs the same body with leaves
+//! that are its memo probes. Every other way in is
 //! [`solve`] under a fixed [`SolveSpec`]: `shw::{shw, shw_leq}` and
 //! `hw::{hw, hw_leq}` name the default corners, and a raw sweep or
 //! explicit limits are [`SolveSpec::with_reduce`] and
 //! [`SolveSpec::with_limits`] — no second spelling of either exists.
 
-use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw::hw_leq_budgeted;
-use crate::shw::{new_index, shw_leq_indexed_budgeted, soft_instance};
+use crate::shw::{new_index, shw_leq_indexed_budgeted, soft_instance_on};
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::reduce::{reduce, reduce_no_peel, ReduceEvent, ReducePiece, Reduction};
 use softhw_hypergraph::{BitSet, Hypergraph};
+use std::ops::RangeInclusive;
 
 /// Where a lifted node came from: copied out of a solved piece, or
 /// created by the replay for a specific original edge (its bag stays a
@@ -205,8 +208,8 @@ fn lift(
     lifter.finish()
 }
 
-/// A width witness the pipeline can reduce for, lift and check. The two
-/// measures differ in exactly these three places.
+/// A width witness the pipeline can reduce for, lift, check and answer
+/// with. The two measures differ in exactly these places.
 pub(crate) trait Witness: Sized {
     /// The width-preserving reduction that is sound for this witness.
     fn reduce(h: &Hypergraph) -> Reduction;
@@ -215,6 +218,10 @@ pub(crate) trait Witness: Sized {
     fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self;
     /// Whether this is a valid witness for `h`.
     fn holds_on(&self, h: &Hypergraph) -> bool;
+    /// The exact answer: the width and its witness.
+    fn width(w: usize, witness: Self) -> Solved;
+    /// The `width ≤ k` answer: a witness iff yes.
+    fn decision(witness: Option<Self>) -> Solved;
 }
 
 impl Witness for TreeDecomposition {
@@ -228,6 +235,14 @@ impl Witness for TreeDecomposition {
 
     fn holds_on(&self, h: &Hypergraph) -> bool {
         self.validate(h).is_ok()
+    }
+
+    fn width(w: usize, witness: Self) -> Solved {
+        Solved::ShwWidth(w, witness)
+    }
+
+    fn decision(witness: Option<Self>) -> Solved {
+        Solved::ShwDecision(witness)
     }
 }
 
@@ -261,92 +276,111 @@ impl Witness for Ghd {
     fn holds_on(&self, h: &Hypergraph) -> bool {
         self.is_hd(h)
     }
+
+    fn width(w: usize, witness: Self) -> Solved {
+        Solved::HwWidth(w, witness)
+    }
+
+    fn decision(witness: Option<Self>) -> Solved {
+        Solved::HwDecision(witness)
+    }
 }
 
-/// The exact width of `h` and a witness, given `sweep`, which answers
-/// that for one irreducible connected hypergraph. With `reduce`, `h` is
-/// simplified first, every reduced piece swept (the budget checked
-/// before each; the sweeps check it far more finely on their own), the
-/// widths recombined by max — floor 1 once anything was reduced — and
-/// the piece witnesses lifted. Without it, and for inputs the reduction
-/// leaves alone, `h` itself is swept. A budget abort drops the pieces
-/// solved so far.
-pub(crate) fn exact_width<W: Witness>(
+/// The one solver body both doors run: answers `spec` for `h`, given
+/// `leaf`, which answers one irreducible connected piece over a range of
+/// widths with the first it accepts and that width's witness. With
+/// `spec.reduce`, `h` is simplified first and every reduced piece is
+/// answered (the budget checked before each; the leaves check it far more
+/// finely on their own); otherwise, and for inputs the reduction leaves
+/// alone, `h` itself is. An exact spec sweeps a piece over
+/// `1..=|E(piece)|`; a bounded one asks the single width
+/// `min(k, |E(piece)|)`, since `Soft_{H,k}` and the `λ` of an HD are the
+/// same for every `k ≥ |E|` (a `λ` never repeats an edge), so an absurd
+/// `k` sizes nothing. A piece that accepts no width makes the answer
+/// "no". Otherwise the widths recombine by max — floor 1 once anything was
+/// reduced — and the piece witnesses are lifted. A budget abort drops the
+/// pieces solved so far.
+pub(crate) fn solve_with<W: Witness>(
     h: &Hypergraph,
-    reduce: bool,
-    budget: &Budget,
-    mut sweep: impl FnMut(&Hypergraph) -> Result<(usize, W), DecompError>,
-) -> Result<(usize, W), DecompError> {
-    if !reduce {
-        return sweep(h);
-    }
-    let red = W::reduce(h);
-    if red.is_trivial() {
-        return sweep(h);
-    }
+    spec: &SolveSpec,
+    mut leaf: impl FnMut(&Hypergraph, RangeInclusive<usize>) -> Result<Option<(usize, W)>, DecompError>,
+) -> Result<Solved, DecompError> {
+    let widths = |piece: &Hypergraph| {
+        let top = piece.num_edges().max(1);
+        match spec.bound {
+            None => 1..=top,
+            Some(k) => k.min(top)..=k.min(top),
+        }
+    };
+    let answer = |found: Option<(usize, W)>| match (spec.bound, found) {
+        (Some(_), found) => Ok(W::decision(found.map(|(_, witness)| witness))),
+        (None, Some((w, witness))) => Ok(W::width(w, witness)),
+        // Unreachable for `shw` (the full vertex set is a candidate at
+        // `k = |E|`); for `hw`, a degenerate input admitting no HD.
+        (None, None) => Err(DecompError::internal(
+            "no width up to |E(H)| admits a decomposition",
+        )),
+    };
+    let red = match spec.reduce.then(|| W::reduce(h)) {
+        Some(red) if !red.is_trivial() => red,
+        _ => return answer(leaf(h, widths(h))?),
+    };
     let mut width = 1;
     let mut witnesses = Vec::with_capacity(red.pieces.len());
     for piece in &red.pieces {
-        budget.check()?;
-        let (w, witness) = sweep(&piece.h)?;
+        spec.budget.check()?;
+        let Some((w, witness)) = leaf(&piece.h, widths(&piece.h))? else {
+            return answer(None);
+        };
         width = width.max(w);
         witnesses.push(witness);
     }
     let lifted = W::lift(h, &red, &witnesses);
     debug_assert!(lifted.holds_on(h), "the lifted witness must be valid");
-    Ok((width, lifted))
+    answer(Some((width, lifted)))
 }
 
-/// The width sweep: asks `decide` for `k = 1, 2, …, |E(H)|` and answers
-/// with the first width it accepts.
-pub(crate) fn least_width<W>(
-    h: &Hypergraph,
+/// The first of `widths` that `decide` accepts, with its witness.
+pub(crate) fn first_width<W>(
+    widths: impl IntoIterator<Item = usize>,
     mut decide: impl FnMut(usize) -> Result<Option<W>, DecompError>,
-) -> Result<(usize, W), DecompError> {
-    for k in 1..=h.num_edges().max(1) {
+) -> Result<Option<(usize, W)>, DecompError> {
+    for k in widths {
         if let Some(witness) = decide(k)? {
-            return Ok((k, witness));
+            return Ok(Some((k, witness)));
         }
     }
-    // Unreachable for `shw` (the full vertex set is a candidate at
-    // `k = |E|`); for `hw`, a degenerate input admitting no HD.
-    Err(DecompError::internal(
-        "no width up to |E(H)| admits a decomposition",
-    ))
+    Ok(None)
 }
 
 /// Answers one width query cold: the entry point over every
 /// (class × exactness × budget × reduction × limits) corner of a
-/// [`SolveSpec`], keeping nothing between calls. Exact widths run the
-/// reduce-aware pipeline above, one [`softhw_hypergraph::BlockIndex`]
-/// per piece shared across the widths of its sweep (`hw` builds none);
-/// bounded decisions are one leaf decision on `h` as given, `shw ≤ k` on
-/// an index its instance build releases as it goes ([`soft_instance`]).
-/// A budget or
+/// [`SolveSpec`], keeping nothing between calls. Both classes run
+/// [`solve_with`]. An `shw` piece gets one
+/// [`softhw_hypergraph::BlockIndex`]: every width but the last decides on
+/// it, and the last hands it to its instance build, which releases it as
+/// it goes ([`crate::shw::soft_instance`]) — so a bounded decision builds exactly one
+/// instance on an index it does not keep. `hw` builds none. A budget or
 /// limit trip is the error; nothing partial is returned.
 pub fn solve(h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
     let (limits, budget) = (&spec.limits, &spec.budget);
-    Ok(match (spec.class, spec.bound) {
-        (SolveClass::Shw, Some(k)) => {
-            Solved::ShwDecision(soft_instance(h, k, limits, budget)?.try_decide_budgeted(budget)?)
-        }
-        (SolveClass::Shw, None) => {
-            let (w, td) = exact_width(h, spec.reduce, budget, |piece| {
-                let mut index = new_index(piece);
-                least_width(piece, |k| {
-                    shw_leq_indexed_budgeted(&mut index, k, limits, budget)
-                })
+    match spec.class {
+        SolveClass::Shw => solve_with(h, spec, |piece, widths| {
+            let (first, last) = widths.into_inner();
+            let mut index = new_index(piece);
+            let found = first_width(first..last, |k| {
+                shw_leq_indexed_budgeted(&mut index, k, limits, budget)
             })?;
-            Solved::ShwWidth(w, td)
-        }
-        (SolveClass::Hw, Some(k)) => Solved::HwDecision(hw_leq_budgeted(h, k, budget)?),
-        (SolveClass::Hw, None) => {
-            let (w, g) = exact_width(h, spec.reduce, budget, |piece| {
-                least_width(piece, |k| hw_leq_budgeted(piece, k, budget))
-            })?;
-            Solved::HwWidth(w, g)
-        }
-    })
+            if found.is_some() {
+                return Ok(found);
+            }
+            let decided = soft_instance_on(index, last, limits, budget)?;
+            Ok(decided.try_decide_budgeted(budget)?.map(|td| (last, td)))
+        }),
+        SolveClass::Hw => solve_with(h, spec, |piece, widths| {
+            first_width(widths, |k| hw_leq_budgeted(piece, k, budget))
+        }),
+    }
 }
 
 #[cfg(test)]

@@ -36,9 +36,9 @@ pub fn shw_leq(h: &Hypergraph, k: usize) -> Option<TreeDecomposition> {
 }
 
 /// A fresh [`BlockIndex`] over `h`, under the `index_build` span: the
-/// one place the solver pipeline — cold sweep, cold decision
-/// ([`soft_instance`]), a [`crate::cache::DecompCache`] entry's first
-/// `shw` query — builds an index.
+/// one place the solver pipeline — a cold sweep or decision (one per
+/// piece), [`soft_instance`], a [`crate::cache::DecompCache`] entry's
+/// first `shw` query — builds an index.
 pub(crate) fn new_index(h: &Hypergraph) -> BlockIndex {
     let _span = softhw_obs::span(softhw_obs::stage::INDEX_BUILD);
     BlockIndex::new(h)
@@ -46,8 +46,9 @@ pub(crate) fn new_index(h: &Hypergraph) -> BlockIndex {
 
 /// `Soft_{H,k}` and the prepared `CandidateTD` instance over it on an
 /// index built for this call — what a cold `shw ≤ k` decision
-/// ([`crate::solve`]) runs Algorithm 1 on, for callers that run their own
-/// DP over the block tables (Algorithm 2, [`crate::ctd_opt`]).
+/// ([`crate::solve`]) runs Algorithm 1 on for each piece, for callers that
+/// run their own DP over the block tables (Algorithm 2,
+/// [`crate::ctd_opt`]).
 ///
 /// The index is the build's to release ([`CtdInstance`]): all but its
 /// rows go once the blocks are derived, the rows once copied, so neither
@@ -59,7 +60,18 @@ pub fn soft_instance(
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<CtdInstance, DecompError> {
-    let mut index = new_index(h);
+    soft_instance_on(new_index(h), k, limits, budget)
+}
+
+/// [`soft_instance`] on an index the caller is done with: the last width
+/// of a cold sweep ([`crate::solve`]) hands over the index its earlier
+/// widths shared.
+pub(crate) fn soft_instance_on(
+    mut index: BlockIndex,
+    k: usize,
+    limits: &SoftLimits,
+    budget: &Budget,
+) -> Result<CtdInstance, DecompError> {
     let bags = soft_bag_ids_budgeted(&mut index, k, limits, budget)?;
     CtdInstance::build_owned(index, &bags, budget)
 }

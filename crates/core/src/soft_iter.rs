@@ -18,7 +18,7 @@
 
 use crate::ctd::CtdInstance;
 use crate::error::DecompError;
-use crate::reduce_solve::least_width;
+use crate::reduce_solve::first_width;
 use crate::soft::{self, LimitExceeded, SoftLimits};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::arena::{words_empty, words_intersect_into, IdSet};
@@ -197,16 +197,16 @@ pub fn shw_i(h: &Hypergraph, i: usize, limits: &SoftLimits) -> Result<usize, Lim
     least_k(h, |k| shw_i_leq(h, k, i, limits))
 }
 
-/// The least `k` that `decide` accepts — [`least_width`], with its errors
-/// mapped back to the only one the hierarchy raises.
+/// The least `k ≤ |E(H)|` that `decide` accepts — [`first_width`], with
+/// its errors mapped back to the only one the hierarchy raises.
 fn least_k(
     h: &Hypergraph,
     mut decide: impl FnMut(usize) -> Result<Option<TreeDecomposition>, LimitExceeded>,
 ) -> Result<usize, LimitExceeded> {
-    match least_width(h, |k| Ok(decide(k)?)) {
-        Ok((k, _)) => Ok(k),
+    match first_width(1..=h.num_edges().max(1), |k| Ok(decide(k)?)) {
+        Ok(Some((k, _))) => Ok(k),
         Err(DecompError::Limit(e)) => Err(e),
-        Err(other) => unreachable!("ghw(H) <= shw_i(H) <= hw(H) <= |E(H)|: {other}"),
+        other => unreachable!("ghw(H) <= shw_i(H) <= hw(H) <= |E(H)|: {other:?}"),
     }
 }
 

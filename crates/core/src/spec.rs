@@ -11,9 +11,8 @@
 //!   the `width ≤ k` decision;
 //! - **budget** — a cooperative [`Budget`]; [`Budget::unlimited`] costs
 //!   nothing and never trips;
-//! - **reduce** — whether exact solves may run the reduce-before-solve
-//!   pipeline (bounded decisions never reduce; see
-//!   [`SolveSpec::reduce`]);
+//! - **reduce** — whether the solve runs the reduce-before-solve
+//!   pipeline ([`SolveSpec::reduce`]);
 //! - **limits** — the [`SoftLimits`] generation guards for `shw` paths.
 //!
 //! [`crate::solve`] is the entry point: it consumes a spec and answers
@@ -50,11 +49,10 @@ pub struct SolveSpec {
     /// Cooperative deadline/cancellation budget. The unlimited budget
     /// allocates nothing and solves on the never-checking fast path.
     pub budget: Budget,
-    /// Whether **exact** solves run the reduce-before-solve pipeline
-    /// (simplify, solve pieces, lift). Bounded decisions ignore this
-    /// flag: `shw ≤ k` and `hw ≤ k` both run their one search on the
-    /// input as given, never on its reduction, so a decision is the same
-    /// whichever exact sweep (reduced or raw) memoised it.
+    /// Whether the solve runs the reduce-before-solve pipeline
+    /// (simplify, solve pieces, lift), for exact widths and `width ≤ k`
+    /// decisions alike. Verdicts and widths do not depend on it; a
+    /// witness may.
     pub reduce: bool,
     /// Generation guards for the `Soft_{H,k}` candidate bag sets; only
     /// `shw` paths consult them.
@@ -103,8 +101,7 @@ impl SolveSpec {
         self
     }
 
-    /// Sets the reduction policy for exact solves (see
-    /// [`SolveSpec::reduce`]).
+    /// Sets the reduction policy (see [`SolveSpec::reduce`]).
     pub fn with_reduce(mut self, reduce: bool) -> Self {
         self.reduce = reduce;
         self

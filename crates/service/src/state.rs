@@ -646,19 +646,16 @@ impl ServiceState {
 
     /// Answers a request the result cache and the store could not: the
     /// four width classes are one [`SolveSpec`] each through the cold
-    /// [`softhw_core::solve`] (a sweep shares one index per piece across
-    /// widths; nothing outlives the request), framed by the shape of what
-    /// comes back; `BEST` runs Algorithm 2.
+    /// [`softhw_core::solve`], which reduces unless `--no-reduce` and
+    /// clamps an absurd `k` per piece (a sweep shares one index per piece
+    /// across widths; nothing outlives the request), framed by the shape
+    /// of what comes back; `BEST` runs Algorithm 2 on the schema as sent.
     fn dispatch(&self, req: &Request, h: &Hypergraph, idx: usize, budget: &Budget) -> Response {
-        // Soft_{H,k} is invariant in k beyond |E(H)| (λ-subsets never
-        // repeat edges), so clamp the *computation* width — an absurd
-        // requested k must not size scratch pools.
-        let clamp = |k: usize| k.min(h.num_edges());
         let (spec, k) = match req.class {
             RequestClass::Shw => (SolveSpec::shw(), None),
-            RequestClass::ShwLeq(k) => (SolveSpec::shw_leq(clamp(k)), Some(k)),
+            RequestClass::ShwLeq(k) => (SolveSpec::shw_leq(k), Some(k)),
             RequestClass::Hw => (SolveSpec::hw(), None),
-            RequestClass::HwLeq(k) => (SolveSpec::hw_leq(clamp(k)), Some(k)),
+            RequestClass::HwLeq(k) => (SolveSpec::hw_leq(k), Some(k)),
             RequestClass::Best(eval, k) => {
                 let best = self.best(eval, k, h, budget);
                 return best.unwrap_or_else(|e| self.decomp_error(e));
@@ -719,7 +716,9 @@ impl ServiceState {
         if k == 0 {
             return Ok(Response::error("request", "width must be >= 1"));
         }
-        // The computation width, clamped as in `dispatch`.
+        // Soft_{H,k} is invariant in k beyond |E(H)| (λ-subsets never
+        // repeat edges), so clamp the *computation* width — an absurd
+        // requested k must not size scratch pools.
         let width = k.min(h.num_edges());
         let inst = soft_instance(h, width, &self.config.limits, budget)?;
         let mut fields = vec![("eval".to_string(), eval.token())];
@@ -1163,14 +1162,14 @@ mod tests {
         ];
         let before = miss_stages.map(|name| stage_count(&st, name));
         // The miss path, counted too. Every schema here reduces to at
-        // most one piece, so per schema: `SHW` and `HW` reduce once each
-        // and the other two never (16); every request is one solve (32);
+        // most one piece, so per schema: `SHW`, `SHW_LEQ` and `HW` reduce
+        // once each and `BEST` never (24); every request is one solve (32);
         // `SHW` builds one index for its sweep, `SHW_LEQ` and `BEST` one
         // each, `HW` none (24); and all eight have `shw` 2, so a `SHW`
         // sweep enumerates at `k = 1` and `k = 2`, beside one enumeration
         // per `SHW_LEQ` and `BEST` (32). A second index per piece, a
         // second reduction or a skipped span moves these.
-        assert_eq!(before, [16, 32, 24, 32]);
+        assert_eq!(before, [24, 32, 24, 32]);
         let probes_before = stage_count(&st, stage::RESULT_CACHE);
         for i in 0..1000 {
             let at = i % requests.len();

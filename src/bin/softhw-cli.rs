@@ -8,7 +8,7 @@
 //!   --measure <m>    shw (default) | hw | ghw | shw1 | all
 //!   --concov         restrict to ConCov candidate bags
 //!   --no-reduce      skip the reduction pipeline (subsumption, peeling,
-//!                    component splitting) before exact shw/hw solving;
+//!                    component splitting) before shw/hw solving;
 //!                    local mode only — the server's pipeline is set by
 //!                    `softhw-serve --no-reduce`
 //!   --print          print the witness decomposition
@@ -187,22 +187,25 @@ fn report(measure: &str, answer: Answer, print: bool, h: &Hypergraph) -> bool {
 }
 
 /// Local mode: the cold `SolveSpec` door for the unconstrained
-/// questions, and for ConCov — which has no spec formulation — the
-/// filtered candidate bags decided by Algorithm 2.
+/// questions, which reduces before it solves unless `--no-reduce`, and
+/// for ConCov — which has no spec formulation — the filtered candidate
+/// bags of the input as given, decided by Algorithm 2.
 fn answer_locally(h: &Hypergraph, q: Question, reduce: bool) -> Fallible<Answer> {
     let spec = match q {
         Question::ConCovLeq(k) => {
-            let bags = soft_bags_with(h, k, &SoftLimits::default())?;
-            let td = best(h, &concov_filter(h, k, &bags), &Trivial).map(|(td, ())| td);
+            // Soft_{H,k} and ConCov are the same for every k >= |E(H)|:
+            // compute at that width, as `BEST` does, and report `k`.
+            let width = k.min(h.num_edges());
+            let bags = soft_bags_with(h, width, &SoftLimits::default())?;
+            let td = best(h, &concov_filter(h, width, &bags), &Trivial).map(|(td, ())| td);
             return Ok(Answer::Decision(k, td.map(Witness::Td)));
         }
-        // Exact widths go through the reduce-before-solve pipeline
-        // unless `--no-reduce`; decisions never reduce.
-        Question::Shw => SolveSpec::shw().with_reduce(reduce),
+        Question::Shw => SolveSpec::shw(),
         Question::ShwLeq(k) => SolveSpec::shw_leq(k),
-        Question::Hw => SolveSpec::hw().with_reduce(reduce),
+        Question::Hw => SolveSpec::hw(),
         Question::HwLeq(k) => SolveSpec::hw_leq(k),
-    };
+    }
+    .with_reduce(reduce);
     let decided = |witness| Answer::Decision(spec.bound.expect("only a bound decides"), witness);
     Ok(match solve(h, &spec)? {
         Solved::ShwWidth(w, td) => Answer::Width(w, Some(Witness::Td(td))),

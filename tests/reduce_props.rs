@@ -4,6 +4,7 @@
 //! and every lifted witness must validate against the *raw* input.
 
 use proptest::prelude::*;
+use softhw::core::ghd::Ghd;
 use softhw::core::{hw, shw, solve, SolveSpec, Solved};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::reduce::reduce;
@@ -11,6 +12,23 @@ use softhw::hypergraph::{parse_hypergraph, Hypergraph, HypergraphBuilder};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     random_connected(4..8, 3..8)
+}
+
+/// Arity 1–3, connected or not: at this density pendant, subsumed and
+/// split-off edges are common, so both reductions really fire.
+fn clutter_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (4usize..9, 3usize..9, 0u64..5000, 0usize..2).prop_map(|(nv, ne, seed, connect)| {
+        random_hypergraph(
+            &RandomConfig {
+                num_vertices: nv,
+                num_edges: ne,
+                min_arity: 1,
+                max_arity: 3,
+                connect: connect == 1,
+            },
+            seed,
+        )
+    })
 }
 
 /// [`small_hypergraph`] with about twice the edges per vertex, so that
@@ -172,6 +190,40 @@ proptest! {
                 solve(&piece.h, &SolveSpec::hw_leq(1)),
                 Ok(Solved::HwDecision(None))
             );
+        }
+    }
+
+    #[test]
+    fn bounded_decisions_reduce_and_agree_with_exact_widths(h in clutter_hypergraph()) {
+        // `shw ≤ k` and `hw ≤ k` answer through the same reduce → pieces →
+        // lift body as the exact widths: each accepts exactly from the
+        // exact width on, with a lifted witness of width ≤ k, and on a
+        // connected input says what the raw decision says.
+        let (shw_w, hw_w) = (shw::shw(&h).0, hw::hw(&h).0);
+        for k in 1..=3 {
+            let Ok(Solved::ShwDecision(td)) = solve(&h, &SolveSpec::shw_leq(k)) else {
+                panic!("an shw ≤ k decision under default limits answers");
+            };
+            prop_assert_eq!(td.is_some(), k >= shw_w, "shw {} at k = {}", shw_w, k);
+            if let Some(td) = &td {
+                prop_assert_eq!(td.validate(&h), Ok(()));
+                prop_assert!(Ghd::from_td(&h, td.clone(), k).is_some(), "a bag needs > {} edges", k);
+            }
+            let Ok(Solved::HwDecision(g)) = solve(&h, &SolveSpec::hw_leq(k)) else {
+                panic!("an unbudgeted hw ≤ k decision answers");
+            };
+            prop_assert_eq!(g.is_some(), k >= hw_w, "hw {} at k = {}", hw_w, k);
+            if let Some(g) = &g {
+                prop_assert_eq!(g.validate(&h), Ok(()));
+                prop_assert!(g.is_hd(&h) && g.width() <= k, "k = {}:\n{}", k, g.render(&h));
+            }
+            if h.is_connected() {
+                for spec in [SolveSpec::shw_leq(k), SolveSpec::hw_leq(k)] {
+                    let raw = solve(&h, &spec.clone().with_reduce(false)).unwrap();
+                    let reduced = solve(&h, &spec).unwrap();
+                    prop_assert_eq!(raw.accepted(), reduced.accepted(), "{:?}", spec);
+                }
+            }
         }
     }
 

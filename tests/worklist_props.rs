@@ -249,9 +249,10 @@ proptest! {
             prop_assert_eq!(owned.bag(x), borrowed.bag(x));
         }
         prop_assert_eq!(owned.satisfy(), borrowed.satisfy());
-        // The cold decision, which builds through the owned index, answers
-        // with the witness of a decision on a fresh shared index.
-        let spec = SolveSpec::shw_leq(k);
+        // The cold decision on the raw input, which builds through the
+        // owned index, answers with the witness of a decision on a fresh
+        // shared index.
+        let spec = SolveSpec::shw_leq(k).with_reduce(false);
         let cold = solve(&h, &spec).unwrap();
         let mut index = BlockIndex::new(&h);
         let indexed = shw_leq_indexed_budgeted(&mut index, k, &limits, &Budget::unlimited());
