@@ -55,12 +55,23 @@ const SHARED: &[&str] = &[
 /// the decision up to `k = 4`, which takes most of a minute unoptimised.
 const SKIPPED: &[(&str, &str)] = &[("grid4x4.hg", "--concov")];
 
+/// Cases added to both tests on one input: a width no schema reaches
+/// decides at `|E|` without sizing anything by `k`, and prints the `k`
+/// that was asked for.
+const EXTRA: &[(&str, &str)] = &[
+    ("cycle6.hg", "--width 18446744073709551615"),
+    ("cycle6.hg", "--measure hw --width 18446744073709551615"),
+    ("cycle6.hg", "--concov --width 18446744073709551615"),
+];
+
 /// The flag sets to run on input `name`.
 fn flag_sets<'a>(name: &'a str, flags: &'a [&'a str]) -> impl Iterator<Item = &'a str> + 'a {
+    let extra = EXTRA.iter().filter(move |(input, _)| *input == name);
     flags
         .iter()
         .copied()
         .filter(move |f| !SKIPPED.contains(&(name, *f)))
+        .chain(extra.map(|(_, f)| *f))
 }
 
 fn golden_path() -> PathBuf {
