@@ -23,20 +23,19 @@
 //! fully-peelable (α-acyclic) hypergraph a genuine join tree: one node
 //! per surviving edge, each coverable by a single edge.
 //!
-//! This module is also the **one solver pipeline**. `solve_with` is
-//! the only reduce → answer each piece → lift body in the crate, for
-//! exact widths and `width ≤ k` decisions alike (an exact spec sweeps a
-//! piece over `1..=|E|`, a bounded one asks one width), parameterised by
-//! the witness kind (`Witness`: which reduction is sound, how pieces
-//! lift, what "valid" means, which [`Solved`] it answers with) and by a
-//! per-piece leaf. It has two front doors, each a `match` on the class
-//! alone. [`solve`] is the cold one: every piece is answered with the
-//! leaf decisions ([`shw_leq_indexed_budgeted`] against one index per
-//! piece, [`hw_leq_budgeted`]) and nothing outlives the call.
-//! [`crate::cache::DecompCache::solve`] runs the same body with leaves
-//! that are its memo probes. Every other way in is
+//! This module is also the **one solver pipeline**. `solve_with` is the
+//! only reduce → answer each piece → lift body in the crate, for exact
+//! widths and `width ≤ k` decisions alike, parameterised by the witness
+//! kind (`Witness`: which reduction is sound, how pieces lift, what
+//! "valid" means, which [`Solved`] it makes) and by a per-piece leaf. It
+//! has two front doors, each a `match` on the class. [`solve`] is the
+//! cold one: every piece is answered with the leaf decisions
+//! ([`shw_leq_indexed_budgeted`] against one index per piece,
+//! [`hw_leq_budgeted`]) and nothing outlives the call.
+//! [`crate::cache::DecompCache::solve`] runs the same body with its memo
+//! probes as leaves. Every other way in is
 //! [`solve`] under a fixed [`SolveSpec`]: `shw::{shw, shw_leq}` and
-//! `hw::{hw, hw_leq}` name the default corners, and a raw sweep or
+//! `hw::{hw, hw_leq}` name the default corners, and a raw solve or
 //! explicit limits are [`SolveSpec::with_reduce`] and
 //! [`SolveSpec::with_limits`] — no second spelling of either exists.
 
@@ -218,13 +217,14 @@ pub(crate) trait Witness: Sized {
     fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self;
     /// Whether this is a valid witness for `h`.
     fn holds_on(&self, h: &Hypergraph) -> bool;
-    /// The exact answer: the width and its witness.
-    fn width(w: usize, witness: Self) -> Solved;
-    /// The `width ≤ k` answer: a witness iff yes.
-    fn decision(witness: Option<Self>) -> Solved;
+    /// The exact answer (width and witness) and the `width ≤ k` one.
+    const WIDTH: fn(usize, Self) -> Solved;
+    const DECISION: fn(Option<Self>) -> Solved;
 }
 
 impl Witness for TreeDecomposition {
+    const WIDTH: fn(usize, Self) -> Solved = Solved::ShwWidth;
+    const DECISION: fn(Option<Self>) -> Solved = Solved::ShwDecision;
     fn reduce(h: &Hypergraph) -> Reduction {
         reduce(h)
     }
@@ -236,14 +236,6 @@ impl Witness for TreeDecomposition {
     fn holds_on(&self, h: &Hypergraph) -> bool {
         self.validate(h).is_ok()
     }
-
-    fn width(w: usize, witness: Self) -> Solved {
-        Solved::ShwWidth(w, witness)
-    }
-
-    fn decision(witness: Option<Self>) -> Solved {
-        Solved::ShwDecision(witness)
-    }
 }
 
 /// Degree-1 peeling is sound for tree decompositions but re-enters
@@ -253,6 +245,8 @@ impl Witness for TreeDecomposition {
 /// through the piece's edge map; replay-created nodes get
 /// `λ = {owning edge}` (their bags are subsets of that edge).
 impl Witness for Ghd {
+    const WIDTH: fn(usize, Self) -> Solved = Solved::HwWidth;
+    const DECISION: fn(Option<Self>) -> Solved = Solved::HwDecision;
     fn reduce(h: &Hypergraph) -> Reduction {
         reduce_no_peel(h)
     }
@@ -276,30 +270,16 @@ impl Witness for Ghd {
     fn holds_on(&self, h: &Hypergraph) -> bool {
         self.is_hd(h)
     }
-
-    fn width(w: usize, witness: Self) -> Solved {
-        Solved::HwWidth(w, witness)
-    }
-
-    fn decision(witness: Option<Self>) -> Solved {
-        Solved::HwDecision(witness)
-    }
 }
 
-/// The one solver body both doors run: answers `spec` for `h`, given
-/// `leaf`, which answers one irreducible connected piece over a range of
-/// widths with the first it accepts and that width's witness. With
-/// `spec.reduce`, `h` is simplified first and every reduced piece is
-/// answered (the budget checked before each; the leaves check it far more
-/// finely on their own); otherwise, and for inputs the reduction leaves
-/// alone, `h` itself is. An exact spec sweeps a piece over
-/// `1..=|E(piece)|`; a bounded one asks the single width
-/// `min(k, |E(piece)|)`, since `Soft_{H,k}` and the `λ` of an HD are the
-/// same for every `k ≥ |E|` (a `λ` never repeats an edge), so an absurd
-/// `k` sizes nothing. A piece that accepts no width makes the answer
-/// "no". Otherwise the widths recombine by max — floor 1 once anything was
-/// reduced — and the piece witnesses are lifted. A budget abort drops the
-/// pieces solved so far.
+/// The one solver body both doors run. `leaf` answers one irreducible
+/// connected piece with the first width in a range it accepts and its
+/// witness: `1..=|E|` for an exact spec, `min(k, |E|)` alone for a bounded
+/// one (`Soft_{H,k}` and an HD's `λ` do not change past `|E|`, so an
+/// absurd `k` sizes nothing). With `spec.reduce` and a non-trivial
+/// reduction every piece is answered, the budget checked before each, the
+/// widths recombined by max (floor 1) and the witnesses lifted; otherwise
+/// `h` itself is answered. A piece that accepts no width answers "no".
 pub(crate) fn solve_with<W: Witness>(
     h: &Hypergraph,
     spec: &SolveSpec,
@@ -307,19 +287,14 @@ pub(crate) fn solve_with<W: Witness>(
 ) -> Result<Solved, DecompError> {
     let widths = |piece: &Hypergraph| {
         let top = piece.num_edges().max(1);
-        match spec.bound {
-            None => 1..=top,
-            Some(k) => k.min(top)..=k.min(top),
-        }
+        spec.bound.map_or(1..=top, |k| k.min(top)..=k.min(top))
     };
-    let answer = |found: Option<(usize, W)>| match (spec.bound, found) {
-        (Some(_), found) => Ok(W::decision(found.map(|(_, witness)| witness))),
-        (None, Some((w, witness))) => Ok(W::width(w, witness)),
-        // Unreachable for `shw` (the full vertex set is a candidate at
-        // `k = |E|`); for `hw`, a degenerate input admitting no HD.
-        (None, None) => Err(DecompError::internal(
-            "no width up to |E(H)| admits a decomposition",
-        )),
+    let answer = |found: Option<(usize, W)>| match spec.bound {
+        Some(_) => Ok(W::DECISION(found.map(|(_, witness)| witness))),
+        // `shw` always accepts at `|E|`; `hw` may not, on a degenerate input.
+        None => found
+            .map(|(w, witness)| W::WIDTH(w, witness))
+            .ok_or_else(|| DecompError::internal("no width up to |E(H)| admits a decomposition")),
     };
     let red = match spec.reduce.then(|| W::reduce(h)) {
         Some(red) if !red.is_trivial() => red,
@@ -355,12 +330,10 @@ pub(crate) fn first_width<W>(
 
 /// Answers one width query cold: the entry point over every
 /// (class × exactness × budget × reduction × limits) corner of a
-/// [`SolveSpec`], keeping nothing between calls. Both classes run
-/// [`solve_with`]. An `shw` piece gets one
+/// [`SolveSpec`], keeping nothing between calls. An `shw` piece gets one
 /// [`softhw_hypergraph::BlockIndex`]: every width but the last decides on
 /// it, and the last hands it to its instance build, which releases it as
-/// it goes ([`crate::shw::soft_instance`]) — so a bounded decision builds exactly one
-/// instance on an index it does not keep. `hw` builds none. A budget or
+/// it goes ([`crate::shw::soft_instance`]); `hw` builds none. A budget or
 /// limit trip is the error; nothing partial is returned.
 pub fn solve(h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
     let (limits, budget) = (&spec.limits, &spec.budget);
@@ -368,14 +341,13 @@ pub fn solve(h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
         SolveClass::Shw => solve_with(h, spec, |piece, widths| {
             let (first, last) = widths.into_inner();
             let mut index = new_index(piece);
-            let found = first_width(first..last, |k| {
+            if let found @ Some(_) = first_width(first..last, |k| {
                 shw_leq_indexed_budgeted(&mut index, k, limits, budget)
-            })?;
-            if found.is_some() {
+            })? {
                 return Ok(found);
             }
-            let decided = soft_instance_on(index, last, limits, budget)?;
-            Ok(decided.try_decide_budgeted(budget)?.map(|td| (last, td)))
+            let instance = soft_instance_on(index, last, limits, budget)?;
+            Ok(instance.try_decide_budgeted(budget)?.map(|td| (last, td)))
         }),
         SolveClass::Hw => solve_with(h, spec, |piece, widths| {
             first_width(widths, |k| hw_leq_budgeted(piece, k, budget))

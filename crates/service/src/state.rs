@@ -716,9 +716,8 @@ impl ServiceState {
         if k == 0 {
             return Ok(Response::error("request", "width must be >= 1"));
         }
-        // Soft_{H,k} is invariant in k beyond |E(H)| (λ-subsets never
-        // repeat edges), so clamp the *computation* width — an absurd
-        // requested k must not size scratch pools.
+        // Soft_{H,k} and ConCov do not change past |E(H)| (a λ never
+        // repeats an edge): an absurd k must not size scratch pools.
         let width = k.min(h.num_edges());
         let inst = soft_instance(h, width, &self.config.limits, budget)?;
         let mut fields = vec![("eval".to_string(), eval.token())];

@@ -7,10 +7,9 @@
 //!   --width <k>      decide shw(H) <= k (k >= 1) instead of computing shw
 //!   --measure <m>    shw (default) | hw | ghw | shw1 | all
 //!   --concov         restrict to ConCov candidate bags
-//!   --no-reduce      skip the reduction pipeline (subsumption, peeling,
-//!                    component splitting) before shw/hw solving;
-//!                    local mode only — the server's pipeline is set by
-//!                    `softhw-serve --no-reduce`
+//!   --no-reduce      solve shw/hw without the reduction pipeline (subsumption,
+//!                    peeling, component splitting); local mode only — the
+//!                    server's is set by `softhw-serve --no-reduce`
 //!   --print          print the witness decomposition
 //!   --stats          print structural statistics only
 //!   --connect <addr> client mode: send the request to a softhw-serve
@@ -187,14 +186,12 @@ fn report(measure: &str, answer: Answer, print: bool, h: &Hypergraph) -> bool {
 }
 
 /// Local mode: the cold `SolveSpec` door for the unconstrained
-/// questions, which reduces before it solves unless `--no-reduce`, and
-/// for ConCov — which has no spec formulation — the filtered candidate
-/// bags of the input as given, decided by Algorithm 2.
+/// questions, and for ConCov — which has no spec formulation — the
+/// filtered candidate bags decided by Algorithm 2 on the input as given.
 fn answer_locally(h: &Hypergraph, q: Question, reduce: bool) -> Fallible<Answer> {
     let spec = match q {
         Question::ConCovLeq(k) => {
-            // Soft_{H,k} and ConCov are the same for every k >= |E(H)|:
-            // compute at that width, as `BEST` does, and report `k`.
+            // As `BEST` does: nothing changes past `|E|`; report the asked `k`.
             let width = k.min(h.num_edges());
             let bags = soft_bags_with(h, width, &SoftLimits::default())?;
             let td = best(h, &concov_filter(h, width, &bags), &Trivial).map(|(td, ())| td);
