@@ -296,9 +296,9 @@ pub(crate) fn solve_with<W: Witness>(
             .map(|(w, witness)| W::WIDTH(w, witness))
             .ok_or_else(|| DecompError::internal("no width up to |E(H)| admits a decomposition")),
     };
-    let red = match spec.reduce.then(|| W::reduce(h)) {
-        Some(red) if !red.is_trivial() => red,
-        _ => return answer(leaf(h, widths(h))?),
+    let red = spec.reduce.then(|| W::reduce(h));
+    let Some(red) = red.filter(|red| !red.is_trivial()) else {
+        return answer(leaf(h, widths(h))?);
     };
     let mut width = 1;
     let mut witnesses = Vec::with_capacity(red.pieces.len());
