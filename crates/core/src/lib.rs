@@ -66,4 +66,4 @@ pub(crate) fn bitset_subsets(pool: &[usize], k: usize, f: impl FnMut(&[usize])) 
 pub use ghd::Ghd;
 pub use soft::{soft_bags, SoftLimits};
 pub use spec::{SolveClass, SolveSpec, Solved};
-pub use td::{FrameError, TdError, TreeDecomposition};
+pub use td::{FrameError, TdError, TdFrame, TreeDecomposition};

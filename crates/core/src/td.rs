@@ -1,9 +1,16 @@
 //! Rooted tree decompositions and their validity checks
 //! (Section 2 of the paper), including the component normal form
 //! (CompNF, Definition 2) that the CandidateTD machinery relies on.
+//!
+//! This is also the one home of the witness frame, [`TdFrame`]: the
+//! flat `(bag words, preorder node table)` form every answer takes
+//! from the solver to the socket and to disk. The service's wire codec
+//! writes it as text, the persistent store rebuilds it from its bag
+//! dictionary, and both decode it through [`TdFrame::to_td`] — one
+//! decoder for both trust boundaries.
 
 use softhw_hypergraph::arena::words_iter;
-use softhw_hypergraph::{ArenaSnapshot, BitSet, Hypergraph};
+use softhw_hypergraph::{ArenaSnapshot, BagArena, BitSet, Hypergraph};
 use std::fmt;
 
 /// A rooted tree decomposition `(T, B)` of a hypergraph.
@@ -69,11 +76,8 @@ impl fmt::Display for TdError {
 
 impl std::error::Error for TdError {}
 
-/// Why a flat bag-frame (arena snapshot + `(parent, bag-id)` node
-/// table) could not be reconstructed into a [`TreeDecomposition`]. The
-/// wire protocol and the persistent store both frame witnesses this
-/// way; both reject corrupt frames through this error instead of
-/// panicking.
+/// Why a [`TdFrame`] could not be reconstructed into a
+/// [`TreeDecomposition`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameError {
     /// What was malformed.
@@ -95,6 +99,104 @@ impl fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+/// A tree decomposition in its flat framing: deduplicated **bag words**
+/// (an [`ArenaSnapshot`] over `universe` vertices, every distinct bag
+/// once, ids dense in first-occurrence order over the node table) plus
+/// a `(parent, bag-id)` **node table** in preorder. This is the one
+/// witness format of the system: the service's wire codec writes it as
+/// text and the persistent store rebuilds it from its bag dictionary,
+/// and both decode it through [`TdFrame::to_td`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TdFrame {
+    /// The vertex universe the bags are over.
+    pub universe: usize,
+    /// Every distinct bag's words, back to back in id order.
+    pub snapshot: ArenaSnapshot,
+    /// `(parent index, bag id)` per node, preorder; the root is node 0
+    /// with no parent.
+    pub nodes: Vec<(Option<u32>, u32)>,
+}
+
+impl TdFrame {
+    /// Frames a decomposition over a `universe`-vertex hypergraph: nodes
+    /// in [`TreeDecomposition::preorder`], bags interned in that order.
+    pub fn from_td(td: &TreeDecomposition, universe: usize) -> TdFrame {
+        let order = td.preorder();
+        let mut new_id = vec![u32::MAX; td.num_nodes()];
+        for (i, &u) in order.iter().enumerate() {
+            new_id[u] = i as u32;
+        }
+        let mut arena = BagArena::new(universe);
+        let nodes = order
+            .iter()
+            .map(|&u| {
+                let bag = arena.intern(td.bag(u));
+                (td.parent(u).map(|p| new_id[p]), bag.0)
+            })
+            .collect();
+        TdFrame {
+            universe,
+            snapshot: arena.snapshot(),
+            nodes,
+        }
+    }
+
+    /// Reconstructs the decomposition. Every malformed shape — bag or
+    /// parent references out of range, wrong preorder, bag words with
+    /// bits beyond the universe — is an error, never a panic: the wire
+    /// and the store log both feed this bytes from outside the process.
+    pub fn to_td(&self) -> Result<TreeDecomposition, FrameError> {
+        let (universe, snapshot) = (self.universe, &self.snapshot);
+        let num_bags = snapshot.len();
+        if snapshot.universe != universe || snapshot.words_per_bag() != universe.div_ceil(64).max(1)
+        {
+            return Err(FrameError::new("snapshot width disagrees with universe"));
+        }
+        // Bits in the last word's slack (universe..words*64) would decode
+        // into nonexistent vertices; reject them explicitly.
+        let tail_bits = universe % 64;
+        let last_word_mask = if universe == 0 {
+            0
+        } else if tail_bits == 0 {
+            u64::MAX
+        } else {
+            (1u64 << tail_bits) - 1
+        };
+        let bag = |id: u32| -> Result<BitSet, FrameError> {
+            if (id as usize) >= num_bags {
+                return Err(FrameError::new(format!("bag id {id} out of range")));
+            }
+            let words = snapshot.words(id as usize);
+            let Some((last, _)) = words.split_last() else {
+                return Err(FrameError::new("empty bag words"));
+            };
+            if last & !last_word_mask != 0 {
+                return Err(FrameError::new("bag words exceed the universe"));
+            }
+            Ok(BitSet::from_iter(universe, words_iter(words)))
+        };
+        let (first, rest) = self
+            .nodes
+            .split_first()
+            .ok_or_else(|| FrameError::new("decomposition frame with no nodes"))?;
+        if first.0.is_some() {
+            return Err(FrameError::new("root node has a parent"));
+        }
+        let mut td = TreeDecomposition::new(bag(first.1)?);
+        for (i, &(parent, b)) in rest.iter().enumerate() {
+            let node = i + 1;
+            let Some(p) = parent else {
+                return Err(FrameError::new("non-root node without parent"));
+            };
+            if (p as usize) >= node {
+                return Err(FrameError::new("node table is not in preorder"));
+            }
+            td.add_child(p as usize, bag(b)?);
+        }
+        Ok(td)
+    }
+}
 
 impl TreeDecomposition {
     /// Creates a decomposition consisting of a single root node.
@@ -125,68 +227,6 @@ impl TreeDecomposition {
         self.children.push(Vec::new());
         self.children[parent].push(id);
         id
-    }
-
-    /// Reconstructs a decomposition from its flat framing: deduplicated
-    /// bag words (an [`ArenaSnapshot`] over `universe` vertices) plus a
-    /// `(parent, bag-id)` node table in preorder (node 0 is the root and
-    /// has no parent). This is the shared decode path of the wire
-    /// protocol's `TdFrame` and the persistent store's witness records;
-    /// every malformed shape — bag or parent references out of range,
-    /// wrong preorder, bag words with bits beyond the universe — is an
-    /// error, never a panic, because both callers feed it bytes from
-    /// outside the process.
-    pub fn from_bag_frame(
-        universe: usize,
-        snapshot: &ArenaSnapshot,
-        nodes: &[(Option<u32>, u32)],
-    ) -> Result<TreeDecomposition, FrameError> {
-        let num_bags = snapshot.len();
-        if snapshot.universe != universe || snapshot.words_per_bag() != universe.div_ceil(64).max(1)
-        {
-            return Err(FrameError::new("snapshot width disagrees with universe"));
-        }
-        // Bits in the last word's slack (universe..words*64) would decode
-        // into nonexistent vertices; reject them explicitly.
-        let tail_bits = universe % 64;
-        let last_word_mask = if universe == 0 {
-            0
-        } else if tail_bits == 0 {
-            u64::MAX
-        } else {
-            (1u64 << tail_bits) - 1
-        };
-        let bag = |id: u32| -> Result<BitSet, FrameError> {
-            if (id as usize) >= num_bags {
-                return Err(FrameError::new(format!("bag id {id} out of range")));
-            }
-            let words = snapshot.words(id as usize);
-            let Some((last, _)) = words.split_last() else {
-                return Err(FrameError::new("empty bag words"));
-            };
-            if last & !last_word_mask != 0 {
-                return Err(FrameError::new("bag words exceed the universe"));
-            }
-            Ok(BitSet::from_iter(universe, words_iter(words)))
-        };
-        let (first, rest) = nodes
-            .split_first()
-            .ok_or_else(|| FrameError::new("decomposition frame with no nodes"))?;
-        if first.0.is_some() {
-            return Err(FrameError::new("root node has a parent"));
-        }
-        let mut td = TreeDecomposition::new(bag(first.1)?);
-        for (i, &(parent, b)) in rest.iter().enumerate() {
-            let node = i + 1;
-            let Some(p) = parent else {
-                return Err(FrameError::new("non-root node without parent"));
-            };
-            if (p as usize) >= node {
-                return Err(FrameError::new("node table is not in preorder"));
-            }
-            td.add_child(p as usize, bag(b)?);
-        }
-        Ok(td)
     }
 
     /// Root node id.
@@ -226,11 +266,10 @@ impl TreeDecomposition {
     }
 
     /// Nodes in preorder (root first, children in order). Sibling order
-    /// is preserved so that framing a decomposition as a preorder node
-    /// table ([`TreeDecomposition::from_bag_frame`]'s input) and
-    /// rebuilding it is *idempotent* — the persistent store and the
-    /// wire protocol both rely on a decode → re-encode roundtrip being
-    /// byte-stable.
+    /// is preserved so that framing a decomposition
+    /// ([`TdFrame::from_td`]) and rebuilding it ([`TdFrame::to_td`]) is
+    /// *idempotent* — the persistent store and the wire protocol both
+    /// rely on a decode → re-encode roundtrip being byte-stable.
     pub fn preorder(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.num_nodes());
         let mut stack = vec![self.root];
@@ -445,68 +484,40 @@ pub(crate) mod tests {
         assert_eq!(td.tw_width(), 5); // largest bag has 6 vertices
     }
 
-    /// Frames `td` as (snapshot, preorder node table) the way the wire
-    /// and the store do.
-    fn bag_frame(
-        td: &TreeDecomposition,
-        universe: usize,
-    ) -> (ArenaSnapshot, Vec<(Option<u32>, u32)>) {
-        let order = td.preorder();
-        let mut new_id = vec![u32::MAX; td.num_nodes()];
-        for (i, &u) in order.iter().enumerate() {
-            new_id[u] = i as u32;
-        }
-        let mut arena = softhw_hypergraph::BagArena::new(universe);
-        let nodes = order
-            .iter()
-            .map(|&u| {
-                let bag = arena.intern(td.bag(u));
-                (td.parent(u).map(|p| new_id[p]), bag.0)
-            })
-            .collect();
-        (arena.snapshot(), nodes)
-    }
-
     #[test]
-    fn bag_frame_roundtrip_is_idempotent() {
+    fn frame_roundtrip_is_idempotent() {
         // frame → rebuild → frame again must be byte-identical: the
         // store serves frames that were decoded and re-encoded, and the
         // service's byte-identity contract depends on stability.
         let (h, td) = h2_soft_td();
-        let universe = h.num_vertices();
-        let (snap1, nodes1) = bag_frame(&td, universe);
-        let back = TreeDecomposition::from_bag_frame(universe, &snap1, &nodes1).unwrap();
+        let frame = TdFrame::from_td(&td, h.num_vertices());
+        let back = frame.to_td().unwrap();
         assert_eq!(back.validate(&h), Ok(()));
         // The rebuilt tree's preorder is the identity, so re-framing
         // reproduces the exact same snapshot and node table.
         assert_eq!(back.preorder(), (0..back.num_nodes()).collect::<Vec<_>>());
-        let (snap2, nodes2) = bag_frame(&back, universe);
-        assert_eq!(snap1, snap2);
-        assert_eq!(nodes1, nodes2);
+        assert_eq!(TdFrame::from_td(&back, h.num_vertices()), frame);
     }
 
     #[test]
-    fn corrupt_bag_frames_are_rejected() {
+    fn corrupt_frames_are_rejected() {
         let (h, td) = h2_soft_td();
-        let universe = h.num_vertices();
-        let (snap, nodes) = bag_frame(&td, universe);
-        // Root with a parent.
-        let mut bad = nodes.clone();
-        bad[0].0 = Some(0);
-        assert!(TreeDecomposition::from_bag_frame(universe, &snap, &bad).is_err());
-        // Parent out of preorder range.
-        let mut bad = nodes.clone();
-        bad[1].0 = Some(99);
-        assert!(TreeDecomposition::from_bag_frame(universe, &snap, &bad).is_err());
-        // Bag id out of range.
-        let mut bad = nodes.clone();
-        bad[0].1 = u32::MAX;
-        assert!(TreeDecomposition::from_bag_frame(universe, &snap, &bad).is_err());
-        // Slack bits beyond the universe.
-        let mut bad_snap = snap.clone();
-        bad_snap.storage[0] |= 1 << 63;
-        assert!(TreeDecomposition::from_bag_frame(universe, &bad_snap, &nodes).is_err());
-        // Empty node table.
-        assert!(TreeDecomposition::from_bag_frame(universe, &snap, &[]).is_err());
+        let good = TdFrame::from_td(&td, h.num_vertices());
+        type Corruption = fn(&mut TdFrame);
+        let corruptions: [(&str, Corruption); 6] = [
+            ("root with a parent", |f| f.nodes[0].0 = Some(0)),
+            ("parent out of preorder range", |f| f.nodes[1].0 = Some(99)),
+            ("bag id out of range", |f| f.nodes[0].1 = u32::MAX),
+            ("empty node table", |f| f.nodes.clear()),
+            ("slack bits beyond the universe", |f| {
+                f.snapshot.storage[0] |= 1 << 63
+            }),
+            ("universe the bag words do not match", |f| f.universe = 65),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            assert!(bad.to_td().is_err(), "{what}");
+        }
     }
 }

@@ -11,8 +11,8 @@
 //!   query AST) plus a request class (`SHW`, `SHW_LEQ k`, `HW`,
 //!   `HW_LEQ k`, `BEST eval k`, `STATS`); responses frame witness
 //!   decompositions as flat bag words + a dense node table
-//!   ([`wire::TdFrame`], built on
-//!   [`ArenaSnapshot`](softhw_hypergraph::ArenaSnapshot)).
+//!   ([`TdFrame`], softhw-core's one witness frame, re-exported here;
+//!   [`wire`] is only its text codec).
 //! - [`state`]: the shared handler state behind one entry point,
 //!   [`ServiceState::handle`], which returns the encoded response frame
 //!   — a bank of result-cache stripes routed by the schema's structural
@@ -52,9 +52,10 @@ pub mod state;
 pub mod wire;
 
 pub use server::{roundtrip, ServeOptions, Server, ShutdownHandle};
+pub use softhw_core::TdFrame;
 pub use state::{RequestCtx, ServiceConfig, ServiceState};
 pub use wire::{
     read_frame, BatchRequest, BodyFormat, EvalKind, FrameDecoder, HeaderVerb, Request,
-    RequestClass, RequestHeader, Response, TdFrame, WireError, WireRequest, PROTOCOL_VERBS,
+    RequestClass, RequestHeader, Response, WireError, WireRequest, PROTOCOL_VERBS,
     PROTOCOL_VERSION,
 };

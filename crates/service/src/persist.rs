@@ -4,12 +4,16 @@
 //! [`Response`] only after its witness **re-validates against the
 //! schema** ([`response_from_hit`]), once, whether it is served to a
 //! live request or preloaded at boot.
+//! Nothing here converts frames: the store takes and returns the
+//! [`TdFrame`] a [`Response`] carries, so a fresh response is put as a
+//! borrowed view ([`put_parts`]) and a hit's frames move into its reply.
 
 use crate::state::{ServiceConfig, ServiceState};
-use crate::wire::{Response, TdFrame};
+use crate::wire::Response;
 use softhw_core::ghd::Ghd;
+use softhw_core::TdFrame;
 use softhw_hypergraph::Hypergraph;
-use softhw_store::{ClassKey, FrameOwned, FrameRef, HitAnswer, PutAnswer, Store, StoreHit};
+use softhw_store::{ClassKey, HitAnswer, PutAnswer, Store, StoreHit};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,14 +31,8 @@ pub(crate) enum PersistMsg {
 pub(crate) struct PutPayload {
     schema: Hypergraph,
     key: ClassKey,
-    fields: Vec<(String, String)>,
-    answer: OwnedAnswer,
-}
-
-enum OwnedAnswer {
-    No,
-    Yes(TdFrame),
-    Width { width: usize, frame: TdFrame },
+    /// A response [`put_parts`] accepts.
+    resp: Response,
 }
 
 /// The store attachment: the shared store, its service-side counters,
@@ -76,14 +74,6 @@ pub(crate) fn lock_store(s: &Mutex<Store>) -> std::sync::MutexGuard<'_, Store> {
     s.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn frame_ref(f: &TdFrame) -> FrameRef<'_> {
-    FrameRef {
-        universe: f.universe,
-        snapshot: &f.snapshot,
-        nodes: &f.nodes,
-    }
-}
-
 fn persister(
     store: Arc<Mutex<Store>>,
     rx: mpsc::Receiver<PersistMsg>,
@@ -93,23 +83,12 @@ fn persister(
     let mut dirty = 0usize;
     let apply = |msg: PersistMsg, dirty: &mut usize| match msg {
         PersistMsg::Put(put) => {
-            let PutPayload {
-                schema,
-                key,
-                fields,
-                answer,
-            } = *put;
-            let answer = match &answer {
-                OwnedAnswer::No => PutAnswer::No,
-                OwnedAnswer::Yes(frame) => PutAnswer::Yes(frame_ref(frame)),
-                OwnedAnswer::Width { width, frame } => PutAnswer::Width {
-                    width: *width,
-                    frame: frame_ref(frame),
-                },
+            let Some((fields, answer)) = put_parts(&put.resp) else {
+                return;
             };
             let result = {
                 let mut store = lock_store(&store);
-                let result = store.put(&schema, key, &fields, answer);
+                let result = store.put(&put.schema, put.key, fields, answer);
                 index_bytes.store(store.index_bytes(), Ordering::Relaxed);
                 result
             };
@@ -232,7 +211,7 @@ impl ServiceState {
             }
             let idx = self.stripe_of(hash);
             for (key, hit) in store.results_for(hash, digest) {
-                if let Some(resp) = response_from_hit(&key, &hit, &h) {
+                if let Some(resp) = response_from_hit(&key, hit, &h) {
                     self.cache(idx, (hash, digest, key), &resp.encode());
                     warmed += 1;
                 }
@@ -242,99 +221,91 @@ impl ServiceState {
     }
 }
 
-fn frame_of(owned: FrameOwned) -> TdFrame {
-    TdFrame {
-        universe: owned.universe,
-        snapshot: owned.snapshot,
-        nodes: owned.nodes,
-    }
-}
-
 /// Rebuilds the exact [`Response`] a stored hit represents —
 /// **re-validating every witness against the schema first**. A hit
 /// whose shape does not match its key, whose frame does not decode,
 /// or whose witness fails validation yields `None`: the store entry is
 /// rejected and the request recomputes cold (identical answer, fresh
 /// record).
-pub(crate) fn response_from_hit(
-    key: &ClassKey,
-    hit: &StoreHit,
-    h: &Hypergraph,
-) -> Option<Response> {
-    let validated = |owned: &FrameOwned| -> Option<TdFrame> {
-        let frame = frame_of(owned.clone());
+pub(crate) fn response_from_hit(key: &ClassKey, hit: StoreHit, h: &Hypergraph) -> Option<Response> {
+    // hw witnesses (`hw_k` set) additionally need width-k edge covers to
+    // exist (one decode + validation total).
+    let validated = |frame: TdFrame, hw_k: Option<usize>| -> Option<TdFrame> {
         let td = frame.to_td().ok()?;
         td.validate(h).ok()?;
+        if let Some(k) = hw_k {
+            Ghd::from_td(h, td, k)?;
+        }
         Some(frame)
     };
-    // hw witnesses additionally need width-k edge covers to exist
-    // (one decode + validation total).
-    let validated_hw = |owned: &FrameOwned, k: usize| -> Option<TdFrame> {
-        let frame = frame_of(owned.clone());
-        let td = frame.to_td().ok()?;
-        td.validate(h).ok()?;
-        Ghd::from_td(h, td, k)?;
-        Some(frame)
+    let (class, k) = match *key {
+        ClassKey::Shw | ClassKey::Hw => {
+            let HitAnswer::Width { width, frame } = hit.answer else {
+                return None; // shape does not match the key: reject
+            };
+            let (class, hw_k) = match key {
+                ClassKey::Hw => ("HW", Some(width)),
+                _ => ("SHW", None),
+            };
+            let td = validated(frame, hw_k)?;
+            return Some(Response::Width {
+                class: class.into(),
+                width,
+                td,
+            });
+        }
+        ClassKey::ShwLeq(k) => ("SHW_LEQ", k as usize),
+        ClassKey::HwLeq(k) => ("HW_LEQ", k as usize),
+        ClassKey::BestTrivial(k) | ClassKey::BestConCov(k) | ClassKey::BestShallow { k, .. } => {
+            ("BEST", k as usize)
+        }
     };
-    let decision = |class: &str, k: usize, td: Option<TdFrame>| Response::Decision {
+    let td = match hit.answer {
+        HitAnswer::No => None,
+        HitAnswer::Yes(frame) => {
+            let hw_k = matches!(key, ClassKey::HwLeq(_)).then(|| k.min(h.num_edges()));
+            Some(validated(frame, hw_k)?)
+        }
+        HitAnswer::Width { .. } => return None,
+    };
+    Some(Response::Decision {
         class: class.into(),
-        fields: hit.fields.clone(),
+        fields: hit.fields,
         k,
         td,
-    };
-    Some(match (key, &hit.answer) {
-        (ClassKey::Shw, HitAnswer::Width { width, frame }) => Response::Width {
-            class: "SHW".into(),
-            width: *width,
-            td: validated(frame)?,
-        },
-        (ClassKey::Hw, HitAnswer::Width { width, frame }) => Response::Width {
-            class: "HW".into(),
-            width: *width,
-            td: validated_hw(frame, *width)?,
-        },
-        (ClassKey::ShwLeq(k), HitAnswer::Yes(frame)) => {
-            decision("SHW_LEQ", *k as usize, Some(validated(frame)?))
-        }
-        (ClassKey::ShwLeq(k), HitAnswer::No) => decision("SHW_LEQ", *k as usize, None),
-        (ClassKey::HwLeq(k), HitAnswer::Yes(frame)) => decision(
-            "HW_LEQ",
-            *k as usize,
-            Some(validated_hw(frame, (*k as usize).min(h.num_edges()))?),
+    })
+}
+
+/// The store's view of a persisted response: its echo fields and its
+/// answer, borrowing the response's witness frame. `None` for responses
+/// that are not persisted (errors, stats).
+fn put_parts(resp: &Response) -> Option<(&[(String, String)], PutAnswer<'_>)> {
+    Some(match resp {
+        Response::Width { width, td, .. } => (
+            &[],
+            PutAnswer::Width {
+                width: *width,
+                frame: td.into(),
+            },
         ),
-        (ClassKey::HwLeq(k), HitAnswer::No) => decision("HW_LEQ", *k as usize, None),
-        (
-            ClassKey::BestTrivial(k) | ClassKey::BestConCov(k) | ClassKey::BestShallow { k, .. },
-            HitAnswer::Yes(frame),
-        ) => decision("BEST", *k as usize, Some(validated(frame)?)),
-        (
-            ClassKey::BestTrivial(k) | ClassKey::BestConCov(k) | ClassKey::BestShallow { k, .. },
-            HitAnswer::No,
-        ) => decision("BEST", *k as usize, None),
-        _ => return None, // shape does not match the key: reject
+        Response::Decision { fields, td, .. } => (
+            fields,
+            td.as_ref()
+                .map_or(PutAnswer::No, |td| PutAnswer::Yes(td.into())),
+        ),
+        _ => return None,
     })
 }
 
 /// The write-behind message for a fresh cacheable response (`None` for
 /// responses that are not persisted: errors, stats). The response has
-/// already been encoded for the wire, so its frame moves into the
-/// message.
+/// already been encoded for the wire, so it moves into the message
+/// whole.
 pub(crate) fn persist_msg(h: &Hypergraph, key: ClassKey, resp: Response) -> Option<PersistMsg> {
-    let (fields, answer) = match resp {
-        Response::Width { width, td, .. } => (Vec::new(), OwnedAnswer::Width { width, frame: td }),
-        Response::Decision { fields, td, .. } => (
-            fields,
-            match td {
-                Some(td) => OwnedAnswer::Yes(td),
-                None => OwnedAnswer::No,
-            },
-        ),
-        _ => return None,
-    };
+    put_parts(&resp)?;
     Some(PersistMsg::Put(Box::new(PutPayload {
         schema: h.clone(),
         key,
-        fields,
-        answer,
+        resp,
     })))
 }

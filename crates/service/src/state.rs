@@ -67,14 +67,14 @@
 use crate::metrics::{ServiceObs, StripeMirror};
 use crate::persist::{persist_msg, response_from_hit, StoreHandle};
 use crate::wire::{
-    encode_batch, BodyFormat, EvalKind, Request, RequestClass, Response, TdFrame, WireRequest,
+    encode_batch, BodyFormat, EvalKind, Request, RequestClass, Response, WireRequest,
 };
 use softhw_core::constraints::{ConCov, ShallowCyc, Trivial};
 use softhw_core::ctd_opt::best_on_budgeted;
 use softhw_core::error::DecompError;
 use softhw_core::shw::soft_instance;
 use softhw_core::soft::SoftLimits;
-use softhw_core::{Budget, SolveSpec, Solved, TreeDecomposition};
+use softhw_core::{Budget, SolveSpec, Solved, TdFrame, TreeDecomposition};
 use softhw_hypergraph::cache::canonical_form;
 use softhw_hypergraph::fxhash::hash_u64s;
 use softhw_hypergraph::{scan_hypergraph, FxHashMap, Hypergraph, Scan};
@@ -561,7 +561,7 @@ impl ServiceState {
                     .unwrap_or_else(PoisonError::into_inner)
                     .get(hash, digest, &key);
                 match hit {
-                    Some(hit) => match response_from_hit(&key, &hit, &h) {
+                    Some(hit) => match response_from_hit(&key, hit, &h) {
                         Some(resp) => {
                             handle.hits.fetch_add(1, Ordering::Relaxed);
                             let frame = resp.encode();

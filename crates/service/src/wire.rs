@@ -7,13 +7,20 @@
 //! that is literally `%%`, can collide with the terminator. The format
 //! is human-typable (`nc` is a usable client; just don't start typed
 //! body lines with a bare `%`) but the decomposition payload is
-//! machine-dense: a
-//! [`TdFrame`] is a flat framing of deduplicated **bag words** (an
-//! [`ArenaSnapshot`] — every distinct bag once, `words_per_bag` `u64`s
-//! back to back in id order, hex on the wire) plus a **node table** of
-//! `(parent, bag-id)` pairs in preorder. The arena's dense `u32` ids do
-//! all the work: nodes reference bags by index, equal bags are framed
-//! once, and decoding is two linear passes with no name resolution.
+//! machine-dense: a witness travels as softhw-core's [`TdFrame`], a flat
+//! framing of deduplicated **bag words** (an [`ArenaSnapshot`] — every
+//! distinct bag once, `words_per_bag` `u64`s back to back in id order,
+//! hex on the wire) plus a **node table** of `(parent, bag-id)` pairs in
+//! preorder. The arena's dense `u32` ids do all the work: nodes
+//! reference bags by index, equal bags are framed once, and decoding is
+//! two linear passes with no name resolution.
+//!
+//! This module is the frame's **text codec only**. The frame itself,
+//! framing a decomposition ([`TdFrame::from_td`]) and rebuilding one
+//! ([`TdFrame::to_td`]) live in `softhw_core::td`, shared with the
+//! persistent store, so wire witnesses and stored witnesses go through
+//! one decoder. The text decoder trusts no count in a `TD` header: it
+//! allocates only what the lines present can fill.
 //!
 //! This is protocol revision [`PROTOCOL_VERSION`] (`V1`). The version
 //! is advertised through the opt-in `HELLO` verb — a zero-body request
@@ -73,8 +80,8 @@
 //! generically. The decoder here does exactly that, which is what keeps
 //! the frame backward-parseable as the set grows.
 
-use softhw_core::td::TreeDecomposition;
-use softhw_hypergraph::{ArenaSnapshot, BagArena};
+use softhw_core::TdFrame;
+use softhw_hypergraph::ArenaSnapshot;
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
 
@@ -555,161 +562,120 @@ impl WireRequest {
     }
 }
 
-/// A serialised tree decomposition: deduplicated bag words (an arena
-/// snapshot) plus a `(parent, bag-id)` node table in preorder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TdFrame {
-    /// The vertex universe the bags are over.
-    pub universe: usize,
-    /// Every distinct bag's words, back to back in id order.
-    pub snapshot: ArenaSnapshot,
-    /// `(parent index, bag id)` per node, preorder; the root is node 0
-    /// with no parent.
-    pub nodes: Vec<(Option<u32>, u32)>,
+/// Writes `frame` as its `TD` header, `A` bag-word lines and `N` node
+/// lines.
+fn encode_frame(frame: &TdFrame, out: &mut String) {
+    let _ = writeln!(
+        out,
+        "TD nodes={} bags={} universe={} words={}",
+        frame.nodes.len(),
+        frame.snapshot.len(),
+        frame.universe,
+        frame.snapshot.words_per_bag()
+    );
+    for i in 0..frame.snapshot.len() {
+        out.push('A');
+        for w in frame.snapshot.words(i) {
+            let _ = write!(out, " {w:016x}");
+        }
+        out.push('\n');
+    }
+    for &(parent, bag) in &frame.nodes {
+        let _ = match parent {
+            Some(p) => writeln!(out, "N {p} {bag}"),
+            None => writeln!(out, "N - {bag}"),
+        };
+    }
 }
 
-impl TdFrame {
-    /// Frames a decomposition over a `universe`-vertex hypergraph.
-    pub fn from_td(td: &TreeDecomposition, universe: usize) -> TdFrame {
-        let order = td.preorder();
-        let mut new_id = vec![u32::MAX; td.num_nodes()];
-        for (i, &u) in order.iter().enumerate() {
-            if let Some(slot) = new_id.get_mut(u) {
-                *slot = i as u32;
-            }
+/// Decodes a frame from its lines (the `TD` header plus `A`/`N` lines).
+/// It accepts exactly the spelling [`encode_frame`] writes, so a frame
+/// that decodes re-encodes byte-identically. The header's counts are
+/// claims, not sizes: nothing is allocated for more than the lines
+/// actually present can fill.
+fn decode_frame(lines: &[String]) -> Result<TdFrame, WireError> {
+    let header = lines
+        .first()
+        .ok_or_else(|| WireError::new("missing TD header"))?;
+    let toks: Vec<&str> = header.split(' ').collect();
+    let ["TD", nodes_tok, bags_tok, universe_tok, words_tok] = toks[..] else {
+        return Err(WireError::new(format!("bad TD header {header:?}")));
+    };
+    let field = |tok: &str, key: &str| -> Result<usize, WireError> {
+        tok.strip_prefix(key)
+            .and_then(|value| value.strip_prefix('='))
+            .and_then(decimal)
+            .ok_or_else(|| WireError::new(format!("bad TD field {tok:?}, expected {key}=<n>")))
+    };
+    let nodes_n = field(nodes_tok, "nodes")?;
+    let bags_n = field(bags_tok, "bags")?;
+    let universe = field(universe_tok, "universe")?;
+    let words = field(words_tok, "words")?;
+    if words != universe.div_ceil(64).max(1) {
+        return Err(WireError::new("TD word width disagrees with universe"));
+    }
+    let (bag_lines, node_lines) = lines
+        .get(1..)
+        .and_then(|body| body.split_at_checked(bags_n))
+        .filter(|(_, node_lines)| node_lines.len() == nodes_n)
+        .ok_or_else(|| WireError::new("TD frame line count mismatch"))?;
+    // A word token is 16 digits and a separator, so the bag lines hold
+    // at most that many words, whatever `bags × words` claims.
+    let fillable: usize = bag_lines.iter().map(|line| line.len() / 17).sum();
+    let mut storage = Vec::with_capacity(bags_n.saturating_mul(words).min(fillable));
+    for line in bag_lines {
+        let mut toks = line.split(' ');
+        if toks.next() != Some("A") {
+            return Err(WireError::new("expected bag line"));
         }
-        let mut arena = BagArena::new(universe);
-        let nodes = order
-            .iter()
-            .map(|&u| {
-                let bag = arena.intern(td.bag(u));
-                (td.parent(u).and_then(|p| new_id.get(p).copied()), bag.0)
-            })
-            .collect();
-        TdFrame {
-            universe,
-            snapshot: arena.snapshot(),
-            nodes,
+        let mut count = 0;
+        for t in toks {
+            let w = word(t).ok_or_else(|| WireError::new(format!("bad bag word {t:?}")))?;
+            storage.push(w);
+            count += 1;
+        }
+        if count != words {
+            return Err(WireError::new("bag line with wrong word count"));
         }
     }
-
-    /// Reconstructs the decomposition. Fails on a corrupt frame (bag or
-    /// parent references out of range, wrong preorder) instead of
-    /// panicking. Decoding is the shared
-    /// [`TreeDecomposition::from_bag_frame`] path, which the persistent
-    /// store's witness records also go through.
-    pub fn to_td(&self) -> Result<TreeDecomposition, WireError> {
-        TreeDecomposition::from_bag_frame(self.universe, &self.snapshot, &self.nodes)
-            .map_err(|e| WireError::new(e.message))
-    }
-
-    fn encode_into(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "TD nodes={} bags={} universe={} words={}",
-            self.nodes.len(),
-            self.snapshot.len(),
-            self.universe,
-            self.snapshot.words_per_bag()
-        );
-        for i in 0..self.snapshot.len() {
-            out.push('A');
-            for w in self.snapshot.words(i) {
-                let _ = write!(out, " {w:016x}");
-            }
-            out.push('\n');
-        }
-        for &(parent, bag) in &self.nodes {
-            match parent {
-                Some(p) => {
-                    let _ = writeln!(out, "N {p} {bag}");
-                }
-                None => {
-                    let _ = writeln!(out, "N - {bag}");
-                }
-            }
-        }
-    }
-
-    /// Decodes the frame from its lines (the `TD` header plus `A`/`N`
-    /// lines).
-    fn decode(lines: &[String]) -> Result<TdFrame, WireError> {
-        let header = lines
-            .first()
-            .ok_or_else(|| WireError::new("missing TD header"))?;
-        let mut nodes_n = None;
-        let mut bags_n = None;
-        let mut universe = None;
-        let mut words = None;
-        for tok in header.split_whitespace().skip(1) {
-            let (key, value) = tok
-                .split_once('=')
-                .ok_or_else(|| WireError::new(format!("bad TD field {tok:?}")))?;
-            let value: usize = value
-                .parse()
-                .map_err(|_| WireError::new(format!("bad TD value {tok:?}")))?;
-            match key {
-                "nodes" => nodes_n = Some(value),
-                "bags" => bags_n = Some(value),
-                "universe" => universe = Some(value),
-                "words" => words = Some(value),
-                _ => return Err(WireError::new(format!("unknown TD field {key:?}"))),
-            }
-        }
-        let (Some(nodes_n), Some(bags_n), Some(universe), Some(words)) =
-            (nodes_n, bags_n, universe, words)
-        else {
-            return Err(WireError::new("incomplete TD header"));
+    let mut nodes = Vec::with_capacity(nodes_n);
+    for line in node_lines {
+        let toks: Vec<&str> = line.split(' ').collect();
+        let ["N", parent_tok, bag_tok] = toks[..] else {
+            return Err(WireError::new("expected node line"));
         };
-        if words != universe.div_ceil(64).max(1) {
-            return Err(WireError::new("TD word width disagrees with universe"));
-        }
-        if lines.len() != 1 + bags_n + nodes_n {
-            return Err(WireError::new("TD frame line count mismatch"));
-        }
-        let mut storage = Vec::with_capacity(bags_n * words);
-        for line in lines.get(1..1 + bags_n).unwrap_or(&[]) {
-            let mut toks = line.split_whitespace();
-            if toks.next() != Some("A") {
-                return Err(WireError::new("expected bag line"));
-            }
-            let mut count = 0;
-            for t in toks {
-                let w = u64::from_str_radix(t, 16)
-                    .map_err(|_| WireError::new(format!("bad bag word {t:?}")))?;
-                storage.push(w);
-                count += 1;
-            }
-            if count != words {
-                return Err(WireError::new("bag line with wrong word count"));
-            }
-        }
-        let mut nodes = Vec::with_capacity(nodes_n);
-        for line in lines.get(1 + bags_n..).unwrap_or(&[]) {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            let ["N", parent_tok, bag_tok] = toks[..] else {
-                return Err(WireError::new("expected node line"));
-            };
-            let parent = if parent_tok == "-" {
-                None
-            } else {
-                Some(
-                    parent_tok
-                        .parse()
-                        .map_err(|_| WireError::new(format!("bad parent {parent_tok:?}")))?,
-                )
-            };
-            let bag: u32 = bag_tok
-                .parse()
-                .map_err(|_| WireError::new(format!("bad bag id {bag_tok:?}")))?;
-            nodes.push((parent, bag));
-        }
-        Ok(TdFrame {
-            universe,
-            snapshot: ArenaSnapshot { universe, storage },
-            nodes,
-        })
+        let parent = match parent_tok {
+            "-" => None,
+            _ => Some(
+                decimal(parent_tok)
+                    .ok_or_else(|| WireError::new(format!("bad parent {parent_tok:?}")))?,
+            ),
+        };
+        let bag =
+            decimal(bag_tok).ok_or_else(|| WireError::new(format!("bad bag id {bag_tok:?}")))?;
+        nodes.push((parent, bag));
     }
+    Ok(TdFrame {
+        universe,
+        snapshot: ArenaSnapshot { universe, storage },
+        nodes,
+    })
+}
+
+/// Parses a decimal in the one spelling `{}` writes: digits only, and
+/// no leading zero.
+fn decimal<T: std::str::FromStr>(tok: &str) -> Option<T> {
+    let canonical =
+        tok.bytes().all(|b| b.is_ascii_digit()) && (tok == "0" || !tok.starts_with('0'));
+    canonical.then(|| tok.parse().ok()).flatten()
+}
+
+/// Parses a bag word in the one spelling `{:016x}` writes.
+fn word(tok: &str) -> Option<u64> {
+    let canonical = tok.len() == 16 && tok.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    canonical
+        .then(|| u64::from_str_radix(tok, 16).ok())
+        .flatten()
 }
 
 /// One service response.
@@ -808,7 +774,7 @@ impl Response {
         match self {
             Response::Width { class, width, td } => {
                 let _ = writeln!(out, "OK {class} width={width}");
-                td.encode_into(&mut out);
+                encode_frame(td, &mut out);
             }
             Response::Decision {
                 class,
@@ -822,7 +788,7 @@ impl Response {
                 }
                 let _ = writeln!(out, " answer={}", if td.is_some() { "yes" } else { "no" });
                 if let Some(td) = td {
-                    td.encode_into(&mut out);
+                    encode_frame(td, &mut out);
                 }
             }
             Response::Stats { fields } => {
@@ -965,7 +931,7 @@ impl Response {
                 .ok_or_else(|| WireError::new("missing width"))?
                 .parse()
                 .map_err(|_| WireError::new("bad width"))?;
-            let td = TdFrame::decode(lines.get(1..).unwrap_or(&[]))?;
+            let td = decode_frame(lines.get(1..).unwrap_or(&[]))?;
             return Ok(Response::Width { class, width, td });
         }
         let k: usize = take(&mut fields, "k")
@@ -974,7 +940,7 @@ impl Response {
             .map_err(|_| WireError::new("bad k"))?;
         let answer = take(&mut fields, "answer").ok_or_else(|| WireError::new("missing answer"))?;
         let td = match answer.as_str() {
-            "yes" => Some(TdFrame::decode(lines.get(1..).unwrap_or(&[]))?),
+            "yes" => Some(decode_frame(lines.get(1..).unwrap_or(&[]))?),
             "no" => None,
             other => return Err(WireError::new(format!("bad answer {other:?}"))),
         };
@@ -1239,27 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_td_frames_are_rejected() {
-        let h = named::h2();
-        let (_, td) = shw::shw(&h);
-        let good = TdFrame::from_td(&td, h.num_vertices());
-        let mut bad = good.clone();
-        bad.nodes[0].0 = Some(0);
-        assert!(bad.to_td().is_err(), "root with parent");
-        let mut bad = good.clone();
-        if bad.nodes.len() > 1 {
-            bad.nodes[1].0 = Some(99);
-            assert!(bad.to_td().is_err(), "parent out of preorder range");
-        }
-        let mut bad = good.clone();
-        bad.nodes[0].1 = u32::MAX;
-        assert!(bad.to_td().is_err(), "bag id out of range");
-        let mut bad = good.clone();
-        bad.universe = 3;
-        assert!(bad.to_td().is_err(), "universe mismatch");
-    }
-
-    #[test]
     fn stats_frames_with_unknown_fields_stay_parseable() {
         // The STATS field set grows over time (per-stripe load,
         // result-cache and store rows). A client built against an older
@@ -1331,12 +1276,63 @@ mod tests {
     }
 
     #[test]
-    fn slack_bits_beyond_the_universe_are_rejected() {
-        let h = named::h2(); // 10 vertices: bits 10..64 of word 0 are slack
-        let (_, td) = shw::shw(&h);
-        let mut bad = TdFrame::from_td(&td, h.num_vertices());
-        bad.snapshot.storage[0] |= 1 << 63;
-        assert!(bad.to_td().is_err(), "slack bit must be rejected");
+    fn td_header_counts_cannot_size_an_allocation() {
+        let lines = |td_header: &str, bag: &str| -> Vec<String> {
+            ["OK SHW width=1", td_header, bag, "N - 0"]
+                .map(String::from)
+                .to_vec()
+        };
+        // `bags × words` here is 2^61 bytes: reserving it up front
+        // aborted the decoding process, which no `catch_unwind` contains.
+        let huge = "TD nodes=1 bags=1 universe=18446744073709551615 words=288230376151711744";
+        for bag in ["A 0", "A 0000000000000001"] {
+            assert!(Response::decode(&lines(huge, bag)).is_err(), "{bag}");
+        }
+        // Line counts whose sum overflows are a mismatch, not a panic.
+        let max = usize::MAX;
+        for header in [
+            format!("TD nodes={max} bags=1 universe=1 words=1"),
+            format!("TD nodes=1 bags={max} universe=1 words=1"),
+        ] {
+            let decoded = Response::decode(&lines(&header, "A 0000000000000001"));
+            assert!(decoded.is_err(), "{header}");
+        }
+        // The same frame with honest counts decodes.
+        let honest = lines("TD nodes=1 bags=1 universe=1 words=1", "A 0000000000000001");
+        let ok = Response::decode(&honest).unwrap();
+        assert!(matches!(ok, Response::Width { width: 1, .. }), "{ok:?}");
+    }
+
+    #[test]
+    fn td_frames_decode_only_their_one_spelling() {
+        // A frame has one text form, so a frame that decodes re-encodes
+        // byte-identically.
+        let good = [
+            "OK SHW width=1",
+            "TD nodes=1 bags=1 universe=1 words=1",
+            "A 0000000000000001",
+            "N - 0",
+        ];
+        let decodes = |at: usize, line: &str| {
+            let mut lines = good.map(String::from);
+            lines[at] = line.to_string();
+            Response::decode(&lines).is_ok()
+        };
+        assert!(decodes(3, "N - 0"));
+        for (at, line) in [
+            (1, "TD bags=1 nodes=1 universe=1 words=1"),
+            (1, "XX nodes=1 bags=1 universe=1 words=1"),
+            (1, "TD nodes=01 bags=1 universe=1 words=1"),
+            (1, "TD nodes=1 bags=1  universe=1 words=1"),
+            (2, "A 1"),
+            (2, "A 000000000000000F"),
+            (2, "A  0000000000000001"),
+            (3, "N - 00"),
+            (3, "N - +0"),
+            (3, "N - 0 "),
+        ] {
+            assert!(!decodes(at, line), "{line:?}");
+        }
     }
 
     fn frame_lines(encoded: &str) -> Vec<String> {

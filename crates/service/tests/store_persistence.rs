@@ -24,7 +24,7 @@ use softhw_service::{
     EvalKind, Request, RequestClass, RequestCtx, Response, ServiceConfig, ServiceState, TdFrame,
     WireRequest,
 };
-use softhw_store::{ClassKey, FrameRef, PutAnswer, Store};
+use softhw_store::{ClassKey, PutAnswer, Store};
 use std::path::PathBuf;
 
 /// One single request through the service's one `handle`: the frame.
@@ -231,11 +231,7 @@ fn stale_records_are_rejected_and_recomputed() {
                 &[],
                 PutAnswer::Width {
                     width: 1,
-                    frame: FrameRef {
-                        universe: frame.universe,
-                        snapshot: &frame.snapshot,
-                        nodes: &frame.nodes,
-                    },
+                    frame: (&frame).into(),
                 },
             )
             .expect("put fake");

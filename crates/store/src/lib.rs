@@ -11,9 +11,9 @@
 //! schema, the canonical hypergraph (for rebuilds and collision
 //! rejection), a **shared bag dictionary** (every distinct witness bag
 //! stored once per schema), and the set of `(request class → answer)`
-//! results with witnesses framed exactly like the wire's `TdFrame` —
-//! so a restart can answer a repeated request byte-identically without
-//! touching a solver.
+//! results with witnesses served as softhw-core's `TdFrame`, the frame
+//! the wire carries — so a restart can answer a repeated request
+//! byte-identically without touching a solver.
 //!
 //! - [`record`]: the versioned, crc64-checksummed, varint-packed record
 //!   format (`Schema` / `Bags` / `Result`).
@@ -37,6 +37,6 @@ pub mod store;
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use record::{crc64, ClassKey, ResultRecord, StoreRecord, StoredAnswer, StoredTd};
 pub use store::{
-    schema_digest, schema_key, FrameOwned, FrameRef, HitAnswer, PutAnswer, SchemaSummary, Store,
-    StoreHit, StoreStats,
+    schema_digest, schema_key, FrameRef, HitAnswer, PutAnswer, SchemaSummary, Store, StoreHit,
+    StoreStats,
 };

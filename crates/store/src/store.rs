@@ -33,21 +33,36 @@
 //! prefix, and a corrupted record is rejected (recomputed by the
 //! service), never trusted.
 //!
+//! **A failed append stops the store.** A write that fails (EIO, a short
+//! write, a full disk) may leave a torn record on disk, and replay stops
+//! at the first one: anything appended after it would be truncated at the
+//! next open even though its `put` and `sync` succeeded. So the handle
+//! latches the first failed append and every later [`Store::put`] fails
+//! with its error kind until the store is reopened. The torn tail stays
+//! where it is for [`Store::open`] to recover; what was appended before
+//! it survives, and [`Store::sync`] still makes that durable.
+//!
 //! [`Store::put`] appends: on a schema's first sight a `Schema` record,
 //! then a `Bags` delta for witness bags the schema's dictionary has not
-//! seen (bag dedup across records of one schema), then the `Result`.
-//! Writes go straight to the file descriptor; durability is the
-//! caller's [`Store::sync`] (the service batches fsyncs on its
-//! write-behind channel). [`Store::compact`] rewrites the log dropping
-//! superseded results and orphaned dictionary bags, atomically via a
-//! temp file + rename.
+//! seen (bag dedup across records of one schema), then the `Result`. A
+//! record reaches the index only after its append succeeded, so the
+//! index never holds what the log lacks. Writes go straight to the file
+//! descriptor; durability is the caller's [`Store::sync`] (the service
+//! batches fsyncs on its write-behind channel). [`Store::compact`]
+//! rewrites the log dropping superseded results and orphaned dictionary
+//! bags, atomically via a temp file + rename.
+//!
+//! Witnesses go in and come out as softhw-core's [`TdFrame`], the same
+//! frame the wire protocol carries: [`Store::get`] rebuilds one from the
+//! bag dictionary in exactly the order [`TdFrame::from_td`] frames, and
+//! [`Store::verify`] decodes it with the one decoder, [`TdFrame::to_td`].
 
 use crate::fault::{FaultInjector, WriteDecision};
 use crate::record::{
     crc64, scan_record, words_per_set, ClassKey, ResultRecord, ScanOutcome, StoreRecord,
     StoredAnswer, StoredTd, MAGIC,
 };
-use softhw_core::td::TreeDecomposition;
+use softhw_core::TdFrame;
 use softhw_hypergraph::cache::canonical_form;
 use softhw_hypergraph::fxhash::hash_u64_iter;
 use softhw_hypergraph::pack::{get_varint, put_varint};
@@ -121,32 +136,8 @@ pub struct SchemaSummary {
     pub heat: u64,
 }
 
-/// A witness rebuilt from the store, in the exact flat framing the wire
-/// protocol uses: a deduplicated [`ArenaSnapshot`] (bag ids dense in
-/// first-occurrence order over the node table) plus `(parent, bag-id)`
-/// nodes in preorder.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FrameOwned {
-    /// The vertex universe.
-    pub universe: usize,
-    /// Every distinct bag once, id order.
-    pub snapshot: ArenaSnapshot,
-    /// `(parent index, bag id)` per node, preorder.
-    pub nodes: Vec<(Option<u32>, u32)>,
-}
-
-impl FrameOwned {
-    /// Reconstructs the decomposition (shared
-    /// [`TreeDecomposition::from_bag_frame`] decode path, total on
-    /// corrupt frames).
-    pub fn to_td(&self) -> Result<TreeDecomposition, softhw_core::FrameError> {
-        TreeDecomposition::from_bag_frame(self.universe, &self.snapshot, &self.nodes)
-    }
-}
-
-/// A borrowed witness frame handed to [`Store::put`] (the service's
-/// `TdFrame`, decomposed into its parts so the store does not depend on
-/// the wire crate).
+/// A borrowed witness frame handed to [`Store::put`]: a [`TdFrame`]'s
+/// parts, so a caller that holds them apart need not assemble one.
 #[derive(Clone, Copy)]
 pub struct FrameRef<'a> {
     /// The vertex universe.
@@ -155,6 +146,16 @@ pub struct FrameRef<'a> {
     pub snapshot: &'a ArenaSnapshot,
     /// `(parent index, bag id)` per node, preorder.
     pub nodes: &'a [(Option<u32>, u32)],
+}
+
+impl<'a> From<&'a TdFrame> for FrameRef<'a> {
+    fn from(frame: &'a TdFrame) -> FrameRef<'a> {
+        FrameRef {
+            universe: frame.universe,
+            snapshot: &frame.snapshot,
+            nodes: &frame.nodes,
+        }
+    }
 }
 
 /// The answer being persisted by [`Store::put`].
@@ -188,13 +189,13 @@ pub enum HitAnswer {
     /// A "no" decision.
     No,
     /// A "yes" decision with its witness.
-    Yes(FrameOwned),
+    Yes(TdFrame),
     /// An exact width with its witness.
     Width {
         /// The stored width.
         width: usize,
         /// The witness decomposition.
-        frame: FrameOwned,
+        frame: TdFrame,
     },
 }
 
@@ -440,6 +441,9 @@ pub struct Store {
     misses: u64,
     puts: u64,
     recovered_bytes: u64,
+    /// The kind of the first failed append, latched: every later `put`
+    /// fails with it until the store is reopened (see the module docs).
+    failed: Option<io::ErrorKind>,
     /// Test-only storage fault injection; `None` in production.
     faults: Option<FaultInjector>,
 }
@@ -489,6 +493,7 @@ impl Store {
             misses: 0,
             puts: 0,
             recovered_bytes: 0,
+            failed: None,
             faults: None,
         };
         if bytes.is_empty() {
@@ -663,9 +668,14 @@ impl Store {
         Some(out)
     }
 
+    /// Appends one record; a failed write latches the store
+    /// ([`Store::put`] refuses from then on).
     fn append(&mut self, record: &StoreRecord) -> io::Result<()> {
         let framed = record.frame();
-        self.write_log(&framed)?;
+        if let Err(e) = self.write_log(&framed) {
+            self.failed = Some(e.kind());
+            return Err(e);
+        }
         self.bytes += framed.len() as u64;
         Ok(())
     }
@@ -692,8 +702,10 @@ impl Store {
     /// Persists one result of schema `h`. Appends, in order: a `Schema`
     /// record on first sight, a `Bags` delta for witness bags new to
     /// the schema's dictionary, and the `Result` (which supersedes any
-    /// earlier result under the same class key). Durability requires a
-    /// later [`Store::sync`].
+    /// earlier result under the same class key). Each record reaches the
+    /// index only once its append succeeded. Durability requires a later
+    /// [`Store::sync`]. After a failed append every call returns that
+    /// failure until the store is reopened.
     pub fn put(
         &mut self,
         h: &Hypergraph,
@@ -701,6 +713,9 @@ impl Store {
         fields: &[(String, String)],
         answer: PutAnswer<'_>,
     ) -> io::Result<()> {
+        if let Some(kind) = self.failed {
+            return Err(io::Error::new(kind, "store stopped after a failed append"));
+        }
         let (hash, digest) = schema_key(h);
         if !self.index.contains_key(&(hash, digest)) {
             let mut edges: Vec<Vec<u64>> = h.edges().iter().map(|e| e.blocks().to_vec()).collect();
@@ -711,9 +726,9 @@ impl Store {
                 num_vertices: h.num_vertices() as u64,
                 edges,
             };
-            self.apply(record.clone())
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
             self.append(&record)?;
+            self.apply(record)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         }
         // Intern the witness's bags into the shared dictionary, logging
         // only the delta, and translate the node table to dictionary
@@ -742,22 +757,19 @@ impl Store {
             let mut new_bags: Vec<Vec<u64>> = Vec::new();
             let mut new_packed: Vec<u8> = Vec::new();
             let mut dict_of_local: Vec<u32> = Vec::with_capacity(frame.snapshot.len());
-            this.mutate((hash, digest), |entry| {
-                let next = entry.dict_len();
-                for (i, bag) in packed.chunks_exact(bps).enumerate() {
-                    let pending = || new_packed.chunks_exact(bps).position(|new| new == bag);
-                    let known = entry
-                        .dict_lookup(bag)
-                        .or_else(|| pending().map(|at| (next + at) as u32));
-                    dict_of_local.push(known.unwrap_or_else(|| {
-                        new_bags.push(frame.snapshot.words(i).to_vec());
-                        new_packed.extend_from_slice(bag);
-                        (next + new_bags.len() - 1) as u32
-                    }));
-                }
-                entry.dict_extend(&new_packed);
-            })
-            .expect("registered above");
+            let entry = &this.index[&(hash, digest)];
+            let next = entry.dict_len();
+            for (i, bag) in packed.chunks_exact(bps).enumerate() {
+                let pending = || new_packed.chunks_exact(bps).position(|new| new == bag);
+                let known = entry
+                    .dict_lookup(bag)
+                    .or_else(|| pending().map(|at| (next + at) as u32));
+                dict_of_local.push(known.unwrap_or_else(|| {
+                    new_bags.push(frame.snapshot.words(i).to_vec());
+                    new_packed.extend_from_slice(bag);
+                    (next + new_bags.len() - 1) as u32
+                }));
+            }
             let mut nodes = Vec::with_capacity(frame.nodes.len());
             for &(parent, bag) in frame.nodes {
                 let dict_id = *dict_of_local.get(bag as usize).ok_or_else(|| {
@@ -772,6 +784,7 @@ impl Store {
                     universe: h.num_vertices() as u64,
                     bags: new_bags,
                 })?;
+                this.mutate((hash, digest), |entry| entry.dict_extend(&new_packed));
             }
             Ok(StoredTd { nodes })
         };
@@ -834,10 +847,10 @@ impl Store {
 
     /// Rebuilds a dense-id witness frame from dictionary-id nodes: local
     /// ids are assigned in first-occurrence order over the node table,
-    /// which is exactly the order the wire's `TdFrame::from_td` interns
-    /// preorder bags — so a frame that went through the store compares
+    /// which is exactly the order [`TdFrame::from_td`] interns preorder
+    /// bags — so a frame that went through the store compares
     /// byte-identical to one framed fresh.
-    fn materialise(entry: &SchemaEntry, td: &StoredTd) -> FrameOwned {
+    fn materialise(entry: &SchemaEntry, td: &StoredTd) -> TdFrame {
         let universe = entry.num_vertices();
         let mut local_of_dict: FxHashMap<u32, u32> = FxHashMap::default();
         let mut storage: Vec<u64> = Vec::new();
@@ -850,7 +863,7 @@ impl Store {
             });
             nodes.push((parent, local));
         }
-        FrameOwned {
+        TdFrame {
             universe,
             snapshot: ArenaSnapshot { universe, storage },
             nodes,
@@ -960,10 +973,8 @@ impl Store {
                 continue;
             }
             for (key, hit) in self.results_for(s.hash, s.digest) {
-                let frame = match &hit.answer {
-                    HitAnswer::No => continue,
-                    HitAnswer::Yes(f) => f,
-                    HitAnswer::Width { frame, .. } => frame,
+                let (HitAnswer::Yes(frame) | HitAnswer::Width { frame, .. }) = &hit.answer else {
+                    continue;
                 };
                 match frame.to_td() {
                     Ok(td) => {

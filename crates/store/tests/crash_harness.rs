@@ -14,11 +14,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use softhw_core::shw;
-use softhw_hypergraph::{named, ArenaSnapshot, BagArena, Hypergraph};
+use softhw_core::{shw, TdFrame};
+use softhw_hypergraph::{named, Hypergraph};
 use softhw_store::{
-    schema_key, ClassKey, FaultInjector, FaultKind, FaultPlan, FrameRef, HitAnswer, PutAnswer,
-    Store,
+    schema_key, ClassKey, FaultInjector, FaultKind, FaultPlan, HitAnswer, PutAnswer, Store,
 };
 use std::path::PathBuf;
 
@@ -45,34 +44,12 @@ impl Drop for TempStore {
     }
 }
 
-/// Frames a decomposition exactly like the wire's `TdFrame::from_td`.
-fn frame_of(
-    td: &softhw_core::td::TreeDecomposition,
-    universe: usize,
-) -> (ArenaSnapshot, Vec<(Option<u32>, u32)>) {
-    let order = td.preorder();
-    let mut new_id = vec![u32::MAX; td.num_nodes()];
-    for (i, &u) in order.iter().enumerate() {
-        new_id[u] = i as u32;
-    }
-    let mut arena = BagArena::new(universe);
-    let nodes = order
-        .iter()
-        .map(|&u| {
-            let bag = arena.intern(td.bag(u));
-            (td.parent(u).map(|p| new_id[p]), bag.0)
-        })
-        .collect();
-    (arena.snapshot(), nodes)
-}
-
 /// One schema with its solved witness, framed once up front so every
 /// trial puts (and later expects) the exact same bytes.
 struct PoolEntry {
     h: Hypergraph,
     width: usize,
-    snapshot: ArenaSnapshot,
-    nodes: Vec<(Option<u32>, u32)>,
+    frame: TdFrame,
 }
 
 fn build_pool() -> Vec<PoolEntry> {
@@ -86,13 +63,8 @@ fn build_pool() -> Vec<PoolEntry> {
         .into_iter()
         .map(|h| {
             let (width, td) = shw::shw(&h);
-            let (snapshot, nodes) = frame_of(&td, h.num_vertices());
-            PoolEntry {
-                h,
-                width,
-                snapshot,
-                nodes,
-            }
+            let frame = TdFrame::from_td(&td, h.num_vertices());
+            PoolEntry { h, width, frame }
         })
         .collect()
 }
@@ -124,11 +96,7 @@ fn build_steps(pool_len: usize) -> Vec<Step> {
 
 fn do_put(store: &mut Store, pool: &[PoolEntry], step: Step) -> std::io::Result<()> {
     let e = &pool[step.pool];
-    let frame = FrameRef {
-        universe: e.h.num_vertices(),
-        snapshot: &e.snapshot,
-        nodes: &e.nodes,
-    };
+    let frame = (&e.frame).into();
     let (key, answer) = match step.kind {
         StepKind::Width => (
             ClassKey::Shw,
@@ -159,13 +127,11 @@ fn check_step(store: &mut Store, pool: &[PoolEntry], step: Step, trial: usize) {
     match (step.kind, hit.answer) {
         (StepKind::No, HitAnswer::No) => {}
         (StepKind::Yes, HitAnswer::Yes(frame)) => {
-            assert_eq!(frame.snapshot, e.snapshot, "trial {trial} {step:?}");
-            assert_eq!(frame.nodes, e.nodes, "trial {trial} {step:?}");
+            assert_eq!(frame, e.frame, "trial {trial} {step:?}");
         }
         (StepKind::Width, HitAnswer::Width { width, frame }) => {
             assert_eq!(width, e.width, "trial {trial} {step:?}");
-            assert_eq!(frame.snapshot, e.snapshot, "trial {trial} {step:?}");
-            assert_eq!(frame.nodes, e.nodes, "trial {trial} {step:?}");
+            assert_eq!(frame, e.frame, "trial {trial} {step:?}");
         }
         (_, other) => panic!("trial {trial} {step:?}: answer shape changed: {other:?}"),
     }
@@ -373,5 +339,58 @@ fn each_fault_kind_fires_and_recovers() {
         if matches!(kind, FaultKind::ShortWrite | FaultKind::DiskFull) {
             assert_eq!(store.stats().recovered_bytes, 10, "{kind:?}");
         }
+    }
+}
+
+/// A failed append stops the store: without the stop, puts after the
+/// failure land behind a torn or missing record, and replay — which ends
+/// at the first bad record — truncates them at the next open although
+/// their `put` and `sync` succeeded. With it, later puts fail loudly,
+/// and a reopen serves every put acknowledged before the fault.
+#[test]
+fn a_failed_append_stops_later_puts_and_reopen_keeps_the_acked_ones() {
+    let pool = build_pool();
+    let steps = build_steps(pool.len());
+    for kind in [FaultKind::Eio, FaultKind::ShortWrite, FaultKind::DiskFull] {
+        let tmp = TempStore::new(&format!("failstop-{kind:?}"));
+        let injector = FaultInjector::new();
+        let mut store = Store::open_with_faults(&tmp.path, injector.clone()).expect("faulted open");
+        // Three puts of the first schema, acked; the failing put is the
+        // second schema's first, so the fault lands in its `Schema` record.
+        let acked = &steps[..3];
+        for &step in acked {
+            do_put(&mut store, &pool, step).expect("clean put");
+        }
+        store.sync().expect("clean sync");
+        // Fail the next put partway through its first record.
+        injector.arm(FaultPlan {
+            at_byte: store.stats().bytes + 9,
+            kind,
+        });
+        let (failed, later) = steps[3..].split_first().expect("steps left");
+        assert!(
+            do_put(&mut store, &pool, *failed).is_err(),
+            "{kind:?}: armed put must fail"
+        );
+        assert_eq!(injector.triggered(), 1, "{kind:?}");
+        for &step in later.iter().take(3) {
+            assert!(
+                do_put(&mut store, &pool, step).is_err(),
+                "{kind:?}: {step:?} accepted after a failed append"
+            );
+        }
+        assert_eq!(store.stats().puts, acked.len() as u64, "{kind:?}");
+        store.sync().expect("what was acked still syncs");
+        drop(store);
+
+        let mut store = Store::open(&tmp.path).expect("recovering open");
+        assert!(store.verify().is_empty(), "{kind:?}: {:?}", store.verify());
+        for &step in acked {
+            check_step(&mut store, &pool, step, 0);
+        }
+        assert_eq!(store.stats().results, acked.len(), "{kind:?}");
+        // The reopened store takes puts again.
+        do_put(&mut store, &pool, *failed).expect("put after reopen");
+        check_step(&mut store, &pool, *failed, 0);
     }
 }

@@ -8,8 +8,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softhw_core::shw;
-use softhw_core::td::TreeDecomposition;
-use softhw_hypergraph::{named, ArenaSnapshot, BagArena, Hypergraph};
+use softhw_core::TdFrame;
+use softhw_hypergraph::{named, ArenaSnapshot, Hypergraph};
 use softhw_store::record::{scan_record, ScanOutcome};
 use softhw_store::{
     schema_key, ClassKey, FrameRef, HitAnswer, PutAnswer, Store, StoreRecord, StoredAnswer,
@@ -40,30 +40,10 @@ impl Drop for TempStore {
     }
 }
 
-/// Frames a decomposition exactly like the wire's `TdFrame::from_td`:
-/// preorder nodes, bags interned into a fresh arena in first-visit
-/// order.
-fn frame_of(td: &TreeDecomposition, universe: usize) -> (ArenaSnapshot, Vec<(Option<u32>, u32)>) {
-    let order = td.preorder();
-    let mut new_id = vec![u32::MAX; td.num_nodes()];
-    for (i, &u) in order.iter().enumerate() {
-        new_id[u] = i as u32;
-    }
-    let mut arena = BagArena::new(universe);
-    let nodes = order
-        .iter()
-        .map(|&u| {
-            let bag = arena.intern(td.bag(u));
-            (td.parent(u).map(|p| new_id[p]), bag.0)
-        })
-        .collect();
-    (arena.snapshot(), nodes)
-}
-
 /// Puts the exact-shw result of `h` and returns what was framed.
-fn put_shw(store: &mut Store, h: &Hypergraph) -> (usize, ArenaSnapshot, Vec<(Option<u32>, u32)>) {
+fn put_shw(store: &mut Store, h: &Hypergraph) -> (usize, TdFrame) {
     let (w, td) = shw::shw(h);
-    let (snapshot, nodes) = frame_of(&td, h.num_vertices());
+    let frame = TdFrame::from_td(&td, h.num_vertices());
     store
         .put(
             h,
@@ -71,15 +51,11 @@ fn put_shw(store: &mut Store, h: &Hypergraph) -> (usize, ArenaSnapshot, Vec<(Opt
             &[],
             PutAnswer::Width {
                 width: w,
-                frame: FrameRef {
-                    universe: h.num_vertices(),
-                    snapshot: &snapshot,
-                    nodes: &nodes,
-                },
+                frame: (&frame).into(),
             },
         )
         .expect("put");
-    (w, snapshot, nodes)
+    (w, frame)
 }
 
 /// `Store::stats` reports `results` and `dict_bags` from running totals
@@ -93,13 +69,10 @@ fn assert_totals_equal_the_walk(store: &Store, at: &str) {
     assert_eq!(stats.dict_bags, walk(|s| s.dict_bags), "{at}: dict_bags");
 }
 
-fn expect_width(
-    store: &mut Store,
-    h: &Hypergraph,
-) -> (usize, ArenaSnapshot, Vec<(Option<u32>, u32)>) {
+fn expect_width(store: &mut Store, h: &Hypergraph) -> (usize, TdFrame) {
     let (hash, digest) = schema_key(h);
     match store.get(hash, digest, &ClassKey::Shw).expect("hit").answer {
-        HitAnswer::Width { width, frame } => (width, frame.snapshot, frame.nodes),
+        HitAnswer::Width { width, frame } => (width, frame),
         other => panic!("unexpected answer {other:?}"),
     }
 }
@@ -135,17 +108,17 @@ fn puts_survive_reopen_byte_identical() {
     assert_eq!(store.stats().schemas, graphs.len());
     assert_eq!(store.stats().results, 2 * graphs.len());
     assert_totals_equal_the_walk(&store, "after reopen");
-    for (h, (w, snapshot, nodes)) in graphs.iter().zip(&framed) {
-        let (rw, rsnap, rnodes) = expect_width(&mut store, h);
+    for (h, (w, frame)) in graphs.iter().zip(&framed) {
+        let (rw, rframe) = expect_width(&mut store, h);
         // Byte-identical to what was framed before the restart.
-        assert_eq!((&rw, &rsnap, &rnodes), (w, snapshot, nodes));
+        assert_eq!((&rw, &rframe), (w, frame));
         let (hash, digest) = schema_key(h);
         match store.get(hash, digest, &ClassKey::ShwLeq(0)) {
             Some(hit) => assert!(matches!(hit.answer, HitAnswer::No)),
             None => panic!("negative decision lost"),
         }
         // The witness re-validates against the schema.
-        let td = TreeDecomposition::from_bag_frame(h.num_vertices(), &rsnap, &rnodes).unwrap();
+        let td = rframe.to_td().unwrap();
         assert_eq!(td.validate(h), Ok(()));
         // And against the *rebuilt* schema (what a warm start parses).
         let rebuilt = store.schema_hypergraph(hash, digest).expect("rebuild");
@@ -160,24 +133,20 @@ fn shared_dictionary_dedups_across_records() {
     let tmp = TempStore::new("dedup");
     let h = named::h2();
     let mut store = Store::open(&tmp.path).expect("open");
-    let (_, snapshot, _) = put_shw(&mut store, &h);
+    let (_, frame) = put_shw(&mut store, &h);
     let bags_after_first = store.stats().dict_bags;
-    assert_eq!(bags_after_first, snapshot.len());
+    assert_eq!(bags_after_first, frame.snapshot.len());
     let before_bytes = store.stats().bytes;
     // Re-putting the same witness under another key adds a Result
     // record but not a single dictionary bag.
     let (w, td) = shw::shw(&h);
-    let (snap2, nodes2) = frame_of(&td, h.num_vertices());
+    let frame2 = TdFrame::from_td(&td, h.num_vertices());
     store
         .put(
             &h,
             ClassKey::ShwLeq(w as u64),
             &[],
-            PutAnswer::Yes(FrameRef {
-                universe: h.num_vertices(),
-                snapshot: &snap2,
-                nodes: &nodes2,
-            }),
+            PutAnswer::Yes((&frame2).into()),
         )
         .expect("put");
     assert_eq!(store.stats().dict_bags, bags_after_first);
@@ -318,7 +287,7 @@ fn torn_tail_truncates_to_last_valid_record() {
         let mut store = Store::open(&tmp.path).expect("reopen after repair");
         assert_eq!(store.stats().recovered_bytes, 0, "cut {cut}");
         assert_totals_equal_the_walk(&store, "after reopening the repaired log");
-        let (w, _, _) = expect_width(&mut store, &named::cycle(6));
+        let (w, _) = expect_width(&mut store, &named::cycle(6));
         assert_eq!(w, shw::shw(&named::cycle(6)).0);
     }
     // A file with garbage where the magic should be resets to empty.
@@ -435,7 +404,7 @@ fn compaction_drops_superseded_results_and_preserves_live_state() {
     assert_eq!(store.stats().recovered_bytes, 0);
     assert_eq!(store.stats().schemas, 2);
     assert_totals_equal_the_walk(&store, "after reopening the compacted log");
-    let (w, _, _) = expect_width(&mut store, &h);
+    let (w, _) = expect_width(&mut store, &h);
     assert_eq!(w, shw::shw(&h).0);
 }
 
