@@ -8,7 +8,9 @@
 //! says what it knows about a bag by itself (`local` — the cover
 //! searches, the edge scans, the node costs) apart from how it combines
 //! child summaries (`combine`), so Algorithm 2 pays for the former once
-//! per candidate bag.
+//! per candidate bag. The pure constraints (`Trivial`, `ConCov`) also
+//! say they do not rank (`ranks() == false`), so Algorithm 2 pays for no
+//! preference either: it stops at a block's first passing candidate.
 
 use crate::budget::Budget;
 use crate::cover;
@@ -33,6 +35,10 @@ impl TdEvaluator for Trivial {
     }
 
     fn better(&self, _a: &(), _b: &()) -> bool {
+        false
+    }
+
+    fn ranks(&self) -> bool {
         false
     }
 }
@@ -160,7 +166,8 @@ pub fn concov_exact_filter(h: &Hypergraph, k: usize, bags: &[BitSet]) -> Vec<Bit
         .collect()
 }
 
-/// `ConCov` as an evaluator (per-bag constraint, no preference).
+/// `ConCov` as an evaluator (per-bag constraint, no preference). Any
+/// `k` is accepted: the cover search clamps it to `|E|`.
 pub struct ConCov {
     /// Width bound for the connected cover.
     pub k: usize,
@@ -185,6 +192,10 @@ impl TdEvaluator for ConCov {
     }
 
     fn better(&self, _a: &(), _b: &()) -> bool {
+        false
+    }
+
+    fn ranks(&self) -> bool {
         false
     }
 }
@@ -294,8 +305,10 @@ impl PartClust {
             }
             Ok(false)
         }
-        let mut chosen = Vec::with_capacity(self.k);
-        rec(h, &self.labels, p, bag, self.k, &mut chosen, budget)
+        // A cover never repeats an edge.
+        let k = self.k.min(h.num_edges());
+        let mut chosen = Vec::with_capacity(k);
+        rec(h, &self.labels, p, bag, k, &mut chosen, budget)
     }
 }
 
@@ -424,6 +437,10 @@ impl<A: TdEvaluator, B: TdEvaluator> TdEvaluator for Lexi<A, B> {
         }
         self.b.better(&x.1, &y.1)
     }
+
+    fn ranks(&self) -> bool {
+        self.a.ranks() || self.b.ranks()
+    }
 }
 
 #[cfg(test)]
@@ -519,6 +536,40 @@ mod tests {
                 let cov1 = eval.partition_cover(&h, bag, 1, &unlimited).unwrap();
                 assert!(cov0 || cov1);
             }
+        }
+    }
+
+    #[test]
+    fn a_width_beyond_the_edge_count_answers_as_the_edge_count() {
+        use crate::ctd::CtdInstance;
+        use crate::ctd_opt::best_on;
+        let (h, labels) = named::example4_query();
+        let all = h.num_edges();
+        let unlimited = Budget::unlimited();
+        let clust = |k| PartClust {
+            k,
+            labels: labels.clone(),
+            num_partitions: 2,
+        };
+        for bag in soft_bags(&h, 2).iter().chain([&h.all_vertices()]) {
+            for p in 0..2 {
+                assert_eq!(
+                    clust(usize::MAX).partition_cover(&h, bag, p, &unlimited),
+                    clust(all).partition_cover(&h, bag, p, &unlimited)
+                );
+            }
+        }
+        for h in [named::cycle(5), named::h2(), h] {
+            let inst = CtdInstance::new(&h, &soft_bags(&h, 2));
+            let all = h.num_edges();
+            assert_eq!(
+                format!("{:?}", best_on(&inst, &ConCov { k: usize::MAX })),
+                format!("{:?}", best_on(&inst, &ConCov { k: all }))
+            );
+            assert_eq!(
+                concov_filter(&h, usize::MAX, &soft_bags(&h, 2)),
+                concov_filter(&h, all, &soft_bags(&h, 2))
+            );
         }
     }
 

@@ -80,6 +80,9 @@ pub fn find_connected_cover_budgeted(
     k: usize,
     budget: &Budget,
 ) -> Result<Option<Vec<usize>>, DecompError> {
+    // A cover never repeats an edge, so a larger `k` answers as `|E|`
+    // does and must not size the scratch.
+    let k = k.min(h.num_edges());
     if bag.is_empty() || k == 0 {
         return Ok(None);
     }
@@ -141,6 +144,7 @@ fn grow_connected_cover(
 /// ConCov iff one of its *generating* covers is connected. Since the
 /// union must equal the bag, only edges fully inside the bag qualify.
 pub fn find_exact_connected_cover(h: &Hypergraph, bag: &BitSet, k: usize) -> Option<Vec<usize>> {
+    let k = k.min(h.num_edges());
     if bag.is_empty() || k == 0 {
         return None;
     }
@@ -273,6 +277,28 @@ mod tests {
         let capped = Budget::with_work_cap(5);
         let stopped = find_connected_cover_budgeted(&h, &bag, 3, &capped);
         assert_eq!(stopped, Err(DecompError::DeadlineExceeded));
+    }
+
+    #[test]
+    fn a_width_beyond_the_edge_count_answers_as_the_edge_count() {
+        let h = named::cycle(5);
+        let all = h.num_edges();
+        let bags = [
+            h.vset(&["v0", "v1", "v2", "v3"]),
+            h.all_vertices(),
+            h.empty_vertex_set(),
+        ];
+        for bag in &bags {
+            let connected = find_connected_cover(&h, bag, all);
+            assert_eq!(find_connected_cover(&h, bag, 1_000_000_000_000), connected);
+            assert_eq!(find_connected_cover(&h, bag, usize::MAX), connected);
+            assert_eq!(find_cover(&h, bag, usize::MAX), find_cover(&h, bag, all));
+            assert_eq!(
+                find_exact_connected_cover(&h, bag, usize::MAX),
+                find_exact_connected_cover(&h, bag, all)
+            );
+        }
+        assert!(find_connected_cover(&h, &bags[1], usize::MAX).is_some());
     }
 
     #[test]

@@ -32,6 +32,14 @@
 //! tables (see [`crate::ctd`]): the preference DP is a dependency-driven
 //! worklist like Algorithm 1's satisfaction engine — a block is
 //! re-evaluated only when a child block's value changes.
+//!
+//! A pure constraint (`Trivial`, `ConCov`) has no preference to pay for:
+//! its [`TdEvaluator::ranks`] is `false`, so [`best_on_budgeted`] takes a
+//! block's first passing candidate and never re-evaluates a block that
+//! holds a value — Algorithm 1's cost, with the bag-local verdict as a
+//! filter. The bases, waves and witnesses are the ones a full scan
+//! gives, since with `better ≡ false` a full scan keeps the first
+//! passing candidate and never replaces a value.
 
 use crate::budget::Budget;
 use crate::ctd::{Basis, CtdInstance};
@@ -81,6 +89,16 @@ pub trait TdEvaluator {
 
     /// Strict preference: is `a` strictly better than `b`?
     fn better(&self, a: &Self::Summary, b: &Self::Summary) -> bool;
+
+    /// Can [`better`](TdEvaluator::better) ever answer `true`? The
+    /// contract runs one way: `false ⇒ better ≡ false`. A pure constraint
+    /// (`Trivial`, `ConCov`) answers `false`, and Algorithm 2 then keeps
+    /// a block's first passing candidate and never re-evaluates a block
+    /// that holds a value — the choices a full scan would make. The
+    /// default `true` is always safe.
+    fn ranks(&self) -> bool {
+        true
+    }
 }
 
 /// A decomposition together with its evaluator summary.
@@ -158,7 +176,9 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
     /// bag order (coverage already verified at instance build), combines
     /// those whose children all have values and whose bag passes on its
     /// own, and keeps the strictly best summary (first wins ties, so the
-    /// choice is deterministic).
+    /// choice is deterministic). For an evaluator that does not
+    /// [rank](TdEvaluator::ranks) the first passing candidate wins every
+    /// tie, so the scan stops there.
     fn best_candidate(
         &mut self,
         value: &[Value<E::Summary>],
@@ -184,6 +204,9 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
             let Some(summary) = eval.combine(inst.bag(x), local, &child_summaries) else {
                 continue;
             };
+            if !eval.ranks() {
+                return Ok(Some((x, summary)));
+            }
             let replace = match &best {
                 None => true,
                 Some((_, old)) => eval.better(&summary, old),
@@ -207,8 +230,9 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
 /// reverse index). The fixpoint is reached because summaries per block
 /// strictly improve in a finite space of basis/children combinations.
 /// Extraction guards against degenerate evaluator cycles (possible only
-/// when `combine` is not strictly increasing, e.g. the trivial evaluator)
-/// by falling back to the timestamp-ordered choice of the boolean DP.
+/// when `combine` is not strictly increasing) by falling back to the
+/// timestamp-ordered choice of the boolean DP, which runs only when an
+/// extraction meets such a revisit.
 pub fn best<E: TdEvaluator>(
     h: &Hypergraph,
     bags: &[BitSet],
@@ -238,6 +262,13 @@ pub fn best_on<E: TdEvaluator>(inst: &CtdInstance, eval: &E) -> Option<Ranked<E:
 /// abort leaves the instance untouched and a retry is bit-identical to a
 /// never-interrupted run. A DP that fails to converge (the evaluator is
 /// not strongly monotone) is [`DecompError::Internal`].
+///
+/// An evaluator that does not [rank](TdEvaluator::ranks) pays only for
+/// its constraint: a block takes its first passing candidate, and a
+/// block that holds a value is never evaluated again (no later summary
+/// could replace it). The boolean reference DP behind the extraction
+/// fallback runs, for any evaluator, only when an extraction revisits a
+/// block; it then re-extracts that component's root.
 pub fn best_on_budgeted<E: TdEvaluator>(
     inst: &CtdInstance,
     eval: &E,
@@ -246,9 +277,8 @@ pub fn best_on_budgeted<E: TdEvaluator>(
     let _span = softhw_obs::span(softhw_obs::stage::BEST_DP);
     let mut run = Run::new(inst, eval, budget);
     let nb = inst.blocks.len();
+    let ranks = eval.ranks();
     let mut value: Vec<Value<E::Summary>> = vec![None; nb];
-    // Boolean reference DP for the acyclic fallback.
-    let bool_sat = inst.satisfy_budgeted(budget)?;
     // Waves of Jacobi-style re-evaluations over a frontier, seeded with
     // all blocks; after a wave, exactly the parents of changed blocks
     // re-enter.
@@ -262,7 +292,10 @@ pub fn best_on_budgeted<E: TdEvaluator>(
         // table, then the updates merge in block order.
         let updates = frontier
             .iter()
-            .map(|&b| run.best_candidate(&value, b as usize))
+            .map(|&b| match &value[b as usize] {
+                Some(_) if !ranks => Ok(None),
+                _ => run.best_candidate(&value, b as usize),
+            })
             .collect::<Result<Vec<_>, _>>()?;
         next.clear();
         for (&b, update) in frontier.iter().zip(updates) {
@@ -299,13 +332,22 @@ pub fn best_on_budgeted<E: TdEvaluator>(
     }
     // Extract (with cycle guard; see `best`) one tree per connected
     // component, chain them under the first one's root, and summarise
-    // the stitched tree bottom-up.
+    // the stitched tree bottom-up. The guard's boolean DP runs on the
+    // first revisit, and that root is extracted again with it.
     let mut roots: Vec<TdNode> = Vec::with_capacity(inst.root_blocks.len());
+    let mut bool_basis: Option<Vec<Basis>> = None;
     for &rb in &inst.root_blocks {
-        let mut visited = vec![false; nb];
-        match extract_best(inst, &value, &bool_sat.basis, rb, &mut visited) {
-            Some(root) => roots.push(root),
-            None => return Ok(None),
+        let mut root = extract_best(inst, &value, None, rb, &mut vec![false; nb]);
+        if root.is_err() {
+            if bool_basis.is_none() {
+                bool_basis = Some(inst.satisfy_budgeted(budget)?.basis);
+            }
+            let fallback = bool_basis.as_deref();
+            root = extract_best(inst, &value, fallback, rb, &mut vec![false; nb]);
+        }
+        match root {
+            Ok(Some(root)) => roots.push(root),
+            _ => return Ok(None),
         }
     }
     let roots: Vec<&TdNode> = roots.iter().collect();
@@ -322,27 +364,36 @@ pub fn best_on_budgeted<E: TdEvaluator>(
     Ok(td.map(|td| (td, summary)))
 }
 
-/// Extraction following the best-value table from block `b`; on a
-/// revisited block, falls back to the boolean DP's timestamp-ordered
-/// basis (which is provably acyclic).
+/// [`extract_best`] met a block it had already placed and was given no
+/// boolean basis to answer it from.
+struct Revisit;
+
+/// Extraction following the best-value table from block `b`; a
+/// revisited block is answered from `fallback`, the boolean DP's
+/// timestamp-ordered basis (which is provably acyclic), or is
+/// `Err(Revisit)` without one.
 fn extract_best<S>(
     inst: &CtdInstance,
     value: &[Value<S>],
-    bool_basis: &[Basis],
+    fallback: Option<&[Basis]>,
     b: usize,
     visited: &mut [bool],
-) -> Option<TdNode> {
+) -> Result<Option<TdNode>, Revisit> {
     let x = if visited[b] {
-        bool_basis[b].get().map(|(x, _)| x)?
+        fallback.ok_or(Revisit)?[b].get().map(|(x, _)| x)
     } else {
-        value[b].as_ref().map(|(x, _)| *x)?
+        value[b].as_ref().map(|(x, _)| *x)
     };
+    let Some(x) = x else { return Ok(None) };
     visited[b] = true;
     let mut children = Vec::new();
     for &b2 in inst.child_blocks(b, x) {
-        children.push(extract_best(inst, value, bool_basis, b2 as usize, visited)?);
+        match extract_best(inst, value, fallback, b2 as usize, visited)? {
+            Some(child) => children.push(child),
+            None => return Ok(None),
+        }
     }
-    Some(TdNode { bag: x, children })
+    Ok(Some(TdNode { bag: x, children }))
 }
 
 /// Evaluates a complete decomposition bottom-up with an evaluator;
@@ -770,6 +821,10 @@ mod tests {
         fn better(&self, a: &E::Summary, b: &E::Summary) -> bool {
             self.inner.better(a, b)
         }
+
+        fn ranks(&self) -> bool {
+            self.inner.ranks()
+        }
     }
 
     #[test]
@@ -805,6 +860,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What `best_on(ConCov)` costs over the shapes of
+    /// `bag_local_part_runs_at_most_once_per_candidate_bag`, in clock-free
+    /// counts: the bag-local evaluations (a connected-cover search each),
+    /// and the boolean reference DPs (`satisfy` spans inside `best_dp`),
+    /// which run only when an extraction revisits a block.
+    #[test]
+    fn concov_best_counts_are_pinned() {
+        let (mut locals, mut reference_dps, mut found) = (0, 0, 0);
+        for edges in 6..=12 {
+            for k in 1..=3 {
+                let h = random_shape(edges, (edges * 3 + k) as u64);
+                let inst = CtdInstance::new(&h, &soft_bags(&h, k));
+                let concov = ConCov { k };
+                let counting = Counting {
+                    inner: &concov,
+                    evals: RefCell::default(),
+                };
+                softhw_obs::begin_trace(0);
+                found += best_on(&inst, &counting).is_some() as usize;
+                let trace = softhw_obs::end_trace().expect("spans record by default");
+                let stages: Vec<_> = trace.records.iter().map(|r| (r.stage, r.depth)).collect();
+                assert_eq!(stages[0], (softhw_obs::stage::BEST_DP, 0), "{stages:?}");
+                reference_dps += stages[1..]
+                    .iter()
+                    .filter(|&&(stage, depth)| stage == softhw_obs::stage::SATISFY && depth > 0)
+                    .count();
+                locals += counting.evals.take().values().sum::<usize>();
+            }
+        }
+        assert_eq!((locals, reference_dps, found), (679, 0, 13));
     }
 
     /// Algorithm 2 as it ran before the bag-local table: full Jacobi
@@ -857,7 +944,9 @@ mod tests {
         let basis = inst.satisfy().basis;
         let mut td = None;
         for &rb in &inst.root_blocks {
-            let root = extract_best(inst, &value, &basis, rb, &mut vec![false; nb])?;
+            let root = extract_best(inst, &value, Some(&basis), rb, &mut vec![false; nb])
+                .ok()
+                .flatten()?;
             materialise(inst, &root, &mut td);
         }
         let td = td?;

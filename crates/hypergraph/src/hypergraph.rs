@@ -257,6 +257,8 @@ impl Hypergraph {
             }
             false
         }
+        // A cover never repeats an edge: clamp before sizing the scratch.
+        let k = k.min(self.num_edges());
         let mut chosen = Vec::with_capacity(k);
         if rec(self, bag, k, &mut chosen) {
             Some(chosen)

@@ -56,7 +56,8 @@ pub mod stage {
     pub const ENUMERATE: &str = "enumerate";
     /// Algorithm 2's preference DP (`ctd_opt::best_on_budgeted`): the
     /// bag-local evaluations, the worklist waves and the extraction. Its
-    /// boolean reference DP is a `satisfy` child span.
+    /// boolean reference DP, a `satisfy` child span, appears only when an
+    /// extraction revisits a block.
     pub const BEST_DP: &str = "best_dp";
     /// `[S]`-component / coverage-union passes over the `BlockIndex`:
     /// the `U`-side sweep inside `enumerate`, block derivation inside

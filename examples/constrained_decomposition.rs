@@ -7,7 +7,7 @@
 //! cargo run --example constrained_decomposition
 //! ```
 
-use softhw::core::constraints::{concov_filter, PartClust, ShallowCyc, Trivial};
+use softhw::core::constraints::{concov_filter, ConCov, PartClust, ShallowCyc, Trivial};
 use softhw::core::ctd_opt::best;
 use softhw::core::soft::soft_bags;
 use softhw::core::{candidate_td, cover};
@@ -40,14 +40,15 @@ fn main() {
     }
 
     // --- C5: constraints can increase the width -------------------------
+    // `ConCov` as an evaluator of Algorithm 2, which answers as Algorithm 1
+    // does on the filtered bags above.
     let c5 = named::cycle(5);
-    let w2 = concov_filter(&c5, 2, &soft_bags(&c5, 2));
-    let w3 = concov_filter(&c5, 3, &soft_bags(&c5, 3));
+    let concov_ctd = |k| best(&c5, &soft_bags(&c5, k), &ConCov { k }).is_some();
     println!(
         "C5: ConCov CTD at width 2 exists: {}, at width 3: {} \
          (paper: ConCov-shw(C5) = 3 although shw(C5) = 2)",
-        candidate_td(&c5, &w2).is_some(),
-        candidate_td(&c5, &w3).is_some(),
+        concov_ctd(2),
+        concov_ctd(3),
     );
 
     // --- Example 4: partition clustering --------------------------------
