@@ -38,19 +38,26 @@
 //! block-specific tests, `X ≠ S` and `X ⊆ S ∪ C`, the latter evaluated as
 //! `x & !(s | c) == 0` over the three rows, no closure row stored — plus
 //! the child→parents **reverse index**
-//! ([`softhw_hypergraph::Csr`]). The DP then runs as a worklist in
-//! frontier waves: wave 0 checks every block, and a block re-enters the
-//! frontier only when one of its children newly became satisfied — each
-//! recheck is a pure scan of precomputed child lists, with zero word-level
-//! set algebra. Each wave is evaluated against a snapshot of the previous
-//! state and merged in ascending block order, so accept/reject, bases,
-//! and timestamps are identical to the retained Jacobi reference
-//! ([`CtdInstance::satisfy_jacobi`]), because a frontier wave satisfies
-//! exactly the blocks a full Jacobi round would (a block's satisfiability
-//! only changes when a child's bit flips).
+//! ([`softhw_hypergraph::Csr`]).
 //!
-//! Satisfaction timestamps make the extraction provably terminating: a
-//! block's basis only references blocks satisfied strictly earlier.
+//! One driver, two block rules, one extractor. The driver
+//! (`CtdInstance::fixpoint`) runs in frontier waves: wave 0 asks the
+//! block rule about every block, and a block re-enters the frontier only
+//! when one of its children took a value. Algorithm 1's rule is the first
+//! viable candidate whose children are all satisfied — a scan of
+//! precomputed child lists with zero word-level set algebra; Algorithm
+//! 2's is the evaluator's best one ([`crate::ctd_opt`]). Each wave is
+//! evaluated against a snapshot of the previous state and merged in
+//! ascending block order, so Algorithm 1's accept/reject, bases and
+//! timestamps are identical to the retained Jacobi reference
+//! ([`CtdInstance::satisfy_jacobi`]): a frontier wave satisfies exactly
+//! the blocks a full Jacobi round would (a block's satisfiability only
+//! changes when a child's bit flips). Both algorithms read their witness
+//! off the basis column with `CtdInstance::extract_tree`, which never
+//! places a block twice. Algorithm 1's timestamps rule a revisit out (a
+//! basis only references blocks satisfied strictly earlier), so for its
+//! tables a revisit means a table from another instance: an error, not
+//! an endless recursion.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
@@ -350,6 +357,18 @@ impl std::fmt::Debug for Basis {
         self.get().fmt(f)
     }
 }
+
+/// An extracted tree over candidate bag indices, before
+/// [`CtdInstance::materialise`] turns it into a [`TreeDecomposition`].
+#[derive(Clone)]
+pub(crate) struct TdNode {
+    pub(crate) bag: usize,
+    pub(crate) children: Vec<TdNode>,
+}
+
+/// [`CtdInstance::extract_tree`] met a block it had already placed and
+/// was given no fallback basis to answer it from.
+pub(crate) struct Revisit;
 
 /// Reusable buffers for [`scan_group`], so the per-group scans of a
 /// build allocate nothing at all — results append into the flat vectors
@@ -958,9 +977,10 @@ impl CtdInstance {
         }
     }
 
-    /// First viable candidate of `b` whose children are all satisfied.
+    /// Algorithm 1's block rule: the first viable candidate of `b` whose
+    /// children all hold a value (are satisfied).
     #[inline]
-    fn first_ready_candidate(&self, b: usize, satisfied: &[bool]) -> Option<u32> {
+    fn first_ready_candidate(&self, b: usize, satisfied: &[Option<()>]) -> Option<u32> {
         let blk = &self.blocks[b];
         for ci in self.deps.group_range(self.deps.group_of[b]) {
             let x = self.deps.g_cand_x[ci];
@@ -971,7 +991,7 @@ impl CtdInstance {
                 .deps
                 .children_of_entry(ci)
                 .iter()
-                .all(|&c| satisfied[c as usize])
+                .all(|&c| satisfied[c as usize].is_some())
             {
                 return Some(x);
             }
@@ -979,13 +999,93 @@ impl CtdInstance {
         None
     }
 
-    /// Runs the satisfaction DP of Algorithm 1 to fixpoint with the
-    /// dependency-driven worklist engine: wave 0 checks every block
-    /// against the precomputed viable-candidate tables; afterwards a
-    /// block is rechecked only when one of its children newly became
-    /// satisfied (via the reverse index). Waves snapshot the previous
-    /// wave's state and merge in ascending block order, so bases and
-    /// timestamps are identical to the Jacobi reference
+    /// The fixpoint driver of Algorithms 1 and 2. A block's value is a
+    /// summary `S` (Algorithm 1's is `()`: satisfied) with the basis it
+    /// came from. `rule(values, b)` proposes a basis and summary for `b`
+    /// against the previous wave's values; wave 0 asks it about every
+    /// block, later waves only about the parents (via the reverse index)
+    /// of blocks whose value changed. Proposals merge in ascending block
+    /// order: a block takes one if it holds no value or the proposal is
+    /// `better`, stamped with the next timestamp (only Algorithm 1 reads
+    /// the stamps, and it stamps a block once). Without `ranks`
+    /// (`better ≡ false`) a block holding a value is never asked or
+    /// queued again. The budget is checked once per wave (`rule` ticks
+    /// it); more waves than a strongly monotone `better` allows are
+    /// [`DecompError::Internal`].
+    pub(crate) fn fixpoint<S: Clone>(
+        &self,
+        ranks: bool,
+        better: impl Fn(&S, &S) -> bool,
+        budget: &Budget,
+        mut rule: impl FnMut(&[Option<S>], usize) -> Result<Option<(u32, S)>, DecompError>,
+    ) -> Result<(Vec<Basis>, Vec<Option<S>>), DecompError> {
+        let nb = self.blocks.len();
+        let mut basis = vec![Basis::NONE; nb];
+        let mut value: Vec<Option<S>> = vec![None; nb];
+        let mut clock: u32 = 0;
+        let mut frontier: Vec<u32> = (0..nb as u32).collect();
+        let mut next: Vec<u32> = Vec::new();
+        let mut queued = vec![false; nb];
+        let mut proposals: Vec<Option<(u32, S)>> = Vec::with_capacity(nb);
+        let max_waves = (4 * nb).saturating_mul(self.num_bags()).saturating_add(16);
+        let mut waves = 0usize;
+        while !frontier.is_empty() {
+            // Wave-granularity budget check: a wave is the unit of work
+            // between deadline observations, which bounds cancellation
+            // latency to one wave of rechecks.
+            budget.check()?;
+            // Every proposal reads the previous wave's values.
+            for &b in &frontier {
+                proposals.push(match value[b as usize] {
+                    Some(_) if !ranks => None,
+                    _ => rule(&value, b as usize)?,
+                });
+            }
+            next.clear();
+            for (&b, proposal) in frontier.iter().zip(proposals.drain(..)) {
+                let b = b as usize;
+                let Some((x, summary)) = proposal else {
+                    continue;
+                };
+                if value[b].as_ref().is_some_and(|old| !better(&summary, old)) {
+                    continue;
+                }
+                value[b] = Some(summary);
+                basis[b] = Basis { bag: x, at: clock };
+                clock = clock.wrapping_add(1);
+                self.for_each_parent(b, |p| {
+                    let p = p as usize;
+                    if (ranks || value[p].is_none()) && !queued[p] {
+                        queued[p] = true;
+                        next.push(p as u32);
+                    }
+                });
+            }
+            // Ascending block order keeps wave-internal processing — and
+            // thus timestamps — identical to a Jacobi round.
+            next.sort_unstable();
+            for &p in &next {
+                queued[p as usize] = false;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            waves += 1;
+            if waves > max_waves {
+                return Err(DecompError::internal(
+                    "Algorithm 2 failed to converge; evaluator is not strongly monotone",
+                ));
+            }
+        }
+        Ok((basis, value))
+    }
+
+    /// Runs the satisfaction DP of Algorithm 1 to fixpoint on the
+    /// dependency-driven worklist (`CtdInstance::fixpoint`, with the
+    /// first viable candidate whose children are all satisfied as the
+    /// block rule): wave 0 checks every block against the precomputed
+    /// viable-candidate tables; afterwards a block is rechecked only when
+    /// one of its children newly became satisfied. Waves snapshot the
+    /// previous wave's state and merge in ascending block order, so bases
+    /// and timestamps are identical to the Jacobi reference
     /// ([`CtdInstance::satisfy_jacobi`]).
     pub fn satisfy(&self) -> Satisfaction {
         self.satisfy_budgeted(&Budget::unlimited())
@@ -998,52 +1098,11 @@ impl CtdInstance {
     /// and is bit-identical to a never-interrupted run.
     pub fn satisfy_budgeted(&self, budget: &Budget) -> Result<Satisfaction, DecompError> {
         let _span = softhw_obs::span(softhw_obs::stage::SATISFY);
-        let nb = self.blocks.len();
-        let mut satisfied = vec![false; nb];
-        let mut basis = vec![Basis::NONE; nb];
-        let mut clock: u32 = 0;
-        let mut frontier: Vec<u32> = (0..nb as u32).collect();
-        let mut next: Vec<u32> = Vec::new();
-        let mut queued = vec![false; nb];
-        while !frontier.is_empty() {
-            // Wave-granularity budget check: a wave is the unit of work
-            // between deadline observations, which bounds cancellation
-            // latency to one wave of rechecks.
-            budget.check()?;
-            let snapshot = &satisfied;
-            let found: Vec<Option<u32>> = frontier
-                .iter()
-                .map(|&b| {
-                    if snapshot[b as usize] {
-                        return None;
-                    }
-                    self.first_ready_candidate(b as usize, snapshot)
-                })
-                .collect();
-            next.clear();
-            for (&b, f) in frontier.iter().zip(found) {
-                let b = b as usize;
-                if let Some(x) = f {
-                    satisfied[b] = true;
-                    basis[b] = Basis { bag: x, at: clock };
-                    clock += 1;
-                    self.for_each_parent(b, |p| {
-                        if !satisfied[p as usize] && !queued[p as usize] {
-                            queued[p as usize] = true;
-                            next.push(p);
-                        }
-                    });
-                }
-            }
-            // Ascending block order keeps wave-internal processing — and
-            // thus timestamps — identical to a Jacobi round.
-            next.sort_unstable();
-            for &p in &next {
-                queued[p as usize] = false;
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        let accept = self.root_blocks.iter().all(|&b| satisfied[b]);
+        let never_better = |_: &(), _: &()| false;
+        let (basis, satisfied) = self.fixpoint(false, never_better, budget, |satisfied, b| {
+            Ok(self.first_ready_candidate(b, satisfied).map(|x| (x, ())))
+        })?;
+        let accept = self.root_blocks.iter().all(|&b| satisfied[b].is_some());
         Ok(Satisfaction { basis, accept })
     }
 
@@ -1095,9 +1154,10 @@ impl CtdInstance {
     /// Extracts the tree decomposition certified by a satisfaction table.
     /// Returns `Ok(None)` if the instance was rejected, and
     /// [`DecompError::Internal`] if the table is inconsistent with this
-    /// instance (an accepted or referenced block without a basis, or a
-    /// table of the wrong size — e.g. a satisfaction from a different
-    /// instance) instead of panicking. For disconnected hypergraphs, the
+    /// instance (an accepted or referenced block without a basis, a basis
+    /// bag the instance does not have, a block reached twice, or a table
+    /// of the wrong size — e.g. a satisfaction from a different instance)
+    /// instead of panicking. For disconnected hypergraphs, the
     /// per-component subtrees are chained under the first component's
     /// root (bags of distinct components are vertex-disjoint, so validity
     /// is preserved).
@@ -1108,25 +1168,19 @@ impl CtdInstance {
         if !sat.accept || self.root_blocks.is_empty() {
             return Ok(None);
         }
-        let mut td: Option<TreeDecomposition> = None;
+        let inconsistent =
+            || DecompError::internal("satisfaction table inconsistent with this instance");
+        let nb = self.blocks.len();
+        if sat.basis.len() != nb {
+            return Err(inconsistent());
+        }
+        let mut td = None;
         for &rb in &self.root_blocks {
-            let Some((x, _)) = sat.basis.get(rb).and_then(|b| b.get()) else {
-                debug_assert!(false, "accepted root block {rb} has no basis");
-                return Err(DecompError::internal("accepted root block without basis"));
+            let Ok(Some(root)) = self.extract_tree(&sat.basis, None, rb, &mut vec![false; nb])
+            else {
+                return Err(inconsistent());
             };
-            match td.as_mut() {
-                None => {
-                    let mut fresh = TreeDecomposition::new(self.bag(x).clone());
-                    let root = fresh.root();
-                    self.try_extract_children(sat, rb, x, root, &mut fresh)?;
-                    td = Some(fresh);
-                }
-                Some(t) => {
-                    let at = t.root();
-                    let node = t.add_child(at, self.bag(x).clone());
-                    self.try_extract_children(sat, rb, x, node, t)?;
-                }
-            }
+            self.materialise(&root, &mut td);
         }
         Ok(td)
     }
@@ -1141,29 +1195,68 @@ impl CtdInstance {
             .expect("satisfaction table consistent with this instance")
     }
 
-    fn try_extract_children(
+    /// The one extractor of Algorithms 1 and 2: the tree below block `b`
+    /// that the basis column `pick` chooses, each block's subtrees those
+    /// of its basis's child blocks. `Ok(None)` if a block on the way has
+    /// no basis in `pick`, or one naming a bag this instance does not
+    /// have. A block met a second time is answered from `fallback`, the
+    /// boolean DP's timestamp-ordered basis (acyclic: a basis only
+    /// references blocks satisfied strictly earlier), or is
+    /// `Err(Revisit)` without one. Algorithm 1's own table never revisits;
+    /// Algorithm 2's can, when `combine` is not strictly increasing.
+    pub(crate) fn extract_tree(
         &self,
-        sat: &Satisfaction,
+        pick: &[Basis],
+        fallback: Option<&[Basis]>,
         b: usize,
-        x: usize,
-        node: usize,
-        td: &mut TreeDecomposition,
-    ) -> Result<(), DecompError> {
+        visited: &mut [bool],
+    ) -> Result<Option<TdNode>, Revisit> {
+        let column = if visited[b] {
+            fallback.ok_or(Revisit)?
+        } else {
+            pick
+        };
+        let Some((x, _)) = column
+            .get(b)
+            .and_then(|basis| basis.get())
+            .filter(|&(x, _)| x < self.num_bags())
+        else {
+            return Ok(None);
+        };
+        visited[b] = true;
+        let mut children = Vec::new();
         for &b2 in self.child_blocks(b, x) {
-            let b2 = b2 as usize;
-            let Some((x2, ts2)) = sat.basis.get(b2).and_then(|b| b.get()) else {
-                debug_assert!(false, "basis condition (3) violated at block {b2}");
-                return Err(DecompError::internal("child block without basis"));
-            };
-            debug_assert!(
-                ts2 < sat.basis[b].get().map(|(_, t)| t).unwrap_or(u32::MAX),
-                "timestamps strictly decrease along extraction"
-            );
-            let _ = ts2;
-            let child = td.add_child(node, self.bag(x2).clone());
-            self.try_extract_children(sat, b2, x2, child, td)?;
+            match self.extract_tree(pick, fallback, b2 as usize, visited)? {
+                Some(child) => children.push(child),
+                None => return Ok(None),
+            }
         }
-        Ok(())
+        Ok(Some(TdNode { bag: x, children }))
+    }
+
+    /// Adds the tree `node` to `td`: as the whole decomposition if `td`
+    /// is empty, otherwise under its root — how the per-component trees
+    /// of a disconnected hypergraph are chained.
+    pub(crate) fn materialise(&self, node: &TdNode, td: &mut Option<TreeDecomposition>) {
+        fn rec(inst: &CtdInstance, node: &TdNode, td: &mut TreeDecomposition, parent: usize) {
+            let id = td.add_child(parent, inst.bag(node.bag).clone());
+            for c in &node.children {
+                rec(inst, c, td, id);
+            }
+        }
+        match td {
+            Some(t) => {
+                let root = t.root();
+                rec(self, node, t, root);
+            }
+            None => {
+                let t = td.insert(TreeDecomposition::new(self.bag(node.bag).clone()));
+                let root = t.root();
+                for c in &node.children {
+                    rec(self, c, t, root);
+                }
+            }
+        }
     }
 
     /// Algorithm 1 end-to-end: decide and extract.
@@ -1269,6 +1362,49 @@ mod tests {
         assert!(sat.accept);
         let td = inst.extract(&sat).unwrap();
         assert_eq!(td.validate(&h), Ok(()));
+    }
+
+    #[test]
+    fn a_foreign_satisfaction_is_an_error_not_a_panic() {
+        let (grid, cycle) = (named::grid(3, 3), named::cycle(5));
+        let big = CtdInstance::new(&grid, &soft_bags(&grid, 2));
+        let small = CtdInstance::new(&cycle, &soft_bags(&cycle, 2));
+        assert_eq!((big.num_bags(), big.blocks.len()), (141, 188));
+        assert_eq!((small.num_bags(), small.blocks.len()), (30, 41));
+        let (foreign, own) = (big.satisfy(), small.satisfy());
+        assert!(foreign.accept && own.accept);
+        let is_internal = |sat: &Satisfaction| {
+            let got = small.try_extract(sat);
+            assert!(matches!(got, Err(DecompError::Internal { .. })), "{got:?}");
+        };
+        // A table from a different instance.
+        is_internal(&foreign);
+        // A truncated table.
+        let mut truncated = own.clone();
+        truncated.basis.pop();
+        is_internal(&truncated);
+        // An accepted root without a basis.
+        let root = small.root_blocks[0];
+        let mut rootless = own.clone();
+        rootless.basis[root] = Basis::NONE;
+        is_internal(&rootless);
+        // A basis bag the instance does not have.
+        let mut stray = own.clone();
+        stray.basis[root] = Basis { bag: 30, at: 0 };
+        is_internal(&stray);
+        // A block reached a second time is a revisit, which only a
+        // fallback column answers.
+        let (x, _) = own.basis[root].get().unwrap();
+        let child = small.child_blocks(root, x)[0] as usize;
+        let mut placed = vec![false; small.blocks.len()];
+        placed[child] = true;
+        let again = small.extract_tree(&own.basis, None, root, &mut placed.clone());
+        assert!(matches!(again, Err(Revisit)));
+        let answered = small.extract_tree(&own.basis, Some(&own.basis), root, &mut placed);
+        assert!(matches!(answered, Ok(Some(_))));
+        // The instance's own table still extracts.
+        let td = small.try_extract(&own).unwrap().expect("C5 has shw 2");
+        assert_eq!(td.validate(&cycle), Ok(()));
     }
 
     #[test]

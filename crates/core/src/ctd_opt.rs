@@ -29,9 +29,12 @@
 //! uniform-ish random sampling ([`sample_random`]).
 //!
 //! All of them run against the instance's precomputed viable-candidate
-//! tables (see [`crate::ctd`]): the preference DP is a dependency-driven
-//! worklist like Algorithm 1's satisfaction engine — a block is
-//! re-evaluated only when a child block's value changes.
+//! tables (see [`crate::ctd`]). The preference DP is no second engine:
+//! one driver, two block rules, one extractor. It runs on Algorithm 1's
+//! fixpoint driver, which re-evaluates a block only when a child block's
+//! value changes, with the evaluator's best candidate as its block rule,
+//! and reads its witness off the value table with Algorithm 1's
+//! extractor.
 //!
 //! A pure constraint (`Trivial`, `ConCov`) has no preference to pay for:
 //! its [`TdEvaluator::ranks`] is `false`, so [`best_on_budgeted`] takes a
@@ -42,7 +45,7 @@
 //! passing candidate and never replaces a value.
 
 use crate::budget::Budget;
-use crate::ctd::{Basis, CtdInstance};
+use crate::ctd::{Basis, CtdInstance, TdNode};
 use crate::error::DecompError;
 use crate::td::TreeDecomposition;
 use rand::Rng;
@@ -104,10 +107,6 @@ pub trait TdEvaluator {
 /// A decomposition together with its evaluator summary.
 pub type Ranked<S> = (TreeDecomposition, S);
 
-/// The DP value of a block: its best basis (bag index) and the summary
-/// of the partial decomposition below it.
-type Value<S> = Option<(usize, S)>;
-
 /// One run of an evaluator over an instance: the bag-local table, held
 /// by bag index beside the instance's tables. A slot is filled the first
 /// time a procedure needs the bag's verdict and never recomputed.
@@ -154,8 +153,8 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
     }
 
     /// Bottom-up summary of the tree `node` with the trees `grafted`
-    /// hung under its root — the shape [`materialise`] gives the
-    /// per-component trees of a disconnected hypergraph.
+    /// hung under its root — the shape [`CtdInstance::materialise`] gives
+    /// the per-component trees of a disconnected hypergraph.
     fn summarise(
         &mut self,
         node: &TdNode,
@@ -171,21 +170,22 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
         self.node(node.bag, &children)
     }
 
-    /// The preference-minimal viable candidate of block `b` under the
-    /// value table `value`: scans the precomputed viable candidates in
-    /// bag order (coverage already verified at instance build), combines
-    /// those whose children all have values and whose bag passes on its
-    /// own, and keeps the strictly best summary (first wins ties, so the
-    /// choice is deterministic). For an evaluator that does not
+    /// Algorithm 2's block rule: the preference-minimal viable candidate
+    /// of block `b` with its summary under the value table `value`. Scans
+    /// the precomputed viable candidates in bag order (coverage already
+    /// verified at instance build), ticking the budget per candidate,
+    /// combines those whose children all have values and whose bag passes
+    /// on its own, and keeps the strictly best summary (first wins ties,
+    /// so the choice is deterministic). For an evaluator that does not
     /// [rank](TdEvaluator::ranks) the first passing candidate wins every
     /// tie, so the scan stops there.
     fn best_candidate(
         &mut self,
-        value: &[Value<E::Summary>],
+        value: &[Option<E::Summary>],
         b: usize,
-    ) -> Result<Value<E::Summary>, DecompError> {
+    ) -> Result<Option<(u32, E::Summary)>, DecompError> {
         let (inst, eval) = (self.inst, self.eval);
-        let mut best: Value<E::Summary> = None;
+        let mut best: Option<(u32, E::Summary)> = None;
         let mut child_summaries: Vec<E::Summary> = Vec::new();
         for (x, children) in inst.viable_candidates(b) {
             self.budget.tick()?;
@@ -196,23 +196,19 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
                 continue;
             };
             child_summaries.clear();
-            child_summaries.extend(
-                children
-                    .iter()
-                    .filter_map(|&b2| value[b2 as usize].as_ref().map(|(_, s)| s.clone())),
-            );
+            child_summaries.extend(children.iter().filter_map(|&b2| value[b2 as usize].clone()));
             let Some(summary) = eval.combine(inst.bag(x), local, &child_summaries) else {
                 continue;
             };
             if !eval.ranks() {
-                return Ok(Some((x, summary)));
+                return Ok(Some((x as u32, summary)));
             }
             let replace = match &best {
                 None => true,
                 Some((_, old)) => eval.better(&summary, old),
             };
             if replace {
-                best = Some((x, summary));
+                best = Some((x as u32, summary));
             }
         }
         Ok(best)
@@ -223,16 +219,16 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
 /// minimal constraint-satisfying CTD with its summary, or `None` if no
 /// CTD satisfies the constraint.
 ///
-/// The DP runs on the same dependency-driven worklist as Algorithm 1's
-/// satisfaction engine: per-block candidate scans use the instance's
-/// precomputed viable-candidate tables (coverage never re-checked), and a
-/// block is re-evaluated only when a child block's value changed (via the
-/// reverse index). The fixpoint is reached because summaries per block
-/// strictly improve in a finite space of basis/children combinations.
-/// Extraction guards against degenerate evaluator cycles (possible only
-/// when `combine` is not strictly increasing) by falling back to the
-/// timestamp-ordered choice of the boolean DP, which runs only when an
-/// extraction meets such a revisit.
+/// Algorithm 2 is Algorithm 1 with the satisfied bit replaced by the
+/// evaluator's value — one driver, two block rules, one extractor.
+/// Algorithm 1's fixpoint driver, with the evaluator's best candidate as
+/// the block rule, re-evaluates a block only when a child block's value
+/// changed, and converges because summaries per block strictly improve
+/// in a finite space of basis/children combinations. Algorithm 1's
+/// extractor reads the witness off the value table; a degenerate
+/// evaluator cycle (possible only when `combine` is not strictly
+/// increasing) is answered from the boolean DP's timestamp-ordered
+/// choice, which runs only when an extraction meets such a revisit.
 pub fn best<E: TdEvaluator>(
     h: &Hypergraph,
     bags: &[BitSet],
@@ -263,12 +259,16 @@ pub fn best_on<E: TdEvaluator>(inst: &CtdInstance, eval: &E) -> Option<Ranked<E:
 /// never-interrupted run. A DP that fails to converge (the evaluator is
 /// not strongly monotone) is [`DecompError::Internal`].
 ///
-/// An evaluator that does not [rank](TdEvaluator::ranks) pays only for
-/// its constraint: a block takes its first passing candidate, and a
-/// block that holds a value is never evaluated again (no later summary
-/// could replace it). The boolean reference DP behind the extraction
-/// fallback runs, for any evaluator, only when an extraction revisits a
-/// block; it then re-extracts that component's root.
+/// The DP is `CtdInstance::fixpoint` with the evaluator's best
+/// candidate as the block rule, and the witness is
+/// `CtdInstance::extract_tree`'s — the driver and the extractor of
+/// Algorithm 1. An evaluator that does not [rank](TdEvaluator::ranks)
+/// pays only for its constraint: a block takes its first passing
+/// candidate, and a block that holds a value is never evaluated or
+/// queued again (no later summary could replace it), as in Algorithm 1.
+/// The boolean reference DP behind the extraction fallback runs, for any
+/// evaluator, only when an extraction revisits a block; it then
+/// re-extracts that component's root.
 pub fn best_on_budgeted<E: TdEvaluator>(
     inst: &CtdInstance,
     eval: &E,
@@ -276,57 +276,10 @@ pub fn best_on_budgeted<E: TdEvaluator>(
 ) -> Result<Option<Ranked<E::Summary>>, DecompError> {
     let _span = softhw_obs::span(softhw_obs::stage::BEST_DP);
     let mut run = Run::new(inst, eval, budget);
-    let nb = inst.blocks.len();
-    let ranks = eval.ranks();
-    let mut value: Vec<Value<E::Summary>> = vec![None; nb];
-    // Waves of Jacobi-style re-evaluations over a frontier, seeded with
-    // all blocks; after a wave, exactly the parents of changed blocks
-    // re-enter.
-    let mut frontier: Vec<u32> = (0..nb as u32).collect();
-    let mut next: Vec<u32> = Vec::new();
-    let mut queued = vec![false; nb];
-    let mut waves = 0usize;
-    while !frontier.is_empty() {
-        budget.check()?;
-        // Every frontier block is evaluated against the previous wave's
-        // table, then the updates merge in block order.
-        let updates = frontier
-            .iter()
-            .map(|&b| match &value[b as usize] {
-                Some(_) if !ranks => Ok(None),
-                _ => run.best_candidate(&value, b as usize),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        next.clear();
-        for (&b, update) in frontier.iter().zip(updates) {
-            let b = b as usize;
-            let Some((x, summary)) = update else { continue };
-            let replace = match &value[b] {
-                None => true,
-                Some((_, old)) => eval.better(&summary, old),
-            };
-            if replace {
-                value[b] = Some((x, summary));
-                inst.for_each_parent(b, |p| {
-                    if !queued[p as usize] {
-                        queued[p as usize] = true;
-                        next.push(p);
-                    }
-                });
-            }
-        }
-        next.sort_unstable();
-        for &p in &next {
-            queued[p as usize] = false;
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        waves += 1;
-        if waves > 4 * nb * inst.num_bags() + 16 {
-            return Err(DecompError::internal(
-                "Algorithm 2 failed to converge; evaluator is not strongly monotone",
-            ));
-        }
-    }
+    let better = |a: &E::Summary, b: &E::Summary| eval.better(a, b);
+    let (basis, value) = inst.fixpoint(eval.ranks(), better, budget, |value, b| {
+        run.best_candidate(value, b)
+    })?;
     if !inst.root_blocks.iter().all(|&b| value[b].is_some()) {
         return Ok(None);
     }
@@ -334,16 +287,17 @@ pub fn best_on_budgeted<E: TdEvaluator>(
     // component, chain them under the first one's root, and summarise
     // the stitched tree bottom-up. The guard's boolean DP runs on the
     // first revisit, and that root is extracted again with it.
+    let nb = inst.blocks.len();
     let mut roots: Vec<TdNode> = Vec::with_capacity(inst.root_blocks.len());
     let mut bool_basis: Option<Vec<Basis>> = None;
     for &rb in &inst.root_blocks {
-        let mut root = extract_best(inst, &value, None, rb, &mut vec![false; nb]);
+        let mut root = inst.extract_tree(&basis, None, rb, &mut vec![false; nb]);
         if root.is_err() {
             if bool_basis.is_none() {
                 bool_basis = Some(inst.satisfy_budgeted(budget)?.basis);
             }
             let fallback = bool_basis.as_deref();
-            root = extract_best(inst, &value, fallback, rb, &mut vec![false; nb]);
+            root = inst.extract_tree(&basis, fallback, rb, &mut vec![false; nb]);
         }
         match root {
             Ok(Some(root)) => roots.push(root),
@@ -359,41 +313,9 @@ pub fn best_on_budgeted<E: TdEvaluator>(
     };
     let mut td: Option<TreeDecomposition> = None;
     for root in roots {
-        materialise(inst, root, &mut td);
+        inst.materialise(root, &mut td);
     }
     Ok(td.map(|td| (td, summary)))
-}
-
-/// [`extract_best`] met a block it had already placed and was given no
-/// boolean basis to answer it from.
-struct Revisit;
-
-/// Extraction following the best-value table from block `b`; a
-/// revisited block is answered from `fallback`, the boolean DP's
-/// timestamp-ordered basis (which is provably acyclic), or is
-/// `Err(Revisit)` without one.
-fn extract_best<S>(
-    inst: &CtdInstance,
-    value: &[Value<S>],
-    fallback: Option<&[Basis]>,
-    b: usize,
-    visited: &mut [bool],
-) -> Result<Option<TdNode>, Revisit> {
-    let x = if visited[b] {
-        fallback.ok_or(Revisit)?[b].get().map(|(x, _)| x)
-    } else {
-        value[b].as_ref().map(|(x, _)| *x)
-    };
-    let Some(x) = x else { return Ok(None) };
-    visited[b] = true;
-    let mut children = Vec::new();
-    for &b2 in inst.child_blocks(b, x) {
-        match extract_best(inst, value, fallback, b2 as usize, visited)? {
-            Some(child) => children.push(child),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(TdNode { bag: x, children }))
 }
 
 /// Evaluates a complete decomposition bottom-up with an evaluator;
@@ -435,11 +357,6 @@ impl Default for EnumerateOptions {
             cap_per_block: 10_000,
         }
     }
-}
-
-struct TdNode {
-    bag: usize,
-    children: Vec<TdNode>,
 }
 
 /// Enumerates constraint-satisfying CTDs ranked best-first by the
@@ -501,7 +418,7 @@ pub fn enumerate_on<E: TdEvaluator>(
     for combo in combos {
         let mut td: Option<TreeDecomposition> = None;
         for (node, _) in &combo {
-            materialise(inst, node, &mut td);
+            inst.materialise(node, &mut td);
         }
         let td = td.expect("non-empty combo");
         // Summary of the first component's root (single-component case) or
@@ -528,36 +445,6 @@ pub fn enumerate_on<E: TdEvaluator>(
     });
     out.truncate(opts.cap_per_block);
     out
-}
-
-fn materialise(inst: &CtdInstance, node: &TdNode, td: &mut Option<TreeDecomposition>) {
-    fn rec(inst: &CtdInstance, node: &TdNode, td: &mut TreeDecomposition, parent: usize) {
-        let id = td.add_child(parent, inst.bag(node.bag).clone());
-        for c in &node.children {
-            rec(inst, c, td, id);
-        }
-    }
-    match td.as_mut() {
-        None => {
-            let mut fresh = TreeDecomposition::new(inst.bag(node.bag).clone());
-            let root = fresh.root();
-            for c in &node.children {
-                rec(inst, c, &mut fresh, root);
-            }
-            *td = Some(fresh);
-        }
-        Some(t) => {
-            let at = t.root();
-            rec(inst, node, t, at);
-        }
-    }
-}
-
-fn clone_node(n: &TdNode) -> TdNode {
-    TdNode {
-        bag: n.bag,
-        children: n.children.iter().map(clone_node).collect(),
-    }
 }
 
 fn enum_block<E: TdEvaluator>(
@@ -601,12 +488,13 @@ fn enum_block<E: TdEvaluator>(
             continue;
         }
         // Best-first combination of children alternatives: start from the
-        // all-best index vector and expand one coordinate at a time. With
+        // all-best index vector and expand one coordinate at a time
+        // (`open` holds the index vectors not yet popped). With
         // a strongly monotone evaluator, emitted summaries are
         // nondecreasing, so collecting the first `cap` yields the true
         // per-basis top list. Constraint-violating combos (eval = None)
         // are expanded but not emitted.
-        let mut frontier: Vec<(Vec<usize>, Option<E::Summary>)> = Vec::new();
+        let mut open: Vec<(Vec<usize>, Option<E::Summary>)> = Vec::new();
         let mut seen: softhw_hypergraph::FxHashSet<Vec<usize>> =
             softhw_hypergraph::FxHashSet::default();
         let mut evaluate = |idxs: &[usize]| -> Result<Option<E::Summary>, DecompError> {
@@ -618,16 +506,16 @@ fn enum_block<E: TdEvaluator>(
             run.node(x, &sums)
         };
         let start = vec![0usize; child_options.len()];
-        frontier.push((start.clone(), evaluate(&start)?));
+        open.push((start.clone(), evaluate(&start)?));
         seen.insert(start);
         let mut emitted = 0usize;
-        while !frontier.is_empty() && emitted < opts.cap_per_block {
-            // Pop the best frontier entry: None summaries (violations)
+        while !open.is_empty() && emitted < opts.cap_per_block {
+            // Pop the best open entry: None summaries (violations)
             // first so their successors get explored, then the summary-
             // minimal one.
             let mut best_i = 0usize;
-            for i in 1..frontier.len() {
-                let better = match (&frontier[i].1, &frontier[best_i].1) {
+            for i in 1..open.len() {
+                let better = match (&open[i].1, &open[best_i].1) {
                     (None, _) => true,
                     (_, None) => false,
                     (Some(a), Some(b)) => eval.better(a, b),
@@ -636,12 +524,12 @@ fn enum_block<E: TdEvaluator>(
                     best_i = i;
                 }
             }
-            let (idxs, summary) = frontier.swap_remove(best_i);
+            let (idxs, summary) = open.swap_remove(best_i);
             if let Some(summary) = summary {
                 let children: Vec<TdNode> = idxs
                     .iter()
                     .enumerate()
-                    .map(|(ci, &j)| clone_node(&child_options[ci][j].0))
+                    .map(|(ci, &j)| child_options[ci][j].0.clone())
                     .collect();
                 results.push((TdNode { bag: x, children }, summary));
                 emitted += 1;
@@ -652,7 +540,7 @@ fn enum_block<E: TdEvaluator>(
                     nxt[ci] += 1;
                     if seen.insert(nxt.clone()) {
                         let s = evaluate(&nxt)?;
-                        frontier.push((nxt, s));
+                        open.push((nxt, s));
                     }
                 }
             }
@@ -769,6 +657,7 @@ fn sample_block<R: Rng>(
 mod tests {
     use super::*;
     use crate::constraints::{BagCost, ConCov, Lexi, PartClust, ShallowCyc, Trivial};
+    use crate::ctd::Revisit;
     use crate::soft::soft_bags;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -894,6 +783,38 @@ mod tests {
         assert_eq!((locals, reference_dps, found), (679, 0, 13));
     }
 
+    /// The DP value of a block: its best basis (bag index) and the
+    /// summary of the partial decomposition below it.
+    type Value<S> = Option<(usize, S)>;
+
+    /// Extraction following the best-value table from block `b`; a
+    /// revisited block is answered from `fallback`, the boolean DP's
+    /// timestamp-ordered basis (which is provably acyclic), or is
+    /// `Err(Revisit)` without one.
+    fn extract_best<S>(
+        inst: &CtdInstance,
+        value: &[Value<S>],
+        fallback: Option<&[Basis]>,
+        b: usize,
+        visited: &mut [bool],
+    ) -> Result<Option<TdNode>, Revisit> {
+        let x = if visited[b] {
+            fallback.ok_or(Revisit)?[b].get().map(|(x, _)| x)
+        } else {
+            value[b].as_ref().map(|(x, _)| *x)
+        };
+        let Some(x) = x else { return Ok(None) };
+        visited[b] = true;
+        let mut children = Vec::new();
+        for &b2 in inst.child_blocks(b, x) {
+            match extract_best(inst, value, fallback, b2 as usize, visited)? {
+                Some(child) => children.push(child),
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(TdNode { bag: x, children }))
+    }
+
     /// Algorithm 2 as it ran before the bag-local table: full Jacobi
     /// rounds in which every *(block, viable candidate)* pair re-runs
     /// both halves of the evaluator, then the same extraction, and the
@@ -947,7 +868,7 @@ mod tests {
             let root = extract_best(inst, &value, Some(&basis), rb, &mut vec![false; nb])
                 .ok()
                 .flatten()?;
-            materialise(inst, &root, &mut td);
+            inst.materialise(&root, &mut td);
         }
         let td = td?;
         let summary = evaluate_td(&inst.h, &td, eval)?;

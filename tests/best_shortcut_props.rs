@@ -6,7 +6,10 @@
 //!   for bag) what it answers when the same evaluator claims to rank,
 //!   which forces the full scan of every viable candidate;
 //! - a `ConCov` verdict is Algorithm 1's on the `ConCov`-filtered bags
-//!   (the paper's `ConCov-Soft_{H,k}`).
+//!   (the paper's `ConCov-Soft_{H,k}`);
+//! - under `Trivial`, `best_on` is Algorithm 1 itself: its verdict is
+//!   `satisfy`'s and its witness `decide`'s, since both run one fixpoint
+//!   driver and one extractor.
 
 use softhw::core::candidate_td;
 use softhw::core::constraints::{concov_filter, ConCov, Trivial};
@@ -129,6 +132,11 @@ fn the_first_passing_candidate_is_what_the_full_scan_keeps() {
             let what = format!("{name}, k={k}");
             assert_invisible(&inst, &Trivial, &format!("Trivial, {what}"));
             assert_invisible(&inst, &ConCov { k }, &format!("ConCov, {what}"));
+            // Under `Trivial`, Algorithm 2 is Algorithm 1: the same
+            // verdict and the same witness.
+            let trivial = best_on(&inst, &Trivial).map(|(td, ())| td);
+            assert_eq!(trivial.is_some(), inst.satisfy().accept, "Trivial, {what}");
+            assert_eq!(trivial, inst.decide(), "Trivial witness, {what}");
             let concov = best_on(&inst, &ConCov { k }).is_some();
             let filtered = candidate_td(h, &concov_filter(h, k, &bags)).is_some();
             assert_eq!(
