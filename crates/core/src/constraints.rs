@@ -272,6 +272,7 @@ pub struct PartClust {
 }
 
 impl PartClust {
+    /// Whether partition `p`'s edges cover `bag` with at most `k` edges.
     fn partition_cover(
         &self,
         h: &Hypergraph,
@@ -279,39 +280,8 @@ impl PartClust {
         p: usize,
         budget: &Budget,
     ) -> Result<bool, DecompError> {
-        // Cover search restricted to edges of partition p.
-        fn rec(
-            h: &Hypergraph,
-            labels: &[usize],
-            p: usize,
-            uncovered: &BitSet,
-            k: usize,
-            chosen: &mut Vec<usize>,
-            budget: &Budget,
-        ) -> Result<bool, DecompError> {
-            let Some(pivot) = uncovered.first() else {
-                return Ok(true);
-            };
-            if k == 0 {
-                return Ok(false);
-            }
-            for &e in h.incident_edges(pivot) {
-                if labels[e] == p && !chosen.contains(&e) {
-                    budget.tick()?;
-                    let rest = uncovered.difference(h.edge(e));
-                    chosen.push(e);
-                    if rec(h, labels, p, &rest, k - 1, chosen, budget)? {
-                        return Ok(true);
-                    }
-                    chosen.pop();
-                }
-            }
-            Ok(false)
-        }
-        // A cover never repeats an edge.
-        let k = self.k.min(h.num_edges());
-        let mut chosen = Vec::with_capacity(k);
-        rec(h, &self.labels, p, bag, k, &mut chosen, budget)
+        let cover = cover::find_cover_among(h, bag, self.k, |e| self.labels[e] == p, budget)?;
+        Ok(cover.is_some())
     }
 }
 

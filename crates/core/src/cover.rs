@@ -1,26 +1,103 @@
-//! Edge covers of bags.
+//! Edge covers of bags: the one home of the per-bag question every width
+//! question ends in.
 //!
 //! A bag `B` in a (G)HD must satisfy `B ⊆ ⋃λ` for a set `λ` of at most `k`
-//! hyperedges. This module provides the cover searches used throughout the
-//! framework: plain covers (for width computation) and *connected* covers
-//! (the `ConCov` constraint of Section 6, which rules out Cartesian
-//! products in the bag joins).
+//! hyperedges; `ConCov` (Section 6) asks the same with a *connected* `λ`,
+//! which rules out Cartesian products in the bag joins. Each question has
+//! exactly one search here, and both take a crate-private edge filter:
+//!
+//! - the plain search, [`find_cover`]: `Ghd::from_td` (and through it
+//!   every `hw` and store-hit answer), `PartClust` over one partition's
+//!   edges, and `soft_iter::soft_i_witness` over a hypergraph of
+//!   projections;
+//! - the connected search, [`find_connected_cover`]: the `ConCov`
+//!   evaluator and `concov_filter`, `concov_exact_filter` over the bag's
+//!   own edges ([`find_exact_connected_cover`]), and the covers of
+//!   `softhw_query`'s plans.
+//!
+//! `hw`'s det-k-decomp separator search keeps its own loop: it backtracks
+//! over every cover of the connector, not just the first one found.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
-use softhw_hypergraph::arena::{words_empty, words_intersect};
+use softhw_hypergraph::arena::{words_empty, words_intersect, words_iter};
 use softhw_hypergraph::{BitSet, Hypergraph};
 
 /// Finds some edge cover of `bag` using at most `k` edges, if one exists.
 ///
 /// Branch-and-bound: repeatedly branch on the uncovered vertex with the
-/// fewest incident edges. Returns edge ids in ascending order of
-/// selection. Delegates to [`Hypergraph::find_edge_cover`], so there is
-/// exactly one plain cover search in the workspace (the per-bag cover
-/// *cache* with production consumers lives in
-/// `softhw_query::CostContext`, keyed by interned bag id).
+/// fewest incident edges, over those edges in incidence order. Returns
+/// edge ids in order of selection. This is the one plain cover search in
+/// the workspace; the per-bag cover *cache* with production consumers
+/// lives in `softhw_query::CostContext`, keyed by interned bag id.
 pub fn find_cover(h: &Hypergraph, bag: &BitSet, k: usize) -> Option<Vec<usize>> {
-    h.find_edge_cover(bag, k)
+    find_cover_among(h, bag, k, |_| true, &Budget::unlimited())
+        .expect("the unlimited budget cannot trip")
+}
+
+/// [`find_cover`] over the edges `usable` admits, with a cooperative
+/// [`Budget`] ticked per edge tried. The pivot is the uncovered vertex
+/// with the fewest usable incident edges, so a vertex no usable edge
+/// covers fails the branch at once.
+///
+/// The search state is one word row per depth — the bag vertices still
+/// uncovered — in one scratch buffer of `k + 1` levels.
+pub(crate) fn find_cover_among(
+    h: &Hypergraph,
+    bag: &BitSet,
+    k: usize,
+    usable: impl Fn(usize) -> bool,
+    budget: &Budget,
+) -> Result<Option<Vec<usize>>, DecompError> {
+    // A cover never repeats an edge: clamp before sizing the scratch.
+    let k = k.min(h.num_edges());
+    let words = bag.blocks().len();
+    let mut levels = vec![0u64; words * (k + 1)];
+    levels[..words].copy_from_slice(bag.blocks());
+    let mut chosen: Vec<usize> = Vec::with_capacity(k);
+    let found = extend_cover(h, k, words, &mut levels, &mut chosen, &usable, budget)?;
+    Ok(found.then_some(chosen))
+}
+
+/// One level of [`find_cover_among`]: `levels` starts at the current
+/// level's row of uncovered bag vertices.
+fn extend_cover<F: Fn(usize) -> bool>(
+    h: &Hypergraph,
+    k: usize,
+    words: usize,
+    levels: &mut [u64],
+    chosen: &mut Vec<usize>,
+    usable: &F,
+    budget: &Budget,
+) -> Result<bool, DecompError> {
+    let (uncovered, deeper) = levels.split_at_mut(words);
+    if words_empty(uncovered) {
+        return Ok(true);
+    }
+    if chosen.len() == k {
+        return Ok(false);
+    }
+    // The first of the uncovered vertices with the fewest usable edges.
+    let pivot = words_iter(uncovered)
+        .min_by_key(|&v| h.incident_edges(v).iter().filter(|&&e| usable(e)).count())
+        .expect("an uncovered bag has a vertex");
+    // No chosen edge meets the uncovered pivot, so none repeats.
+    for &e in h.incident_edges(pivot) {
+        if !usable(e) {
+            continue;
+        }
+        budget.tick()?;
+        let edge = h.edge(e).blocks();
+        for i in 0..words {
+            deeper[i] = uncovered[i] & !edge[i];
+        }
+        chosen.push(e);
+        if extend_cover(h, k, words, deeper, chosen, usable, budget)? {
+            return Ok(true);
+        }
+        chosen.pop();
+    }
+    Ok(false)
 }
 
 /// True iff the given edges form a connected subhypergraph: the
@@ -69,15 +146,26 @@ pub fn find_connected_cover(h: &Hypergraph, bag: &BitSet, k: usize) -> Option<Ve
 
 /// [`find_connected_cover`] with a cooperative [`Budget`], ticked per
 /// edge tried.
+pub fn find_connected_cover_budgeted(
+    h: &Hypergraph,
+    bag: &BitSet,
+    k: usize,
+    budget: &Budget,
+) -> Result<Option<Vec<usize>>, DecompError> {
+    find_connected_cover_among(h, bag, k, |_| true, budget)
+}
+
+/// [`find_connected_cover_budgeted`] over the edges `usable` admits.
 ///
 /// The search state is two word rows per depth — the bag vertices still
 /// uncovered and the vertices of the chosen edges — in one scratch buffer
 /// of `k + 1` levels, so a step is a pass over the edge's words and
 /// allocates nothing.
-pub fn find_connected_cover_budgeted(
+pub(crate) fn find_connected_cover_among(
     h: &Hypergraph,
     bag: &BitSet,
     k: usize,
+    usable: impl Fn(usize) -> bool,
     budget: &Budget,
 ) -> Result<Option<Vec<usize>>, DecompError> {
     // A cover never repeats an edge, so a larger `k` answers as `|E|`
@@ -92,22 +180,23 @@ pub fn find_connected_cover_budgeted(
     let mut levels = vec![0u64; 2 * words * (k + 1)];
     levels[..words].copy_from_slice(bag.blocks());
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
-    if !grow_connected_cover(h, k, words, &mut levels, &mut chosen, budget)? {
+    if !grow_connected_cover(h, k, words, &mut levels, &mut chosen, &usable, budget)? {
         return Ok(None);
     }
     debug_assert!(edges_connected(h, &chosen));
     Ok(Some(chosen))
 }
 
-/// One level of [`find_connected_cover_budgeted`]: `levels` starts at the
+/// One level of [`find_connected_cover_among`]: `levels` starts at the
 /// current level's rows; extends `chosen` in edge order, keeping the
 /// selection connected at every step.
-fn grow_connected_cover(
+fn grow_connected_cover<F: Fn(usize) -> bool>(
     h: &Hypergraph,
     k: usize,
     words: usize,
     levels: &mut [u64],
     chosen: &mut Vec<usize>,
+    usable: &F,
     budget: &Budget,
 ) -> Result<bool, DecompError> {
     let (here, deeper) = levels.split_at_mut(2 * words);
@@ -120,7 +209,8 @@ fn grow_connected_cover(
     }
     for e in 0..h.num_edges() {
         let edge = h.edge(e).blocks();
-        if chosen.contains(&e) || !(chosen.is_empty() || words_intersect(edge, reach)) {
+        if chosen.contains(&e) || !(chosen.is_empty() || words_intersect(edge, reach)) || !usable(e)
+        {
             continue;
         }
         budget.tick()?;
@@ -130,7 +220,7 @@ fn grow_connected_cover(
             next_reach[i] = reach[i] | edge[i];
         }
         chosen.push(e);
-        if grow_connected_cover(h, k, words, deeper, chosen, budget)? {
+        if grow_connected_cover(h, k, words, deeper, chosen, usable, budget)? {
             return Ok(true);
         }
         chosen.pop();
@@ -142,26 +232,13 @@ fn grow_connected_cover(
 /// not merely `⊇ B`). This is the ConCov notion of the paper's prototype:
 /// candidate bags are generated as cover unions, and a bag counts as
 /// ConCov iff one of its *generating* covers is connected. Since the
-/// union must equal the bag, only edges fully inside the bag qualify.
+/// union must equal the bag, only edges inside the bag qualify, and over
+/// those `⋃λ ⊇ B` is `⋃λ = B`: this is the connected search over the
+/// bag's own edges.
 pub fn find_exact_connected_cover(h: &Hypergraph, bag: &BitSet, k: usize) -> Option<Vec<usize>> {
-    let k = k.min(h.num_edges());
-    if bag.is_empty() || k == 0 {
-        return None;
-    }
-    let pool: Vec<usize> = (0..h.num_edges())
-        .filter(|&e| h.edge(e).is_subset(bag))
-        .collect();
-    let mut found: Option<Vec<usize>> = None;
-    crate::bitset_subsets(&pool, k, |subset| {
-        if found.is_some() {
-            return;
-        }
-        let union = h.union_of_edges(subset.iter().copied());
-        if &union == bag && edges_connected(h, subset) {
-            found = Some(subset.to_vec());
-        }
-    });
-    found
+    let inside: Vec<bool> = h.edges().iter().map(|e| e.is_subset(bag)).collect();
+    find_connected_cover_among(h, bag, k, |e| inside[e], &Budget::unlimited())
+        .expect("the unlimited budget cannot trip")
 }
 
 #[cfg(test)]
@@ -206,15 +283,29 @@ mod tests {
     fn connected_cover_kernel_agrees_with_brute_force() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
+        use softhw_hypergraph::bitset::for_each_subset_up_to_k;
         use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
-        // Definition-level oracle: some set of at most `k` edges is
-        // connected and covers the bag.
+        // Definition-level oracles: some set of at most `k` edges is
+        // connected and covers the bag; for the exact notion, some set of
+        // at most `k` of the bag's own edges is connected and its union
+        // is the bag.
         let brute_force = |h: &Hypergraph, bag: &BitSet, k: usize| {
             let all: Vec<usize> = (0..h.num_edges()).collect();
             let mut found = false;
-            crate::bitset_subsets(&all, k, |subset| {
+            for_each_subset_up_to_k(&all, k, |subset| {
                 found |= edges_connected(h, subset)
                     && bag.is_subset(&h.union_of_edges(subset.iter().copied()));
+            });
+            found
+        };
+        let brute_force_exact = |h: &Hypergraph, bag: &BitSet, k: usize| {
+            let inside: Vec<usize> = (0..h.num_edges())
+                .filter(|&e| h.edge(e).is_subset(bag))
+                .collect();
+            let mut found = false;
+            for_each_subset_up_to_k(&inside, k, |subset| {
+                found |=
+                    edges_connected(h, subset) && h.union_of_edges(subset.iter().copied()) == *bag;
             });
             found
         };
@@ -237,7 +328,7 @@ mod tests {
         shapes.retain(|h| h.num_edges() <= 10);
         assert!(shapes.len() > 20);
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut verdicts = [0usize; 2];
+        let (mut verdicts, mut exact_verdicts) = ([0usize; 2], [0usize; 2]);
         for h in &shapes {
             // Random vertex sets, plus unions of up to three edges (the
             // shape candidate bags have).
@@ -263,10 +354,20 @@ mod tests {
                         assert!(cover.len() <= k && edges_connected(h, &cover));
                         assert!(bag.is_subset(&h.union_of_edges(cover.iter().copied())));
                     }
+                    let exact = find_exact_connected_cover(h, bag, k);
+                    let expected = !bag.is_empty() && brute_force_exact(h, bag, k);
+                    assert_eq!(exact.is_some(), expected, "exact: bag {bag:?}, k={k}");
+                    exact_verdicts[expected as usize] += 1;
+                    if let Some(cover) = exact {
+                        assert!(cover.len() <= k && edges_connected(h, &cover));
+                        assert_eq!(h.union_of_edges(cover.iter().copied()), *bag);
+                    }
                 }
             }
         }
         assert!(verdicts[0] > 100 && verdicts[1] > 100, "{verdicts:?}");
+        let enough = exact_verdicts[0] > 100 && exact_verdicts[1] > 100;
+        assert!(enough, "{exact_verdicts:?}");
     }
 
     #[test]
@@ -277,6 +378,28 @@ mod tests {
         let capped = Budget::with_work_cap(5);
         let stopped = find_connected_cover_budgeted(&h, &bag, 3, &capped);
         assert_eq!(stopped, Err(DecompError::DeadlineExceeded));
+    }
+
+    #[test]
+    fn plain_cover_search_ticks_its_budget() {
+        use crate::constraints::PartClust;
+        use crate::ctd_opt::TdEvaluator;
+        // C6 with alternating labels: each partition covers the whole
+        // cycle with its three edges, and with nothing less.
+        let h = named::cycle(6);
+        let clust = PartClust {
+            k: 3,
+            labels: vec![0, 1, 0, 1, 0, 1],
+            num_partitions: 2,
+        };
+        let bag = h.all_vertices();
+        let answer = clust.local(&h, &bag, &Budget::unlimited());
+        assert_eq!(answer, Ok(Some(vec![0, 1])));
+        let capped = Budget::with_work_cap(2);
+        let stopped = clust.local(&h, &bag, &capped);
+        assert_eq!(stopped, Err(DecompError::DeadlineExceeded));
+        let retry = clust.local(&h, &bag, &Budget::with_work_cap(1_000));
+        assert_eq!(retry, answer);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! meant for the small hypergraphs of the paper's examples and for
 //! cross-validating the width solvers (`mon-rmw = hw`).
 
+use softhw_hypergraph::bitset::for_each_subset_up_to_k;
 use softhw_hypergraph::{BitSet, FxHashMap, Hypergraph};
 
 /// Which game to solve.
@@ -48,49 +49,37 @@ struct Move {
     comps: Vec<BitSet>,
 }
 
-fn subsets_up_to_k(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new()];
-    fn rec(n: usize, k: usize, start: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            return;
-        }
-        for i in start..n {
-            cur.push(i);
-            out.push(cur.clone());
-            rec(n, k, i + 1, cur, out);
-            cur.pop();
-        }
-    }
-    rec(n, k, 0, &mut Vec::new(), &mut out);
-    out
-}
-
 /// Enumerates the distinct `η` values reachable by the marshalling side
 /// with `k` pieces, together with their escape-space components.
 fn move_set(h: &Hypergraph, k: usize, variant: GameVariant) -> Vec<Move> {
     let mut etas: FxHashMap<BitSet, ()> = FxHashMap::default();
     etas.insert(h.empty_vertex_set(), ());
-    let marshal_subsets = subsets_up_to_k(h.num_edges(), k);
+    // Every placement of at most `k` pieces, the empty one first.
+    let edges: Vec<usize> = (0..h.num_edges()).collect();
+    let placements = |f: &mut dyn FnMut(&[usize])| {
+        f(&[]);
+        for_each_subset_up_to_k(&edges, k, f);
+    };
     match variant {
         GameVariant::RobberMarshals => {
-            for m in &marshal_subsets {
+            placements(&mut |m| {
                 etas.insert(h.union_of_edges(m.iter().copied()), ());
-            }
+            });
         }
         GameVariant::Institutional | GameVariant::InstitutionalTreeRule => {
             // Distinct ⋃C over administrator placements, then intersect
             // with distinct ⋃M.
             let mut comp_unions: FxHashMap<BitSet, ()> = FxHashMap::default();
-            for a in &marshal_subsets {
+            placements(&mut |a| {
                 let sep = h.union_of_edges(a.iter().copied());
                 for comp in h.edge_components(&sep) {
                     comp_unions.insert(h.union_of_edge_set(&comp), ());
                 }
-            }
+            });
             let mut marshal_unions: FxHashMap<BitSet, ()> = FxHashMap::default();
-            for m in &marshal_subsets {
+            placements(&mut |m| {
                 marshal_unions.insert(h.union_of_edges(m.iter().copied()), ());
-            }
+            });
             for cu in comp_unions.keys() {
                 for mu in marshal_unions.keys() {
                     etas.insert(cu.intersection(mu), ());

@@ -57,12 +57,6 @@ pub use ctd::{candidate_td, CtdInstance};
 pub use error::DecompError;
 pub use reduce_solve::solve;
 
-/// Enumerates all subsets of `pool` with size between 1 and `k`.
-/// Re-exported helper shared by the cover searches.
-pub(crate) fn bitset_subsets(pool: &[usize], k: usize, f: impl FnMut(&[usize])) {
-    softhw_hypergraph::bitset::for_each_subset_up_to_k(pool, k, f)
-}
-
 pub use ghd::Ghd;
 pub use soft::{soft_bags, SoftLimits};
 pub use spec::{SolveClass, SolveSpec, Solved};

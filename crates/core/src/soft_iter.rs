@@ -16,13 +16,14 @@
 //! materialise — e.g. `H'3` of Example 2 — [`soft_i_witness`] offers a
 //! *membership check with witness* that only materialises `E^(i)`.
 
+use crate::cover;
 use crate::ctd::CtdInstance;
 use crate::error::DecompError;
 use crate::reduce_solve::first_width;
 use crate::soft::{self, LimitExceeded, SoftLimits};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::arena::{words_empty, words_intersect_into, IdSet};
-use softhw_hypergraph::{BagId, BitSet, BlockIndex, Hypergraph};
+use softhw_hypergraph::{BagId, BitSet, BlockIndex, Hypergraph, HypergraphBuilder};
 
 /// Lazily computed levels of the `E^(i)` / `Soft^i_{H,k}` hierarchy.
 ///
@@ -272,49 +273,26 @@ pub fn soft_i_witness(
             projections.retain(|(p, _)| !p.is_subset(&inside));
             projections.push((inside, e.clone()));
         }
-        if let Some(choice) = cover_with(bag, &projections, k) {
+        // Cover the bag by at most `k` projections: the plain cover
+        // search over the hypergraph whose edges they are.
+        let mut proj_h = HypergraphBuilder::with_capacity(h.num_vertices(), projections.len());
+        for v in 0..h.num_vertices() {
+            proj_h.vertex(&v.to_string());
+        }
+        for (i, (proj, _)) in projections.iter().enumerate() {
+            proj_h.edge_ids(&i.to_string(), &proj.to_vec());
+        }
+        if let Some(choice) = cover::find_cover(&proj_h.build_allow_isolated(), bag, k) {
             return Ok(Some(SoftIWitness {
-                lambda1: choice,
+                lambda1: choice
+                    .into_iter()
+                    .map(|i| projections[i].1.clone())
+                    .collect(),
                 component_union: u.clone(),
             }));
         }
     }
     Ok(None)
-}
-
-/// Set-cover of `bag` by at most `k` projections; returns the witness
-/// subedges.
-fn cover_with(bag: &BitSet, cands: &[(BitSet, BitSet)], k: usize) -> Option<Vec<BitSet>> {
-    fn rec(
-        uncovered: &BitSet,
-        cands: &[(BitSet, BitSet)],
-        k: usize,
-        chosen: &mut Vec<BitSet>,
-    ) -> bool {
-        let Some(pivot) = uncovered.first() else {
-            return true;
-        };
-        if k == 0 {
-            return false;
-        }
-        for (proj, witness) in cands {
-            if proj.contains(pivot) {
-                let rest = uncovered.difference(proj);
-                chosen.push(witness.clone());
-                if rec(&rest, cands, k - 1, chosen) {
-                    return true;
-                }
-                chosen.pop();
-            }
-        }
-        false
-    }
-    let mut chosen = Vec::with_capacity(k);
-    if rec(bag, cands, k, &mut chosen) {
-        Some(chosen)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

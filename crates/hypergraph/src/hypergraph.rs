@@ -223,50 +223,6 @@ impl Hypergraph {
         self.num_vertices() > 0 && self.vertex_components(&self.empty_vertex_set()).len() == 1
     }
 
-    /// Finds some edge cover of `bag` using at most `k` edges, if one
-    /// exists. Branch-and-bound on the uncovered vertex with the fewest
-    /// incident edges. This is the width-check primitive shared by the
-    /// solvers (via `softhw_core::cover`) and the block index's cached
-    /// cover-size queries.
-    pub fn find_edge_cover(&self, bag: &BitSet, k: usize) -> Option<Vec<usize>> {
-        fn rec(h: &Hypergraph, uncovered: &BitSet, k: usize, chosen: &mut Vec<usize>) -> bool {
-            // Pivot: uncovered vertex with the fewest incident edges.
-            let mut pivot: Option<(usize, usize)> = None;
-            for v in uncovered.iter() {
-                let deg = h.incident_edges(v).len();
-                if pivot.is_none_or(|(_, d)| deg < d) {
-                    pivot = Some((v, deg));
-                }
-            }
-            let Some((pivot, _)) = pivot else {
-                return true;
-            };
-            if k == 0 {
-                return false;
-            }
-            for &e in h.incident_edges(pivot) {
-                if chosen.contains(&e) {
-                    continue;
-                }
-                let rest = uncovered.difference(h.edge(e));
-                chosen.push(e);
-                if rec(h, &rest, k - 1, chosen) {
-                    return true;
-                }
-                chosen.pop();
-            }
-            false
-        }
-        // A cover never repeats an edge: clamp before sizing the scratch.
-        let k = k.min(self.num_edges());
-        let mut chosen = Vec::with_capacity(k);
-        if rec(self, bag, k, &mut chosen) {
-            Some(chosen)
-        } else {
-            None
-        }
-    }
-
     /// Compact `name(v1,v2,..)` rendering of one edge.
     pub fn render_edge(&self, e: usize) -> String {
         let vs: Vec<&str> = self.edges[e].iter().map(|v| self.vertex_name(v)).collect();

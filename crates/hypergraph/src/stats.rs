@@ -53,8 +53,15 @@ pub fn stats(h: &Hypergraph) -> HypergraphStats {
                 continue;
             }
             if j > i {
-                let inter = h.edge(i).intersection(h.edge(j)).len();
-                intersection_width = intersection_width.max(inter);
+                // Counted word by word: a set per pair would allocate
+                // `|E|²` times.
+                let (a, b) = (h.edge(i).blocks(), h.edge(j).blocks());
+                let inter = a
+                    .iter()
+                    .zip(b)
+                    .map(|(x, y)| (x & y).count_ones())
+                    .sum::<u32>();
+                intersection_width = intersection_width.max(inter as usize);
             }
             if h.edge(i).is_subset(h.edge(j)) && h.edge(i) != h.edge(j) {
                 subsumed += 1;

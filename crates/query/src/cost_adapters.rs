@@ -73,17 +73,14 @@ impl<'q> CostContext<'q> {
         self.arena.borrow_mut().intern(bag)
     }
 
-    /// The cover (atom indices) used to materialise `bag` — connected when
-    /// possible, mirroring the execution plan.
+    /// The cover (atom indices) used to materialise `bag`: the execution
+    /// plan's [`crate::plan::cover`].
     pub fn cover(&self, bag: &BitSet) -> Vec<usize> {
         let id = self.bag_id(bag);
         if let Some(c) = self.cover_cache.borrow().get(&id) {
             return c.clone();
         }
-        let cover = (1..=self.h.num_edges())
-            .find_map(|k| softhw_core::cover::find_connected_cover(self.h, bag, k))
-            .or_else(|| softhw_core::cover::find_cover(self.h, bag, self.h.num_edges()))
-            .unwrap_or_default();
+        let cover = crate::plan::cover(self.h, bag).unwrap_or_default();
         self.cover_cache.borrow_mut().insert(id, cover.clone());
         cover
     }

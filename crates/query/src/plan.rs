@@ -113,10 +113,17 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Builds the plan for a decomposition: per node, a cover of the bag
-/// (connected when one exists with at most `k = |cover|` atoms, plain
-/// otherwise) plus the enforcement assignment of every atom to one node
-/// whose bag contains it.
+/// The atoms a plan joins to materialise `bag`: a smallest connected
+/// cover, else any cover; `None` if the atoms do not cover the bag.
+pub fn cover(h: &Hypergraph, bag: &BitSet) -> Option<Vec<usize>> {
+    (1..=h.num_edges())
+        .find_map(|k| softhw_core::cover::find_connected_cover(h, bag, k))
+        .or_else(|| softhw_core::cover::find_cover(h, bag, h.num_edges()))
+}
+
+/// Builds the plan for a decomposition: per node, the bag's [`cover`]
+/// plus the enforcement assignment of every atom to one node whose bag
+/// contains it.
 pub fn build_plan(
     cq: &ConjunctiveQuery,
     h: &Hypergraph,
@@ -126,11 +133,7 @@ pub fn build_plan(
     let mut nodes = Vec::with_capacity(n);
     for u in 0..n {
         let bag = td.bag(u);
-        // Prefer connected covers of increasing size, then plain covers.
-        let cover = (1..=h.num_edges())
-            .find_map(|k| softhw_core::cover::find_connected_cover(h, bag, k))
-            .or_else(|| softhw_core::cover::find_cover(h, bag, h.num_edges()))
-            .ok_or(PlanError::NoCover { node: u })?;
+        let cover = cover(h, bag).ok_or(PlanError::NoCover { node: u })?;
         nodes.push(PlanNode {
             bag_vars: bag.iter().map(|v| v as VarId).collect(),
             atoms: cover,
@@ -251,9 +254,7 @@ pub fn bag_size(
     h: &Hypergraph,
     bag: &BitSet,
 ) -> Option<u64> {
-    let cover = (1..=h.num_edges())
-        .find_map(|k| softhw_core::cover::find_connected_cover(h, bag, k))
-        .or_else(|| softhw_core::cover::find_cover(h, bag, h.num_edges()))?;
+    let cover = cover(h, bag)?;
     let mut assigned = cover.clone();
     for (ai, _) in cq.atoms.iter().enumerate() {
         if !assigned.contains(&ai) && cq.atom_vars(ai).iter().all(|&v| bag.contains(v as usize)) {

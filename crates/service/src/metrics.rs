@@ -272,15 +272,9 @@ impl ServiceState {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .stats();
+            // What the store itself holds: read under its mutex, so
+            // `STATS` only.
             let rows = [
-                ("store_hits", handle.hits.load(Ordering::Relaxed)),
-                ("store_misses", handle.misses.load(Ordering::Relaxed)),
-                ("store_invalid", handle.invalid.load(Ordering::Relaxed)),
-                ("store_warmed", handle.warmed.load(Ordering::Relaxed)),
-                (
-                    "store_put_errors",
-                    handle.put_errors.load(Ordering::Relaxed),
-                ),
                 ("store_schemas", st.schemas as u64),
                 ("store_results", st.results as u64),
                 ("store_dict_bags", st.dict_bags as u64),
@@ -299,7 +293,8 @@ impl ServiceState {
     /// name, read from one place. [`ServiceState::stats_response`] and
     /// [`ServiceState::metrics_response`] both iterate this list, so a
     /// counter cannot appear in one surface with a different value (or
-    /// not at all) in the other.
+    /// not at all) in the other. The store's hit, miss, invalid, warmed
+    /// and put-error counters close the list when a store is attached.
     fn metric_registry(&self) -> Vec<Metric> {
         let m = |name, stats_row, kind, value| Metric {
             name,
@@ -307,7 +302,7 @@ impl ServiceState {
             kind,
             value,
         };
-        vec![
+        let mut registry = vec![
             m(
                 "softhw_deadline_timeouts_total",
                 "deadline_timeout",
@@ -355,7 +350,33 @@ impl ServiceState {
                     .as_ref()
                     .map_or(0, |handle| handle.index_bytes.load(Ordering::Relaxed)),
             ),
-        ]
+        ];
+        if let Some(handle) = &self.store {
+            let counter = |name, stats_row, value: &AtomicU64| {
+                m(
+                    name,
+                    stats_row,
+                    MetricKind::Counter,
+                    value.load(Ordering::Relaxed),
+                )
+            };
+            registry.extend([
+                counter("softhw_store_hits_total", "store_hits", &handle.hits),
+                counter("softhw_store_misses_total", "store_misses", &handle.misses),
+                counter(
+                    "softhw_store_invalid_total",
+                    "store_invalid",
+                    &handle.invalid,
+                ),
+                counter("softhw_store_warmed_total", "store_warmed", &handle.warmed),
+                counter(
+                    "softhw_store_put_errors_total",
+                    "store_put_errors",
+                    &handle.put_errors,
+                ),
+            ]);
+        }
+        registry
     }
 
     /// Assembles the `METRICS` exposition: the registry counters and
@@ -458,4 +479,69 @@ struct Metric {
 enum MetricKind {
     Counter,
     Gauge,
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::wire::{Request, RequestClass, Response};
+    use crate::{RequestCtx, ServiceConfig, ServiceState, WireRequest};
+    use softhw_hypergraph::{named, render_hypergraph};
+
+    fn ask(st: &ServiceState, req: &Request) -> Response {
+        let frame = st.handle(&WireRequest::Single(req.clone()), &RequestCtx::default());
+        let lines: Vec<String> = frame.lines().map(String::from).collect();
+        let (_, lines) = lines.split_last().expect("a frame");
+        Response::decode(lines).expect("the service's own frames decode")
+    }
+
+    #[test]
+    fn store_backed_registry_rows_agree_across_stats_and_metrics() {
+        let path = std::env::temp_dir().join(format!(
+            "softhw-metrics-{}-registry.store",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let solve = Request::new(RequestClass::Shw, render_hypergraph(&named::cycle(5)));
+        {
+            let st = ServiceState::open_store(ServiceConfig::default(), &path).expect("open");
+            ask(&st, &solve);
+            assert!(st.sync_store());
+        }
+        let config = ServiceConfig {
+            warm_start: 0,
+            ..ServiceConfig::default()
+        };
+        let st = ServiceState::open_store(config, &path).expect("reopen");
+        ask(&st, &solve);
+        let stats = match ask(&st, &Request::new(RequestClass::Stats, solve.body.clone())) {
+            Response::Stats { fields } => fields,
+            other => panic!("{other:?}"),
+        };
+        let exposition = match ask(&st, &Request::new(RequestClass::Metrics, "")) {
+            Response::Metrics { lines } => lines,
+            other => panic!("{other:?}"),
+        };
+        let registry = st.metric_registry();
+        let store_rows = ["store_hits", "store_misses", "store_warmed"];
+        for row in store_rows {
+            assert!(registry.iter().any(|m| m.stats_row == row), "{row}");
+        }
+        for m in &registry {
+            let in_stats = stats.iter().find(|(k, _)| k == m.stats_row);
+            let sample = format!("{} ", m.name);
+            let in_metrics = exposition.iter().find_map(|l| l.strip_prefix(&sample));
+            assert_eq!(
+                in_stats.map(|(_, v)| v.as_str()),
+                in_metrics,
+                "{} / {}",
+                m.stats_row,
+                m.name
+            );
+            assert!(in_metrics.is_some(), "{}", m.name);
+        }
+        let hits = stats.iter().find(|(k, _)| k == "store_hits");
+        assert_eq!(hits.map(|(_, v)| v.as_str()), Some("1"));
+        drop(st);
+        let _ = std::fs::remove_file(&path);
+    }
 }

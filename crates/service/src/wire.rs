@@ -250,15 +250,11 @@ pub struct RequestHeader {
 }
 
 impl RequestHeader {
-    /// Parses a header line (or the class tokens of a `BATCH` item).
+    /// Parses a header line (or the class tokens of a `BATCH` item):
+    /// `DEADLINE <ms>` is taken out first, then a trailing `sql`, and a
+    /// token the verb does not place is an error.
     pub fn parse(line: &str) -> Result<RequestHeader, WireError> {
         let mut toks: Vec<&str> = line.split_whitespace().collect();
-        let format = if toks.last() == Some(&"sql") {
-            toks.pop();
-            BodyFormat::Sql
-        } else {
-            BodyFormat::HyperBench
-        };
         let deadline_ms = match toks.iter().position(|&t| t == "DEADLINE") {
             Some(pos) => {
                 let Some(&ms_tok) = toks.get(pos + 1) else {
@@ -272,35 +268,49 @@ impl RequestHeader {
             }
             None => None,
         };
+        let format = if toks.last() == Some(&"sql") {
+            toks.pop();
+            BodyFormat::Sql
+        } else {
+            BodyFormat::HyperBench
+        };
         let parse_k = |tok: Option<&&str>| -> Result<usize, WireError> {
             let tok = tok.ok_or_else(|| WireError::new("missing width argument"))?;
             tok.parse()
                 .map_err(|_| WireError::new(format!("bad width {tok:?}")))
         };
-        let verb = match toks.first().copied() {
-            Some("SHW") => HeaderVerb::Class(RequestClass::Shw),
-            Some("SHW_LEQ") => HeaderVerb::Class(RequestClass::ShwLeq(parse_k(toks.get(1))?)),
-            Some("HW") => HeaderVerb::Class(RequestClass::Hw),
-            Some("HW_LEQ") => HeaderVerb::Class(RequestClass::HwLeq(parse_k(toks.get(1))?)),
+        // The verb, and how many tokens it places (itself included).
+        let (verb, placed) = match toks.first().copied() {
+            Some("SHW") => (HeaderVerb::Class(RequestClass::Shw), 1),
+            Some("SHW_LEQ") => {
+                let k = parse_k(toks.get(1))?;
+                (HeaderVerb::Class(RequestClass::ShwLeq(k)), 2)
+            }
+            Some("HW") => (HeaderVerb::Class(RequestClass::Hw), 1),
+            Some("HW_LEQ") => {
+                let k = parse_k(toks.get(1))?;
+                (HeaderVerb::Class(RequestClass::HwLeq(k)), 2)
+            }
             Some("BEST") => {
                 let eval = EvalKind::parse(
                     toks.get(1)
                         .ok_or_else(|| WireError::new("missing evaluator"))?,
                 )?;
-                HeaderVerb::Class(RequestClass::Best(eval, parse_k(toks.get(2))?))
+                let k = parse_k(toks.get(2))?;
+                (HeaderVerb::Class(RequestClass::Best(eval, k)), 3)
             }
             Some("STATS") => {
                 // `STATS SLOW` selects the slow-query log dump; the SLOW
                 // token is an argument of STATS (like a width `k`), not
                 // a protocol verb of its own.
                 if toks.get(1).copied().is_some_and(|t| t == "SLOW") {
-                    HeaderVerb::Class(RequestClass::Slow)
+                    (HeaderVerb::Class(RequestClass::Slow), 2)
                 } else {
-                    HeaderVerb::Class(RequestClass::Stats)
+                    (HeaderVerb::Class(RequestClass::Stats), 1)
                 }
             }
-            Some("HELLO") => HeaderVerb::Class(RequestClass::Hello),
-            Some("METRICS") => HeaderVerb::Class(RequestClass::Metrics),
+            Some("HELLO") => (HeaderVerb::Class(RequestClass::Hello), 1),
+            Some("METRICS") => (HeaderVerb::Class(RequestClass::Metrics), 1),
             Some("BATCH") => {
                 let n = toks
                     .get(1)
@@ -308,10 +318,13 @@ impl RequestHeader {
                 let n: usize = n
                     .parse()
                     .map_err(|_| WireError::new(format!("bad batch count {n:?}")))?;
-                HeaderVerb::Batch(n)
+                (HeaderVerb::Batch(n), 2)
             }
             other => return Err(WireError::new(format!("unknown request class {other:?}"))),
         };
+        if let Some(extra) = toks.get(placed) {
+            return Err(WireError::new(format!("unexpected token {extra:?}")));
+        }
         Ok(RequestHeader {
             verb,
             deadline_ms,
@@ -1491,6 +1504,37 @@ mod tests {
         assert_eq!(b.deadline_ms, Some(100));
         assert_eq!(b.encode(), "BATCH 7 DEADLINE 100");
         assert!(RequestHeader::parse("NOPE 1").is_err());
+    }
+
+    #[test]
+    fn request_header_places_every_token() {
+        // DEADLINE may stand anywhere, even after the `sql` marker.
+        let h = RequestHeader::parse("SHW sql DEADLINE 5").unwrap();
+        assert_eq!(h.verb, HeaderVerb::Class(RequestClass::Shw));
+        assert_eq!(h.deadline_ms, Some(5));
+        assert_eq!(h.format, BodyFormat::Sql);
+        let h = RequestHeader::parse("DEADLINE 9 BEST concov 2 sql").unwrap();
+        assert_eq!(
+            h.verb,
+            HeaderVerb::Class(RequestClass::Best(EvalKind::ConCov, 2))
+        );
+        assert_eq!((h.deadline_ms, h.format), (Some(9), BodyFormat::Sql));
+        let slow = RequestHeader::parse("STATS SLOW").unwrap();
+        assert_eq!(slow.verb, HeaderVerb::Class(RequestClass::Slow));
+        // A token the grammar does not place is refused, not skipped.
+        for line in [
+            "SHW_LEQ 2 3",
+            "SHW_LEQ 2 sq1",
+            "HW junk",
+            "STATS extra",
+            "STATS SLOW extra",
+            "BATCH 2 x",
+            "BEST concov 2 2",
+            "SHW DEADLINE 5 DEADLINE 6",
+            "SHW sql sql",
+        ] {
+            assert!(RequestHeader::parse(line).is_err(), "{line:?} was accepted");
+        }
     }
 
     #[test]

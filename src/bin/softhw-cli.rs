@@ -38,12 +38,13 @@
 //! Exit code 0 when a decomposition at the requested width exists (or the
 //! width was computed), 1 when a `--width` check rejects, 2 on errors.
 
-use softhw::core::constraints::{concov_filter, Trivial};
-use softhw::core::ctd_opt::best;
+use softhw::core::constraints::ConCov;
+use softhw::core::ctd_opt::best_on_budgeted;
 use softhw::core::ghd::Ghd;
-use softhw::core::soft::{soft_bags_with, SoftLimits};
+use softhw::core::shw::soft_instance;
+use softhw::core::soft::SoftLimits;
 use softhw::core::soft_iter::{ghw, ghw_leq_via_fixpoint, shw_i, shw_i_leq};
-use softhw::core::{solve, SolveSpec, Solved, TreeDecomposition};
+use softhw::core::{solve, Budget, SolveSpec, Solved, TreeDecomposition};
 use softhw::hypergraph::{parse_hypergraph, Hypergraph};
 use softhw_service::{roundtrip, EvalKind, Request, RequestClass, Response};
 use std::error::Error;
@@ -186,16 +187,17 @@ fn report(measure: &str, answer: Answer, print: bool, h: &Hypergraph) -> bool {
 }
 
 /// Local mode: the cold `SolveSpec` door for the unconstrained
-/// questions, and for ConCov — which has no spec formulation — the
-/// filtered candidate bags decided by Algorithm 2 on the input as given.
+/// questions, and for ConCov — which has no spec formulation — what
+/// `BEST concov k` runs: Algorithm 2 with the `ConCov` evaluator over
+/// `Soft_{H,k}` of the input as given.
 fn answer_locally(h: &Hypergraph, q: Question, reduce: bool) -> Fallible<Answer> {
     let spec = match q {
         Question::ConCovLeq(k) => {
             // As `BEST` does: nothing changes past `|E|`; report the asked `k`.
             let width = k.min(h.num_edges());
-            let bags = soft_bags_with(h, width, &SoftLimits::default())?;
-            let td = best(h, &concov_filter(h, width, &bags), &Trivial).map(|(td, ())| td);
-            return Ok(Answer::Decision(k, td.map(Witness::Td)));
+            let inst = soft_instance(h, width, &SoftLimits::default(), &Budget::unlimited())?;
+            let td = best_on_budgeted(&inst, &ConCov { k: width }, &Budget::unlimited())?;
+            return Ok(Answer::Decision(k, td.map(|(td, ())| Witness::Td(td))));
         }
         Question::Shw => SolveSpec::shw(),
         Question::ShwLeq(k) => SolveSpec::shw_leq(k),

@@ -32,6 +32,8 @@ const FLAGS: &[&str] = &[
     "--measure all",
     "--concov",
     "--concov --width 2",
+    "--concov --print",
+    "--concov --width 3 --print",
     "--no-reduce",
     "--width 0",
 ];
@@ -48,12 +50,17 @@ const SHARED: &[&str] = &[
     "--measure hw --width 2",
     "--concov",
     "--concov --width 2",
+    "--concov --print",
+    "--concov --width 3 --print",
     "--width 0",
 ];
 
 /// Cases left out of both tests: exact ConCov-shw on the 4x4 grid sweeps
 /// the decision up to `k = 4`, which takes most of a minute unoptimised.
-const SKIPPED: &[(&str, &str)] = &[("grid4x4.hg", "--concov")];
+const SKIPPED: &[(&str, &str)] = &[
+    ("grid4x4.hg", "--concov"),
+    ("grid4x4.hg", "--concov --print"),
+];
 
 /// Cases added to both tests on one input: a width no schema reaches
 /// decides at `|E|` without sizing anything by `k`, and prints the `k`
