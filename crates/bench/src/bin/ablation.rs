@@ -1,12 +1,13 @@
-//! Ablation sweeps for the design choices called out in DESIGN.md:
+//! Ablation sweeps for three design choices of this crate's solver
+//! stack, each printed as a CSV table:
 //!
-//! 1. **Decomposition latency vs hypergraph size** — the paper's claim
-//!    that bottom-up CTD computation "is in the order of milliseconds and
-//!    does not create a new bottleneck" (Section 1), swept over random
-//!    query-shaped hypergraphs and cycles.
-//! 2. **shw vs hw solver cost** — the soft solver avoids the special
+//! 1. **Decompose at query time, bottom-up.** Latency vs hypergraph
+//!    size, testing the paper's claim that bottom-up CTD computation "is
+//!    in the order of milliseconds and does not create a new bottleneck"
+//!    (Section 1), swept over random query-shaped hypergraphs and cycles.
+//! 2. **Solve `shw`, not `hw`.** The soft solver avoids the special
 //!    condition bookkeeping; how do the two searches scale?
-//! 3. **Candidate set choice** — full `Soft_{H,k}` (Definition 3) vs the
+//! 3. **Generate all of `Soft_{H,k}`.** Full Definition 3 vs the
 //!    prototype's cover-union subset: size and decision-time impact, and
 //!    whether the extra Definition-3 bags ever change decomposability at
 //!    the same width (they can only help).

@@ -2,9 +2,9 @@
 //!
 //! Width computation is worst-case exponential, so every long-running
 //! path — candidate enumeration, instance build, the satisfaction
-//! worklist, the width sweep, reduce-before-solve — accepts a
-//! [`Budget`] and checks it at *coarse* granularity (per enumeration
-//! node, per comp-group scan, per DP wave, per reduced piece). A tripped
+//! pass, the width sweep, reduce-before-solve — accepts a [`Budget`]
+//! and checks it at *coarse* granularity (per enumeration node, per
+//! comp-group scan, per DP block or wave, per reduced piece). A tripped
 //! budget surfaces as [`DecompError::DeadlineExceeded`] or
 //! [`DecompError::Canceled`], which are **not** internal errors: callers
 //! must leave their state untouched, so a cancel-then-retry is

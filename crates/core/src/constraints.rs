@@ -19,10 +19,9 @@ use crate::error::DecompError;
 use softhw_hypergraph::{BitSet, Hypergraph};
 
 /// The trivial evaluator: no constraint, no preference. With it,
-/// Algorithm 2 is Algorithm 1. The two share one fixpoint driver and one
-/// extractor and differ only in their block rule, and `Trivial`'s rule —
-/// the first viable candidate whose children hold a value — is Algorithm
-/// 1's: `best_on(inst, &Trivial)` answers with `inst.decide()`'s witness.
+/// Algorithm 2 is Algorithm 1: both run the one pass and the one
+/// extractor of [`crate::ctd`], and `Trivial` passes every candidate, so
+/// `best_on(inst, &Trivial)` answers with `inst.decide()`'s witness.
 pub struct Trivial;
 
 impl TdEvaluator for Trivial {

@@ -26,33 +26,48 @@
 //! satisfaction DP is a flat `Vec` over block ids, and the hot
 //! subset/union checks run word-level on the packed rows.
 //!
-//! ## The worklist satisfaction engine
+//! ## The satisfaction engine
 //!
 //! The basis conditions split into a *state-independent* part — `X ≠ S`,
 //! `X ⊆ S ∪ C`, and the edge-coverage condition (2), whose witness union
 //! `X ∪ ⋃Y_i` always includes **all** child blocks — and a *state-
 //! dependent* part, condition (3): every child block satisfied. The
 //! instance therefore precomputes, per distinct component, the candidates
-//! passing condition (2) with their child-block lists in CSR form — a
-//! block's **viable candidates** are those filtered by the two
+//! passing condition (2) with their child-block lists in CSR form. A
+//! block's **viable candidates** are those that also pass the two
 //! block-specific tests, `X ≠ S` and `X ⊆ S ∪ C`, the latter evaluated as
-//! `x & !(s | c) == 0` over the three rows, no closure row stored — plus
-//! the child→parents **reverse index**
-//! ([`softhw_hypergraph::Csr`]).
+//! `x & !(s | c) == 0` over the three rows, no closure row stored.
 //!
-//! One driver, two block rules, one extractor. The driver
-//! (`CtdInstance::fixpoint`) runs in frontier waves: wave 0 asks the
-//! block rule about every block, and a block re-enters the frontier only
-//! when one of its children took a value. Algorithm 1's rule is the first
-//! viable candidate whose children are all satisfied — a scan of
-//! precomputed child lists with zero word-level set algebra; Algorithm
-//! 2's is the evaluator's best one ([`crate::ctd_opt`]). Each wave is
-//! evaluated against a snapshot of the previous state and merged in
-//! ascending block order, so Algorithm 1's accept/reject, bases and
-//! timestamps are identical to the retained Jacobi reference
-//! ([`CtdInstance::satisfy_jacobi`]): a frontier wave satisfies exactly
-//! the blocks a full Jacobi round would (a block's satisfiability only
-//! changes when a child's bit flips). Both algorithms read their witness
+//! **Children are smaller, so one pass settles every block.** A child
+//! `(X, Y)` of a viable candidate of `(S, C)` has `Y ⊆ C`. If `Y = C`,
+//! then `X` misses `C` (a component misses its separator), so `X ⊆ S ∪ C`
+//! gives `X ⊆ S`, and `X ≠ S` gives `X ⊊ S`. Every child is therefore
+//! strictly smaller in `(|C|, |S|)`, and a pass over the blocks in that
+//! order (`CtdInstance::ordered_pass`) reads only children it has
+//! already settled — the shape of Moll, Tazari and Thurley's exact-width
+//! dynamic programs, where each state is finalised from strictly smaller
+//! ones. (A candidate with a `Y = C` child never becomes a basis: that
+//! child's own basis is viable for `(S, C)` too, a wave lower. The `|S|`
+//! key is what keeps every child read settled, not what decides.)
+//! The pass gives each block the Jacobi *wave* it would be satisfied in:
+//! 0 if a viable candidate has no children, otherwise `1 + max child
+//! wave` minimised over viable candidates; its basis is the least bag
+//! index that reaches that wave, and its timestamp its rank by (wave,
+//! block id). Those are exactly the bases and timestamps of the retained
+//! Jacobi reference ([`CtdInstance::satisfy_jacobi`]), where round `r`
+//! satisfies, in block order, the unsatisfied blocks with a viable
+//! candidate whose children were all satisfied by round `r − 1`. The
+//! scan of a block drops a candidate as soon as a child's wave rules it
+//! out and stops at wave 0, with zero word-level set algebra beyond the
+//! closure test.
+//!
+//! Algorithm 2 under an evaluator that does not rank (`Trivial`,
+//! `ConCov`) runs the same pass, asking the evaluator about one
+//! candidate at a time in (wave, bag) order until one passes
+//! ([`crate::ctd_opt`]); a ranked evaluator can improve a block's value
+//! after the block took one, so it runs the frontier-wave driver
+//! `CtdInstance::fixpoint`, which builds its own child→parents reverse
+//! index ([`softhw_hypergraph::Csr`]). Both algorithms read their witness
 //! off the basis column with `CtdInstance::extract_tree`, which never
 //! places a block twice. Algorithm 1's timestamps rule a revisit out (a
 //! basis only references blocks satisfied strictly earlier), so for its
@@ -151,6 +166,32 @@ fn offset(n: usize) -> Result<u32, DecompError> {
     })
 }
 
+/// The wave of a block no candidate satisfies (or not settled yet) in
+/// [`CtdInstance::ordered_pass`].
+const NO_WAVE: u32 = u32::MAX;
+
+/// `ids` stably sorted by `key`, every key below `n`: a counting sort.
+fn sorted_by_key(
+    ids: impl Iterator<Item = u32> + Clone,
+    n: usize,
+    key: impl Fn(u32) -> usize,
+) -> Vec<u32> {
+    let mut start = vec![0u32; n + 1];
+    for b in ids.clone() {
+        start[key(b) + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut out = vec![0u32; start[n] as usize];
+    for b in ids {
+        let slot = &mut start[key(b)];
+        out[*slot as usize] = b;
+        *slot += 1;
+    }
+    out
+}
+
 /// The precomputed dependency structure of the satisfaction DP.
 ///
 /// The child-block list of a candidate `x` for block `b` — and with it
@@ -172,10 +213,7 @@ fn offset(n: usize) -> Result<u32, DecompError> {
 /// never stored) and an index compare at DP time, so per-closure bag
 /// masks (which cost `closures × bags` bits — tens of gigabytes on
 /// `k = 2` HyperBench) buy nothing. A block's viable candidates are its comp group's
-/// entries filtered by those two checks on the fly. The reverse index is
-/// two-level: child block → comp groups listing it → blocks of those
-/// groups (a superset of the exact parent set, which is sound: a
-/// spurious recheck is a no-op).
+/// entries filtered by those two checks on the fly.
 struct Deps {
     /// Block → comp-group index.
     group_of: Vec<u32>,
@@ -190,11 +228,6 @@ struct Deps {
     g_child_start: Vec<u32>,
     /// Child block ids of all coverage-viable pairs, concatenated.
     g_child_data: Vec<u32>,
-    /// Child block → comp groups with a coverage-viable candidate
-    /// delegating to it.
-    child_groups: Csr,
-    /// Comp group → its blocks.
-    group_blocks: Csr,
     /// What the group scans cost.
     scan: ScanStats,
 }
@@ -314,7 +347,7 @@ pub struct CtdInstance {
     pub blocks_by_head: Vec<(u32, u32)>,
     /// Blocks headed by `∅` — one per connected component of `H`.
     pub root_blocks: Vec<usize>,
-    /// Worklist dependency structure (viable candidates + reverse index).
+    /// The viable-candidate and child tables of the satisfaction DP.
     deps: Deps,
 }
 
@@ -804,38 +837,20 @@ impl CtdInstance {
             )?;
             g_cand_start.push(offset(out.xs.len())?);
         }
-        // Released before the remaining tables are sized.
-        drop(vertex_bags);
         // The scan output *is* the candidate and child data, offsets
-        // included; `datum_group` mirrors `g_child_data` so the
-        // child→groups CSR builds with a flat counting scatter.
+        // included.
         let ScanChunk {
             xs: g_cand_x,
             child_start: g_child_start,
             children: g_child_data,
             stats: scan,
         } = out;
-        let mut datum_group: Vec<u32> = Vec::with_capacity(g_child_data.len());
-        for (g, &end) in g_cand_start[1..].iter().enumerate() {
-            datum_group.resize(g_child_start[end as usize] as usize, g as u32);
-        }
-        let child_groups = Csr::from_counts(
-            nb,
-            g_child_data
-                .iter()
-                .zip(&datum_group)
-                .map(|(&c, &dg)| (c, dg)),
-        );
-        let group_blocks =
-            Csr::from_counts(ng, group_of.iter().enumerate().map(|(b, &g)| (g, b as u32)));
         Ok(Deps {
             group_of,
             g_cand_start,
             g_cand_x,
             g_child_start,
             g_child_data,
-            child_groups,
-            group_blocks,
             scan,
         })
     }
@@ -895,7 +910,7 @@ impl CtdInstance {
 
     /// Checks the basis conditions of bag `x` for block `b` from first
     /// principles, given the current satisfaction state. This is the
-    /// reference predicate of the Jacobi engine; the worklist engine
+    /// reference predicate of the Jacobi engine; the one-pass engine
     /// answers the same question from the precomputed tables.
     /// `buf` is caller-provided scratch (cleared here) so round-scans
     /// don't allocate per check.
@@ -963,63 +978,138 @@ impl CtdInstance {
         }
     }
 
-    /// Invokes `f` for every block that may need rechecking when block
-    /// `b` newly becomes satisfied (or improves): the blocks of every
-    /// comp group with a coverage-viable candidate delegating to `b`.
-    /// This is the (slightly conservative) reverse index driving the
-    /// worklist rechecks of both DPs; a spurious recheck is a no-op.
-    #[inline]
-    pub fn for_each_parent(&self, b: usize, mut f: impl FnMut(u32)) {
-        for &g in self.deps.child_groups.row(b) {
-            for &p in self.deps.group_blocks.row(g as usize) {
-                f(p);
-            }
-        }
+    /// Every block id in ascending `(|C|, |S|)` (a root block's `S` is
+    /// `∅`), so every child of a viable candidate comes before its parent
+    /// (see the module docs); ties, which are never parent and child,
+    /// keep block order. The cardinalities are read in block order, then
+    /// two counting sorts run over them: `O(blocks + |V|)`.
+    fn pass_order(&self) -> Vec<u32> {
+        let card = |row: BagId| words_card(self.rows.get(row)) as u32;
+        let (comp_card, head_card): (Vec<u32>, Vec<u32>) = (self.blocks.iter())
+            .map(|blk| (card(blk.comp), blk.head().map_or(0, |s| card(bag_row(s)))))
+            .unzip();
+        let n = self.h.num_vertices() + 1;
+        let nb = self.blocks.len() as u32;
+        let by_head = sorted_by_key(0..nb, n, |b| head_card[b as usize] as usize);
+        sorted_by_key(by_head.into_iter(), n, |b| comp_card[b as usize] as usize)
     }
 
-    /// Algorithm 1's block rule: the first viable candidate of `b` whose
-    /// children all hold a value (are satisfied).
-    #[inline]
-    fn first_ready_candidate(&self, b: usize, satisfied: &[Option<()>]) -> Option<u32> {
-        let blk = &self.blocks[b];
-        for ci in self.deps.group_range(self.deps.group_of[b]) {
-            let x = self.deps.g_cand_x[ci];
-            if blk.is_headed_by(x as usize) || !self.in_closure(x as usize, blk) {
+    /// The viable candidate of block `b` first in (wave, bag) order past
+    /// `after`, as `(wave, bag, children)`. A candidate's wave is 0
+    /// without children and `1 + max child wave` otherwise, off `wave` —
+    /// complete for every child, by [`CtdInstance::pass_order`], with
+    /// [`NO_WAVE`] for an unsatisfied block. The scan drops a candidate at
+    /// the first child whose wave rules it out, and stops at the least
+    /// wave a candidate past `after` can have.
+    fn next_candidate(
+        &self,
+        b: usize,
+        wave: &[u32],
+        after: Option<(u32, usize)>,
+    ) -> Option<(u32, usize, &[u32])> {
+        let floor = after.map_or(0, |(w, _)| w);
+        let mut best = None;
+        // A candidate beats `best` only with a wave below `bound`: a later
+        // bag loses a tie.
+        let mut bound = NO_WAVE;
+        'candidates: for (x, children) in self.viable_candidates(b) {
+            let mut w = 0;
+            for &c in children {
+                // `bound > floor ≥ 0` here, and `NO_WAVE` never passes.
+                let cw = wave[c as usize];
+                if cw >= bound - 1 {
+                    continue 'candidates;
+                }
+                w = w.max(cw + 1);
+            }
+            if after.is_some_and(|tried| (w, x) <= tried) {
                 continue;
             }
-            if self
-                .deps
-                .children_of_entry(ci)
-                .iter()
-                .all(|&c| satisfied[c as usize].is_some())
-            {
-                return Some(x);
+            best = Some((w, x, children));
+            bound = w;
+            if w == floor {
+                break;
             }
         }
-        None
+        best
     }
 
-    /// The fixpoint driver of Algorithms 1 and 2. A block's value is a
-    /// summary `S` (Algorithm 1's is `()`: satisfied) with the basis it
-    /// came from. `rule(values, b)` proposes a basis and summary for `b`
-    /// against the previous wave's values; wave 0 asks it about every
-    /// block, later waves only about the parents (via the reverse index)
-    /// of blocks whose value changed. Proposals merge in ascending block
-    /// order: a block takes one if it holds no value or the proposal is
-    /// `better`, stamped with the next timestamp (only Algorithm 1 reads
-    /// the stamps, and it stamps a block once). Without `ranks`
-    /// (`better ≡ false`) a block holding a value is never asked or
-    /// queued again. The budget is checked once per wave (`rule` ticks
-    /// it); more waves than a strongly monotone `better` allows are
-    /// [`DecompError::Internal`].
+    /// The one pass of Algorithm 1, and of Algorithm 2 under an evaluator
+    /// that does not rank: the blocks in [`CtdInstance::pass_order`], each
+    /// settled once. A block's viable candidates are tried in ascending
+    /// (wave, bag) order ([`CtdInstance::next_candidate`]);
+    /// `accept(x, children, values)` gives the value of a node with bag
+    /// `x` over those child blocks, or `None` to try the next candidate.
+    /// The first accepted candidate is the block's basis and its wave the
+    /// block's; a block's timestamp is its rank by (wave, block id). The
+    /// budget is ticked per block and per rejected candidate; all state
+    /// lives in locals, so a trip leaves nothing behind.
+    pub(crate) fn ordered_pass<S: Clone>(
+        &self,
+        budget: &Budget,
+        mut accept: impl FnMut(usize, &[u32], &[Option<S>]) -> Result<Option<S>, DecompError>,
+    ) -> Result<(Vec<Basis>, Vec<Option<S>>), DecompError> {
+        let nb = self.blocks.len();
+        let mut wave = vec![NO_WAVE; nb];
+        let mut basis = vec![Basis::NONE; nb];
+        let mut value: Vec<Option<S>> = vec![None; nb];
+        let mut waves = 0;
+        for b in self.pass_order() {
+            let b = b as usize;
+            budget.tick()?;
+            let mut after = None;
+            while let Some((w, x, children)) = self.next_candidate(b, &wave, after) {
+                if let Some(v) = accept(x, children, &value)? {
+                    wave[b] = w;
+                    basis[b].bag = x as u32;
+                    value[b] = Some(v);
+                    waves = waves.max(w as usize + 1);
+                    break;
+                }
+                budget.tick()?;
+                after = Some((w, x));
+            }
+        }
+        let settled = (0..nb as u32).filter(|&b| wave[b as usize] != NO_WAVE);
+        let by_wave = sorted_by_key(settled, waves, |b| wave[b as usize] as usize);
+        for (at, b) in by_wave.into_iter().enumerate() {
+            basis[b as usize].at = at as u32;
+        }
+        Ok((basis, value))
+    }
+
+    /// The frontier-wave driver of Algorithm 2 under an evaluator that
+    /// ranks, where a block's value can improve after it took one. A
+    /// block's value is a summary `S` with the basis it came from.
+    /// `rule(values, b)` proposes a basis and summary for `b` against the
+    /// previous wave's values; wave 0 asks it about every block, later
+    /// waves only about the parents of blocks whose value changed,
+    /// through a child → comp groups → blocks reverse index built here (a
+    /// superset of the exact parents; a spurious recheck is a no-op).
+    /// Proposals merge in ascending block order: a block takes one if it
+    /// holds no value or the proposal is `better`. The budget is checked
+    /// once per wave (`rule` ticks it); more waves than a strongly
+    /// monotone `better` allows are [`DecompError::Internal`].
     pub(crate) fn fixpoint<S: Clone>(
         &self,
-        ranks: bool,
         better: impl Fn(&S, &S) -> bool,
         budget: &Budget,
         mut rule: impl FnMut(&[Option<S>], usize) -> Result<Option<(u32, S)>, DecompError>,
     ) -> Result<(Vec<Basis>, Vec<Option<S>>), DecompError> {
         let nb = self.blocks.len();
+        let deps = &self.deps;
+        let ng = deps.g_cand_start.len() - 1;
+        let child_groups = Csr::from_counts(
+            nb,
+            (0..ng as u32).flat_map(|g| {
+                deps.group_range(g)
+                    .flat_map(move |ci| deps.children_of_entry(ci).iter().map(move |&c| (c, g)))
+            }),
+        );
+        let group_blocks = Csr::from_counts(
+            ng,
+            (deps.group_of.iter().enumerate()).map(|(b, &g)| (g, b as u32)),
+        );
         let mut basis = vec![Basis::NONE; nb];
         let mut value: Vec<Option<S>> = vec![None; nb];
         let mut clock: u32 = 0;
@@ -1036,10 +1126,7 @@ impl CtdInstance {
             budget.check()?;
             // Every proposal reads the previous wave's values.
             for &b in &frontier {
-                proposals.push(match value[b as usize] {
-                    Some(_) if !ranks => None,
-                    _ => rule(&value, b as usize)?,
-                });
+                proposals.push(rule(&value, b as usize)?);
             }
             next.clear();
             for (&b, proposal) in frontier.iter().zip(proposals.drain(..)) {
@@ -1053,16 +1140,15 @@ impl CtdInstance {
                 value[b] = Some(summary);
                 basis[b] = Basis { bag: x, at: clock };
                 clock = clock.wrapping_add(1);
-                self.for_each_parent(b, |p| {
-                    let p = p as usize;
-                    if (ranks || value[p].is_none()) && !queued[p] {
-                        queued[p] = true;
-                        next.push(p as u32);
+                for &g in child_groups.row(b) {
+                    for &p in group_blocks.row(g as usize) {
+                        if !queued[p as usize] {
+                            queued[p as usize] = true;
+                            next.push(p);
+                        }
                     }
-                });
+                }
             }
-            // Ascending block order keeps wave-internal processing — and
-            // thus timestamps — identical to a Jacobi round.
             next.sort_unstable();
             for &p in &next {
                 queued[p as usize] = false;
@@ -1078,40 +1164,33 @@ impl CtdInstance {
         Ok((basis, value))
     }
 
-    /// Runs the satisfaction DP of Algorithm 1 to fixpoint on the
-    /// dependency-driven worklist (`CtdInstance::fixpoint`, with the
-    /// first viable candidate whose children are all satisfied as the
-    /// block rule): wave 0 checks every block against the precomputed
-    /// viable-candidate tables; afterwards a block is rechecked only when
-    /// one of its children newly became satisfied. Waves snapshot the
-    /// previous wave's state and merge in ascending block order, so bases
-    /// and timestamps are identical to the Jacobi reference
+    /// Runs the satisfaction DP of Algorithm 1 in one pass over the
+    /// blocks (`CtdInstance::ordered_pass`, every candidate accepted):
+    /// each block is settled once, from its already settled children, with
+    /// the bases and timestamps of the Jacobi reference
     /// ([`CtdInstance::satisfy_jacobi`]).
     pub fn satisfy(&self) -> Satisfaction {
         self.satisfy_budgeted(&Budget::unlimited())
             .expect("the unlimited budget cannot trip")
     }
 
-    /// [`CtdInstance::satisfy`] with a cooperative [`Budget`], checked at
-    /// every frontier wave. The DP state lives in locals, so an abort
-    /// leaves the instance untouched — a retry recomputes from scratch
-    /// and is bit-identical to a never-interrupted run.
+    /// [`CtdInstance::satisfy`] with a cooperative [`Budget`], ticked per
+    /// block. The DP state lives in locals, so an abort leaves the
+    /// instance untouched — a retry recomputes from scratch and is
+    /// bit-identical to a never-interrupted run.
     pub fn satisfy_budgeted(&self, budget: &Budget) -> Result<Satisfaction, DecompError> {
         let _span = softhw_obs::span(softhw_obs::stage::SATISFY);
-        let never_better = |_: &(), _: &()| false;
-        let (basis, satisfied) = self.fixpoint(false, never_better, budget, |satisfied, b| {
-            Ok(self.first_ready_candidate(b, satisfied).map(|x| (x, ())))
-        })?;
+        let (basis, satisfied) = self.ordered_pass(budget, |_, _, _| Ok(Some(())))?;
         let accept = self.root_blocks.iter().all(|&b| satisfied[b].is_some());
         Ok(Satisfaction { basis, accept })
     }
 
     /// The seed's Jacobi-round satisfaction DP, retained as the reference
-    /// the worklist engine is property-tested against: each round rescans
-    /// every unsatisfied block against every bag with
+    /// the one pass is property-tested against: each round rescans every
+    /// unsatisfied block against every bag with
     /// [`CtdInstance::is_basis_with`]. Produces bit-identical
-    /// [`Satisfaction`] tables to [`CtdInstance::satisfy`] — a frontier
-    /// wave satisfies exactly the blocks a Jacobi round would.
+    /// [`Satisfaction`] tables to [`CtdInstance::satisfy`]: round `r`
+    /// satisfies exactly the blocks of wave `r`.
     pub fn satisfy_jacobi(&self) -> Satisfaction {
         let nb = self.blocks.len();
         let mut satisfied = vec![false; nb];
@@ -1408,7 +1487,7 @@ mod tests {
     }
 
     #[test]
-    fn worklist_agrees_with_jacobi_reference() {
+    fn one_pass_agrees_with_jacobi_reference() {
         // Full table equality — bases and timestamps, not just accept.
         for (h, k) in [
             (named::h2(), 1),

@@ -29,20 +29,22 @@
 //! uniform-ish random sampling ([`sample_random`]).
 //!
 //! All of them run against the instance's precomputed viable-candidate
-//! tables (see [`crate::ctd`]). The preference DP is no second engine:
-//! one driver, two block rules, one extractor. It runs on Algorithm 1's
-//! fixpoint driver, which re-evaluates a block only when a child block's
-//! value changes, with the evaluator's best candidate as its block rule,
-//! and reads its witness off the value table with Algorithm 1's
-//! extractor.
+//! tables (see [`crate::ctd`]), and the preference DP is no second
+//! engine: it runs on one of the two drivers of [`crate::ctd`] and reads
+//! its witness off the value table with Algorithm 1's extractor.
 //!
-//! A pure constraint (`Trivial`, `ConCov`) has no preference to pay for:
-//! its [`TdEvaluator::ranks`] is `false`, so [`best_on_budgeted`] takes a
-//! block's first passing candidate and never re-evaluates a block that
-//! holds a value — Algorithm 1's cost, with the bag-local verdict as a
-//! filter. The bases, waves and witnesses are the ones a full scan
-//! gives, since with `better ≡ false` a full scan keeps the first
-//! passing candidate and never replaces a value.
+//! Which driver depends on whether the evaluator ranks. A pure
+//! constraint (`Trivial`, `ConCov`) has no preference to pay for: its
+//! [`TdEvaluator::ranks`] is `false`, a block's value never changes once
+//! it has one, and [`best_on_budgeted`] runs Algorithm 1's one pass in
+//! dependency order, asking the evaluator about a block's candidates one
+//! at a time in (wave, bag) order until one passes. The bags whose
+//! `local` runs, and the bases, waves and witnesses, are the ones the
+//! frontier waves below would give. An evaluator that ranks can improve a
+//! block after the block took a value, so it runs the frontier-wave
+//! driver: every block is asked in wave 0, a block is asked again only
+//! when a child block's value changed, and the block rule is the
+//! evaluator's best candidate.
 
 use crate::budget::Budget;
 use crate::ctd::{Basis, CtdInstance, TdNode};
@@ -95,10 +97,10 @@ pub trait TdEvaluator {
 
     /// Can [`better`](TdEvaluator::better) ever answer `true`? The
     /// contract runs one way: `false ⇒ better ≡ false`. A pure constraint
-    /// (`Trivial`, `ConCov`) answers `false`, and Algorithm 2 then keeps
-    /// a block's first passing candidate and never re-evaluates a block
-    /// that holds a value — the choices a full scan would make. The
-    /// default `true` is always safe.
+    /// (`Trivial`, `ConCov`) answers `false`, and Algorithm 2 then runs
+    /// Algorithm 1's one pass, settling each block once with its first
+    /// passing candidate in (wave, bag) order — the choices the
+    /// frontier waves would make. The default `true` is always safe.
     fn ranks(&self) -> bool {
         true
     }
@@ -176,9 +178,7 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
     /// verified at instance build), ticking the budget per candidate,
     /// combines those whose children all have values and whose bag passes
     /// on its own, and keeps the strictly best summary (first wins ties,
-    /// so the choice is deterministic). For an evaluator that does not
-    /// [rank](TdEvaluator::ranks) the first passing candidate wins every
-    /// tie, so the scan stops there.
+    /// so the choice is deterministic).
     fn best_candidate(
         &mut self,
         value: &[Option<E::Summary>],
@@ -200,9 +200,6 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
             let Some(summary) = eval.combine(inst.bag(x), local, &child_summaries) else {
                 continue;
             };
-            if !eval.ranks() {
-                return Ok(Some((x as u32, summary)));
-            }
             let replace = match &best {
                 None => true,
                 Some((_, old)) => eval.better(&summary, old),
@@ -220,15 +217,15 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
 /// CTD satisfies the constraint.
 ///
 /// Algorithm 2 is Algorithm 1 with the satisfied bit replaced by the
-/// evaluator's value — one driver, two block rules, one extractor.
-/// Algorithm 1's fixpoint driver, with the evaluator's best candidate as
-/// the block rule, re-evaluates a block only when a child block's value
-/// changed, and converges because summaries per block strictly improve
-/// in a finite space of basis/children combinations. Algorithm 1's
-/// extractor reads the witness off the value table; a degenerate
-/// evaluator cycle (possible only when `combine` is not strictly
-/// increasing) is answered from the boolean DP's timestamp-ordered
-/// choice, which runs only when an extraction meets such a revisit.
+/// evaluator's value. Without a preference it is Algorithm 1's one pass
+/// with the evaluator as a filter; with one, the frontier-wave driver
+/// re-evaluates a block only when a child block's value changed, and
+/// converges because summaries per block strictly improve in a finite
+/// space of basis/children combinations. Algorithm 1's extractor reads
+/// the witness off the value table; a degenerate evaluator cycle
+/// (possible only when `combine` is not strictly increasing) is answered
+/// from the boolean DP's timestamp-ordered choice, which runs only when
+/// an extraction meets such a revisit.
 pub fn best<E: TdEvaluator>(
     h: &Hypergraph,
     bags: &[BitSet],
@@ -252,20 +249,19 @@ pub fn best_on<E: TdEvaluator>(inst: &CtdInstance, eval: &E) -> Option<Ranked<E:
     }
 }
 
-/// [`best_on`] with a cooperative [`Budget`]: checked at every wave,
-/// ticked per *(block, candidate)* evaluation, and handed to the
-/// evaluator's bag-local searches. All DP state lives in locals, so an
-/// abort leaves the instance untouched and a retry is bit-identical to a
-/// never-interrupted run. A DP that fails to converge (the evaluator is
-/// not strongly monotone) is [`DecompError::Internal`].
+/// [`best_on`] with a cooperative [`Budget`], handed to the evaluator's
+/// bag-local searches and ticked per block and per candidate evaluated.
+/// All DP state lives in locals, so an abort leaves the instance
+/// untouched and a retry is bit-identical to a never-interrupted run. A
+/// DP that fails to converge (the evaluator is not strongly monotone) is
+/// [`DecompError::Internal`].
 ///
-/// The DP is `CtdInstance::fixpoint` with the evaluator's best
-/// candidate as the block rule, and the witness is
-/// `CtdInstance::extract_tree`'s — the driver and the extractor of
-/// Algorithm 1. An evaluator that does not [rank](TdEvaluator::ranks)
-/// pays only for its constraint: a block takes its first passing
-/// candidate, and a block that holds a value is never evaluated or
-/// queued again (no later summary could replace it), as in Algorithm 1.
+/// An evaluator that does not [rank](TdEvaluator::ranks) pays only for
+/// its constraint: the DP is `CtdInstance::ordered_pass`, which settles
+/// each block once, with the first candidate in (wave, bag) order that
+/// the evaluator passes. One that ranks runs `CtdInstance::fixpoint`
+/// with the evaluator's best candidate as the block rule, checking the
+/// budget at every wave. The witness is `CtdInstance::extract_tree`'s.
 /// The boolean reference DP behind the extraction fallback runs, for any
 /// evaluator, only when an extraction revisits a block; it then
 /// re-extracts that component's root.
@@ -276,10 +272,17 @@ pub fn best_on_budgeted<E: TdEvaluator>(
 ) -> Result<Option<Ranked<E::Summary>>, DecompError> {
     let _span = softhw_obs::span(softhw_obs::stage::BEST_DP);
     let mut run = Run::new(inst, eval, budget);
-    let better = |a: &E::Summary, b: &E::Summary| eval.better(a, b);
-    let (basis, value) = inst.fixpoint(eval.ranks(), better, budget, |value, b| {
-        run.best_candidate(value, b)
-    })?;
+    let (basis, value) = if eval.ranks() {
+        let better = |a: &E::Summary, b: &E::Summary| eval.better(a, b);
+        inst.fixpoint(better, budget, |value, b| run.best_candidate(value, b))?
+    } else {
+        let mut summaries = Vec::new();
+        inst.ordered_pass(budget, |x, children, value| {
+            summaries.clear();
+            summaries.extend(children.iter().filter_map(|&c| value[c as usize].clone()));
+            run.node(x, &summaries)
+        })?
+    };
     if !inst.root_blocks.iter().all(|&b| value[b].is_some()) {
         return Ok(None);
     }

@@ -7,7 +7,7 @@
 //!
 //! Module map (paper section in parentheses):
 //! - [`td`], [`ghd`]: (generalised) hypertree decompositions and checks (§2)
-//! - [`ctd`]: blocks, bases, Algorithm 1 on the worklist DP engine (§3)
+//! - [`ctd`]: blocks, bases, Algorithm 1 as one pass in dependency order (§3)
 //! - [`spec`]: the unified [`SolveSpec`] request surface over every
 //!   (class × exactness × budget × reduction × limits) corner
 //! - [`reduce_solve`]: the one solver pipeline (reduce → sweep each

@@ -199,11 +199,16 @@ pub fn shw_i(h: &Hypergraph, i: usize, limits: &SoftLimits) -> Result<usize, Lim
 }
 
 /// The least `k ≤ |E(H)|` that `decide` accepts — [`first_width`], with
-/// its errors mapped back to the only one the hierarchy raises.
+/// its errors mapped back to the only one the hierarchy raises. An
+/// edgeless hypergraph answers `0` without deciding anything: its one
+/// decomposition is a single empty bag, covered by no edge.
 fn least_k(
     h: &Hypergraph,
     mut decide: impl FnMut(usize) -> Result<Option<TreeDecomposition>, LimitExceeded>,
 ) -> Result<usize, LimitExceeded> {
+    if h.num_edges() == 0 {
+        return Ok(0);
+    }
     match first_width(1..=h.num_edges().max(1), |k| Ok(decide(k)?)) {
         Ok(Some((k, _))) => Ok(k),
         Err(DecompError::Limit(e)) => Err(e),
@@ -321,6 +326,16 @@ mod tests {
         }
         for b in &s0 {
             assert!(s1.contains(b), "Soft0 ⊆ Soft1");
+        }
+    }
+
+    #[test]
+    fn an_edgeless_hypergraph_has_width_zero() {
+        let h = softhw_hypergraph::parse_hypergraph("").unwrap();
+        assert_eq!((h.num_vertices(), h.num_edges()), (0, 0));
+        assert_eq!(ghw(&h, &limits()), Ok(0));
+        for i in 0..3 {
+            assert_eq!(shw_i(&h, i, &limits()), Ok(0), "shw_{i}");
         }
     }
 

@@ -50,12 +50,12 @@ pub mod stage {
     pub const INDEX_BUILD: &str = "index_build";
     /// `CtdInstance` build (block derivation + dependency tables).
     pub const INSTANCE_BUILD: &str = "instance_build";
-    /// Satisfaction worklist (Algorithm 1 DP).
+    /// Satisfaction pass (Algorithm 1 DP).
     pub const SATISFY: &str = "satisfy";
     /// λ-set enumeration / candidate bag generation.
     pub const ENUMERATE: &str = "enumerate";
     /// Algorithm 2's preference DP (`ctd_opt::best_on_budgeted`): the
-    /// bag-local evaluations, the worklist waves and the extraction. Its
+    /// bag-local evaluations, the pass or waves and the extraction. Its
     /// boolean reference DP, a `satisfy` child span, appears only when an
     /// extraction revisits a block.
     pub const BEST_DP: &str = "best_dp";

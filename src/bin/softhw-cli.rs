@@ -469,6 +469,10 @@ fn run() -> Fallible<bool> {
         h.num_vertices(),
         h.num_edges()
     );
+    // The server's words for a schema with nothing to decompose.
+    if h.num_edges() == 0 {
+        return Err("empty schema".into());
+    }
     let mut remote = opts.connect.as_ref().map(|_| Remote::new(&opts));
     if remote.is_some() && opts.no_reduce {
         let msg = "--no-reduce is a local-solve flag; the server's pipeline is set by \

@@ -1,15 +1,17 @@
-//! Algorithm 2 under a pure constraint stops at a block's first passing
-//! candidate and never re-evaluates a block that holds a value, because
-//! `Trivial` and `ConCov` say they do not rank (`TdEvaluator::ranks`).
-//! These properties pin that short-cut as invisible:
+//! Algorithm 2 under a pure constraint runs Algorithm 1's one pass,
+//! settling each block once with its first passing candidate in (wave,
+//! bag) order, because `Trivial` and `ConCov` say they do not rank
+//! (`TdEvaluator::ranks`). These properties pin that short-cut as
+//! invisible:
 //! - `best_on` answers exactly (its `Debug` string, and the witness bag
 //!   for bag) what it answers when the same evaluator claims to rank,
-//!   which forces the full scan of every viable candidate;
+//!   which forces the frontier waves and the full scan of every viable
+//!   candidate;
 //! - a `ConCov` verdict is Algorithm 1's on the `ConCov`-filtered bags
 //!   (the paper's `ConCov-Soft_{H,k}`);
 //! - under `Trivial`, `best_on` is Algorithm 1 itself: its verdict is
-//!   `satisfy`'s and its witness `decide`'s, since both run one fixpoint
-//!   driver and one extractor.
+//!   `satisfy`'s and its witness `decide`'s, since both run one pass and
+//!   one extractor.
 
 use softhw::core::candidate_td;
 use softhw::core::constraints::{concov_filter, ConCov, Trivial};

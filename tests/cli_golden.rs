@@ -93,7 +93,8 @@ fn scratch_dir(test: &str) -> PathBuf {
 }
 
 /// The inputs, named as in the golden file: the two shipped examples, and
-/// five schemas written into `dir`.
+/// six schemas written into `dir` — the last one edgeless, which both
+/// modes refuse as an empty schema.
 fn inputs(dir: &Path) -> Vec<(&'static str, PathBuf)> {
     let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("data/examples");
     let mut out = vec![
@@ -130,6 +131,7 @@ fn inputs(dir: &Path) -> Vec<(&'static str, PathBuf)> {
         ("disconnected.hg", render_hypergraph(&union.build())),
         ("random12.hg", render_hypergraph(&random)),
         ("parse_error.hg", "e1(a, b), e2(b, c\n".to_string()),
+        ("empty.hg", String::new()),
     ] {
         let path = dir.join(name);
         std::fs::write(&path, text).expect("write input");

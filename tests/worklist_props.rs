@@ -1,7 +1,7 @@
-//! Property tests for the dependency-driven worklist satisfaction DP
-//! and the decomposition cache: on random hypergraphs, the worklist
-//! engine must agree **block for block** — bases and timestamps, not
-//! just accept/reject — with the retained Jacobi reference; the
+//! Property tests for the one-pass satisfaction DP and the
+//! decomposition cache: on random hypergraphs and chorded grids, the
+//! pass must agree **block for block** — bases and timestamps, not just
+//! accept/reject — with the retained Jacobi reference; the
 //! precomputed viable-candidate tables must match the first-principles
 //! basis predicate; an instance whose build releases the index it was
 //! handed must be the one a build on a borrowed index makes; and the
@@ -111,6 +111,70 @@ fn assert_tables_match_predicate(inst: &CtdInstance) {
     }
 }
 
+/// Full table equality of the one-pass satisfaction and the Jacobi
+/// reference on `h` at width `k`: same accept, same satisfied set, same
+/// bases, same timestamps — the pass's waves must replay the Jacobi
+/// rounds exactly. The certified decomposition validates.
+fn assert_satisfaction_equals_jacobi(h: &Hypergraph, k: usize) {
+    let bags = soft_bags_with(h, k, &SoftLimits::default()).unwrap();
+    let inst = CtdInstance::new(h, &bags);
+    let fast = inst.satisfy();
+    assert_eq!(fast, inst.satisfy_jacobi(), "k = {k}");
+    if let Some(td) = inst.extract(&fast) {
+        assert_eq!(td.validate(h), Ok(()));
+        assert!(td.is_comp_nf(h));
+    }
+}
+
+/// A viable candidate `X` of `(S, C)` can have the child `(X, C)`, with
+/// `X ⊊ S`: a pass ordered by `|C|` alone could reach `(S, C)` before that
+/// child, and the `|S|` order is what settles the child first. This pins
+/// on a fixed pool that such candidates occur, and that none of them is
+/// ever a basis: the child's own basis `Z` is viable for `(S, C)` as well
+/// (`Z ⊆ X ∪ C ⊆ S ∪ C`, `Z ≠ S` since `S ⊄ X ∪ C`, and the coverage
+/// entry and children are the component's), so it reaches the child's
+/// own wave there — and `X`, at least one wave above the child, never
+/// wins.
+#[test]
+fn a_child_can_keep_its_blocks_component_but_no_basis_uses_one() {
+    let (mut candidates, mut bases) = (0, 0);
+    for seed in 0..24u64 {
+        let config = RandomConfig {
+            num_vertices: 8,
+            num_edges: 7,
+            min_arity: 2,
+            max_arity: 3,
+            connect: true,
+        };
+        let h = random_hypergraph(&config, seed);
+        for k in 1..=3 {
+            let bags = soft_bags_with(&h, k, &SoftLimits::default()).unwrap();
+            let inst = CtdInstance::new(&h, &bags);
+            let sat = inst.satisfy();
+            let mut here = 0;
+            for (b, blk) in inst.blocks.iter().enumerate() {
+                for (x, children) in inst.viable_candidates(b) {
+                    if !children
+                        .iter()
+                        .any(|&c| inst.blocks[c as usize].comp == blk.comp)
+                    {
+                        continue;
+                    }
+                    let s = blk.head().expect("a root's candidate misses its component");
+                    assert!(x != s && inst.bag(x).is_subset(inst.bag(s)));
+                    here += 1;
+                    bases += usize::from(sat.basis[b].get().is_some_and(|(bx, _)| bx == x));
+                }
+            }
+            if here > 0 {
+                assert_eq!(sat, inst.satisfy_jacobi(), "seed {seed}, k = {k}");
+            }
+            candidates += here;
+        }
+    }
+    assert_eq!((candidates, bases), (19_750, 0));
+}
+
 /// The random cases below stay far below 4 096 bags, i.e. inside one
 /// summary word of the two-level candidate scan. `grid(7, 7)` at `k = 2`
 /// has 5 622 bags — 88 row words, two summary words — so this pins the
@@ -179,21 +243,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn worklist_satisfaction_equals_jacobi(h in small_hypergraph(), k in 1usize..3) {
-        let limits = SoftLimits::default();
-        let bags = soft_bags_with(&h, k, &limits).unwrap();
-        let inst = CtdInstance::new(&h, &bags);
-        let fast = inst.satisfy();
-        let slow = inst.satisfy_jacobi();
-        // Full table equality: same accept, same satisfied set, same
-        // bases, same timestamps — the worklist's frontier waves must
-        // replay the Jacobi rounds exactly.
-        prop_assert_eq!(&fast, &slow);
-        // And the certified decompositions validate.
-        if let Some(td) = inst.extract(&fast) {
-            prop_assert_eq!(td.validate(&h), Ok(()));
-            prop_assert!(td.is_comp_nf(&h));
-        }
+    fn worklist_satisfaction_equals_jacobi(
+        h in small_hypergraph(),
+        grid in chorded_grid(),
+        k in 1usize..4,
+    ) {
+        assert_satisfaction_equals_jacobi(&h, k);
+        assert_satisfaction_equals_jacobi(&grid, k);
     }
 
     #[test]
