@@ -4,7 +4,7 @@
 //! path — candidate enumeration, instance build, the satisfaction
 //! pass, the width sweep, reduce-before-solve — accepts a [`Budget`]
 //! and checks it at *coarse* granularity (per enumeration node, per
-//! comp-group scan, per DP block or wave, per reduced piece). A tripped
+//! comp-group scan, per DP block, per reduced piece). A tripped
 //! budget surfaces as [`DecompError::DeadlineExceeded`] or
 //! [`DecompError::Canceled`], which are **not** internal errors: callers
 //! must leave their state untouched, so a cancel-then-retry is
@@ -159,7 +159,7 @@ impl Budget {
     }
 
     /// Full check including the wall clock, without consuming a tick.
-    /// Call at stage boundaries (before a wave, a piece, a scan) so a
+    /// Call at stage boundaries (before a piece, a scan) so a
     /// deadline that passed inside one stage is observed before the next
     /// one starts.
     pub fn check(&self) -> Result<(), DecompError> {

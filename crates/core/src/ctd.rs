@@ -61,18 +61,17 @@
 //! out and stops at wave 0, with zero word-level set algebra beyond the
 //! closure test.
 //!
-//! Algorithm 2 under an evaluator that does not rank (`Trivial`,
-//! `ConCov`) runs the same pass, asking the evaluator about one
-//! candidate at a time in (wave, bag) order until one passes
-//! ([`crate::ctd_opt`]); a ranked evaluator can improve a block's value
-//! after the block took one, so it runs the frontier-wave driver
-//! `CtdInstance::fixpoint`, which builds its own child→parents reverse
-//! index ([`softhw_hypergraph::Csr`]). Both algorithms read their witness
-//! off the basis column with `CtdInstance::extract_tree`, which never
-//! places a block twice. Algorithm 1's timestamps rule a revisit out (a
-//! basis only references blocks satisfied strictly earlier), so for its
-//! tables a revisit means a table from another instance: an error, not
-//! an endless recursion.
+//! Algorithm 2 ([`crate::ctd_opt`]) is one pass in the same order for
+//! every evaluator. Under one that does not rank (`Trivial`, `ConCov`)
+//! it is this pass, asking the evaluator about one candidate at a time
+//! in (wave, bag) order until one passes. Under one that ranks, a block's
+//! value can improve after the block took one, so each block replays its
+//! Jacobi waves from its children's value histories, all complete by the
+//! time it is settled. Both algorithms read their witness off the basis
+//! column with `CtdInstance::extract_tree`, which never places a block
+//! twice: every child of a basis is strictly smaller, and the children of
+//! one basis have disjoint components. So a revisit means a table from
+//! another instance: an error, not an endless recursion.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
@@ -82,7 +81,7 @@ use softhw_hypergraph::arena::{
     word_tail_mask, words_card, words_iter, words_subset, words_union_into,
 };
 use softhw_hypergraph::blocks::SliceRange;
-use softhw_hypergraph::{BagId, BitSet, BlockIndex, Csr, Hypergraph};
+use softhw_hypergraph::{BagId, BitSet, BlockIndex, Hypergraph};
 use std::sync::{Arc, OnceLock};
 
 /// One materialised block `(S, C)` with `C ≠ ∅`, in 12 bytes.
@@ -366,9 +365,9 @@ pub struct Satisfaction {
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Basis {
     /// The basis bag index; `u32::MAX` in [`Basis::NONE`].
-    bag: u32,
+    pub(crate) bag: u32,
     /// The timestamp the block was satisfied at.
-    at: u32,
+    pub(crate) at: u32,
 }
 
 impl Basis {
@@ -398,10 +397,6 @@ pub(crate) struct TdNode {
     pub(crate) bag: usize,
     pub(crate) children: Vec<TdNode>,
 }
-
-/// [`CtdInstance::extract_tree`] met a block it had already placed and
-/// was given no fallback basis to answer it from.
-pub(crate) struct Revisit;
 
 /// Reusable buffers for [`scan_group`], so the per-group scans of a
 /// build allocate nothing at all — results append into the flat vectors
@@ -983,7 +978,7 @@ impl CtdInstance {
     /// (see the module docs); ties, which are never parent and child,
     /// keep block order. The cardinalities are read in block order, then
     /// two counting sorts run over them: `O(blocks + |V|)`.
-    fn pass_order(&self) -> Vec<u32> {
+    pub(crate) fn pass_order(&self) -> Vec<u32> {
         let card = |row: BagId| words_card(self.rows.get(row)) as u32;
         let (comp_card, head_card): (Vec<u32>, Vec<u32>) = (self.blocks.iter())
             .map(|blk| (card(blk.comp), blk.head().map_or(0, |s| card(bag_row(s)))))
@@ -1074,92 +1069,6 @@ impl CtdInstance {
         let by_wave = sorted_by_key(settled, waves, |b| wave[b as usize] as usize);
         for (at, b) in by_wave.into_iter().enumerate() {
             basis[b as usize].at = at as u32;
-        }
-        Ok((basis, value))
-    }
-
-    /// The frontier-wave driver of Algorithm 2 under an evaluator that
-    /// ranks, where a block's value can improve after it took one. A
-    /// block's value is a summary `S` with the basis it came from.
-    /// `rule(values, b)` proposes a basis and summary for `b` against the
-    /// previous wave's values; wave 0 asks it about every block, later
-    /// waves only about the parents of blocks whose value changed,
-    /// through a child → comp groups → blocks reverse index built here (a
-    /// superset of the exact parents; a spurious recheck is a no-op).
-    /// Proposals merge in ascending block order: a block takes one if it
-    /// holds no value or the proposal is `better`. The budget is checked
-    /// once per wave (`rule` ticks it); more waves than a strongly
-    /// monotone `better` allows are [`DecompError::Internal`].
-    pub(crate) fn fixpoint<S: Clone>(
-        &self,
-        better: impl Fn(&S, &S) -> bool,
-        budget: &Budget,
-        mut rule: impl FnMut(&[Option<S>], usize) -> Result<Option<(u32, S)>, DecompError>,
-    ) -> Result<(Vec<Basis>, Vec<Option<S>>), DecompError> {
-        let nb = self.blocks.len();
-        let deps = &self.deps;
-        let ng = deps.g_cand_start.len() - 1;
-        let child_groups = Csr::from_counts(
-            nb,
-            (0..ng as u32).flat_map(|g| {
-                deps.group_range(g)
-                    .flat_map(move |ci| deps.children_of_entry(ci).iter().map(move |&c| (c, g)))
-            }),
-        );
-        let group_blocks = Csr::from_counts(
-            ng,
-            (deps.group_of.iter().enumerate()).map(|(b, &g)| (g, b as u32)),
-        );
-        let mut basis = vec![Basis::NONE; nb];
-        let mut value: Vec<Option<S>> = vec![None; nb];
-        let mut clock: u32 = 0;
-        let mut frontier: Vec<u32> = (0..nb as u32).collect();
-        let mut next: Vec<u32> = Vec::new();
-        let mut queued = vec![false; nb];
-        let mut proposals: Vec<Option<(u32, S)>> = Vec::with_capacity(nb);
-        let max_waves = (4 * nb).saturating_mul(self.num_bags()).saturating_add(16);
-        let mut waves = 0usize;
-        while !frontier.is_empty() {
-            // Wave-granularity budget check: a wave is the unit of work
-            // between deadline observations, which bounds cancellation
-            // latency to one wave of rechecks.
-            budget.check()?;
-            // Every proposal reads the previous wave's values.
-            for &b in &frontier {
-                proposals.push(rule(&value, b as usize)?);
-            }
-            next.clear();
-            for (&b, proposal) in frontier.iter().zip(proposals.drain(..)) {
-                let b = b as usize;
-                let Some((x, summary)) = proposal else {
-                    continue;
-                };
-                if value[b].as_ref().is_some_and(|old| !better(&summary, old)) {
-                    continue;
-                }
-                value[b] = Some(summary);
-                basis[b] = Basis { bag: x, at: clock };
-                clock = clock.wrapping_add(1);
-                for &g in child_groups.row(b) {
-                    for &p in group_blocks.row(g as usize) {
-                        if !queued[p as usize] {
-                            queued[p as usize] = true;
-                            next.push(p);
-                        }
-                    }
-                }
-            }
-            next.sort_unstable();
-            for &p in &next {
-                queued[p as usize] = false;
-            }
-            std::mem::swap(&mut frontier, &mut next);
-            waves += 1;
-            if waves > max_waves {
-                return Err(DecompError::internal(
-                    "Algorithm 2 failed to converge; evaluator is not strongly monotone",
-                ));
-            }
         }
         Ok((basis, value))
     }
@@ -1255,10 +1164,8 @@ impl CtdInstance {
         }
         let mut td = None;
         for &rb in &self.root_blocks {
-            let Ok(Some(root)) = self.extract_tree(&sat.basis, None, rb, &mut vec![false; nb])
-            else {
-                return Err(inconsistent());
-            };
+            let root = (self.extract_tree(&sat.basis, rb, &mut vec![false; nb]))
+                .ok_or_else(inconsistent)?;
             self.materialise(&root, &mut td);
         }
         Ok(td)
@@ -1276,41 +1183,25 @@ impl CtdInstance {
 
     /// The one extractor of Algorithms 1 and 2: the tree below block `b`
     /// that the basis column `pick` chooses, each block's subtrees those
-    /// of its basis's child blocks. `Ok(None)` if a block on the way has
-    /// no basis in `pick`, or one naming a bag this instance does not
-    /// have. A block met a second time is answered from `fallback`, the
-    /// boolean DP's timestamp-ordered basis (acyclic: a basis only
-    /// references blocks satisfied strictly earlier), or is
-    /// `Err(Revisit)` without one. Algorithm 1's own table never revisits;
-    /// Algorithm 2's can, when `combine` is not strictly increasing.
+    /// of its basis's child blocks. `None` if a block on the way has no
+    /// basis in `pick`, has one naming a bag this instance does not have,
+    /// or is met a second time, which a column of this instance never
+    /// does (see the module docs).
     pub(crate) fn extract_tree(
         &self,
         pick: &[Basis],
-        fallback: Option<&[Basis]>,
         b: usize,
         visited: &mut [bool],
-    ) -> Result<Option<TdNode>, Revisit> {
-        let column = if visited[b] {
-            fallback.ok_or(Revisit)?
-        } else {
-            pick
-        };
-        let Some((x, _)) = column
-            .get(b)
-            .and_then(|basis| basis.get())
-            .filter(|&(x, _)| x < self.num_bags())
-        else {
-            return Ok(None);
-        };
-        visited[b] = true;
-        let mut children = Vec::new();
-        for &b2 in self.child_blocks(b, x) {
-            match self.extract_tree(pick, fallback, b2 as usize, visited)? {
-                Some(child) => children.push(child),
-                None => return Ok(None),
-            }
+    ) -> Option<TdNode> {
+        if visited[b] {
+            return None;
         }
-        Ok(Some(TdNode { bag: x, children }))
+        let (x, _) = pick.get(b)?.get().filter(|&(x, _)| x < self.num_bags())?;
+        visited[b] = true;
+        let children = (self.child_blocks(b, x).iter())
+            .map(|&b2| self.extract_tree(pick, b2 as usize, visited))
+            .collect::<Option<_>>()?;
+        Some(TdNode { bag: x, children })
     }
 
     /// Adds the tree `node` to `td`: as the whole decomposition if `td`
@@ -1471,16 +1362,12 @@ mod tests {
         let mut stray = own.clone();
         stray.basis[root] = Basis { bag: 30, at: 0 };
         is_internal(&stray);
-        // A block reached a second time is a revisit, which only a
-        // fallback column answers.
+        // A block reached a second time is a revisit.
         let (x, _) = own.basis[root].get().unwrap();
         let child = small.child_blocks(root, x)[0] as usize;
         let mut placed = vec![false; small.blocks.len()];
         placed[child] = true;
-        let again = small.extract_tree(&own.basis, None, root, &mut placed.clone());
-        assert!(matches!(again, Err(Revisit)));
-        let answered = small.extract_tree(&own.basis, Some(&own.basis), root, &mut placed);
-        assert!(matches!(answered, Ok(Some(_))));
+        assert!(small.extract_tree(&own.basis, root, &mut placed).is_none());
         // The instance's own table still extracts.
         let td = small.try_extract(&own).unwrap().expect("C5 has shw 2");
         assert_eq!(td.validate(&cycle), Ok(()));

@@ -29,22 +29,20 @@
 //! uniform-ish random sampling ([`sample_random`]).
 //!
 //! All of them run against the instance's precomputed viable-candidate
-//! tables (see [`crate::ctd`]), and the preference DP is no second
-//! engine: it runs on one of the two drivers of [`crate::ctd`] and reads
-//! its witness off the value table with Algorithm 1's extractor.
-//!
-//! Which driver depends on whether the evaluator ranks. A pure
-//! constraint (`Trivial`, `ConCov`) has no preference to pay for: its
-//! [`TdEvaluator::ranks`] is `false`, a block's value never changes once
-//! it has one, and [`best_on_budgeted`] runs Algorithm 1's one pass in
-//! dependency order, asking the evaluator about a block's candidates one
-//! at a time in (wave, bag) order until one passes. The bags whose
-//! `local` runs, and the bases, waves and witnesses, are the ones the
-//! frontier waves below would give. An evaluator that ranks can improve a
-//! block after the block took a value, so it runs the frontier-wave
-//! driver: every block is asked in wave 0, a block is asked again only
-//! when a child block's value changed, and the block rule is the
-//! evaluator's best candidate.
+//! tables (see [`crate::ctd`]). The preference DP is no second engine:
+//! it is one pass over the blocks in Algorithm 1's dependency order, each
+//! settled once after its children, and Algorithm 1's extractor. Under a
+//! pure constraint (`Trivial`, `ConCov`: [`TdEvaluator::ranks`] is
+//! `false`) a block's value never changes once it has one, so the pass is
+//! Algorithm 1's own, asking the evaluator about a block's candidates in
+//! (wave, bag) order until one passes (`tests/best_shortcut_props.rs`
+//! pins that this changes no answer). Under an evaluator that ranks, a
+//! block replays its waves: it is asked in wave 0 and in the wave after
+//! each change of a child's value, against its children's values as of
+//! the wave before, and keeps a proposal only if it is strictly `better`.
+//! Those are the Jacobi rounds of the DP, with the same bases: in a round
+//! after no child changed, a block proposes what it proposed before,
+//! which is not strictly better than what it holds.
 
 use crate::budget::Budget;
 use crate::ctd::{Basis, CtdInstance, TdNode};
@@ -97,10 +95,10 @@ pub trait TdEvaluator {
 
     /// Can [`better`](TdEvaluator::better) ever answer `true`? The
     /// contract runs one way: `false ⇒ better ≡ false`. A pure constraint
-    /// (`Trivial`, `ConCov`) answers `false`, and Algorithm 2 then runs
-    /// Algorithm 1's one pass, settling each block once with its first
-    /// passing candidate in (wave, bag) order — the choices the
-    /// frontier waves would make. The default `true` is always safe.
+    /// (`Trivial`, `ConCov`) answers `false`, and Algorithm 2's one pass
+    /// then settles each block with its first passing candidate in (wave,
+    /// bag) order — the choice its replayed waves would make. The default
+    /// `true` is always safe.
     fn ranks(&self) -> bool {
         true
     }
@@ -172,31 +170,34 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
         self.node(node.bag, &children)
     }
 
-    /// Algorithm 2's block rule: the preference-minimal viable candidate
-    /// of block `b` with its summary under the value table `value`. Scans
-    /// the precomputed viable candidates in bag order (coverage already
-    /// verified at instance build), ticking the budget per candidate,
-    /// combines those whose children all have values and whose bag passes
-    /// on its own, and keeps the strictly best summary (first wins ties,
-    /// so the choice is deterministic).
-    fn best_candidate(
+    /// Algorithm 2's block rule: the preference-minimal one of a block's
+    /// viable `candidates` (bag order, coverage already verified at
+    /// instance build) with its summary, where `value` gives a child
+    /// block's value. Ticks the budget per candidate, combines those whose
+    /// children all have values and whose bag passes on its own, and keeps
+    /// the strictly best summary (first wins ties, so the choice is
+    /// deterministic).
+    fn best_candidate<'v>(
         &mut self,
-        value: &[Option<E::Summary>],
-        b: usize,
-    ) -> Result<Option<(u32, E::Summary)>, DecompError> {
+        candidates: &[(usize, &[u32])],
+        value: impl Fn(u32) -> Option<&'v E::Summary>,
+    ) -> Result<Option<(u32, E::Summary)>, DecompError>
+    where
+        E::Summary: 'v,
+    {
         let (inst, eval) = (self.inst, self.eval);
         let mut best: Option<(u32, E::Summary)> = None;
         let mut child_summaries: Vec<E::Summary> = Vec::new();
-        for (x, children) in inst.viable_candidates(b) {
+        for &(x, children) in candidates {
             self.budget.tick()?;
-            if !children.iter().all(|&b2| value[b2 as usize].is_some()) {
+            if !children.iter().all(|&b2| value(b2).is_some()) {
                 continue;
             }
             let Some(local) = self.local(x)? else {
                 continue;
             };
             child_summaries.clear();
-            child_summaries.extend(children.iter().filter_map(|&b2| value[b2 as usize].clone()));
+            child_summaries.extend(children.iter().filter_map(|&b2| value(b2).cloned()));
             let Some(summary) = eval.combine(inst.bag(x), local, &child_summaries) else {
                 continue;
             };
@@ -210,6 +211,59 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
         }
         Ok(best)
     }
+
+    /// The pass of Algorithm 2 under an evaluator that ranks: the blocks
+    /// in [`CtdInstance::pass_order`], each settled once, after its
+    /// children, by replaying its Jacobi waves. A block is asked in wave
+    /// 0, and in wave `w + 1` for every wave `w` in which a child of a
+    /// viable candidate took a value; each time it proposes
+    /// [`Run::best_candidate`] over its children's values as of the wave
+    /// before, and takes the proposal if it holds no value yet or the
+    /// proposal is `better`. The histories live in one log, appended in
+    /// pass order. A block's last value is its basis, timestamped with its
+    /// wave. The budget is ticked per block (and per candidate).
+    fn ranked_pass(&mut self) -> Result<Vec<Basis>, DecompError> {
+        let inst = self.inst;
+        // Every value a block took, as `(wave, bag, summary)`; block `b`'s
+        // are `log[history[b]]`.
+        let mut log: Vec<(u32, u32, E::Summary)> = Vec::new();
+        let mut history = vec![0..0; inst.blocks.len()];
+        let (mut candidates, mut waves) = (Vec::new(), Vec::new());
+        for b in inst.pass_order() {
+            let b = b as usize;
+            self.budget.tick()?;
+            candidates.clear();
+            candidates.extend(inst.viable_candidates(b));
+            let children = candidates.iter().flat_map(|&(_, children)| children);
+            let changes = children.flat_map(|&c| &log[history[c as usize].clone()]);
+            waves.clear();
+            waves.extend(std::iter::once(0).chain(changes.map(|&(w, ..)| w + 1)));
+            waves.sort_unstable();
+            waves.dedup();
+            let start = log.len();
+            for &wave in &waves {
+                let as_of = |c: u32| {
+                    let taken = &log[history[c as usize].clone()];
+                    let then = taken.iter().rev().find(|&&(w, ..)| w < wave);
+                    then.map(|(.., summary)| summary)
+                };
+                let Some((x, summary)) = self.best_candidate(&candidates, as_of)? else {
+                    continue;
+                };
+                let held = log[start..].last();
+                if held.is_some_and(|(.., old)| !self.eval.better(&summary, old)) {
+                    continue;
+                }
+                log.push((wave, x, summary));
+            }
+            history[b] = start..log.len();
+        }
+        let basis = history.into_iter().map(|taken| match log[taken].last() {
+            Some(&(at, bag, _)) => Basis { bag, at },
+            None => Basis::NONE,
+        });
+        Ok(basis.collect())
+    }
 }
 
 /// Runs the `{C, ≤}` dynamic program of Algorithm 2 and returns a globally
@@ -217,15 +271,11 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
 /// CTD satisfies the constraint.
 ///
 /// Algorithm 2 is Algorithm 1 with the satisfied bit replaced by the
-/// evaluator's value. Without a preference it is Algorithm 1's one pass
-/// with the evaluator as a filter; with one, the frontier-wave driver
-/// re-evaluates a block only when a child block's value changed, and
-/// converges because summaries per block strictly improve in a finite
-/// space of basis/children combinations. Algorithm 1's extractor reads
-/// the witness off the value table; a degenerate evaluator cycle
-/// (possible only when `combine` is not strictly increasing) is answered
-/// from the boolean DP's timestamp-ordered choice, which runs only when
-/// an extraction meets such a revisit.
+/// evaluator's value, and runs as Algorithm 1 does: one pass over the
+/// blocks in dependency order. Without a preference it is Algorithm 1's
+/// pass with the evaluator as a filter; with one, each block replays its
+/// waves from its children's value histories. Algorithm 1's extractor
+/// reads the witness off the basis column.
 pub fn best<E: TdEvaluator>(
     h: &Hypergraph,
     bags: &[BitSet],
@@ -236,35 +286,21 @@ pub fn best<E: TdEvaluator>(
 }
 
 /// [`best`] on a prepared instance.
-///
-/// # Panics
-/// If the DP does not converge, which only an evaluator that is not
-/// strongly monotone can cause; [`best_on_budgeted`] reports that as an
-/// error instead.
 pub fn best_on<E: TdEvaluator>(inst: &CtdInstance, eval: &E) -> Option<Ranked<E::Summary>> {
-    match best_on_budgeted(inst, eval, &Budget::unlimited()) {
-        Ok(best) => best,
-        // The unlimited budget cannot trip, so this is non-convergence.
-        Err(e) => panic!("{e}"),
-    }
+    best_on_budgeted(inst, eval, &Budget::unlimited()).expect("the unlimited budget cannot trip")
 }
 
 /// [`best_on`] with a cooperative [`Budget`], handed to the evaluator's
 /// bag-local searches and ticked per block and per candidate evaluated.
 /// All DP state lives in locals, so an abort leaves the instance
-/// untouched and a retry is bit-identical to a never-interrupted run. A
-/// DP that fails to converge (the evaluator is not strongly monotone) is
-/// [`DecompError::Internal`].
+/// untouched and a retry is bit-identical to a never-interrupted run.
 ///
-/// An evaluator that does not [rank](TdEvaluator::ranks) pays only for
-/// its constraint: the DP is `CtdInstance::ordered_pass`, which settles
-/// each block once, with the first candidate in (wave, bag) order that
-/// the evaluator passes. One that ranks runs `CtdInstance::fixpoint`
-/// with the evaluator's best candidate as the block rule, checking the
-/// budget at every wave. The witness is `CtdInstance::extract_tree`'s.
-/// The boolean reference DP behind the extraction fallback runs, for any
-/// evaluator, only when an extraction revisits a block; it then
-/// re-extracts that component's root.
+/// The DP is one pass in dependency order, each block settled once. An
+/// evaluator that does not [rank](TdEvaluator::ranks) pays only for its
+/// constraint: the pass is `CtdInstance::ordered_pass`, which takes the
+/// first candidate in (wave, bag) order that the evaluator passes. Under
+/// one that ranks, each block replays its waves (`Run::ranked_pass`). The
+/// witness is `CtdInstance::extract_tree`'s.
 pub fn best_on_budgeted<E: TdEvaluator>(
     inst: &CtdInstance,
     eval: &E,
@@ -272,41 +308,27 @@ pub fn best_on_budgeted<E: TdEvaluator>(
 ) -> Result<Option<Ranked<E::Summary>>, DecompError> {
     let _span = softhw_obs::span(softhw_obs::stage::BEST_DP);
     let mut run = Run::new(inst, eval, budget);
-    let (basis, value) = if eval.ranks() {
-        let better = |a: &E::Summary, b: &E::Summary| eval.better(a, b);
-        inst.fixpoint(better, budget, |value, b| run.best_candidate(value, b))?
+    let basis = if eval.ranks() {
+        run.ranked_pass()?
     } else {
         let mut summaries = Vec::new();
-        inst.ordered_pass(budget, |x, children, value| {
+        let pass = inst.ordered_pass(budget, |x, children, value| {
             summaries.clear();
             summaries.extend(children.iter().filter_map(|&c| value[c as usize].clone()));
             run.node(x, &summaries)
-        })?
+        });
+        pass?.0
     };
-    if !inst.root_blocks.iter().all(|&b| value[b].is_some()) {
+    if !inst.root_blocks.iter().all(|&b| basis[b].get().is_some()) {
         return Ok(None);
     }
-    // Extract (with cycle guard; see `best`) one tree per connected
-    // component, chain them under the first one's root, and summarise
-    // the stitched tree bottom-up. The guard's boolean DP runs on the
-    // first revisit, and that root is extracted again with it.
+    // Extract one tree per connected component, chain them under the
+    // first one's root, and summarise the stitched tree bottom-up.
     let nb = inst.blocks.len();
-    let mut roots: Vec<TdNode> = Vec::with_capacity(inst.root_blocks.len());
-    let mut bool_basis: Option<Vec<Basis>> = None;
-    for &rb in &inst.root_blocks {
-        let mut root = inst.extract_tree(&basis, None, rb, &mut vec![false; nb]);
-        if root.is_err() {
-            if bool_basis.is_none() {
-                bool_basis = Some(inst.satisfy_budgeted(budget)?.basis);
-            }
-            let fallback = bool_basis.as_deref();
-            root = inst.extract_tree(&basis, fallback, rb, &mut vec![false; nb]);
-        }
-        match root {
-            Ok(Some(root)) => roots.push(root),
-            _ => return Ok(None),
-        }
-    }
+    let roots: Vec<TdNode> = (inst.root_blocks.iter())
+        .map(|&rb| inst.extract_tree(&basis, rb, &mut vec![false; nb]))
+        .collect::<Option<_>>()
+        .ok_or_else(|| DecompError::internal("value table inconsistent with this instance"))?;
     let roots: Vec<&TdNode> = roots.iter().collect();
     let Some((first, rest)) = roots.split_first() else {
         return Ok(None);
@@ -660,13 +682,13 @@ fn sample_block<R: Rng>(
 mod tests {
     use super::*;
     use crate::constraints::{BagCost, ConCov, Lexi, PartClust, ShallowCyc, Trivial};
-    use crate::ctd::Revisit;
+    use crate::ctd::Basis;
     use crate::soft::soft_bags;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
     use softhw_hypergraph::{named, FxHashMap};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     /// Random hypergraphs with `edges` edges; odd seeds may come out
     /// disconnected, which exercises the stitched-tree summaries.
@@ -681,10 +703,12 @@ mod tests {
         random_hypergraph(&shape, seed)
     }
 
-    /// Counts the bag-local evaluations of the wrapped evaluator, per bag.
+    /// Counts the bag-local evaluations of the wrapped evaluator, per
+    /// bag, and its `combine` calls.
     struct Counting<'a, E> {
         inner: &'a E,
         evals: RefCell<FxHashMap<BitSet, usize>>,
+        combines: Cell<usize>,
     }
 
     impl<E: TdEvaluator> TdEvaluator for Counting<'_, E> {
@@ -707,6 +731,7 @@ mod tests {
             local: &E::Local,
             children: &[E::Summary],
         ) -> Option<E::Summary> {
+            self.combines.set(self.combines.get() + 1);
             self.inner.combine(bag, local, children)
         }
 
@@ -730,6 +755,7 @@ mod tests {
                 let counting = Counting {
                     inner: &concov,
                     evals: RefCell::default(),
+                    combines: Cell::default(),
                 };
                 let check = |what: &str| {
                     let evals = counting.evals.take();
@@ -770,6 +796,7 @@ mod tests {
                 let counting = Counting {
                     inner: &concov,
                     evals: RefCell::default(),
+                    combines: Cell::default(),
                 };
                 softhw_obs::begin_trace(0);
                 found += best_on(&inst, &counting).is_some() as usize;
@@ -786,36 +813,61 @@ mod tests {
         assert_eq!((locals, reference_dps, found), (679, 0, 13));
     }
 
+    /// What `best_on` costs under two ranked evaluators over the shapes
+    /// of `concov_best_counts_are_pinned`, in clock-free counts: the
+    /// bag-local evaluations, the `combine` calls (the pass's, and the
+    /// summary of the extracted tree), and the instances answered.
+    #[test]
+    fn shallow_best_counts_are_pinned() {
+        fn tally<E: TdEvaluator>(eval: &E) -> (usize, usize, usize) {
+            let (mut locals, mut combines, mut found) = (0, 0, 0);
+            for edges in 6..=12 {
+                for k in 1..=3 {
+                    let h = random_shape(edges, (edges * 3 + k) as u64);
+                    let inst = CtdInstance::new(&h, &soft_bags(&h, k));
+                    let counting = Counting {
+                        inner: eval,
+                        evals: RefCell::default(),
+                        combines: Cell::default(),
+                    };
+                    found += best_on(&inst, &counting).is_some() as usize;
+                    locals += counting.evals.take().values().sum::<usize>();
+                    combines += counting.combines.get();
+                }
+            }
+            (locals, combines, found)
+        }
+        let shallow = tally(&ShallowCyc { d: 1 });
+        let cost = tally(&BagCost::new(|bag: &BitSet| bag.len() as f64));
+        assert_eq!((shallow, cost), ((2647, 250_081, 13), (2650, 243_602, 13)));
+    }
+
     /// The DP value of a block: its best basis (bag index) and the
     /// summary of the partial decomposition below it.
     type Value<S> = Option<(usize, S)>;
 
     /// Extraction following the best-value table from block `b`; a
     /// revisited block is answered from `fallback`, the boolean DP's
-    /// timestamp-ordered basis (which is provably acyclic), or is
-    /// `Err(Revisit)` without one.
+    /// timestamp-ordered basis (which is provably acyclic).
     fn extract_best<S>(
         inst: &CtdInstance,
         value: &[Value<S>],
-        fallback: Option<&[Basis]>,
+        fallback: &[Basis],
         b: usize,
         visited: &mut [bool],
-    ) -> Result<Option<TdNode>, Revisit> {
+    ) -> Option<TdNode> {
         let x = if visited[b] {
-            fallback.ok_or(Revisit)?[b].get().map(|(x, _)| x)
+            fallback[b].get().map(|(x, _)| x)
         } else {
             value[b].as_ref().map(|(x, _)| *x)
         };
-        let Some(x) = x else { return Ok(None) };
+        let x = x?;
         visited[b] = true;
         let mut children = Vec::new();
         for &b2 in inst.child_blocks(b, x) {
-            match extract_best(inst, value, fallback, b2 as usize, visited)? {
-                Some(child) => children.push(child),
-                None => return Ok(None),
-            }
+            children.push(extract_best(inst, value, fallback, b2 as usize, visited)?);
         }
-        Ok(Some(TdNode { bag: x, children }))
+        Some(TdNode { bag: x, children })
     }
 
     /// Algorithm 2 as it ran before the bag-local table: full Jacobi
@@ -868,9 +920,7 @@ mod tests {
         let basis = inst.satisfy().basis;
         let mut td = None;
         for &rb in &inst.root_blocks {
-            let root = extract_best(inst, &value, Some(&basis), rb, &mut vec![false; nb])
-                .ok()
-                .flatten()?;
+            let root = extract_best(inst, &value, &basis, rb, &mut vec![false; nb])?;
             inst.materialise(&root, &mut td);
         }
         let td = td?;
@@ -893,16 +943,27 @@ mod tests {
             named::triangle_star(3),
         ];
         shapes.extend((0..6).map(|seed| random_shape(6 + seed as usize % 3, seed)));
+        // Larger shapes, where the tie-break among equally good candidates
+        // shows: breaking ties by (value, depth, bag) instead of by wave
+        // order diverges here at `k = 2` on seeds 1 and 2. They stop at
+        // `k = 2`: at `k = 3` the per-pair reference alone takes most of a
+        // minute in a debug build.
+        let larger = shapes.len();
+        shapes.extend((0..4).map(|seed| random_shape(9 + seed as usize % 2, seed)));
         let size = |bag: &BitSet| bag.len() as f64;
         for (i, h) in shapes.iter().enumerate() {
-            for k in 1..=3 {
+            let top_k = if i < larger { 3 } else { 2 };
+            for k in 1..=top_k {
                 let inst = CtdInstance::new(h, &soft_bags(h, k));
                 let what = format!("shape {i}, k={k}");
                 assert_matches_reference(&inst, &Trivial, &what);
                 assert_matches_reference(&inst, &ConCov { k }, &what);
                 assert_matches_reference(&inst, &ShallowCyc { d: 1 }, &what);
+                assert_matches_reference(&inst, &ShallowCyc { d: 2 }, &what);
                 assert_matches_reference(&inst, &BagCost::new(size), &what);
                 let lexi = Lexi::new(ConCov { k }, BagCost::new(size));
+                assert_matches_reference(&inst, &lexi, &what);
+                let lexi = Lexi::new(ConCov { k }, ShallowCyc { d: 1 });
                 assert_matches_reference(&inst, &lexi, &what);
             }
         }
@@ -920,32 +981,43 @@ mod tests {
 
     #[test]
     fn a_tripped_budget_is_an_error_and_a_retry_is_identical() {
+        fn check<E: TdEvaluator>(inst: &CtdInstance, eval: &E, what: &str) {
+            let control = format!("{:?}", best_on(inst, eval));
+            let mut tripped = 0;
+            for cap in [0, 1, 10, 100, 1_000, 10_000, 100_000_000] {
+                match best_on_budgeted(inst, eval, &Budget::with_work_cap(cap)) {
+                    Ok(best) => assert_eq!(format!("{best:?}"), control, "{what}, cap {cap}"),
+                    Err(e) => {
+                        assert_eq!(e, DecompError::DeadlineExceeded, "{what}, cap {cap}");
+                        tripped += 1;
+                    }
+                }
+                assert_eq!(format!("{:?}", best_on(inst, eval)), control, "{what}");
+            }
+            assert!(
+                (1..7).contains(&tripped),
+                "{what}: {tripped} of 7 caps tripped"
+            );
+            let canceled = Budget::cancellable();
+            canceled.cancel();
+            let stopped = best_on_budgeted(inst, eval, &canceled);
+            assert_eq!(stopped.err(), Some(DecompError::Canceled), "{what}");
+        }
         let h = named::grid(3, 3);
         let inst = CtdInstance::new(&h, &soft_bags(&h, 3));
-        let eval = ConCov { k: 3 };
-        let control = format!("{:?}", best_on(&inst, &eval));
-        let mut tripped = 0;
-        for cap in [0, 1, 10, 100, 1_000, 10_000, 100_000_000] {
-            match best_on_budgeted(&inst, &eval, &Budget::with_work_cap(cap)) {
-                Ok(best) => assert_eq!(format!("{best:?}"), control, "cap {cap}"),
-                Err(e) => {
-                    assert_eq!(e, DecompError::DeadlineExceeded, "cap {cap}");
-                    tripped += 1;
-                }
-            }
-            assert_eq!(format!("{:?}", best_on(&inst, &eval)), control);
-        }
-        assert!((1..7).contains(&tripped), "{tripped} of 7 caps tripped");
-        let canceled = Budget::cancellable();
-        canceled.cancel();
-        let stopped = best_on_budgeted(&inst, &eval, &canceled);
-        assert_eq!(stopped.err(), Some(DecompError::Canceled));
+        check(&inst, &ConCov { k: 3 }, "ConCov");
+        check(&inst, &ShallowCyc { d: 1 }, "ShallowCyc");
+        check(
+            &inst,
+            &BagCost::new(|bag: &BitSet| bag.len() as f64),
+            "BagCost",
+        );
     }
 
     #[test]
-    fn a_non_monotone_evaluator_is_an_internal_error_not_a_panic() {
-        // `better` that always prefers the newcomer never reaches a
-        // fixpoint on a cyclic dependency.
+    fn a_non_monotone_evaluator_terminates_with_a_valid_witness() {
+        // `better` that always prefers the newcomer is not a strict
+        // order; the pass still settles every block once.
         struct Restless;
         impl TdEvaluator for Restless {
             type Summary = ();
@@ -967,11 +1039,8 @@ mod tests {
         }
         let h = named::cycle(5);
         let inst = CtdInstance::new(&h, &soft_bags(&h, 2));
-        let stuck = best_on_budgeted(&inst, &Restless, &Budget::unlimited());
-        assert!(
-            matches!(stuck, Err(DecompError::Internal { .. })),
-            "{stuck:?}"
-        );
+        let (td, ()) = best_on(&inst, &Restless).expect("shw(C5) = 2");
+        assert_eq!(td.validate(&h), Ok(()));
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub mod arena;
 pub mod bitset;
 pub mod blocks;
 pub mod cache;
-pub mod csr;
 pub mod fxhash;
 #[allow(clippy::module_inception)]
 pub mod hypergraph;
@@ -31,7 +30,6 @@ pub use arena::{ArenaSnapshot, BagArena, BagId};
 pub use bitset::BitSet;
 pub use blocks::{BlockIndex, BlockIndexStats};
 pub use cache::structural_hash;
-pub use csr::Csr;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};
 pub use parse::{parse_hypergraph, render_hypergraph, scan_hypergraph, ParseError, Scan};

@@ -55,9 +55,8 @@ pub mod stage {
     /// λ-set enumeration / candidate bag generation.
     pub const ENUMERATE: &str = "enumerate";
     /// Algorithm 2's preference DP (`ctd_opt::best_on_budgeted`): the
-    /// bag-local evaluations, the pass or waves and the extraction. Its
-    /// boolean reference DP, a `satisfy` child span, appears only when an
-    /// extraction revisits a block.
+    /// bag-local evaluations, the one pass in dependency order (where
+    /// ranked blocks replay their waves) and the extraction.
     pub const BEST_DP: &str = "best_dp";
     /// `[S]`-component / coverage-union passes over the `BlockIndex`:
     /// the `U`-side sweep inside `enumerate`, block derivation inside

@@ -1,12 +1,12 @@
-//! Algorithm 2 under a pure constraint runs Algorithm 1's one pass,
-//! settling each block once with its first passing candidate in (wave,
-//! bag) order, because `Trivial` and `ConCov` say they do not rank
-//! (`TdEvaluator::ranks`). These properties pin that short-cut as
-//! invisible:
+//! Algorithm 2 is one pass in dependency order for every evaluator. Under
+//! a pure constraint it settles each block with its first passing
+//! candidate in (wave, bag) order, because `Trivial` and `ConCov` say
+//! they do not rank (`TdEvaluator::ranks`). These properties pin that
+//! short-cut as invisible:
 //! - `best_on` answers exactly (its `Debug` string, and the witness bag
 //!   for bag) what it answers when the same evaluator claims to rank,
-//!   which forces the frontier waves and the full scan of every viable
-//!   candidate;
+//!   which makes every block replay its waves with a full scan of its
+//!   viable candidates in each;
 //! - a `ConCov` verdict is Algorithm 1's on the `ConCov`-filtered bags
 //!   (the paper's `ConCov-Soft_{H,k}`);
 //! - under `Trivial`, `best_on` is Algorithm 1 itself: its verdict is
