@@ -4,7 +4,7 @@
 //! path — candidate enumeration, instance build, the satisfaction
 //! pass, the width sweep, reduce-before-solve — accepts a [`Budget`]
 //! and checks it at *coarse* granularity (per enumeration node, per
-//! comp-group scan, per DP block, per reduced piece). A tripped
+//! candidate bag, per DP block, per reduced piece). A tripped
 //! budget surfaces as [`DecompError::DeadlineExceeded`] or
 //! [`DecompError::Canceled`], which are **not** internal errors: callers
 //! must leave their state untouched, so a cancel-then-retry is
@@ -132,8 +132,8 @@ impl Budget {
 
     /// Consumes one work unit: always checks the cancel flag and work
     /// cap, consults the wall clock every [`DEADLINE_CHECK_INTERVAL`]
-    /// ticks. Call this from per-item loops (enumeration nodes, group
-    /// scans); use [`Budget::check`] at stage boundaries.
+    /// ticks. Call this from per-item loops (enumeration nodes, DP
+    /// blocks); use [`Budget::check`] at stage boundaries.
     #[inline]
     pub fn tick(&self) -> Result<(), DecompError> {
         let Some(inner) = &self.inner else {

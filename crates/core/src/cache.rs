@@ -721,10 +721,11 @@ mod tests {
                 // Half the calls run under a work cap small enough to
                 // trip mid-enumeration: an index a trip leaves half-grown
                 // sits in an entry like any other, inside the bound. A
-                // cold `shw`-class call on these schemas ticks 39-720
-                // times (quartiles 56 / 172 / 266; one tick per λ node,
-                // `W`-side element, bag and comp group), an `hw` one
-                // 3-33 times, so caps below 320 trip about a quarter of
+                // cold `shw`-class call on schemas of this pool ticks
+                // 0-1 570 times (quartiles 21 / 63 / 219 over `shw` and
+                // `shw ≤ 1..3`, raw and reduced, seeds 0-59; one tick per
+                // λ node, `W`-side element, bag and DP block), an `hw`
+                // one 3-33 times, so caps below 320 trip a good share of
                 // the capped calls (most of the others are memo hits).
                 let budget = if flags & 2 == 2 {
                     Budget::with_work_cap(cap)

@@ -21,7 +21,8 @@
 //! every bag, component and cover, and its ids are distinct exactly when
 //! the contents are. The instance therefore deduplicates through a dense
 //! remap keyed by index id and copies each distinct row once into flat,
-//! exactly-reserved storage; it owns no hash table, because
+//! exactly-sized storage (or, from an index handed over to it, gathers
+//! the rows in place); it owns no hash table, because
 //! nothing is interned into an instance after it is built. The
 //! satisfaction DP is a flat `Vec` over block ids, and the hot
 //! subset/union checks run word-level on the packed rows.
@@ -29,14 +30,24 @@
 //! ## The satisfaction engine
 //!
 //! The basis conditions split into a *state-independent* part — `X ≠ S`,
-//! `X ⊆ S ∪ C`, and the edge-coverage condition (2), whose witness union
-//! `X ∪ ⋃Y_i` always includes **all** child blocks — and a *state-
+//! `X ⊆ S ∪ C`, and the edge-coverage condition (2) — and a *state-
 //! dependent* part, condition (3): every child block satisfied. The
-//! instance therefore precomputes, per distinct component, the candidates
-//! passing condition (2) with their child-block lists in CSR form. A
-//! block's **viable candidates** are those that also pass the two
-//! block-specific tests, `X ≠ S` and `X ⊆ S ∪ C`, the latter evaluated as
-//! `x & !(s | c) == 0` over the three rows, no closure row stored.
+//! state-independent part needs no table. With `req = cover ∖ C`, the
+//! vertices outside `C` that share an edge with it, condition (2) holds
+//! iff `X ⊇ req`. A bag missing a `req` vertex cannot cover it, because
+//! child components only hold vertices of `C`. And with `req ⊆ X`, every
+//! `[X]`-component that meets `C` stays inside `C`, because leaving `C`
+//! means stepping onto a vertex of `req`; so `X` with those components
+//! covers `C ∪ req = cover`. A block's **viable candidates** are
+//! therefore the bags holding `req`, found through an inverted vertex →
+//! bags index (`VertexBags`), less `S` and the bags outside `S ∪ C`
+//! (`x & !(s | c) == 0` over the three rows, no closure row stored). A
+//! candidate's children are the blocks it heads whose component meets
+//! `C`: one bit test on the component's smallest vertex. A pass reads a
+//! block's candidates when it settles the block
+//! (`CtdInstance::read_candidates`), into buffers it reuses from block to
+//! block, so an instance holds its rows, its blocks and that index, and
+//! no per-block table.
 //!
 //! **Children are smaller, so one pass settles every block.** A child
 //! `(X, Y)` of a viable candidate of `(S, C)` has `Y ⊆ C`. If `Y = C`,
@@ -56,10 +67,10 @@
 //! block id). Those are exactly the bases and timestamps of the retained
 //! Jacobi reference ([`CtdInstance::satisfy_jacobi`]), where round `r`
 //! satisfies, in block order, the unsatisfied blocks with a viable
-//! candidate whose children were all satisfied by round `r − 1`. The
-//! scan of a block drops a candidate as soon as a child's wave rules it
-//! out and stops at wave 0, with zero word-level set algebra beyond the
-//! closure test.
+//! candidate whose children were all satisfied by round `r − 1`. Once a
+//! block's candidates are read, the pass drops a candidate as soon as a
+//! child's wave rules it out and stops at wave 0, with no word-level set
+//! algebra at all.
 //!
 //! Algorithm 2 ([`crate::ctd_opt`]) is one pass in the same order for
 //! every evaluator. Under one that does not rank (`Trivial`, `ConCov`)
@@ -139,11 +150,6 @@ impl Rows {
     fn get(&self, id: BagId) -> &[u64] {
         &self.data[id.idx() * self.words..(id.idx() + 1) * self.words]
     }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.data.len() / self.words
-    }
 }
 
 /// The row id of candidate bag `x`.
@@ -152,14 +158,13 @@ fn bag_row(x: usize) -> BagId {
     BagId(x as u32)
 }
 
-/// Converts a table length to the `u32` the dependency tables store
-/// offsets and block ids in. An instance past that is a blown limit, not
-/// a wrap.
+/// Converts a table length to the `u32` the block table stores offsets
+/// and block ids in. An instance past that is a blown limit, not a wrap.
 #[inline]
 fn offset(n: usize) -> Result<u32, DecompError> {
     u32::try_from(n).map_err(|_| {
         LimitExceeded {
-            what: "dependency table offsets",
+            what: "block table offsets",
         }
         .into()
     })
@@ -191,58 +196,23 @@ fn sorted_by_key(
     out
 }
 
-/// The precomputed dependency structure of the satisfaction DP.
-///
-/// The child-block list of a candidate `x` for block `b` — and with it
-/// the edge-coverage condition (2) — depends only on `b`'s *component*
-/// (`children = blocks headed by x with comp ⊆ C`, and the witness
-/// union is `x ∪ ⋃children`), so both are computed once per distinct
-/// component ("comp group") and shared by every block with that
-/// component. Candidates are found through the two-level inverted
-/// vertex→bags index ([`VertexBags`]), never by enumerating bags — and
-/// not at all for a group whose `req` is as large as the largest bag,
-/// whose one possible candidate is its block's head ([`scan_group`]) —
-/// so the precompute costs about `searched groups × bags / 4096` summary
-/// words plus the coverage-viable pairs it emits instead of a
-/// `blocks × bags` scan ([`ScanStats`] counts both kinds of group).
-///
-/// The remaining, block-specific basis conditions — `X ⊆ S ∪ C` and
-/// `X ≠ S` — are *not* tabulated: they are one word-level test over the
-/// rows of `X`, `S` and `C` (`x & !(s | c) == 0`; the closure `S ∪ C` is
-/// never stored) and an index compare at DP time, so per-closure bag
-/// masks (which cost `closures × bags` bits — tens of gigabytes on
-/// `k = 2` HyperBench) buy nothing. A block's viable candidates are its comp group's
-/// entries filtered by those two checks on the fly.
-struct Deps {
-    /// Block → comp-group index.
-    group_of: Vec<u32>,
-    /// Per comp group `g`, the range `g_cand_start[g]..g_cand_start[g+1]`
-    /// of coverage-viable candidate entries in `g_cand_x`/`g_child_start`.
-    g_cand_start: Vec<u32>,
-    /// Candidate bag index per coverage-viable `(group, bag)` pair,
-    /// ascending within each group.
-    g_cand_x: Vec<u32>,
-    /// Per entry `ci`, the range `g_child_start[ci]..g_child_start[ci+1]`
-    /// of its child blocks in `g_child_data`.
-    g_child_start: Vec<u32>,
-    /// Child block ids of all coverage-viable pairs, concatenated.
-    g_child_data: Vec<u32>,
-    /// What the group scans cost.
-    scan: ScanStats,
-}
-
-/// Clock-free work counts of the candidate scan of one instance build
-/// (exposed for tests, like
+/// Clock-free work counts of reading every block's viable candidates
+/// once ([`CtdInstance::scan_stats`]), the read a pass of Algorithm 1
+/// makes (exposed for tests, like
 /// [`softhw_hypergraph::blocks::BlockIndexStats::rounds`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Comp groups scanned.
-    pub groups: u64,
-    /// Groups whose `req` was as large as the largest bag, answered from
-    /// their block's head without reading a table.
+    /// Blocks read.
+    pub blocks: u64,
+    /// Blocks whose `req` was as large as the largest bag: no candidate,
+    /// and no index word read.
     pub direct: u64,
-    /// Words of the vertex × bag table the other groups read.
+    /// Words of the vertex × bag table the other blocks read.
     pub row_words: u64,
+    /// Viable candidates found.
+    pub candidates: u64,
+    /// Child blocks of those candidates.
+    pub children: u64,
 }
 
 /// Row words per summary word of [`VertexBags`]: one per summary bit.
@@ -252,7 +222,8 @@ const SUMMARY_SPAN: usize = u64::BITS as usize;
 /// an AND over `req`'s rows instead of a subset test per bag, and the
 /// AND first runs on one summary word per [`SUMMARY_SPAN`] row words so
 /// it only ever touches the words of a row in which every `req` vertex
-/// has a bag at all.
+/// has a bag at all. Built once per instance; every candidate read
+/// ([`CtdInstance::read_candidates`]) runs on it.
 struct VertexBags {
     /// Vertex × bag bitmask (`xwords` words per row): bit `x` of row `v`
     /// is set iff vertex `v` ∈ bag `x`.
@@ -301,30 +272,17 @@ impl VertexBags {
     }
 }
 
-impl Deps {
-    /// Range of coverage-viable candidate entries of comp group `g`.
-    #[inline]
-    fn group_range(&self, g: u32) -> std::ops::Range<usize> {
-        self.g_cand_start[g as usize] as usize..self.g_cand_start[g as usize + 1] as usize
-    }
-
-    /// Child blocks of candidate entry `ci`.
-    #[inline]
-    fn children_of_entry(&self, ci: usize) -> &[u32] {
-        &self.g_child_data[self.g_child_start[ci] as usize..self.g_child_start[ci + 1] as usize]
-    }
-}
-
-/// A prepared `CandidateTD` instance: deduplicated bags plus
-/// the full block table and the DP dependency structure. Shared by
+/// A prepared `CandidateTD` instance: deduplicated bags, the full block
+/// table and the inverted vertex → bags index its passes read candidates
+/// through. Shared by
 /// Algorithm 1 ([`CtdInstance::decide`]) and the constrained/preference
 /// variants in [`crate::ctd_opt`]. Owns its hypergraph (shared [`Arc`])
-/// and a copy of every row it refers to, so it borrows nothing from the
+/// and every row it refers to, so it borrows nothing from the
 /// index it was built from. [`CtdInstance::build`] leaves that index to
-/// the caller; a cold decision hands its index over instead
-/// ([`crate::shw::soft_instance`]), and the build releases everything but
-/// the index's rows once the blocks are derived, and the rows once they
-/// are copied — before the dependency tables are sized.
+/// the caller and copies the rows; a cold decision hands its index over
+/// instead ([`crate::shw::soft_instance`]), and the build releases
+/// everything but the index's rows once the blocks are derived, and
+/// gathers the instance rows in place out of those.
 pub struct CtdInstance {
     /// The hypergraph.
     pub h: Arc<Hypergraph>,
@@ -346,8 +304,8 @@ pub struct CtdInstance {
     pub blocks_by_head: Vec<(u32, u32)>,
     /// Blocks headed by `∅` — one per connected component of `H`.
     pub root_blocks: Vec<usize>,
-    /// The viable-candidate and child tables of the satisfaction DP.
-    deps: Deps,
+    /// Bags by vertex, the index every candidate read runs on.
+    vertex_bags: VertexBags,
 }
 
 /// Result of the satisfaction DP of Algorithm 1.
@@ -398,42 +356,69 @@ pub(crate) struct TdNode {
     pub(crate) children: Vec<TdNode>,
 }
 
-/// Reusable buffers for [`scan_group`], so the per-group scans of a
-/// build allocate nothing at all — results append into the flat vectors
-/// of one [`ScanChunk`].
-struct ScanScratch {
-    /// The group's `req` vertices.
+/// One block's viable candidates with their child blocks, as
+/// [`CtdInstance::read_candidates`] leaves them, and the buffers it reads
+/// them with. A pass keeps one and reuses it from block to block, so the
+/// reads allocate nothing once the buffers have grown.
+#[derive(Default)]
+pub(crate) struct Candidates {
+    /// The block's `req` vertices.
     req: Vec<usize>,
     /// Surviving summary words of the whole row.
     summary: Vec<u64>,
-    /// Witness-union words of one candidate.
-    buf: Vec<u64>,
-}
-
-impl ScanScratch {
-    fn new(words: usize, vb: &VertexBags) -> Self {
-        ScanScratch {
-            req: Vec::new(),
-            summary: vec![0u64; vb.swords()],
-            buf: vec![0u64; words],
-        }
-    }
-}
-
-/// The flat output of the group scans: the candidate entries of every
-/// group, concatenated in group order. These vectors *are* the
-/// candidate and child tables of [`Deps`]; the per-group offsets are
-/// taken between scans.
-struct ScanChunk {
-    /// Candidate bag indices, concatenated across groups.
+    /// The viable candidate bags, ascending.
     xs: Vec<u32>,
-    /// Per entry, where its children start in `children`; one trailing
-    /// end offset.
-    child_start: Vec<u32>,
+    /// Per candidate, where its children end in `children`; they start
+    /// where the previous candidate's end.
+    ends: Vec<usize>,
     /// Child block ids, concatenated.
     children: Vec<u32>,
-    /// What the scans cost so far.
+    /// What the reads cost so far.
     stats: ScanStats,
+}
+
+impl Candidates {
+    /// The candidates with their child blocks, ascending in bag index.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        (self.xs.iter().zip(starts.zip(&self.ends)))
+            .map(|(&x, (start, &end))| (x as usize, &self.children[start..end]))
+    }
+
+    /// The candidate first in (wave, bag) order past `after`, as `(wave,
+    /// bag, children)`. A candidate's wave is 0 without children and `1 +
+    /// max child wave` otherwise, off `wave` — complete for every child,
+    /// by [`CtdInstance::pass_order`], with [`NO_WAVE`] for an
+    /// unsatisfied block. The scan drops a candidate at the first child
+    /// whose wave rules it out, and stops at the least wave a candidate
+    /// past `after` can have.
+    fn next(&self, wave: &[u32], after: Option<(u32, usize)>) -> Option<(u32, usize, &[u32])> {
+        let floor = after.map_or(0, |(w, _)| w);
+        let mut best = None;
+        // A candidate beats `best` only with a wave below `bound`: a later
+        // bag loses a tie.
+        let mut bound = NO_WAVE;
+        'candidates: for (x, children) in self.iter() {
+            let mut w = 0;
+            for &c in children {
+                // `bound > floor ≥ 0` here, and `NO_WAVE` never passes.
+                let cw = wave[c as usize];
+                if cw >= bound - 1 {
+                    continue 'candidates;
+                }
+                w = w.max(cw + 1);
+            }
+            if after.is_some_and(|tried| (w, x) <= tried) {
+                continue;
+            }
+            best = Some((w, x, children));
+            bound = w;
+            if w == floor {
+                break;
+            }
+        }
+        best
+    }
 }
 
 /// `dst &= src`, returning whether any bit survived.
@@ -445,140 +430,6 @@ fn and_into_any(src: &[u64], dst: &mut [u64]) -> bool {
         any |= *d;
     }
     any != 0
-}
-
-/// Appends bag `x` to `out` as a candidate entry of the comp group of
-/// `blk` if it is coverage-viable: `x` together with its child blocks —
-/// the blocks it heads whose component lies inside the group's — must
-/// cover the group's coverage union. `buf` is scratch for the witness
-/// union.
-fn push_if_viable(
-    rows: &Rows,
-    blocks: &[Block],
-    blocks_by_head: &[(u32, u32)],
-    blk: &Block,
-    x: usize,
-    buf: &mut [u64],
-    out: &mut ScanChunk,
-) -> Result<(), DecompError> {
-    let (cover, comp_words) = (rows.get(blk.cover), rows.get(blk.comp));
-    let bag = rows.get(bag_row(x));
-    let begin = out.children.len();
-    let (hb_start, hb_len) = blocks_by_head[x];
-    let head_range = hb_start..hb_start + hb_len;
-    // Fast path: the bag alone covers the obligations.
-    if words_subset(cover, bag) {
-        for b2 in head_range {
-            if words_subset(rows.get(blocks[b2 as usize].comp), comp_words) {
-                out.children.push(b2);
-            }
-        }
-    } else {
-        buf.copy_from_slice(bag);
-        for b2 in head_range {
-            let child = rows.get(blocks[b2 as usize].comp);
-            if words_subset(child, comp_words) {
-                out.children.push(b2);
-                words_union_into(child, buf);
-            }
-        }
-        if !words_subset(cover, buf) {
-            out.children.truncate(begin);
-            return Ok(());
-        }
-    }
-    out.xs.push(x as u32);
-    out.child_start.push(offset(out.children.len())?);
-    Ok(())
-}
-
-/// Scans one comp group for its coverage-viable candidate entries:
-/// candidates must contain every coverage vertex
-/// outside the component (`req = cover ∖ C`), and their child components
-/// must complete the coverage union ([`push_if_viable`]).
-///
-/// `req ⊆ S` for the head `S` of every block of the group: a vertex
-/// outside `C` that shares an edge with `C` would belong to `C` were it
-/// not in `S`. So when `|req|` equals the largest bag cardinality,
-/// `S = req` and no other bag can contain `req`: the head of the
-/// representative block is the one possible candidate, checked directly
-/// — no table is read. (That block is then the group's only one, and its
-/// candidate lists drop the entry as `X = S`; it is written all the same,
-/// so [`CtdInstance::child_blocks`] answers for a head as for any bag.)
-///
-/// Otherwise the `req` condition is evaluated
-/// through the inverted vertex→bags index, top level first: the AND of
-/// the `req` vertices' summary rows (one word per [`SUMMARY_SPAN`] row
-/// words) names the row words in which every `req` vertex has a bag at
-/// all, and the row AND then reads exactly those words — never the
-/// stretch around them. Such a group costs
-/// `|req| × bags / 4096` summary words plus at most `|req|` words per
-/// surviving row word ([`ScanStats::row_words`] counts them) — near the
-/// number of candidates it emits — where a flat AND
-/// reads `|req| × bags / 64` words.
-fn scan_group(
-    rows: &Rows,
-    blocks: &[Block],
-    blocks_by_head: &[(u32, u32)],
-    vb: &VertexBags,
-    rep: usize,
-    s: &mut ScanScratch,
-    out: &mut ScanChunk,
-) -> Result<(), DecompError> {
-    let blk = &blocks[rep];
-    let cover = rows.get(blk.cover);
-    let comp_words = rows.get(blk.comp);
-    let (xwords, swords) = (vb.xwords, vb.swords());
-    let num_bags = blocks_by_head.len();
-    // A bag missing a `req` vertex can never witness condition (2),
-    // because child components only contribute vertices of `C`.
-    s.req.clear();
-    for (wi, (&c, &m)) in cover.iter().zip(comp_words).enumerate() {
-        let mut req = c & !m;
-        while req != 0 {
-            s.req.push(wi * 64 + req.trailing_zeros() as usize);
-            req &= req - 1;
-        }
-    }
-    if let Some(head) = blk.head().filter(|_| s.req.len() == vb.max_card) {
-        debug_assert!(
-            words_iter(rows.get(bag_row(head))).eq(s.req.iter().copied()),
-            "a head as large as the largest bag is its block's `req`"
-        );
-        out.stats.direct += 1;
-        return push_if_viable(rows, blocks, blocks_by_head, blk, head, &mut s.buf, out);
-    }
-    // Top level: the row words in which every `req` vertex has some bag.
-    for (si, sw) in s.summary.iter_mut().enumerate() {
-        *sw = word_tail_mask(xwords, si);
-    }
-    for &v in &s.req {
-        if !and_into_any(&vb.summary[v * swords..(v + 1) * swords], &mut s.summary) {
-            return Ok(());
-        }
-    }
-    for si in 0..swords {
-        let mut live_words = s.summary[si];
-        while live_words != 0 {
-            let w = si * SUMMARY_SPAN + live_words.trailing_zeros() as usize;
-            live_words &= live_words - 1;
-            // Only the last row word is partial.
-            let mut bits = word_tail_mask(num_bags, w);
-            for &v in &s.req {
-                out.stats.row_words += 1;
-                bits &= vb.rows[v * xwords + w];
-                if bits == 0 {
-                    break;
-                }
-            }
-            while bits != 0 {
-                let x = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                push_if_viable(rows, blocks, blocks_by_head, blk, x, &mut s.buf, out)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Resolves the block rows of the bags `seps` against the shared index:
@@ -691,6 +542,48 @@ fn copy_rows<'a>(order: Vec<BagId>, words: usize, row: impl Fn(BagId) -> &'a [u6
     Rows { words, data }
 }
 
+/// The rows `order` names, in that order, gathered in place out of
+/// `data`, the arena's storage (`words` words per arena row), which is
+/// then cut to them: what [`copy_rows`] makes, with no second copy alive.
+/// `order` names each arena row at most once, so moving every row to its
+/// place is a set of chains and cycles, followed with one carried row
+/// over an arena row → instance row map.
+fn gather_rows(mut data: Vec<u64>, order: Vec<BagId>, words: usize) -> Rows {
+    const STAYS: u32 = u32::MAX;
+    // Arena row → the instance row its words move to; `STAYS` for a row
+    // no instance row wants, or one already moved.
+    let mut to = vec![STAYS; data.len() / words];
+    for (row, id) in order.iter().enumerate() {
+        to[id.idx()] = row as u32;
+    }
+    let n = order.len();
+    drop(order);
+    let mut carried = vec![0u64; words];
+    for start in 0..to.len() {
+        if to[start] == STAYS {
+            continue;
+        }
+        // Carry `start`'s words to their row, pick up the words there if
+        // they still have to move, and so on until a row takes them that
+        // has nothing left to give.
+        carried.copy_from_slice(&data[start * words..(start + 1) * words]);
+        let mut at = start;
+        loop {
+            let dst = std::mem::replace(&mut to[at], STAYS) as usize;
+            let row = &mut data[dst * words..(dst + 1) * words];
+            if to[dst] == STAYS {
+                row.copy_from_slice(&carried);
+                break;
+            }
+            row.swap_with_slice(&mut carried);
+            at = dst;
+        }
+    }
+    data.truncate(n * words);
+    data.shrink_to_fit();
+    Rows { words, data }
+}
+
 impl CtdInstance {
     /// Builds the block table for hypergraph `h` and candidate bag set
     /// `bags` (empty bags are dropped, duplicates merged) using a private
@@ -714,7 +607,7 @@ impl CtdInstance {
     }
 
     /// [`CtdInstance::build`] with a cooperative [`Budget`], checked per
-    /// candidate bag and per comp-group scan. On a budget error the
+    /// candidate bag. On a budget error the
     /// partially built instance is dropped; the shared index keeps only
     /// fully-computed cache entries, so a retry is safe and produces an
     /// instance bit-identical to a never-interrupted build.
@@ -727,16 +620,17 @@ impl CtdInstance {
         let (layout, order) = Layout::derive(index, bags, budget)?;
         let arena = &index.arena;
         let rows = copy_rows(order, arena.words_per_bag(), |id| arena.words(id));
-        Self::assemble(layout, rows, budget)
+        Ok(Self::assemble(layout, rows))
     }
 
     /// [`CtdInstance::build_budgeted`] on an index the caller is done
     /// with, which it releases as soon as the build has read what it
     /// needs: all but the arena's rows once the blocks are derived (the
-    /// row cache, the adjacency and the intern table), and the rows once
-    /// the instance has its copy. Neither is alive when the dependency
-    /// tables are sized. The instance is the one the borrowing build
-    /// makes.
+    /// row cache, the adjacency and the intern table), and the arena
+    /// rows the instance does not use once the others are gathered in
+    /// place ([`gather_rows`]). The instance rows never sit beside a
+    /// second copy, and nothing but them is alive when the inverted index
+    /// is sized. The instance is the one the borrowing build makes.
     pub(crate) fn build_owned(
         mut index: BlockIndex,
         bags: &[BagId],
@@ -745,109 +639,33 @@ impl CtdInstance {
         let _span = softhw_obs::span(softhw_obs::stage::INSTANCE_BUILD);
         let (layout, order) = Layout::derive(&mut index, bags, budget)?;
         let arena = index.into_arena().into_snapshot();
-        let rows = copy_rows(order, arena.words_per_bag(), |id| arena.words(id.idx()));
-        drop(arena);
-        Self::assemble(layout, rows, budget)
+        let words = arena.words_per_bag();
+        let rows = gather_rows(arena.storage, order, words);
+        Ok(Self::assemble(layout, rows))
     }
 
-    /// The second half of a build: the dependency tables over the copied
-    /// rows.
-    fn assemble(layout: Layout, rows: Rows, budget: &Budget) -> Result<Self, DecompError> {
+    /// The second half of a build: the inverted vertex → bags index over
+    /// the instance's rows.
+    fn assemble(layout: Layout, rows: Rows) -> Self {
         let Layout {
             h,
             blocks,
             blocks_by_head,
             root_blocks,
         } = layout;
-        let deps = Self::build_deps(&h, &rows, &blocks, &blocks_by_head, budget)?;
-        Ok(CtdInstance {
+        let vertex_bags = {
+            let _span = softhw_obs::span(softhw_obs::stage::DEPS_SCAN);
+            VertexBags::new(h.num_vertices(), &rows, blocks_by_head.len())
+        };
+        CtdInstance {
             h,
             rows,
             bag_sets: OnceLock::new(),
             blocks,
             blocks_by_head,
             root_blocks,
-            deps,
-        })
-    }
-
-    /// Precomputes the dependency tables (see [`Deps`]): group blocks by
-    /// component, build the inverted vertex→bags index, then find each
-    /// group's coverage-viable candidates and child lists through
-    /// [`scan_group`], one group after the other into one flat
-    /// [`ScanChunk`] that becomes the tables without a copy.
-    fn build_deps(
-        h: &Hypergraph,
-        rows: &Rows,
-        blocks: &[Block],
-        blocks_by_head: &[(u32, u32)],
-        budget: &Budget,
-    ) -> Result<Deps, DecompError> {
-        let _span = softhw_obs::span(softhw_obs::stage::DEPS_SCAN);
-        let nb = blocks.len();
-        // Group blocks by component (equal components share a row, so
-        // equality is id equality and the group map is a flat vector over
-        // rows). Groups are numbered in first-block order; group_rep
-        // holds one representative block per group.
-        const NO_GROUP: u32 = u32::MAX;
-        let mut comp_group: Vec<u32> = vec![NO_GROUP; rows.len()];
-        let mut group_of: Vec<u32> = Vec::with_capacity(nb);
-        let mut group_rep: Vec<u32> = Vec::new();
-        for (b, blk) in blocks.iter().enumerate() {
-            let g = &mut comp_group[blk.comp.idx()];
-            if *g == NO_GROUP {
-                *g = group_rep.len() as u32;
-                group_rep.push(b as u32);
-            }
-            group_of.push(*g);
+            vertex_bags,
         }
-        drop(comp_group);
-        let ng = group_rep.len();
-        let vertex_bags = VertexBags::new(h.num_vertices(), rows, blocks_by_head.len());
-        let mut s = ScanScratch::new(rows.words, &vertex_bags);
-        // A group whose `req` is its head always emits an entry and most
-        // others do, so the entry tables start at the group count.
-        let mut out = ScanChunk {
-            xs: Vec::with_capacity(ng),
-            child_start: Vec::with_capacity(ng + 1),
-            children: Vec::new(),
-            stats: ScanStats {
-                groups: ng as u64,
-                ..ScanStats::default()
-            },
-        };
-        out.child_start.push(0);
-        let mut g_cand_start: Vec<u32> = Vec::with_capacity(ng + 1);
-        g_cand_start.push(0);
-        for &rep in &group_rep {
-            budget.tick()?;
-            scan_group(
-                rows,
-                blocks,
-                blocks_by_head,
-                &vertex_bags,
-                rep as usize,
-                &mut s,
-                &mut out,
-            )?;
-            g_cand_start.push(offset(out.xs.len())?);
-        }
-        // The scan output *is* the candidate and child data, offsets
-        // included.
-        let ScanChunk {
-            xs: g_cand_x,
-            child_start: g_child_start,
-            children: g_child_data,
-            stats: scan,
-        } = out;
-        Ok(Deps {
-            group_of,
-            g_cand_start,
-            g_cand_x,
-            g_child_start,
-            g_child_data,
-            scan,
-        })
     }
 
     /// Number of (deduplicated, non-empty) candidate bags.
@@ -856,10 +674,32 @@ impl CtdInstance {
         self.blocks_by_head.len()
     }
 
-    /// What the candidate scan of this instance's build cost.
-    #[inline]
+    /// What reading every block's viable candidates once costs
+    /// (`CtdInstance::read_candidates`): the read one pass of
+    /// Algorithm 1 makes.
     pub fn scan_stats(&self) -> ScanStats {
-        self.deps.scan
+        let mut read = Candidates::default();
+        for b in 0..self.blocks.len() {
+            self.read_candidates(b, &mut read);
+        }
+        read.stats
+    }
+
+    /// Heap bytes this instance holds: the capacities of its vectors,
+    /// counted and not walked, and the slot table of the bag views once
+    /// a bag was asked for (not the few views materialised in it).
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let views = (self.bag_sets.get()).map_or(0, |views| std::mem::size_of_val(&**views));
+        bytes(&self.rows.data)
+            + bytes(&self.blocks)
+            + bytes(&self.blocks_by_head)
+            + bytes(&self.root_blocks)
+            + bytes(&self.vertex_bags.rows)
+            + bytes(&self.vertex_bags.summary)
+            + views
     }
 
     /// Materialised view of bag `x` (built on first access, then
@@ -905,8 +745,8 @@ impl CtdInstance {
 
     /// Checks the basis conditions of bag `x` for block `b` from first
     /// principles, given the current satisfaction state. This is the
-    /// reference predicate of the Jacobi engine; the one-pass engine
-    /// answers the same question from the precomputed tables.
+    /// reference predicate of the Jacobi engine; the one pass answers
+    /// the same question from the candidates it reads.
     /// `buf` is caller-provided scratch (cleared here) so round-scans
     /// don't allocate per check.
     pub fn is_basis_with(
@@ -942,35 +782,131 @@ impl CtdInstance {
         words_subset(self.rows.get(blk.cover), buf)
     }
 
-    /// The viable candidates of block `b` — bags passing the
-    /// state-independent basis conditions — with their precomputed child
-    /// blocks, ascending in bag index. A viable `x` is a basis iff all
-    /// its children are satisfied.
-    pub fn viable_candidates(&self, b: usize) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+    /// Reads the viable candidates of block `b = (S, C)` into `out`,
+    /// ascending in bag index, each with its child blocks (see the module
+    /// docs): the bags holding `req = cover ∖ C` that are not `S` and lie
+    /// inside `S ∪ C`, and per candidate the blocks it heads whose
+    /// component meets `C`. A viable `x` is a basis iff all its children
+    /// are satisfied.
+    ///
+    /// `req ⊆ S`: a vertex outside `C` that shares an edge with `C` would
+    /// belong to `C` were it not in `S`. So when `|req|` equals the
+    /// largest bag cardinality, `S = req` is the one bag holding `req`
+    /// (a root block's `req` is empty, as large only without bags), and
+    /// the block has no candidate: no index word is read. Otherwise
+    /// the bags holding `req` come from the inverted index, top level
+    /// first: the AND of the `req` vertices' summary rows names the row
+    /// words in which every `req` vertex has a bag at all, and the row
+    /// AND then reads exactly those words. A block costs `|req| × bags /
+    /// 4096` summary words plus at most `|req|` words per surviving row
+    /// word ([`ScanStats::row_words`] counts them), where a flat AND reads
+    /// `|req| × bags / 64` words.
+    pub(crate) fn read_candidates(&self, b: usize, out: &mut Candidates) {
+        let Candidates {
+            req,
+            summary,
+            xs,
+            ends,
+            children,
+            stats,
+        } = out;
+        xs.clear();
+        ends.clear();
+        children.clear();
+        stats.blocks += 1;
         let blk = &self.blocks[b];
-        self.deps
-            .group_range(self.deps.group_of[b])
-            .filter_map(move |ci| {
-                let x = self.deps.g_cand_x[ci] as usize;
-                if blk.is_headed_by(x) || !self.in_closure(x, blk) {
-                    return None;
+        let (cover, comp) = (self.rows.get(blk.cover), self.rows.get(blk.comp));
+        let vb = &self.vertex_bags;
+        req.clear();
+        for (wi, (&c, &m)) in cover.iter().zip(comp).enumerate() {
+            let mut bits = c & !m;
+            while bits != 0 {
+                req.push(wi * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        if req.len() == vb.max_card {
+            stats.direct += 1;
+            return;
+        }
+        // Top level: the row words in which every `req` vertex has some bag.
+        let (xwords, swords) = (vb.xwords, vb.swords());
+        summary.clear();
+        summary.extend((0..swords).map(|si| word_tail_mask(xwords, si)));
+        for &v in req.iter() {
+            if !and_into_any(&vb.summary[v * swords..(v + 1) * swords], summary) {
+                return;
+            }
+        }
+        for (si, &live) in summary.iter().enumerate() {
+            let mut live_words = live;
+            while live_words != 0 {
+                let w = si * SUMMARY_SPAN + live_words.trailing_zeros() as usize;
+                live_words &= live_words - 1;
+                // Only the last row word is partial.
+                let mut bits = word_tail_mask(self.num_bags(), w);
+                for &v in req.iter() {
+                    stats.row_words += 1;
+                    bits &= vb.rows[v * xwords + w];
+                    if bits == 0 {
+                        break;
+                    }
                 }
-                Some((x, self.deps.children_of_entry(ci)))
-            })
+                while bits != 0 {
+                    let x = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if blk.is_headed_by(x) || !self.in_closure(x, blk) {
+                        continue;
+                    }
+                    self.blocks_meeting(x, comp, children);
+                    xs.push(x as u32);
+                    ends.push(children.len());
+                }
+            }
+        }
+        stats.candidates += xs.len() as u64;
+        stats.children += children.len() as u64;
     }
 
-    /// The child blocks a basis `x` of block `b` delegates to: blocks
-    /// headed by `x` whose component lies inside `b`'s component.
-    /// Returns the precomputed slice — no per-call allocation (this sits
-    /// inside the DP and extraction hot loops). Empty when `x` has no
-    /// coverage-viable entry for `b`'s component.
-    pub fn child_blocks(&self, b: usize, x: usize) -> &[u32] {
-        let r = self.deps.group_range(self.deps.group_of[b]);
-        let (lo, hi) = (r.start, r.end);
-        match self.deps.g_cand_x[lo..hi].binary_search(&(x as u32)) {
-            Ok(pos) => self.deps.children_of_entry(lo + pos),
-            Err(_) => &[],
+    /// Appends to `out` the blocks bag `x` heads whose component meets
+    /// the vertex set `c`, in block order. For the component `c` of a
+    /// block whose `req` `x` holds, those are exactly the blocks whose
+    /// component lies inside `c` (see the module docs), and the
+    /// component's smallest vertex decides.
+    fn blocks_meeting(&self, x: usize, c: &[u64], out: &mut Vec<u32>) {
+        let (start, len) = self.blocks_by_head[x];
+        for b2 in start..start + len {
+            let comp = self.rows.get(self.blocks[b2 as usize].comp);
+            let v = words_iter(comp).next().expect("a component is not empty");
+            if c[v / 64] >> (v % 64) & 1 != 0 {
+                out.push(b2);
+            }
         }
+    }
+
+    /// The viable candidates of block `b` with their child blocks,
+    /// ascending in bag index, read into buffers of their own
+    /// (`CtdInstance::read_candidates`).
+    pub fn viable_candidates(&self, b: usize) -> impl Iterator<Item = (usize, Vec<u32>)> {
+        let mut read = Candidates::default();
+        self.read_candidates(b, &mut read);
+        let owned: Vec<_> = read.iter().map(|(x, kids)| (x, kids.to_vec())).collect();
+        owned.into_iter()
+    }
+
+    /// The child blocks bag `x` offers block `b = (S, C)`: the blocks `x`
+    /// heads whose component lies inside `C`, when `x` holds `b`'s `req` —
+    /// exactly when `x` with those blocks covers `b`'s coverage union —
+    /// and none otherwise.
+    pub fn child_blocks(&self, b: usize, x: usize) -> Vec<u32> {
+        let blk = &self.blocks[b];
+        let (cover, comp) = (self.rows.get(blk.cover), self.rows.get(blk.comp));
+        let bag = self.rows.get(bag_row(x));
+        let mut out = Vec::new();
+        if (cover.iter().zip(comp).zip(bag)).all(|((c, m), x)| c & !m & !x == 0) {
+            self.blocks_meeting(x, comp, &mut out);
+        }
+        out
     }
 
     /// Every block id in ascending `(|C|, |S|)` (a root block's `S` is
@@ -989,50 +925,11 @@ impl CtdInstance {
         sorted_by_key(by_head.into_iter(), n, |b| comp_card[b as usize] as usize)
     }
 
-    /// The viable candidate of block `b` first in (wave, bag) order past
-    /// `after`, as `(wave, bag, children)`. A candidate's wave is 0
-    /// without children and `1 + max child wave` otherwise, off `wave` —
-    /// complete for every child, by [`CtdInstance::pass_order`], with
-    /// [`NO_WAVE`] for an unsatisfied block. The scan drops a candidate at
-    /// the first child whose wave rules it out, and stops at the least
-    /// wave a candidate past `after` can have.
-    fn next_candidate(
-        &self,
-        b: usize,
-        wave: &[u32],
-        after: Option<(u32, usize)>,
-    ) -> Option<(u32, usize, &[u32])> {
-        let floor = after.map_or(0, |(w, _)| w);
-        let mut best = None;
-        // A candidate beats `best` only with a wave below `bound`: a later
-        // bag loses a tie.
-        let mut bound = NO_WAVE;
-        'candidates: for (x, children) in self.viable_candidates(b) {
-            let mut w = 0;
-            for &c in children {
-                // `bound > floor ≥ 0` here, and `NO_WAVE` never passes.
-                let cw = wave[c as usize];
-                if cw >= bound - 1 {
-                    continue 'candidates;
-                }
-                w = w.max(cw + 1);
-            }
-            if after.is_some_and(|tried| (w, x) <= tried) {
-                continue;
-            }
-            best = Some((w, x, children));
-            bound = w;
-            if w == floor {
-                break;
-            }
-        }
-        best
-    }
-
     /// The one pass of Algorithm 1, and of Algorithm 2 under an evaluator
     /// that does not rank: the blocks in [`CtdInstance::pass_order`], each
-    /// settled once. A block's viable candidates are tried in ascending
-    /// (wave, bag) order ([`CtdInstance::next_candidate`]);
+    /// settled once. A block's viable candidates are read when it is
+    /// settled ([`CtdInstance::read_candidates`]) and tried in ascending
+    /// (wave, bag) order ([`Candidates::next`]);
     /// `accept(x, children, values)` gives the value of a node with bag
     /// `x` over those child blocks, or `None` to try the next candidate.
     /// The first accepted candidate is the block's basis and its wave the
@@ -1049,11 +946,13 @@ impl CtdInstance {
         let mut basis = vec![Basis::NONE; nb];
         let mut value: Vec<Option<S>> = vec![None; nb];
         let mut waves = 0;
+        let mut read = Candidates::default();
         for b in self.pass_order() {
             let b = b as usize;
             budget.tick()?;
+            self.read_candidates(b, &mut read);
             let mut after = None;
-            while let Some((w, x, children)) = self.next_candidate(b, &wave, after) {
+            while let Some((w, x, children)) = read.next(&wave, after) {
                 if let Some(v) = accept(x, children, &value)? {
                     wave[b] = w;
                     basis[b].bag = x as u32;
@@ -1198,8 +1097,8 @@ impl CtdInstance {
         }
         let (x, _) = pick.get(b)?.get().filter(|&(x, _)| x < self.num_bags())?;
         visited[b] = true;
-        let children = (self.child_blocks(b, x).iter())
-            .map(|&b2| self.extract_tree(pick, b2 as usize, visited))
+        let children = (self.child_blocks(b, x).into_iter())
+            .map(|b2| self.extract_tree(pick, b2 as usize, visited))
             .collect::<Option<_>>()?;
         Some(TdNode { bag: x, children })
     }
@@ -1236,13 +1135,13 @@ impl CtdInstance {
     }
 
     /// [`CtdInstance::decide`] with a cooperative [`Budget`] and through
-    /// the fallible extraction path: the DP checks the budget at every
-    /// wave, the extraction itself is output-linear and runs to completion
-    /// once the DP accepted, and an inconsistent DP result surfaces as
-    /// [`DecompError::Internal`] rather than a panic. (With a freshly
-    /// computed table the invariants hold by construction, so this only
-    /// errs on memory corruption or a bug — but a service must not die on
-    /// either.)
+    /// the fallible extraction path: the pass checks the budget at every
+    /// block and every rejected candidate, the extraction itself is
+    /// output-linear and runs to completion once the DP accepted, and an
+    /// inconsistent DP result surfaces as [`DecompError::Internal`] rather
+    /// than a panic. (With a freshly computed table the invariants hold by
+    /// construction, so this only errs on memory corruption or a bug — but
+    /// a service must not die on either.)
     pub fn try_decide_budgeted(
         &self,
         budget: &Budget,
@@ -1531,30 +1430,26 @@ mod tests {
         }
     }
 
-    /// The clock-free form of "the scan does not search for supersets
+    /// The clock-free form of "the read does not search for supersets
     /// of a head that can have none": on the `side × side` grid at
-    /// `k = 2` a growing share of the comp groups has a four-vertex
-    /// `req` and reads no table, so the row words read per group stay
-    /// put as the grid — and with it every row — grows.
+    /// `k = 2` a growing share of the blocks has a four-vertex `req` and
+    /// reads no index word, so the row words read per block stay put as
+    /// the grid — and with it every row of the index — grows.
     #[test]
-    fn scan_row_reads_per_group_do_not_grow_with_the_grid() {
+    fn row_reads_per_block_do_not_grow_with_the_grid() {
         let pinned = [
-            (6, 3_214, 1_581, 99_005),
-            (8, 9_144, 5_859, 304_782),
-            (10, 20_978, 15_529, 724_838),
+            (6, (3_278, 1_581, 102_989)),
+            (8, (9_208, 5_859, 312_754)),
+            (10, (21_042, 15_529, 741_665)),
         ];
-        for (side, groups, direct, row_words) in pinned {
+        for (side, counts) in pinned {
             let mut index = BlockIndex::new(&named::grid(side, side));
             let ids = crate::soft::soft_bag_ids(&mut index, 2, &crate::soft::SoftLimits::default())
                 .unwrap();
             let scan = CtdInstance::build(&mut index, &ids).scan_stats();
-            let expected = ScanStats {
-                groups,
-                direct,
-                row_words,
-            };
-            assert_eq!(scan, expected, "grid({side}, {side})");
-            assert!(scan.row_words < 36 * scan.groups, "grid({side}, {side})");
+            let got = (scan.blocks, scan.direct, scan.row_words);
+            assert_eq!(got, counts, "grid({side}, {side})");
+            assert!(scan.row_words < 36 * scan.blocks, "grid({side}, {side})");
         }
     }
 
@@ -1567,7 +1462,7 @@ mod tests {
             assert_eq!(
                 offset(n),
                 Err(DecompError::Limit(LimitExceeded {
-                    what: "dependency table offsets"
+                    what: "block table offsets"
                 }))
             );
         }

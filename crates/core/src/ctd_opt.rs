@@ -28,8 +28,9 @@
 //! ([`enumerate_all`], with a cap), top-n extraction ([`top_n`]), and
 //! uniform-ish random sampling ([`sample_random`]).
 //!
-//! All of them run against the instance's precomputed viable-candidate
-//! tables (see [`crate::ctd`]). The preference DP is no second engine:
+//! All of them read a block's viable candidates from the instance when
+//! they reach the block (see [`crate::ctd`]). The preference DP is no
+//! second engine:
 //! it is one pass over the blocks in Algorithm 1's dependency order, each
 //! settled once after its children, and Algorithm 1's extractor. Under a
 //! pure constraint (`Trivial`, `ConCov`: [`TdEvaluator::ranks`] is
@@ -45,7 +46,7 @@
 //! which is not strictly better than what it holds.
 
 use crate::budget::Budget;
-use crate::ctd::{Basis, CtdInstance, TdNode};
+use crate::ctd::{Basis, Candidates, CtdInstance, TdNode};
 use crate::error::DecompError;
 use crate::td::TreeDecomposition;
 use rand::Rng;
@@ -171,15 +172,15 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
     }
 
     /// Algorithm 2's block rule: the preference-minimal one of a block's
-    /// viable `candidates` (bag order, coverage already verified at
-    /// instance build) with its summary, where `value` gives a child
-    /// block's value. Ticks the budget per candidate, combines those whose
+    /// viable `candidates` (bag order, each covering the block with its
+    /// children) with its summary, where `value` gives a child block's
+    /// value. Ticks the budget per candidate, combines those whose
     /// children all have values and whose bag passes on its own, and keeps
     /// the strictly best summary (first wins ties, so the choice is
     /// deterministic).
     fn best_candidate<'v>(
         &mut self,
-        candidates: &[(usize, &[u32])],
+        candidates: &Candidates,
         value: impl Fn(u32) -> Option<&'v E::Summary>,
     ) -> Result<Option<(u32, E::Summary)>, DecompError>
     where
@@ -188,7 +189,7 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
         let (inst, eval) = (self.inst, self.eval);
         let mut best: Option<(u32, E::Summary)> = None;
         let mut child_summaries: Vec<E::Summary> = Vec::new();
-        for &(x, children) in candidates {
+        for (x, children) in candidates.iter() {
             self.budget.tick()?;
             if !children.iter().all(|&b2| value(b2).is_some()) {
                 continue;
@@ -216,11 +217,11 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
     /// in [`CtdInstance::pass_order`], each settled once, after its
     /// children, by replaying its Jacobi waves. A block is asked in wave
     /// 0, and in wave `w + 1` for every wave `w` in which a child of a
-    /// viable candidate took a value; each time it proposes
-    /// [`Run::best_candidate`] over its children's values as of the wave
-    /// before, and takes the proposal if it holds no value yet or the
-    /// proposal is `better`. The histories live in one log, appended in
-    /// pass order. A block's last value is its basis, timestamped with its
+    /// viable candidate (read when the block is settled) took a value;
+    /// each time it proposes [`Run::best_candidate`] over its children's
+    /// values as of the wave before, and takes the proposal if it holds no
+    /// value yet or the proposal is `better`. The histories live in one
+    /// log, appended in pass order. A block's last value is its basis, timestamped with its
     /// wave. The budget is ticked per block (and per candidate).
     fn ranked_pass(&mut self) -> Result<Vec<Basis>, DecompError> {
         let inst = self.inst;
@@ -228,13 +229,12 @@ impl<'a, E: TdEvaluator> Run<'a, E> {
         // are `log[history[b]]`.
         let mut log: Vec<(u32, u32, E::Summary)> = Vec::new();
         let mut history = vec![0..0; inst.blocks.len()];
-        let (mut candidates, mut waves) = (Vec::new(), Vec::new());
+        let (mut candidates, mut waves) = (Candidates::default(), Vec::new());
         for b in inst.pass_order() {
             let b = b as usize;
             self.budget.tick()?;
-            candidates.clear();
-            candidates.extend(inst.viable_candidates(b));
-            let children = candidates.iter().flat_map(|&(_, children)| children);
+            inst.read_candidates(b, &mut candidates);
+            let children = candidates.iter().flat_map(|(_, children)| children);
             let changes = children.flat_map(|&c| &log[history[c as usize].clone()]);
             waves.clear();
             waves.extend(std::iter::once(0).chain(changes.map(|&(w, ..)| w + 1)));
@@ -481,10 +481,11 @@ fn enum_block<E: TdEvaluator>(
 ) -> Result<Vec<(TdNode, E::Summary)>, DecompError> {
     let (inst, eval) = (run.inst, run.eval);
     let mut results: Vec<(TdNode, E::Summary)> = Vec::new();
-    // Viable candidates carry their precomputed child lists; coverage was
-    // verified at instance build, so only the satisfaction/cycle state is
-    // checked here.
-    'bags: for (x, child_blocks) in inst.viable_candidates(b) {
+    // Viable candidates come with their child lists and cover the block
+    // with them, so only the satisfaction/cycle state is checked here.
+    let mut candidates = Candidates::default();
+    inst.read_candidates(b, &mut candidates);
+    'bags: for (x, child_blocks) in candidates.iter() {
         for &b2 in child_blocks {
             if !satisfied[b2 as usize] || visited[b2 as usize] {
                 continue 'bags; // unsatisfiable child, or cyclic reconstruction
@@ -645,20 +646,20 @@ fn sample_block<R: Rng>(
 ) -> bool {
     visited[b] = true;
     // Collect valid bases under the satisfaction table: viable candidates
-    // (coverage precomputed) whose children are satisfied and acyclic.
-    let candidates: Vec<usize> = inst
-        .viable_candidates(b)
+    // whose children are satisfied and acyclic.
+    let mut read = Candidates::default();
+    inst.read_candidates(b, &mut read);
+    let candidates: Vec<(usize, &[u32])> = (read.iter())
         .filter(|(_, children)| {
             children
                 .iter()
                 .all(|&b2| satisfied[b2 as usize] && !visited[b2 as usize])
         })
-        .map(|(x, _)| x)
         .collect();
     if candidates.is_empty() {
         return false;
     }
-    let x = candidates[rng.gen_range(0..candidates.len())];
+    let (x, children) = candidates[rng.gen_range(0..candidates.len())];
     let node = match (td.as_mut(), parent) {
         (None, _) => {
             *td = Some(TreeDecomposition::new(inst.bag(x).clone()));
@@ -670,7 +671,7 @@ fn sample_block<R: Rng>(
             t.add_child(r, inst.bag(x).clone())
         }
     };
-    for &b2 in inst.child_blocks(b, x) {
+    for &b2 in children {
         if !sample_block(inst, satisfied, b2 as usize, visited, rng, td, Some(node)) {
             return false;
         }
@@ -864,7 +865,7 @@ mod tests {
         let x = x?;
         visited[b] = true;
         let mut children = Vec::new();
-        for &b2 in inst.child_blocks(b, x) {
+        for b2 in inst.child_blocks(b, x) {
             children.push(extract_best(inst, value, fallback, b2 as usize, visited)?);
         }
         Some(TdNode { bag: x, children })
@@ -893,7 +894,7 @@ mod tests {
                 let mut best: Value<E::Summary> = None;
                 'cands: for (x, children) in inst.viable_candidates(b) {
                     let mut sums = Vec::new();
-                    for &b2 in children {
+                    for &b2 in &children {
                         match &snapshot[b2 as usize] {
                             Some((_, s)) => sums.push(s.clone()),
                             None => continue 'cands,

@@ -51,9 +51,9 @@ pub(crate) fn new_index(h: &Hypergraph) -> BlockIndex {
 /// [`crate::ctd_opt`]).
 ///
 /// The index is the build's to release ([`CtdInstance`]): all but its
-/// rows go once the blocks are derived, the rows once copied, so neither
-/// is alive beside the dependency tables, the DP or the caller's use of
-/// the instance.
+/// rows go once the blocks are derived, and the rows are gathered in
+/// place into the instance's, so no second copy of them is alive beside
+/// the inverted index, the DP or the caller's use of the instance.
 pub fn soft_instance(
     h: &Hypergraph,
     k: usize,

@@ -48,7 +48,8 @@ pub mod stage {
     pub const REDUCE: &str = "reduce";
     /// `BlockIndex` construction (arena, incidence, component tables).
     pub const INDEX_BUILD: &str = "index_build";
-    /// `CtdInstance` build (block derivation + dependency tables).
+    /// `CtdInstance` build (block derivation, row copy or gather, and
+    /// the inverted vertex → bags index).
     pub const INSTANCE_BUILD: &str = "instance_build";
     /// Satisfaction pass (Algorithm 1 DP).
     pub const SATISFY: &str = "satisfy";
@@ -62,7 +63,9 @@ pub mod stage {
     /// the `U`-side sweep inside `enumerate`, block derivation inside
     /// `instance_build`.
     pub const COMPONENTS: &str = "components";
-    /// Candidate scan + dependency tables inside `instance_build`.
+    /// The inverted vertex → bags index build inside `instance_build`
+    /// (a pass reads each block's candidates through it when it settles
+    /// the block, inside `satisfy` or `best_dp`).
     pub const DEPS_SCAN: &str = "deps_scan";
     /// Result-cache probe in the service stripe.
     pub const RESULT_CACHE: &str = "result_cache";

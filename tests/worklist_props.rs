@@ -1,9 +1,10 @@
 //! Property tests for the one-pass satisfaction DP and the
 //! decomposition cache: on random hypergraphs and chorded grids, the
 //! pass must agree **block for block** — bases and timestamps, not just
-//! accept/reject — with the retained Jacobi reference; the
-//! precomputed viable-candidate tables must match the first-principles
-//! basis predicate; an instance whose build releases the index it was
+//! accept/reject — with the retained Jacobi reference; the viable
+//! candidates a pass reads must match the first-principles basis
+//! predicate, and the lemma that lets it skip the coverage test must
+//! hold; an instance whose build releases the index it was
 //! handed must be the one a build on a borrowed index makes; and the
 //! cross-query decomposition cache must return
 //! exactly what cold runs return, whatever was asked of it before — and
@@ -14,13 +15,13 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use softhw::core::cache::DecompCache;
-use softhw::core::ctd::CtdInstance;
+use softhw::core::ctd::{CtdInstance, ScanStats};
 use softhw::core::shw::{shw_leq_indexed_budgeted, soft_instance};
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
 use softhw::core::{solve, Budget, SolveSpec, Solved};
 use softhw::hypergraph::arena::{words_subset, words_union_into};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
-use softhw::hypergraph::{named, BlockIndex, Hypergraph, HypergraphBuilder};
+use softhw::hypergraph::{named, BitSet, BlockIndex, Hypergraph, HypergraphBuilder};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     (4usize..9, 3usize..9, 0u64..5000).prop_map(|(nv, ne, seed)| {
@@ -78,12 +79,11 @@ fn assert_candidates_match_predicate(inst: &CtdInstance) {
     }
 }
 
-/// [`assert_candidates_match_predicate`], and the child tables against
+/// [`assert_candidates_match_predicate`], and the child lists against
 /// the definition: for every block `b` and bag `x`, the child blocks of
 /// `x` are exactly the blocks it heads whose component lies inside `b`'s,
 /// listed whenever those complete `b`'s coverage. That is the one way to
-/// see the entry of `b`'s own head — the only entry the scan's short-cut
-/// writes, and one no candidate list shows.
+/// see what `b`'s own head offers, which no candidate list shows.
 fn assert_tables_match_predicate(inst: &CtdInstance) {
     assert_candidates_match_predicate(inst);
     let (mut buf, mut inside) = (Vec::new(), Vec::new());
@@ -126,18 +126,10 @@ fn assert_satisfaction_equals_jacobi(h: &Hypergraph, k: usize) {
     }
 }
 
-/// A viable candidate `X` of `(S, C)` can have the child `(X, C)`, with
-/// `X ⊊ S`: a pass ordered by `|C|` alone could reach `(S, C)` before that
-/// child, and the `|S|` order is what settles the child first. This pins
-/// on a fixed pool that such candidates occur, and that none of them is
-/// ever a basis: the child's own basis `Z` is viable for `(S, C)` as well
-/// (`Z ⊆ X ∪ C ⊆ S ∪ C`, `Z ≠ S` since `S ⊄ X ∪ C`, and the coverage
-/// entry and children are the component's), so it reaches the child's
-/// own wave there — and `X`, at least one wave above the child, never
-/// wins.
-#[test]
-fn a_child_can_keep_its_blocks_component_but_no_basis_uses_one() {
-    let (mut candidates, mut bases) = (0, 0);
+/// The fixed pool: 24 seeded random hypergraphs of 8 vertices and 7
+/// edges, each with its `Soft_{H,k}` instance for `k` 1–3.
+fn pool() -> Vec<(u64, usize, CtdInstance)> {
+    let mut pool = Vec::new();
     for seed in 0..24u64 {
         let config = RandomConfig {
             num_vertices: 8,
@@ -150,36 +142,133 @@ fn a_child_can_keep_its_blocks_component_but_no_basis_uses_one() {
         for k in 1..=3 {
             let bags = soft_bags_with(&h, k, &SoftLimits::default()).unwrap();
             let inst = CtdInstance::new(&h, &bags);
-            let sat = inst.satisfy();
-            let mut here = 0;
-            for (b, blk) in inst.blocks.iter().enumerate() {
-                for (x, children) in inst.viable_candidates(b) {
-                    if !children
-                        .iter()
-                        .any(|&c| inst.blocks[c as usize].comp == blk.comp)
-                    {
-                        continue;
-                    }
-                    let s = blk.head().expect("a root's candidate misses its component");
-                    assert!(x != s && inst.bag(x).is_subset(inst.bag(s)));
-                    here += 1;
-                    bases += usize::from(sat.basis[b].get().is_some_and(|(bx, _)| bx == x));
-                }
-            }
-            if here > 0 {
-                assert_eq!(sat, inst.satisfy_jacobi(), "seed {seed}, k = {k}");
-            }
-            candidates += here;
+            pool.push((seed, k, inst));
         }
+    }
+    pool
+}
+
+/// A viable candidate `X` of `(S, C)` can have the child `(X, C)`, with
+/// `X ⊊ S`: a pass ordered by `|C|` alone could reach `(S, C)` before that
+/// child, and the `|S|` order is what settles the child first. This pins
+/// on the fixed pool that such candidates occur, and that none of them is
+/// ever a basis: the child's own basis `Z` is viable for `(S, C)` as well
+/// (`Z ⊆ X ∪ C ⊆ S ∪ C`, `Z ≠ S` since `S ⊄ X ∪ C`, and `Z`'s candidacy
+/// and children depend on the component alone), so it reaches the
+/// child's own wave there — and `X`, at least one wave above the child,
+/// never wins.
+#[test]
+fn a_child_can_keep_its_blocks_component_but_no_basis_uses_one() {
+    let (mut candidates, mut bases) = (0, 0);
+    for (seed, k, inst) in pool() {
+        let sat = inst.satisfy();
+        let mut here = 0;
+        for (b, blk) in inst.blocks.iter().enumerate() {
+            for (x, children) in inst.viable_candidates(b) {
+                if !children
+                    .iter()
+                    .any(|&c| inst.blocks[c as usize].comp == blk.comp)
+                {
+                    continue;
+                }
+                let s = blk.head().expect("a root's candidate misses its component");
+                assert!(x != s && inst.bag(x).is_subset(inst.bag(s)));
+                here += 1;
+                bases += usize::from(sat.basis[b].get().is_some_and(|(bx, _)| bx == x));
+            }
+        }
+        if here > 0 {
+            assert_eq!(sat, inst.satisfy_jacobi(), "seed {seed}, k = {k}");
+        }
+        candidates += here;
     }
     assert_eq!((candidates, bases), (19_750, 0));
 }
 
+/// The lemma that lets a candidate read skip the coverage test: for a
+/// block `b = (S, C)` with `req = cover ∖ C`, a bag `x` holds `req` iff
+/// `x` together with the blocks it heads inside `C` covers `b`'s
+/// coverage union. (With `req ⊆ x`, a path out of `C` that avoids `x`
+/// would step onto a vertex of `req`, so every `[x]`-component meeting
+/// `C` lies inside it.) Checked for every block and every bag.
+fn assert_req_decides_coverage(inst: &CtdInstance) {
+    let mut buf = Vec::new();
+    for (b, blk) in inst.blocks.iter().enumerate() {
+        let (comp, cover) = (inst.words(blk.comp), inst.words(blk.cover));
+        for x in 0..inst.num_bags() {
+            inst.load_bag(x, &mut buf);
+            let holds_req = (cover.iter().zip(comp).zip(&buf)).all(|((c, m), x)| c & !m & !x == 0);
+            let (start, len) = inst.blocks_by_head[x];
+            for b2 in start..start + len {
+                let child = inst.words(inst.blocks[b2 as usize].comp);
+                if words_subset(child, comp) {
+                    words_union_into(child, &mut buf);
+                }
+            }
+            assert_eq!(holds_req, words_subset(cover, &buf), "block {b}, bag {x}");
+        }
+    }
+}
+
+#[test]
+fn req_decides_coverage_on_the_pool_and_small_grids() {
+    for (_, _, inst) in pool() {
+        assert_req_decides_coverage(&inst);
+    }
+    for n in 1..=6 {
+        let h = named::grid(n, n);
+        for k in 1..=2 {
+            let bags = soft_bags_with(&h, k, &SoftLimits::default()).unwrap();
+            assert_req_decides_coverage(&CtdInstance::new(&h, &bags));
+        }
+    }
+}
+
+/// `grid(10, 10)` at `k = 2` through a shared index, as the exact-width
+/// sweep builds it.
+fn grid10_k2() -> CtdInstance {
+    let mut index = BlockIndex::new(&named::grid(10, 10));
+    let ids = soft_bag_ids(&mut index, 2, &SoftLimits::default()).unwrap();
+    CtdInstance::build(&mut index, &ids)
+}
+
+/// What reading every block's candidates once costs, in clock-free
+/// counts: on `grid(10, 10)` at `k = 2`, and summed over the fixed pool.
+#[test]
+fn candidate_read_counts_are_pinned() {
+    let grid = grid10_k2().scan_stats();
+    let mut sum = ScanStats::default();
+    for (_, _, inst) in pool() {
+        let s = inst.scan_stats();
+        sum.blocks += s.blocks;
+        sum.direct += s.direct;
+        sum.row_words += s.row_words;
+        sum.candidates += s.candidates;
+        sum.children += s.children;
+    }
+    let pinned = |blocks, direct, row_words, candidates, children| ScanStats {
+        blocks,
+        direct,
+        row_words,
+        candidates,
+        children,
+    };
+    assert_eq!(grid, pinned(21_042, 15_529, 741_665, 102_257, 102_713));
+    assert_eq!(sum, pinned(6_773, 28, 19_872, 76_990, 74_703));
+}
+
+/// The heap an instance holds, counted off its vectors' capacities.
+#[test]
+fn instance_heap_bytes_are_pinned() {
+    let inst = grid10_k2();
+    assert_eq!(inst.heap_bytes(), 1_359_064);
+}
+
 /// The random cases below stay far below 4 096 bags, i.e. inside one
-/// summary word of the two-level candidate scan. `grid(7, 7)` at `k = 2`
+/// summary word of the two-level candidate read. `grid(7, 7)` at `k = 2`
 /// has 5 622 bags — 88 row words, two summary words — so this pins the
-/// scan across a summary-word boundary, and the short-cut beside it:
-/// most comp groups of a grid have a four-vertex `req`.
+/// read across a summary-word boundary, and the short-cut beside it:
+/// most blocks of a grid have a four-vertex `req`.
 #[test]
 fn candidate_scan_crosses_a_summary_word_boundary() {
     let h = named::grid(7, 7);
@@ -188,14 +277,14 @@ fn candidate_scan_crosses_a_summary_word_boundary() {
     let inst = CtdInstance::build(&mut index, &k2);
     assert!(inst.num_bags() > 64 * 64, "{} bags", inst.num_bags());
     let scan = inst.scan_stats();
-    assert!(scan.direct * 2 > scan.groups, "{scan:?}");
-    assert!(scan.direct < scan.groups, "{scan:?}");
+    assert!(scan.direct * 2 > scan.blocks, "{scan:?}");
+    assert!(scan.direct < scan.blocks, "{scan:?}");
     assert_candidates_match_predicate(&inst);
 }
 
 /// A largest bag that heads no block — all of `V`, which leaves no
 /// component — makes `|req|` equal to the largest cardinality impossible:
-/// the scan must not take its short-cut, and must find every candidate
+/// no block may take the short-cut, and each must find its candidates
 /// the usual way.
 #[test]
 fn a_largest_bag_heading_no_block_disarms_the_scan_short_cut() {
@@ -253,13 +342,27 @@ proptest! {
     }
 
     #[test]
+    fn req_decides_coverage_for_any_bag_family(h in small_hypergraph(), seed in 0u64..5000) {
+        // Bags drawn vertex by vertex, not from `Soft_{H,k}`: the lemma
+        // holds for every bag.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let bags: Vec<BitSet> = (0..rng.gen_range(1..12))
+            .map(|_| {
+                let vertices = (0..h.num_vertices()).filter(|_| rng.gen_bool(0.5));
+                BitSet::from_iter(h.num_vertices(), vertices.collect::<Vec<_>>())
+            })
+            .collect();
+        assert_req_decides_coverage(&CtdInstance::new(&h, &bags));
+    }
+
+    #[test]
     fn viable_candidate_tables_match_reference_predicate(
         h in small_hypergraph(),
         k in 1usize..3,
     ) {
-        // The precomputed (comp-group, closure-group) tables must induce
-        // exactly the candidates the from-first-principles predicate
-        // accepts under an all-satisfied state.
+        // The candidates read on demand must be exactly the ones the
+        // from-first-principles predicate accepts under an all-satisfied
+        // state.
         let limits = SoftLimits::default();
         let bags = soft_bags_with(&h, k, &limits).unwrap();
         assert_tables_match_predicate(&CtdInstance::new(&h, &bags));
@@ -287,6 +390,8 @@ proptest! {
         let mut index = BlockIndex::new(&h);
         let ids = soft_bag_ids(&mut index, k, &limits).unwrap();
         let borrowed = CtdInstance::build(&mut index, &ids);
+        // The in-place gather leaves exactly the rows a copy holds.
+        prop_assert_eq!(owned.heap_bytes(), borrowed.heap_bytes());
         prop_assert_eq!(&owned.blocks, &borrowed.blocks);
         prop_assert_eq!(&owned.root_blocks, &borrowed.root_blocks);
         prop_assert_eq!(owned.num_bags(), borrowed.num_bags());
