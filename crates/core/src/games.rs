@@ -13,13 +13,19 @@
 //! current escape space (the formal game-tree definition of the paper,
 //! which Theorem 12 uses to show `mon-irmw(H) ≤ shw(H)`).
 //!
+//! The move spaces are the sets the paper builds them from: the plain
+//! marshals reach `∅` and the `λ` unions `⋃M`, the institutional ones `∅`
+//! and `Soft_{H,k}` (every non-empty `⋃C ∩ ⋃M` is a bag of Definition
+//! 3). Both come from [`crate::soft::reference`], the seed's generator,
+//! so the games check the solvers' arena path rather than share it.
+//!
 //! Both games are solved exactly by a least-fixpoint (attractor)
 //! computation over the finite state space of `(η, escape-space)` pairs —
 //! every play is memoryless in that pair. Exponential in `k` and `|E|`;
 //! meant for the small hypergraphs of the paper's examples and for
 //! cross-validating the width solvers (`mon-rmw = hw`).
 
-use softhw_hypergraph::bitset::for_each_subset_up_to_k;
+use crate::soft::{self, SoftLimits};
 use softhw_hypergraph::{BitSet, FxHashMap, Hypergraph};
 
 /// Which game to solve.
@@ -49,48 +55,32 @@ struct Move {
     comps: Vec<BitSet>,
 }
 
-/// Enumerates the distinct `η` values reachable by the marshalling side
-/// with `k` pieces, together with their escape-space components.
+/// The distinct `η` the marshalling side can reach with `k` pieces, with
+/// their escape-space components: `∅` (no piece placed) and the unions
+/// `⋃M` of 1..=`k` edges for the plain marshals, `∅` and `Soft_{H,k}`
+/// for the institutional ones — every non-empty `⋃C ∩ ⋃M` is a bag of
+/// Definition 3. Both sets come from [`soft::reference`], under limits
+/// that cannot trip, so the games stay independent of the arena
+/// generator the solvers use.
 fn move_set(h: &Hypergraph, k: usize, variant: GameVariant) -> Vec<Move> {
-    let mut etas: FxHashMap<BitSet, ()> = FxHashMap::default();
-    etas.insert(h.empty_vertex_set(), ());
-    // Every placement of at most `k` pieces, the empty one first.
-    let edges: Vec<usize> = (0..h.num_edges()).collect();
-    let placements = |f: &mut dyn FnMut(&[usize])| {
-        f(&[]);
-        for_each_subset_up_to_k(&edges, k, f);
+    let unlimited = SoftLimits {
+        max_lambda_sets: usize::MAX,
+        max_bags: usize::MAX,
     };
-    match variant {
+    let etas = match variant {
         GameVariant::RobberMarshals => {
-            placements(&mut |m| {
-                etas.insert(h.union_of_edges(m.iter().copied()), ());
-            });
+            soft::reference::lambda_unions(h.num_vertices(), h.edges(), k, &unlimited)
         }
         GameVariant::Institutional | GameVariant::InstitutionalTreeRule => {
-            // Distinct ⋃C over administrator placements, then intersect
-            // with distinct ⋃M.
-            let mut comp_unions: FxHashMap<BitSet, ()> = FxHashMap::default();
-            placements(&mut |a| {
-                let sep = h.union_of_edges(a.iter().copied());
-                for comp in h.edge_components(&sep) {
-                    comp_unions.insert(h.union_of_edge_set(&comp), ());
-                }
-            });
-            let mut marshal_unions: FxHashMap<BitSet, ()> = FxHashMap::default();
-            placements(&mut |m| {
-                marshal_unions.insert(h.union_of_edges(m.iter().copied()), ());
-            });
-            for cu in comp_unions.keys() {
-                for mu in marshal_unions.keys() {
-                    etas.insert(cu.intersection(mu), ());
-                }
-            }
+            soft::reference::soft_bags_with(h, k, &unlimited)
         }
     }
-    etas.into_keys()
-        .map(|eta| {
-            let comps = h.vertex_components(&eta);
-            Move { eta, comps }
+    .expect("limits that cannot trip");
+    std::iter::once(h.empty_vertex_set())
+        .chain(etas)
+        .map(|eta| Move {
+            comps: h.vertex_components(&eta),
+            eta,
         })
         .collect()
 }

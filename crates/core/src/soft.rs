@@ -13,11 +13,12 @@
 //! the `U`-side walk visits *are* the `⋃λ1`. [`soft_bag_ids_budgeted`]
 //! therefore makes **one λ walk**, which hands back the distinct `⋃C`
 //! and its distinct non-empty separators, and uses the latter as the `W`
-//! side. Only the iterated pools of Definition 6
-//! ([`soft_bag_ids_from_elements`]), whose `λ1` elements are subedges,
-//! enumerate their own `W` side ([`lambda_union_ids`]). Both sides are
-//! deduplicated before the `W × U` stage, which both generators share
-//! and which visits
+//! side. One DFS over `λ ⊆ pool, 1 ≤ |λ| ≤ k` serves every λ walk: this
+//! one over `E(H)`, and the `W` side of the iterated pools of Definition 6
+//! (`crate::soft_iter`), whose `λ1` elements are subedges. Both sides are
+//! deduplicated before the `W × U` stage, which Definitions 3 and 6 share
+//! (Definition 6 also builds `E^(i+1) = E^(i) ⋂× Soft^i` with it) and
+//! which visits
 //! **proper intersections only**: per-vertex masks over the `U` side
 //! ("which `⋃C` contain `v`") turn "some `⋃C ⊇ w`" into an AND and "which
 //! `⋃C` meet `w` without containing it" into an OR-minus-AND over `w`'s
@@ -36,11 +37,14 @@
 //! intern on and nothing is re-interned afterwards.
 //!
 //! The seed's direct `FxHashSet<BitSet>` generator is preserved verbatim
-//! in [`mod@reference`] as the cross-check and benchmark baseline.
+//! in [`mod@reference`] as the cross-check and benchmark baseline, and as
+//! the move spaces of the robber-and-marshals games (`crate::games`).
 
 use crate::budget::Budget;
 use crate::error::DecompError;
-use softhw_hypergraph::arena::{words_empty, words_intersect_into, words_iter, IdSet};
+use softhw_hypergraph::arena::{
+    words_empty, words_intersect_into, words_iter, words_union_into, IdSet,
+};
 use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Hypergraph};
 
 /// Guards against combinatorial blow-up of candidate-bag generation.
@@ -82,7 +86,7 @@ impl std::error::Error for LimitExceeded {}
 /// The unlimited budget cannot trip, so every error reaching here is a
 /// limit; a non-limit error degrades to a generic limit rather than
 /// panicking.
-fn demote(e: DecompError) -> LimitExceeded {
+pub(crate) fn demote(e: DecompError) -> LimitExceeded {
     match e {
         DecompError::Limit(l) => l,
         _ => LimitExceeded {
@@ -91,74 +95,82 @@ fn demote(e: DecompError) -> LimitExceeded {
     }
 }
 
+/// The one DFS over the subsets `λ` of a pool of `n` elements with
+/// `1 ≤ |λ| ≤ k`, in lexicographic pre-order: Definition 3's walk over
+/// `E(H)` and Definition 6's `W` side over `E^(i)` are its two callers.
+/// `unions` holds the running union `⋃λ` per depth (depth 0 is `∅`). A
+/// node hands `visit` its parent's value, the element it adds and a copy
+/// of its parent's union, which `visit` extends by that element; what
+/// `visit` returns is the parent value of the node's children. Every
+/// node ticks `budget` and charges one of `max_lambda_sets`, one global
+/// counter per walk. A λ never repeats an element, so the walk is at
+/// most `min(k, n)` deep, and its scratch is sized by that, not by `k`.
+fn walk_lambdas<T: Copy>(
+    n: usize,
+    k: usize,
+    words: usize,
+    root: T,
+    limits: &SoftLimits,
+    budget: &Budget,
+    mut visit: impl FnMut(T, usize, &mut [u64]) -> T,
+) -> Result<(), DecompError> {
+    let depth = k.min(n);
+    let mut unions = vec![0u64; words * (depth + 1)];
+    // `stack[d]`: the value of the node at depth `d` on the current path
+    // and the next element its children add.
+    let mut stack: Vec<(T, usize)> = Vec::with_capacity(depth + 1);
+    if depth > 0 {
+        stack.push((root, 0));
+    }
+    let mut sets = limits.max_lambda_sets;
+    while let Some(top) = stack.last_mut() {
+        let (parent, e) = *top;
+        if e == n {
+            stack.pop();
+            continue;
+        }
+        top.1 += 1;
+        budget.tick()?;
+        if sets == 0 {
+            return Err(LimitExceeded {
+                what: "max_lambda_sets",
+            }
+            .into());
+        }
+        sets -= 1;
+        let d = stack.len();
+        let (prev, next) = unions.split_at_mut(d * words);
+        let buf = &mut next[..words];
+        buf.copy_from_slice(&prev[(d - 1) * words..]);
+        let value = visit(parent, e, buf);
+        if d < depth {
+            stack.push((value, e + 1));
+        }
+    }
+    Ok(())
+}
+
 /// Enumerates all distinct unions of 1..=`k` bags drawn from `elements`
-/// (the `⋃λ1` side of Definition 3), interned into `arena` and returned
-/// in content order. The `max_lambda_sets` guard is one global counter
-/// over all enumeration nodes, matching the seed's semantics. It unions
-/// depth-first straight into `arena` — `pool[d]` holds the running union
-/// at depth `d`, so the per-node cost is one pooled word-union plus one
-/// intern probe.
-pub fn lambda_union_ids(
+/// (the `⋃λ1` side of Definition 6 over `E^(i)`), interned into `arena`
+/// and returned in content order: one walk of [`walk_lambdas`], whose
+/// per-node cost is one pooled word-union plus one intern probe.
+pub(crate) fn lambda_union_ids(
     arena: &mut BagArena,
     elements: &[BagId],
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Vec<BagId>, LimitExceeded> {
-    if k == 0 || elements.is_empty() {
-        return Ok(Vec::new());
-    }
-    let words = arena.words_per_bag();
     let mut out: Vec<BagId> = Vec::new();
     let mut seen = IdSet::new();
-    let mut pool: Vec<Vec<u64>> = (0..=k).map(|_| vec![0u64; words]).collect();
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        arena: &mut BagArena,
-        elements: &[BagId],
-        start: usize,
-        depth: usize,
-        max_depth: usize,
-        pool: &mut [Vec<u64>],
-        seen: &mut IdSet,
-        out: &mut Vec<BagId>,
-        sets: &mut usize,
-    ) -> Result<(), LimitExceeded> {
-        for i in start..elements.len() {
-            if *sets == 0 {
-                return Err(LimitExceeded {
-                    what: "max_lambda_sets",
-                });
-            }
-            *sets -= 1;
-            let (prev, next) = pool.split_at_mut(depth);
-            let buf = &mut next[0];
-            buf.clear();
-            buf.extend_from_slice(&prev[depth - 1]);
-            arena.union_into(elements[i], buf);
-            let id = arena.intern_words(buf);
-            if seen.insert(id) {
-                out.push(id);
-            }
-            if depth < max_depth {
-                rec(
-                    arena,
-                    elements,
-                    i + 1,
-                    depth + 1,
-                    max_depth,
-                    pool,
-                    seen,
-                    out,
-                    sets,
-                )?;
-            }
+    let (words, unlimited) = (arena.words_per_bag(), Budget::unlimited());
+    let visit = |(), i: usize, buf: &mut [u64]| {
+        arena.union_into(elements[i], buf);
+        let id = arena.intern_words(buf);
+        if seen.insert(id) {
+            out.push(id);
         }
-        Ok(())
-    }
-    let mut sets = limits.max_lambda_sets;
-    rec(
-        arena, elements, 0, 1, k, &mut pool, &mut seen, &mut out, &mut sets,
-    )?;
+    };
+    walk_lambdas(elements.len(), k, words, (), limits, &unlimited, visit).map_err(demote)?;
     out.sort_unstable_by(|&a, &b| arena.cmp_bags(a, b));
     Ok(out)
 }
@@ -184,27 +196,25 @@ fn lambda_count_bound(n: usize, k: usize) -> usize {
 /// the index's cache, so repeated walks across widths and solvers only
 /// pay for separators never seen before; an abort leaves that cache
 /// holding only fully-computed entries, which a retry reuses.
-struct LambdaWalk {
+pub(crate) struct LambdaWalk {
     /// The distinct `⋃C` over every `[λ2]`-component, in content order:
     /// the `U` side.
-    unions: Vec<BagId>,
+    pub(crate) unions: Vec<BagId>,
     /// The distinct non-empty separators `⋃λ2`, in first-visit order. The
     /// walk ranges over the very edge subsets `λ1` does, so with `E(H)`
     /// as the `λ1` pool this is the `W` side.
-    seps: Vec<BagId>,
+    pub(crate) seps: Vec<BagId>,
 }
 
-/// The one DFS over the edge subsets of Definition 3, ticking `budget`
-/// and charging `max_lambda_sets` once per node.
-fn lambda_walk(
+/// Definition 3's walk: [`walk_lambdas`] over `E(H)` plus `λ2 = ∅`.
+pub(crate) fn lambda_walk(
     index: &mut BlockIndex,
     k: usize,
     limits: &SoftLimits,
     budget: &Budget,
 ) -> Result<LambdaWalk, DecompError> {
     let _span = softhw_obs::span(softhw_obs::stage::COMPONENTS);
-    let h = index.hypergraph();
-    let num_edges = h.num_edges();
+    let num_edges = index.hypergraph().num_edges();
     let words = index.arena.words_per_bag();
     // `|E|^k`-scale pre-sizing: the sweep interns about one separator per
     // λ2 subset (components and unions share the same id table), so grow
@@ -212,7 +222,7 @@ fn lambda_walk(
     // front instead of rehashing repeatedly through the loop.
     let est = lambda_count_bound(num_edges, k).min(limits.max_lambda_sets.saturating_add(1));
     index.arena.reserve(est);
-    let mut out: Vec<BagId> = Vec::new();
+    let mut unions: Vec<BagId> = Vec::new();
     let mut seen = IdSet::with_capacity(est);
     // Distinct λ2 subsets frequently produce the same separator union
     // (overlapping edges); a repeated separator has nothing new to
@@ -225,128 +235,34 @@ fn lambda_walk(
     // starts from the rows of `parent`, the union one edge up the DFS, so
     // it pays for what the added edge changes rather than for a BFS of
     // the whole graph.
-    fn collect(
-        index: &mut BlockIndex,
-        parent: BagId,
-        sep: BagId,
-        out: &mut Vec<BagId>,
-        seen: &mut IdSet,
-    ) {
+    let mut collect = |index: &mut BlockIndex, parent: BagId, sep: BagId| {
         let r = index.block_rows_from(parent, sep);
         for &(_, u) in index.rows(r) {
             if seen.insert(u) {
-                out.push(u);
+                unions.push(u);
             }
         }
-    }
+    };
 
     // λ2 = ∅ first.
     let empty = index.empty();
     sep_seen.insert(empty);
-    collect(index, empty, empty, &mut out, &mut seen);
-
-    // DFS over non-empty λ2, maintaining the separator union per depth.
-    let mut pool: Vec<Vec<u64>> = (0..=k).map(|_| vec![0u64; words]).collect();
-    let mut sets = limits.max_lambda_sets;
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        index: &mut BlockIndex,
-        num_edges: usize,
-        start: usize,
-        depth: usize,
-        max_depth: usize,
-        parent: BagId,
-        pool: &mut [Vec<u64>],
-        sets: &mut usize,
-        budget: &Budget,
-        out: &mut Vec<BagId>,
-        seen: &mut IdSet,
-        sep_seen: &mut IdSet,
-        seps: &mut Vec<BagId>,
-    ) -> Result<(), DecompError> {
-        for e in start..num_edges {
-            budget.tick()?;
-            if *sets == 0 {
-                return Err(LimitExceeded {
-                    what: "max_lambda_sets",
-                }
-                .into());
-            }
-            *sets -= 1;
-            let h = index.hypergraph();
-            let edge_words = h.edge(e).blocks();
-            let (prev, next) = pool.split_at_mut(depth);
-            let buf = &mut next[0];
-            buf.clear();
-            buf.extend_from_slice(&prev[depth - 1]);
-            softhw_hypergraph::arena::words_union_into(edge_words, buf);
-            let sep = index.arena.intern_words(buf);
-            // A repeated separator union contributes nothing new, but a
-            // *deeper* subset extending it still can — skip only the
-            // component queries, not the recursion.
-            if sep_seen.insert(sep) {
-                seps.push(sep);
-                collect(index, parent, sep, out, seen);
-            }
-            if depth < max_depth {
-                rec(
-                    index,
-                    num_edges,
-                    e + 1,
-                    depth + 1,
-                    max_depth,
-                    sep,
-                    pool,
-                    sets,
-                    budget,
-                    out,
-                    seen,
-                    sep_seen,
-                    seps,
-                )?;
-            }
+    collect(index, empty, empty);
+    let visit = |parent: BagId, e: usize, buf: &mut [u64]| {
+        words_union_into(index.hypergraph().edge(e).blocks(), buf);
+        let sep = index.arena.intern_words(buf);
+        // A repeated separator union contributes nothing new, but a
+        // *deeper* subset extending it still can — skip only the
+        // component queries, not the descent.
+        if sep_seen.insert(sep) {
+            seps.push(sep);
+            collect(index, parent, sep);
         }
-        Ok(())
-    }
-    if k > 0 {
-        rec(
-            index,
-            num_edges,
-            0,
-            1,
-            k,
-            empty,
-            &mut pool,
-            &mut sets,
-            budget,
-            &mut out,
-            &mut seen,
-            &mut sep_seen,
-            &mut seps,
-        )?;
-    }
-    out.sort_unstable_by(|&a, &b| index.arena.cmp_bags(a, b));
-    Ok(LambdaWalk { unions: out, seps })
-}
-
-/// Computes `Soft_{H,k}` as interned [`BagId`]s, given a pre-computed
-/// `λ1`-element pool (the iterated hierarchy of Definition 6 passes
-/// `E^(i)`; for Definition 3's pool `E(H)`, [`soft_bag_ids`] reads the `W`
-/// side off its λ walk instead).
-pub fn soft_bag_ids_from_elements(
-    index: &mut BlockIndex,
-    elements: &[BagId],
-    k: usize,
-    limits: &SoftLimits,
-) -> Result<Vec<BagId>, LimitExceeded> {
-    let unlimited = Budget::unlimited();
-    let u_side = lambda_walk(index, k, limits, &unlimited)
-        .map_err(demote)?
-        .unions;
-    let w_side = lambda_union_ids(&mut index.arena, elements, k, limits)?;
-    intersect_sides(&mut index.arena, &w_side, &u_side, limits, &unlimited)
-        .map(|(bags, _)| bags)
-        .map_err(demote)
+        sep
+    };
+    walk_lambdas(num_edges, k, words, empty, limits, budget, visit)?;
+    unions.sort_unstable_by(|&a, &b| index.arena.cmp_bags(a, b));
+    Ok(LambdaWalk { unions, seps })
 }
 
 /// The `W × U` stage of Definition 3: the distinct non-empty `w ∩ u`, in
@@ -358,7 +274,7 @@ pub fn soft_bag_ids_from_elements(
 /// `u ⊇ w`, whose intersection is `w` itself, emitted once; ORed it is
 /// the `u` meeting `w`. Only the pairs in the OR and not in the AND are
 /// intersected and interned: the others yield `w` or `∅`.
-fn intersect_sides(
+pub(crate) fn intersect_sides(
     arena: &mut BagArena,
     w_side: &[BagId],
     u_side: &[BagId],
@@ -446,8 +362,8 @@ pub fn soft_bag_ids_budgeted(
 }
 
 /// Enumerates all unions of between 1 and `k` sets drawn from `elements`,
-/// deduplicated ([`BitSet`] convenience wrapper over
-/// [`lambda_union_ids`]).
+/// deduplicated, in content order: the λ walk of Definition 6's `W` side
+/// over a fresh arena, as [`BitSet`]s.
 pub fn lambda_unions(
     universe: usize,
     elements: &[BitSet],
@@ -548,8 +464,8 @@ pub fn soft_witness(
 
 /// The seed's direct `FxHashSet<BitSet>`-based generator, kept as the
 /// cross-validation oracle for the arena path (property tests assert the
-/// two agree) and as the benchmark baseline the arena speedup is measured
-/// against. Not used by any solver.
+/// two agree), as the benchmark baseline the arena speedup is measured
+/// against, and as the games' move spaces. Not used by any solver.
 pub mod reference {
     use super::{LimitExceeded, SoftLimits};
     use softhw_hypergraph::{BitSet, FxHashSet, Hypergraph};
@@ -860,6 +776,33 @@ mod tests {
             assert_eq!(u.len(), 33, "grid({side}, {side})");
             let added = (bags.len() - w.len()) as u64;
             assert!(pairs < 10 * added, "grid({side}, {side}): {added} added");
+        }
+    }
+
+    /// A λ never repeats an edge, so a width past `|E|` walks as `|E|`
+    /// does — without sizing anything by the width asked for.
+    #[test]
+    fn an_absurd_width_answers_as_the_edge_count() {
+        let h = named::h2();
+        let limits = SoftLimits::default();
+        let all = h.num_edges();
+        assert_eq!(
+            component_unions(&h, usize::MAX, &limits),
+            component_unions(&h, all, &limits)
+        );
+        assert_eq!(
+            soft_bags_with(&h, usize::MAX, &limits),
+            soft_bags_with(&h, all, &limits)
+        );
+        let universe = h.num_vertices();
+        assert_eq!(
+            lambda_unions(universe, h.edges(), usize::MAX, &limits),
+            lambda_unions(universe, h.edges(), all, &limits)
+        );
+        for bag in [h.vset(&["2", "6", "7", "a", "b"]), h.all_vertices()] {
+            let witness = soft_witness(&h, usize::MAX, &bag, &limits);
+            assert!(matches!(witness, Ok(Some(_))));
+            assert_eq!(witness, soft_witness(&h, all, &bag, &limits));
         }
     }
 

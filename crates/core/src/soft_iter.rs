@@ -15,51 +15,60 @@
 //! entry points take [`SoftLimits`]. For hypergraphs too large to
 //! materialise — e.g. `H'3` of Example 2 — [`soft_i_witness`] offers a
 //! *membership check with witness* that only materialises `E^(i)`.
+//!
+//! Every level is built from the parts of Definition 3's generator in
+//! [`crate::soft`]: the `U` side does not depend on the level, so
+//! Definition 3's λ walk over `E(H)` runs once and its `⋃C` serve every
+//! level; level 0 takes that walk's separators as its `W` side, a level
+//! `i > 0` the λ unions over `E^(i)`; and both `Soft^i` and
+//! `E^(i+1) = E^(i) ⋂× Soft^i` are its `W × U` stage.
 
+use crate::budget::Budget;
 use crate::cover;
 use crate::ctd::CtdInstance;
 use crate::error::DecompError;
 use crate::reduce_solve::first_width;
-use crate::soft::{self, LimitExceeded, SoftLimits};
+use crate::soft::{self, LambdaWalk, LimitExceeded, SoftLimits};
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::arena::{words_empty, words_intersect_into, IdSet};
-use softhw_hypergraph::{BagId, BitSet, BlockIndex, Hypergraph, HypergraphBuilder};
+use softhw_hypergraph::{BagArena, BagId, BitSet, BlockIndex, Hypergraph, HypergraphBuilder};
 
 /// Lazily computed levels of the `E^(i)` / `Soft^i_{H,k}` hierarchy.
 ///
-/// All levels live as interned [`BagId`]s in one shared [`BlockIndex`]:
-/// the subedge products `E^(i+1) = E^(i) ⋂× Soft^i` dedup by arena
-/// interning, and the per-level `Soft^i` generation reuses the index's
-/// component/union caches — the `λ2` side of Definition 3 does not
-/// depend on the level, so every level past the first enumerates it for
-/// free. Materialised [`BitSet`] views are kept per level for the
-/// public slice API.
+/// All levels live as interned [`BagId`]s in one shared [`BlockIndex`],
+/// and only as ids: [`SoftHierarchy::soft_level`] and
+/// [`SoftHierarchy::subedge_level`] build [`BitSet`]s on request. The
+/// level-independent `U` side (the `⋃C` of Definition 3) is walked once,
+/// when the hierarchy is created, and kept for every level.
 pub struct SoftHierarchy<'h> {
     h: &'h Hypergraph,
     k: usize,
     limits: SoftLimits,
     index: BlockIndex,
-    /// `subedges[i]` = `E^(i)` (ids, sorted by content).
+    /// Definition 3's λ walk over `E(H)`: its `⋃C` are every level's `U`
+    /// side, its separators level 0's `W` side. A tripped limit is kept
+    /// and raised by every level.
+    walk: Result<LambdaWalk, LimitExceeded>,
+    /// `subedge_ids[i]` = `E^(i)` (sorted by content).
     subedge_ids: Vec<Vec<BagId>>,
-    /// `bags[i]` = `Soft^i_{H,k}` (ids, sorted by content).
+    /// `bag_ids[i]` = `Soft^i_{H,k}` (sorted by content).
     bag_ids: Vec<Vec<BagId>>,
-    /// Materialised views, index-aligned with the id levels.
-    subedges: Vec<Vec<BitSet>>,
-    bags: Vec<Vec<BitSet>>,
 }
 
 impl<'h> SoftHierarchy<'h> {
-    /// Creates an empty hierarchy for `H` and width bound `k`.
+    /// Creates the hierarchy for `H` and width bound `k`, with no level
+    /// computed yet.
     pub fn new(h: &'h Hypergraph, k: usize, limits: SoftLimits) -> Self {
+        let mut index = BlockIndex::new(h);
+        let walk =
+            soft::lambda_walk(&mut index, k, &limits, &Budget::unlimited()).map_err(soft::demote);
         SoftHierarchy {
             h,
             k,
             limits,
-            index: BlockIndex::new(h),
+            index,
+            walk,
             subedge_ids: Vec::new(),
             bag_ids: Vec::new(),
-            subedges: Vec::new(),
-            bags: Vec::new(),
         }
     }
 
@@ -68,10 +77,10 @@ impl<'h> SoftHierarchy<'h> {
         self.k
     }
 
-    /// Ensures levels `0..=i` are materialised; returns `Soft^i_{H,k}`.
-    pub fn soft_level(&mut self, i: usize) -> Result<&[BitSet], LimitExceeded> {
+    /// Ensures levels `0..=i` are computed; returns `Soft^i_{H,k}`.
+    pub fn soft_level(&mut self, i: usize) -> Result<Vec<BitSet>, LimitExceeded> {
         self.ensure(i)?;
-        Ok(&self.bags[i])
+        Ok(self.materialise(&self.bag_ids[i]))
     }
 
     /// [`SoftHierarchy::soft_level`] as interned ids into
@@ -86,61 +95,45 @@ impl<'h> SoftHierarchy<'h> {
         &mut self.index
     }
 
-    fn materialise(index: &BlockIndex, ids: &[BagId]) -> Vec<BitSet> {
-        ids.iter().map(|&id| index.arena.to_bitset(id)).collect()
+    fn materialise(&self, ids: &[BagId]) -> Vec<BitSet> {
+        ids.iter()
+            .map(|&id| self.index.arena.to_bitset(id))
+            .collect()
     }
 
-    /// Ensures `E^(i)` is materialised (this requires `Soft^(i-1)` for
+    /// Ensures `E^(i)` is computed (this requires `Soft^(i-1)` for
     /// `i > 0`); returns it.
-    pub fn subedge_level(&mut self, i: usize) -> Result<&[BitSet], LimitExceeded> {
+    pub fn subedge_level(&mut self, i: usize) -> Result<Vec<BitSet>, LimitExceeded> {
         self.ensure_subedges(i)?;
-        Ok(&self.subedges[i])
+        Ok(self.materialise(&self.subedge_ids[i]))
+    }
+
+    /// The `U` side — every distinct `⋃C` — in content order.
+    fn component_unions(&self) -> Result<Vec<BitSet>, LimitExceeded> {
+        let walk = self.walk.as_ref().map_err(Clone::clone)?;
+        Ok(self.materialise(&walk.unions))
     }
 
     fn ensure_subedges(&mut self, i: usize) -> Result<(), LimitExceeded> {
-        if i == 0 {
-            if self.subedge_ids.is_empty() {
-                let mut seen = IdSet::new();
-                let mut v: Vec<BagId> = Vec::new();
-                for e in 0..self.h.num_edges() {
-                    let id = self.index.arena.intern_words(self.h.edge(e).blocks());
-                    if seen.insert(id) {
-                        v.push(id);
-                    }
-                }
-                v.sort_unstable_by(|&a, &b| self.index.arena.cmp_bags(a, b));
-                self.subedges.push(Self::materialise(&self.index, &v));
-                self.subedge_ids.push(v);
-            }
-            return Ok(());
+        if self.subedge_ids.is_empty() {
+            // Equal edges intern to one id, adjacent in content order.
+            let arena = &mut self.index.arena;
+            let mut v: Vec<BagId> = (0..self.h.num_edges())
+                .map(|e| arena.intern_words(self.h.edge(e).blocks()))
+                .collect();
+            v.sort_unstable_by(|&a, &b| arena.cmp_bags(a, b));
+            v.dedup();
+            self.subedge_ids.push(v);
         }
-        self.ensure(i - 1)?;
         while self.subedge_ids.len() <= i {
             let lvl = self.subedge_ids.len();
-            let words = self.index.arena.words_per_bag();
-            let mut seen = IdSet::new();
-            let mut v: Vec<BagId> = Vec::new();
-            let mut buf = vec![0u64; words];
-            for ei in 0..self.subedge_ids[lvl - 1].len() {
-                for bi in 0..self.bag_ids[lvl - 1].len() {
-                    let (e, b) = (self.subedge_ids[lvl - 1][ei], self.bag_ids[lvl - 1][bi]);
-                    buf.copy_from_slice(self.index.arena.words(e));
-                    words_intersect_into(self.index.arena.words(b), &mut buf);
-                    if !words_empty(&buf) {
-                        let id = self.index.arena.intern_words(&buf);
-                        if seen.insert(id) {
-                            v.push(id);
-                            if v.len() > self.limits.max_bags {
-                                return Err(LimitExceeded {
-                                    what: "max_bags (subedge level)",
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            v.sort_unstable_by(|&a, &b| self.index.arena.cmp_bags(a, b));
-            self.subedges.push(Self::materialise(&self.index, &v));
+            self.ensure(lvl - 1)?;
+            let v = intersect(
+                &mut self.index.arena,
+                &self.subedge_ids[lvl - 1],
+                &self.bag_ids[lvl - 1],
+                &self.limits,
+            )?;
             self.subedge_ids.push(v);
         }
         Ok(())
@@ -150,10 +143,17 @@ impl<'h> SoftHierarchy<'h> {
         while self.bag_ids.len() <= i {
             let lvl = self.bag_ids.len();
             self.ensure_subedges(lvl)?;
-            let elements = self.subedge_ids[lvl].clone();
-            let ids =
-                soft::soft_bag_ids_from_elements(&mut self.index, &elements, self.k, &self.limits)?;
-            self.bags.push(Self::materialise(&self.index, &ids));
+            let walk = self.walk.as_ref().map_err(Clone::clone)?;
+            let arena = &mut self.index.arena;
+            let subsets;
+            let w_side = if lvl == 0 {
+                &walk.seps
+            } else {
+                subsets =
+                    soft::lambda_union_ids(arena, &self.subedge_ids[lvl], self.k, &self.limits)?;
+                &subsets
+            };
+            let ids = intersect(arena, w_side, &walk.unions, &self.limits)?;
             self.bag_ids.push(ids);
         }
         Ok(())
@@ -167,7 +167,8 @@ impl<'h> SoftHierarchy<'h> {
         let mut i = 0;
         loop {
             self.ensure(i + 1)?;
-            if self.bags[i] == self.bags[i + 1] {
+            // One arena, content order: equal ids are equal sets.
+            if self.bag_ids[i] == self.bag_ids[i + 1] {
                 return Ok(i);
             }
             i += 1;
@@ -176,6 +177,19 @@ impl<'h> SoftHierarchy<'h> {
             }
         }
     }
+}
+
+/// Definition 3's `W × U` stage without a budget: the distinct
+/// non-empty `w ∩ u`, in content order.
+fn intersect(
+    arena: &mut BagArena,
+    w_side: &[BagId],
+    u_side: &[BagId],
+    limits: &SoftLimits,
+) -> Result<Vec<BagId>, LimitExceeded> {
+    soft::intersect_sides(arena, w_side, u_side, limits, &Budget::unlimited())
+        .map(|(bags, _)| bags)
+        .map_err(soft::demote)
 }
 
 /// Decides `shw_i(H) ≤ k` (soft hypertree width of order `i`); returns a
@@ -257,8 +271,8 @@ pub fn soft_i_witness(
     limits: &SoftLimits,
 ) -> Result<Option<SoftIWitness>, LimitExceeded> {
     let mut hier = SoftHierarchy::new(h, k, limits.clone());
-    let subedges = hier.subedge_level(i)?.to_vec();
-    let u_side = soft::component_unions(h, k, limits)?;
+    let u_side = hier.component_unions()?;
+    let subedges = hier.subedge_level(i)?;
     for u in &u_side {
         if !bag.is_subset(u) {
             continue;
@@ -314,10 +328,10 @@ mod tests {
         // E^(i) ⊆ E^(i+1) ⊆ Soft^i and Soft^i ⊆ Soft^{i+1} (Lemma 3).
         let h = named::h2();
         let mut hier = SoftHierarchy::new(&h, 2, limits());
-        let e0 = hier.subedge_level(0).unwrap().to_vec();
-        let e1 = hier.subedge_level(1).unwrap().to_vec();
-        let s0 = hier.soft_level(0).unwrap().to_vec();
-        let s1 = hier.soft_level(1).unwrap().to_vec();
+        let e0 = hier.subedge_level(0).unwrap();
+        let e1 = hier.subedge_level(1).unwrap();
+        let s0 = hier.soft_level(0).unwrap();
+        let s1 = hier.soft_level(1).unwrap();
         for e in &e0 {
             assert!(e1.contains(e), "E0 ⊆ E1");
         }
@@ -343,7 +357,7 @@ mod tests {
     fn level_zero_matches_definition_3() {
         let h = named::h2();
         let mut hier = SoftHierarchy::new(&h, 2, limits());
-        let s0 = hier.soft_level(0).unwrap().to_vec();
+        let s0 = hier.soft_level(0).unwrap();
         let direct = crate::soft::soft_bags(&h, 2);
         assert_eq!(s0, direct);
     }
@@ -372,7 +386,7 @@ mod tests {
     fn witness_matches_materialised_membership() {
         let h = named::cycle(5);
         let mut hier = SoftHierarchy::new(&h, 2, limits());
-        let s1 = hier.soft_level(1).unwrap().to_vec();
+        let s1 = hier.soft_level(1).unwrap();
         for bag in s1.iter().take(40) {
             let w = soft_i_witness(&h, 2, 1, bag, &limits()).unwrap();
             assert!(w.is_some(), "bag {bag:?} must have a level-1 witness");

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use softhw::core::shw::shw_leq_indexed_budgeted;
 use softhw::core::soft::{self, reference, SoftLimits};
+use softhw::core::soft_iter::SoftHierarchy;
 use softhw::core::{solve, Budget, SolveSpec};
 use softhw::hypergraph::arena::BagArena;
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
@@ -238,4 +239,70 @@ fn soft_generation_agrees_with_reference_past_one_mask_word() {
         let slow = reference::soft_bags_with(&h, 2, &limits).unwrap();
         assert_eq!(fast, slow);
     }
+}
+
+/// The Definition 3 walk's clock-free work on the grids at `k = 2`: the
+/// block index's `{hits, misses, rounds}`, the arena's length and
+/// `|Soft|` after one cold `soft_bag_ids`. A walk that visits more
+/// separators, derives fewer passes from a parent or interns more bags
+/// moves one of them.
+#[test]
+fn soft_generation_work_is_pinned() {
+    let limits = SoftLimits::default();
+    let mut work = Vec::new();
+    for side in [6, 8, 10] {
+        let mut index = BlockIndex::new(&named::grid(side, side));
+        let bags = soft::soft_bag_ids(&mut index, 2, &limits).unwrap();
+        let s = index.stats();
+        work.push((
+            side,
+            s.hits,
+            s.misses,
+            s.rounds,
+            index.arena.len(),
+            bags.len(),
+        ));
+    }
+    let pinned = [
+        (6, 0, 1_806, 8_727, 5_044, 3_221),
+        (8, 0, 6_280, 30_341, 15_448, 9_151),
+        (10, 0, 16_210, 78_280, 37_212, 20_985),
+    ];
+    assert_eq!(work, pinned);
+}
+
+/// The sizes `|E^(i)|` and `|Soft^i|` of Definition 6's levels `i ≤ 2`
+/// at `k = 2`, and level 0 equal to Definition 3's set element for
+/// element.
+#[test]
+fn hierarchy_level_sizes_are_pinned() {
+    let mut sizes = Vec::new();
+    for (name, h) in [
+        ("H2", named::h2()),
+        ("C6", named::cycle(6)),
+        ("grid(3,3)", named::grid(3, 3)),
+    ] {
+        let mut hier = SoftHierarchy::new(&h, 2, SoftLimits::default());
+        assert_eq!(
+            hier.soft_level(0).unwrap(),
+            soft::soft_bags(&h, 2),
+            "{name}"
+        );
+        for i in 0..=2 {
+            let subedges = hier.subedge_level(i).unwrap().len();
+            sizes.push((name, i, subedges, hier.soft_level(i).unwrap().len()));
+        }
+    }
+    let pinned = [
+        ("H2", 0, 8, 158),
+        ("H2", 1, 36, 324),
+        ("H2", 2, 36, 324),
+        ("C6", 0, 6, 48),
+        ("C6", 1, 12, 48),
+        ("C6", 2, 12, 48),
+        ("grid(3,3)", 0, 12, 141),
+        ("grid(3,3)", 1, 21, 147),
+        ("grid(3,3)", 2, 21, 147),
+    ];
+    assert_eq!(sizes, pinned);
 }

@@ -134,3 +134,66 @@ proptest! {
         prop_assert_eq!(sj.semijoin(&b).len(), sj.len());
     }
 }
+
+/// The five game widths `(mw, mon-mw, irmw, mon-irmw, mon-irmw-tree)` on
+/// H2, the named cycles, the 3×3 grid, `triangle_star(3)` and a fixed
+/// seeded pool of small random hypergraphs. Only `mon-mw = hw` and
+/// `mon-irmw-tree ≤ shw` are properties; the rest is pinned, so a change
+/// to any game's move space shows here.
+#[test]
+fn game_widths_are_pinned() {
+    use softhw::core::games;
+    use softhw::hypergraph::named;
+    let mut pool: Vec<(String, Hypergraph)> = vec![
+        ("H2".into(), named::h2()),
+        ("C4".into(), named::cycle(4)),
+        ("C5".into(), named::cycle(5)),
+        ("C6".into(), named::cycle(6)),
+        ("grid(3,3)".into(), named::grid(3, 3)),
+        ("triangle_star(3)".into(), named::triangle_star(3)),
+    ];
+    for seed in 0..12u64 {
+        let cfg = RandomConfig {
+            num_vertices: 6 + seed as usize % 4,
+            num_edges: 5 + seed as usize % 5,
+            min_arity: 2,
+            max_arity: 3,
+            connect: true,
+        };
+        pool.push((format!("random {seed}"), random_hypergraph(&cfg, seed)));
+    }
+    let widths: Vec<(&str, [usize; 5])> = pool
+        .iter()
+        .map(|(name, h)| {
+            let w = [
+                games::marshal_width(h),
+                games::mon_marshal_width(h),
+                games::irm_width(h),
+                games::mon_irm_width(h),
+                games::mon_irm_width_tree(h),
+            ];
+            (name.as_str(), w)
+        })
+        .collect();
+    let pinned = [
+        ("H2", [2, 3, 2, 2, 2]),
+        ("C4", [2, 2, 2, 2, 1]),
+        ("C5", [2, 2, 2, 2, 2]),
+        ("C6", [2, 2, 2, 2, 2]),
+        ("grid(3,3)", [2, 2, 2, 2, 2]),
+        ("triangle_star(3)", [2, 2, 2, 2, 1]),
+        ("random 0", [1, 1, 1, 1, 1]),
+        ("random 1", [2, 2, 2, 2, 1]),
+        ("random 2", [2, 2, 2, 2, 2]),
+        ("random 3", [2, 2, 2, 2, 1]),
+        ("random 4", [2, 2, 2, 2, 1]),
+        ("random 5", [2, 2, 2, 2, 1]),
+        ("random 6", [2, 2, 2, 2, 2]),
+        ("random 7", [2, 2, 2, 2, 1]),
+        ("random 8", [2, 2, 2, 2, 1]),
+        ("random 9", [2, 2, 2, 2, 2]),
+        ("random 10", [2, 2, 2, 2, 1]),
+        ("random 11", [2, 2, 2, 2, 1]),
+    ];
+    assert_eq!(widths, pinned);
+}
