@@ -7,6 +7,10 @@
 //! Expected shape (paper): all ConCov decompositions beat the baseline by
 //! multiples; random unconstrained TDs are far slower on average than
 //! random ConCov TDs.
+//!
+//! Besides the seconds, every series prints the tuples each
+//! decomposition materialised, which depend on the decompositions alone
+//! and not on the machine.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,14 +30,15 @@ fn ten_cheapest(inst: &Instance) {
     let mut rows = Vec::new();
     for (td, s) in &top {
         let run = run_decomposition(inst, td).expect("plannable");
-        rows.push(format!("{:.1},{:.6}", s.cost, run.seconds));
+        let tuples = run.stats.tuples_materialised;
+        rows.push(format!("{:.1},{:.6},{tuples}", s.cost, run.seconds));
     }
     print_series(
         &format!(
             "Figure 6: {} 10 cheapest ConCov-shw-2 TDs (DBMS-estimate cost)",
             inst.name
         ),
-        "cost,seconds",
+        "cost,seconds,tuples_materialised",
         &rows,
     );
     match run_baseline(inst, 60_000_000) {
@@ -46,8 +51,9 @@ fn ten_cheapest(inst: &Instance) {
 /// Average over `n` random decompositions; runs exceeding the
 /// materialisation cap count as `cap_penalty` seconds (the paper's runs
 /// simply took hundreds of seconds; we cap and penalise to keep the
-/// harness bounded). Returns (average seconds, timeouts).
-fn random_avg(inst: &Instance, concov: bool, n: usize) -> Option<(f64, usize)> {
+/// harness bounded). Returns (average seconds, timeouts, the tuples each
+/// run materialised — `cap` for a run cut at the cap).
+fn random_avg(inst: &Instance, concov: bool, n: usize) -> Option<(f64, usize, Vec<String>)> {
     const CAP: u64 = 30_000_000;
     const CAP_PENALTY: f64 = 30.0;
     let all_bags = soft_bags(&inst.h, inst.k);
@@ -59,17 +65,22 @@ fn random_avg(inst: &Instance, concov: bool, n: usize) -> Option<(f64, usize)> {
     let mut rng = SmallRng::seed_from_u64(7);
     let mut total = 0.0;
     let mut timeouts = 0usize;
+    let mut tuples = Vec::with_capacity(n);
     for _ in 0..n {
         let td = sample_random(&inst.h, &bags, &mut rng)?;
         match run_decomposition_capped(inst, &td, CAP) {
-            Some(run) => total += run.seconds,
+            Some(run) => {
+                total += run.seconds;
+                tuples.push(run.stats.tuples_materialised.to_string());
+            }
             None => {
                 total += CAP_PENALTY;
                 timeouts += 1;
+                tuples.push("cap".into());
             }
         }
     }
-    Some((total / n as f64, timeouts))
+    Some((total / n as f64, timeouts, tuples))
 }
 
 fn main() {
@@ -77,14 +88,15 @@ fn main() {
         let inst = prepare(name, 42);
         ten_cheapest(&inst);
     }
+    let mut tuples = Vec::new();
     println!("## Figure 6 (right): avg time of 10 random width-2 TDs");
     println!("query,concov_avg_seconds,all_avg_seconds,concov_timeouts,all_timeouts");
     for name in ["q_hto", "q_hto2"] {
         let inst = prepare(name, 42);
         let with = random_avg(&inst, true, 10);
         let without = random_avg(&inst, false, 10);
-        let fmt = |r: &Option<(f64, usize)>, idx: usize| match r {
-            Some((s, t)) => {
+        let fmt = |r: &Option<(f64, usize, Vec<String>)>, idx: usize| match r {
+            Some((s, t, _)) => {
                 if idx == 0 {
                     format!("{s:.6}")
                 } else {
@@ -99,6 +111,22 @@ fn main() {
             fmt(&without, 0),
             fmt(&with, 1),
             fmt(&without, 1)
+        );
+        let draws = |r: Option<(f64, usize, Vec<String>)>| r.map(|(.., t)| t).unwrap_or_default();
+        tuples.push((name, draws(with), draws(without)));
+    }
+    println!();
+    for (name, with, without) in tuples {
+        let rows: Vec<String> = (0..with.len().max(without.len()))
+            .map(|i| {
+                let at = |t: &[String]| t.get(i).cloned().unwrap_or_else(|| "n/a".into());
+                format!("{i},{},{}", at(&with), at(&without))
+            })
+            .collect();
+        print_series(
+            &format!("Figure 6 (right): {name} tuples materialised by the 10 random TDs"),
+            "draw,concov_tuples,all_tuples",
+            &rows,
         );
     }
 }
