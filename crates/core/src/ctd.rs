@@ -1062,8 +1062,9 @@ impl CtdInstance {
             return Err(inconsistent());
         }
         let mut td = None;
+        let mut basis = |b: usize| sat.basis[b].get().map(|(x, _)| x);
         for &rb in &self.root_blocks {
-            let root = (self.extract_tree(&sat.basis, rb, &mut vec![false; nb]))
+            let root = (self.extract_tree(rb, &mut basis, &mut vec![false; nb]))
                 .ok_or_else(inconsistent)?;
             self.materialise(&root, &mut td);
         }
@@ -1080,25 +1081,25 @@ impl CtdInstance {
             .expect("satisfaction table consistent with this instance")
     }
 
-    /// The one extractor of Algorithms 1 and 2: the tree below block `b`
-    /// that the basis column `pick` chooses, each block's subtrees those
-    /// of its basis's child blocks. `None` if a block on the way has no
-    /// basis in `pick`, has one naming a bag this instance does not have,
-    /// or is met a second time, which a column of this instance never
-    /// does (see the module docs).
+    /// The one tree reader of Algorithms 1 and 2 and of random sampling:
+    /// the tree below block `b` in which `choose` names each block's bag,
+    /// each block's subtrees those of its bag's child blocks. `None` if
+    /// `choose` names no bag for a block on the way, or one this instance
+    /// does not have, or a block is met a second time, which a choice of
+    /// viable candidates never makes (see the module docs).
     pub(crate) fn extract_tree(
         &self,
-        pick: &[Basis],
         b: usize,
+        choose: &mut impl FnMut(usize) -> Option<usize>,
         visited: &mut [bool],
     ) -> Option<TdNode> {
         if visited[b] {
             return None;
         }
-        let (x, _) = pick.get(b)?.get().filter(|&(x, _)| x < self.num_bags())?;
+        let x = choose(b).filter(|&x| x < self.num_bags())?;
         visited[b] = true;
         let children = (self.child_blocks(b, x).into_iter())
-            .map(|b2| self.extract_tree(pick, b2 as usize, visited))
+            .map(|b2| self.extract_tree(b2 as usize, choose, visited))
             .collect::<Option<_>>()?;
         Some(TdNode { bag: x, children })
     }
@@ -1266,7 +1267,8 @@ mod tests {
         let child = small.child_blocks(root, x)[0] as usize;
         let mut placed = vec![false; small.blocks.len()];
         placed[child] = true;
-        assert!(small.extract_tree(&own.basis, root, &mut placed).is_none());
+        let mut basis = |b: usize| own.basis[b].get().map(|(x, _)| x);
+        assert!(small.extract_tree(root, &mut basis, &mut placed).is_none());
         // The instance's own table still extracts.
         let td = small.try_extract(&own).unwrap().expect("C5 has shw 2");
         assert_eq!(td.validate(&cycle), Ok(()));

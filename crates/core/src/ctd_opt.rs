@@ -26,31 +26,36 @@
 //! provides what the paper's experimental prototype uses: exhaustive
 //! enumeration of all constraint-satisfying CTDs ranked by preference
 //! ([`enumerate_all`], with a cap), top-n extraction ([`top_n`]), and
-//! uniform-ish random sampling ([`sample_random`]).
+//! random sampling ([`sample_random`]). All of them read a block's viable
+//! candidates when they reach it (see [`crate::ctd`]). The DP and the
+//! sampler read their tree with Algorithm 1's one extractor, which takes
+//! the bag chosen per block: the DP's basis, or a random candidate whose
+//! children are satisfied. Neither they nor the enumeration guard against
+//! meeting a block twice: every child of a viable candidate is strictly
+//! smaller in `(|C|, |S|)`, and the children of one candidate have
+//! disjoint components, so no tree built top-down reaches a block twice.
 //!
-//! All of them read a block's viable candidates from the instance when
-//! they reach the block (see [`crate::ctd`]). The preference DP is no
-//! second engine:
-//! it is one pass over the blocks in Algorithm 1's dependency order, each
-//! settled once after its children, and Algorithm 1's extractor. Under a
-//! pure constraint (`Trivial`, `ConCov`: [`TdEvaluator::ranks`] is
-//! `false`) a block's value never changes once it has one, so the pass is
-//! Algorithm 1's own, asking the evaluator about a block's candidates in
-//! (wave, bag) order until one passes (`tests/best_shortcut_props.rs`
-//! pins that this changes no answer). Under an evaluator that ranks, a
-//! block replays its waves: it is asked in wave 0 and in the wave after
-//! each change of a child's value, against its children's values as of
-//! the wave before, and keeps a proposal only if it is strictly `better`.
-//! Those are the Jacobi rounds of the DP, with the same bases: in a round
-//! after no child changed, a block proposes what it proposed before,
-//! which is not strictly better than what it holds.
+//! The preference DP is no second engine: it is one pass over the blocks
+//! in Algorithm 1's dependency order, each settled once after its
+//! children. Under a pure constraint (`Trivial`, `ConCov`:
+//! [`TdEvaluator::ranks`] is `false`) a block's value never changes once
+//! it has one, so the pass is Algorithm 1's own, asking the evaluator
+//! about a block's candidates in (wave, bag) order until one passes
+//! (`tests/best_shortcut_props.rs` pins that this changes no answer).
+//! Under an evaluator that ranks, a block replays its waves: it is asked
+//! in wave 0 and in the wave after each change of a child's value,
+//! against its children's values as of the wave before, and keeps a
+//! proposal only if it is strictly `better`. Those are the Jacobi rounds
+//! of the DP, with the same bases: in a round after no child changed, a
+//! block proposes what it proposed before, which is not strictly better
+//! than what it holds.
 
 use crate::budget::Budget;
 use crate::ctd::{Basis, Candidates, CtdInstance, TdNode};
 use crate::error::DecompError;
 use crate::td::TreeDecomposition;
 use rand::Rng;
-use softhw_hypergraph::{BitSet, Hypergraph};
+use softhw_hypergraph::{BitSet, FxHashSet, Hypergraph};
 
 /// Evaluation of partial tree decompositions: subtree constraint plus
 /// total quasiordering, as in Section 6.1 of the paper.
@@ -325,8 +330,9 @@ pub fn best_on_budgeted<E: TdEvaluator>(
     // Extract one tree per connected component, chain them under the
     // first one's root, and summarise the stitched tree bottom-up.
     let nb = inst.blocks.len();
+    let mut pick = |b: usize| basis[b].get().map(|(x, _)| x);
     let roots: Vec<TdNode> = (inst.root_blocks.iter())
-        .map(|&rb| inst.extract_tree(&basis, rb, &mut vec![false; nb]))
+        .map(|&rb| inst.extract_tree(rb, &mut pick, &mut vec![false; nb]))
         .collect::<Option<_>>()
         .ok_or_else(|| DecompError::internal("value table inconsistent with this instance"))?;
     let roots: Vec<&TdNode> = roots.iter().collect();
@@ -405,20 +411,17 @@ pub fn enumerate_on<E: TdEvaluator>(
     opts: &EnumerateOptions,
 ) -> Vec<Ranked<E::Summary>> {
     let sat = inst.satisfy();
-    if !sat.accept {
+    if !sat.accept || inst.root_blocks.is_empty() {
         return Vec::new();
     }
     let satisfied: Vec<bool> = sat.basis.iter().map(|b| b.get().is_some()).collect();
-    let mut visited = vec![false; inst.blocks.len()];
     let unlimited = Budget::unlimited();
     let mut run = Run::new(inst, eval, &unlimited);
     let cannot_trip = "the unlimited budget cannot trip";
     // Enumerate per root block, then combine across connected components.
-    let mut per_root: Vec<Vec<(TdNode, E::Summary)>> = Vec::new();
-    for &rb in &inst.root_blocks {
-        let options = enum_block(&mut run, &satisfied, rb, &mut visited, opts);
-        per_root.push(options.expect(cannot_trip));
-    }
+    let per_root: Vec<Vec<(TdNode, E::Summary)>> = (inst.root_blocks.iter())
+        .map(|&rb| enum_block(&mut run, &satisfied, rb, opts).expect(cannot_trip))
+        .collect();
     if per_root.iter().any(Vec::is_empty) {
         return Vec::new();
     }
@@ -459,59 +462,53 @@ pub fn enumerate_on<E: TdEvaluator>(
         };
         out.push((td, summary));
     }
-    out.sort_by(|a, b| {
-        if eval.better(&a.1, &b.1) {
-            std::cmp::Ordering::Less
-        } else if eval.better(&b.1, &a.1) {
-            std::cmp::Ordering::Greater
-        } else {
-            std::cmp::Ordering::Equal
-        }
-    });
+    out.sort_by(|a, b| by_preference(eval, a, b));
     out.truncate(opts.cap_per_block);
     out
+}
+
+/// Orders `(tree, summary)` pairs best-first by `eval`'s preference;
+/// the sorts are stable, so equally good pairs keep their order.
+fn by_preference<E: TdEvaluator, T>(
+    eval: &E,
+    a: &(T, E::Summary),
+    b: &(T, E::Summary),
+) -> std::cmp::Ordering {
+    if eval.better(&a.1, &b.1) {
+        std::cmp::Ordering::Less
+    } else if eval.better(&b.1, &a.1) {
+        std::cmp::Ordering::Greater
+    } else {
+        std::cmp::Ordering::Equal
+    }
 }
 
 fn enum_block<E: TdEvaluator>(
     run: &mut Run<'_, E>,
     satisfied: &[bool],
     b: usize,
-    visited: &mut [bool],
     opts: &EnumerateOptions,
 ) -> Result<Vec<(TdNode, E::Summary)>, DecompError> {
     let (inst, eval) = (run.inst, run.eval);
     let mut results: Vec<(TdNode, E::Summary)> = Vec::new();
     // Viable candidates come with their child lists and cover the block
-    // with them, so only the satisfaction/cycle state is checked here.
+    // with them, so only the children's satisfaction is checked here.
     let mut candidates = Candidates::default();
     inst.read_candidates(b, &mut candidates);
     'bags: for (x, child_blocks) in candidates.iter() {
-        for &b2 in child_blocks {
-            if !satisfied[b2 as usize] || visited[b2 as usize] {
-                continue 'bags; // unsatisfiable child, or cyclic reconstruction
-            }
+        if !child_blocks.iter().all(|&b2| satisfied[b2 as usize]) {
+            continue;
         }
         // Recurse into children; each list comes back best-first and
         // truncated to the cap (sound for top-n under strong monotonicity:
         // a top-n parent combination only uses top-n child entries).
         let mut child_options: Vec<Vec<(TdNode, E::Summary)>> = Vec::new();
         for &b2 in child_blocks {
-            visited[b2 as usize] = true;
-        }
-        let mut ok = true;
-        for &b2 in child_blocks {
-            let opt = enum_block(run, satisfied, b2 as usize, visited, opts)?;
+            let opt = enum_block(run, satisfied, b2 as usize, opts)?;
             if opt.is_empty() {
-                ok = false;
-                break;
+                continue 'bags;
             }
             child_options.push(opt);
-        }
-        for &b2 in child_blocks {
-            visited[b2 as usize] = false;
-        }
-        if !ok {
-            continue;
         }
         // Best-first combination of children alternatives: start from the
         // all-best index vector and expand one coordinate at a time
@@ -520,9 +517,6 @@ fn enum_block<E: TdEvaluator>(
         // nondecreasing, so collecting the first `cap` yields the true
         // per-basis top list. Constraint-violating combos (eval = None)
         // are expanded but not emitted.
-        let mut open: Vec<(Vec<usize>, Option<E::Summary>)> = Vec::new();
-        let mut seen: softhw_hypergraph::FxHashSet<Vec<usize>> =
-            softhw_hypergraph::FxHashSet::default();
         let mut evaluate = |idxs: &[usize]| -> Result<Option<E::Summary>, DecompError> {
             let sums: Vec<E::Summary> = idxs
                 .iter()
@@ -532,8 +526,8 @@ fn enum_block<E: TdEvaluator>(
             run.node(x, &sums)
         };
         let start = vec![0usize; child_options.len()];
-        open.push((start.clone(), evaluate(&start)?));
-        seen.insert(start);
+        let mut open = vec![(start.clone(), evaluate(&start)?)];
+        let mut seen: FxHashSet<Vec<usize>> = [start].into_iter().collect();
         let mut emitted = 0usize;
         while !open.is_empty() && emitted < opts.cap_per_block {
             // Pop the best open entry: None summaries (violations)
@@ -573,15 +567,7 @@ fn enum_block<E: TdEvaluator>(
         }
     }
     // Keep the block's alternatives ordered best-first and capped.
-    results.sort_by(|a, b| {
-        if eval.better(&a.1, &b.1) {
-            std::cmp::Ordering::Less
-        } else if eval.better(&b.1, &a.1) {
-            std::cmp::Ordering::Greater
-        } else {
-            std::cmp::Ordering::Equal
-        }
-    });
+    results.sort_by(|a, b| by_preference(eval, a, b));
     results.truncate(opts.cap_per_block);
     Ok(results)
 }
@@ -606,10 +592,10 @@ pub fn top_n<E: TdEvaluator>(
     out
 }
 
-/// Samples a random CTD by walking the satisfaction table with random
-/// basis choices. Returns `None` when no CTD exists (or after repeated
-/// dead ends, which cannot happen on satisfiable instances because every
-/// satisfiable block retains at least its DP basis).
+/// Samples a random CTD: Algorithm 1's table, then the one extractor on
+/// each root block, where every block takes a uniformly random one of its
+/// viable candidates whose children are all satisfied. Returns `None`
+/// when no CTD exists.
 pub fn sample_random<R: Rng>(
     h: &Hypergraph,
     bags: &[BitSet],
@@ -620,70 +606,29 @@ pub fn sample_random<R: Rng>(
     if !sat.accept {
         return None;
     }
-    let satisfied: Vec<bool> = sat.basis.iter().map(|b| b.get().is_some()).collect();
-    'attempt: for _ in 0..64 {
-        let mut td: Option<TreeDecomposition> = None;
-        for &rb in &inst.root_blocks {
-            let mut visited = vec![false; inst.blocks.len()];
-            if !sample_block(&inst, &satisfied, rb, &mut visited, rng, &mut td, None) {
-                continue 'attempt;
-            }
-        }
-        return td;
-    }
-    // Deterministic fallback: the DP extraction always works.
-    inst.extract(&sat)
-}
-
-fn sample_block<R: Rng>(
-    inst: &CtdInstance,
-    satisfied: &[bool],
-    b: usize,
-    visited: &mut [bool],
-    rng: &mut R,
-    td: &mut Option<TreeDecomposition>,
-    parent: Option<usize>,
-) -> bool {
-    visited[b] = true;
-    // Collect valid bases under the satisfaction table: viable candidates
-    // whose children are satisfied and acyclic.
-    let mut read = Candidates::default();
-    inst.read_candidates(b, &mut read);
-    let candidates: Vec<(usize, &[u32])> = (read.iter())
-        .filter(|(_, children)| {
-            children
-                .iter()
-                .all(|&b2| satisfied[b2 as usize] && !visited[b2 as usize])
-        })
-        .collect();
-    if candidates.is_empty() {
-        return false;
-    }
-    let (x, children) = candidates[rng.gen_range(0..candidates.len())];
-    let node = match (td.as_mut(), parent) {
-        (None, _) => {
-            *td = Some(TreeDecomposition::new(inst.bag(x).clone()));
-            td.as_ref().expect("just set").root()
-        }
-        (Some(t), Some(p)) => t.add_child(p, inst.bag(x).clone()),
-        (Some(t), None) => {
-            let r = t.root();
-            t.add_child(r, inst.bag(x).clone())
-        }
+    let satisfied = |c: &u32| sat.basis[*c as usize].get().is_some();
+    let (mut read, mut choices) = (Candidates::default(), Vec::new());
+    // Every block reached is satisfied, and so holds its basis among the
+    // choices: the range drawn from is never empty.
+    let mut choose = |b: usize| {
+        inst.read_candidates(b, &mut read);
+        choices.clear();
+        let viable = (read.iter()).filter(|(_, children)| children.iter().all(satisfied));
+        choices.extend(viable.map(|(x, _)| x));
+        Some(choices[rng.gen_range(0..choices.len())])
     };
-    for &b2 in children {
-        if !sample_block(inst, satisfied, b2 as usize, visited, rng, td, Some(node)) {
-            return false;
-        }
+    let mut td = None;
+    for &rb in &inst.root_blocks {
+        let root = inst.extract_tree(rb, &mut choose, &mut vec![false; inst.blocks.len()])?;
+        inst.materialise(&root, &mut td);
     }
-    true
+    td
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraints::{BagCost, ConCov, Lexi, PartClust, ShallowCyc, Trivial};
-    use crate::ctd::Basis;
     use crate::soft::soft_bags;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -847,34 +792,11 @@ mod tests {
     /// summary of the partial decomposition below it.
     type Value<S> = Option<(usize, S)>;
 
-    /// Extraction following the best-value table from block `b`; a
-    /// revisited block is answered from `fallback`, the boolean DP's
-    /// timestamp-ordered basis (which is provably acyclic).
-    fn extract_best<S>(
-        inst: &CtdInstance,
-        value: &[Value<S>],
-        fallback: &[Basis],
-        b: usize,
-        visited: &mut [bool],
-    ) -> Option<TdNode> {
-        let x = if visited[b] {
-            fallback[b].get().map(|(x, _)| x)
-        } else {
-            value[b].as_ref().map(|(x, _)| *x)
-        };
-        let x = x?;
-        visited[b] = true;
-        let mut children = Vec::new();
-        for b2 in inst.child_blocks(b, x) {
-            children.push(extract_best(inst, value, fallback, b2 as usize, visited)?);
-        }
-        Some(TdNode { bag: x, children })
-    }
-
     /// Algorithm 2 as it ran before the bag-local table: full Jacobi
     /// rounds in which every *(block, viable candidate)* pair re-runs
-    /// both halves of the evaluator, then the same extraction, and the
-    /// summary from [`evaluate_td`] on the finished tree.
+    /// both halves of the evaluator, then the one extractor following the
+    /// best-value table, and the summary from [`evaluate_td`] on the
+    /// finished tree.
     fn per_pair_reference<E: TdEvaluator>(
         inst: &CtdInstance,
         eval: &E,
@@ -918,10 +840,10 @@ mod tests {
                 }
             }
         }
-        let basis = inst.satisfy().basis;
+        let mut pick = |b: usize| value[b].as_ref().map(|(x, _)| *x);
         let mut td = None;
         for &rb in &inst.root_blocks {
-            let root = extract_best(inst, &value, &basis, rb, &mut vec![false; nb])?;
+            let root = inst.extract_tree(rb, &mut pick, &mut vec![false; nb])?;
             inst.materialise(&root, &mut td);
         }
         let td = td?;

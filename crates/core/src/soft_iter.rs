@@ -195,13 +195,19 @@ fn intersect(
 /// Decides `shw_i(H) ≤ k` (soft hypertree width of order `i`); returns a
 /// witness CTD over `Soft^i_{H,k}` on success. The CTD instance is built
 /// on the hierarchy's own block index, so the components cached while
-/// generating the levels are reused for the block table.
+/// generating the levels are reused for the block table. At `k ≥ |E(H)|`
+/// no level is walked: see `components_decide`. Below that, a width
+/// whose `λ` subsets outnumber `limits` still trips them (H2 at `k = 6`
+/// and `7`).
 pub fn shw_i_leq(
     h: &Hypergraph,
     k: usize,
     i: usize,
     limits: &SoftLimits,
 ) -> Result<Option<TreeDecomposition>, LimitExceeded> {
+    if k >= h.num_edges() {
+        return Ok(components_decide(h));
+    }
     let mut hier = SoftHierarchy::new(h, k, limits.clone());
     let bags = hier.soft_level_ids(i)?.to_vec();
     Ok(CtdInstance::build(hier.index_mut(), &bags).decide())
@@ -232,16 +238,31 @@ fn least_k(
 
 /// Decides `ghw(H) ≤ k` via the fixpoint of the soft hierarchy
 /// (Theorem 7: `shw_∞ = ghw`). Exponential-ish; intended for small
-/// hypergraphs (tests, the `hierarchy` experiment binary).
+/// hypergraphs (tests, the `hierarchy` experiment binary). At
+/// `k ≥ |E(H)|` no level is walked (`components_decide`); below that,
+/// the limits can still trip, as on H2 at `k = 6` and `7`.
 pub fn ghw_leq_via_fixpoint(
     h: &Hypergraph,
     k: usize,
     limits: &SoftLimits,
 ) -> Result<Option<TreeDecomposition>, LimitExceeded> {
+    if k >= h.num_edges() {
+        return Ok(components_decide(h));
+    }
     let mut hier = SoftHierarchy::new(h, k, limits.clone());
     let lvl = hier.fixpoint(usize::MAX)?;
     let bags = hier.soft_level_ids(lvl)?.to_vec();
     Ok(CtdInstance::build(hier.index_mut(), &bags).decide())
+}
+
+/// The decision of [`shw_i_leq`] and [`ghw_leq_via_fixpoint`] at
+/// `k ≥ |E(H)|`, on the vertex sets of `H`'s connected components alone.
+/// Each is in every `Soft^i_{H,k}` (`λ1 = E(H)`, `λ2 = ∅`, and
+/// `E(H) ⊆ E^(i)` by induction), and they alone make a CTD, one bag per
+/// component, so the answer is yes without walking a level, whose `λ`
+/// subsets of `E^(i)` would be every subset there is.
+fn components_decide(h: &Hypergraph) -> Option<TreeDecomposition> {
+    CtdInstance::new(h, &h.vertex_components(&h.empty_vertex_set())).decide()
 }
 
 /// Computes `ghw(H)` exactly via the fixpoint characterisation.
@@ -408,6 +429,26 @@ mod tests {
         // an edge and subedge intersections only shrink edges.
         let bag = h.vset(&["1", "5"]);
         assert!(soft_i_witness(&h, 1, 1, &bag, &limits()).unwrap().is_none());
+    }
+
+    /// At `k = |E|` and past it the component sets decide, where walking
+    /// `Soft^1` over every subset of `E^(1)` trips the default limits.
+    #[test]
+    fn a_width_of_the_edge_count_answers_yes_on_h2() {
+        let h = named::h2();
+        let walked = SoftHierarchy::new(&h, h.num_edges(), limits()).soft_level(1);
+        assert!(walked.is_err(), "the walk must trip for this test to bite");
+        for k in [h.num_edges(), usize::MAX] {
+            let ghw = ghw_leq_via_fixpoint(&h, k, &limits())
+                .unwrap()
+                .expect("yes");
+            assert_eq!(ghw.validate(&h), Ok(()));
+            assert_eq!(ghw.bags(), [h.all_vertices()]);
+            for i in 0..3 {
+                let shw = shw_i_leq(&h, k, i, &limits()).unwrap().expect("yes");
+                assert_eq!(shw.bags(), [h.all_vertices()], "shw_{i}, k = {k}");
+            }
+        }
     }
 
     #[test]

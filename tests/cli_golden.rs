@@ -72,9 +72,9 @@ const EXTRA: &[(&str, &str)] = &[
 ];
 
 /// Cases added to the local test only, since `--connect` serves neither
-/// `ghw` nor `shw1`: a width past `|E|` walks the λ subsets `|E|` does,
-/// sizing nothing by `k`. On H2 the iterated pools then trip
-/// `max_lambda_sets` (exit 2); on C6 they answer.
+/// `ghw` nor `shw1`: a width at or past `|E|` is decided on the vertex
+/// sets of the connected components, sizing nothing by `k` and walking
+/// no `λ` subsets, so H2 and C6 both answer yes.
 const LOCAL_EXTRA: &[(&str, &str)] = &[
     ("h2.hg", "--measure ghw --width 18446744073709551615"),
     ("h2.hg", "--measure shw1 --width 18446744073709551615"),

@@ -43,7 +43,7 @@ fn random_shape(seed: u64) -> Hypergraph {
         num_edges: edges,
         min_arity: 2,
         max_arity: 3,
-        connect: seed % 2 == 0,
+        connect: seed.is_multiple_of(2),
     };
     random_hypergraph(&config, seed)
 }

@@ -111,6 +111,21 @@ fn lexi_constraint_first_cost_second() {
     }
 }
 
+/// An edgeless hypergraph has no CTD to rank or sample: every procedure
+/// of Section 6's prototype answers with nothing (the enumeration used
+/// to panic on the empty combination of zero components).
+#[test]
+fn an_edgeless_hypergraph_ranks_and_samples_nothing() {
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    let h = HypergraphBuilder::new().build();
+    let opts = EnumerateOptions::default();
+    assert!(best(&h, &[], &Trivial).is_none());
+    assert!(enumerate_all(&h, &[], &Trivial, &opts).is_empty());
+    assert!(top_n(&h, &[], &BagCost::new(|b: &BitSet| b.len() as f64), 10).is_empty());
+    assert!(sample_random(&h, &[], &mut SmallRng::seed_from_u64(0)).is_none());
+}
+
 #[test]
 fn sampling_covers_multiple_decompositions() {
     use rand::rngs::SmallRng;

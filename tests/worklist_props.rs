@@ -19,7 +19,7 @@ use softhw::core::ctd::{CtdInstance, ScanStats};
 use softhw::core::shw::{shw_leq_indexed_budgeted, soft_instance};
 use softhw::core::soft::{soft_bag_ids, soft_bags_with, SoftLimits};
 use softhw::core::{solve, Budget, SolveSpec, Solved};
-use softhw::hypergraph::arena::{words_subset, words_union_into};
+use softhw::hypergraph::arena::{words_card, words_subset, words_union_into};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{named, BitSet, BlockIndex, Hypergraph, HypergraphBuilder};
 
@@ -222,6 +222,62 @@ fn req_decides_coverage_on_the_pool_and_small_grids() {
             assert_req_decides_coverage(&CtdInstance::new(&h, &bags));
         }
     }
+}
+
+/// The lemma every tree reader rests on (the extractor, the sampler and
+/// the enumeration; see `softhw_core::ctd`): each child `(X, Y)` of a
+/// viable candidate `X` of `(S, C)` is strictly smaller in `(|C|, |S|)`,
+/// with `|S| = 0` for a root block, and the children of one candidate
+/// have pairwise disjoint components. So a tree read top-down meets no
+/// block twice, and none of them keeps a guard for it. Returns the
+/// `(block, candidate)` pairs and the children checked.
+fn assert_children_are_smaller_and_disjoint(inst: &CtdInstance) -> (usize, usize) {
+    let size = |b: usize| {
+        let blk = &inst.blocks[b];
+        let head = blk.head().map_or(0, |s| inst.bag(s).len());
+        (words_card(inst.words(blk.comp)), head)
+    };
+    let (mut pairs, mut children_read) = (0, 0);
+    let mut union = Vec::new();
+    for b in 0..inst.blocks.len() {
+        for (x, children) in inst.viable_candidates(b) {
+            pairs += 1;
+            union.clear();
+            union.resize(inst.words(inst.blocks[b].comp).len(), 0u64);
+            for &c in &children {
+                children_read += 1;
+                assert!(size(c as usize) < size(b), "block {b}, bag {x}, child {c}");
+                let comp = inst.words(inst.blocks[c as usize].comp);
+                let disjoint = comp.iter().zip(&union).all(|(w, u)| w & u == 0);
+                assert!(disjoint, "block {b}, bag {x}: child {c} overlaps a sibling");
+                words_union_into(comp, &mut union);
+            }
+        }
+    }
+    (pairs, children_read)
+}
+
+#[test]
+fn children_are_smaller_and_disjoint_on_the_pool_and_small_grids() {
+    let mut pool_counts = (0, 0);
+    for (_, _, inst) in pool() {
+        let (pairs, children) = assert_children_are_smaller_and_disjoint(&inst);
+        pool_counts = (pool_counts.0 + pairs, pool_counts.1 + children);
+    }
+    let mut grid_counts = (0, 0);
+    for n in 1..=6 {
+        let h = named::grid(n, n);
+        for k in 1..=3 {
+            let bags = soft_bags_with(&h, k, &SoftLimits::default()).unwrap();
+            let inst = CtdInstance::new(&h, &bags);
+            let (pairs, children) = assert_children_are_smaller_and_disjoint(&inst);
+            grid_counts = (grid_counts.0 + pairs, grid_counts.1 + children);
+        }
+    }
+    assert_eq!(
+        (pool_counts, grid_counts),
+        ((76_990, 74_703), (3_900_137, 4_204_147))
+    );
 }
 
 /// `grid(10, 10)` at `k = 2` through a shared index, as the exact-width
