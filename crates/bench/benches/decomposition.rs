@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the decomposition machinery: candidate
-//! bag generation, bag interning, Algorithm 1, the shw/hw solvers, and the top-10
+//! bag generation, bag interning, Algorithm 1 (end to end, and its one pass
+//! on prebuilt instances), the shw/hw solvers, and the top-10
 //! enumeration whose latency Table 1 reports ("a few milliseconds").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -156,12 +157,44 @@ fn bench_constrained_best(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_satisfy(c: &mut Criterion) {
+    // Algorithm 1's one pass alone, on instances built once: a 14-edge
+    // shape of the cold serving family (as many vertices, 2-3 vertices an
+    // edge) at k = 3, where components are shared by several blocks, and
+    // the 10x10 grid at k = 2, where most components belong to one block.
+    use softhw_core::ctd::CtdInstance;
+    use softhw_core::soft::{soft_bag_ids, SoftLimits};
+    use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
+    use softhw_hypergraph::BlockIndex;
+    let cold = RandomConfig {
+        num_vertices: 14,
+        num_edges: 14,
+        min_arity: 2,
+        max_arity: 3,
+        connect: true,
+    };
+    let mut g = c.benchmark_group("satisfy");
+    for (name, h, k) in [
+        ("cold14/k3", random_hypergraph(&cold, 14), 3),
+        ("grid10x10/k2", named::grid(10, 10), 2),
+    ] {
+        let mut index = BlockIndex::new(&h);
+        let ids = soft_bag_ids(&mut index, k, &SoftLimits::default()).unwrap();
+        let inst = CtdInstance::build(&mut index, &ids);
+        g.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| black_box(inst.satisfy().accept))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_soft_generation,
     bench_soft_arena_vs_reference,
     bench_arena_intern,
     bench_algorithm1,
+    bench_satisfy,
     bench_width_solvers,
     bench_table1_top10,
     bench_constrained_best

@@ -41,25 +41,43 @@
 //! covers `C ∪ req = cover`. A block's **viable candidates** are
 //! therefore the bags holding `req`, found through an inverted vertex →
 //! bags index (`VertexBags`), less `S` and the bags outside `S ∪ C`
-//! (`x & !(s | c) == 0` over the three rows, no closure row stored). A
-//! candidate's children are the blocks it heads whose component meets
-//! `C`: one bit test on the component's smallest vertex. A pass reads a
-//! block's candidates when it settles the block
-//! (`CtdInstance::read_candidates`), into buffers it reuses from block to
-//! block, so an instance holds its rows, its blocks and that index, and
-//! no per-block table.
+//! (`x & !(s | c) == 0` over the three rows). A candidate's children are
+//! the blocks it heads whose component meets `C`: one bit test on the
+//! component's smallest vertex.
 //!
 //! **Children are smaller, so one pass settles every block.** A child
 //! `(X, Y)` of a viable candidate of `(S, C)` has `Y ⊆ C`. If `Y = C`,
 //! then `X` misses `C` (a component misses its separator), so `X ⊆ S ∪ C`
 //! gives `X ⊆ S`, and `X ≠ S` gives `X ⊊ S`. Every child is therefore
-//! strictly smaller in `(|C|, |S|)`, and a pass over the blocks in that
-//! order (`CtdInstance::ordered_pass`) reads only children it has
-//! already settled — the shape of Moll, Tazari and Thurley's exact-width
-//! dynamic programs, where each state is finalised from strictly smaller
-//! ones. (A candidate with a `Y = C` child never becomes a basis: that
-//! child's own basis is viable for `(S, C)` too, a wave lower. The `|S|`
-//! key is what keeps every child read settled, not what decides.)
+//! strictly smaller in `(|C|, |S|)`, and a pass over the blocks in
+//! ascending `(|C|, C, |S|)` (`CtdInstance::pass_order`, `C` by row)
+//! reads only children it has already settled — the shape of Moll,
+//! Tazari and Thurley's exact-width dynamic programs, where each state is
+//! finalised from strictly smaller ones.
+//!
+//! **A bag that misses `C` is never a first choice.** Such a viable
+//! candidate `X` of `(S, C)` lies inside `S`, and with `req ⊆ X` the one
+//! `[X]`-component that meets `C` is `C` itself: `X` has the child
+//! `(X, C)`. That child's basis `Z` meets `C`, lies inside `X ∪ C ⊆ S ∪
+//! C`, is not `S` (which `X ∪ C` does not hold), and has the same
+//! children under `(S, C)` as under `(X, C)`, since children depend on
+//! the bag and `C` alone. So `Z` is viable for `(S, C)` at the child's
+//! wave, below `X`'s, and a rule that judges a candidate by its bag, its
+//! children and their values alone takes it there as it did for the
+//! child. The pass therefore drops the bags that miss `C`, and every
+//! candidate it keeps has children with `|Y| < |C|` only.
+//!
+//! **One read per component.** Blocks that share `C` share `req`, the
+//! bags holding it and each such bag's children, and the pass order keeps
+//! them together. The pass reads a component once, when it settles its
+//! blocks (`CtdInstance::read_component`): one `req` AND, then the bags
+//! that meet `C` and lie inside `C ∪ ⋃S` over the blocks' heads `S`, each
+//! with its children and its wave, into buffers it reuses from component
+//! to component. So an instance holds its rows, its blocks and that
+//! index, and no per-block table. The ranked pass, sampling and
+//! enumeration need a block's whole viable set, and read it per block
+//! (`CtdInstance::read_candidates`) through the same AND.
+//!
 //! The pass gives each block the Jacobi *wave* it would be satisfied in:
 //! 0 if a viable candidate has no children, otherwise `1 + max child
 //! wave` minimised over viable candidates; its basis is the least bag
@@ -67,10 +85,12 @@
 //! block id). Those are exactly the bases and timestamps of the retained
 //! Jacobi reference ([`CtdInstance::satisfy_jacobi`]), where round `r`
 //! satisfies, in block order, the unsatisfied blocks with a viable
-//! candidate whose children were all satisfied by round `r − 1`. Once a
-//! block's candidates are read, the pass drops a candidate as soon as a
-//! child's wave rules it out and stops at wave 0, with no word-level set
-//! algebra at all.
+//! candidate whose children were all satisfied by round `r − 1`. Per
+//! component, the pass gives each block the least candidate in (wave,
+//! bag) order inside its `S ∪ C` that the rule takes. It reads a
+//! candidate's wave off its children when a block first needs it,
+//! stops at a child that rules the candidate out, and asks the rule
+//! about each bag at most once.
 //!
 //! Algorithm 2 ([`crate::ctd_opt`]) is one pass in the same order for
 //! every evaluator. Under one that does not rank (`Trivial`, `ConCov`)
@@ -170,9 +190,13 @@ fn offset(n: usize) -> Result<u32, DecompError> {
     })
 }
 
-/// The wave of a block no candidate satisfies (or not settled yet) in
-/// [`CtdInstance::ordered_pass`].
+/// The wave of a candidate [`CtdInstance::ordered_pass`] cannot take: a
+/// child is unsatisfied, or the pass's rule turned the candidate down.
 const NO_WAVE: u32 = u32::MAX;
+
+/// A candidate's wave before [`CtdInstance::ordered_pass`] reads it off
+/// the candidate's children: no pass has that many waves.
+const UNREAD: u32 = NO_WAVE - 1;
 
 /// `ids` stably sorted by `key`, every key below `n`: a counting sort.
 fn sorted_by_key(
@@ -196,20 +220,22 @@ fn sorted_by_key(
     out
 }
 
-/// Clock-free work counts of reading every block's viable candidates
-/// once ([`CtdInstance::scan_stats`]), the read a pass of Algorithm 1
-/// makes (exposed for tests, like
-/// [`softhw_hypergraph::blocks::BlockIndexStats::rounds`]).
+/// Clock-free work counts of the candidate reads one pass of Algorithm 1
+/// makes, one per component ([`CtdInstance::scan_stats`]; exposed for
+/// tests, like [`softhw_hypergraph::blocks::BlockIndexStats::rounds`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Blocks read.
+    /// Blocks settled.
     pub blocks: u64,
-    /// Blocks whose `req` was as large as the largest bag: no candidate,
-    /// and no index word read.
+    /// Components read: runs of blocks that share one.
+    pub components: u64,
+    /// Blocks whose component's `req` was as large as the largest bag:
+    /// no candidate, and no index word read.
     pub direct: u64,
-    /// Words of the vertex × bag table the other blocks read.
+    /// Words of the vertex × bag table the other components read.
     pub row_words: u64,
-    /// Viable candidates found.
+    /// Candidates kept: per component, the bags holding `req` that meet
+    /// the component and lie inside it and its blocks' heads.
     pub candidates: u64,
     /// Child blocks of those candidates.
     pub children: u64,
@@ -222,8 +248,8 @@ const SUMMARY_SPAN: usize = u64::BITS as usize;
 /// an AND over `req`'s rows instead of a subset test per bag, and the
 /// AND first runs on one summary word per [`SUMMARY_SPAN`] row words so
 /// it only ever touches the words of a row in which every `req` vertex
-/// has a bag at all. Built once per instance; every candidate read
-/// ([`CtdInstance::read_candidates`]) runs on it.
+/// has a bag at all. Built once per instance; both candidate readers
+/// run on it ([`CtdInstance::holders`]).
 struct VertexBags {
     /// Vertex × bag bitmask (`xwords` words per row): bit `x` of row `v`
     /// is set iff vertex `v` ∈ bag `x`.
@@ -356,21 +382,25 @@ pub(crate) struct TdNode {
     pub(crate) children: Vec<TdNode>,
 }
 
-/// One block's viable candidates with their child blocks, as
-/// [`CtdInstance::read_candidates`] leaves them, and the buffers it reads
-/// them with. A pass keeps one and reuses it from block to block, so the
-/// reads allocate nothing once the buffers have grown.
+/// The candidates one read leaves, each with its child blocks, and the
+/// buffers it reads them with: a block's viable candidates
+/// ([`CtdInstance::read_candidates`]) or the candidates a component's
+/// blocks share ([`CtdInstance::read_component`]). A pass keeps one and
+/// reuses it from read to read, so the reads allocate nothing once the
+/// buffers have grown.
 #[derive(Default)]
 pub(crate) struct Candidates {
-    /// The block's `req` vertices.
+    /// The `req` vertices.
     req: Vec<usize>,
     /// Surviving summary words of the whole row.
     summary: Vec<u64>,
-    /// The viable candidate bags, ascending.
+    /// The component with its blocks' heads, `C ∪ ⋃S`.
+    closure: Vec<u64>,
+    /// The candidate bags, ascending.
     xs: Vec<u32>,
     /// Per candidate, where its children end in `children`; they start
     /// where the previous candidate's end.
-    ends: Vec<usize>,
+    ends: Vec<u32>,
     /// Child block ids, concatenated.
     children: Vec<u32>,
     /// What the reads cost so far.
@@ -378,46 +408,25 @@ pub(crate) struct Candidates {
 }
 
 impl Candidates {
-    /// The candidates with their child blocks, ascending in bag index.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[u32])> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        (self.xs.iter().zip(starts.zip(&self.ends)))
-            .map(|(&x, (start, &end))| (x as usize, &self.children[start..end]))
+    /// Candidate `i`, ascending in bag index, with its child blocks.
+    fn get(&self, i: usize) -> (usize, &[u32]) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        (
+            self.xs[i] as usize,
+            &self.children[start..self.ends[i] as usize],
+        )
     }
 
-    /// The candidate first in (wave, bag) order past `after`, as `(wave,
-    /// bag, children)`. A candidate's wave is 0 without children and `1 +
-    /// max child wave` otherwise, off `wave` — complete for every child,
-    /// by [`CtdInstance::pass_order`], with [`NO_WAVE`] for an
-    /// unsatisfied block. The scan drops a candidate at the first child
-    /// whose wave rules it out, and stops at the least wave a candidate
-    /// past `after` can have.
-    fn next(&self, wave: &[u32], after: Option<(u32, usize)>) -> Option<(u32, usize, &[u32])> {
-        let floor = after.map_or(0, |(w, _)| w);
-        let mut best = None;
-        // A candidate beats `best` only with a wave below `bound`: a later
-        // bag loses a tie.
-        let mut bound = NO_WAVE;
-        'candidates: for (x, children) in self.iter() {
-            let mut w = 0;
-            for &c in children {
-                // `bound > floor ≥ 0` here, and `NO_WAVE` never passes.
-                let cw = wave[c as usize];
-                if cw >= bound - 1 {
-                    continue 'candidates;
-                }
-                w = w.max(cw + 1);
-            }
-            if after.is_some_and(|tried| (w, x) <= tried) {
-                continue;
-            }
-            best = Some((w, x, children));
-            bound = w;
-            if w == floor {
-                break;
-            }
-        }
-        best
+    /// The candidates with their child blocks, ascending in bag index.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        (0..self.xs.len()).map(|i| self.get(i))
+    }
+
+    /// Empties the candidate lists for the next read.
+    fn clear(&mut self) {
+        self.xs.clear();
+        self.ends.clear();
+        self.children.clear();
     }
 }
 
@@ -674,13 +683,13 @@ impl CtdInstance {
         self.blocks_by_head.len()
     }
 
-    /// What reading every block's viable candidates once costs
-    /// (`CtdInstance::read_candidates`): the read one pass of
-    /// Algorithm 1 makes.
+    /// What the candidate reads of one pass of Algorithm 1 cost: one
+    /// `CtdInstance::read_component` per run of blocks that share a
+    /// component, in pass order.
     pub fn scan_stats(&self) -> ScanStats {
         let mut read = Candidates::default();
-        for b in 0..self.blocks.len() {
-            self.read_candidates(b, &mut read);
+        for run in self.runs(&self.pass_order()) {
+            self.read_component(run, &mut read);
         }
         read.stats
     }
@@ -782,41 +791,39 @@ impl CtdInstance {
         words_subset(self.rows.get(blk.cover), buf)
     }
 
-    /// Reads the viable candidates of block `b = (S, C)` into `out`,
-    /// ascending in bag index, each with its child blocks (see the module
-    /// docs): the bags holding `req = cover ∖ C` that are not `S` and lie
-    /// inside `S ∪ C`, and per candidate the blocks it heads whose
-    /// component meets `C`. A viable `x` is a basis iff all its children
-    /// are satisfied.
+    /// The AND kernel of both candidate readers: sets `out`'s candidates
+    /// to the bags holding `req = cover ∖ C` of block `blk` that `keep`
+    /// keeps, ascending and without children yet, and returns `false`
+    /// when no index word needs reading.
     ///
     /// `req ⊆ S`: a vertex outside `C` that shares an edge with `C` would
     /// belong to `C` were it not in `S`. So when `|req|` equals the
     /// largest bag cardinality, `S = req` is the one bag holding `req`
     /// (a root block's `req` is empty, as large only without bags), and
-    /// the block has no candidate: no index word is read. Otherwise
-    /// the bags holding `req` come from the inverted index, top level
-    /// first: the AND of the `req` vertices' summary rows names the row
-    /// words in which every `req` vertex has a bag at all, and the row
-    /// AND then reads exactly those words. A block costs `|req| × bags /
-    /// 4096` summary words plus at most `|req|` words per surviving row
-    /// word ([`ScanStats::row_words`] counts them), where a flat AND reads
-    /// `|req| × bags / 64` words.
-    pub(crate) fn read_candidates(&self, b: usize, out: &mut Candidates) {
+    /// no block of the component has a candidate: the kernel reads
+    /// nothing. Otherwise the bags holding `req` come from the inverted
+    /// index, top level first: the AND of the `req` vertices' summary
+    /// rows names the row words in which every `req` vertex has a bag at
+    /// all, and the row AND then reads exactly those words. That costs
+    /// `|req| × bags / 4096` summary words plus at most `|req|` words per
+    /// surviving row word ([`ScanStats::row_words`] counts them), where a
+    /// flat AND reads `|req| × bags / 64` words.
+    fn holders(
+        &self,
+        blk: &Block,
+        out: &mut Candidates,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> bool {
+        out.clear();
+        let (cover, comp) = (self.rows.get(blk.cover), self.rows.get(blk.comp));
+        let vb = &self.vertex_bags;
         let Candidates {
             req,
             summary,
             xs,
-            ends,
-            children,
             stats,
+            ..
         } = out;
-        xs.clear();
-        ends.clear();
-        children.clear();
-        stats.blocks += 1;
-        let blk = &self.blocks[b];
-        let (cover, comp) = (self.rows.get(blk.cover), self.rows.get(blk.comp));
-        let vb = &self.vertex_bags;
         req.clear();
         for (wi, (&c, &m)) in cover.iter().zip(comp).enumerate() {
             let mut bits = c & !m;
@@ -826,8 +833,7 @@ impl CtdInstance {
             }
         }
         if req.len() == vb.max_card {
-            stats.direct += 1;
-            return;
+            return false;
         }
         // Top level: the row words in which every `req` vertex has some bag.
         let (xwords, swords) = (vb.xwords, vb.swords());
@@ -835,7 +841,7 @@ impl CtdInstance {
         summary.extend((0..swords).map(|si| word_tail_mask(xwords, si)));
         for &v in req.iter() {
             if !and_into_any(&vb.summary[v * swords..(v + 1) * swords], summary) {
-                return;
+                return true;
             }
         }
         for (si, &live) in summary.iter().enumerate() {
@@ -855,17 +861,82 @@ impl CtdInstance {
                 while bits != 0 {
                     let x = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if blk.is_headed_by(x) || !self.in_closure(x, blk) {
-                        continue;
+                    if keep(x) {
+                        xs.push(x as u32);
                     }
-                    self.blocks_meeting(x, comp, children);
-                    xs.push(x as u32);
-                    ends.push(children.len());
                 }
             }
         }
-        stats.candidates += xs.len() as u64;
-        stats.children += children.len() as u64;
+        true
+    }
+
+    /// Lists each of `out`'s candidates' children in component `comp`,
+    /// and counts the read.
+    fn read_children(&self, comp: BagId, out: &mut Candidates) {
+        let comp = self.rows.get(comp);
+        for &x in &out.xs {
+            self.blocks_meeting(x as usize, comp, &mut out.children);
+            out.ends.push(out.children.len() as u32);
+        }
+        out.stats.candidates += out.xs.len() as u64;
+        out.stats.children += out.children.len() as u64;
+    }
+
+    /// Reads the viable candidates of block `b = (S, C)` into `out`,
+    /// ascending in bag index, each with its child blocks (see the module
+    /// docs): the bags holding `req = cover ∖ C` ([`CtdInstance::holders`])
+    /// that are not `S` and lie inside `S ∪ C`, and per candidate the
+    /// blocks it heads whose component meets `C`. A viable `x` is a basis
+    /// iff all its children are satisfied. The ranked pass, sampling and
+    /// enumeration read through this; Algorithm 1's pass reads a
+    /// component at a time ([`CtdInstance::read_component`]).
+    pub(crate) fn read_candidates(&self, b: usize, out: &mut Candidates) {
+        out.stats.blocks += 1;
+        let blk = &self.blocks[b];
+        let viable = |x| !blk.is_headed_by(x) && self.in_closure(x, blk);
+        if !self.holders(blk, out, viable) {
+            out.stats.direct += 1;
+            return;
+        }
+        self.read_children(blk.comp, out);
+    }
+
+    /// Reads the candidates the blocks of `run` share into `out`,
+    /// ascending in bag index, each with its child blocks: `run` is a run
+    /// of [`CtdInstance::pass_order`] whose blocks `(S, C)` share `C`, so
+    /// they share `req` and one AND ([`CtdInstance::holders`]) serves them
+    /// all. Of the bags holding `req`, it keeps those that meet `C` (the
+    /// others are never a first choice; see the module docs) and lie
+    /// inside `C ∪ ⋃S`; a kept bag is a viable candidate of each block
+    /// whose `S ∪ C` holds it, with the same children in all of them.
+    pub(crate) fn read_component(&self, run: &[u32], out: &mut Candidates) {
+        out.stats.blocks += run.len() as u64;
+        out.stats.components += 1;
+        let blk = &self.blocks[run[0] as usize];
+        let comp = self.rows.get(blk.comp);
+        let mut closure = std::mem::take(&mut out.closure);
+        closure.clear();
+        closure.extend_from_slice(comp);
+        for &b in run {
+            if let Some(s) = self.blocks[b as usize].head() {
+                words_union_into(self.rows.get(bag_row(s)), &mut closure);
+            }
+        }
+        let kept = |x| {
+            let (mut meets, mut outside) = (0, 0);
+            for ((&w, &c), &k) in self.rows.get(bag_row(x)).iter().zip(comp).zip(&closure) {
+                meets |= w & c;
+                outside |= w & !k;
+            }
+            meets != 0 && outside == 0
+        };
+        let read = self.holders(blk, out, kept);
+        out.closure = closure;
+        if !read {
+            out.stats.direct += run.len() as u64;
+            return;
+        }
+        self.read_children(blk.comp, out);
     }
 
     /// Appends to `out` the blocks bag `x` heads whose component meets
@@ -909,63 +980,143 @@ impl CtdInstance {
         out
     }
 
-    /// Every block id in ascending `(|C|, |S|)` (a root block's `S` is
-    /// `∅`), so every child of a viable candidate comes before its parent
-    /// (see the module docs); ties, which are never parent and child,
-    /// keep block order. The cardinalities are read in block order, then
-    /// two counting sorts run over them: `O(blocks + |V|)`.
+    /// Every block id in ascending `(|C|, C, |S|)`, `C` by row and a root
+    /// block's `S` being `∅`: every child of a viable candidate comes
+    /// before its parent (see the module docs), and the blocks that share
+    /// a component are one run ([`CtdInstance::runs`]). Ties, which are
+    /// never parent and child, keep block order. Three counting sorts,
+    /// least significant key first, each reading its key off the rows:
+    /// `O(blocks + rows + |V|)`, and no table beside two orders.
     pub(crate) fn pass_order(&self) -> Vec<u32> {
-        let card = |row: BagId| words_card(self.rows.get(row)) as u32;
-        let (comp_card, head_card): (Vec<u32>, Vec<u32>) = (self.blocks.iter())
-            .map(|blk| (card(blk.comp), blk.head().map_or(0, |s| card(bag_row(s)))))
-            .unzip();
+        let card = |row: BagId| words_card(self.rows.get(row));
+        let comp = |b: u32| self.blocks[b as usize].comp;
+        let head = |b: u32| {
+            self.blocks[b as usize]
+                .head()
+                .map_or(0, |s| card(bag_row(s)))
+        };
         let n = self.h.num_vertices() + 1;
-        let nb = self.blocks.len() as u32;
-        let by_head = sorted_by_key(0..nb, n, |b| head_card[b as usize] as usize);
-        sorted_by_key(by_head.into_iter(), n, |b| comp_card[b as usize] as usize)
+        let rows = self.rows.data.len() / self.rows.words.max(1);
+        let by_head = sorted_by_key(0..self.blocks.len() as u32, n, head);
+        let by_comp = sorted_by_key(by_head.into_iter(), rows, |b| comp(b).idx());
+        sorted_by_key(by_comp.into_iter(), n, |b| card(comp(b)))
+    }
+
+    /// The runs of `order` (a [`CtdInstance::pass_order`]) whose blocks
+    /// share one component.
+    fn runs<'a>(&'a self, order: &'a [u32]) -> impl Iterator<Item = &'a [u32]> {
+        let comp = |b: u32| self.blocks[b as usize].comp;
+        order.chunk_by(move |&a, &b| comp(a) == comp(b))
     }
 
     /// The one pass of Algorithm 1, and of Algorithm 2 under an evaluator
     /// that does not rank: the blocks in [`CtdInstance::pass_order`], each
-    /// settled once. A block's viable candidates are read when it is
-    /// settled ([`CtdInstance::read_candidates`]) and tried in ascending
-    /// (wave, bag) order ([`Candidates::next`]);
-    /// `accept(x, children, values)` gives the value of a node with bag
-    /// `x` over those child blocks, or `None` to try the next candidate.
-    /// The first accepted candidate is the block's basis and its wave the
-    /// block's; a block's timestamp is its rank by (wave, block id). The
-    /// budget is ticked per block and per rejected candidate; all state
-    /// lives in locals, so a trip leaves nothing behind.
+    /// settled once, a component's run of blocks together. The run's
+    /// candidates are read once ([`CtdInstance::read_component`]), and a
+    /// candidate's wave is taken off its children, all settled before the
+    /// run, when a block of the run first needs it. Each block takes the
+    /// least candidate in (wave, bag) order inside its `S ∪ C` to which
+    /// `accept(x, children, values)` gives a value, the value of a node
+    /// with bag `x` over those child blocks (`None`: try the next one).
+    /// `accept` is asked about each candidate at most once per run, so it
+    /// must depend on its arguments alone. The candidate's wave is the
+    /// block's, and a block's timestamp is its rank by (wave, block id).
+    /// The budget is ticked per block and per rejection; all state lives
+    /// in locals, so a trip leaves nothing behind.
     pub(crate) fn ordered_pass<S: Clone>(
         &self,
         budget: &Budget,
         mut accept: impl FnMut(usize, &[u32], &[Option<S>]) -> Result<Option<S>, DecompError>,
     ) -> Result<(Vec<Basis>, Vec<Option<S>>), DecompError> {
+        // The order first: its sort's scratch is gone before the tables
+        // are allocated.
+        let order = self.pass_order();
         let nb = self.blocks.len();
-        let mut wave = vec![NO_WAVE; nb];
+        // A settled block's timestamp holds its wave until the pass ends.
         let mut basis = vec![Basis::NONE; nb];
         let mut value: Vec<Option<S>> = vec![None; nb];
         let mut waves = 0;
         let mut read = Candidates::default();
-        for b in self.pass_order() {
-            let b = b as usize;
-            budget.tick()?;
-            self.read_candidates(b, &mut read);
-            let mut after = None;
-            while let Some((w, x, children)) = read.next(&wave, after) {
-                if let Some(v) = accept(x, children, &value)? {
-                    wave[b] = w;
-                    basis[b].bag = x as u32;
+        // Per run: each candidate's wave once read (`UNREAD` before,
+        // `NO_WAVE` while a child is unsatisfied or once `accept` turned
+        // it down), and the values `accept` gave, by candidate.
+        let (mut waves_of, mut taken) = (Vec::new(), Vec::<(usize, S)>::new());
+        for run in self.runs(&order) {
+            self.read_component(run, &mut read);
+            waves_of.clear();
+            waves_of.resize(read.xs.len(), UNREAD);
+            taken.clear();
+            for &b in run {
+                let b = b as usize;
+                budget.tick()?;
+                let blk = &self.blocks[b];
+                loop {
+                    let mut least: Option<usize> = None;
+                    for i in 0..waves_of.len() {
+                        if waves_of[i] == UNREAD {
+                            // A candidate beats `least` only below its
+                            // wave: stop reading children at one that
+                            // rules it out, and read it again later.
+                            let bound = least.map_or(NO_WAVE, |j| waves_of[j]);
+                            let mut w = 0;
+                            for &c in read.get(i).1 {
+                                match basis[c as usize].get() {
+                                    None => w = NO_WAVE,
+                                    Some((_, cw)) if cw + 1 < bound => w = w.max(cw + 1),
+                                    Some(_) => w = UNREAD,
+                                }
+                                if w >= UNREAD {
+                                    break;
+                                }
+                            }
+                            if w == UNREAD {
+                                continue;
+                            }
+                            waves_of[i] = w;
+                        }
+                        // The read kept only bags inside a lone block's
+                        // `S ∪ C`.
+                        let w = waves_of[i];
+                        if w == NO_WAVE
+                            || least.is_some_and(|j| waves_of[j] <= w)
+                            || (run.len() > 1 && !self.in_closure(read.xs[i] as usize, blk))
+                        {
+                            continue;
+                        }
+                        least = Some(i);
+                        if w == 0 {
+                            break;
+                        }
+                    }
+                    let Some(i) = least else { break };
+                    let (x, children) = read.get(i);
+                    let v = match taken.iter().find(|&&(j, _)| j == i) {
+                        Some((_, v)) => v.clone(),
+                        None => match accept(x, children, &value)? {
+                            Some(v) => {
+                                taken.push((i, v.clone()));
+                                v
+                            }
+                            None => {
+                                budget.tick()?;
+                                waves_of[i] = NO_WAVE;
+                                continue;
+                            }
+                        },
+                    };
+                    let w = waves_of[i];
+                    basis[b] = Basis {
+                        bag: x as u32,
+                        at: w,
+                    };
                     value[b] = Some(v);
                     waves = waves.max(w as usize + 1);
                     break;
                 }
-                budget.tick()?;
-                after = Some((w, x));
             }
         }
-        let settled = (0..nb as u32).filter(|&b| wave[b as usize] != NO_WAVE);
-        let by_wave = sorted_by_key(settled, waves, |b| wave[b as usize] as usize);
+        let settled = (0..nb as u32).filter(|&b| basis[b as usize].get().is_some());
+        let by_wave = sorted_by_key(settled, waves, |b| basis[b as usize].at as usize);
         for (at, b) in by_wave.into_iter().enumerate() {
             basis[b as usize].at = at as u32;
         }
@@ -1440,9 +1591,9 @@ mod tests {
     #[test]
     fn row_reads_per_block_do_not_grow_with_the_grid() {
         let pinned = [
-            (6, (3_278, 1_581, 102_989)),
-            (8, (9_208, 5_859, 312_754)),
-            (10, (21_042, 15_529, 741_665)),
+            (6, (3_278, 1_581, 99_005)),
+            (8, (9_208, 5_859, 304_782)),
+            (10, (21_042, 15_529, 724_838)),
         ];
         for (side, counts) in pinned {
             let mut index = BlockIndex::new(&named::grid(side, side));

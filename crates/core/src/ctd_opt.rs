@@ -902,6 +902,68 @@ mod tests {
         assert_matches_reference(&inst, &clust, "example 4");
     }
 
+    /// The shapes on which the non-ranking pass settles blocks that share
+    /// a component together in ways the shapes above rarely show: a
+    /// disconnected one (a root block shares its component with blocks
+    /// headed in another part), one over more than 64 vertices (rows of
+    /// several words), and a 12-edge one of the cold serving family at
+    /// `k = 3`. The non-ranking evaluators must still answer what the
+    /// per-pair reference answers.
+    #[test]
+    fn non_ranking_best_equals_the_per_pair_reference_on_shared_components() {
+        let apart = |seed| {
+            let shape = RandomConfig {
+                num_vertices: 9,
+                num_edges: 5,
+                min_arity: 2,
+                max_arity: 3,
+                connect: false,
+            };
+            random_hypergraph(&shape, seed)
+        };
+        let wide = |seed| {
+            let h = random_shape(6, seed * 2);
+            let mut b = softhw_hypergraph::HypergraphBuilder::new();
+            for v in 0..h.num_vertices() * 10 {
+                b.vertex(&format!("v{v}"));
+            }
+            for e in 0..h.num_edges() {
+                let copies = h
+                    .edge(e)
+                    .iter()
+                    .flat_map(|v| (0..10).map(move |t| v * 10 + t));
+                b.edge_ids(h.edge_name(e), &copies.collect::<Vec<_>>());
+            }
+            b.build()
+        };
+        let cold = |seed| {
+            let shape = RandomConfig {
+                num_vertices: 12,
+                num_edges: 12,
+                min_arity: 2,
+                max_arity: 3,
+                connect: true,
+            };
+            random_hypergraph(&shape, seed)
+        };
+        let mut cases: Vec<(Hypergraph, usize)> = Vec::new();
+        for seed in 0..2 {
+            let (apart, wide) = (apart(seed), wide(seed));
+            assert!(wide.num_vertices() > 64);
+            for k in 1..=3 {
+                cases.push((apart.clone(), k));
+                cases.push((wide.clone(), k));
+            }
+        }
+        cases.push((cold(0), 3));
+        for (i, (h, k)) in cases.iter().enumerate() {
+            let inst = CtdInstance::new(h, &soft_bags(h, *k));
+            let what = format!("case {i}, k={k}");
+            assert_matches_reference(&inst, &Trivial, &what);
+            assert_matches_reference(&inst, &ConCov { k: *k }, &what);
+        }
+    }
+
     #[test]
     fn a_tripped_budget_is_an_error_and_a_retry_is_identical() {
         fn check<E: TdEvaluator>(inst: &CtdInstance, eval: &E, what: &str) {

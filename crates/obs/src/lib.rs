@@ -63,9 +63,11 @@ pub mod stage {
     /// the `U`-side sweep inside `enumerate`, block derivation inside
     /// `instance_build`.
     pub const COMPONENTS: &str = "components";
-    /// The inverted vertex → bags index build inside `instance_build`
-    /// (a pass reads each block's candidates through it when it settles
-    /// the block, inside `satisfy` or `best_dp`).
+    /// The inverted vertex → bags index build inside `instance_build`.
+    /// The candidate reads that run on it are not here: Algorithm 1's
+    /// pass reads once per component inside `satisfy` (or `best_dp` under
+    /// an evaluator that does not rank), and the ranked pass once per
+    /// block inside `best_dp`.
     pub const DEPS_SCAN: &str = "deps_scan";
     /// Result-cache probe in the service stripe.
     pub const RESULT_CACHE: &str = "result_cache";

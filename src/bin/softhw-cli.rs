@@ -500,8 +500,11 @@ fn run() -> Fallible<bool> {
         return Ok(true);
     }
     let question = match (opts.measure.as_str(), opts.width) {
-        ("hw", _) if opts.concov => {
+        (m, _) if opts.concov && m != "shw" => {
             return Err("--concov is a CTD constraint; use --measure shw".into())
+        }
+        ("all", Some(_)) => {
+            return Err("--measure all computes four exact widths; drop --width".into())
         }
         ("hw", None) => Some(Question::Hw),
         ("hw", Some(k)) => Some(Question::HwLeq(k)),

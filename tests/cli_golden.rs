@@ -74,10 +74,16 @@ const EXTRA: &[(&str, &str)] = &[
 /// Cases added to the local test only, since `--connect` serves neither
 /// `ghw` nor `shw1`: a width at or past `|E|` is decided on the vertex
 /// sets of the connected components, sizing nothing by `k` and walking
-/// no `λ` subsets, so H2 and C6 both answer yes.
+/// no `λ` subsets, so H2 and C6 both answer yes. And flags the hierarchy
+/// cannot honour are refused, not dropped: `--concov` beside `ghw`,
+/// `shw1` or `all`, and `--width` beside `all`.
 const LOCAL_EXTRA: &[(&str, &str)] = &[
     ("h2.hg", "--measure ghw --width 18446744073709551615"),
     ("h2.hg", "--measure shw1 --width 18446744073709551615"),
+    ("h2.hg", "--concov --measure ghw"),
+    ("h2.hg", "--concov --measure shw1"),
+    ("h2.hg", "--concov --measure all"),
+    ("h2.hg", "--measure all --width 2"),
     ("cycle6.hg", "--measure ghw --width 18446744073709551615"),
     ("cycle6.hg", "--measure shw1 --width 18446744073709551615"),
 ];

@@ -64,6 +64,67 @@ fn chorded_grid() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
+/// A random hypergraph that may come out disconnected: a component that
+/// is a whole connected part of the hypergraph is shared by its root
+/// block and by the blocks headed by bags of the other parts.
+fn disconnected_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (6usize..10, 3usize..7, 0u64..5000).prop_map(|(nv, ne, seed)| {
+        random_hypergraph(
+            &RandomConfig {
+                num_vertices: nv,
+                num_edges: ne,
+                min_arity: 2,
+                max_arity: 3,
+                connect: false,
+            },
+            seed,
+        )
+    })
+}
+
+/// `h` with every vertex replaced by `twins` copies of itself in every
+/// edge: the same blocks over rows of more words.
+fn with_twins(h: &Hypergraph, twins: usize) -> Hypergraph {
+    let mut b = HypergraphBuilder::new();
+    for v in 0..h.num_vertices() * twins {
+        b.vertex(&format!("v{v}"));
+    }
+    for e in 0..h.num_edges() {
+        let copies = h
+            .edge(e)
+            .iter()
+            .flat_map(|v| (0..twins).map(move |t| v * twins + t));
+        b.edge_ids(h.edge_name(e), &copies.collect::<Vec<_>>());
+    }
+    b.build()
+}
+
+/// A [`small_hypergraph`] over more than 64 vertices, so every row spans
+/// two words or more.
+fn wide_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    small_hypergraph().prop_map(|h| {
+        let twins = 64 / h.num_vertices() + 1;
+        with_twins(&h, twins)
+    })
+}
+
+/// A shape of the cold serving family: 12–16 edges, as many vertices,
+/// 2–3 vertices an edge, connected.
+fn cold_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    (12usize..17, 0u64..5000).prop_map(|(n, seed)| {
+        random_hypergraph(
+            &RandomConfig {
+                num_vertices: n,
+                num_edges: n,
+                min_arity: 2,
+                max_arity: 3,
+                connect: true,
+            },
+            seed,
+        )
+    })
+}
+
 /// Holds the candidate lists of `inst` against first principles: for
 /// every block `b`, bag `x` is a viable candidate of `b` iff it is a
 /// basis of `b` once every block is satisfied.
@@ -288,8 +349,8 @@ fn grid10_k2() -> CtdInstance {
     CtdInstance::build(&mut index, &ids)
 }
 
-/// What reading every block's candidates once costs, in clock-free
-/// counts: on `grid(10, 10)` at `k = 2`, and summed over the fixed pool.
+/// What the candidate reads of one pass cost, in clock-free counts: on
+/// `grid(10, 10)` at `k = 2`, and summed over the fixed pool.
 #[test]
 fn candidate_read_counts_are_pinned() {
     let grid = grid10_k2().scan_stats();
@@ -297,20 +358,25 @@ fn candidate_read_counts_are_pinned() {
     for (_, _, inst) in pool() {
         let s = inst.scan_stats();
         sum.blocks += s.blocks;
+        sum.components += s.components;
         sum.direct += s.direct;
         sum.row_words += s.row_words;
         sum.candidates += s.candidates;
         sum.children += s.children;
     }
-    let pinned = |blocks, direct, row_words, candidates, children| ScanStats {
+    let pinned = |blocks, components, direct, row_words, candidates, children| ScanStats {
         blocks,
+        components,
         direct,
         row_words,
         candidates,
         children,
     };
-    assert_eq!(grid, pinned(21_042, 15_529, 741_665, 102_257, 102_713));
-    assert_eq!(sum, pinned(6_773, 28, 19_872, 76_990, 74_703));
+    assert_eq!(
+        grid,
+        pinned(21_042, 20_978, 15_529, 724_838, 102_041, 102_545)
+    );
+    assert_eq!(sum, pinned(6_773, 1_687, 28, 5_365, 27_335, 39_054));
 }
 
 /// The heap an instance holds, counted off its vectors' capacities.
@@ -391,10 +457,15 @@ proptest! {
     fn worklist_satisfaction_equals_jacobi(
         h in small_hypergraph(),
         grid in chorded_grid(),
+        apart in disconnected_hypergraph(),
+        wide in wide_hypergraph(),
         k in 1usize..4,
     ) {
         assert_satisfaction_equals_jacobi(&h, k);
         assert_satisfaction_equals_jacobi(&grid, k);
+        assert_satisfaction_equals_jacobi(&apart, k);
+        assert!(wide.num_vertices() > 64);
+        assert_satisfaction_equals_jacobi(&wide, k);
     }
 
     #[test]
@@ -595,5 +666,16 @@ proptest! {
             }
         }
         prop_assert!(cache.stats().result_hits > 0);
+    }
+}
+
+proptest! {
+    // The Jacobi reference rescans every block against every bag each
+    // round: at `k = 3` on these shapes a case takes seconds unoptimised.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn worklist_satisfaction_equals_jacobi_on_cold_shapes_at_k3(h in cold_hypergraph()) {
+        assert_satisfaction_equals_jacobi(&h, 3);
     }
 }
