@@ -66,6 +66,15 @@ fn bench_soft_arena_vs_reference(c: &mut Criterion) {
             b.iter(|| black_box(reference::soft_bags_with(&h, k, &limits).unwrap().len()))
         });
     }
+    // Cold alone on the 10x10 grid: a walk large enough that its block
+    // rows, not its bags, would fill an arena that interned components.
+    let grid = named::grid(10, 10);
+    g.bench_function(BenchmarkId::new("arena-cold", "grid10x10/k2"), |b| {
+        b.iter(|| {
+            let mut index = BlockIndex::new(&grid);
+            black_box(soft_bag_ids(&mut index, 2, &limits).unwrap().len())
+        })
+    });
     g.finish();
 }
 

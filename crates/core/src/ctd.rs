@@ -18,8 +18,8 @@
 //! `[S]`-components of every candidate bag are computed once per
 //! hypergraph — not once per solver call (see [`CtdInstance::build`]) —
 //! and so that nothing is hashed twice: the index has already interned
-//! every bag, component and cover, and its ids are distinct exactly when
-//! the contents are. The instance therefore deduplicates through a dense
+//! every bag, cover and `req`, and its ids are distinct exactly when the
+//! contents are. The instance therefore deduplicates through a dense
 //! remap keyed by index id and copies each distinct row once into flat,
 //! exactly-sized storage (or, from an index handed over to it, gathers
 //! the rows in place); it owns no hash table, because
@@ -27,31 +27,45 @@
 //! satisfaction DP is a flat `Vec` over block ids, and the hot
 //! subset/union checks run word-level on the packed rows.
 //!
+//! **A block stores no component.** A [`Block`] is `(S, ⋃C, req)` with
+//! `req = ⋃C ∩ S`, as the index's rows are: `C` is maximal
+//! `[S]`-connected, so every vertex of `⋃C` outside `C` lies in `S`, and
+//! every vertex of `C` lies on an edge, so `C = ⋃C ∖ S = ⋃C ∖ req`
+//! ([`CtdInstance::component`]). An edgeless vertex `v`, whose `⋃C` is
+//! empty, has `{v}` as its cover row instead, which keeps the identity
+//! and, since the witness union holds `C`, every coverage test below. So
+//! `X ⊆ S ∪ C` is `X ⊆ S ∪ ⋃C`, the readers below take `C` as
+//! `⋃C ∖ req` word by word, and blocks share `C` exactly when they share
+//! the `(cover, req)` rows, `C` determining both. Most `req`s are the
+//! head itself, a bag row already, so beside the bags an instance holds
+//! little more than the distinct covers.
+//!
 //! ## The satisfaction engine
 //!
 //! The basis conditions split into a *state-independent* part — `X ≠ S`,
 //! `X ⊆ S ∪ C`, and the edge-coverage condition (2) — and a *state-
 //! dependent* part, condition (3): every child block satisfied. The
 //! state-independent part needs no table. With `req = cover ∖ C`, the
-//! vertices outside `C` that share an edge with it, condition (2) holds
-//! iff `X ⊇ req`. A bag missing a `req` vertex cannot cover it, because
+//! vertices outside `C` that share an edge with it (a row of the block),
+//! condition (2) holds iff `X ⊇ req`. A bag missing a `req` vertex cannot cover it, because
 //! child components only hold vertices of `C`. And with `req ⊆ X`, every
 //! `[X]`-component that meets `C` stays inside `C`, because leaving `C`
 //! means stepping onto a vertex of `req`; so `X` with those components
 //! covers `C ∪ req = cover`. A block's **viable candidates** are
 //! therefore the bags holding `req`, found through an inverted vertex →
-//! bags index (`VertexBags`), less `S` and the bags outside `S ∪ C`
-//! (`x & !(s | c) == 0` over the three rows). A candidate's children are
-//! the blocks it heads whose component meets `C`: one bit test on the
-//! component's smallest vertex.
+//! bags index (`VertexBags`), less `S` and the bags outside `S ∪ ⋃C`
+//! (`x & !(s | cover) == 0` over the three rows). A candidate's children
+//! are the blocks it heads whose component meets `C`: one bit test of
+//! `cover ∖ req` on the component's smallest vertex.
 //!
 //! **Children are smaller, so one pass settles every block.** A child
 //! `(X, Y)` of a viable candidate of `(S, C)` has `Y ⊆ C`. If `Y = C`,
 //! then `X` misses `C` (a component misses its separator), so `X ⊆ S ∪ C`
 //! gives `X ⊆ S`, and `X ≠ S` gives `X ⊊ S`. Every child is therefore
 //! strictly smaller in `(|C|, |S|)`, and a pass over the blocks in
-//! ascending `(|C|, C, |S|)` (`CtdInstance::pass_order`, `C` by row)
-//! reads only children it has already settled — the shape of Moll,
+//! ascending `(|C|, C, |S|)` (`CtdInstance::pass_order`, `C` by its
+//! `(req, cover)` rows and `|C| = |cover| − |req|`) reads only children
+//! it has already settled — the shape of Moll,
 //! Tazari and Thurley's exact-width dynamic programs, where each state is
 //! finalised from strictly smaller ones.
 //!
@@ -109,32 +123,35 @@ use crate::error::DecompError;
 use crate::soft::LimitExceeded;
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::arena::{
-    word_tail_mask, words_card, words_iter, words_subset, words_union_into,
+    word_tail_mask, words_card, words_first_difference, words_iter, words_subset, words_union_into,
 };
 use softhw_hypergraph::blocks::SliceRange;
-use softhw_hypergraph::{BagId, BitSet, BlockIndex, Hypergraph};
+use softhw_hypergraph::{BagId, BitSet, BlockIndex, BlockRow, Hypergraph};
 use std::sync::{Arc, OnceLock};
 
-/// One materialised block `(S, C)` with `C ≠ ∅`, in 12 bytes.
+/// One materialised block `(S, C)` with `C ≠ ∅`, in 12 bytes. The
+/// component is not stored: it is `C = cover ∖ req`
+/// ([`CtdInstance::component`]; see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Block {
     /// Index of the head bag, [`NO_HEAD`] for the `∅` head (see
     /// [`Block::head`]).
     head: u32,
-    /// The component `C` (a vertex set disjoint from the head bag), a
-    /// row of the instance ([`CtdInstance::words`]).
-    pub comp: BagId,
-    /// `C ∪ ⋃{e : e ∩ C ≠ ∅}`, a row of the instance — the
-    /// block's coverage obligation folded into one set. Condition (2)
-    /// ("every edge intersecting `C` lies inside the witness union `u`")
-    /// is equivalent to `cover ⊆ u` whenever `C ⊆ u`, which every
-    /// coverage test here guarantees by construction (the witness union
-    /// includes all child components, which partition `C ∖ X`). Storing
-    /// the union instead of the touching-edge list is what keeps `k = 2`
-    /// HyperBench instances in memory: the per-block edge lists total
-    /// hundreds of millions of entries, the unions a few thousand
-    /// distinct rows.
+    /// `⋃C = C ∪ ⋃{e : e ∩ C ≠ ∅}`, a row of the instance
+    /// ([`CtdInstance::words`]) — the block's coverage obligation folded
+    /// into one set (`C` itself for the component of an edgeless vertex).
+    /// Condition (2) ("every edge intersecting `C` lies inside the
+    /// witness union `u`") is equivalent to `cover ⊆ u` whenever
+    /// `C ⊆ u`, which every coverage test here guarantees by construction
+    /// (the witness union includes all child components, which partition
+    /// `C ∖ X`). Storing the union instead of the touching-edge list is
+    /// what keeps `k = 2` HyperBench instances in memory: the per-block
+    /// edge lists total hundreds of millions of entries, the unions a few
+    /// thousand distinct rows.
     pub cover: BagId,
+    /// `req = cover ∩ S = cover ∖ C`, a row of the instance: the head's
+    /// vertices that share an edge with `C`, most often the head itself.
+    pub req: BagId,
 }
 
 /// [`Block::head`] of a root block: bag indices are `u32`s below this.
@@ -154,7 +171,7 @@ impl Block {
     }
 }
 
-/// The instance's vertex sets — candidate bags, components and covers —
+/// The instance's vertex sets — candidate bags, covers and `req`s —
 /// as fixed-width rows of one flat vector, addressed by dense [`BagId`]s.
 /// Rows `0..num_bags` are the candidate bags in bag order. Equal sets
 /// share a row (so id equality is set equality), which the build gets
@@ -312,7 +329,7 @@ impl VertexBags {
 pub struct CtdInstance {
     /// The hypergraph.
     pub h: Arc<Hypergraph>,
-    /// Bags, components and covers; rows `0..num_bags` are the
+    /// Bags, covers and `req`s; rows `0..num_bags` are the
     /// deduplicated, non-empty candidate bags.
     rows: Rows,
     /// Lazily materialised views of the bags (for evaluator callbacks and
@@ -394,6 +411,8 @@ pub(crate) struct Candidates {
     req: Vec<usize>,
     /// Surviving summary words of the whole row.
     summary: Vec<u64>,
+    /// The component read, `C = cover ∖ req`.
+    comp: Vec<u64>,
     /// The component with its blocks' heads, `C ∪ ⋃S`.
     closure: Vec<u64>,
     /// The candidate bags, ascending.
@@ -470,8 +489,9 @@ struct Layout {
 impl Layout {
     /// Derives the blocks of the bags `bags` (empty bags dropped,
     /// duplicates merged) off the index, with the index id of every
-    /// instance row, in row order: the bags, then the components and
-    /// covers in first-block order.
+    /// instance row, in row order: the bags, then the covers and `req`s
+    /// in first-block order (a `req` equal to its head is the head's
+    /// row).
     fn derive(
         index: &mut BlockIndex,
         bags: &[BagId],
@@ -503,30 +523,27 @@ impl Layout {
         let empty = index.empty();
         let root_rows = index.block_rows(empty);
         let bag_rows = resolve_rows(index, &order, budget)?;
-        // The passes interned the components and covers new to the index.
+        // The passes interned the covers and `req`s new to the index.
         remap.resize(index.arena.len(), NO_ROW);
         let mut blocks = Vec::with_capacity(
             root_rows.len() + bag_rows.iter().map(SliceRange::len).sum::<usize>(),
         );
+        let mut block = |head: u32, row: BlockRow| Block {
+            head,
+            cover: row_of(&mut remap, &mut order, row.cover),
+            req: row_of(&mut remap, &mut order, row.req),
+        };
         let mut root_blocks = Vec::with_capacity(root_rows.len());
-        for &(comp, cover) in index.rows(root_rows) {
+        for &row in index.rows(root_rows) {
             root_blocks.push(blocks.len());
-            blocks.push(Block {
-                head: NO_HEAD,
-                comp: row_of(&mut remap, &mut order, comp),
-                cover: row_of(&mut remap, &mut order, cover),
-            });
+            blocks.push(block(NO_HEAD, row));
         }
         let mut blocks_by_head: Vec<(u32, u32)> = Vec::with_capacity(num_bags);
         for (sid, &rows_r) in bag_rows.iter().enumerate() {
             budget.tick()?;
             blocks_by_head.push((offset(blocks.len())?, offset(rows_r.len())?));
-            for &(comp, cover) in index.rows(rows_r) {
-                blocks.push(Block {
-                    head: sid as u32,
-                    comp: row_of(&mut remap, &mut order, comp),
-                    cover: row_of(&mut remap, &mut order, cover),
-                });
+            for &row in index.rows(rows_r) {
+                blocks.push(block(sid as u32, row));
             }
         }
         // Block ids are stored as `u32` from here on.
@@ -722,11 +739,18 @@ impl CtdInstance {
         views[x].get_or_init(|| BitSet::from_blocks(self.rows.get(bag_row(x))))
     }
 
-    /// The packed words of row `id` — a [`Block`]'s `comp` or `cover` —
+    /// The packed words of row `id` — a [`Block`]'s `cover` or `req` —
     /// for word-level algebra over blocks.
     #[inline]
     pub fn words(&self, id: BagId) -> &[u64] {
         self.rows.get(id)
+    }
+
+    /// The packed words of block `b`'s component, `C = cover ∖ req`.
+    pub fn component(&self, b: usize) -> Vec<u64> {
+        let mut comp = Vec::new();
+        self.load_component(&self.blocks[b], &mut comp);
+        comp
     }
 
     /// Loads bag `x` into a scratch buffer for incremental union building.
@@ -737,10 +761,10 @@ impl CtdInstance {
     }
 
     /// `X ⊆ S ∪ C` for bag `x` and block `blk = (S, C)`, straight off the
-    /// three rows.
+    /// three rows as `X ⊆ S ∪ ⋃C`: `⋃C ∖ C = req` lies inside `S`.
     #[inline]
     fn in_closure(&self, x: usize, blk: &Block) -> bool {
-        let (xw, cw) = (self.rows.get(bag_row(x)), self.rows.get(blk.comp));
+        let (xw, cw) = (self.rows.get(bag_row(x)), self.rows.get(blk.cover));
         match blk.head() {
             Some(s) => {
                 let sw = self.rows.get(bag_row(s));
@@ -773,17 +797,24 @@ impl CtdInstance {
             return false;
         }
         self.load_bag(x, buf);
+        let (cover, req) = (self.rows.get(blk.cover), self.rows.get(blk.req));
         let (hb_start, hb_len) = self.blocks_by_head[x];
         // The range is over block *ids* (a bag's blocks are contiguous),
         // not positions in one slice.
         #[allow(clippy::needless_range_loop)]
         for b2 in hb_start as usize..(hb_start + hb_len) as usize {
-            let child = self.rows.get(self.blocks[b2].comp);
-            if words_subset(child, self.rows.get(blk.comp)) {
+            let child = &self.blocks[b2];
+            let (cc, cq) = (self.rows.get(child.cover), self.rows.get(child.req));
+            // `C2 ⊆ C`, with `C2 = cc ∖ cq` and `C = cover ∖ req`.
+            let inside = (cc.iter().zip(cq).zip(cover.iter().zip(req)))
+                .all(|((c2, q2), (c, q))| c2 & !q2 & !(c & !q) == 0);
+            if inside {
                 if !satisfied[b2] {
                     return false;
                 }
-                words_union_into(child, buf);
+                for (w, (c2, q2)) in buf.iter_mut().zip(cc.iter().zip(cq)) {
+                    *w |= c2 & !q2;
+                }
             }
         }
         // Condition (2): with all child components in `buf`, `C ⊆ buf`,
@@ -792,7 +823,7 @@ impl CtdInstance {
     }
 
     /// The AND kernel of both candidate readers: sets `out`'s candidates
-    /// to the bags holding `req = cover ∖ C` of block `blk` that `keep`
+    /// to the bags holding block `blk`'s `req = cover ∖ C` that `keep`
     /// keeps, ascending and without children yet, and returns `false`
     /// when no index word needs reading.
     ///
@@ -815,7 +846,6 @@ impl CtdInstance {
         mut keep: impl FnMut(usize) -> bool,
     ) -> bool {
         out.clear();
-        let (cover, comp) = (self.rows.get(blk.cover), self.rows.get(blk.comp));
         let vb = &self.vertex_bags;
         let Candidates {
             req,
@@ -825,13 +855,7 @@ impl CtdInstance {
             ..
         } = out;
         req.clear();
-        for (wi, (&c, &m)) in cover.iter().zip(comp).enumerate() {
-            let mut bits = c & !m;
-            while bits != 0 {
-                req.push(wi * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
+        req.extend(words_iter(self.rows.get(blk.req)));
         if req.len() == vb.max_card {
             return false;
         }
@@ -870,12 +894,18 @@ impl CtdInstance {
         true
     }
 
-    /// Lists each of `out`'s candidates' children in component `comp`,
-    /// and counts the read.
-    fn read_children(&self, comp: BagId, out: &mut Candidates) {
-        let comp = self.rows.get(comp);
+    /// Loads block `blk`'s component `C = cover ∖ req` into `comp`.
+    fn load_component(&self, blk: &Block, comp: &mut Vec<u64>) {
+        let (cover, req) = (self.rows.get(blk.cover), self.rows.get(blk.req));
+        comp.clear();
+        comp.extend(cover.iter().zip(req).map(|(&c, &q)| c & !q));
+    }
+
+    /// Lists each of `out`'s candidates' children in the component
+    /// `out.comp`, and counts the read.
+    fn read_children(&self, out: &mut Candidates) {
         for &x in &out.xs {
-            self.blocks_meeting(x as usize, comp, &mut out.children);
+            self.blocks_meeting(x as usize, &out.comp, &mut out.children);
             out.ends.push(out.children.len() as u32);
         }
         out.stats.candidates += out.xs.len() as u64;
@@ -884,7 +914,7 @@ impl CtdInstance {
 
     /// Reads the viable candidates of block `b = (S, C)` into `out`,
     /// ascending in bag index, each with its child blocks (see the module
-    /// docs): the bags holding `req = cover ∖ C` ([`CtdInstance::holders`])
+    /// docs): the bags holding `req` ([`CtdInstance::holders`])
     /// that are not `S` and lie inside `S ∪ C`, and per candidate the
     /// blocks it heads whose component meets `C`. A viable `x` is a basis
     /// iff all its children are satisfied. The ranked pass, sampling and
@@ -898,7 +928,8 @@ impl CtdInstance {
             out.stats.direct += 1;
             return;
         }
-        self.read_children(blk.comp, out);
+        self.load_component(blk, &mut out.comp);
+        self.read_children(out);
     }
 
     /// Reads the candidates the blocks of `run` share into `out`,
@@ -907,16 +938,20 @@ impl CtdInstance {
     /// they share `req` and one AND ([`CtdInstance::holders`]) serves them
     /// all. Of the bags holding `req`, it keeps those that meet `C` (the
     /// others are never a first choice; see the module docs) and lie
-    /// inside `C ∪ ⋃S`; a kept bag is a viable candidate of each block
-    /// whose `S ∪ C` holds it, with the same children in all of them.
+    /// inside `C ∪ ⋃S = ⋃C ∪ ⋃S`; a kept bag is a viable candidate of
+    /// each block whose `S ∪ C` holds it, with the same children in all
+    /// of them.
     pub(crate) fn read_component(&self, run: &[u32], out: &mut Candidates) {
         out.stats.blocks += run.len() as u64;
         out.stats.components += 1;
         let blk = &self.blocks[run[0] as usize];
-        let comp = self.rows.get(blk.comp);
-        let mut closure = std::mem::take(&mut out.closure);
+        let (mut comp, mut closure) = (
+            std::mem::take(&mut out.comp),
+            std::mem::take(&mut out.closure),
+        );
+        self.load_component(blk, &mut comp);
         closure.clear();
-        closure.extend_from_slice(comp);
+        closure.extend_from_slice(self.rows.get(blk.cover));
         for &b in run {
             if let Some(s) = self.blocks[b as usize].head() {
                 words_union_into(self.rows.get(bag_row(s)), &mut closure);
@@ -924,31 +959,34 @@ impl CtdInstance {
         }
         let kept = |x| {
             let (mut meets, mut outside) = (0, 0);
-            for ((&w, &c), &k) in self.rows.get(bag_row(x)).iter().zip(comp).zip(&closure) {
+            for ((&w, &c), &k) in self.rows.get(bag_row(x)).iter().zip(&comp).zip(&closure) {
                 meets |= w & c;
                 outside |= w & !k;
             }
             meets != 0 && outside == 0
         };
         let read = self.holders(blk, out, kept);
-        out.closure = closure;
+        (out.comp, out.closure) = (comp, closure);
         if !read {
             out.stats.direct += run.len() as u64;
             return;
         }
-        self.read_children(blk.comp, out);
+        self.read_children(out);
     }
 
     /// Appends to `out` the blocks bag `x` heads whose component meets
     /// the vertex set `c`, in block order. For the component `c` of a
     /// block whose `req` `x` holds, those are exactly the blocks whose
     /// component lies inside `c` (see the module docs), and the
-    /// component's smallest vertex decides.
+    /// component's smallest vertex decides. A block `x` heads has the
+    /// component `cover ∖ x`, its `req` lying in `x`, so the scan reads
+    /// one cover row per block beside `x`'s own.
     fn blocks_meeting(&self, x: usize, c: &[u64], out: &mut Vec<u32>) {
+        let bag = self.rows.get(bag_row(x));
         let (start, len) = self.blocks_by_head[x];
         for b2 in start..start + len {
-            let comp = self.rows.get(self.blocks[b2 as usize].comp);
-            let v = words_iter(comp).next().expect("a component is not empty");
+            let cover = self.rows.get(self.blocks[b2 as usize].cover);
+            let v = words_first_difference(cover, bag).expect("a component is not empty");
             if c[v / 64] >> (v % 64) & 1 != 0 {
                 out.push(b2);
             }
@@ -971,41 +1009,46 @@ impl CtdInstance {
     /// and none otherwise.
     pub fn child_blocks(&self, b: usize, x: usize) -> Vec<u32> {
         let blk = &self.blocks[b];
-        let (cover, comp) = (self.rows.get(blk.cover), self.rows.get(blk.comp));
-        let bag = self.rows.get(bag_row(x));
         let mut out = Vec::new();
-        if (cover.iter().zip(comp).zip(bag)).all(|((c, m), x)| c & !m & !x == 0) {
-            self.blocks_meeting(x, comp, &mut out);
+        if words_subset(self.rows.get(blk.req), self.rows.get(bag_row(x))) {
+            self.blocks_meeting(x, &self.component(b), &mut out);
         }
         out
     }
 
-    /// Every block id in ascending `(|C|, C, |S|)`, `C` by row and a root
-    /// block's `S` being `∅`: every child of a viable candidate comes
-    /// before its parent (see the module docs), and the blocks that share
-    /// a component are one run ([`CtdInstance::runs`]). Ties, which are
-    /// never parent and child, keep block order. Three counting sorts,
-    /// least significant key first, each reading its key off the rows:
-    /// `O(blocks + rows + |V|)`, and no table beside two orders.
+    /// Every block id in ascending `(|C|, C, |S|)`, `C` by its
+    /// `(req, cover)` rows and a root block's `S` being `∅`: every child
+    /// of a viable candidate comes before its parent (see the module
+    /// docs), and the blocks that share a component are one run
+    /// ([`CtdInstance::runs`]). `req` leads so that runs reading the same
+    /// `req` rows of the inverted index follow each other. Ties, which are
+    /// never parent and child, keep block order. Four counting sorts,
+    /// least significant key first, each reading its key off the rows,
+    /// `|C|` as `|cover| − |req|`: `O(blocks + rows + |V|)`, and no table
+    /// beside two orders.
     pub(crate) fn pass_order(&self) -> Vec<u32> {
         let card = |row: BagId| words_card(self.rows.get(row));
-        let comp = |b: u32| self.blocks[b as usize].comp;
-        let head = |b: u32| {
-            self.blocks[b as usize]
-                .head()
-                .map_or(0, |s| card(bag_row(s)))
-        };
+        let blk = |b: u32| &self.blocks[b as usize];
+        let head = |b: u32| blk(b).head().map_or(0, |s| card(bag_row(s)));
+        let comp_card = |b: u32| card(blk(b).cover) - card(blk(b).req);
         let n = self.h.num_vertices() + 1;
         let rows = self.rows.data.len() / self.rows.words.max(1);
         let by_head = sorted_by_key(0..self.blocks.len() as u32, n, head);
-        let by_comp = sorted_by_key(by_head.into_iter(), rows, |b| comp(b).idx());
-        sorted_by_key(by_comp.into_iter(), n, |b| card(comp(b)))
+        let by_cover = sorted_by_key(by_head.iter().copied(), rows, |b| blk(b).cover.idx());
+        drop(by_head);
+        let by_req = sorted_by_key(by_cover.iter().copied(), rows, |b| blk(b).req.idx());
+        drop(by_cover);
+        sorted_by_key(by_req.iter().copied(), n, comp_card)
     }
 
     /// The runs of `order` (a [`CtdInstance::pass_order`]) whose blocks
-    /// share one component.
+    /// share one component: one `(cover, req)` pair, since `C` determines
+    /// both and `C = cover ∖ req`.
     fn runs<'a>(&'a self, order: &'a [u32]) -> impl Iterator<Item = &'a [u32]> {
-        let comp = |b: u32| self.blocks[b as usize].comp;
+        let comp = |b: u32| {
+            let blk = &self.blocks[b as usize];
+            (blk.cover, blk.req)
+        };
         order.chunk_by(move |&a, &b| comp(a) == comp(b))
     }
 
@@ -1517,8 +1560,8 @@ mod tests {
             .map(|b| {
                 (
                     b.head(),
-                    inst.words(b.comp).to_vec(),
                     inst.words(b.cover).to_vec(),
+                    inst.words(b.req).to_vec(),
                 )
             })
             .collect();
@@ -1561,10 +1604,14 @@ mod tests {
         let ids: Vec<BagId> = listed.iter().map(|b| index.intern(b)).collect();
         let inst = CtdInstance::build(&mut index, &ids);
         assert_eq!(inst.num_bags(), 4);
-        // One row serves the bag {v1, v2} and the component {v1, v2}.
+        // One row serves the bag {v0, v3} and the `req` of its
+        // components {v1, v2} and {v4, v5}, and one the bag {v0, .., v3}
+        // and the cover of {v1, v2}.
         let (first, count) = inst.blocks_by_head[0];
         assert_eq!(count, 2);
-        assert_eq!(inst.blocks[first as usize].comp, bag_row(1));
+        let blk = inst.blocks[first as usize];
+        assert_eq!((blk.cover, blk.req), (bag_row(2), bag_row(0)));
+        assert_eq!(inst.component(first as usize), inner.blocks());
         assert_eq!(inst.bag(1), &inner);
         // Equal to an instance over the list a caller deduplicated.
         let clean = CtdInstance::new(&h, &[pair, inner, upper, lower]);

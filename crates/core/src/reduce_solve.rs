@@ -210,6 +210,12 @@ fn lift(
 /// A width witness the pipeline can reduce for, lift, check and answer
 /// with. The two measures differ in exactly these places.
 pub(crate) trait Witness: Sized {
+    /// Whether [`Witness::reduce`] runs the GYO rules (degree-1 peeling
+    /// and subsumed-edge removal) to a fixpoint, which is empty exactly on
+    /// α-acyclic inputs: then a piece it leaves, or an input it leaves
+    /// untouched, with two or more non-empty edges is α-cyclic, so its
+    /// `ghw`, and every width here above it, is at least 2.
+    const GYO: bool;
     /// The width-preserving reduction that is sound for this witness.
     fn reduce(h: &Hypergraph) -> Reduction;
     /// One witness for `h` out of one per piece of `red`, by replaying
@@ -223,6 +229,7 @@ pub(crate) trait Witness: Sized {
 }
 
 impl Witness for TreeDecomposition {
+    const GYO: bool = true;
     const WIDTH: fn(usize, Self) -> Solved = Solved::ShwWidth;
     const DECISION: fn(Option<Self>) -> Solved = Solved::ShwDecision;
     fn reduce(h: &Hypergraph) -> Reduction {
@@ -245,6 +252,7 @@ impl Witness for TreeDecomposition {
 /// through the piece's edge map; replay-created nodes get
 /// `λ = {owning edge}` (their bags are subsets of that edge).
 impl Witness for Ghd {
+    const GYO: bool = false;
     const WIDTH: fn(usize, Self) -> Solved = Solved::HwWidth;
     const DECISION: fn(Option<Self>) -> Solved = Solved::HwDecision;
     fn reduce(h: &Hypergraph) -> Reduction {
@@ -274,20 +282,33 @@ impl Witness for Ghd {
 
 /// The one solver body both doors run. `leaf` answers one irreducible
 /// connected piece with the first width in a range it accepts and its
-/// witness: `1..=|E|` for an exact spec, `min(k, |E|)` alone for a bounded
-/// one (`Soft_{H,k}` and an HD's `λ` do not change past `|E|`, so an
-/// absurd `k` sizes nothing). With `spec.reduce` and a non-trivial
-/// reduction every piece is answered, the budget checked before each, the
-/// widths recombined by max (floor 1) and the witnesses lifted; otherwise
-/// `h` itself is answered. A piece that accepts no width answers "no".
+/// witness: `floor..=|E|` for an exact spec, `min(k, |E|)` alone for a
+/// bounded one (`Soft_{H,k}` and an HD's `λ` do not change past `|E|`, so
+/// an absurd `k` sizes nothing), where `floor` is 2 on a GYO fixpoint
+/// with two or more non-empty edges ([`Witness::GYO`]) and 1 otherwise.
+/// A bounded `k` below the floor answers "no" without asking `leaf`.
+/// With `spec.reduce` and a non-trivial reduction every piece is
+/// answered, the budget checked before each, the widths recombined by
+/// max (floor 1) and the witnesses lifted; otherwise `h` itself is
+/// answered. A piece that accepts no width answers "no".
 pub(crate) fn solve_with<W: Witness>(
     h: &Hypergraph,
     spec: &SolveSpec,
     mut leaf: impl FnMut(&Hypergraph, RangeInclusive<usize>) -> Result<Option<(usize, W)>, DecompError>,
 ) -> Result<Solved, DecompError> {
-    let widths = |piece: &Hypergraph| {
+    let mut leaf = |piece: &Hypergraph| {
         let top = piece.num_edges().max(1);
-        spec.bound.map_or(1..=top, |k| k.min(top)..=k.min(top))
+        let cyclic =
+            W::GYO && spec.reduce && piece.edges().iter().filter(|e| !e.is_empty()).count() >= 2;
+        let floor = if cyclic { 2 } else { 1 };
+        let widths = spec.bound.map_or(floor..=top, |k| {
+            let k = k.min(top);
+            k.max(floor)..=k
+        });
+        if widths.is_empty() {
+            return Ok(None);
+        }
+        leaf(piece, widths)
     };
     let answer = |found: Option<(usize, W)>| match spec.bound {
         Some(_) => Ok(W::DECISION(found.map(|(_, witness)| witness))),
@@ -298,13 +319,13 @@ pub(crate) fn solve_with<W: Witness>(
     };
     let red = spec.reduce.then(|| W::reduce(h));
     let Some(red) = red.filter(|red| !red.is_trivial()) else {
-        return answer(leaf(h, widths(h))?);
+        return answer(leaf(h)?);
     };
     let mut width = 1;
     let mut witnesses = Vec::with_capacity(red.pieces.len());
     for piece in &red.pieces {
         spec.budget.check()?;
-        let Some((w, witness)) = leaf(&piece.h, widths(&piece.h))? else {
+        let Some((w, witness)) = leaf(&piece.h)? else {
             return answer(None);
         };
         width = width.max(w);

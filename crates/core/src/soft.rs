@@ -230,16 +230,19 @@ pub(crate) fn lambda_walk(
     // probes rather than per component behind them.
     let mut sep_seen = IdSet::with_capacity(est);
     let mut seps: Vec<BagId> = Vec::with_capacity(est.saturating_sub(1));
-    // One cached pass per separator yields its components and their
-    // unions together; only the union column is wanted here. The pass
-    // starts from the rows of `parent`, the union one edge up the DFS, so
-    // it pays for what the added edge changes rather than for a BFS of
-    // the whole graph.
+    // One cached pass per separator yields its blocks' rows; only the
+    // unions are wanted here: the covers, read as `∅` for an edgeless
+    // vertex's stand-in. The pass starts from the rows of `parent`, the
+    // union one edge up the DFS, so it pays for what the added edge
+    // changes rather than for a BFS of the whole graph.
     let mut collect = |index: &mut BlockIndex, parent: BagId, sep: BagId| {
         let r = index.block_rows_from(parent, sep);
-        for &(_, u) in index.rows(r) {
-            if seen.insert(u) {
-                unions.push(u);
+        for &row in index.rows(r) {
+            if seen.insert(row.cover) {
+                let u = index.component_union(row);
+                if u == row.cover || seen.insert(u) {
+                    unions.push(u);
+                }
             }
         }
     };

@@ -408,6 +408,16 @@ pub fn words_empty(words: &[u64]) -> bool {
     words.iter().all(|&w| w == 0)
 }
 
+/// The smallest element of `a ∖ b` on raw word slices, if any.
+#[inline]
+pub fn words_first_difference(a: &[u64], b: &[u64]) -> Option<usize> {
+    debug_assert_eq!(a.len(), b.len());
+    (a.iter().zip(b).enumerate()).find_map(|(wi, (&x, &y))| {
+        let w = x & !y;
+        (w != 0).then(|| wi * 64 + w.trailing_zeros() as usize)
+    })
+}
+
 /// Population count over raw words.
 #[inline]
 pub fn words_card(words: &[u64]) -> usize {

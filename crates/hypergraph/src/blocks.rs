@@ -9,11 +9,28 @@
 //!    component — the `U`-side of Definition 3, and (standing in for the
 //!    touching-edge list) the block's coverage obligation in Algorithm 1?
 //!
-//! The [`BlockIndex`] interns every separator and component into a
-//! [`BagArena`] and answers both questions with one cached pass per
-//! separator ([`BlockIndex::block_rows`]), keyed by [`BagId`], so a
+//! The [`BlockIndex`] answers both with one cached pass per separator
+//! ([`BlockIndex::block_rows`]), keyed by [`BagId`], so a
 //! (hypergraph, k)-sweep — or a whole `shw` search across all `k` —
 //! computes each of them exactly once.
+//!
+//! ## Rows hold no component
+//!
+//! A row is a [`BlockRow`] `(⋃C, req)` with `req = ⋃C ∩ S`, two ids into
+//! the index's [`BagArena`], and the component is read off it as
+//! `C = ⋃C ∖ req` ([`BlockIndex::component`]). This is exact: `C` is
+//! maximal `[S]`-connected, so every vertex of `⋃C = C ∪ N(C)` outside `C`
+//! lies in `S`, and `C ⊆ ⋃C` because every vertex of `C` lies on an edge.
+//! The one exception is an edgeless vertex `v`, whose component `{v}` has
+//! `⋃C = ∅`: its row stores `{v}` itself as the cover (and `req = ∅`), so
+//! `C = ⋃C ∖ req` still holds, and [`BlockIndex::component_union`] gives
+//! back the true `⋃C = ∅` for Definition 3's `U` side. No real cover holds
+//! an edgeless vertex, so the stand-in is told apart by its one vertex.
+//!
+//! So a pass interns no component. Most of its covers are not new either:
+//! a cover that did not change from the parent component keeps the
+//! parent's id after one row compare, and `req` is `S`'s own id whenever
+//! `S ⊆ ⋃C` — on the HyperBench grids nearly every block.
 //!
 //! ## Parent-derived rows
 //!
@@ -23,17 +40,19 @@
 //! same routine with `parent = ∅`, whose own rows — the connected
 //! components of `H` — are the base case). With `δ = sep ∖ parent`:
 //!
-//! - a parent component disjoint from `δ` is a `[sep]`-component as it
-//!   stands: its `(component, cover)` ids are copied, nothing is explored
-//!   or interned;
-//! - a touched component `P` is re-explored by the frontier BFS, seeded
-//!   at the smallest unexplored vertex of `R = N(δ ∩ P) ∩ (P ∖ δ)`.
-//!   `P` is `[parent]`-connected, so every `[sep]`-component inside it has
-//!   a neighbour in `δ`, i.e. contains a vertex of `R`; the BFS therefore
-//!   **stops as soon as `R` is exhausted** — the component in hand then
-//!   owns all of `P` that is still unexplored. Its cover is
-//!   `C ∪ {s ∈ sep : N[s] ∩ C ≠ ∅}`, read off the few separator vertices
-//!   `P`'s own cover names instead of off the unexplored vertices.
+//! - a parent component `P` disjoint from `δ` (equivalently, a parent
+//!   cover disjoint from `δ`, since `⋃P ∖ P ⊆ parent`) is a
+//!   `[sep]`-component as it stands, with the same `⋃P ∩ sep = ⋃P ∩
+//!   parent`: its row is copied, nothing is explored or interned;
+//! - a touched component `P = ⋃P ∖ parent`, rebuilt in scratch, is
+//!   re-explored by the frontier BFS, seeded at the smallest unexplored
+//!   vertex of `R = N(δ ∩ P) ∩ (P ∖ δ)`. `P` is `[parent]`-connected, so
+//!   every `[sep]`-component inside it has a neighbour in `δ`, i.e.
+//!   contains a vertex of `R`; the BFS therefore **stops as soon as `R`
+//!   is exhausted** — the component in hand then owns all of `P` that is
+//!   still unexplored. Its cover is `C ∪ {s ∈ sep : N[s] ∩ C ≠ ∅}`, read
+//!   off the few separator vertices `P`'s own cover names instead of off
+//!   the unexplored vertices.
 //!
 //! A pass thus costs what `δ` changes — a handful of frontier rounds on
 //! the instances that matter, independent of `|V|`
@@ -44,7 +63,8 @@
 //! grows.
 
 use crate::arena::{
-    word_tail_mask, words_intersect, words_iter, words_union_into, BagArena, BagId,
+    word_tail_mask, words_empty, words_first_difference, words_intersect, words_iter, words_subset,
+    words_union_into, BagArena, BagId,
 };
 use crate::bitset::BitSet;
 use crate::hypergraph::Hypergraph;
@@ -101,9 +121,20 @@ pub struct BlockIndexStats {
     pub rounds: u64,
 }
 
-/// Per-hypergraph cache of block rows — the `[S]`-components of a
-/// separator paired with their coverage unions — keyed on interned
-/// [`BagId`]s.
+/// One block of a separator `S`: its `[S]`-component `C`, stored as the
+/// coverage union and the part of it in `S` (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockRow {
+    /// `⋃C = ⋃_{v ∈ C} N[v]`, the union of the edges touching `C`; for
+    /// the component `{v}` of an edgeless vertex, `{v}` itself.
+    pub cover: BagId,
+    /// `req = cover ∩ S = cover ∖ C`: the separator vertices sharing an
+    /// edge with `C`.
+    pub req: BagId,
+}
+
+/// Per-hypergraph cache of block rows — one [`BlockRow`] per
+/// `[S]`-component of a separator `S` — keyed on interned [`BagId`]s.
 ///
 /// The index *owns* its hypergraph (as an [`Arc`], shared with every
 /// solver instance built from it), so it has no borrow lifetime and can
@@ -112,8 +143,8 @@ pub struct BlockIndexStats {
 /// distinct hypergraph across solver calls.
 pub struct BlockIndex {
     h: Arc<Hypergraph>,
-    /// Arena over the vertex universe; owns every separator, component,
-    /// cover, and candidate bag this index has seen.
+    /// Arena over the vertex universe; owns every separator, cover,
+    /// `req`, and candidate bag this index has seen.
     pub arena: BagArena,
     /// The empty separator, interned at construction.
     empty: BagId,
@@ -121,9 +152,9 @@ pub struct BlockIndex {
     /// per vertex) so the component pass reads one contiguous table
     /// instead of chasing a boxed bitset per vertex.
     adj: Vec<u64>,
-    /// Flat storage of cached block rows: `(component, coverage union)`
-    /// per component of a separator, in component order.
-    row_data: Vec<(BagId, BagId)>,
+    /// Flat storage of cached block rows, one per component of a
+    /// separator, in component order.
+    row_data: Vec<BlockRow>,
     /// Separator id → its block rows, [`SliceRange::UNCACHED`] until a
     /// pass has run: arena ids are dense, so the map is a flat vector
     /// grown on demand.
@@ -157,7 +188,7 @@ struct PassScratch {
     acc: Vec<u64>,
     /// The rows of the separator in hand, keyed by smallest vertex until
     /// they are sorted into the row table.
-    pending: Vec<(u32, BagId, BagId)>,
+    pending: Vec<(u32, BlockRow)>,
 }
 
 impl PassScratch {
@@ -183,12 +214,11 @@ fn first_vertex(words: &[u64]) -> u32 {
     words_iter(words).next().unwrap_or(0) as u32
 }
 
-/// The one BFS kernel of the index: appends to `s.pending` the
-/// `[sep]`-components inside `s.region`, each with its cover. `s.seen`
-/// holds the separator and everything explored so far, `s.seeds` the
-/// vertices a component may start from — every component inside the
-/// region must contain one — and `s.cand` the separator vertices that can
-/// neighbour the region.
+/// The one BFS kernel of the index: appends to `s.pending` the rows of
+/// the `[sep]`-components inside `s.region`. `s.seen` holds the separator
+/// and everything explored so far, `s.seeds` the vertices a component may
+/// start from — every component inside the region must contain one — and
+/// `s.cand` the separator vertices that can neighbour the region.
 ///
 /// A component grows a frontier at a time: OR the `N[v]` rows of the
 /// frontier into `acc`, then `new = acc & !seen` word-wise. A BFS that
@@ -196,7 +226,18 @@ fn first_vertex(words: &[u64]) -> u32 {
 /// there: every other component of the region is complete, so what is
 /// left of the region is its own, and its cover is
 /// `C ∪ {s ∈ cand : N[s] ∩ C ≠ ∅}`.
-fn explore(adj: &[u64], arena: &mut BagArena, s: &mut PassScratch, rounds: &mut u64) {
+///
+/// A cover equal to `parent_cover`, the cover of the region's parent
+/// component, keeps that id; a `req` equal to `sep` takes `sep`'s id.
+/// Only the others are interned.
+fn explore(
+    adj: &[u64],
+    arena: &mut BagArena,
+    s: &mut PassScratch,
+    rounds: &mut u64,
+    sep: BagId,
+    parent_cover: Option<BagId>,
+) {
     let words = s.seen.len();
     let mut wi = 0;
     while wi < words {
@@ -258,8 +299,26 @@ fn explore(adj: &[u64], arena: &mut BagArena, s: &mut PassScratch, rounds: &mut 
                 break;
             }
         }
-        let (comp, cover) = (arena.intern_words(&s.comp), arena.intern_words(&s.acc));
-        s.pending.push((first_vertex(&s.comp), comp, cover));
+        if words_empty(&s.acc) {
+            // An edgeless vertex: the component stands in for its cover.
+            s.acc.copy_from_slice(&s.comp);
+        }
+        let cover = match parent_cover {
+            Some(p) if arena.words(p) == &s.acc[..] => p,
+            _ => arena.intern_words(&s.acc),
+        };
+        let sep_words = arena.words(sep);
+        let req = if words_subset(sep_words, &s.acc) {
+            sep
+        } else {
+            // `frontier` is spent once the component is complete.
+            for (r, (&a, &w)) in s.frontier.iter_mut().zip(s.acc.iter().zip(sep_words)) {
+                *r = a & w;
+            }
+            arena.intern_words(&s.frontier)
+        };
+        s.pending
+            .push((first_vertex(&s.comp), BlockRow { cover, req }));
     }
 }
 
@@ -309,20 +368,28 @@ impl BlockIndex {
         self.stats
     }
 
-    /// The block rows of separator `sep`: one `(component, coverage
-    /// union)` pair per `[sep]`-component, in ascending order of the
-    /// components' smallest vertices — exactly the data a solver needs to
-    /// materialise the blocks headed by `sep`, and the `U`-side of
-    /// Definition 3 when `sep` is a λ2 union. Computed once per distinct
-    /// separator; returns a range to resolve with [`BlockIndex::rows`].
+    /// The block rows of separator `sep`: one [`BlockRow`] `(⋃C, req)`
+    /// per `[sep]`-component `C`, with `req = ⋃C ∩ sep`, in ascending
+    /// order of the components' smallest vertices — exactly the data a
+    /// solver needs to materialise the blocks headed by `sep`, and the
+    /// `U`-side of Definition 3 when `sep` is a λ2 union. Computed once
+    /// per distinct separator; returns a range to resolve with
+    /// [`BlockIndex::rows`].
     ///
     /// The coverage union is `⋃_{v ∈ C} N[v]`, i.e. the union of the
-    /// vertex sets of all edges intersecting `C` (empty for a single
-    /// edgeless vertex). It stands in for the touching-edge list: "every
-    /// touching edge inside the witness union" is equivalent to "`⋃C`
-    /// inside the witness union", and at `k = 2` HyperBench scale those
-    /// lists run to hundreds of millions of entries where the union is
-    /// one interned row.
+    /// vertex sets of all edges intersecting `C`. It stands in for the
+    /// touching-edge list: "every touching edge inside the witness union"
+    /// is equivalent to "`⋃C` inside the witness union", and at `k = 2`
+    /// HyperBench scale those lists run to hundreds of millions of
+    /// entries where the union is one interned row.
+    ///
+    /// No component is stored: it is `⋃C ∖ req`
+    /// ([`BlockIndex::component`]). The component `{v}` of an edgeless
+    /// vertex `v`, whose `⋃C` is empty, stores `{v}` as its cover so the
+    /// identity holds; [`BlockIndex::component_union`] reads its `⋃C`
+    /// back as `∅`. A cover is interned only when it is new: a component
+    /// whose cover equals its parent component's keeps that row, and
+    /// `req` is `sep` itself whenever `sep ⊆ ⋃C`.
     ///
     /// This is [`BlockIndex::block_rows_from`] with `parent = ∅`.
     pub fn block_rows(&mut self, sep: BagId) -> SliceRange {
@@ -370,25 +437,39 @@ impl BlockIndex {
                     *sd = *r;
                 }
                 s.cand.fill(0);
-                explore(&self.adj, &mut self.arena, s, &mut self.stats.rounds);
+                explore(
+                    &self.adj,
+                    &mut self.arena,
+                    s,
+                    &mut self.stats.rounds,
+                    sep,
+                    None,
+                );
             }
             Some((parent, r)) => {
                 let parent_words = self.arena.words(parent);
                 for (d, (&sw, &pw)) in s.delta.iter_mut().zip(s.seen.iter().zip(parent_words)) {
                     *d = sw & !pw;
                 }
-                for row in r.start..r.start + r.len {
-                    let (p, p_cover) = self.row_data[row as usize];
-                    let p_words = self.arena.words(p);
-                    if !words_intersect(p_words, &s.delta) {
-                        s.pending.push((first_vertex(p_words), p, p_cover));
+                for i in r.start..r.start + r.len {
+                    let row = self.row_data[i as usize];
+                    let (cover_words, req_words) =
+                        (self.arena.words(row.cover), self.arena.words(row.req));
+                    // `P = ⋃P ∖ req`, and `⋃P ∖ P ⊆ parent` misses `δ`.
+                    if !words_intersect(cover_words, &s.delta) {
+                        let first = words_first_difference(cover_words, req_words);
+                        s.pending
+                            .push((first.expect("a component is not empty") as u32, row));
                         continue;
                     }
-                    s.region.copy_from_slice(p_words);
+                    for (p, (&c, &q)) in s.region.iter_mut().zip(cover_words.iter().zip(req_words))
+                    {
+                        *p = c & !q;
+                    }
                     // `N(δ ∩ P) ∖ sep` lies inside `P`: a neighbour of a
                     // `[parent]`-component is in it or in `parent`.
                     s.seeds.fill(0);
-                    for (wi, (&pw, &dw)) in p_words.iter().zip(&s.delta).enumerate() {
+                    for (wi, (&pw, &dw)) in s.region.iter().zip(&s.delta).enumerate() {
                         let mut bits = pw & dw;
                         while bits != 0 {
                             let v = wi * 64 + bits.trailing_zeros() as usize;
@@ -396,20 +477,25 @@ impl BlockIndex {
                             words_union_into(&self.adj[v * words..(v + 1) * words], &mut s.seeds);
                         }
                     }
-                    let (sep_words, cover_words) =
-                        (self.arena.words(sep), self.arena.words(p_cover));
+                    let sep_words = self.arena.words(sep);
                     for i in 0..words {
                         s.seeds[i] &= !sep_words[i];
                         s.cand[i] = cover_words[i] & sep_words[i];
                     }
-                    explore(&self.adj, &mut self.arena, s, &mut self.stats.rounds);
+                    explore(
+                        &self.adj,
+                        &mut self.arena,
+                        s,
+                        &mut self.stats.rounds,
+                        sep,
+                        Some(row.cover),
+                    );
                 }
             }
         }
-        s.pending.sort_unstable_by_key(|&(first, _, _)| first);
+        s.pending.sort_unstable_by_key(|&(first, _)| first);
         let start = self.row_data.len();
-        self.row_data
-            .extend(s.pending.iter().map(|&(_, c, u)| (c, u)));
+        self.row_data.extend(s.pending.iter().map(|&(_, row)| row));
         let r = SliceRange::of(start, self.row_data.len() - start);
         if self.row_cache.len() <= sep.idx() {
             self.row_cache
@@ -426,11 +512,32 @@ impl BlockIndex {
         (r != SliceRange::UNCACHED).then_some(r)
     }
 
-    /// Resolves a block-row range returned by [`BlockIndex::block_rows`]
-    /// into `(component, coverage union)` pairs.
+    /// Resolves a block-row range returned by [`BlockIndex::block_rows`].
     #[inline]
-    pub fn rows(&self, r: SliceRange) -> &[(BagId, BagId)] {
+    pub fn rows(&self, r: SliceRange) -> &[BlockRow] {
         &self.row_data[r.start as usize..(r.start + r.len) as usize]
+    }
+
+    /// The component `C = cover ∖ req` of a row (see the module docs).
+    pub fn component(&self, row: BlockRow) -> BitSet {
+        let mut words = self.arena.words(row.cover).to_vec();
+        for (w, &q) in words.iter_mut().zip(self.arena.words(row.req)) {
+            *w &= !q;
+        }
+        BitSet::from_blocks(&words)
+    }
+
+    /// `⋃C` of a row: its cover, or `∅` for the stand-in `{v}` of an
+    /// edgeless vertex `v` — the one cover whose smallest vertex lies on
+    /// no edge.
+    pub fn component_union(&self, row: BlockRow) -> BagId {
+        let words = self.arena.words_per_bag();
+        let v = first_vertex(self.arena.words(row.cover)) as usize;
+        if words_empty(&self.adj[v * words..(v + 1) * words]) {
+            self.empty
+        } else {
+            row.cover
+        }
     }
 
     /// The arena alone, for a caller done with the index that still reads
@@ -460,11 +567,17 @@ mod tests {
     use crate::random::{random_hypergraph, RandomConfig};
     use proptest::prelude::*;
 
-    /// A row range resolved to bitsets.
-    fn resolve(idx: &BlockIndex, r: SliceRange) -> Vec<(BitSet, BitSet)> {
+    /// A row range resolved to `(C, ⋃C)` bitsets, each row's `req`
+    /// checked against its definition `⋃C ∩ sep` on the way.
+    fn resolve(idx: &BlockIndex, sep: &BitSet, r: SliceRange) -> Vec<(BitSet, BitSet)> {
         idx.rows(r)
             .iter()
-            .map(|&(c, u)| (idx.arena.to_bitset(c), idx.arena.to_bitset(u)))
+            .map(|&row| {
+                let cover = idx.arena.to_bitset(row.cover);
+                assert_eq!(idx.arena.to_bitset(row.req), cover.intersection(sep));
+                let union = idx.arena.to_bitset(idx.component_union(row));
+                (idx.component(row), union)
+            })
             .collect()
     }
 
@@ -476,7 +589,7 @@ mod tests {
     ) -> Vec<(BitSet, BitSet)> {
         let (pid, sid) = (idx.intern(parent), idx.intern(sep));
         let r = idx.block_rows_from(pid, sid);
-        resolve(idx, r)
+        resolve(idx, sep, r)
     }
 
     /// `block_rows(sep)` resolved to bitsets.
@@ -609,8 +722,9 @@ mod tests {
             [rows[0], rows[1], rows[3]],
             [parent_rows[0], parent_rows[1], parent_rows[3]]
         );
-        assert_eq!(idx.arena.to_bitset(rows[2].0), h.vset(&["e"]));
-        assert_eq!(idx.arena.to_bitset(rows[2].1), h.vset(&["d", "e"]));
+        assert_eq!(idx.component(rows[2]), h.vset(&["e"]));
+        assert_eq!(idx.arena.to_bitset(rows[2].cover), h.vset(&["d", "e"]));
+        assert_eq!(idx.arena.to_bitset(rows[2].req), h.vset(&["d"]));
         assert_eq!(
             resolved_rows(&mut idx, &sep_set),
             rows_by_definition(&h, &sep_set)
@@ -684,7 +798,7 @@ mod tests {
                 let r = idx.block_rows_from(s1, s2);
                 if check {
                     assert_eq!(
-                        resolve(&idx, r),
+                        resolve(&idx, &sep, r),
                         rows_by_definition(&h, &sep),
                         "edges {e1}, {e2}"
                     );

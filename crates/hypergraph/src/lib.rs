@@ -28,7 +28,7 @@ pub mod stats;
 
 pub use arena::{ArenaSnapshot, BagArena, BagId};
 pub use bitset::BitSet;
-pub use blocks::{BlockIndex, BlockIndexStats};
+pub use blocks::{BlockIndex, BlockIndexStats, BlockRow};
 pub use cache::structural_hash;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};

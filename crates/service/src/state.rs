@@ -53,7 +53,7 @@
 //!
 //! A miss on both layers solves cold ([`softhw_core::solve`]): an
 //! exact-width sweep shares one index per reduced piece across
-//! `k = 1, 2, …`, and nothing of the solver outlives the request. Every
+//! `k = 2, 3, …`, and nothing of the solver outlives the request. Every
 //! solver entry point is deterministic, so a cacheable response is a function
 //! of the request alone — not of what the server answered before, of
 //! thread scheduling, or of which layer served it — which is what the
@@ -1164,11 +1164,12 @@ mod tests {
         // most one piece, so per schema: `SHW`, `SHW_LEQ` and `HW` reduce
         // once each and `BEST` never (24); every request is one solve (32);
         // `SHW` builds one index for its sweep, `SHW_LEQ` and `BEST` one
-        // each, `HW` none (24); and all eight have `shw` 2, so a `SHW`
-        // sweep enumerates at `k = 1` and `k = 2`, beside one enumeration
-        // per `SHW_LEQ` and `BEST` (32). A second index per piece, a
-        // second reduction or a skipped span moves these.
-        assert_eq!(before, [24, 32, 24, 32]);
+        // each, `HW` none (24); and all eight have `shw` 2 with a cyclic
+        // piece, where a `SHW` sweep starts at `k = 2`, so it enumerates
+        // once, beside one enumeration per `SHW_LEQ` and `BEST` (24). A
+        // second index per piece, a second reduction, a sweep from `k = 1`
+        // or a skipped span moves these.
+        assert_eq!(before, [24, 32, 24, 24]);
         let probes_before = stage_count(&st, stage::RESULT_CACHE);
         for i in 0..1000 {
             let at = i % requests.len();

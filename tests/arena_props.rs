@@ -5,6 +5,7 @@
 //! random hypergraphs.
 
 use proptest::prelude::*;
+use softhw::core::ctd::CtdInstance;
 use softhw::core::shw::shw_leq_indexed_budgeted;
 use softhw::core::soft::{self, reference, SoftLimits};
 use softhw::core::soft_iter::SoftHierarchy;
@@ -58,6 +59,38 @@ fn degenerate_hypergraph() -> impl Strategy<Value = Hypergraph> {
         b.edge("nothing", &[]);
         b.build()
     })
+}
+
+/// `parts` vertex-disjoint random hypergraphs side by side, the first
+/// with an edgeless vertex next to it and each other one when `lone` is 1.
+fn hypergraph_with_edgeless_vertices() -> impl Strategy<Value = Hypergraph> {
+    (3usize..8, 2usize..8, 0u64..5000, 1usize..3, 0usize..2).prop_map(
+        |(nv, ne, seed, parts, lone)| {
+            let mut b = HypergraphBuilder::new();
+            for p in 0..parts {
+                let piece = random_hypergraph(
+                    &RandomConfig {
+                        num_vertices: nv,
+                        num_edges: ne,
+                        min_arity: 1,
+                        max_arity: 3,
+                        connect: false,
+                    },
+                    seed + p as u64,
+                );
+                for e in 0..piece.num_edges() {
+                    let names: Vec<String> =
+                        piece.edge(e).iter().map(|v| format!("p{p}v{v}")).collect();
+                    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                    b.edge(&format!("p{p}e{e}"), &refs);
+                }
+                if lone == 1 || p == 0 {
+                    b.vertex(&format!("p{p}lone"));
+                }
+            }
+            b.build_allow_isolated()
+        },
+    )
 }
 
 /// A pseudo-random vertex set over `universe`, derived from `seed`.
@@ -115,20 +148,75 @@ proptest! {
                 let sid = index.intern(sep);
                 let r = index.block_rows(sid);
                 let rows = index.rows(r);
-                let cached: Vec<BitSet> =
-                    rows.iter().map(|&(c, _)| index.arena.to_bitset(c)).collect();
+                let cached: Vec<BitSet> = rows.iter().map(|&row| index.component(row)).collect();
                 let fresh = h.vertex_components(sep);
                 prop_assert_eq!(&cached, &fresh, "components of {}", h.render_vertex_set(sep));
                 // The cover column is the union of the touching edges.
-                for (&(_, cover), comp) in rows.iter().zip(&fresh) {
+                for (row, comp) in rows.iter().zip(&fresh) {
                     let fresh_union = h.union_of_edge_set(&h.edges_touching(comp));
-                    prop_assert_eq!(index.arena.to_bitset(cover), fresh_union);
+                    prop_assert_eq!(index.arena.to_bitset(row.cover), fresh_union);
                 }
             }
         }
         // Second pass was all hits: misses counted each distinct separator once.
         let stats = index.stats();
         prop_assert!(stats.hits >= stats.misses);
+    }
+
+    /// The lemma block rows rest on: a row `(⋃C, req)` of separator `S`
+    /// gives back the `[S]`-component as `⋃C ∖ S = ⋃C ∖ req`, in the
+    /// order `Hypergraph::vertex_components` lists them, with
+    /// `req = ⋃C ∩ S` — for the component `{v}` of an edgeless vertex
+    /// too, whose cover row is `{v}` and whose `⋃C` reads back as `∅`.
+    /// And every block of an instance over those separators as bags gives
+    /// back its head's components the same way.
+    #[test]
+    fn rows_and_blocks_give_back_components(
+        h in hypergraph_with_edgeless_vertices(),
+        seed in 0u64..1000,
+    ) {
+        let nv = h.num_vertices();
+        let mut seps: Vec<BitSet> = (0..4).map(|i| derive_set(nv, seed.wrapping_add(i * 131))).collect();
+        seps.extend((0..h.num_edges().min(3)).map(|e| h.edge(e).clone()));
+        seps.push(h.all_vertices());
+        let mut index = BlockIndex::new(&h);
+        let empty = h.empty_vertex_set();
+        for sep in std::iter::once(&empty).chain(&seps) {
+            let sid = index.intern(sep);
+            let r = index.block_rows(sid);
+            let fresh = h.vertex_components(sep);
+            prop_assert_eq!(index.rows(r).len(), fresh.len());
+            for (&row, comp) in index.rows(r).iter().zip(&fresh) {
+                let cover = index.arena.to_bitset(row.cover);
+                let mut outside = cover.clone();
+                outside.difference_with(sep);
+                prop_assert_eq!(&outside, comp, "⋃C ∖ S of {}", h.render_vertex_set(sep));
+                prop_assert_eq!(&index.component(row), comp);
+                prop_assert_eq!(index.arena.to_bitset(row.req), cover.intersection(sep));
+                let union = h.union_of_edge_set(&h.edges_touching(comp));
+                prop_assert_eq!(index.arena.to_bitset(index.component_union(row)), union.clone());
+                if union.is_empty() {
+                    prop_assert_eq!(&cover, comp, "an edgeless vertex stands in for its cover");
+                }
+            }
+        }
+        let inst = CtdInstance::new(&h, &seps);
+        let roots: Vec<usize> = inst.root_blocks.clone();
+        let mut heads: Vec<(BitSet, Vec<usize>)> = vec![(empty, roots)];
+        for x in 0..inst.num_bags() {
+            let (start, len) = inst.blocks_by_head[x];
+            heads.push((inst.bag(x).clone(), (start as usize..(start + len) as usize).collect()));
+        }
+        for (head, blocks) in heads {
+            let fresh = h.vertex_components(&head);
+            prop_assert_eq!(blocks.len(), fresh.len());
+            for (b, comp) in blocks.into_iter().zip(&fresh) {
+                let mut outside = BitSet::from_blocks(inst.words(inst.blocks[b].cover));
+                outside.difference_with(&head);
+                prop_assert_eq!(&outside, comp);
+                prop_assert_eq!(&BitSet::from_blocks(&inst.component(b)), comp);
+            }
+        }
     }
 
     #[test]
@@ -264,9 +352,9 @@ fn soft_generation_work_is_pinned() {
         ));
     }
     let pinned = [
-        (6, 0, 1_806, 8_727, 5_044, 3_221),
-        (8, 0, 6_280, 30_341, 15_448, 9_151),
-        (10, 0, 16_210, 78_280, 37_212, 20_985),
+        (6, 0, 1_806, 8_727, 3_251, 3_221),
+        (8, 0, 6_280, 30_341, 9_181, 9_151),
+        (10, 0, 16_210, 78_280, 21_015, 20_985),
     ];
     assert_eq!(work, pinned);
 }

@@ -178,8 +178,8 @@ proptest! {
         // peeling) to a fixpoint, which is empty exactly on α-acyclic
         // inputs. A piece with two or more edges is therefore α-cyclic,
         // so `ghw ≥ 2` and, as `ghw ≤ shw ≤ hw`, both `k = 1` decisions
-        // are a foregone "no" — the ground a width sweep could start at 2
-        // on.
+        // are a foregone "no" — the ground the solvers' `shw` sweeps start
+        // at 2 on.
         let u = disjoint_union(&a, &b);
         for piece in reduce(&u).pieces.iter().filter(|p| p.h.num_edges() >= 2) {
             prop_assert_eq!(
@@ -190,6 +190,29 @@ proptest! {
                 solve(&piece.h, &SolveSpec::hw_leq(1)),
                 Ok(Solved::HwDecision(None))
             );
+        }
+    }
+
+    #[test]
+    fn every_piece_of_reduce_has_two_edges_and_rejects_width_one(
+        h in clutter_hypergraph(),
+        a in dense_hypergraph(),
+        b in small_hypergraph(),
+    ) {
+        // What lets an `shw` sweep start at width 2 on the pieces of
+        // `reduce`, and a bounded `k = 1` answer "no" there unbuilt: no
+        // piece is left with fewer than two non-empty edges, and
+        // `Soft_{piece,1}`, built and decided raw, admits no
+        // decomposition of any piece.
+        for u in [h, disjoint_union(&a, &b)] {
+            for piece in reduce(&u).pieces {
+                let edges = piece.h.edges();
+                prop_assert!(edges.len() >= 2 && edges.iter().all(|e| !e.is_empty()));
+                prop_assert_eq!(
+                    solve(&piece.h, &SolveSpec::shw_leq(1).with_reduce(false)),
+                    Ok(Solved::ShwDecision(None))
+                );
+            }
         }
     }
 

@@ -152,16 +152,16 @@ fn assert_tables_match_predicate(inst: &CtdInstance) {
         for (x, children) in inst.viable_candidates(b) {
             assert_eq!(children, inst.child_blocks(b, x), "block {b}, bag {x}");
         }
-        let (comp, cover) = (inst.words(blk.comp), inst.words(blk.cover));
+        let (comp, cover) = (inst.component(b), inst.words(blk.cover));
         for x in 0..inst.num_bags() {
             let (start, len) = inst.blocks_by_head[x];
             inside.clear();
             inst.load_bag(x, &mut buf);
             for b2 in start..start + len {
-                let child = inst.words(inst.blocks[b2 as usize].comp);
-                if words_subset(child, comp) {
+                let child = inst.component(b2 as usize);
+                if words_subset(&child, &comp) {
                     inside.push(b2);
-                    words_union_into(child, &mut buf);
+                    words_union_into(&child, &mut buf);
                 }
             }
             if !words_subset(cover, &buf) {
@@ -226,10 +226,11 @@ fn a_child_can_keep_its_blocks_component_but_no_basis_uses_one() {
         let mut here = 0;
         for (b, blk) in inst.blocks.iter().enumerate() {
             for (x, children) in inst.viable_candidates(b) {
-                if !children
-                    .iter()
-                    .any(|&c| inst.blocks[c as usize].comp == blk.comp)
-                {
+                let same_comp = |c: &u32| {
+                    let child = &inst.blocks[*c as usize];
+                    (child.cover, child.req) == (blk.cover, blk.req)
+                };
+                if !children.iter().any(same_comp) {
                     continue;
                 }
                 let s = blk.head().expect("a root's candidate misses its component");
@@ -255,15 +256,15 @@ fn a_child_can_keep_its_blocks_component_but_no_basis_uses_one() {
 fn assert_req_decides_coverage(inst: &CtdInstance) {
     let mut buf = Vec::new();
     for (b, blk) in inst.blocks.iter().enumerate() {
-        let (comp, cover) = (inst.words(blk.comp), inst.words(blk.cover));
+        let (comp, cover) = (inst.component(b), inst.words(blk.cover));
         for x in 0..inst.num_bags() {
             inst.load_bag(x, &mut buf);
-            let holds_req = (cover.iter().zip(comp).zip(&buf)).all(|((c, m), x)| c & !m & !x == 0);
+            let holds_req = (cover.iter().zip(&comp).zip(&buf)).all(|((c, m), x)| c & !m & !x == 0);
             let (start, len) = inst.blocks_by_head[x];
             for b2 in start..start + len {
-                let child = inst.words(inst.blocks[b2 as usize].comp);
-                if words_subset(child, comp) {
-                    words_union_into(child, &mut buf);
+                let child = inst.component(b2 as usize);
+                if words_subset(&child, &comp) {
+                    words_union_into(&child, &mut buf);
                 }
             }
             assert_eq!(holds_req, words_subset(cover, &buf), "block {b}, bag {x}");
@@ -296,7 +297,7 @@ fn assert_children_are_smaller_and_disjoint(inst: &CtdInstance) -> (usize, usize
     let size = |b: usize| {
         let blk = &inst.blocks[b];
         let head = blk.head().map_or(0, |s| inst.bag(s).len());
-        (words_card(inst.words(blk.comp)), head)
+        (words_card(&inst.component(b)), head)
     };
     let (mut pairs, mut children_read) = (0, 0);
     let mut union = Vec::new();
@@ -304,14 +305,14 @@ fn assert_children_are_smaller_and_disjoint(inst: &CtdInstance) -> (usize, usize
         for (x, children) in inst.viable_candidates(b) {
             pairs += 1;
             union.clear();
-            union.resize(inst.words(inst.blocks[b].comp).len(), 0u64);
+            union.resize(inst.component(b).len(), 0u64);
             for &c in &children {
                 children_read += 1;
                 assert!(size(c as usize) < size(b), "block {b}, bag {x}, child {c}");
-                let comp = inst.words(inst.blocks[c as usize].comp);
+                let comp = inst.component(c as usize);
                 let disjoint = comp.iter().zip(&union).all(|(w, u)| w & u == 0);
                 assert!(disjoint, "block {b}, bag {x}: child {c} overlaps a sibling");
-                words_union_into(comp, &mut union);
+                words_union_into(&comp, &mut union);
             }
         }
     }
@@ -383,7 +384,7 @@ fn candidate_read_counts_are_pinned() {
 #[test]
 fn instance_heap_bytes_are_pinned() {
     let inst = grid10_k2();
-    assert_eq!(inst.heap_bytes(), 1_359_064);
+    assert_eq!(inst.heap_bytes(), 1_023_832);
 }
 
 /// The random cases below stay far below 4 096 bags, i.e. inside one
@@ -523,8 +524,8 @@ proptest! {
         prop_assert_eq!(&owned.root_blocks, &borrowed.root_blocks);
         prop_assert_eq!(owned.num_bags(), borrowed.num_bags());
         for (b, blk) in owned.blocks.iter().enumerate() {
-            prop_assert_eq!(owned.words(blk.comp), borrowed.words(blk.comp));
             prop_assert_eq!(owned.words(blk.cover), borrowed.words(blk.cover));
+            prop_assert_eq!(owned.words(blk.req), borrowed.words(blk.req));
             let viable = |inst: &CtdInstance| -> Vec<(usize, Vec<u32>)> {
                 inst.viable_candidates(b).map(|(x, kids)| (x, kids.to_vec())).collect()
             };
