@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the decomposition machinery: candidate
 //! bag generation, bag interning, Algorithm 1 (end to end, and its one pass
-//! on prebuilt instances), the shw/hw solvers, and the top-10
-//! enumeration whose latency Table 1 reports ("a few milliseconds").
+//! on prebuilt instances), Algorithm 2's pass under a ranking evaluator,
+//! the shw/hw solvers, and the top-10 enumeration whose latency Table 1
+//! reports ("a few milliseconds").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softhw_core::constraints::{concov_exact_filter, Trivial};
@@ -197,6 +198,34 @@ fn bench_satisfy(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_best_shallow(c: &mut Criterion) {
+    // Algorithm 2's pass under an evaluator that ranks, `ShallowCyc { d: 1 }`,
+    // on instances built once: the 6x6 grid at k = 2, and the 14-edge shape
+    // of the cold serving family of `bench_satisfy` at k = 3.
+    use softhw_core::constraints::ShallowCyc;
+    use softhw_core::ctd::CtdInstance;
+    use softhw_core::ctd_opt::best_on;
+    use softhw_hypergraph::random::{random_hypergraph, RandomConfig};
+    let cold = RandomConfig {
+        num_vertices: 14,
+        num_edges: 14,
+        min_arity: 2,
+        max_arity: 3,
+        connect: true,
+    };
+    let mut g = c.benchmark_group("best_shallow");
+    for (name, h, k) in [
+        ("grid6x6/k2", named::grid(6, 6), 2),
+        ("cold14/k3", random_hypergraph(&cold, 14), 3),
+    ] {
+        let inst = CtdInstance::new(&h, &soft_bags(&h, k));
+        g.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| black_box(best_on(&inst, &ShallowCyc { d: 1 }).is_some()))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_soft_generation,
@@ -204,6 +233,7 @@ criterion_group!(
     bench_arena_intern,
     bench_algorithm1,
     bench_satisfy,
+    bench_best_shallow,
     bench_width_solvers,
     bench_table1_top10,
     bench_constrained_best

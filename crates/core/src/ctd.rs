@@ -78,8 +78,10 @@
 //! the bag and `C` alone. So `Z` is viable for `(S, C)` at the child's
 //! wave, below `X`'s, and a rule that judges a candidate by its bag, its
 //! children and their values alone takes it there as it did for the
-//! child. The pass therefore drops the bags that miss `C`, and every
-//! candidate it keeps has children with `|Y| < |C|` only.
+//! child. The first-accept pass therefore drops the bags that miss `C`,
+//! and every candidate it keeps has children with `|Y| < |C|` only. A
+//! pass that ranks keeps them: under a negative node cost, `X` over
+//! `(X, C)` is strictly better than `(X, C)`'s own best candidate.
 //!
 //! **One read per component.** Blocks that share `C` share `req`, the
 //! bags holding it and each such bag's children, and the pass order keeps
@@ -87,9 +89,10 @@
 //! blocks (`CtdInstance::read_component`): one `req` AND, then the bags
 //! that meet `C` and lie inside `C ∪ ⋃S` over the blocks' heads `S`, each
 //! with its children and its wave, into buffers it reuses from component
-//! to component. So an instance holds its rows, its blocks and that
-//! index, and no per-block table. The ranked pass, sampling and
-//! enumeration need a block's whole viable set, and read it per block
+//! to component; a pass that ranks also keeps the bags inside the heads
+//! that miss `C`. So an instance holds its rows, its blocks and that
+//! index, and no per-block table. Sampling and enumeration need a
+//! block's whole viable set, and read it per block
 //! (`CtdInstance::read_candidates`) through the same AND.
 //!
 //! The pass gives each block the Jacobi *wave* it would be satisfied in:
@@ -106,17 +109,24 @@
 //! stops at a child that rules the candidate out, and asks the rule
 //! about each bag at most once.
 //!
-//! Algorithm 2 ([`crate::ctd_opt`]) is one pass in the same order for
-//! every evaluator. Under one that does not rank (`Trivial`, `ConCov`)
-//! it is this pass, asking the evaluator about one candidate at a time
-//! in (wave, bag) order until one passes. Under one that ranks, a block's
-//! value can improve after the block took one, so each block replays its
-//! Jacobi waves from its children's value histories, all complete by the
-//! time it is settled. Both algorithms read their witness off the basis
-//! column with `CtdInstance::extract_tree`, which never places a block
-//! twice: every child of a basis is strictly smaller, and the children of
-//! one basis have disjoint components. So a revisit means a table from
-//! another instance: an error, not an endless recursion.
+//! Algorithm 2 ([`crate::ctd_opt`]) is this pass for every evaluator,
+//! with the evaluator's value in place of the satisfied bit. Under one
+//! that does not rank (`Trivial`, `ConCov`) it asks about one candidate
+//! at a time in (wave, bag) order until one passes. Under one that ranks,
+//! it values each candidate of a run once, from its children's *final*
+//! values, and each block keeps the candidate no other one is `better`
+//! than, the least in (wave, bag) order among equals. Under the paper's
+//! strong monotonicity that value is already optimal, so no block is
+//! revisited, and with `better ≡ false` it is the first-accept choice.
+//! A bag `X` that misses `C` is read only for a block whose `S ∪ C`
+//! holds it and `S ≠ X`: its one child `(X, C)` is then settled, earlier
+//! in the run since `|X| < |S|`.
+//!
+//! Both algorithms read their witness off the basis column with
+//! `CtdInstance::extract_tree`, which never places a block twice: every
+//! child of a basis is strictly smaller, and the children of one basis
+//! have disjoint components. So a revisit means a table from another
+//! instance: an error, not an endless recursion.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
@@ -214,6 +224,24 @@ const NO_WAVE: u32 = u32::MAX;
 /// A candidate's wave before [`CtdInstance::ordered_pass`] reads it off
 /// the candidate's children: no pass has that many waves.
 const UNREAD: u32 = NO_WAVE - 1;
+
+/// The strict preference [`CtdInstance::ordered_pass`] ranks values by.
+pub(crate) type Better<'a, S> = &'a dyn Fn(&S, &S) -> bool;
+
+/// Candidate `i`'s wave off the settled `basis`: `1 +` its children's
+/// greatest (0 without children), `NO_WAVE` if a child is unsatisfied,
+/// and `UNREAD` once a child puts it at `bound` or above.
+fn wave_below(read: &Candidates, basis: &[Basis], i: usize, bound: u32) -> u32 {
+    let mut w = 0;
+    for &c in read.get(i).1 {
+        match basis[c as usize].get() {
+            None => return NO_WAVE,
+            Some((_, cw)) if cw + 1 < bound => w = w.max(cw + 1),
+            Some(_) => return UNREAD,
+        }
+    }
+    w
+}
 
 /// `ids` stably sorted by `key`, every key below `n`: a counting sort.
 fn sorted_by_key(
@@ -706,7 +734,7 @@ impl CtdInstance {
     pub fn scan_stats(&self) -> ScanStats {
         let mut read = Candidates::default();
         for run in self.runs(&self.pass_order()) {
-            self.read_component(run, &mut read);
+            self.read_component(run, false, &mut read);
         }
         read.stats
     }
@@ -917,9 +945,9 @@ impl CtdInstance {
     /// docs): the bags holding `req` ([`CtdInstance::holders`])
     /// that are not `S` and lie inside `S ∪ C`, and per candidate the
     /// blocks it heads whose component meets `C`. A viable `x` is a basis
-    /// iff all its children are satisfied. The ranked pass, sampling and
-    /// enumeration read through this; Algorithm 1's pass reads a
-    /// component at a time ([`CtdInstance::read_component`]).
+    /// iff all its children are satisfied. Sampling and enumeration read
+    /// through this; the one pass of Algorithms 1 and 2 reads a component
+    /// at a time ([`CtdInstance::read_component`]).
     pub(crate) fn read_candidates(&self, b: usize, out: &mut Candidates) {
         out.stats.blocks += 1;
         let blk = &self.blocks[b];
@@ -936,12 +964,12 @@ impl CtdInstance {
     /// ascending in bag index, each with its child blocks: `run` is a run
     /// of [`CtdInstance::pass_order`] whose blocks `(S, C)` share `C`, so
     /// they share `req` and one AND ([`CtdInstance::holders`]) serves them
-    /// all. Of the bags holding `req`, it keeps those that meet `C` (the
-    /// others are never a first choice; see the module docs) and lie
-    /// inside `C ∪ ⋃S = ⋃C ∪ ⋃S`; a kept bag is a viable candidate of
-    /// each block whose `S ∪ C` holds it, with the same children in all
-    /// of them.
-    pub(crate) fn read_component(&self, run: &[u32], out: &mut Candidates) {
+    /// all. Of the bags holding `req`, it keeps those that lie inside
+    /// `C ∪ ⋃S = ⋃C ∪ ⋃S` and, unless `missing`, meet `C` (the others are
+    /// never a first choice; see the module docs). A kept bag other than
+    /// `S` is a viable candidate of each block whose `S ∪ C` holds it,
+    /// with the same children in all of them.
+    pub(crate) fn read_component(&self, run: &[u32], missing: bool, out: &mut Candidates) {
         out.stats.blocks += run.len() as u64;
         out.stats.components += 1;
         let blk = &self.blocks[run[0] as usize];
@@ -963,7 +991,7 @@ impl CtdInstance {
                 meets |= w & c;
                 outside |= w & !k;
             }
-            meets != 0 && outside == 0
+            (missing || meets != 0) && outside == 0
         };
         let read = self.holders(blk, out, kept);
         (out.comp, out.closure) = (comp, closure);
@@ -1052,23 +1080,28 @@ impl CtdInstance {
         order.chunk_by(move |&a, &b| comp(a) == comp(b))
     }
 
-    /// The one pass of Algorithm 1, and of Algorithm 2 under an evaluator
-    /// that does not rank: the blocks in [`CtdInstance::pass_order`], each
-    /// settled once, a component's run of blocks together. The run's
-    /// candidates are read once ([`CtdInstance::read_component`]), and a
-    /// candidate's wave is taken off its children, all settled before the
-    /// run, when a block of the run first needs it. Each block takes the
-    /// least candidate in (wave, bag) order inside its `S ∪ C` to which
-    /// `accept(x, children, values)` gives a value, the value of a node
-    /// with bag `x` over those child blocks (`None`: try the next one).
-    /// `accept` is asked about each candidate at most once per run, so it
-    /// must depend on its arguments alone. The candidate's wave is the
-    /// block's, and a block's timestamp is its rank by (wave, block id).
-    /// The budget is ticked per block and per rejection; all state lives
-    /// in locals, so a trip leaves nothing behind.
+    /// The one pass of Algorithms 1 and 2: the blocks in
+    /// [`CtdInstance::pass_order`], each settled once, a component's run
+    /// of blocks together. The run's candidates are read once
+    /// ([`CtdInstance::read_component`]), and a candidate's wave is taken
+    /// off its children, all settled before the block that asks, when a
+    /// block of the run first needs it. `accept(x, children, values)`
+    /// gives the value of a node with bag `x` over those child blocks
+    /// (`None`: the candidate is out), and is asked about each candidate
+    /// at most once per run, so it must depend on its arguments alone.
+    /// Without `better`, each block takes the least candidate in (wave,
+    /// bag) order inside its `S ∪ C` that `accept` passes. With it, each
+    /// block takes the candidate no other one is `better` than, the least
+    /// in (wave, bag) order among equals; the read then keeps the bags
+    /// that miss `C` too. The candidate's wave is the block's, and a
+    /// block's timestamp is its rank by (wave, block id). The budget is
+    /// ticked per block, and per rejection or, with `better`, per
+    /// candidate valued; all state lives in locals, so a trip leaves
+    /// nothing behind.
     pub(crate) fn ordered_pass<S: Clone>(
         &self,
         budget: &Budget,
+        better: Option<Better<'_, S>>,
         mut accept: impl FnMut(usize, &[u32], &[Option<S>]) -> Result<Option<S>, DecompError>,
     ) -> Result<(Vec<Basis>, Vec<Option<S>>), DecompError> {
         // The order first: its sort's scratch is gone before the tables
@@ -1082,79 +1115,106 @@ impl CtdInstance {
         let mut read = Candidates::default();
         // Per run: each candidate's wave once read (`UNREAD` before,
         // `NO_WAVE` while a child is unsatisfied or once `accept` turned
-        // it down), and the values `accept` gave, by candidate.
-        let (mut waves_of, mut taken) = (Vec::new(), Vec::<(usize, S)>::new());
+        // it down), and the value `accept` gave it.
+        let (mut waves_of, mut values) = (Vec::new(), Vec::<Option<S>>::new());
         for run in self.runs(&order) {
-            self.read_component(run, &mut read);
+            self.read_component(run, better.is_some(), &mut read);
             waves_of.clear();
             waves_of.resize(read.xs.len(), UNREAD);
-            taken.clear();
+            values.clear();
+            values.resize(read.xs.len(), None);
             for &b in run {
                 let b = b as usize;
                 budget.tick()?;
                 let blk = &self.blocks[b];
-                loop {
-                    let mut least: Option<usize> = None;
-                    for i in 0..waves_of.len() {
-                        if waves_of[i] == UNREAD {
-                            // A candidate beats `least` only below its
-                            // wave: stop reading children at one that
-                            // rules it out, and read it again later.
-                            let bound = least.map_or(NO_WAVE, |j| waves_of[j]);
-                            let mut w = 0;
-                            for &c in read.get(i).1 {
-                                match basis[c as usize].get() {
-                                    None => w = NO_WAVE,
-                                    Some((_, cw)) if cw + 1 < bound => w = w.max(cw + 1),
-                                    Some(_) => w = UNREAD,
-                                }
-                                if w >= UNREAD {
-                                    break;
+                let chosen = match better {
+                    None => loop {
+                        let mut least: Option<usize> = None;
+                        for i in 0..waves_of.len() {
+                            if waves_of[i] == UNREAD {
+                                // A candidate beats `least` only below its
+                                // wave: stop reading children at one that
+                                // rules it out, and read it again later.
+                                let bound = least.map_or(NO_WAVE, |j| waves_of[j]);
+                                match wave_below(&read, &basis, i, bound) {
+                                    UNREAD => continue,
+                                    w => waves_of[i] = w,
                                 }
                             }
-                            if w == UNREAD {
+                            // The read kept only bags inside a lone block's
+                            // `S ∪ C`.
+                            let w = waves_of[i];
+                            if w == NO_WAVE
+                                || least.is_some_and(|j| waves_of[j] <= w)
+                                || (run.len() > 1 && !self.in_closure(read.xs[i] as usize, blk))
+                            {
                                 continue;
                             }
-                            waves_of[i] = w;
-                        }
-                        // The read kept only bags inside a lone block's
-                        // `S ∪ C`.
-                        let w = waves_of[i];
-                        if w == NO_WAVE
-                            || least.is_some_and(|j| waves_of[j] <= w)
-                            || (run.len() > 1 && !self.in_closure(read.xs[i] as usize, blk))
-                        {
-                            continue;
-                        }
-                        least = Some(i);
-                        if w == 0 {
-                            break;
-                        }
-                    }
-                    let Some(i) = least else { break };
-                    let (x, children) = read.get(i);
-                    let v = match taken.iter().find(|&&(j, _)| j == i) {
-                        Some((_, v)) => v.clone(),
-                        None => match accept(x, children, &value)? {
-                            Some(v) => {
-                                taken.push((i, v.clone()));
-                                v
+                            least = Some(i);
+                            if w == 0 {
+                                break;
                             }
-                            None => {
+                        }
+                        let Some(i) = least else { break None };
+                        if values[i].is_none() {
+                            let (x, children) = read.get(i);
+                            values[i] = accept(x, children, &value)?;
+                            if values[i].is_none() {
                                 budget.tick()?;
                                 waves_of[i] = NO_WAVE;
                                 continue;
                             }
-                        },
-                    };
+                        }
+                        break Some(i);
+                    },
+                    Some(better) => {
+                        let mut best: Option<usize> = None;
+                        for i in 0..waves_of.len() {
+                            // `X ≠ S` and `X ⊆ S ∪ C` before the wave: a
+                            // bag `X` that misses `C` has the one child
+                            // `(X, C)`, settled before exactly the blocks
+                            // of the run whose `S ∪ C` holds `X`.
+                            let (x, children) = read.get(i);
+                            if blk.is_headed_by(x) || (run.len() > 1 && !self.in_closure(x, blk)) {
+                                continue;
+                            }
+                            if waves_of[i] == UNREAD {
+                                waves_of[i] = wave_below(&read, &basis, i, NO_WAVE);
+                            }
+                            if waves_of[i] == NO_WAVE {
+                                continue;
+                            }
+                            if values[i].is_none() {
+                                budget.tick()?;
+                                values[i] = accept(x, children, &value)?;
+                            }
+                            let Some(new) = &values[i] else {
+                                waves_of[i] = NO_WAVE;
+                                continue;
+                            };
+                            // Candidates come in bag order, so among equals
+                            // only a lower wave displaces the one held.
+                            let beats = best.is_none_or(|j| {
+                                values[j].as_ref().is_none_or(|old| {
+                                    better(new, old)
+                                        || (!better(old, new) && waves_of[i] < waves_of[j])
+                                })
+                            });
+                            if beats {
+                                best = Some(i);
+                            }
+                        }
+                        best
+                    }
+                };
+                if let Some(i) = chosen {
                     let w = waves_of[i];
                     basis[b] = Basis {
-                        bag: x as u32,
+                        bag: read.xs[i],
                         at: w,
                     };
-                    value[b] = Some(v);
+                    value[b] = values[i].clone();
                     waves = waves.max(w as usize + 1);
-                    break;
                 }
             }
         }
@@ -1182,7 +1242,7 @@ impl CtdInstance {
     /// bit-identical to a never-interrupted run.
     pub fn satisfy_budgeted(&self, budget: &Budget) -> Result<Satisfaction, DecompError> {
         let _span = softhw_obs::span(softhw_obs::stage::SATISFY);
-        let (basis, satisfied) = self.ordered_pass(budget, |_, _, _| Ok(Some(())))?;
+        let (basis, satisfied) = self.ordered_pass(budget, None, |_, _, _| Ok(Some(())))?;
         let accept = self.root_blocks.iter().all(|&b| satisfied[b].is_some());
         Ok(Satisfaction { basis, accept })
     }

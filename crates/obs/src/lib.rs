@@ -56,18 +56,17 @@ pub mod stage {
     /// λ-set enumeration / candidate bag generation.
     pub const ENUMERATE: &str = "enumerate";
     /// Algorithm 2's preference DP (`ctd_opt::best_on_budgeted`): the
-    /// bag-local evaluations, the one pass in dependency order (where
-    /// ranked blocks replay their waves) and the extraction.
+    /// bag-local evaluations, the one pass in dependency order and the
+    /// extraction.
     pub const BEST_DP: &str = "best_dp";
     /// `[S]`-component / coverage-union passes over the `BlockIndex`:
     /// the `U`-side sweep inside `enumerate`, block derivation inside
     /// `instance_build`.
     pub const COMPONENTS: &str = "components";
     /// The inverted vertex → bags index build inside `instance_build`.
-    /// The candidate reads that run on it are not here: Algorithm 1's
-    /// pass reads once per component inside `satisfy` (or `best_dp` under
-    /// an evaluator that does not rank), and the ranked pass once per
-    /// block inside `best_dp`.
+    /// The candidate reads that run on it are not here: the one pass of
+    /// Algorithms 1 and 2 reads once per component inside `satisfy` or
+    /// `best_dp`.
     pub const DEPS_SCAN: &str = "deps_scan";
     /// Result-cache probe in the service stripe.
     pub const RESULT_CACHE: &str = "result_cache";

@@ -329,9 +329,13 @@ fn best_frames() -> String {
 
 #[test]
 fn best_frames_equal_the_golden_file() {
-    // Captured at the parent of the once-per-bag DP (PR 15): Algorithm 2
-    // may be reorganised freely, but wave order and first-wins
-    // tie-breaking — hence every witness byte — must not move.
+    // Algorithm 2 may be reorganised freely, but its choice among equally
+    // good candidates may not move. The `trivial` and `concov` frames are
+    // fixed since the once-per-bag DP: each block takes its first passing
+    // candidate in (wave, bag) order. The `shallow` frames are fixed since
+    // the ranked pass settles each block once from its children's final
+    // values, keeping the least candidate in (wave, bag) order among the
+    // best.
     let golden = include_str!("golden/best_frames.txt");
     let now = best_frames();
     for (want, got) in golden.split("## ").zip(now.split("## ")) {

@@ -1,7 +1,8 @@
-//! Pins what Algorithm 1's pass and Algorithm 2's non-ranking pass
-//! answer: the satisfaction tables (every block's basis and timestamp),
-//! the witnesses of the exact `shw` sweep, and `best_on` under `Trivial`
-//! and `ConCov { k }`. Each pin is an FxHash of the `Debug` strings of
+//! Pins what Algorithm 1's pass and Algorithm 2's pass answer: the
+//! satisfaction tables (every block's basis and timestamp), the witnesses
+//! of the exact `shw` sweep, `best_on` under `Trivial` and `ConCov { k }`,
+//! and `best_on` under the ranking `ShallowCyc { d: 1 }` and `BagCost` by
+//! bag size. Each pin is an FxHash of the `Debug` strings of
 //! every answer, in order, so a change to how the pass reads or orders
 //! candidates that moves one basis, one timestamp or one witness bag
 //! fails here.
@@ -11,14 +12,14 @@
 //! edges of 2–3 vertices, at `k = 1..3`; and `grid(n, n)` for `2 ≤ n ≤ 6`
 //! at `k = 2` (`grid(1, 1)` has no edge).
 
-use softhw::core::constraints::{ConCov, Trivial};
+use softhw::core::constraints::{BagCost, ConCov, ShallowCyc, Trivial};
 use softhw::core::ctd::CtdInstance;
 use softhw::core::ctd_opt::best_on;
 use softhw::core::soft::soft_bags;
 use softhw::core::{solve, SolveSpec};
 use softhw::hypergraph::fxhash::FxHasher;
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
-use softhw::hypergraph::{named, Hypergraph};
+use softhw::hypergraph::{named, BitSet, Hypergraph};
 use std::hash::Hasher;
 
 /// Shape `j` of the fixed pool.
@@ -88,4 +89,25 @@ fn best_under_trivial_and_concov_is_pinned() {
         feed(&mut hasher, &best_on(&inst, &ConCov { k }));
     }
     assert_eq!(hasher.finish(), 8_839_189_447_967_144_370);
+}
+
+/// Under an evaluator that ranks, each block keeps the candidate no other
+/// one beats over its children's final values, the least in (wave, bag)
+/// order among equals; this pins those witnesses, which all validate.
+#[test]
+fn ranked_bests_are_pinned() {
+    let mut hasher = FxHasher::default();
+    let size = BagCost::new(|bag: &BitSet| bag.len() as f64);
+    for (h, k) in cases() {
+        let inst = CtdInstance::new(&h, &soft_bags(&h, k));
+        let shallow = best_on(&inst, &ShallowCyc { d: 1 });
+        let cost = best_on(&inst, &size);
+        let witnesses = [shallow.as_ref().map(|b| &b.0), cost.as_ref().map(|b| &b.0)];
+        for td in witnesses.into_iter().flatten() {
+            assert_eq!(td.validate(&h), Ok(()));
+        }
+        feed(&mut hasher, &shallow);
+        feed(&mut hasher, &cost);
+    }
+    assert_eq!(hasher.finish(), 4_168_567_430_048_136_404);
 }
