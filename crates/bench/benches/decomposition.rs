@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks for the decomposition machinery: candidate
 //! bag generation, bag interning, Algorithm 1 (end to end, and its one pass
 //! on prebuilt instances), Algorithm 2's pass under a ranking evaluator,
-//! the shw/hw solvers, and the top-10 enumeration whose latency Table 1
-//! reports ("a few milliseconds").
+//! the shw/hw solvers, the top-10 enumeration whose latency Table 1
+//! reports ("a few milliseconds"), and the same enumeration over the
+//! Soft bags of larger shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softhw_core::constraints::{concov_exact_filter, Trivial};
@@ -156,6 +157,27 @@ fn bench_table1_top10(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_top_n(c: &mut Criterion) {
+    // Ranked enumeration alone, the ten cheapest CTDs by total bag size
+    // over the Soft bags: each block's list of derivations is built once,
+    // so H2 at k = 3 (682 blocks, 1.6e10 CTDs) finishes.
+    use softhw_core::constraints::BagCost;
+    use softhw_hypergraph::BitSet;
+    let mut g = c.benchmark_group("top_n");
+    let size = BagCost::new(|bag: &BitSet| bag.len() as f64);
+    for (name, h, k) in [
+        ("H2/k2", named::h2(), 2),
+        ("grid3x3/k2", named::grid(3, 3), 2),
+        ("H2/k3", named::h2(), 3),
+    ] {
+        let bags = soft_bags(&h, k);
+        g.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| black_box(top_n(&h, &bags, &size, 10).len()))
+        });
+    }
+    g.finish();
+}
+
 fn bench_constrained_best(c: &mut Criterion) {
     let mut g = c.benchmark_group("algorithm2_best");
     let c5 = named::cycle(5);
@@ -236,6 +258,7 @@ criterion_group!(
     bench_best_shallow,
     bench_width_solvers,
     bench_table1_top10,
+    bench_top_n,
     bench_constrained_best
 );
 criterion_main!(benches);

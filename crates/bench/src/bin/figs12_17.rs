@@ -9,7 +9,7 @@
 
 use softhw_bench::{prepare, print_series, run_baseline, run_decomposition};
 use softhw_core::constraints::concov_exact_filter;
-use softhw_core::ctd_opt::{enumerate_all, evaluate_td, EnumerateOptions};
+use softhw_core::ctd_opt::{evaluate_td, top_n};
 use softhw_core::soft::cover_bags;
 use softhw_query::{CostContext, DbmsEstimateCost, TrueCardCost};
 
@@ -19,7 +19,7 @@ fn run_query(name: &'static str, fig: usize) {
     let cx = CostContext::new(&inst.cq, &inst.h, &inst.atoms, &inst.db);
     let actual = TrueCardCost { cx: &cx };
     let estimate = DbmsEstimateCost { cx: &cx };
-    let all = enumerate_all(&inst.h, &bags, &actual, &EnumerateOptions::default());
+    let all = top_n(&inst.h, &bags, &actual, usize::MAX);
     let mut rows_actual = Vec::new();
     let mut rows_estimate = Vec::new();
     for (td, s) in &all {

@@ -418,7 +418,7 @@ impl<A: TdEvaluator, B: TdEvaluator> TdEvaluator for Lexi<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctd_opt::{best, enumerate_all, EnumerateOptions};
+    use crate::ctd_opt::{best, top_n};
     use crate::soft::soft_bags;
     use softhw_hypergraph::named;
 
@@ -443,10 +443,10 @@ mod tests {
     fn concov_evaluator_agrees_with_filter() {
         let h = named::cycle(5);
         let bags = soft_bags(&h, 2);
-        let via_eval = enumerate_all(&h, &bags, &ConCov { k: 2 }, &EnumerateOptions::default());
+        let via_eval = top_n(&h, &bags, &ConCov { k: 2 }, 10_000);
         assert!(via_eval.is_empty());
         let bags3 = soft_bags(&h, 3);
-        let via_eval3 = enumerate_all(&h, &bags3, &ConCov { k: 3 }, &EnumerateOptions::default());
+        let via_eval3 = top_n(&h, &bags3, &ConCov { k: 3 }, 10_000);
         assert!(!via_eval3.is_empty());
     }
 
@@ -457,12 +457,7 @@ mod tests {
         // nodes are single-edge.
         let h = named::four_cycle_query();
         let bags = soft_bags(&h, 2);
-        let deep = enumerate_all(
-            &h,
-            &bags,
-            &ShallowCyc { d: 1 },
-            &EnumerateOptions::default(),
-        );
+        let deep = top_n(&h, &bags, &ShallowCyc { d: 1 }, 10_000);
         assert!(!deep.is_empty(), "the 4-cycle has cyclicity depth <= 1");
         for (_, depth) in &deep {
             assert!(*depth <= 1);
@@ -553,7 +548,7 @@ mod tests {
             ShallowCyc { d: 10 },
             BagCost::new(|b: &BitSet| b.len() as f64),
         );
-        let all = enumerate_all(&h, &bags, &eval, &EnumerateOptions::default());
+        let all = top_n(&h, &bags, &eval, 10_000);
         assert!(!all.is_empty());
         for w in all.windows(2) {
             let (d0, c0) = (&w[0].1 .0, w[0].1 .1.cost);

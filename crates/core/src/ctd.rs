@@ -421,7 +421,6 @@ impl std::fmt::Debug for Basis {
 
 /// An extracted tree over candidate bag indices, before
 /// [`CtdInstance::materialise`] turns it into a [`TreeDecomposition`].
-#[derive(Clone)]
 pub(crate) struct TdNode {
     pub(crate) bag: usize,
     pub(crate) children: Vec<TdNode>,
@@ -1335,7 +1334,8 @@ impl CtdInstance {
             .expect("satisfaction table consistent with this instance")
     }
 
-    /// The one tree reader of Algorithms 1 and 2 and of random sampling:
+    /// The one tree reader of Algorithms 1 and 2, of random sampling and
+    /// of the ranked enumeration:
     /// the tree below block `b` in which `choose` names each block's bag,
     /// each block's subtrees those of its bag's child blocks. `None` if
     /// `choose` names no bag for a block on the way, or one this instance

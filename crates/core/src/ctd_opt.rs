@@ -23,18 +23,28 @@
 //! combines.
 //!
 //! Besides the polynomial best-decomposition DP ([`best`]), this module
-//! provides what the paper's experimental prototype uses: exhaustive
-//! enumeration of all constraint-satisfying CTDs ranked by preference
-//! ([`enumerate_all`], with a cap), top-n extraction ([`top_n`]), and
-//! random sampling ([`sample_random`]). The DP reads a component's
-//! candidates once, when it settles the component's blocks; the others
-//! read a block's when they reach it (see [`crate::ctd`]). The DP and the
-//! sampler read their tree with Algorithm 1's one extractor, which takes
-//! the bag chosen per block: the DP's basis, or a random candidate whose
-//! children are satisfied. Neither they nor the enumeration guard against
-//! meeting a block twice: every child of a viable candidate is strictly
-//! smaller in `(|C|, |S|)`, and the children of one candidate have
-//! disjoint components, so no tree built top-down reaches a block twice.
+//! provides what the paper's experimental prototype uses: the
+//! constraint-satisfying CTDs ranked by preference ([`top_n`], all of
+//! them with `usize::MAX`) and random sampling ([`sample_random`]). The
+//! DP reads a component's candidates once, when it settles the
+//! component's blocks; the others read a block's when they reach it (see
+//! [`crate::ctd`]). All three read their trees with Algorithm 1's one
+//! extractor, which takes the bag chosen per block: the DP's basis, a
+//! random candidate whose children are satisfied, or the candidate of the
+//! derivation the parent asked for. None of them guards against meeting
+//! a block twice: every child of a viable candidate is strictly smaller
+//! in `(|C|, |S|)`, and the children of one candidate have disjoint
+//! components, so no tree built top-down reaches a block twice.
+//!
+//! The ranked enumeration keeps **one lazy list per block**: the block's
+//! derivations, a derivation being a viable candidate with one rank per
+//! child block, grown best-first only as far as a parent asks, each built
+//! once however many parents reach the block (Huang and Chiang's lazy
+//! k-best over the block DAG). **Rejected derivations are not expanded**,
+//! as the DP drops a candidate whose best children are rejected. The
+//! **stitched root** of a disconnected hypergraph is root block 0, whose
+//! candidates take the other root blocks as extra children, so the
+//! stitched tree's summary is the evaluator's own `combine`.
 //!
 //! The preference DP is no second engine: it is Algorithm 1's one pass
 //! over the blocks in dependency order, each settled once after its
@@ -56,6 +66,8 @@ use crate::error::DecompError;
 use crate::td::TreeDecomposition;
 use rand::Rng;
 use softhw_hypergraph::{BitSet, FxHashSet, Hypergraph};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Evaluation of partial tree decompositions: subtree constraint plus
 /// total quasiordering, as in Section 6.1 of the paper.
@@ -281,222 +293,204 @@ pub fn evaluate_td<E: TdEvaluator>(
     rec(h, td, eval, td.root())
 }
 
-/// Options for [`enumerate_all`].
-#[derive(Clone, Debug)]
-pub struct EnumerateOptions {
-    /// Hard cap on the number of alternatives kept per block (and on the
-    /// final result list). `usize::MAX` enumerates everything.
-    pub cap_per_block: usize,
+/// A derivation of a block: a viable candidate, by its place in the
+/// block's list, one rank per child block, and the summary. A frontier
+/// pops the preferred summary first and, among equals, the earlier push.
+struct Derivation<'e, E: TdEvaluator> {
+    eval: &'e E,
+    seq: usize,
+    cand: u32,
+    ranks: Box<[u32]>,
+    summary: E::Summary,
 }
 
-impl Default for EnumerateOptions {
-    fn default() -> Self {
-        EnumerateOptions {
-            cap_per_block: 10_000,
-        }
+impl<E: TdEvaluator> Ord for Derivation<'_, E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (&self.summary, &other.summary);
+        let by_summary = self.eval.better(a, b).cmp(&self.eval.better(b, a));
+        by_summary.then(other.seq.cmp(&self.seq))
     }
 }
 
-/// Enumerates constraint-satisfying CTDs ranked best-first by the
-/// evaluator. With `cap_per_block >= n` and a strongly monotone evaluator,
-/// the first `n` results are exactly the top-n decompositions (the
-/// paper's Table 1 "top-10 best TDs" workload).
-pub fn enumerate_all<E: TdEvaluator>(
-    h: &Hypergraph,
-    bags: &[BitSet],
-    eval: &E,
-    opts: &EnumerateOptions,
-) -> Vec<Ranked<E::Summary>> {
-    let inst = CtdInstance::new(h, bags);
-    enumerate_on(&inst, eval, opts)
+impl<E: TdEvaluator> PartialOrd for Derivation<'_, E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-/// [`enumerate_all`] on a prepared instance.
-pub fn enumerate_on<E: TdEvaluator>(
-    inst: &CtdInstance,
-    eval: &E,
-    opts: &EnumerateOptions,
-) -> Vec<Ranked<E::Summary>> {
-    let sat = inst.satisfy();
-    if !sat.accept || inst.root_blocks.is_empty() {
-        return Vec::new();
+impl<E: TdEvaluator> PartialEq for Derivation<'_, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
-    let satisfied: Vec<bool> = sat.basis.iter().map(|b| b.get().is_some()).collect();
-    let unlimited = Budget::unlimited();
-    let mut run = Run::new(inst, eval, &unlimited);
-    let cannot_trip = "the unlimited budget cannot trip";
-    // Enumerate per root block, then combine across connected components.
-    let per_root: Vec<Vec<(TdNode, E::Summary)>> = (inst.root_blocks.iter())
-        .map(|&rb| enum_block(&mut run, &satisfied, rb, opts).expect(cannot_trip))
-        .collect();
-    if per_root.iter().any(Vec::is_empty) {
-        return Vec::new();
+}
+
+impl<E: TdEvaluator> Eq for Derivation<'_, E> {}
+
+/// One block's lazily grown, best-first list of derivations.
+struct List<'e, E: TdEvaluator> {
+    /// The viable candidates with their child blocks, as
+    /// `CtdInstance::read_candidates` lists them; root block 0's take
+    /// the other root blocks as extra children.
+    cands: Vec<(usize, Vec<u32>)>,
+    /// The derivations found so far: rank `r` is `found[r]`.
+    found: Vec<Derivation<'e, E>>,
+    /// The derivations pushed and not yet found.
+    frontier: BinaryHeap<Derivation<'e, E>>,
+    /// Every derivation ever considered, so that none is pushed twice;
+    /// its size numbers the pushes.
+    seen: FxHashSet<(u32, Box<[u32]>)>,
+}
+
+/// Huang and Chiang's lazy k-best ("Better k-best Parsing", Algorithm 3)
+/// over the block DAG: finding a derivation pushes its successors, one
+/// child rank up each, and a rejected one is never pushed, so never
+/// expanded.
+struct Ranking<'a, E: TdEvaluator> {
+    run: Run<'a, E>,
+    lists: Vec<Option<List<'a, E>>>,
+    read: Candidates,
+}
+
+impl<'a, E: TdEvaluator> Ranking<'a, E> {
+    /// Whether block `b` has a derivation of rank `r`, growing its list
+    /// as far as that. No block reaches itself: every child of a viable
+    /// candidate is strictly smaller, and no root block is a child.
+    fn reach(&mut self, b: usize, r: usize) -> Result<bool, DecompError> {
+        let mut list = self.lists[b].take().map_or_else(|| self.start(b), Ok)?;
+        let reached = self.grow(&mut list, r);
+        self.lists[b] = Some(list);
+        reached
     }
-    // Cartesian combination across components (almost always a single one).
-    type Combo<'a, S> = Vec<&'a (TdNode, S)>;
-    let mut combos: Vec<Combo<'_, E::Summary>> = vec![Vec::new()];
-    for options in &per_root {
-        let mut next = Vec::new();
-        for combo in &combos {
-            for opt in options {
-                let mut c = combo.clone();
-                c.push(opt);
-                next.push(c);
-                if next.len() >= opts.cap_per_block {
-                    break;
-                }
-            }
-        }
-        combos = next;
-    }
-    let mut out: Vec<Ranked<E::Summary>> = Vec::new();
-    for combo in combos {
-        let mut td: Option<TreeDecomposition> = None;
-        for (node, _) in &combo {
-            inst.materialise(node, &mut td);
-        }
-        let td = td.expect("non-empty combo");
-        // Summary of the first component's root (single-component case) or
-        // a re-evaluation for stitched trees.
-        let summary = if combo.len() == 1 {
-            combo[0].1.clone()
-        } else {
-            let nodes: Vec<&TdNode> = combo.iter().map(|(node, _)| node).collect();
-            match run.summarise(nodes[0], &nodes[1..]).expect(cannot_trip) {
-                Some(s) => s,
-                None => continue,
-            }
+
+    /// Block `b`'s list, each viable candidate's first derivation (every
+    /// child at rank 0) on its frontier.
+    fn start(&mut self, b: usize) -> Result<List<'a, E>, DecompError> {
+        let inst = self.run.inst;
+        let stitched = (b == inst.root_blocks[0]).then_some(&inst.root_blocks[1..]);
+        let others: Vec<u32> = stitched
+            .into_iter()
+            .flatten()
+            .map(|&rb| rb as u32)
+            .collect();
+        inst.read_candidates(b, &mut self.read);
+        let cands = (self.read.iter()).map(|(x, kids)| (x, [kids, &others].concat()));
+        let (found, frontier, seen) = (Vec::new(), BinaryHeap::new(), FxHashSet::default());
+        let mut list = List {
+            cands: cands.collect(),
+            found,
+            frontier,
+            seen,
         };
-        out.push((td, summary));
+        for cand in 0..list.cands.len() {
+            let ranks = vec![0; list.cands[cand].1.len()].into_boxed_slice();
+            self.push(&mut list, (cand as u32, ranks))?;
+        }
+        Ok(list)
     }
-    out.sort_by(|a, b| by_preference(eval, a, b));
-    out.truncate(opts.cap_per_block);
-    out
-}
 
-/// Orders `(tree, summary)` pairs best-first by `eval`'s preference;
-/// the sorts are stable, so equally good pairs keep their order.
-fn by_preference<E: TdEvaluator, T>(
-    eval: &E,
-    a: &(T, E::Summary),
-    b: &(T, E::Summary),
-) -> std::cmp::Ordering {
-    if eval.better(&a.1, &b.1) {
-        std::cmp::Ordering::Less
-    } else if eval.better(&b.1, &a.1) {
-        std::cmp::Ordering::Greater
-    } else {
-        std::cmp::Ordering::Equal
+    /// Whether `list` has a derivation of rank `r`, popping its frontier
+    /// until it has.
+    fn grow(&mut self, list: &mut List<'a, E>, r: usize) -> Result<bool, DecompError> {
+        while list.found.len() <= r {
+            let Some(derivation) = list.frontier.pop() else {
+                return Ok(false);
+            };
+            for i in 0..derivation.ranks.len() {
+                let mut next = derivation.ranks.clone();
+                next[i] += 1;
+                self.push(list, (derivation.cand, next))?;
+            }
+            list.found.push(derivation);
+        }
+        Ok(true)
     }
-}
 
-fn enum_block<E: TdEvaluator>(
-    run: &mut Run<'_, E>,
-    satisfied: &[bool],
-    b: usize,
-    opts: &EnumerateOptions,
-) -> Result<Vec<(TdNode, E::Summary)>, DecompError> {
-    let (inst, eval) = (run.inst, run.eval);
-    let mut results: Vec<(TdNode, E::Summary)> = Vec::new();
-    // Viable candidates come with their child lists and cover the block
-    // with them, so only the children's satisfaction is checked here.
-    let mut candidates = Candidates::default();
-    inst.read_candidates(b, &mut candidates);
-    'bags: for (x, child_blocks) in candidates.iter() {
-        if !child_blocks.iter().all(|&b2| satisfied[b2 as usize]) {
-            continue;
+    /// Pushes the derivation `(cand, ranks)` on `list`'s frontier, unless
+    /// it was considered before, a child has no derivation of its rank,
+    /// or the evaluator rejects it.
+    fn push(&mut self, list: &mut List<'a, E>, key: (u32, Box<[u32]>)) -> Result<(), DecompError> {
+        if !list.seen.insert(key.clone()) {
+            return Ok(());
         }
-        // Recurse into children; each list comes back best-first and
-        // truncated to the cap (sound for top-n under strong monotonicity:
-        // a top-n parent combination only uses top-n child entries).
-        let mut child_options: Vec<Vec<(TdNode, E::Summary)>> = Vec::new();
-        for &b2 in child_blocks {
-            let opt = enum_block(run, satisfied, b2 as usize, opts)?;
-            if opt.is_empty() {
-                continue 'bags;
+        let (cand, ranks) = key;
+        let (x, kids) = &list.cands[cand as usize];
+        let mut children = Vec::with_capacity(kids.len());
+        for (&c, &r) in kids.iter().zip(&ranks) {
+            if !self.reach(c as usize, r as usize)? {
+                return Ok(());
             }
-            child_options.push(opt);
+            let child = self.lists[c as usize].as_ref().expect("a reached list");
+            children.push(child.found[r as usize].summary.clone());
         }
-        // Best-first combination of children alternatives: start from the
-        // all-best index vector and expand one coordinate at a time
-        // (`open` holds the index vectors not yet popped). With
-        // a strongly monotone evaluator, emitted summaries are
-        // nondecreasing, so collecting the first `cap` yields the true
-        // per-basis top list. Constraint-violating combos (eval = None)
-        // are expanded but not emitted.
-        let mut evaluate = |idxs: &[usize]| -> Result<Option<E::Summary>, DecompError> {
-            let sums: Vec<E::Summary> = idxs
-                .iter()
-                .enumerate()
-                .map(|(ci, &j)| child_options[ci][j].1.clone())
-                .collect();
-            run.node(x, &sums)
-        };
-        let start = vec![0usize; child_options.len()];
-        let mut open = vec![(start.clone(), evaluate(&start)?)];
-        let mut seen: FxHashSet<Vec<usize>> = [start].into_iter().collect();
-        let mut emitted = 0usize;
-        while !open.is_empty() && emitted < opts.cap_per_block {
-            // Pop the best open entry: None summaries (violations)
-            // first so their successors get explored, then the summary-
-            // minimal one.
-            let mut best_i = 0usize;
-            for i in 1..open.len() {
-                let better = match (&open[i].1, &open[best_i].1) {
-                    (None, _) => true,
-                    (_, None) => false,
-                    (Some(a), Some(b)) => eval.better(a, b),
-                };
-                if better {
-                    best_i = i;
-                }
-            }
-            let (idxs, summary) = open.swap_remove(best_i);
-            if let Some(summary) = summary {
-                let children: Vec<TdNode> = idxs
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, &j)| child_options[ci][j].0.clone())
-                    .collect();
-                results.push((TdNode { bag: x, children }, summary));
-                emitted += 1;
-            }
-            for ci in 0..idxs.len() {
-                if idxs[ci] + 1 < child_options[ci].len() {
-                    let mut nxt = idxs.clone();
-                    nxt[ci] += 1;
-                    if seen.insert(nxt.clone()) {
-                        let s = evaluate(&nxt)?;
-                        open.push((nxt, s));
-                    }
-                }
-            }
+        if let Some(summary) = self.run.node(*x, &children)? {
+            list.frontier.push(Derivation {
+                eval: self.run.eval,
+                seq: list.seen.len(),
+                cand,
+                ranks,
+                summary,
+            });
         }
+        Ok(())
     }
-    // Keep the block's alternatives ordered best-first and capped.
-    results.sort_by(|a, b| by_preference(eval, a, b));
-    results.truncate(opts.cap_per_block);
-    Ok(results)
 }
 
 /// The `n` best constraint-satisfying CTDs under the evaluator's
-/// preference (ties broken arbitrarily).
+/// preference, best first, equals in the order found; `usize::MAX` asks
+/// for all of them. One lazy list per block, rejected derivations not
+/// expanded, and the stitched root is root block 0 with the other roots
+/// as children (see the module docs). Trees are read only for the
+/// answers, each block taking its parent's derivation's candidate.
 pub fn top_n<E: TdEvaluator>(
     h: &Hypergraph,
     bags: &[BitSet],
     eval: &E,
     n: usize,
 ) -> Vec<Ranked<E::Summary>> {
-    let mut out = enumerate_all(
-        h,
-        bags,
-        eval,
-        &EnumerateOptions {
-            cap_per_block: n.max(64),
-        },
-    );
-    out.truncate(n);
-    out
+    top_n_on(&CtdInstance::new(h, bags), eval, n)
+}
+
+/// [`top_n`] on a prepared instance.
+fn top_n_on<E: TdEvaluator>(inst: &CtdInstance, eval: &E, n: usize) -> Vec<Ranked<E::Summary>> {
+    let Some(&root) = inst.root_blocks.first() else {
+        return Vec::new();
+    };
+    let unlimited = Budget::unlimited();
+    let nb = inst.blocks.len();
+    let mut ranking = Ranking {
+        run: Run::new(inst, eval, &unlimited),
+        lists: (0..nb).map(|_| None).collect(),
+        read: Candidates::default(),
+    };
+    let reached = |r: &usize| {
+        ranking
+            .reach(root, *r)
+            .expect("the unlimited budget cannot trip")
+    };
+    let count = (0..n).take_while(reached).count();
+    let lists = &ranking.lists;
+    // The rank each block is asked for, set by its parent's derivation.
+    let mut want = vec![0u32; nb];
+    let mut ranked = |rank: usize| {
+        want[root] = rank as u32;
+        let mut choose = |b: usize| {
+            let list = lists[b].as_ref()?;
+            let derivation = list.found.get(want[b] as usize)?;
+            let (x, kids) = &list.cands[derivation.cand as usize];
+            for (&c, &r) in kids.iter().zip(&derivation.ranks) {
+                want[c as usize] = r;
+            }
+            Some(*x)
+        };
+        let (mut td, mut visited) = (None, vec![false; nb]);
+        for &rb in &inst.root_blocks {
+            let tree = inst.extract_tree(rb, &mut choose, &mut visited);
+            inst.materialise(&tree.expect("every derivation was reached"), &mut td);
+        }
+        let found = &lists[root].as_ref().expect("a reached list").found;
+        (td.expect("a root block"), found[rank].summary.clone())
+    };
+    (0..count).map(&mut ranked).collect()
 }
 
 /// Samples a random CTD: Algorithm 1's table, then the one extractor on
@@ -599,7 +593,6 @@ mod tests {
 
     #[test]
     fn bag_local_part_runs_at_most_once_per_candidate_bag() {
-        let opts = EnumerateOptions { cap_per_block: 4 };
         for edges in 6..=12 {
             for k in 1..=3 {
                 let h = random_shape(edges, (edges * 3 + k) as u64);
@@ -622,13 +615,9 @@ mod tests {
                 };
                 let found = best_on(&inst, &counting).is_some();
                 check("best_on");
-                // Enumeration is exponential in the block count: the
-                // small shapes only.
-                if edges <= 7 {
-                    let ranked = enumerate_on(&inst, &counting, &opts);
-                    check("enumerate_on");
-                    assert_eq!(found, !ranked.is_empty());
-                }
+                let ranked = top_n_on(&inst, &counting, 10);
+                check("top_n");
+                assert_eq!(found, !ranked.is_empty());
             }
         }
     }
@@ -783,8 +772,14 @@ mod tests {
         assert_eq!(format!("{again:?}"), format!("{:?}", Some(fast)), "{what}");
     }
 
-    #[test]
-    fn best_equals_the_per_pair_reference() {
+    /// A check run on every instance and evaluator of [`reference_cases`].
+    trait Check {
+        fn check<E: TdEvaluator>(&self, inst: &CtdInstance, eval: &E, what: &str);
+    }
+
+    /// The shapes and evaluators Algorithm 2 and the ranked enumeration
+    /// are checked on.
+    fn reference_cases(check: &impl Check) {
         let mut shapes = vec![
             named::h2(),
             named::cycle(5),
@@ -809,17 +804,17 @@ mod tests {
             for k in 1..=top_k {
                 let inst = CtdInstance::new(h, &soft_bags(h, k));
                 let what = format!("shape {i}, k={k}");
-                assert_matches_reference(&inst, &Trivial, &what);
-                assert_matches_reference(&inst, &ConCov { k }, &what);
-                assert_matches_reference(&inst, &ShallowCyc { d: 1 }, &what);
-                assert_matches_reference(&inst, &ShallowCyc { d: 2 }, &what);
-                assert_matches_reference(&inst, &BagCost::new(size), &what);
-                assert_matches_reference(&inst, &BagCost::new(gain), &what);
-                assert_matches_reference(&inst, &join, &what);
+                check.check(&inst, &Trivial, &what);
+                check.check(&inst, &ConCov { k }, &what);
+                check.check(&inst, &ShallowCyc { d: 1 }, &what);
+                check.check(&inst, &ShallowCyc { d: 2 }, &what);
+                check.check(&inst, &BagCost::new(size), &what);
+                check.check(&inst, &BagCost::new(gain), &what);
+                check.check(&inst, &join, &what);
                 let lexi = Lexi::new(ConCov { k }, BagCost::new(size));
-                assert_matches_reference(&inst, &lexi, &what);
+                check.check(&inst, &lexi, &what);
                 let lexi = Lexi::new(ConCov { k }, ShallowCyc { d: 1 });
-                assert_matches_reference(&inst, &lexi, &what);
+                check.check(&inst, &lexi, &what);
             }
         }
         // Example 4: R,U,V on partition 0, S,T,W on partition 1.
@@ -831,7 +826,65 @@ mod tests {
             num_partitions: 2,
         };
         assert!(best_on(&inst, &clust).is_some());
-        assert_matches_reference(&inst, &clust, "example 4");
+        check.check(&inst, &clust, "example 4");
+    }
+
+    #[test]
+    fn best_equals_the_per_pair_reference() {
+        struct Reference;
+        impl Check for Reference {
+            fn check<E: TdEvaluator>(&self, inst: &CtdInstance, eval: &E, what: &str) {
+                assert_matches_reference(inst, eval, what);
+            }
+        }
+        reference_cases(&Reference);
+    }
+
+    /// `top_n(1)` answers iff `best_on` does, with a summary neither
+    /// better nor worse than `best_on`'s; `top_n(3)` is a prefix of
+    /// `top_n(8)` by summary; and every answer validates, re-evaluates to
+    /// its summary and differs from the others.
+    fn assert_top_n_agrees<E: TdEvaluator>(inst: &CtdInstance, eval: &E, what: &str) {
+        assert!(top_n_on(inst, eval, 0).is_empty(), "{what}");
+        let (best, first) = (best_on(inst, eval), top_n_on(inst, eval, 1));
+        assert_eq!(first.len(), best.is_some() as usize, "{what}");
+        if let (Some((_, a)), Some((_, b))) = (&best, first.first()) {
+            let equivalent = !eval.better(a, b) && !eval.better(b, a);
+            assert!(equivalent, "{what}: {a:?} against {b:?}");
+        }
+        let (short, long) = (top_n_on(inst, eval, 3), top_n_on(inst, eval, 8));
+        assert!(long.len() <= 8, "{what}");
+        assert_eq!(short.len(), long.len().min(3), "{what}");
+        let summaries = |ranked: &[Ranked<E::Summary>]| -> Vec<String> {
+            ranked.iter().map(|(_, s)| format!("{s:?}")).collect()
+        };
+        assert_eq!(summaries(&short), summaries(&long[..short.len()]), "{what}");
+        for (i, (td, summary)) in long.iter().enumerate() {
+            assert_eq!(td.validate(&inst.h), Ok(()), "{what}");
+            let again = evaluate_td(&inst.h, td, eval);
+            assert_eq!(
+                format!("{again:?}"),
+                format!("{:?}", Some(summary)),
+                "{what}"
+            );
+            assert!(long[..i].iter().all(|(other, _)| other != td), "{what}");
+        }
+    }
+
+    #[test]
+    fn top_n_agrees_with_best() {
+        struct Agrees;
+        impl Check for Agrees {
+            fn check<E: TdEvaluator>(&self, inst: &CtdInstance, eval: &E, what: &str) {
+                assert_top_n_agrees(inst, eval, what);
+            }
+        }
+        reference_cases(&Agrees);
+        // C5 under the squared bag size, a cost the cases above do not use.
+        let h = named::cycle(5);
+        let inst = CtdInstance::new(&h, &soft_bags(&h, 2));
+        let squared = BagCost::new(|b: &BitSet| (b.len() * b.len()) as f64);
+        assert_top_n_agrees(&inst, &squared, "C5, size squared");
     }
 
     /// The shapes on which the non-ranking pass settles blocks that share
@@ -977,7 +1030,7 @@ mod tests {
         let cost = BagCost::new(|bag: &BitSet| bag.len() as f64);
         let (btd, bsum) = best(&h, &bags, &cost).expect("exists");
         assert_eq!(btd.validate(&h), Ok(()));
-        let all = enumerate_all(&h, &bags, &cost, &EnumerateOptions::default());
+        let all = top_n(&h, &bags, &cost, 10_000);
         assert!(!all.is_empty());
         for (td, s) in &all {
             assert_eq!(td.validate(&h), Ok(()));
@@ -997,20 +1050,10 @@ mod tests {
         let h = named::cycle(5);
         let bags = soft_bags(&h, 2);
         let cost = BagCost::new(|bag: &BitSet| bag.len() as f64);
-        let all = enumerate_all(&h, &bags, &cost, &EnumerateOptions::default());
+        let all = top_n(&h, &bags, &cost, 10_000);
         for w in all.windows(2) {
             assert!(w[0].1.cost <= w[1].1.cost + 1e-9);
         }
-    }
-
-    #[test]
-    fn top_n_truncates() {
-        let h = named::cycle(5);
-        let bags = soft_bags(&h, 2);
-        let cost = BagCost::new(|bag: &BitSet| bag.len() as f64);
-        let t3 = top_n(&h, &bags, &cost, 3);
-        assert!(t3.len() <= 3);
-        assert!(!t3.is_empty());
     }
 
     #[test]
@@ -1032,7 +1075,7 @@ mod tests {
         let h = named::cycle(4);
         let bags = vec![h.vset(&["v0", "v1"])];
         assert!(best(&h, &bags, &Trivial).is_none());
-        assert!(enumerate_all(&h, &bags, &Trivial, &EnumerateOptions::default()).is_empty());
+        assert!(top_n(&h, &bags, &Trivial, usize::MAX).is_empty());
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(sample_random(&h, &bags, &mut rng).is_none());
     }

@@ -249,7 +249,7 @@ mod tests {
     use crate::parser::parse_sql;
     use crate::plan::atom_relations;
     use softhw_core::constraints::concov_filter;
-    use softhw_core::ctd_opt::{enumerate_all, EnumerateOptions};
+    use softhw_core::ctd_opt::top_n;
     use softhw_core::soft::soft_bags;
     use softhw_engine::{Database, Table};
 
@@ -283,7 +283,7 @@ mod tests {
         let cx = CostContext::new(&cq, &h, &atoms, &db);
         let bags = concov_filter(&h, 2, &soft_bags(&h, 2));
         let eval = TrueCardCost { cx: &cx };
-        let all = enumerate_all(&h, &bags, &eval, &EnumerateOptions::default());
+        let all = top_n(&h, &bags, &eval, 10_000);
         assert!(!all.is_empty());
         for w in all.windows(2) {
             assert!(w[0].1.cost <= w[1].1.cost + 1e-6);
@@ -299,7 +299,7 @@ mod tests {
         let cx = CostContext::new(&cq, &h, &atoms, &db);
         let bags = concov_filter(&h, 2, &soft_bags(&h, 2));
         let eval = DbmsEstimateCost { cx: &cx };
-        let all = enumerate_all(&h, &bags, &eval, &EnumerateOptions::default());
+        let all = top_n(&h, &bags, &eval, 10_000);
         assert!(!all.is_empty());
         for (_, s) in &all {
             assert!(s.cost.is_finite());

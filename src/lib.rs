@@ -33,7 +33,7 @@ pub use softhw_workloads as workloads;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use softhw_core::constraints::{concov_filter, ConCov, Trivial};
-    pub use softhw_core::ctd_opt::{best, enumerate_all, top_n, TdEvaluator};
+    pub use softhw_core::ctd_opt::{best, top_n, TdEvaluator};
     pub use softhw_core::{candidate_td, soft_bags, Ghd, TreeDecomposition};
     pub use softhw_engine::{Database, Relation, Table};
     pub use softhw_hypergraph::{BitSet, Hypergraph, HypergraphBuilder};

@@ -1,15 +1,15 @@
 //! Pins what Section 6's prototype reads off an instance besides the
-//! best decomposition: random samples ([`sample_random`]), the ranked
-//! enumeration ([`enumerate_all`]) and its prefix ([`top_n`]). Each pin
-//! is an FxHash of the `Debug` strings of every answer, in order, over a
-//! fixed set of shapes and widths, so a change to how trees are read off
-//! the satisfaction table that alters one bag, one child order or one
-//! random draw fails here.
+//! best decomposition: random samples ([`sample_random`]) and the ranked
+//! enumeration ([`top_n`]), long and short. Each pin is an FxHash of
+//! every answer, in order, over a fixed set of shapes and widths. The
+//! enumeration pins feed each tree bag by bag, so a change that alters
+//! one bag, one child order or one rank fails there. The sample pin feeds
+//! each draw's `Debug` string, which gives a tree's node count only.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use softhw::core::constraints::{BagCost, ConCov, ShallowCyc, Trivial};
-use softhw::core::ctd_opt::{enumerate_all, sample_random, top_n, EnumerateOptions, TdEvaluator};
+use softhw::core::ctd_opt::{sample_random, top_n, TdEvaluator};
 use softhw::core::soft::soft_bags;
 use softhw::hypergraph::fxhash::FxHasher;
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
@@ -82,23 +82,43 @@ fn samples_are_pinned() {
     assert_eq!(hasher.finish(), 16_415_240_994_479_854_717);
 }
 
-/// The hash of `enumerate_all` (default options) or, with `top`, of
-/// `top_n(10)`, under `Trivial`, `BagCost` by bag size,
-/// `ShallowCyc { d: 1 }` and `ConCov { k }`: on C5, C6 and [`apart`] at
-/// `k = 2, 3` and on the random shape of seed 5 at `k = 2`. Enumeration
-/// rebuilds a block's alternatives under every candidate that reaches
-/// it, so its time grows with the number of paths through the blocks:
-/// H2 and `grid(3, 3)` take minutes in a debug build and are left to
-/// [`samples_are_pinned`].
+/// The disconnected 8-edge shape of seed 5, on which the stitched root
+/// block rejects most combinations of its components' trees under
+/// `ShallowCyc`.
+fn apart_random() -> Hypergraph {
+    let config = RandomConfig {
+        num_vertices: 9,
+        num_edges: 8,
+        min_arity: 2,
+        max_arity: 3,
+        connect: false,
+    };
+    random_hypergraph(&config, 5)
+}
+
+/// The hash of `top_n(10_000)` or, with `top`, of `top_n(10)`, under
+/// `Trivial`, `BagCost` by bag size, `ShallowCyc { d: 1 }` and
+/// `ConCov { k }`: on C5, C6 and [`apart`] at `k = 2, 3`, and at `k = 2`
+/// on H2, `grid(3, 3)`, [`apart_random`] and the random shape of seed 5.
+/// Each answer is fed as its rendered tree and its summary, so one bag
+/// or one rank moved within a tie changes the hash. Each block's list
+/// of derivations is built once, however many parents reach the block,
+/// so H2 and `grid(3, 3)`, with 3.3e5 and 1.6e6 CTDs, fit here: this
+/// file's tests take about 6 s in a debug build.
 fn enumeration_hash(top: bool) -> u64 {
-    fn ranked<E: TdEvaluator>(h: &Hypergraph, bags: &[BitSet], eval: &E, top: bool) -> String {
-        if top {
-            format!("{:?}", top_n(h, bags, eval, 10))
-        } else {
-            format!(
-                "{:?}",
-                enumerate_all(h, bags, eval, &EnumerateOptions::default())
-            )
+    fn ranked<E: TdEvaluator>(
+        hasher: &mut FxHasher,
+        h: &Hypergraph,
+        bags: &[BitSet],
+        eval: &E,
+        top: bool,
+    ) {
+        let n = if top { 10 } else { 10_000 };
+        let answers = top_n(h, bags, eval, n);
+        hasher.write_usize(answers.len());
+        for (td, summary) in &answers {
+            feed(hasher, &td.render(h));
+            feed(hasher, summary);
         }
     }
     let cases = [
@@ -106,16 +126,19 @@ fn enumeration_hash(top: bool) -> u64 {
         (named::cycle(6), 3),
         (apart(), 3),
         (random_shape(5), 2),
+        (named::h2(), 2),
+        (named::grid(3, 3), 2),
+        (apart_random(), 2),
     ];
     let size = |bag: &BitSet| bag.len() as f64;
     let mut hasher = FxHasher::default();
     for (h, top_k) in &cases {
         for k in 2..=*top_k {
             let bags = soft_bags(h, k);
-            feed(&mut hasher, &ranked(h, &bags, &Trivial, top));
-            feed(&mut hasher, &ranked(h, &bags, &BagCost::new(size), top));
-            feed(&mut hasher, &ranked(h, &bags, &ShallowCyc { d: 1 }, top));
-            feed(&mut hasher, &ranked(h, &bags, &ConCov { k }, top));
+            ranked(&mut hasher, h, &bags, &Trivial, top);
+            ranked(&mut hasher, h, &bags, &BagCost::new(size), top);
+            ranked(&mut hasher, h, &bags, &ShallowCyc { d: 1 }, top);
+            ranked(&mut hasher, h, &bags, &ConCov { k }, top);
         }
     }
     hasher.finish()
@@ -123,10 +146,10 @@ fn enumeration_hash(top: bool) -> u64 {
 
 #[test]
 fn enumerations_are_pinned() {
-    assert_eq!(enumeration_hash(false), 7_278_268_430_932_776_232);
+    assert_eq!(enumeration_hash(false), 3_937_810_059_203_577_118);
 }
 
 #[test]
 fn top_ten_lists_are_pinned() {
-    assert_eq!(enumeration_hash(true), 13_040_480_782_648_361_121);
+    assert_eq!(enumeration_hash(true), 11_697_724_874_575_521_457);
 }
