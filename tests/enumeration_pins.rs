@@ -1,10 +1,9 @@
 //! Pins what Section 6's prototype reads off an instance besides the
 //! best decomposition: random samples ([`sample_random`]) and the ranked
 //! enumeration ([`top_n`]), long and short. Each pin is an FxHash of
-//! every answer, in order, over a fixed set of shapes and widths. The
-//! enumeration pins feed each tree bag by bag, so a change that alters
-//! one bag, one child order or one rank fails there. The sample pin feeds
-//! each draw's `Debug` string, which gives a tree's node count only.
+//! every answer, in order, over a fixed set of shapes and widths. Every
+//! pin feeds each tree bag by bag, so a change that alters one bag, one
+//! child order or one rank fails there.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -74,12 +73,16 @@ fn samples_are_pinned() {
             for seed in 0..5 {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 for _ in 0..8 {
-                    feed(&mut hasher, &sample_random(h, &bags, &mut rng));
+                    let sample = sample_random(h, &bags, &mut rng);
+                    feed(&mut hasher, &sample);
+                    if let Some(td) = &sample {
+                        feed(&mut hasher, &td.render(h));
+                    }
                 }
             }
         }
     }
-    assert_eq!(hasher.finish(), 16_415_240_994_479_854_717);
+    assert_eq!(hasher.finish(), 17_901_458_996_728_819_161);
 }
 
 /// The disconnected 8-edge shape of seed 5, on which the stitched root

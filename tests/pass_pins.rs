@@ -3,9 +3,10 @@
 //! of the exact `shw` sweep, `best_on` under `Trivial` and `ConCov { k }`,
 //! and `best_on` under the ranking `ShallowCyc { d: 1 }` and `BagCost` by
 //! bag size. Each pin is an FxHash of the `Debug` strings of
-//! every answer, in order, so a change to how the pass reads or orders
-//! candidates that moves one basis, one timestamp or one witness bag
-//! fails here.
+//! every answer, in order, and of each witness's rendered tree, bag by
+//! bag (a tree's `Debug` gives its node count and root only), so a change
+//! to how the pass reads or orders candidates that moves one basis, one
+//! timestamp or one witness bag fails here.
 //!
 //! The shapes are the cold serving family: 64 connected random shapes of
 //! 12, 14 or 16 edges (5 : 3 : 2) with as many vertices as edges and
@@ -16,7 +17,8 @@ use softhw::core::constraints::{BagCost, ConCov, ShallowCyc, Trivial};
 use softhw::core::ctd::CtdInstance;
 use softhw::core::ctd_opt::best_on;
 use softhw::core::soft::soft_bags;
-use softhw::core::{solve, SolveSpec};
+use softhw::core::td::TreeDecomposition;
+use softhw::core::{solve, SolveSpec, Solved};
 use softhw::hypergraph::fxhash::FxHasher;
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::{named, BitSet, Hypergraph};
@@ -54,6 +56,13 @@ fn feed(hasher: &mut FxHasher, value: &impl std::fmt::Debug) {
     hasher.write_u8(0xff);
 }
 
+/// Feeds `td`'s rendered tree, bag by bag, when there is one.
+fn feed_tree(hasher: &mut FxHasher, h: &Hypergraph, td: Option<&TreeDecomposition>) {
+    if let Some(td) = td {
+        feed(hasher, &td.render(h));
+    }
+}
+
 #[test]
 fn satisfaction_tables_are_pinned() {
     let mut hasher = FxHasher::default();
@@ -75,9 +84,14 @@ fn shw_sweep_witnesses_are_pinned() {
     let spec = SolveSpec::shw().with_reduce(false);
     let grids = (2..=4).map(|n| named::grid(n, n));
     for h in (0..64).map(cold_shape).chain(grids) {
-        feed(&mut hasher, &solve(&h, &spec).unwrap());
+        let solved = solve(&h, &spec).unwrap();
+        let Solved::ShwWidth(_, td) = &solved else {
+            panic!("exact shw specs answer with a width");
+        };
+        feed(&mut hasher, &solved);
+        feed_tree(&mut hasher, &h, Some(td));
     }
-    assert_eq!(hasher.finish(), 8_588_770_481_206_190_778);
+    assert_eq!(hasher.finish(), 10_487_878_822_701_082_252);
 }
 
 #[test]
@@ -85,10 +99,12 @@ fn best_under_trivial_and_concov_is_pinned() {
     let mut hasher = FxHasher::default();
     for (h, k) in cases() {
         let inst = CtdInstance::new(&h, &soft_bags(&h, k));
-        feed(&mut hasher, &best_on(&inst, &Trivial));
-        feed(&mut hasher, &best_on(&inst, &ConCov { k }));
+        for best in [best_on(&inst, &Trivial), best_on(&inst, &ConCov { k })] {
+            feed(&mut hasher, &best);
+            feed_tree(&mut hasher, &h, best.as_ref().map(|b| &b.0));
+        }
     }
-    assert_eq!(hasher.finish(), 8_839_189_447_967_144_370);
+    assert_eq!(hasher.finish(), 114_081_003_256_014_943);
 }
 
 /// Under an evaluator that ranks, each block keeps the candidate no other
@@ -107,7 +123,9 @@ fn ranked_bests_are_pinned() {
             assert_eq!(td.validate(&h), Ok(()));
         }
         feed(&mut hasher, &shallow);
+        feed_tree(&mut hasher, &h, witnesses[0]);
         feed(&mut hasher, &cost);
+        feed_tree(&mut hasher, &h, witnesses[1]);
     }
-    assert_eq!(hasher.finish(), 4_168_567_430_048_136_404);
+    assert_eq!(hasher.finish(), 12_048_141_424_914_256_118);
 }
