@@ -20,19 +20,21 @@
 //!   sweeps over repeated queries skip generation and search entirely;
 //! - its last-use tick, the LRU clock.
 //!
-//! Nothing else is kept: the reduce-aware sweeps reduce the caller's own
-//! hypergraph on every call (a reduction is cheap next to one width
-//! decision) and memoise per reduced *piece*.
+//! Nothing else is kept: a reduce-aware `shw` solve reduces the caller's
+//! own hypergraph on every call (a reduction is cheap next to one width
+//! decision) and memoises per reduced *piece*; `hw`, which solves the
+//! input as sent, memoises per input.
 //!
 //! [`DecompCache::solve`] answers what the cold [`crate::solve`] answers
 //! (both are deterministic — the property test below holds them equal,
-//! decomposition for decomposition) through the same `solve_with` body;
-//! only the leaves differ. Every width a piece is asked at is a memo
-//! probe or one Algorithm 1 run against the warm index: an exact width
-//! is a sweep `k = 1, 2, …` (from 2 on a cyclic piece) until the first
-//! accept, a bounded spec one width. A memoised decision is therefore a function of `(piece, k)`
-//! alone — exact and bounded specs fill and read the same entries, in
-//! either order.
+//! decomposition for decomposition) through the same `solve_shw` and
+//! `solve_hw` bodies; only the leaves differ. Every width a piece is
+//! asked at is a memo probe or one decision (for `shw`, one Algorithm 1
+//! run against the warm index): an exact width is a sweep `k = 1, 2, …`
+//! (from 2 on a cyclic `shw` piece) until the first accept, a bounded
+//! spec one width. A memoised decision is therefore a function of
+//! `(piece, k)` alone — exact and bounded specs fill and read the same
+//! entries, in either order.
 //!
 //! The structural hash ignores the order edges are listed in, so the one
 //! thing kept per entry that names edges — the `λ`-labels of `hw`
@@ -56,7 +58,7 @@ use crate::budget::Budget;
 use crate::error::DecompError;
 use crate::ghd::Ghd;
 use crate::hw::hw_leq_budgeted;
-use crate::reduce_solve::{first_width, solve_with};
+use crate::reduce_solve::{first_width, solve_hw, solve_shw};
 use crate::shw::{new_index, shw_leq_indexed_budgeted};
 use crate::soft::SoftLimits;
 use crate::spec::{SolveClass, SolveSpec, Solved};
@@ -186,11 +188,11 @@ impl DecompCache {
 
     /// The memoised [`crate::solve`]: the same answer to the same
     /// [`SolveSpec`], with every `width ≤ k` decision it takes — on `h`
-    /// for raw specs, on each reduced piece (under the *piece's*
-    /// structural hash, so a schema submitted raw and the same schema
-    /// submitted already reduced meet on the same entries) for
-    /// reduce-aware ones, exact or bounded — read from or written to the
-    /// cache.
+    /// for `hw` and raw `shw` specs, on each reduced piece (under the
+    /// *piece's* structural hash, so a schema submitted raw and the same
+    /// schema submitted already reduced meet on the same entries) for
+    /// reduce-aware `shw` ones, exact or bounded — read from or written
+    /// to the cache.
     ///
     /// Budget aborts keep the cache warm and consistent: nothing is
     /// memoised for the interrupted width (so a partial answer can never
@@ -201,12 +203,10 @@ impl DecompCache {
     pub fn solve(&mut self, h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
         let (limits, budget) = (&spec.limits, &spec.budget);
         match spec.class {
-            SolveClass::Shw => solve_with(h, spec, |piece, widths| {
+            SolveClass::Shw => solve_shw(h, spec, |piece, widths| {
                 first_width(widths, |k| self.shw_decision(piece, k, limits, budget))
             }),
-            SolveClass::Hw => solve_with(h, spec, |piece, widths| {
-                first_width(widths, |k| self.hw_decision(piece, k, budget))
-            }),
+            SolveClass::Hw => solve_hw(h, spec, |k| self.hw_decision(h, k, budget)),
         }
     }
 
@@ -535,7 +535,7 @@ mod tests {
 
     /// The 6-cycle over vertices `a..f` (ids fixed up front) with its
     /// edges listed in `order`, plus — with `extras` — a subsumed edge
-    /// and a second component, so the no-peel reduction is non-trivial.
+    /// and a second component.
     fn six_cycle(order: [usize; 6], extras: bool) -> Hypergraph {
         let names = ["a", "b", "c", "d", "e", "f", "x", "y"];
         let mut b = softhw_hypergraph::HypergraphBuilder::new();
@@ -590,8 +590,8 @@ mod tests {
 
     #[test]
     fn hw_queries_build_no_index() {
-        // The `hw` search runs on the hypergraph itself: neither the raw
-        // sweep nor the reduced pieces may cost a `BlockIndex` build.
+        // The `hw` search runs on the hypergraph itself, whatever the
+        // reduce switch says: no `hw` query may cost a `BlockIndex` build.
         for h in [named::h2(), six_cycle([0, 1, 2, 3, 4, 5], true)] {
             for spec in [SolveSpec::hw(), SolveSpec::hw_leq(2)] {
                 for reduce in [true, false] {

@@ -17,11 +17,14 @@
 //! cover-guided (branch on the lowest uncovered connector vertex) with a
 //! free extension phase, which prunes the `|E|^k` space drastically.
 //!
+//! Each connected component is decomposed on its own, and the input is
+//! solved as sent: no reduction runs first, because dropping a subsumed
+//! edge can raise `hw` (`softhw_hypergraph::reduce`'s module docs).
+//!
 //! [`hw`] and [`hw_leq`] are [`crate::solve`] under the matching
-//! [`SolveSpec`] — the cold door of the one solver pipeline
-//! ([`crate::reduce_solve`]); the raw sweep is that door under
-//! [`SolveSpec::with_reduce`]`(false)`. [`hw_leq_budgeted`] is the
-//! pipeline's `hw` leaf.
+//! [`SolveSpec`] — the cold door of the one solver front
+//! ([`crate::reduce_solve`]), where an exact `hw` is a sweep of
+//! [`hw_leq_budgeted`] over `k = 1, 2, …`.
 
 use crate::budget::Budget;
 use crate::error::DecompError;
@@ -287,10 +290,8 @@ pub fn hw_leq_budgeted(
 }
 
 /// Computes `hw(H)` exactly, returning the width and a witness HD —
-/// [`crate::solve`] under [`SolveSpec::hw`]. The input is first
-/// simplified by the HD-safe (no-peel) reduction pipeline
-/// ([`softhw_hypergraph::reduce_no_peel`]); each piece is swept and the
-/// piece witnesses lifted back ([`crate::reduce_solve`]).
+/// [`crate::solve`] under [`SolveSpec::hw`]: [`hw_leq_budgeted`] swept
+/// over `k = 1, 2, …` on `h` as sent.
 pub fn hw(h: &Hypergraph) -> (usize, Ghd) {
     match crate::solve(h, &SolveSpec::hw()) {
         Ok(Solved::HwWidth(w, g)) => (w, g),

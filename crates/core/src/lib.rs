@@ -10,10 +10,11 @@
 //! - [`ctd`]: blocks, bases, Algorithm 1 as one pass in dependency order (§3)
 //! - [`spec`]: the unified [`SolveSpec`] request surface over every
 //!   (class × exactness × budget × reduction × limits) corner
-//! - [`reduce_solve`]: the one solver pipeline (reduce → sweep each
-//!   piece → lift) and its cold front door, [`solve`]
+//! - [`reduce_solve`]: the one solver front, [`solve`]: the `shw`
+//!   pipeline (reduce → sweep each piece → lift) and the `hw` sweep on
+//!   the input as sent
 //! - [`cache`]: [`DecompCache`], the cross-query memo in front of the same
-//!   pipeline (one structural-hash keyed map of warm indexes + width
+//!   front (one structural-hash keyed map of warm indexes + width
 //!   decisions under an LRU bound); its whole surface is `new`,
 //!   `with_capacity`, `solve` and `stats`
 //! - [`soft`]: the candidate bag set `Soft_{H,k}` (§4, Def. 3)

@@ -1,6 +1,6 @@
-//! Reduce-before-solve: run the width-preserving simplification pipeline
-//! of [`softhw_hypergraph::reduce()`], solve each reduced piece
-//! independently, and lift the piece witnesses back to one valid
+//! Reduce-before-solve for `shw`: run the width-preserving simplification
+//! pipeline of [`softhw_hypergraph::reduce()`], solve each reduced piece
+//! independently, and lift the piece witnesses back to one valid tree
 //! decomposition of the *original* hypergraph.
 //!
 //! Widths recombine by max (with a floor of 1 once any reduction event
@@ -23,21 +23,26 @@
 //! fully-peelable (α-acyclic) hypergraph a genuine join tree: one node
 //! per surviving edge, each coverable by a single edge.
 //!
-//! This module is also the **one solver pipeline**. `solve_with` is the
-//! only reduce → answer each piece → lift body in the crate, for exact
-//! widths and `width ≤ k` decisions alike, parameterised by the witness
-//! kind (`Witness`: which reduction is sound, how pieces lift, what
-//! "valid" means, which [`Solved`] it makes) and by a per-piece leaf. It
-//! has two front doors, each a `match` on the class. [`solve`] is the
-//! cold one: every piece is answered with the leaf decisions
-//! ([`shw_leq_indexed_budgeted`] against one index per piece,
-//! [`hw_leq_budgeted`]) and nothing outlives the call.
-//! [`crate::cache::DecompCache::solve`] runs the same body with its memo
-//! probes as leaves. Every other way in is
-//! [`solve`] under a fixed [`SolveSpec`]: `shw::{shw, shw_leq}` and
-//! `hw::{hw, hw_leq}` name the default corners, and a raw solve or
-//! explicit limits are [`SolveSpec::with_reduce`] and
-//! [`SolveSpec::with_limits`] — no second spelling of either exists.
+//! `hw` solves the input as sent. Its `λ` may only name edges of the
+//! input, so a subsumed edge a reduction drops can be the one an optimal
+//! HD needs: `H2` plus the edge `{2, a}` has `hw` 2, and 3 without that
+//! edge (see the [`reduce`](mod@softhw_hypergraph::reduce) module docs).
+//! The `hw` search already decomposes each connected component on its
+//! own, so splitting buys it nothing either.
+//!
+//! This module is also the **one solver front**. [`solve`] is the cold
+//! door, a `match` on the class: an `shw` spec runs `solve_shw`, the
+//! reduce → answer each piece → lift body, whose per-piece leaf decides
+//! with [`shw_leq_indexed_budgeted`] against one index per piece; an `hw`
+//! spec runs `solve_hw`, a sweep of [`hw_leq_budgeted`] over the widths
+//! the spec asks about. Both share the width range and the answer
+//! helpers, and nothing outlives the call.
+//! [`crate::cache::DecompCache::solve`] runs the same two bodies with its
+//! memo probes as leaves. Every other way in is [`solve`] under a fixed
+//! [`SolveSpec`]: `shw::{shw, shw_leq}` and `hw::{hw, hw_leq}` name the
+//! default corners, and a raw solve or explicit limits are
+//! [`SolveSpec::with_reduce`] and [`SolveSpec::with_limits`] — no second
+//! spelling of either exists.
 
 use crate::error::DecompError;
 use crate::ghd::Ghd;
@@ -45,27 +50,14 @@ use crate::hw::hw_leq_budgeted;
 use crate::shw::{new_index, shw_leq_indexed_budgeted, soft_instance_on};
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
-use softhw_hypergraph::reduce::{reduce, reduce_no_peel, ReduceEvent, ReducePiece, Reduction};
+use softhw_hypergraph::reduce::{reduce, ReduceEvent, ReducePiece, Reduction};
 use softhw_hypergraph::{BitSet, Hypergraph};
 use std::ops::RangeInclusive;
-
-/// Where a lifted node came from: copied out of a solved piece, or
-/// created by the replay for a specific original edge (its bag stays a
-/// subset of that edge, so `λ = {edge}` covers it).
-#[derive(Clone, Copy, Debug)]
-enum NodeOrigin {
-    /// Node `node` of the witness for piece `piece`.
-    Piece { piece: usize, node: usize },
-    /// Created by the replay; owned by original edge `edge`.
-    Owned { edge: usize },
-}
 
 struct Lifter<'a> {
     h: &'a Hypergraph,
     red: &'a Reduction,
     td: Option<TreeDecomposition>,
-    /// Parallel to the nodes of `td`, in creation order.
-    origin: Vec<NodeOrigin>,
     /// Per original edge: `(node, owned)` with `bag(node) ⊇` the edge's
     /// current set in the backward replay.
     cover: Vec<Option<(usize, bool)>>,
@@ -77,15 +69,14 @@ impl<'a> Lifter<'a> {
             h,
             red,
             td: None,
-            origin: Vec::new(),
             cover: vec![None; red.num_edges],
         }
     }
 
-    /// Adds a node (the root if none exists yet, otherwise a child of
-    /// `parent`, defaulting to the root) and records its origin.
-    fn add_node(&mut self, parent: Option<usize>, bag: BitSet, origin: NodeOrigin) -> usize {
-        let id = match &mut self.td {
+    /// Adds a node: the root if none exists yet, otherwise a child of
+    /// `parent`, defaulting to the root.
+    fn add_node(&mut self, parent: Option<usize>, bag: BitSet) -> usize {
+        match &mut self.td {
             None => {
                 debug_assert!(parent.is_none());
                 self.td = Some(TreeDecomposition::new(bag));
@@ -95,17 +86,14 @@ impl<'a> Lifter<'a> {
                 let p = parent.unwrap_or(td.root());
                 td.add_child(p, bag)
             }
-        };
-        debug_assert_eq!(id, self.origin.len());
-        self.origin.push(origin);
-        id
+        }
     }
 
     /// Grafts one solved piece into the global tree (piece 0's root
     /// becomes the global root; later pieces hang under it — the pieces
     /// are vertex-disjoint, so any attachment point is valid) and
     /// records a cover node for every piece edge.
-    fn stitch(&mut self, piece_idx: usize, piece: &ReducePiece, ptd: &TreeDecomposition) {
+    fn stitch(&mut self, piece: &ReducePiece, ptd: &TreeDecomposition) {
         let remap = |bag: &BitSet| -> BitSet {
             let mut out = BitSet::empty(self.h.num_vertices());
             for v in bag.iter() {
@@ -115,12 +103,8 @@ impl<'a> Lifter<'a> {
         };
         let mut node_map = vec![usize::MAX; ptd.num_nodes()];
         for u in ptd.preorder() {
-            let origin = NodeOrigin::Piece {
-                piece: piece_idx,
-                node: u,
-            };
             let parent = ptd.parent(u).map(|p| node_map[p]);
-            node_map[u] = self.add_node(parent, remap(ptd.bag(u)), origin);
+            node_map[u] = self.add_node(parent, remap(ptd.bag(u)));
         }
         for (pe, &re) in piece.edge_map.iter().enumerate() {
             let eset = piece.h.edge(pe);
@@ -135,7 +119,7 @@ impl<'a> Lifter<'a> {
     /// vertex and dropped edge into the tree.
     fn replay(&mut self) {
         for ev in self.red.events.iter().rev() {
-            match ev {
+            let (edge, parent, bag) = match ev {
                 ReduceEvent::Peel {
                     vertex,
                     edge,
@@ -149,26 +133,13 @@ impl<'a> Lifter<'a> {
                             .as_mut()
                             .expect("cover implies nodes")
                             .grow_bag(node, *vertex);
+                        continue;
                     }
-                    Some((node, false)) => {
-                        let leaf = self.add_node(
-                            Some(node),
-                            host_before.clone(),
-                            NodeOrigin::Owned { edge: *edge },
-                        );
-                        self.cover[*edge] = Some((leaf, true));
-                    }
-                    None => {
-                        // The edge is currently empty (fully peeled):
-                        // this event restored its last vertex, which is
-                        // fresh, so the node can attach anywhere.
-                        let leaf = self.add_node(
-                            None,
-                            host_before.clone(),
-                            NodeOrigin::Owned { edge: *edge },
-                        );
-                        self.cover[*edge] = Some((leaf, true));
-                    }
+                    Some((node, false)) => (*edge, Some(node), host_before),
+                    // The edge is currently empty (fully peeled): this
+                    // event restored its last vertex, which is fresh, so
+                    // the node can attach anywhere.
+                    None => (*edge, None, host_before),
                 },
                 ReduceEvent::Drop {
                     edge,
@@ -177,147 +148,89 @@ impl<'a> Lifter<'a> {
                 } => {
                     let (anchor, _) = self.cover[*subsumer]
                         .expect("subsumer is alive, hence placed, when a drop is undone");
-                    let leaf =
-                        self.add_node(Some(anchor), set.clone(), NodeOrigin::Owned { edge: *edge });
-                    self.cover[*edge] = Some((leaf, true));
+                    (*edge, Some(anchor), set)
                 }
-            }
+            };
+            let leaf = self.add_node(parent, bag.clone());
+            self.cover[edge] = Some((leaf, true));
         }
     }
-
-    fn finish(self) -> (TreeDecomposition, Vec<NodeOrigin>) {
-        let td = self
-            .td
-            .expect("non-trivial reduction lifts at least one node");
-        (td, self.origin)
-    }
 }
 
-fn lift(
-    h: &Hypergraph,
-    red: &Reduction,
-    piece_tds: &[&TreeDecomposition],
-) -> (TreeDecomposition, Vec<NodeOrigin>) {
+/// One tree decomposition of `h` out of one per piece of `red`, by
+/// replaying the reduction trace backwards (`red` is non-trivial).
+fn lift(h: &Hypergraph, red: &Reduction, piece_tds: &[TreeDecomposition]) -> TreeDecomposition {
     assert_eq!(piece_tds.len(), red.pieces.len());
     let mut lifter = Lifter::new(h, red);
-    for (i, (piece, ptd)) in red.pieces.iter().zip(piece_tds).enumerate() {
-        lifter.stitch(i, piece, ptd);
+    for (piece, ptd) in red.pieces.iter().zip(piece_tds) {
+        lifter.stitch(piece, ptd);
     }
     lifter.replay();
-    lifter.finish()
+    lifter
+        .td
+        .expect("non-trivial reduction lifts at least one node")
 }
 
-/// A width witness the pipeline can reduce for, lift, check and answer
-/// with. The two measures differ in exactly these places.
-pub(crate) trait Witness: Sized {
-    /// Whether [`Witness::reduce`] runs the GYO rules (degree-1 peeling
-    /// and subsumed-edge removal) to a fixpoint, which is empty exactly on
-    /// α-acyclic inputs: then a piece it leaves, or an input it leaves
-    /// untouched, with two or more non-empty edges is α-cyclic, so its
-    /// `ghw`, and every width here above it, is at least 2.
-    const GYO: bool;
-    /// The width-preserving reduction that is sound for this witness.
-    fn reduce(h: &Hypergraph) -> Reduction;
-    /// One witness for `h` out of one per piece of `red`, by replaying
-    /// the reduction trace backwards (`red` is non-trivial).
-    fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self;
-    /// Whether this is a valid witness for `h`.
-    fn holds_on(&self, h: &Hypergraph) -> bool;
-    /// The exact answer (width and witness) and the `width ≤ k` one.
-    const WIDTH: fn(usize, Self) -> Solved;
-    const DECISION: fn(Option<Self>) -> Solved;
+/// The widths a solve asks about on `h`: `floor..=|E|` for an exact spec,
+/// `min(k, |E|)` alone for a bounded one (`Soft_{H,k}` and an HD's `λ` do
+/// not change past `|E|`, so an absurd `k` sizes nothing), and none when
+/// that `k` is below `floor`.
+fn widths(h: &Hypergraph, bound: Option<usize>, floor: usize) -> RangeInclusive<usize> {
+    let top = h.num_edges().max(1);
+    bound.map_or(floor..=top, |k| {
+        let k = k.min(top);
+        k.max(floor)..=k
+    })
 }
 
-impl Witness for TreeDecomposition {
-    const GYO: bool = true;
-    const WIDTH: fn(usize, Self) -> Solved = Solved::ShwWidth;
-    const DECISION: fn(Option<Self>) -> Solved = Solved::ShwDecision;
-    fn reduce(h: &Hypergraph) -> Reduction {
-        reduce(h)
-    }
-
-    fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self {
-        lift(h, red, &pieces.iter().collect::<Vec<_>>()).0
-    }
-
-    fn holds_on(&self, h: &Hypergraph) -> bool {
-        self.validate(h).is_ok()
+/// The answer to a spec with bound `bound`, out of the first width found
+/// and its witness: a decision for a bounded spec (a witness on yes), the
+/// width and witness for an exact one.
+fn answer<W>(
+    bound: Option<usize>,
+    found: Option<(usize, W)>,
+    width: fn(usize, W) -> Solved,
+    decision: fn(Option<W>) -> Solved,
+) -> Result<Solved, DecompError> {
+    match bound {
+        Some(_) => Ok(decision(found.map(|(_, witness)| witness))),
+        // `shw` always accepts at `|E|`; `hw` may not, on a degenerate input.
+        None => found
+            .map(|(w, witness)| width(w, witness))
+            .ok_or_else(|| DecompError::internal("no width up to |E(H)| admits a decomposition")),
     }
 }
 
-/// Degree-1 peeling is sound for tree decompositions but re-enters
-/// peeled vertices *below* nodes that may carry their host edge in `λ`,
-/// violating the HD special condition — so `hw` restricts itself to
-/// subsumption and splitting ([`reduce_no_peel`]). Piece `λ`-labels map
-/// through the piece's edge map; replay-created nodes get
-/// `λ = {owning edge}` (their bags are subsets of that edge).
-impl Witness for Ghd {
-    const GYO: bool = false;
-    const WIDTH: fn(usize, Self) -> Solved = Solved::HwWidth;
-    const DECISION: fn(Option<Self>) -> Solved = Solved::HwDecision;
-    fn reduce(h: &Hypergraph) -> Reduction {
-        reduce_no_peel(h)
-    }
-
-    fn lift(h: &Hypergraph, red: &Reduction, pieces: &[Self]) -> Self {
-        let tds: Vec<&TreeDecomposition> = pieces.iter().map(|g| &g.td).collect();
-        let (td, origin) = lift(h, red, &tds);
-        let lambdas = origin
-            .iter()
-            .map(|o| match *o {
-                NodeOrigin::Piece { piece, node } => pieces[piece].lambdas[node]
-                    .iter()
-                    .map(|&e| red.pieces[piece].edge_map[e])
-                    .collect(),
-                NodeOrigin::Owned { edge } => vec![edge],
-            })
-            .collect();
-        Ghd { td, lambdas }
-    }
-
-    fn holds_on(&self, h: &Hypergraph) -> bool {
-        self.is_hd(h)
-    }
-}
-
-/// The one solver body both doors run. `leaf` answers one irreducible
-/// connected piece with the first width in a range it accepts and its
-/// witness: `floor..=|E|` for an exact spec, `min(k, |E|)` alone for a
-/// bounded one (`Soft_{H,k}` and an HD's `λ` do not change past `|E|`, so
-/// an absurd `k` sizes nothing), where `floor` is 2 on a GYO fixpoint
-/// with two or more non-empty edges ([`Witness::GYO`]) and 1 otherwise.
-/// A bounded `k` below the floor answers "no" without asking `leaf`.
-/// With `spec.reduce` and a non-trivial reduction every piece is
-/// answered, the budget checked before each, the widths recombined by
-/// max (floor 1) and the witnesses lifted; otherwise `h` itself is
-/// answered. A piece that accepts no width answers "no".
-pub(crate) fn solve_with<W: Witness>(
+/// The `shw` pipeline. `leaf` answers one irreducible connected piece
+/// with the first width in a range it accepts and its witness, the range
+/// being [`widths`] from a floor of 2 on a piece `reduce` left with two or
+/// more non-empty edges, and 1 otherwise: `reduce` runs the GYO rules
+/// (degree-1 peeling and subsumed-edge removal) to a fixpoint, which is
+/// empty exactly on α-acyclic inputs, so such a piece is α-cyclic and its
+/// `ghw`, hence its `shw`, is at least 2. A bounded `k` below the floor
+/// answers "no" without asking `leaf`. With `spec.reduce` and a
+/// non-trivial reduction every piece is answered, the budget checked
+/// before each, the widths recombined by max (floor 1) and the witnesses
+/// lifted; otherwise `h` itself is answered. A piece that accepts no
+/// width answers "no".
+pub(crate) fn solve_shw(
     h: &Hypergraph,
     spec: &SolveSpec,
-    mut leaf: impl FnMut(&Hypergraph, RangeInclusive<usize>) -> Result<Option<(usize, W)>, DecompError>,
+    mut leaf: impl FnMut(
+        &Hypergraph,
+        RangeInclusive<usize>,
+    ) -> Result<Option<(usize, TreeDecomposition)>, DecompError>,
 ) -> Result<Solved, DecompError> {
     let mut leaf = |piece: &Hypergraph| {
-        let top = piece.num_edges().max(1);
-        let cyclic =
-            W::GYO && spec.reduce && piece.edges().iter().filter(|e| !e.is_empty()).count() >= 2;
-        let floor = if cyclic { 2 } else { 1 };
-        let widths = spec.bound.map_or(floor..=top, |k| {
-            let k = k.min(top);
-            k.max(floor)..=k
-        });
+        let cyclic = spec.reduce && piece.edges().iter().filter(|e| !e.is_empty()).count() >= 2;
+        let widths = widths(piece, spec.bound, if cyclic { 2 } else { 1 });
         if widths.is_empty() {
             return Ok(None);
         }
         leaf(piece, widths)
     };
-    let answer = |found: Option<(usize, W)>| match spec.bound {
-        Some(_) => Ok(W::DECISION(found.map(|(_, witness)| witness))),
-        // `shw` always accepts at `|E|`; `hw` may not, on a degenerate input.
-        None => found
-            .map(|(w, witness)| W::WIDTH(w, witness))
-            .ok_or_else(|| DecompError::internal("no width up to |E(H)| admits a decomposition")),
-    };
-    let red = spec.reduce.then(|| W::reduce(h));
+    let answer = |found| answer(spec.bound, found, Solved::ShwWidth, Solved::ShwDecision);
+    let red = spec.reduce.then(|| reduce(h));
     let Some(red) = red.filter(|red| !red.is_trivial()) else {
         return answer(leaf(h)?);
     };
@@ -331,9 +244,20 @@ pub(crate) fn solve_with<W: Witness>(
         width = width.max(w);
         witnesses.push(witness);
     }
-    let lifted = W::lift(h, &red, &witnesses);
-    debug_assert!(lifted.holds_on(h), "the lifted witness must be valid");
+    let lifted = lift(h, &red, &witnesses);
+    debug_assert_eq!(lifted.validate(h), Ok(()), "the lifted witness");
     answer(Some((width, lifted)))
+}
+
+/// The `hw` sweep: the first of [`widths`] from 1 that `decide` accepts on
+/// `h` as sent, made an [`answer`]. `spec.reduce` is not read.
+pub(crate) fn solve_hw(
+    h: &Hypergraph,
+    spec: &SolveSpec,
+    decide: impl FnMut(usize) -> Result<Option<Ghd>, DecompError>,
+) -> Result<Solved, DecompError> {
+    let found = first_width(widths(h, spec.bound, 1), decide)?;
+    answer(spec.bound, found, Solved::HwWidth, Solved::HwDecision)
 }
 
 /// The first of `widths` that `decide` accepts, with its witness.
@@ -354,12 +278,13 @@ pub(crate) fn first_width<W>(
 /// [`SolveSpec`], keeping nothing between calls. An `shw` piece gets one
 /// [`softhw_hypergraph::BlockIndex`]: every width but the last decides on
 /// it, and the last hands it to its instance build, which releases it as
-/// it goes ([`crate::shw::soft_instance`]); `hw` builds none. A budget or
-/// limit trip is the error; nothing partial is returned.
+/// it goes ([`crate::shw::soft_instance`]); `hw` builds none and reduces
+/// nothing. A budget or limit trip is the error; nothing partial is
+/// returned.
 pub fn solve(h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
     let (limits, budget) = (&spec.limits, &spec.budget);
     match spec.class {
-        SolveClass::Shw => solve_with(h, spec, |piece, widths| {
+        SolveClass::Shw => solve_shw(h, spec, |piece, widths| {
             let (first, last) = widths.into_inner();
             let mut index = new_index(piece);
             if let found @ Some(_) = first_width(first..last, |k| {
@@ -370,9 +295,7 @@ pub fn solve(h: &Hypergraph, spec: &SolveSpec) -> Result<Solved, DecompError> {
             let instance = soft_instance_on(index, last, limits, budget)?;
             Ok(instance.try_decide_budgeted(budget)?.map(|td| (last, td)))
         }),
-        SolveClass::Hw => solve_with(h, spec, |piece, widths| {
-            first_width(widths, |k| hw_leq_budgeted(piece, k, budget))
-        }),
+        SolveClass::Hw => solve_hw(h, spec, |k| hw_leq_budgeted(h, k, budget)),
     }
 }
 
@@ -392,18 +315,17 @@ mod tests {
     }
 
     #[test]
-    fn acyclic_chain_lifts_to_a_hypertree() {
+    fn acyclic_chain_lifts_to_a_join_tree() {
         let h = acyclic_chain();
-        let (w, g) = hw(&h);
-        assert_eq!(w, 1);
-        assert!(
-            g.is_hd(&h),
-            "fully-peeled lift is a join tree:\n{}",
-            g.render(&h)
-        );
         let (ws, td) = shw(&h);
         assert_eq!(ws, 1);
         assert_eq!(td.validate(&h), Ok(()));
+        // Fully peeled, the lift grows one node per edge: a join tree.
+        let g = Ghd::from_td(&h, td, 1).expect("every bag is one edge");
+        assert!(g.is_hd(&h), "{}", g.render(&h));
+        let (w, g) = hw(&h);
+        assert_eq!(w, 1);
+        assert!(g.is_hd(&h));
     }
 
     #[test]
@@ -415,8 +337,9 @@ mod tests {
             b.edge(&format!("{p}_e3"), &[vs[2], vs[0]]);
         }
         let h = b.build();
-        // The raw sweep cannot decompose disconnected inputs at all;
-        // the reduce path splits and recombines.
+        // The raw `shw` sweep cannot decompose disconnected inputs at
+        // all; the reduce path splits and recombines. The `hw` search
+        // decomposes each component of the input itself.
         let (w, td) = shw(&h);
         assert_eq!(w, 2, "each triangle has shw 2");
         assert_eq!(td.validate(&h), Ok(()));
@@ -428,7 +351,8 @@ mod tests {
     #[test]
     fn pendant_and_subsumed_edges_do_not_change_width() {
         // A 6-cycle (shw = hw = 2) with a pendant path and a subsumed
-        // edge attached: the reductions strip them, the width stays 2.
+        // edge attached: `reduce` strips them for `shw`, `hw` solves
+        // them as sent, and both widths stay 2.
         let mut b = HypergraphBuilder::new();
         for i in 0..6 {
             b.edge(

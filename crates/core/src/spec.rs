@@ -11,8 +11,8 @@
 //!   the `width ≤ k` decision;
 //! - **budget** — a cooperative [`Budget`]; [`Budget::unlimited`] costs
 //!   nothing and never trips;
-//! - **reduce** — whether the solve runs the reduce-before-solve
-//!   pipeline ([`SolveSpec::reduce`]);
+//! - **reduce** — whether an `shw` solve runs the reduce-before-solve
+//!   pipeline ([`SolveSpec::reduce`]); `hw` solves the input as sent;
 //! - **limits** — the [`SoftLimits`] generation guards for `shw` paths.
 //!
 //! [`crate::solve`] is the entry point: it consumes a spec and answers
@@ -49,10 +49,12 @@ pub struct SolveSpec {
     /// Cooperative deadline/cancellation budget. The unlimited budget
     /// allocates nothing and solves on the never-checking fast path.
     pub budget: Budget,
-    /// Whether the solve runs the reduce-before-solve pipeline
+    /// Whether an `shw` solve runs the reduce-before-solve pipeline
     /// (simplify, solve pieces, lift), for exact widths and `width ≤ k`
     /// decisions alike. Verdicts and widths do not depend on it; a
-    /// witness may.
+    /// witness may. An `hw` solve does not read it: it solves the input
+    /// as sent, since dropping a subsumed edge can raise `hw`
+    /// (`softhw_hypergraph::reduce`'s module docs).
     pub reduce: bool,
     /// Generation guards for the `Soft_{H,k}` candidate bag sets; only
     /// `shw` paths consult them.
@@ -79,7 +81,8 @@ impl SolveSpec {
         }
     }
 
-    /// Exact `hw`, unlimited budget, reduction on.
+    /// Exact `hw`, unlimited budget (the reduction switch is on, and not
+    /// read).
     pub fn hw() -> Self {
         SolveSpec {
             class: SolveClass::Hw,

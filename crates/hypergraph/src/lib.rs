@@ -33,4 +33,4 @@ pub use cache::structural_hash;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};
 pub use parse::{parse_hypergraph, render_hypergraph, scan_hypergraph, ParseError, Scan};
-pub use reduce::{reduce, reduce_no_peel, ReduceEvent, ReducePiece, ReduceStats, Reduction};
+pub use reduce::{reduce, ReduceEvent, ReducePiece, ReduceStats, Reduction};

@@ -1,4 +1,4 @@
-//! Width-preserving simplification of hypergraphs before solving.
+//! Width-preserving simplification of hypergraphs before solving `shw`.
 //!
 //! Exact width computation pays `|E|^k` enumeration costs on every vertex
 //! and edge of the input, including the many that provably cannot affect
@@ -9,8 +9,15 @@
 //! under three rules before any solver runs:
 //!
 //! 1. **Subsumed-edge removal** — an edge contained in another edge never
-//!    appears in an optimal cover; word-level subset tests on the `u64`
-//!    bitset rows drop it (duplicated edges keep the lowest id).
+//!    appears in an optimal bag cover; word-level subset tests on the
+//!    `u64` bitset rows drop it (duplicated edges keep the lowest id).
+//!    Bag covers are what `shw` and `ghw` read. `hw`'s `λ` is not one:
+//!    its union also bounds what the subtree below may hold (the special
+//!    condition). `H2` plus the edge `{2, a}`, a subset of `{1, 2, a}`,
+//!    has `hw` 2: its HD puts `{2, a}` in the `λ` of a bag without vertex
+//!    1 whose subtree holds 1, where `{1, 2, a}` would break the special
+//!    condition. Without `{2, a}` it is `H2` again, with `hw` 3. So `hw`
+//!    is solved on the input as sent, never on a reduction.
 //! 2. **Degree-1 vertex peeling** — a vertex in exactly one edge is
 //!    removed from it. The peel worklist is XOR-packed in the style of
 //!    the cache-oblivious peeling of Belazzougui et al.: per vertex we
@@ -112,27 +119,6 @@ impl Reduction {
 /// Runs the simplification pipeline on `h` to fixpoint and splits the
 /// result into connected pieces. `h` itself is not modified.
 pub fn reduce(h: &Hypergraph) -> Reduction {
-    reduce_impl(h, true)
-}
-
-/// The pipeline with degree-1 peeling disabled: subsumed-edge removal
-/// and component splitting only.
-///
-/// This restriction is what makes the reduction safe for *hypertree*
-/// decompositions (not just tree decompositions / GHDs): a dropped edge
-/// `d ⊆ f` lifts back as a leaf under `f`'s cover node whose vertices
-/// all already occur there, so no ancestor's special condition
-/// (`B(T_u) ∩ ⋃λ(u) ⊆ B(u)`) sees a new vertex. Peeled vertices, by
-/// contrast, re-enter the tree *below* nodes that may use their host
-/// edge in `λ`, which violates the special condition even though the
-/// lifted tree decomposition stays valid. `softhw-core`'s reduce-aware
-/// `hw` path therefore uses this variant, while `shw` (whose witnesses
-/// are tree decompositions) uses the full [`reduce`].
-pub fn reduce_no_peel(h: &Hypergraph) -> Reduction {
-    reduce_impl(h, false)
-}
-
-fn reduce_impl(h: &Hypergraph, peel: bool) -> Reduction {
     let _span = softhw_obs::span(softhw_obs::stage::REDUCE);
     let nv = h.num_vertices();
     let ne = h.num_edges();
@@ -149,11 +135,7 @@ fn reduce_impl(h: &Hypergraph, peel: bool) -> Reduction {
             exor[v] ^= e as u32;
         }
     }
-    let mut worklist: Vec<u32> = if peel {
-        (0..nv as u32).filter(|&v| deg[v as usize] == 1).collect()
-    } else {
-        Vec::new()
-    };
+    let mut worklist: Vec<u32> = (0..nv as u32).filter(|&v| deg[v as usize] == 1).collect();
     let mut events: Vec<ReduceEvent> = Vec::new();
     let mut stats = ReduceStats::default();
 
@@ -215,7 +197,7 @@ fn reduce_impl(h: &Hypergraph, peel: bool) -> Reduction {
                 for v in cur[d].iter() {
                     deg[v] -= 1;
                     exor[v] ^= d as u32;
-                    if peel && deg[v] == 1 {
+                    if deg[v] == 1 {
                         worklist.push(v as u32);
                     }
                 }
@@ -452,28 +434,6 @@ mod tests {
         for piece in &r.pieces {
             assert!(reduce(&piece.h).is_trivial());
         }
-    }
-
-    #[test]
-    fn no_peel_variant_only_drops_and_splits() {
-        // An acyclic chain: full reduction peels it to nothing, the
-        // no-peel variant keeps every edge (nothing is subsumed).
-        let mut b = HypergraphBuilder::new();
-        b.edge("e1", &["a", "b", "c"]);
-        b.edge("e2", &["c", "d"]);
-        b.edge("e3", &["d", "e"]);
-        b.edge("dup", &["d", "c"]);
-        let h = b.build();
-        let r = reduce_no_peel(&h);
-        assert_eq!(r.stats.vertices_peeled, 0);
-        assert_eq!(r.stats.edges_dropped, 1, "only the duplicate goes");
-        assert_eq!(r.pieces.len(), 1);
-        assert_eq!(r.pieces[0].edge_map, vec![0, 1, 2]);
-        assert!(r
-            .events
-            .iter()
-            .all(|ev| matches!(ev, ReduceEvent::Drop { .. })));
-        assert!(reduce(&h).pieces.is_empty(), "full pipeline peels it all");
     }
 
     #[test]

@@ -100,9 +100,10 @@ pub struct ServiceConfig {
     /// (ignored without a store).
     pub warm_start: usize,
     /// Disable the reduce-before-solve pipeline (the `--no-reduce`
-    /// escape hatch). Routing (which never reduces) and the `STATS`
-    /// reduction rows are unaffected — only the solvers stop acting on
-    /// the reduction.
+    /// escape hatch). Routing (which never reduces), `HW` and `BEST`
+    /// (which solve the schema as sent) and the `STATS` reduction rows
+    /// are unaffected — only the `shw` solvers stop acting on the
+    /// reduction.
     pub no_reduce: bool,
     /// Compute deadline applied to requests that carry no `DEADLINE`
     /// token of their own (`--default-deadline`); `None` means
@@ -646,10 +647,11 @@ impl ServiceState {
 
     /// Answers a request the result cache and the store could not: the
     /// four width classes are one [`SolveSpec`] each through the cold
-    /// [`softhw_core::solve`], which reduces unless `--no-reduce` and
-    /// clamps an absurd `k` per piece (a sweep shares one index per piece
-    /// across widths; nothing outlives the request), framed by the shape
-    /// of what comes back; `BEST` runs Algorithm 2 on the schema as sent.
+    /// [`softhw_core::solve`], which reduces `SHW` and `SHW_LEQ` unless
+    /// `--no-reduce` and clamps an absurd `k` (a sweep shares one index
+    /// per piece across widths; nothing outlives the request), framed by
+    /// the shape of what comes back; `HW` and `HW_LEQ` solve the schema
+    /// as sent, and `BEST` runs Algorithm 2 on it.
     fn dispatch(&self, req: &Request, h: &Hypergraph, idx: usize, budget: &Budget) -> Response {
         let (spec, k) = match req.class {
             RequestClass::Shw => (SolveSpec::shw(), None),
@@ -1022,6 +1024,33 @@ mod tests {
     }
 
     #[test]
+    fn hw_on_h2_plus_a_subedge_is_two_in_both_modes() {
+        // `{2, a}` is a subset of `{1, 2, a}`, and an HD of width 2 needs
+        // it in a `λ`: `HW` must not solve a reduction that drops it.
+        let body = "e18(1,8), e34(3,4), e12a(1,2,a), e45a(4,5,a), e67a(6,7,a), \
+                    e23b(2,3,b), e56b(5,6,b), e78b(7,8,b), s2a(2,a).";
+        let h = softhw_hypergraph::parse_hypergraph(body).unwrap();
+        let no_reduce = ServiceState::new(ServiceConfig {
+            no_reduce: true,
+            ..ServiceConfig::default()
+        });
+        for st in [&state(), &no_reduce] {
+            match ask(st, &Request::new(RequestClass::Hw, body)) {
+                Response::Width { width, td, .. } => {
+                    assert_eq!(width, 2);
+                    let ghd = softhw_core::ghd::Ghd::from_td(&h, td.to_td().unwrap(), 2);
+                    assert!(ghd.is_some_and(|g| g.validate(&h).is_ok()));
+                }
+                other => panic!("{other:?}"),
+            }
+            match ask(st, &Request::new(RequestClass::HwLeq(2), body)) {
+                Response::Decision { td, .. } => assert!(td.is_some(), "hw <= 2"),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn reducible_schemas_report_reduction_and_agree_across_modes() {
         let body = "c0(v0,v1), c1(v1,v2), c2(v2,v3), c3(v3,v0), dup(v0,v1), p1(v2,p), p2(p,q).";
         let reduced = state();
@@ -1161,15 +1190,15 @@ mod tests {
         ];
         let before = miss_stages.map(|name| stage_count(&st, name));
         // The miss path, counted too. Every schema here reduces to at
-        // most one piece, so per schema: `SHW`, `SHW_LEQ` and `HW` reduce
-        // once each and `BEST` never (24); every request is one solve (32);
+        // most one piece, so per schema: `SHW` and `SHW_LEQ` reduce once
+        // each, `HW` and `BEST` never (16); every request is one solve (32);
         // `SHW` builds one index for its sweep, `SHW_LEQ` and `BEST` one
         // each, `HW` none (24); and all eight have `shw` 2 with a cyclic
         // piece, where a `SHW` sweep starts at `k = 2`, so it enumerates
         // once, beside one enumeration per `SHW_LEQ` and `BEST` (24). A
         // second index per piece, a second reduction, a sweep from `k = 1`
         // or a skipped span moves these.
-        assert_eq!(before, [24, 32, 24, 24]);
+        assert_eq!(before, [16, 32, 24, 24]);
         let probes_before = stage_count(&st, stage::RESULT_CACHE);
         for i in 0..1000 {
             let at = i % requests.len();

@@ -7,9 +7,10 @@
 //!   --width <k>      decide shw(H) <= k (k >= 1) instead of computing shw
 //!   --measure <m>    shw (default) | hw | ghw | shw1 | all
 //!   --concov         restrict to ConCov candidate bags
-//!   --no-reduce      solve shw/hw without the reduction pipeline (subsumption,
-//!                    peeling, component splitting); local mode only — the
-//!                    server's is set by `softhw-serve --no-reduce`
+//!   --no-reduce      solve shw without the reduction pipeline (subsumption,
+//!                    peeling, component splitting; hw never reduces); local
+//!                    mode only — the server's is set by
+//!                    `softhw-serve --no-reduce`
 //!   --print          print the witness decomposition
 //!   --stats          print structural statistics only
 //!   --connect <addr> client mode: send the request to a softhw-serve

@@ -6,9 +6,9 @@ use softhw::core::ctd_opt::best;
 use softhw::core::soft::{soft_bags, soft_witness, SoftLimits};
 use softhw::core::soft_iter::{ghw, shw_i, soft_i_witness};
 use softhw::core::td::TreeDecomposition;
-use softhw::core::{candidate_td, hw, shw};
+use softhw::core::{candidate_td, hw, shw, solve, SolveSpec, Solved};
 use softhw::hypergraph::named;
-use softhw::hypergraph::Hypergraph;
+use softhw::hypergraph::{Hypergraph, HypergraphBuilder};
 
 #[test]
 fn example1_h2_widths() {
@@ -169,4 +169,59 @@ fn games_match_widths_on_h2() {
     assert_eq!(games::mon_marshal_width(&h), 3); // = hw
     assert_eq!(games::marshal_width(&h), 2);
     assert_eq!(games::mon_irm_width(&h), 2); // <= shw, here equal
+}
+
+/// `H2` plus one edge `s{u}{v}` on the vertices `u` and `v`.
+fn h2_plus(u: &str, v: &str) -> Hypergraph {
+    let h2 = named::h2();
+    let mut b = HypergraphBuilder::new();
+    for x in 0..h2.num_vertices() {
+        b.vertex(h2.vertex_name(x));
+    }
+    for e in 0..h2.num_edges() {
+        b.edge_ids(h2.edge_name(e), &h2.edge(e).iter().collect::<Vec<_>>());
+    }
+    b.edge(&format!("s{u}{v}"), &[u, v]);
+    b.build()
+}
+
+#[test]
+fn h2_plus_one_subedge_has_the_hw_of_the_marshal_game() {
+    // `hw`, unlike `ghw` and `shw`, depends on which edges `λ` may use,
+    // so a subedge of a 3-edge can lower it. For each two-vertex subset
+    // of each of H2's six 3-edges, exact `hw` and `hw ≤ 2`, with the
+    // reduce switch on and off, must agree with the monotone marshals
+    // game (= hw). Exactly two of the 18 shapes drop to 2.
+    use softhw::core::games;
+    let h2 = named::h2();
+    let mut lowered = Vec::new();
+    for e in (0..h2.num_edges()).filter(|&e| h2.edge(e).len() == 3) {
+        let vs: Vec<&str> = h2.edge(e).iter().map(|x| h2.vertex_name(x)).collect();
+        for (u, v) in [(vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])] {
+            let h = h2_plus(u, v);
+            let truth = games::mon_marshal_width(&h);
+            for reduce in [true, false] {
+                let shape = format!("H2 + {{{u}, {v}}}, reduce {reduce}");
+                let Ok(Solved::HwWidth(w, g)) = solve(&h, &SolveSpec::hw().with_reduce(reduce))
+                else {
+                    panic!("{shape}: exact hw specs answer with a width");
+                };
+                assert_eq!(w, truth, "{shape}");
+                assert!(g.is_hd(&h) && g.width() == w, "{shape}:\n{}", g.render(&h));
+                let Ok(Solved::HwDecision(d)) =
+                    solve(&h, &SolveSpec::hw_leq(2).with_reduce(reduce))
+                else {
+                    panic!("{shape}: bounded hw specs answer with a decision");
+                };
+                assert_eq!(d.is_some(), truth <= 2, "{shape}");
+                if let Some(g) = d {
+                    assert!(g.is_hd(&h) && g.width() <= 2, "{shape}:\n{}", g.render(&h));
+                }
+            }
+            if truth == 2 {
+                lowered.push(format!("{u}{v}"));
+            }
+        }
+    }
+    assert_eq!(lowered, ["2a", "2b"]);
 }
