@@ -23,6 +23,21 @@
 //! fully-peelable (α-acyclic) hypergraph a genuine join tree: one node
 //! per surviving edge, each coverable by a single edge.
 //!
+//! Before a piece is solved, a lower bound may answer it. Every bag of
+//! `Soft_{H,k}` lies inside some `⋃λ` with `|λ| ≤ k` (Definition 3), so it
+//! holds at most `b_k` vertices, `b_k` being the sum of the `k` largest
+//! edge sizes, and a CTD over `Soft_{H,k}` has width at most `b_k − 1`.
+//! [`min_degree_minor`] finds a minor of the piece's primal graph with
+//! minimum degree `d`, so `d ≤ tw`. If `d ≥ b_k`, the width `b_k − 1` is
+//! less than `d ≤ tw`, which no tree decomposition can be, and `shw ≤ k`
+//! is refuted. So a piece's floor is the least `k` with `b_k > d`
+//! ([`min_cover_width`]), and at least 2 on an α-cyclic piece
+//! (`width_floor`): a bounded `k` below it answers "no" with nothing
+//! built, and an exact sweep starts there. The minor is the certificate
+//! of that "no", checked by [`check_minor`] under `debug_assert`, as the
+//! lifted witness of a "yes" is. It runs with the reduction, so a raw
+//! solve (`spec.reduce` off) skips it too.
+//!
 //! `hw` solves the input as sent. Its `λ` may only name edges of the
 //! input, so a subsumed edge a reduction drops can be the one an optimal
 //! HD needs: `H2` plus the edge `{2, a}` has `hw` 2, and 3 without that
@@ -51,7 +66,7 @@ use crate::shw::{new_index, shw_leq_indexed_budgeted, soft_instance_on};
 use crate::spec::{SolveClass, SolveSpec, Solved};
 use crate::td::TreeDecomposition;
 use softhw_hypergraph::reduce::{reduce, ReduceEvent, ReducePiece, Reduction};
-use softhw_hypergraph::{BitSet, Hypergraph};
+use softhw_hypergraph::{check_minor, min_cover_width, min_degree_minor, BitSet, Hypergraph};
 use std::ops::RangeInclusive;
 
 struct Lifter<'a> {
@@ -201,14 +216,26 @@ fn answer<W>(
     }
 }
 
+/// The least width a piece `reduce` left may have. `reduce` runs the GYO
+/// rules (degree-1 peeling and subsumed-edge removal) to a fixpoint, which
+/// is empty exactly on α-acyclic inputs, so a piece with two or more
+/// non-empty edges is α-cyclic and has `shw ≥ ghw ≥ 2`. Past that, the
+/// [`min_cover_width`] of the piece's min-degree minor (see the module
+/// docs), whose certificate is asserted as the lifted witness is.
+fn width_floor(piece: &Hypergraph) -> usize {
+    if piece.edges().iter().filter(|e| !e.is_empty()).count() < 2 {
+        return 1;
+    }
+    let minor = min_degree_minor(piece);
+    debug_assert_eq!(check_minor(piece, &minor), Ok(()), "the minor certificate");
+    min_cover_width(piece, &minor).max(2)
+}
+
 /// The `shw` pipeline. `leaf` answers one irreducible connected piece
 /// with the first width in a range it accepts and its witness, the range
-/// being [`widths`] from a floor of 2 on a piece `reduce` left with two or
-/// more non-empty edges, and 1 otherwise: `reduce` runs the GYO rules
-/// (degree-1 peeling and subsumed-edge removal) to a fixpoint, which is
-/// empty exactly on α-acyclic inputs, so such a piece is α-cyclic and its
-/// `ghw`, hence its `shw`, is at least 2. A bounded `k` below the floor
-/// answers "no" without asking `leaf`. With `spec.reduce` and a
+/// being [`widths`] from [`width_floor`] with `spec.reduce` and from 1
+/// without. A bounded `k` below the floor answers "no" without asking
+/// `leaf`. With `spec.reduce` and a
 /// non-trivial reduction every piece is answered, the budget checked
 /// before each, the widths recombined by max (floor 1) and the witnesses
 /// lifted; otherwise `h` itself is answered. A piece that accepts no
@@ -222,8 +249,8 @@ pub(crate) fn solve_shw(
     ) -> Result<Option<(usize, TreeDecomposition)>, DecompError>,
 ) -> Result<Solved, DecompError> {
     let mut leaf = |piece: &Hypergraph| {
-        let cyclic = spec.reduce && piece.edges().iter().filter(|e| !e.is_empty()).count() >= 2;
-        let widths = widths(piece, spec.bound, if cyclic { 2 } else { 1 });
+        let floor = if spec.reduce { width_floor(piece) } else { 1 };
+        let widths = widths(piece, spec.bound, floor);
         if widths.is_empty() {
             return Ok(None);
         }

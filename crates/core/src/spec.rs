@@ -50,9 +50,12 @@ pub struct SolveSpec {
     /// allocates nothing and solves on the never-checking fast path.
     pub budget: Budget,
     /// Whether an `shw` solve runs the reduce-before-solve pipeline
-    /// (simplify, solve pieces, lift), for exact widths and `width ≤ k`
-    /// decisions alike. Verdicts and widths do not depend on it; a
-    /// witness may. An `hw` solve does not read it: it solves the input
+    /// (simplify, bound, solve pieces, lift), for exact widths and
+    /// `width ≤ k` decisions alike. The bound is a checked min-degree
+    /// minor of each piece, which refutes the widths too narrow to hold it
+    /// before anything is built ([`crate::reduce_solve`]); switching the
+    /// pipeline off skips it too. Verdicts and widths do not depend on it;
+    /// a witness may. An `hw` solve does not read it: it solves the input
     /// as sent, since dropping a subsumed edge can raise `hw`
     /// (`softhw_hypergraph::reduce`'s module docs).
     pub reduce: bool,

@@ -19,6 +19,7 @@ pub mod cache;
 pub mod fxhash;
 #[allow(clippy::module_inception)]
 pub mod hypergraph;
+pub mod minor;
 pub mod named;
 pub mod pack;
 pub mod parse;
@@ -32,5 +33,6 @@ pub use blocks::{BlockIndex, BlockIndexStats, BlockRow};
 pub use cache::structural_hash;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use hypergraph::{Hypergraph, HypergraphBuilder};
+pub use minor::{check_minor, min_cover_width, min_degree_minor, Minor, MinorError};
 pub use parse::{parse_hypergraph, render_hypergraph, scan_hypergraph, ParseError, Scan};
 pub use reduce::{reduce, ReduceEvent, ReducePiece, ReduceStats, Reduction};

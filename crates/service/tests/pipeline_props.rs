@@ -178,13 +178,13 @@ fn pipelined_mixed_session_is_byte_identical_to_sequential() {
 
 #[test]
 fn mid_pipeline_timeout_matches_sequential() {
-    // The middle request carries a deadline no cold k=2 sweep on the
-    // 24x24 grid can meet: both sessions must answer OK, TIMEOUT, OK
-    // with identical bytes, and the pipelined connection must keep
-    // serving past the expiry.
+    // The middle request carries a deadline no cold exact sweep on the
+    // 24x24 grid can meet (it starts at k = 3, past the minor bound):
+    // both sessions must answer OK, TIMEOUT, OK with identical bytes,
+    // and the pipelined connection must keep serving past the expiry.
     let heavy = render_hypergraph(&named::grid(24, 24));
     let light = render_hypergraph(&named::h2());
-    let mut doomed = Request::new(RequestClass::ShwLeq(2), heavy);
+    let mut doomed = Request::new(RequestClass::Shw, heavy);
     doomed.deadline_ms = Some(50);
     let frames = vec![
         Request::new(RequestClass::Shw, light.clone()).encode(),
@@ -226,7 +226,7 @@ fn mid_pipeline_busy_shed_lands_in_its_slot() {
     // open for a post-shed request.
     let heavy = render_hypergraph(&named::grid(24, 24));
     let light = render_hypergraph(&named::h2());
-    let mut slow = Request::new(RequestClass::ShwLeq(2), heavy);
+    let mut slow = Request::new(RequestClass::Shw, heavy);
     slow.deadline_ms = Some(400);
     let light_req = Request::new(RequestClass::Shw, light);
 

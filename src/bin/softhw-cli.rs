@@ -8,9 +8,10 @@
 //!   --measure <m>    shw (default) | hw | ghw | shw1 | all
 //!   --concov         restrict to ConCov candidate bags
 //!   --no-reduce      solve shw without the reduction pipeline (subsumption,
-//!                    peeling, component splitting; hw never reduces); local
-//!                    mode only — the server's is set by
-//!                    `softhw-serve --no-reduce`
+//!                    peeling, component splitting, and the minor bound
+//!                    that refutes too narrow widths before a build; hw
+//!                    never reduces); local mode only — the server's is
+//!                    set by `softhw-serve --no-reduce`
 //!   --print          print the witness decomposition
 //!   --stats          print structural statistics only
 //!   --connect <addr> client mode: send the request to a softhw-serve

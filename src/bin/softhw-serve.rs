@@ -21,9 +21,10 @@
 //!                        if missing; torn tails recovered on open)
 //!   --warm <n>           warm-start the n hottest stored schemas (default 64)
 //!   --no-reduce          disable the reduce-before-solve pipeline: solve every
-//!                        `shw` schema raw (escape hatch; answers are
-//!                        identical, the pipeline only changes how they are
-//!                        computed; `HW` never reduces)
+//!                        `shw` schema raw, without the minor bound that
+//!                        refutes too narrow widths before a build (escape
+//!                        hatch; answers are identical, the pipeline only
+//!                        changes how they are computed; `HW` never reduces)
 //!   --slow-ms <ms>       record the span tree of every request slower than
 //!                        ms milliseconds in the slow-query ring (0 records
 //!                        everything; dumped via `STATS SLOW` and on shutdown)

@@ -8,9 +8,10 @@
 use proptest::prelude::*;
 use softhw::core::ghd::Ghd;
 use softhw::core::{hw, shw, solve, SolveSpec, Solved};
+use softhw::hypergraph::minor::{check_minor, min_degree_minor, Minor, MinorError};
 use softhw::hypergraph::random::{random_hypergraph, RandomConfig};
 use softhw::hypergraph::reduce::reduce;
-use softhw::hypergraph::{parse_hypergraph, Hypergraph, HypergraphBuilder};
+use softhw::hypergraph::{named, parse_hypergraph, Hypergraph, HypergraphBuilder};
 
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     random_connected(4..8, 3..8)
@@ -278,6 +279,12 @@ proptest! {
     }
 }
 
+fn shipped_hyperbench(name: &str) -> Hypergraph {
+    let path = format!("{}/data/hyperbench/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    parse_hypergraph(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 /// The shipped HyperBench files as one more input: both parse, reduce to
 /// something, and are rejected at `k = 1` whichever way the spec sets
 /// the reduce switch (the `k = 2` verdicts cost seconds and stay in
@@ -285,9 +292,7 @@ proptest! {
 #[test]
 fn shipped_hyperbench_files_parse_reduce_and_reject_width_one() {
     for name in ["grid24x24.hg", "rand1200.hg"] {
-        let path = format!("{}/data/hyperbench/{name}", env!("CARGO_MANIFEST_DIR"));
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let h = parse_hypergraph(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let h = shipped_hyperbench(name);
         assert!(
             !reduce(&h).pieces.is_empty(),
             "{name}: nothing left to solve"
@@ -300,4 +305,113 @@ fn shipped_hyperbench_files_parse_reduce_and_reject_width_one() {
             );
         }
     }
+}
+
+/// The sum of the two largest edge sizes: no bag of `Soft_{H,2}` is
+/// larger, so a minor of minimum degree at least this refutes `shw ≤ 2`.
+fn two_largest_edges(h: &Hypergraph) -> usize {
+    let mut sizes: Vec<usize> = h.edges().iter().map(|e| e.len()).collect();
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    sizes.iter().take(2).sum()
+}
+
+/// How far the minor bound reaches: degree 5 on the 20x20 grid, the
+/// benchmark's input, and on each reduced piece of both shipped files a
+/// degree past `b_2`, so `softhw-cli --width 2` answers both from the
+/// bound. The exact degrees are pinned.
+#[test]
+fn the_minor_bound_refutes_width_two_on_the_shipped_files() {
+    let grid = named::grid(20, 20);
+    let m = min_degree_minor(&grid);
+    assert_eq!(check_minor(&grid, &m), Ok(()));
+    assert_eq!((m.degree, two_largest_edges(&grid)), (5, 4));
+    let mut degrees = Vec::new();
+    for name in ["grid24x24.hg", "rand1200.hg"] {
+        for piece in reduce(&shipped_hyperbench(name)).pieces {
+            let m = min_degree_minor(&piece.h);
+            assert_eq!(check_minor(&piece.h, &m), Ok(()), "{name}");
+            assert!(
+                m.degree >= two_largest_edges(&piece.h),
+                "{name}: {}",
+                m.degree
+            );
+            degrees.push(m.degree);
+        }
+    }
+    assert_eq!(degrees, [5, 39]);
+}
+
+/// Four forgeries of a valid certificate on the 6x6 grid, each of which
+/// `check_minor` must reject: two branch sets merged, one set's id spread
+/// over two halves the primal graph does not join, an id out of range, and
+/// the claimed degree raised by one.
+#[test]
+fn the_minor_checker_rejects_forged_certificates() {
+    let h = named::grid(6, 6);
+    let m = min_degree_minor(&h);
+    assert_eq!(check_minor(&h, &m), Ok(()));
+    assert!(m.sets >= 3 && m.degree >= 2, "{m:?}");
+    // Merge set 0 into a set it touches; the last id fills the gap, so
+    // no id is unused. The merged set is connected, but the sets that
+    // touched both now touch one fewer.
+    let next = (0..h.num_vertices())
+        .filter(|&v| m.branch[v] == 0)
+        .flat_map(|v| h.closed_neighbourhood(v).iter())
+        .map(|w| m.branch[w])
+        .find(|&b| b != 0 && b != Minor::OUTSIDE)
+        .expect("set 0 touches another set");
+    let mut merged = m.clone();
+    for b in merged.branch.iter_mut() {
+        if *b == 0 {
+            *b = next;
+        }
+    }
+    for b in merged.branch.iter_mut() {
+        if *b == m.sets - 1 {
+            *b = 0;
+        }
+    }
+    merged.sets -= 1;
+    assert!(
+        matches!(check_minor(&h, &merged), Err(MinorError::LowDegree(_))),
+        "{:?}",
+        check_minor(&h, &merged)
+    );
+    // Two sets no edge joins given one id.
+    let (a, b) = (0..m.sets)
+        .flat_map(|a| (0..m.sets).map(move |b| (a, b)))
+        .find(|&(a, b)| {
+            a < b
+                && !(0..h.num_vertices()).any(|v| {
+                    m.branch[v] == a && h.closed_neighbourhood(v).iter().any(|w| m.branch[w] == b)
+                })
+        })
+        .expect("two sets that do not touch");
+    let mut split = m.clone();
+    for v in split.branch.iter_mut() {
+        if *v == b {
+            *v = a;
+        } else if *v == m.sets - 1 {
+            *v = b;
+        }
+    }
+    split.sets -= 1;
+    assert_eq!(
+        check_minor(&h, &split),
+        Err(MinorError::Disconnected(a as usize))
+    );
+    let mut out_of_range = m.clone();
+    out_of_range.branch[7] = m.sets;
+    assert_eq!(
+        check_minor(&h, &out_of_range),
+        Err(MinorError::OutOfRange(7))
+    );
+    let raised = Minor {
+        degree: m.degree + 1,
+        ..m.clone()
+    };
+    assert!(matches!(
+        check_minor(&h, &raised),
+        Err(MinorError::LowDegree(_))
+    ));
 }
